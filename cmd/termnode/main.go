@@ -51,13 +51,12 @@ func main() {
 	seed := flag.Int64("seed", 0, "link-delay seed (0 derives one from -id)")
 	groupCommit := flag.Bool("group-commit", true, "WAL group commit: amortize one fsync over concurrent appends")
 	shortCommit := flag.Bool("short-commit", false, "early lock release at prepare-ack (weakened isolation; termination protocol repairs in-doubt)")
-	pipeline := flag.Bool("pipeline", false, "apply decisions while their WAL flush is in flight")
 	placementSpec := flag.String("placement", "", "base64 of the encoded epoch-0 shard assignment (empty: full replication)")
 	traceOut := flag.String("trace-out", "", "export a JSONL trace of protocol events to this file at shutdown (relative paths land in -wal-dir)")
 	flag.Parse()
 
 	logger := log.New(os.Stdout, fmt.Sprintf("termnode[%d] ", *id), log.LstdFlags|log.Lmicroseconds)
-	tuning := tuningFlags{groupCommit: *groupCommit, shortCommit: *shortCommit, pipeline: *pipeline}
+	tuning := tuningFlags{groupCommit: *groupCommit, shortCommit: *shortCommit}
 	if err := run(*id, *addr, *apiPort, *api, *peersSpec, *walDir, *clearData, *protoName, *t, *seed, *placementSpec, *traceOut, tuning, logger); err != nil {
 		logger.Fatalf("fatal: %v", err)
 	}
@@ -67,7 +66,6 @@ func main() {
 type tuningFlags struct {
 	groupCommit bool
 	shortCommit bool
-	pipeline    bool
 }
 
 func run(id int, addr string, apiPort int, apiAddr, peersSpec, walDir string, clearData bool,
@@ -135,14 +133,13 @@ func run(id int, addr string, apiPort int, apiAddr, peersSpec, walDir string, cl
 	node := netnode.NewNode(netnode.Options{
 		ID: self, Protocol: protocol, T: t,
 		Addr: addr, Peers: peers, APIPeers: apiPeers,
-		Placement:         asg,
-		WALPath:           filepath.Join(walDir, "wal.log"),
-		Seed:              seed,
-		GroupCommit:       &tuning.groupCommit,
-		ShortCommit:       tuning.shortCommit,
-		PipelineDecisions: tuning.pipeline,
-		TraceOut:          traceOut,
-		Logf:              logger.Printf,
+		Placement:   asg,
+		WALPath:     filepath.Join(walDir, "wal.log"),
+		Seed:        seed,
+		GroupCommit: &tuning.groupCommit,
+		ShortCommit: tuning.shortCommit,
+		TraceOut:    traceOut,
+		Logf:        logger.Printf,
 	})
 	if err := node.Start(); err != nil {
 		return err
@@ -152,8 +149,8 @@ func run(id int, addr string, apiPort int, apiAddr, peersSpec, walDir string, cl
 		node.Close()
 		return err
 	}
-	logger.Printf("up: proto=%s api=%s wal=%s protocol=%s T=%s group-commit=%v short-commit=%v pipeline=%v",
-		node.Addr(), bound, walDir, protoName, t, tuning.groupCommit, tuning.shortCommit, tuning.pipeline)
+	logger.Printf("up: proto=%s api=%s wal=%s protocol=%s T=%s group-commit=%v short-commit=%v",
+		node.Addr(), bound, walDir, protoName, t, tuning.groupCommit, tuning.shortCommit)
 
 	// SIGTERM/SIGINT is a graceful stop; a crash (SIGKILL) is the fault
 	// model — the WAL in -wal-dir is what the next incarnation recovers

@@ -428,6 +428,41 @@ func TestLiveCrashedParticipantExcluded(t *testing.T) {
 	}
 }
 
+// Reachability on the live backend — the admission check for recovery's
+// bulk catch-up pull — follows the injected faults: a partition separates
+// exactly the pairs that straddle it, a crashed site is reachable by
+// nobody until it recovers.
+func TestLiveReachable(t *testing.T) {
+	b := NewLiveBackend(LiveOptions{T: 3 * time.Millisecond})
+	c, err := Open(Config{Sites: 4, Protocol: core.Protocol{}, Backend: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	inject := func(ev Event) {
+		t.Helper()
+		if err := c.Inject(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !b.reachable(1, 4) {
+		t.Fatal("healthy pair unreachable")
+	}
+	inject(PartitionAt(0, 3, 4))
+	if b.reachable(1, 4) || !b.reachable(3, 4) || !b.reachable(1, 2) {
+		t.Fatal("partition reachability wrong")
+	}
+	inject(HealAt(0))
+	inject(CrashAt(0, 2))
+	if b.reachable(1, 2) {
+		t.Fatal("crashed site reachable")
+	}
+	inject(RecoverAt(0, 2))
+	if !b.reachable(1, 2) {
+		t.Fatal("recovered site unreachable")
+	}
+}
+
 func TestOpenValidation(t *testing.T) {
 	cases := map[string]Config{
 		"sites":    {Sites: 1, Protocol: core.Protocol{}},

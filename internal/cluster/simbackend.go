@@ -9,6 +9,7 @@ import (
 	"termproto/internal/recovery"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
+	"termproto/internal/site"
 	"termproto/internal/trace"
 )
 
@@ -43,8 +44,6 @@ type SimBackend struct {
 	net   *simnet.Network
 	rec   *trace.Recorder
 	muxes map[proto.SiteID]*siteMux
-	// epoch counts crashes per site; automata die when their epoch passes.
-	epoch map[proto.SiteID]int
 	// spawned counts automata instantiated per site over the backend's
 	// lifetime — the observable for asserting sharded placement.
 	spawned map[proto.SiteID]int
@@ -69,7 +68,6 @@ func NewSimBackend(opts SimOptions) *SimBackend {
 	return &SimBackend{
 		opts:       opts,
 		muxes:      make(map[proto.SiteID]*siteMux),
-		epoch:      make(map[proto.SiteID]int),
 		spawned:    make(map[proto.SiteID]int),
 		unresolved: make(map[proto.SiteID][]engine.InDoubt),
 	}
@@ -115,9 +113,19 @@ func (b *SimBackend) Open(cfg Config) error {
 		Rand:         sim.NewRand(b.opts.Seed + 1),
 		Trace:        b.rec,
 	})
+	var sink func(trace.Event)
+	if b.rec != nil {
+		sink = b.rec.Append
+	}
 	for i := 1; i <= cfg.Sites; i++ {
 		id := proto.SiteID(i)
-		m := &siteMux{backend: b, id: id, envs: make(map[proto.TxnID]*txnEnv)}
+		m := &siteMux{
+			Site: site.Site{
+				ID: id, Clock: site.SchedClock{Sched: b.sched, Bound: b.opts.T}, Transport: b.net,
+				Participant: cfg.Participants[id], Trace: sink, OnDecide: b.onDecide,
+			},
+			txns: make(map[proto.TxnID]*simTxn),
+		}
 		b.muxes[id] = m
 		b.net.Register(id, m)
 	}
@@ -257,7 +265,7 @@ func (b *SimBackend) scheduleCrash(id proto.SiteID, at sim.Time) {
 	if at < b.sched.Now() {
 		at = b.sched.Now()
 	}
-	b.sched.At(at, sim.PriPartition, func() { b.epoch[id]++ })
+	b.sched.At(at, sim.PriPartition, b.muxes[id].crash)
 }
 
 // Submit implements Backend: the transaction's automata are instantiated
@@ -303,38 +311,35 @@ func (b *SimBackend) startTxn(t Txn, res *TxnResult) {
 	if res.Sites[t.Master].Crashed || len(sites) < minSites {
 		return
 	}
-	protocol := b.cfg.Protocol
-	if local {
-		protocol = proto.LocalCommit{}
+	votes := t.Votes
+	if votes == nil {
+		votes = b.cfg.Votes
 	}
+	spec := site.Spec{TID: t.ID, Master: t.Master, Sites: sites, Votes: votes, Payload: t.Payload}
 	for _, id := range sites {
-		cfg := proto.Config{TID: t.ID, Self: id, Master: t.Master, Sites: sites, Payload: t.Payload}
-		var node proto.Node
-		if id == t.Master {
-			node = protocol.NewMaster(cfg)
-		} else {
-			node = protocol.NewSlave(cfg)
-		}
-		e := &txnEnv{
-			backend: b,
-			cfg:     cfg,
-			node:    node,
-			votes:   t.Votes,
-			notify:  t.onDecided,
-			out:     res.Sites[id],
-			epoch:   b.epoch[id],
-		}
-		e.out.FinalState = node.State()
-		b.muxes[id].envs[t.ID] = e
+		m := b.muxes[id]
+		st := &simTxn{env: m.NewEnv(b.cfg.Protocol, spec), out: res.Sites[id], notify: t.onDecided}
+		st.out.FinalState = st.env.State()
+		m.txns[t.ID] = st
 		b.spawned[id]++
 	}
-	// Start in site order after every env exists, so a master's first
-	// sends find all handlers registered — same convention as the harness.
+	// Start in site order after every automaton exists, so a master's
+	// first sends find all handlers registered.
 	for _, id := range sites {
-		if e := b.muxes[id].envs[t.ID]; e != nil {
-			e.start()
-		}
+		b.muxes[id].txns[t.ID].env.Start()
 	}
+}
+
+// onDecide is every site's decision hook: it fills the transaction's
+// result slot, runs the migration machinery's per-transaction hook, and
+// renews the deciding site's shard leases.
+func (b *SimBackend) onDecide(cfg proto.Config, o proto.Outcome, at sim.Time) {
+	st := b.muxes[cfg.Self].txns[cfg.TID]
+	st.out.Outcome, st.out.DecidedAt = o, at
+	if st.notify != nil {
+		st.notify(cfg.Self, o)
+	}
+	b.leases.onDecide(cfg.Self, cfg.Payload, o, at)
 }
 
 // Wait implements Backend: it drives the scheduler to quiescence — every
@@ -352,14 +357,10 @@ func (b *SimBackend) Wait() error {
 	}
 	b.sched.Run()
 	for _, m := range b.muxes {
-		for _, e := range m.envs {
-			e.out.FinalState = e.node.State()
-			e.out.Started = e.started || e.cfg.IsMaster()
-			if e.dead() {
-				e.out.Crashed = true
-			}
+		for _, st := range m.txns {
+			st.settle()
 		}
-		clear(m.envs)
+		clear(m.txns)
 	}
 	return nil
 }
@@ -444,219 +445,51 @@ func (b *SimBackend) LeaseTable(site proto.SiteID) *lease.Table {
 	return b.leases.table(site)
 }
 
-// siteMux demultiplexes one site's deliveries to per-transaction automata.
+// siteMux is one site on the simulated timeline: the shared site runtime
+// over the scheduler clock and the simulated network, demultiplexing the
+// site's deliveries to its per-transaction automata.
 type siteMux struct {
-	backend *SimBackend
-	id      proto.SiteID
-	envs    map[proto.TxnID]*txnEnv
+	site.Site
+	txns map[proto.TxnID]*simTxn
+}
+
+// simTxn is one (site, transaction) automaton and its result slot.
+type simTxn struct {
+	env    *site.Env
+	out    *SiteOutcome
+	notify func(site proto.SiteID, o proto.Outcome)
+}
+
+// settle copies the automaton's final view into the result slot.
+func (st *simTxn) settle() {
+	st.out.FinalState, st.out.Started = st.env.State(), st.env.Started()
 }
 
 // Deliver implements simnet.Handler.
 func (m *siteMux) Deliver(msg proto.Msg) {
-	if e := m.envs[msg.TID]; e != nil {
-		e.deliver(msg)
+	if st := m.txns[msg.TID]; st != nil {
+		st.env.Deliver(msg)
 	}
 }
 
 // Undeliverable implements simnet.Handler.
 func (m *siteMux) Undeliverable(msg proto.Msg) {
-	if e := m.envs[msg.TID]; e != nil {
-		e.undeliverable(msg)
+	if st := m.txns[msg.TID]; st != nil {
+		st.env.Undeliverable(msg)
 	}
 }
 
-// txnEnv implements proto.Env for one (site, transaction) automaton on the
-// shared timeline, with its own timer and result slot.
-type txnEnv struct {
-	backend *SimBackend
-	cfg     proto.Config
-	node    proto.Node
-	votes   Voter
-	notify  func(site proto.SiteID, o proto.Outcome)
-	out     *SiteOutcome
-	epoch   int
-
-	timer   sim.EventID
-	hasTmr  bool
-	started bool
+// crash fails the site: the automata it hosts settle as crashed and see
+// no further events — the network already drops what is addressed to a
+// down site, and closing them silences their timers. A recovered site
+// starts over with an empty table (what a process restart is).
+func (m *siteMux) crash() {
+	for _, st := range m.txns {
+		st.settle()
+		st.out.Crashed = true
+		st.env.Close()
+	}
+	clear(m.txns)
 }
 
-// dead reports whether the hosting site crashed after this automaton was
-// created; dead automata process no further events.
-func (e *txnEnv) dead() bool {
-	return e.backend.epoch[e.cfg.Self] != e.epoch ||
-		e.backend.net.Crashed(e.cfg.Self, e.backend.sched.Now())
-}
-
-func (e *txnEnv) start() {
-	before := e.node.State()
-	e.node.Start(e)
-	e.noteTransition(before)
-}
-
-func (e *txnEnv) deliver(m proto.Msg) {
-	if e.dead() {
-		return
-	}
-	if m.Kind == proto.MsgXact {
-		e.started = true
-	}
-	before := e.node.State()
-	e.node.OnMsg(e, m)
-	e.noteTransition(before)
-}
-
-func (e *txnEnv) undeliverable(m proto.Msg) {
-	if e.dead() {
-		return
-	}
-	before := e.node.State()
-	e.node.OnUndeliverable(e, m)
-	e.noteTransition(before)
-}
-
-func (e *txnEnv) fireTimer() {
-	if e.dead() {
-		return
-	}
-	e.hasTmr = false
-	e.trace(trace.Event{At: e.now(), Kind: trace.TimerFire, Site: int(e.cfg.Self), TID: uint64(e.cfg.TID)})
-	before := e.node.State()
-	e.node.OnTimeout(e)
-	e.noteTransition(before)
-}
-
-func (e *txnEnv) noteTransition(before string) {
-	after := e.node.State()
-	if after != before {
-		e.trace(trace.Event{
-			At: e.now(), Kind: trace.Transition,
-			Site: int(e.cfg.Self), FromState: before, ToState: after,
-			TID: uint64(e.cfg.TID),
-		})
-	}
-}
-
-func (e *txnEnv) now() sim.Time { return e.backend.sched.Now() }
-
-func (e *txnEnv) trace(ev trace.Event) { e.backend.rec.Append(ev) }
-
-// --- proto.Env ---
-
-// Self implements proto.Env.
-func (e *txnEnv) Self() proto.SiteID { return e.cfg.Self }
-
-// MasterID implements proto.Env.
-func (e *txnEnv) MasterID() proto.SiteID { return e.cfg.Master }
-
-// Sites implements proto.Env.
-func (e *txnEnv) Sites() []proto.SiteID { return e.cfg.Sites }
-
-// Slaves implements proto.Env.
-func (e *txnEnv) Slaves() []proto.SiteID { return e.cfg.Slaves() }
-
-// Now implements proto.Env.
-func (e *txnEnv) Now() sim.Time { return e.backend.sched.Now() }
-
-// T implements proto.Env.
-func (e *txnEnv) T() sim.Duration { return e.backend.opts.T }
-
-// Send implements proto.Env.
-func (e *txnEnv) Send(to proto.SiteID, kind proto.Kind, payload []byte) {
-	if e.dead() || to == e.cfg.Self {
-		return
-	}
-	e.backend.net.Send(proto.Msg{TID: e.cfg.TID, From: e.cfg.Self, To: to, Kind: kind, Payload: payload})
-}
-
-// SendAll implements proto.Env.
-func (e *txnEnv) SendAll(kind proto.Kind, payload []byte) {
-	for _, id := range e.cfg.Sites {
-		if id != e.cfg.Self {
-			e.Send(id, kind, payload)
-		}
-	}
-}
-
-// ResetTimer implements proto.Env.
-func (e *txnEnv) ResetTimer(d sim.Duration) {
-	e.StopTimer()
-	e.timer = e.backend.sched.After(d, sim.PriTimer, e.fireTimer)
-	e.hasTmr = true
-	e.trace(trace.Event{
-		At: e.now(), Kind: trace.TimerSet, Site: int(e.cfg.Self),
-		TID: uint64(e.cfg.TID), Detail: fmt.Sprintf("+%d", d),
-	})
-}
-
-// StopTimer implements proto.Env.
-func (e *txnEnv) StopTimer() {
-	if e.hasTmr {
-		e.backend.sched.Cancel(e.timer)
-		e.hasTmr = false
-		e.trace(trace.Event{At: e.now(), Kind: trace.TimerStop, Site: int(e.cfg.Self), TID: uint64(e.cfg.TID)})
-	}
-}
-
-// Execute implements proto.Env.
-func (e *txnEnv) Execute(payload []byte) bool {
-	e.started = true
-	if p := e.backend.cfg.Participants[e.cfg.Self]; p != nil {
-		if sp, ok := p.(proto.SiteAwareParticipant); ok {
-			return sp.ExecuteAt(e.cfg.TID, payload, e.cfg.Sites)
-		}
-		return p.Execute(e.cfg.TID, payload)
-	}
-	if e.votes != nil {
-		return e.votes(e.cfg.Self, e.cfg.TID, payload)
-	}
-	if e.backend.cfg.Votes != nil {
-		return e.backend.cfg.Votes(e.cfg.Self, e.cfg.TID, payload)
-	}
-	return true
-}
-
-// Decide implements proto.Env.
-func (e *txnEnv) Decide(o proto.Outcome) {
-	if o == proto.None {
-		panic("cluster: Decide(None)")
-	}
-	if e.out.Outcome != proto.None {
-		if e.out.Outcome != o {
-			panic(fmt.Sprintf("cluster: site %d decided %v after %v on txn %d — protocol atomicity bug",
-				e.cfg.Self, o, e.out.Outcome, e.cfg.TID))
-		}
-		return
-	}
-	e.out.Outcome = o
-	e.out.DecidedAt = e.now()
-	if p := e.backend.cfg.Participants[e.cfg.Self]; p != nil {
-		if o == proto.Commit {
-			p.Commit(e.cfg.TID)
-		} else {
-			p.Abort(e.cfg.TID)
-		}
-	}
-	if e.notify != nil {
-		e.notify(e.cfg.Self, o)
-	}
-	e.backend.leases.onDecide(e.cfg.Self, e.cfg.Payload, o, e.now())
-	e.trace(trace.Event{
-		At: e.now(), Kind: trace.Decide,
-		Site: int(e.cfg.Self), Outcome: o.String(), TID: uint64(e.cfg.TID),
-	})
-}
-
-// Tracef implements proto.Env.
-func (e *txnEnv) Tracef(format string, args ...any) {
-	if e.backend.rec == nil {
-		return
-	}
-	e.trace(trace.Event{
-		At: e.now(), Kind: trace.Note, Site: int(e.cfg.Self),
-		TID: uint64(e.cfg.TID), Detail: fmt.Sprintf(format, args...),
-	})
-}
-
-var _ proto.Env = (*txnEnv)(nil)
 var _ Backend = (*SimBackend)(nil)

@@ -166,13 +166,6 @@ type Options struct {
 	// short-committed transaction is repaired by the same termination-
 	// protocol inquiry as a blocked one.
 	ShortCommit bool
-	// PipelineDecisions appends decision records without waiting for the
-	// flush that makes them durable, letting the engine apply a commit
-	// while the fsync is still in flight. Safe because a decision record
-	// lost to a crash re-surfaces the transaction as in-doubt, which the
-	// termination protocol's inquiry round resolves from the surviving
-	// participants. Effective only with WAL group commit enabled.
-	PipelineDecisions bool
 }
 
 // Engine is one site's database.
@@ -212,13 +205,20 @@ func (e *Engine) SetMetrics(r *obs.Registry, shardOf func(key string) int) {
 	e.obsDB = obs.NewDB(r)
 	e.shardOf = shardOf
 	e.log.SetMetrics(r)
-	if r == nil {
+	e.observeLockFailures()
+}
+
+// observeLockFailures points the lock manager's fail observer at the
+// per-shard lock-failure counter (nil when metrics are off): the lock
+// manager reports the failing key, the engine resolves it to a shard. The
+// observer runs outside the lock-table mutex (under e.mu on the execute
+// path), and the handles are allocation-free. Called with e.mu held, for
+// every lock manager the engine creates.
+func (e *Engine) observeLockFailures() {
+	if e.obsDB == nil {
 		e.locks.SetFailObserver(nil)
 		return
 	}
-	// The lock manager reports the failing key; the engine resolves it
-	// to a shard. The observer runs outside the lock-table mutex (under
-	// e.mu on the execute path), and the handles are allocation-free.
 	e.locks.SetFailObserver(func(key string) {
 		e.obsDB.LockFailures.At(e.shardFor(key)).Inc()
 	})
@@ -427,7 +427,7 @@ func (e *Engine) Commit(tid proto.TxnID) {
 	if _, done := e.decided[id]; done {
 		return
 	}
-	e.appendDecision(wal.Record{Type: wal.RecCommit, TID: id})
+	e.log.Append(wal.Record{Type: wal.RecCommit, TID: id}) //nolint:errcheck // decisions for unknown txns are best-effort
 	e.decided[id] = proto.Commit
 	p, ok := e.pending[id]
 	if !ok {
@@ -458,18 +458,6 @@ func (e *Engine) Commit(tid proto.TxnID) {
 	}
 }
 
-// appendDecision forces a decision record, or — in pipelined mode —
-// enqueues it and lets the engine proceed while the group-commit flush
-// is in flight (a lost decision re-surfaces as in-doubt and is repaired
-// by the termination protocol's inquiry round). Called with e.mu held.
-func (e *Engine) appendDecision(r wal.Record) {
-	if e.opts.PipelineDecisions {
-		e.log.AppendAsync(r) //nolint:errcheck // loss is repairable; see above
-		return
-	}
-	e.log.Append(r) //nolint:errcheck // decisions for unknown txns are best-effort
-}
-
 // Abort implements harness.Participant: force the abort record, discard
 // buffered updates, release locks.
 func (e *Engine) Abort(tid proto.TxnID) {
@@ -479,7 +467,7 @@ func (e *Engine) Abort(tid proto.TxnID) {
 	if _, done := e.decided[id]; done {
 		return
 	}
-	e.appendDecision(wal.Record{Type: wal.RecAbort, TID: id})
+	e.log.Append(wal.Record{Type: wal.RecAbort, TID: id}) //nolint:errcheck // decisions for unknown txns are best-effort
 	e.decided[id] = proto.Abort
 	p, ok := e.pending[id]
 	if !ok {
@@ -628,10 +616,6 @@ func (e *Engine) Stats() (voteYes, voteNo, commits, aborts uint64) {
 // batches and occupancy). The log locks internally; e.mu is not needed.
 func (e *Engine) WALStats() wal.Stats { return e.log.Stats() }
 
-// FlushWAL drains any pending group-commit flushes, making every
-// enqueued record durable before it returns.
-func (e *Engine) FlushWAL() error { return e.log.Flush() }
-
 // CatchUp reconciles this site's committed state with a replica snapshot
 // — the anti-entropy pull a recovering site runs to pick up commits it
 // missed while down. Only keys inside include (nil = all) and hosted
@@ -730,6 +714,7 @@ func (e *Engine) RecoverInPlace() (RecoveryInfo, error) {
 	}
 	e.tree = &btree.Tree{}
 	e.locks = lock.New()
+	e.observeLockFailures()
 	e.pending = make(map[uint64]*pendingTxn)
 	e.decided = make(map[uint64]proto.Outcome)
 

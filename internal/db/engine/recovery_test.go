@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"termproto/internal/db/wal"
+	"termproto/internal/obs"
 	"termproto/internal/proto"
 )
 
@@ -226,5 +227,28 @@ func TestFileStoreCrashRecoveryRoundTrip(t *testing.T) {
 	}
 	if len(info.InDoubt) != 0 || e2.GetInt("acct/a") != 60 {
 		t.Fatalf("second restart: in-doubt=%v balance=%d", info.InDoubt, e2.GetInt("acct/a"))
+	}
+}
+
+// The lock-failure counter survives a restart: RecoverInPlace builds a new
+// lock manager, and the observer SetMetrics installed must follow it —
+// every daemon recovers at start-up, so otherwise the counter is dead.
+func TestLockFailureMetricSurvivesRecovery(t *testing.T) {
+	e := New("s", &wal.MemStore{})
+	reg := obs.New()
+	e.SetMetrics(reg, nil)
+	e.PutInt("a", 100)
+	if _, err := e.RecoverInPlace(); err != nil {
+		t.Fatal(err)
+	}
+	debit := EncodeOps([]Op{{Kind: OpAdd, Key: "a", Delta: -1}})
+	if !e.Execute(1, debit) {
+		t.Fatal("txn 1 voted no")
+	}
+	if e.Execute(2, debit) {
+		t.Fatal("txn 2 took a lock txn 1 holds")
+	}
+	if got := reg.Snapshot().Total(obs.MLockFailures); got != 1 {
+		t.Fatalf("%s = %d after one conflict, want 1", obs.MLockFailures, got)
 	}
 }

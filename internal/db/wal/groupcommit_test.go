@@ -111,32 +111,6 @@ func TestAppendBatchSingleSync(t *testing.T) {
 	}
 }
 
-// TestAppendAsyncFlush checks the pipelined path: AppendAsync returns
-// before durability, Flush blocks until every enqueued record is on
-// stable storage.
-func TestAppendAsyncFlush(t *testing.T) {
-	store := &MemStore{}
-	l := NewWith(store, GroupCommitDefaults())
-	for i := 1; i <= 10; i++ {
-		if err := l.AppendAsync(rec(RecCommit, uint64(i), "", "")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := Scan(store.CrashContents())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 10 {
-		t.Fatalf("flushed %d records, want 10", len(recs))
-	}
-	if l.Count() != 10 {
-		t.Fatalf("Count = %d, want 10", l.Count())
-	}
-}
-
 // TestGroupCommitSyncErrorPropagates checks that a failing Sync reaches
 // every waiter of the affected flush group.
 func TestGroupCommitSyncErrorPropagates(t *testing.T) {

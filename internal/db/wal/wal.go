@@ -324,7 +324,7 @@ func appendFrame(buf []byte, r Record) []byte {
 // shared flush) returns once the record is on stable storage. Encoding
 // happens before any lock; the Sync syscall never runs under l.mu.
 func (l *Log) Append(r Record) error {
-	return l.append(appendFrame(nil, r), 1, true)
+	return l.append(appendFrame(nil, r), 1)
 }
 
 // AppendBatch writes a multi-record transaction fragment (e.g.
@@ -338,26 +338,15 @@ func (l *Log) AppendBatch(rs []Record) error {
 	for _, r := range rs {
 		buf = appendFrame(buf, r)
 	}
-	return l.append(buf, len(rs), true)
-}
-
-// AppendAsync enqueues one record without waiting for the flush that
-// makes it durable — the pipelined path for records whose loss is
-// repairable (a decision record that never lands re-surfaces as in-doubt
-// and the termination protocol's inquiry round resolves it). In
-// synchronous mode it degrades to a plain Append. A flush error is
-// reported to that flush's waiters; fire-and-forget callers observe it
-// through Flush or the next waited append.
-func (l *Log) AppendAsync(r Record) error {
-	return l.append(appendFrame(nil, r), 1, false)
+	return l.append(buf, len(rs))
 }
 
 // append routes an encoded frame sequence down the configured path.
-func (l *Log) append(buf []byte, n int, wait bool) error {
+func (l *Log) append(buf []byte, n int) error {
 	if !l.opts.GroupCommit {
 		return l.appendSync(buf, n)
 	}
-	return l.submit(buf, n, wait)
+	return l.submit(buf, n)
 }
 
 // appendSync is the synchronous path: one Write under the lock, then the
@@ -385,9 +374,8 @@ func (l *Log) appendSync(buf []byte, n int) error {
 
 // submit joins (or opens) a flush group. The first submitter while no
 // flush is running becomes the leader and drives lead(); everyone else
-// just waits on their group's done channel (or returns immediately when
-// wait is false).
-func (l *Log) submit(buf []byte, n int, wait bool) error {
+// just waits on their group's done channel.
+func (l *Log) submit(buf []byte, n int) error {
 	l.mu.Lock()
 	var g *flushGroup
 	if len(l.queue) > 0 {
@@ -408,14 +396,7 @@ func (l *Log) submit(buf []byte, n int, wait bool) error {
 	}
 	l.mu.Unlock()
 	if lead {
-		if wait {
-			l.lead()
-		} else {
-			go l.lead()
-		}
-	}
-	if !wait {
-		return nil
+		l.lead()
 	}
 	<-g.done
 	return g.err
@@ -487,8 +468,7 @@ func (l *Log) lead() {
 
 // Flush blocks until every record enqueued before the call is durable
 // (groups flush in order, so waiting on the youngest covers them all).
-// It returns that flush's error, surfacing failures AppendAsync callers
-// fired and forgot.
+// It returns that flush's error.
 func (l *Log) Flush() error {
 	l.mu.Lock()
 	inflight := l.inflight

@@ -1,16 +1,16 @@
-// Package harness wires a commit protocol, the simulated network, and a
-// set of sites into a runnable experiment: it instantiates one automaton
-// per site, implements the proto.Env each automaton acts through, drives
-// the discrete-event scheduler to quiescence, and reports per-site outcomes
-// plus the full execution trace.
+// Package harness is the thin single-transaction entry point to the site
+// runtime: it instantiates one automaton per site (internal/site's Env
+// over the scheduler clock and the simulated network), drives the
+// discrete-event scheduler to quiescence, and reports per-site outcomes
+// plus the full execution trace. The critical-instant sweeps and the
+// timing experiments run through it.
 package harness
 
 import (
-	"fmt"
-
 	"termproto/internal/proto"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
+	"termproto/internal/site"
 	"termproto/internal/trace"
 )
 
@@ -181,8 +181,10 @@ func Run(opts Options) *Result {
 	sched := sim.NewScheduler()
 	sched.SetTimersFirst(opts.TimersFirst)
 	var rec *trace.Recorder
+	var sink func(trace.Event)
 	if !opts.DisableTrace {
 		rec = &trace.Recorder{}
+		sink = rec.Append
 	}
 	net := simnet.New(simnet.Config{
 		Sched:        sched,
@@ -195,59 +197,38 @@ func Run(opts Options) *Result {
 		Trace:        rec,
 	})
 
-	tid := opts.TID
-	if tid == 0 {
-		tid = 1
+	spec := site.Spec{TID: opts.TID, Master: 1, Votes: opts.Votes, Payload: opts.Payload}
+	if spec.TID == 0 {
+		spec.TID = 1
 	}
-	sites := make([]proto.SiteID, opts.N)
-	for i := range sites {
-		sites[i] = proto.SiteID(i + 1)
+	spec.Sites = make([]proto.SiteID, opts.N)
+	for i := range spec.Sites {
+		spec.Sites[i] = proto.SiteID(i + 1)
 	}
-	master := sites[0]
 
 	res := &Result{Sites: make(map[proto.SiteID]*SiteResult, opts.N), Trace: rec, T: opts.T}
-	envs := make([]*env, 0, opts.N)
-	for _, id := range sites {
-		cfg := proto.Config{TID: tid, Self: id, Master: master, Sites: sites, Payload: opts.Payload}
-		var node proto.Node
-		if id == master {
-			node = opts.Protocol.NewMaster(cfg)
-		} else {
-			node = opts.Protocol.NewSlave(cfg)
+	envs := make(map[proto.SiteID]*site.Env, opts.N)
+	for _, id := range spec.Sites {
+		s := &site.Site{
+			ID: id, Clock: site.SchedClock{Sched: sched, Bound: opts.T}, Transport: net,
+			Participant: opts.Participants[id], Trace: sink,
 		}
-		e := &env{
-			cfg:         cfg,
-			sched:       sched,
-			net:         net,
-			rec:         rec,
-			node:        node,
-			voter:       opts.Votes,
-			participant: opts.Participants[id],
-			result:      &SiteResult{FinalState: node.State()},
-			tBound:      opts.T,
-		}
-		res.Sites[id] = e.result
-		envs = append(envs, e)
-		net.Register(id, e)
+		envs[id] = s.NewEnv(opts.Protocol, spec)
+		res.Sites[id] = &SiteResult{}
+		net.Register(id, envs[id])
 	}
 	for id, at := range opts.Crash {
 		net.CrashAt(id, at)
-		if s, ok := res.Sites[id]; ok {
-			s.Crashed = true
-			at := at
-			id := id
-			sched.At(at, sim.PriPartition, func() {
-				for _, e := range envs {
-					if e.cfg.Self == id {
-						e.dead = true
-					}
-				}
-			})
+		if e := envs[id]; e != nil {
+			res.Sites[id].Crashed = true
+			// The network stops delivering to a crashed site; closing the
+			// automaton silences its timer too.
+			sched.At(at, sim.PriPartition, e.Close)
 		}
 	}
 
-	for _, e := range envs {
-		e.start()
+	for _, id := range spec.Sites {
+		envs[id].Start()
 	}
 	if opts.MaxTime > 0 {
 		sched.RunUntil(opts.MaxTime)
@@ -256,161 +237,10 @@ func Run(opts Options) *Result {
 	}
 	res.EndedAt = sched.Now()
 	res.MsgsSent, res.MsgsDelivered, res.MsgsBounced, res.MsgsDropped = net.Stats()
-	for _, e := range envs {
-		e.result.FinalState = e.node.State()
-		e.result.Started = e.started || e.cfg.IsMaster()
+	for id, e := range envs {
+		r := res.Sites[id]
+		r.Outcome, r.DecidedAt = e.Outcome()
+		r.FinalState, r.Started = e.State(), e.Started()
 	}
 	return res
-}
-
-// env implements proto.Env for one site and dispatches network deliveries
-// into the automaton, recording state transitions around every callback.
-type env struct {
-	cfg         proto.Config
-	sched       *sim.Scheduler
-	net         *simnet.Network
-	rec         *trace.Recorder
-	node        proto.Node
-	voter       Voter
-	participant Participant
-	result      *SiteResult
-
-	timer   sim.EventID
-	hasTmr  bool
-	started bool
-	dead    bool
-	tBound  sim.Duration
-}
-
-func (e *env) start() {
-	before := e.node.State()
-	e.node.Start(e)
-	e.noteTransition(before)
-}
-
-// Deliver implements simnet.Handler.
-func (e *env) Deliver(m proto.Msg) {
-	if e.dead {
-		return
-	}
-	if m.Kind == proto.MsgXact {
-		e.started = true
-	}
-	before := e.node.State()
-	e.node.OnMsg(e, m)
-	e.noteTransition(before)
-}
-
-// Undeliverable implements simnet.Handler.
-func (e *env) Undeliverable(m proto.Msg) {
-	if e.dead {
-		return
-	}
-	before := e.node.State()
-	e.node.OnUndeliverable(e, m)
-	e.noteTransition(before)
-}
-
-func (e *env) fireTimer() {
-	if e.dead {
-		return
-	}
-	e.hasTmr = false
-	e.rec.Append(trace.Event{At: e.sched.Now(), Kind: trace.TimerFire, Site: int(e.cfg.Self)})
-	before := e.node.State()
-	e.node.OnTimeout(e)
-	e.noteTransition(before)
-}
-
-func (e *env) noteTransition(before string) {
-	after := e.node.State()
-	if after != before {
-		e.rec.Append(trace.Event{
-			At: e.sched.Now(), Kind: trace.Transition,
-			Site: int(e.cfg.Self), FromState: before, ToState: after,
-		})
-	}
-}
-
-// --- proto.Env ---
-
-func (e *env) Self() proto.SiteID     { return e.cfg.Self }
-func (e *env) MasterID() proto.SiteID { return e.cfg.Master }
-func (e *env) Sites() []proto.SiteID  { return e.cfg.Sites }
-func (e *env) Slaves() []proto.SiteID { return e.cfg.Slaves() }
-func (e *env) Now() sim.Time          { return e.sched.Now() }
-func (e *env) T() sim.Duration        { return e.tBound }
-
-func (e *env) Send(to proto.SiteID, kind proto.Kind, payload []byte) {
-	if e.dead || to == e.cfg.Self {
-		return
-	}
-	e.net.Send(proto.Msg{TID: e.cfg.TID, From: e.cfg.Self, To: to, Kind: kind, Payload: payload})
-}
-
-func (e *env) SendAll(kind proto.Kind, payload []byte) {
-	for _, id := range e.cfg.Sites {
-		if id != e.cfg.Self {
-			e.Send(id, kind, payload)
-		}
-	}
-}
-
-func (e *env) ResetTimer(d sim.Duration) {
-	e.StopTimer()
-	e.timer = e.sched.After(d, sim.PriTimer, e.fireTimer)
-	e.hasTmr = true
-	e.rec.Append(trace.Event{
-		At: e.sched.Now(), Kind: trace.TimerSet, Site: int(e.cfg.Self),
-		Detail: fmt.Sprintf("+%d", d),
-	})
-}
-
-func (e *env) StopTimer() {
-	if e.hasTmr {
-		e.sched.Cancel(e.timer)
-		e.hasTmr = false
-		e.rec.Append(trace.Event{At: e.sched.Now(), Kind: trace.TimerStop, Site: int(e.cfg.Self)})
-	}
-}
-
-func (e *env) Execute(payload []byte) bool {
-	e.started = true
-	if e.participant != nil {
-		return e.participant.Execute(e.cfg.TID, payload)
-	}
-	return e.voter(e.cfg.Self, e.cfg.TID, payload)
-}
-
-func (e *env) Decide(o proto.Outcome) {
-	if o == proto.None {
-		panic("harness: Decide(None)")
-	}
-	if e.result.Outcome != proto.None {
-		if e.result.Outcome != o {
-			panic(fmt.Sprintf("harness: site %d decided %v after %v — protocol atomicity bug",
-				e.cfg.Self, o, e.result.Outcome))
-		}
-		return
-	}
-	e.result.Outcome = o
-	e.result.DecidedAt = e.sched.Now()
-	if e.participant != nil {
-		if o == proto.Commit {
-			e.participant.Commit(e.cfg.TID)
-		} else {
-			e.participant.Abort(e.cfg.TID)
-		}
-	}
-	e.rec.Append(trace.Event{
-		At: e.sched.Now(), Kind: trace.Decide,
-		Site: int(e.cfg.Self), Outcome: o.String(),
-	})
-}
-
-func (e *env) Tracef(format string, args ...any) {
-	e.rec.Append(trace.Event{
-		At: e.sched.Now(), Kind: trace.Note, Site: int(e.cfg.Self),
-		Detail: fmt.Sprintf(format, args...),
-	})
 }

@@ -109,9 +109,7 @@ func (n *Node) handleStats(w http.ResponseWriter, _ *http.Request) {
 	for _, id := range blocked {
 		st.Blocked = append(st.Blocked, int(id))
 	}
-	n.mu.Lock()
-	st.Txns = len(n.txns)
-	n.mu.Unlock()
+	st.Txns = len(n.loop.Txns())
 	writeJSON(w, st)
 }
 

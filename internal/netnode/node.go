@@ -16,6 +16,7 @@ import (
 	"termproto/internal/proto"
 	"termproto/internal/recovery"
 	"termproto/internal/sim"
+	"termproto/internal/site"
 	"termproto/internal/trace"
 )
 
@@ -58,10 +59,6 @@ type Options struct {
 	// ShortCommit enables the early-lock-release commit variant; see
 	// engine.Options.ShortCommit for the semantics and caveats.
 	ShortCommit bool
-	// PipelineDecisions lets the engine apply a decision while its WAL
-	// record's group-commit flush is still in flight; see
-	// engine.Options.PipelineDecisions.
-	PipelineDecisions bool
 	// TraceOut, when set, makes the node record its protocol-visible
 	// events (automaton state transitions, decisions) and export them as
 	// a JSONL trace (trace.WriteJSONL) to this path at Close. Relative
@@ -70,25 +67,6 @@ type Options struct {
 	TraceOut string
 	// Logf receives diagnostic lines; nil discards them.
 	Logf func(format string, args ...any)
-}
-
-// event is one unit of work for the site loop: a transaction start, a
-// delivered or returned message, or a timer expiry.
-type event struct {
-	tid     proto.TxnID
-	msg     proto.Msg
-	timeout bool
-	start   *startSpec
-}
-
-// startSpec is everything needed to instantiate one transaction's
-// automaton at this site — from a local submission (master role) or from
-// the MsgXact envelope (slave role).
-type startSpec struct {
-	master  proto.SiteID
-	sites   []proto.SiteID
-	noVotes map[proto.SiteID]bool
-	payload []byte
 }
 
 // TxnInfo is one transaction's bookkeeping at this site, as the admin API
@@ -101,35 +79,23 @@ type TxnInfo struct {
 	DecidedAt time.Time
 	Started   bool
 	State     string
-
-	// startedWall anchors the node's latency observations: the instant
-	// this site first learned of the transaction. shard is the label its
-	// commit latency records under (0 under full replication).
-	startedWall time.Time
-	shard       int
 }
 
 // Node is one site of the termination protocol as a network process: the
-// protocol automata multiplexed over a single event loop, a TCP transport,
-// a WAL-backed storage engine, and startup recovery. cmd/termnode wraps it
+// shared site loop (site.Loop) over a TCP transport, plus what is the
+// daemon's own — a WAL-backed storage engine, startup recovery and
+// placement, the metrics registry, the trace export. cmd/termnode wraps it
 // in a daemon; tests can run several in one process over real sockets.
 type Node struct {
-	opts  Options
-	eng   *engine.Engine
-	tr    *transport
-	file  *wal.FileStore // non-nil when we opened WALPath ourselves
-	addr  string
-	inbox chan event
-	done  chan struct{}
-	wg    sync.WaitGroup
-
-	// nodes is the live automaton table, touched only by the loop
-	// goroutine.
-	nodes map[proto.TxnID]*nodeEnv
+	opts Options
+	eng  *engine.Engine
+	loop *site.Loop
+	tr   *transport
+	file *wal.FileStore // non-nil when we opened WALPath ourselves
+	addr string
+	wg   sync.WaitGroup
 
 	mu       sync.Mutex
-	txns     map[proto.TxnID]*TxnInfo
-	inq      map[proto.TxnID]chan inqReply
 	pending  []engine.InDoubt // in-doubt txns recovery left unresolved
 	recStats *recovery.Stats  // startup recovery result
 	recErr   error
@@ -141,8 +107,7 @@ type Node struct {
 	epoch placement.Epoch
 	asg   *placement.Assignment
 
-	ready     atomic.Bool
-	startedAt time.Time
+	ready atomic.Bool
 
 	// reg is the node's metrics registry, seeded with the full catalog at
 	// Start so the daemon's /metrics family set matches the in-process
@@ -153,7 +118,7 @@ type Node struct {
 	obsDecided     *obs.Histogram
 	obsShardCommit *obs.HistogramVec
 	// rec records protocol-visible events for Options.TraceOut (nil when
-	// tracing is off). Wire-level events arrive from transport timer and
+	// tracing is off). Wire-level events arrive from the link's timer and
 	// connection goroutines, state events from the loop goroutine, so
 	// every append and read goes through recMu (via the trace method).
 	recMu sync.Mutex
@@ -178,14 +143,7 @@ func NewNode(opts Options) *Node {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	return &Node{
-		opts:  opts,
-		inbox: make(chan event, 1024),
-		done:  make(chan struct{}),
-		nodes: make(map[proto.TxnID]*nodeEnv),
-		txns:  make(map[proto.TxnID]*TxnInfo),
-		inq:   make(map[proto.TxnID]chan inqReply),
-	}
+	return &Node{opts: opts}
 }
 
 // Start opens the engine over its log, brings the transport and event
@@ -224,10 +182,7 @@ func (n *Node) Start() error {
 		n.file = fs
 		store = fs
 	}
-	eopts := engine.Options{
-		ShortCommit:       n.opts.ShortCommit,
-		PipelineDecisions: n.opts.PipelineDecisions,
-	}
+	eopts := engine.Options{ShortCommit: n.opts.ShortCommit}
 	groupCommit := n.file != nil // default: on for file-backed stores
 	if n.opts.GroupCommit != nil {
 		groupCommit = *n.opts.GroupCommit
@@ -249,10 +204,13 @@ func (n *Node) Start() error {
 		n.eng.SetPlacement(func(key string) bool { return asg.Hosts(self, key) })
 	}
 
-	n.tr = newTransport(n.opts.ID, n.opts.T, n.opts.Seed, n.opts.Peers,
-		func(m proto.Msg) { n.enqueue(event{tid: m.TID, msg: m}) }, n.opts.Logf)
+	n.loop = site.NewLoop(site.Options{
+		ID: n.opts.ID, Protocol: n.opts.Protocol, T: n.opts.T,
+		Participant: participant{n.eng, n}, Trace: n.protocolEvent, OnDecide: n.onDecide,
+	})
+	n.tr = newTransport(n.opts.ID, n.opts.T, n.opts.Seed, n.opts.Peers, n.loop.Deliver, n.opts.Logf)
 	if n.rec != nil {
-		n.tr.setTrace(n.trace)
+		n.tr.Trace = n.trace
 	}
 	n.tr.setMetrics(n.reg)
 	addr, err := n.tr.listen(n.opts.Addr)
@@ -260,10 +218,7 @@ func (n *Node) Start() error {
 		return err
 	}
 	n.addr = addr
-	n.startedAt = time.Now()
-
-	n.wg.Add(1)
-	go n.loop()
+	n.loop.Start(n.tr)
 
 	st, err := recovery.Run(n.recoveryConfig())
 	n.mu.Lock()
@@ -425,13 +380,7 @@ func (n *Node) Submit(tid proto.TxnID, master proto.SiteID, sites []proto.SiteID
 	if len(sites) < 2 {
 		return fmt.Errorf("netnode: txn %d needs at least 2 participants, got %v", tid, sites)
 	}
-	no := make(map[proto.SiteID]bool, len(noVotes))
-	for _, id := range noVotes {
-		no[id] = true
-	}
-	n.enqueue(event{tid: tid, start: &startSpec{
-		master: master, sites: sites, noVotes: no, payload: payload,
-	}})
+	n.loop.Submit(site.Spec{TID: tid, Master: master, Sites: sites, NoVotes: noVotes, Payload: payload})
 	return nil
 }
 
@@ -443,18 +392,25 @@ func (n *Node) Counters() (sent, delivered, bounced, dropped uint64) {
 	return n.tr.Counters()
 }
 
+// txnInfo renders the loop's view of a transaction it hosts.
+func txnInfo(st site.Status) TxnInfo {
+	info := TxnInfo{
+		TID: st.TID, Master: st.Master, Sites: st.Sites,
+		Outcome: st.Outcome, Started: true, State: st.State,
+	}
+	if st.Outcome != proto.None {
+		info.DecidedAt = time.UnixMicro(int64(st.DecidedAt))
+	}
+	return info
+}
+
 // Txn returns one transaction's bookkeeping. Transactions this process
 // never hosted live (decided before a restart, or still in doubt from the
 // log) are answered from durable state.
 func (n *Node) Txn(tid proto.TxnID) TxnInfo {
-	n.mu.Lock()
-	if info := n.txns[tid]; info != nil {
-		out := *info
-		out.Sites = append([]proto.SiteID(nil), info.Sites...)
-		n.mu.Unlock()
-		return out
+	if st, ok := n.loop.Txn(tid); ok {
+		return txnInfo(st)
 	}
-	n.mu.Unlock()
 	info := TxnInfo{TID: tid, State: "q"}
 	if o, ok := n.eng.Outcome(uint64(tid)); ok && o != proto.None {
 		info.Outcome = o
@@ -470,15 +426,11 @@ func (n *Node) Txn(tid proto.TxnID) TxnInfo {
 
 // Txns returns every live transaction's bookkeeping in TID order.
 func (n *Node) Txns() []TxnInfo {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]TxnInfo, 0, len(n.txns))
-	for _, info := range n.txns {
-		cp := *info
-		cp.Sites = append([]proto.SiteID(nil), info.Sites...)
-		out = append(out, cp)
+	sts := n.loop.Txns()
+	out := make([]TxnInfo, len(sts))
+	for i, st := range sts {
+		out[i] = txnInfo(st)
 	}
-	sortTxnInfos(out)
 	return out
 }
 
@@ -493,17 +445,14 @@ func (n *Node) Close() {
 	n.closed = true
 	api := n.api
 	n.mu.Unlock()
-	close(n.done)
 	if api != nil {
 		api.Close()
 	}
 	if n.tr != nil {
 		n.tr.Close()
+		n.loop.Close()
 	}
 	n.wg.Wait()
-	for _, ne := range n.nodes {
-		ne.stopTimer()
-	}
 	if n.file != nil {
 		n.file.Close()
 	}
@@ -519,201 +468,51 @@ func (n *Node) Close() {
 	}
 }
 
-func (n *Node) enqueue(ev event) {
-	select {
-	case n.inbox <- ev:
-	case <-n.done:
+// protocolEvent is the site loop's trace sink. Free-form notes go to the
+// node log; state transitions and decisions go to the -trace-out recorder,
+// whose vocabulary is exactly those plus the link's wire events — timer
+// actions stay out of the export.
+func (n *Node) protocolEvent(ev trace.Event) {
+	switch ev.Kind {
+	case trace.Note:
+		n.opts.Logf("txn %d: %s", ev.TID, ev.Detail)
+	case trace.Transition, trace.Decide:
+		n.trace(ev)
 	}
 }
 
-func (n *Node) loop() {
-	defer n.wg.Done()
-	for {
-		select {
-		case ev := <-n.inbox:
-			n.handle(ev)
-		case <-n.done:
-			return
-		}
-	}
+// participant is the engine as the site loop sees it. A payload-less
+// transaction has no database ops and votes yes without touching the
+// engine; every yes vote is the submit→voted edge of the phase="prepared"
+// round histogram.
+type participant struct {
+	*engine.Engine
+	n *Node
 }
 
-// handle processes one event on the loop goroutine — the exact dispatch
-// order of livenet's site loop: starts, then site-level recovery traffic
-// (inquiries answered from durable state, replies routed to the pending
-// inquiry), then automaton events.
-func (n *Node) handle(ev event) {
-	if ev.start != nil {
-		n.startTxn(ev.tid, ev.start, nil)
+// ExecuteAt implements proto.SiteAwareParticipant: the engine logs the
+// roster with its begin record, for recovery.
+func (p participant) ExecuteAt(tid proto.TxnID, payload []byte, sites []proto.SiteID) bool {
+	vote := len(payload) == 0 || p.Engine.ExecuteAt(tid, payload, sites)
+	if st, ok := p.n.loop.Txn(tid); ok && vote {
+		p.n.obsPrepared.Observe(int64(p.n.loop.Now() - st.StartedAt))
+	}
+	return vote
+}
+
+// onDecide is the site loop's decision hook: it observes the transaction's
+// latency at this site — since the site first learned of it, in µs — into
+// the phase="decided" round histogram and, for commits, the histogram of
+// the shard its body is attributed to.
+func (n *Node) onDecide(cfg proto.Config, o proto.Outcome, at sim.Time) {
+	st, ok := n.loop.Txn(cfg.TID)
+	if !ok {
 		return
 	}
-	if !ev.timeout {
-		m := ev.msg
-		if m.Kind == proto.MsgInquire && !m.Undeliverable {
-			n.answerInquiry(m)
-			return
-		}
-		if n.completeInquiry(m) {
-			return
-		}
-		if m.Kind == proto.MsgXact && !m.Undeliverable && n.nodes[m.TID] == nil {
-			env, err := DecodeXact(m.Payload)
-			if err != nil {
-				n.opts.Logf("bad xact envelope for txn %d from site %d: %v", m.TID, m.From, err)
-				return
-			}
-			no := make(map[proto.SiteID]bool, len(env.NoVotes))
-			for _, id := range env.NoVotes {
-				no[id] = true
-			}
-			inner := m
-			inner.Payload = env.Body
-			n.startTxn(m.TID, &startSpec{
-				master: env.Master, sites: env.Sites, noVotes: no, payload: env.Body,
-			}, &inner)
-			return
-		}
-	}
-	ne := n.nodes[ev.tid]
-	if ne == nil {
-		return
-	}
-	switch {
-	case ev.timeout:
-		ne.an.OnTimeout(ne)
-	case ev.msg.Undeliverable:
-		ne.an.OnUndeliverable(ne, ev.msg)
-	default:
-		m := ev.msg
-		if m.Kind == proto.MsgXact {
-			// A duplicate xact for a live automaton: unwrap the envelope so
-			// the automaton sees the body, as on first delivery.
-			if env, err := DecodeXact(m.Payload); err == nil {
-				m.Payload = env.Body
-			}
-			n.markStarted(m.TID)
-		}
-		ne.an.OnMsg(ne, m)
-	}
-	n.syncState(ev.tid)
-}
-
-// startTxn instantiates one transaction's automaton. firstMsg, when set,
-// is the MsgXact (envelope already stripped) that announced the
-// transaction; it is delivered immediately after Start, matching the
-// slave-creation convention of proto.Node.
-func (n *Node) startTxn(tid proto.TxnID, spec *startSpec, firstMsg *proto.Msg) {
-	if n.nodes[tid] != nil {
-		return // duplicate submission
-	}
-	cfg := proto.Config{
-		TID: tid, Self: n.opts.ID, Master: spec.master,
-		Sites: spec.sites, Payload: spec.payload,
-	}
-	var an proto.Node
-	if cfg.IsMaster() {
-		an = n.opts.Protocol.NewMaster(cfg)
-	} else {
-		an = n.opts.Protocol.NewSlave(cfg)
-	}
-	ne := &nodeEnv{n: n, tid: tid, spec: spec, an: an}
-	n.nodes[tid] = ne
-
-	info := &TxnInfo{
-		TID: tid, Master: spec.master,
-		Sites:       append([]proto.SiteID(nil), spec.sites...),
-		State:       "q",
-		startedWall: time.Now(),
-		shard:       payloadShard(n.opts.Placement, spec.payload),
-	}
-	info.Started = cfg.IsMaster() || firstMsg != nil
-	n.mu.Lock()
-	n.txns[tid] = info
-	n.mu.Unlock()
-
-	ne.an.Start(ne)
-	if firstMsg != nil {
-		ne.an.OnMsg(ne, *firstMsg)
-	}
-	n.syncState(tid)
-}
-
-// answerInquiry replies to a recovery inquiry from durable state; an
-// undecided (or unknown) transaction is silence, bounded by the asker's
-// timeout — volatile automaton state is not authoritative.
-func (n *Node) answerInquiry(m proto.Msg) {
-	o, ok := n.eng.Outcome(uint64(m.TID))
-	if !ok || o == proto.None {
-		return
-	}
-	kind := proto.MsgCommit
-	if o == proto.Abort {
-		kind = proto.MsgAbort
-	}
-	n.tr.Send(proto.Msg{TID: m.TID, From: n.opts.ID, To: m.From, Kind: kind})
-}
-
-type inqReply struct {
-	o  proto.Outcome
-	ok bool
-}
-
-// completeInquiry routes a delivery to this site's pending inquiry, if
-// one matches: a decision message answers it, the undeliverable return of
-// the inquiry itself marks the peer unreachable.
-func (n *Node) completeInquiry(m proto.Msg) bool {
-	n.mu.Lock()
-	ch := n.inq[m.TID]
-	n.mu.Unlock()
-	if ch == nil {
-		return false
-	}
-	var r inqReply
-	switch {
-	case m.Undeliverable && m.Kind == proto.MsgInquire:
-		r = inqReply{ok: false}
-	case !m.Undeliverable && m.Kind == proto.MsgCommit:
-		r = inqReply{o: proto.Commit, ok: true}
-	case !m.Undeliverable && m.Kind == proto.MsgAbort:
-		r = inqReply{o: proto.Abort, ok: true}
-	default:
-		return false
-	}
-	select {
-	case ch <- r:
-	default: // a reply already arrived; drop the duplicate
-	}
-	return true
-}
-
-func (n *Node) markStarted(tid proto.TxnID) {
-	n.mu.Lock()
-	if info := n.txns[tid]; info != nil {
-		info.Started = true
-	}
-	n.mu.Unlock()
-}
-
-// syncState mirrors the automaton's state name into the API-visible
-// bookkeeping; automata themselves are loop-goroutine-only.
-func (n *Node) syncState(tid proto.TxnID) {
-	ne := n.nodes[tid]
-	if ne == nil {
-		return
-	}
-	state := ne.an.State()
-	var from string
-	n.mu.Lock()
-	if info := n.txns[tid]; info != nil {
-		from = info.State
-		info.State = state
-	}
-	n.mu.Unlock()
-	if from != "" && from != state {
-		n.trace(trace.Event{
-			At: nowTicks(), Kind: trace.Transition, Site: int(n.opts.ID),
-			TID: uint64(tid), FromState: from, ToState: state,
-		})
+	lat := int64(at - st.StartedAt)
+	n.obsDecided.Observe(lat)
+	if o == proto.Commit {
+		n.obsShardCommit.At(payloadShard(n.opts.Placement, cfg.Payload)).Observe(lat)
 	}
 }
 
@@ -728,9 +527,6 @@ func (n *Node) trace(ev trace.Event) {
 	n.rec.Append(ev)
 	n.recMu.Unlock()
 }
-
-// nowTicks is wall time in the net backend's ticks (1µs).
-func nowTicks() sim.Time { return sim.Time(time.Now().UnixMicro()) }
 
 // payloadShard attributes a transaction body to the shard of its first
 // data key (meta keys and epoch markers skipped); 0 under full
@@ -751,21 +547,6 @@ func payloadShard(asg *placement.Assignment, payload []byte) int {
 		return asg.ShardOf(op.Key)
 	}
 	return 0
-}
-
-// observePrepared records the submit→voted edge of one transaction at
-// this site into the phase="prepared" round histogram.
-func (n *Node) observePrepared(tid proto.TxnID) {
-	n.mu.Lock()
-	info := n.txns[tid]
-	var lat int64 = -1
-	if info != nil && !info.startedWall.IsZero() {
-		lat = time.Since(info.startedWall).Microseconds()
-	}
-	n.mu.Unlock()
-	if lat >= 0 {
-		n.obsPrepared.Observe(lat)
-	}
 }
 
 // MetricsSnapshot returns a point-in-time snapshot of the node's
@@ -795,34 +576,9 @@ func (n *Node) TraceEvents() []trace.Event {
 // same partition state.
 type netPeers struct{ n *Node }
 
-// Outcome implements recovery.PeerClient. 4T bounds the round trip:
-// delays are <= T/2 each way and a bounced inquiry returns within 2T;
-// silence past that is a crashed or undecided peer.
+// Outcome implements recovery.PeerClient.
 func (p netPeers) Outcome(peer proto.SiteID, tid uint64) (proto.Outcome, bool) {
-	n := p.n
-	key := proto.TxnID(tid)
-	ch := make(chan inqReply, 1)
-	n.mu.Lock()
-	if n.inq[key] != nil {
-		n.mu.Unlock()
-		return proto.None, false
-	}
-	n.inq[key] = ch
-	n.mu.Unlock()
-	defer func() {
-		n.mu.Lock()
-		delete(n.inq, key)
-		n.mu.Unlock()
-	}()
-	n.tr.Send(proto.Msg{TID: key, From: n.opts.ID, To: peer, Kind: proto.MsgInquire})
-	select {
-	case r := <-ch:
-		return r.o, r.ok
-	case <-time.After(4 * n.opts.T):
-		return proto.None, false
-	case <-n.done:
-		return proto.None, false
-	}
+	return p.n.loop.Inquire(peer, proto.TxnID(tid))
 }
 
 // Snapshot implements recovery.PeerClient over the peer's admin API.
@@ -842,197 +598,6 @@ func (p netPeers) Snapshot(peer proto.SiteID) (map[string][]byte, map[string]boo
 	return snap, unstable, true
 }
 
-// --- proto.Env implementation (one per site, transaction) ---
-
-// nodeEnv is one transaction's automaton at this site plus its timer.
-type nodeEnv struct {
-	n    *Node
-	tid  proto.TxnID
-	spec *startSpec
-	an   proto.Node
-
-	timerMu  sync.Mutex
-	timer    *time.Timer
-	timerGen int
-}
-
-// Self implements proto.Env.
-func (e *nodeEnv) Self() proto.SiteID { return e.n.opts.ID }
-
-// MasterID implements proto.Env.
-func (e *nodeEnv) MasterID() proto.SiteID { return e.spec.master }
-
-// Sites implements proto.Env.
-func (e *nodeEnv) Sites() []proto.SiteID {
-	return append([]proto.SiteID(nil), e.spec.sites...)
-}
-
-// Slaves implements proto.Env.
-func (e *nodeEnv) Slaves() []proto.SiteID {
-	out := make([]proto.SiteID, 0, len(e.spec.sites)-1)
-	for _, id := range e.spec.sites {
-		if id != e.spec.master {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// Now implements proto.Env, reporting wall time in sim ticks of 1µs.
-func (e *nodeEnv) Now() sim.Time { return sim.Time(time.Now().UnixMicro()) }
-
-// T implements proto.Env in the same 1µs ticks.
-func (e *nodeEnv) T() sim.Duration {
-	return sim.Duration(e.n.opts.T / time.Microsecond)
-}
-
-// Send implements proto.Env. A MsgXact payload is wrapped in the wire
-// envelope: over TCP the transaction message itself must carry the
-// roster, master and scripted no-votes to the slave.
-func (e *nodeEnv) Send(to proto.SiteID, kind proto.Kind, payload []byte) {
-	if to == e.n.opts.ID {
-		return
-	}
-	if kind == proto.MsgXact {
-		payload = EncodeXact(XactEnvelope{
-			Master:  e.spec.master,
-			Sites:   e.spec.sites,
-			NoVotes: noVoteList(e.spec.noVotes),
-			Body:    payload,
-		})
-	}
-	e.n.tr.Send(proto.Msg{
-		TID: e.tid, From: e.n.opts.ID, To: to, Kind: kind, Payload: payload,
-	})
-}
-
-// SendAll implements proto.Env: broadcast to the transaction's roster.
-func (e *nodeEnv) SendAll(kind proto.Kind, payload []byte) {
-	for _, id := range e.spec.sites {
-		if id != e.n.opts.ID {
-			e.Send(id, kind, payload)
-		}
-	}
-}
-
-// ResetTimer implements proto.Env with a wall-clock timer whose expiry is
-// serialized through the node's inbox.
-func (e *nodeEnv) ResetTimer(d sim.Duration) {
-	e.timerMu.Lock()
-	defer e.timerMu.Unlock()
-	if e.timer != nil {
-		e.timer.Stop()
-	}
-	e.timerGen++
-	gen := e.timerGen
-	wall := time.Duration(d) * time.Microsecond
-	e.timer = time.AfterFunc(wall, func() {
-		e.timerMu.Lock()
-		live := gen == e.timerGen
-		e.timerMu.Unlock()
-		if live {
-			e.n.enqueue(event{tid: e.tid, timeout: true})
-		}
-	})
-}
-
-// StopTimer implements proto.Env.
-func (e *nodeEnv) StopTimer() { e.stopTimer() }
-
-func (e *nodeEnv) stopTimer() {
-	e.timerMu.Lock()
-	defer e.timerMu.Unlock()
-	e.timerGen++
-	if e.timer != nil {
-		e.timer.Stop()
-	}
-}
-
-// Execute implements proto.Env. A scripted no-vote (evaluated by the
-// submitting client, shipped in the envelope) models a site-local
-// failure and takes precedence; an empty payload has no database ops and
-// votes yes; anything else executes on the engine, which logs the roster
-// with its begin record for recovery.
-func (e *nodeEnv) Execute(payload []byte) bool {
-	e.n.markStarted(e.tid)
-	vote := true
-	switch {
-	case e.spec.noVotes[e.n.opts.ID]:
-		vote = false
-	case len(payload) == 0:
-	default:
-		vote = e.n.eng.ExecuteAt(e.tid, payload, e.spec.sites)
-	}
-	if vote {
-		e.n.observePrepared(e.tid)
-	}
-	return vote
-}
-
-// Decide implements proto.Env: the decision goes to the engine first
-// (forced to the WAL, so inquiries answered from durable state are
-// correct) and the bookkeeping second.
-func (e *nodeEnv) Decide(o proto.Outcome) {
-	n := e.n
-	n.mu.Lock()
-	info := n.txns[e.tid]
-	dup := info != nil && info.Outcome != proto.None
-	n.mu.Unlock()
-	if dup {
-		return
-	}
-	if o == proto.Commit {
-		n.eng.Commit(e.tid)
-	} else {
-		n.eng.Abort(e.tid)
-	}
-	var lat int64 = -1
-	shard := 0
-	n.mu.Lock()
-	if info != nil && info.Outcome == proto.None {
-		info.Outcome = o
-		info.DecidedAt = time.Now()
-		shard = info.shard
-		if !info.startedWall.IsZero() {
-			lat = info.DecidedAt.Sub(info.startedWall).Microseconds()
-		}
-	}
-	n.mu.Unlock()
-	if lat >= 0 {
-		n.obsDecided.Observe(lat)
-		if o == proto.Commit {
-			n.obsShardCommit.At(shard).Observe(lat)
-		}
-	}
-	n.trace(trace.Event{
-		At: nowTicks(), Kind: trace.Decide, Site: int(n.opts.ID),
-		TID: uint64(e.tid), Outcome: o.String(),
-	})
-}
-
-// Tracef implements proto.Env.
-func (e *nodeEnv) Tracef(format string, args ...any) {
-	e.n.opts.Logf("txn %d: "+format, append([]any{e.tid}, args...)...)
-}
-
-var _ proto.Env = (*nodeEnv)(nil)
-
-func noVoteList(set map[proto.SiteID]bool) []proto.SiteID {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]proto.SiteID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sortSites(out)
-	return out
-}
-
 func sortSites(ids []proto.SiteID) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
-func sortTxnInfos(infos []TxnInfo) {
-	sort.Slice(infos, func(i, j int) bool { return infos[i].TID < infos[j].TID })
 }

@@ -2,66 +2,48 @@ package netnode
 
 import (
 	"io"
-	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"termproto/internal/obs"
 	"termproto/internal/proto"
-	"termproto/internal/trace"
+	"termproto/internal/site"
 )
 
-// transport is one site's TCP layer: a listener for inbound peer
-// connections and one lazily-dialed outbound connection per peer. It
-// reproduces the network model the in-process runtimes use, with real
-// sockets:
-//
-//   - each message is delayed by a uniform draw from [T/4, T/2) before it
-//     is put on the wire, keeping worst-case delivery strictly inside the
-//     paper's bound T (livenet's route, same reasoning);
-//   - a link on the blocklist is a partition boundary: the optimistic
-//     model turns the message around, and after another link delay the
-//     sender receives its own copy marked undeliverable;
-//   - a dead peer (refused dial, broken write) is silence — the message
-//     is dropped without a return, because a site failure must be
-//     indistinguishable from message loss (paper §7).
+// transport is one site's TCP layer under the shared link model: a
+// listener for inbound peer connections and one lazily-dialed outbound
+// connection per peer. site.Link decides every message's fate — the
+// [T/4, T/2) delay, the bounce off a blocked link, the silent drop at a
+// dead peer — and this type is how a frame reaches the far side when the
+// far side is another process: write is the link's put, and a decoded
+// inbound frame enters the destination's link through Receive.
 //
 // The blocklist severs, not just filters: setting it closes live
 // connections to and from the blocked peers, and inbound connections
 // from blocked peers are refused at the hello, so a partition is a real
 // loss of connectivity rather than a polite agreement.
 type transport struct {
-	self    proto.SiteID
-	delayT  time.Duration
-	peers   map[proto.SiteID]string
-	deliver func(proto.Msg)
-	logf    func(string, ...any)
+	*site.Link
+	self   proto.SiteID
+	delayT time.Duration
+	peers  map[proto.SiteID]string
+	logf   func(string, ...any)
 
 	ln net.Listener
 
 	mu      sync.Mutex
-	rng     *rand.Rand
 	out     map[proto.SiteID]*outConn
 	inbound map[net.Conn]proto.SiteID
-	blocked map[proto.SiteID]bool
 	closed  bool
 
 	wg sync.WaitGroup
-
-	sent, delivered, bounced, dropped atomic.Uint64
 
 	// Wire-level observability, resolved once by setMetrics: frame and
 	// byte counters per direction. A nil *obs.Counter is inert, so the
 	// hot path records unconditionally — an atomic add, no allocation.
 	obsFramesSent, obsFramesRecv *obs.Counter
 	obsBytesSent, obsBytesRecv   *obs.Counter
-
-	// sink, when set, receives wire-level trace events (send, deliver,
-	// bounce, drop) — the same vocabulary the simulator's network
-	// records, so an exported trace checks with the same offline rules.
-	sink func(trace.Event)
 }
 
 // outConn serializes writes on one outbound link.
@@ -72,57 +54,21 @@ type outConn struct {
 
 func newTransport(self proto.SiteID, t time.Duration, seed int64,
 	peers map[proto.SiteID]string, deliver func(proto.Msg), logf func(string, ...any)) *transport {
-	if seed == 0 {
-		seed = 424242 + int64(self)
-	}
-	return &transport{
+	tr := &transport{
 		self:    self,
 		delayT:  t,
 		peers:   peers,
-		deliver: deliver,
 		logf:    logf,
-		rng:     rand.New(rand.NewSource(seed)),
 		out:     make(map[proto.SiteID]*outConn),
 		inbound: make(map[net.Conn]proto.SiteID),
-		blocked: make(map[proto.SiteID]bool),
 	}
-}
-
-// setTrace installs the wire-event sink. Call before listen; the sink
-// must be safe for concurrent use (events come from timer and
-// connection goroutines).
-func (t *transport) setTrace(sink func(trace.Event)) {
-	t.sink = sink
-}
-
-// wireEvent emits one wire-level trace event if a sink is installed.
-// Cross is always true: these are inter-site messages by construction,
-// matching the simulator's convention for site-to-site traffic.
-func (t *transport) wireEvent(k trace.EventKind, site int, m proto.Msg, detail string) {
-	if t.sink == nil {
-		return
-	}
-	t.sink(trace.Event{
-		At:      nowTicks(),
-		Kind:    k,
-		Site:    site,
-		From:    int(m.From),
-		To:      int(m.To),
-		MsgKind: m.Kind.String(),
-		TID:     uint64(m.TID),
-		Cross:   true,
-		Detail:  detail,
-	})
+	tr.Link = site.NewLink(self, t, seed, deliver, tr.write)
+	return tr
 }
 
 // setMetrics resolves the transport's wire counters from the registry.
-// Call before listen; nil clears them.
+// Call before listen.
 func (t *transport) setMetrics(r *obs.Registry) {
-	if r == nil {
-		t.obsFramesSent, t.obsFramesRecv = nil, nil
-		t.obsBytesSent, t.obsBytesRecv = nil, nil
-		return
-	}
 	t.obsFramesSent = r.Counter(obs.MNetFrames, obs.L("dir", "sent"))
 	t.obsFramesRecv = r.Counter(obs.MNetFrames, obs.L("dir", "recv"))
 	t.obsBytesSent = r.Counter(obs.MNetBytes, obs.L("dir", "sent"))
@@ -165,7 +111,7 @@ func (t *transport) serveConn(conn net.Conn) {
 		return
 	}
 	t.mu.Lock()
-	if t.closed || t.blocked[peer] {
+	if t.closed || t.Blocked(peer) {
 		t.mu.Unlock()
 		return // refused: the link is severed
 	}
@@ -191,62 +137,15 @@ func (t *transport) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		t.mu.Lock()
-		drop := t.closed || t.blocked[peer] || t.blocked[m.From]
-		t.mu.Unlock()
-		if drop {
+		if t.Blocked(peer) || t.Blocked(m.From) {
 			return // severed while the frame was in flight
 		}
-		t.delivered.Add(1)
 		t.obsFramesRecv.Inc()
 		t.obsBytesRecv.Add(uint64(len(body)) + 4)
-		t.wireEvent(trace.Deliver, int(t.self), m, "")
-		t.deliver(m)
+		if !t.Receive(m) {
+			return // closed
+		}
 	}
-}
-
-// delay draws one link delay from [T/4, T/2).
-func (t *transport) delay() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.delayT/4 + time.Duration(t.rng.Int63n(int64(t.delayT/4)+1))
-}
-
-// Send transmits one message with the model's link delay. Blocked links
-// bounce an undeliverable copy back to the caller; dead peers are
-// silence.
-func (t *transport) Send(m proto.Msg) {
-	t.sent.Add(1)
-	t.wireEvent(trace.Send, int(t.self), m, "")
-	d := t.delay()
-	time.AfterFunc(d, func() {
-		t.mu.Lock()
-		crossing := t.blocked[m.To]
-		closed := t.closed
-		t.mu.Unlock()
-		if closed {
-			return
-		}
-		if crossing {
-			t.bounced.Add(1)
-			ud := m
-			ud.Undeliverable = true
-			time.AfterFunc(d, func() {
-				t.mu.Lock()
-				closed := t.closed
-				t.mu.Unlock()
-				if !closed {
-					t.wireEvent(trace.Bounce, int(t.self), m, "")
-					t.deliver(ud)
-				}
-			})
-			return
-		}
-		if err := t.write(m); err != nil {
-			t.dropped.Add(1) // site failure is indistinguishable from message loss
-			t.wireEvent(trace.Drop, int(m.To), m, "dead peer")
-		}
-	})
 }
 
 // write puts one message on the outbound link to m.To, dialing if needed.
@@ -348,20 +247,17 @@ func (t *transport) watch(oc *outConn, conn net.Conn) {
 // SetBlocked replaces the blocklist and severs every live connection to
 // or from a now-blocked peer.
 func (t *transport) SetBlocked(peers []proto.SiteID) {
+	t.Link.SetBlocked(peers)
 	t.mu.Lock()
-	t.blocked = make(map[proto.SiteID]bool, len(peers))
-	for _, id := range peers {
-		t.blocked[id] = true
-	}
 	var severOut []*outConn
 	for id, oc := range t.out {
-		if t.blocked[id] {
+		if t.Blocked(id) {
 			severOut = append(severOut, oc)
 		}
 	}
 	var severIn []net.Conn
 	for conn, id := range t.inbound {
-		if t.blocked[id] {
+		if t.Blocked(id) {
 			severIn = append(severIn, conn)
 		}
 	}
@@ -379,29 +275,6 @@ func (t *transport) SetBlocked(peers []proto.SiteID) {
 	}
 }
 
-// Blocked reports whether the link to peer is currently severed.
-func (t *transport) Blocked(peer proto.SiteID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.blocked[peer]
-}
-
-// BlockedList returns the current blocklist in unspecified order.
-func (t *transport) BlockedList() []proto.SiteID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]proto.SiteID, 0, len(t.blocked))
-	for id := range t.blocked {
-		out = append(out, id)
-	}
-	return out
-}
-
-// Counters returns cumulative message counters.
-func (t *transport) Counters() (sent, delivered, bounced, dropped uint64) {
-	return t.sent.Load(), t.delivered.Load(), t.bounced.Load(), t.dropped.Load()
-}
-
 // Close shuts the listener and every connection. In-flight delayed sends
 // observe closed and become no-ops.
 func (t *transport) Close() {
@@ -411,6 +284,7 @@ func (t *transport) Close() {
 		return
 	}
 	t.closed = true
+	t.Link.Close()
 	ocs := make([]*outConn, 0, len(t.out))
 	for _, oc := range t.out {
 		ocs = append(ocs, oc)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"termproto/internal/proto"
+	siterun "termproto/internal/site"
 )
 
 func TestHelloRoundTrip(t *testing.T) {
@@ -125,8 +126,8 @@ func TestXactHostile(t *testing.T) {
 		"truncated body":    valid[:len(valid)-1],
 	}
 	for name, raw := range cases {
-		if _, err := DecodeXact(raw); !errors.Is(err, ErrWire) {
-			t.Errorf("%s: err = %v, want ErrWire", name, err)
+		if _, err := DecodeXact(raw); !errors.Is(err, siterun.ErrEnvelope) {
+			t.Errorf("%s: err = %v, want ErrEnvelope", name, err)
 		}
 	}
 }

@@ -33,7 +33,7 @@
 // The manager is backend-neutral: internal/cluster runs it at EvRecover
 // on both the deterministic simulator (reachability from the partition
 // timeline, synchronous inquiry) and the live goroutine runtime (real
-// MsgInquire messages through livenet).
+// MsgInquire messages through site.Loop), and termnode runs it at start-up.
 package recovery
 
 import (

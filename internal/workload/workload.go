@@ -93,8 +93,7 @@ type Config struct {
 	// the message and event counts drop.
 	Batch bool
 	// Engine configures every site's database engine — WAL group commit,
-	// short-commit, pipelined decisions. The zero value is the
-	// synchronous, long-commit engine.
+	// short-commit. The zero value is the synchronous, long-commit engine.
 	Engine engine.Options
 	Seed   uint64
 }
@@ -212,7 +211,7 @@ func EnginesFor(dir *placement.Directory, sites, accounts int, balance int64) ma
 }
 
 // EnginesWith is EnginesFor with explicit engine options (WAL group
-// commit, short-commit, pipelined decisions).
+// commit, short-commit).
 func EnginesWith(dir *placement.Directory, sites, accounts int, balance int64, opts engine.Options) map[proto.SiteID]*engine.Engine {
 	var asg *placement.Assignment
 	if dir != nil {

@@ -61,7 +61,6 @@ import (
 	"termproto/internal/experiments"
 	"termproto/internal/fsa"
 	"termproto/internal/harness"
-	"termproto/internal/livenet"
 	"termproto/internal/obs"
 	"termproto/internal/placement"
 	"termproto/internal/proto"
@@ -415,23 +414,6 @@ func EncodeOps(ops []Op) []byte { return engine.EncodeOps(ops) }
 var (
 	EncodeInt = engine.EncodeInt
 	DecodeInt = engine.DecodeInt
-)
-
-// --- live goroutine runtime ---
-
-type (
-	// LiveConfig parameterizes a real-time goroutine cluster.
-	LiveConfig = livenet.Config
-	// LiveCluster is a running set of live sites.
-	LiveCluster = livenet.Cluster
-	// LiveOutcome is one live site's result.
-	LiveOutcome = livenet.Outcome
-)
-
-// NewLive builds a live cluster; LiveConsistent checks its outcomes.
-var (
-	NewLive        = livenet.New
-	LiveConsistent = livenet.Consistent
 )
 
 // --- experiments ---
