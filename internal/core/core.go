@@ -25,7 +25,16 @@
 //	                                      UD(prepare_j) into UD and
 //	                                      probe(tid, slave_j) into PB;
 //	                                      at 5T: if N − UD = PB send abort
-//	                                      to all, else send commit to all
+//	                                      to all, else send commit to all;
+//	                                      as soon as UD ∪ PB = N: stop the
+//	                                      timer, send abort to all
+//
+// The last line is the one departure from the paper's timing (never from
+// its decisions). A frame is delivered or returned, never both, and only a
+// prepare-holder probes, so UD and PB are disjoint and only grow; once they
+// cover N, N − UD = PB is final and is what the 5T expiry would compute.
+// Only abort can come early — a missing probe looks like a late one until
+// 5T, and an ack may predate the cut. proto.Window holds the rule.
 //
 // Slave actions:
 //
@@ -100,28 +109,17 @@ type Master struct {
 	base *threepc.Master
 	opts Protocol
 
-	// ud is the paper's UD set: slaves whose prepare bounced.
-	ud proto.SiteSet
-	// pb is the paper's PB set: slaves whose probe arrived.
-	pb proto.SiteSet
-
-	collecting bool
-	outcome    proto.Outcome
+	win     proto.Window // the §5.3 p1(2) UD/PB sets
+	outcome proto.Outcome
 }
 
 // State implements proto.Node.
 func (m *Master) State() string {
-	if m.collecting {
+	if m.win.Open() {
 		return "p1u"
 	}
 	return m.base.State()
 }
-
-// UDSet returns a snapshot of the UD set (testing/analysis).
-func (m *Master) UDSet() proto.SiteSet { return m.ud }
-
-// PBSet returns a snapshot of the PB set (testing/analysis).
-func (m *Master) PBSet() proto.SiteSet { return m.pb }
 
 // Start implements proto.Node.
 func (m *Master) Start(env proto.Env) {
@@ -136,14 +134,14 @@ func (m *Master) Start(env proto.Env) {
 
 // OnMsg implements proto.Node.
 func (m *Master) OnMsg(env proto.Env, msg proto.Msg) {
-	if m.collecting {
-		if msg.Kind == proto.MsgProbe {
-			m.pb.Add(msg.From)
-			env.Tracef("master PB += %d, PB=%s", msg.From, m.pb)
-			return
-		}
+	if m.win.Open() {
 		// Acks from G1 slaves may still straggle in; absorb them. All acks
 		// can never arrive here: a prepare already bounced.
+		if msg.Kind == proto.MsgProbe {
+			m.win.Probed(msg.From)
+			env.Tracef("master PB += %d, PB=%s", msg.From, m.win.PB())
+			m.closeWindow(env, false)
+		}
 		return
 	}
 	switch m.base.State() {
@@ -176,49 +174,42 @@ func (m *Master) OnMsg(env proto.Env, msg proto.Msg) {
 
 // OnUndeliverable implements proto.Node.
 func (m *Master) OnUndeliverable(env proto.Env, msg proto.Msg) {
-	if m.collecting {
-		if msg.Kind == proto.MsgPrepare {
-			m.ud.Add(msg.To)
-			env.Tracef("master UD += %d, UD=%s", msg.To, m.ud)
-		}
-		return
-	}
-	switch m.base.State() {
+	switch m.State() {
 	case "w1":
 		if msg.Kind == proto.MsgXact {
 			// §5.3 w1(2): a slave never learned of the transaction, so no
 			// prepare exists anywhere; abort is safe everywhere.
-			env.StopTimer()
 			m.decide(env, proto.Abort)
 		}
-	case "p1":
+	case "p1", "p1u":
 		if msg.Kind == proto.MsgPrepare {
-			// §5.3 p1(2): open the 5T window and start collecting.
-			m.ud = proto.NewSiteSet(msg.To)
-			m.pb = proto.NewSiteSet()
-			m.collecting = true
-			env.ResetTimer(5 * env.T())
-			env.Tracef("master enters p1u, UD=%s", m.ud)
+			// §5.3 p1(2): the first bounce opens the 5T window.
+			if m.win.Bounced(msg.To) {
+				env.ResetTimer(5 * env.T())
+			}
+			env.Tracef("master in p1u, UD += %d, UD=%s", msg.To, m.win.UD())
+			m.closeWindow(env, false)
 		}
+	}
+}
+
+// closeWindow applies the §5.3 p1(2) verdict — if the probes came from
+// exactly the slaves whose prepares were delivered, no prepare crossed B —
+// at the 5T expiry, or early once every slave is in UD ∪ PB and the
+// verdict can no longer change (see proto.Window).
+func (m *Master) closeWindow(env proto.Env, expired bool) {
+	if expired || m.win.Complete(env.Slaves()) {
+		o := m.win.Verdict(env.Slaves())
+		env.Tracef("UD=%s PB=%s, 5T expired=%v: %s", m.win.UD(), m.win.PB(), expired, o)
+		m.decide(env, o)
 	}
 }
 
 // OnTimeout implements proto.Node.
 func (m *Master) OnTimeout(env proto.Env) {
 	switch {
-	case m.collecting:
-		// §5.3 p1(2) window close: if the probes came from exactly the
-		// slaves whose prepares were delivered, no prepare reached G2.
-		slaves := proto.NewSiteSet(env.Slaves()...)
-		reached := slaves.Minus(m.ud)
-		if reached.Equal(m.pb) {
-			env.Tracef("N-UD = PB = %s: no prepare crossed B, abort", m.pb)
-			m.decide(env, proto.Abort)
-		} else {
-			env.Tracef("N-UD = %s != PB = %s: prepare crossed B, commit", reached, m.pb)
-			m.decide(env, proto.Commit)
-		}
-		m.collecting = false
+	case m.win.Open():
+		m.closeWindow(env, true)
 	case m.base.State() == "w1":
 		// §5.3 w1(1): no prepares generated; abort everywhere.
 		m.decide(env, proto.Abort)
@@ -231,6 +222,8 @@ func (m *Master) OnTimeout(env proto.Env) {
 }
 
 func (m *Master) decide(env proto.Env, o proto.Outcome) {
+	env.StopTimer()
+	m.win.Close()
 	m.outcome = o
 	if o == proto.Commit {
 		env.SendAll(proto.MsgCommit, nil)

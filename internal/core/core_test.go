@@ -73,7 +73,9 @@ func TestMasterP1TimeoutCommits(t *testing.T) {
 }
 
 // The N−UD = PB test, abort side: the probes come from exactly the slaves
-// whose prepares were delivered, so no prepare crossed B.
+// whose prepares were delivered, so no prepare crossed B. The verdict is
+// final the moment the last slave is accounted for — the master aborts on
+// the second probe, with the 5T timer stopped, not at the expiry.
 func TestMasterUDPBEqualAborts(t *testing.T) {
 	env := prototest.NewEnv(1, 4) // slaves 2,3,4
 	m := Protocol{}.NewMaster(env.Cfg).(*Master)
@@ -87,18 +89,40 @@ func TestMasterUDPBEqualAborts(t *testing.T) {
 		t.Fatalf("collect window = %v, want 5T", env.TimerDur)
 	}
 	// Slaves 2 and 3 (prepare delivered) probe.
-	m.OnMsg(env, env.Msg(2, proto.MsgProbe))
-	m.OnMsg(env, env.Msg(3, proto.MsgProbe))
-	if m.UDSet().String() != "{4}" || m.PBSet().String() != "{2 3}" {
-		t.Fatalf("UD=%s PB=%s", m.UDSet(), m.PBSet())
-	}
 	env.ClearSent()
-	m.OnTimeout(env)
+	m.OnMsg(env, env.Msg(2, proto.MsgProbe))
+	if m.State() != "p1u" || env.Decision != proto.None || !env.TimerActive {
+		t.Fatal("slave 3 is unaccounted for: the window must stay open")
+	}
+	m.OnMsg(env, env.Msg(3, proto.MsgProbe))
+	if m.win.UD().String() != "{4}" || m.win.PB().String() != "{2 3}" {
+		t.Fatalf("UD=%s PB=%s", m.win.UD(), m.win.PB())
+	}
 	if m.State() != "a1" || env.Decision != proto.Abort {
-		t.Fatal("N-UD == PB must abort")
+		t.Fatal("N-UD == PB with every slave accounted for must abort at once")
+	}
+	if env.TimerActive {
+		t.Fatal("early close must stop the 5T timer")
 	}
 	if env.CountSent(proto.MsgAbort) != 3 {
 		t.Fatal("abort broadcast missing")
+	}
+	m.OnTimeout(env) // a stale expiry changes nothing
+	if env.Decisions != 1 {
+		t.Fatal("decided twice")
+	}
+}
+
+// With a single slave the first bounce already accounts for everyone:
+// UD = N, PB = ∅ = N − UD, abort at window open.
+func TestMasterSingleSlaveBounceAbortsAtOnce(t *testing.T) {
+	env := prototest.NewEnv(1, 2)
+	m := Protocol{}.NewMaster(env.Cfg).(*Master)
+	advanceToP1(t, env, m)
+	m.OnUndeliverable(env, env.UD(2, proto.MsgPrepare))
+	if m.State() != "a1" || env.Decision != proto.Abort || env.TimerActive {
+		t.Fatalf("state=%s decision=%v timer=%v, want a1/abort/stopped",
+			m.State(), env.Decision, env.TimerActive)
 	}
 }
 

@@ -13,7 +13,9 @@
 //	master w1, e1: timeout or UD        → abort everywhere (no prepare
 //	                                      exists yet, nobody can commit)
 //	master p1:     timeout              → commit everywhere
-//	master p1:     UD(prepare)          → the §5.3 UD/PB window
+//	master p1:     UD(prepare)          → the §5.3 UD/PB window, closed
+//	                                      early once UD ∪ PB = N
+//	                                      (proto.Window, shared with core)
 //	slave  w, e:   timeout              → 6T wait, then abort
 //	slave  w, e:   UD(yes), UD(preack)  → broadcast abort
 //	slave  p:      timeout              → probe; UD(probe) → broadcast
@@ -54,12 +56,11 @@ type master struct {
 	state string
 
 	yes, preacks, acks proto.SiteSet
-	ud, pb             proto.SiteSet
-	collecting         bool
+	win                proto.Window
 }
 
 func (m *master) State() string {
-	if m.collecting {
+	if m.win.Open() {
 		return "p1u"
 	}
 	return m.state
@@ -85,14 +86,23 @@ func (m *master) decide(env proto.Env, o proto.Outcome) {
 		env.SendAll(proto.MsgAbort, nil)
 		m.state = "a1"
 	}
-	m.collecting = false
+	m.win.Close()
 	env.Decide(o)
 }
 
+// closeWindow decides on the UD/PB evidence at the 5T expiry, or early
+// once every slave is accounted for (see proto.Window).
+func (m *master) closeWindow(env proto.Env, expired bool) {
+	if expired || m.win.Complete(env.Slaves()) {
+		m.decide(env, m.win.Verdict(env.Slaves()))
+	}
+}
+
 func (m *master) OnMsg(env proto.Env, msg proto.Msg) {
-	if m.collecting {
+	if m.win.Open() {
 		if msg.Kind == proto.MsgProbe {
-			m.pb.Add(msg.From)
+			m.win.Probed(msg.From)
+			m.closeWindow(env, false)
 		}
 		return
 	}
@@ -129,13 +139,7 @@ func (m *master) OnMsg(env proto.Env, msg proto.Msg) {
 }
 
 func (m *master) OnUndeliverable(env proto.Env, msg proto.Msg) {
-	if m.collecting {
-		if msg.Kind == proto.MsgPrepare {
-			m.ud.Add(msg.To)
-		}
-		return
-	}
-	switch m.state {
+	switch m.State() {
 	case "w1":
 		if msg.Kind == proto.MsgXact {
 			m.decide(env, proto.Abort)
@@ -145,25 +149,20 @@ func (m *master) OnUndeliverable(env proto.Env, msg proto.Msg) {
 			// No prepare exists anywhere; abort is universally safe.
 			m.decide(env, proto.Abort)
 		}
-	case "p1":
+	case "p1", "p1u":
 		if msg.Kind == proto.MsgPrepare {
-			m.ud = proto.NewSiteSet(msg.To)
-			m.pb = proto.NewSiteSet()
-			m.collecting = true
-			env.ResetTimer(5 * env.T())
+			if m.win.Bounced(msg.To) {
+				env.ResetTimer(5 * env.T())
+			}
+			m.closeWindow(env, false)
 		}
 	}
 }
 
 func (m *master) OnTimeout(env proto.Env) {
 	switch {
-	case m.collecting:
-		slaves := proto.NewSiteSet(env.Slaves()...)
-		if slaves.Minus(m.ud).Equal(m.pb) {
-			m.decide(env, proto.Abort)
-		} else {
-			m.decide(env, proto.Commit)
-		}
+	case m.win.Open():
+		m.closeWindow(env, true)
 	case m.state == "w1" || m.state == "e1":
 		m.decide(env, proto.Abort)
 	case m.state == "p1":
