@@ -28,13 +28,32 @@
 //	                                      to all, else send commit to all;
 //	                                      as soon as UD ∪ PB = N: stop the
 //	                                      timer, send abort to all
+//	p1u: ack_j held (on opening the     → send solicit_j, once
+//	     window, or arriving later),
+//	     j ∉ UD ∪ PB
 //
-// The last line is the one departure from the paper's timing (never from
-// its decisions). A frame is delivered or returned, never both, and only a
-// prepare-holder probes, so UD and PB are disjoint and only grow; once they
-// cover N, N − UD = PB is final and is what the 5T expiry would compute.
-// Only abort can come early — a missing probe looks like a late one until
-// 5T, and an ack may predate the cut. proto.Window holds the rule.
+// The last two lines are the departures from the paper's timing (never
+// from its decisions). A frame is delivered or returned, never both, and
+// only a prepare-holder probes, so UD and PB are disjoint and only grow;
+// once they cover N, N − UD = PB is final and is what the 5T expiry would
+// compute. Only abort can come early — a missing probe looks like a late
+// one until 5T, and an ack may predate the cut.
+//
+// The solicit moves the probes forward: the 3T a slave waits in p is its
+// failure detector, and the master, holding a bounce, needs none. The
+// verdict is still N − UD = PB over the same two sets. What a probe in PB
+// must certify is that its sender will never commit on its own and that
+// the abort will reach it. The timed probe does so by "no UD(ack) within
+// 3T" and "the probe crossed". A solicited one does so by "ack_j was
+// delivered" (j never takes the UD(ack) path) and "j answered a message
+// sent after the first UD" (the exchange postdates the cut, so within one
+// onset (+ heal) episode j's link to the master stays open). Both halves
+// are needed. An ack alone may predate the cut. An answer alone is the
+// case-2.1 counterexample: j in G2 holds a prepare, its ack is on its way
+// back undeliverable, the cut heals, an unconditional solicit reaches j,
+// j's answer lands in PB and the master aborts — then UD(ack) arrives and
+// j commits G2. Hence solicits go to acked slaves only. proto.Window
+// holds both rules.
 //
 // Slave actions:
 //
@@ -48,6 +67,10 @@
 //	                                      §6 transient fix, also commit
 //	                                      after 5T of silence
 //	p:  UD(ack_i)                       → send commit to all sites, commit
+//	p:  solicit                         → send probe(tid, slave_i) to the
+//	                                      master; nothing else: state and
+//	                                      timer stay, UD(probe) outside pt
+//	                                      stays ignored
 //
 // A slave that broadcasts a decision sends it to every site (the paper's
 // commit_1..n / abort_1..n), so its G2 peers — including those still in w,
@@ -135,9 +158,14 @@ func (m *Master) Start(env proto.Env) {
 // OnMsg implements proto.Node.
 func (m *Master) OnMsg(env proto.Env, msg proto.Msg) {
 	if m.win.Open() {
-		// Acks from G1 slaves may still straggle in; absorb them. All acks
-		// can never arrive here: a prepare already bounced.
-		if msg.Kind == proto.MsgProbe {
+		switch msg.Kind {
+		case proto.MsgAck:
+			// A G1 slave's ack straggling in (all of them can never
+			// arrive here: a prepare already bounced). It entitles the
+			// slave to a solicit like an ack that beat the first UD.
+			m.base.NoteAck(msg.From)
+			m.solicit(env)
+		case proto.MsgProbe:
 			m.win.Probed(msg.From)
 			env.Tracef("master PB += %d, PB=%s", msg.From, m.win.PB())
 			m.closeWindow(env, false)
@@ -188,8 +216,19 @@ func (m *Master) OnUndeliverable(env proto.Env, msg proto.Msg) {
 				env.ResetTimer(5 * env.T())
 			}
 			env.Tracef("master in p1u, UD += %d, UD=%s", msg.To, m.win.UD())
+			m.solicit(env)
 			m.closeWindow(env, false)
 		}
+	}
+}
+
+// solicit asks every slave whose ack the master holds, and whom the window
+// has neither accounted for nor asked yet, for its probe now (see
+// proto.Window for why the ack is required).
+func (m *Master) solicit(env proto.Env) {
+	for _, j := range m.win.Solicit(m.base.Acks()) {
+		env.Tracef("master holds ack_%d, soliciting its probe", j)
+		env.Send(j, proto.MsgSolicit, nil)
 	}
 }
 
@@ -283,6 +322,16 @@ func (s *Slave) OnMsg(env proto.Env, msg proto.Msg) {
 		return
 	}
 
+	if msg.Kind == proto.MsgSolicit {
+		// The master holds our ack and a bounced prepare: answer with the
+		// probe our 3T timer would send, and change nothing else — the
+		// timer keeps running and we stay out of pt, so a UD(probe) stays
+		// ignored.
+		if s.base.State() == "p" {
+			env.Send(env.MasterID(), proto.MsgProbe, nil)
+		}
+		return
+	}
 	if s.base.HandleXact(env, msg, func() { env.ResetTimer(3 * env.T()) }) {
 		if s.base.State() == "a" {
 			s.decided = true

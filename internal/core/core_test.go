@@ -157,14 +157,33 @@ func TestMasterCollectsMultipleUDs(t *testing.T) {
 	}
 }
 
+// An ack straggling in during the window decides nothing, but it is kept:
+// Acks() stays truthful, and — like an ack that beat the first UD — it
+// entitles its sender, and nobody else, to one solicit.
 func TestMasterAcksDuringCollectAbsorbed(t *testing.T) {
 	env := prototest.NewEnv(1, 4)
 	m := Protocol{}.NewMaster(env.Cfg).(*Master)
 	advanceToP1(t, env, m)
+	m.OnMsg(env, env.Msg(3, proto.MsgAck)) // before the first UD: no solicit yet
+	if env.CountSent(proto.MsgSolicit) != 0 {
+		t.Fatal("solicit outside the window")
+	}
+	env.ClearSent()
 	m.OnUndeliverable(env, env.UD(4, proto.MsgPrepare))
+	if len(env.Sent) != 1 || env.Sent[0].Kind != proto.MsgSolicit || env.Sent[0].To != 3 {
+		t.Fatalf("window opened holding ack_3 only: sent %v, want solicit_3", env.Sent)
+	}
+	env.ClearSent()
 	m.OnMsg(env, env.Msg(2, proto.MsgAck)) // straggler ack in p1u
+	m.OnMsg(env, env.Msg(2, proto.MsgAck)) // a duplicate asks nobody twice
 	if m.State() != "p1u" || env.Decision != proto.None {
 		t.Fatal("ack during collect window mishandled")
+	}
+	if got := m.base.Acks().String(); got != "{2 3}" {
+		t.Fatalf("Acks() = %s, want {2 3}", got)
+	}
+	if len(env.Sent) != 1 || env.Sent[0].Kind != proto.MsgSolicit || env.Sent[0].To != 2 {
+		t.Fatalf("sent %v, want exactly solicit_2", env.Sent)
 	}
 }
 

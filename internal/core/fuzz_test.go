@@ -30,7 +30,7 @@ func driveNode(node proto.Node, env *prototest.Env, events []fuzzEvent) (panicke
 	kinds := []proto.Kind{
 		proto.MsgXact, proto.MsgYes, proto.MsgNo, proto.MsgPrepare,
 		proto.MsgAck, proto.MsgCommit, proto.MsgAbort, proto.MsgProbe,
-		proto.MsgPre, proto.MsgStateRep,
+		proto.MsgPre, proto.MsgStateRep, proto.MsgSolicit,
 	}
 	n := len(env.Cfg.Sites)
 	for _, ev := range events {

@@ -40,6 +40,7 @@ func TestAllAutomataSurviveArbitraryEvents(t *testing.T) {
 		proto.MsgXact, proto.MsgYes, proto.MsgNo, proto.MsgPrepare,
 		proto.MsgAck, proto.MsgCommit, proto.MsgAbort, proto.MsgProbe,
 		proto.MsgPre, proto.MsgPreAck, proto.MsgStateReq, proto.MsgStateRep,
+		proto.MsgSolicit,
 	}
 	f := func(raw []uint8, masterSide, noVote bool, pick uint8) (ok bool) {
 		p := protos[int(pick)%len(protos)]

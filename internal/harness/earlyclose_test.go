@@ -40,6 +40,22 @@ func windowEvidence(r *Result, n int) (openAt, completeAt sim.Time, opened, comp
 	return openAt, 0, opened, false
 }
 
+// acksOfNonUD reports whether the ack of every slave whose prepare did not
+// bounce was delivered to the master, and when the last of them arrived.
+func acksOfNonUD(r *Result, n int) (lastAck sim.Time, all bool) {
+	need := n - 1
+	for _, e := range r.Trace.Events() {
+		switch {
+		case e.Kind == trace.Bounce && e.MsgKind == "prepare" && e.From == 1:
+			need--
+		case e.Kind == trace.Deliver && e.MsgKind == "ack" && e.To == 1:
+			need--
+			lastAck = e.At
+		}
+	}
+	return lastAck, need == 0
+}
+
 // Deterministic sweep of the early window close on the simulator: every
 // non-trivial G2, the partition instant on a T/8 grid across the message
 // rounds, permanent and healing after 1T…8T. Every hop takes T, or — second
@@ -47,7 +63,11 @@ func windowEvidence(r *Result, n int) (openAt, completeAt sim.Time, opened, comp
 // prepares' crossings: a G2 slave then holds a prepare, never probes, and
 // the window must run out and commit. Every run stays consistent; the
 // master decides exactly when its evidence is complete (aborting, strictly
-// before first-UD + 5T) and at the expiry otherwise, never later.
+// before first-UD + 5T) and at the expiry otherwise, never later. And it
+// does not wait for the slaves' 3T timers to complete it: where the ack of
+// every slave outside UD reached the master, each of them was solicited as
+// soon as the master held both its ack and a bounce, so the decision falls
+// within one round trip of the later of the first UD and the last ack.
 func TestEarlyCloseSweep(t *testing.T) {
 	variants := []struct {
 		p      proto.Protocol
@@ -64,7 +84,7 @@ func TestEarlyCloseSweep(t *testing.T) {
 		step = Tt / 2
 	}
 	for _, v := range variants {
-		early, expired := 0, 0
+		early, expired, solicited := 0, 0, 0
 		for n := 3; n <= 5; n++ {
 			skewed := simnet.PerKind{Default: T, Rules: []simnet.KindRule{
 				{From: 1, To: proto.SiteID(n), Kind: proto.MsgPrepare, D: T / 2},
@@ -107,6 +127,13 @@ func TestEarlyCloseSweep(t *testing.T) {
 							if complete && r.Outcome(1) != proto.Abort {
 								t.Fatalf("%s: early close decided %v\n%s", ctx, r.Outcome(1), r.Trace.Dump())
 							}
+							if lastAck, all := acksOfNonUD(r, n); all {
+								if limit := max(openAt, lastAck) + 2*Tt; r.Sites[1].DecidedAt > limit {
+									t.Fatalf("%s: master decided at %d, want ≤ %d: first UD %d, last ack %d, then one solicit round trip\n%s",
+										ctx, r.Sites[1].DecidedAt, limit, openAt, lastAck, r.Trace.Dump())
+								}
+								solicited++
+							}
 							if complete && completeAt < openAt+5*Tt {
 								early++
 							} else {
@@ -117,9 +144,11 @@ func TestEarlyCloseSweep(t *testing.T) {
 				}
 			}
 		}
-		if early == 0 || expired == 0 {
-			t.Fatalf("%s: sweep is vacuous: %d early closes, %d expiries", v.p.Name(), early, expired)
+		if early == 0 || expired == 0 || solicited == 0 {
+			t.Fatalf("%s: sweep is vacuous: %d early closes, %d expiries, %d fully acked windows",
+				v.p.Name(), early, expired, solicited)
 		}
-		t.Logf("%s: %d early closes, %d windows ran to 5T", v.p.Name(), early, expired)
+		t.Logf("%s: %d early closes, %d windows ran to 5T; %d fully acked windows closed within a solicit round trip",
+			v.p.Name(), early, expired, solicited)
 	}
 }

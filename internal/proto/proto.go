@@ -75,6 +75,11 @@ const (
 	// transaction asks a participant for its durable decision; the answer
 	// is a plain MsgCommit/MsgAbort.
 	MsgInquire
+
+	// Termination protocol, beyond the paper: a master inside its UD/PB
+	// window asks a slave whose ack it holds for its probe now, instead
+	// of waiting out the slave's 3T timer (see Window).
+	MsgSolicit // master -> slave: send your probe
 )
 
 // String returns the wire name of the kind, matching the paper's message
@@ -111,6 +116,8 @@ func (k Kind) String() string {
 		return "q-ack"
 	case MsgInquire:
 		return "inquire"
+	case MsgSolicit:
+		return "solicit"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

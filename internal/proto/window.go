@@ -15,9 +15,21 @@ package proto
 // once. Only the abort verdict can come early: a missing probe is
 // indistinguishable from a late one until 5T, and an ack cannot stand in
 // for a probe because it may predate the cut.
+//
+// Nor does the master wait for the slaves' own 3T timers to bring the
+// probes in: it holds the bounce, so it asks. Solicit names the slaves to
+// send a solicit to — those whose ack the master has received and who are
+// not yet in UD ∪ PB, each once. A slave still in p answers with an
+// ordinary probe, which lands in PB like a timed one. The ack condition is
+// load-bearing: a probe in PB must mean that its sender will never commit
+// on its own and that the abort will reach it, and it takes the delivered
+// ack (j never takes the UD(ack) → commit path) *and* the answer to a
+// message sent after the first UD (j's link is open after the cut began)
+// to say so. internal/core's package comment has the argument and the
+// counterexample for soliciting unacked slaves.
 type Window struct {
-	ud, pb     SiteSet
-	collecting bool
+	ud, pb, asked SiteSet
+	collecting    bool
 }
 
 // Open reports whether the window is collecting (the master is in p1u).
@@ -34,7 +46,7 @@ func (w *Window) PB() SiteSet { return w.pb }
 func (w *Window) Bounced(j SiteID) (opened bool) {
 	opened = !w.collecting
 	if opened {
-		w.ud, w.pb, w.collecting = NewSiteSet(), NewSiteSet(), true
+		w.ud, w.pb, w.asked, w.collecting = NewSiteSet(), NewSiteSet(), NewSiteSet(), true
 	}
 	w.ud.Add(j)
 	return opened
@@ -43,16 +55,36 @@ func (w *Window) Bounced(j SiteID) (opened bool) {
 // Probed records probe(tid, slave_j).
 func (w *Window) Probed(j SiteID) { w.pb.Add(j) }
 
+// Solicit returns, in ascending order, the slaves to send a solicit to
+// now: those in acked (the acks the master has received, before or during
+// the window) that are in neither UD nor PB and were not returned by an
+// earlier call. It is empty while the window is closed. The master calls
+// it when the window opens and on every ack that arrives while it is open.
+func (w *Window) Solicit(acked SiteSet) []SiteID {
+	if !w.collecting {
+		return nil
+	}
+	var out []SiteID
+	for _, j := range acked.IDs() {
+		if !w.accounted(j) && w.asked.Add(j) {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
 // Complete reports whether every slave is accounted for in UD ∪ PB, which
 // makes Verdict final before the 5T expiry.
 func (w *Window) Complete(slaves []SiteID) bool {
 	for _, j := range slaves {
-		if !w.ud.Has(j) && !w.pb.Has(j) {
+		if !w.accounted(j) {
 			return false
 		}
 	}
 	return true
 }
+
+func (w *Window) accounted(j SiteID) bool { return w.ud.Has(j) || w.pb.Has(j) }
 
 // Verdict evaluates the paper's rule on the sets collected so far: abort
 // if the probes came from exactly the slaves whose prepares were

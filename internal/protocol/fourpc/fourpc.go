@@ -16,11 +16,14 @@
 //	master p1:     UD(prepare)          → the §5.3 UD/PB window, closed
 //	                                      early once UD ∪ PB = N
 //	                                      (proto.Window, shared with core)
+//	master p1u:    ack_j held, j not in → solicit_j, once (acked slaves
+//	               UD ∪ PB                only — see internal/core)
 //	slave  w, e:   timeout              → 6T wait, then abort
 //	slave  w, e:   UD(yes), UD(preack)  → broadcast abort
 //	slave  p:      timeout              → probe; UD(probe) → broadcast
 //	                                      commit; optional §6 5T fix
 //	slave  p:      UD(ack)              → broadcast commit
+//	slave  p:      solicit              → probe, nothing else
 //
 // Experiment E14 runs the same resilience sweeps against it as against the
 // three-phase core.
@@ -100,7 +103,13 @@ func (m *master) closeWindow(env proto.Env, expired bool) {
 
 func (m *master) OnMsg(env proto.Env, msg proto.Msg) {
 	if m.win.Open() {
-		if msg.Kind == proto.MsgProbe {
+		switch msg.Kind {
+		case proto.MsgAck:
+			// A straggling ack entitles the slave to a solicit like one
+			// that beat the first UD.
+			m.acks.Add(msg.From)
+			m.solicit(env)
+		case proto.MsgProbe:
 			m.win.Probed(msg.From)
 			m.closeWindow(env, false)
 		}
@@ -154,8 +163,17 @@ func (m *master) OnUndeliverable(env proto.Env, msg proto.Msg) {
 			if m.win.Bounced(msg.To) {
 				env.ResetTimer(5 * env.T())
 			}
+			m.solicit(env)
 			m.closeWindow(env, false)
 		}
+	}
+}
+
+// solicit asks the acked slaves the window is still waiting for to probe
+// now (see proto.Window).
+func (m *master) solicit(env proto.Env) {
+	for _, j := range m.win.Solicit(m.acks) {
+		env.Send(j, proto.MsgSolicit, nil)
 	}
 }
 
@@ -235,6 +253,12 @@ func (s *slave) OnMsg(env proto.Env, msg proto.Msg) {
 		}
 	case "p", "pt":
 		switch msg.Kind {
+		case proto.MsgSolicit:
+			// Answer with the probe the 3T timer would send; state and
+			// timer stay as they are.
+			if s.state == "p" {
+				env.Send(env.MasterID(), proto.MsgProbe, nil)
+			}
 		case proto.MsgCommit:
 			s.finish(env, proto.Commit, false)
 		case proto.MsgAbort:

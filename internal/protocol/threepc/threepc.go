@@ -132,6 +132,10 @@ func (m *Master) HandleAck(env proto.Env, msg proto.Msg) bool {
 // Acks exposes the set of acknowledged slaves (for embedders).
 func (m *Master) Acks() proto.SiteSet { return m.acks }
 
+// NoteAck records an ack without driving p1 → c1, for an embedder whose
+// master has left the plain p1 wait (the termination protocol's p1u).
+func (m *Master) NoteAck(from proto.SiteID) { m.acks.Add(from) }
+
 // OnMsg implements proto.Node for the pure protocol.
 func (m *Master) OnMsg(env proto.Env, msg proto.Msg) {
 	if m.HandleVote(env, msg, nil, nil) {

@@ -84,12 +84,19 @@ func Classify(rec *trace.Recorder, masterID int) Case {
 	prepPass := rec.CrossDelivered("prepare")
 	prepFail := rec.CrossFailed("prepare")
 	ackFail := rec.CrossFailed("ack")
-	probeFail := rec.CrossFailed("probe")
 
-	masterCommitFail := 0
+	// The case table's probes are the slave → master ones and its commits
+	// the master's own round; the master's solicit, and anything else
+	// travelling the other way, is neither.
+	probeFail, masterCommitFail := 0, 0
 	for _, e := range rec.Events() {
-		if (e.Kind == trace.Bounce || e.Kind == trace.Drop) && e.Cross &&
-			e.MsgKind == "commit" && e.From == masterID {
+		if (e.Kind != trace.Bounce && e.Kind != trace.Drop) || !e.Cross {
+			continue
+		}
+		switch {
+		case e.MsgKind == "probe" && e.To == masterID:
+			probeFail++
+		case e.MsgKind == "commit" && e.From == masterID:
 			masterCommitFail++
 		}
 	}
@@ -189,7 +196,8 @@ func MaxWaitAfter(rec *trace.Recorder, state string) (max sim.Duration, entered 
 }
 
 // FirstUDPrepareToLastProbe measures the Figure 6 window: the span from
-// the master's first bounced prepare to the last probe delivered to it.
+// the master's first bounced prepare to the last probe delivered to it
+// (slave → master only; the master's own solicit is not a probe).
 // ok is false if the run contains no bounced prepare.
 func FirstUDPrepareToLastProbe(rec *trace.Recorder, masterID int) (span sim.Duration, ok bool) {
 	firstUD, haveUD := rec.FirstTime(func(e trace.Event) bool {

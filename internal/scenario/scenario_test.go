@@ -25,6 +25,11 @@ func synth(events ...trace.Event) *trace.Recorder {
 	return r
 }
 
+// plus returns a new recorder holding rec's events followed by more.
+func plus(rec *trace.Recorder, more ...trace.Event) *trace.Recorder {
+	return synth(append(append([]trace.Event(nil), rec.Events()...), more...)...)
+}
+
 func msg(k trace.EventKind, kind string, from, to int, cross bool) trace.Event {
 	return trace.Event{Kind: k, MsgKind: kind, From: from, To: to, Cross: cross}
 }
@@ -91,6 +96,24 @@ func TestClassifySynthetic(t *testing.T) {
 	for _, c := range cases {
 		if got := Classify(c.rec, 1); got != c.want {
 			t.Errorf("%s: Classify = %s, want %s", c.name, got, c.want)
+		}
+		if c.rec == nil {
+			continue
+		}
+		// The master's solicits are not the case table's probes: a trace
+		// that also holds a bounced and a delivered solicit — or a frame
+		// named probe travelling master → slave — classifies as before.
+		with := plus(c.rec,
+			msg(trace.Bounce, "solicit", 1, 3, true),
+			msg(trace.Deliver, "solicit", 1, 3, true),
+			msg(trace.Bounce, "probe", 1, 3, true),
+		)
+		want := c.want
+		if want == CaseNone {
+			want = Case1 // the additions are cross traffic, and no prepare passed
+		}
+		if got := Classify(with, 1); got != want {
+			t.Errorf("%s + solicits: Classify = %s, want %s", c.name, got, want)
 		}
 	}
 }
@@ -323,5 +346,16 @@ func TestFig6WindowMeasure(t *testing.T) {
 	}
 	if _, ok := FirstUDPrepareToLastProbe(&trace.Recorder{}, 1); ok {
 		t.Fatal("empty trace should report no window")
+	}
+	// A solicit is master → slave and is no probe, delivered or bounced
+	// however late: the window still ends at the last slave → master probe.
+	late := r.Trace.Events()[r.Trace.Len()-1].At + sim.Time(T)
+	with := plus(r.Trace,
+		trace.Event{At: late, Kind: trace.Deliver, MsgKind: "solicit", From: 1, To: 2},
+		trace.Event{At: late, Kind: trace.Bounce, MsgKind: "solicit", From: 1, To: 3, Cross: true},
+		trace.Event{At: late, Kind: trace.Deliver, MsgKind: "probe", From: 1, To: 2},
+	)
+	if got, _ := FirstUDPrepareToLastProbe(with, 1); got != span {
+		t.Fatalf("Fig. 6 window with trailing solicits = %d, want %d", got, span)
 	}
 }
