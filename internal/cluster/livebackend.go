@@ -8,6 +8,7 @@ import (
 
 	"termproto/internal/db/engine"
 	"termproto/internal/lease"
+	"termproto/internal/obs"
 	"termproto/internal/proto"
 	"termproto/internal/recovery"
 	"termproto/internal/sim"
@@ -162,6 +163,9 @@ func (b *LiveBackend) Open(cfg Config) error {
 				b.links[m.To].Receive(m)
 				return nil
 			})
+		if cfg.metrics != nil {
+			b.links[id].Late = cfg.metrics.reg.Histogram(obs.MLinkCrossLate)
+		}
 	}
 	b.mu.Lock()
 	for id := range b.links {

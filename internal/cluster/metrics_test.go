@@ -36,6 +36,14 @@ func TestMetricsNamesParitySimLive(t *testing.T) {
 			t.Errorf("shard commit-latency count = %d, want 3", got)
 		}
 	}
+	// Link lateness is a wall-clock measurement: the live links record
+	// every crossing, the simulator registers the family and leaves it empty.
+	if got := simSnap.Total(obs.MLinkCrossLate); got != 0 {
+		t.Errorf("sim recorded %d link crossings, want the family empty", got)
+	}
+	if liveSnap.Total(obs.MLinkCrossLate) == 0 {
+		t.Error("no link lateness observed on the live backend")
+	}
 }
 
 // TestNetMetricsParity runs the same batch against real termnode
@@ -82,6 +90,9 @@ func TestNetMetricsParity(t *testing.T) {
 	}
 	if netSnap.Value(obs.MWalFsyncLatency) == 0 {
 		t.Error("no WAL fsync latencies observed on the daemons")
+	}
+	if netSnap.Total(obs.MLinkCrossLate) == 0 {
+		t.Error("no link lateness observed on the daemons")
 	}
 }
 

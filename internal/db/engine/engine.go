@@ -531,14 +531,33 @@ func (e *Engine) Put(key string, value []byte) {
 	e.applyDurable(key, value)
 }
 
+// PutBatch is Put for a whole fixture: values[k] for each of keys, logged
+// as one append — one fsync — and then applied. A nil value deletes.
+func (e *Engine) PutBatch(keys []string, values map[string][]byte) {
+	recs := make([]wal.Record, len(keys))
+	for i, k := range keys {
+		recs[i] = wal.Record{Type: wal.RecApply, Key: []byte(k), Value: values[k]}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.log.AppendBatch(recs) //nolint:errcheck
+	for _, r := range recs {
+		e.apply(r.Key, r.Value)
+	}
+}
+
 // applyDurable logs and applies one already-committed write (fixture load
 // or catch-up). value nil deletes. Called with e.mu held.
 func (e *Engine) applyDurable(key string, value []byte) {
 	e.log.Append(wal.Record{Type: wal.RecApply, Key: []byte(key), Value: value}) //nolint:errcheck
+	e.apply([]byte(key), value)
+}
+
+func (e *Engine) apply(key, value []byte) {
 	if value == nil {
-		e.tree.Delete([]byte(key))
+		e.tree.Delete(key)
 	} else {
-		e.tree.Put([]byte(key), value)
+		e.tree.Put(key, value)
 	}
 }
 
@@ -740,11 +759,7 @@ func (e *Engine) RecoverInPlace() (RecoveryInfo, error) {
 		default:
 			continue
 		}
-		if r.Value == nil {
-			e.tree.Delete(r.Key)
-		} else {
-			e.tree.Put(r.Key, r.Value)
-		}
+		e.apply(r.Key, r.Value)
 	}
 	// Reconstruct in-doubt transactions.
 	for tid, t := range byTxn {

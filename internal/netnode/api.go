@@ -239,19 +239,16 @@ func (n *Node) handleLoad(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	keys := make([]string, 0, len(req.Data))
-	for k := range req.Data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	// Under sharded placement a fixture posted to every node must land
 	// only at the shards each node actually hosts.
 	asg := n.opts.Placement
-	for _, k := range keys {
-		if asg != nil && !asg.Hosts(n.opts.ID, k) {
-			continue
+	keys := make([]string, 0, len(req.Data))
+	for k := range req.Data {
+		if asg == nil || asg.Hosts(n.opts.ID, k) {
+			keys = append(keys, k)
 		}
-		n.eng.Put(k, req.Data[k])
 	}
+	sort.Strings(keys)
+	n.eng.PutBatch(keys, req.Data)
 	writeJSON(w, struct{}{})
 }

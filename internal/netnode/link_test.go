@@ -40,7 +40,7 @@ func newLinkPair() *linkPair {
 
 // inProcessPair joins the two sites the way cluster.LiveBackend does: put
 // is a hand-off to the destination's Link.
-func inProcessPair(*testing.T) *linkPair {
+func inProcessPair(t *testing.T) *linkPair {
 	p := newLinkPair()
 	var mu sync.Mutex
 	up := map[proto.SiteID]*siterun.Link{}
@@ -59,6 +59,7 @@ func inProcessPair(*testing.T) *linkPair {
 				return nil
 			})
 		l.Trace = p.record
+		t.Cleanup(l.Close)
 		p.links[i], up[proto.SiteID(i+1)] = l, l
 	}
 	p.kill2 = func() {

@@ -1,8 +1,12 @@
 package netnode
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -199,5 +203,38 @@ func TestNodeStartupRecovery(t *testing.T) {
 	}
 	if v, _ := nodes[0].Engine().Get("missed"); string(v) != "while-down" {
 		t.Errorf("missed = %q, want \"while-down\"", v)
+	}
+}
+
+// A /load request is one log append: 256 keys cost one fsync, not 256, and
+// all of them survive a restart.
+func TestLoadIsOneSyncPerRequest(t *testing.T) {
+	nodes, _ := startNodes(t, 1, memStores(1), false)
+	eng := nodes[0].Engine()
+	req := LoadReq{Data: map[string][]byte{}}
+	for i := 0; i < 256; i++ {
+		req.Data[fmt.Sprintf("acct-%03d", i)] = engine.EncodeInt(int64(i))
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := eng.WALStats()
+	rec := httptest.NewRecorder()
+	nodes[0].handleLoad(rec, httptest.NewRequest(http.MethodPost, "/load", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/load answered %d: %s", rec.Code, rec.Body)
+	}
+	after := eng.WALStats()
+	if syncs, recs := after.Syncs-before.Syncs, after.Records-before.Records; syncs != 1 || recs != 256 {
+		t.Fatalf("/load of 256 keys cost %d syncs for %d records, want 1 for 256", syncs, recs)
+	}
+	if _, err := eng.RecoverInPlace(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 256; i++ {
+		if got := eng.GetInt(fmt.Sprintf("acct-%03d", i)); got != int64(i) {
+			t.Fatalf("acct-%03d = %d after restart, want %d", i, got, i)
+		}
 	}
 }

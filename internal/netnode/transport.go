@@ -16,7 +16,7 @@ import (
 // connection per peer. site.Link decides every message's fate — the
 // [T/4, T/2) delay, the bounce off a blocked link, the silent drop at a
 // dead peer — and this type is how a frame reaches the far side when the
-// far side is another process: write is the link's put, and a decoded
+// far side is another process: put is the link's put, and a decoded
 // inbound frame enters the destination's link through Receive.
 //
 // The blocklist severs, not just filters: setting it closes live
@@ -62,17 +62,19 @@ func newTransport(self proto.SiteID, t time.Duration, seed int64,
 		out:     make(map[proto.SiteID]*outConn),
 		inbound: make(map[net.Conn]proto.SiteID),
 	}
-	tr.Link = site.NewLink(self, t, seed, deliver, tr.write)
+	tr.Link = site.NewLink(self, t, seed, deliver, tr.put)
 	return tr
 }
 
-// setMetrics resolves the transport's wire counters from the registry.
+// setMetrics resolves the transport's wire counters, and the link's
+// lateness histogram, from the registry.
 // Call before listen.
 func (t *transport) setMetrics(r *obs.Registry) {
 	t.obsFramesSent = r.Counter(obs.MNetFrames, obs.L("dir", "sent"))
 	t.obsFramesRecv = r.Counter(obs.MNetFrames, obs.L("dir", "recv"))
 	t.obsBytesSent = r.Counter(obs.MNetBytes, obs.L("dir", "sent"))
 	t.obsBytesRecv = r.Counter(obs.MNetBytes, obs.L("dir", "recv"))
+	t.Late = r.Histogram(obs.MLinkCrossLate)
 }
 
 // listen binds the protocol listener and starts the accept loop,
@@ -146,6 +148,34 @@ func (t *transport) serveConn(conn net.Conn) {
 			return // closed
 		}
 	}
+}
+
+// put is the link's far side, called on its queue goroutine: a frame for a
+// connected peer is written in place; anything that may wait — no
+// connection yet, or one another writer holds — goes through write on a
+// goroutine of its own, because a dial can block for 4T + 100 ms.
+func (t *transport) put(m proto.Msg) error {
+	t.mu.Lock()
+	oc := t.out[m.To]
+	t.mu.Unlock()
+	if oc != nil && oc.mu.TryLock() {
+		conn := oc.conn
+		if conn != nil && WriteMsg(conn, m) != nil {
+			conn.Close() // dead since its last use: write redials
+			oc.conn, conn = nil, nil
+		}
+		oc.mu.Unlock()
+		if conn != nil {
+			t.countSent(m)
+			return nil
+		}
+	}
+	go func() {
+		if t.write(m) != nil {
+			t.Lost(m)
+		}
+	}()
+	return nil
 }
 
 // write puts one message on the outbound link to m.To, dialing if needed.
@@ -275,8 +305,7 @@ func (t *transport) SetBlocked(peers []proto.SiteID) {
 	}
 }
 
-// Close shuts the listener and every connection. In-flight delayed sends
-// observe closed and become no-ops.
+// Close shuts the link, the listener and every connection.
 func (t *transport) Close() {
 	t.mu.Lock()
 	if t.closed {
@@ -284,7 +313,6 @@ func (t *transport) Close() {
 		return
 	}
 	t.closed = true
-	t.Link.Close()
 	ocs := make([]*outConn, 0, len(t.out))
 	for _, oc := range t.out {
 		ocs = append(ocs, oc)
@@ -294,6 +322,7 @@ func (t *transport) Close() {
 		conns = append(conns, conn)
 	}
 	t.mu.Unlock()
+	t.Link.Close() // outside t.mu: the queue goroutine may be inside put
 	if t.ln != nil {
 		t.ln.Close()
 	}

@@ -49,6 +49,10 @@ const (
 	// bounced (return-to-sender) deliveries.
 	MNetBytes  = "termproto_net_bytes_total"
 	MNetFrames = "termproto_net_frames_total"
+	// How long after the instant its link drew a message crossed, or a
+	// bounced one returned, in microseconds: the sender's share of the
+	// delay bound, recorded by the wall-clock links (empty on sim).
+	MLinkCrossLate = "termproto_link_cross_late_us"
 )
 
 // catalog drives RegisterBase and the /metrics HELP strings.
@@ -73,6 +77,7 @@ var catalog = []struct {
 	{MLeaseEvents, KindCounter, "Shard lease lifecycle transitions by event."},
 	{MNetBytes, KindCounter, "Wire bytes by direction."},
 	{MNetFrames, KindCounter, "Wire frames by direction."},
+	{MLinkCrossLate, KindHistogram, "Lateness of link crossings and bounce returns against their drawn instant, in microseconds."},
 }
 
 // RegisterBase pre-registers every catalog family (with help text) so

@@ -2,10 +2,13 @@ package site
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"termproto/internal/obs"
 	"termproto/internal/proto"
 	"termproto/internal/trace"
 )
@@ -14,22 +17,37 @@ import (
 // partition model in real time, independent of how a frame reaches the
 // far side.
 //
-//   - Every message waits a uniform draw from [T/4, T/2) before it
-//     crosses. The paper's timeout analysis assumes a message arriving
-//     exactly at a timer's deadline is processed before the timer; real
-//     clocks have no such ordering, so worst-case delay plus scheduling
-//     jitter must stay strictly inside the bound T. With delays under T/2
-//     an undeliverable return lands within T, a full T before the
-//     master's 2T window closes.
+//   - Every message is given an instant to cross: now plus a uniform draw d
+//     from [T/4, T/2). The paper's timeout analysis assumes a message
+//     arriving exactly at a timer's deadline is processed before the
+//     timer; real clocks have no such ordering, so worst-case delay plus
+//     scheduling jitter must stay strictly inside the bound T. With
+//     delays under T/2 an undeliverable return lands within T, a full T
+//     before the master's 2T window closes.
+//   - The instants sit in one queue per link; one goroutine sleeps until
+//     the head's and judges it against time.Now() after every wake-up, so
+//     a landing is never early, and late only by what the scheduler adds
+//     (Late records it). A runtime timer per message landed U(0, 1 ms)
+//     late — an idle Go process waits in epoll_wait in whole milliseconds
+//     (runtime/netpoll_epoll.go, netpoll: delay < 1e6 becomes waitms = 1),
+//     while a descriptor's readiness wakes it at once — which was ≈2 ms of
+//     a commit's four hops. Protocol timers (Loop.AfterFunc) stay on
+//     runtime timers: none is on the commit path and late is their safe
+//     direction.
 //   - A blocked peer is a partition boundary, consulted at crossing time:
-//     the message turns around and, after the same delay again, the
+//     the message turns around and, d after its crossing instant, the
 //     sender receives its own copy marked Undeliverable.
 //   - A dead peer (put fails) is silence — the message is dropped without
 //     a return, because a site failure must be indistinguishable from
 //     message loss (paper §7).
 //
 // put is the far side: an in-process hand-off to the destination's Link,
-// or a TCP write. deliver is the near side: the site's own inbox.
+// or a TCP write. It runs on the queue goroutine — a goroutine per message
+// costs more CPU than the timers did — so it must not block: a far side
+// that has to wait (a TCP dial) finishes on a goroutine of its own and
+// reports a failure there through Lost. deliver is the near side: the
+// site's own inbox. A Link owns a goroutine and, on Linux, a descriptor;
+// Close releases both.
 type Link struct {
 	self    proto.SiteID
 	t       time.Duration
@@ -39,28 +57,72 @@ type Link struct {
 	// Trace, when set before traffic starts, receives the wire events —
 	// send, deliver, bounce, drop: the vocabulary simnet records, so an
 	// exported trace checks with the same offline rules. It must be safe
-	// for concurrent use (events come from timer goroutines).
+	// for concurrent use (events come from several goroutines).
 	Trace func(trace.Event)
+	// Late, set like Trace, observes how many microseconds after its drawn
+	// instant each crossing and each bounce return happened.
+	Late *obs.Histogram
+
+	wake waker
+	done chan struct{} // closed when the queue goroutine has exited
 
 	mu      sync.Mutex
 	rng     *rand.Rand
 	blocked map[proto.SiteID]bool
+	q       []crossing // ascending by instant
 	closed  bool
 
 	sent, delivered, bounced, dropped atomic.Uint64
 }
 
-// NewLink builds a site's link. A zero seed derives one from the site.
+// crossing is one queued message: the instant it is due at the boundary —
+// or, once back is set, back at its sender — and the delay it drew.
+type crossing struct {
+	at   time.Time
+	d    time.Duration
+	m    proto.Msg
+	back bool
+}
+
+// waker is the per-OS seam: wake the queue goroutine once, d from now.
+type waker interface {
+	arm(d time.Duration) // replaces any earlier arming
+	wait() bool          // blocks until an armed instant, or wakes for nothing; false once closed
+	close()
+}
+
+// timerWaker is the portable waker: a runtime timer, and so up to a
+// millisecond late on an idle process.
+type timerWaker struct {
+	tm     *time.Timer
+	closed atomic.Bool
+}
+
+func newTimerWaker() *timerWaker          { return &timerWaker{tm: time.NewTimer(time.Hour)} }
+func (w *timerWaker) arm(d time.Duration) { w.tm.Reset(d) }
+func (w *timerWaker) wait() bool          { <-w.tm.C; return !w.closed.Load() }
+func (w *timerWaker) close()              { w.closed.Store(true); w.tm.Reset(0) }
+
+// NewLink builds a site's link and starts its queue goroutine; the caller
+// owes it a Close. A zero seed derives one from the site.
 func NewLink(self proto.SiteID, t time.Duration, seed int64,
 	deliver func(proto.Msg), put func(proto.Msg) error) *Link {
+	return newLink(self, t, seed, deliver, put, newWaker())
+}
+
+func newLink(self proto.SiteID, t time.Duration, seed int64,
+	deliver func(proto.Msg), put func(proto.Msg) error, wake waker) *Link {
 	if seed == 0 {
 		seed = 424242 + int64(self)
 	}
-	return &Link{
+	l := &Link{
 		self: self, t: t, put: put, deliver: deliver,
+		wake: wake, done: make(chan struct{}),
 		rng:     rand.New(rand.NewSource(seed)),
 		blocked: make(map[proto.SiteID]bool),
 	}
+	go l.run()
+	return l
 }
 
 // wireEvent emits one wire-level trace event. Cross is always true: these
@@ -76,35 +138,84 @@ func (l *Link) wireEvent(k trace.EventKind, site proto.SiteID, m proto.Msg, deta
 	})
 }
 
+// drawDelay picks one message's delay, uniform over [T/4, T/2).
+func drawDelay(rng *rand.Rand, t time.Duration) time.Duration {
+	return t/4 + time.Duration(rng.Int63n(max(int64(t/4), 1)))
+}
+
 // Send implements Transport.
 func (l *Link) Send(m proto.Msg) {
 	l.sent.Add(1)
 	l.wireEvent(trace.Send, l.self, m, "")
 	l.mu.Lock()
-	d := l.t/4 + time.Duration(l.rng.Int63n(int64(l.t/4)+1))
-	l.mu.Unlock()
-	time.AfterFunc(d, func() {
-		l.mu.Lock()
-		crossing, closed := l.blocked[m.To], l.closed
-		l.mu.Unlock()
-		switch {
-		case closed:
-		case crossing:
-			l.bounced.Add(1)
-			time.AfterFunc(d, func() {
-				if !l.isClosed() {
-					l.wireEvent(trace.Bounce, l.self, m, "")
-					m.Undeliverable = true
-					l.deliver(m)
+	defer l.mu.Unlock()
+	d := drawDelay(l.rng, l.t)
+	l.push(crossing{at: time.Now().Add(d), d: d, m: m})
+}
+
+// push queues e — near the tail: instants grow with the clock, give or take
+// the T/4 by which draws differ — and moves the wake-up forward when e is
+// the new head. Called with l.mu held.
+func (l *Link) push(e crossing) {
+	if l.closed {
+		return
+	}
+	i := sort.Search(len(l.q), func(i int) bool { return l.q[i].at.After(e.at) })
+	l.q = slices.Insert(l.q, i, e)
+	if i == 0 {
+		l.wake.arm(time.Until(e.at))
+	}
+}
+
+// run is the queue goroutine: it sleeps until the head's instant, then
+// lands what is due.
+func (l *Link) run() {
+	defer close(l.done)
+	for l.wake.wait() {
+		for e, ok := l.next(); ok; e, ok = l.next() {
+			if !e.back {
+				if err := l.put(e.m); err != nil {
+					l.Lost(e.m)
 				}
-			})
-		default:
-			if err := l.put(m); err != nil {
-				l.dropped.Add(1)
-				l.wireEvent(trace.Drop, m.To, m, "dead peer")
+				continue
 			}
+			l.wireEvent(trace.Bounce, l.self, e.m, "")
+			e.m.Undeliverable = true
+			l.deliver(e.m)
 		}
-	})
+	}
+}
+
+// next takes the head off the queue if its instant has come — judged by
+// the clock, not by the wake-up, so that nothing lands early — and
+// otherwise arms the waker for it. A crossing that meets the boundary goes
+// back on the queue as a return, due d after the instant it was to cross.
+func (l *Link) next() (e crossing, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for len(l.q) > 0 {
+		now := time.Now()
+		if e = l.q[0]; e.at.After(now) {
+			l.wake.arm(e.at.Sub(now))
+			break
+		}
+		l.q[0] = crossing{} // the array outlives the entry: let its payload go
+		l.q = l.q[1:]
+		l.Late.Observe(now.Sub(e.at).Microseconds())
+		if e.back || !l.blocked[e.m.To] {
+			return e, true
+		}
+		l.bounced.Add(1)
+		e.back, e.at = true, e.at.Add(e.d)
+		l.push(e)
+	}
+	return e, false
+}
+
+// Lost records that m, taken by put, met a dead peer.
+func (l *Link) Lost(m proto.Msg) {
+	l.dropped.Add(1)
+	l.wireEvent(trace.Drop, m.To, m, "dead peer")
 }
 
 // Receive is the far side's entry: a frame that crossed arrives at its
@@ -157,15 +268,17 @@ func (l *Link) Counters() (sent, delivered, bounced, dropped uint64) {
 	return l.sent.Load(), l.delivered.Load(), l.bounced.Load(), l.dropped.Load()
 }
 
-// Close makes in-flight delayed sends and returns no-ops.
+// Close empties the queue, so that what was waiting never lands, and
+// returns once the queue goroutine has exited — past the put or deliver it
+// was in, so not to be called from either, nor under a lock they take — and
+// the waker is released. Closing twice is harmless.
 func (l *Link) Close() {
 	l.mu.Lock()
-	l.closed = true
+	first := !l.closed
+	l.closed, l.q = true, nil
 	l.mu.Unlock()
-}
-
-func (l *Link) isClosed() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.closed
+	if first {
+		l.wake.close()
+	}
+	<-l.done
 }

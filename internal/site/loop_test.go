@@ -42,6 +42,7 @@ func newMesh(t *testing.T, n int, protocol proto.Protocol, parts map[proto.SiteI
 	for id, lp := range m.loops {
 		lp.Start(m.links[id])
 		t.Cleanup(lp.Close)
+		t.Cleanup(m.links[id].Close)
 	}
 	return m
 }

@@ -334,8 +334,8 @@ func FourPCTermination() Protocol { return fourpc.Protocol{TransientFix: true} }
 type MetricsSnapshot = obs.Snapshot
 
 // Metric family names — the cross-backend catalog. Latency histograms
-// are in virtual ticks (T = 1000) except MWalFsyncLatency, which is
-// wall-clock microseconds on every backend.
+// are in virtual ticks (T = 1000) except MWalFsyncLatency and
+// MLinkCrossLate, which are wall-clock microseconds on every backend.
 const (
 	MRoundLatency       = obs.MRoundLatency
 	MShardCommitLatency = obs.MShardCommitLatency
@@ -351,6 +351,7 @@ const (
 	MLeaseEvents        = obs.MLeaseEvents
 	MNetBytes           = obs.MNetBytes
 	MNetFrames          = obs.MNetFrames
+	MLinkCrossLate      = obs.MLinkCrossLate
 )
 
 // --- formal analysis ---
