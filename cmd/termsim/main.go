@@ -87,7 +87,6 @@ func main() {
 	zipfS := flag.Float64("zipf", 0, "zipfian hot-key skew exponent for generated payloads (0 = uniform)")
 	opsN := flag.Int("ops", 2, "accounts touched per generated transaction (a chain of transfers)")
 	db := flag.Bool("db", false, "attach a WAL-backed database engine at every site; scheduled recover events become durable restarts (replay + in-doubt resolution + catch-up)")
-	batchMode := flag.Bool("batch", false, "coalesce same-instant transactions sharing a replica set into shared protocol rounds (one carrier message per round)")
 	groupCommit := flag.Bool("group-commit", true, "WAL group commit on the engines (-db) or daemons (-backend net): amortize one fsync over concurrent appends")
 	spacing := flag.Float64("spacing", 0.4, "submission spacing between transactions in units of T")
 	scheduleSpec := flag.String("schedule", "",
@@ -165,7 +164,7 @@ func main() {
 		}
 	}
 
-	cfg := cluster.Config{Sites: *n, Protocol: p, Schedule: sched, Batching: *batchMode}
+	cfg := cluster.Config{Sites: *n, Protocol: p, Schedule: sched}
 	var members []proto.SiteID
 	if *shards > 0 {
 		rfVal := *rf
@@ -501,10 +500,6 @@ func printMetrics(snap obs.Snapshot) {
 			fmt.Printf("  group commit:             batches=%d occupancy=%.2f\n",
 				b, float64(snap.Total(obs.MWalBatchedRecords))/float64(b))
 		}
-	}
-	if cr := snap.Total(obs.MCarrierRounds); cr > 0 {
-		fmt.Printf("  batching:                 carriers=%d batched-txns=%d\n",
-			cr, snap.Total(obs.MBatchedTxns))
 	}
 	if snap.Total(obs.MQuorumEvals) > 0 {
 		fmt.Printf("  quorum evals:             met=%d unmet=%d\n",

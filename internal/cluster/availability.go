@@ -95,7 +95,6 @@ func (k *leaseKeeper) regrant(site proto.SiteID, e placement.Epoch, asg *placeme
 // committed epoch record re-grants under the new epoch; any decision on
 // a shard the site still replicates extends the lease — the decision
 // itself is the evidence the replica group still answers for the shard.
-// Carrier payloads are flattened so batched members renew too.
 func (k *leaseKeeper) onDecide(site proto.SiteID, payload []byte, o proto.Outcome, now sim.Time) {
 	if k == nil {
 		return
@@ -104,26 +103,24 @@ func (k *leaseKeeper) onDecide(site proto.SiteID, payload []byte, o proto.Outcom
 	if t == nil {
 		return
 	}
-	for _, body := range flattenPayload(payload) {
-		if o == proto.Commit {
-			for _, op := range epochOps(body) {
-				e, _ := placement.ParseEpochKey(op.Key)
-				if asg, err := placement.DecodeAssignment(op.Value); err == nil {
-					k.regrant(site, e, asg, now)
-				}
+	if o == proto.Commit {
+		for _, op := range epochOps(payload) {
+			e, _ := placement.ParseEpochKey(op.Key)
+			if asg, err := placement.DecodeAssignment(op.Value); err == nil {
+				k.regrant(site, e, asg, now)
 			}
 		}
-		_, asg := k.dir.Current()
-		for _, g := range quorum.GroupsFor(asg, body) {
-			if !containsSite(g.Replicas, site) {
-				continue
-			}
-			renewed, lapsed := t.Extend(g.Shard, now)
-			if renewed {
-				k.emit(trace.LeaseRenew, site, now, fmt.Sprintf("shard=%d", g.Shard))
-			} else if lapsed {
-				k.emit(trace.LeaseExpire, site, now, fmt.Sprintf("shard=%d", g.Shard))
-			}
+	}
+	_, asg := k.dir.Current()
+	for _, g := range quorum.GroupsFor(asg, payload) {
+		if !containsSite(g.Replicas, site) {
+			continue
+		}
+		renewed, lapsed := t.Extend(g.Shard, now)
+		if renewed {
+			k.emit(trace.LeaseRenew, site, now, fmt.Sprintf("shard=%d", g.Shard))
+		} else if lapsed {
+			k.emit(trace.LeaseExpire, site, now, fmt.Sprintf("shard=%d", g.Shard))
 		}
 	}
 }
@@ -133,23 +130,6 @@ func (k *leaseKeeper) emit(kind trace.EventKind, site proto.SiteID, now sim.Time
 		return
 	}
 	k.rec.Append(trace.Event{At: now, Kind: kind, Site: int(site), Detail: detail})
-}
-
-// flattenPayload returns the transaction bodies a payload carries: the
-// payload itself, or every member body of a batch carrier.
-func flattenPayload(payload []byte) [][]byte {
-	if !proto.IsBatchPayload(payload) {
-		return [][]byte{payload}
-	}
-	bp, err := proto.DecodeBatch(payload)
-	if err != nil {
-		return nil
-	}
-	out := make([][]byte, 0, len(bp.Members))
-	for _, m := range bp.Members {
-		out = append(out, m.Payload)
-	}
-	return out
 }
 
 // epochOps returns the durable placement-epoch records in a payload —
@@ -180,17 +160,15 @@ func traceQuorum(rec *trace.Recorder, cfg Config, t Txn, ok func(proto.SiteID) b
 		return
 	}
 	_, asg := cfg.Directory.Current()
-	for _, body := range flattenPayload(t.Payload) {
-		for _, g := range quorum.GroupsFor(asg, body) {
-			met := quorum.Eval(g, ok, cfg.Quorum)
-			cfg.metrics.quorumEval(met)
-			if rec == nil {
-				continue
-			}
-			rec.Append(trace.Event{
-				At: now, Kind: trace.QuorumEval, Site: int(t.Master), TID: uint64(t.ID),
-				Detail: fmt.Sprintf("shard=%d rule=%s met=%t", g.Shard, cfg.Quorum, met),
-			})
+	for _, g := range quorum.GroupsFor(asg, t.Payload) {
+		met := quorum.Eval(g, ok, cfg.Quorum)
+		cfg.metrics.quorumEval(met)
+		if rec == nil {
+			continue
 		}
+		rec.Append(trace.Event{
+			At: now, Kind: trace.QuorumEval, Site: int(t.Master), TID: uint64(t.ID),
+			Detail: fmt.Sprintf("shard=%d rule=%s met=%t", g.Shard, cfg.Quorum, met),
+		})
 	}
 }

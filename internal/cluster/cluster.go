@@ -144,19 +144,6 @@ type Config struct {
 	Votes Voter
 	// Participants optionally attaches a database participant per site.
 	Participants map[proto.SiteID]Participant
-	// Batching makes SubmitBatch coalesce protocol rounds: admitted
-	// transactions that share a participant roster, master, admission
-	// epoch, and start time are folded into carrier transactions whose
-	// payload is a versioned multi-transaction envelope
-	// (proto.EncodeBatch), so one MsgXact round — one vote, one decision
-	// — carries N transactions' bodies on any backend. The carrier
-	// executes its members as one atomic unit: a no-vote from any member
-	// aborts the group (the cost of sharing the round). Transactions
-	// with a per-transaction voter or decision hook are never coalesced.
-	Batching bool
-	// MaxBatchTxns caps members per carrier; 0 means DefaultMaxBatchTxns.
-	MaxBatchTxns int
-
 	// LeaseTTL enables epoch-scoped shard leases (internal/lease): each
 	// participant site is granted a lease per hosted shard at directory
 	// seeding and at every epoch bump, and renews it whenever it records
@@ -341,12 +328,7 @@ type Stats struct {
 	// keys copied by committed Join/Leave/MoveShard migrations.
 	ShardsMoved  int
 	KeysMigrated int
-	// CarrierRounds and BatchedTxns count the coalesced protocol rounds
-	// SubmitBatch ran under Config.Batching and the member transactions
-	// they carried (PR 6's round coalescing, surfaced here).
-	CarrierRounds uint64
-	BatchedTxns   uint64
-	Net           NetStats
+	Net          NetStats
 	// Now is the cluster timeline position in ticks.
 	Now sim.Time
 }
@@ -360,9 +342,6 @@ func (s Stats) String() string {
 	if s.Epoch > 0 || s.ShardsMoved > 0 {
 		out += fmt.Sprintf(" epoch=%d shards-moved=%d keys-migrated=%d",
 			s.Epoch, s.ShardsMoved, s.KeysMigrated)
-	}
-	if s.CarrierRounds > 0 {
-		out += fmt.Sprintf(" carriers=%d batched-txns=%d", s.CarrierRounds, s.BatchedTxns)
 	}
 	return out
 }
@@ -430,9 +409,6 @@ type Cluster struct {
 	// through one more anti-entropy pull at the Wait boundary, after the
 	// stragglers drain.
 	pendingReconcile []reconcileItem
-	// carriers are coalesced SubmitBatch rounds awaiting fan-back of
-	// their outcome to member results at the next Wait.
-	carriers []*carrier
 }
 
 type reconcileItem struct {
@@ -557,46 +533,29 @@ func seedDirectoryRecords(cfg Config) {
 // Submit registers one transaction and starts it on the backend. The
 // returned result is live: its fields settle after the next Wait.
 func (c *Cluster) Submit(t Txn) (*TxnResult, error) {
-	t, res, err := c.admit(t)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.backend.Submit(t, res); err != nil {
-		c.retract(t.ID)
-		return nil, err
-	}
-	return res, nil
-}
-
-// admit runs the submission-side half of Submit — TID assignment,
-// participant resolution, master policy, result registration — without
-// starting the transaction on the backend. The returned Txn is the
-// normalized form to hand the backend; retract undoes the registration
-// if the backend refuses it.
-func (c *Cluster) admit(t Txn) (Txn, *TxnResult, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return t, nil, fmt.Errorf("cluster: closed")
+		return nil, fmt.Errorf("cluster: closed")
 	}
 	if t.ID == 0 {
 		t.ID = c.nextTID
 	}
 	if _, dup := c.txns[t.ID]; dup {
 		c.mu.Unlock()
-		return t, nil, fmt.Errorf("cluster: duplicate TID %d", t.ID)
+		return nil, fmt.Errorf("cluster: duplicate TID %d", t.ID)
 	}
 	participants, epoch, err := c.resolveParticipants(t)
 	if err != nil {
 		c.mu.Unlock()
-		return t, nil, err
+		return nil, err
 	}
 	if t.Master == 0 {
 		t.Master = c.cfg.MasterPolicy(t.ID, participants)
 	}
 	if int(t.Master) < 1 || int(t.Master) > c.cfg.Sites {
 		c.mu.Unlock()
-		return t, nil, fmt.Errorf("cluster: master %d out of range 1..%d", t.Master, c.cfg.Sites)
+		return nil, fmt.Errorf("cluster: master %d out of range 1..%d", t.Master, c.cfg.Sites)
 	}
 	// The coordinator is always a participant: a master outside the data's
 	// replica sets joins the transaction.
@@ -624,20 +583,20 @@ func (c *Cluster) admit(t Txn) (Txn, *TxnResult, error) {
 	c.txns[t.ID] = res
 	c.order = append(c.order, t.ID)
 	c.mu.Unlock()
-	return t, res, nil
-}
 
-// retract undoes an admit whose backend submission failed.
-func (c *Cluster) retract(tid proto.TxnID) {
-	c.mu.Lock()
-	delete(c.txns, tid)
-	for i := len(c.order) - 1; i >= 0; i-- {
-		if c.order[i] == tid {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
+	if err := c.backend.Submit(t, res); err != nil {
+		c.mu.Lock()
+		delete(c.txns, t.ID)
+		for i := len(c.order) - 1; i >= 0; i-- {
+			if c.order[i] == t.ID {
+				c.order = append(c.order[:i], c.order[i+1:]...)
+				break
+			}
 		}
+		c.mu.Unlock()
+		return nil, err
 	}
-	c.mu.Unlock()
+	return res, nil
 }
 
 // resolveParticipants computes a submission's participant set and
@@ -705,178 +664,17 @@ func insertSite(ids []proto.SiteID, id proto.SiteID) []proto.SiteID {
 	return ids
 }
 
-// DefaultMaxBatchTxns is the per-carrier member cap when
-// Config.MaxBatchTxns is 0.
-const DefaultMaxBatchTxns = 64
-
-// carrier links one coalesced protocol round to the member transactions
-// riding it; outcomes fan back to the members at the next Wait.
-type carrier struct {
-	res     *TxnResult
-	members []proto.TxnID
-}
-
-// SubmitBatch submits transactions in order, stopping at the first
-// error. Without Config.Batching each transaction gets its own protocol
-// round. With it, admitted transactions are grouped by (participant
-// roster, master, admission epoch, start time) and each group of two or
-// more rides one carrier transaction — one shared MsgXact round whose
-// payload is the multi-transaction envelope — while singletons, and
-// transactions with their own voter or decision hook, run classically.
-// Member results are settled from the carrier's outcome by Wait.
+// SubmitBatch submits transactions in order, stopping at the first error.
 func (c *Cluster) SubmitBatch(ts []Txn) ([]*TxnResult, error) {
-	if !c.cfg.Batching {
-		out := make([]*TxnResult, 0, len(ts))
-		for _, t := range ts {
-			r, err := c.Submit(t)
-			if err != nil {
-				return out, err
-			}
-			out = append(out, r)
-		}
-		return out, nil
-	}
-
-	maxTxns := c.cfg.MaxBatchTxns
-	if maxTxns <= 0 {
-		maxTxns = DefaultMaxBatchTxns
-	}
-	type group struct {
-		txns    []Txn
-		results []*TxnResult
-	}
 	out := make([]*TxnResult, 0, len(ts))
-	groups := make(map[string]*group)
-	var groupOrder []string
 	for _, t := range ts {
-		coalescible := t.Votes == nil && t.onDecided == nil
-		t, res, err := c.admit(t)
+		r, err := c.Submit(t)
 		if err != nil {
 			return out, err
 		}
-		out = append(out, res)
-		if !coalescible {
-			if err := c.backend.Submit(t, res); err != nil {
-				c.retract(t.ID)
-				return out[:len(out)-1], err
-			}
-			continue
-		}
-		key := batchKey(t)
-		g := groups[key]
-		if g == nil {
-			g = &group{}
-			groups[key] = g
-			groupOrder = append(groupOrder, key)
-		}
-		g.txns = append(g.txns, t)
-		g.results = append(g.results, res)
-	}
-	for _, key := range groupOrder {
-		g := groups[key]
-		for start := 0; start < len(g.txns); start += maxTxns {
-			end := start + maxTxns
-			if end > len(g.txns) {
-				end = len(g.txns)
-			}
-			if err := c.submitGroup(g.txns[start:end], g.results[start:end]); err != nil {
-				return out, err
-			}
-		}
+		out = append(out, r)
 	}
 	return out, nil
-}
-
-// batchKey is the coalescing identity: only transactions agreeing on all
-// of it may share a protocol round.
-func batchKey(t Txn) string {
-	return fmt.Sprintf("%d|%d|%d|%v", t.Master, t.At, len(t.Sites), t.Sites)
-}
-
-// submitGroup starts one admitted group: a single transaction runs
-// as itself; two or more ride a carrier whose payload encodes every
-// member's body.
-func (c *Cluster) submitGroup(ts []Txn, results []*TxnResult) error {
-	if len(ts) == 1 {
-		if err := c.backend.Submit(ts[0], results[0]); err != nil {
-			c.retract(ts[0].ID)
-			return err
-		}
-		return nil
-	}
-	members := make([]proto.BatchMember, len(ts))
-	memberIDs := make([]proto.TxnID, len(ts))
-	for i, t := range ts {
-		members[i] = proto.BatchMember{TID: t.ID, Payload: t.Payload}
-		memberIDs[i] = t.ID
-	}
-	c.mu.Lock()
-	ctid := c.nextTID
-	c.nextTID++
-	cres := &TxnResult{
-		TID: ctid, Master: ts[0].Master,
-		Participants: ts[0].Sites,
-		Epoch:        results[0].Epoch,
-		Sites:        make(map[proto.SiteID]*SiteOutcome, len(ts[0].Sites)),
-	}
-	for _, id := range ts[0].Sites {
-		cres.Sites[id] = &SiteOutcome{FinalState: "q"}
-	}
-	// Registered in txns (TID uniqueness, Result lookup) but not in
-	// order: a carrier is transport, not workload — Stats and
-	// Termination see only its members.
-	c.txns[ctid] = cres
-	c.carriers = append(c.carriers, &carrier{res: cres, members: memberIDs})
-	c.mu.Unlock()
-
-	ct := Txn{
-		ID:      ctid,
-		Master:  ts[0].Master,
-		Sites:   ts[0].Sites,
-		Payload: proto.EncodeBatch(members),
-		At:      ts[0].At,
-	}
-	if err := c.backend.Submit(ct, cres); err != nil {
-		c.mu.Lock()
-		delete(c.txns, ctid)
-		if n := len(c.carriers); n > 0 && c.carriers[n-1].res == cres {
-			c.carriers = c.carriers[:n-1]
-		}
-		c.mu.Unlock()
-		return fmt.Errorf("cluster: carrier for %d txns: %w", len(ts), err)
-	}
-	c.metrics.carrier(len(ts))
-	return nil
-}
-
-// settleCarriers fans each carrier's per-site outcomes back to its
-// member results after the backend quiesces: every member inherits the
-// carrier's outcome at every site (the group shared one vote and one
-// decision). Carriers whose round is still undecided stay queued.
-func (c *Cluster) settleCarriers() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var remaining []*carrier
-	for _, car := range c.carriers {
-		if car.res.Outcome() == proto.None && len(car.res.Blocked()) > 0 {
-			// Still blocked at a live site; mirror the blocked state so
-			// members report honestly, but keep the carrier for a later
-			// Wait to settle.
-			remaining = append(remaining, car)
-		}
-		for _, mid := range car.members {
-			mres := c.txns[mid]
-			if mres == nil {
-				continue
-			}
-			for id, so := range car.res.Sites {
-				if m := mres.Sites[id]; m != nil {
-					*m = *so
-				}
-			}
-		}
-	}
-	c.carriers = remaining
 }
 
 // Wait blocks until every submitted transaction has terminated or provably
@@ -894,7 +692,6 @@ func (c *Cluster) Wait() error {
 	if err := c.backend.Wait(); err != nil {
 		return err
 	}
-	c.settleCarriers()
 	c.settleMigrations()
 	c.reconcileMigrated()
 	c.mu.Lock()
@@ -1055,14 +852,12 @@ func (c *Cluster) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := Stats{
-		Submitted:     len(c.order),
-		Recoveries:    c.backend.RecoveryCount(),
-		ShardsMoved:   c.shardsMoved,
-		KeysMigrated:  c.keysMigrated,
-		CarrierRounds: c.metrics.carrierRounds.Value(),
-		BatchedTxns:   c.metrics.batchedTxns.Value(),
-		Net:           c.backend.NetStats(),
-		Now:           c.backend.Now(),
+		Submitted:    len(c.order),
+		Recoveries:   c.backend.RecoveryCount(),
+		ShardsMoved:  c.shardsMoved,
+		KeysMigrated: c.keysMigrated,
+		Net:          c.backend.NetStats(),
+		Now:          c.backend.Now(),
 	}
 	if d := c.cfg.Directory; d != nil {
 		st.Epoch = uint64(d.Epoch())

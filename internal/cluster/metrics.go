@@ -31,7 +31,6 @@ type clusterMetrics struct {
 	// transactions, in ticks.
 	shardCommit *obs.HistogramVec
 
-	carrierRounds, batchedTxns          *obs.Counter
 	quorumMet, quorumUnmet              *obs.Counter
 	leaseGrant, leaseRenew, leaseExpire *obs.Counter
 
@@ -48,15 +47,13 @@ func newClusterMetrics(protocol string) *clusterMetrics {
 		reg: r,
 		roundDecided: r.Histogram(obs.MRoundLatency,
 			obs.L("protocol", protocol), obs.L("phase", "decided")),
-		shardCommit:   r.NewHistogramVec(obs.MShardCommitLatency, "shard"),
-		carrierRounds: r.Counter(obs.MCarrierRounds),
-		batchedTxns:   r.Counter(obs.MBatchedTxns),
-		quorumMet:     r.Counter(obs.MQuorumEvals, obs.L("result", "met")),
-		quorumUnmet:   r.Counter(obs.MQuorumEvals, obs.L("result", "unmet")),
-		leaseGrant:    r.Counter(obs.MLeaseEvents, obs.L("event", "grant")),
-		leaseRenew:    r.Counter(obs.MLeaseEvents, obs.L("event", "renew")),
-		leaseExpire:   r.Counter(obs.MLeaseEvents, obs.L("event", "expire")),
-		recorded:      make(map[proto.TxnID]bool),
+		shardCommit: r.NewHistogramVec(obs.MShardCommitLatency, "shard"),
+		quorumMet:   r.Counter(obs.MQuorumEvals, obs.L("result", "met")),
+		quorumUnmet: r.Counter(obs.MQuorumEvals, obs.L("result", "unmet")),
+		leaseGrant:  r.Counter(obs.MLeaseEvents, obs.L("event", "grant")),
+		leaseRenew:  r.Counter(obs.MLeaseEvents, obs.L("event", "renew")),
+		leaseExpire: r.Counter(obs.MLeaseEvents, obs.L("event", "expire")),
+		recorded:    make(map[proto.TxnID]bool),
 	}
 }
 
@@ -88,16 +85,6 @@ func (m *clusterMetrics) quorumEval(met bool) {
 	} else {
 		m.quorumUnmet.Inc()
 	}
-}
-
-// carrier counts one coalesced protocol round carrying n member
-// transactions.
-func (m *clusterMetrics) carrier(n int) {
-	if m == nil {
-		return
-	}
-	m.carrierRounds.Inc()
-	m.batchedTxns.Add(uint64(n))
 }
 
 // recordDecided observes one transaction's terminal latency, exactly

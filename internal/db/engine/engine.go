@@ -293,35 +293,11 @@ func (e *Engine) ExecuteAt(tid proto.TxnID, payload []byte, sites []proto.SiteID
 	return e.execute(tid, payload, encodeSites(sites))
 }
 
-// decodePayloadOps parses a transaction body, transparently unwrapping a
-// multi-transaction batch envelope into the concatenation of its members'
-// ops — the whole carrier executes as one atomic unit (one lock set, one
-// vote, one decision), so a conflict or guard violation in any member
-// aborts the group.
-func decodePayloadOps(payload []byte) ([]Op, error) {
-	if !proto.IsBatchPayload(payload) {
-		return DecodeOps(payload)
-	}
-	b, err := proto.DecodeBatch(payload)
-	if err != nil {
-		return nil, ErrBadPayload
-	}
-	var ops []Op
-	for _, m := range b.Members {
-		mo, err := DecodeOps(m.Payload)
-		if err != nil {
-			return nil, ErrBadPayload
-		}
-		ops = append(ops, mo...)
-	}
-	return ops, nil
-}
-
 func (e *Engine) execute(tid proto.TxnID, payload []byte, beginMeta []byte) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	id := uint64(tid)
-	ops, err := decodePayloadOps(payload)
+	ops, err := DecodeOps(payload)
 	if err != nil || len(ops) == 0 {
 		e.voteNo++
 		return false
@@ -532,18 +508,22 @@ func (e *Engine) Put(key string, value []byte) {
 }
 
 // PutBatch is Put for a whole fixture: values[k] for each of keys, logged
-// as one append — one fsync — and then applied. A nil value deletes.
-func (e *Engine) PutBatch(keys []string, values map[string][]byte) {
+// as one append — one fsync — and applied only once that append is
+// durable; on error nothing is applied. A nil value deletes.
+func (e *Engine) PutBatch(keys []string, values map[string][]byte) error {
 	recs := make([]wal.Record, len(keys))
 	for i, k := range keys {
 		recs[i] = wal.Record{Type: wal.RecApply, Key: []byte(k), Value: values[k]}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.log.AppendBatch(recs) //nolint:errcheck
+	if err := e.log.AppendBatch(recs); err != nil {
+		return fmt.Errorf("engine: log fixture of %d keys: %w", len(keys), err)
+	}
 	for _, r := range recs {
 		e.apply(r.Key, r.Value)
 	}
+	return nil
 }
 
 // applyDurable logs and applies one already-committed write (fixture load

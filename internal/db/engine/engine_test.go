@@ -2,6 +2,8 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -210,6 +212,50 @@ func TestBadPayloadVotesNo(t *testing.T) {
 	}
 	if e.Execute(2, EncodeOps(nil)) {
 		t.Fatal("empty op list accepted")
+	}
+	// A body in the retired multi-transaction envelope ("TPB\x01", member
+	// count, tid, length, member body) is garbage like any other: its
+	// magic reads as an op count no payload can back.
+	member := EncodeOps([]Op{{Kind: OpPut, Key: "k", Value: []byte("v")}})
+	envelope := []byte("TPB\x01")
+	envelope = binary.BigEndian.AppendUint32(envelope, 1) // one member
+	envelope = binary.BigEndian.AppendUint64(envelope, 9) // its tid
+	envelope = binary.BigEndian.AppendUint32(envelope, uint32(len(member)))
+	envelope = append(envelope, member...)
+	if e.Execute(3, envelope) {
+		t.Fatal("retired batch envelope accepted")
+	}
+	if e.Locked("k") {
+		t.Fatal("rejected envelope left its member's key locked")
+	}
+	recs, err := e.log.ScanStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Type == wal.RecPrepared {
+			t.Fatalf("rejected payload logged a prepare for txn %d", r.TID)
+		}
+	}
+}
+
+// syncFailStore is a log store whose every Sync fails.
+type syncFailStore struct{ wal.MemStore }
+
+func (*syncFailStore) Sync() error { return errors.New("sync: disk gone") }
+
+// A fixture whose log append did not become durable is not applied, and
+// the caller is told.
+func TestPutBatchSyncFailureAppliesNothing(t *testing.T) {
+	e := New("s1", &syncFailStore{})
+	err := e.PutBatch([]string{"a", "b"}, map[string][]byte{"a": EncodeInt(1), "b": EncodeInt(2)})
+	if err == nil {
+		t.Fatal("PutBatch reported success over a failed sync")
+	}
+	for _, k := range []string{"a", "b"} {
+		if v, ok := e.Get(k); ok {
+			t.Fatalf("%s = %x applied although its log record is not durable", k, v)
+		}
 	}
 }
 

@@ -249,6 +249,9 @@ func (n *Node) handleLoad(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sort.Strings(keys)
-	n.eng.PutBatch(keys, req.Data)
+	if err := n.eng.PutBatch(keys, req.Data); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	writeJSON(w, struct{}{})
 }

@@ -3,6 +3,7 @@ package netnode
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -236,5 +237,28 @@ func TestLoadIsOneSyncPerRequest(t *testing.T) {
 		if got := eng.GetInt(fmt.Sprintf("acct-%03d", i)); got != int64(i) {
 			t.Fatalf("acct-%03d = %d after restart, want %d", i, got, i)
 		}
+	}
+}
+
+// syncFailStore is a log store whose every Sync fails.
+type syncFailStore struct{ wal.MemStore }
+
+func (*syncFailStore) Sync() error { return errors.New("sync: disk gone") }
+
+// A /load whose log append did not reach the disk answers 500 and serves
+// none of the fixture.
+func TestLoadSyncFailureAnswers500(t *testing.T) {
+	nodes, _ := startNodes(t, 1, []wal.Store{&syncFailStore{}}, false)
+	body, err := json.Marshal(LoadReq{Data: map[string][]byte{"acct-000": engine.EncodeInt(7)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	nodes[0].handleLoad(rec, httptest.NewRequest(http.MethodPost, "/load", bytes.NewReader(body)))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("/load over a failed sync answered %d, want 500", rec.Code)
+	}
+	if v, ok := nodes[0].Engine().Get("acct-000"); ok {
+		t.Fatalf("acct-000 = %x served although its log record is not durable", v)
 	}
 }

@@ -8,11 +8,10 @@ import (
 	"termproto/internal/proto"
 )
 
-// Benchmarks for the wire hot path. The append encoders and the
-// scratch-reuse reader are the zero-alloc claims: run with
-// `go test -bench . -benchmem ./internal/netnode/` and check the
-// allocs/op column reads 0 for everything below except WriteMsg's
-// pooled fast path (also 0 — the frame buffer comes from a sync.Pool).
+// Benchmarks for the wire hot path. The append encoders, the pooled
+// WriteMsg and the scratch-reuse reader are the zero-alloc claims:
+// TestWireCodecZeroAlloc holds them to 0 allocs/op; `go test -bench .
+// -benchmem ./internal/netnode/` adds the ns/op.
 
 var benchMsg = proto.Msg{
 	TID: 7, From: 2, To: 5, Kind: proto.MsgXact,
@@ -27,16 +26,17 @@ func BenchmarkAppendMsg(b *testing.B) {
 	}
 }
 
+var benchEnv = XactEnvelope{
+	Master: 1,
+	Sites:  []proto.SiteID{1, 2, 3, 4, 5},
+	Body:   benchMsg.Payload,
+}
+
 func BenchmarkAppendXact(b *testing.B) {
-	env := XactEnvelope{
-		Master: 1,
-		Sites:  []proto.SiteID{1, 2, 3, 4, 5},
-		Body:   benchMsg.Payload,
-	}
 	buf := make([]byte, 0, 512)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = AppendXact(buf[:0], env)
+		buf = AppendXact(buf[:0], benchEnv)
 	}
 }
 
@@ -65,5 +65,48 @@ func BenchmarkReadFrameInto(b *testing.B) {
 			b.Fatal(err)
 		}
 		scratch = next
+	}
+}
+
+// TestWireCodecZeroAlloc is the guarantee the four benchmarks above
+// report: a frame is encoded, written and read back on the per-message
+// path without touching the allocator.
+func TestWireCodecZeroAlloc(t *testing.T) {
+	var framed bytes.Buffer
+	if err := WriteMsg(&framed, benchMsg); err != nil {
+		t.Fatal(err)
+	}
+	frame := framed.Bytes()
+	rdr := bytes.NewReader(frame)
+	buf := make([]byte, 0, 512)
+	scratch := make([]byte, 0, 512)
+	rows := []struct {
+		name   string
+		pooled bool // draws its buffer from a sync.Pool
+		fn     func()
+	}{
+		{"AppendMsg", false, func() { buf = AppendMsg(buf[:0], benchMsg) }},
+		{"AppendXact", false, func() { buf = AppendXact(buf[:0], benchEnv) }},
+		{"WriteMsg", true, func() {
+			if err := WriteMsg(io.Discard, benchMsg); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"ReadFrameInto", false, func() {
+			rdr.Reset(frame)
+			_, next, err := ReadFrameInto(rdr, scratch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scratch = next
+		}},
+	}
+	for _, row := range rows {
+		if raceEnabled && row.pooled {
+			continue // under -race sync.Pool drops a quarter of its Puts on purpose
+		}
+		if n := testing.AllocsPerRun(200, row.fn); n != 0 {
+			t.Errorf("%s allocates %.1f/op, want 0", row.name, n)
+		}
 	}
 }

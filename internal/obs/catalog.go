@@ -37,9 +37,6 @@ const (
 	MWalSyncs          = "termproto_wal_syncs_total"
 	MWalBatches        = "termproto_wal_batches_total"
 	MWalBatchedRecords = "termproto_wal_batched_records_total"
-	// Carrier-transaction coalescing at the cluster layer.
-	MCarrierRounds = "termproto_carrier_rounds_total"
-	MBatchedTxns   = "termproto_batched_txns_total"
 	// Availability machinery: per-group quorum evaluations (label:
 	// result) and lease lifecycle transitions (label: event).
 	MQuorumEvals = "termproto_quorum_evals_total"
@@ -71,8 +68,6 @@ var catalog = []struct {
 	{MWalSyncs, KindCounter, "WAL sync syscalls issued."},
 	{MWalBatches, KindCounter, "WAL group-commit flush batches."},
 	{MWalBatchedRecords, KindCounter, "WAL records carried by group-commit batches."},
-	{MCarrierRounds, KindCounter, "Carrier transactions coalescing protocol rounds."},
-	{MBatchedTxns, KindCounter, "Member transactions riding carrier rounds."},
 	{MQuorumEvals, KindCounter, "Per-group quorum evaluations by result."},
 	{MLeaseEvents, KindCounter, "Shard lease lifecycle transitions by event."},
 	{MNetBytes, KindCounter, "Wire bytes by direction."},

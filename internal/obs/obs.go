@@ -136,8 +136,8 @@ type Registry struct {
 }
 
 // New returns an empty registry. The map is sized for the base catalog:
-// a registry is built at every cluster Open, so construction cost is on
-// a measured path (the benchjson throughput suite opens per iteration).
+// a registry is built at every cluster Open, and the sim benchmarks
+// (bench_test.go) open one cluster per iteration.
 func New() *Registry {
 	return &Registry{
 		families: make(map[string]*family, 24),

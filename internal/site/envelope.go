@@ -19,12 +19,8 @@ var ErrEnvelope = errors.New("site: malformed xact envelope")
 // evaluates the (Go-function) voter once and ships the verdicts, since a
 // closure cannot cross a process boundary.
 //
-// Body is opaque to the runtime, and that is how coalesced protocol
-// rounds cross it: a multi-transaction batch (proto.EncodeBatch — a
-// versioned envelope of N member transactions' bodies, "TPB" magic plus
-// version byte) rides as the Body of an ordinary MsgXact, so one frame
-// carries a whole carrier round and every node on the path treats it
-// like any other transaction body until the engine unwraps it.
+// Body is opaque to the runtime: every node on the path carries it as
+// bytes, and only the engine decodes it.
 type XactEnvelope struct {
 	Master  proto.SiteID
 	Sites   []proto.SiteID

@@ -86,12 +86,6 @@ type Config struct {
 	// point it joins back (shards migrated onto it again). Requires
 	// Shards > 0. 0 = static membership.
 	JoinLeaveEvery int
-	// Batch submits each concurrency batch through Cluster.SubmitBatch
-	// with coalescing enabled: transfers sharing a replica set and
-	// submission instant ride one carrier transaction per protocol round
-	// instead of running N independent rounds. Outcomes are identical;
-	// the message and event counts drop.
-	Batch bool
 	// Engine configures every site's database engine — WAL group commit,
 	// short-commit. The zero value is the synchronous, long-commit engine.
 	Engine engine.Options
@@ -265,7 +259,6 @@ func Run(cfg Config) (Stats, map[proto.SiteID]*engine.Engine) {
 		Directory:    dir,
 		Participants: parts,
 		Recovery:     cfg.CrashRecoverEvery > 0,
-		Batching:     cfg.Batch,
 		Backend: cluster.NewSimBackend(cluster.SimOptions{
 			Latency: simnet.Uniform{Lo: sim.DefaultT / 3, Hi: sim.DefaultT},
 			Seed:    rng.Uint64(),
@@ -309,8 +302,6 @@ func Run(cfg Config) (Stats, map[proto.SiteID]*engine.Engine) {
 		if batchEnd > cfg.Txns+1 {
 			batchEnd = cfg.Txns + 1
 		}
-		var pend []cluster.Txn // cfg.Batch: deferred to one SubmitBatch
-		var pendAmt []int64
 		for ; txn < batchEnd; txn++ {
 			chain := pickAccounts(cfg, shardMap, byShard, zipf, rng, txn, ops)
 			amount := int64(1 + rng.Intn(50))
@@ -343,25 +334,11 @@ func Run(cfg Config) (Stats, map[proto.SiteID]*engine.Engine) {
 			}
 			// TIDs are cluster-assigned: epoch-bump metadata transactions
 			// (JoinLeaveEvery) share the same sequence.
-			if cfg.Batch {
-				pend = append(pend, cluster.Txn{Payload: payload, At: c.Now()})
-				pendAmt = append(pendAmt, amount)
-				continue
-			}
 			r, err := c.Submit(cluster.Txn{Payload: payload, At: c.Now()})
 			if err != nil {
 				panic("workload: " + err.Error())
 			}
 			amounts[r.TID] = amount
-		}
-		if len(pend) > 0 {
-			rs, err := c.SubmitBatch(pend)
-			if err != nil {
-				panic("workload: " + err.Error())
-			}
-			for i, r := range rs {
-				amounts[r.TID] = pendAmt[i]
-			}
 		}
 		if err := c.Wait(); err != nil {
 			panic("workload: " + err.Error())

@@ -61,8 +61,6 @@ import (
 	"termproto/internal/experiments"
 	"termproto/internal/fsa"
 	"termproto/internal/harness"
-	"termproto/internal/obs"
-	"termproto/internal/placement"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/cooperative"
 	"termproto/internal/protocol/fourpc"
@@ -71,7 +69,6 @@ import (
 	"termproto/internal/protocol/threepcrules"
 	"termproto/internal/protocol/twopc"
 	"termproto/internal/protocol/twopcext"
-	"termproto/internal/recovery"
 	"termproto/internal/scenario"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
@@ -89,12 +86,6 @@ type (
 	Outcome = proto.Outcome
 	// Protocol builds master and slave automata for a commit protocol.
 	Protocol = proto.Protocol
-	// Node is one site's protocol automaton.
-	Node = proto.Node
-	// Env is the world a Node acts through.
-	Env = proto.Env
-	// Msg is a protocol message.
-	Msg = proto.Msg
 )
 
 // Outcomes.
@@ -104,13 +95,8 @@ const (
 	Abort  = proto.Abort
 )
 
-// Virtual time.
-type (
-	// Time is a point in virtual time (ticks).
-	Time = sim.Time
-	// Duration is a span of virtual time (ticks).
-	Duration = sim.Duration
-)
+// Time is a point in virtual time (ticks).
+type Time = sim.Time
 
 // T is the longest end-to-end network delay in ticks; the protocol timeout
 // windows are the paper's multiples of it (2T, 3T, 5T, 6T).
@@ -128,14 +114,6 @@ type (
 	Participant = harness.Participant
 	// Partition is a simple network partition (G2, onset, optional heal).
 	Partition = simnet.Partition
-	// Latency produces per-message delays.
-	Latency = simnet.Latency
-	// Fixed is constant latency; Uniform draws from a range; PerPair and
-	// PerKind build adversarial schedules.
-	Fixed   = simnet.Fixed
-	Uniform = simnet.Uniform
-	PerPair = simnet.PerPair
-	PerKind = simnet.PerKind
 	// Case is a Section 6 partition case label.
 	Case = scenario.Case
 )
@@ -148,16 +126,8 @@ type (
 	Cluster = cluster.Cluster
 	// ClusterConfig parameterizes Open.
 	ClusterConfig = cluster.Config
-	// ClusterStats aggregates a cluster's transaction/network counters.
-	ClusterStats = cluster.Stats
 	// Txn is one transaction submitted to a Cluster.
 	Txn = cluster.Txn
-	// TxnResult is the per-site view of one submitted transaction.
-	TxnResult = cluster.TxnResult
-	// SiteOutcome is one site's final view of one transaction.
-	SiteOutcome = cluster.SiteOutcome
-	// Backend is a pluggable cluster runtime (sim or live).
-	Backend = cluster.Backend
 	// SimBackend is the deterministic discrete-event backend; SimOptions
 	// tunes it.
 	SimBackend = cluster.SimBackend
@@ -169,58 +139,6 @@ type (
 	// Schedule is a timeline of fault events; ScheduleEvent is one entry.
 	Schedule      = cluster.Schedule
 	ScheduleEvent = cluster.Event
-	// MasterPolicy assigns coordinators to transactions from their
-	// participant sets.
-	MasterPolicy = cluster.MasterPolicy
-	// NetStats are cumulative network counters.
-	NetStats = cluster.NetStats
-	// ShardMap is the static data-placement constructor: a hash-sharded
-	// keyspace with an arithmetic replica set per shard. Set
-	// ClusterConfig.ShardMap and each transaction runs only at the
-	// replica sets of the shards its payload keys touch — horizontal
-	// scaling under the same protocols. Internally it seeds a Directory.
-	ShardMap = cluster.ShardMap
-	// Directory is the versioned shard directory — elastic membership.
-	// Transactions resolve participants at their admission epoch, and
-	// Cluster.Join/Leave/MoveShard rebalance shards at runtime: contents
-	// are copied through the recovery catch-up machinery and each epoch
-	// bump commits as a metadata transaction through the commit protocol,
-	// so a partition mid-migration is resolved by the termination
-	// protocol like any other in-doubt transaction.
-	Directory = placement.Directory
-	// Assignment is one immutable directory version: explicit replica
-	// sets per shard over the current membership.
-	Assignment = placement.Assignment
-	// PlacementEpoch numbers directory versions.
-	PlacementEpoch = placement.Epoch
-	// MigrationReport records one Join/Leave/MoveShard execution.
-	MigrationReport = cluster.MigrationReport
-	// RecoveryReport is one site's durable recovery as run by the cluster
-	// (ClusterConfig.Recovery): WAL replay, in-doubt resolution via the
-	// termination protocol's inquiry round, and catch-up from a current
-	// replica. Cluster.Recoveries lists them.
-	RecoveryReport = cluster.RecoveryReport
-	// RecoveryStats summarizes what one recovery did.
-	RecoveryStats = recovery.Stats
-)
-
-// NewShardMap builds a placement map: shards hash-partition the keyspace,
-// each replicated at replicationFactor consecutive sites of a
-// sites-member cluster. ReplicationFactor 1 is allowed: single-replica
-// transactions take the local-commit fast path (no protocol round).
-func NewShardMap(shards, replicationFactor, sites int) (*ShardMap, error) {
-	return cluster.NewShardMap(shards, replicationFactor, sites)
-}
-
-// NewDirectory opens a versioned shard directory at epoch 0.
-func NewDirectory(initial *Assignment) *Directory { return placement.NewDirectory(initial) }
-
-// ArithmeticAssignment builds the ShardMap-equivalent epoch-0 assignment
-// over sites 1..n; ArithmeticAssignmentOver places over an explicit
-// member subset (the rest join later).
-var (
-	ArithmeticAssignment     = placement.Arithmetic
-	ArithmeticAssignmentOver = placement.ArithmeticOver
 )
 
 // Open starts a cluster (deterministic SimBackend unless configured).
@@ -232,26 +150,12 @@ var (
 	NewLiveBackend = cluster.NewLiveBackend
 )
 
-// Schedule builders: partitions, heals, crashes, recoveries as timeline
-// events (times in ticks; T = 1000 ticks).
+// Schedule builders: partitions and heals as timeline events (times in
+// ticks; T = 1000 ticks).
 var (
 	PartitionAt          = cluster.PartitionAt
 	TransientPartitionAt = cluster.TransientPartitionAt
 	HealAt               = cluster.HealAt
-	CrashAt              = cluster.CrashAt
-	RecoverAt            = cluster.RecoverAt
-	JoinAt               = cluster.JoinAt
-	LeaveAt              = cluster.LeaveAt
-	MoveShardAt          = cluster.MoveShardAt
-)
-
-// Master policies for ClusterConfig. MasterPrimary coordinates every
-// transaction from inside its participant set (the shard-local policy,
-// default for sharded clusters).
-var (
-	MasterFixed      = cluster.MasterFixed
-	MasterRoundRobin = cluster.MasterRoundRobin
-	MasterPrimary    = cluster.MasterPrimary
 )
 
 // Run executes one transaction deterministically and returns the result.
@@ -264,11 +168,8 @@ func Run(opts Options) *Result { return harness.Run(opts) }
 // G2 builds a partition group from site IDs.
 func G2(ids ...SiteID) map[SiteID]bool { return simnet.G2Set(ids...) }
 
-// AllYes votes yes at every site; NoAt votes no at the given sites.
-var (
-	AllYes = harness.AllYes
-	NoAt   = harness.NoAt
-)
+// NoAt votes no at the given sites and yes everywhere else.
+var NoAt = harness.NoAt
 
 // Classify assigns a completed run to its Section 6 case.
 func Classify(r *Result, master SiteID) Case {
@@ -323,37 +224,6 @@ func Cooperative() Protocol { return cooperative.Protocol{} }
 // construction over a four-phase commit protocol.
 func FourPCTermination() Protocol { return fourpc.Protocol{TransientFix: true} }
 
-// --- observability ---
-
-// MetricsSnapshot is a point-in-time view of a cluster's metric
-// registry: Cluster.Metrics returns one on every backend (the net
-// backend aggregates over the daemons' admin APIs), with an identical
-// family-name set across sim, live, and net. Snapshots Merge, answer
-// Total/Value lookups and histogram Quantile queries, and render
-// Prometheus text via WritePrometheus.
-type MetricsSnapshot = obs.Snapshot
-
-// Metric family names — the cross-backend catalog. Latency histograms
-// are in virtual ticks (T = 1000) except MWalFsyncLatency and
-// MLinkCrossLate, which are wall-clock microseconds on every backend.
-const (
-	MRoundLatency       = obs.MRoundLatency
-	MShardCommitLatency = obs.MShardCommitLatency
-	MCommits            = obs.MCommits
-	MAborts             = obs.MAborts
-	MLockFailures       = obs.MLockFailures
-	MWalFsyncLatency    = obs.MWalFsyncLatency
-	MWalRecords         = obs.MWalRecords
-	MWalSyncs           = obs.MWalSyncs
-	MCarrierRounds      = obs.MCarrierRounds
-	MBatchedTxns        = obs.MBatchedTxns
-	MQuorumEvals        = obs.MQuorumEvals
-	MLeaseEvents        = obs.MLeaseEvents
-	MNetBytes           = obs.MNetBytes
-	MNetFrames          = obs.MNetFrames
-	MLinkCrossLate      = obs.MLinkCrossLate
-)
-
 // --- formal analysis ---
 
 type (
@@ -383,24 +253,15 @@ type (
 	Engine = engine.Engine
 	// Op is one operation in a transaction body.
 	Op = engine.Op
-	// MemStore is an in-memory stable store; FileStore is file-backed.
-	MemStore  = wal.MemStore
-	FileStore = wal.FileStore
+	// MemStore is an in-memory stable store.
+	MemStore = wal.MemStore
 )
 
-// Database operation kinds.
-const (
-	OpPut    = engine.OpPut
-	OpDelete = engine.OpDelete
-	OpAdd    = engine.OpAdd
-)
+// OpAdd is the database operation kind that adds Delta to an integer value.
+const OpAdd = engine.OpAdd
 
 // NewEngine builds a site database logging to the given stable store.
 func NewEngine(name string, store wal.Store) *Engine { return engine.New(name, store) }
-
-// OpenWAL opens (creating if needed) a file-backed stable store — the
-// durable home of a site's write-ahead log across process restarts.
-func OpenWAL(path string) (*FileStore, error) { return wal.OpenFile(path) }
 
 // RecoverEngine rebuilds an engine from a stable log, returning in-doubt
 // transaction IDs awaiting the termination protocol.
