@@ -148,6 +148,9 @@ type pendingTxn struct {
 	// applied marks a short-commit transaction whose writes are already
 	// in the tree (and whose locks are already released).
 	applied bool
+	// staged marks a fragment StageAt built and Force has not yet logged:
+	// locks held, nothing durable.
+	staged bool
 }
 
 // Options tunes an engine's durability and commit path.
@@ -279,21 +282,29 @@ func (e *Engine) SetPlacement(hosts func(key string) bool) {
 // Execute implements harness.Participant: decode the body, take exclusive
 // locks, resolve updates against the current state, force Begin/Update/
 // Prepared records, and return the vote. Any failure — undecodable body,
-// lock conflict, or guard violation — votes no (unilateral abort) and
-// releases everything.
+// lock conflict, guard violation, or a log that did not become durable —
+// votes no (unilateral abort) and releases everything.
 func (e *Engine) Execute(tid proto.TxnID, payload []byte) bool {
-	return e.execute(tid, payload, nil)
+	return e.ExecuteAt(tid, payload, nil)
 }
 
-// ExecuteAt implements proto.SiteAwareParticipant: like Execute, but the
-// transaction's participant roster is forced to stable storage with the
-// begin record, so a site restarting with this transaction in doubt knows
-// whom to ask for the decision from its own log.
+// ExecuteAt is like Execute, but the transaction's participant roster is
+// forced to stable storage with the begin record, so a site restarting with
+// this transaction in doubt knows whom to ask for the decision from its own
+// log. It is StageAt then Force: a yes never precedes its force.
 func (e *Engine) ExecuteAt(tid proto.TxnID, payload []byte, sites []proto.SiteID) bool {
-	return e.execute(tid, payload, encodeSites(sites))
+	return e.StageAt(tid, payload, sites) && e.Force(tid)
 }
 
-func (e *Engine) execute(tid proto.TxnID, payload []byte, beginMeta []byte) bool {
+// StageAt is the first half of ExecuteAt, everything short of the log:
+// decode, no-wait locks, updates resolved against the current state, and
+// the begin/update/prepared fragment kept in memory. False is a no vote,
+// final as in ExecuteAt. True is not yet a vote: the caller owes a Force
+// before it acts on a yes — a master may send its xact in between (an
+// xact asserts nothing about its sender), but no prepare, no decision and
+// no counted vote. Commit on a staged transaction logs fragment and
+// decision in one append; Abort drops the fragment unlogged.
+func (e *Engine) StageAt(tid proto.TxnID, payload []byte, sites []proto.SiteID) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	id := uint64(tid)
@@ -302,14 +313,7 @@ func (e *Engine) execute(tid proto.TxnID, payload []byte, beginMeta []byte) bool
 		e.voteNo++
 		return false
 	}
-	p := &pendingTxn{meta: beginMeta}
-	abort := func() bool {
-		e.locks.Release(id)
-		e.log.Append(wal.Record{Type: wal.RecAbort, TID: id}) //nolint:errcheck
-		e.decided[id] = proto.Abort
-		e.voteNo++
-		return false
-	}
+	p := &pendingTxn{meta: encodeSites(sites), staged: true}
 	// Stage updates against a scratch view so multi-op bodies see their
 	// own earlier writes.
 	scratch := make(map[string][]byte)
@@ -331,7 +335,7 @@ func (e *Engine) execute(tid proto.TxnID, payload []byte, beginMeta []byte) bool
 			continue // foreign key: another shard's replicas handle it
 		}
 		if !e.locks.TryAcquire(id, op.Key, lock.Exclusive) {
-			return abort()
+			return e.refuse(id)
 		}
 		p.keys = append(p.keys, op.Key)
 		switch op.Kind {
@@ -345,29 +349,60 @@ func (e *Engine) execute(tid proto.TxnID, payload []byte, beginMeta []byte) bool
 			cur := DecodeInt(get(op.Key))
 			next := cur + op.Delta
 			if next < 0 {
-				return abort() // insufficient funds guard
+				return e.refuse(id) // insufficient funds guard
 			}
 			nv := EncodeInt(next)
 			scratch[op.Key] = nv
 			p.writes = append(p.writes, write{op.Key, nv})
 		default:
-			return abort()
+			return e.refuse(id)
 		}
 	}
-	// Force the whole prepare fragment — begin, updates, prepared — as
-	// one WAL batch: a single store write and a single Sync instead of
-	// one fsync per record.
-	recs := make([]wal.Record, 0, len(p.writes)+2)
-	recs = append(recs, wal.Record{Type: wal.RecBegin, TID: id, Value: beginMeta})
+	e.pending[id] = p
+	return true
+}
+
+// refuse is the unilateral abort behind a no vote: locks released, the
+// abort logged for recovery inquiries. Called with e.mu held; returns the
+// vote.
+func (e *Engine) refuse(id uint64) bool {
+	e.locks.Release(id)
+	e.log.Append(wal.Record{Type: wal.RecAbort, TID: id}) //nolint:errcheck
+	e.decided[id] = proto.Abort
+	e.voteNo++
+	return false
+}
+
+// fragment is the transaction's begin/update/prepared log fragment.
+func (p *pendingTxn) fragment(id uint64) []wal.Record {
+	recs := make([]wal.Record, 0, len(p.writes)+3)
+	recs = append(recs, wal.Record{Type: wal.RecBegin, TID: id, Value: p.meta})
 	for _, w := range p.writes {
 		recs = append(recs, wal.Record{
 			Type: wal.RecUpdate, TID: id, Key: []byte(w.key), Value: w.value,
 		})
 	}
-	recs = append(recs, wal.Record{Type: wal.RecPrepared, TID: id})
-	if err := e.log.AppendBatch(recs); err != nil {
-		return abort()
+	return append(recs, wal.Record{Type: wal.RecPrepared, TID: id})
+}
+
+// Force is the second half of ExecuteAt: the staged fragment goes to the
+// log as one WAL batch — a single store write and a single Sync instead of
+// one fsync per record — and the result is the vote. A failed force votes
+// no and releases everything. With nothing staged for tid (never staged,
+// or decided since) there is nothing to lose and Force reports true.
+func (e *Engine) Force(tid proto.TxnID) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	id := uint64(tid)
+	p := e.pending[id]
+	if p == nil || !p.staged {
+		return true
 	}
+	if err := e.log.AppendBatch(p.fragment(id)); err != nil {
+		delete(e.pending, id)
+		return e.refuse(id)
+	}
+	p.staged = false
 	if e.opts.ShortCommit {
 		// Early lock release: apply the writes now, keep the pre-images
 		// for undo, and free the keys — the decision only confirms (or
@@ -378,16 +413,11 @@ func (e *Engine) execute(tid proto.TxnID, payload []byte, beginMeta []byte) bool
 				pre = append([]byte(nil), v...)
 			}
 			p.undo = append(p.undo, write{w.key, pre})
-			if w.value == nil {
-				e.tree.Delete([]byte(w.key))
-			} else {
-				e.tree.Put([]byte(w.key), w.value)
-			}
+			e.apply([]byte(w.key), w.value)
 		}
 		p.applied = true
 		e.locks.Release(id)
 	}
-	e.pending[id] = p
 	e.voteYes++
 	return true
 }
@@ -395,7 +425,9 @@ func (e *Engine) execute(tid proto.TxnID, payload []byte, beginMeta []byte) bool
 // Commit implements harness.Participant: force the commit record, apply
 // the buffered updates, release locks. A decision for a transaction that
 // never prepared here is still logged (durably answerable by recovery
-// inquiries); duplicate decisions are no-ops.
+// inquiries); duplicate decisions are no-ops. A transaction staged and not
+// yet forced (a single-site roster decides inside its own Start) gets its
+// fragment and its commit record in one append, one Sync.
 func (e *Engine) Commit(tid proto.TxnID) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -403,9 +435,14 @@ func (e *Engine) Commit(tid proto.TxnID) {
 	if _, done := e.decided[id]; done {
 		return
 	}
-	e.log.Append(wal.Record{Type: wal.RecCommit, TID: id}) //nolint:errcheck // decisions for unknown txns are best-effort
-	e.decided[id] = proto.Commit
 	p, ok := e.pending[id]
+	var recs []wal.Record
+	if ok && p.staged {
+		recs = p.fragment(id)
+		e.voteYes++
+	}
+	e.log.AppendBatch(append(recs, wal.Record{Type: wal.RecCommit, TID: id})) //nolint:errcheck // decisions for unknown txns are best-effort
+	e.decided[id] = proto.Commit
 	if !ok {
 		return // never prepared here: the decision alone is recorded
 	}
@@ -435,7 +472,8 @@ func (e *Engine) Commit(tid proto.TxnID) {
 }
 
 // Abort implements harness.Participant: force the abort record, discard
-// buffered updates, release locks.
+// buffered updates (a staged fragment with them, never logged), release
+// locks.
 func (e *Engine) Abort(tid proto.TxnID) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -815,14 +853,9 @@ func (e *Engine) Checkpoint() (bool, error) {
 	}
 	sort.Slice(pend, func(i, j int) bool { return pend[i] < pend[j] })
 	for _, tid := range pend {
-		p := e.pending[tid]
-		recs = append(recs, wal.Record{Type: wal.RecBegin, TID: tid, Value: p.meta})
-		for _, w := range p.writes {
-			recs = append(recs, wal.Record{
-				Type: wal.RecUpdate, TID: tid, Key: []byte(w.key), Value: w.value,
-			})
+		if p := e.pending[tid]; !p.staged { // a staged fragment is not log history yet
+			recs = append(recs, p.fragment(tid)...)
 		}
-		recs = append(recs, wal.Record{Type: wal.RecPrepared, TID: tid})
 	}
 	if err := e.log.Truncate(); err != nil {
 		return false, fmt.Errorf("engine %s: checkpoint truncate: %w", e.name, err)

@@ -1,0 +1,148 @@
+package engine
+
+import (
+	"testing"
+
+	"termproto/internal/db/wal"
+	"termproto/internal/proto"
+)
+
+var (
+	stageSites = []proto.SiteID{1, 2, 3}
+	stageBody  = EncodeOps([]Op{{Kind: OpAdd, Key: "a", Delta: 5}, {Kind: OpPut, Key: "b", Value: []byte("v")}})
+)
+
+func scan(t *testing.T, e *Engine) []wal.Record {
+	t.Helper()
+	recs, err := e.log.ScanStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// Staging touches the lock table and nothing else: no log record, no
+// sync, no counted vote — and Force then writes exactly what ExecuteAt
+// would have, in one sync.
+func TestStageThenForceIsExecuteAt(t *testing.T) {
+	staged, whole := New("staged", &wal.MemStore{}), New("whole", &wal.MemStore{})
+	if !staged.StageAt(1, stageBody, stageSites) {
+		t.Fatal("stage refused")
+	}
+	if n := len(scan(t, staged)); n != 0 || staged.WALStats().Syncs != 0 {
+		t.Fatalf("staging logged %d records in %d syncs, want none", n, staged.WALStats().Syncs)
+	}
+	if yes, _, _, _ := staged.Stats(); yes != 0 || !staged.Locked("a") || !staged.Locked("b") {
+		t.Fatalf("staged: %d yes votes, locked a=%v b=%v; want 0, true, true", yes, staged.Locked("a"), staged.Locked("b"))
+	}
+	if !staged.Force(1) || !staged.Force(1) || !whole.ExecuteAt(1, stageBody, stageSites) {
+		t.Fatal("force (twice: the second has nothing to do) or ExecuteAt voted no")
+	}
+	got, want := scan(t, staged), scan(t, whole)
+	if len(got) != len(want) || staged.WALStats().Syncs != 1 {
+		t.Fatalf("stage+force logged %d records in %d syncs, ExecuteAt %d in 1", len(got), staged.WALStats().Syncs, len(want))
+	}
+	for i := range got {
+		if got[i].Type != want[i].Type || string(got[i].Key) != string(want[i].Key) || string(got[i].Value) != string(want[i].Value) {
+			t.Fatalf("record %d = %+v, ExecuteAt wrote %+v", i, got[i], want[i])
+		}
+	}
+	if yes, _, _, _ := staged.Stats(); yes != 1 {
+		t.Fatalf("%d yes votes after the force, want 1", yes)
+	}
+}
+
+// A transaction decided before it was forced (a single-site roster
+// commits inside its own Start) reaches the log as fragment + commit in
+// one sync, and a restart replays it as committed.
+func TestStagedCommitRecoversFromOneSync(t *testing.T) {
+	store := &wal.MemStore{}
+	e := New("s1", store)
+	if !e.StageAt(1, stageBody, nil) {
+		t.Fatal("stage refused")
+	}
+	e.Commit(1)
+	if s := e.WALStats().Syncs; s != 1 {
+		t.Fatalf("stage + commit cost %d syncs, want 1", s)
+	}
+	if !e.Force(1) {
+		t.Fatal("force after the decision voted no; it has nothing to do")
+	}
+	if s := e.WALStats().Syncs; s != 1 || e.Locked("a") {
+		t.Fatalf("after commit: %d syncs, a locked=%v; want 1, false", s, e.Locked("a"))
+	}
+	info, err := e.RecoverInPlace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Replayed != 1 || len(info.InDoubt) != 0 || e.GetInt("a") != 5 {
+		t.Fatalf("recovery = %+v, a = %d; want one replayed commit, a = 5", info, e.GetInt("a"))
+	}
+	if o, ok := e.Outcome(1); !ok || o != proto.Commit {
+		t.Fatalf("outcome after restart = %v, %v", o, ok)
+	}
+}
+
+// An abort drops a staged fragment: the log learns the decision and never
+// the transaction, and the keys are free.
+func TestStagedAbortLeavesNoBegin(t *testing.T) {
+	e := New("s1", &wal.MemStore{})
+	if !e.StageAt(1, stageBody, stageSites) {
+		t.Fatal("stage refused")
+	}
+	e.Abort(1)
+	for _, r := range scan(t, e) {
+		if r.Type != wal.RecAbort {
+			t.Fatalf("aborted staged txn logged a %s record", r.Type)
+		}
+	}
+	if e.Locked("a") || e.Locked("b") || len(e.InDoubt()) != 0 {
+		t.Fatalf("after abort: locked a=%v b=%v, in doubt %v", e.Locked("a"), e.Locked("b"), e.InDoubt())
+	}
+	if info, err := e.RecoverInPlace(); err != nil || len(info.InDoubt) != 0 || e.GetInt("a") != 0 {
+		t.Fatalf("recovery = %+v, %v; a = %d", info, err, e.GetInt("a"))
+	}
+}
+
+// Locks are taken at stage time: a conflicting transaction votes no
+// against a fragment that is not durable yet, in either order, so a hot
+// key still aborts at the master without reaching a slave.
+func TestStagedLocksConflict(t *testing.T) {
+	e := New("s1", &wal.MemStore{})
+	if !e.StageAt(1, stageBody, stageSites) {
+		t.Fatal("stage refused")
+	}
+	if e.ExecuteAt(2, EncodeOps([]Op{{Kind: OpAdd, Key: "a", Delta: 1}}), stageSites) {
+		t.Fatal("ExecuteAt voted yes on a key a staged transaction holds")
+	}
+	if e.StageAt(3, EncodeOps([]Op{{Kind: OpPut, Key: "b", Value: []byte("w")}}), stageSites) {
+		t.Fatal("StageAt succeeded on a key a staged transaction holds")
+	}
+	if !e.Force(1) {
+		t.Fatal("the holder's force voted no")
+	}
+	if _, no, _, _ := e.Stats(); no != 2 {
+		t.Fatalf("%d no votes, want 2", no)
+	}
+}
+
+// A force that did not become durable is a no vote: keys released, the
+// transaction aborted here, nothing left pending.
+func TestForceSyncFailureVotesNo(t *testing.T) {
+	e := New("s1", &syncFailStore{})
+	if !e.StageAt(1, stageBody, stageSites) {
+		t.Fatal("stage refused")
+	}
+	if e.Force(1) {
+		t.Fatal("force reported a yes over a failed sync")
+	}
+	if o, ok := e.Outcome(1); !ok || o != proto.Abort {
+		t.Fatalf("outcome = %v, %v; want abort", o, ok)
+	}
+	if e.Locked("a") || e.Locked("b") || len(e.InDoubt()) != 0 {
+		t.Fatalf("after failed force: locked a=%v b=%v, in doubt %v", e.Locked("a"), e.Locked("b"), e.InDoubt())
+	}
+	if yes, no, _, _ := e.Stats(); yes != 0 || no != 1 {
+		t.Fatalf("votes yes=%d no=%d, want 0 and 1", yes, no)
+	}
+}

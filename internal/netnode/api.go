@@ -2,11 +2,11 @@ package netnode
 
 import (
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"strconv"
 
 	"termproto/internal/proto"
 	"termproto/internal/recovery"
@@ -24,7 +24,7 @@ func (n *Node) StartAPI(addr string) (string, error) {
 	}
 	srv := &http.Server{Handler: n.apiMux()}
 	n.mu.Lock()
-	n.api = srv
+	n.api, n.wires = srv, make(map[net.Conn]struct{})
 	n.mu.Unlock()
 	n.wg.Add(1)
 	go func() {
@@ -39,13 +39,12 @@ func (n *Node) apiMux() *http.ServeMux {
 	mux.HandleFunc("GET /health", n.handleHealth)
 	mux.HandleFunc("GET /stats", n.handleStats)
 	mux.HandleFunc("GET /txns", n.handleTxns)
-	mux.HandleFunc("GET /txn", n.handleTxn)
 	mux.HandleFunc("GET /indoubt", n.handleInDoubt)
 	mux.HandleFunc("GET /snapshot", n.handleSnapshot)
 	mux.HandleFunc("GET /recovery", n.handleRecovery)
 	mux.HandleFunc("GET /metrics", n.handleMetrics)
 	mux.HandleFunc("GET /metricsjson", n.handleMetricsJSON)
-	mux.HandleFunc("POST /submit", n.handleSubmit)
+	mux.HandleFunc("GET /wire", n.handleWire)
 	mux.HandleFunc("POST /partition", n.handlePartition)
 	mux.HandleFunc("POST /resolve", n.handleResolve)
 	mux.HandleFunc("POST /load", n.handleLoad)
@@ -139,15 +138,6 @@ func (n *Node) handleTxns(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, out)
 }
 
-func (n *Node) handleTxn(w http.ResponseWriter, r *http.Request) {
-	tid, err := strconv.ParseUint(r.URL.Query().Get("tid"), 10, 64)
-	if err != nil {
-		http.Error(w, "bad tid", http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, txnDTO(n.Txn(proto.TxnID(tid))))
-}
-
 func (n *Node) handleInDoubt(w http.ResponseWriter, _ *http.Request) {
 	dto := InDoubtDTO{InDoubt: n.eng.InDoubt()}
 	n.mu.Lock()
@@ -190,26 +180,77 @@ func (n *Node) handleRecovery(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, recoveryDTO(st, err))
 }
 
-func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+// handleWire turns the request's connection into a client's data path
+// (see wire.go): frames in, one reply frame per request, until the client
+// hangs up, the node closes, or a frame is not one a client may send —
+// malformed, not a submit or a query, or a submit for another site — which
+// closes the connection and starts nothing.
+func (n *Node) handleWire(w http.ResponseWriter, r *http.Request) {
+	if r.Header.Get("Upgrade") != WireUpgrade {
+		http.Error(w, "want Upgrade: "+WireUpgrade, http.StatusBadRequest)
 		return
 	}
-	sites := make([]proto.SiteID, len(req.Sites))
-	for i, id := range req.Sites {
-		sites[i] = proto.SiteID(id)
-	}
-	noVotes := make([]proto.SiteID, len(req.NoVotes))
-	for i, id := range req.NoVotes {
-		noVotes[i] = proto.SiteID(id)
-	}
-	err := n.Submit(proto.TxnID(req.TID), proto.SiteID(req.Master), sites, noVotes, req.Payload)
+	conn, rw, err := http.NewResponseController(w).Hijack()
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, struct{}{})
+	defer conn.Close()
+	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		return
+	}
+	n.wires[conn] = struct{}{}
+	n.wg.Add(1)
+	n.mu.Unlock()
+	defer func() {
+		n.mu.Lock()
+		delete(n.wires, conn)
+		n.mu.Unlock()
+		n.wg.Done()
+	}()
+	if _, err := conn.Write([]byte("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + WireUpgrade + "\r\n\r\n")); err != nil {
+		return
+	}
+	var scratch, out []byte
+	for {
+		var body []byte
+		if body, scratch, err = ReadFrameInto(rw, scratch); err != nil {
+			return
+		}
+		if out, err = n.answerFrame(beginFrame(out), body); err != nil {
+			n.opts.Logf("wire: closing %s: %v", conn.RemoteAddr(), err)
+			return
+		}
+		if _, err := conn.Write(sealFrame(out)); err != nil {
+			return
+		}
+	}
+}
+
+// answerFrame acts on one client frame and appends the reply's body.
+func (n *Node) answerFrame(out, body []byte) ([]byte, error) {
+	if body[0] == frameQuery {
+		tid, err := DecodeTID(body, frameQuery)
+		if err != nil {
+			return out, err
+		}
+		dto, err := json.Marshal(txnDTO(n.Txn(tid)))
+		return append(append(out, frameTxn), dto...), err
+	}
+	m, err := DecodeMsg(body)
+	if err != nil {
+		return out, err
+	}
+	if m.Kind != proto.MsgXact || m.To != n.opts.ID || m.Undeliverable {
+		return out, fmt.Errorf("%w: %v for site %d is not a submit to site %d", ErrWire, m.Kind, m.To, n.opts.ID)
+	}
+	env, err := DecodeXact(m.Payload)
+	if err != nil {
+		return out, err
+	}
+	return AppendTID(out, frameAck, m.TID), n.Submit(m.TID, env.Master, env.Sites, env.NoVotes, env.Body)
 }
 
 func (n *Node) handlePartition(w http.ResponseWriter, r *http.Request) {

@@ -1,11 +1,14 @@
 package netnode
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"termproto/internal/obs"
@@ -14,7 +17,8 @@ import (
 
 // The admin API's JSON vocabulary, shared by the server (api.go), the Go
 // client below, and the cluster NetBackend. []byte fields ride as base64,
-// encoding/json's default.
+// encoding/json's default. Submit and Txn are the data path and do not
+// ride HTTP: their two types below are what the caller sees of the frames.
 
 // HealthDTO is GET /health.
 type HealthDTO struct {
@@ -57,7 +61,7 @@ type StatsDTO struct {
 	BatchOccupancy    float64 `json:"batchOccupancy"`
 }
 
-// TxnDTO is GET /txn and the elements of GET /txns.
+// TxnDTO is the answer to Client.Txn and the elements of GET /txns.
 type TxnDTO struct {
 	TID            uint64 `json:"tid"`
 	Master         int    `json:"master,omitempty"`
@@ -95,7 +99,7 @@ type RecoveryDTO struct {
 	CaughtUpKeys   int    `json:"caughtUpKeys"`
 }
 
-// SubmitReq is POST /submit: start a transaction with this node as
+// SubmitReq is Client.Submit: start a transaction with this node as
 // master. NoVotes lists sites whose scripted voter said no — evaluated by
 // the submitting client, since a Go closure cannot cross processes.
 type SubmitReq struct {
@@ -117,18 +121,92 @@ type LoadReq struct {
 	Data map[string][]byte `json:"data"`
 }
 
-// Client drives one node's admin API.
+// clientTimeout bounds one admin request, one dial and one round trip on
+// the wire connection.
+const clientTimeout = 10 * time.Second
+
+// Client drives one node: its admin API over HTTP, and the data path —
+// Submit and Txn — as frames over one long-lived connection upgraded on
+// the same port (see wire.go), dialled at first use.
 type Client struct {
-	base string
-	hc   *http.Client
+	hostport string
+	hc       *http.Client
+
+	mu   sync.Mutex // one round trip on the wire connection at a time
+	conn net.Conn
+	br   *bufio.Reader
+	out  []byte // the request frame, kept for the retry
+	in   []byte // frame read scratch
 }
 
 // NewClient returns a client for the node whose admin API listens on
 // hostport.
 func NewClient(hostport string) *Client {
-	return &Client{
-		base: "http://" + hostport,
-		hc:   &http.Client{Timeout: 10 * time.Second},
+	return &Client{hostport: hostport, hc: &http.Client{Timeout: clientTimeout}}
+}
+
+// Close hangs up the wire connection and drops idle admin connections.
+// The client stays usable: the next call dials again.
+func (c *Client) Close() {
+	c.mu.Lock()
+	c.hangUp()
+	c.mu.Unlock()
+	c.hc.CloseIdleConnections()
+}
+
+func (c *Client) hangUp() {
+	if c.conn != nil {
+		c.conn.Close()
+		c.conn = nil
+	}
+}
+
+// dial opens the wire connection: GET /wire, answered by 101.
+func (c *Client) dial() error {
+	conn, err := net.DialTimeout("tcp", c.hostport, clientTimeout)
+	if err != nil {
+		return err
+	}
+	conn.SetDeadline(time.Now().Add(clientTimeout)) //nolint:errcheck // a conn that cannot take a deadline fails the write
+	br := bufio.NewReader(conn)
+	fmt.Fprintf(conn, "GET /wire HTTP/1.1\r\nHost: %s\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", c.hostport, WireUpgrade) //nolint:errcheck // a failed write fails the read
+	resp, err := http.ReadResponse(br, nil)
+	if err == nil && resp.StatusCode != http.StatusSwitchingProtocols {
+		err = fmt.Errorf("netnode client: GET /wire: %s", resp.Status)
+	}
+	if err != nil {
+		conn.Close()
+		return err
+	}
+	c.conn, c.br = conn, br
+	return nil
+}
+
+// roundTrip sends the frame in c.out and returns the reply's body, valid
+// until the next call. A failure on a connection kept from an earlier call
+// gets one redial-and-retry, as transport.write does (the node may have
+// been restarted); a submit delivered twice that way is dropped by the site
+// loop. Called with c.mu held.
+func (c *Client) roundTrip() ([]byte, error) {
+	for {
+		kept := c.conn != nil
+		if !kept {
+			if err := c.dial(); err != nil {
+				return nil, err
+			}
+		}
+		c.conn.SetDeadline(time.Now().Add(clientTimeout)) //nolint:errcheck // as in dial
+		_, err := c.conn.Write(c.out)
+		if err == nil {
+			var body []byte
+			if body, c.in, err = ReadFrameInto(c.br, c.in); err == nil {
+				return body, nil
+			}
+		}
+		c.hangUp()
+		if !kept {
+			return nil, fmt.Errorf("netnode client: wire to %s: %w", c.hostport, err)
+		}
 	}
 }
 
@@ -141,7 +219,7 @@ func drainClose(body io.ReadCloser) {
 }
 
 func (c *Client) get(path string, out any) error {
-	resp, err := c.hc.Get(c.base + path)
+	resp, err := c.hc.Get("http://" + c.hostport + path)
 	if err != nil {
 		return err
 	}
@@ -157,7 +235,7 @@ func (c *Client) post(path string, in, out any) error {
 	if err != nil {
 		return err
 	}
-	resp, err := c.hc.Post(c.base+path, "application/json", bytes.NewReader(body))
+	resp, err := c.hc.Post("http://"+c.hostport+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -188,8 +266,17 @@ func (c *Client) Stats() (StatsDTO, error) {
 
 // Txn returns the node's view of one transaction.
 func (c *Client) Txn(tid proto.TxnID) (TxnDTO, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.out = sealFrame(AppendTID(beginFrame(c.out), frameQuery, tid))
 	var out TxnDTO
-	err := c.get(fmt.Sprintf("/txn?tid=%d", tid), &out)
+	body, err := c.roundTrip()
+	if err == nil && body[0] != frameTxn {
+		err = fmt.Errorf("%w: frame kind %d in answer to a query", ErrWire, body[0])
+	}
+	if err == nil {
+		err = json.Unmarshal(body[1:], &out)
+	}
 	return out, err
 }
 
@@ -236,9 +323,28 @@ func (c *Client) Recovery() (RecoveryDTO, error) {
 	return out, err
 }
 
-// Submit starts a transaction coordinated by this node.
+// Submit starts a transaction coordinated by this node: the MsgXact frame
+// a slave would receive, addressed to the master. It returns once the
+// node's loop has the transaction; a submit the node will not coordinate
+// (another site's, fewer than two participants) closes the connection.
 func (c *Client) Submit(req SubmitReq) error {
-	return c.post("/submit", req, nil)
+	env := XactEnvelope{Master: proto.SiteID(req.Master), Body: req.Payload}
+	for _, id := range req.Sites {
+		env.Sites = append(env.Sites, proto.SiteID(id))
+	}
+	for _, id := range req.NoVotes {
+		env.NoVotes = append(env.NoVotes, proto.SiteID(id))
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.out = sealFrame(AppendMsg(beginFrame(c.out), proto.Msg{
+		TID: proto.TxnID(req.TID), To: env.Master, Kind: proto.MsgXact, Payload: EncodeXact(env),
+	}))
+	body, err := c.roundTrip()
+	if err == nil {
+		_, err = DecodeTID(body, frameAck)
+	}
+	return err
 }
 
 // Partition replaces the node's link blocklist; an empty list heals.

@@ -8,8 +8,8 @@ import (
 	"termproto/internal/proto"
 )
 
-// FuzzWireCodec feeds arbitrary bytes through the frame reader and both
-// body decoders. The invariants: no panic, no over-allocation (bounded by
+// FuzzWireCodec feeds arbitrary bytes through the frame reader and every
+// body decoder. The invariants: no panic, no over-allocation (bounded by
 // MaxFrame/maxSites), and everything that decodes re-encodes to the exact
 // same bytes — a frame either round-trips byte-identically or is rejected.
 func FuzzWireCodec(f *testing.F) {
@@ -22,7 +22,15 @@ func FuzzWireCodec(f *testing.F) {
 			Master: 1, Sites: []proto.SiteID{1, 2, 4}, NoVotes: []proto.SiteID{2}, Body: []byte("ops"),
 		}),
 	}))
+	// The client data path: a submit (no sender site), a query and an ack.
+	f.Add(EncodeMsg(proto.Msg{
+		TID: 8, To: 1, Kind: proto.MsgXact,
+		Payload: EncodeXact(XactEnvelope{Master: 1, Sites: []proto.SiteID{1, 2, 3}, Body: []byte("ops")}),
+	}))
+	f.Add(AppendTID(nil, frameQuery, 8))
+	f.Add(AppendTID(nil, frameAck, 1<<50))
 	// Hostile shapes: truncations, lying lengths, garbage.
+	f.Add(AppendTID(nil, frameQuery, 8)[:5])
 	f.Add([]byte{})
 	f.Add([]byte{frameMsg})
 	f.Add(EncodeMsg(proto.Msg{TID: 9, From: 2, To: 3, Kind: proto.MsgYes})[:10])
@@ -38,6 +46,12 @@ func FuzzWireCodec(f *testing.F) {
 				if !bytes.Equal(EncodeXact(env), m.Payload) {
 					t.Fatalf("xact re-encode mismatch for %x", m.Payload)
 				}
+			}
+		}
+
+		for _, kind := range []byte{frameQuery, frameAck} {
+			if tid, err := DecodeTID(body, kind); err == nil && !bytes.Equal(AppendTID(nil, kind, tid), body) {
+				t.Fatalf("tid frame re-encode mismatch for %x", body)
 			}
 		}
 

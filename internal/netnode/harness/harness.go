@@ -61,6 +61,9 @@ type Localnet struct {
 	bin      string
 	peerSpec string
 	apiAddrs map[proto.SiteID]string
+	// clients holds one Client per site for the localnet's lifetime, so
+	// that its connections are reused; across Kill/Restart it redials.
+	clients map[proto.SiteID]*netnode.Client
 
 	mu    sync.Mutex
 	procs map[proto.SiteID]*process
@@ -127,10 +130,12 @@ func Start(opts Options) (*Localnet, error) {
 	}
 	entries := make([]string, 0, opts.N)
 	apiAddrs := make(map[proto.SiteID]string, opts.N)
+	clients := make(map[proto.SiteID]*netnode.Client, opts.N)
 	for i := 1; i <= opts.N; i++ {
 		protoAddr, apiAddr := ports[i-1], ports[opts.N+i-1]
 		entries = append(entries, fmt.Sprintf("%d=%s/%s", i, protoAddr, apiAddr))
 		apiAddrs[proto.SiteID(i)] = apiAddr
+		clients[proto.SiteID(i)] = netnode.NewClient(apiAddr)
 	}
 
 	l := &Localnet{
@@ -138,6 +143,7 @@ func Start(opts Options) (*Localnet, error) {
 		bin:      bin,
 		peerSpec: strings.Join(entries, ","),
 		apiAddrs: apiAddrs,
+		clients:  clients,
 		procs:    make(map[proto.SiteID]*process),
 	}
 	for i := 1; i <= opts.N; i++ {
@@ -238,9 +244,14 @@ func (l *Localnet) WaitHealthy(timeout time.Duration) error {
 	return l.waitHealthy(timeout)
 }
 
-// Client returns an admin-API client for one site.
-func (l *Localnet) Client(id proto.SiteID) *netnode.Client {
-	return netnode.NewClient(l.apiAddrs[id])
+// Client returns the localnet's client for one site — the same one on
+// every call, safe for concurrent use; Stop and Shutdown close it.
+func (l *Localnet) Client(id proto.SiteID) *netnode.Client { return l.clients[id] }
+
+func (l *Localnet) closeClients() {
+	for _, c := range l.clients {
+		c.Close()
+	}
 }
 
 // APIAddrs returns every site's admin API address.
@@ -399,6 +410,7 @@ func freePorts(n int) ([]string, error) {
 // the caller (t.TempDir cleans them in tests; CI uploads them on
 // failure).
 func (l *Localnet) Stop() {
+	l.closeClients()
 	l.mu.Lock()
 	procs := l.procs
 	l.procs = make(map[proto.SiteID]*process)
@@ -417,6 +429,7 @@ func (l *Localnet) Stop() {
 // period. Use instead of Stop when the daemons' shutdown artifacts
 // matter.
 func (l *Localnet) Shutdown(grace time.Duration) {
+	l.closeClients()
 	l.mu.Lock()
 	procs := l.procs
 	l.procs = make(map[proto.SiteID]*process)

@@ -192,3 +192,56 @@ func TestLocalnetClearData(t *testing.T) {
 		t.Errorf("cold site missed catch-up: survivor = %q", snap["survivor"])
 	}
 }
+
+// TestLocalnetClientSurvivesRestart: the localnet hands out one client per
+// site, and that client's connection outlives neither a SIGKILL nor has to:
+// the submit after the restart finds the connection dead, dials the new
+// process and succeeds.
+func TestLocalnetClientSurvivesRestart(t *testing.T) {
+	l := startNet(t, 3)
+	c := l.Client(1)
+	if c != l.Client(1) {
+		t.Fatal("Client(1) returned a different client on the second call")
+	}
+	submit(t, l, 1, 1, "before", "kill")
+	if o := waitOutcome(t, l, 1, l.Sites()); o != "commit" {
+		t.Fatalf("outcome before the kill = %s, want commit", o)
+	}
+	if err := l.Kill(1); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	if err := c.Submit(netnode.SubmitReq{TID: 2, Master: 1, Sites: []int{1, 2, 3}}); err == nil {
+		t.Fatal("submit to a killed site succeeded")
+	}
+	if err := l.Restart(1); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if err := l.WaitHealthy(15 * time.Second); err != nil {
+		t.Fatalf("site 1 never recovered: %v", err)
+	}
+	submit(t, l, 3, 1, "after", "restart")
+	if o := waitOutcome(t, l, 3, l.Sites()); o != "commit" {
+		t.Fatalf("outcome after the restart = %s, want commit", o)
+	}
+}
+
+// TestLocalnetKilledBetweenSubmits is the same without the failed call in
+// between: the client's connection is to a dead process when the second
+// submit goes out, and the one redial-and-retry carries it.
+func TestLocalnetKilledBetweenSubmits(t *testing.T) {
+	l := startNet(t, 3)
+	submit(t, l, 1, 1, "before", "kill")
+	if err := l.Kill(1); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	if err := l.Restart(1); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if err := l.WaitHealthy(15 * time.Second); err != nil { // over HTTP: the wire connection stays as it was
+		t.Fatalf("site 1 never recovered: %v", err)
+	}
+	submit(t, l, 2, 1, "after", "restart")
+	if o := waitOutcome(t, l, 2, l.Sites()); o != "commit" {
+		t.Fatalf("outcome after the restart = %s, want commit", o)
+	}
+}

@@ -82,3 +82,26 @@ func TestLocalnetMetricsEndpoint(t *testing.T) {
 		t.Errorf("GET /debug/pprof/: status %s", resp.Status)
 	}
 }
+
+// TestLocalnetLinkLatenessOnMetrics: three daemons under a transient
+// partition — the master's link must report how late its crossings and
+// bounce returns were (termproto_link_cross_late_us), the in-daemon witness
+// of the benchmark's wire.hop_excess_us_p50.
+func TestLocalnetLinkLatenessOnMetrics(t *testing.T) {
+	l := startNet(t, 3)
+	if err := l.Partition(3); err != nil {
+		t.Fatalf("partition: %v", err)
+	}
+	submit(t, l, 1, 1, "lk", "lv")
+	waitOutcome(t, l, 1, []proto.SiteID{1, 2}) // site 3 is cut off: its xact bounced
+	if err := l.Heal(); err != nil {
+		t.Fatalf("heal: %v", err)
+	}
+	snap, err := l.Client(1).Metrics()
+	if err != nil {
+		t.Fatalf("GET /metricsjson: %v", err)
+	}
+	if got := snap.Value(obs.MLinkCrossLate); got == 0 {
+		t.Errorf("%s count = 0 at the master after a partitioned transaction", obs.MLinkCrossLate)
+	}
+}

@@ -2,6 +2,7 @@ package netnode
 
 import (
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"sort"
@@ -101,6 +102,9 @@ type Node struct {
 	recErr   error
 	api      *http.Server
 	closed   bool
+	// wires are the connections handleWire hijacked from the API server,
+	// which no longer closes them; their handlers are counted in wg.
+	wires map[net.Conn]struct{}
 	// epoch and asg are the placement state the node serves under,
 	// resolved at startup: the WAL's epoch stack when one survives,
 	// else the configured epoch-0 assignment.
@@ -444,6 +448,9 @@ func (n *Node) Close() {
 	}
 	n.closed = true
 	api := n.api
+	for conn := range n.wires {
+		conn.Close() // its handler sees the read fail and untracks it
+	}
 	n.mu.Unlock()
 	if api != nil {
 		api.Close()
@@ -481,19 +488,22 @@ func (n *Node) protocolEvent(ev trace.Event) {
 	}
 }
 
-// participant is the engine as the site loop sees it. A payload-less
-// transaction has no database ops and votes yes without touching the
-// engine; every yes vote is the submit→voted edge of the phase="prepared"
-// round histogram.
+// participant is the engine as the site loop sees it: a site.stager. A
+// payload-less transaction has no database ops and votes yes without
+// touching the engine; every yes vote is observed where it becomes durable
+// (a slave's right after its StageAt, a master's once its xacts are out) —
+// the submit→voted edge of the phase="prepared" round histogram.
 type participant struct {
 	*engine.Engine
 	n *Node
 }
 
-// ExecuteAt implements proto.SiteAwareParticipant: the engine logs the
-// roster with its begin record, for recovery.
-func (p participant) ExecuteAt(tid proto.TxnID, payload []byte, sites []proto.SiteID) bool {
-	vote := len(payload) == 0 || p.Engine.ExecuteAt(tid, payload, sites)
+func (p participant) StageAt(tid proto.TxnID, payload []byte, sites []proto.SiteID) bool {
+	return len(payload) == 0 || p.Engine.StageAt(tid, payload, sites)
+}
+
+func (p participant) Force(tid proto.TxnID) bool {
+	vote := p.Engine.Force(tid) // true when nothing was staged
 	if st, ok := p.n.loop.Txn(tid); ok && vote {
 		p.n.obsPrepared.Observe(int64(p.n.loop.Now() - st.StartedAt))
 	}

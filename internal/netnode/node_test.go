@@ -43,6 +43,12 @@ func freePorts(t *testing.T, n int) []string {
 // each with its own MemStore; stores[i] is site i+1's log.
 func startNodes(t *testing.T, n int, stores []wal.Store, withAPI bool) ([]*Node, map[proto.SiteID]string) {
 	t.Helper()
+	return startNodesWith(t, n, stores, withAPI, func(*Options) {})
+}
+
+// startNodesWith is startNodes with every node's options adjusted by tune.
+func startNodesWith(t *testing.T, n int, stores []wal.Store, withAPI bool, tune func(*Options)) ([]*Node, map[proto.SiteID]string) {
+	t.Helper()
 	addrs := freePorts(t, 2*n)
 	peers := make(map[proto.SiteID]string, n)
 	apiPeers := make(map[proto.SiteID]string, n)
@@ -55,12 +61,14 @@ func startNodes(t *testing.T, n int, stores []wal.Store, withAPI bool) ([]*Node,
 	nodes := make([]*Node, n)
 	for i := n - 1; i >= 0; i-- { // site 1 last: its recovery can reach the others
 		id := proto.SiteID(i + 1)
-		node := NewNode(Options{
+		opts := Options{
 			ID: id, Protocol: core.Protocol{TransientFix: true}, T: testT,
 			Addr: peers[id], Peers: peers, APIPeers: apiPeers,
 			Store: stores[i],
 			Logf:  func(format string, args ...any) { t.Logf("site %d: "+format, append([]any{id}, args...)...) },
-		})
+		}
+		tune(&opts)
+		node := NewNode(opts)
 		if err := node.Start(); err != nil {
 			t.Fatalf("start site %d: %v", id, err)
 		}

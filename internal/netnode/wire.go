@@ -29,6 +29,15 @@
 // TCP a slave has no out-of-band start event, so the transaction message
 // itself must deliver the master, the participant roster and the
 // scripted no-votes alongside the body.
+//
+// A client's data path speaks the same frames over a connection it
+// upgrades on the API port (GET /wire, Upgrade: WireUpgrade — the upgrade
+// is the hello): a submit is the MsgXact frame a slave would get, addressed
+// to the master and answered by an ack; a query is answered by the site's
+// view of the transaction, the TxnDTO that GET /txns lists.
+//
+//	query, ack: u8 frame kind | u64 tid
+//	txn:        u8 frame kind | TxnDTO as JSON
 package netnode
 
 import (
@@ -88,9 +97,41 @@ func ReadHello(r io.Reader) (proto.SiteID, error) {
 	return proto.SiteID(site), nil
 }
 
-// Frame kinds. Only protocol messages cross the wire today; the kind byte
-// leaves room for stream-level control frames in later revisions.
-const frameMsg = 1
+// Frame kinds.
+const (
+	frameMsg   = 1 // one proto.Msg: site to site, or a client's submit
+	frameQuery = 2 // client → site: report transaction tid
+	frameAck   = 3 // site → client: the submit of tid has reached the loop
+	frameTxn   = 4 // site → client: the answer to a query, a TxnDTO
+)
+
+// WireUpgrade is the Upgrade token of GET /wire; it carries WireVersion.
+const WireUpgrade = "termproto-wire/1"
+
+// tidFrameLen is the size of a query or ack frame body.
+const tidFrameLen = 1 + 8
+
+// beginFrame starts a length-prefixed frame in buf[:0]; sealFrame fills the
+// prefix in once the body has been appended.
+func beginFrame(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0) }
+
+func sealFrame(buf []byte) []byte {
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+	return buf
+}
+
+// AppendTID appends a query or ack frame body.
+func AppendTID(buf []byte, kind byte, tid proto.TxnID) []byte {
+	return binary.BigEndian.AppendUint64(append(buf, kind), uint64(tid))
+}
+
+// DecodeTID decodes a query or ack frame body of the given kind.
+func DecodeTID(body []byte, kind byte) (proto.TxnID, error) {
+	if len(body) != tidFrameLen || body[0] != kind {
+		return 0, fmt.Errorf("%w: not a %d-byte frame of kind %d", ErrWire, tidFrameLen, kind)
+	}
+	return proto.TxnID(binary.BigEndian.Uint64(body[1:])), nil
+}
 
 // msgHeadLen is the fixed part of a message frame body.
 const msgHeadLen = 1 + 8 + 4 + 4 + 1 + 1 + 4
@@ -169,17 +210,14 @@ var framePool = sync.Pool{
 // writer does not lock).
 func WriteMsg(w io.Writer, m proto.Msg) error {
 	bufp := framePool.Get().(*[]byte)
-	buf := (*bufp)[:0]
-	buf = append(buf, 0, 0, 0, 0)
-	buf = AppendMsg(buf, m)
+	buf := AppendMsg(beginFrame(*bufp), m)
 	body := len(buf) - 4
 	if body > MaxFrame {
 		*bufp = buf
 		framePool.Put(bufp)
 		return fmt.Errorf("%w: frame %d bytes exceeds max %d", ErrWire, body, MaxFrame)
 	}
-	binary.BigEndian.PutUint32(buf[0:4], uint32(body))
-	_, err := w.Write(buf)
+	_, err := w.Write(sealFrame(buf))
 	*bufp = buf
 	framePool.Put(bufp)
 	return err

@@ -87,6 +87,10 @@ func TestWireCodecZeroAlloc(t *testing.T) {
 	}{
 		{"AppendMsg", false, func() { buf = AppendMsg(buf[:0], benchMsg) }},
 		{"AppendXact", false, func() { buf = AppendXact(buf[:0], benchEnv) }},
+		// What a client's Submit and its Txn put on the connection,
+		// length prefix included.
+		{"submit frame", false, func() { buf = sealFrame(AppendMsg(beginFrame(buf), benchMsg)) }},
+		{"query frame", false, func() { buf = sealFrame(AppendTID(beginFrame(buf), frameQuery, 7)) }},
 		{"WriteMsg", true, func() {
 			if err := WriteMsg(io.Discard, benchMsg); err != nil {
 				t.Fatal(err)

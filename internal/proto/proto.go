@@ -262,18 +262,6 @@ type Participant interface {
 	Abort(tid TxnID)
 }
 
-// SiteAwareParticipant is an optional Participant extension: ExecuteAt
-// additionally receives the transaction's participant roster, so the
-// database can force it to stable storage with the begin record — a
-// restarting site then learns from its own log whom to ask about an
-// in-doubt transaction. Environments that know the roster prefer this
-// method when the participant implements it.
-// internal/db/engine.Engine implements it.
-type SiteAwareParticipant interface {
-	Participant
-	ExecuteAt(tid TxnID, payload []byte, sites []SiteID) bool
-}
-
 // Protocol creates automata for the two roles of a centralized
 // master/slave commit protocol.
 type Protocol interface {

@@ -69,8 +69,7 @@ type Site struct {
 	Clock     Clock
 	Transport Transport
 	// Participant is the site's database (nil: votes come from the
-	// transaction's Spec). A proto.SiteAwareParticipant is handed the
-	// roster with the body.
+	// transaction's Spec). A stager is handed the roster with the body.
 	Participant proto.Participant
 	// Trace receives the automata's protocol events — transitions, timer
 	// actions, decisions, notes — stamped with time, site and TID.
@@ -148,8 +147,34 @@ func (e *Env) Started() bool { return e.started }
 // State returns the automaton's current local state name.
 func (e *Env) State() string { return e.node.State() }
 
-// Start runs the automaton's Start callback.
-func (e *Env) Start() { e.run(func() { e.node.Start(e) }) }
+// stager is a Participant whose execution splits into StageAt — everything
+// but the log force, and handed the roster so that a restart finds in its
+// own log whom to ask about an in-doubt transaction — and Force
+// (engine.Engine).
+type stager interface {
+	StageAt(tid proto.TxnID, payload []byte, sites []proto.SiteID) bool
+	Force(tid proto.TxnID) bool
+}
+
+// Start runs the automaton's Start callback. A master's Execute inside it
+// only stages; the force comes here, once the xacts are in the transport,
+// whose crossing delay keeps them in this process (they die with it). The
+// side condition: the force returns before the site takes its next event,
+// so no master sends a prepare, decides or counts a vote while its own
+// fragment is not durable. A failed force is the master's own no vote.
+func (e *Env) Start() {
+	e.run(func() { e.node.Start(e) })
+	if sp, ok := e.site.Participant.(stager); ok && e.cfg.IsMaster() &&
+		e.outcome == proto.None && !sp.Force(e.cfg.TID) {
+		e.Deliver(proto.Msg{TID: e.cfg.TID, From: e.cfg.Self, To: e.cfg.Self, Kind: proto.MsgNo})
+		if e.outcome == proto.Abort {
+			// That abort left right behind the xacts and links keep no
+			// order: where it lands first it means nothing. T later every
+			// xact has landed or come back, so it is said once more.
+			e.site.Clock.AfterFunc(e.T(), func() { e.SendAll(proto.MsgAbort, nil) })
+		}
+	}
+}
 
 // Deliver hands the automaton a delivered message (simnet.Handler).
 func (e *Env) Deliver(m proto.Msg) {
@@ -255,15 +280,16 @@ func (e *Env) StopTimer() {
 // Execute implements proto.Env. A scripted no-vote models a site-local
 // failure and wins; otherwise the database votes by executing the body
 // (logging the roster with it when it can); a site with neither asks the
-// transaction's voter, and votes yes without one.
+// transaction's voter, and votes yes without one. A slave's yes never
+// precedes its force; a master executes inside Start, which owes the force.
 func (e *Env) Execute(payload []byte) bool {
 	e.started = true
 	switch p := e.site.Participant; {
 	case slices.Contains(e.noVotes, e.cfg.Self):
 		return false
 	case p != nil:
-		if sp, ok := p.(proto.SiteAwareParticipant); ok {
-			return sp.ExecuteAt(e.cfg.TID, payload, e.cfg.Sites)
+		if sp, ok := p.(stager); ok {
+			return sp.StageAt(e.cfg.TID, payload, e.cfg.Sites) && (e.cfg.IsMaster() || sp.Force(e.cfg.TID))
 		}
 		return p.Execute(e.cfg.TID, payload)
 	case e.votes != nil:
