@@ -40,7 +40,6 @@ func RunNet(sc Scenario, workdir string) (*Result, error) {
 		shifted[i] = ev
 	}
 	backend := cluster.NewNetBackend(cluster.NetOptions{
-		ProtoName: sc.Protocol,
 		Workdir:   workdir,
 		Seed:      int64(sc.Seed),
 		ExtraArgs: []string{"-trace-out", "trace.jsonl"},
@@ -80,6 +79,12 @@ func RunNet(sc Scenario, workdir string) (*Result, error) {
 	}
 	if err := c.Wait(); err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
+	}
+	// A daemon that did not come back fails the run with its reason.
+	for _, rep := range c.Recoveries() {
+		if rep.Err != nil {
+			return nil, fmt.Errorf("chaos: %s", rep)
+		}
 	}
 
 	r := &Result{

@@ -1,11 +1,12 @@
 // Package cluster is the unified execution surface for the repository's
 // commit protocols: a long-lived Cluster accepts many concurrent
 // transactions, each with its own master, runs them through a pluggable
-// Backend — the deterministic discrete-event SimBackend or the
-// goroutine-per-site LiveBackend — and scripts faults (partitions, heals,
-// repartitions, site crashes and recoveries) as first-class timeline
-// events. The same scenario, protocol and workload code runs unchanged
-// against either backend.
+// Backend — the deterministic discrete-event SimBackend, the
+// goroutine-per-site LiveBackend or the process-per-site NetBackend, the
+// last two one wall-clock driver over different sites — and scripts faults
+// (partitions, heals, repartitions, site crashes and recoveries) as
+// first-class timeline events. The same scenario, protocol and workload
+// code runs unchanged against any of them.
 //
 // A placement.Directory adds an elastic data-placement layer: the
 // keyspace is hash-sharded with an epoch-stamped replica set per shard,
@@ -32,6 +33,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -312,6 +314,13 @@ type NetStats struct {
 	MsgsSent, MsgsDelivered, MsgsBounced, MsgsDropped uint64
 }
 
+func (s *NetStats) add(sent, delivered, bounced, dropped uint64) {
+	s.MsgsSent += sent
+	s.MsgsDelivered += delivered
+	s.MsgsBounced += bounced
+	s.MsgsDropped += dropped
+}
+
 // Stats aggregates a cluster's transaction and network counters.
 type Stats struct {
 	Submitted    int
@@ -348,10 +357,10 @@ func (s Stats) String() string {
 
 // Backend is a pluggable execution runtime for a Cluster. SimBackend runs
 // the deterministic discrete-event simulator; LiveBackend runs real
-// goroutines and wall-clock timers. All calls are made by Cluster, which
-// serializes them.
+// goroutines and NetBackend real termnode processes, both on wall-clock
+// timers. All calls are made by Cluster, which serializes them.
 type Backend interface {
-	// Name identifies the backend ("sim", "live").
+	// Name identifies the backend ("sim", "live", "net").
 	Name() string
 	// Open initializes the runtime for the given cluster shape and fault
 	// schedule. Called exactly once, before any Submit.
@@ -359,8 +368,9 @@ type Backend interface {
 	// Submit starts one transaction; the backend fills res as sites
 	// decide. res is fully populated after the Wait covering it returns.
 	Submit(t Txn, res *TxnResult) error
-	// Wait runs (sim) or waits (live) until every submitted transaction
-	// has terminated or provably blocked, then finalizes all results.
+	// Wait runs (sim) or waits (live, net) until every submitted
+	// transaction has terminated or provably blocked — on the wall clock,
+	// until a deadline: an *UndecidedError — then finalizes all results.
 	Wait() error
 	// Inject adds a fault event to the timeline mid-run. Times at or
 	// before the current timeline position fire immediately.
@@ -639,11 +649,16 @@ func (c *Cluster) resolveParticipants(t Txn) ([]proto.SiteID, placement.Epoch, e
 			return mem, epoch, nil
 		}
 	}
-	all := make([]proto.SiteID, c.cfg.Sites)
+	return allSites(c.cfg.Sites), epoch, nil
+}
+
+// allSites lists sites 1..n.
+func allSites(n int) []proto.SiteID {
+	all := make([]proto.SiteID, n)
 	for i := range all {
 		all[i] = proto.SiteID(i + 1)
 	}
-	return all, epoch, nil
+	return all
 }
 
 func containsSite(ids []proto.SiteID, id proto.SiteID) bool {
@@ -681,7 +696,8 @@ func (c *Cluster) SubmitBatch(ts []Txn) ([]*TxnResult, error) {
 // blocked, and finalizes their results. More transactions may be submitted
 // after Wait returns; the timeline continues. Sites whose Leave migration
 // committed are retired here, once everything they participated in has
-// quiesced.
+// quiesced. A wall-clock backend's *UndecidedError is returned after that
+// bookkeeping: results and migrations are as settled as they will get.
 func (c *Cluster) Wait() error {
 	c.mu.Lock()
 	if c.closed {
@@ -689,7 +705,8 @@ func (c *Cluster) Wait() error {
 		return fmt.Errorf("cluster: closed")
 	}
 	c.mu.Unlock()
-	if err := c.backend.Wait(); err != nil {
+	err := c.backend.Wait()
+	if err != nil && !errors.As(err, new(*UndecidedError)) {
 		return err
 	}
 	c.settleMigrations()
@@ -704,7 +721,7 @@ func (c *Cluster) Wait() error {
 		}
 	}
 	c.recordDecidedAll()
-	return nil
+	return err
 }
 
 // settleMigrations aborts migrations whose epoch-bump transaction can no

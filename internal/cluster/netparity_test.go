@@ -11,14 +11,14 @@ import (
 )
 
 // netT is the wall value of T for the multi-process backend in tests:
-// wide enough that process spawn and HTTP polling stay well inside
-// protocol timing.
+// wide enough that process spawn and the polls on the wire connection stay
+// well inside protocol timing.
 const netT = 100 * time.Millisecond
 
 func netBackend(t *testing.T) *NetBackend {
 	t.Helper()
 	return NewNetBackend(NetOptions{
-		T: netT, ProtoName: "termination+transient", Workdir: t.TempDir(), Seed: 11,
+		T: netT, Workdir: t.TempDir(), Seed: 11,
 	})
 }
 
@@ -181,6 +181,54 @@ func TestNetCrashAfterPrepared(t *testing.T) {
 		}
 		if outcome == proto.Abort && got != "" {
 			t.Errorf("site %d: crash = %q after abort", id, got)
+		}
+	}
+}
+
+// TestNetCrashedParticipantExcluded is TestLiveCrashedParticipantExcluded
+// on real daemons: the roster rule is the driver's, so a participant that
+// was SIGKILLed before the submission fires is not invited, the survivors
+// commit instead of waiting out a vote timer on a corpse, and the restarted
+// daemon's catch-up pulls the key it missed.
+func TestNetCrashedParticipantExcluded(t *testing.T) {
+	nb := netBackend(t)
+	c, err := Open(Config{
+		Sites: 3, Protocol: core.Protocol{TransientFix: true},
+		Backend: nb,
+		Schedule: Schedule{
+			CrashAt(sim.Time(sim.DefaultT), 3),
+			RecoverAt(sim.Time(8*sim.DefaultT), 3),
+		},
+	})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer c.Close()
+	ops := engine.EncodeOps([]engine.Op{{Kind: engine.OpPut, Key: "missed", Value: []byte("v")}})
+	r, err := c.Submit(Txn{Master: 1, At: sim.Time(3 * sim.DefaultT), Payload: ops})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if !r.Sites[3].Crashed || r.Sites[3].Outcome != proto.None {
+		t.Errorf("crashed participant: %+v", r.Sites[3])
+	}
+	for _, id := range []proto.SiteID{1, 2} {
+		if r.Sites[id].Outcome != proto.Commit {
+			t.Errorf("site %d should commit without the dead site: %+v", id, r.Sites[id])
+		}
+	}
+	recs := c.Recoveries()
+	if len(recs) != 1 || recs[0].Site != 3 || recs[0].Err != nil {
+		t.Fatalf("recoveries = %v, want one clean recovery of site 3", recs)
+	}
+	t.Logf("recovery: %s", recs[0])
+	snaps := nb.Snapshots()
+	for _, id := range []proto.SiteID{1, 2, 3} {
+		if got := string(snaps[id]["missed"]); got != "v" {
+			t.Errorf("site %d: missed = %q, want \"v\" (site 3 by catch-up)", id, got)
 		}
 	}
 }

@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"termproto/internal/db/engine"
+	"termproto/internal/placement"
 	"termproto/internal/proto"
 	"termproto/internal/recovery"
 	"termproto/internal/sim"
@@ -63,83 +65,76 @@ func donorSnapshot(cfg Config, peer proto.SiteID) (map[string][]byte, map[string
 	return nil, nil, false
 }
 
-// buildRecoveryConfig assembles the backend-independent part of one
-// site's recovery: its engine, the interrogation fallback roster, and the
-// catch-up sources implied by the placement layer — per hosted shard from
-// that shard's other replicas under the directory's current epoch, else
-// the whole keyspace from any other site. The current epoch matters: a
-// site that slept through a rebalance catches up the shards it hosts
-// now, from the replicas that host them now.
+// buildRecoveryConfig is one site's recovery.Plan over its engine and the
+// directory's current epoch; ok is false for a site without an engine.
 func buildRecoveryConfig(cfg Config, site proto.SiteID, peers recovery.PeerClient) (recovery.Config, bool) {
 	eng, ok := recoveryEngine(cfg, site)
 	if !ok {
 		return recovery.Config{}, false
 	}
-	all := make([]proto.SiteID, cfg.Sites)
-	for i := range all {
-		all[i] = proto.SiteID(i + 1)
-	}
-	rc := recovery.Config{Site: site, Engine: eng, Peers: peers, AllSites: all, Checkpoint: true}
+	var asg *placement.Assignment
 	if d := cfg.Directory; d != nil {
-		_, asg := d.Current()
-		// Scope the inquiry fallback to the directory's members: a
-		// transaction with no logged roster can only have run at sites
-		// that replicate some shard, so interrogating provisioned-but-
-		// empty capacity is pure heal-time retry traffic.
-		if mem := asg.Members(); len(mem) > 0 {
-			rc.AllSites = mem
-		}
-		for s := 0; s < asg.Shards(); s++ {
-			replicas := asg.Replicas(s)
-			if !containsSite(replicas, site) {
-				continue
-			}
-			donors := make([]proto.SiteID, 0, len(replicas)-1)
-			for _, id := range replicas {
-				if id != site {
-					donors = append(donors, id)
-				}
-			}
-			shard := s
-			rc.CatchUp = append(rc.CatchUp, recovery.CatchUpSource{
-				Donors:  donors,
-				Include: func(key string) bool { return asg.ShardOf(key) == shard },
-			})
-		}
-	} else {
-		donors := make([]proto.SiteID, 0, cfg.Sites-1)
-		for _, id := range all {
-			if id != site {
-				donors = append(donors, id)
-			}
-		}
-		rc.CatchUp = []recovery.CatchUpSource{{Donors: donors}}
+		_, asg = d.Current()
 	}
-	return rc, true
+	return recovery.Plan(site, eng, peers, allSites(cfg.Sites), asg), true
 }
 
-// runRecovery executes one site's recovery and wraps it in a report.
-func runRecovery(cfg Config, site proto.SiteID, at sim.Time, peers recovery.PeerClient) (RecoveryReport, bool) {
+// unresolved tracks, per site, the in-doubt transactions a recovery could
+// not resolve; heal edges re-run the inquiry round for them. It locks: on
+// the wall clock a heal and a restart run on timers of their own.
+type unresolved struct {
+	mu      sync.Mutex
+	pending map[proto.SiteID][]engine.InDoubt
+}
+
+func (u *unresolved) get(site proto.SiteID) []engine.InDoubt {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	return u.pending[site]
+}
+
+func (u *unresolved) set(site proto.SiteID, pend []engine.InDoubt) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.pending == nil {
+		u.pending = make(map[proto.SiteID][]engine.InDoubt)
+	}
+	u.pending[site] = pend
+}
+
+// recover executes one site's recovery, wraps it in a report and books
+// what it left unresolved. ok is false for a site without an engine: it
+// rejoins with amnesia.
+func (u *unresolved) recover(cfg Config, site proto.SiteID, at sim.Time, peers recovery.PeerClient) (RecoveryReport, bool) {
 	rc, ok := buildRecoveryConfig(cfg, site, peers)
 	if !ok {
-		return RecoveryReport{}, false // no engine: the site rejoins with amnesia
+		return RecoveryReport{}, false
 	}
 	start := time.Now()
 	st, err := recovery.Run(rc)
+	u.set(site, st.Pending)
 	return RecoveryReport{Site: site, At: at, Wall: time.Since(start), Stats: st, Err: err}, true
 }
 
-// runRetry re-runs the inquiry round for a site's unresolved in-doubt
-// transactions at a heal edge. ok is false when nothing was resolved (the
-// report would be noise); remaining lists what is still stuck.
-func runRetry(cfg Config, site proto.SiteID, at sim.Time, peers recovery.PeerClient,
-	pend []engine.InDoubt) (RecoveryReport, []engine.InDoubt, bool) {
-	rc, ok := buildRecoveryConfig(cfg, site, peers)
-	if !ok {
-		return RecoveryReport{}, nil, false
+// retry re-runs the inquiry round at a heal edge for the given sites'
+// unresolved in-doubt transactions, in the order given, and returns a
+// report per pass that resolved something (the others would be noise).
+func (u *unresolved) retry(cfg Config, sites []proto.SiteID, at sim.Time,
+	peers func(proto.SiteID) recovery.PeerClient) []RecoveryReport {
+	var reps []RecoveryReport
+	for _, site := range sites {
+		pend := u.get(site)
+		if len(pend) == 0 {
+			continue
+		}
+		if rc, ok := buildRecoveryConfig(cfg, site, peers(site)); ok {
+			start := time.Now()
+			st := recovery.Retry(rc, pend)
+			u.set(site, st.Pending)
+			if st.ResolvedCommit+st.ResolvedAbort > 0 {
+				reps = append(reps, RecoveryReport{Site: site, At: at, Wall: time.Since(start), Stats: st, Retry: true})
+			}
+		}
 	}
-	start := time.Now()
-	st := recovery.Retry(rc, pend)
-	rep := RecoveryReport{Site: site, At: at, Wall: time.Since(start), Stats: st, Retry: true}
-	return rep, st.Pending, st.ResolvedCommit+st.ResolvedAbort > 0
+	return reps
 }

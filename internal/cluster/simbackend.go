@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
-	"termproto/internal/db/engine"
 	"termproto/internal/lease"
 	"termproto/internal/proto"
 	"termproto/internal/recovery"
@@ -52,9 +52,8 @@ type SimBackend struct {
 	openPartition *simnet.Partition
 	// recoveries records the durable recoveries run (Config.Recovery).
 	recoveries []RecoveryReport
-	// unresolved tracks, per site, in-doubt transactions a recovery could
-	// not resolve; heal edges re-run the inquiry round for them.
-	unresolved map[proto.SiteID][]engine.InDoubt
+	// unresolved is what recoveries could not resolve, for the heal edges.
+	unresolved unresolved
 	// leases is the partition-local availability bookkeeping (nil when
 	// Config.LeaseTTL is unset or there is no directory).
 	leases *leaseKeeper
@@ -66,10 +65,9 @@ func NewSimBackend(opts SimOptions) *SimBackend {
 		opts.T = sim.DefaultT
 	}
 	return &SimBackend{
-		opts:       opts,
-		muxes:      make(map[proto.SiteID]*siteMux),
-		spawned:    make(map[proto.SiteID]int),
-		unresolved: make(map[proto.SiteID][]engine.InDoubt),
+		opts:    opts,
+		muxes:   make(map[proto.SiteID]*siteMux),
+		spawned: make(map[proto.SiteID]int),
 	}
 }
 
@@ -176,25 +174,9 @@ func (b *SimBackend) scheduleHealRetry(at sim.Time) {
 	}
 	b.sched.At(at, sim.PriControl, func() {
 		now := b.sched.Now()
-		// Ascending site order: map iteration would make report order
-		// (and thus the whole run) nondeterministic.
-		sites := make([]proto.SiteID, 0, len(b.unresolved))
-		for site := range b.unresolved {
-			sites = append(sites, site)
-		}
-		sites = sortedIDs(sites)
-		for _, site := range sites {
-			pend := b.unresolved[site]
-			if len(pend) == 0 || b.net.Crashed(site, now) {
-				continue
-			}
-			peers := simPeers{backend: b, self: site}
-			rep, remaining, resolved := runRetry(b.cfg, site, now, peers, pend)
-			b.unresolved[site] = remaining
-			if resolved {
-				b.recoveries = append(b.recoveries, rep)
-			}
-		}
+		// Ascending, for determinism; a crashed site sits the round out.
+		up := slices.DeleteFunc(allSites(b.cfg.Sites), func(id proto.SiteID) bool { return b.net.Crashed(id, now) })
+		b.recoveries = append(b.recoveries, b.unresolved.retry(b.cfg, up, now, b.Peers)...)
 	})
 }
 
@@ -213,10 +195,8 @@ func (b *SimBackend) scheduleRecover(id proto.SiteID, at sim.Time) {
 		at = b.sched.Now()
 	}
 	b.sched.At(at, sim.PriControl, func() {
-		peers := simPeers{backend: b, self: id}
-		if rep, ok := runRecovery(b.cfg, id, b.sched.Now(), peers); ok {
+		if rep, ok := b.unresolved.recover(b.cfg, id, b.sched.Now(), b.Peers(id)); ok {
 			b.recoveries = append(b.recoveries, rep)
-			b.unresolved[id] = rep.Stats.Pending
 		}
 	})
 }

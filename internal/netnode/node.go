@@ -2,9 +2,11 @@ package netnode
 
 import (
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -286,62 +288,14 @@ func (n *Node) Engine() *engine.Engine { return n.eng }
 // Ready reports whether startup (including recovery) has finished.
 func (n *Node) Ready() bool { return n.ready.Load() }
 
-// recoveryConfig assembles this site's recovery. Under full replication
-// it interrogates the full peer roster for in-doubt decisions and
-// catches up the whole keyspace from any other site (the ascending
-// donor order makes it deterministic). Under sharded placement both are
-// scoped to this site's replica groups: only members are interrogated,
-// and each hosted shard catches up from that shard's other replicas.
+// recoveryConfig is this site's recovery.Plan over the configured peer
+// roster and placement. Catch-up pulls snapshots through the peers' admin
+// APIs, so a node that was given none skips it.
 func (n *Node) recoveryConfig() recovery.Config {
-	all := make([]proto.SiteID, 0, len(n.opts.Peers))
-	for id := range n.opts.Peers {
-		all = append(all, id)
-	}
-	sortSites(all)
-	cfg := recovery.Config{
-		Site:       n.opts.ID,
-		Engine:     n.eng,
-		Peers:      netPeers{n: n},
-		AllSites:   all,
-		Checkpoint: true,
-	}
-	if asg := n.opts.Placement; asg != nil {
-		if mem := asg.Members(); len(mem) > 0 {
-			cfg.AllSites = mem
-		}
-		if len(n.opts.APIPeers) == 0 {
-			return cfg
-		}
-		for s := 0; s < asg.Shards(); s++ {
-			replicas := asg.Replicas(s)
-			hosted := false
-			donors := make([]proto.SiteID, 0, len(replicas))
-			for _, id := range replicas {
-				if id == n.opts.ID {
-					hosted = true
-				} else {
-					donors = append(donors, id)
-				}
-			}
-			if !hosted {
-				continue
-			}
-			shard := s
-			cfg.CatchUp = append(cfg.CatchUp, recovery.CatchUpSource{
-				Donors:  donors,
-				Include: func(key string) bool { return asg.ShardOf(key) == shard },
-			})
-		}
-		return cfg
-	}
-	donors := make([]proto.SiteID, 0, len(all)-1)
-	for _, id := range all {
-		if id != n.opts.ID {
-			donors = append(donors, id)
-		}
-	}
-	if len(n.opts.APIPeers) > 0 {
-		cfg.CatchUp = []recovery.CatchUpSource{{Donors: donors}}
+	all := slices.Sorted(maps.Keys(n.opts.Peers))
+	cfg := recovery.Plan(n.opts.ID, n.eng, netPeers{n: n}, all, n.opts.Placement)
+	if len(n.opts.APIPeers) == 0 {
+		cfg.CatchUp = nil
 	}
 	return cfg
 }

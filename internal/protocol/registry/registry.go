@@ -1,8 +1,8 @@
 // Package registry names the repository's commit protocols. The name is
 // the cross-process contract: cmd/termsim selects a protocol by name,
 // cmd/termnode daemons are launched with the same name, and the cluster
-// NetBackend passes it to every node of a localnet — all three must
-// resolve identically.
+// NetBackend launches every node of a localnet under its protocol's
+// Name() — so every name here is the Name() of what it resolves to.
 package registry
 
 import (

@@ -38,9 +38,11 @@ package recovery
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"termproto/internal/db/engine"
+	"termproto/internal/placement"
 	"termproto/internal/proto"
 )
 
@@ -88,6 +90,48 @@ type Config struct {
 	// repeated crash/recover cycles replay a bounded log instead of an
 	// ever-growing one.
 	Checkpoint bool
+}
+
+// Plan assembles one site's recovery, the same way on every runtime. sites
+// is the cluster's roster, ascending. Under full replication (nil asg)
+// every site is interrogated for in-doubt decisions and the whole keyspace
+// is caught up from any other site, in ascending donor order. Under
+// sharded placement both are scoped to the site's replica groups: only the
+// assignment's members are interrogated — a transaction with no logged
+// roster can only have run at sites that replicate some shard, so asking
+// provisioned-but-empty capacity is pure heal-time retry traffic — and each
+// hosted shard is one catch-up source, pulled from its other replicas.
+// Callers pass the assignment current at the restart: a site that slept
+// through a rebalance catches up the shards it hosts now, from their
+// replicas now. The log is compacted at recovery-quiescence.
+func Plan(site proto.SiteID, eng *engine.Engine, peers PeerClient,
+	sites []proto.SiteID, asg *placement.Assignment) Config {
+	cfg := Config{Site: site, Engine: eng, Peers: peers, AllSites: sites, Checkpoint: true}
+	if asg == nil {
+		cfg.CatchUp = []CatchUpSource{{Donors: without(sites, site)}}
+		return cfg
+	}
+	if mem := asg.Members(); len(mem) > 0 {
+		cfg.AllSites = mem
+	}
+	for s := 0; s < asg.Shards(); s++ {
+		replicas := asg.Replicas(s)
+		donors := without(replicas, site)
+		if len(donors) == len(replicas) {
+			continue // not hosted here
+		}
+		shard := s
+		cfg.CatchUp = append(cfg.CatchUp, CatchUpSource{
+			Donors:  donors,
+			Include: func(key string) bool { return asg.ShardOf(key) == shard },
+		})
+	}
+	return cfg
+}
+
+// without returns ids minus id, order kept.
+func without(ids []proto.SiteID, id proto.SiteID) []proto.SiteID {
+	return slices.DeleteFunc(slices.Clone(ids), func(x proto.SiteID) bool { return x == id })
 }
 
 // Stats summarizes one recovery.
