@@ -50,27 +50,19 @@ func main() {
 	t := flag.Duration("t", 50*time.Millisecond, "longest end-to-end delay bound T")
 	seed := flag.Int64("seed", 0, "link-delay seed (0 derives one from -id)")
 	groupCommit := flag.Bool("group-commit", true, "WAL group commit: amortize one fsync over concurrent appends")
-	shortCommit := flag.Bool("short-commit", false, "early lock release at prepare-ack (weakened isolation; termination protocol repairs in-doubt)")
 	placementSpec := flag.String("placement", "", "base64 of the encoded epoch-0 shard assignment (empty: full replication)")
 	traceOut := flag.String("trace-out", "", "export a JSONL trace of protocol events to this file at shutdown (relative paths land in -wal-dir)")
 	flag.Parse()
 
 	logger := log.New(os.Stdout, fmt.Sprintf("termnode[%d] ", *id), log.LstdFlags|log.Lmicroseconds)
-	tuning := tuningFlags{groupCommit: *groupCommit, shortCommit: *shortCommit}
-	if err := run(*id, *addr, *apiPort, *api, *peersSpec, *walDir, *clearData, *protoName, *t, *seed, *placementSpec, *traceOut, tuning, logger); err != nil {
+	if err := run(*id, *addr, *apiPort, *api, *peersSpec, *walDir, *clearData, *protoName, *t, *seed, *placementSpec, *traceOut, *groupCommit, logger); err != nil {
 		logger.Fatalf("fatal: %v", err)
 	}
 }
 
-// tuningFlags carries the throughput-engine knobs into run.
-type tuningFlags struct {
-	groupCommit bool
-	shortCommit bool
-}
-
 func run(id int, addr string, apiPort int, apiAddr, peersSpec, walDir string, clearData bool,
 	protoName string, t time.Duration, seed int64, placementSpec, traceOut string,
-	tuning tuningFlags, logger *log.Logger) error {
+	groupCommit bool, logger *log.Logger) error {
 	if id < 1 {
 		return fmt.Errorf("-id is required and must be positive")
 	}
@@ -136,8 +128,7 @@ func run(id int, addr string, apiPort int, apiAddr, peersSpec, walDir string, cl
 		Placement:   asg,
 		WALPath:     filepath.Join(walDir, "wal.log"),
 		Seed:        seed,
-		GroupCommit: &tuning.groupCommit,
-		ShortCommit: tuning.shortCommit,
+		GroupCommit: &groupCommit,
 		TraceOut:    traceOut,
 		Logf:        logger.Printf,
 	})
@@ -149,8 +140,8 @@ func run(id int, addr string, apiPort int, apiAddr, peersSpec, walDir string, cl
 		node.Close()
 		return err
 	}
-	logger.Printf("up: proto=%s api=%s wal=%s protocol=%s T=%s group-commit=%v short-commit=%v",
-		node.Addr(), bound, walDir, protoName, t, tuning.groupCommit, tuning.shortCommit)
+	logger.Printf("up: proto=%s api=%s wal=%s protocol=%s T=%s group-commit=%v",
+		node.Addr(), bound, walDir, protoName, t, groupCommit)
 
 	// SIGTERM/SIGINT is a graceful stop; a crash (SIGKILL) is the fault
 	// model — the WAL in -wal-dir is what the next incarnation recovers

@@ -30,8 +30,8 @@ type NetOptions struct {
 	// Seed offsets every node's link-delay seed.
 	Seed int64
 	// ExtraArgs is appended to every termnode's command line — the
-	// daemon's throughput knobs (-group-commit=false, -short-commit) for
-	// runs that need a non-default configuration.
+	// daemon's throughput knob (-group-commit=false) for runs that need a
+	// non-default configuration.
 	ExtraArgs []string
 }
 

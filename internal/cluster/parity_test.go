@@ -5,8 +5,12 @@ import (
 	"time"
 
 	"termproto/internal/core"
+	"termproto/internal/harness"
 	"termproto/internal/proto"
+	"termproto/internal/protocol/cooperative"
+	"termproto/internal/protocol/quorum"
 	"termproto/internal/sim"
+	"termproto/internal/simnet"
 )
 
 // parityScenario is a deterministic-outcome scenario: failure-free, so the
@@ -112,6 +116,67 @@ func TestAutomataSpawnedParity(t *testing.T) {
 	run(sim, sim.AutomataSpawned)
 	live := NewLiveBackend(LiveOptions{T: 3 * time.Millisecond})
 	run(live, live.AutomataSpawned)
+}
+
+// A site learns of a transaction only from its MsgXact. Here site 3's
+// xact bounces off a partition that heals at 1.5T, and on the simulator
+// (every hop takes T) the master's abort crosses after the heal: it must
+// not make site 3 a participant. harness.Run, the sim backend and the live
+// backend — where the abort bounces too — agree that site 3 never learned
+// of the transaction, and both simulator entry points send the same
+// messages.
+func TestNeverLearnedSiteParity(t *testing.T) {
+	heal := sim.Time(sim.DefaultT + sim.DefaultT/2)
+	for _, p := range []proto.Protocol{cooperative.Protocol{}, quorum.Protocol{}} {
+		check := func(entry string, sites map[proto.SiteID]SiteOutcome) {
+			t.Helper()
+			if got := sites[3]; got.Outcome != proto.None || got.FinalState != "q" || got.Started {
+				t.Errorf("%s %s: site 3 = %+v, want none/q, not started", p.Name(), entry, got)
+			}
+			for _, id := range []proto.SiteID{1, 2} {
+				if got := sites[id]; got.Outcome != proto.Abort {
+					t.Errorf("%s %s: site %d = %+v, want abort", p.Name(), entry, id, got)
+				}
+			}
+		}
+		r := harness.Run(harness.Options{
+			N: 3, Protocol: p,
+			Partition: &simnet.Partition{At: 0, Heal: heal, G2: simnet.G2Set(3)},
+		})
+		sites := map[proto.SiteID]SiteOutcome{}
+		for id, s := range r.Sites {
+			sites[id] = SiteOutcome{Outcome: s.Outcome, DecidedAt: s.DecidedAt, FinalState: s.FinalState, Started: s.Started}
+		}
+		check("harness.Run", sites)
+
+		run := func(backend Backend) NetStats {
+			c, err := Open(Config{
+				Sites: 3, Protocol: p, Backend: backend,
+				Schedule: Schedule{TransientPartitionAt(0, heal, 3)},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			res, err := c.Submit(Txn{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			sites := map[proto.SiteID]SiteOutcome{}
+			for id, s := range res.Sites {
+				sites[id] = *s
+			}
+			check(backend.Name(), sites)
+			return c.Stats().Net
+		}
+		if st := run(NewSimBackend(SimOptions{})); st.MsgsSent != r.MsgsSent {
+			t.Errorf("%s: sim backend sent %d messages, harness.Run %d", p.Name(), st.MsgsSent, r.MsgsSent)
+		}
+		run(NewLiveBackend(LiveOptions{T: 5 * time.Millisecond}))
+	}
 }
 
 // TestSimLivePartitionParity runs the same partitioned scenario on both

@@ -34,19 +34,23 @@ type SimOptions struct {
 
 // SimBackend multiplexes any number of concurrent transactions over one
 // deterministic discrete-event timeline: a single scheduler and a single
-// partitionable network shared by all transactions, one automaton per
-// (site, transaction) pair, each with its own timer. Runs are pure
-// functions of (config, submissions, schedule, seed).
+// partitionable network shared by all transactions, and per site one
+// site.Table — the dispatch a daemon's loop steps — stepped by the
+// scheduler. Runs are pure functions of (config, submissions, schedule,
+// seed).
 type SimBackend struct {
 	opts  SimOptions
 	cfg   Config
 	sched *sim.Scheduler
 	net   *simnet.Network
 	rec   *trace.Recorder
-	muxes map[proto.SiteID]*siteMux
-	// spawned counts automata instantiated per site over the backend's
-	// lifetime — the observable for asserting sharded placement.
+	// tables holds each site's running incarnation; a crash retires it.
+	tables map[proto.SiteID]*site.Table
+	// spawned counts the automata of incarnations already retired.
 	spawned map[proto.SiteID]int
+	// pending holds the transactions started since the last Wait: their
+	// results are copied out of the tables by a crash or by that Wait.
+	pending map[proto.TxnID]pendingTxn
 	// openPartition is the schedule's unhealed partition, if any, so an
 	// injected EvHeal can close it.
 	openPartition *simnet.Partition
@@ -66,9 +70,16 @@ func NewSimBackend(opts SimOptions) *SimBackend {
 	}
 	return &SimBackend{
 		opts:    opts,
-		muxes:   make(map[proto.SiteID]*siteMux),
+		tables:  make(map[proto.SiteID]*site.Table),
 		spawned: make(map[proto.SiteID]int),
+		pending: make(map[proto.TxnID]pendingTxn),
 	}
+}
+
+// pendingTxn is a started transaction's result and decision hook.
+type pendingTxn struct {
+	res       *TxnResult
+	onDecided func(site proto.SiteID, o proto.Outcome)
 }
 
 // AutomataSpawned returns how many protocol automata the backend has
@@ -76,9 +87,9 @@ func NewSimBackend(opts SimOptions) *SimBackend {
 // only a transaction's participants spawn automata, so these counters
 // expose the placement decisions.
 func (b *SimBackend) AutomataSpawned() map[proto.SiteID]int {
-	out := make(map[proto.SiteID]int, len(b.spawned))
-	for id, n := range b.spawned {
-		out[id] = n
+	out := make(map[proto.SiteID]int, len(b.tables))
+	for id, t := range b.tables {
+		out[id] = b.spawned[id] + len(t.Txns())
 	}
 	return out
 }
@@ -111,21 +122,13 @@ func (b *SimBackend) Open(cfg Config) error {
 		Rand:         sim.NewRand(b.opts.Seed + 1),
 		Trace:        b.rec,
 	})
-	var sink func(trace.Event)
-	if b.rec != nil {
-		sink = b.rec.Append
-	}
-	for i := 1; i <= cfg.Sites; i++ {
-		id := proto.SiteID(i)
-		m := &siteMux{
-			Site: site.Site{
-				ID: id, Clock: site.SchedClock{Sched: b.sched, Bound: b.opts.T}, Transport: b.net,
-				Participant: cfg.Participants[id], Trace: sink, OnDecide: b.onDecide,
-			},
-			txns: make(map[proto.TxnID]*simTxn),
-		}
-		b.muxes[id] = m
-		b.net.Register(id, m)
+	for _, id := range allSites(cfg.Sites) {
+		b.tables[id] = b.newTable(id)
+		// The network reaches whichever incarnation is running.
+		b.net.Register(id, simnet.HandlerFuncs{
+			OnDeliver:       func(m proto.Msg) { b.tables[id].Deliver(m) },
+			OnUndeliverable: func(m proto.Msg) { b.tables[id].Undeliverable(m) },
+		})
 	}
 	b.leases = newLeaseKeeper(cfg, b.rec)
 	b.leases.seed(b.sched.Now())
@@ -240,16 +243,53 @@ func (p simPeers) Snapshot(peer proto.SiteID) (map[string][]byte, map[string]boo
 	return donorSnapshot(p.backend.cfg, peer)
 }
 
+// newTable builds one incarnation of a site on the scheduler's clock.
+func (b *SimBackend) newTable(id proto.SiteID) *site.Table {
+	var sink func(trace.Event)
+	if b.rec != nil {
+		sink = b.rec.Append
+	}
+	return site.NewTable(site.Site{
+		ID: id, Clock: site.SchedClock{Sched: b.sched, Bound: b.opts.T}, Transport: b.net,
+		Participant: b.cfg.Participants[id], Trace: sink, OnDecide: b.onDecide,
+	}, b.cfg.Protocol)
+}
+
 func (b *SimBackend) scheduleCrash(id proto.SiteID, at sim.Time) {
 	b.net.CrashAt(id, at)
 	if at < b.sched.Now() {
 		at = b.sched.Now()
 	}
-	b.sched.At(at, sim.PriPartition, b.muxes[id].crash)
+	b.sched.At(at, sim.PriPartition, func() { b.crash(id) })
 }
 
-// Submit implements Backend: the transaction's automata are instantiated
-// and started at max(now, t.At) on every site live at that moment.
+// crash fails the site, as a loop close does: its incarnation is retired —
+// the network already drops what is addressed to a down site, and closing
+// the table silences its timers — and a fresh one waits for the recovery.
+// Every started transaction the site was invited to settles as crashed in
+// the state the site's automaton died in (or never learned of it).
+func (b *SimBackend) crash(id proto.SiteID) {
+	old := b.tables[id]
+	old.Close()
+	b.spawned[id] += len(old.Txns())
+	for tid, p := range b.pending {
+		if out := p.res.Sites[id]; out != nil && !out.Crashed {
+			copyView(out, old, tid)
+			out.Crashed = true
+		}
+	}
+	b.tables[id] = b.newTable(id)
+}
+
+// copyView copies a site's view of a transaction into its result slot.
+func copyView(out *SiteOutcome, t *site.Table, tid proto.TxnID) {
+	if st, ok := t.Txn(tid); ok {
+		out.Started, out.FinalState, out.Outcome, out.DecidedAt = true, st.State, st.Outcome, st.DecidedAt
+	}
+}
+
+// Submit implements Backend: the transaction is handed to its master at
+// max(now, t.At), with the roster of that moment.
 func (b *SimBackend) Submit(t Txn, res *TxnResult) error {
 	if b.sched == nil {
 		return fmt.Errorf("sim backend: not open")
@@ -263,85 +303,76 @@ func (b *SimBackend) Submit(t Txn, res *TxnResult) error {
 }
 
 func (b *SimBackend) startTxn(t Txn, res *TxnResult) {
-	// The roster is the transaction's participant set (Cluster.Submit
-	// resolved it through the ShardMap) minus the sites dead at start
-	// time — a coordinator does not invite sites it knows are down. A
-	// dead master makes the transaction a recorded no-op.
 	now := b.sched.Now()
 	traceQuorum(b.rec, b.cfg, t, func(id proto.SiteID) bool {
 		return !b.net.Crashed(id, now) && !b.net.Separated(t.Master, id, now)
 	}, now)
-	sites := make([]proto.SiteID, 0, len(t.Sites))
-	for _, id := range t.Sites {
-		if b.net.Crashed(id, now) {
-			res.Sites[id].Crashed = true
-			continue
-		}
-		sites = append(sites, id)
+	spec, absent, ok := invite(b.cfg, t, func(id proto.SiteID) bool { return b.net.Crashed(id, now) })
+	for _, id := range absent {
+		res.Sites[id].Crashed = true
 	}
-	// A transaction whose resolved participant set is a single site takes
-	// the local-commit fast path: no protocol round, no messages, nothing
-	// a partition can block. (Attrition from crashes does not qualify —
-	// only genuine single-replica placement.)
-	local := len(t.Sites) == 1
-	minSites := 2
-	if local {
-		minSites = 1
-	}
-	if res.Sites[t.Master].Crashed || len(sites) < minSites {
-		return
-	}
-	votes := t.Votes
-	if votes == nil {
-		votes = b.cfg.Votes
-	}
-	spec := site.Spec{TID: t.ID, Master: t.Master, Sites: sites, Votes: votes, Payload: t.Payload}
-	for _, id := range sites {
-		m := b.muxes[id]
-		st := &simTxn{env: m.NewEnv(b.cfg.Protocol, spec), out: res.Sites[id], notify: t.onDecided}
-		st.out.FinalState = st.env.State()
-		m.txns[t.ID] = st
-		b.spawned[id]++
-	}
-	// Start in site order after every automaton exists, so a master's
-	// first sends find all handlers registered.
-	for _, id := range sites {
-		b.muxes[id].txns[t.ID].env.Start()
+	if ok {
+		b.pending[t.ID] = pendingTxn{res: res, onDecided: t.onDecided}
+		b.tables[t.Master].Submit(spec)
 	}
 }
 
-// onDecide is every site's decision hook: it fills the transaction's
-// result slot, runs the migration machinery's per-transaction hook, and
-// renews the deciding site's shard leases.
+// invite is the roster rule of every backend, applied when a submission
+// reaches its master: the roster is the transaction's participant set
+// (Cluster.Submit resolved it through the ShardMap) minus the sites down
+// at that moment — a coordinator does not invite sites it knows are down
+// — and absent lists those. Scripted votes are resolved into the no-vote
+// list the MsgXact envelope carries (a closure cannot ride it); a site
+// with a database votes by executing. ok is false for a recorded no-op: a
+// dead master, or a roster that crashes shrank below two. (A roster that
+// is a single site by placement, not attrition, takes the local-commit
+// fast path: no protocol round, nothing a partition can block.)
+func invite(cfg Config, t Txn, down func(proto.SiteID) bool) (spec site.Spec, absent []proto.SiteID, ok bool) {
+	spec = site.Spec{TID: t.ID, Master: t.Master, Payload: t.Payload}
+	votes := t.Votes
+	if votes == nil {
+		votes = cfg.Votes
+	}
+	for _, id := range t.Sites {
+		if down(id) {
+			absent = append(absent, id)
+			continue
+		}
+		spec.Sites = append(spec.Sites, id)
+		if votes != nil && cfg.Participants[id] == nil && !votes(id, t.ID, t.Payload) {
+			spec.NoVotes = append(spec.NoVotes, id)
+		}
+	}
+	return spec, absent, !down(t.Master) && len(spec.Sites) >= min(2, len(t.Sites))
+}
+
+// onDecide is every site's decision hook: it runs the migration
+// machinery's per-transaction hook and renews the deciding site's shard
+// leases.
 func (b *SimBackend) onDecide(cfg proto.Config, o proto.Outcome, at sim.Time) {
-	st := b.muxes[cfg.Self].txns[cfg.TID]
-	st.out.Outcome, st.out.DecidedAt = o, at
-	if st.notify != nil {
-		st.notify(cfg.Self, o)
+	if p := b.pending[cfg.TID]; p.onDecided != nil {
+		p.onDecided(cfg.Self, o)
 	}
 	b.leases.onDecide(cfg.Self, cfg.Payload, o, at)
 }
 
 // Wait implements Backend: it drives the scheduler to quiescence — every
 // message delivered or bounced, every timer fired or cancelled — and then
-// finalizes all results. Quiescence with an undecided automaton is the
-// definition of blocking.
-//
-// Finalized automata are pruned: at quiescence no event can ever reach
-// them again (the queue is empty and TIDs are never reused), so a
-// long-lived cluster's memory and per-Wait work stay proportional to the
-// transactions of the current Wait, not the cluster's lifetime.
+// copies every started transaction's view out of the site tables.
+// Quiescence with an undecided automaton is the definition of blocking.
 func (b *SimBackend) Wait() error {
 	if b.sched == nil {
 		return fmt.Errorf("sim backend: not open")
 	}
 	b.sched.Run()
-	for _, m := range b.muxes {
-		for _, st := range m.txns {
-			st.settle()
+	for tid, p := range b.pending {
+		for id, out := range p.res.Sites {
+			if !out.Crashed {
+				copyView(out, b.tables[id], tid)
+			}
 		}
-		clear(m.txns)
 	}
+	clear(b.pending)
 	return nil
 }
 
@@ -423,53 +454,6 @@ func (b *SimBackend) Close() error { return nil }
 // shard-lease table, nil when leasing is disabled.
 func (b *SimBackend) LeaseTable(site proto.SiteID) *lease.Table {
 	return b.leases.table(site)
-}
-
-// siteMux is one site on the simulated timeline: the shared site runtime
-// over the scheduler clock and the simulated network, demultiplexing the
-// site's deliveries to its per-transaction automata.
-type siteMux struct {
-	site.Site
-	txns map[proto.TxnID]*simTxn
-}
-
-// simTxn is one (site, transaction) automaton and its result slot.
-type simTxn struct {
-	env    *site.Env
-	out    *SiteOutcome
-	notify func(site proto.SiteID, o proto.Outcome)
-}
-
-// settle copies the automaton's final view into the result slot.
-func (st *simTxn) settle() {
-	st.out.FinalState, st.out.Started = st.env.State(), st.env.Started()
-}
-
-// Deliver implements simnet.Handler.
-func (m *siteMux) Deliver(msg proto.Msg) {
-	if st := m.txns[msg.TID]; st != nil {
-		st.env.Deliver(msg)
-	}
-}
-
-// Undeliverable implements simnet.Handler.
-func (m *siteMux) Undeliverable(msg proto.Msg) {
-	if st := m.txns[msg.TID]; st != nil {
-		st.env.Undeliverable(msg)
-	}
-}
-
-// crash fails the site: the automata it hosts settle as crashed and see
-// no further events — the network already drops what is addressed to a
-// down site, and closing them silences their timers. A recovered site
-// starts over with an empty table (what a process restart is).
-func (m *siteMux) crash() {
-	for _, st := range m.txns {
-		st.settle()
-		st.out.Crashed = true
-		st.env.Close()
-	}
-	clear(m.txns)
 }
 
 var _ Backend = (*SimBackend)(nil)

@@ -63,13 +63,11 @@ func (e *UndecidedError) Error() string {
 // NetBackend embed it and implement wallSites.
 //
 // Where a rule could go either way it is the simulator's. A transaction's
-// roster is its participant set minus the sites down when its submission
-// fires — a coordinator does not invite sites it knows are down — and a
-// dead master, or a roster that crashes shrank below two, makes it a
-// recorded no-op. A site is crashed for a transaction if it was down at
-// that moment, died hosting it undecided, or is down with no decision seen
-// when results are synced; what a restarted site answers from durable
-// state rejoins the results at the next poll.
+// roster is the one invite draws when its submission fires. A site is
+// crashed for a transaction if it was down at that moment, died hosting it
+// undecided, or is down with no decision seen when results are synced;
+// what a restarted site answers from durable state rejoins the results at
+// the next poll.
 type wallDriver struct {
 	name      string
 	t         time.Duration // the wall-clock value of T
@@ -275,32 +273,16 @@ func (d *wallDriver) Submit(t Txn, res *TxnResult) error {
 	return nil
 }
 
-// fire hands a transaction to its master with the roster of the moment.
-// Scripted votes are resolved here into the no-vote list the MsgXact
-// envelope carries (a closure cannot ride it, let alone cross a process
-// boundary); a site with a database votes by executing, as on the sim
-// backend.
+// fire hands a transaction to its master with the roster of the moment
+// (invite).
 func (d *wallDriver) fire(wt *wallTxn) {
 	t := wt.t
-	spec := site.Spec{TID: t.ID, Master: t.Master, Payload: t.Payload}
-	votes := t.Votes
-	if votes == nil {
-		votes = d.cfg.Votes
-	}
 	d.mu.Lock()
-	for _, id := range t.Sites {
-		if d.down[id] {
-			wt.view[id].Crashed = true
-			continue
-		}
-		spec.Sites = append(spec.Sites, id)
-		if votes != nil && d.cfg.Participants[id] == nil && !votes(id, t.ID, t.Payload) {
-			spec.NoVotes = append(spec.NoVotes, id)
-		}
+	spec, absent, ok := invite(d.cfg, t, func(id proto.SiteID) bool { return d.down[id] })
+	for _, id := range absent {
+		wt.view[id].Crashed = true
 	}
-	// A roster that is a single site by placement (not attrition) takes
-	// the local-commit fast path.
-	noop := d.closed.Load() || d.down[t.Master] || len(spec.Sites) < min(2, len(t.Sites))
+	noop := d.closed.Load() || !ok
 	d.mu.Unlock()
 	refused := !noop && d.sites.submit(spec) != nil
 	d.mu.Lock()

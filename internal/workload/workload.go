@@ -86,8 +86,8 @@ type Config struct {
 	// point it joins back (shards migrated onto it again). Requires
 	// Shards > 0. 0 = static membership.
 	JoinLeaveEvery int
-	// Engine configures every site's database engine — WAL group commit,
-	// short-commit. The zero value is the synchronous, long-commit engine.
+	// Engine configures every site's database engine — WAL group commit.
+	// The zero value is the synchronous engine.
 	Engine engine.Options
 	Seed   uint64
 }
@@ -205,7 +205,7 @@ func EnginesFor(dir *placement.Directory, sites, accounts int, balance int64) ma
 }
 
 // EnginesWith is EnginesFor with explicit engine options (WAL group
-// commit, short-commit).
+// commit).
 func EnginesWith(dir *placement.Directory, sites, accounts int, balance int64, opts engine.Options) map[proto.SiteID]*engine.Engine {
 	var asg *placement.Assignment
 	if dir != nil {
