@@ -1,6 +1,11 @@
 package experiments
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -8,6 +13,8 @@ import (
 )
 
 var quick = Config{Quick: true}
+
+var update = flag.Bool("update", false, "rewrite testdata/all.golden from this tree")
 
 // Every experiment must reproduce its paper claim. Each gets its own test
 // so a regression names the artifact that broke.
@@ -53,6 +60,41 @@ func TestAllRunsEverything(t *testing.T) {
 		}
 		seen[tbl.ID] = true
 		requirePass(t, tbl)
+	}
+}
+
+// TestAllGolden pins the rendered text of the full-mode suite, as
+// cmd/experiments prints it: a change that claims to leave every experiment
+// as it was leaves testdata/all.golden byte-identical. A change meant to
+// move a table regenerates the file with `go test ./internal/experiments
+// -run TestAllGolden -update` and says which rows moved and why.
+func TestAllGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, tbl := range All(Config{}) {
+		fmt.Fprintln(&got, tbl)
+	}
+	path := filepath.Join("testdata", "all.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+			if gotLines[i] != wantLines[i] {
+				t.Fatalf("line %d moved:\n got  %s\n want %s", i+1, gotLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("%d lines, want %d", len(gotLines), len(wantLines))
 	}
 }
 

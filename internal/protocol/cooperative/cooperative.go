@@ -26,6 +26,9 @@
 package cooperative
 
 import (
+	"maps"
+	"slices"
+
 	"termproto/internal/proto"
 )
 
@@ -234,7 +237,7 @@ func (s *site) collectedAllAcks(env proto.Env) bool {
 }
 
 func (s *site) finishCommit(env proto.Env) {
-	for id := range s.reports {
+	for _, id := range s.reporters() {
 		env.Send(id, proto.MsgCommit, nil)
 	}
 	s.decide(env, proto.Commit)
@@ -289,8 +292,8 @@ func (s *site) evaluate(env proto.Env) {
 		if s.state == "w" {
 			s.state = "p"
 		}
-		for id, st := range s.reports {
-			if st == "w" {
+		for _, id := range s.reporters() {
+			if s.reports[id] == "w" {
 				env.Send(id, proto.MsgPrepare, nil)
 			} else {
 				s.termAcks.Add(id)
@@ -310,10 +313,15 @@ func (s *site) evaluate(env proto.Env) {
 }
 
 func (s *site) broadcastDecision(env proto.Env, kind proto.Kind) {
-	for id := range s.reports {
+	for _, id := range s.reporters() {
 		env.Send(id, kind, nil)
 	}
 }
+
+// reporters lists the sites that answered the election in ascending order:
+// every fan-out over the reports sends in this order, so a run is a pure
+// function of its seed rather than of map iteration.
+func (s *site) reporters() []proto.SiteID { return slices.Sorted(maps.Keys(s.reports)) }
 
 // OnUndeliverable: this protocol is for site failures, not partitions; it
 // does not exploit the optimistic model's returned messages.
