@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -231,4 +232,116 @@ func TestNetCrashedParticipantExcluded(t *testing.T) {
 			t.Errorf("site %d: missed = %q, want \"v\" (site 3 by catch-up)", id, got)
 		}
 	}
+}
+
+// netInDoubtRestart runs one put of key through three daemons under sched,
+// which SIGKILLs site 3 at 0.9T and restarts it at 12.5T. Link delays are
+// drawn from [T/4, T/2], so by then site 3's yes vote is durable and no
+// decision can have reached it (five hops, at least 1.25T): the restart
+// finds the transaction in doubt. An inquiry that goes unanswered costs
+// its 4T timeout, so the schedule heals at 30T, after the recovery ends. A precondition the clock broke — a late
+// delivery that aborted the transaction, or a kill outside the window — is
+// returned as an error for the caller to retry on fresh daemons; safety
+// violations fail the test directly.
+func netInDoubtRestart(t *testing.T, nb *NetBackend, key string, sched Schedule) (*TxnResult, RecoveryReport, error) {
+	t.Helper()
+	c, err := Open(Config{Sites: 3, Protocol: core.Protocol{TransientFix: true}, Backend: nb, Schedule: sched})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	ops := engine.EncodeOps([]engine.Op{{Kind: engine.OpPut, Key: key, Value: []byte("v")}})
+	r, err := c.Submit(Txn{Master: 1, Payload: ops})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if !r.Consistent() || !r.Decided() {
+		t.Fatalf("survivors blocked or inconsistent: %+v", r.Sites)
+	}
+	if r.Outcome() != proto.Commit {
+		return nil, RecoveryReport{}, fmt.Errorf("txn aborted (slow delivery): %v", r.Outcome())
+	}
+	reps := c.Recoveries()
+	if len(reps) != 1 || reps[0].Site != 3 || reps[0].Err != nil {
+		t.Fatalf("recoveries = %v, want one clean recovery of site 3", reps)
+	}
+	if reps[0].Stats.InDoubt != 1 {
+		return nil, RecoveryReport{}, fmt.Errorf("site 3 not in doubt (kill missed the window): %v", reps[0].Stats)
+	}
+	return r, reps[0], nil
+}
+
+// netRetry runs a scenario whose timing preconditions may fail on a loaded
+// host up to three times, each on fresh daemons.
+func netRetry(t *testing.T, scenario func(nb *NetBackend) error) {
+	t.Helper()
+	var err error
+	for attempt := 0; attempt < 3; attempt++ {
+		if err = scenario(netBackend(t)); err == nil {
+			return
+		}
+		t.Logf("attempt %d: %v", attempt+1, err)
+	}
+	t.Fatalf("timing preconditions never held: %v", err)
+}
+
+// TestNetRecoveryCoordinatorUnreachable: the coordinator is cut off when
+// the in-doubt site restarts. The restarted daemon's MsgInquire to site 1
+// dies at the boundary, and its fellow slave's durable commit resolves the
+// transaction — the committed write is there after the recovery alone.
+func TestNetRecoveryCoordinatorUnreachable(t *testing.T) {
+	netRetry(t, func(nb *NetBackend) error {
+		_, rep, err := netInDoubtRestart(t, nb, "cut", Schedule{
+			CrashAt(900, 3),
+			PartitionAt(11_500, 1),
+			RecoverAt(12_500, 3),
+			HealAt(30_000),
+		})
+		if err != nil {
+			return err
+		}
+		if rep.Stats.ResolvedCommit != 1 || rep.Stats.Unresolved != 0 {
+			t.Fatalf("in-doubt txn not resolved to the survivors' commit: %v", rep.Stats)
+		}
+		for id, snap := range nb.Snapshots() {
+			if got := string(snap["cut"]); got != "v" {
+				t.Errorf("site %d: cut = %q, want \"v\"", id, got)
+			}
+		}
+		return nil
+	})
+}
+
+// TestNetHealRetryResolvesUnresolved: site 3 restarts while a partition
+// isolates it from every decided peer, so its recovery leaves the
+// transaction unresolved, the key locked and unapplied. The heal edge
+// re-runs the inquiry round over real traffic and the transaction
+// resolves to the survivors' commit without another restart.
+func TestNetHealRetryResolvesUnresolved(t *testing.T) {
+	netRetry(t, func(nb *NetBackend) error {
+		r, rep, err := netInDoubtRestart(t, nb, "heal", Schedule{
+			CrashAt(900, 3),
+			PartitionAt(11_000, 3),
+			RecoverAt(12_500, 3),
+			HealAt(30_000),
+		})
+		if err != nil {
+			return err
+		}
+		if rep.Stats.Unresolved != 1 || rep.Stats.ResolvedCommit != 0 {
+			t.Fatalf("isolated restart should leave the txn unresolved: %v", rep.Stats)
+		}
+		if got := r.Sites[3]; got.Outcome != proto.Commit {
+			t.Errorf("site 3 after the heal: %+v, want commit", got)
+		}
+		for id, snap := range nb.Snapshots() {
+			if got := string(snap["heal"]); got != "v" {
+				t.Errorf("site %d: heal = %q, want \"v\" (site 3 by the heal retry)", id, got)
+			}
+		}
+		return nil
+	})
 }
