@@ -10,12 +10,21 @@ import (
 	"testing"
 
 	"termproto"
+	"termproto/internal/cluster"
+	"termproto/internal/core"
 	"termproto/internal/db/engine"
 	"termproto/internal/db/lock"
 	"termproto/internal/db/wal"
 	"termproto/internal/experiments"
 	"termproto/internal/fsa"
 	"termproto/internal/proto"
+	"termproto/internal/protocol/cooperative"
+	"termproto/internal/protocol/fourpc"
+	"termproto/internal/protocol/quorum"
+	"termproto/internal/protocol/threepc"
+	"termproto/internal/protocol/threepcrules"
+	"termproto/internal/protocol/twopc"
+	"termproto/internal/protocol/twopcext"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
 	"termproto/internal/workload"
@@ -134,9 +143,7 @@ func BenchmarkE16_RecoveryChurn(b *testing.B) {
 // protocol transaction (4 sites) through the simulator.
 func BenchmarkP1_ProtocolRound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := termproto.Run(termproto.Options{
-			N: 4, Protocol: termproto.Termination(), DisableTrace: true,
-		})
+		r, _ := cluster.RunOne(cluster.Config{Sites: 4, Protocol: core.Protocol{}}, cluster.SimOptions{}, cluster.Txn{})
 		if !r.Consistent() {
 			b.Fatal("inconsistent")
 		}
@@ -147,10 +154,10 @@ func BenchmarkP1_ProtocolRound(b *testing.B) {
 // transaction including the 5T window and probe traffic.
 func BenchmarkP2_PartitionedRound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := termproto.Run(termproto.Options{
-			N: 5, Protocol: termproto.Termination(), DisableTrace: true,
-			Partition: &termproto.Partition{At: 2500, G2: termproto.G2(4, 5)},
-		})
+		r, _ := cluster.RunOne(cluster.Config{
+			Sites: 5, Protocol: core.Protocol{},
+			Schedule: cluster.Schedule{cluster.PartitionAt(2500, 4, 5)},
+		}, cluster.SimOptions{}, cluster.Txn{})
 		if !r.Consistent() {
 			b.Fatal("inconsistent")
 		}
@@ -238,10 +245,10 @@ func BenchmarkP7_FSAReachability(b *testing.B) {
 // termination (polling rounds included) for comparison with P2.
 func BenchmarkP8_QuorumRound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := termproto.Run(termproto.Options{
-			N: 5, Protocol: termproto.Quorum(), DisableTrace: true,
-			Partition: &termproto.Partition{At: 2500, G2: termproto.G2(4, 5)},
-		})
+		r, _ := cluster.RunOne(cluster.Config{
+			Sites: 5, Protocol: quorum.Protocol{},
+			Schedule: cluster.Schedule{cluster.PartitionAt(2500, 4, 5)},
+		}, cluster.SimOptions{}, cluster.Txn{})
 		if !r.Consistent() {
 			b.Fatal("inconsistent")
 		}
@@ -269,16 +276,16 @@ func BenchmarkP9_PartitionedWorkload(b *testing.B) {
 // order.
 var benchProtocols = []struct {
 	name string
-	p    termproto.Protocol
+	p    proto.Protocol
 }{
-	{"2pc", termproto.TwoPC()},
-	{"2pc-ext", termproto.TwoPCExtended()},
-	{"3pc", termproto.ThreePC(false)},
-	{"3pc-rules", termproto.ThreePCRules()},
-	{"cooperative", termproto.Cooperative()},
-	{"quorum", termproto.Quorum()},
-	{"termination", termproto.TerminationTransient()},
-	{"4pc-termination", termproto.FourPCTermination()},
+	{"2pc", twopc.Protocol{}},
+	{"2pc-ext", twopcext.Protocol{}},
+	{"3pc", threepc.Protocol{}},
+	{"3pc-rules", threepcrules.Protocol{}},
+	{"cooperative", cooperative.Protocol{}},
+	{"quorum", quorum.Protocol{}},
+	{"termination", core.Protocol{TransientFix: true}},
+	{"4pc-termination", fourpc.Protocol{TransientFix: true}},
 }
 
 // BenchmarkC1_ClusterThroughput measures committed transactions per
@@ -430,7 +437,7 @@ func BenchmarkC2_ClusterEngineThroughput(b *testing.B) {
 	defer c.Close()
 
 	var committed int
-	tid := termproto.TxnID(0)
+	tid := proto.TxnID(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		batch := make([]termproto.Txn, batchSize)

@@ -1,4 +1,4 @@
-package harness
+package cluster_test
 
 import (
 	"testing"

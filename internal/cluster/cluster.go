@@ -301,6 +301,17 @@ func sortedIDs(ids []proto.SiteID) []proto.SiteID {
 // Decided reports whether every live participating site reached an outcome.
 func (r *TxnResult) Decided() bool { return len(r.Blocked()) == 0 }
 
+// MaxDecisionTime returns the latest decision time across sites.
+func (r *TxnResult) MaxDecisionTime() sim.Time {
+	var latest sim.Time
+	for _, s := range r.Sites {
+		if s.Outcome != proto.None && s.DecidedAt > latest {
+			latest = s.DecidedAt
+		}
+	}
+	return latest
+}
+
 func keys(m map[proto.SiteID]*SiteOutcome) []proto.SiteID {
 	out := make([]proto.SiteID, 0, len(m))
 	for id := range m {
@@ -487,8 +498,14 @@ func Open(cfg Config) (*Cluster, error) {
 		nextTID: 1,
 	}
 	c.cfg.migrate = c.applyMembershipEvent
-	c.metrics = newClusterMetrics(cfg.Protocol.Name())
-	c.cfg.metrics = c.metrics
+	// Participants and the availability machinery record into the registry
+	// as the run goes. Without them nothing does before Metrics, which
+	// builds it then: the sweeps open one cluster per transaction and read
+	// none.
+	if len(cfg.Participants) > 0 || cfg.Directory != nil {
+		c.metrics = newClusterMetrics(cfg.Protocol.Name())
+		c.cfg.metrics = c.metrics
+	}
 	// Storage-engine participants record per-shard commits, aborts,
 	// lock failures, and WAL fsync latency into the same registry.
 	var shardOf func(key string) int

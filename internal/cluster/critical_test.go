@@ -1,8 +1,9 @@
-package harness
+package cluster_test
 
 import (
 	"testing"
 
+	"termproto/internal/cluster"
 	"termproto/internal/core"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/fourpc"
@@ -32,26 +33,23 @@ func TestTerminationCriticalInstantSweep(t *testing.T) {
 	for _, frac := range []float64{1.0, 0.5} {
 		for _, split := range [][]proto.SiteID{{3}, {2, 3}, {3, 4}} {
 			for _, at := range criticalInstants() {
-				r := Run(Options{
-					N: 4, Protocol: core.Protocol{},
-					Latency:      simnet.Fixed{D: T},
-					BoundaryFrac: frac,
-					Partition:    &simnet.Partition{At: at, G2: g2(split...)},
-				})
+				r, b := cluster.RunOne(cluster.Config{
+					Sites: 4, Protocol: core.Protocol{}, Schedule: partitionAt(at, split...),
+				}, cluster.SimOptions{Latency: simnet.Fixed{D: T}, BoundaryFrac: frac, RecordTrace: true}, cluster.Txn{})
 				if !r.Consistent() {
 					t.Fatalf("f=%.1f split=%v onset=%d: INCONSISTENT\n%s",
-						frac, split, at, r.Trace.Dump())
+						frac, split, at, b.Trace().Dump())
 				}
 				if len(r.Blocked()) != 0 {
 					t.Fatalf("f=%.1f split=%v onset=%d: blocked %v\n%s",
-						frac, split, at, r.Blocked(), r.Trace.Dump())
+						frac, split, at, r.Blocked(), b.Trace().Dump())
 				}
 				// The G2-commit law at every critical instant.
-				prepCrossed := r.Trace.CrossDelivered("prepare") > 0
-				g2Commit := r.Outcome(split[len(split)-1]) == proto.Commit
+				prepCrossed := b.Trace().CrossDelivered("prepare") > 0
+				g2Commit := r.Sites[split[len(split)-1]].Outcome == proto.Commit
 				if prepCrossed != g2Commit {
 					t.Fatalf("f=%.1f split=%v onset=%d: law violated (crossed=%v commit=%v)\n%s",
-						frac, split, at, prepCrossed, g2Commit, r.Trace.Dump())
+						frac, split, at, prepCrossed, g2Commit, b.Trace().Dump())
 				}
 			}
 		}
@@ -66,14 +64,12 @@ func TestFourPCCriticalInstantSweep(t *testing.T) {
 		instants = append(instants, 7*Tt+delta, 8*Tt+delta)
 	}
 	for _, at := range instants {
-		r := Run(Options{
-			N: 4, Protocol: fourpc.Protocol{},
-			Latency:   simnet.Fixed{D: T},
-			Partition: &simnet.Partition{At: at, G2: g2(3, 4)},
-		})
+		r, b := cluster.RunOne(cluster.Config{
+			Sites: 4, Protocol: fourpc.Protocol{}, Schedule: partitionAt(at, 3, 4),
+		}, cluster.SimOptions{Latency: simnet.Fixed{D: T}, RecordTrace: true}, cluster.Txn{})
 		if !r.Consistent() || len(r.Blocked()) != 0 {
 			t.Fatalf("4pc onset=%d: consistent=%v blocked=%v\n%s",
-				at, r.Consistent(), r.Blocked(), r.Trace.Dump())
+				at, r.Consistent(), r.Blocked(), b.Trace().Dump())
 		}
 	}
 }
@@ -89,16 +85,15 @@ func TestTerminationTransientCriticalHeals(t *testing.T) {
 				if heal <= onset {
 					continue
 				}
-				r := Run(Options{
-					N: 4, Protocol: core.Protocol{TransientFix: true},
-					Latency:   simnet.Fixed{D: T},
-					Partition: &simnet.Partition{At: onset, Heal: heal, G2: g2(3, 4)},
-				})
+				r, b := cluster.RunOne(cluster.Config{
+					Sites: 4, Protocol: core.Protocol{TransientFix: true},
+					Schedule: cluster.Schedule{cluster.TransientPartitionAt(onset, heal, 3, 4)},
+				}, cluster.SimOptions{Latency: simnet.Fixed{D: T}, RecordTrace: true}, cluster.Txn{})
 				if !r.Consistent() {
-					t.Fatalf("onset=%d heal=%d: INCONSISTENT\n%s", onset, heal, r.Trace.Dump())
+					t.Fatalf("onset=%d heal=%d: INCONSISTENT\n%s", onset, heal, b.Trace().Dump())
 				}
 				if len(r.Blocked()) != 0 {
-					t.Fatalf("onset=%d heal=%d: blocked %v\n%s", onset, heal, r.Blocked(), r.Trace.Dump())
+					t.Fatalf("onset=%d heal=%d: blocked %v\n%s", onset, heal, r.Blocked(), b.Trace().Dump())
 				}
 			}
 		}
@@ -111,20 +106,20 @@ func TestTerminationTransientCriticalHeals(t *testing.T) {
 func TestTerminationSlaveCrashWithoutPartition(t *testing.T) {
 	for victim := proto.SiteID(2); victim <= 4; victim++ {
 		for at := sim.Time(1); at <= 6*Tt; at += Tt / 4 {
-			r := Run(Options{
-				N: 4, Protocol: core.Protocol{},
-				Crash: map[proto.SiteID]sim.Time{victim: at},
-			})
+			r, b := cluster.RunOne(cluster.Config{
+				Sites: 4, Protocol: core.Protocol{},
+				Schedule: cluster.Schedule{cluster.CrashAt(at, victim)},
+			}, traced, cluster.Txn{})
 			if !r.Consistent() {
 				t.Fatalf("victim=%d crash=%d: INCONSISTENT among live sites\n%s",
-					victim, at, r.Trace.Dump())
+					victim, at, b.Trace().Dump())
 			}
 			// Live sites must not block: the master's timeouts cover a
 			// silent slave.
 			for id, s := range r.Sites {
 				if id != victim && s.Started && s.Outcome == proto.None {
 					t.Fatalf("victim=%d crash=%d: live site %d blocked in %s\n%s",
-						victim, at, id, s.FinalState, r.Trace.Dump())
+						victim, at, id, s.FinalState, b.Trace().Dump())
 				}
 			}
 		}
@@ -137,20 +132,19 @@ func TestTerminationVotePartitionMatrix(t *testing.T) {
 	for noVoter := proto.SiteID(2); noVoter <= 4; noVoter++ {
 		for _, split := range [][]proto.SiteID{{2}, {3}, {4}, {2, 4}, {3, 4}} {
 			for at := sim.Time(0); at <= 5*Tt; at += Tt / 2 {
-				r := Run(Options{
-					N: 4, Protocol: core.Protocol{},
-					Votes:     NoAt(noVoter),
-					Partition: &simnet.Partition{At: at, G2: g2(split...)},
-				})
+				r, b := cluster.RunOne(cluster.Config{
+					Sites: 4, Protocol: core.Protocol{}, Votes: proto.NoAt(noVoter),
+					Schedule: partitionAt(at, split...),
+				}, traced, cluster.Txn{})
 				if !r.Consistent() {
 					t.Fatalf("no@%d split=%v onset=%d: INCONSISTENT\n%s",
-						noVoter, split, at, r.Trace.Dump())
+						noVoter, split, at, b.Trace().Dump())
 				}
 				if len(r.Blocked()) != 0 {
 					t.Fatalf("no@%d split=%v onset=%d: blocked %v",
 						noVoter, split, at, r.Blocked())
 				}
-				if r.AnyCommitted() {
+				if r.Committed() {
 					t.Fatalf("no@%d split=%v onset=%d: committed despite a no-vote",
 						noVoter, split, at)
 				}
@@ -162,11 +156,11 @@ func TestTerminationVotePartitionMatrix(t *testing.T) {
 // Master votes no: instant abort everywhere, partition or not.
 func TestTerminationMasterNoVoteUnderPartition(t *testing.T) {
 	for at := sim.Time(0); at <= 3*Tt; at += Tt {
-		r := Run(Options{
-			N: 3, Protocol: core.Protocol{}, Votes: NoAt(1),
-			Partition: &simnet.Partition{At: at, G2: g2(3)},
-		})
-		if !r.Consistent() || r.Outcome(1) != proto.Abort {
+		r, _ := cluster.RunOne(cluster.Config{
+			Sites: 3, Protocol: core.Protocol{}, Votes: proto.NoAt(1),
+			Schedule: partitionAt(at, 3),
+		}, cluster.SimOptions{}, cluster.Txn{})
+		if !r.Consistent() || r.Sites[1].Outcome != proto.Abort {
 			t.Fatalf("onset %d: master no-vote mishandled", at)
 		}
 	}
@@ -177,14 +171,12 @@ func TestTerminationMasterNoVoteUnderPartition(t *testing.T) {
 func TestTerminationBoundaryFracSweep(t *testing.T) {
 	for _, frac := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 1.0} {
 		for at := sim.Time(Tt); at <= 5*Tt; at += Tt / 2 {
-			r := Run(Options{
-				N: 4, Protocol: core.Protocol{},
-				BoundaryFrac: frac,
-				Partition:    &simnet.Partition{At: at, G2: g2(3, 4)},
-			})
+			r, b := cluster.RunOne(cluster.Config{
+				Sites: 4, Protocol: core.Protocol{}, Schedule: partitionAt(at, 3, 4),
+			}, cluster.SimOptions{BoundaryFrac: frac, RecordTrace: true}, cluster.Txn{})
 			if !r.Consistent() || len(r.Blocked()) != 0 {
 				t.Fatalf("frac=%.2f onset=%d: consistent=%v blocked=%v\n%s",
-					frac, at, r.Consistent(), r.Blocked(), r.Trace.Dump())
+					frac, at, r.Consistent(), r.Blocked(), b.Trace().Dump())
 			}
 		}
 	}

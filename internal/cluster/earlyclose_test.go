@@ -1,9 +1,10 @@
-package harness
+package cluster_test
 
 import (
 	"fmt"
 	"testing"
 
+	"termproto/internal/cluster"
 	"termproto/internal/core"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/fourpc"
@@ -16,9 +17,9 @@ import (
 // when the first prepare bounced back to the master, and when — if ever
 // within the following 5T — the bounces and the probes delivered since
 // then accounted for every slave.
-func windowEvidence(r *Result, n int) (openAt, completeAt sim.Time, opened, complete bool) {
+func windowEvidence(tr *trace.Recorder, n int) (openAt, completeAt sim.Time, opened, complete bool) {
 	seen := map[int]bool{}
-	for _, e := range r.Trace.Events() {
+	for _, e := range tr.Events() {
 		switch {
 		case e.Kind == trace.Bounce && e.MsgKind == "prepare" && e.From == 1:
 			if !opened {
@@ -42,9 +43,9 @@ func windowEvidence(r *Result, n int) (openAt, completeAt sim.Time, opened, comp
 
 // acksOfNonUD reports whether the ack of every slave whose prepare did not
 // bounce was delivered to the master, and when the last of them arrived.
-func acksOfNonUD(r *Result, n int) (lastAck sim.Time, all bool) {
+func acksOfNonUD(tr *trace.Recorder, n int) (lastAck sim.Time, all bool) {
 	need := n - 1
-	for _, e := range r.Trace.Events() {
+	for _, e := range tr.Events() {
 		switch {
 		case e.Kind == trace.Bounce && e.MsgKind == "prepare" && e.From == 1:
 			need--
@@ -99,20 +100,21 @@ func TestEarlyCloseSweep(t *testing.T) {
 				for at := sim.Time(0); at <= (v.rounds+1)*Tt; at += step {
 					for heal := sim.Time(0); heal <= 8; heal++ {
 						for _, lat := range []simnet.Latency{simnet.Fixed{D: T}, skewed} {
-							part := &simnet.Partition{At: at, G2: g2(split...)}
+							part := cluster.PartitionAt(at, split...)
 							if heal > 0 {
 								part.Heal = at + heal*Tt
 							}
-							r := Run(Options{N: n, Protocol: v.p, Partition: part, Latency: lat})
+							r, b := cluster.RunOne(cluster.Config{Sites: n, Protocol: v.p, Schedule: cluster.Schedule{part}},
+								cluster.SimOptions{Latency: lat, RecordTrace: true}, cluster.Txn{})
 							ctx := fmt.Sprintf("%s n=%d G2=%v onset=%d heal=+%dT latency=%T",
 								v.p.Name(), n, split, at, heal, lat)
 							if !r.Consistent() {
-								t.Fatalf("%s: INCONSISTENT\n%s", ctx, r.Trace.Dump())
+								t.Fatalf("%s: INCONSISTENT\n%s", ctx, b.Trace().Dump())
 							}
 							if (heal == 0 || v.fix) && len(r.Blocked()) != 0 {
-								t.Fatalf("%s: blocked %v\n%s", ctx, r.Blocked(), r.Trace.Dump())
+								t.Fatalf("%s: blocked %v\n%s", ctx, r.Blocked(), b.Trace().Dump())
 							}
-							openAt, completeAt, opened, complete := windowEvidence(r, n)
+							openAt, completeAt, opened, complete := windowEvidence(b.Trace(), n)
 							if !opened {
 								continue
 							}
@@ -122,15 +124,15 @@ func TestEarlyCloseSweep(t *testing.T) {
 							}
 							if got := r.Sites[1].DecidedAt; got != want {
 								t.Fatalf("%s: master decided at %d, want %d (first UD %d, evidence complete=%v)\n%s",
-									ctx, got, want, openAt, complete, r.Trace.Dump())
+									ctx, got, want, openAt, complete, b.Trace().Dump())
 							}
-							if complete && r.Outcome(1) != proto.Abort {
-								t.Fatalf("%s: early close decided %v\n%s", ctx, r.Outcome(1), r.Trace.Dump())
+							if complete && r.Sites[1].Outcome != proto.Abort {
+								t.Fatalf("%s: early close decided %v\n%s", ctx, r.Sites[1].Outcome, b.Trace().Dump())
 							}
-							if lastAck, all := acksOfNonUD(r, n); all {
+							if lastAck, all := acksOfNonUD(b.Trace(), n); all {
 								if limit := max(openAt, lastAck) + 2*Tt; r.Sites[1].DecidedAt > limit {
 									t.Fatalf("%s: master decided at %d, want ≤ %d: first UD %d, last ack %d, then one solicit round trip\n%s",
-										ctx, r.Sites[1].DecidedAt, limit, openAt, lastAck, r.Trace.Dump())
+										ctx, r.Sites[1].DecidedAt, limit, openAt, lastAck, b.Trace().Dump())
 								}
 								solicited++
 							}

@@ -160,13 +160,18 @@ func payloadShard(d *placement.Directory, payload []byte) int {
 // Cheap to call repeatedly: each TID records once.
 func (c *Cluster) recordDecidedAll() {
 	c.mu.Lock()
+	m := c.metrics
+	if m == nil {
+		c.mu.Unlock()
+		return
+	}
 	results := make([]*TxnResult, 0, len(c.order))
 	for _, tid := range c.order {
 		results = append(results, c.txns[tid])
 	}
 	c.mu.Unlock()
 	for _, r := range results {
-		c.metrics.recordDecided(r)
+		m.recordDecided(r)
 	}
 }
 
@@ -184,8 +189,14 @@ type metricsProvider interface {
 // engine counters survive the process boundary. Stable after Wait;
 // callable any time.
 func (c *Cluster) Metrics() obs.Snapshot {
+	c.mu.Lock()
+	if c.metrics == nil {
+		c.metrics = newClusterMetrics(c.cfg.Protocol.Name())
+	}
+	reg := c.metrics.reg
+	c.mu.Unlock()
 	c.recordDecidedAll()
-	snap := c.metrics.reg.Snapshot()
+	snap := reg.Snapshot()
 	if mp, ok := c.backend.(metricsProvider); ok {
 		for _, s := range mp.MetricsSnapshots() {
 			snap.Merge(s)
@@ -193,8 +204,3 @@ func (c *Cluster) Metrics() obs.Snapshot {
 	}
 	return snap
 }
-
-// Registry exposes the cluster's metrics registry for callers that
-// record their own series alongside the cluster's (the CLI's workload
-// loops).
-func (c *Cluster) Registry() *obs.Registry { return c.metrics.reg }

@@ -1,20 +1,20 @@
-package harness
+package cluster_test
 
 import (
 	"testing"
 
+	"termproto/internal/cluster"
 	"termproto/internal/core"
 	"termproto/internal/db/engine"
 	"termproto/internal/db/wal"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/twopc"
-	"termproto/internal/simnet"
 )
 
 // engines builds one database engine per site with an initial balance of
 // `initial` under key "acct" at every site (fully replicated row).
-func engines(n int, initial int64) map[proto.SiteID]Participant {
-	out := make(map[proto.SiteID]Participant, n)
+func engines(n int, initial int64) map[proto.SiteID]cluster.Participant {
+	out := make(map[proto.SiteID]cluster.Participant, n)
 	for i := 1; i <= n; i++ {
 		e := engine.New("site", &wal.MemStore{})
 		e.PutInt("acct", initial)
@@ -29,7 +29,8 @@ func transfer(amount int64) []byte {
 
 func TestDBCommitAppliesEverywhere(t *testing.T) {
 	parts := engines(4, 100)
-	r := Run(Options{N: 4, Protocol: core.Protocol{}, Participants: parts, Payload: transfer(-25)})
+	r, _ := cluster.RunOne(cluster.Config{Sites: 4, Protocol: core.Protocol{}, Participants: parts},
+		cluster.SimOptions{}, cluster.Txn{Payload: transfer(-25)})
 	if !r.Consistent() {
 		t.Fatal("inconsistent")
 	}
@@ -48,12 +49,13 @@ func TestDBGuardVoteNoAbortsEverywhere(t *testing.T) {
 	parts := engines(3, 10)
 	// Make site 3 unable to cover the debit: its vote no must abort all.
 	parts[3].(*engine.Engine).PutInt("acct", 1)
-	r := Run(Options{N: 3, Protocol: core.Protocol{}, Participants: parts, Payload: transfer(-5)})
+	r, _ := cluster.RunOne(cluster.Config{Sites: 3, Protocol: core.Protocol{}, Participants: parts},
+		cluster.SimOptions{}, cluster.Txn{Payload: transfer(-5)})
 	if !r.Consistent() {
 		t.Fatal("inconsistent")
 	}
-	if r.Outcome(1) != proto.Abort {
-		t.Fatalf("outcome = %v, want abort", r.Outcome(1))
+	if r.Sites[1].Outcome != proto.Abort {
+		t.Fatalf("outcome = %v, want abort", r.Sites[1].Outcome)
 	}
 	if got := parts[1].(*engine.Engine).GetInt("acct"); got != 10 {
 		t.Fatalf("site 1 acct = %d, want untouched 10", got)
@@ -66,16 +68,13 @@ func TestDBGuardVoteNoAbortsEverywhere(t *testing.T) {
 // locks are freed, and the later transaction succeeds.
 func TestDBLockBlockingMotivation(t *testing.T) {
 	onset := 2*Tt + 1 // after votes, before commits: commit_3 bounces
-	part := func() *simnet.Partition {
-		return &simnet.Partition{At: onset, G2: g2(3)}
-	}
+	part := partitionAt(onset, 3)
 
 	// --- 2PC: site 3 wedges in w holding the row lock ---
 	parts2pc := engines(3, 100)
-	r1 := Run(Options{
-		N: 3, Protocol: twopc.Protocol{}, Participants: parts2pc,
-		Partition: part(), Payload: transfer(-10), TID: 1,
-	})
+	r1, _ := cluster.RunOne(cluster.Config{
+		Sites: 3, Protocol: twopc.Protocol{}, Participants: parts2pc, Schedule: part,
+	}, cluster.SimOptions{}, cluster.Txn{ID: 1, Payload: transfer(-10)})
 	if len(r1.Blocked()) != 1 || r1.Blocked()[0] != 3 {
 		t.Fatalf("2pc blocked = %v, want [3]", r1.Blocked())
 	}
@@ -90,10 +89,9 @@ func TestDBLockBlockingMotivation(t *testing.T) {
 
 	// --- termination protocol: everything terminates, locks freed ---
 	partsTerm := engines(3, 100)
-	r2 := Run(Options{
-		N: 3, Protocol: core.Protocol{}, Participants: partsTerm,
-		Partition: part(), Payload: transfer(-10), TID: 1,
-	})
+	r2, _ := cluster.RunOne(cluster.Config{
+		Sites: 3, Protocol: core.Protocol{}, Participants: partsTerm, Schedule: part,
+	}, cluster.SimOptions{}, cluster.Txn{ID: 1, Payload: transfer(-10)})
 	if !r2.Consistent() || len(r2.Blocked()) != 0 {
 		t.Fatalf("termination: consistent=%v blocked=%v", r2.Consistent(), r2.Blocked())
 	}
@@ -104,7 +102,7 @@ func TestDBLockBlockingMotivation(t *testing.T) {
 		}
 		// The commit crossed B before the partition? commit_3 bounced, so
 		// the G2-commit law decides; either way all sites agree.
-		if got, want := e.GetInt("acct"), int64(100); r2.Outcome(1) == proto.Commit {
+		if got, want := e.GetInt("acct"), int64(100); r2.Sites[1].Outcome == proto.Commit {
 			want = 90
 			if got != want {
 				t.Fatalf("site %d acct = %d, want %d", id, got, want)
@@ -114,12 +112,10 @@ func TestDBLockBlockingMotivation(t *testing.T) {
 		}
 	}
 	// And a follow-up transaction now succeeds everywhere.
-	r3 := Run(Options{
-		N: 3, Protocol: core.Protocol{}, Participants: partsTerm,
-		Payload: transfer(-7), TID: 2,
-	})
-	if r3.Outcome(1) != proto.Commit {
-		t.Fatalf("follow-up txn = %v, want commit", r3.Outcome(1))
+	r3, _ := cluster.RunOne(cluster.Config{Sites: 3, Protocol: core.Protocol{}, Participants: partsTerm},
+		cluster.SimOptions{}, cluster.Txn{ID: 2, Payload: transfer(-7)})
+	if r3.Sites[1].Outcome != proto.Commit {
+		t.Fatalf("follow-up txn = %v, want commit", r3.Sites[1].Outcome)
 	}
 }
 
@@ -138,14 +134,11 @@ func TestDBSequentialTransfersStayReplicated(t *testing.T) {
 		{+25, nil},
 		{-1, []proto.SiteID{2, 3, 4}},
 	} {
-		opts := Options{
-			N: 5, Protocol: core.Protocol{}, Participants: parts,
-			Payload: transfer(step.amount), TID: tid,
-		}
+		cfg := cluster.Config{Sites: 5, Protocol: core.Protocol{}, Participants: parts}
 		if step.g2 != nil {
-			opts.Partition = &simnet.Partition{At: 2*Tt + 500, G2: g2(step.g2...)}
+			cfg.Schedule = partitionAt(2*Tt+500, step.g2...)
 		}
-		r := Run(opts)
+		r, _ := cluster.RunOne(cfg, cluster.SimOptions{}, cluster.Txn{ID: tid, Payload: transfer(step.amount)})
 		if !r.Consistent() || len(r.Blocked()) != 0 {
 			t.Fatalf("tid %d: consistent=%v blocked=%v", tid, r.Consistent(), r.Blocked())
 		}
@@ -167,7 +160,7 @@ func TestDBSequentialTransfersStayReplicated(t *testing.T) {
 // once learned — applies idempotently.
 func TestDBCrashRecoveryOfInDoubtTxn(t *testing.T) {
 	stores := map[proto.SiteID]*wal.MemStore{}
-	parts := map[proto.SiteID]Participant{}
+	parts := map[proto.SiteID]cluster.Participant{}
 	for i := proto.SiteID(1); i <= 3; i++ {
 		st := &wal.MemStore{}
 		stores[i] = st
@@ -177,15 +170,13 @@ func TestDBCrashRecoveryOfInDoubtTxn(t *testing.T) {
 	}
 
 	// 2PC with commit_3 bounced: site 3 is left in doubt.
-	r := Run(Options{
-		N: 3, Protocol: twopc.Protocol{}, Participants: parts,
-		Partition: &simnet.Partition{At: 2*Tt + 1, G2: g2(3)},
-		Payload:   transfer(-40), TID: 9,
-	})
-	if r.Outcome(1) != proto.Commit {
-		t.Fatalf("master = %v, want commit", r.Outcome(1))
+	r, _ := cluster.RunOne(cluster.Config{
+		Sites: 3, Protocol: twopc.Protocol{}, Participants: parts, Schedule: partitionAt(2*Tt+1, 3),
+	}, cluster.SimOptions{}, cluster.Txn{ID: 9, Payload: transfer(-40)})
+	if r.Sites[1].Outcome != proto.Commit {
+		t.Fatalf("master = %v, want commit", r.Sites[1].Outcome)
 	}
-	if got := r.Outcome(3); got != proto.None {
+	if got := r.Sites[3].Outcome; got != proto.None {
 		t.Fatalf("site 3 = %v, want in doubt", got)
 	}
 

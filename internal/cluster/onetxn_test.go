@@ -1,8 +1,9 @@
-package harness
+package cluster_test
 
 import (
 	"testing"
 
+	"termproto/internal/cluster"
 	"termproto/internal/core"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/threepc"
@@ -14,14 +15,23 @@ import (
 	"termproto/internal/trace"
 )
 
+// The one-transaction runs of the simulator: cluster.RunOne over every
+// protocol, fault and vote the paper's arguments turn on.
+
 const (
 	T  = sim.DefaultT
 	Tt = sim.Time(sim.DefaultT)
 )
 
-func g2(ids ...proto.SiteID) map[proto.SiteID]bool { return simnet.G2Set(ids...) }
+// traced keeps the trace the assertions read and a failure message dumps.
+var traced = cluster.SimOptions{RecordTrace: true}
 
-func allOutcomes(t *testing.T, r *Result, want proto.Outcome) {
+// partitionAt is the one-event schedule of a permanent partition.
+func partitionAt(at sim.Time, g2 ...proto.SiteID) cluster.Schedule {
+	return cluster.Schedule{cluster.PartitionAt(at, g2...)}
+}
+
+func allOutcomes(t *testing.T, r *cluster.TxnResult, want proto.Outcome) {
 	t.Helper()
 	for id, s := range r.Sites {
 		if s.Outcome != want {
@@ -47,7 +57,7 @@ func protocols() []proto.Protocol {
 func TestFailureFreeCommit(t *testing.T) {
 	for _, p := range protocols() {
 		for _, n := range []int{2, 3, 5, 8} {
-			r := Run(Options{N: n, Protocol: p})
+			r, _ := cluster.RunOne(cluster.Config{Sites: n, Protocol: p}, cluster.SimOptions{}, cluster.Txn{})
 			if !r.Consistent() {
 				t.Errorf("%s n=%d: inconsistent", p.Name(), n)
 			}
@@ -61,7 +71,7 @@ func TestFailureFreeCommit(t *testing.T) {
 
 func TestFailureFreeAbortOnNoVote(t *testing.T) {
 	for _, p := range protocols() {
-		r := Run(Options{N: 4, Protocol: p, Votes: NoAt(3)})
+		r, _ := cluster.RunOne(cluster.Config{Sites: 4, Protocol: p, Votes: proto.NoAt(3)}, cluster.SimOptions{}, cluster.Txn{})
 		if !r.Consistent() {
 			t.Errorf("%s: inconsistent on no-vote", p.Name())
 		}
@@ -75,8 +85,8 @@ func TestFailureFreeAbortOnNoVote(t *testing.T) {
 
 func TestFailureFreeMasterNoVote(t *testing.T) {
 	for _, p := range protocols() {
-		r := Run(Options{N: 3, Protocol: p, Votes: NoAt(1)})
-		if got := r.Outcome(1); got != proto.Abort {
+		r, _ := cluster.RunOne(cluster.Config{Sites: 3, Protocol: p, Votes: proto.NoAt(1)}, cluster.SimOptions{}, cluster.Txn{})
+		if got := r.Sites[1].Outcome; got != proto.Abort {
 			t.Errorf("%s: master = %v, want abort", p.Name(), got)
 		}
 		if !r.Consistent() {
@@ -91,7 +101,7 @@ func TestFailureFreeMasterNoVote(t *testing.T) {
 // exactly T.
 func TestNoSpuriousTimeoutsAtMaxLatency(t *testing.T) {
 	for _, p := range protocols() {
-		r := Run(Options{N: 5, Protocol: p, Latency: simnet.Fixed{D: T}})
+		r, _ := cluster.RunOne(cluster.Config{Sites: 5, Protocol: p}, cluster.SimOptions{Latency: simnet.Fixed{D: T}}, cluster.Txn{})
 		allOutcomes(t, r, proto.Commit)
 	}
 }
@@ -102,10 +112,9 @@ func TestTwoPCBlocksUnderPartition(t *testing.T) {
 	// Partition hits after the votes arrive (2T) but before the commits
 	// land (3T): commit_3 bounces and site 3 sits in w forever holding
 	// locks, while sites 1 and 2 commit.
-	r := Run(Options{
-		N: 3, Protocol: twopc.Protocol{},
-		Partition: &simnet.Partition{At: 2*Tt + 1, G2: g2(3)},
-	})
+	r, _ := cluster.RunOne(cluster.Config{
+		Sites: 3, Protocol: twopc.Protocol{}, Schedule: partitionAt(2*Tt+1, 3),
+	}, cluster.SimOptions{}, cluster.Txn{})
 	blocked := r.Blocked()
 	if len(blocked) != 1 || blocked[0] != 3 {
 		t.Fatalf("blocked = %v, want [3]", blocked)
@@ -113,18 +122,17 @@ func TestTwoPCBlocksUnderPartition(t *testing.T) {
 	if r.Sites[3].FinalState != "w" {
 		t.Fatalf("site 3 state = %s, want w", r.Sites[3].FinalState)
 	}
-	if r.Outcome(1) != proto.Commit || r.Outcome(2) != proto.Commit {
-		t.Fatalf("G1 should have committed: 1=%v 2=%v", r.Outcome(1), r.Outcome(2))
+	if r.Sites[1].Outcome != proto.Commit || r.Sites[2].Outcome != proto.Commit {
+		t.Fatalf("G1 should have committed: 1=%v 2=%v", r.Sites[1].Outcome, r.Sites[2].Outcome)
 	}
 }
 
 func TestTwoPCMasterBlocksWhenVotesLost(t *testing.T) {
 	// Partition before the votes return: the master never collects yes_3
 	// and blocks in w1 along with every slave — total blocking.
-	r := Run(Options{
-		N: 3, Protocol: twopc.Protocol{},
-		Partition: &simnet.Partition{At: Tt + Tt/2, G2: g2(3)},
-	})
+	r, _ := cluster.RunOne(cluster.Config{
+		Sites: 3, Protocol: twopc.Protocol{}, Schedule: partitionAt(Tt+Tt/2, 3),
+	}, cluster.SimOptions{}, cluster.Txn{})
 	if got := len(r.Blocked()); got != 3 {
 		t.Fatalf("blocked %d sites, want all 3", got)
 	}
@@ -143,14 +151,13 @@ func TestExtTwoPCMultisiteCounterexample(t *testing.T) {
 	// Timeline (T = 1000): xact at 0→T; yes arrives 2T; commits sent at 2T
 	// (master in p1). Partition at 2T+1 separates {3}: commit2 delivered
 	// at 3T, commit3 bounces.
-	r := Run(Options{
-		N: 3, Protocol: twopcext.Protocol{},
-		Partition: &simnet.Partition{At: 2*Tt + 1, G2: g2(3)},
-	})
-	if got := r.Outcome(2); got != proto.Commit {
+	r, _ := cluster.RunOne(cluster.Config{
+		Sites: 3, Protocol: twopcext.Protocol{}, Schedule: partitionAt(2*Tt+1, 3),
+	}, cluster.SimOptions{}, cluster.Txn{})
+	if got := r.Sites[2].Outcome; got != proto.Commit {
 		t.Fatalf("site 2 = %v, want commit", got)
 	}
-	if got := r.Outcome(3); got != proto.Abort {
+	if got := r.Sites[3].Outcome; got != proto.Abort {
 		t.Fatalf("site 3 = %v, want abort (paper's counterexample)", got)
 	}
 	if r.Consistent() {
@@ -165,12 +172,11 @@ func TestExtTwoPCMultisiteCounterexample(t *testing.T) {
 // paper builds on): sweep partition onsets across the whole execution.
 func TestExtTwoPCTwoSiteResilience(t *testing.T) {
 	for at := sim.Time(0); at <= 6*sim.Time(T); at += sim.Time(T) / 8 {
-		r := Run(Options{
-			N: 2, Protocol: twopcext.Protocol{},
-			Partition: &simnet.Partition{At: at, G2: g2(2)},
-		})
+		r, _ := cluster.RunOne(cluster.Config{
+			Sites: 2, Protocol: twopcext.Protocol{}, Schedule: partitionAt(at, 2),
+		}, cluster.SimOptions{}, cluster.Txn{})
 		if !r.Consistent() {
-			t.Fatalf("onset %d: inconsistent (site1=%v site2=%v)", at, r.Outcome(1), r.Outcome(2))
+			t.Fatalf("onset %d: inconsistent (site1=%v site2=%v)", at, r.Sites[1].Outcome, r.Sites[2].Outcome)
 		}
 		if len(r.Blocked()) != 0 {
 			t.Fatalf("onset %d: blocked %v", at, r.Blocked())
@@ -187,14 +193,13 @@ func TestExtTwoPCTwoSiteResilience(t *testing.T) {
 func TestThreePCRulesCounterexample(t *testing.T) {
 	// xact 0→T, yes 2T, prepares sent 2T. Partition at 2T+1 separates {3}:
 	// prepare2 delivered 3T (site2 → p2), prepare3 bounces.
-	r := Run(Options{
-		N: 3, Protocol: threepcrules.Protocol{},
-		Partition: &simnet.Partition{At: 2*Tt + 1, G2: g2(3)},
-	})
-	if got := r.Outcome(3); got != proto.Abort {
+	r, _ := cluster.RunOne(cluster.Config{
+		Sites: 3, Protocol: threepcrules.Protocol{}, Schedule: partitionAt(2*Tt+1, 3),
+	}, cluster.SimOptions{}, cluster.Txn{})
+	if got := r.Sites[3].Outcome; got != proto.Abort {
 		t.Fatalf("site 3 = %v, want abort", got)
 	}
-	if got := r.Outcome(2); got != proto.Commit {
+	if got := r.Sites[2].Outcome; got != proto.Commit {
 		t.Fatalf("site 2 = %v, want commit", got)
 	}
 	if r.Consistent() {
@@ -208,15 +213,14 @@ func TestTerminationPermanentPartitionSweep(t *testing.T) {
 	splits := [][]proto.SiteID{{2}, {3}, {4}, {2, 3}, {3, 4}, {2, 4}, {2, 3, 4}}
 	for _, split := range splits {
 		for at := sim.Time(0); at <= 8*sim.Time(T); at += sim.Time(T) / 4 {
-			r := Run(Options{
-				N: 4, Protocol: core.Protocol{},
-				Partition: &simnet.Partition{At: at, G2: g2(split...)},
-			})
+			r, b := cluster.RunOne(cluster.Config{
+				Sites: 4, Protocol: core.Protocol{}, Schedule: partitionAt(at, split...),
+			}, traced, cluster.Txn{})
 			if !r.Consistent() {
-				t.Fatalf("split %v onset %d: INCONSISTENT\n%s", split, at, r.Trace.Dump())
+				t.Fatalf("split %v onset %d: INCONSISTENT\n%s", split, at, b.Trace().Dump())
 			}
 			if len(r.Blocked()) != 0 {
-				t.Fatalf("split %v onset %d: blocked %v\n%s", split, at, r.Blocked(), r.Trace.Dump())
+				t.Fatalf("split %v onset %d: blocked %v\n%s", split, at, r.Blocked(), b.Trace().Dump())
 			}
 		}
 	}
@@ -226,24 +230,23 @@ func TestTerminationPermanentPartitionSweep(t *testing.T) {
 // crossed the boundary B.
 func TestTerminationG2CommitLaw(t *testing.T) {
 	for at := sim.Time(0); at <= 8*sim.Time(T); at += sim.Time(T) / 8 {
-		r := Run(Options{
-			N: 5, Protocol: core.Protocol{},
-			Partition: &simnet.Partition{At: at, G2: g2(4, 5)},
-		})
+		r, b := cluster.RunOne(cluster.Config{
+			Sites: 5, Protocol: core.Protocol{}, Schedule: partitionAt(at, 4, 5),
+		}, traced, cluster.Txn{})
 		if !r.Consistent() || len(r.Blocked()) != 0 {
 			t.Fatalf("onset %d: consistent=%v blocked=%v", at, r.Consistent(), r.Blocked())
 		}
-		prepareCrossed := r.Trace.CrossDelivered("prepare") > 0
-		g2Committed := r.Outcome(4) == proto.Commit
+		prepareCrossed := b.Trace().CrossDelivered("prepare") > 0
+		g2Committed := r.Sites[4].Outcome == proto.Commit
 		if prepareCrossed != g2Committed {
 			t.Fatalf("onset %d: prepare crossed B=%v but G2 committed=%v\n%s",
-				at, prepareCrossed, g2Committed, r.Trace.Dump())
+				at, prepareCrossed, g2Committed, b.Trace().Dump())
 		}
 		// Lemma 5/6: within each group the outcome is uniform.
-		if r.Outcome(4) != r.Outcome(5) {
+		if r.Sites[4].Outcome != r.Sites[5].Outcome {
 			t.Fatalf("onset %d: G2 outcomes differ", at)
 		}
-		if r.Outcome(1) != r.Outcome(2) || r.Outcome(2) != r.Outcome(3) {
+		if r.Sites[1].Outcome != r.Sites[2].Outcome || r.Sites[2].Outcome != r.Sites[3].Outcome {
 			t.Fatalf("onset %d: G1 outcomes differ", at)
 		}
 	}
@@ -268,26 +271,26 @@ func TestTerminationRandomizedResilience(t *testing.T) {
 			split = []proto.SiteID{proto.SiteID(2 + rng.Intn(n-1))}
 		}
 		onset := sim.Time(rng.Int63n(int64(9 * T)))
-		opts := Options{
-			N: n, Protocol: core.Protocol{},
-			Latency:   simnet.Uniform{Lo: sim.Duration(T) / 4, Hi: T},
-			Partition: &simnet.Partition{At: onset, G2: g2(split...)},
-			Seed:      rng.Uint64(),
+		cfg := cluster.Config{Sites: n, Protocol: core.Protocol{}, Schedule: partitionAt(onset, split...)}
+		opts := cluster.SimOptions{
+			Latency:     simnet.Uniform{Lo: sim.Duration(T) / 4, Hi: T},
+			Seed:        rng.Uint64(),
+			RecordTrace: true,
 		}
 		if rng.Intn(4) == 0 {
-			opts.Votes = NoAt(proto.SiteID(2 + rng.Intn(n-1)))
+			cfg.Votes = proto.NoAt(proto.SiteID(2 + rng.Intn(n-1)))
 		}
 		if rng.Intn(3) == 0 {
 			opts.BoundaryFrac = 0.5
 		}
-		r := Run(opts)
+		r, b := cluster.RunOne(cfg, opts, cluster.Txn{})
 		if !r.Consistent() {
 			t.Fatalf("run %d (n=%d split=%v onset=%d): INCONSISTENT\n%s",
-				i, n, split, onset, r.Trace.Dump())
+				i, n, split, onset, b.Trace().Dump())
 		}
 		if len(r.Blocked()) != 0 {
 			t.Fatalf("run %d (n=%d split=%v onset=%d): blocked %v\n%s",
-				i, n, split, onset, r.Blocked(), r.Trace.Dump())
+				i, n, split, onset, r.Blocked(), b.Trace().Dump())
 		}
 	}
 }
@@ -298,29 +301,30 @@ func TestTerminationRandomizedResilience(t *testing.T) {
 // master reaches p1 strictly before its w1 deadline; the bounced prepare's
 // UD copy then returns at exactly the p1 timer's instant.
 func TestTerminationUDTimerTie(t *testing.T) {
-	run := func(timersFirst bool) *Result {
-		return Run(Options{
-			N: 3, Protocol: core.Protocol{},
+	run := func(timersFirst bool) (*cluster.TxnResult, *cluster.SimBackend) {
+		return cluster.RunOne(cluster.Config{
+			Sites: 3, Protocol: core.Protocol{}, Schedule: partitionAt(2*Tt+1, 3),
+		}, cluster.SimOptions{
 			Latency: simnet.PerKind{
 				Default: T,
 				Rules:   []simnet.KindRule{{Kind: proto.MsgYes, D: T - 1}},
 			},
-			Partition:   &simnet.Partition{At: 2*Tt + 1, G2: g2(3)},
+			RecordTrace: true,
 			TimersFirst: timersFirst,
-		})
+		}, cluster.Txn{})
 	}
-	r := run(false)
+	r, b := run(false)
 	// The master must actually have hit the tie: it entered the p1u
 	// collection window rather than timing out to commit.
-	entered := r.Trace.Filter(func(e trace.Event) bool {
+	entered := b.Trace().Filter(func(e trace.Event) bool {
 		return e.Kind == trace.Transition && e.ToState == "p1u"
 	})
 	if len(entered) == 0 {
-		t.Fatalf("construction missed the tie: master never entered p1u\n%s", r.Trace.Dump())
+		t.Fatalf("construction missed the tie: master never entered p1u\n%s", b.Trace().Dump())
 	}
 	if !r.Consistent() {
 		t.Fatalf("tie case inconsistent: 1=%v 2=%v 3=%v\n%s",
-			r.Outcome(1), r.Outcome(2), r.Outcome(3), r.Trace.Dump())
+			r.Sites[1].Outcome, r.Sites[2].Outcome, r.Sites[3].Outcome, b.Trace().Dump())
 	}
 	if len(r.Blocked()) != 0 {
 		t.Fatalf("tie case blocked: %v", r.Blocked())
@@ -328,9 +332,9 @@ func TestTerminationUDTimerTie(t *testing.T) {
 
 	// Flipping the tie-break recreates the hazard: the master times out
 	// first, commits G1, and the prepare-less G2 slave aborts.
-	flipped := run(true)
+	flipped, fb := run(true)
 	if flipped.Consistent() {
-		t.Fatalf("timers-first tie should be inconsistent\n%s", flipped.Trace.Dump())
+		t.Fatalf("timers-first tie should be inconsistent\n%s", fb.Trace().Dump())
 	}
 }
 
@@ -356,31 +360,29 @@ func TestWToCTransitionNecessity(t *testing.T) {
 			{3, 4}: 100,
 		},
 	}
-	run := func(p proto.Protocol) *Result {
-		return Run(Options{
-			N: 4, Protocol: p, Latency: lat,
-			Partition: &simnet.Partition{At: 2500, G2: g2(3, 4)},
-		})
+	run := func(p proto.Protocol) (*cluster.TxnResult, *cluster.SimBackend) {
+		return cluster.RunOne(cluster.Config{Sites: 4, Protocol: p, Schedule: partitionAt(2500, 3, 4)},
+			cluster.SimOptions{Latency: lat, RecordTrace: true}, cluster.Txn{})
 	}
 
-	fixed := run(core.Protocol{})
+	fixed, b := run(core.Protocol{})
 	if !fixed.Consistent() || len(fixed.Blocked()) != 0 {
 		t.Fatalf("modified protocol failed: consistent=%v blocked=%v\n%s",
-			fixed.Consistent(), fixed.Blocked(), fixed.Trace.Dump())
+			fixed.Consistent(), fixed.Blocked(), b.Trace().Dump())
 	}
-	if got := fixed.Outcome(4); got != proto.Commit {
+	if got := fixed.Sites[4].Outcome; got != proto.Commit {
 		t.Fatalf("site 4 = %v, want commit via the w→c transition", got)
 	}
 
-	broken := run(core.Protocol{DisableWToC: true})
+	broken, b := run(core.Protocol{DisableWToC: true})
 	if broken.Consistent() {
 		t.Fatalf("w→c-less protocol should be inconsistent here; outcomes: 3=%v 4=%v\n%s",
-			broken.Outcome(3), broken.Outcome(4), broken.Trace.Dump())
+			broken.Sites[3].Outcome, broken.Sites[4].Outcome, b.Trace().Dump())
 	}
-	if got := broken.Outcome(3); got != proto.Commit {
+	if got := broken.Sites[3].Outcome; got != proto.Commit {
 		t.Fatalf("site 3 = %v, want commit (UD(ack) path)", got)
 	}
-	if got := broken.Outcome(4); got != proto.Abort {
+	if got := broken.Sites[4].Outcome; got != proto.Abort {
 		t.Fatalf("site 4 = %v, want abort (missed its only commit)", got)
 	}
 }
@@ -388,17 +390,14 @@ func TestWToCTransitionNecessity(t *testing.T) {
 // --- Result bookkeeping ---
 
 func TestResultAccessors(t *testing.T) {
-	r := Run(Options{N: 3, Protocol: core.Protocol{}})
-	if r.Outcome(99) != proto.None {
-		t.Error("unknown site should be None")
-	}
-	if !r.AnyCommitted() {
-		t.Error("AnyCommitted false after commit run")
+	r, b := cluster.RunOne(cluster.Config{Sites: 3, Protocol: core.Protocol{}}, cluster.SimOptions{}, cluster.Txn{})
+	if r.Outcome() != proto.Commit || !r.Committed() {
+		t.Errorf("outcome %v after a commit run", r.Outcome())
 	}
 	if r.MaxDecisionTime() == 0 {
 		t.Error("MaxDecisionTime should be > 0")
 	}
-	if r.MsgsSent == 0 || r.MsgsDelivered == 0 {
+	if st := b.NetStats(); st.MsgsSent == 0 || st.MsgsDelivered == 0 {
 		t.Error("message counters empty")
 	}
 	if !r.Decided() {
@@ -407,9 +406,9 @@ func TestResultAccessors(t *testing.T) {
 }
 
 func TestRunPanicsOnBadOptions(t *testing.T) {
-	for name, opts := range map[string]Options{
-		"n<2":         {N: 1, Protocol: core.Protocol{}},
-		"nilProtocol": {N: 3},
+	for name, cfg := range map[string]cluster.Config{
+		"n<2":         {Sites: 1, Protocol: core.Protocol{}},
+		"nilProtocol": {Sites: 3},
 	} {
 		func() {
 			defer func() {
@@ -417,33 +416,24 @@ func TestRunPanicsOnBadOptions(t *testing.T) {
 					t.Errorf("%s did not panic", name)
 				}
 			}()
-			Run(opts)
+			cluster.RunOne(cfg, cluster.SimOptions{}, cluster.Txn{})
 		}()
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	run := func() string {
-		r := Run(Options{
-			N: 5, Protocol: core.Protocol{},
-			Latency:   simnet.Uniform{Lo: 100, Hi: 1000},
-			Partition: &simnet.Partition{At: 2500, G2: g2(3, 5)},
-			Seed:      77,
-		})
-		return r.Trace.Dump()
+		_, b := cluster.RunOne(cluster.Config{
+			Sites: 5, Protocol: core.Protocol{}, Schedule: partitionAt(2500, 3, 5),
+		}, cluster.SimOptions{
+			Latency:     simnet.Uniform{Lo: 100, Hi: 1000},
+			Seed:        77,
+			RecordTrace: true,
+		}, cluster.Txn{})
+		return b.Trace().Dump()
 	}
 	a, b := run(), run()
-	if a != b {
+	if a == "" || a != b {
 		t.Fatal("identical scenario+seed produced different traces")
-	}
-}
-
-func TestDisableTrace(t *testing.T) {
-	r := Run(Options{N: 3, Protocol: core.Protocol{}, DisableTrace: true})
-	if r.Trace.Len() != 0 {
-		t.Fatal("DisableTrace still recorded events")
-	}
-	if !r.Consistent() {
-		t.Fatal("run misbehaved without trace")
 	}
 }

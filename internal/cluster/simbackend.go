@@ -30,6 +30,9 @@ type SimOptions struct {
 	// RecordTrace keeps the full execution trace (off by default: traces
 	// of big multiplexed runs are large).
 	RecordTrace bool
+	// TimersFirst flips the scheduler's same-timestamp ordering so timers
+	// beat deliveries — experiment E15(d)'s ablation of the tie-break rule.
+	TimersFirst bool
 }
 
 // SimBackend multiplexes any number of concurrent transactions over one
@@ -107,6 +110,7 @@ func (b *SimBackend) Open(cfg Config) error {
 	}
 	b.cfg = cfg
 	b.sched = sim.NewScheduler()
+	b.sched.SetTimersFirst(b.opts.TimersFirst)
 	if b.opts.RecordTrace {
 		b.rec = &trace.Recorder{}
 	}
@@ -124,11 +128,7 @@ func (b *SimBackend) Open(cfg Config) error {
 	})
 	for _, id := range allSites(cfg.Sites) {
 		b.tables[id] = b.newTable(id)
-		// The network reaches whichever incarnation is running.
-		b.net.Register(id, simnet.HandlerFuncs{
-			OnDeliver:       func(m proto.Msg) { b.tables[id].Deliver(m) },
-			OnUndeliverable: func(m proto.Msg) { b.tables[id].Undeliverable(m) },
-		})
+		b.net.Register(id, running{b, id})
 	}
 	b.leases = newLeaseKeeper(cfg, b.rec)
 	b.leases.seed(b.sched.Now())
@@ -203,6 +203,19 @@ func (b *SimBackend) scheduleRecover(id proto.SiteID, at sim.Time) {
 		}
 	})
 }
+
+// running is how the network reaches a site: through whichever
+// incarnation of its table is running.
+type running struct {
+	b  *SimBackend
+	id proto.SiteID
+}
+
+// Deliver implements simnet.Handler.
+func (r running) Deliver(m proto.Msg) { r.b.tables[r.id].Deliver(m) }
+
+// Undeliverable implements simnet.Handler.
+func (r running) Undeliverable(m proto.Msg) { r.b.tables[r.id].Undeliverable(m) }
 
 // Peers implements Backend.
 func (b *SimBackend) Peers(self proto.SiteID) recovery.PeerClient {
@@ -454,6 +467,31 @@ func (b *SimBackend) Close() error { return nil }
 // shard-lease table, nil when leasing is disabled.
 func (b *SimBackend) LeaseTable(site proto.SiteID) *lease.Table {
 	return b.leases.table(site)
+}
+
+// RunOne runs a single transaction on a fresh SimBackend cluster until the
+// scheduler quiesces, and returns the transaction's result with the backend
+// that ran it, whose Trace, NetStats and Now describe the run. It is the
+// one-shot entry point of the sweeps, the experiments and the protocol
+// tests; cfg.Backend is ignored. RunOne panics on a configuration Open or
+// Submit rejects: its callers build the configuration in code, so a
+// rejected one is a bug in the caller.
+func RunOne(cfg Config, opts SimOptions, t Txn) (*TxnResult, *SimBackend) {
+	b := NewSimBackend(opts)
+	cfg.Backend = b
+	c, err := Open(cfg)
+	if err != nil {
+		panic(err)
+	}
+	defer c.Close()
+	res, err := c.Submit(t)
+	if err != nil {
+		panic(err)
+	}
+	if err := c.Wait(); err != nil {
+		panic(err)
+	}
+	return res, b
 }
 
 var _ Backend = (*SimBackend)(nil)

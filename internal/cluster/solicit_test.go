@@ -1,9 +1,10 @@
-package harness
+package cluster_test
 
 import (
 	"fmt"
 	"testing"
 
+	"termproto/internal/cluster"
 	"termproto/internal/core"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/fourpc"
@@ -58,23 +59,24 @@ func TestSolicitRandomized(t *testing.T) {
 				if len(split) == 0 {
 					split = []proto.SiteID{proto.SiteID(2 + rng.Intn(n-1))}
 				}
-				inG2 := g2(split...)
-				part := &simnet.Partition{At: sim.Time(rng.Int63n(int64(7 * T))), G2: inG2}
+				inG2 := simnet.G2Set(split...)
+				part := cluster.PartitionAt(sim.Time(rng.Int63n(int64(7*T))), split...)
 				if rng.Bool() {
 					part.Heal = part.At + 1 + sim.Time(rng.Int63n(int64(8*T)))
 				}
 				seed := rng.Uint64()
-				r := Run(Options{N: n, Protocol: v.p, Latency: lat, Partition: part, Seed: seed})
+				r, b := cluster.RunOne(cluster.Config{Sites: n, Protocol: v.p, Schedule: cluster.Schedule{part}},
+					cluster.SimOptions{Latency: lat, Seed: seed, RecordTrace: true}, cluster.Txn{})
 				ctx := fmt.Sprintf("%s n=%d G2=%v onset=%d heal=%d latency=%+v seed=%d",
 					v.p.Name(), n, split, part.At, part.Heal, lat, seed)
 				if !r.Consistent() {
-					t.Fatalf("%s: INCONSISTENT\n%s", ctx, r.Trace.Dump())
+					t.Fatalf("%s: INCONSISTENT\n%s", ctx, b.Trace().Dump())
 				}
 				if (part.Heal == 0 || v.fix) && len(r.Blocked()) != 0 {
-					t.Fatalf("%s: blocked %v\n%s", ctx, r.Blocked(), r.Trace.Dump())
+					t.Fatalf("%s: blocked %v\n%s", ctx, r.Blocked(), b.Trace().Dump())
 				}
 				got, gotG2 := false, false
-				for _, e := range r.Trace.Messages(trace.Deliver, "solicit") {
+				for _, e := range b.Trace().Messages(trace.Deliver, "solicit") {
 					got = true
 					gotG2 = gotG2 || inG2[proto.SiteID(e.To)]
 				}

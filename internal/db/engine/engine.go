@@ -1,8 +1,8 @@
 // Package engine assembles a site-local database from the substrate
 // packages — B-tree storage, write-ahead log, and lock manager — and
-// adapts it to the commit-protocol harness: partial execution produces the
-// site's vote, the decision applies or discards the buffered updates, and
-// recovery replays the log idempotently (paper §2).
+// adapts it to the commit protocols as a proto.Participant: partial
+// execution produces the site's vote, the decision applies or discards the
+// buffered updates, and recovery replays the log idempotently (paper §2).
 package engine
 
 import (
@@ -259,7 +259,7 @@ func (e *Engine) SetPlacement(hosts func(key string) bool) {
 	e.hosts = hosts
 }
 
-// Execute implements harness.Participant: decode the body, take exclusive
+// Execute implements proto.Participant: decode the body, take exclusive
 // locks, resolve updates against the current state, force Begin/Update/
 // Prepared records, and return the vote. Any failure — undecodable body,
 // lock conflict, guard violation, or a log that did not become durable —
@@ -387,7 +387,7 @@ func (e *Engine) Force(tid proto.TxnID) bool {
 	return true
 }
 
-// Commit implements harness.Participant: force the commit record, apply
+// Commit implements proto.Participant: force the commit record, apply
 // the buffered updates, release locks. A decision for a transaction that
 // never prepared here is still logged (durably answerable by recovery
 // inquiries); duplicate decisions are no-ops. A transaction staged and not
@@ -426,7 +426,7 @@ func (e *Engine) Commit(tid proto.TxnID) {
 	}
 }
 
-// Abort implements harness.Participant: force the abort record, discard
+// Abort implements proto.Participant: force the abort record, discard
 // buffered updates (a staged fragment with them, never logged), release
 // locks.
 func (e *Engine) Abort(tid proto.TxnID) {

@@ -3,13 +3,12 @@ package experiments
 import (
 	"fmt"
 
+	"termproto/internal/cluster"
 	"termproto/internal/fsa"
-	"termproto/internal/harness"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/threepcrules"
 	"termproto/internal/protocol/twopcext"
 	"termproto/internal/sim"
-	"termproto/internal/simnet"
 )
 
 // E1TwoPCAnalysis reproduces Figure 1's structural analysis: for two sites
@@ -72,14 +71,14 @@ func E2ExtendedTwoPCTwoSite(cfg Config) *Table {
 	t.Pass = true
 	for _, votes := range []struct {
 		name string
-		v    harness.Voter
-	}{{"all-yes", harness.AllYes}, {"slave-no", harness.NoAt(2)}} {
+		v    proto.Voter
+	}{{"all-yes", proto.AllYes}, {"slave-no", proto.NoAt(2)}} {
 		runs, okC, okB := 0, 0, 0
 		for at := sim.Time(0); at <= 6*Tt; at += cfg.onsetStep() {
-			r := harness.Run(harness.Options{
-				N: 2, Protocol: twopcext.Protocol{}, Votes: votes.v,
-				Partition: &simnet.Partition{At: at, G2: g2(2)},
-			})
+			r, _ := cluster.RunOne(cluster.Config{
+				Sites: 2, Protocol: twopcext.Protocol{}, Votes: votes.v,
+				Schedule: cluster.Schedule{cluster.PartitionAt(at, 2)},
+			}, cluster.SimOptions{}, cluster.Txn{})
 			runs++
 			if r.Consistent() {
 				okC++
@@ -106,15 +105,15 @@ func E3ExtTwoPCCounterexample() *Table {
 		Title:   "§3 obs. 1 — extended 2PC fails with three sites",
 		Columns: []string{"site", "final state", "outcome"},
 	}
-	r := harness.Run(harness.Options{
-		N: 3, Protocol: twopcext.Protocol{},
-		Partition: &simnet.Partition{At: 2*Tt + 1, G2: g2(3)},
-	})
+	r, _ := cluster.RunOne(cluster.Config{
+		Sites: 3, Protocol: twopcext.Protocol{},
+		Schedule: cluster.Schedule{cluster.PartitionAt(2*Tt+1, 3)},
+	}, cluster.SimOptions{}, cluster.Txn{})
 	for i := proto.SiteID(1); i <= 3; i++ {
-		t.row(fmt.Sprintf("%d", i), r.Sites[i].FinalState, r.Outcome(i).String())
+		t.row(fmt.Sprintf("%d", i), r.Sites[i].FinalState, r.Sites[i].Outcome.String())
 	}
 	t.Pass = !r.Consistent() &&
-		r.Outcome(2) == proto.Commit && r.Outcome(3) == proto.Abort
+		r.Sites[2].Outcome == proto.Commit && r.Sites[3].Outcome == proto.Abort
 	t.notef("verdict: %s — matches the paper (site 2 commits, site 3 times out and aborts)", verdict(r))
 	return t
 }
@@ -168,15 +167,15 @@ func E5ThreePCRulesCounterexample() *Table {
 		Title:   "§3 obs. 2 — Rule(a)/(b)-augmented 3PC fails with three sites",
 		Columns: []string{"site", "final state", "outcome"},
 	}
-	r := harness.Run(harness.Options{
-		N: 3, Protocol: threepcrules.Protocol{},
-		Partition: &simnet.Partition{At: 2*Tt + 1, G2: g2(3)},
-	})
+	r, _ := cluster.RunOne(cluster.Config{
+		Sites: 3, Protocol: threepcrules.Protocol{},
+		Schedule: cluster.Schedule{cluster.PartitionAt(2*Tt+1, 3)},
+	}, cluster.SimOptions{}, cluster.Txn{})
 	for i := proto.SiteID(1); i <= 3; i++ {
-		t.row(fmt.Sprintf("%d", i), r.Sites[i].FinalState, r.Outcome(i).String())
+		t.row(fmt.Sprintf("%d", i), r.Sites[i].FinalState, r.Sites[i].Outcome.String())
 	}
 	t.Pass = !r.Consistent() &&
-		r.Outcome(2) == proto.Commit && r.Outcome(3) == proto.Abort
+		r.Sites[2].Outcome == proto.Commit && r.Sites[3].Outcome == proto.Abort
 	t.notef("verdict: %s — matches the paper (w_3 timeout→abort vs p_2 timeout→commit)", verdict(r))
 	return t
 }
@@ -194,8 +193,8 @@ func E6Lemma3Search(cfg Config) *Table {
 	splits := [][]proto.SiteID{{3}, {2}, {2, 3}}
 	voters := []struct {
 		name string
-		v    harness.Voter
-	}{{"all-yes", harness.AllYes}, {"no@2", harness.NoAt(2)}, {"no@3", harness.NoAt(3)}}
+		v    proto.Voter
+	}{{"all-yes", proto.AllYes}, {"no@2", proto.NoAt(2)}, {"no@3", proto.NoAt(3)}}
 	fracs := []float64{1.0, 0.5}
 
 	allFail := true
@@ -207,11 +206,10 @@ func E6Lemma3Search(cfg Config) *Table {
 			for _, split := range splits {
 				for _, vt := range voters {
 					for at := sim.Time(0); at <= 8*Tt; at += cfg.onsetStep() {
-						r := harness.Run(harness.Options{
-							N: 3, Protocol: threepcrules.Protocol{Assign: asg},
-							Votes: vt.v, BoundaryFrac: frac,
-							Partition: &simnet.Partition{At: at, G2: g2(split...)},
-						})
+						r, _ := cluster.RunOne(cluster.Config{
+							Sites: 3, Protocol: threepcrules.Protocol{Assign: asg}, Votes: vt.v,
+							Schedule: cluster.Schedule{cluster.PartitionAt(at, split...)},
+						}, cluster.SimOptions{BoundaryFrac: frac}, cluster.Txn{})
 						if !r.Consistent() || len(r.Blocked()) > 0 {
 							found = fmt.Sprintf("G2=%v %s onset=%s f=%.1f",
 								split, vt.name, tUnitsTime(at), frac)

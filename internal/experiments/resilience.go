@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"termproto/internal/cluster"
 	"termproto/internal/core"
 	"termproto/internal/fsa"
-	"termproto/internal/harness"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/cooperative"
 	"termproto/internal/protocol/fourpc"
@@ -42,17 +42,18 @@ func sweepProtocol(p proto.Protocol, runs int, seed uint64) resilienceStats {
 		if len(split) == 0 {
 			split = []proto.SiteID{proto.SiteID(n)}
 		}
-		opts := harness.Options{
-			N: n, Protocol: p,
-			Latency:      simnet.Uniform{Lo: sim.Duration(T) / 3, Hi: T},
-			Partition:    &simnet.Partition{At: sim.Time(rng.Int63n(int64(8 * T))), G2: g2(split...)},
-			Seed:         rng.Uint64(),
-			DisableTrace: true,
+		cfg := cluster.Config{
+			Sites: n, Protocol: p,
+			Schedule: cluster.Schedule{cluster.PartitionAt(sim.Time(rng.Int63n(int64(8*T))), split...)},
+		}
+		opts := cluster.SimOptions{
+			Latency: simnet.Uniform{Lo: sim.Duration(T) / 3, Hi: T},
+			Seed:    rng.Uint64(),
 		}
 		if rng.Intn(4) == 0 {
-			opts.Votes = harness.NoAt(proto.SiteID(2 + rng.Intn(n-1)))
+			cfg.Votes = proto.NoAt(proto.SiteID(2 + rng.Intn(n-1)))
 		}
-		r := harness.Run(opts)
+		r, b := cluster.RunOne(cfg, opts, cluster.Txn{})
 		st.runs++
 		if r.Consistent() {
 			st.consistent++
@@ -63,7 +64,7 @@ func sweepProtocol(p proto.Protocol, runs int, seed uint64) resilienceStats {
 		if d := sim.Duration(r.MaxDecisionTime()); d > st.maxDecision {
 			st.maxDecision = d
 		}
-		st.msgs += r.MsgsSent
+		st.msgs += b.NetStats().MsgsSent
 	}
 	return st
 }
@@ -178,12 +179,10 @@ func E15Ablations(cfg Config) *Table {
 	bad := 0
 	for i := 0; i < runs; i++ {
 		n := 3 + rng.Intn(3)
-		r := harness.Run(harness.Options{
-			N: n, Protocol: core.Protocol{}, Mode: simnet.Pessimistic,
-			Partition:    &simnet.Partition{At: sim.Time(rng.Int63n(int64(6 * T))), G2: g2(proto.SiteID(n))},
-			Seed:         rng.Uint64(),
-			DisableTrace: true,
-		})
+		r, _ := cluster.RunOne(cluster.Config{
+			Sites: n, Protocol: core.Protocol{},
+			Schedule: cluster.Schedule{cluster.PartitionAt(sim.Time(rng.Int63n(int64(6*T))), proto.SiteID(n))},
+		}, cluster.SimOptions{Mode: simnet.Pessimistic, Seed: rng.Uint64()}, cluster.Txn{})
 		if !r.Consistent() || len(r.Blocked()) > 0 {
 			bad++
 		}
@@ -193,35 +192,37 @@ func E15Ablations(cfg Config) *Table {
 
 	// (b1) §7 obs. 1: the only G2 prepare-holder crashes before it can
 	// commit its partition: G1 commits, the rest of G2 aborts.
-	b1 := harness.Run(harness.Options{
-		N: 4, Protocol: core.Protocol{},
-		Latency: simnet.PerKind{
-			Default: T,
-			Rules: []simnet.KindRule{
-				{From: 1, To: 3, Kind: proto.MsgPrepare, D: 10}, // crosses pre-onset
-			},
+	b1, _ := cluster.RunOne(cluster.Config{
+		Sites: 4, Protocol: core.Protocol{},
+		Schedule: cluster.Schedule{cluster.PartitionAt(2*Tt+21, 3, 4), cluster.CrashAt(3*Tt, 3)},
+	}, cluster.SimOptions{Latency: simnet.PerKind{
+		Default: T,
+		Rules: []simnet.KindRule{
+			{From: 1, To: 3, Kind: proto.MsgPrepare, D: 10}, // crosses pre-onset
 		},
-		Partition: &simnet.Partition{At: 2*Tt + 21, G2: g2(3, 4)},
-		Crash:     map[proto.SiteID]sim.Time{3: 3 * Tt},
-	})
-	ok1 := !b1.Consistent() && b1.Outcome(1) == proto.Commit && b1.Outcome(4) == proto.Abort
+	}}, cluster.Txn{})
+	ok1 := !b1.Consistent() && b1.Sites[1].Outcome == proto.Commit && b1.Sites[4].Outcome == proto.Abort
 	check("(b1) G2 prepare-holder fails", verdict(b1), "INCONSISTENT (G1 commits, G2 aborts)", ok1)
 
 	// (b2) §7 obs. 2: no G2 site holds a prepare and a G1 slave crashes
 	// after acking but before probing: the master misreads N−UD ≠ PB and
 	// commits G1 while G2 aborts.
-	b2 := harness.Run(harness.Options{
-		N: 4, Protocol: core.Protocol{},
-		Partition: &simnet.Partition{At: 2*Tt + 1, G2: g2(4)},
-		Crash:     map[proto.SiteID]sim.Time{2: 3*Tt + 500},
-	})
-	ok2 := !b2.Consistent() && b2.Outcome(1) == proto.Commit && b2.Outcome(4) == proto.Abort
+	b2, _ := cluster.RunOne(cluster.Config{
+		Sites: 4, Protocol: core.Protocol{},
+		Schedule: cluster.Schedule{cluster.PartitionAt(2*Tt+1, 4), cluster.CrashAt(3*Tt+500, 2)},
+	}, cluster.SimOptions{}, cluster.Txn{})
+	ok2 := !b2.Consistent() && b2.Sites[1].Outcome == proto.Commit && b2.Sites[4].Outcome == proto.Abort
 	check("(b2) G1 slave fails before probing", verdict(b2), "INCONSISTENT (master misled)", ok2)
 
 	// (c) Quorum minority vs termination protocol, same scenario.
-	part := func() *simnet.Partition { return &simnet.Partition{At: Tt + 1, G2: g2(4, 5)} }
-	q := harness.Run(harness.Options{N: 5, Protocol: quorum.Protocol{}, Partition: part()})
-	tm := harness.Run(harness.Options{N: 5, Protocol: core.Protocol{}, Partition: part()})
+	minority := func(p proto.Protocol) *cluster.TxnResult {
+		r, _ := cluster.RunOne(cluster.Config{
+			Sites: 5, Protocol: p,
+			Schedule: cluster.Schedule{cluster.PartitionAt(Tt+1, 4, 5)},
+		}, cluster.SimOptions{}, cluster.Txn{})
+		return r
+	}
+	q, tm := minority(quorum.Protocol{}), minority(core.Protocol{})
 	ok3 := len(q.Blocked()) == 2 && len(tm.Blocked()) == 0 && tm.Consistent()
 	check("(c) minority partition {4,5}",
 		fmt.Sprintf("quorum blocks %v; termination decides all", q.Blocked()),
@@ -232,12 +233,12 @@ func E15Ablations(cfg Config) *Table {
 	// and abort — while the master's side, fully prepared, commits. This
 	// divergence is exactly why Huang & Li design a partition-specific
 	// protocol instead of reusing Skeen's.
-	coop := harness.Run(harness.Options{
-		N: 4, Protocol: cooperative.Protocol{},
-		Partition: &simnet.Partition{At: 2*Tt + 500, G2: g2(3, 4)},
-	})
+	coop, _ := cluster.RunOne(cluster.Config{
+		Sites: 4, Protocol: cooperative.Protocol{},
+		Schedule: cluster.Schedule{cluster.PartitionAt(2*Tt+500, 3, 4)},
+	}, cluster.SimOptions{}, cluster.Txn{})
 	ok5 := !coop.Consistent() &&
-		coop.Outcome(2) == proto.Commit && coop.Outcome(3) == proto.Abort
+		coop.Sites[2].Outcome == proto.Commit && coop.Sites[3].Outcome == proto.Abort
 	check("(e) cooperative termination, partitioned", verdict(coop),
 		"INCONSISTENT (G1 commits, G2 aborts)", ok5)
 
@@ -247,16 +248,18 @@ func E15Ablations(cfg Config) *Table {
 	// strictly before its w1 timer; the prepare to site 3 then bounces and
 	// its UD copy returns at exactly the instant the p1 timer (2T after
 	// the prepares) fires — the pure tie.
-	tie := func(timersFirst bool) *harness.Result {
-		return harness.Run(harness.Options{
-			N: 3, Protocol: core.Protocol{},
+	tie := func(timersFirst bool) *cluster.TxnResult {
+		r, _ := cluster.RunOne(cluster.Config{
+			Sites: 3, Protocol: core.Protocol{},
+			Schedule: cluster.Schedule{cluster.PartitionAt(2*Tt+1, 3)},
+		}, cluster.SimOptions{
 			Latency: simnet.PerKind{
 				Default: T,
 				Rules:   []simnet.KindRule{{Kind: proto.MsgYes, D: T - 1}},
 			},
-			Partition:   &simnet.Partition{At: 2*Tt + 1, G2: g2(3)},
 			TimersFirst: timersFirst,
-		})
+		}, cluster.Txn{})
+		return r
 	}
 	normal, flipped := tie(false), tie(true)
 	ok4 := normal.Consistent() && len(normal.Blocked()) == 0 && !flipped.Consistent()

@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"strings"
 
-	"termproto/internal/harness"
+	"termproto/internal/cluster"
 	"termproto/internal/proto"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
@@ -103,7 +103,7 @@ func boolCell(ok bool) string {
 }
 
 // verdict summarizes a run for counterexample tables.
-func verdict(r *harness.Result) string {
+func verdict(r *cluster.TxnResult) string {
 	switch {
 	case !r.Consistent():
 		return "INCONSISTENT"

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"termproto/internal/cluster"
 	"termproto/internal/core"
-	"termproto/internal/harness"
 	"termproto/internal/proto"
 	"termproto/internal/scenario"
 	"termproto/internal/sim"
@@ -30,13 +30,15 @@ func E7Fig5Timeouts() *Table {
 		Default: T,
 		Rules:   []simnet.KindRule{{From: 1, To: 2, Kind: proto.MsgXact, D: 1}},
 	}
-	r := harness.Run(harness.Options{N: 4, Protocol: core.Protocol{}, Latency: lat})
+	r, b := cluster.RunOne(cluster.Config{Sites: 4, Protocol: core.Protocol{}},
+		cluster.SimOptions{Latency: lat, RecordTrace: true}, cluster.Txn{})
+	tr := b.Trace()
 
 	masterWait := func(send, recv string) sim.Duration {
-		first, _ := r.Trace.FirstTime(func(e trace.Event) bool {
+		first, _ := tr.FirstTime(func(e trace.Event) bool {
 			return e.Kind == trace.Send && e.MsgKind == send && e.From == 1
 		})
-		last, _ := r.Trace.LastTime(func(e trace.Event) bool {
+		last, _ := tr.LastTime(func(e trace.Event) bool {
 			return e.Kind == trace.Deliver && e.MsgKind == recv && e.To == 1
 		})
 		return sim.Duration(last - first)
@@ -48,10 +50,10 @@ func E7Fig5Timeouts() *Table {
 	var slaveMax sim.Duration
 	for s := 2; s <= 4; s++ {
 		s := s
-		sent, ok1 := r.Trace.FirstTime(func(e trace.Event) bool {
+		sent, ok1 := tr.FirstTime(func(e trace.Event) bool {
 			return e.Kind == trace.Send && e.MsgKind == "yes" && e.From == s
 		})
-		got, ok2 := r.Trace.FirstTime(func(e trace.Event) bool {
+		got, ok2 := tr.FirstTime(func(e trace.Event) bool {
 			return e.Kind == trace.Deliver && e.MsgKind == "prepare" && e.To == s
 		})
 		if ok1 && ok2 && sim.Duration(got-sent) > slaveMax {
@@ -61,7 +63,7 @@ func E7Fig5Timeouts() *Table {
 
 	committed := true
 	for i := proto.SiteID(1); i <= 4; i++ {
-		if r.Outcome(i) != proto.Commit {
+		if r.Sites[i].Outcome != proto.Commit {
 			committed = false
 		}
 	}
@@ -102,21 +104,21 @@ func E8Fig6MasterWindow(cfg Config) *Table {
 			Default: T,
 			Rules:   []simnet.KindRule{{From: 1, To: 3, Kind: proto.MsgPrepare, D: ep}},
 		}
-		r := harness.Run(harness.Options{
-			N: 3, Protocol: core.Protocol{}, Latency: lat,
-			Partition: &simnet.Partition{At: 2*Tt + 1, G2: g2(3)},
-		})
-		window, ok := scenario.FirstUDPrepareToLastProbe(r.Trace, 1)
+		r, b := cluster.RunOne(cluster.Config{
+			Sites: 3, Protocol: core.Protocol{},
+			Schedule: cluster.Schedule{cluster.PartitionAt(2*Tt+1, 3)},
+		}, cluster.SimOptions{Latency: lat, RecordTrace: true}, cluster.Txn{})
+		window, ok := scenario.FirstUDPrepareToLastProbe(b.Trace(), 1)
 		if !ok || !r.Consistent() || len(r.Blocked()) > 0 {
 			t.Pass = false
 		}
 		if window > maxWindow {
 			maxWindow = window
 		}
-		firstUD, _ := r.Trace.FirstTime(func(e trace.Event) bool {
+		firstUD, _ := b.Trace().FirstTime(func(e trace.Event) bool {
 			return e.Kind == trace.Bounce && e.MsgKind == "prepare"
 		})
-		ack, _ := r.Trace.FirstTime(func(e trace.Event) bool {
+		ack, _ := b.Trace().FirstTime(func(e trace.Event) bool {
 			return e.Kind == trace.Deliver && e.MsgKind == "ack" && e.To == 1
 		})
 		decided := sim.Duration(r.Sites[1].DecidedAt - firstUD)
@@ -159,11 +161,11 @@ func E9Fig7SlaveWindow(cfg Config) *Table {
 				{From: 3, To: 1, Kind: proto.MsgAck, D: 1}, // ack slips through B
 			},
 		}
-		r := harness.Run(harness.Options{
-			N: 4, Protocol: core.Protocol{}, Latency: lat,
-			Partition: &simnet.Partition{At: 2*Tt + sim.Time(p) + 2, G2: g2(3, 4)},
-		})
-		wait, entered := scenario.MaxWaitAfter(r.Trace, "wt")
+		r, b := cluster.RunOne(cluster.Config{
+			Sites: 4, Protocol: core.Protocol{},
+			Schedule: cluster.Schedule{cluster.PartitionAt(2*Tt+sim.Time(p)+2, 3, 4)},
+		}, cluster.SimOptions{Latency: lat, RecordTrace: true}, cluster.Txn{})
+		wait, entered := scenario.MaxWaitAfter(b.Trace(), "wt")
 		if !entered || !r.Consistent() || len(r.Blocked()) > 0 {
 			t.Pass = false
 		}
@@ -173,7 +175,7 @@ func E9Fig7SlaveWindow(cfg Config) *Table {
 		if wait > 6*T {
 			t.Pass = false
 		}
-		if r.Outcome(4) != proto.Commit {
+		if r.Sites[4].Outcome != proto.Commit {
 			t.Pass = false // the commit must beat the 6T abort
 		}
 		t.row(tUnits(p), tUnits(wait), boolCell(wait <= 6*T), verdict(r))
@@ -199,16 +201,17 @@ func E10Fig8WToC() *Table {
 			{1, 3}: 200, {3, 1}: 300, {3, 4}: 100,
 		},
 	}
-	run := func(p proto.Protocol) *harness.Result {
-		return harness.Run(harness.Options{
-			N: 4, Protocol: p, Latency: lat,
-			Partition: &simnet.Partition{At: 2500, G2: g2(3, 4)},
-		})
+	run := func(p proto.Protocol) *cluster.TxnResult {
+		r, _ := cluster.RunOne(cluster.Config{
+			Sites: 4, Protocol: p,
+			Schedule: cluster.Schedule{cluster.PartitionAt(2500, 3, 4)},
+		}, cluster.SimOptions{Latency: lat}, cluster.Txn{})
+		return r
 	}
 	fixed := run(core.Protocol{})
 	broken := run(core.Protocol{DisableWToC: true})
-	t.row("Fig. 8 (with w→c)", fixed.Outcome(3).String(), fixed.Outcome(4).String(), verdict(fixed))
-	t.row("Fig. 3 (without)", broken.Outcome(3).String(), broken.Outcome(4).String(), verdict(broken))
+	t.row("Fig. 8 (with w→c)", fixed.Sites[3].Outcome.String(), fixed.Sites[4].Outcome.String(), verdict(fixed))
+	t.row("Fig. 3 (without)", broken.Sites[3].Outcome.String(), broken.Sites[4].Outcome.String(), verdict(broken))
 	t.Pass = fixed.Consistent() && len(fixed.Blocked()) == 0 && !broken.Consistent()
 	t.notef("site 4's only commit arrives from its G2 peer while site 4 is still in w")
 	return t
@@ -252,17 +255,19 @@ func E11Fig9CaseBounds(cfg Config) *Table {
 			split = []proto.SiteID{proto.SiteID(n)}
 		}
 		inG2 := g2(split...)
-		part := &simnet.Partition{At: sim.Time(rng.Int63n(int64(7 * T))), G2: inG2}
+		part := cluster.PartitionAt(sim.Time(rng.Int63n(int64(7*T))), split...)
 		if rng.Intn(2) == 0 {
 			part.Heal = part.At + 1 + sim.Time(rng.Int63n(int64(8*T)))
 		}
-		r := harness.Run(harness.Options{
-			N: n, Protocol: core.Protocol{TransientFix: true},
-			Latency:   simnet.Uniform{Lo: sim.Duration(T) / 3, Hi: T},
-			Partition: part,
-			Seed:      rng.Uint64(),
-		})
-		c := scenario.Classify(r.Trace, 1)
+		r, b := cluster.RunOne(cluster.Config{
+			Sites: n, Protocol: core.Protocol{TransientFix: true},
+			Schedule: cluster.Schedule{part},
+		}, cluster.SimOptions{
+			Latency:     simnet.Uniform{Lo: sim.Duration(T) / 3, Hi: T},
+			Seed:        rng.Uint64(),
+			RecordTrace: true,
+		}, cluster.Txn{})
+		c := scenario.Classify(b.Trace(), 1)
 		a := cases[c]
 		if a == nil {
 			a = &agg{consistent: true}
@@ -275,7 +280,7 @@ func E11Fig9CaseBounds(cfg Config) *Table {
 		// The §6 per-case bounds concern the slaves in G2 (the partition
 		// the termination protocol must self-organize); G1 slaves wait on
 		// the master's 5T window, covered by the overall Fig. 9 bound.
-		for _, w := range scenario.WaitsAfter(r.Trace, "pt") {
+		for _, w := range scenario.WaitsAfter(b.Trace(), "pt") {
 			if !w.Decided {
 				continue
 			}
@@ -342,9 +347,6 @@ func E12TransientFix() *Table {
 		Title:   "§6 — case 3.2.2.2: transient-partition repair",
 		Columns: []string{"variant", "blocked", "G2 wait after pt", "outcomes", "verdict"},
 	}
-	part := func() *simnet.Partition {
-		return &simnet.Partition{At: 4*Tt + 1, Heal: 7 * Tt, G2: g2(3, 4)}
-	}
 	variants := []struct {
 		name string
 		p    proto.Protocol
@@ -353,27 +355,31 @@ func E12TransientFix() *Table {
 		{"§6 fix (5T→commit)", core.Protocol{TransientFix: true}},
 		{"ext: master replies to late probes", core.Protocol{ReplyToLateProbes: true}},
 	}
-	results := make([]*harness.Result, len(variants))
+	results := make([]*cluster.TxnResult, len(variants))
+	traces := make([]*trace.Recorder, len(variants))
 	for i, v := range variants {
-		r := harness.Run(harness.Options{N: 4, Protocol: v.p, Partition: part()})
-		results[i] = r
+		r, b := cluster.RunOne(cluster.Config{
+			Sites: 4, Protocol: v.p,
+			Schedule: cluster.Schedule{cluster.TransientPartitionAt(4*Tt+1, 7*Tt, 3, 4)},
+		}, cluster.SimOptions{RecordTrace: true}, cluster.Txn{})
+		results[i], traces[i] = r, b.Trace()
 		wait := "—"
-		if w, entered := scenario.MaxWaitAfter(r.Trace, "pt"); entered && w >= 0 {
+		if w, entered := scenario.MaxWaitAfter(traces[i], "pt"); entered && w >= 0 {
 			wait = tUnits(w)
 		} else if entered {
 			wait = "∞ (wedged)"
 		}
 		outs := fmt.Sprintf("%s/%s/%s/%s",
-			r.Outcome(1), r.Outcome(2), r.Outcome(3), r.Outcome(4))
+			r.Sites[1].Outcome, r.Sites[2].Outcome, r.Sites[3].Outcome, r.Sites[4].Outcome)
 		t.row(v.name, fmt.Sprintf("%v", r.Blocked()), wait, outs, verdict(r))
 	}
 	orig, fix, ext := results[0], results[1], results[2]
-	fixWait, _ := scenario.MaxWaitAfter(fix.Trace, "pt")
-	extWait, _ := scenario.MaxWaitAfter(ext.Trace, "pt")
+	fixWait, _ := scenario.MaxWaitAfter(traces[1], "pt")
+	extWait, _ := scenario.MaxWaitAfter(traces[2], "pt")
 	t.Pass = len(orig.Blocked()) == 2 &&
 		fix.Consistent() && len(fix.Blocked()) == 0 && fixWait == 5*T &&
 		ext.Consistent() && len(ext.Blocked()) == 0 && extWait < 5*T
-	t.notef("classified case: %s", scenario.Classify(orig.Trace, 1))
+	t.notef("classified case: %s", scenario.Classify(traces[0], 1))
 	t.notef("the fix decides after exactly 5T of silence; the extension after %s", tUnits(extWait))
 	return t
 }

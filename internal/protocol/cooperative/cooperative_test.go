@@ -3,7 +3,7 @@ package cooperative_test
 import (
 	"testing"
 
-	"termproto/internal/harness"
+	"termproto/internal/cluster"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/cooperative"
 	"termproto/internal/sim"
@@ -12,9 +12,12 @@ import (
 
 const T = sim.DefaultT
 
+// traced keeps the trace a failure message dumps.
+var traced = cluster.SimOptions{RecordTrace: true}
+
 func TestCooperativeFailureFree(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 7} {
-		r := harness.Run(harness.Options{N: n, Protocol: cooperative.Protocol{}})
+		r, _ := cluster.RunOne(cluster.Config{Sites: n, Protocol: cooperative.Protocol{}}, cluster.SimOptions{}, cluster.Txn{})
 		for id, s := range r.Sites {
 			if s.Outcome != proto.Commit {
 				t.Fatalf("n=%d site %d = %v, want commit", n, id, s.Outcome)
@@ -24,9 +27,9 @@ func TestCooperativeFailureFree(t *testing.T) {
 }
 
 func TestCooperativeNoVote(t *testing.T) {
-	r := harness.Run(harness.Options{N: 4, Protocol: cooperative.Protocol{}, Votes: harness.NoAt(3)})
-	if !r.Consistent() || r.Outcome(1) != proto.Abort {
-		t.Fatalf("no-vote: consistent=%v outcome=%v", r.Consistent(), r.Outcome(1))
+	r, _ := cluster.RunOne(cluster.Config{Sites: 4, Protocol: cooperative.Protocol{}, Votes: proto.NoAt(3)}, cluster.SimOptions{}, cluster.Txn{})
+	if !r.Consistent() || r.Sites[1].Outcome != proto.Abort {
+		t.Fatalf("no-vote: consistent=%v outcome=%v", r.Consistent(), r.Sites[1].Outcome)
 	}
 }
 
@@ -35,18 +38,18 @@ func TestCooperativeNoVote(t *testing.T) {
 // for site failures).
 func TestMasterCrashSweep(t *testing.T) {
 	for crash := sim.Time(1); crash <= 6*sim.Time(T); crash += sim.Time(T) / 4 {
-		r := harness.Run(harness.Options{
-			N: 4, Protocol: cooperative.Protocol{},
-			Crash: map[proto.SiteID]sim.Time{1: crash},
-		})
+		r, b := cluster.RunOne(cluster.Config{
+			Sites: 4, Protocol: cooperative.Protocol{},
+			Schedule: cluster.Schedule{cluster.CrashAt(crash, 1)},
+		}, traced, cluster.Txn{})
 		if !r.Consistent() {
-			t.Fatalf("master crash at %d: INCONSISTENT\n%s", crash, r.Trace.Dump())
+			t.Fatalf("master crash at %d: INCONSISTENT\n%s", crash, b.Trace().Dump())
 		}
 		// Every live slave must decide.
 		for id := proto.SiteID(2); id <= 4; id++ {
 			if s := r.Sites[id]; s.Started && s.Outcome == proto.None {
 				t.Fatalf("master crash at %d: slave %d blocked in %s\n%s",
-					crash, id, s.FinalState, r.Trace.Dump())
+					crash, id, s.FinalState, b.Trace().Dump())
 			}
 		}
 	}
@@ -56,20 +59,20 @@ func TestMasterCrashSweep(t *testing.T) {
 // potential coordinator too.
 func TestMasterAndSlaveCrashSweep(t *testing.T) {
 	for crash := sim.Time(1); crash <= 5*sim.Time(T); crash += sim.Time(T) / 2 {
-		r := harness.Run(harness.Options{
-			N: 5, Protocol: cooperative.Protocol{},
-			Crash: map[proto.SiteID]sim.Time{
-				1: crash,
-				2: crash + sim.Time(T)/2, // the would-be coordinator dies mid-election
+		r, b := cluster.RunOne(cluster.Config{
+			Sites: 5, Protocol: cooperative.Protocol{},
+			Schedule: cluster.Schedule{
+				cluster.CrashAt(crash, 1),
+				cluster.CrashAt(crash+sim.Time(T)/2, 2), // the would-be coordinator dies mid-election
 			},
-		})
+		}, traced, cluster.Txn{})
 		if !r.Consistent() {
-			t.Fatalf("crash at %d: INCONSISTENT\n%s", crash, r.Trace.Dump())
+			t.Fatalf("crash at %d: INCONSISTENT\n%s", crash, b.Trace().Dump())
 		}
 		for id := proto.SiteID(3); id <= 5; id++ {
 			if s := r.Sites[id]; s.Started && s.Outcome == proto.None {
 				t.Fatalf("crash at %d: slave %d blocked in %s\n%s",
-					crash, id, s.FinalState, r.Trace.Dump())
+					crash, id, s.FinalState, b.Trace().Dump())
 			}
 		}
 	}
@@ -80,25 +83,25 @@ func TestMasterAndSlaveCrashSweep(t *testing.T) {
 // any prepare was delivered, they abort.
 func TestCrashDecisionDirection(t *testing.T) {
 	// Crash at 3T+100: prepares (sent 2T) were delivered at 3T → commit.
-	r := harness.Run(harness.Options{
-		N: 3, Protocol: cooperative.Protocol{},
-		Crash: map[proto.SiteID]sim.Time{1: 3*sim.Time(T) + 100},
-	})
+	r, b := cluster.RunOne(cluster.Config{
+		Sites: 3, Protocol: cooperative.Protocol{},
+		Schedule: cluster.Schedule{cluster.CrashAt(3*sim.Time(T)+100, 1)},
+	}, traced, cluster.Txn{})
 	for id := proto.SiteID(2); id <= 3; id++ {
-		if got := r.Outcome(id); got != proto.Commit {
-			t.Fatalf("post-prepare crash: slave %d = %v, want commit\n%s", id, got, r.Trace.Dump())
+		if got := r.Sites[id].Outcome; got != proto.Commit {
+			t.Fatalf("post-prepare crash: slave %d = %v, want commit\n%s", id, got, b.Trace().Dump())
 		}
 	}
 
 	// Crash at 1T+100: xacts delivered, votes in flight, no prepare ever
 	// sent → abort.
-	r2 := harness.Run(harness.Options{
-		N: 3, Protocol: cooperative.Protocol{},
-		Crash: map[proto.SiteID]sim.Time{1: sim.Time(T) + 100},
-	})
+	r2, b2 := cluster.RunOne(cluster.Config{
+		Sites: 3, Protocol: cooperative.Protocol{},
+		Schedule: cluster.Schedule{cluster.CrashAt(sim.Time(T)+100, 1)},
+	}, traced, cluster.Txn{})
 	for id := proto.SiteID(2); id <= 3; id++ {
-		if got := r2.Outcome(id); got != proto.Abort {
-			t.Fatalf("pre-prepare crash: slave %d = %v, want abort\n%s", id, got, r2.Trace.Dump())
+		if got := r2.Sites[id].Outcome; got != proto.Abort {
+			t.Fatalf("pre-prepare crash: slave %d = %v, want abort\n%s", id, got, b2.Trace().Dump())
 		}
 	}
 }
@@ -109,10 +112,10 @@ func TestCrashDecisionDirection(t *testing.T) {
 func TestCooperativeDivergesUnderPartition(t *testing.T) {
 	diverged := false
 	for at := sim.Time(0); at <= 6*sim.Time(T) && !diverged; at += sim.Time(T) / 8 {
-		r := harness.Run(harness.Options{
-			N: 4, Protocol: cooperative.Protocol{},
-			Partition: &simnet.Partition{At: at, G2: simnet.G2Set(3, 4)},
-		})
+		r, _ := cluster.RunOne(cluster.Config{
+			Sites: 4, Protocol: cooperative.Protocol{},
+			Schedule: cluster.Schedule{cluster.PartitionAt(at, 3, 4)},
+		}, cluster.SimOptions{}, cluster.Txn{})
 		if !r.Consistent() {
 			diverged = true
 		}
@@ -130,8 +133,8 @@ func TestName(t *testing.T) {
 }
 
 func TestCooperativeMasterLocalNoVote(t *testing.T) {
-	r := harness.Run(harness.Options{N: 3, Protocol: cooperative.Protocol{}, Votes: harness.NoAt(1)})
-	if r.Outcome(1) != proto.Abort || !r.Consistent() {
+	r, _ := cluster.RunOne(cluster.Config{Sites: 3, Protocol: cooperative.Protocol{}, Votes: proto.NoAt(1)}, cluster.SimOptions{}, cluster.Txn{})
+	if r.Sites[1].Outcome != proto.Abort || !r.Consistent() {
 		t.Fatal("master local no-vote path wrong")
 	}
 }
@@ -139,15 +142,15 @@ func TestCooperativeMasterLocalNoVote(t *testing.T) {
 // Crash the master mid-ack-collection: every slave holds a prepare, so
 // the elected coordinator sees all-p reports and completes the commit.
 func TestCooperativeCoordinatorCommitsAllPrepared(t *testing.T) {
-	r := harness.Run(harness.Options{
-		N: 4, Protocol: cooperative.Protocol{},
-		Crash: map[proto.SiteID]sim.Time{1: 3*sim.Time(sim.DefaultT) + 1},
-	})
+	r, b := cluster.RunOne(cluster.Config{
+		Sites: 4, Protocol: cooperative.Protocol{},
+		Schedule: cluster.Schedule{cluster.CrashAt(3*sim.Time(sim.DefaultT)+1, 1)},
+	}, traced, cluster.Txn{})
 	if !r.Consistent() {
-		t.Fatalf("inconsistent\n%s", r.Trace.Dump())
+		t.Fatalf("inconsistent\n%s", b.Trace().Dump())
 	}
 	for id := proto.SiteID(2); id <= 4; id++ {
-		if got := r.Outcome(id); got != proto.Commit {
+		if got := r.Sites[id].Outcome; got != proto.Commit {
 			t.Fatalf("slave %d = %v, want commit (prepared states present)", id, got)
 		}
 	}
@@ -168,27 +171,27 @@ func TestCooperativeMixedWPReports(t *testing.T) {
 		Default: sim.DefaultT,
 		Rules:   []simnet.KindRule{{From: 1, To: 3, Kind: proto.MsgPrepare, D: 10}},
 	}
-	r := harness.Run(harness.Options{
-		N: 4, Protocol: cooperative.Protocol{}, Latency: lat,
-		Partition: &simnet.Partition{At: 2*sim.Time(sim.DefaultT) + 20, G2: simnet.G2Set(3, 4)},
-	})
+	r, b := cluster.RunOne(cluster.Config{
+		Sites: 4, Protocol: cooperative.Protocol{},
+		Schedule: cluster.Schedule{cluster.PartitionAt(2*sim.Time(sim.DefaultT)+20, 3, 4)},
+	}, cluster.SimOptions{Latency: lat, RecordTrace: true}, cluster.Txn{})
 	if !r.Consistent() {
-		t.Fatalf("inconsistent\n%s", r.Trace.Dump())
+		t.Fatalf("inconsistent\n%s", b.Trace().Dump())
 	}
-	if got := r.Outcome(4); got != proto.Commit {
+	if got := r.Sites[4].Outcome; got != proto.Commit {
 		t.Fatalf("site 4 = %v, want commit via the coordinator's prepare round\n%s",
-			got, r.Trace.Dump())
+			got, b.Trace().Dump())
 	}
 }
 
 func TestCooperativeIgnoresUndeliverable(t *testing.T) {
 	// The protocol predates the optimistic model: UD returns are inert.
-	r := harness.Run(harness.Options{
-		N: 3, Protocol: cooperative.Protocol{},
-		Partition: &simnet.Partition{At: 1, G2: simnet.G2Set(3)},
-	})
+	r, b := cluster.RunOne(cluster.Config{
+		Sites: 3, Protocol: cooperative.Protocol{},
+		Schedule: cluster.Schedule{cluster.PartitionAt(1, 3)},
+	}, traced, cluster.Txn{})
 	// No panic, and the G1 side decides something.
-	if r.Outcome(2) == proto.None && r.Sites[2].Started {
-		t.Fatalf("G1 slave undecided\n%s", r.Trace.Dump())
+	if r.Sites[2].Outcome == proto.None && r.Sites[2].Started {
+		t.Fatalf("G1 slave undecided\n%s", b.Trace().Dump())
 	}
 }

@@ -3,7 +3,7 @@ package fourpc_test
 import (
 	"testing"
 
-	"termproto/internal/harness"
+	"termproto/internal/cluster"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/fourpc"
 	"termproto/internal/sim"
@@ -12,11 +12,12 @@ import (
 
 const T = sim.DefaultT
 
-func g2(ids ...proto.SiteID) map[proto.SiteID]bool { return simnet.G2Set(ids...) }
+// traced keeps the trace a failure message dumps.
+var traced = cluster.SimOptions{RecordTrace: true}
 
 func TestFourPCFailureFree(t *testing.T) {
 	for _, n := range []int{2, 3, 6} {
-		r := harness.Run(harness.Options{N: n, Protocol: fourpc.Protocol{}})
+		r, _ := cluster.RunOne(cluster.Config{Sites: n, Protocol: fourpc.Protocol{}}, cluster.SimOptions{}, cluster.Txn{})
 		for id, s := range r.Sites {
 			if s.Outcome != proto.Commit {
 				t.Fatalf("n=%d site %d = %v, want commit", n, id, s.Outcome)
@@ -26,13 +27,13 @@ func TestFourPCFailureFree(t *testing.T) {
 }
 
 func TestFourPCAborts(t *testing.T) {
-	for _, v := range []harness.Voter{harness.NoAt(2), harness.NoAt(1), harness.NoAt(3, 4)} {
-		r := harness.Run(harness.Options{N: 4, Protocol: fourpc.Protocol{}, Votes: v})
+	for _, v := range []proto.Voter{proto.NoAt(2), proto.NoAt(1), proto.NoAt(3, 4)} {
+		r, _ := cluster.RunOne(cluster.Config{Sites: 4, Protocol: fourpc.Protocol{}, Votes: v}, cluster.SimOptions{}, cluster.Txn{})
 		if !r.Consistent() {
 			t.Fatal("inconsistent on no-vote")
 		}
-		if r.Outcome(1) != proto.Abort {
-			t.Fatalf("master = %v, want abort", r.Outcome(1))
+		if r.Sites[1].Outcome != proto.Abort {
+			t.Fatalf("master = %v, want abort", r.Sites[1].Outcome)
 		}
 	}
 }
@@ -43,15 +44,15 @@ func TestFourPCPermanentPartitionSweep(t *testing.T) {
 	splits := [][]proto.SiteID{{2}, {4}, {2, 3}, {3, 4}, {2, 3, 4}}
 	for _, split := range splits {
 		for at := sim.Time(0); at <= 10*sim.Time(T); at += sim.Time(T) / 4 {
-			r := harness.Run(harness.Options{
-				N: 4, Protocol: fourpc.Protocol{},
-				Partition: &simnet.Partition{At: at, G2: g2(split...)},
-			})
+			r, b := cluster.RunOne(cluster.Config{
+				Sites: 4, Protocol: fourpc.Protocol{},
+				Schedule: cluster.Schedule{cluster.PartitionAt(at, split...)},
+			}, traced, cluster.Txn{})
 			if !r.Consistent() {
-				t.Fatalf("split %v onset %d: INCONSISTENT\n%s", split, at, r.Trace.Dump())
+				t.Fatalf("split %v onset %d: INCONSISTENT\n%s", split, at, b.Trace().Dump())
 			}
 			if len(r.Blocked()) != 0 {
-				t.Fatalf("split %v onset %d: blocked %v\n%s", split, at, r.Blocked(), r.Trace.Dump())
+				t.Fatalf("split %v onset %d: blocked %v\n%s", split, at, r.Blocked(), b.Trace().Dump())
 			}
 		}
 	}
@@ -61,18 +62,18 @@ func TestFourPCPermanentPartitionSweep(t *testing.T) {
 // a prepare (the committable-transition message) crossed B.
 func TestFourPCG2CommitLaw(t *testing.T) {
 	for at := sim.Time(0); at <= 10*sim.Time(T); at += sim.Time(T) / 8 {
-		r := harness.Run(harness.Options{
-			N: 4, Protocol: fourpc.Protocol{},
-			Partition: &simnet.Partition{At: at, G2: g2(3, 4)},
-		})
+		r, b := cluster.RunOne(cluster.Config{
+			Sites: 4, Protocol: fourpc.Protocol{},
+			Schedule: cluster.Schedule{cluster.PartitionAt(at, 3, 4)},
+		}, traced, cluster.Txn{})
 		if !r.Consistent() || len(r.Blocked()) != 0 {
 			t.Fatalf("onset %d: consistent=%v blocked=%v\n%s",
-				at, r.Consistent(), r.Blocked(), r.Trace.Dump())
+				at, r.Consistent(), r.Blocked(), b.Trace().Dump())
 		}
-		prepCrossed := r.Trace.CrossDelivered("prepare") > 0
-		if g2Commit := r.Outcome(3) == proto.Commit; g2Commit != prepCrossed {
+		prepCrossed := b.Trace().CrossDelivered("prepare") > 0
+		if g2Commit := r.Sites[3].Outcome == proto.Commit; g2Commit != prepCrossed {
 			t.Fatalf("onset %d: prepare crossed=%v, G2 commit=%v\n%s",
-				at, prepCrossed, g2Commit, r.Trace.Dump())
+				at, prepCrossed, g2Commit, b.Trace().Dump())
 		}
 	}
 }
@@ -95,18 +96,19 @@ func TestFourPCRandomized(t *testing.T) {
 		if len(split) == 0 {
 			split = []proto.SiteID{proto.SiteID(n)}
 		}
-		opts := harness.Options{
-			N: n, Protocol: fourpc.Protocol{TransientFix: rng.Bool()},
-			Latency:   simnet.Uniform{Lo: sim.Duration(T) / 4, Hi: T},
-			Partition: &simnet.Partition{At: sim.Time(rng.Int63n(int64(11 * T))), G2: g2(split...)},
-			Seed:      rng.Uint64(),
-		}
-		r := harness.Run(opts)
+		r, b := cluster.RunOne(cluster.Config{
+			Sites: n, Protocol: fourpc.Protocol{TransientFix: rng.Bool()},
+			Schedule: cluster.Schedule{cluster.PartitionAt(sim.Time(rng.Int63n(int64(11*T))), split...)},
+		}, cluster.SimOptions{
+			Latency:     simnet.Uniform{Lo: sim.Duration(T) / 4, Hi: T},
+			Seed:        rng.Uint64(),
+			RecordTrace: true,
+		}, cluster.Txn{})
 		if !r.Consistent() {
-			t.Fatalf("run %d: INCONSISTENT\n%s", i, r.Trace.Dump())
+			t.Fatalf("run %d: INCONSISTENT\n%s", i, b.Trace().Dump())
 		}
 		if len(r.Blocked()) != 0 {
-			t.Fatalf("run %d: blocked %v\n%s", i, r.Blocked(), r.Trace.Dump())
+			t.Fatalf("run %d: blocked %v\n%s", i, r.Blocked(), b.Trace().Dump())
 		}
 	}
 }
@@ -115,16 +117,16 @@ func TestFourPCRandomized(t *testing.T) {
 func TestFourPCTransient(t *testing.T) {
 	for onset := sim.Time(0); onset <= 8*sim.Time(T); onset += sim.Time(T) {
 		for _, healDelta := range []sim.Time{1, 2 * sim.Time(T), 5 * sim.Time(T)} {
-			r := harness.Run(harness.Options{
-				N: 4, Protocol: fourpc.Protocol{TransientFix: true},
-				Partition: &simnet.Partition{At: onset, Heal: onset + healDelta, G2: g2(3, 4)},
-			})
+			r, b := cluster.RunOne(cluster.Config{
+				Sites: 4, Protocol: fourpc.Protocol{TransientFix: true},
+				Schedule: cluster.Schedule{cluster.TransientPartitionAt(onset, onset+healDelta, 3, 4)},
+			}, traced, cluster.Txn{})
 			if !r.Consistent() {
-				t.Fatalf("onset %d heal +%d: INCONSISTENT\n%s", onset, healDelta, r.Trace.Dump())
+				t.Fatalf("onset %d heal +%d: INCONSISTENT\n%s", onset, healDelta, b.Trace().Dump())
 			}
 			if len(r.Blocked()) != 0 {
 				t.Fatalf("onset %d heal +%d: blocked %v\n%s",
-					onset, healDelta, r.Blocked(), r.Trace.Dump())
+					onset, healDelta, r.Blocked(), b.Trace().Dump())
 			}
 		}
 	}

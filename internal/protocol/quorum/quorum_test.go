@@ -3,20 +3,20 @@ package quorum_test
 import (
 	"testing"
 
-	"termproto/internal/harness"
+	"termproto/internal/cluster"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/quorum"
 	"termproto/internal/sim"
-	"termproto/internal/simnet"
 )
 
 const T = sim.DefaultT
 
-func g2(ids ...proto.SiteID) map[proto.SiteID]bool { return simnet.G2Set(ids...) }
+// traced keeps the trace a failure message dumps.
+var traced = cluster.SimOptions{RecordTrace: true}
 
 func TestQuorumFailureFree(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 7} {
-		r := harness.Run(harness.Options{N: n, Protocol: quorum.Protocol{}})
+		r, _ := cluster.RunOne(cluster.Config{Sites: n, Protocol: quorum.Protocol{}}, cluster.SimOptions{}, cluster.Txn{})
 		for id, s := range r.Sites {
 			if s.Outcome != proto.Commit {
 				t.Fatalf("n=%d site %d = %v, want commit", n, id, s.Outcome)
@@ -26,12 +26,12 @@ func TestQuorumFailureFree(t *testing.T) {
 }
 
 func TestQuorumAbortOnNoVote(t *testing.T) {
-	r := harness.Run(harness.Options{N: 5, Protocol: quorum.Protocol{}, Votes: harness.NoAt(4)})
+	r, _ := cluster.RunOne(cluster.Config{Sites: 5, Protocol: quorum.Protocol{}, Votes: proto.NoAt(4)}, cluster.SimOptions{}, cluster.Txn{})
 	if !r.Consistent() {
 		t.Fatal("inconsistent on no-vote")
 	}
-	if r.Outcome(1) != proto.Abort {
-		t.Fatalf("master = %v, want abort", r.Outcome(1))
+	if r.Sites[1].Outcome != proto.Abort {
+		t.Fatalf("master = %v, want abort", r.Sites[1].Outcome)
 	}
 }
 
@@ -39,20 +39,20 @@ func TestQuorumAbortOnNoVote(t *testing.T) {
 // BLOCKS under quorum commit. Majority G1 {1,2,3} decides; minority G2
 // {4,5} can never assemble either quorum and stays blocked.
 func TestQuorumMinorityBlocks(t *testing.T) {
-	r := harness.Run(harness.Options{
-		N: 5, Protocol: quorum.Protocol{},
-		Partition: &simnet.Partition{At: sim.Time(T) + 1, G2: g2(4, 5)},
-	})
+	r, b := cluster.RunOne(cluster.Config{
+		Sites: 5, Protocol: quorum.Protocol{},
+		Schedule: cluster.Schedule{cluster.PartitionAt(sim.Time(T)+1, 4, 5)},
+	}, traced, cluster.Txn{})
 	if !r.Consistent() {
-		t.Fatalf("quorum protocol inconsistent\n%s", r.Trace.Dump())
+		t.Fatalf("quorum protocol inconsistent\n%s", b.Trace().Dump())
 	}
 	blocked := r.Blocked()
 	if len(blocked) != 2 || blocked[0] != 4 || blocked[1] != 5 {
-		t.Fatalf("blocked = %v, want the minority [4 5]\n%s", blocked, r.Trace.Dump())
+		t.Fatalf("blocked = %v, want the minority [4 5]\n%s", blocked, b.Trace().Dump())
 	}
 	// The majority partition must have decided.
 	for _, id := range []proto.SiteID{1, 2, 3} {
-		if r.Outcome(id) == proto.None {
+		if r.Sites[id].Outcome == proto.None {
 			t.Fatalf("majority site %d undecided", id)
 		}
 	}
@@ -64,17 +64,17 @@ func TestQuorumMajoritySlavesAbortWithoutMaster(t *testing.T) {
 	// Partition before prepares exist: master+site2 in G2... here G2 holds
 	// the master side, so name the split so sites {3,4,5} are the majority
 	// cut off from the master.
-	r := harness.Run(harness.Options{
-		N: 5, Protocol: quorum.Protocol{},
-		Partition: &simnet.Partition{At: sim.Time(T) + 1, G2: g2(3, 4, 5)},
-	})
+	r, b := cluster.RunOne(cluster.Config{
+		Sites: 5, Protocol: quorum.Protocol{},
+		Schedule: cluster.Schedule{cluster.PartitionAt(sim.Time(T)+1, 3, 4, 5)},
+	}, traced, cluster.Txn{})
 	if !r.Consistent() {
-		t.Fatalf("inconsistent\n%s", r.Trace.Dump())
+		t.Fatalf("inconsistent\n%s", b.Trace().Dump())
 	}
 	for _, id := range []proto.SiteID{3, 4, 5} {
-		if got := r.Outcome(id); got != proto.Abort {
+		if got := r.Sites[id].Outcome; got != proto.Abort {
 			t.Fatalf("majority-side site %d = %v, want abort (no prepared state, abort quorum)\n%s",
-				id, got, r.Trace.Dump())
+				id, got, b.Trace().Dump())
 		}
 	}
 }
@@ -84,12 +84,12 @@ func TestQuorumMajoritySlavesAbortWithoutMaster(t *testing.T) {
 func TestQuorumNeverInconsistent(t *testing.T) {
 	for _, split := range [][]proto.SiteID{{5}, {4, 5}, {3, 4, 5}, {2, 3, 4, 5}} {
 		for at := sim.Time(0); at <= 8*sim.Time(T); at += sim.Time(T) / 2 {
-			r := harness.Run(harness.Options{
-				N: 5, Protocol: quorum.Protocol{},
-				Partition: &simnet.Partition{At: at, G2: g2(split...)},
-			})
+			r, b := cluster.RunOne(cluster.Config{
+				Sites: 5, Protocol: quorum.Protocol{},
+				Schedule: cluster.Schedule{cluster.PartitionAt(at, split...)},
+			}, traced, cluster.Txn{})
 			if !r.Consistent() {
-				t.Fatalf("split %v onset %d: INCONSISTENT\n%s", split, at, r.Trace.Dump())
+				t.Fatalf("split %v onset %d: INCONSISTENT\n%s", split, at, b.Trace().Dump())
 			}
 		}
 	}
@@ -100,20 +100,20 @@ func TestQuorumNeverInconsistent(t *testing.T) {
 func TestQuorumMajorityCommitsAfterPrepare(t *testing.T) {
 	// Prepares delivered at 3T; partition at 3T+1 cuts {4,5} (minority)
 	// with everyone already in p. Master is in G1 with 3 sites >= Vc=3.
-	r := harness.Run(harness.Options{
-		N: 5, Protocol: quorum.Protocol{},
-		Partition: &simnet.Partition{At: 3*sim.Time(T) + 1, G2: g2(4, 5)},
-	})
+	r, b := cluster.RunOne(cluster.Config{
+		Sites: 5, Protocol: quorum.Protocol{},
+		Schedule: cluster.Schedule{cluster.PartitionAt(3*sim.Time(T)+1, 4, 5)},
+	}, traced, cluster.Txn{})
 	if !r.Consistent() {
-		t.Fatalf("inconsistent\n%s", r.Trace.Dump())
+		t.Fatalf("inconsistent\n%s", b.Trace().Dump())
 	}
 	for _, id := range []proto.SiteID{1, 2, 3} {
-		if got := r.Outcome(id); got != proto.Commit {
-			t.Fatalf("site %d = %v, want commit via quorum termination\n%s", id, got, r.Trace.Dump())
+		if got := r.Sites[id].Outcome; got != proto.Commit {
+			t.Fatalf("site %d = %v, want commit via quorum termination\n%s", id, got, b.Trace().Dump())
 		}
 	}
 	for _, id := range []proto.SiteID{4, 5} {
-		if got := r.Outcome(id); got == proto.Abort {
+		if got := r.Sites[id].Outcome; got == proto.Abort {
 			t.Fatalf("minority site %d aborted against majority commit", id)
 		}
 	}
@@ -124,30 +124,30 @@ func TestQuorumMajorityCommitsAfterPrepare(t *testing.T) {
 func TestQuorumCustomThresholds(t *testing.T) {
 	// Va=4, Vc=2 (Vc+Va=6 > 5). G2={4,5} after prepares: group of 2 with a
 	// prepared site meets Vc=2 → commits even as a minority.
-	r := harness.Run(harness.Options{
-		N: 5, Protocol: quorum.Protocol{Vc: 2, Va: 4},
-		Partition: &simnet.Partition{At: 3*sim.Time(T) + 1, G2: g2(4, 5)},
-	})
+	r, b := cluster.RunOne(cluster.Config{
+		Sites: 5, Protocol: quorum.Protocol{Vc: 2, Va: 4},
+		Schedule: cluster.Schedule{cluster.PartitionAt(3*sim.Time(T)+1, 4, 5)},
+	}, traced, cluster.Txn{})
 	if !r.Consistent() {
-		t.Fatalf("inconsistent\n%s", r.Trace.Dump())
+		t.Fatalf("inconsistent\n%s", b.Trace().Dump())
 	}
 	for _, id := range []proto.SiteID{4, 5} {
-		if got := r.Outcome(id); got != proto.Commit {
-			t.Fatalf("site %d = %v, want commit with Vc=2\n%s", id, got, r.Trace.Dump())
+		if got := r.Sites[id].Outcome; got != proto.Commit {
+			t.Fatalf("site %d = %v, want commit with Vc=2\n%s", id, got, b.Trace().Dump())
 		}
 	}
 }
 
 func TestQuorumRunsQuiesceWithBoundedRetries(t *testing.T) {
-	r := harness.Run(harness.Options{
-		N: 5, Protocol: quorum.Protocol{Retries: 2},
-		Partition: &simnet.Partition{At: 1, G2: g2(5)},
-	})
+	r, b := cluster.RunOne(cluster.Config{
+		Sites: 5, Protocol: quorum.Protocol{Retries: 2},
+		Schedule: cluster.Schedule{cluster.PartitionAt(1, 5)},
+	}, traced, cluster.Txn{})
 	// Site 5 alone can never decide; the run must still reach quiescence.
-	if r.EndedAt == 0 {
+	if b.Now() == 0 {
 		t.Fatal("run did not advance")
 	}
-	if got := r.Outcome(5); got != proto.None {
+	if got := r.Sites[5].Outcome; got != proto.None {
 		t.Fatalf("singleton partition decided %v", got)
 	}
 }

@@ -3,8 +3,8 @@ package scenario
 import (
 	"testing"
 
+	"termproto/internal/cluster"
 	"termproto/internal/core"
-	"termproto/internal/harness"
 	"termproto/internal/proto"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
@@ -13,7 +13,8 @@ import (
 
 const T = sim.DefaultT
 
-func g2(ids ...proto.SiteID) map[proto.SiteID]bool { return simnet.G2Set(ids...) }
+// traced keeps the trace the classifier reads.
+var traced = cluster.SimOptions{RecordTrace: true}
 
 // --- synthetic classifier unit tests ---
 
@@ -168,37 +169,33 @@ func TestWaitsAfter(t *testing.T) {
 // already decided. The original protocol wedges the G2 slaves forever;
 // the §6 transient fix commits them after 5T of silence.
 func TestCase3222TransientFix(t *testing.T) {
-	part := &simnet.Partition{At: 4*sim.Time(T) + 1, Heal: 7 * sim.Time(T), G2: g2(3, 4)}
+	part := cluster.Schedule{cluster.TransientPartitionAt(4*sim.Time(T)+1, 7*sim.Time(T), 3, 4)}
 
 	// Original protocol: G2 slaves wedge in pt.
-	orig := harness.Run(harness.Options{
-		N: 4, Protocol: core.Protocol{}, Partition: part,
-	})
-	if got := Classify(orig.Trace, 1); got != Case3222 {
-		t.Fatalf("classified %s, want 3.2.2.2\n%s", got, orig.Trace.Dump())
+	orig, ob := cluster.RunOne(cluster.Config{Sites: 4, Protocol: core.Protocol{}, Schedule: part}, traced, cluster.Txn{})
+	if got := Classify(ob.Trace(), 1); got != Case3222 {
+		t.Fatalf("classified %s, want 3.2.2.2\n%s", got, ob.Trace().Dump())
 	}
 	blocked := orig.Blocked()
 	if len(blocked) != 2 || blocked[0] != 3 || blocked[1] != 4 {
 		t.Fatalf("original protocol blocked = %v, want [3 4]", blocked)
 	}
-	if orig.Outcome(1) != proto.Commit || orig.Outcome(2) != proto.Commit {
+	if orig.Sites[1].Outcome != proto.Commit || orig.Sites[2].Outcome != proto.Commit {
 		t.Fatal("G1 should have committed")
 	}
 
 	// Transient fix: everyone commits; the G2 slaves wait exactly 5T after
 	// their p-timeout.
-	fixed := harness.Run(harness.Options{
-		N: 4, Protocol: core.Protocol{TransientFix: true}, Partition: part,
-	})
+	fixed, fb := cluster.RunOne(cluster.Config{Sites: 4, Protocol: core.Protocol{TransientFix: true}, Schedule: part}, traced, cluster.Txn{})
 	if !fixed.Consistent() || len(fixed.Blocked()) != 0 {
 		t.Fatalf("transient fix: consistent=%v blocked=%v", fixed.Consistent(), fixed.Blocked())
 	}
 	for id := proto.SiteID(1); id <= 4; id++ {
-		if fixed.Outcome(id) != proto.Commit {
-			t.Fatalf("site %d = %v, want commit", id, fixed.Outcome(id))
+		if fixed.Sites[id].Outcome != proto.Commit {
+			t.Fatalf("site %d = %v, want commit", id, fixed.Sites[id].Outcome)
 		}
 	}
-	max, entered := MaxWaitAfter(fixed.Trace, "pt")
+	max, entered := MaxWaitAfter(fb.Trace(), "pt")
 	if !entered {
 		t.Fatal("no site entered pt")
 	}
@@ -211,14 +208,14 @@ func TestCase3222TransientFix(t *testing.T) {
 // side: the probe reaching the decided master is answered, so the slave
 // terminates well before the 5T silence bound.
 func TestCase3222LateProbeReplyExtension(t *testing.T) {
-	part := &simnet.Partition{At: 4*sim.Time(T) + 1, Heal: 7 * sim.Time(T), G2: g2(3, 4)}
-	r := harness.Run(harness.Options{
-		N: 4, Protocol: core.Protocol{ReplyToLateProbes: true}, Partition: part,
-	})
+	r, b := cluster.RunOne(cluster.Config{
+		Sites: 4, Protocol: core.Protocol{ReplyToLateProbes: true},
+		Schedule: cluster.Schedule{cluster.TransientPartitionAt(4*sim.Time(T)+1, 7*sim.Time(T), 3, 4)},
+	}, traced, cluster.Txn{})
 	if !r.Consistent() || len(r.Blocked()) != 0 {
 		t.Fatalf("extension: consistent=%v blocked=%v", r.Consistent(), r.Blocked())
 	}
-	max, entered := MaxWaitAfter(r.Trace, "pt")
+	max, entered := MaxWaitAfter(b.Trace(), "pt")
 	if !entered {
 		t.Fatal("no site entered pt")
 	}
@@ -239,22 +236,22 @@ func TestCase221Deterministic(t *testing.T) {
 			{3, 4}: 1000,
 		},
 	}
-	r := harness.Run(harness.Options{
-		N: 4, Protocol: core.Protocol{}, Latency: lat,
-		Partition: &simnet.Partition{At: 2800, G2: g2(3, 4)},
-	})
-	if got := Classify(r.Trace, 1); got != Case221 {
-		t.Fatalf("classified %s, want 2.2.1\n%s", got, r.Trace.Dump())
+	r, b := cluster.RunOne(cluster.Config{
+		Sites: 4, Protocol: core.Protocol{},
+		Schedule: cluster.Schedule{cluster.PartitionAt(2800, 3, 4)},
+	}, cluster.SimOptions{Latency: lat, RecordTrace: true}, cluster.Txn{})
+	if got := Classify(b.Trace(), 1); got != Case221 {
+		t.Fatalf("classified %s, want 2.2.1\n%s", got, b.Trace().Dump())
 	}
 	if !r.Consistent() || len(r.Blocked()) != 0 {
 		t.Fatalf("case 2.2.1: consistent=%v blocked=%v", r.Consistent(), r.Blocked())
 	}
 	for id := proto.SiteID(1); id <= 4; id++ {
-		if r.Outcome(id) != proto.Commit {
-			t.Fatalf("site %d = %v, want commit (prepare crossed B)", id, r.Outcome(id))
+		if r.Sites[id].Outcome != proto.Commit {
+			t.Fatalf("site %d = %v, want commit (prepare crossed B)", id, r.Sites[id].Outcome)
 		}
 	}
-	if max, entered := MaxWaitAfter(r.Trace, "pt"); entered && max > 4*T {
+	if max, entered := MaxWaitAfter(b.Trace(), "pt"); entered && max > 4*T {
 		t.Fatalf("case 2.2.1 wait %d exceeds paper bound 4T", max)
 	}
 }
@@ -269,17 +266,17 @@ func TestCase222Deterministic(t *testing.T) {
 			{1, 3}: 500, // prepare to 3 crosses at 2500 < onset
 		},
 	}
-	r := harness.Run(harness.Options{
-		N: 4, Protocol: core.Protocol{}, Latency: lat,
-		Partition: &simnet.Partition{At: 2700, Heal: 3400, G2: g2(3, 4)},
-	})
-	if got := Classify(r.Trace, 1); got != Case222 {
-		t.Fatalf("classified %s, want 2.2.2\n%s", got, r.Trace.Dump())
+	r, b := cluster.RunOne(cluster.Config{
+		Sites: 4, Protocol: core.Protocol{},
+		Schedule: cluster.Schedule{cluster.TransientPartitionAt(2700, 3400, 3, 4)},
+	}, cluster.SimOptions{Latency: lat, RecordTrace: true}, cluster.Txn{})
+	if got := Classify(b.Trace(), 1); got != Case222 {
+		t.Fatalf("classified %s, want 2.2.2\n%s", got, b.Trace().Dump())
 	}
 	if !r.Consistent() || len(r.Blocked()) != 0 {
-		t.Fatalf("case 2.2.2: consistent=%v blocked=%v\n%s", r.Consistent(), r.Blocked(), r.Trace.Dump())
+		t.Fatalf("case 2.2.2: consistent=%v blocked=%v\n%s", r.Consistent(), r.Blocked(), b.Trace().Dump())
 	}
-	if max, entered := MaxWaitAfter(r.Trace, "pt"); entered && max > 5*T {
+	if max, entered := MaxWaitAfter(b.Trace(), "pt"); entered && max > 5*T {
 		t.Fatalf("case 2.2.2 wait %d exceeds paper bound 5T", max)
 	}
 }
@@ -289,15 +286,15 @@ func TestCase222Deterministic(t *testing.T) {
 func TestTransientSweep(t *testing.T) {
 	for onset := sim.Time(0); onset <= 6*sim.Time(T); onset += sim.Time(T) / 2 {
 		for heal := onset + 1; heal <= onset+8*sim.Time(T); heal += sim.Time(T) {
-			r := harness.Run(harness.Options{
-				N: 4, Protocol: core.Protocol{TransientFix: true},
-				Partition: &simnet.Partition{At: onset, Heal: heal, G2: g2(3, 4)},
-			})
+			r, b := cluster.RunOne(cluster.Config{
+				Sites: 4, Protocol: core.Protocol{TransientFix: true},
+				Schedule: cluster.Schedule{cluster.TransientPartitionAt(onset, heal, 3, 4)},
+			}, traced, cluster.Txn{})
 			if !r.Consistent() {
-				t.Fatalf("onset %d heal %d: INCONSISTENT\n%s", onset, heal, r.Trace.Dump())
+				t.Fatalf("onset %d heal %d: INCONSISTENT\n%s", onset, heal, b.Trace().Dump())
 			}
 			if len(r.Blocked()) != 0 {
-				t.Fatalf("onset %d heal %d: blocked %v\n%s", onset, heal, r.Blocked(), r.Trace.Dump())
+				t.Fatalf("onset %d heal %d: blocked %v\n%s", onset, heal, r.Blocked(), b.Trace().Dump())
 			}
 		}
 	}
@@ -309,17 +306,17 @@ func TestTransientSweep(t *testing.T) {
 func TestOriginalProtocolBlocksOnlyInCase3222(t *testing.T) {
 	for onset := sim.Time(0); onset <= 6*sim.Time(T); onset += sim.Time(T) / 4 {
 		for _, healDelta := range []sim.Time{1, sim.Time(T), 3 * sim.Time(T), 6 * sim.Time(T)} {
-			r := harness.Run(harness.Options{
-				N: 4, Protocol: core.Protocol{},
-				Partition: &simnet.Partition{At: onset, Heal: onset + healDelta, G2: g2(3, 4)},
-			})
+			r, b := cluster.RunOne(cluster.Config{
+				Sites: 4, Protocol: core.Protocol{},
+				Schedule: cluster.Schedule{cluster.TransientPartitionAt(onset, onset+healDelta, 3, 4)},
+			}, traced, cluster.Txn{})
 			if !r.Consistent() {
-				t.Fatalf("onset %d heal +%d: INCONSISTENT\n%s", onset, healDelta, r.Trace.Dump())
+				t.Fatalf("onset %d heal +%d: INCONSISTENT\n%s", onset, healDelta, b.Trace().Dump())
 			}
 			if len(r.Blocked()) > 0 {
-				if got := Classify(r.Trace, 1); got != Case3222 {
+				if got := Classify(b.Trace(), 1); got != Case3222 {
 					t.Fatalf("onset %d heal +%d: blocked in case %s, only 3.2.2.2 may block\n%s",
-						onset, healDelta, got, r.Trace.Dump())
+						onset, healDelta, got, b.Trace().Dump())
 				}
 			}
 		}
@@ -333,11 +330,11 @@ func TestFig6WindowMeasure(t *testing.T) {
 		Default: T,
 		Pairs:   map[[2]proto.SiteID]sim.Duration{{1, 3}: 500},
 	}
-	r := harness.Run(harness.Options{
-		N: 4, Protocol: core.Protocol{}, Latency: lat,
-		Partition: &simnet.Partition{At: 2700, Heal: 3400, G2: g2(3, 4)},
-	})
-	span, ok := FirstUDPrepareToLastProbe(r.Trace, 1)
+	_, b := cluster.RunOne(cluster.Config{
+		Sites: 4, Protocol: core.Protocol{},
+		Schedule: cluster.Schedule{cluster.TransientPartitionAt(2700, 3400, 3, 4)},
+	}, cluster.SimOptions{Latency: lat, RecordTrace: true}, cluster.Txn{})
+	span, ok := FirstUDPrepareToLastProbe(b.Trace(), 1)
 	if !ok {
 		t.Fatal("no UD(prepare) in a case 2.2.2 run")
 	}
@@ -349,8 +346,8 @@ func TestFig6WindowMeasure(t *testing.T) {
 	}
 	// A solicit is master → slave and is no probe, delivered or bounced
 	// however late: the window still ends at the last slave → master probe.
-	late := r.Trace.Events()[r.Trace.Len()-1].At + sim.Time(T)
-	with := plus(r.Trace,
+	late := b.Trace().Events()[b.Trace().Len()-1].At + sim.Time(T)
+	with := plus(b.Trace(),
 		trace.Event{At: late, Kind: trace.Deliver, MsgKind: "solicit", From: 1, To: 2},
 		trace.Event{At: late, Kind: trace.Bounce, MsgKind: "solicit", From: 1, To: 3, Cross: true},
 		trace.Event{At: late, Kind: trace.Deliver, MsgKind: "probe", From: 1, To: 2},

@@ -5,51 +5,65 @@ import (
 	"testing"
 
 	"termproto"
+	"termproto/internal/cluster"
+	"termproto/internal/db/engine"
+	"termproto/internal/experiments"
+	"termproto/internal/proto"
+	"termproto/internal/protocol/registry"
+	"termproto/internal/workload"
 )
 
-// The facade is the supported public surface; these tests exercise it the
-// way the examples and a downstream user would.
+// The facade is what the examples are written against; these tests
+// exercise it the way the examples do, and reach the internal packages
+// directly for what the facade leaves out.
 
 func TestFacadeQuickstart(t *testing.T) {
-	r := termproto.Run(termproto.Options{
-		N:        4,
+	sb := termproto.NewSimBackend(termproto.SimOptions{RecordTrace: true})
+	c, err := termproto.Open(termproto.ClusterConfig{
+		Sites:    4,
 		Protocol: termproto.Termination(),
-		Partition: &termproto.Partition{
-			At: termproto.Time(2.5 * float64(termproto.T)),
-			G2: termproto.G2(3, 4),
-		},
+		Schedule: termproto.Schedule{termproto.PartitionAt(termproto.Time(2.5*float64(termproto.T)), 3, 4)},
+		Backend:  sb,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r, err := c.Submit(termproto.Txn{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
 	if !r.Consistent() {
 		t.Fatal("inconsistent")
 	}
 	if len(r.Blocked()) != 0 {
 		t.Fatalf("blocked: %v", r.Blocked())
 	}
-	if c := termproto.Classify(r, 1); c != "1" {
-		t.Fatalf("case = %s, want 1", c)
+	if got := termproto.ClassifyTrace(sb, r.Master); got != "1" {
+		t.Fatalf("case = %s, want 1", got)
 	}
 }
 
 func TestFacadeProtocols(t *testing.T) {
-	for _, p := range []termproto.Protocol{
-		termproto.TwoPC(), termproto.TwoPCExtended(),
-		termproto.ThreePC(false), termproto.ThreePC(true),
-		termproto.ThreePCRules(), termproto.Quorum(),
-		termproto.Termination(), termproto.TerminationTransient(),
-		termproto.FourPCTermination(),
-	} {
-		r := termproto.Run(termproto.Options{N: 3, Protocol: p})
-		if got := r.Outcome(1); got != termproto.Commit {
-			t.Errorf("%s failure-free: master = %v", p.Name(), got)
+	for _, name := range registry.Names() {
+		p, err := registry.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _ := cluster.RunOne(cluster.Config{Sites: 3, Protocol: p}, cluster.SimOptions{}, cluster.Txn{})
+		if got := r.Sites[1].Outcome; got != proto.Commit {
+			t.Errorf("%s failure-free: master = %v", name, got)
 		}
 	}
 }
 
 func TestFacadeVoters(t *testing.T) {
-	r := termproto.Run(termproto.Options{
-		N: 3, Protocol: termproto.Termination(), Votes: termproto.NoAt(2),
-	})
-	if r.Outcome(1) != termproto.Abort {
+	r, _ := cluster.RunOne(cluster.Config{Sites: 3, Protocol: termproto.Termination(), Votes: proto.NoAt(2)},
+		cluster.SimOptions{}, cluster.Txn{})
+	if r.Sites[1].Outcome != proto.Abort {
 		t.Fatal("NoAt voter ignored")
 	}
 }
@@ -75,25 +89,33 @@ func TestFacadeEngine(t *testing.T) {
 		o.PutInt("k", 40)
 		parts[termproto.SiteID(i)] = o
 	}
-	r := termproto.Run(termproto.Options{
-		N: 3, Protocol: termproto.Termination(), Participants: parts,
-		Payload: termproto.EncodeOps([]termproto.Op{
-			{Kind: termproto.OpAdd, Key: "k", Delta: 2},
-		}),
-	})
-	if r.Outcome(1) != termproto.Commit || e.GetInt("k") != 42 {
-		t.Fatalf("engine integration: outcome=%v k=%d", r.Outcome(1), e.GetInt("k"))
+	c, err := termproto.Open(termproto.ClusterConfig{Sites: 3, Protocol: termproto.Termination(), Participants: parts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r, err := c.Submit(termproto.Txn{Payload: termproto.EncodeOps([]termproto.Op{
+		{Kind: termproto.OpAdd, Key: "k", Delta: 2},
+	})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Sites[1].Outcome != proto.Commit || e.GetInt("k") != 42 {
+		t.Fatalf("engine integration: outcome=%v k=%d", r.Sites[1].Outcome, e.GetInt("k"))
 	}
 
-	// Recovery through the facade.
-	rec, inDoubt, err := termproto.RecoverEngine("s1", store)
+	// The engine's own recovery over the same store.
+	rec, inDoubt, err := engine.Recover("s1", store)
 	if err != nil || len(inDoubt) != 0 || rec.GetInt("k") != 42 {
 		t.Fatalf("recovery: err=%v inDoubt=%v k=%d", err, inDoubt, rec.GetInt("k"))
 	}
 }
 
 func TestFacadeIntCodec(t *testing.T) {
-	if termproto.DecodeInt(termproto.EncodeInt(-7)) != -7 {
+	if engine.DecodeInt(engine.EncodeInt(-7)) != -7 {
 		t.Fatal("int codec")
 	}
 }
@@ -102,33 +124,15 @@ func TestFacadeExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick suite")
 	}
-	for _, tbl := range termproto.Experiments(termproto.ExperimentConfig{Quick: true}) {
+	for _, tbl := range experiments.All(experiments.Config{Quick: true}) {
 		if !tbl.Pass {
 			t.Fatalf("experiment %s failed:\n%s", tbl.ID, tbl)
 		}
 	}
 }
 
-// ExampleRun demonstrates the minimal API: a partitioned transaction that
-// still terminates consistently at every site.
-func ExampleRun() {
-	r := termproto.Run(termproto.Options{
-		N:        4,
-		Protocol: termproto.Termination(),
-		Partition: &termproto.Partition{
-			At: 2500, // ticks; T = 1000
-			G2: termproto.G2(3, 4),
-		},
-	})
-	fmt.Println("atomic:", r.Consistent())
-	fmt.Println("blocked:", len(r.Blocked()))
-	// Output:
-	// atomic: true
-	// blocked: 0
-}
-
 func TestFacadeWorkload(t *testing.T) {
-	st, engines := termproto.RunWorkload(termproto.WorkloadConfig{
+	st, engines := workload.Run(workload.Config{
 		Sites: 3, Protocol: termproto.TerminationTransient(),
 		Accounts: 3, InitialBalance: 1000, Txns: 12,
 		PartitionEvery: 4, Seed: 5,
