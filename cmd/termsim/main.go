@@ -1,14 +1,14 @@
 // Command termsim runs commit-protocol scenarios through the unified
 // cluster API: one or many concurrent transactions, a scripted fault
 // timeline, and a choice of execution backend — the deterministic
-// discrete-event simulator, the goroutine-per-site live runtime, or a
-// localnet of real termnode processes speaking the protocol over TCP
-// (-backend net), where a scheduled crash is a SIGKILL and a recovery is
-// a fresh process over the surviving write-ahead log.
+// discrete-event simulator, or a localnet of real termnode processes
+// speaking the protocol over TCP (-backend net), where a scheduled crash
+// is a SIGKILL and a recovery is a fresh process over the surviving
+// write-ahead log.
 //
 // Usage:
 //
-//	termsim [-proto NAME] [-n sites] [-txns k] [-backend sim|live|net]
+//	termsim [-proto NAME] [-n sites] [-txns k] [-backend sim|net]
 //	        [-masters fixed|rr|primary] [-spacing 0.4]
 //	        [-shards s] [-rf r] [-accounts a] [-zipf s] [-ops k] [-db]
 //	        [-lease-ttl 15] [-quorum all|majority|one]
@@ -35,13 +35,13 @@
 // member's shards and removes it, and -moves "t:shard,from,to" hands one
 // shard replica over. Each change migrates data through the recovery
 // catch-up machinery and commits its epoch bump as a metadata transaction
-// through the selected commit protocol. Examples:
+// through the selected commit protocol. Membership runs on the simulator
+// only: the net backend rejects it. Examples:
 //
 //	termsim -proto 2pc -n 3 -g2 3 -at 2.1           # 2PC blocks site 3
 //	termsim -proto termination -n 5 -g2 4,5 -at 2.5 # paper's protocol
 //	termsim -proto termination+transient -n 5 -txns 12 \
 //	        -schedule "partition@2.5:4,5;heal@9" -masters rr
-//	termsim -backend live -n 5 -txns 8 -schedule "partition@2.5:4,5;heal@12"
 //	termsim -backend net -n 3 -txns 4 \
 //	        -schedule "crash@0.8:1;recover@8:1"       # real processes, real SIGKILL
 //	termsim -n 12 -shards 12 -rf 3 -txns 24         # sharded placement
@@ -79,7 +79,7 @@ func main() {
 	list := flag.Bool("list", false, "list protocols and exit")
 	n := flag.Int("n", 4, "number of sites")
 	txns := flag.Int("txns", 1, "number of concurrent transactions")
-	backend := flag.String("backend", "sim", "execution backend: sim, live, or net (real termnode processes over TCP)")
+	backend := flag.String("backend", "sim", "execution backend: sim, or net (real termnode processes over TCP)")
 	workdir := flag.String("workdir", "", "net backend: localnet root for per-node WALs and logs (default a temp dir; left behind for postmortems)")
 	masters := flag.String("masters", "", "master policy: fixed (site 1), rr (round-robin), primary (shard-local); default fixed, or primary with -shards")
 	shards := flag.Int("shards", 0, "hash-shard the keyspace across this many shards (0 = full replication)")
@@ -269,8 +269,6 @@ func main() {
 		}
 		simBackend = cluster.NewSimBackend(opts)
 		cfg.Backend = simBackend
-	case "live":
-		cfg.Backend = cluster.NewLiveBackend(cluster.LiveOptions{Seed: int64(*seed)})
 	case "net":
 		// Every site becomes a real termnode process, launched under the
 		// protocol's Name() — the registry name -proto was looked up by.
@@ -350,7 +348,7 @@ func main() {
 	if *showMetrics {
 		msnap = c.Metrics()
 	}
-	c.Close() // live backend: fills final automaton states
+	c.Close() // net backend: fills final automaton states
 
 	fmt.Printf("protocol %s, %d sites, %d txns, %s backend, T=%d ticks\n",
 		p.Name(), *n, *txns, cfg.Backend.Name(), sim.DefaultT)

@@ -5,8 +5,7 @@
 // all decisions agree — the headline property.
 //
 // The same scenario under plain two-phase commit strands transactions on
-// the separated sites (holding their locks forever), and the same
-// scenario runs unchanged on the real-time goroutine backend.
+// the separated sites (holding their locks forever).
 package main
 
 import (
@@ -71,13 +70,5 @@ func main() {
 		Sites:    5,
 		Protocol: termproto.TwoPC(),
 		Schedule: schedule,
-	})
-
-	// The identical scenario on real goroutines and wall-clock timers.
-	run("termination protocol, live backend", termproto.ClusterConfig{
-		Sites:    5,
-		Protocol: termproto.TerminationTransient(),
-		Schedule: schedule,
-		Backend:  termproto.NewLiveBackend(termproto.LiveOptions{}),
 	})
 }

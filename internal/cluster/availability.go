@@ -12,16 +12,12 @@ import (
 	"termproto/internal/trace"
 )
 
-// leaseKeeper is the backend-shared bookkeeping for partition-local
+// leaseKeeper is the simulator's bookkeeping for partition-local
 // availability: one lease table per site, granted from the placement
 // directory and renewed through the protocol's own decision path. It is
 // nil when leasing is disabled (Config.LeaseTTL <= 0 or no directory),
-// and every method is nil-safe so backends thread it without branching.
-//
-// Concurrency: lease.Table carries its own lock, so onDecide is safe
-// from concurrent site goroutines (the live backend). The trace
-// recorder is sim-only (the sim scheduler is single-threaded); the live
-// backend passes nil.
+// and every method is nil-safe so the backend threads it without
+// branching.
 type leaseKeeper struct {
 	dir    *placement.Directory
 	tables map[proto.SiteID]*lease.Table

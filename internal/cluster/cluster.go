@@ -1,12 +1,12 @@
 // Package cluster is the unified execution surface for the repository's
 // commit protocols: a long-lived Cluster accepts many concurrent
 // transactions, each with its own master, runs them through a pluggable
-// Backend — the deterministic discrete-event SimBackend, the
-// goroutine-per-site LiveBackend or the process-per-site NetBackend, the
-// last two one wall-clock driver over different sites — and scripts faults
-// (partitions, heals, repartitions, site crashes and recoveries) as
+// Backend — the deterministic discrete-event SimBackend, or the
+// process-per-site NetBackend over real termnode daemons — and scripts
+// faults (partitions, heals, repartitions, site crashes and recoveries) as
 // first-class timeline events. The same scenario, protocol and workload
-// code runs unchanged against any of them.
+// code runs unchanged against either. RunOne is the simulator's one-shot
+// form: one transaction on a fresh SimBackend cluster.
 //
 // A placement.Directory adds an elastic data-placement layer: the
 // keyspace is hash-sharded with an epoch-stamped replica set per shard,
@@ -14,11 +14,11 @@
 // sites — the replica sets of the shards its payload keys touch, at its
 // admission epoch — so throughput scales with the cluster instead of
 // every commit touching every site. Join/Leave/MoveShard rebalance
-// shards at runtime: contents are copied through the recovery catch-up
-// machinery and the epoch bump commits as a metadata transaction through
-// the cluster's own commit protocol, so a partition mid-migration is
-// resolved by the termination protocol like any other in-doubt
-// transaction. (A ShardMap is the static epoch-0 constructor.)
+// shards at runtime, on the simulator: contents are copied through the
+// recovery catch-up machinery and the epoch bump commits as a metadata
+// transaction through the cluster's own commit protocol, so a partition
+// mid-migration is resolved by the termination protocol like any other
+// in-doubt transaction. (A ShardMap is the static epoch-0 constructor.)
 //
 //	c, _ := cluster.Open(cluster.Config{Sites: 5, Protocol: core.Protocol{},
 //	    Schedule: cluster.Schedule{
@@ -367,11 +367,11 @@ func (s Stats) String() string {
 }
 
 // Backend is a pluggable execution runtime for a Cluster. SimBackend runs
-// the deterministic discrete-event simulator; LiveBackend runs real
-// goroutines and NetBackend real termnode processes, both on wall-clock
-// timers. All calls are made by Cluster, which serializes them.
+// the deterministic discrete-event simulator; NetBackend runs real
+// termnode processes on wall-clock timers. All calls are made by Cluster,
+// which serializes them.
 type Backend interface {
-	// Name identifies the backend ("sim", "live", "net").
+	// Name identifies the backend ("sim", "net").
 	Name() string
 	// Open initializes the runtime for the given cluster shape and fault
 	// schedule. Called exactly once, before any Submit.
@@ -379,7 +379,7 @@ type Backend interface {
 	// Submit starts one transaction; the backend fills res as sites
 	// decide. res is fully populated after the Wait covering it returns.
 	Submit(t Txn, res *TxnResult) error
-	// Wait runs (sim) or waits (live, net) until every submitted
+	// Wait runs (sim) or waits (net) until every submitted
 	// transaction has terminated or provably blocked — on the wall clock,
 	// until a deadline: an *UndecidedError — then finalizes all results.
 	Wait() error
@@ -420,10 +420,9 @@ type Cluster struct {
 	closed  bool
 
 	// Migration bookkeeping (Join/Leave/MoveShard).
-	migrations    []*MigrationReport
-	shardsMoved   int
-	keysMigrated  int
-	pendingRetire []proto.SiteID // committed leavers whose site loops retire at the next Wait
+	migrations   []*MigrationReport
+	shardsMoved  int
+	keysMigrated int
 	// pendingReconcile lists (shard, added replica) pairs from committed
 	// migrations: transactions admitted under the old epoch terminate at
 	// their admission-epoch participants, so the new replica converges
@@ -711,10 +710,9 @@ func (c *Cluster) SubmitBatch(ts []Txn) ([]*TxnResult, error) {
 
 // Wait blocks until every submitted transaction has terminated or provably
 // blocked, and finalizes their results. More transactions may be submitted
-// after Wait returns; the timeline continues. Sites whose Leave migration
-// committed are retired here, once everything they participated in has
-// quiesced. A wall-clock backend's *UndecidedError is returned after that
-// bookkeeping: results and migrations are as settled as they will get.
+// after Wait returns; the timeline continues. A wall-clock backend's
+// *UndecidedError is returned after the migration bookkeeping: results and
+// migrations are as settled as they will get.
 func (c *Cluster) Wait() error {
 	c.mu.Lock()
 	if c.closed {
@@ -728,15 +726,6 @@ func (c *Cluster) Wait() error {
 	}
 	c.settleMigrations()
 	c.reconcileMigrated()
-	c.mu.Lock()
-	retire := c.pendingRetire
-	c.pendingRetire = nil
-	c.mu.Unlock()
-	if lc, ok := c.backend.(siteLifecycle); ok {
-		for _, id := range retire {
-			lc.RetireSite(id)
-		}
-	}
 	c.recordDecidedAll()
 	return err
 }

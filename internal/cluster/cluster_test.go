@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"termproto/internal/core"
 	"termproto/internal/db/engine"
@@ -309,157 +308,6 @@ func TestSimDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("outcome %d differs: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-// The same acceptance scenario on the live backend: 8+ concurrent
-// transactions on real goroutines with a scheduled partition+heal, every
-// transaction decided, every replica identical.
-func TestLiveConcurrentTxnsUnderPartitionHeal(t *testing.T) {
-	const sites, txns = 5, 8
-	liveT := 3 * time.Millisecond
-	parts := engines(sites, txns+1, 10_000)
-	c, err := Open(Config{
-		Sites:        sites,
-		Protocol:     core.Protocol{TransientFix: true},
-		Participants: parts,
-		Backend:      NewLiveBackend(LiveOptions{T: liveT}),
-		Schedule: Schedule{
-			PartitionAt(2500, 4, 5), // 2.5T
-			HealAt(12_000),          // 12T
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := make([]Txn, 0, txns)
-	for i := 0; i < txns; i++ {
-		batch = append(batch, Txn{Payload: transfer(i, i+1, 10)})
-	}
-	rs, err := c.SubmitBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rs {
-		if !r.Consistent() {
-			t.Fatalf("txn %d inconsistent: %+v", r.TID, r.Sites)
-		}
-		if b := r.Blocked(); len(b) != 0 {
-			t.Fatalf("txn %d blocked at %v", r.TID, b)
-		}
-	}
-	if err := c.Termination(); err != nil {
-		t.Fatalf("termination violated: %v", err)
-	}
-	st := c.Stats()
-	if st.Committed+st.Aborted != txns || st.Inconsistent != 0 {
-		t.Fatalf("stats: %v", st)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// FinalState is filled at Close on the live backend.
-	for _, r := range rs {
-		for id, so := range r.Sites {
-			if so.FinalState == "" {
-				t.Fatalf("txn %d site %d: empty final state", r.TID, id)
-			}
-		}
-	}
-}
-
-// Live crash handling: the survivors decide, the dead site is excluded.
-func TestLiveCrash(t *testing.T) {
-	liveT := 3 * time.Millisecond
-	c, err := Open(Config{
-		Sites:    4,
-		Protocol: core.Protocol{TransientFix: true},
-		Backend:  NewLiveBackend(LiveOptions{T: liveT}),
-		Schedule: Schedule{CrashAt(2500, 4)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	r, err := c.Submit(Txn{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Consistent() {
-		t.Fatalf("inconsistent: %+v", r.Sites)
-	}
-	if b := r.Blocked(); len(b) != 0 {
-		t.Fatalf("blocked at %v", b)
-	}
-}
-
-// A participant dead at submission is excluded from the live roster —
-// the automata run with only the live sites (matching the sim backend),
-// so the survivors commit instead of waiting on a corpse.
-func TestLiveCrashedParticipantExcluded(t *testing.T) {
-	c, err := Open(Config{
-		Sites:    4,
-		Protocol: core.Protocol{TransientFix: true},
-		Backend:  NewLiveBackend(LiveOptions{T: 3 * time.Millisecond}),
-		Schedule: Schedule{CrashAt(1000, 3)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	r, err := c.Submit(Txn{Sites: []proto.SiteID{1, 2, 3}, At: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Sites[3].Crashed || r.Sites[3].Outcome != proto.None {
-		t.Fatalf("crashed participant: %+v", r.Sites[3])
-	}
-	if !r.Decided() || r.Outcome() != proto.Commit {
-		t.Fatalf("survivors should commit: outcome=%v blocked=%v", r.Outcome(), r.Blocked())
-	}
-}
-
-// Reachability on the live backend — the admission check for recovery's
-// bulk catch-up pull — follows the injected faults: a partition separates
-// exactly the pairs that straddle it, a crashed site is reachable by
-// nobody until it recovers.
-func TestLiveReachable(t *testing.T) {
-	b := NewLiveBackend(LiveOptions{T: 3 * time.Millisecond})
-	c, err := Open(Config{Sites: 4, Protocol: core.Protocol{}, Backend: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	inject := func(ev Event) {
-		t.Helper()
-		if err := c.Inject(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !b.reachable(1, 4) {
-		t.Fatal("healthy pair unreachable")
-	}
-	inject(PartitionAt(0, 3, 4))
-	if b.reachable(1, 4) || !b.reachable(3, 4) || !b.reachable(1, 2) {
-		t.Fatal("partition reachability wrong")
-	}
-	inject(HealAt(0))
-	inject(CrashAt(0, 2))
-	if b.reachable(1, 2) {
-		t.Fatal("crashed site reachable")
-	}
-	inject(RecoverAt(0, 2))
-	if !b.reachable(1, 2) {
-		t.Fatal("recovered site unreachable")
 	}
 }
 

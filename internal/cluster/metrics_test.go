@@ -3,7 +3,6 @@ package cluster
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"termproto/internal/obs"
 	"termproto/internal/proto"
@@ -16,34 +15,6 @@ func metricsRun(t *testing.T, backend Backend) obs.Snapshot {
 	t.Helper()
 	c, _ := runBatch(t, backend, parityBatch())
 	return c.Metrics()
-}
-
-// TestMetricsNamesParitySimLive: the family-name set of Cluster.Metrics()
-// is the pre-registered catalog, identical across backends and
-// independent of which code paths a run exercised.
-func TestMetricsNamesParitySimLive(t *testing.T) {
-	simSnap := metricsRun(t, NewSimBackend(SimOptions{Seed: 11}))
-	liveSnap := metricsRun(t, NewLiveBackend(LiveOptions{T: 3 * time.Millisecond}))
-	if !reflect.DeepEqual(simSnap.Names(), liveSnap.Names()) {
-		t.Fatalf("family names diverge:\nsim:  %v\nlive: %v", simSnap.Names(), liveSnap.Names())
-	}
-	for _, snap := range []obs.Snapshot{simSnap, liveSnap} {
-		// 4 txns decided, 3 committed (one scripted no-vote abort).
-		if got := snap.Value(obs.MRoundLatency, obs.L("phase", "decided")); got != 4 {
-			t.Errorf("round-latency decided count = %d, want 4", got)
-		}
-		if got := snap.Total(obs.MShardCommitLatency); got != 3 {
-			t.Errorf("shard commit-latency count = %d, want 3", got)
-		}
-	}
-	// Link lateness is a wall-clock measurement: the live links record
-	// every crossing, the simulator registers the family and leaves it empty.
-	if got := simSnap.Total(obs.MLinkCrossLate); got != 0 {
-		t.Errorf("sim recorded %d link crossings, want the family empty", got)
-	}
-	if liveSnap.Total(obs.MLinkCrossLate) == 0 {
-		t.Error("no link lateness observed on the live backend")
-	}
 }
 
 // TestNetMetricsParity runs the same batch against real termnode

@@ -69,15 +69,6 @@ func (r *MigrationReport) String() string {
 		r.Kind, r.Site, r.ShardsMoved, r.KeysMigrated, r.TID, verdict)
 }
 
-// siteLifecycle is the optional backend extension for elastic membership:
-// the live backend spawns a real site loop when a site joins and retires
-// it after its Leave commits. The sim backend's sites are passive
-// scheduler entities and need neither.
-type siteLifecycle interface {
-	SpawnSite(id proto.SiteID)
-	RetireSite(id proto.SiteID)
-}
-
 // Join adds a provisioned site to the membership: shards rebalance onto
 // it (contents copied from current replicas), and the new assignment
 // takes effect when the epoch-bump transaction commits through the
@@ -89,8 +80,7 @@ func (c *Cluster) Join(site proto.SiteID) (*MigrationReport, error) {
 
 // Leave drains a member: every shard it replicates is copied to a
 // replacement replica first, then the epoch bump commits the shrunken
-// membership — no committed write is lost. The site's loop is retired
-// (live backend) once everything it participated in has quiesced.
+// membership — no committed write is lost.
 func (c *Cluster) Leave(site proto.SiteID) (*MigrationReport, error) {
 	return c.finishSync(c.beginLeave(site))
 }
@@ -148,10 +138,6 @@ func (c *Cluster) beginJoin(site proto.SiteID) *MigrationReport {
 	next, err := cur.WithJoin(site)
 	if err != nil {
 		return c.fail(rep, err)
-	}
-	// The joiner needs a running site loop before any byte lands on it.
-	if lc, ok := c.backend.(siteLifecycle); ok {
-		lc.SpawnSite(site)
 	}
 	return c.runMigration(rep, cur, next)
 }
@@ -326,9 +312,6 @@ func (c *Cluster) finishMigration(rep *MigrationReport, o proto.Outcome) {
 	rep.Committed, rep.Done, rep.Epoch = true, true, e
 	c.shardsMoved += rep.ShardsMoved
 	c.keysMigrated += rep.KeysMigrated
-	if rep.Kind == MigrationLeave {
-		c.pendingRetire = append(c.pendingRetire, rep.Site)
-	}
 	// In-flight transactions admitted under the old epoch terminate at
 	// their admission-epoch participants; the replicas this migration
 	// added converge through one more catch-up at the Wait boundary.

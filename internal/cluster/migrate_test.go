@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"termproto/internal/core"
 	"termproto/internal/db/engine"
@@ -149,10 +148,6 @@ func TestSimJoinMigratesShards(t *testing.T) {
 	joinScenario(t, NewSimBackend(SimOptions{}))
 }
 
-func TestLiveJoinMigratesShards(t *testing.T) {
-	joinScenario(t, NewLiveBackend(LiveOptions{T: 5 * time.Millisecond}))
-}
-
 // A leave drains its shards to replacement replicas without losing a
 // committed write, on BOTH backends.
 func leaveScenario(t *testing.T, backend Backend) {
@@ -230,10 +225,6 @@ func leaveScenario(t *testing.T, backend Backend) {
 
 func TestSimLeaveDrainsWithoutLoss(t *testing.T) {
 	leaveScenario(t, NewSimBackend(SimOptions{}))
-}
-
-func TestLiveLeaveDrainsWithoutLoss(t *testing.T) {
-	leaveScenario(t, NewLiveBackend(LiveOptions{T: 5 * time.Millisecond}))
 }
 
 // Transactions admitted before an epoch bump terminate under their
@@ -578,5 +569,4 @@ func TestRF1LocalFastPath(t *testing.T) {
 		}
 	}
 	run(NewSimBackend(SimOptions{}))
-	run(NewLiveBackend(LiveOptions{T: 3 * time.Millisecond}))
 }

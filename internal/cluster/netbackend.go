@@ -38,9 +38,9 @@ type NetOptions struct {
 // NetBackend runs transactions on a localnet of real termnode processes:
 // every site is its own OS process speaking the wire protocol over TCP,
 // every WAL is a real file, a crash is a SIGKILL and a recovery is a
-// fresh process over the surviving workspace. It is the third rung of
-// the fidelity ladder — sim (deterministic), live (goroutines), net
-// (processes) — and the same Cluster API drives all three.
+// fresh process over the surviving workspace. It is the second rung of
+// the fidelity ladder — sim (deterministic), net (processes) — and the
+// same Cluster API drives both.
 //
 // Unsupported with this backend: Participants (the engines live in the
 // daemon processes; inspect them through the admin API) and membership

@@ -56,7 +56,7 @@ func runBatch(t *testing.T, backend Backend, batch []Txn) (*Cluster, []*TxnResul
 }
 
 // TestNetParityOutcomes runs a fault-free batch through real termnode
-// processes. The daemons run the site loop the live backend runs, so what
+// processes. The daemons step the site.Table the simulator steps, so what
 // is left to check is the process boundary: the scripted no-vote must
 // cross it in the submission envelope and abort its transaction, the run
 // must satisfy the termination property, and the daemons' engines must
@@ -95,8 +95,7 @@ func TestNetParityOutcomes(t *testing.T) {
 // scenario against real processes: a minority cut at 2.5T — severed TCP
 // links — healing at 7T. The exact outcomes are timing-dependent, but the
 // safety aggregate is not: every transaction decided everywhere, no site
-// disagrees, nothing blocks. (TestSimLivePartitionParity holds the sim
-// and live backends to the same aggregate.)
+// disagrees, nothing blocks.
 func TestNetParityTransientPartition(t *testing.T) {
 	c, err := Open(Config{
 		Sites: 3, Protocol: core.Protocol{TransientFix: true},
@@ -186,8 +185,8 @@ func TestNetCrashAfterPrepared(t *testing.T) {
 	}
 }
 
-// TestNetCrashedParticipantExcluded is TestLiveCrashedParticipantExcluded
-// on real daemons: the roster rule is the driver's, so a participant that
+// TestNetCrashedParticipantExcluded: the roster rule is the driver's, as
+// on the simulator, so a participant that
 // was SIGKILLed before the submission fires is not invited, the survivors
 // commit instead of waiting out a vote timer on a corpse, and the restarted
 // daemon's catch-up pulls the key it missed.

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"termproto/internal/core"
 	"termproto/internal/db/engine"
@@ -30,7 +29,7 @@ func dbEngines(sites, accounts int, balance int64) (map[proto.SiteID]Participant
 }
 
 // recoveryScenario is the acceptance scenario of the durable-recovery
-// subsystem, run identically on both backends:
+// subsystem on the simulator:
 //
 //   - site 5 crashes after logging RecPrepared for txn 1 but before
 //     learning the decision; the survivors decide via the protocol;
@@ -43,20 +42,13 @@ func dbEngines(sites, accounts int, balance int64) (map[proto.SiteID]Participant
 //     the in-doubt inquiry must succeed against a non-coordinator peer;
 //   - a final transaction runs with site 5 participating again.
 //
-// crashAt differs per backend: the sim's Fixed{T} latency and the live
-// runtime's [T/4, T/2] delays put the vulnerable window (voted yes,
-// decision not yet arrived) at different timeline positions.
-//
-// Safety violations fail the test immediately; the scripted *outcomes*
-// (txns 1 and 2 committing) are timing-dependent on the live backend —
-// under heavy machine load a slow message can push the master past its
-// 2T window into a legitimate abort — so those return an error and the
-// live wrappers retry with a fresh cluster.
-func recoveryScenario(t *testing.T, backend Backend, crashAt sim.Time, masterCut bool) error {
+// The crash at 2.5T sits strictly between site 5's yes vote (1T under
+// Fixed{T} latency) and the commit's arrival (5T).
+func recoveryScenario(t *testing.T, masterCut bool) {
 	t.Helper()
 	const sites, accounts = 5, 6
 	parts, engs := dbEngines(sites, accounts, 1000)
-	sched := Schedule{CrashAt(crashAt, 5)}
+	sched := Schedule{CrashAt(2500, 5)}
 	if masterCut {
 		sched = append(sched, PartitionAt(11_500, 1), HealAt(20_000))
 	}
@@ -65,7 +57,6 @@ func recoveryScenario(t *testing.T, backend Backend, crashAt sim.Time, masterCut
 		Sites:        sites,
 		Protocol:     core.Protocol{TransientFix: true},
 		Participants: parts,
-		Backend:      backend,
 		Schedule:     sched,
 		Recovery:     true,
 	})
@@ -95,12 +86,8 @@ func recoveryScenario(t *testing.T, backend Backend, crashAt sim.Time, masterCut
 	if !r1.Decided() || !r1.Consistent() || (r2 != nil && (!r2.Decided() || !r2.Consistent())) {
 		t.Fatalf("survivors blocked or inconsistent: txn1=%+v txn2=%+v", r1, r2)
 	}
-	// Timing preconditions of the script (retryable on the live backend).
-	if r1.Outcome() != proto.Commit {
-		return fmt.Errorf("txn 1 aborted (slow delivery): %v", r1.Outcome())
-	}
-	if r2 != nil && r2.Outcome() != proto.Commit {
-		return fmt.Errorf("txn 2 aborted (slow delivery): %v", r2.Outcome())
+	if r1.Outcome() != proto.Commit || r2 != nil && r2.Outcome() != proto.Commit {
+		t.Fatalf("txn 1 = %v, txn 2 = %+v: want commits", r1.Outcome(), r2)
 	}
 
 	// The recovery resolved txn 1 at site 5 to the survivors' outcome.
@@ -112,10 +99,7 @@ func recoveryScenario(t *testing.T, backend Backend, crashAt sim.Time, masterCut
 	if rep.Site != 5 || rep.Err != nil {
 		t.Fatalf("recovery report: %v", rep)
 	}
-	if rep.Stats.InDoubt != 1 {
-		return fmt.Errorf("site 5 not in doubt (crash missed the window): %v", rep.Stats)
-	}
-	if rep.Stats.ResolvedCommit != 1 || rep.Stats.Unresolved != 0 {
+	if rep.Stats.InDoubt != 1 || rep.Stats.ResolvedCommit != 1 || rep.Stats.Unresolved != 0 {
 		t.Fatalf("in-doubt txn not resolved to the survivors' commit: %v", rep.Stats)
 	}
 	if o, ok := engs[5].Outcome(uint64(r1.TID)); !ok || o != proto.Commit {
@@ -137,11 +121,8 @@ func recoveryScenario(t *testing.T, backend Backend, crashAt sim.Time, masterCut
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if r3.Sites[5].Crashed || !r3.Decided() || !r3.Consistent() {
+	if r3.Sites[5].Crashed || !r3.Decided() || r3.Outcome() != proto.Commit {
 		t.Fatalf("post-recovery txn: site5=%+v outcome=%v", r3.Sites[5], r3.Outcome())
-	}
-	if r3.Outcome() != proto.Commit {
-		return fmt.Errorf("post-recovery txn aborted (slow delivery): %v", r3.Outcome())
 	}
 
 	// The headline property: everything decided, atomically, and the
@@ -152,58 +133,15 @@ func recoveryScenario(t *testing.T, backend Backend, crashAt sim.Time, masterCut
 	if st := c.Stats(); st.Recoveries != 1 {
 		t.Fatalf("stats recoveries = %d", st.Recoveries)
 	}
-	return nil
-}
-
-// liveRecoveryScenario retries the timing-dependent script on a fresh
-// cluster; the deterministic assertions inside still fail the test
-// directly on any safety violation.
-func liveRecoveryScenario(t *testing.T, crashAt sim.Time, masterCut bool) {
-	t.Helper()
-	var err error
-	for attempt := 0; attempt < 3; attempt++ {
-		backend := NewLiveBackend(LiveOptions{T: 20 * time.Millisecond})
-		if err = recoveryScenario(t, backend, crashAt, masterCut); err == nil {
-			return
-		}
-		t.Logf("attempt %d: %v", attempt+1, err)
-	}
-	t.Fatalf("timing preconditions never held: %v", err)
 }
 
 // TestSimRecoveryResolvesInDoubt: the deterministic acceptance scenario.
-// Crash at 2.5T sits strictly between site 5's yes vote (1T under Fixed{T}
-// latency) and the commit's arrival (5T).
-func TestSimRecoveryResolvesInDoubt(t *testing.T) {
-	if err := recoveryScenario(t, NewSimBackend(SimOptions{}), 2500, false); err != nil {
-		t.Fatal(err) // the sim is deterministic: no retries, no excuses
-	}
-}
+func TestSimRecoveryResolvesInDoubt(t *testing.T) { recoveryScenario(t, false) }
 
 // TestSimRecoveryCoordinatorUnreachable: the nasty case — the coordinator
 // is still partitioned away when the site restarts; a fellow slave's
 // durable decision resolves the in-doubt transaction.
-func TestSimRecoveryCoordinatorUnreachable(t *testing.T) {
-	if err := recoveryScenario(t, NewSimBackend(SimOptions{}), 2500, true); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLiveRecoveryResolvesInDoubt: the same scenario over real goroutines
-// and real inquiry messages. Live delays are drawn from [T/4, T/2], so the
-// vulnerable window is earlier: by 0.5T the xact has arrived and the vote
-// is logged; the earliest a decision can arrive is 1.25T (five hops at
-// T/4). Crash at 0.9T lands inside it regardless of timing.
-func TestLiveRecoveryResolvesInDoubt(t *testing.T) {
-	liveRecoveryScenario(t, 900, false)
-}
-
-// TestLiveRecoveryCoordinatorUnreachable: coordinator cut off at recovery
-// time; the MsgInquire to it bounces off the partition boundary and the
-// next peer answers.
-func TestLiveRecoveryCoordinatorUnreachable(t *testing.T) {
-	liveRecoveryScenario(t, 900, true)
-}
+func TestSimRecoveryCoordinatorUnreachable(t *testing.T) { recoveryScenario(t, true) }
 
 // TestSimHealRetryResolvesUnresolved: the recovery-time retry. Site 5
 // crashes with txn 1 prepared, and restarts while a partition isolates it
@@ -266,67 +204,6 @@ func TestSimHealRetryResolvesUnresolved(t *testing.T) {
 	if err := c.Termination(); err != nil {
 		t.Fatalf("termination: %v", err)
 	}
-}
-
-// TestLiveHealRetryResolvesUnresolved: the same retry over real goroutines
-// — the heal lifts the boundary and the re-inquiry's MsgInquire reaches a
-// decided peer. Timing-dependent preconditions retry on a fresh cluster.
-func TestLiveHealRetryResolvesUnresolved(t *testing.T) {
-	scenario := func() error {
-		const sites, accounts = 5, 6
-		parts, engs := dbEngines(sites, accounts, 1000)
-		c, err := Open(Config{
-			Sites:        sites,
-			Protocol:     core.Protocol{TransientFix: true},
-			Participants: parts,
-			Backend:      NewLiveBackend(LiveOptions{T: 20 * time.Millisecond}),
-			Schedule: Schedule{
-				CrashAt(900, 5),
-				PartitionAt(11_000, 5),
-				RecoverAt(12_500, 5),
-				HealAt(20_000),
-			},
-			Recovery: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		r1, err := c.Submit(Txn{Payload: transfer(0, 1, 10)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if r1.Outcome() != proto.Commit {
-			return fmt.Errorf("txn 1 aborted (slow delivery): %v", r1.Outcome())
-		}
-		reps := c.Recoveries()
-		if len(reps) == 0 || reps[0].Stats.InDoubt != 1 {
-			return fmt.Errorf("crash missed the in-doubt window: %v", reps)
-		}
-		if reps[0].Stats.Unresolved != 1 {
-			return fmt.Errorf("restart resolved txn 1 despite the partition: %v", reps[0])
-		}
-		// The heal retry may land in a later report slice on the live
-		// backend; what matters is the durable outcome and the locks.
-		if o, ok := engs[5].Outcome(uint64(r1.TID)); !ok || o != proto.Commit {
-			t.Fatalf("site 5 durable outcome = %v/%v, want commit after heal retry", o, ok)
-		}
-		if len(engs[5].InDoubt()) != 0 {
-			t.Fatalf("site 5 still holds in-doubt locks after heal: %v", engs[5].InDoubt())
-		}
-		return nil
-	}
-	var err error
-	for attempt := 0; attempt < 3; attempt++ {
-		if err = scenario(); err == nil {
-			return
-		}
-		t.Logf("attempt %d: %v", attempt+1, err)
-	}
-	t.Fatalf("timing preconditions never held: %v", err)
 }
 
 // TestSimRecoveryShardedCatchUp: sharded placement — the recovering site

@@ -64,7 +64,7 @@ func (k EventKind) String() string {
 }
 
 // Event is one entry on a cluster's fault timeline. Times are virtual
-// ticks (sim.DefaultT ticks = one T); the live backend converts them to
+// ticks (sim.DefaultT ticks = one T); the net backend converts them to
 // wall time through its configured T.
 type Event struct {
 	At   sim.Time

@@ -12,10 +12,9 @@ import (
 	"termproto/internal/site"
 )
 
-// wallSites is how the wall-clock driver reaches its sites — all that
-// differs between the goroutine runtime and the process runtime. Calls may
-// block (a daemon is a round trip away); the driver never makes one with
-// its mutex held.
+// wallSites is how the wall-clock driver reaches its sites: NetBackend's
+// daemons, or a test's fake. Calls may block (a daemon is a round trip
+// away); the driver never makes one with its mutex held.
 type wallSites interface {
 	// boot brings every site up; the timeline starts when it returns.
 	boot(cfg Config) error
@@ -59,8 +58,8 @@ func (e *UndecidedError) Error() string {
 
 // wallDriver is what a wall-clock backend is apart from its sites: the
 // tick↔wall mapping, the fault schedule, delayed submission, the
-// per-transaction view results are copied from, and Wait. LiveBackend and
-// NetBackend embed it and implement wallSites.
+// per-transaction view results are copied from, and Wait. NetBackend
+// embeds it and implements wallSites.
 //
 // Where a rule could go either way it is the simulator's. A transaction's
 // roster is the one invite draws when its submission fires. A site is
@@ -85,10 +84,8 @@ type wallDriver struct {
 	finalStats NetStats // counters frozen at Close
 	// pending counts what Wait must not outrun: delayed submissions, and
 	// of the scheduled events EvRecover and EvHeal under Config.Recovery
-	// (the durable recovery, the retry pass) and all membership events,
-	// whose epoch-bump transaction must be submitted before Wait collects
-	// the roster — matching the sim backend, whose Wait runs the schedule
-	// to quiescence.
+	// (the durable recovery, the retry pass) — matching the sim backend,
+	// whose Wait runs the schedule to quiescence.
 	pending sync.WaitGroup
 }
 
@@ -173,16 +170,10 @@ func (d *wallDriver) Open(cfg Config) error {
 }
 
 // Inject implements Backend: the event fires at its timeline position (or
-// immediately if that is already past).
+// immediately if that is already past). Heals matter to Wait only for the
+// retry pass they trigger.
 func (d *wallDriver) Inject(ev Event) error {
-	tracked := false
-	switch ev.Kind {
-	case EvRecover, EvHeal:
-		// Heals matter to Wait only for the retry pass they trigger.
-		tracked = d.cfg.Recovery
-	case EvJoin, EvLeave, EvMove:
-		tracked = true
-	}
+	tracked := (ev.Kind == EvRecover || ev.Kind == EvHeal) && d.cfg.Recovery
 	d.at(ev.At, tracked, func() { d.apply(ev) })
 	return nil
 }
@@ -237,10 +228,6 @@ func (d *wallDriver) apply(ev Event) {
 			d.recoveries = append(d.recoveries, *rep)
 		}
 		d.mu.Unlock()
-	case EvJoin, EvLeave, EvMove:
-		if d.cfg.migrate != nil {
-			d.cfg.migrate(ev)
-		}
 	}
 }
 
@@ -399,13 +386,6 @@ func (d *wallDriver) sync() error {
 	}
 	sort.Slice(stuck, func(i, j int) bool { return stuck[i] < stuck[j] })
 	return &UndecidedError{TIDs: stuck}
-}
-
-// txn returns a transaction not yet final, else nil.
-func (d *wallDriver) txn(tid proto.TxnID) *wallTxn {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.txns[tid]
 }
 
 // Recoveries implements Backend.

@@ -38,8 +38,8 @@ func newLinkPair() *linkPair {
 	return p
 }
 
-// inProcessPair joins the two sites the way cluster.LiveBackend does: put
-// is a hand-off to the destination's Link.
+// inProcessPair joins the two sites in-process: put is a hand-off to the
+// destination's Link, with no TCP in between.
 func inProcessPair(t *testing.T) *linkPair {
 	p := newLinkPair()
 	var mu sync.Mutex

@@ -1,9 +1,9 @@
 package obs
 
 // The metric catalog: every name the cluster emits, in one place, so
-// the three backends cannot drift apart. The backend-parity test
-// asserts that Cluster.Metrics() returns exactly these families on
-// sim, live, and net; RegisterBase pre-registers them all, so the name
+// the backends cannot drift apart. The backend-parity test asserts that
+// Cluster.Metrics() returns exactly these families on sim and net;
+// RegisterBase pre-registers them all, so the name
 // set is a structural property of the registry, not a side effect of
 // which code paths a particular run happened to exercise.
 //

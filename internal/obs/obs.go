@@ -2,10 +2,9 @@
 // counters, gauges, and fixed-bucket latency histograms behind a
 // registry with a stable name×label scheme. It is the sensor substrate
 // the ROADMAP item-4 placement controller and item-5 consistency
-// checker stand on, and the same registry serves all three backends —
-// the deterministic simulator, the goroutine runtime, and the termnode
-// daemons — so a dashboard reads one vocabulary regardless of where the
-// cluster runs.
+// checker stand on, and the same registry serves both backends — the
+// deterministic simulator and the termnode daemons — so a dashboard reads
+// one vocabulary regardless of where the cluster runs.
 //
 // The record path is allocation-free: a handle (Counter, Gauge,
 // Histogram) is resolved once at instrumentation-setup time — that
@@ -20,8 +19,8 @@
 // allocation-free after a shard's first touch.
 //
 // Time-valued histograms record simulator ticks (sim.DefaultT = 1000
-// ticks is one protocol timeout window T); the live and net backends
-// convert wall time with their usual tick scale, so latency quantiles
+// ticks is one protocol timeout window T); the net backend converts wall
+// time with its usual tick scale, so latency quantiles
 // are comparable across backends. Wall-native measurements (WAL fsync)
 // record microseconds and say so in the metric name.
 package obs

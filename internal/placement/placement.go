@@ -443,8 +443,7 @@ func containsSite(ids []proto.SiteID, id proto.SiteID) bool {
 
 // Directory is the versioned shard directory: an epoch-stamped stack of
 // assignments plus at most one pending (mid-migration) assignment. All
-// methods are safe for concurrent use — the live backend resolves
-// placement from site goroutines while a migration advances the epoch.
+// methods are safe for concurrent use.
 type Directory struct {
 	mu       sync.RWMutex
 	versions []*Assignment

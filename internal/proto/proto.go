@@ -7,7 +7,7 @@
 // commit and its rule-augmented variant, the Huang–Li termination protocol,
 // and the quorum baseline) are implemented as pure event-driven state
 // machines against these interfaces, so the same automaton code runs under
-// the deterministic simulator and the live goroutine runtime.
+// the deterministic simulator and in the termnode daemons.
 package proto
 
 import (

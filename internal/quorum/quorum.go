@@ -123,8 +123,7 @@ func GroupsFor(asg *placement.Assignment, payload []byte) []Group {
 
 // Tally counts quorum evaluations by result — the observability
 // companion to Eval. The counters are atomic so concurrent evaluators
-// (the live and net backends' submission paths) share one tally; a nil
-// *Tally counts nothing.
+// share one tally; a nil *Tally counts nothing.
 type Tally struct {
 	met, unmet atomic.Uint64
 }

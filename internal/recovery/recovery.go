@@ -31,9 +31,9 @@
 //     by the site is one source, pulled from that shard's other replicas.
 //
 // The manager is backend-neutral: internal/cluster runs it at EvRecover
-// on both the deterministic simulator (reachability from the partition
-// timeline, synchronous inquiry) and the live goroutine runtime (real
-// MsgInquire messages through site.Loop), and termnode runs it at start-up.
+// on the deterministic simulator (reachability from the partition
+// timeline, synchronous inquiry), and termnode runs it at start-up (real
+// MsgInquire messages through site.Loop).
 package recovery
 
 import (

@@ -10,9 +10,8 @@
 //   - a Clock: virtual time and timers on a sim.Scheduler (SchedClock), or
 //     wall time with time.AfterFunc timers that re-enter the site's inbox
 //     (Loop is its own clock);
-//   - a Transport: simnet.Network under the simulator, a Link that puts
-//     frames on the far side in-process (cluster.LiveBackend) or over TCP
-//     (netnode).
+//   - a Transport: simnet.Network under the simulator, or a Link that puts
+//     frames on the far side over TCP (netnode) or, in tests, in-process.
 //
 // Everything else — roster accessors, SendAll, the vote, the first-wins
 // decision, the local-commit fast path, transition/timer/decision trace

@@ -33,8 +33,8 @@ func eachWaker(t *testing.T, test func(t *testing.T, wake func() waker, precise 
 	t.Run("timer", func(t *testing.T) { test(t, func() waker { return newTimerWaker() }, false) })
 }
 
-// newLinkPair joins sites 1 and 2 in-process, as cluster.LiveBackend does;
-// what lands at site i goes to inbox[i-1] with its arrival instant.
+// newLinkPair joins sites 1 and 2 in-process; what lands at site i goes to
+// inbox[i-1] with its arrival instant.
 func newLinkPair(t *testing.T, wake func() waker) (*[2]*Link, [2]chan landing) {
 	var links [2]*Link
 	var inbox [2]chan landing

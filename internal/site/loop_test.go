@@ -16,8 +16,8 @@ import (
 
 const liveT = 5 * time.Millisecond
 
-// mesh is n site loops joined by in-process links — what
-// cluster.LiveBackend builds, minus the cluster.
+// mesh is n site loops joined by in-process links: a localnet's sites
+// without the processes and the TCP between them.
 type mesh struct {
 	loops map[proto.SiteID]*Loop
 	links map[proto.SiteID]*Link

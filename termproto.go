@@ -102,11 +102,7 @@ type (
 	// Schedule is a timeline of fault events; ScheduleEvent is one entry.
 	Schedule      = cluster.Schedule
 	ScheduleEvent = cluster.Event
-	LiveBackend   = cluster.LiveBackend
-	LiveOptions   = cluster.LiveOptions
 )
-
-var NewLiveBackend = cluster.NewLiveBackend
 
 // Open starts a cluster (deterministic SimBackend unless configured).
 func Open(cfg ClusterConfig) (*Cluster, error) { return cluster.Open(cfg) }
