@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"testing"
 
 	"termproto/internal/db/wal"
@@ -121,4 +122,76 @@ func TestCheckpointBoundsLogAcrossRestarts(t *testing.T) {
 			t.Fatalf("log growth per cycle = %d records (sizes %v)", sizes[i]-sizes[i-1], sizes)
 		}
 	}
+}
+
+// fullDisk is a log store whose data writes fail once the disk fills; a
+// Replace with nothing to write still succeeds.
+type fullDisk struct {
+	wal.MemStore
+	full bool
+}
+
+var errDiskFull = errors.New("write: no space left on device")
+
+func (s *fullDisk) Write(p []byte) (int, error) {
+	if s.full {
+		return 0, errDiskFull
+	}
+	return s.MemStore.Write(p)
+}
+
+func (s *fullDisk) Replace(p []byte) error {
+	if s.full && len(p) > 0 {
+		return errDiskFull
+	}
+	return s.MemStore.Replace(p)
+}
+
+// A checkpoint whose write fails reports it and leaves the log it meant to
+// replace: a recovery from what the store holds still has every committed
+// key, every durable decision and the prepared vote of the in-doubt
+// transaction. (Truncating first and appending after would leave nothing.)
+func TestCheckpointWriteFailureKeepsLog(t *testing.T) {
+	store := &fullDisk{}
+	e := New("s", store)
+	if !e.ExecuteAt(1, EncodeOps([]Op{{Kind: OpAdd, Key: "acct/1", Delta: 100}}), []proto.SiteID{1, 2}) {
+		t.Fatal("txn 1 voted no")
+	}
+	e.Commit(1)
+	if !e.ExecuteAt(2, EncodeOps([]Op{{Kind: OpAdd, Key: "acct/2", Delta: 50}}), []proto.SiteID{1, 2}) {
+		t.Fatal("txn 2 voted no")
+	}
+
+	store.full = true
+	if err := e.Checkpoint(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Checkpoint on a full disk = %v, want %v", err, errDiskFull)
+	}
+
+	raw, err := store.Contents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, inDoubt, err := Recover("s", replayOf(t, raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.GetInt("acct/1"); got != 100 {
+		t.Fatalf("acct/1 after recovery = %d, want 100", got)
+	}
+	if o, ok := r.Outcome(1); !ok || o != proto.Commit {
+		t.Fatalf("Outcome(1) after recovery = %v/%v, want commit", o, ok)
+	}
+	if len(inDoubt) != 1 || inDoubt[0] != 2 || !r.Locked("acct/2") {
+		t.Fatalf("in doubt after recovery = %v (acct/2 locked %v), want txn 2 prepared", inDoubt, r.Locked("acct/2"))
+	}
+}
+
+// replayOf is a fresh store holding raw as its stable contents.
+func replayOf(t *testing.T, raw []byte) *wal.MemStore {
+	t.Helper()
+	s := &wal.MemStore{}
+	if err := s.Replace(raw); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

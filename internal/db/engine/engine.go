@@ -746,11 +746,9 @@ func (e *Engine) RecoverInPlace() (RecoveryInfo, error) {
 // stay answerable across the compaction), and one begin/updates/prepared
 // fragment per still-in-doubt transaction (roster metadata included).
 // Replaying the compacted log reproduces exactly the state replaying the
-// full history would have.
-//
-// The truncate-then-rewrite is not atomic — a crash between the two loses
-// the tail; acceptable for the MemStore-backed simulation this bounds, and
-// a store-level atomic swap is the upgrade path for production logs.
+// full history would have. The log is swapped in one wal.Store.Replace, so
+// a crash or a failed write leaves either the whole old history or the
+// whole checkpoint.
 func (e *Engine) Checkpoint() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -785,11 +783,8 @@ func (e *Engine) Checkpoint() error {
 			recs = append(recs, p.fragment(tid)...)
 		}
 	}
-	if err := e.log.Truncate(); err != nil {
-		return fmt.Errorf("engine %s: checkpoint truncate: %w", e.name, err)
-	}
-	if err := e.log.AppendBatch(recs); err != nil {
-		return fmt.Errorf("engine %s: checkpoint write: %w", e.name, err)
+	if err := e.log.Replace(recs); err != nil {
+		return fmt.Errorf("engine %s: checkpoint: %w", e.name, err)
 	}
 	return nil
 }

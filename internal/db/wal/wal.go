@@ -17,6 +17,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -81,8 +82,10 @@ type Store interface {
 	Sync() error
 	// Contents returns the stable contents for recovery scans.
 	Contents() ([]byte, error)
-	// Truncate discards everything (used by checkpointing).
-	Truncate() error
+	// Replace swaps the whole contents for p, durably and atomically: a
+	// crash at any point leaves either the old contents or p, and a failed
+	// Replace leaves the old contents (used by checkpointing).
+	Replace(p []byte) error
 }
 
 // MemStore is an in-memory Store for simulations and tests. It tracks the
@@ -125,27 +128,34 @@ func (m *MemStore) CrashContents() []byte {
 	return append([]byte(nil), m.buf[:m.synced]...)
 }
 
-// Truncate implements Store.
-func (m *MemStore) Truncate() error {
+// Replace implements Store.
+func (m *MemStore) Replace(p []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.buf = nil
-	m.synced = 0
+	m.buf = append([]byte(nil), p...)
+	m.synced = len(m.buf)
 	return nil
 }
 
-// FileStore is a file-backed Store.
+// FileStore is a file-backed Store. Replace writes the new contents to
+// <path>.next and renames it over the log.
 type FileStore struct {
-	f *os.File
+	path string
+	f    *os.File
 }
 
-// OpenFile opens (creating if needed) a file-backed store.
+// OpenFile opens (creating if needed) a file-backed store. A <path>.next
+// left by a Replace that crashed before its rename is removed: the log at
+// path is still the whole of the old contents.
 func OpenFile(path string) (*FileStore, error) {
+	if err := os.Remove(path + ".next"); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("wal: remove stale %s.next: %w", path, err)
+	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	return &FileStore{f: f}, nil
+	return &FileStore{path: path, f: f}, nil
 }
 
 // Write implements Store.
@@ -163,13 +173,39 @@ func (s *FileStore) Contents() ([]byte, error) {
 	return io.ReadAll(s.f)
 }
 
-// Truncate implements Store.
-func (s *FileStore) Truncate() error {
-	if err := s.f.Truncate(0); err != nil {
+// Replace implements Store: write p to <path>.next, fsync it, rename it
+// over the log, then fsync the directory so the rename itself is durable.
+// The store appends to the new file from then on.
+func (s *FileStore) Replace(p []byte) error {
+	next := s.path + ".next"
+	f, err := os.OpenFile(next, os.O_CREATE|os.O_TRUNC|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
 		return err
 	}
-	_, err := s.f.Seek(0, io.SeekStart)
-	return err
+	if _, err = f.Write(p); err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(next, s.path)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(next) //nolint:errcheck // OpenFile removes a leftover too
+		return err
+	}
+	s.f.Close() //nolint:errcheck // the old log is unlinked; nothing more reads or writes it
+	s.f = f
+	return syncDir(filepath.Dir(s.path))
+}
+
+// syncDir makes a rename in dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Close closes the underlying file.
@@ -502,14 +538,25 @@ func (l *Log) Stats() Stats {
 	return l.stats
 }
 
-// Truncate discards the log (after a checkpoint). Pending group-commit
-// flushes drain first so no in-flight batch resurrects discarded bytes.
-func (l *Log) Truncate() error {
-	l.Flush() //nolint:errcheck // pre-truncate flush errors are moot
+// Replace swaps the whole log for rs — a checkpoint's compacted history —
+// in one atomic Store.Replace: a crash leaves the old log or rs, and a
+// failed Replace leaves the old log. Pending group-commit flushes drain
+// first so no in-flight batch lands in the discarded log.
+func (l *Log) Replace(rs []Record) error {
+	var buf []byte
+	for _, r := range rs {
+		buf = appendFrame(buf, r)
+	}
+	l.Flush() //nolint:errcheck // an append's flush error is its appender's; the replace writes afresh
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.count = 0
-	return l.store.Truncate()
+	if err := l.store.Replace(buf); err != nil {
+		return fmt.Errorf("wal: replace: %w", err)
+	}
+	l.count = uint64(len(rs))
+	l.stats.Records += uint64(len(rs))
+	l.obsRecords.Add(uint64(len(rs)))
+	return nil
 }
 
 func appendBody(buf []byte, r Record) []byte {

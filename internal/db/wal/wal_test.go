@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -117,18 +118,80 @@ func TestCrashLosesUnsynced(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	l := New(&MemStore{})
-	l.Append(rec(RecBegin, 1, "", "")) //nolint:errcheck
-	if err := l.Truncate(); err != nil {
+func TestReplace(t *testing.T) {
+	m := &MemStore{}
+	l := New(m)
+	l.Append(rec(RecBegin, 1, "", ""))  //nolint:errcheck
+	l.Append(rec(RecCommit, 1, "", "")) //nolint:errcheck
+	m.Write([]byte("unsynced garbage")) //nolint:errcheck
+	if err := l.Replace([]Record{rec(RecCheckpoint, 0, "", "")}); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := l.ScanStore()
-	if err != nil || len(recs) != 0 {
-		t.Fatalf("after truncate: %d records, err %v", len(recs), err)
+	for name, raw := range map[string][]byte{"contents": mustContents(t, m), "crash contents": m.CrashContents()} {
+		recs, err := Scan(raw)
+		if err != nil || len(recs) != 1 || recs[0].Type != RecCheckpoint {
+			t.Fatalf("%s after replace: %v, err %v", name, recs, err)
+		}
 	}
-	if l.Count() != 0 {
-		t.Fatal("count not reset")
+	if l.Count() != 1 {
+		t.Fatalf("count %d after replace, want 1", l.Count())
+	}
+}
+
+func mustContents(t *testing.T, s Store) []byte {
+	t.Helper()
+	raw, err := s.Contents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// A Replace that crashed before its rename leaves <path>.next beside a
+// whole old log: OpenFile removes it and the log reads as before, and a
+// Replace after that swaps the contents and survives a reopen.
+func TestFileStoreIgnoresStaleNext(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "site1.wal")
+	fs, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := New(fs).Append(rec(RecCommit, 7, "", "")); err != nil {
+		t.Fatal(err)
+	}
+	fs.Close()
+	if err := os.WriteFile(path+".next", []byte("half a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fs, err = OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + ".next"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("stale .next survived OpenFile: %v", err)
+	}
+	recs, err := Scan(mustContents(t, fs))
+	if err != nil || len(recs) != 1 || recs[0].TID != 7 {
+		t.Fatalf("log after reopen: %v, err %v", recs, err)
+	}
+	l := New(fs)
+	if err := l.Replace([]Record{rec(RecCheckpoint, 0, "", "")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(rec(RecCommit, 8, "", "")); err != nil {
+		t.Fatal(err)
+	}
+	fs.Close()
+
+	fs, err = OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	recs, err = Scan(mustContents(t, fs))
+	if err != nil || len(recs) != 2 || recs[0].Type != RecCheckpoint || recs[1].TID != 8 {
+		t.Fatalf("log after replace and reopen: %v, err %v", recs, err)
 	}
 }
 
