@@ -248,10 +248,13 @@ func TestLoadIsOneSyncPerRequest(t *testing.T) {
 	}
 }
 
-// syncFailStore is a log store whose every Sync fails.
+// syncFailStore is a log store whose every Sync fails — and so every
+// Replace, which must fsync what it writes.
 type syncFailStore struct{ wal.MemStore }
 
 func (*syncFailStore) Sync() error { return errors.New("sync: disk gone") }
+
+func (*syncFailStore) Replace([]byte) error { return errors.New("sync: disk gone") }
 
 // A /load whose log append did not reach the disk answers 500 and serves
 // none of the fixture.
