@@ -28,11 +28,11 @@ func TestMessageConservationProperty(t *testing.T) {
 		}
 		n := New(Config{
 			Sched: sched, T: 1000,
-			Latency:   Uniform{Lo: 1, Hi: 1000},
-			Partition: part,
-			Mode:      mode,
-			Rand:      sim.NewRand(seed + 1),
-			Trace:     rec,
+			Latency:    Uniform{Lo: 1, Hi: 1000},
+			Partitions: []*Partition{part},
+			Mode:       mode,
+			Rand:       sim.NewRand(seed + 1),
+			Trace:      rec,
 		})
 		sink := HandlerFuncs{OnDeliver: func(proto.Msg) {}, OnUndeliverable: func(proto.Msg) {}}
 		ids := []proto.SiteID{1, 2, 3, 4}
@@ -82,10 +82,10 @@ func TestDeliveryBoundsProperty(t *testing.T) {
 		part := &Partition{At: sim.Time(onsetRaw % 6000), G2: G2Set(2)}
 		n := New(Config{
 			Sched: sched, T: T,
-			Latency:   Uniform{Lo: 1, Hi: T},
-			Partition: part,
-			Rand:      sim.NewRand(seed),
-			Trace:     rec,
+			Latency:    Uniform{Lo: 1, Hi: T},
+			Partitions: []*Partition{part},
+			Rand:       sim.NewRand(seed),
+			Trace:      rec,
 		})
 		sink := HandlerFuncs{OnDeliver: func(proto.Msg) {}, OnUndeliverable: func(proto.Msg) {}}
 		n.Register(1, sink)

@@ -174,11 +174,10 @@ type Config struct {
 	// undeliverable copy returns a full 2d after sending.
 	BoundaryFrac float64
 	Mode         Mode
-	Partition    *Partition
 	// Partitions is the full partition timeline: a sequence of (possibly
 	// transient) partitions with distinct onsets, enabling repartition
-	// scenarios. Partition, if set, is prepended to the list. More
-	// partitions can be added while the simulation runs via AddPartition.
+	// scenarios. More partitions can be added while the simulation runs
+	// via AddPartition.
 	Partitions []*Partition
 	Rand       *sim.Rand
 	Trace      *trace.Recorder
@@ -245,9 +244,6 @@ func New(cfg Config) *Network {
 		handlers: make(map[proto.SiteID]Handler),
 		crashes:  make(map[proto.SiteID][]crashSpan),
 	}
-	if cfg.Partition != nil {
-		n.addPartition(cfg.Partition)
-	}
 	for _, p := range cfg.Partitions {
 		n.addPartition(p)
 	}
@@ -277,14 +273,6 @@ func (n *Network) Sites() []proto.SiteID {
 
 // T returns the configured longest end-to-end delay.
 func (n *Network) T() sim.Duration { return n.cfg.T }
-
-// Partition returns the first configured partition (possibly nil).
-func (n *Network) Partition() *Partition {
-	if len(n.partitions) == 0 {
-		return nil
-	}
-	return n.partitions[0]
-}
 
 // AddPartition appends a partition to the timeline and schedules its trace
 // edges. Partitions whose onset lies in the past take effect for messages

@@ -69,7 +69,7 @@ func TestCrossPartitionBounceTiming(t *testing.T) {
 	// active from 0: crossing attempt at 100 fails, UD returns at 200 = 2T.
 	s := sim.NewScheduler()
 	p := &Partition{At: 0, G2: G2Set(2)}
-	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partition: p}, 1, 2)
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partitions: []*Partition{p}}, 1, 2)
 	n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgPrepare})
 	s.Run()
 	c1 := caps[1]
@@ -93,7 +93,7 @@ func TestCrossPartitionBounceTiming(t *testing.T) {
 func TestBoundaryFracHalvesReturnTime(t *testing.T) {
 	s := sim.NewScheduler()
 	p := &Partition{At: 0, G2: G2Set(2)}
-	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partition: p, BoundaryFrac: 0.5}, 1, 2)
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partitions: []*Partition{p}, BoundaryFrac: 0.5}, 1, 2)
 	n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgPrepare})
 	s.Run()
 	if caps[1].at[0] != 100 {
@@ -106,7 +106,7 @@ func TestInFlightMessagePassesBoundaryBeforeOnset(t *testing.T) {
 	// starting at 60 is too late to stop it: delivered at 100.
 	s := sim.NewScheduler()
 	p := &Partition{At: 60, G2: G2Set(2)}
-	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partition: p, BoundaryFrac: 0.5}, 1, 2)
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partitions: []*Partition{p}, BoundaryFrac: 0.5}, 1, 2)
 	n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgPrepare})
 	s.Run()
 	if len(caps[2].delivered) != 1 || caps[2].at[0] != 100 {
@@ -118,7 +118,7 @@ func TestInFlightMessageCaughtByOnset(t *testing.T) {
 	// f=1.0: crossing at 100; partition starts at 60 < 100: bounced.
 	s := sim.NewScheduler()
 	p := &Partition{At: 60, G2: G2Set(2)}
-	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partition: p}, 1, 2)
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partitions: []*Partition{p}}, 1, 2)
 	n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgPrepare})
 	s.Run()
 	if len(caps[2].delivered) != 0 {
@@ -133,7 +133,7 @@ func TestHealAllowsCrossing(t *testing.T) {
 	// Partition [10, 50); message sent at 60 crosses freely.
 	s := sim.NewScheduler()
 	p := &Partition{At: 10, Heal: 50, G2: G2Set(2)}
-	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{30}, Partition: p}, 1, 2)
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{30}, Partitions: []*Partition{p}}, 1, 2)
 	s.At(60, sim.PriControl, func() {
 		n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgProbe})
 	})
@@ -148,7 +148,7 @@ func TestMessageArrivingExactlyAtOnsetIsBlocked(t *testing.T) {
 	// so the message bounces. This pins the boundary-edge convention.
 	s := sim.NewScheduler()
 	p := &Partition{At: 100, G2: G2Set(2)}
-	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partition: p}, 1, 2)
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partitions: []*Partition{p}}, 1, 2)
 	n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgCommit})
 	s.Run()
 	if len(caps[2].delivered) != 0 {
@@ -159,7 +159,7 @@ func TestMessageArrivingExactlyAtOnsetIsBlocked(t *testing.T) {
 func TestMessageCrossingExactlyAtHealIsDelivered(t *testing.T) {
 	s := sim.NewScheduler()
 	p := &Partition{At: 10, Heal: 100, G2: G2Set(2)}
-	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partition: p}, 1, 2)
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partitions: []*Partition{p}}, 1, 2)
 	n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgCommit})
 	s.Run()
 	if len(caps[2].delivered) != 1 {
@@ -170,7 +170,7 @@ func TestMessageCrossingExactlyAtHealIsDelivered(t *testing.T) {
 func TestSameGroupUnaffected(t *testing.T) {
 	s := sim.NewScheduler()
 	p := &Partition{At: 0, G2: G2Set(3)}
-	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{25}, Partition: p}, 1, 2, 3)
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{25}, Partitions: []*Partition{p}}, 1, 2, 3)
 	n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgXact})
 	s.Run()
 	if len(caps[2].delivered) != 1 || caps[2].at[0] != 25 {
@@ -181,7 +181,7 @@ func TestSameGroupUnaffected(t *testing.T) {
 func TestG2InternalTrafficUnaffected(t *testing.T) {
 	s := sim.NewScheduler()
 	p := &Partition{At: 0, G2: G2Set(2, 3)}
-	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{25}, Partition: p}, 1, 2, 3)
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{25}, Partitions: []*Partition{p}}, 1, 2, 3)
 	n.Send(proto.Msg{From: 2, To: 3, Kind: proto.MsgCommit})
 	s.Run()
 	if len(caps[3].delivered) != 1 {
@@ -193,7 +193,7 @@ func TestPessimisticModeDrops(t *testing.T) {
 	s := sim.NewScheduler()
 	rec := &trace.Recorder{}
 	p := &Partition{At: 0, G2: G2Set(2)}
-	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partition: p, Mode: Pessimistic, Trace: rec}, 1, 2)
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partitions: []*Partition{p}, Mode: Pessimistic, Trace: rec}, 1, 2)
 	n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgPrepare})
 	s.Run()
 	if len(caps[1].returned) != 0 {
@@ -240,7 +240,7 @@ func TestTraceRecordsLifecycle(t *testing.T) {
 	s := sim.NewScheduler()
 	rec := &trace.Recorder{}
 	p := &Partition{At: 0, G2: G2Set(2)}
-	n, _ := build(t, Config{Sched: s, T: 100, Latency: Fixed{50}, Partition: p, Trace: rec}, 1, 2, 3)
+	n, _ := build(t, Config{Sched: s, T: 100, Latency: Fixed{50}, Partitions: []*Partition{p}, Trace: rec}, 1, 2, 3)
 	n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgPrepare}) // bounces
 	n.Send(proto.Msg{From: 1, To: 3, Kind: proto.MsgPrepare}) // delivers
 	s.Run()
@@ -339,7 +339,7 @@ func TestPerPairLatency(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	s := sim.NewScheduler()
 	p := &Partition{At: 0, G2: G2Set(2)}
-	n, _ := build(t, Config{Sched: s, T: 100, Latency: Fixed{10}, Partition: p}, 1, 2, 3)
+	n, _ := build(t, Config{Sched: s, T: 100, Latency: Fixed{10}, Partitions: []*Partition{p}}, 1, 2, 3)
 	n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgXact}) // bounce
 	n.Send(proto.Msg{From: 1, To: 3, Kind: proto.MsgXact}) // deliver
 	s.Run()
