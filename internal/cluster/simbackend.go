@@ -47,6 +47,9 @@ type SimBackend struct {
 	sched *sim.Scheduler
 	net   *simnet.Network
 	rec   *trace.Recorder
+	// site is what every incarnation of every site shares: the clock, the
+	// network, the trace sink and the decision hook.
+	site site.Site
 	// tables holds each site's running incarnation; a crash retires it.
 	tables map[proto.SiteID]*site.Table
 	// spawned counts the automata of incarnations already retired.
@@ -126,6 +129,10 @@ func (b *SimBackend) Open(cfg Config) error {
 		Rand:         sim.NewRand(b.opts.Seed + 1),
 		Trace:        b.rec,
 	})
+	b.site = site.Site{Clock: site.SchedClock{Sched: b.sched, Bound: b.opts.T}, Transport: b.net, OnDecide: b.onDecide}
+	if b.rec != nil {
+		b.site.Trace = b.rec.Append
+	}
 	for _, id := range allSites(cfg.Sites) {
 		b.tables[id] = b.newTable(id)
 		b.net.Register(id, running{b, id})
@@ -258,14 +265,9 @@ func (p simPeers) Snapshot(peer proto.SiteID) (map[string][]byte, map[string]boo
 
 // newTable builds one incarnation of a site on the scheduler's clock.
 func (b *SimBackend) newTable(id proto.SiteID) *site.Table {
-	var sink func(trace.Event)
-	if b.rec != nil {
-		sink = b.rec.Append
-	}
-	return site.NewTable(site.Site{
-		ID: id, Clock: site.SchedClock{Sched: b.sched, Bound: b.opts.T}, Transport: b.net,
-		Participant: b.cfg.Participants[id], Trace: sink, OnDecide: b.onDecide,
-	}, b.cfg.Protocol)
+	s := b.site
+	s.ID, s.Participant = id, b.cfg.Participants[id]
+	return site.NewTable(s, b.cfg.Protocol)
 }
 
 func (b *SimBackend) scheduleCrash(id proto.SiteID, at sim.Time) {
