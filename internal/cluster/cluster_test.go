@@ -96,6 +96,66 @@ func TestSimConcurrentTxnsUnderPartitionHeal(t *testing.T) {
 	}
 }
 
+// The same acceptance scenario on live termnode daemons: eight concurrent
+// transactions, a partition rising at 2.5T and healing at 12T, every
+// transaction decided, and every daemon's engine holding exactly the
+// committed writes.
+func TestLiveConcurrentTxnsUnderPartitionHeal(t *testing.T) {
+	const sites, txns = 5, 8
+	nb := netBackend(t)
+	c, err := Open(Config{
+		Sites:    sites,
+		Protocol: core.Protocol{TransientFix: true},
+		Backend:  nb,
+		Schedule: Schedule{
+			PartitionAt(2500, 4, 5),
+			HealAt(12_000),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	batch := make([]Txn, 0, txns)
+	for i := 0; i < txns; i++ {
+		batch = append(batch, Txn{Payload: put(fmt.Sprintf("k%d", i))})
+	}
+	rs, err := c.SubmitBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rs {
+		if !r.Consistent() {
+			t.Fatalf("txn %d inconsistent: %+v", r.TID, r.Sites)
+		}
+		if b := r.Blocked(); len(b) != 0 {
+			t.Fatalf("txn %d blocked at %v", r.TID, b)
+		}
+	}
+	if err := c.Termination(); err != nil {
+		t.Fatalf("termination violated: %v", err)
+	}
+	st := c.Stats()
+	if st.Committed+st.Aborted != txns || st.Inconsistent != 0 {
+		t.Fatalf("stats: %v", st)
+	}
+	snaps := nb.Snapshots()
+	if len(snaps) != sites {
+		t.Fatalf("snapshots from %d/%d nodes", len(snaps), sites)
+	}
+	for i, r := range rs {
+		key := fmt.Sprintf("k%d", i)
+		for id, snap := range snaps {
+			if _, have := snap[key]; have != (r.Outcome() == proto.Commit) {
+				t.Errorf("site %d: holds %q = %v, txn %d %v", id, key, have, r.TID, r.Outcome())
+			}
+		}
+	}
+}
+
 // The motivating contrast: 2PC under a permanent partition strands
 // transactions, and Termination reports it.
 func TestSimTwoPCBlocksUnderPartition(t *testing.T) {
@@ -225,6 +285,86 @@ func TestSimCrashMidTransaction(t *testing.T) {
 	}
 	if !r.Consistent() || !r.Decided() {
 		t.Fatalf("survivors must decide consistently: blocked=%v", r.Blocked())
+	}
+}
+
+// Crash handling on live daemons: site 4 is SIGKILLed at 0.9T — after its
+// yes vote, before any decision can reach it (five hops of at least T/4)
+// — and never restarts. The survivors decide without it.
+func TestLiveCrash(t *testing.T) {
+	c, err := Open(Config{
+		Sites:    4,
+		Protocol: core.Protocol{TransientFix: true},
+		Backend:  netBackend(t),
+		Schedule: Schedule{CrashAt(900, 4)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r, err := c.Submit(Txn{Payload: put("crash")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if !r.Consistent() {
+		t.Fatalf("inconsistent: %+v", r.Sites)
+	}
+	if b := r.Blocked(); len(b) != 0 {
+		t.Fatalf("blocked at %v", b)
+	}
+	for _, id := range []proto.SiteID{1, 2, 3} {
+		if r.Sites[id].Outcome == proto.None {
+			t.Errorf("survivor %d undecided: %+v", id, r.Sites[id])
+		}
+	}
+}
+
+// A participant dead at submission is left out of an explicit roster on
+// live daemons too: site 3 is SIGKILLed at 1T and never restarts, so sites
+// 1 and 2 commit the 5T submission on their own, and site 4, outside the
+// roster, never sees it.
+func TestLiveCrashedParticipantExcluded(t *testing.T) {
+	nb := netBackend(t)
+	c, err := Open(Config{
+		Sites:    4,
+		Protocol: core.Protocol{TransientFix: true},
+		Backend:  nb,
+		Schedule: Schedule{CrashAt(1000, 3)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r, err := c.Submit(Txn{Sites: []proto.SiteID{1, 2, 3}, At: 5000, Payload: put("roster")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if !r.Sites[3].Crashed || r.Sites[3].Outcome != proto.None {
+		t.Fatalf("crashed participant: %+v", r.Sites[3])
+	}
+	if !r.Decided() || r.Outcome() != proto.Commit {
+		t.Fatalf("survivors should commit: outcome=%v blocked=%v", r.Outcome(), r.Blocked())
+	}
+	if s, ok := r.Sites[4]; ok {
+		t.Errorf("site 4 outside the roster has an outcome: %+v", s)
+	}
+	snaps := nb.Snapshots()
+	if len(snaps) != 3 {
+		t.Fatalf("snapshots from %d/3 live nodes", len(snaps))
+	}
+	for _, id := range []proto.SiteID{1, 2} {
+		if got := string(snaps[id]["roster"]); got != "v" {
+			t.Errorf("site %d: roster = %q, want \"v\"", id, got)
+		}
+	}
+	if _, have := snaps[4]["roster"]; have {
+		t.Error("site 4 applied a transaction it was never invited to")
 	}
 }
 

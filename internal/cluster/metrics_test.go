@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"termproto/internal/core"
 	"termproto/internal/obs"
 	"termproto/internal/proto"
 )
@@ -15,6 +16,42 @@ func metricsRun(t *testing.T, backend Backend) obs.Snapshot {
 	t.Helper()
 	c, _ := runBatch(t, backend, parityBatch())
 	return c.Metrics()
+}
+
+// TestMetricsNamesParitySimLive: the family-name set of Cluster.Metrics()
+// is the pre-registered catalog, identical across backends and
+// independent of which code paths a run exercised — a failure-free batch
+// on the simulator and the same batch through a partition on live daemons
+// name the same families. Link lateness is a wall-clock measurement: the
+// daemons' links record every crossing, the simulator registers the
+// family and leaves it empty.
+func TestMetricsNamesParitySimLive(t *testing.T) {
+	simSnap := metricsRun(t, NewSimBackend(SimOptions{Seed: 11}))
+	c, err := Open(Config{
+		Sites: 3, Protocol: core.Protocol{TransientFix: true},
+		Backend:  netBackend(t),
+		Schedule: Schedule{PartitionAt(2500, 3), HealAt(7000)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.SubmitBatch(parityBatch()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	liveSnap := c.Metrics()
+	if !reflect.DeepEqual(simSnap.Names(), liveSnap.Names()) {
+		t.Fatalf("family names diverge:\nsim:  %v\nlive: %v", simSnap.Names(), liveSnap.Names())
+	}
+	if got := simSnap.Total(obs.MLinkCrossLate); got != 0 {
+		t.Errorf("sim recorded %d link crossings, want the family empty", got)
+	}
+	if liveSnap.Total(obs.MLinkCrossLate) == 0 {
+		t.Error("no link lateness observed on the live daemons")
+	}
 }
 
 // TestNetMetricsParity runs the same batch against real termnode

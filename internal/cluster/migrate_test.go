@@ -10,6 +10,7 @@ import (
 	"termproto/internal/placement"
 	"termproto/internal/proto"
 	"termproto/internal/sim"
+	"termproto/internal/simnet"
 )
 
 // directoryEngines builds placement-aware replicas wired to a directory:
@@ -148,6 +149,18 @@ func TestSimJoinMigratesShards(t *testing.T) {
 	joinScenario(t, NewSimBackend(SimOptions{}))
 }
 
+// liveLinks is the delay model of the live daemons' links (site.Link):
+// every crossing draws its delay between T/4 and T/2, where the
+// simulator's default takes exactly T.
+var liveLinks = simnet.Uniform{Lo: sim.DefaultT / 4, Hi: sim.DefaultT / 2}
+
+// Membership changes do not cross the process boundary (NetBackend
+// rejects join and leave), so the live variants run on the simulator
+// under the live daemons' link timing.
+func TestLiveJoinMigratesShards(t *testing.T) {
+	joinScenario(t, NewSimBackend(SimOptions{Latency: liveLinks, Seed: 5}))
+}
+
 // A leave drains its shards to replacement replicas without losing a
 // committed write, on BOTH backends.
 func leaveScenario(t *testing.T, backend Backend) {
@@ -225,6 +238,10 @@ func leaveScenario(t *testing.T, backend Backend) {
 
 func TestSimLeaveDrainsWithoutLoss(t *testing.T) {
 	leaveScenario(t, NewSimBackend(SimOptions{}))
+}
+
+func TestLiveLeaveDrainsWithoutLoss(t *testing.T) {
+	leaveScenario(t, NewSimBackend(SimOptions{Latency: liveLinks, Seed: 5}))
 }
 
 // Transactions admitted before an epoch bump terminate under their

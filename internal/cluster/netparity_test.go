@@ -23,15 +23,19 @@ func netBackend(t *testing.T) *NetBackend {
 	})
 }
 
+// put is a one-key write of "v". A daemon's engine refuses an empty
+// payload — its master votes no — so every transaction a test sends to
+// real processes carries one.
+func put(key string) []byte {
+	return engine.EncodeOps([]engine.Op{{Kind: engine.OpPut, Key: key, Value: []byte("v")}})
+}
+
 func parityBatch() []Txn {
-	mk := func(key string) []byte {
-		return engine.EncodeOps([]engine.Op{{Kind: engine.OpPut, Key: key, Value: []byte("v")}})
-	}
 	return []Txn{
-		{Payload: mk("a")},
-		{At: sim.Time(sim.DefaultT / 2), Payload: mk("b")},
-		{At: sim.Time(sim.DefaultT), Payload: mk("c"), Votes: NoAt(2)},
-		{At: sim.Time(3 * sim.DefaultT / 2), Payload: mk("d")},
+		{Payload: put("a")},
+		{At: sim.Time(sim.DefaultT / 2), Payload: put("b")},
+		{At: sim.Time(sim.DefaultT), Payload: put("c"), Votes: NoAt(2)},
+		{At: sim.Time(3 * sim.DefaultT / 2), Payload: put("d")},
 	}
 }
 
@@ -238,10 +242,11 @@ func TestNetCrashedParticipantExcluded(t *testing.T) {
 // drawn from [T/4, T/2], so by then site 3's yes vote is durable and no
 // decision can have reached it (five hops, at least 1.25T): the restart
 // finds the transaction in doubt. An inquiry that goes unanswered costs
-// its 4T timeout, so the schedule heals at 30T, after the recovery ends. A precondition the clock broke — a late
-// delivery that aborted the transaction, or a kill outside the window — is
-// returned as an error for the caller to retry on fresh daemons; safety
-// violations fail the test directly.
+// its 4T timeout, so a schedule that partitions heals at 30T, after the
+// recovery ends. A precondition the clock broke — a late delivery that
+// aborted the transaction, or a kill outside the window — is returned as
+// an error for the caller to retry on fresh daemons; safety violations
+// fail the test directly.
 func netInDoubtRestart(t *testing.T, nb *NetBackend, key string, sched Schedule) (*TxnResult, RecoveryReport, error) {
 	t.Helper()
 	c, err := Open(Config{Sites: 3, Protocol: core.Protocol{TransientFix: true}, Backend: nb, Schedule: sched})
@@ -285,6 +290,34 @@ func netRetry(t *testing.T, scenario func(nb *NetBackend) error) {
 		t.Logf("attempt %d: %v", attempt+1, err)
 	}
 	t.Fatalf("timing preconditions never held: %v", err)
+}
+
+// TestLiveRecoveryResolvesInDoubt: site 3 restarts in doubt with every
+// peer reachable. Its MsgInquire round over real traffic resolves the
+// transaction to the survivors' commit, and the restarted daemon applies
+// the write it voted for before the kill.
+func TestLiveRecoveryResolvesInDoubt(t *testing.T) {
+	netRetry(t, func(nb *NetBackend) error {
+		r, rep, err := netInDoubtRestart(t, nb, "doubt", Schedule{
+			CrashAt(900, 3),
+			RecoverAt(12_500, 3),
+		})
+		if err != nil {
+			return err
+		}
+		if rep.Stats.ResolvedCommit != 1 || rep.Stats.Unresolved != 0 {
+			t.Fatalf("in-doubt txn not resolved to the survivors' commit: %v", rep.Stats)
+		}
+		if got := r.Sites[3]; got.Outcome != proto.Commit {
+			t.Errorf("site 3 after its recovery: %+v, want commit", got)
+		}
+		for id, snap := range nb.Snapshots() {
+			if got := string(snap["doubt"]); got != "v" {
+				t.Errorf("site %d: doubt = %q, want \"v\"", id, got)
+			}
+		}
+		return nil
+	})
 }
 
 // TestNetRecoveryCoordinatorUnreachable: the coordinator is cut off when

@@ -310,3 +310,63 @@ func TestShardedExplicitMasterJoins(t *testing.T) {
 		t.Fatalf("outcome=%v blocked=%v", r.Outcome(), r.Blocked())
 	}
 }
+
+// Sim-vs-live parity for sharded workloads: the same ShardMap, the same
+// deterministic-outcome transactions, identical per-transaction outcomes
+// and replica sets on the simulator and on live daemons, and termination
+// on both. The aborts are scripted no votes at a slave replica of the
+// written key's shard.
+func TestShardedSimLiveParity(t *testing.T) {
+	const sites = 6
+	layout := mustShardMap(t, 6, 3, sites)
+	noAtSlave := func(key string) Voter { return NoAt(layout.Replicas(layout.ShardOf(key))[1]) }
+	batch := []Txn{
+		{Payload: put("a0")},
+		{Payload: put("a1"), Votes: noAtSlave("a1")},
+		{Payload: put("a2")},
+		{Payload: put("a3"), Votes: noAtSlave("a3")},
+		{Payload: put("a4")},
+	}
+	run := func(backend Backend) []*TxnResult {
+		c, err := Open(Config{
+			Sites:    sites,
+			Protocol: core.Protocol{TransientFix: true},
+			ShardMap: mustShardMap(t, 6, 3, sites),
+			Backend:  backend,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		rs, err := c.SubmitBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Termination(); err != nil {
+			t.Fatalf("%s backend: %v", backend.Name(), err)
+		}
+		for _, r := range rs {
+			if !r.Consistent() {
+				t.Fatalf("%s backend: txn %d inconsistent", backend.Name(), r.TID)
+			}
+		}
+		return rs
+	}
+	simRS := run(NewSimBackend(SimOptions{}))
+	liveRS := run(netBackend(t))
+	want := []proto.Outcome{proto.Commit, proto.Abort, proto.Commit, proto.Abort, proto.Commit}
+	for i := range want {
+		if got := simRS[i].Outcome(); got != want[i] {
+			t.Errorf("sim txn %d = %v, want %v", i+1, got, want[i])
+		}
+		if got := liveRS[i].Outcome(); got != want[i] {
+			t.Errorf("live txn %d = %v, want %v", i+1, got, want[i])
+		}
+		if sp, lp := fmt.Sprint(simRS[i].Participants), fmt.Sprint(liveRS[i].Participants); sp != lp {
+			t.Errorf("txn %d replica sets: sim=%s live=%s", i+1, sp, lp)
+		}
+	}
+}
