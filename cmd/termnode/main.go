@@ -49,20 +49,20 @@ func main() {
 	protoName := flag.String("proto", registry.Default, "commit protocol name")
 	t := flag.Duration("t", 50*time.Millisecond, "longest end-to-end delay bound T")
 	seed := flag.Int64("seed", 0, "link-delay seed (0 derives one from -id)")
-	groupCommit := flag.Bool("group-commit", true, "WAL group commit: amortize one fsync over concurrent appends")
+	blockedSpec := flag.String("blocked", "", "comma-separated peers behind a partition at start-up (a restart during a cut)")
 	placementSpec := flag.String("placement", "", "base64 of the encoded epoch-0 shard assignment (empty: full replication)")
 	traceOut := flag.String("trace-out", "", "export a JSONL trace of protocol events to this file at shutdown (relative paths land in -wal-dir)")
 	flag.Parse()
 
 	logger := log.New(os.Stdout, fmt.Sprintf("termnode[%d] ", *id), log.LstdFlags|log.Lmicroseconds)
-	if err := run(*id, *addr, *apiPort, *api, *peersSpec, *walDir, *clearData, *protoName, *t, *seed, *placementSpec, *traceOut, *groupCommit, logger); err != nil {
+	if err := run(*id, *addr, *apiPort, *api, *peersSpec, *walDir, *clearData, *protoName, *t, *seed, *placementSpec, *traceOut, *blockedSpec, logger); err != nil {
 		logger.Fatalf("fatal: %v", err)
 	}
 }
 
 func run(id int, addr string, apiPort int, apiAddr, peersSpec, walDir string, clearData bool,
-	protoName string, t time.Duration, seed int64, placementSpec, traceOut string,
-	groupCommit bool, logger *log.Logger) error {
+	protoName string, t time.Duration, seed int64, placementSpec, traceOut, blockedSpec string,
+	logger *log.Logger) error {
 	if id < 1 {
 		return fmt.Errorf("-id is required and must be positive")
 	}
@@ -76,6 +76,14 @@ func run(id int, addr string, apiPort int, apiAddr, peersSpec, walDir string, cl
 	peers, apiPeers, err := parsePeers(peersSpec)
 	if err != nil {
 		return err
+	}
+	var blocked []proto.SiteID // Start rejects this site and non-peers
+	for _, f := range strings.FieldsFunc(blockedSpec, func(r rune) bool { return r == ',' }) {
+		peer, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil {
+			return fmt.Errorf("bad site %q in -blocked", f)
+		}
+		blocked = append(blocked, proto.SiteID(peer))
 	}
 	self := proto.SiteID(id)
 	if _, ok := peers[self]; !ok {
@@ -125,12 +133,12 @@ func run(id int, addr string, apiPort int, apiAddr, peersSpec, walDir string, cl
 	node := netnode.NewNode(netnode.Options{
 		ID: self, Protocol: protocol, T: t,
 		Addr: addr, Peers: peers, APIPeers: apiPeers,
-		Placement:   asg,
-		WALPath:     filepath.Join(walDir, "wal.log"),
-		Seed:        seed,
-		GroupCommit: &groupCommit,
-		TraceOut:    traceOut,
-		Logf:        logger.Printf,
+		Placement: asg,
+		WALPath:   filepath.Join(walDir, "wal.log"),
+		Seed:      seed,
+		Blocked:   blocked,
+		TraceOut:  traceOut,
+		Logf:      logger.Printf,
 	})
 	if err := node.Start(); err != nil {
 		return err
@@ -140,8 +148,8 @@ func run(id int, addr string, apiPort int, apiAddr, peersSpec, walDir string, cl
 		node.Close()
 		return err
 	}
-	logger.Printf("up: proto=%s api=%s wal=%s protocol=%s T=%s group-commit=%v",
-		node.Addr(), bound, walDir, protoName, t, groupCommit)
+	logger.Printf("up: proto=%s api=%s wal=%s protocol=%s T=%s blocked=%v",
+		node.Addr(), bound, walDir, protoName, t, blocked)
 
 	// SIGTERM/SIGINT is a graceful stop; a crash (SIGKILL) is the fault
 	// model — the WAL in -wal-dir is what the next incarnation recovers

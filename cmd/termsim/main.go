@@ -61,7 +61,6 @@ import (
 
 	"termproto/internal/cluster"
 	"termproto/internal/db/engine"
-	"termproto/internal/db/wal"
 	"termproto/internal/obs"
 	"termproto/internal/placement"
 	"termproto/internal/proto"
@@ -88,7 +87,6 @@ func main() {
 	zipfS := flag.Float64("zipf", 0, "zipfian hot-key skew exponent for generated payloads (0 = uniform)")
 	opsN := flag.Int("ops", 2, "accounts touched per generated transaction (a chain of transfers)")
 	db := flag.Bool("db", false, "attach a WAL-backed database engine at every site; scheduled recover events become durable restarts (replay + in-doubt resolution + catch-up)")
-	groupCommit := flag.Bool("group-commit", true, "WAL group commit on the engines (-db) or daemons (-backend net): amortize one fsync over concurrent appends")
 	spacing := flag.Float64("spacing", 0.4, "submission spacing between transactions in units of T")
 	scheduleSpec := flag.String("schedule", "",
 		"fault timeline: ev@t[:args][;...] with ev in partition|heal|crash|recover, t in units of T")
@@ -240,9 +238,6 @@ func main() {
 			Sites: *n, Accounts: numAccounts, InitialBalance: 1000,
 			Shards: *shards, ReplicationFactor: *rf,
 		}
-		if *groupCommit {
-			wcfg.Engine.WAL = wal.GroupCommitDefaults()
-		}
 		dir, engs := wcfg.SetupOver(members)
 		cfg.Directory = dir
 		cfg.Participants = make(map[proto.SiteID]cluster.Participant, *n)
@@ -273,9 +268,8 @@ func main() {
 		// Every site becomes a real termnode process, launched under the
 		// protocol's Name() — the registry name -proto was looked up by.
 		netBackend = cluster.NewNetBackend(cluster.NetOptions{
-			Workdir:   *workdir,
-			Seed:      int64(*seed),
-			ExtraArgs: []string{fmt.Sprintf("-group-commit=%v", *groupCommit)},
+			Workdir: *workdir,
+			Seed:    int64(*seed),
 		})
 		cfg.Backend = netBackend
 	default:

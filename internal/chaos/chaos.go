@@ -307,7 +307,7 @@ func Run(sc Scenario) (*Result, error) {
 		}
 		dir = placement.NewDirectory(asg)
 	}
-	engines := workload.EnginesWith(dir, sc.Sites, sc.Accounts, sc.Balance, engine.Options{})
+	engines := workload.EnginesFor(dir, sc.Sites, sc.Accounts, sc.Balance)
 	parts := make(map[proto.SiteID]cluster.Participant, len(engines))
 	for id, e := range engines {
 		parts[id] = e

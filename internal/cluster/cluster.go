@@ -396,11 +396,6 @@ type Backend interface {
 	// RecoveryCount is len(Recoveries()) without the copy — the cheap
 	// form stats aggregation uses.
 	RecoveryCount() int
-	// Peers returns the backend's reachability-aware peer client for the
-	// given site: inquiries and snapshot pulls answer only from peers the
-	// site can currently reach (partition and crash state included). The
-	// recovery manager and the shard-migration copier both run over it.
-	Peers(self proto.SiteID) recovery.PeerClient
 	// Close releases the runtime. No calls may follow.
 	Close() error
 }
@@ -767,7 +762,8 @@ func (c *Cluster) reconcileMigrated() {
 	items := c.pendingReconcile
 	c.pendingReconcile = nil
 	c.mu.Unlock()
-	if len(items) == 0 || c.cfg.Directory == nil {
+	src, ok := c.backend.(peerSource)
+	if len(items) == 0 || c.cfg.Directory == nil || !ok {
 		return
 	}
 	_, asg := c.cfg.Directory.Current()
@@ -778,7 +774,7 @@ func (c *Cluster) reconcileMigrated() {
 		if !ok || it.shard >= asg.Shards() || !containsSite(asg.Replicas(it.shard), it.site) {
 			continue // vote-only replica, or a later migration moved the shard away again
 		}
-		peers := c.backend.Peers(it.site)
+		peers := src.Peers(it.site)
 		shard := it.shard
 		include := func(key string) bool { return asg.ShardOf(key) == shard }
 		done := false
@@ -830,6 +826,14 @@ func (c *Cluster) AvailableShards(ok func(proto.SiteID) bool) []int {
 	}
 	_, asg := c.cfg.Directory.Current()
 	return quorum.AvailableShards(asg, ok, c.cfg.Quorum)
+}
+
+// peerSource is implemented by the backend whose engines live in this
+// process (Config.Participants), the simulator's: its reachability-aware
+// peer client answers only from peers a site can reach at the present
+// tick. The migration copier and reconciler run over it.
+type peerSource interface {
+	Peers(self proto.SiteID) recovery.PeerClient
 }
 
 // leaseTables is implemented by backends that maintain per-site lease

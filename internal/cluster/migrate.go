@@ -331,14 +331,15 @@ func (c *Cluster) copyMoves(moves []placement.Move) (int, error) {
 	// Any epoch's assignment hashes keys identically; hoist one outside
 	// the per-key include closure.
 	_, asg := c.cfg.Directory.Current()
+	src, inProcess := c.backend.(peerSource)
 	total := 0
 	for _, mv := range moves {
 		for _, dst := range mv.Added {
 			eng, ok := recoveryEngine(c.cfg, dst)
-			if !ok {
+			if !ok || !inProcess {
 				continue
 			}
-			peers := c.backend.Peers(dst)
+			peers := src.Peers(dst)
 			shard := mv.Shard
 			include := func(key string) bool { return asg.ShardOf(key) == shard }
 			copied := false

@@ -29,9 +29,8 @@ type NetOptions struct {
 	Workdir string
 	// Seed offsets every node's link-delay seed.
 	Seed int64
-	// ExtraArgs is appended to every termnode's command line — the
-	// daemon's throughput knob (-group-commit=false) for runs that need a
-	// non-default configuration.
+	// ExtraArgs is appended to every termnode's command line, e.g. the
+	// daemons' -trace-out.
 	ExtraArgs []string
 }
 
@@ -145,8 +144,8 @@ func (b *NetBackend) boot(cfg Config) error {
 	return nil
 }
 
-// partition implements wallSites: severed TCP links. The daemons' heal-edge
-// retries go unreported.
+// partition implements wallSites: every daemon's link blocklist, in force
+// from one shared instant. The daemons' heal-edge retries go unreported.
 func (b *NetBackend) partition(g2 []proto.SiteID) []RecoveryReport {
 	if len(g2) > 0 {
 		b.net.Partition(g2...) //nolint:errcheck // dead nodes have no links
@@ -248,30 +247,6 @@ func (b *NetBackend) stats() NetStats {
 		}
 	})
 	return st
-}
-
-// Peers implements Backend: outcomes and snapshots read through the
-// admin API. Reachability is the network's own — a dead peer refuses the
-// connection.
-func (b *NetBackend) Peers(self proto.SiteID) recovery.PeerClient {
-	return netBackendPeers{backend: b}
-}
-
-type netBackendPeers struct {
-	backend *NetBackend
-}
-
-// Outcome implements recovery.PeerClient.
-func (p netBackendPeers) Outcome(peer proto.SiteID, tid uint64) (proto.Outcome, bool) {
-	dto, err := p.backend.net.Client(peer).Txn(proto.TxnID(tid))
-	o := parseOutcome(dto.Outcome)
-	return o, err == nil && o != proto.None
-}
-
-// Snapshot implements recovery.PeerClient.
-func (p netBackendPeers) Snapshot(peer proto.SiteID) (map[string][]byte, map[string]bool, bool) {
-	snap, unstable, err := p.backend.net.Client(peer).Snapshot()
-	return snap, unstable, err == nil
 }
 
 // MetricsSnapshots implements the cluster's metricsProvider hook:

@@ -96,10 +96,10 @@ func TestNetParityOutcomes(t *testing.T) {
 }
 
 // TestNetParityTransientPartition scripts the paper's transient-partition
-// scenario against real processes: a minority cut at 2.5T — severed TCP
-// links — healing at 7T. The exact outcomes are timing-dependent, but the
-// safety aggregate is not: every transaction decided everywhere, no site
-// disagrees, nothing blocks.
+// scenario against real processes: a minority cut at 2.5T — every
+// daemon's link blocklist, from one shared instant — healing at 7T. The
+// exact outcomes are timing-dependent, but the safety aggregate is not:
+// every transaction decided everywhere, no site disagrees, nothing blocks.
 func TestNetParityTransientPartition(t *testing.T) {
 	c, err := Open(Config{
 		Sites: 3, Protocol: core.Protocol{TransientFix: true},
@@ -348,7 +348,8 @@ func TestNetRecoveryCoordinatorUnreachable(t *testing.T) {
 }
 
 // TestNetHealRetryResolvesUnresolved: site 3 restarts while a partition
-// isolates it from every decided peer, so its recovery leaves the
+// isolates it from every decided peer. It boots behind the cut, so its
+// recovery inquiries come back undeliverable — not lost — and leave the
 // transaction unresolved, the key locked and unapplied. The heal edge
 // re-runs the inquiry round over real traffic and the transaction
 // resolves to the survivors' commit without another restart.
@@ -365,6 +366,14 @@ func TestNetHealRetryResolvesUnresolved(t *testing.T) {
 		}
 		if rep.Stats.Unresolved != 1 || rep.Stats.ResolvedCommit != 0 {
 			t.Fatalf("isolated restart should leave the txn unresolved: %v", rep.Stats)
+		}
+		st, err := nb.net.Client(3).Stats()
+		if err != nil {
+			t.Fatalf("site 3 stats: %v", err)
+		}
+		if st.Bounced < 2 || st.Dropped != 0 {
+			t.Errorf("site 3 bounced %d and dropped %d messages, want its inquiries to sites 1 and 2 bounced and none lost",
+				st.Bounced, st.Dropped)
 		}
 		if got := r.Sites[3]; got.Outcome != proto.Commit {
 			t.Errorf("site 3 after the heal: %+v, want commit", got)

@@ -224,7 +224,7 @@ func (r running) Deliver(m proto.Msg) { r.b.tables[r.id].Deliver(m) }
 // Undeliverable implements simnet.Handler.
 func (r running) Undeliverable(m proto.Msg) { r.b.tables[r.id].Undeliverable(m) }
 
-// Peers implements Backend.
+// Peers implements peerSource.
 func (b *SimBackend) Peers(self proto.SiteID) recovery.PeerClient {
 	return simPeers{backend: b, self: self}
 }

@@ -6,7 +6,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sort"
+	"time"
 
 	"termproto/internal/proto"
 	"termproto/internal/recovery"
@@ -88,7 +90,7 @@ func (n *Node) handleStats(w http.ResponseWriter, _ *http.Request) {
 	yes, no, commits, aborts := n.eng.Stats()
 	sent, delivered, bounced, dropped := n.tr.Counters()
 	blocked := n.tr.BlockedList()
-	sortSites(blocked)
+	slices.Sort(blocked)
 	ws := n.eng.WALStats()
 	epoch, _ := n.PlacementEpoch()
 	st := StatsDTO{
@@ -259,11 +261,26 @@ func (n *Node) handlePartition(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	if req.AtMicro < 0 {
+		http.Error(w, fmt.Sprintf("netnode: atMicro %d is before the epoch", req.AtMicro), http.StatusBadRequest)
+		return
+	}
 	blocked := make([]proto.SiteID, len(req.Blocked))
 	for i, id := range req.Blocked {
 		blocked[i] = proto.SiteID(id)
 	}
-	n.SetBlocked(blocked)
+	if err := n.checkBlocked(blocked); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	var at time.Time
+	if req.AtMicro > 0 {
+		at = time.UnixMicro(req.AtMicro)
+		if late := time.Since(at); late > 0 {
+			n.opts.Logf("partition: blocklist %v arrived %v after its instant; applied at once", blocked, late)
+		}
+	}
+	n.SetBlocked(blocked, at)
 	writeJSON(w, struct{}{})
 }
 

@@ -111,9 +111,11 @@ type SubmitReq struct {
 }
 
 // PartitionReq is POST /partition: replace the node's link blocklist
-// (empty heals).
+// (empty heals) from the instant AtMicro on, in Unix microseconds; 0, or
+// an instant already past, is the moment the node applies it.
 type PartitionReq struct {
 	Blocked []int `json:"blocked"`
+	AtMicro int64 `json:"atMicro,omitempty"`
 }
 
 // LoadReq is POST /load: directly apply committed fixture state.
@@ -347,9 +349,10 @@ func (c *Client) Submit(req SubmitReq) error {
 	return err
 }
 
-// Partition replaces the node's link blocklist; an empty list heals.
-func (c *Client) Partition(blocked []proto.SiteID) error {
-	req := PartitionReq{Blocked: make([]int, len(blocked))}
+// Partition replaces the node's link blocklist from instant at on; an
+// empty list heals.
+func (c *Client) Partition(blocked []proto.SiteID, at time.Time) error {
+	req := PartitionReq{Blocked: make([]int, len(blocked)), AtMicro: at.UnixMicro()}
 	for i, id := range blocked {
 		req.Blocked[i] = int(id)
 	}

@@ -18,14 +18,7 @@ import (
 // real inquire round, and converge on the survivors' outcomes and
 // keyspace.
 func TestLocalnetCrashDuringGroupCommit(t *testing.T) {
-	l, err := Start(Options{
-		N: 3, T: harnessT, Dir: t.TempDir(), Seed: 7,
-		ExtraArgs: []string{"-group-commit=true"},
-	})
-	if err != nil {
-		t.Fatalf("start localnet: %v", err)
-	}
-	t.Cleanup(l.Stop)
+	l := startNet(t, 3)
 
 	const txns = 10
 	for i := 1; i <= txns; i++ {

@@ -1,14 +1,15 @@
 // Package harness boots a localnet of real termnode processes: it builds
 // the daemon binary once, spawns one OS process per site with its own
 // workspace directory and log file, waits for every node to report
-// healthy, and then injects faults the way deployments experience them —
-// SIGKILL for a site crash, severed TCP links for a partition, a fresh
-// process over the surviving WAL directory for recovery. Tests and the
-// cluster NetBackend drive clusters through it.
+// healthy, and then injects faults: SIGKILL for a site crash, a fresh
+// process over the surviving WAL directory for recovery, and every
+// daemon's link blocklist, from one shared instant, for a partition. Tests
+// and the cluster NetBackend drive clusters through it.
 package harness
 
 import (
 	"encoding/base64"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -43,8 +44,8 @@ type Options struct {
 	// Seed offsets every node's link-delay seed; 0 lets each node derive
 	// its own from its ID.
 	Seed int64
-	// ExtraArgs is appended to every node's command line — the throughput
-	// knob (-group-commit) and anything the daemon grows later.
+	// ExtraArgs is appended to every node's command line, e.g. the
+	// daemon's -trace-out.
 	ExtraArgs []string
 	// Placement is the encoded epoch-0 shard assignment
 	// (placement.EncodeAssignment) every node is provisioned with; nil
@@ -66,7 +67,14 @@ type Localnet struct {
 
 	mu    sync.Mutex
 	procs map[proto.SiteID]*process
+	// blocked is each site's side of the partition in force, which a site
+	// spawned during the cut boots with.
+	blocked map[proto.SiteID][]proto.SiteID
 }
+
+// cutLead is how far ahead of a Partition or Heal call its shared instant
+// lies: room for every daemon's blocklist post to land before it.
+const cutLead = 5 * time.Millisecond
 
 type process struct {
 	cmd     *exec.Cmd
@@ -151,7 +159,7 @@ func Start(opts Options) (*Localnet, error) {
 			return nil, err
 		}
 	}
-	if err := l.waitHealthy(10 * time.Second); err != nil {
+	if err := l.WaitHealthy(10 * time.Second); err != nil {
 		l.Stop()
 		return nil, err
 	}
@@ -191,6 +199,17 @@ func (l *Localnet) spawn(id proto.SiteID) error {
 		args = append(args, "-placement", base64.StdEncoding.EncodeToString(l.opts.Placement))
 	}
 	args = append(args, l.opts.ExtraArgs...)
+	// Under l.mu from reading the cut to registering the process: a cut
+	// posted meanwhile either is in the argv or finds the site alive.
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if blocked := l.blocked[id]; len(blocked) > 0 {
+		ids := make([]string, len(blocked))
+		for i, b := range blocked {
+			ids[i] = fmt.Sprint(b)
+		}
+		args = append(args, "-blocked", strings.Join(ids, ","))
+	}
 	cmd := exec.Command(l.bin, args...)
 	cmd.Stdout = logFile
 	cmd.Stderr = logFile
@@ -204,14 +223,13 @@ func (l *Localnet) spawn(id proto.SiteID) error {
 		cmd.Wait() //nolint:errcheck // SIGKILL exits are expected
 		close(p.waited)
 	}()
-	l.mu.Lock()
 	l.procs[id] = p
-	l.mu.Unlock()
 	return nil
 }
 
-// waitHealthy polls every node's /health until all report ready.
-func (l *Localnet) waitHealthy(timeout time.Duration) error {
+// WaitHealthy polls every node's /health until all report ready (at Start,
+// and after a Restart).
+func (l *Localnet) WaitHealthy(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		ready := 0
@@ -235,12 +253,6 @@ func (l *Localnet) waitHealthy(timeout time.Duration) error {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-}
-
-// WaitHealthy blocks until every live node reports ready (e.g. after a
-// Restart).
-func (l *Localnet) WaitHealthy(timeout time.Duration) error {
-	return l.waitHealthy(timeout)
 }
 
 // Client returns the localnet's client for one site — the same one on
@@ -315,61 +327,74 @@ func (l *Localnet) ClearData(id proto.SiteID) error {
 	return netnode.ClearWorkspace(l.nodeDir(id))
 }
 
-// Partition severs every TCP link between group g2 and the rest of the
-// localnet, both directions, by posting symmetric blocklists to every
-// node. Messages in flight on severed links bounce back Undeliverable,
-// matching the simulator's optimistic partition model.
+// Partition cuts group g2 off from the rest of the localnet, both
+// directions: from one shared instant on, which has passed when Partition
+// returns, a message due to cross the cut bounces back Undeliverable at its
+// sender. A site restarted while the cut stands boots behind it.
 func (l *Localnet) Partition(g2 ...proto.SiteID) error {
 	inG2 := make(map[proto.SiteID]bool, len(g2))
 	for _, id := range g2 {
 		inG2[id] = true
 	}
+	blocked := make(map[proto.SiteID][]proto.SiteID, l.opts.N)
 	for _, id := range l.Sites() {
-		var blocked []proto.SiteID
 		for _, other := range l.Sites() {
 			if other != id && inG2[other] != inG2[id] {
-				blocked = append(blocked, other)
+				blocked[id] = append(blocked[id], other)
 			}
 		}
-		if err := l.setBlocked(id, blocked); err != nil {
-			return err
-		}
 	}
-	return nil
+	return l.cut(blocked)
 }
 
-// Heal clears every blocklist and asks each node to retry transactions
-// its recovery could not resolve while partitioned.
+// Heal clears every blocklist at one shared instant and, after it, asks
+// each node to retry transactions its recovery could not resolve while
+// partitioned.
 func (l *Localnet) Heal() error {
-	for _, id := range l.Sites() {
-		if err := l.setBlocked(id, []proto.SiteID{}); err != nil {
-			return err
-		}
+	if err := l.cut(nil); err != nil {
+		return err
 	}
 	for _, id := range l.Sites() {
-		if l.alive(id) {
+		if l.Alive(id) {
 			l.Client(id).Resolve() //nolint:errcheck // best-effort heal retry
 		}
 	}
 	return nil
 }
 
-func (l *Localnet) setBlocked(id proto.SiteID, blocked []proto.SiteID) error {
-	if !l.alive(id) {
-		return nil // a dead site has no links to sever
+// cut makes blocked the partition in force: every live site's list,
+// posted at once, is in force from one instant cutLead ahead (a late post
+// on arrival, logged by its daemon), and cut returns after that instant.
+func (l *Localnet) cut(blocked map[proto.SiteID][]proto.SiteID) error {
+	at := time.Now().Add(cutLead)
+	l.mu.Lock()
+	l.blocked = blocked
+	live := make([]proto.SiteID, 0, len(l.procs))
+	for id := range l.procs {
+		live = append(live, id)
 	}
-	return l.Client(id).Partition(blocked)
+	l.mu.Unlock()
+	errs := make([]error, len(live))
+	var wg sync.WaitGroup
+	for i, id := range live {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = l.Client(id).Partition(blocked[id], at)
+		}()
+	}
+	wg.Wait()
+	time.Sleep(time.Until(at))
+	return errors.Join(errs...)
 }
 
-func (l *Localnet) alive(id proto.SiteID) bool {
+// Alive reports whether a site's process is running.
+func (l *Localnet) Alive(id proto.SiteID) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	_, ok := l.procs[id]
 	return ok
 }
-
-// Alive reports whether a site's process is running.
-func (l *Localnet) Alive(id proto.SiteID) bool { return l.alive(id) }
 
 // LogTail returns the last n lines of a site's log.
 func (l *Localnet) LogTail(id proto.SiteID, n int) string {
@@ -387,7 +412,7 @@ func (l *Localnet) LogTail(id proto.SiteID, n int) string {
 // freePorts reserves n distinct localhost ports by binding ephemeral
 // listeners, recording their addresses, and closing them. The window
 // between close and the daemon's bind is a real (small) race; spawn
-// failures surface through waitHealthy with the node's log tail.
+// failures surface through WaitHealthy with the node's log tail.
 func freePorts(n int) ([]string, error) {
 	out := make([]string, n)
 	lns := make([]net.Listener, n)

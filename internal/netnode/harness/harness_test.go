@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -244,4 +245,41 @@ func TestLocalnetKilledBetweenSubmits(t *testing.T) {
 	if o := waitOutcome(t, l, 2, l.Sites()); o != "commit" {
 		t.Fatalf("outcome after the restart = %s, want commit", o)
 	}
+}
+
+// TestLocalnetCut: Partition leaves every live daemon blocking the other
+// side once it returns, a site killed before the cut and restarted during
+// it boots behind it, and Heal empties every list.
+func TestLocalnetCut(t *testing.T) {
+	l := startNet(t, 3)
+	expect := func(when string, want map[proto.SiteID][]int) {
+		t.Helper()
+		for id, ids := range want {
+			st, err := l.Client(id).Stats()
+			if err != nil {
+				t.Fatalf("%s: site %d stats: %v", when, id, err)
+			}
+			if !slices.Equal(st.Blocked, ids) {
+				t.Errorf("%s: site %d blocks %v, want %v", when, id, st.Blocked, ids)
+			}
+		}
+	}
+	if err := l.Kill(3); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	if err := l.Partition(3); err != nil {
+		t.Fatalf("partition: %v", err)
+	}
+	expect("after the cut", map[proto.SiteID][]int{1: {3}, 2: {3}})
+	if err := l.Restart(3); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if err := l.WaitHealthy(15 * time.Second); err != nil {
+		t.Fatalf("site 3 never recovered: %v", err)
+	}
+	expect("after the restart", map[proto.SiteID][]int{1: {3}, 2: {3}, 3: {1, 2}})
+	if err := l.Heal(); err != nil {
+		t.Fatalf("heal: %v", err)
+	}
+	expect("after the heal", map[proto.SiteID][]int{1: nil, 2: nil, 3: nil})
 }

@@ -97,7 +97,8 @@ func tcpPair(t *testing.T) *linkPair {
 // TestLinkConformance runs one script over both ways of reaching the far
 // side and holds each to the wall-clock network model: a delivery takes
 // [T/4, T/2); a blocked link returns the message to its sender, marked
-// undeliverable, after twice that; a dead peer is silence. Both must
+// undeliverable, after twice that; the receiver's own blocklist has no say
+// over what the sender's link let cross; a dead peer is silence. Both must
 // count and trace the script identically — the backends share the model
 // by construction, so what is left to test is the two transports.
 func TestLinkConformance(t *testing.T) {
@@ -143,14 +144,23 @@ func TestLinkConformance(t *testing.T) {
 				t.Errorf("delivered %+v, want %+v", got, msg)
 			}
 
-			p.links[0].SetBlocked([]proto.SiteID{2})
+			p.links[0].SetBlocked([]proto.SiteID{2}, time.Time{})
 			start = time.Now()
 			p.links[0].Send(msg)
 			if got := expect(t, p.inbox[0], testT/2, testT, start); !got.Undeliverable || got.To != 2 {
 				t.Errorf("returned %+v, want the undeliverable copy of %+v", got, msg)
 			}
 			silent(t, p)
-			p.links[0].SetBlocked(nil)
+			p.links[0].SetBlocked(nil, time.Time{})
+
+			p.links[1].SetBlocked([]proto.SiteID{1}, time.Time{})
+			start = time.Now()
+			p.links[0].Send(msg)
+			if got := expect(t, p.inbox[1], testT/4, testT/2, start); got.Undeliverable {
+				t.Errorf("delivered %+v, want %+v: site 1's link let it cross", got, msg)
+			}
+			silent(t, p)
+			p.links[1].SetBlocked(nil, time.Time{})
 
 			p.kill2()
 			p.links[0].Send(msg)
@@ -161,7 +171,7 @@ func TestLinkConformance(t *testing.T) {
 				s, d, b, x := l.Counters()
 				obs.counters[i] = [4]uint64{s, d, b, x}
 			}
-			if want := [2][4]uint64{{3, 0, 1, 1}, {0, 1, 0, 0}}; obs.counters != want {
+			if want := [2][4]uint64{{4, 0, 1, 1}, {0, 2, 0, 0}}; obs.counters != want {
 				t.Errorf("counters (sent, delivered, bounced, dropped) = %v, want %v", obs.counters, want)
 			}
 			p.mu.Lock()

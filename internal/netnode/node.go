@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,11 +53,9 @@ type Options struct {
 	WALPath string
 	// Seed drives the link-delay generator (0 derives one from ID).
 	Seed int64
-	// GroupCommit toggles WAL group commit — concurrent appenders share
-	// one fsync. Nil defaults to ON for file-backed stores (opened from
-	// WALPath) and OFF for injected Stores, whose tests usually depend on
-	// strictly synchronous append semantics.
-	GroupCommit *bool
+	// Blocked is the partition in force at start-up (a restart during a
+	// cut): the link bounces from the first message recovery sends.
+	Blocked []proto.SiteID
 	// TraceOut, when set, makes the node record its protocol-visible
 	// events (automaton state transitions, decisions) and export them as
 	// a JSONL trace (trace.WriteJSONL) to this path at Close. Relative
@@ -162,6 +159,9 @@ func (n *Node) Start() error {
 	if n.opts.ID == 0 {
 		return fmt.Errorf("netnode: zero site ID")
 	}
+	if err := n.checkBlocked(n.opts.Blocked); err != nil {
+		return err
+	}
 	n.reg = obs.New()
 	obs.RegisterBase(n.reg)
 	pname := n.opts.Protocol.Name()
@@ -185,12 +185,10 @@ func (n *Node) Start() error {
 		n.file = fs
 		store = fs
 	}
+	// Group commit for the log file the node opened itself; an injected
+	// Store keeps strictly synchronous appends, which its tests rely on.
 	var eopts engine.Options
-	groupCommit := n.file != nil // default: on for file-backed stores
-	if n.opts.GroupCommit != nil {
-		groupCommit = *n.opts.GroupCommit
-	}
-	if groupCommit {
+	if n.file != nil {
 		eopts.WAL = wal.GroupCommitDefaults()
 	}
 	n.eng = engine.NewWith(fmt.Sprintf("site-%d", n.opts.ID), store, eopts)
@@ -216,6 +214,7 @@ func (n *Node) Start() error {
 		n.tr.Trace = n.trace
 	}
 	n.tr.setMetrics(n.reg)
+	n.tr.SetBlocked(n.opts.Blocked, time.Time{})
 	addr, err := n.tr.listen(n.opts.Addr)
 	if err != nil {
 		return err
@@ -339,8 +338,20 @@ func (n *Node) Submit(tid proto.TxnID, master proto.SiteID, sites []proto.SiteID
 	return nil
 }
 
-// SetBlocked replaces the partition blocklist (severing live links).
-func (n *Node) SetBlocked(peers []proto.SiteID) { n.tr.SetBlocked(peers) }
+// SetBlocked replaces the partition blocklist from instant at on (the
+// present when zero or past): site.Link.SetBlocked.
+func (n *Node) SetBlocked(peers []proto.SiteID, at time.Time) { n.tr.SetBlocked(peers, at) }
+
+// checkBlocked rejects a blocklist naming this site or a site outside its
+// peers: a typo that would otherwise partition nothing, silently.
+func (n *Node) checkBlocked(peers []proto.SiteID) error {
+	for _, id := range peers {
+		if _, ok := n.opts.Peers[id]; !ok || id == n.opts.ID {
+			return fmt.Errorf("netnode: site %d cannot block %d, which is not one of its peers", n.opts.ID, id)
+		}
+	}
+	return nil
+}
 
 // Counters returns the transport's cumulative message counters.
 func (n *Node) Counters() (sent, delivered, bounced, dropped uint64) {
@@ -532,9 +543,9 @@ func (n *Node) TraceEvents() []trace.Event {
 }
 
 // netPeers is the node's recovery.PeerClient: outcome inquiries are real
-// MsgInquire frames over the transport (subject to blocklists and dead
+// MsgInquire frames over the link (bounced by its blocklist, lost to dead
 // peers), snapshot pulls go through the peer's admin API, gated by the
-// same partition state.
+// blocklist in force.
 type netPeers struct{ n *Node }
 
 // Outcome implements recovery.PeerClient.
@@ -545,7 +556,7 @@ func (p netPeers) Outcome(peer proto.SiteID, tid uint64) (proto.Outcome, bool) {
 // Snapshot implements recovery.PeerClient over the peer's admin API.
 func (p netPeers) Snapshot(peer proto.SiteID) (map[string][]byte, map[string]bool, bool) {
 	n := p.n
-	if n.tr.Blocked(peer) {
+	if slices.Contains(n.tr.BlockedList(), peer) {
 		return nil, nil, false
 	}
 	addr := n.opts.APIPeers[peer]
@@ -557,8 +568,4 @@ func (p netPeers) Snapshot(peer proto.SiteID) (map[string][]byte, map[string]boo
 		return nil, nil, false
 	}
 	return snap, unstable, true
-}
-
-func sortSites(ids []proto.SiteID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -141,12 +143,12 @@ func TestNodesNoVoteAborts(t *testing.T) {
 
 func TestNodesPartitionBounces(t *testing.T) {
 	nodes, _ := startNodes(t, 3, memStores(3), false)
-	// Sever site 1 from both slaves before submitting: every xact bounces
+	// Cut site 1 off from both slaves before submitting: every xact bounces
 	// back undeliverable and the master aborts unilaterally; the slaves
 	// never learn of the transaction.
-	nodes[0].SetBlocked([]proto.SiteID{2, 3})
-	nodes[1].SetBlocked([]proto.SiteID{1})
-	nodes[2].SetBlocked([]proto.SiteID{1})
+	nodes[0].SetBlocked([]proto.SiteID{2, 3}, time.Time{})
+	nodes[1].SetBlocked([]proto.SiteID{1}, time.Time{})
+	nodes[2].SetBlocked([]proto.SiteID{1}, time.Time{})
 	if err := nodes[0].Submit(1, 1, []proto.SiteID{1, 2, 3}, nil, nil); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -271,5 +273,52 @@ func TestLoadSyncFailureAnswers500(t *testing.T) {
 	}
 	if v, ok := nodes[0].Engine().Get("acct-000"); ok {
 		t.Fatalf("acct-000 = %x served although its log record is not durable", v)
+	}
+}
+
+// A blocklist arrives from outside the process — POST /partition, or
+// termnode -blocked at start-up — and one naming the site itself or a site
+// that is not its peer would partition nothing: it is refused, as is an
+// instant before the epoch.
+func TestPartitionInputsValidated(t *testing.T) {
+	nodes, _ := startNodes(t, 3, memStores(3), false)
+	future := time.Now().Add(time.Hour).UnixMicro()
+	for _, c := range []struct {
+		body       string
+		code       int
+		blockedNow []int
+	}{
+		{`{"blocked":[1]}`, http.StatusBadRequest, nil},
+		{`{"blocked":[2,4]}`, http.StatusBadRequest, nil},
+		{`{"blocked":[0]}`, http.StatusBadRequest, nil},
+		{`{"blocked":[-2]}`, http.StatusBadRequest, nil},
+		{`{"blocked":[2],"atMicro":-1}`, http.StatusBadRequest, nil},
+		{`{"blocked":"2"}`, http.StatusBadRequest, nil},
+		{`{"blocked":[2,3]}`, http.StatusOK, []int{2, 3}},
+		{fmt.Sprintf(`{"blocked":[2],"atMicro":%d}`, future), http.StatusOK, []int{2, 3}},
+		{`{"blocked":[]}`, http.StatusOK, nil},
+	} {
+		rec := httptest.NewRecorder()
+		nodes[0].handlePartition(rec, httptest.NewRequest(http.MethodPost, "/partition", strings.NewReader(c.body)))
+		if rec.Code != c.code {
+			t.Errorf("POST /partition %s answered %d, want %d", c.body, rec.Code, c.code)
+		}
+		var now []int
+		for _, id := range nodes[0].tr.BlockedList() {
+			now = append(now, int(id))
+		}
+		slices.Sort(now)
+		if !slices.Equal(now, c.blockedNow) {
+			t.Errorf("after POST /partition %s site 1 blocks %v, want %v", c.body, now, c.blockedNow)
+		}
+	}
+
+	peers := map[proto.SiteID]string{1: "127.0.0.1:1", 2: "127.0.0.1:2"}
+	for _, blocked := range [][]proto.SiteID{{1}, {3}} {
+		node := NewNode(Options{ID: 1, Protocol: core.Protocol{}, Peers: peers, Store: &wal.MemStore{}, Blocked: blocked})
+		if err := node.Start(); err == nil {
+			node.Close()
+			t.Errorf("a node started with -blocked %v", blocked)
+		}
 	}
 }

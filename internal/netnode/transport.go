@@ -17,12 +17,10 @@ import (
 // [T/4, T/2) delay, the bounce off a blocked link, the silent drop at a
 // dead peer — and this type is how a frame reaches the far side when the
 // far side is another process: put is the link's put, and a decoded
-// inbound frame enters the destination's link through Receive.
-//
-// The blocklist severs, not just filters: setting it closes live
-// connections to and from the blocked peers, and inbound connections
-// from blocked peers are refused at the hello, so a partition is a real
-// loss of connectivity rather than a polite agreement.
+// inbound frame enters the destination's link through Receive. A frame
+// that arrives has crossed: the receiving side has no blocklist of its own
+// to drop it by, so a partition cannot lose a message the sender's link
+// let through.
 type transport struct {
 	*site.Link
 	self   proto.SiteID
@@ -34,7 +32,7 @@ type transport struct {
 
 	mu      sync.Mutex
 	out     map[proto.SiteID]*outConn
-	inbound map[net.Conn]proto.SiteID
+	inbound map[net.Conn]struct{}
 	closed  bool
 
 	wg sync.WaitGroup
@@ -60,7 +58,7 @@ func newTransport(self proto.SiteID, t time.Duration, seed int64,
 		peers:   peers,
 		logf:    logf,
 		out:     make(map[proto.SiteID]*outConn),
-		inbound: make(map[net.Conn]proto.SiteID),
+		inbound: make(map[net.Conn]struct{}),
 	}
 	tr.Link = site.NewLink(self, t, seed, deliver, tr.put)
 	return tr
@@ -103,21 +101,20 @@ func (t *transport) acceptLoop() {
 }
 
 // serveConn runs one inbound peer connection: hello, then frames until
-// error, close, or severing.
+// error or close.
 func (t *transport) serveConn(conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
-	peer, err := ReadHello(conn)
-	if err != nil {
+	if _, err := ReadHello(conn); err != nil {
 		t.logf("transport: rejected connection from %s: %v", conn.RemoteAddr(), err)
 		return
 	}
 	t.mu.Lock()
-	if t.closed || t.Blocked(peer) {
+	if t.closed {
 		t.mu.Unlock()
-		return // refused: the link is severed
+		return
 	}
-	t.inbound[conn] = peer
+	t.inbound[conn] = struct{}{}
 	t.mu.Unlock()
 	defer func() {
 		t.mu.Lock()
@@ -138,9 +135,6 @@ func (t *transport) serveConn(conn net.Conn) {
 		m, err := DecodeMsg(body)
 		if err != nil {
 			return
-		}
-		if t.Blocked(peer) || t.Blocked(m.From) {
-			return // severed while the frame was in flight
 		}
 		t.obsFramesRecv.Inc()
 		t.obsBytesRecv.Add(uint64(len(body)) + 4)
@@ -199,27 +193,23 @@ func (t *transport) write(m proto.Msg) error {
 
 	oc.mu.Lock()
 	defer oc.mu.Unlock()
-	if oc.conn == nil {
-		if err := t.redial(oc, addr); err != nil {
+	for retried := false; ; retried = true {
+		if oc.conn == nil {
+			if err := t.redial(oc, addr); err != nil {
+				return err
+			}
+		}
+		err := WriteMsg(oc.conn, m)
+		if err == nil {
+			t.countSent(m)
+			return nil
+		}
+		oc.conn.Close()
+		oc.conn = nil
+		if retried {
 			return err
 		}
 	}
-	if err := WriteMsg(oc.conn, m); err == nil {
-		t.countSent(m)
-		return nil
-	}
-	oc.conn.Close()
-	oc.conn = nil
-	if err := t.redial(oc, addr); err != nil {
-		return err
-	}
-	if err := WriteMsg(oc.conn, m); err != nil {
-		oc.conn.Close()
-		oc.conn = nil
-		return err
-	}
-	t.countSent(m)
-	return nil
 }
 
 // countSent records one outbound frame. The frame size is reconstructed
@@ -255,11 +245,10 @@ func (t *transport) redial(oc *outConn, addr string) error {
 
 // watch reaps an outbound connection the moment the peer closes it. The
 // receiving side never sends data on this direction of the link, so a
-// returning read means the connection is dead — the peer was killed,
-// restarted, or severed us. Clearing the cache makes the next write
-// redial instead of burying the message in a half-closed socket; a
-// restarted peer must be reachable for inquiry replies without waiting
-// for a write error to surface.
+// returning read means the connection is dead — the peer was killed or
+// restarted. Clearing the cache makes the next write redial instead of
+// burying the message in a half-closed socket; a restarted peer must be
+// reachable for inquiry replies without waiting for a write error.
 func (t *transport) watch(oc *outConn, conn net.Conn) {
 	t.wg.Add(1)
 	go func() {
@@ -272,37 +261,6 @@ func (t *transport) watch(oc *outConn, conn net.Conn) {
 		}
 		oc.mu.Unlock()
 	}()
-}
-
-// SetBlocked replaces the blocklist and severs every live connection to
-// or from a now-blocked peer.
-func (t *transport) SetBlocked(peers []proto.SiteID) {
-	t.Link.SetBlocked(peers)
-	t.mu.Lock()
-	var severOut []*outConn
-	for id, oc := range t.out {
-		if t.Blocked(id) {
-			severOut = append(severOut, oc)
-		}
-	}
-	var severIn []net.Conn
-	for conn, id := range t.inbound {
-		if t.Blocked(id) {
-			severIn = append(severIn, conn)
-		}
-	}
-	t.mu.Unlock()
-	for _, oc := range severOut {
-		oc.mu.Lock()
-		if oc.conn != nil {
-			oc.conn.Close()
-			oc.conn = nil
-		}
-		oc.mu.Unlock()
-	}
-	for _, conn := range severIn {
-		conn.Close()
-	}
 }
 
 // Close shuts the link, the listener and every connection.

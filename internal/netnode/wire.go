@@ -4,7 +4,7 @@
 // timers and a file-backed write-ahead log in the site's own workspace
 // directory. cmd/termnode wraps a Node in a daemon; the harness
 // subpackage boots N of them as separate OS processes and injects faults
-// by SIGKILL and by severing connections.
+// by SIGKILL and by posting partition blocklists to their links.
 //
 // This file is the wire codec. Every connection starts with a fixed-size
 // versioned hello identifying the sender site; after that the stream is a

@@ -36,7 +36,9 @@ import (
 //     direction.
 //   - A blocked peer is a partition boundary, consulted at crossing time:
 //     the message turns around and, d after its crossing instant, the
-//     sender receives its own copy marked Undeliverable.
+//     sender receives its own copy marked Undeliverable. Each blocklist is
+//     in force from an instant of its own, so links given one instant cut
+//     at once. No other place decides: the far side delivers what crossed.
 //   - A dead peer (put fails) is silence — the message is dropped without
 //     a return, because a site failure must be indistinguishable from
 //     message loss (paper §7).
@@ -66,13 +68,19 @@ type Link struct {
 	wake waker
 	done chan struct{} // closed when the queue goroutine has exited
 
-	mu      sync.Mutex
-	rng     *rand.Rand
-	blocked map[proto.SiteID]bool
-	q       []crossing // ascending by instant
-	closed  bool
+	mu     sync.Mutex
+	rng    *rand.Rand
+	cuts   []cut      // ascending by from; cuts[0] is in force before cuts[1].from
+	q      []crossing // ascending by instant
+	closed bool
 
 	sent, delivered, bounced, dropped atomic.Uint64
+}
+
+// cut is one blocklist and the instant from which it is in force.
+type cut struct {
+	from    time.Time
+	blocked []proto.SiteID
 }
 
 // crossing is one queued message: the instant it is due at the boundary —
@@ -118,8 +126,8 @@ func newLink(self proto.SiteID, t time.Duration, seed int64,
 	l := &Link{
 		self: self, t: t, put: put, deliver: deliver,
 		wake: wake, done: make(chan struct{}),
-		rng:     rand.New(rand.NewSource(seed)),
-		blocked: make(map[proto.SiteID]bool),
+		rng:  rand.New(rand.NewSource(seed)),
+		cuts: []cut{{}},
 	}
 	go l.run()
 	return l
@@ -202,7 +210,7 @@ func (l *Link) next() (e crossing, ok bool) {
 		l.q[0] = crossing{} // the array outlives the entry: let its payload go
 		l.q = l.q[1:]
 		l.Late.Observe(now.Sub(e.at).Microseconds())
-		if e.back || !l.blocked[e.m.To] {
+		if e.back || !slices.Contains(l.inForce(e.at), e.m.To) {
 			return e, true
 		}
 		l.bounced.Add(1)
@@ -219,14 +227,13 @@ func (l *Link) Lost(m proto.Msg) {
 }
 
 // Receive is the far side's entry: a frame that crossed arrives at its
-// destination's Link. It reports false, delivering nothing, when the link
-// is closed or the sender is blocked — severed while the frame was in
-// flight.
+// destination's Link. The sender's link already judged the crossing, so
+// the only refusal is a closed link: it reports false, delivering nothing.
 func (l *Link) Receive(m proto.Msg) bool {
 	l.mu.Lock()
-	refuse := l.closed || l.blocked[m.From]
+	closed := l.closed
 	l.mu.Unlock()
-	if refuse {
+	if closed {
 		return false
 	}
 	l.delivered.Add(1)
@@ -235,32 +242,47 @@ func (l *Link) Receive(m proto.Msg) bool {
 	return true
 }
 
-// SetBlocked replaces the set of peers behind the partition boundary.
-func (l *Link) SetBlocked(peers []proto.SiteID) {
+// SetBlocked replaces the set of peers behind the partition boundary from
+// instant at on: the present when at is zero or already past. A crossing
+// due at or after at is judged by the new set, one due before it by the
+// set in force until then, however late the queue goroutine gets to
+// either (simnet's rule: a message crossing exactly at the onset bounces).
+func (l *Link) SetBlocked(peers []proto.SiteID, at time.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.blocked = make(map[proto.SiteID]bool, len(peers))
-	for _, id := range peers {
-		l.blocked[id] = true
+	now := time.Now()
+	if at.Before(now) {
+		at = now
+	}
+	i := len(l.cuts) // a cut pending from at or later is superseded
+	for i > 1 && !l.cuts[i-1].from.Before(at) {
+		i--
+	}
+	l.cuts = append(l.cuts[:i], cut{at, slices.Clone(peers)})
+	// No crossing is judged before the present or the queue's head.
+	if len(l.q) > 0 && l.q[0].at.Before(now) {
+		now = l.q[0].at
+	}
+	for len(l.cuts) > 1 && !l.cuts[1].from.After(now) {
+		l.cuts = l.cuts[1:]
 	}
 }
 
-// Blocked reports whether peer is behind the boundary.
-func (l *Link) Blocked(peer proto.SiteID) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.blocked[peer]
+// inForce is the blocklist a crossing due at x is judged by. Called with
+// l.mu held.
+func (l *Link) inForce(x time.Time) []proto.SiteID {
+	i := len(l.cuts) - 1
+	for i > 0 && l.cuts[i].from.After(x) {
+		i--
+	}
+	return l.cuts[i].blocked
 }
 
-// BlockedList returns the blocked peers in unspecified order.
+// BlockedList returns the peers blocked now.
 func (l *Link) BlockedList() []proto.SiteID {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]proto.SiteID, 0, len(l.blocked))
-	for id := range l.blocked {
-		out = append(out, id)
-	}
-	return out
+	return slices.Clone(l.inForce(time.Now()))
 }
 
 // Counters returns the cumulative message counters.

@@ -145,7 +145,7 @@ func TestLinkBouncesOnTime(t *testing.T) {
 	eachWaker(t, func(t *testing.T, wake func() waker, precise bool) {
 		const n = 100
 		links, inbox := newLinkPair(t, wake)
-		links[0].SetBlocked([]proto.SiteID{2})
+		links[0].SetBlocked([]proto.SiteID{2}, time.Time{})
 		sentAt, drawn := sendSpaced(links[0], n)
 		late := make([]time.Duration, n)
 		for range late {
@@ -162,12 +162,43 @@ func TestLinkBouncesOnTime(t *testing.T) {
 	})
 }
 
+// A blocklist is in force from its instant, whenever the queue goroutine
+// gets to judge a crossing: one due exactly at the instant bounces and one
+// due a microsecond earlier crosses, though both are judged after it.
+func TestLinkCutsAtItsInstant(t *testing.T) {
+	eachWaker(t, func(t *testing.T, wake func() waker, _ bool) {
+		links, inbox := newLinkPair(t, wake)
+		l := links[0]
+		at := time.Now().Add(linkT / 4)
+		l.SetBlocked([]proto.SiteID{2}, at)
+		if slices.Contains(l.BlockedList(), 2) {
+			t.Error("site 2 is blocked before the cut's instant")
+		}
+		l.mu.Lock() // the queue goroutine waits here until after the instant
+		l.push(crossing{at: at, d: linkT / 4, m: proto.Msg{TID: 1, From: 1, To: 2}})
+		l.push(crossing{at: at.Add(-time.Microsecond), d: linkT / 4, m: proto.Msg{TID: 2, From: 1, To: 2}})
+		time.Sleep(time.Until(at) + time.Millisecond)
+		l.mu.Unlock()
+		if got := recv(t, inbox[1]); got.m.TID != 2 {
+			t.Errorf("site 2 received txn %d, want the one due before the cut", got.m.TID)
+		}
+		if got := recv(t, inbox[0]); got.m.TID != 1 || !got.m.Undeliverable {
+			t.Errorf("site 1 received %+v, want the undeliverable return of the one due at the cut", got.m)
+		}
+		if !slices.Contains(l.BlockedList(), 2) {
+			t.Error("site 2 is not blocked after the cut's instant")
+		}
+		expectSilence(t, inbox, linkT)
+		expectCounters(t, l, [4]uint64{0, 0, 1, 0})
+	})
+}
+
 // What is queued when a link closes never lands, and neither does what is
 // sent afterwards.
 func TestLinkCloseIsInert(t *testing.T) {
 	eachWaker(t, func(t *testing.T, wake func() waker, _ bool) {
 		links, inbox := newLinkPair(t, wake)
-		links[1].SetBlocked([]proto.SiteID{1})
+		links[1].SetBlocked([]proto.SiteID{1}, time.Time{})
 		for i := 0; i < 25; i++ {
 			links[0].Send(proto.Msg{TID: proto.TxnID(i), From: 1, To: 2, Kind: proto.MsgYes})
 			links[1].Send(proto.Msg{TID: proto.TxnID(i), From: 2, To: 1, Kind: proto.MsgYes})

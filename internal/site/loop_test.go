@@ -56,7 +56,7 @@ func (m *mesh) partition(g2 ...proto.SiteID) {
 				blocked = append(blocked, peer)
 			}
 		}
-		link.SetBlocked(blocked)
+		link.SetBlocked(blocked, time.Time{})
 	}
 }
 

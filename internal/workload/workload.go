@@ -86,10 +86,7 @@ type Config struct {
 	// point it joins back (shards migrated onto it again). Requires
 	// Shards > 0. 0 = static membership.
 	JoinLeaveEvery int
-	// Engine configures every site's database engine — WAL group commit.
-	// The zero value is the synchronous engine.
-	Engine engine.Options
-	Seed   uint64
+	Seed           uint64
 }
 
 // ShardMap returns the placement map the configuration implies, or nil
@@ -160,14 +157,6 @@ type Stats struct {
 	Metrics obs.Snapshot
 }
 
-// Engines returns per-site database engines with the configured fixtures.
-// Under sharded placement each engine hosts — and is seeded with — only
-// the accounts of the shards it replicates.
-func (c Config) Engines() map[proto.SiteID]*engine.Engine {
-	_, engs := c.Setup()
-	return engs
-}
-
 // Setup builds the workload's placement directory (nil under full
 // replication) and per-site engines wired to it: each engine's placement
 // predicate follows the directory through epoch changes, so migrated
@@ -193,7 +182,7 @@ func (c Config) SetupOver(members []proto.SiteID) (*placement.Directory, map[pro
 		}
 		dir = placement.NewDirectory(asg)
 	}
-	engs := EnginesWith(dir, c.Sites, c.Accounts, c.InitialBalance, c.Engine)
+	engs := EnginesFor(dir, c.Sites, c.Accounts, c.InitialBalance)
 	return dir, engs
 }
 
@@ -201,12 +190,6 @@ func (c Config) SetupOver(members []proto.SiteID) (*placement.Directory, map[pro
 // replication): placement predicates consult the directory's live state,
 // fixtures seed the epoch-0 placement.
 func EnginesFor(dir *placement.Directory, sites, accounts int, balance int64) map[proto.SiteID]*engine.Engine {
-	return EnginesWith(dir, sites, accounts, balance, engine.Options{})
-}
-
-// EnginesWith is EnginesFor with explicit engine options (WAL group
-// commit).
-func EnginesWith(dir *placement.Directory, sites, accounts int, balance int64, opts engine.Options) map[proto.SiteID]*engine.Engine {
 	var asg *placement.Assignment
 	if dir != nil {
 		_, asg = dir.Current()
@@ -214,7 +197,7 @@ func EnginesWith(dir *placement.Directory, sites, accounts int, balance int64, o
 	out := make(map[proto.SiteID]*engine.Engine, sites)
 	for i := 1; i <= sites; i++ {
 		id := proto.SiteID(i)
-		e := engine.NewWith(fmt.Sprintf("site-%d", i), &wal.MemStore{}, opts)
+		e := engine.New(fmt.Sprintf("site-%d", i), &wal.MemStore{})
 		if dir != nil {
 			e.SetPlacement(func(key string) bool { return dir.Hosts(id, key) })
 		}
