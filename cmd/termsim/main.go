@@ -13,8 +13,6 @@
 //	        [-shards s] [-rf r] [-accounts a] [-zipf s] [-ops k] [-db]
 //	        [-lease-ttl 15] [-quorum all|majority|one]
 //	        [-schedule "partition@2.5:3,4;heal@7;crash@8:2;recover@9:2;join@10:6;leave@14:2;move@18:3,1,5"]
-//	        [-g2 3,4] [-at 2.5] [-heal 7]     (shorthand for -schedule)
-//	        [-join "10:6"] [-leave "14:2"] [-moves "18:3,1,5"]
 //	        [-no 3] [-seed 1] [-latency fixed|uniform] [-trace]
 //	        [-metrics] [-trace-out run.jsonl]
 //
@@ -29,17 +27,18 @@
 // restart: log replay, in-doubt resolution via the termination protocol's
 // inquiry round, and catch-up from a current replica.
 //
-// Elastic membership: -join "t:site" schedules a site joining the
-// directory at time t (a site named only in joins starts outside the
-// membership and owns no shards until then), -leave "t:site" drains a
-// member's shards and removes it, and -moves "t:shard,from,to" hands one
+// Elastic membership: join@t:site schedules a site joining the directory
+// at time t (a site whose first membership event is a join starts outside
+// the membership and owns no shards until then), leave@t:site drains a
+// member's shards and removes it, and move@t:shard,from,to hands one
 // shard replica over. Each change migrates data through the recovery
 // catch-up machinery and commits its epoch bump as a metadata transaction
 // through the selected commit protocol. Membership runs on the simulator
 // only: the net backend rejects it. Examples:
 //
-//	termsim -proto 2pc -n 3 -g2 3 -at 2.1           # 2PC blocks site 3
-//	termsim -proto termination -n 5 -g2 4,5 -at 2.5 # paper's protocol
+//	termsim -proto 2pc -n 3 -schedule "partition@2.1:3"   # 2PC blocks site 3
+//	termsim -proto termination -n 5 \
+//	        -schedule "partition@2.5:4,5"             # paper's protocol
 //	termsim -proto termination+transient -n 5 -txns 12 \
 //	        -schedule "partition@2.5:4,5;heal@9" -masters rr
 //	termsim -backend net -n 3 -txns 4 \
@@ -48,7 +47,7 @@
 //	termsim -n 5 -txns 8 -db -zipf 0.9 -ops 3 \
 //	        -schedule "crash@2.5:5;recover@12:5"    # durable crash recovery
 //	termsim -n 6 -shards 8 -rf 2 -db -txns 16 \
-//	        -join "6:6" -leave "16:1"               # elastic membership
+//	        -schedule "join@6:6;leave@16:1"          # elastic membership
 package main
 
 import (
@@ -89,13 +88,7 @@ func main() {
 	db := flag.Bool("db", false, "attach a WAL-backed database engine at every site; scheduled recover events become durable restarts (replay + in-doubt resolution + catch-up)")
 	spacing := flag.Float64("spacing", 0.4, "submission spacing between transactions in units of T")
 	scheduleSpec := flag.String("schedule", "",
-		"fault timeline: ev@t[:args][;...] with ev in partition|heal|crash|recover, t in units of T")
-	g2Spec := flag.String("g2", "", "shorthand: comma-separated sites separated by the partition")
-	at := flag.Float64("at", -1, "shorthand: partition onset in units of T (<0 = no partition)")
-	heal := flag.Float64("heal", 0, "shorthand: heal time in units of T (0 = permanent)")
-	joinSpec := flag.String("join", "", "membership joins: t:site[;t:site...] in units of T (requires -shards; sites named only here start outside the membership)")
-	leaveSpec := flag.String("leave", "", "membership leaves: t:site[;t:site...] in units of T (requires -shards)")
-	movesSpec := flag.String("moves", "", "shard moves: t:shard,from,to[;...] in units of T (requires -shards)")
+		"fault timeline: ev@t[:args][;...] with ev in partition|heal|crash|recover|join|leave|move, t in units of T (join, leave and move require -shards)")
 	leaseTTL := flag.Float64("lease-ttl", 0, "epoch-scoped shard lease TTL in units of T (requires -shards; 0 disables leasing)")
 	quorumSpec := flag.String("quorum", "", "per-replica-group availability rule: all (default), majority, or one (requires -shards)")
 	noVotes := flag.String("no", "", "comma-separated sites that vote no")
@@ -124,38 +117,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "termsim: %v\n", err)
 		os.Exit(2)
 	}
-	if *at >= 0 {
-		if *g2Spec == "" {
-			fmt.Fprintln(os.Stderr, "termsim: -at requires -g2")
-			os.Exit(2)
-		}
-		ev := cluster.PartitionAt(ticks(*at), parseSites(*g2Spec)...)
-		if *heal > 0 {
-			ev.Heal = ticks(*heal)
-		}
-		sched = append(sched, ev)
-	}
-
-	// Membership churn: shorthand flags append join/leave/move events to
-	// the schedule; sites whose first membership event is a join start
-	// outside the directory (provisioned, empty).
-	for _, spec := range []struct {
-		raw  string
-		kind cluster.EventKind
-	}{{*joinSpec, cluster.EvJoin}, {*leaveSpec, cluster.EvLeave}} {
-		evs, err := parseSiteEvents(spec.raw, spec.kind)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "termsim: %v\n", err)
-			os.Exit(2)
-		}
-		sched = append(sched, evs...)
-	}
-	moveEvs, err := parseMoveEvents(*movesSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "termsim: %v\n", err)
-		os.Exit(2)
-	}
-	sched = append(sched, moveEvs...)
 	hasMembership := false
 	for _, ev := range sched {
 		if ev.Kind == cluster.EvJoin || ev.Kind == cluster.EvLeave || ev.Kind == cluster.EvMove {
@@ -164,30 +125,27 @@ func main() {
 	}
 
 	cfg := cluster.Config{Sites: *n, Protocol: p, Schedule: sched}
-	var members []proto.SiteID
 	if *shards > 0 {
-		rfVal := *rf
-		if rfVal == 0 {
-			rfVal = 3
-			if rfVal > *n {
-				rfVal = *n
-			}
+		if *rf == 0 {
+			*rf = min(3, *n)
 		}
-		if _, err := cluster.NewShardMap(*shards, rfVal, *n); err != nil {
+		// Sites whose first membership event is a join start outside the
+		// directory (provisioned, empty).
+		asg, err := placement.ArithmeticOver(*shards, *rf, initialMembers(*n, sched))
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "termsim: %v\n", err)
 			os.Exit(2)
 		}
-		*rf = rfVal
-		members = initialMembers(*n, sched)
+		cfg.Directory = placement.NewDirectory(asg)
 	} else if *rf != 0 {
 		fmt.Fprintln(os.Stderr, "termsim: -rf requires -shards")
 		os.Exit(2)
 	} else if hasMembership {
-		fmt.Fprintln(os.Stderr, "termsim: -join/-leave/-moves require -shards")
+		fmt.Fprintln(os.Stderr, "termsim: join, leave and move events require -shards")
 		os.Exit(2)
 	}
 	switch *masters {
-	case "", "fixed": // cluster default: fixed, or primary with a ShardMap
+	case "", "fixed": // cluster default: fixed, or primary with a Directory
 	case "rr":
 		cfg.MasterPolicy = cluster.MasterRoundRobin()
 	case "primary":
@@ -234,24 +192,12 @@ func main() {
 		// The workload's fixture builder places and seeds the engines,
 		// wired to the same directory the cluster resolves through — so a
 		// join's incoming shards land on the new engine mid-migration.
-		wcfg := workload.Config{
-			Sites: *n, Accounts: numAccounts, InitialBalance: 1000,
-			Shards: *shards, ReplicationFactor: *rf,
-		}
-		dir, engs := wcfg.SetupOver(members)
-		cfg.Directory = dir
+		engs := workload.EnginesFor(cfg.Directory, *n, numAccounts, 1000)
 		cfg.Participants = make(map[proto.SiteID]cluster.Participant, *n)
 		for id, e := range engs {
 			cfg.Participants[id] = e
 		}
 		cfg.Recovery = true
-	} else if *shards > 0 {
-		asg, err := placement.ArithmeticOver(*shards, *rf, members)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "termsim: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Directory = placement.NewDirectory(asg)
 	}
 
 	var simBackend *cluster.SimBackend
@@ -284,25 +230,15 @@ func main() {
 	}
 	// On the process backend the daemons' engines start empty, so a
 	// sharded run without -db seeds the generated accounts through the
-	// cluster itself — one OpPut transaction committed before traffic
-	// starts, the same way an operator loads fixtures over the API.
-	// Without it every generated transfer would debit a missing account
-	// and vote no.
-	seeded := false
-	if netBackend != nil && cfg.Directory != nil && !*db {
-		ops := make([]engine.Op, numAccounts)
-		for a := range ops {
-			ops[a] = engine.Op{Kind: engine.OpPut, Key: fmt.Sprintf("acct/%d", a), Value: engine.EncodeInt(1000)}
-		}
-		if _, err := c.Submit(cluster.Txn{Payload: engine.EncodeOps(ops)}); err != nil {
-			fmt.Fprintf(os.Stderr, "termsim: seeding accounts: %v\n", err)
+	// cluster itself before traffic starts. Without it every generated
+	// transfer would debit a missing account and vote no.
+	seeded := netBackend != nil && cfg.Directory != nil && !*db
+	if seeded {
+		if err := workload.SeedAccounts(c, numAccounts, 1000); err != nil {
+			fmt.Fprintf(os.Stderr, "termsim: %v\n", err)
+			c.Close()
 			os.Exit(2)
 		}
-		if err := c.Wait(); err != nil {
-			fmt.Fprintf(os.Stderr, "termsim: seeding accounts: %v\n", err)
-			os.Exit(2)
-		}
-		seeded = true
 	}
 	batch := make([]cluster.Txn, *txns)
 	base := sim.Time(0)
@@ -551,62 +487,6 @@ func describeEvent(ev cluster.Event) string {
 	}
 }
 
-// parseSiteEvents parses "t:site[;t:site...]" into join/leave events.
-func parseSiteEvents(spec string, kind cluster.EventKind) (cluster.Schedule, error) {
-	var out cluster.Schedule
-	for _, entry := range strings.Split(spec, ";") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		tStr, siteStr, ok := strings.Cut(entry, ":")
-		if !ok {
-			return nil, fmt.Errorf("bad %s entry %q (want t:site)", kind, entry)
-		}
-		t, err := strconv.ParseFloat(strings.TrimSpace(tStr), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad time in %q: %v", entry, err)
-		}
-		site, err := strconv.Atoi(strings.TrimSpace(siteStr))
-		if err != nil {
-			return nil, fmt.Errorf("bad site in %q: %v", entry, err)
-		}
-		out = append(out, cluster.Event{At: ticks(t), Kind: kind, Site: proto.SiteID(site)})
-	}
-	return out, nil
-}
-
-// parseMoveEvents parses "t:shard,from,to[;...]".
-func parseMoveEvents(spec string) (cluster.Schedule, error) {
-	var out cluster.Schedule
-	for _, entry := range strings.Split(spec, ";") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		tStr, rest, ok := strings.Cut(entry, ":")
-		if !ok {
-			return nil, fmt.Errorf("bad move entry %q (want t:shard,from,to)", entry)
-		}
-		t, err := strconv.ParseFloat(strings.TrimSpace(tStr), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad time in %q: %v", entry, err)
-		}
-		parts := strings.Split(rest, ",")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("bad move entry %q (want t:shard,from,to)", entry)
-		}
-		var nums [3]int
-		for i, p := range parts {
-			if nums[i], err = strconv.Atoi(strings.TrimSpace(p)); err != nil {
-				return nil, fmt.Errorf("bad number in %q: %v", entry, err)
-			}
-		}
-		out = append(out, cluster.MoveShardAt(ticks(t), nums[0], proto.SiteID(nums[1]), proto.SiteID(nums[2])))
-	}
-	return out, nil
-}
-
 // initialMembers derives the directory's starting membership: every site
 // except those whose first membership event on the timeline is a join —
 // they begin as provisioned, empty capacity.
@@ -671,11 +551,17 @@ func parseSchedule(spec string) (cluster.Schedule, error) {
 				out = append(out, cluster.LeaveAt(ticks(t), proto.SiteID(site)))
 			}
 		case "move":
-			evs, err := parseMoveEvents(fmt.Sprintf("%g:%s", t, args))
-			if err != nil {
-				return nil, err
+			parts := strings.Split(args, ",")
+			if len(parts) != 3 {
+				return nil, fmt.Errorf("move needs shard,from,to: %q", entry)
 			}
-			out = append(out, evs...)
+			var nums [3]int
+			for i, p := range parts {
+				if nums[i], err = strconv.Atoi(strings.TrimSpace(p)); err != nil {
+					return nil, fmt.Errorf("bad number in %q: %v", entry, err)
+				}
+			}
+			out = append(out, cluster.MoveShardAt(ticks(t), nums[0], proto.SiteID(nums[1]), proto.SiteID(nums[2])))
 		default:
 			return nil, fmt.Errorf("unknown event %q in %q", kind, entry)
 		}

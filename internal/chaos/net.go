@@ -8,10 +8,10 @@ import (
 
 	"termproto/internal/check"
 	"termproto/internal/cluster"
-	"termproto/internal/db/engine"
 	"termproto/internal/protocol/registry"
 	"termproto/internal/sim"
 	"termproto/internal/trace"
+	"termproto/internal/workload"
 )
 
 // netPreBase shifts a net run's schedule and traffic past the account
@@ -60,17 +60,10 @@ func RunNet(sc Scenario, workdir string) (*Result, error) {
 	}
 	defer c.Close()
 
-	// Seed the accounts through the cluster itself, the way an operator
-	// loads fixtures over the API; daemons start with empty engines.
-	ops := make([]engine.Op, sc.Accounts)
-	for a := range ops {
-		ops[a] = engine.Op{Kind: engine.OpPut, Key: fmt.Sprintf("acct/%d", a), Value: engine.EncodeInt(sc.Balance)}
-	}
-	if _, err := c.Submit(cluster.Txn{Payload: engine.EncodeOps(ops)}); err != nil {
-		return nil, fmt.Errorf("chaos: seeding accounts: %w", err)
-	}
-	if err := c.Wait(); err != nil {
-		return nil, fmt.Errorf("chaos: seeding accounts: %w", err)
+	// Daemons start with empty engines; a seed that did not commit is a
+	// setup failure, not a conservation violation.
+	if err := workload.SeedAccounts(c, sc.Accounts, sc.Balance); err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
 	}
 
 	transfers, err := submitTraffic(c, sc, netPreBase)

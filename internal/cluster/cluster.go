@@ -18,7 +18,7 @@
 // recovery catch-up machinery and the epoch bump commits as a metadata
 // transaction through the cluster's own commit protocol, so a partition
 // mid-migration is resolved by the termination protocol like any other
-// in-doubt transaction. (A ShardMap is the static epoch-0 constructor.)
+// in-doubt transaction.
 //
 //	c, _ := cluster.Open(cluster.Config{Sites: 5, Protocol: core.Protocol{},
 //	    Schedule: cluster.Schedule{
@@ -62,14 +62,6 @@ var (
 // internal/db/engine.Engine implements it.
 type Participant = proto.Participant
 
-// Replica is an optional extension of Participant that can expose its
-// committed state; Termination uses it to check that all replicas
-// converged. internal/db/engine.Engine implements it.
-type Replica interface {
-	Participant
-	Snapshot() map[string][]byte
-}
-
 // MasterPolicy assigns a coordinating site to a transaction whose Master
 // field is zero. It receives the transaction's participant set (ascending,
 // never empty) and must return one of its members.
@@ -99,7 +91,7 @@ func MasterRoundRobin() MasterPolicy {
 
 // MasterPrimary is the shard-local policy: every transaction is
 // coordinated from inside its replica set, at the lowest-numbered
-// participant. With a ShardMap this keeps the whole commit inside the
+// participant. With a Directory this keeps the whole commit inside the
 // sites that host the data — no off-shard coordinator hops — and it is
 // the default policy for sharded clusters.
 func MasterPrimary() MasterPolicy {
@@ -119,26 +111,18 @@ type Config struct {
 	Backend Backend
 	// Schedule scripts faults on the cluster timeline.
 	Schedule Schedule
-	// ShardMap places the keyspace across the sites. When set, a
-	// transaction whose Sites field is empty participates only at the
-	// replica sets of the shards its payload keys touch, and Termination
-	// checks replica convergence per shard-replica-group. Nil means full
-	// replication: every transaction runs at every site.
-	//
-	// Internally a ShardMap is the compatibility constructor for a
-	// Directory: Open converts it to a versioned directory with an
-	// identical epoch-0 assignment, so ShardMap clusters get elastic
-	// membership for free. Set at most one of ShardMap and Directory.
-	ShardMap *ShardMap
-	// Directory is the versioned shard directory: epoch-stamped replica
-	// sets that Join/Leave/MoveShard rebalance at runtime. Transactions
-	// resolve their participants through the directory at their admission
-	// epoch; Termination checks convergence against the current epoch's
-	// replica sets. The directory's members may be a subset of Sites —
-	// the remaining sites are provisioned capacity that can Join later.
+	// Directory is the versioned shard directory that places the keyspace
+	// across the sites: epoch-stamped replica sets that Join/Leave/MoveShard
+	// rebalance at runtime. A transaction whose Sites field is empty
+	// participates only at the replica sets of the shards its payload keys
+	// touch, resolved at its admission epoch, and Termination checks
+	// replica convergence per shard-replica-group at the current epoch. Nil
+	// means full replication: every transaction runs at every site. The
+	// directory's members may be a subset of Sites — the remaining sites
+	// are provisioned capacity that can Join later.
 	Directory *placement.Directory
 	// MasterPolicy assigns masters to transactions that do not name one;
-	// nil defaults to MasterPrimary when a ShardMap is set, MasterFixed(1)
+	// nil defaults to MasterPrimary when a Directory is set, MasterFixed(1)
 	// otherwise.
 	MasterPolicy MasterPolicy
 	// Votes decides votes for sites without a Participant; nil votes yes.
@@ -194,8 +178,8 @@ type Txn struct {
 	Master proto.SiteID
 	// Sites is the participant set: the only sites that instantiate
 	// protocol automata for this transaction. Empty derives it from the
-	// payload's keys through the cluster's ShardMap (all sites when there
-	// is no ShardMap or the payload carries no keys).
+	// payload's keys through the cluster's Directory (all sites when there
+	// is no Directory or the payload carries no data keys).
 	Sites []proto.SiteID
 	// Payload is the transaction body carried in MsgXact.
 	Payload []byte
@@ -442,23 +426,6 @@ func Open(cfg Config) (*Cluster, error) {
 	}
 	if err := cfg.Schedule.validate(cfg.Sites); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	if cfg.ShardMap != nil && cfg.ShardMap.Sites() != cfg.Sites {
-		return nil, fmt.Errorf("cluster: shard map built for %d sites, cluster has %d",
-			cfg.ShardMap.Sites(), cfg.Sites)
-	}
-	if cfg.ShardMap != nil && cfg.Directory != nil {
-		return nil, fmt.Errorf("cluster: set at most one of ShardMap and Directory")
-	}
-	if cfg.ShardMap != nil {
-		// The compatibility constructor: a static ShardMap becomes epoch 0
-		// of a directory with byte-identical placement.
-		m := cfg.ShardMap
-		asg, err := placement.Arithmetic(m.Shards(), m.ReplicationFactor(), m.Sites())
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		cfg.Directory = placement.NewDirectory(asg)
 	}
 	if cfg.Directory != nil {
 		_, asg := cfg.Directory.Current()
@@ -908,12 +875,12 @@ func (c *Cluster) Stats() Stats {
 
 // Termination checks the paper's headline property over the whole run:
 // every submitted transaction decided at every live participating site,
-// no two sites disagree on any transaction, and — when participants
-// expose their state — replicas converged to identical contents. Under
-// full replication every pair of sites is compared whole; under a
-// ShardMap convergence is checked per shard-replica-group, each shard's
-// key range compared across exactly the sites that replicate it. Call
-// after Wait. A nil error is the protocol keeping its promise.
+// no two sites disagree on any transaction, and — at sites whose
+// participant is a storage engine — replicas converged to identical
+// contents. Under full replication every pair of sites is compared whole;
+// under a Directory convergence is checked per shard-replica-group, each
+// shard's key range compared across exactly the sites that replicate it.
+// Call after Wait. A nil error is the protocol keeping its promise.
 func (c *Cluster) Termination() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -933,11 +900,11 @@ func (c *Cluster) Termination() error {
 	var ref map[string][]byte
 	for i := 1; i <= c.cfg.Sites; i++ {
 		id := proto.SiteID(i)
-		rep, ok := c.cfg.Participants[id].(Replica)
+		eng, ok := recoveryEngine(c.cfg, id)
 		if !ok {
 			continue
 		}
-		snap := rep.Snapshot()
+		snap := eng.Snapshot()
 		if ref == nil {
 			refID, ref = id, snap
 			continue
@@ -960,8 +927,8 @@ func (c *Cluster) shardConvergence() error {
 	_, asg := c.cfg.Directory.Current()
 	snaps := make(map[proto.SiteID]map[string][]byte)
 	for _, id := range asg.Members() {
-		if rep, ok := c.cfg.Participants[id].(Replica); ok {
-			snaps[id] = rep.Snapshot()
+		if eng, ok := recoveryEngine(c.cfg, id); ok {
+			snaps[id] = eng.Snapshot()
 		}
 	}
 	for s := 0; s < asg.Shards(); s++ {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"sync"
 
-	"termproto/internal/db/engine"
 	"termproto/internal/obs"
 	"termproto/internal/placement"
 	"termproto/internal/proto"
@@ -135,23 +134,15 @@ func (m *clusterMetrics) recordDecided(r *TxnResult) {
 	}
 }
 
-// payloadShard attributes a transaction body to the shard of its first
-// data key (meta keys and epoch markers skipped); 0 without a directory
-// or for keyless payloads — mirroring the engine's attribution rule.
+// payloadShard attributes a transaction body to its first data shard; 0
+// without a directory or for a body with no data shards.
 func payloadShard(d *placement.Directory, payload []byte) int {
 	if d == nil {
 		return 0
 	}
-	ops, err := engine.DecodeOps(payload)
-	if err != nil {
-		return 0
-	}
 	_, asg := d.Current()
-	for _, op := range ops {
-		if op.Kind == engine.OpEpoch || engine.IsMetaKey(op.Key) || op.Key == "" {
-			continue
-		}
-		return asg.ShardOf(op.Key)
+	if shards := asg.DataShards(payload); len(shards) > 0 {
+		return shards[0]
 	}
 	return 0
 }

@@ -502,28 +502,12 @@ func TestScheduledJoinLeaveEvents(t *testing.T) {
 func TestRF1LocalFastPath(t *testing.T) {
 	run := func(backend Backend) {
 		const sites, accounts = 4, 8
-		m, err := NewShardMap(accounts, 1, sites)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts := make(map[proto.SiteID]Participant, sites)
-		engs := make(map[proto.SiteID]*engine.Engine, sites)
-		for i := 1; i <= sites; i++ {
-			id := proto.SiteID(i)
-			e := engine.New(fmt.Sprintf("site-%d", i), &wal.MemStore{})
-			e.SetPlacement(func(key string) bool { return m.Hosts(id, key) })
-			for a := 0; a < accounts; a++ {
-				if key := fmt.Sprintf("acct/%d", a); m.Hosts(id, key) {
-					e.PutInt(key, 100)
-				}
-			}
-			parts[id] = e
-			engs[id] = e
-		}
+		d := placement.NewDirectory(mustArithmetic(t, accounts, 1, sites))
+		parts, engs := directoryEngines(d, sites, accounts, 100)
 		c, err := Open(Config{
 			Sites:        sites,
 			Protocol:     core.Protocol{TransientFix: true},
-			ShardMap:     m,
+			Directory:    d,
 			Participants: parts,
 			Backend:      backend,
 		})
@@ -578,9 +562,10 @@ func TestRF1LocalFastPath(t *testing.T) {
 		if err := c.Termination(); err != nil {
 			t.Fatal(err)
 		}
+		_, asg := d.Current()
 		for a := 0; a < accounts; a++ {
 			key := fmt.Sprintf("acct/%d", a)
-			if got := engs[m.Primary(m.ShardOf(key))].GetInt(key); got != 111 {
+			if got := engs[asg.Primary(asg.ShardOf(key))].GetInt(key); got != 111 {
 				t.Fatalf("%s = %d, want 111", key, got)
 			}
 		}

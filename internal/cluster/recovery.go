@@ -50,21 +50,6 @@ func recoveryEngine(cfg Config, site proto.SiteID) (*engine.Engine, bool) {
 	return e, ok && e != nil
 }
 
-// donorSnapshot reads a reachable peer's state for catch-up: an engine
-// flags the keys its in-flight transactions hold (their committed values
-// are not authoritative); a bare Replica has no lock information and
-// offers its snapshot as-is.
-func donorSnapshot(cfg Config, peer proto.SiteID) (map[string][]byte, map[string]bool, bool) {
-	if eng, ok := recoveryEngine(cfg, peer); ok {
-		snap, unstable := eng.StableSnapshot()
-		return snap, unstable, true
-	}
-	if rep, ok := cfg.Participants[peer].(Replica); ok {
-		return rep.Snapshot(), nil, true
-	}
-	return nil, nil, false
-}
-
 // buildRecoveryConfig is one site's recovery.Plan over its engine and the
 // directory's current epoch; ok is false for a site without an engine.
 func buildRecoveryConfig(cfg Config, site proto.SiteID, peers recovery.PeerClient) (recovery.Config, bool) {

@@ -7,6 +7,7 @@ import (
 	"termproto/internal/core"
 	"termproto/internal/db/engine"
 	"termproto/internal/db/wal"
+	"termproto/internal/placement"
 	"termproto/internal/proto"
 	"termproto/internal/sim"
 )
@@ -211,28 +212,12 @@ func TestSimHealRetryResolvesUnresolved(t *testing.T) {
 // per-shard-replica-group convergence holds at the end.
 func TestSimRecoveryShardedCatchUp(t *testing.T) {
 	const sites, accounts = 6, 18
-	m, err := NewShardMap(sites, 3, sites)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := make(map[proto.SiteID]Participant, sites)
-	engs := make(map[proto.SiteID]*engine.Engine, sites)
-	for i := 1; i <= sites; i++ {
-		id := proto.SiteID(i)
-		e := engine.New(fmt.Sprintf("site-%d", i), &wal.MemStore{})
-		e.SetPlacement(func(key string) bool { return m.Hosts(id, key) })
-		for a := 0; a < accounts; a++ {
-			if m.Hosts(id, fmt.Sprintf("acct/%d", a)) {
-				e.PutInt(fmt.Sprintf("acct/%d", a), 1000)
-			}
-		}
-		parts[id] = e
-		engs[id] = e
-	}
+	d := placement.NewDirectory(mustArithmetic(t, sites, 3, sites))
+	parts, engs := directoryEngines(d, sites, accounts, 1000)
 	c, err := Open(Config{
 		Sites:        sites,
 		Protocol:     core.Protocol{TransientFix: true},
-		ShardMap:     m,
+		Directory:    d,
 		Participants: parts,
 		Schedule: Schedule{
 			CrashAt(2500, 6),

@@ -2,23 +2,41 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"termproto/internal/core"
-	"termproto/internal/db/engine"
-	"termproto/internal/db/wal"
+	"termproto/internal/placement"
 	"termproto/internal/proto"
 )
 
-func mustShardMap(t *testing.T, shards, rf, sites int) *ShardMap {
+func mustArithmetic(t *testing.T, shards, rf, sites int) *placement.Assignment {
 	t.Helper()
-	m, err := NewShardMap(shards, rf, sites)
+	asg, err := placement.Arithmetic(shards, rf, sites)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return asg
 }
 
+// replicaUnion is the ascending union of the replica sets of the shards
+// holding keys — a transaction's expected participant set.
+func replicaUnion(asg *placement.Assignment, keys ...string) []proto.SiteID {
+	var out []proto.SiteID
+	for _, key := range keys {
+		for _, id := range asg.Replicas(asg.ShardOf(key)) {
+			if !containsSite(out, id) {
+				out = append(out, id)
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// The cluster's shard map is a placement.Arithmetic ring behind a
+// Directory. Bad layouts are refused when the ring is built, and a ring
+// naming sites the cluster does not have is refused by Open.
 func TestShardMapValidation(t *testing.T) {
 	for name, args := range map[string][3]int{
 		"zeroShards": {0, 2, 4},
@@ -26,26 +44,39 @@ func TestShardMapValidation(t *testing.T) {
 		"rfTooBig":   {4, 5, 4},
 		"oneSite":    {4, 2, 1},
 	} {
-		if _, err := NewShardMap(args[0], args[1], args[2]); err == nil {
-			t.Errorf("%s: NewShardMap(%v) accepted", name, args)
+		if _, err := placement.Arithmetic(args[0], args[1], args[2]); err == nil {
+			t.Errorf("%s: Arithmetic(%v) accepted", name, args)
 		}
 	}
 	// RF=1 is legal: single-replica shards commit through the local fast
 	// path instead of a protocol round.
-	if _, err := NewShardMap(4, 1, 4); err != nil {
-		t.Errorf("rf=1 rejected: %v", err)
+	c, err := Open(Config{
+		Sites:     4,
+		Protocol:  core.Protocol{TransientFix: true},
+		Directory: placement.NewDirectory(mustArithmetic(t, 4, 1, 4)),
+	})
+	if err != nil {
+		t.Fatalf("rf=1 rejected: %v", err)
+	}
+	c.Close()
+	if _, err := Open(Config{
+		Sites:     4,
+		Protocol:  core.Protocol{TransientFix: true},
+		Directory: placement.NewDirectory(mustArithmetic(t, 4, 2, 6)),
+	}); err == nil {
+		t.Error("directory over sites 1..6 accepted by a 4-site cluster")
 	}
 }
 
 func TestShardMapPlacement(t *testing.T) {
-	m := mustShardMap(t, 8, 3, 6)
-	for s := 0; s < m.Shards(); s++ {
-		reps := m.Replicas(s)
+	asg := mustArithmetic(t, 8, 3, 6)
+	for s := 0; s < asg.Shards(); s++ {
+		reps := asg.Replicas(s)
 		if len(reps) != 3 {
 			t.Fatalf("shard %d: %d replicas", s, len(reps))
 		}
-		if reps[0] != m.Primary(s) {
-			t.Fatalf("shard %d: primary %d not first in %v", s, m.Primary(s), reps)
+		if reps[0] != asg.Primary(s) {
+			t.Fatalf("shard %d: primary %d not first in %v", s, asg.Primary(s), reps)
 		}
 		seen := map[proto.SiteID]bool{}
 		for _, id := range reps {
@@ -57,13 +88,13 @@ func TestShardMapPlacement(t *testing.T) {
 	}
 	// Placement is deterministic and Hosts agrees with Replicas.
 	for _, key := range []string{"acct/0", "acct/7", "x", ""} {
-		s := m.ShardOf(key)
-		if s != m.ShardOf(key) {
+		s := asg.ShardOf(key)
+		if s != asg.ShardOf(key) {
 			t.Fatalf("ShardOf(%q) not stable", key)
 		}
 		hosted := 0
 		for site := 1; site <= 6; site++ {
-			if m.Hosts(proto.SiteID(site), key) {
+			if asg.Hosts(proto.SiteID(site), key) {
 				hosted++
 			}
 		}
@@ -71,48 +102,76 @@ func TestShardMapPlacement(t *testing.T) {
 			t.Fatalf("key %q hosted at %d sites, want 3", key, hosted)
 		}
 	}
-	// SitesFor is the sorted union of the touched replica sets.
+	// A two-key body's participants are the ascending union of the two
+	// keys' replica sets.
 	a, b := "acct/0", "acct/5"
 	union := map[proto.SiteID]bool{}
-	for _, id := range m.Replicas(m.ShardOf(a)) {
+	for _, id := range asg.Replicas(asg.ShardOf(a)) {
 		union[id] = true
 	}
-	for _, id := range m.Replicas(m.ShardOf(b)) {
+	for _, id := range asg.Replicas(asg.ShardOf(b)) {
 		union[id] = true
 	}
-	got := m.SitesFor(a, b)
+	got := asg.ParticipantsFor(transfer(0, 5, 1))
 	if len(got) != len(union) {
-		t.Fatalf("SitesFor = %v, union has %d members", got, len(union))
+		t.Fatalf("ParticipantsFor = %v, union has %d members", got, len(union))
 	}
 	for i, id := range got {
 		if !union[id] {
-			t.Fatalf("SitesFor member %d not in union %v", id, got)
+			t.Fatalf("ParticipantsFor member %d not in union %v", id, got)
 		}
 		if i > 0 && got[i-1] >= id {
-			t.Fatalf("SitesFor not ascending: %v", got)
+			t.Fatalf("ParticipantsFor not ascending: %v", got)
 		}
 	}
 }
 
+// Submit derives a transaction's participants from its payload's keys;
+// key-less and undecodable payloads fall back to broadcast.
 func TestShardMapParticipantsFor(t *testing.T) {
-	m := mustShardMap(t, 4, 2, 8)
+	const sites = 8
+	asg := mustArithmetic(t, 4, 2, sites)
 	payload := transfer(0, 1, 5)
-	got := m.ParticipantsFor(payload)
-	want := m.SitesFor("acct/0", "acct/1")
-	if len(got) != len(want) {
+	want := replicaUnion(asg, "acct/0", "acct/1")
+	if got := asg.ParticipantsFor(payload); !slices.Equal(got, want) {
 		t.Fatalf("ParticipantsFor = %v, want %v", got, want)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("ParticipantsFor = %v, want %v", got, want)
-		}
-	}
-	// Key-less and undecodable payloads fall back to broadcast (nil).
-	if ids := m.ParticipantsFor(nil); ids != nil {
+	if ids := asg.ParticipantsFor(nil); ids != nil {
 		t.Fatalf("nil payload → %v, want nil", ids)
 	}
-	if ids := m.ParticipantsFor([]byte{0xde, 0xad, 0xbe, 0xef, 0x01}); ids != nil {
+	garbage := []byte{0xde, 0xad, 0xbe, 0xef, 0x01}
+	if ids := asg.ParticipantsFor(garbage); ids != nil {
 		t.Fatalf("garbage payload → %v, want nil", ids)
+	}
+
+	c, err := Open(Config{
+		Sites:     sites,
+		Protocol:  core.Protocol{TransientFix: true},
+		Directory: placement.NewDirectory(asg),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    []proto.SiteID
+	}{
+		{"transfer", payload, want},
+		{"nil payload", nil, allSites(sites)},
+		{"garbage payload", garbage, allSites(sites)},
+	} {
+		r, err := c.Submit(Txn{Payload: tc.payload, At: c.Now()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(r.Participants, tc.want) {
+			t.Fatalf("%s: participants %v, want %v", tc.name, r.Participants, tc.want)
+		}
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -120,13 +179,13 @@ func TestShardMapParticipantsFor(t *testing.T) {
 // automata are instantiated only at a transaction's participant sites.
 func TestShardedPlacementSpawnsOnlyParticipants(t *testing.T) {
 	const sites = 6
-	m := mustShardMap(t, 6, 2, sites)
+	asg := mustArithmetic(t, 6, 2, sites)
 	sb := NewSimBackend(SimOptions{})
 	c, err := Open(Config{
-		Sites:    sites,
-		Protocol: core.Protocol{TransientFix: true},
-		ShardMap: m,
-		Backend:  sb,
+		Sites:     sites,
+		Protocol:  core.Protocol{TransientFix: true},
+		Directory: placement.NewDirectory(asg),
+		Backend:   sb,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,14 +200,9 @@ func TestShardedPlacementSpawnsOnlyParticipants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		expect := m.SitesFor(fmt.Sprintf("acct/%d", i), fmt.Sprintf("acct/%d", i+3))
-		if len(r.Participants) != len(expect) {
+		expect := replicaUnion(asg, fmt.Sprintf("acct/%d", i), fmt.Sprintf("acct/%d", i+3))
+		if !slices.Equal(r.Participants, expect) {
 			t.Fatalf("txn %d participants %v, want %v", r.TID, r.Participants, expect)
-		}
-		for j := range expect {
-			if r.Participants[j] != expect[j] {
-				t.Fatalf("txn %d participants %v, want %v", r.TID, r.Participants, expect)
-			}
 		}
 		if len(r.Participants) >= sites {
 			t.Fatalf("txn %d participants %v cover the whole cluster — not sharded", r.TID, r.Participants)
@@ -186,34 +240,17 @@ func TestShardedPlacementSpawnsOnlyParticipants(t *testing.T) {
 	}
 }
 
-// shardedEngines builds placement-aware replicas: each engine hosts (and
-// is seeded with) only the accounts of the shards it replicates.
-func shardedEngines(m *ShardMap, accounts int, balance int64) map[proto.SiteID]Participant {
-	out := make(map[proto.SiteID]Participant, m.Sites())
-	for i := 1; i <= m.Sites(); i++ {
-		id := proto.SiteID(i)
-		e := engine.New(fmt.Sprintf("site-%d", i), &wal.MemStore{})
-		e.SetPlacement(func(key string) bool { return m.Hosts(id, key) })
-		for a := 0; a < accounts; a++ {
-			if key := fmt.Sprintf("acct/%d", a); m.Hosts(id, key) {
-				e.PutInt(key, balance)
-			}
-		}
-		out[id] = e
-	}
-	return out
-}
-
 // Cross-shard transfers: the multi-participant case. Both shards' replica
 // groups converge, and sites outside the groups never see the data.
 func TestShardedCrossShardTransfers(t *testing.T) {
 	const sites, accounts = 8, 16
-	m := mustShardMap(t, 8, 3, sites)
-	parts := shardedEngines(m, accounts, 1_000)
+	asg := mustArithmetic(t, 8, 3, sites)
+	d := placement.NewDirectory(asg)
+	parts, engs := directoryEngines(d, sites, accounts, 1_000)
 	c, err := Open(Config{
 		Sites:        sites,
 		Protocol:     core.Protocol{TransientFix: true},
-		ShardMap:     m,
+		Directory:    d,
 		Participants: parts,
 		Schedule:     Schedule{TransientPartitionAt(3000, 9000, 7, 8)},
 	})
@@ -232,7 +269,7 @@ func TestShardedCrossShardTransfers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(r.Participants) > m.ReplicationFactor() {
+		if len(r.Participants) > asg.ReplicationFactor() {
 			crossShard++
 		}
 		if err := c.Wait(); err != nil {
@@ -253,8 +290,7 @@ func TestShardedCrossShardTransfers(t *testing.T) {
 	var total int64
 	for a := 0; a < accounts; a++ {
 		key := fmt.Sprintf("acct/%d", a)
-		e := parts[m.Primary(m.ShardOf(key))].(*engine.Engine)
-		total += e.GetInt(key)
+		total += engs[asg.Primary(asg.ShardOf(key))].GetInt(key)
 	}
 	if total != accounts*1_000 {
 		t.Fatalf("total %d, want %d", total, accounts*1_000)
@@ -264,10 +300,10 @@ func TestShardedCrossShardTransfers(t *testing.T) {
 		key := fmt.Sprintf("acct/%d", a)
 		for site := 1; site <= sites; site++ {
 			id := proto.SiteID(site)
-			if m.Hosts(id, key) {
+			if asg.Hosts(id, key) {
 				continue
 			}
-			if _, ok := parts[id].(*engine.Engine).Get(key); ok {
+			if _, ok := engs[id].Get(key); ok {
 				t.Fatalf("site %d holds foreign key %q", site, key)
 			}
 		}
@@ -278,14 +314,14 @@ func TestShardedCrossShardTransfers(t *testing.T) {
 // participant set — the coordinator is always a participant.
 func TestShardedExplicitMasterJoins(t *testing.T) {
 	const sites = 6
-	m := mustShardMap(t, 6, 2, sites)
-	c, err := Open(Config{Sites: sites, Protocol: core.Protocol{TransientFix: true}, ShardMap: m})
+	asg := mustArithmetic(t, 6, 2, sites)
+	c, err := Open(Config{Sites: sites, Protocol: core.Protocol{TransientFix: true}, Directory: placement.NewDirectory(asg)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	payload := transfer(0, 0+1, 1)
-	derived := m.ParticipantsFor(payload)
+	derived := asg.ParticipantsFor(payload)
 	var outsider proto.SiteID
 	for s := 1; s <= sites; s++ {
 		if !containsSite(derived, proto.SiteID(s)) {
@@ -311,14 +347,14 @@ func TestShardedExplicitMasterJoins(t *testing.T) {
 	}
 }
 
-// Sim-vs-live parity for sharded workloads: the same ShardMap, the same
+// Sim-vs-live parity for sharded workloads: the same placement, the same
 // deterministic-outcome transactions, identical per-transaction outcomes
 // and replica sets on the simulator and on live daemons, and termination
 // on both. The aborts are scripted no votes at a slave replica of the
 // written key's shard.
 func TestShardedSimLiveParity(t *testing.T) {
 	const sites = 6
-	layout := mustShardMap(t, 6, 3, sites)
+	layout := mustArithmetic(t, 6, 3, sites)
 	noAtSlave := func(key string) Voter { return NoAt(layout.Replicas(layout.ShardOf(key))[1]) }
 	batch := []Txn{
 		{Payload: put("a0")},
@@ -329,10 +365,10 @@ func TestShardedSimLiveParity(t *testing.T) {
 	}
 	run := func(backend Backend) []*TxnResult {
 		c, err := Open(Config{
-			Sites:    sites,
-			Protocol: core.Protocol{TransientFix: true},
-			ShardMap: mustShardMap(t, 6, 3, sites),
-			Backend:  backend,
+			Sites:     sites,
+			Protocol:  core.Protocol{TransientFix: true},
+			Directory: placement.NewDirectory(mustArithmetic(t, 6, 3, sites)),
+			Backend:   backend,
 		})
 		if err != nil {
 			t.Fatal(err)

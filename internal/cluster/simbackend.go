@@ -255,12 +255,19 @@ func (p simPeers) Outcome(peer proto.SiteID, tid uint64) (proto.Outcome, bool) {
 	return proto.None, false
 }
 
-// Snapshot implements recovery.PeerClient.
+// Snapshot implements recovery.PeerClient: the engine flags the keys its
+// in-flight transactions hold (their committed values are not
+// authoritative).
 func (p simPeers) Snapshot(peer proto.SiteID) (map[string][]byte, map[string]bool, bool) {
 	if !p.reachable(peer) {
 		return nil, nil, false
 	}
-	return donorSnapshot(p.backend.cfg, peer)
+	eng, ok := recoveryEngine(p.backend.cfg, peer)
+	if !ok {
+		return nil, nil, false
+	}
+	snap, unstable := eng.StableSnapshot()
+	return snap, unstable, true
 }
 
 // newTable builds one incarnation of a site on the scheduler's clock.
@@ -334,7 +341,7 @@ func (b *SimBackend) startTxn(t Txn, res *TxnResult) {
 
 // invite is the roster rule of every backend, applied when a submission
 // reaches its master: the roster is the transaction's participant set
-// (Cluster.Submit resolved it through the ShardMap) minus the sites down
+// (Cluster.Submit resolved it through the Directory) minus the sites down
 // at that moment — a coordinator does not invite sites it knows are down
 // — and absent lists those. Scripted votes are resolved into the no-vote
 // list the MsgXact envelope carries (a closure cannot ride it); a site

@@ -500,23 +500,12 @@ func (n *Node) trace(ev trace.Event) {
 	n.recMu.Unlock()
 }
 
-// payloadShard attributes a transaction body to the shard of its first
-// data key (meta keys and epoch markers skipped); 0 under full
-// replication or for keyless payloads — the same attribution rule the
-// engine and the cluster layer use.
+// payloadShard attributes a transaction body to its first data shard — the
+// cluster layer's rule; 0 under full replication or for a body with no
+// data shards.
 func payloadShard(asg *placement.Assignment, payload []byte) int {
-	if asg == nil || len(payload) == 0 {
-		return 0
-	}
-	ops, err := engine.DecodeOps(payload)
-	if err != nil {
-		return 0
-	}
-	for _, op := range ops {
-		if op.Kind == engine.OpEpoch || engine.IsMetaKey(op.Key) || op.Key == "" {
-			continue
-		}
-		return asg.ShardOf(op.Key)
+	if shards := asg.DataShards(payload); len(shards) > 0 {
+		return shards[0]
 	}
 	return 0
 }

@@ -1,10 +1,11 @@
 // Package placement is the cluster's elastic data-placement layer: a
-// versioned shard directory that replaces static arithmetic placement.
+// versioned shard directory, and the one place that maps keys and
+// transaction bodies to shards, replicas and participants.
 //
-// An Assignment maps every shard to an explicit replica set over the
-// current membership — where internal/cluster.ShardMap derives replicas
-// by ring arithmetic and can never change, an Assignment is data, so
-// sites can join, leave, or shed individual shards. A Directory stacks
+// Keys hash (FNV-1a) into a fixed number of shards. An Assignment maps
+// every shard to an explicit replica set over the current membership;
+// because it is data rather than ring arithmetic, sites can join, leave,
+// or shed individual shards. A Directory stacks
 // Assignments into epochs: every transaction is admitted under the epoch
 // current at submission and terminates under that epoch even if the map
 // moves on (the Aerospike "regime" idea from LARK), and a rebalance
@@ -22,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -80,10 +82,8 @@ type Assignment struct {
 	rf       int
 }
 
-// Arithmetic builds the ShardMap-compatible initial assignment: shard s
-// lives at rf consecutive sites of the ring 1..sites, primary first —
-// byte-for-byte the placement internal/cluster.ShardMap computes, so a
-// directory seeded this way is a drop-in replacement for the static map.
+// Arithmetic builds the initial assignment over sites 1..sites: shard s
+// lives at rf consecutive sites of the ring, primary first.
 func Arithmetic(shards, rf, sites int) (*Assignment, error) {
 	members := make([]proto.SiteID, sites)
 	for i := range members {
@@ -156,9 +156,8 @@ func (a *Assignment) String() string {
 	return fmt.Sprintf("shards=%d rf=%d members=%v", len(a.replicas), a.rf, a.members)
 }
 
-// ShardOf maps a key to its shard (FNV-1a over the key bytes — the same
-// hash as ShardMap, so a directory seeded from a ShardMap places every
-// key identically).
+// ShardOf maps a key to its shard (FNV-1a over the key bytes). It depends
+// only on the shard count, so every epoch of a directory hashes alike.
 func (a *Assignment) ShardOf(key string) int {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
@@ -187,42 +186,45 @@ func (a *Assignment) Hosts(site proto.SiteID, key string) bool {
 	return false
 }
 
-// SitesFor returns the union of the replica sets of the shards holding
-// the given keys, ascending — a transaction's participant set.
-func (a *Assignment) SitesFor(keys ...string) []proto.SiteID {
-	seen := make(map[proto.SiteID]bool, a.rf*2)
-	for _, key := range keys {
-		for _, id := range a.replicas[a.ShardOf(key)] {
-			seen[id] = true
+// DataShards returns the shards of a transaction body's data keys, each
+// once, in the order the ops first name them. OpEpoch records, meta keys
+// and empty keys carry no data and are skipped: directory records
+// replicate to every site on their own schedule. An undecodable or
+// keyless body, or a nil assignment (full replication), returns nil.
+func (a *Assignment) DataShards(payload []byte) []int {
+	if a == nil {
+		return nil
+	}
+	ops, err := engine.DecodeOps(payload)
+	if err != nil {
+		return nil
+	}
+	var out []int
+	for _, op := range ops {
+		if op.Kind == engine.OpEpoch || engine.IsMetaKey(op.Key) || op.Key == "" {
+			continue
+		}
+		if s := a.ShardOf(op.Key); !slices.Contains(out, s) {
+			out = append(out, s)
 		}
 	}
-	out := make([]proto.SiteID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // ParticipantsFor derives a transaction's participant set from its
-// payload, exactly as ShardMap.ParticipantsFor: undecodable or key-less
-// payloads return nil and the caller falls back to broadcast.
+// payload: the ascending union of the replica sets of its DataShards.
+// A body with no data shards returns nil and the caller falls back to
+// broadcast.
 func (a *Assignment) ParticipantsFor(payload []byte) []proto.SiteID {
-	ops, err := engine.DecodeOps(payload)
-	if err != nil || len(ops) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(ops))
-	for _, op := range ops {
-		if op.Kind == engine.OpEpoch {
-			continue // metadata markers carry no data keys
+	var out []proto.SiteID
+	for _, s := range a.DataShards(payload) {
+		for _, id := range a.replicas[s] {
+			if i, found := slices.BinarySearch(out, id); !found {
+				out = slices.Insert(out, i, id)
+			}
 		}
-		keys = append(keys, op.Key)
 	}
-	if len(keys) == 0 {
-		return nil
-	}
-	return a.SitesFor(keys...)
+	return out
 }
 
 // FilterShard returns the subset of a replica snapshot belonging to the

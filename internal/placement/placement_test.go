@@ -1,8 +1,11 @@
 package placement
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"termproto/internal/db/engine"
 	"termproto/internal/proto"
 )
 
@@ -15,10 +18,9 @@ func mustArithmetic(t *testing.T, shards, rf, sites int) *Assignment {
 	return a
 }
 
-// The compat contract: an Arithmetic assignment places every shard at the
-// same replica set as the static ShardMap (ring of rf consecutive sites,
-// primary first).
-func TestArithmeticMatchesShardMapRing(t *testing.T) {
+// An Arithmetic assignment places shard s at the ring of rf consecutive
+// sites starting at s mod sites + 1, primary first.
+func TestArithmeticRing(t *testing.T) {
 	a := mustArithmetic(t, 8, 3, 6)
 	for s := 0; s < 8; s++ {
 		want := []proto.SiteID{
@@ -43,6 +45,7 @@ func TestAssignmentValidation(t *testing.T) {
 		"zeroShards": {0, 2, 4},
 		"zeroRF":     {4, 0, 4},
 		"rfTooBig":   {4, 5, 4},
+		"oneSite":    {4, 2, 1},
 	} {
 		if _, err := Arithmetic(args[0], args[1], args[2]); err == nil {
 			t.Errorf("%s: Arithmetic(%v) accepted", name, args)
@@ -54,6 +57,76 @@ func TestAssignmentValidation(t *testing.T) {
 	}
 	if _, err := ArithmeticOver(4, 2, []proto.SiteID{2, 2, 3}); err == nil {
 		t.Error("duplicate member accepted")
+	}
+}
+
+// DataShards is the one payload-to-shard rule: data keys' shards, each
+// once, in op order; directory records, meta keys and empty keys name no
+// data. ParticipantsFor is the ascending union of those shards' replica
+// sets.
+func TestDataShardsAndParticipantsFor(t *testing.T) {
+	a := mustArithmetic(t, 4, 2, 6) // shard s lives at {s+1, s+2}
+	// keyOn returns the nth "acct/i" key hashing to shard.
+	keyOn := func(shard, nth int) string {
+		for i := 0; ; i++ {
+			if k := fmt.Sprintf("acct/%d", i); a.ShardOf(k) == shard {
+				if nth == 0 {
+					return k
+				}
+				nth--
+			}
+		}
+	}
+	add := func(key string) engine.Op { return engine.Op{Kind: engine.OpAdd, Key: key, Delta: 1} }
+	put := func(key string) engine.Op { return engine.Op{Kind: engine.OpPut, Key: key, Value: []byte("v")} }
+	epoch := engine.Op{Kind: engine.OpEpoch, Key: EpochKey(1), Value: EncodeAssignment(a)}
+	for _, c := range []struct {
+		name   string
+		body   []byte
+		shards []int
+		sites  []proto.SiteID
+	}{
+		{"two shards in op order", engine.EncodeOps([]engine.Op{add(keyOn(2, 0)), add(keyOn(0, 0))}),
+			[]int{2, 0}, []proto.SiteID{1, 2, 3, 4}},
+		{"overlapping replica sets", engine.EncodeOps([]engine.Op{add(keyOn(1, 0)), add(keyOn(0, 0))}),
+			[]int{1, 0}, []proto.SiteID{1, 2, 3}},
+		{"repeated shard", engine.EncodeOps([]engine.Op{add(keyOn(3, 0)), add(keyOn(1, 0)), add(keyOn(3, 1))}),
+			[]int{3, 1}, []proto.SiteID{2, 3, 4, 5}},
+		{"directory record", engine.EncodeOps([]engine.Op{epoch, add(keyOn(3, 0))}),
+			[]int{3}, []proto.SiteID{4, 5}},
+		{"put on a meta key", engine.EncodeOps([]engine.Op{put(engine.MetaPrefix + "note"), add(keyOn(0, 0))}),
+			[]int{0}, []proto.SiteID{1, 2}},
+		{"empty key", engine.EncodeOps([]engine.Op{put(""), add(keyOn(1, 0))}),
+			[]int{1}, []proto.SiteID{2, 3}},
+		{"directory record only", engine.EncodeOps([]engine.Op{epoch}), nil, nil},
+		{"nil body", nil, nil, nil},
+		{"garbage body", []byte{0xde, 0xad, 0xbe, 0xef, 0x01}, nil, nil},
+	} {
+		if got := a.DataShards(c.body); !slices.Equal(got, c.shards) || (got == nil) != (c.shards == nil) {
+			t.Errorf("%s: DataShards = %v, want %v", c.name, got, c.shards)
+		}
+		if got := a.ParticipantsFor(c.body); !slices.Equal(got, c.sites) || (got == nil) != (c.sites == nil) {
+			t.Errorf("%s: ParticipantsFor = %v, want %v", c.name, got, c.sites)
+		}
+	}
+	if got := (*Assignment)(nil).DataShards(engine.EncodeOps([]engine.Op{add("acct/0")})); got != nil {
+		t.Errorf("nil assignment: DataShards = %v, want nil", got)
+	}
+
+	// Hosts agrees with Replicas, for every key a body could name.
+	b := mustArithmetic(t, 8, 3, 6)
+	for _, key := range []string{"acct/0", "acct/7", "x", ""} {
+		var hosts []proto.SiteID
+		for site := proto.SiteID(1); site <= 6; site++ {
+			if b.Hosts(site, key) {
+				hosts = append(hosts, site)
+			}
+		}
+		reps := b.Replicas(b.ShardOf(key))
+		slices.Sort(reps)
+		if !slices.Equal(hosts, reps) {
+			t.Errorf("key %q hosted at %v, replicas %v", key, hosts, reps)
+		}
 	}
 }
 
@@ -284,7 +357,7 @@ func FuzzMembershipChurn(f *testing.F) {
 			}
 			for k := 0; k < 32; k++ {
 				key := testKey(k)
-				ids := asg.SitesFor(key)
+				ids := asg.Replicas(asg.ShardOf(key))
 				if len(ids) == 0 {
 					t.Fatalf("epoch %d: empty replica set for %q", e, key)
 				}

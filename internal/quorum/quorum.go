@@ -20,10 +20,9 @@ package quorum
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
-	"termproto/internal/db/engine"
 	"termproto/internal/placement"
 	"termproto/internal/proto"
 )
@@ -90,34 +89,16 @@ type Group struct {
 	Replicas []proto.SiteID
 }
 
-// GroupsFor returns the replica groups a transaction body touches,
-// ascending by shard. Meta keys and bare epoch markers are skipped —
-// directory records replicate on their own schedule and are not subject
-// to shard quorums. Undecodable or keyless payloads return nil (the
-// caller treats the transaction as roster-wide).
+// GroupsFor returns the replica groups of a transaction body's
+// placement.DataShards, ascending by shard. A body with no data shards
+// returns nil (the caller treats the transaction as roster-wide).
 func GroupsFor(asg *placement.Assignment, payload []byte) []Group {
-	if asg == nil {
-		return nil
-	}
-	ops, err := engine.DecodeOps(payload)
-	if err != nil {
-		return nil
-	}
-	shards := make(map[int]bool)
-	for _, op := range ops {
-		if op.Kind == engine.OpEpoch || engine.IsMetaKey(op.Key) || op.Key == "" {
-			continue
-		}
-		shards[asg.ShardOf(op.Key)] = true
-	}
-	if len(shards) == 0 {
-		return nil
-	}
-	out := make([]Group, 0, len(shards))
-	for s := range shards {
+	shards := asg.DataShards(payload)
+	slices.Sort(shards)
+	var out []Group
+	for _, s := range shards {
 		out = append(out, Group{Shard: s, Replicas: asg.Replicas(s)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Shard < out[j].Shard })
 	return out
 }
 

@@ -2,6 +2,7 @@ package quorum
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"termproto/internal/db/engine"
@@ -57,22 +58,24 @@ func TestGroupsForSkipsMetaAndEpochOps(t *testing.T) {
 		{Kind: engine.OpPut, Key: "acct/1", Value: []byte("x")},
 		{Kind: engine.OpEpoch, Key: placement.EpochKey(1), Value: placement.EncodeAssignment(asg)},
 		{Kind: engine.OpPut, Key: engine.MetaPrefix + "note", Value: []byte("m")},
-		{Kind: engine.OpAdd, Key: "acct/9", Delta: 1},
+		{Kind: engine.OpAdd, Key: "acct/3", Delta: 1}, // a lower shard than acct/1
 	})
 	groups := GroupsFor(asg, payload)
-	wantShards := map[int]bool{asg.ShardOf("acct/1"): true, asg.ShardOf("acct/9"): true}
-	if len(groups) != len(wantShards) {
-		t.Fatalf("groups = %v, want shards %v", groups, wantShards)
+	// The groups are placement's DataShards, ascending.
+	want := asg.DataShards(payload)
+	slices.Sort(want)
+	if len(want) != 2 || want[0] == want[1] {
+		t.Fatalf("fixture keys share a shard: %v", want)
+	}
+	if len(groups) != len(want) {
+		t.Fatalf("groups = %v, want shards %v", groups, want)
 	}
 	for i, g := range groups {
-		if !wantShards[g.Shard] {
-			t.Fatalf("unexpected shard %d in %v", g.Shard, groups)
+		if g.Shard != want[i] {
+			t.Fatalf("groups = %v, want shards %v", groups, want)
 		}
 		if !reflect.DeepEqual(g.Replicas, asg.Replicas(g.Shard)) {
 			t.Fatalf("group replicas %v, want %v", g.Replicas, asg.Replicas(g.Shard))
-		}
-		if i > 0 && groups[i-1].Shard >= g.Shard {
-			t.Fatalf("groups not ascending: %v", groups)
 		}
 	}
 

@@ -8,13 +8,14 @@
 // several transfers in flight at once — the throughput shape the
 // benchmarks measure.
 //
-// With Shards > 0 the accounts are placed by a cluster.ShardMap: each
-// `acct/i` row lives only at the ReplicationFactor replicas of its shard,
-// every transfer runs only at the replica sets of the shards it touches
-// (cross-shard transfers are the interesting multi-participant case), and
-// replica convergence is checked per shard-replica-group. This is the
-// horizontal-scaling shape the D-series benchmarks measure: commits no
-// longer slow down as the cluster grows.
+// With Shards > 0 the accounts are placed by a placement.Directory seeded
+// with placement.Arithmetic: each `acct/i` row lives only at the
+// ReplicationFactor replicas of its shard, every transfer runs only at the
+// replica sets of the shards it touches (cross-shard transfers are the
+// interesting multi-participant case), and replica convergence is checked
+// per shard-replica-group. This is the horizontal-scaling shape the
+// D-series benchmarks measure: commits no longer slow down as the cluster
+// grows.
 package workload
 
 import (
@@ -89,27 +90,6 @@ type Config struct {
 	Seed           uint64
 }
 
-// ShardMap returns the placement map the configuration implies, or nil
-// for full replication. It panics on an invalid sharding configuration,
-// matching Run's convention.
-func (c Config) ShardMap() *cluster.ShardMap {
-	if c.Shards <= 0 {
-		return nil
-	}
-	rf := c.ReplicationFactor
-	if rf == 0 {
-		rf = 3
-		if rf > c.Sites {
-			rf = c.Sites
-		}
-	}
-	m, err := cluster.NewShardMap(c.Shards, rf, c.Sites)
-	if err != nil {
-		panic("workload: " + err.Error())
-	}
-	return m
-}
-
 // Stats summarizes a workload run.
 type Stats struct {
 	Txns         int
@@ -162,28 +142,19 @@ type Stats struct {
 // predicate follows the directory through epoch changes, so migrated
 // shards land and departed shards go quiet without re-wiring.
 func (c Config) Setup() (*placement.Directory, map[proto.SiteID]*engine.Engine) {
-	return c.SetupOver(nil)
-}
-
-// SetupOver is Setup with an explicit initial membership (nil = every
-// site): sites outside it host nothing until they Join.
-func (c Config) SetupOver(members []proto.SiteID) (*placement.Directory, map[proto.SiteID]*engine.Engine) {
 	var dir *placement.Directory
 	if c.Shards > 0 {
-		m := c.ShardMap() // validates shard parameters, same arithmetic
-		if members == nil {
-			for i := 1; i <= c.Sites; i++ {
-				members = append(members, proto.SiteID(i))
-			}
+		rf := c.ReplicationFactor
+		if rf == 0 {
+			rf = min(3, c.Sites)
 		}
-		asg, err := placement.ArithmeticOver(m.Shards(), m.ReplicationFactor(), members)
+		asg, err := placement.Arithmetic(c.Shards, rf, c.Sites)
 		if err != nil {
 			panic("workload: " + err.Error())
 		}
 		dir = placement.NewDirectory(asg)
 	}
-	engs := EnginesFor(dir, c.Sites, c.Accounts, c.InitialBalance)
-	return dir, engs
+	return dir, EnginesFor(dir, c.Sites, c.Accounts, c.InitialBalance)
 }
 
 // EnginesFor builds per-site engines over a shard directory (nil = full
@@ -213,6 +184,30 @@ func EnginesFor(dir *placement.Directory, sites, accounts int, balance int64) ma
 
 func acct(i int) string { return fmt.Sprintf("acct/%d", i) }
 
+// SeedAccounts writes accounts `acct/0`.. at balance through the cluster
+// itself — one OpPut transaction, waited for — the way an operator loads
+// fixtures into daemons that start with empty engines. It returns an
+// error unless the seed committed at every live participant: transfers
+// against accounts that were never written vote no.
+func SeedAccounts(c *cluster.Cluster, accounts int, balance int64) error {
+	ops := make([]engine.Op, accounts)
+	for a := range ops {
+		ops[a] = engine.Op{Kind: engine.OpPut, Key: acct(a), Value: engine.EncodeInt(balance)}
+	}
+	r, err := c.Submit(cluster.Txn{Payload: engine.EncodeOps(ops)})
+	if err == nil {
+		err = c.Wait()
+	}
+	if err != nil {
+		return fmt.Errorf("seeding accounts: %w", err)
+	}
+	if !r.Committed() || !r.Decided() {
+		return fmt.Errorf("seeding accounts: seed txn %d did not commit (outcome %v, blocked at %v)",
+			r.TID, r.Outcome(), r.Blocked())
+	}
+	return nil
+}
+
 // Run executes the workload and returns statistics plus the engines for
 // further inspection.
 func Run(cfg Config) (Stats, map[proto.SiteID]*engine.Engine) {
@@ -226,11 +221,14 @@ func Run(cfg Config) (Stats, map[proto.SiteID]*engine.Engine) {
 		panic("workload: JoinLeaveEvery requires Shards > 0")
 	}
 	rng := sim.NewRand(cfg.Seed + 0x90aD)
-	// shardMap supplies the epoch-independent arithmetic (key hashing,
-	// account grouping); the directory owns the live replica sets.
-	shardMap := cfg.ShardMap()
-	byShard := accountsByShard(cfg, shardMap)
 	dir, engines := cfg.Setup()
+	// The epoch-0 assignment groups accounts by shard (every epoch hashes
+	// alike); the directory owns the live replica sets.
+	var home *placement.Assignment
+	if dir != nil {
+		home = dir.At(0)
+	}
+	byShard := accountsByShard(cfg, home)
 	parts := make(map[proto.SiteID]cluster.Participant, len(engines))
 	for id, e := range engines {
 		parts[id] = e
@@ -286,7 +284,7 @@ func Run(cfg Config) (Stats, map[proto.SiteID]*engine.Engine) {
 			batchEnd = cfg.Txns + 1
 		}
 		for ; txn < batchEnd; txn++ {
-			chain := pickAccounts(cfg, shardMap, byShard, zipf, rng, txn, ops)
+			chain := pickAccounts(cfg, home, byShard, zipf, rng, txn, ops)
 			amount := int64(1 + rng.Intn(50))
 			payload := engine.EncodeOps(ChainOps(chain, amount))
 			amount *= int64(len(chain) - 1) // total moved along the chain
@@ -374,7 +372,7 @@ func Run(cfg Config) (Stats, map[proto.SiteID]*engine.Engine) {
 		if !r.Consistent() {
 			st.Inconsistent++
 		}
-		if shardMap != nil && len(r.Participants) > shardMap.ReplicationFactor() {
+		if home != nil && len(r.Participants) > home.ReplicationFactor() {
 			st.CrossShard++
 		}
 		switch {
@@ -410,15 +408,15 @@ func Run(cfg Config) (Stats, map[proto.SiteID]*engine.Engine) {
 	return st, engines
 }
 
-// accountsByShard groups the account indices by shard (nil without a
-// shard map).
-func accountsByShard(cfg Config, m *cluster.ShardMap) [][]int {
-	if m == nil {
+// accountsByShard groups the account indices by shard (nil under full
+// replication).
+func accountsByShard(cfg Config, asg *placement.Assignment) [][]int {
+	if asg == nil {
 		return nil
 	}
-	out := make([][]int, m.Shards())
+	out := make([][]int, asg.Shards())
 	for a := 0; a < cfg.Accounts; a++ {
-		s := m.ShardOf(acct(a))
+		s := asg.ShardOf(acct(a))
 		out[s] = append(out[s], a)
 	}
 	return out
@@ -483,7 +481,7 @@ func (z *Zipf) DrawDistinct(rng *sim.Rand, k int) []int {
 // placement the rest stay in its shard except on every CrossShardEvery-th
 // transfer, which deliberately includes another shard's account. Pools too
 // small for k distinct accounts fall back to the whole keyspace.
-func pickAccounts(cfg Config, m *cluster.ShardMap, byShard [][]int, z *Zipf, rng *sim.Rand, txn, k int) []int {
+func pickAccounts(cfg Config, asg *placement.Assignment, byShard [][]int, z *Zipf, rng *sim.Rand, txn, k int) []int {
 	from := z.Draw(rng)
 	out := []int{from}
 	used := map[int]bool{from: true}
@@ -496,8 +494,8 @@ func pickAccounts(cfg Config, m *cluster.ShardMap, byShard [][]int, z *Zipf, rng
 		return true
 	}
 	var pool []int
-	if m != nil && cfg.CrossShardEvery >= 0 {
-		pool = byShard[m.ShardOf(acct(from))]
+	if asg != nil && cfg.CrossShardEvery >= 0 {
+		pool = byShard[asg.ShardOf(acct(from))]
 		crossEvery := cfg.CrossShardEvery
 		if crossEvery == 0 {
 			crossEvery = 4
@@ -509,7 +507,7 @@ func pickAccounts(cfg Config, m *cluster.ShardMap, byShard [][]int, z *Zipf, rng
 			if others > 0 {
 				n := rng.Intn(others)
 				for a := 0; a < cfg.Accounts; a++ {
-					if m.ShardOf(acct(a)) == m.ShardOf(acct(from)) {
+					if asg.ShardOf(acct(a)) == asg.ShardOf(acct(from)) {
 						continue
 					}
 					if n == 0 {
@@ -605,32 +603,6 @@ func conserved(engines map[proto.SiteID]*engine.Engine, cfg Config, dir *placeme
 		_, asg := dir.Current()
 		for a := 0; a < cfg.Accounts; a++ {
 			total += engines[asg.Primary(asg.ShardOf(acct(a)))].GetInt(acct(a))
-		}
-	}
-	return total == int64(cfg.Accounts)*cfg.InitialBalance
-}
-
-// Conserved reports whether the committed total across all accounts
-// equals the initial total (transfers move money, never create it). Under
-// full replication any engine carries the whole ledger; under sharded
-// placement each account is read at its shard's epoch-0 primary. Runs
-// with membership churn (JoinLeaveEvery) should read Stats.Conserved
-// instead, which consults the directory's final epoch.
-func Conserved(engines map[proto.SiteID]*engine.Engine, cfg Config) bool {
-	m := cfg.ShardMap()
-	var total int64
-	if m == nil {
-		var e *engine.Engine
-		for _, x := range engines {
-			e = x
-			break
-		}
-		for a := 0; a < cfg.Accounts; a++ {
-			total += e.GetInt(acct(a))
-		}
-	} else {
-		for a := 0; a < cfg.Accounts; a++ {
-			total += engines[m.Primary(m.ShardOf(acct(a)))].GetInt(acct(a))
 		}
 	}
 	return total == int64(cfg.Accounts)*cfg.InitialBalance

@@ -3,7 +3,11 @@ package workload
 import (
 	"testing"
 
+	"termproto/internal/cluster"
 	"termproto/internal/core"
+	"termproto/internal/db/engine"
+	"termproto/internal/placement"
+	"termproto/internal/proto"
 	"termproto/internal/protocol/twopc"
 	"termproto/internal/sim"
 )
@@ -13,7 +17,7 @@ func TestCleanWorkloadReplicates(t *testing.T) {
 		Sites: 4, Protocol: core.Protocol{},
 		Accounts: 8, InitialBalance: 10_000, Txns: 60, Seed: 1,
 	}
-	st, engines := Run(cfg)
+	st, _ := Run(cfg)
 	if st.Inconsistent != 0 || st.Undecided != 0 {
 		t.Fatalf("clean workload: %+v", st)
 	}
@@ -23,7 +27,7 @@ func TestCleanWorkloadReplicates(t *testing.T) {
 	if !st.Replicated {
 		t.Fatal("replicas diverged without failures")
 	}
-	if !Conserved(engines, cfg) {
+	if !st.Conserved {
 		t.Fatal("money not conserved")
 	}
 }
@@ -37,7 +41,7 @@ func TestPartitionedWorkloadUnderTermination(t *testing.T) {
 		Accounts: 6, InitialBalance: 5_000, Txns: 90,
 		PartitionEvery: 3, Seed: 42,
 	}
-	st, engines := Run(cfg)
+	st, _ := Run(cfg)
 	if st.Inconsistent != 0 {
 		t.Fatalf("termination protocol produced %d inconsistent txns", st.Inconsistent)
 	}
@@ -50,7 +54,7 @@ func TestPartitionedWorkloadUnderTermination(t *testing.T) {
 	if st.Commits == 0 || st.Aborts == 0 {
 		t.Fatalf("expected a mix of commits and aborts under partitions: %+v", st)
 	}
-	if !Conserved(engines, cfg) {
+	if !st.Conserved {
 		t.Fatal("money not conserved")
 	}
 }
@@ -118,7 +122,7 @@ func TestConcurrentWorkload(t *testing.T) {
 		Accounts: 12, InitialBalance: 10_000, Txns: 60,
 		Concurrency: 8, PartitionEvery: 10, Heal: true, Seed: 11,
 	}
-	st, engines := Run(cfg)
+	st, _ := Run(cfg)
 	if st.Inconsistent != 0 || st.Undecided != 0 {
 		t.Fatalf("concurrent workload: %+v", st)
 	}
@@ -128,7 +132,7 @@ func TestConcurrentWorkload(t *testing.T) {
 	if st.Commits == 0 {
 		t.Fatalf("no commits: %+v", st)
 	}
-	if !Conserved(engines, cfg) {
+	if !st.Conserved {
 		t.Fatal("money not conserved")
 	}
 }
@@ -157,16 +161,19 @@ func TestShardedWorkload(t *testing.T) {
 	if !st.Replicated {
 		t.Fatal("shard replica groups diverged")
 	}
-	if !Conserved(engines, cfg) {
+	if !st.Conserved {
 		t.Fatal("money not conserved under sharded placement")
 	}
 	// Placement holds on the engines themselves: no site carries an
 	// account it does not replicate.
-	m := cfg.ShardMap()
+	asg, err := placement.Arithmetic(cfg.Shards, cfg.ReplicationFactor, cfg.Sites)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for id, e := range engines {
 		for a := 0; a < cfg.Accounts; a++ {
 			key := acct(a)
-			if _, ok := e.Get(key); ok && !m.Hosts(id, key) {
+			if _, ok := e.Get(key); ok && !asg.Hosts(id, key) {
 				t.Fatalf("site %d holds foreign account %s", id, key)
 			}
 		}
@@ -182,14 +189,14 @@ func TestShardedPartitionedWorkload(t *testing.T) {
 		Accounts: 16, InitialBalance: 5_000, Txns: 60,
 		PartitionEvery: 4, Heal: true, Seed: 23,
 	}
-	st, engines := Run(cfg)
+	st, _ := Run(cfg)
 	if st.Inconsistent != 0 || st.Undecided != 0 || !st.Replicated {
 		t.Fatalf("sharded partitioned workload: %+v", st)
 	}
 	if st.Commits == 0 {
 		t.Fatalf("no commits: %+v", st)
 	}
-	if !Conserved(engines, cfg) {
+	if !st.Conserved {
 		t.Fatal("money not conserved")
 	}
 }
@@ -218,14 +225,14 @@ func TestZipfSkewedWorkload(t *testing.T) {
 		Accounts: 16, InitialBalance: 10_000, Txns: 60,
 		Concurrency: 6, Zipf: 1.0, Seed: 9,
 	}
-	st, engines := Run(cfg)
+	st, _ := Run(cfg)
 	if st.Inconsistent != 0 || st.Undecided != 0 || !st.Replicated {
 		t.Fatalf("zipf workload: %+v", st)
 	}
 	if st.LockFailures == 0 {
 		t.Fatalf("hot-key skew with concurrency produced no lock contention: %+v", st)
 	}
-	if !Conserved(engines, cfg) {
+	if !st.Conserved {
 		t.Fatal("money not conserved")
 	}
 }
@@ -240,14 +247,14 @@ func TestMultiOpShardedWorkload(t *testing.T) {
 		Accounts: 27, InitialBalance: 5_000, Txns: 60,
 		Concurrency: 6, OpsPerTxn: 4, Seed: 13,
 	}
-	st, engines := Run(cfg)
+	st, _ := Run(cfg)
 	if st.Inconsistent != 0 || st.Undecided != 0 || !st.Replicated {
 		t.Fatalf("multi-op sharded workload: %+v", st)
 	}
 	if st.Commits == 0 || st.CrossShard == 0 {
 		t.Fatalf("expected commits and cross-shard txns: %+v", st)
 	}
-	if !Conserved(engines, cfg) {
+	if !st.Conserved {
 		t.Fatal("money not conserved")
 	}
 }
@@ -261,7 +268,7 @@ func TestChurnWorkloadRecovers(t *testing.T) {
 		Accounts: 10, InitialBalance: 10_000, Txns: 48,
 		Concurrency: 8, CrashRecoverEvery: 2, Seed: 7,
 	}
-	st, engines := Run(cfg)
+	st, _ := Run(cfg)
 	if st.Inconsistent != 0 || st.Undecided != 0 || !st.Replicated {
 		t.Fatalf("churn workload: %+v", st)
 	}
@@ -274,7 +281,7 @@ func TestChurnWorkloadRecovers(t *testing.T) {
 	if st.Commits == 0 {
 		t.Fatalf("no commits under churn: %+v", st)
 	}
-	if !Conserved(engines, cfg) {
+	if !st.Conserved {
 		t.Fatal("money not conserved under churn")
 	}
 }
@@ -288,14 +295,14 @@ func TestShardedChurnWorkload(t *testing.T) {
 		Accounts: 18, InitialBalance: 5_000, Txns: 48,
 		Concurrency: 8, CrashRecoverEvery: 3, Zipf: 0.8, OpsPerTxn: 3, Seed: 21,
 	}
-	st, engines := Run(cfg)
+	st, _ := Run(cfg)
 	if st.Inconsistent != 0 || st.Undecided != 0 || !st.Replicated {
 		t.Fatalf("sharded churn workload: %+v", st)
 	}
 	if st.Recoveries == 0 {
 		t.Fatal("no recoveries")
 	}
-	if !Conserved(engines, cfg) {
+	if !st.Conserved {
 		t.Fatal("money not conserved")
 	}
 }
@@ -369,5 +376,40 @@ func TestTotalMoved(t *testing.T) {
 	// Every transfer moves 1..50, so the committed total is bounded.
 	if st.TotalMoved > int64(st.Commits)*50 || st.TotalMoved < int64(st.Commits) {
 		t.Fatalf("TotalMoved %d outside [%d, %d]", st.TotalMoved, st.Commits, st.Commits*50)
+	}
+}
+
+// SeedAccounts reports a seed the cluster did not commit instead of
+// letting traffic start against accounts that were never written: a
+// partition that cuts sites off before the seed decides aborts it.
+func TestSeedAccountsReportsUncommittedSeed(t *testing.T) {
+	seed := func(sched cluster.Schedule) (map[proto.SiteID]*engine.Engine, error) {
+		engs := EnginesFor(nil, 4, 0, 0) // empty engines, as daemons start
+		parts := make(map[proto.SiteID]cluster.Participant, len(engs))
+		for id, e := range engs {
+			parts[id] = e
+		}
+		c, err := cluster.Open(cluster.Config{
+			Sites: 4, Protocol: core.Protocol{TransientFix: true},
+			Participants: parts, Schedule: sched,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		return engs, SeedAccounts(c, 6, 100)
+	}
+	if engs, err := seed(nil); err != nil {
+		t.Fatalf("fault-free seed: %v", err)
+	} else if got := engs[4].GetInt(acct(5)); got != 100 {
+		t.Fatalf("seeded balance %d, want 100", got)
+	}
+	engs, err := seed(cluster.Schedule{cluster.PartitionAt(sim.Time(sim.DefaultT/2), 3, 4)})
+	if err == nil {
+		t.Fatal("a seed cut off by a partition was reported as seeded")
+	}
+	t.Log(err)
+	if _, ok := engs[1].Get(acct(0)); ok {
+		t.Fatalf("aborted seed left %s at site 1 (err %v)", acct(0), err)
 	}
 }
