@@ -427,10 +427,6 @@ func printMetrics(snap obs.Snapshot) {
 		fmt.Printf("  wal:                      records=%d syncs=%d fsync p50=%.0fµs p99=%.0fµs\n",
 			recs, snap.Total(obs.MWalSyncs),
 			snap.Quantile(obs.MWalFsyncLatency, 0.5), snap.Quantile(obs.MWalFsyncLatency, 0.99))
-		if b := snap.Total(obs.MWalBatches); b > 0 {
-			fmt.Printf("  group commit:             batches=%d occupancy=%.2f\n",
-				b, float64(snap.Total(obs.MWalBatchedRecords))/float64(b))
-		}
 	}
 	if snap.Total(obs.MQuorumEvals) > 0 {
 		fmt.Printf("  quorum evals:             met=%d unmet=%d\n",

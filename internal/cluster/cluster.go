@@ -722,8 +722,9 @@ func (c *Cluster) settleMigrations() {
 // admission-epoch participants, which may not include the new replica.
 // At the Wait boundary those stragglers have decided and released their
 // locks, so one idempotent catch-up per (shard, added site) makes the
-// replica byte-identical to its peers. Items whose donor is unreachable
-// (a partition still in force) stay queued for the next Wait.
+// replica byte-identical to its peers. Items no donor could serve (a
+// partition still in force, or a catch-up the replica failed to log) stay
+// queued for the next Wait.
 func (c *Cluster) reconcileMigrated() {
 	c.mu.Lock()
 	items := c.pendingReconcile
@@ -753,7 +754,11 @@ func (c *Cluster) reconcileMigrated() {
 			if !ok {
 				continue
 			}
-			pulled += eng.CatchUp(snap, unstable, include)
+			n, err := eng.CatchUp(snap, unstable, include)
+			if err != nil {
+				continue // as if this donor could not serve
+			}
+			pulled += n
 			done = true
 			break
 		}

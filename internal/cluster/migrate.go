@@ -351,12 +351,16 @@ func (c *Cluster) copyMoves(moves []placement.Move) (int, error) {
 				if !ok {
 					continue
 				}
-				total += eng.CatchUp(snap, unstable, include)
+				n, err := eng.CatchUp(snap, unstable, include)
+				if err != nil {
+					continue // as if this donor could not serve
+				}
+				total += n
 				copied = true
 				break
 			}
 			if !copied {
-				return total, fmt.Errorf("cluster: shard %d has no reachable donor among %v for new replica %d",
+				return total, fmt.Errorf("cluster: shard %d has no donor among %v able to serve new replica %d",
 					shard, mv.Old, dst)
 			}
 		}

@@ -169,18 +169,10 @@ func (b *NetBackend) restart(id proto.SiteID, at sim.Time) (*RecoveryReport, boo
 	start := time.Now()
 	rep := &RecoveryReport{Site: id, At: at}
 	if rep.Err = b.net.Restart(id); rep.Err != nil {
-		return rep, false
-	}
-	client := b.net.Client(id)
-	for h, err := client.Health(); err != nil || !h.Ready; h, err = client.Health() {
-		if time.Since(start) > 15*time.Second {
-			rep.Err = fmt.Errorf("not healthy 15s after its restart; log tail:\n%s", b.net.LogTail(id, 5))
-			return rep, false // the site stays down
-		}
-		time.Sleep(b.opts.T / 4)
+		return rep, false // the site stays down
 	}
 	rep.Wall = time.Since(start)
-	if dto, err := client.Recovery(); err == nil {
+	if dto, err := b.net.Client(id).Recovery(); err == nil {
 		rep.Stats = recovery.Stats{
 			Replayed: dto.Replayed, InDoubt: dto.InDoubt,
 			ResolvedCommit: dto.ResolvedCommit, ResolvedAbort: dto.ResolvedAbort,

@@ -147,9 +147,9 @@ type pendingTxn struct {
 	staged bool
 }
 
-// Options tunes an engine's durability path.
+// Options configures nothing: the log has one append path. It and
+// NewWith stay only because bench/ compiles against them (ROADMAP 10b).
 type Options struct {
-	// WAL configures the log's flush path (group commit, batch caps).
 	WAL wal.Options
 }
 
@@ -228,23 +228,20 @@ func (e *Engine) txnShard(p *pendingTxn) int {
 	return e.shardFor(p.keys[0])
 }
 
-// New builds an engine logging to the given store with default options
-// (synchronous WAL).
+// New builds an engine logging to the given store.
 func New(name string, store wal.Store) *Engine {
-	return NewWith(name, store, Options{})
-}
-
-// NewWith builds an engine with explicit durability options.
-func NewWith(name string, store wal.Store, opts Options) *Engine {
 	return &Engine{
 		name:    name,
 		tree:    &btree.Tree{},
-		log:     wal.NewWith(store, opts.WAL),
+		log:     wal.New(store),
 		locks:   lock.New(),
 		pending: make(map[uint64]*pendingTxn),
 		decided: make(map[uint64]proto.Outcome),
 	}
 }
+
+// NewWith is New. Kept for bench/ only (ROADMAP 10b).
+func NewWith(name string, store wal.Store, _ Options) *Engine { return New(name, store) }
 
 // Name returns the engine's label.
 func (e *Engine) Name() string { return e.name }
@@ -479,33 +476,37 @@ func (e *Engine) GetInt(key string) int64 {
 func (e *Engine) Put(key string, value []byte) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.applyDurable(key, value)
+	e.log.Append(wal.Record{Type: wal.RecApply, Key: []byte(key), Value: value}) //nolint:errcheck
+	e.apply([]byte(key), value)
 }
 
 // PutBatch is Put for a whole fixture: values[k] for each of keys, logged
 // as one append — one fsync — and applied only once that append is
 // durable; on error nothing is applied. A nil value deletes.
 func (e *Engine) PutBatch(keys []string, values map[string][]byte) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.applyBatch(keys, values); err != nil {
+		return fmt.Errorf("engine: log fixture of %d keys: %w", len(keys), err)
+	}
+	return nil
+}
+
+// applyBatch logs values[k] for each of keys as RecApply records in one
+// append and applies them only once it is durable; on error nothing is
+// applied. A nil value deletes. Called with e.mu held.
+func (e *Engine) applyBatch(keys []string, values map[string][]byte) error {
 	recs := make([]wal.Record, len(keys))
 	for i, k := range keys {
 		recs[i] = wal.Record{Type: wal.RecApply, Key: []byte(k), Value: values[k]}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if err := e.log.AppendBatch(recs); err != nil {
-		return fmt.Errorf("engine: log fixture of %d keys: %w", len(keys), err)
+		return err
 	}
 	for _, r := range recs {
 		e.apply(r.Key, r.Value)
 	}
 	return nil
-}
-
-// applyDurable logs and applies one already-committed write (fixture load
-// or catch-up). value nil deletes. Called with e.mu held.
-func (e *Engine) applyDurable(key string, value []byte) {
-	e.log.Append(wal.Record{Type: wal.RecApply, Key: []byte(key), Value: value}) //nolint:errcheck
-	e.apply([]byte(key), value)
 }
 
 func (e *Engine) apply(key, value []byte) {
@@ -586,8 +587,8 @@ func (e *Engine) Stats() (voteYes, voteNo, commits, aborts uint64) {
 	return e.voteYes, e.voteNo, e.commits, e.aborts
 }
 
-// WALStats returns the log's durability counters (fsyncs, group-commit
-// batches and occupancy). The log locks internally; e.mu is not needed.
+// WALStats returns the log's durability counters (records, fsyncs). The
+// log locks internally; e.mu is not needed.
 func (e *Engine) WALStats() wal.Stats { return e.log.Stats() }
 
 // CatchUp reconciles this site's committed state with a replica snapshot
@@ -604,10 +605,12 @@ func (e *Engine) WALStats() wal.Stats { return e.log.Stats() }
 // record this site lacks is adopted regardless of include, but local
 // meta records are never overwritten or deleted — epoch records are
 // immutable once written, and a donor knowing fewer epochs must not
-// erase this site's history. Every applied change is WAL-logged
-// (RecApply), so the reconciliation itself survives a further crash.
-// Returns the number of keys changed; the apply is idempotent.
-func (e *Engine) CatchUp(snap map[string][]byte, unstable map[string]bool, include func(key string) bool) int {
+// erase this site's history. The changes are logged in key order as
+// RecApply records in one append — one fsync — and applied only once it
+// is durable, so the reconciliation survives a further crash; on a log
+// error nothing is applied and the error is returned. Returns the number
+// of keys changed; the apply is idempotent.
+func (e *Engine) CatchUp(snap map[string][]byte, unstable map[string]bool, include func(key string) bool) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	in := func(key string) bool {
@@ -622,7 +625,8 @@ func (e *Engine) CatchUp(snap map[string][]byte, unstable map[string]bool, inclu
 		}
 		return include == nil || include(key)
 	}
-	applied := 0
+	var keys []string
+	values := make(map[string][]byte)
 	for k, v := range snap {
 		if !in(k) || e.locks.Holders(k) > 0 {
 			continue
@@ -631,25 +635,25 @@ func (e *Engine) CatchUp(snap map[string][]byte, unstable map[string]bool, inclu
 		if ok && (IsMetaKey(k) || string(cur) == string(v)) {
 			continue // meta records are immutable: adopt only when absent
 		}
-		e.applyDurable(k, append([]byte(nil), v...))
-		applied++
+		keys = append(keys, k)
+		values[k] = append([]byte(nil), v...)
 	}
 	// Keys committed here that the donor does not have were deleted while
-	// this site was down. Meta records are exempt: absence at the donor
-	// means the donor's history is shorter, not that ours was deleted.
-	var stale []string
+	// this site was down (no entry in values: a delete). Meta records are
+	// exempt: absence at the donor means the donor's history is shorter,
+	// not that ours was deleted.
 	e.tree.Ascend(func(k, _ []byte) bool {
 		key := string(k)
 		if _, ok := snap[key]; !ok && !IsMetaKey(key) && in(key) && e.locks.Holders(key) == 0 {
-			stale = append(stale, key)
+			keys = append(keys, key)
 		}
 		return true
 	})
-	for _, k := range stale {
-		e.applyDurable(k, nil)
-		applied++
+	sort.Strings(keys)
+	if err := e.applyBatch(keys, values); err != nil {
+		return 0, fmt.Errorf("engine %s: log catch-up of %d keys: %w", e.name, len(keys), err)
 	}
-	return applied
+	return len(keys), nil
 }
 
 // InDoubt describes one prepared-but-undecided transaction surfaced by

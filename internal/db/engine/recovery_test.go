@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"termproto/internal/db/wal"
@@ -118,7 +121,7 @@ func TestCatchUpSkipsLockedAndForeignKeys(t *testing.T) {
 		t.Fatal("vote no")
 	}
 	// txn 1 is prepared: "locked" is held.
-	n := e.CatchUp(map[string][]byte{
+	n := mustCatchUp(t, e, map[string][]byte{
 		"locked":  EncodeInt(99),
 		"stale":   EncodeInt(20),
 		"foreign": EncodeInt(5),
@@ -137,14 +140,14 @@ func TestCatchUpSkipsLockedAndForeignKeys(t *testing.T) {
 		t.Fatalf("stale=%d fresh=%d", e.GetInt("stale"), e.GetInt("fresh"))
 	}
 	// Idempotent: a second identical pull changes nothing.
-	if n := e.CatchUp(map[string][]byte{
+	if n := mustCatchUp(t, e, map[string][]byte{
 		"locked": EncodeInt(99), "stale": EncodeInt(20),
 		"foreign": EncodeInt(5), "fresh": EncodeInt(3),
 	}, nil, nil); n != 0 {
 		t.Fatalf("second pull applied %d keys, want 0", n)
 	}
 	// The include filter scopes the pull (shard-local catch-up).
-	if n := e.CatchUp(map[string][]byte{"stale": EncodeInt(30), "fresh": EncodeInt(30)},
+	if n := mustCatchUp(t, e, map[string][]byte{"stale": EncodeInt(30), "fresh": EncodeInt(30)},
 		nil, func(k string) bool { return k == "stale" }); n != 1 {
 		t.Fatal("include filter ignored")
 	}
@@ -153,12 +156,60 @@ func TestCatchUpSkipsLockedAndForeignKeys(t *testing.T) {
 	}
 	// Donor-side unstable keys are neither adopted nor deleted: the value
 	// is in flux at the donor, so this site's own state stands.
-	if n := e.CatchUp(map[string][]byte{"stale": EncodeInt(55)},
+	if n := mustCatchUp(t, e, map[string][]byte{"stale": EncodeInt(55)},
 		map[string]bool{"stale": true, "fresh": true}, nil); n != 0 {
 		t.Fatalf("unstable donor keys applied: %d", n)
 	}
 	if e.GetInt("stale") != 30 || e.GetInt("fresh") != 3 {
 		t.Fatalf("unstable handling: stale=%d fresh=%d", e.GetInt("stale"), e.GetInt("fresh"))
+	}
+}
+
+// mustCatchUp is CatchUp over a store whose appends do not fail.
+func mustCatchUp(t *testing.T, e *Engine, snap map[string][]byte, unstable map[string]bool, include func(string) bool) int {
+	t.Helper()
+	n, err := e.CatchUp(snap, unstable, include)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// A restart behind many missed commits catches up in one fsync, logged
+// in key order; a catch-up whose log append fails applies nothing.
+func TestCatchUpIsOneSync(t *testing.T) {
+	e := New("s", &wal.MemStore{})
+	e.PutInt("gone", 1)
+	snap := make(map[string][]byte)
+	for i := 0; i < 255; i++ {
+		snap[fmt.Sprintf("k%03d", i)] = EncodeInt(int64(i))
+	}
+	before := e.WALStats()
+	if n := mustCatchUp(t, e, snap, nil, nil); n != 256 {
+		t.Fatalf("changed %d keys, want 255 adopted + 1 deleted", n)
+	}
+	if syncs := e.WALStats().Syncs - before.Syncs; syncs != 1 {
+		t.Fatalf("catch-up of 256 keys cost %d syncs, want 1", syncs)
+	}
+	recs, err := e.log.ScanStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := recs[len(recs)-256:]
+	if !slices.IsSortedFunc(logged, func(a, b wal.Record) int { return bytes.Compare(a.Key, b.Key) }) {
+		t.Fatal("catch-up records are not in key order")
+	}
+	if _, ok := e.Get("gone"); ok || e.GetInt("k254") != 254 {
+		t.Fatal("catch-up not applied")
+	}
+
+	failing := New("s", &syncFailStore{})
+	failing.PutInt("gone", 1) // Put applies even though its log append failed
+	if n, err := failing.CatchUp(snap, nil, nil); err == nil || n != 0 {
+		t.Fatalf("catch-up over a failed sync = %d, %v; want 0 and an error", n, err)
+	}
+	if _, ok := failing.Get("k000"); ok || failing.GetInt("gone") != 1 {
+		t.Fatal("catch-up applied changes whose log record is not durable")
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
@@ -211,87 +210,36 @@ func syncDir(dir string) error {
 // Close closes the underlying file.
 func (s *FileStore) Close() error { return s.f.Close() }
 
-// Options tunes a Log's durability path.
-type Options struct {
-	// GroupCommit batches concurrent appenders behind one Sync: an
-	// appender enqueues its encoded record and the current flush leader
-	// writes the whole group with a single Write+Sync, waking every
-	// waiter. Off (the zero value) keeps the classic one-fsync-per-append
-	// path — identical stable-storage semantics, just no amortization.
-	GroupCommit bool
-	// MaxBatch caps records per flush group; 0 means DefaultMaxBatch.
-	// A full group seals and a new one opens behind it.
-	MaxBatch int
-	// FlushInterval is how long a leader that just flushed a multi-record
-	// group retains leadership waiting for its woken waiters to append
-	// again, keeping groups full instead of letting the first waker lead
-	// a solo flush. 0 steps down immediately — batching then comes only
-	// from appenders arriving while a Sync is in flight. A solo appender
-	// never pays the linger.
-	FlushInterval time.Duration
-}
+// Options has no fields: a Log has one append path. It stays, with
+// GroupCommitDefaults and NewWith, only because bench/ compiles against
+// those names (ROADMAP 10b).
+type Options struct{}
 
-// DefaultMaxBatch is the flush-group cap when Options.MaxBatch is 0.
-const DefaultMaxBatch = 256
+// GroupCommitDefaults returns the empty Options. Kept for bench/ only
+// (ROADMAP 10b).
+func GroupCommitDefaults() Options { return Options{} }
 
-// DefaultFlushInterval is GroupCommitDefaults' leader-retention linger —
-// well under one disk fsync, so worst-case added latency is small
-// against the syscall it amortizes.
-const DefaultFlushInterval = 100 * time.Microsecond
-
-// GroupCommitDefaults is the configuration file-backed logs use unless
-// told otherwise: group commit on, default cap, default linger.
-func GroupCommitDefaults() Options {
-	return Options{GroupCommit: true, FlushInterval: DefaultFlushInterval}
-}
-
-// flushGroup is one batch of encoded frames awaiting a shared Sync.
-type flushGroup struct {
-	buf []byte
-	n   int
-	// waiters counts the submit calls that joined the group — the
-	// concurrency signal the leader's linger keys on. One AppendBatch
-	// contributes many records but a single waiter.
-	waiters int
-	err     error
-	done    chan struct{}
-}
-
-// Stats counts a Log's durability work. FsyncsPerRecord = Syncs/Records;
-// mean batch occupancy = BatchedRecords/Batches.
+// Stats counts a Log's durability work. FsyncsPerRecord = Syncs/Records.
 type Stats struct {
 	// Records is how many records reached stable storage.
 	Records uint64
 	// Syncs is how many Store.Sync calls were issued.
 	Syncs uint64
-	// Batches counts group-commit flush groups (0 in synchronous mode).
-	Batches uint64
-	// BatchedRecords totals records carried by those groups.
-	BatchedRecords uint64
 }
 
 // Log appends and scans records on a Store.
 type Log struct {
 	mu    sync.Mutex
 	store Store
-	opts  Options
 	count uint64
 	stats Stats
-
-	// Group-commit state: queue of sealed-or-filling groups, whether a
-	// leader is flushing, and the group currently being written+synced.
-	queue    []*flushGroup
-	flushing bool
-	inflight *flushGroup
 
 	// Observability handles (nil = off): fsync wall latency plus the
 	// registry mirrors of the Stats counters, incremented at the same
 	// points so a metrics scrape and Stats() always agree.
-	obsFsync          *obs.Histogram
-	obsRecords        *obs.Counter
-	obsSyncs          *obs.Counter
-	obsBatches        *obs.Counter
-	obsBatchedRecords *obs.Counter
+	obsFsync   *obs.Histogram
+	obsRecords *obs.Counter
+	obsSyncs   *obs.Counter
 }
 
 // SetMetrics wires the log's durability counters and fsync-latency
@@ -299,15 +247,12 @@ type Log struct {
 // handles are read without synchronization on the append path.
 func (l *Log) SetMetrics(r *obs.Registry) {
 	if r == nil {
-		l.obsFsync = nil
-		l.obsRecords, l.obsSyncs, l.obsBatches, l.obsBatchedRecords = nil, nil, nil, nil
+		l.obsFsync, l.obsRecords, l.obsSyncs = nil, nil, nil
 		return
 	}
 	l.obsFsync = r.Histogram(obs.MWalFsyncLatency)
 	l.obsRecords = r.Counter(obs.MWalRecords)
 	l.obsSyncs = r.Counter(obs.MWalSyncs)
-	l.obsBatches = r.Counter(obs.MWalBatches)
-	l.obsBatchedRecords = r.Counter(obs.MWalBatchedRecords)
 }
 
 // sync forces the store and, when metrics are on, observes the fsync
@@ -322,22 +267,16 @@ func (l *Log) sync() error {
 	return err
 }
 
-// New builds a log on the given store with synchronous (one fsync per
-// append) durability — the classic path.
+// New builds a log on the given store.
 func New(store Store) *Log {
-	return NewWith(store, Options{})
-}
-
-// NewWith builds a log on the given store with explicit options.
-func NewWith(store Store, opts Options) *Log {
 	if store == nil {
 		panic("wal: nil store")
 	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = DefaultMaxBatch
-	}
-	return &Log{store: store, opts: opts}
+	return &Log{store: store}
 }
+
+// NewWith is New. Kept for bench/ only (ROADMAP 10b).
+func NewWith(store Store, _ Options) *Log { return New(store) }
 
 // record wire format:
 //
@@ -356,9 +295,7 @@ func appendFrame(buf []byte, r Record) []byte {
 	return buf
 }
 
-// Append encodes, durably writes, and (in group-commit mode, after the
-// shared flush) returns once the record is on stable storage. Encoding
-// happens before any lock; the Sync syscall never runs under l.mu.
+// Append encodes one record and returns once it is on stable storage.
 func (l *Log) Append(r Record) error {
 	return l.append(appendFrame(nil, r), 1)
 }
@@ -377,150 +314,24 @@ func (l *Log) AppendBatch(rs []Record) error {
 	return l.append(buf, len(rs))
 }
 
-// append routes an encoded frame sequence down the configured path.
+// append is the one durability path, for every store: under l.mu, one
+// Write, one Sync, then the counters. An append has two crash points,
+// before its Write returns and before its Sync returns; its records
+// count only once the Sync has.
 func (l *Log) append(buf []byte, n int) error {
-	if !l.opts.GroupCommit {
-		return l.appendSync(buf, n)
-	}
-	return l.submit(buf, n)
-}
-
-// appendSync is the synchronous path: one Write under the lock, then the
-// Sync outside it (a concurrent appender's later Sync covering our bytes
-// is just as durable), then the counters.
-func (l *Log) appendSync(buf []byte, n int) error {
 	l.mu.Lock()
-	_, err := l.store.Write(buf)
-	l.mu.Unlock()
-	if err != nil {
+	defer l.mu.Unlock()
+	if _, err := l.store.Write(buf); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	if err := l.sync(); err != nil {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
-	l.mu.Lock()
 	l.count += uint64(n)
 	l.stats.Records += uint64(n)
 	l.stats.Syncs++
-	l.mu.Unlock()
 	l.obsRecords.Add(uint64(n))
 	l.obsSyncs.Add(1)
-	return nil
-}
-
-// submit joins (or opens) a flush group. The first submitter while no
-// flush is running becomes the leader and drives lead(); everyone else
-// just waits on their group's done channel.
-func (l *Log) submit(buf []byte, n int) error {
-	l.mu.Lock()
-	var g *flushGroup
-	if len(l.queue) > 0 {
-		if last := l.queue[len(l.queue)-1]; last.n+n <= l.opts.MaxBatch {
-			g = last
-		}
-	}
-	if g == nil {
-		g = &flushGroup{done: make(chan struct{})}
-		l.queue = append(l.queue, g)
-	}
-	g.buf = append(g.buf, buf...)
-	g.n += n
-	g.waiters++
-	lead := !l.flushing
-	if lead {
-		l.flushing = true
-	}
-	l.mu.Unlock()
-	if lead {
-		l.lead()
-	}
-	<-g.done
-	return g.err
-}
-
-// lead drains the group queue: pop a group, write it with one Write, make
-// it durable with one Sync, wake its waiters, repeat until the queue is
-// empty. Groups forming while a flush is in progress ride the next
-// iteration — that in-flight window is where group commit's amortization
-// comes from. After flushing a group with multiple WAITERS the leader
-// lingers FlushInterval before stepping down: its just-woken waiters are
-// usually about to append again, and letting them enqueue under the
-// sitting leader keeps groups full instead of letting the first waker
-// lead a near-empty flush. A multi-record group from a single caller
-// (AppendBatch) earns no linger — there is no concurrency to wait for.
-func (l *Log) lead() {
-	lastWaiters := 0
-	for {
-		l.mu.Lock()
-		if len(l.queue) == 0 && lastWaiters > 1 && l.opts.FlushInterval > 0 {
-			// Spin-yield rather than sleep: timer granularity can
-			// stretch a sub-millisecond sleep by an order of magnitude,
-			// and the waiters we are lingering for are already runnable.
-			deadline := time.Now().Add(l.opts.FlushInterval)
-			for len(l.queue) == 0 && time.Now().Before(deadline) {
-				l.mu.Unlock()
-				runtime.Gosched()
-				l.mu.Lock()
-			}
-		}
-		if len(l.queue) == 0 {
-			l.flushing = false
-			l.mu.Unlock()
-			return
-		}
-		g := l.queue[0]
-		l.queue = l.queue[1:]
-		l.inflight = g
-		l.mu.Unlock()
-
-		var err error
-		if _, werr := l.store.Write(g.buf); werr != nil {
-			err = fmt.Errorf("wal: append batch: %w", werr)
-		} else if serr := l.sync(); serr != nil {
-			err = fmt.Errorf("wal: sync: %w", serr)
-		}
-
-		l.mu.Lock()
-		l.inflight = nil
-		if err == nil {
-			l.count += uint64(g.n)
-			l.stats.Records += uint64(g.n)
-			l.stats.Syncs++
-			l.stats.Batches++
-			l.stats.BatchedRecords += uint64(g.n)
-		}
-		l.mu.Unlock()
-		if err == nil {
-			l.obsRecords.Add(uint64(g.n))
-			l.obsSyncs.Add(1)
-			l.obsBatches.Add(1)
-			l.obsBatchedRecords.Add(uint64(g.n))
-		}
-		g.err = err
-		close(g.done)
-		lastWaiters = g.waiters
-	}
-}
-
-// Flush blocks until every record enqueued before the call is durable
-// (groups flush in order, so waiting on the youngest covers them all).
-// It returns that flush's error.
-func (l *Log) Flush() error {
-	l.mu.Lock()
-	inflight := l.inflight
-	var last *flushGroup
-	if len(l.queue) > 0 {
-		last = l.queue[len(l.queue)-1]
-	}
-	l.mu.Unlock()
-	if last != nil {
-		<-last.done
-		return last.err
-	}
-	if inflight != nil {
-		<-inflight.done
-		return inflight.err
-	}
 	return nil
 }
 
@@ -540,14 +351,12 @@ func (l *Log) Stats() Stats {
 
 // Replace swaps the whole log for rs — a checkpoint's compacted history —
 // in one atomic Store.Replace: a crash leaves the old log or rs, and a
-// failed Replace leaves the old log. Pending group-commit flushes drain
-// first so no in-flight batch lands in the discarded log.
+// failed Replace leaves the old log.
 func (l *Log) Replace(rs []Record) error {
 	var buf []byte
 	for _, r := range rs {
 		buf = appendFrame(buf, r)
 	}
-	l.Flush() //nolint:errcheck // an append's flush error is its appender's; the replace writes afresh
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.store.Replace(buf); err != nil {
@@ -628,12 +437,12 @@ func Scan(raw []byte) ([]Record, error) {
 	return out, nil
 }
 
-// ScanStore reads and decodes the store's stable contents, draining any
-// pending group-commit flushes first so the scan sees every append that
-// returned (or was fired async) before the call.
+// ScanStore reads and decodes the store's contents, under l.mu so that no
+// append is in progress while it reads.
 func (l *Log) ScanStore() ([]Record, error) {
-	l.Flush() //nolint:errcheck // a failed flush still leaves scannable contents
+	l.mu.Lock()
 	raw, err := l.store.Contents()
+	l.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("wal: read store: %w", err)
 	}

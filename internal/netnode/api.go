@@ -99,13 +99,10 @@ func (n *Node) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Sent: sent, Delivered: delivered, Bounced: bounced, Dropped: dropped,
 		Keys:       n.eng.Len(),
 		WalRecords: ws.Records, WalSyncs: ws.Syncs,
-		WalBatches: ws.Batches, WalBatchedRecords: ws.BatchedRecords,
+		WalBatches: ws.Syncs, WalBatchedRecords: ws.Records,
 	}
 	if commits > 0 {
 		st.FsyncsPerCommit = float64(ws.Syncs) / float64(commits)
-	}
-	if ws.Batches > 0 {
-		st.BatchOccupancy = float64(ws.BatchedRecords) / float64(ws.Batches)
 	}
 	for _, id := range blocked {
 		st.Blocked = append(st.Blocked, int(id))

@@ -48,17 +48,17 @@ type StatsDTO struct {
 	Keys    int   `json:"keys"`
 	Blocked []int `json:"blocked,omitempty"`
 
-	// WAL durability counters: how many records reached stable storage,
-	// how many Sync syscalls that took, and — with group commit — how
-	// many flush batches carried how many records. FsyncsPerCommit is the
-	// amortization headline (Syncs / Commits, 0 before the first commit);
-	// BatchOccupancy is WalBatchedRecords / WalBatches.
-	WalRecords        uint64  `json:"walRecords"`
-	WalSyncs          uint64  `json:"walSyncs"`
-	WalBatches        uint64  `json:"walBatches"`
-	WalBatchedRecords uint64  `json:"walBatchedRecords"`
-	FsyncsPerCommit   float64 `json:"fsyncsPerCommit"`
-	BatchOccupancy    float64 `json:"batchOccupancy"`
+	// WAL durability counters: how many records reached stable storage
+	// and how many Sync syscalls that took. FsyncsPerCommit is Syncs /
+	// Commits, 0 before the first commit.
+	WalRecords      uint64  `json:"walRecords"`
+	WalSyncs        uint64  `json:"walSyncs"`
+	FsyncsPerCommit float64 `json:"fsyncsPerCommit"`
+	// WalBatches and WalBatchedRecords repeat WalSyncs and WalRecords
+	// (one flush per append). They stay only because bench/ reads them
+	// (ROADMAP 10b).
+	WalBatches        uint64 `json:"walBatches"`
+	WalBatchedRecords uint64 `json:"walBatchedRecords"`
 }
 
 // TxnDTO is the answer to Client.Txn and the elements of GET /txns.

@@ -9,14 +9,14 @@ import (
 )
 
 // TestLocalnetCrashDuringGroupCommit SIGKILLs a participant while a
-// burst of concurrent transactions is mid-flight — with WAL group
-// commit on (the default), the kill lands while flush groups are
-// forming and syncing, so the victim's log may end in a partially
-// written batch. The survivors must decide every transaction on their
-// own; the restarted site must scan its WAL cleanly (a torn tail is
-// truncated, never mis-parsed), resolve anything in-doubt through a
-// real inquire round, and converge on the survivors' outcomes and
-// keyspace.
+// burst of concurrent transactions is mid-flight. Each WAL append is one
+// Write and one Sync of its own, not a share of a flush group, so the
+// kill lands between appends — or inside one, leaving the victim's log
+// with a partially written tail. The survivors must decide every
+// transaction on their own; the restarted site must scan its WAL
+// cleanly (a torn tail is truncated, never mis-parsed), resolve anything
+// in-doubt through a real inquire round, and converge on the survivors'
+// outcomes and keyspace.
 func TestLocalnetCrashDuringGroupCommit(t *testing.T) {
 	l := startNet(t, 3)
 
@@ -24,7 +24,7 @@ func TestLocalnetCrashDuringGroupCommit(t *testing.T) {
 	for i := 1; i <= txns; i++ {
 		submit(t, l, uint64(i), 1, fmt.Sprintf("gc%d", i), "v")
 	}
-	time.Sleep(harnessT / 2) // mid-burst: xacts delivered, flush groups in flight
+	time.Sleep(harnessT / 2) // mid-burst: xacts delivered, appends in flight
 	if err := l.Kill(3); err != nil {
 		t.Fatalf("kill site 3: %v", err)
 	}

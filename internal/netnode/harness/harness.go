@@ -227,31 +227,66 @@ func (l *Localnet) spawn(id proto.SiteID) error {
 	return nil
 }
 
+// pollEvery is how long a wait for readiness sleeps between /health
+// rounds: a daemon turns ready a few milliseconds after it is spawned.
+const pollEvery = time.Millisecond
+
 // WaitHealthy polls every node's /health until all report ready (at Start,
 // and after a Restart).
 func (l *Localnet) WaitHealthy(timeout time.Duration) error {
+	return l.waitHealthy(timeout, l.Sites()...)
+}
+
+// waitHealthy polls the sites' /health every pollEvery until each reports
+// ready. It fails with the log tail of every site not ready: at once when
+// one of them has no running process (it exited, or was never started or
+// restarted), else after timeout.
+func (l *Localnet) waitHealthy(timeout time.Duration, ids ...proto.SiteID) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		ready := 0
-		for id := range l.apiAddrs {
-			if h, err := l.Client(id).Health(); err == nil && h.Ready {
-				ready++
+		var waiting []proto.SiteID
+		gone := false
+		for _, id := range ids {
+			if h, err := l.Client(id).Health(); err != nil || !h.Ready {
+				waiting = append(waiting, id)
+				gone = gone || !l.running(id)
 			}
 		}
-		if ready == len(l.apiAddrs) {
+		if len(waiting) == 0 {
 			return nil
 		}
-		if time.Now().After(deadline) {
+		if gone || time.Now().After(deadline) {
 			var b strings.Builder
-			fmt.Fprintf(&b, "harness: %d/%d nodes healthy after %s", ready, len(l.apiAddrs), timeout)
-			for id := range l.apiAddrs {
-				if h, err := l.Client(id).Health(); err != nil || !h.Ready {
-					fmt.Fprintf(&b, "\n--- site %d log tail ---\n%s", id, l.LogTail(id, 20))
-				}
+			fmt.Fprintf(&b, "harness: %d/%d nodes healthy", len(ids)-len(waiting), len(ids))
+			if !gone {
+				fmt.Fprintf(&b, " after %s", timeout)
 			}
-			return fmt.Errorf("%s", b.String())
+			for _, id := range waiting {
+				state := "not ready"
+				if !l.running(id) {
+					state = "not running"
+				}
+				fmt.Fprintf(&b, "\n--- site %d (%s) log tail ---\n%s", id, state, l.LogTail(id, 20))
+			}
+			return errors.New(b.String())
 		}
-		time.Sleep(25 * time.Millisecond)
+		time.Sleep(pollEvery)
+	}
+}
+
+// running reports whether site id has a process that has not exited.
+func (l *Localnet) running(id proto.SiteID) bool {
+	l.mu.Lock()
+	p := l.procs[id]
+	l.mu.Unlock()
+	if p == nil {
+		return false
+	}
+	select {
+	case <-p.waited:
+		return false
+	default:
+		return true
 	}
 }
 
@@ -301,10 +336,16 @@ func (l *Localnet) Kill(id proto.SiteID) error {
 	return nil
 }
 
+// restartTimeout bounds how long Restart waits for the new process to
+// report healthy.
+const restartTimeout = 15 * time.Second
+
 // Restart relaunches a previously killed site against its surviving
-// workspace directory; the new process replays the WAL, resolves in-doubt
-// transactions against its peers, and pulls missed commits before
-// reporting healthy. Callers follow with WaitHealthy.
+// workspace directory and returns once it reports healthy: the new
+// process has replayed the WAL, resolved in-doubt transactions against
+// its peers, and pulled missed commits. A process that exits or is not
+// ready within restartTimeout fails it with the site's log tail; it is
+// not killed.
 func (l *Localnet) Restart(id proto.SiteID) error {
 	l.mu.Lock()
 	_, running := l.procs[id]
@@ -312,7 +353,10 @@ func (l *Localnet) Restart(id proto.SiteID) error {
 	if running {
 		return fmt.Errorf("harness: site %d is already running", id)
 	}
-	return l.spawn(id)
+	if err := l.spawn(id); err != nil {
+		return err
+	}
+	return l.waitHealthy(restartTimeout, id)
 }
 
 // ClearData wipes a stopped site's workspace so its next start is a cold

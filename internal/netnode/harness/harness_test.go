@@ -2,6 +2,7 @@ package harness
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -88,6 +89,27 @@ func TestLocalnetCommit(t *testing.T) {
 		if string(snap["k"]) != "v" {
 			t.Errorf("site %d: k = %q, want \"v\"", id, snap["k"])
 		}
+	}
+}
+
+// TestLocalnetStartFailsFastWhenADaemonExits gives every daemon a
+// placement it cannot decode, so each exits at boot: Start must report
+// that with the daemons' log tails at once, not after its 10 s wait.
+func TestLocalnetStartFailsFastWhenADaemonExits(t *testing.T) {
+	if _, err := buildBinary(); err != nil { // the build is not what is timed
+		t.Fatal(err)
+	}
+	start := time.Now()
+	l, err := Start(Options{N: 3, T: harnessT, Dir: t.TempDir(), Placement: []byte("not an assignment")})
+	if err == nil {
+		l.Stop()
+		t.Fatal("Start succeeded with daemons that cannot decode their placement")
+	}
+	if took := time.Since(start); took > 3*time.Second {
+		t.Fatalf("Start failed after %s, want under 3s", took)
+	}
+	if !strings.Contains(err.Error(), "not running") || !strings.Contains(err.Error(), "-placement") {
+		t.Fatalf("error does not name the exited daemon and its log: %v", err)
 	}
 }
 

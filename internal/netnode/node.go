@@ -185,13 +185,7 @@ func (n *Node) Start() error {
 		n.file = fs
 		store = fs
 	}
-	// Group commit for the log file the node opened itself; an injected
-	// Store keeps strictly synchronous appends, which its tests rely on.
-	var eopts engine.Options
-	if n.file != nil {
-		eopts.WAL = wal.GroupCommitDefaults()
-	}
-	n.eng = engine.NewWith(fmt.Sprintf("site-%d", n.opts.ID), store, eopts)
+	n.eng = engine.New(fmt.Sprintf("site-%d", n.opts.ID), store)
 	var shardOf func(key string) int
 	if asg := n.opts.Placement; asg != nil {
 		shardOf = asg.ShardOf

@@ -30,13 +30,11 @@ const (
 	MAborts  = "termproto_aborts_total"
 	// Lock acquisition failures (write conflicts → no-votes), label: shard.
 	MLockFailures = "termproto_lock_failures_total"
-	// WAL durability: fsync wall latency in microseconds, plus the
-	// group-commit shape counters (occupancy = batched_records/batches).
-	MWalFsyncLatency   = "termproto_wal_fsync_latency_us"
-	MWalRecords        = "termproto_wal_records_total"
-	MWalSyncs          = "termproto_wal_syncs_total"
-	MWalBatches        = "termproto_wal_batches_total"
-	MWalBatchedRecords = "termproto_wal_batched_records_total"
+	// WAL durability: fsync wall latency in microseconds, records made
+	// durable and the Sync calls that took.
+	MWalFsyncLatency = "termproto_wal_fsync_latency_us"
+	MWalRecords      = "termproto_wal_records_total"
+	MWalSyncs        = "termproto_wal_syncs_total"
 	// Availability machinery: per-group quorum evaluations (label:
 	// result) and lease lifecycle transitions (label: event).
 	MQuorumEvals = "termproto_quorum_evals_total"
@@ -66,8 +64,6 @@ var catalog = []struct {
 	{MWalFsyncLatency, KindHistogram, "WAL fsync wall latency in microseconds."},
 	{MWalRecords, KindCounter, "WAL records reaching stable storage."},
 	{MWalSyncs, KindCounter, "WAL sync syscalls issued."},
-	{MWalBatches, KindCounter, "WAL group-commit flush batches."},
-	{MWalBatchedRecords, KindCounter, "WAL records carried by group-commit batches."},
 	{MQuorumEvals, KindCounter, "Per-group quorum evaluations by result."},
 	{MLeaseEvents, KindCounter, "Shard lease lifecycle transitions by event."},
 	{MNetBytes, KindCounter, "Wire bytes by direction."},

@@ -190,7 +190,11 @@ func Run(cfg Config) (Stats, error) {
 			if !ok {
 				continue
 			}
-			st.CaughtUpKeys += cfg.Engine.CatchUp(snap, unstable, src.Include)
+			n, err := cfg.Engine.CatchUp(snap, unstable, src.Include)
+			if err != nil {
+				return st, fmt.Errorf("recovery: %w", err)
+			}
+			st.CaughtUpKeys += n
 			break
 		}
 	}
