@@ -11,7 +11,6 @@
 //	termsim [-proto NAME] [-n sites] [-txns k] [-backend sim|net]
 //	        [-masters fixed|rr|primary] [-spacing 0.4]
 //	        [-shards s] [-rf r] [-accounts a] [-zipf s] [-ops k] [-db]
-//	        [-lease-ttl 15] [-quorum all|majority|one]
 //	        [-schedule "partition@2.5:3,4;heal@7;crash@8:2;recover@9:2;join@10:6;leave@14:2;move@18:3,1,5"]
 //	        [-no 3] [-seed 1] [-latency fixed|uniform] [-trace]
 //	        [-metrics] [-trace-out run.jsonl]
@@ -64,7 +63,6 @@ import (
 	"termproto/internal/placement"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/registry"
-	"termproto/internal/quorum"
 	"termproto/internal/scenario"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
@@ -89,8 +87,6 @@ func main() {
 	spacing := flag.Float64("spacing", 0.4, "submission spacing between transactions in units of T")
 	scheduleSpec := flag.String("schedule", "",
 		"fault timeline: ev@t[:args][;...] with ev in partition|heal|crash|recover|join|leave|move, t in units of T (join, leave and move require -shards)")
-	leaseTTL := flag.Float64("lease-ttl", 0, "epoch-scoped shard lease TTL in units of T (requires -shards; 0 disables leasing)")
-	quorumSpec := flag.String("quorum", "", "per-replica-group availability rule: all (default), majority, or one (requires -shards)")
 	noVotes := flag.String("no", "", "comma-separated sites that vote no")
 	seed := flag.Uint64("seed", 1, "random seed")
 	latency := flag.String("latency", "fixed", "latency model: fixed (=T) or uniform [T/3,T]")
@@ -154,21 +150,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "termsim: unknown master policy %q\n", *masters)
 		os.Exit(2)
 	}
-	if *leaseTTL < 0 || (*leaseTTL > 0 && *shards == 0) {
-		fmt.Fprintln(os.Stderr, "termsim: -lease-ttl needs a positive value and -shards")
-		os.Exit(2)
-	}
-	cfg.LeaseTTL = sim.Duration(*leaseTTL * float64(sim.DefaultT))
-	if *quorumSpec != "" && *shards == 0 {
-		fmt.Fprintln(os.Stderr, "termsim: -quorum requires -shards")
-		os.Exit(2)
-	}
-	rule, err := quorum.ParseRule(*quorumSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "termsim: %v\n", err)
-		os.Exit(2)
-	}
-	cfg.Quorum = rule
 	if ids := parseSites(*noVotes); len(ids) > 0 {
 		cfg.Votes = proto.NoAt(ids...)
 	}
@@ -358,25 +339,6 @@ func main() {
 	st := c.Stats()
 	fmt.Println()
 	fmt.Printf("stats:       %s\n", st)
-	if cfg.Directory != nil {
-		avail := c.AvailableShards(func(proto.SiteID) bool { return true })
-		fmt.Printf("quorum:      rule %s, %d/%d shards available with every site reachable\n",
-			cfg.Quorum, len(avail), *shards)
-		if cfg.LeaseTTL > 0 {
-			now := c.Now()
-			held := 0
-			for i := 1; i <= *n; i++ {
-				lt := c.LeaseTable(proto.SiteID(i))
-				for s := 0; s < *shards; s++ {
-					if lt != nil && lt.Hold(s, cfg.Directory.Epoch(), now) {
-						held++
-					}
-				}
-			}
-			fmt.Printf("leases:      ttl %.1fT, %d shard leases live at %.2fT\n",
-				*leaseTTL, held, float64(now)/float64(sim.DefaultT))
-		}
-	}
 	fmt.Printf("termination: %v\n", termination(c))
 	if *showMetrics {
 		printMetrics(msnap)
@@ -427,17 +389,6 @@ func printMetrics(snap obs.Snapshot) {
 		fmt.Printf("  wal:                      records=%d syncs=%d fsync p50=%.0fµs p99=%.0fµs\n",
 			recs, snap.Total(obs.MWalSyncs),
 			snap.Quantile(obs.MWalFsyncLatency, 0.5), snap.Quantile(obs.MWalFsyncLatency, 0.99))
-	}
-	if snap.Total(obs.MQuorumEvals) > 0 {
-		fmt.Printf("  quorum evals:             met=%d unmet=%d\n",
-			snap.Value(obs.MQuorumEvals, obs.L("result", "met")),
-			snap.Value(obs.MQuorumEvals, obs.L("result", "unmet")))
-	}
-	if snap.Total(obs.MLeaseEvents) > 0 {
-		fmt.Printf("  leases:                   grant=%d renew=%d expire=%d\n",
-			snap.Value(obs.MLeaseEvents, obs.L("event", "grant")),
-			snap.Value(obs.MLeaseEvents, obs.L("event", "renew")),
-			snap.Value(obs.MLeaseEvents, obs.L("event", "expire")))
 	}
 	if snap.Total(obs.MNetFrames) > 0 {
 		fmt.Printf("  wire:                     sent %d frames / %d bytes, recv %d frames / %d bytes\n",

@@ -13,7 +13,6 @@ import (
 
 	"termproto/internal/cluster"
 	"termproto/internal/proto"
-	"termproto/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/replay.digests from this tree")
@@ -32,16 +31,11 @@ func replayCorpus() []Scenario {
 	return out
 }
 
-// replayDigest hashes what a run leaves behind: every trace event except
-// the lease and quorum bookkeeping, then every per-site outcome in
-// TID/site order.
+// replayDigest hashes what a run leaves behind: every trace event, then
+// every per-site outcome in TID/site order.
 func replayDigest(r *Result) string {
 	h := sha256.New()
 	for _, ev := range r.Events {
-		switch ev.Kind {
-		case trace.LeaseGrant, trace.LeaseRenew, trace.LeaseExpire, trace.QuorumEval:
-			continue
-		}
 		fmt.Fprintf(h, "%+v\n", ev)
 	}
 	results := append([]*cluster.TxnResult(nil), r.Results...)

@@ -154,7 +154,7 @@ func Check(in Input) []Violation {
 }
 
 // tids returns the transaction IDs appearing in the trace, ascending,
-// excluding the non-transactional TID 0 (lease/quorum/network events).
+// excluding the non-transactional TID 0 (partition, crash and network events).
 func tids(events []trace.Event) []uint64 {
 	seen := make(map[uint64]bool)
 	var out []uint64
@@ -387,7 +387,7 @@ func checkBounds(in Input) []Violation {
 }
 
 // checkConvergence verifies that at quiescence every replica of a key
-// holds the same committed value. Meta keys (placement epochs, leases) are
+// holds the same committed value. Meta keys (placement epochs) are
 // exempt — a site's meta range reflects what it has durably learned — and
 // so are keys flagged unstable at any replica (still held by an in-flight
 // transaction).

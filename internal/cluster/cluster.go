@@ -39,10 +39,8 @@ import (
 	"sync"
 
 	"termproto/internal/db/engine"
-	"termproto/internal/lease"
 	"termproto/internal/placement"
 	"termproto/internal/proto"
-	"termproto/internal/quorum"
 	"termproto/internal/recovery"
 	"termproto/internal/sim"
 )
@@ -130,21 +128,6 @@ type Config struct {
 	Votes Voter
 	// Participants optionally attaches a database participant per site.
 	Participants map[proto.SiteID]Participant
-	// LeaseTTL enables epoch-scoped shard leases (internal/lease): each
-	// participant site is granted a lease per hosted shard at directory
-	// seeding and at every epoch bump, and renews it whenever it records
-	// a decision for a transaction touching the shard — local proof,
-	// renewed through the protocol itself, that the site is still a
-	// current replica. In ticks (sim.DefaultT = one timeout window);
-	// 0 disables leasing.
-	LeaseTTL sim.Duration
-	// Quorum is the per-replica-group availability rule
-	// (internal/quorum): the predicate under which a partition side
-	// counts a shard as available. The default, quorum.All, requires the
-	// full replica set — the strongest rule, and the one the
-	// partition-local availability guarantee is stated for.
-	Quorum quorum.Rule
-
 	// Recovery makes EvRecover a real restart instead of an amnesiac
 	// rejoin: the site's engine is rebuilt from its write-ahead log,
 	// in-doubt transactions are resolved by the termination protocol's
@@ -161,10 +144,6 @@ type Config struct {
 	// EvMove): the backends call it at the event's timeline position and
 	// the cluster runs the migration. Set by Open, never by callers.
 	migrate func(ev Event)
-	// metrics is the cluster's observability registry bundle, set by
-	// Open and threaded to the backends (lease observers, quorum
-	// tallies). Never set by callers.
-	metrics *clusterMetrics
 }
 
 // Txn is one transaction submitted to a Cluster.
@@ -459,13 +438,11 @@ func Open(cfg Config) (*Cluster, error) {
 		nextTID: 1,
 	}
 	c.cfg.migrate = c.applyMembershipEvent
-	// Participants and the availability machinery record into the registry
-	// as the run goes. Without them nothing does before Metrics, which
-	// builds it then: the sweeps open one cluster per transaction and read
-	// none.
-	if len(cfg.Participants) > 0 || cfg.Directory != nil {
+	// Participants record into the registry as the run goes. Without them
+	// nothing does before Metrics, which builds it then: the sweeps open
+	// one cluster per transaction and read none.
+	if len(cfg.Participants) > 0 {
 		c.metrics = newClusterMetrics(cfg.Protocol.Name())
-		c.cfg.metrics = c.metrics
 	}
 	// Storage-engine participants record per-shard commits, aborts,
 	// lock failures, and WAL fsync latency into the same registry.
@@ -788,39 +765,12 @@ func (c *Cluster) Now() sim.Time { return c.backend.Now() }
 // cluster runs full replication).
 func (c *Cluster) Directory() *placement.Directory { return c.cfg.Directory }
 
-// AvailableShards evaluates the cluster's quorum rule per replica group
-// under the given site predicate (reachable, leased, on this partition
-// side — whatever the caller is asking about) and returns the shards
-// that can make progress, ascending. Nil without a directory.
-func (c *Cluster) AvailableShards(ok func(proto.SiteID) bool) []int {
-	if c.cfg.Directory == nil {
-		return nil
-	}
-	_, asg := c.cfg.Directory.Current()
-	return quorum.AvailableShards(asg, ok, c.cfg.Quorum)
-}
-
 // peerSource is implemented by the backend whose engines live in this
 // process (Config.Participants), the simulator's: its reachability-aware
 // peer client answers only from peers a site can reach at the present
 // tick. The migration copier and reconciler run over it.
 type peerSource interface {
 	Peers(self proto.SiteID) recovery.PeerClient
-}
-
-// leaseTables is implemented by backends that maintain per-site lease
-// tables (Config.LeaseTTL > 0).
-type leaseTables interface {
-	LeaseTable(site proto.SiteID) *lease.Table
-}
-
-// LeaseTable returns the given site's shard-lease table, or nil when
-// leasing is disabled or the backend does not track leases.
-func (c *Cluster) LeaseTable(site proto.SiteID) *lease.Table {
-	if lt, ok := c.backend.(leaseTables); ok {
-		return lt.LeaseTable(site)
-	}
-	return nil
 }
 
 // Recoveries returns the durable site recoveries run so far, in execution

@@ -12,11 +12,11 @@ import (
 // obs.Registry pre-seeded with the full metric catalog (so the family
 // set is identical on every backend — the parity the tests assert), plus
 // the handles the cluster's own seams record through. Leaf packages
-// (engine, wal, lock, lease, quorum) are wired to the same registry at
-// Open, so one Snapshot covers the whole process.
+// (engine, wal, lock) are wired to the same registry at Open, so one
+// Snapshot covers the whole process.
 //
-// A nil *clusterMetrics is fully inert; every method nil-checks so the
-// backends and availability hooks thread it without branching.
+// A nil *clusterMetrics is fully inert; recordDecided nil-checks so the
+// cluster calls it without branching.
 type clusterMetrics struct {
 	reg *obs.Registry
 
@@ -29,9 +29,6 @@ type clusterMetrics struct {
 	// shardCommit is the per-shard submit→decided latency of committed
 	// transactions, in ticks.
 	shardCommit *obs.HistogramVec
-
-	quorumMet, quorumUnmet              *obs.Counter
-	leaseGrant, leaseRenew, leaseExpire *obs.Counter
 
 	mu       sync.Mutex
 	recorded map[proto.TxnID]bool
@@ -47,42 +44,7 @@ func newClusterMetrics(protocol string) *clusterMetrics {
 		roundDecided: r.Histogram(obs.MRoundLatency,
 			obs.L("protocol", protocol), obs.L("phase", "decided")),
 		shardCommit: r.NewHistogramVec(obs.MShardCommitLatency, "shard"),
-		quorumMet:   r.Counter(obs.MQuorumEvals, obs.L("result", "met")),
-		quorumUnmet: r.Counter(obs.MQuorumEvals, obs.L("result", "unmet")),
-		leaseGrant:  r.Counter(obs.MLeaseEvents, obs.L("event", "grant")),
-		leaseRenew:  r.Counter(obs.MLeaseEvents, obs.L("event", "renew")),
-		leaseExpire: r.Counter(obs.MLeaseEvents, obs.L("event", "expire")),
 		recorded:    make(map[proto.TxnID]bool),
-	}
-}
-
-// leaseObserver returns the observer to install on lease tables, or nil
-// when metrics are off.
-func (m *clusterMetrics) leaseObserver() func(event string, shard int) {
-	if m == nil {
-		return nil
-	}
-	return func(event string, _ int) {
-		switch event {
-		case "grant":
-			m.leaseGrant.Inc()
-		case "renew":
-			m.leaseRenew.Inc()
-		case "expire":
-			m.leaseExpire.Inc()
-		}
-	}
-}
-
-// quorumEval counts one replica-group quorum evaluation by result.
-func (m *clusterMetrics) quorumEval(met bool) {
-	if m == nil {
-		return
-	}
-	if met {
-		m.quorumMet.Inc()
-	} else {
-		m.quorumUnmet.Inc()
 	}
 }
 

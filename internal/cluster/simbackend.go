@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"termproto/internal/lease"
 	"termproto/internal/proto"
 	"termproto/internal/recovery"
 	"termproto/internal/sim"
@@ -64,9 +63,6 @@ type SimBackend struct {
 	recoveries []RecoveryReport
 	// unresolved is what recoveries could not resolve, for the heal edges.
 	unresolved unresolved
-	// leases is the partition-local availability bookkeeping (nil when
-	// Config.LeaseTTL is unset or there is no directory).
-	leases *leaseKeeper
 }
 
 // NewSimBackend returns a deterministic simulator backend.
@@ -137,8 +133,6 @@ func (b *SimBackend) Open(cfg Config) error {
 		b.tables[id] = b.newTable(id)
 		b.net.Register(id, running{b, id})
 	}
-	b.leases = newLeaseKeeper(cfg, b.rec)
-	b.leases.seed(b.sched.Now())
 	for _, ev := range rest {
 		switch ev.Kind {
 		case EvCrash:
@@ -326,9 +320,6 @@ func (b *SimBackend) Submit(t Txn, res *TxnResult) error {
 
 func (b *SimBackend) startTxn(t Txn, res *TxnResult) {
 	now := b.sched.Now()
-	traceQuorum(b.rec, b.cfg, t, func(id proto.SiteID) bool {
-		return !b.net.Crashed(id, now) && !b.net.Separated(t.Master, id, now)
-	}, now)
 	spec, absent, ok := invite(b.cfg, t, func(id proto.SiteID) bool { return b.net.Crashed(id, now) })
 	for _, id := range absent {
 		res.Sites[id].Crashed = true
@@ -369,13 +360,11 @@ func invite(cfg Config, t Txn, down func(proto.SiteID) bool) (spec site.Spec, ab
 }
 
 // onDecide is every site's decision hook: it runs the migration
-// machinery's per-transaction hook and renews the deciding site's shard
-// leases.
-func (b *SimBackend) onDecide(cfg proto.Config, o proto.Outcome, at sim.Time) {
+// machinery's per-transaction hook.
+func (b *SimBackend) onDecide(cfg proto.Config, o proto.Outcome, _ sim.Time) {
 	if p := b.pending[cfg.TID]; p.onDecided != nil {
 		p.onDecided(cfg.Self, o)
 	}
-	b.leases.onDecide(cfg.Self, cfg.Payload, o, at)
 }
 
 // Wait implements Backend: it drives the scheduler to quiescence — every
@@ -471,12 +460,6 @@ func (b *SimBackend) NetStats() NetStats {
 
 // Close implements Backend.
 func (b *SimBackend) Close() error { return nil }
-
-// LeaseTable implements the cluster's leaseTables extension: one site's
-// shard-lease table, nil when leasing is disabled.
-func (b *SimBackend) LeaseTable(site proto.SiteID) *lease.Table {
-	return b.leases.table(site)
-}
 
 // RunOne runs a single transaction on a fresh SimBackend cluster until the
 // scheduler quiesces, and returns the transaction's result with the backend

@@ -31,7 +31,7 @@ const (
 )
 
 // MetaPrefix is the reserved key range for cluster metadata (placement
-// epochs, leases). Meta keys are hosted by every site regardless of the
+// epochs). Meta keys are hosted by every site regardless of the
 // placement predicate, are never deleted by anti-entropy catch-up, and
 // are excluded from replica-convergence checks — each site's meta range
 // reflects what it has durably learned, which can legitimately trail

@@ -16,8 +16,6 @@ package obs
 //	           where the runtime observes the prepare edge) and
 //	           "decided" (submit→decided, recorded on every backend)
 //	outcome  — "commit" | "abort"
-//	result   — "met" | "unmet" (quorum evaluations)
-//	event    — "grant" | "renew" | "expire" (lease transitions)
 //	dir      — "sent" | "recv" (wire traffic)
 const (
 	// Round latency per protocol phase, in simulator ticks
@@ -35,10 +33,6 @@ const (
 	MWalFsyncLatency = "termproto_wal_fsync_latency_us"
 	MWalRecords      = "termproto_wal_records_total"
 	MWalSyncs        = "termproto_wal_syncs_total"
-	// Availability machinery: per-group quorum evaluations (label:
-	// result) and lease lifecycle transitions (label: event).
-	MQuorumEvals = "termproto_quorum_evals_total"
-	MLeaseEvents = "termproto_lease_events_total"
 	// Wire traffic, label: dir. Bytes/frames are transport-level: every
 	// frame written to or read from a peer connection, including
 	// bounced (return-to-sender) deliveries.
@@ -64,8 +58,6 @@ var catalog = []struct {
 	{MWalFsyncLatency, KindHistogram, "WAL fsync wall latency in microseconds."},
 	{MWalRecords, KindCounter, "WAL records reaching stable storage."},
 	{MWalSyncs, KindCounter, "WAL sync syscalls issued."},
-	{MQuorumEvals, KindCounter, "Per-group quorum evaluations by result."},
-	{MLeaseEvents, KindCounter, "Shard lease lifecycle transitions by event."},
 	{MNetBytes, KindCounter, "Wire bytes by direction."},
 	{MNetFrames, KindCounter, "Wire frames by direction."},
 	{MLinkCrossLate, KindHistogram, "Lateness of link crossings and bounce returns against their drawn instant, in microseconds."},

@@ -16,7 +16,7 @@
 // Everything else — roster accessors, SendAll, the vote, the first-wins
 // decision, the local-commit fast path, transition/timer/decision trace
 // events — is written once, in Env. What a caller does differently when a
-// site decides (fill a result slot, renew a lease, observe a histogram)
+// site decides (fill a result slot, observe a histogram)
 // hangs off the single OnDecide hook.
 package site
 

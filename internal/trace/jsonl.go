@@ -56,7 +56,7 @@ type jsonlEvent struct {
 // kindFromString is String's inverse, built over every declared kind.
 var kindFromString = func() map[string]EventKind {
 	m := make(map[string]EventKind)
-	for k := Send; k <= QuorumEval; k++ {
+	for k := Send; k <= Note; k++ {
 		m[k.String()] = k
 	}
 	return m

@@ -20,7 +20,7 @@ func sampleEvents() []Event {
 		{At: 900, Kind: Decide, Site: 1, TID: 7, Outcome: "commit"},
 		{At: 1000, Kind: Note, Detail: "heal scheduled"},
 	}
-	for k := Send; k <= QuorumEval; k++ {
+	for k := Send; k <= Note; k++ {
 		events = append(events, Event{At: 2000 + sim.Time(k), Kind: k, Site: int(k)})
 	}
 	return events
@@ -82,22 +82,30 @@ func TestJSONLHostileInput(t *testing.T) {
 	cases := []struct {
 		name  string
 		input string
+		want  string // a substring of the error
 	}{
-		{"empty", ""},
-		{"garbage header", "not json\n"},
-		{"wrong kind", `{"v":1,"kind":"something-else"}` + "\n"},
-		{"future version", `{"v":99,"kind":"termproto-trace"}` + "\n"},
-		{"zero version", `{"v":0,"kind":"termproto-trace"}` + "\n"},
-		{"events without header", `{"at":1,"kind":"send"}` + "\n"},
-		{"unknown event kind", header + "\n" + `{"at":1,"kind":"quantum-leap"}` + "\n"},
-		{"renumbered kind as int", header + "\n" + `{"at":1,"kind":3}` + "\n"},
-		{"truncated event json", header + "\n" + `{"at":1,"kind":"send"` + "\n"},
-		{"oversized line", header + "\n" + `{"detail":"` + strings.Repeat("x", MaxJSONLLine+1) + `"}` + "\n"},
+		{"empty", "", "empty input"},
+		{"garbage header", "not json\n", "bad header line"},
+		{"wrong kind", `{"v":1,"kind":"something-else"}` + "\n", "header kind"},
+		{"future version", `{"v":99,"kind":"termproto-trace"}` + "\n", "file version 99"},
+		{"zero version", `{"v":0,"kind":"termproto-trace"}` + "\n", "file version 0"},
+		{"events without header", `{"at":1,"kind":"send"}` + "\n", "header kind"},
+		{"unknown event kind", header + "\n" + `{"at":1,"kind":"quantum-leap"}` + "\n", "unknown event kind"},
+		// Traces written while lease and quorum bookkeeping existed are
+		// rejected rather than misread.
+		{"retired quorum-eval kind", header + "\n" + `{"at":1,"kind":"quorum-eval","site":1}` + "\n", "unknown event kind"},
+		{"renumbered kind as int", header + "\n" + `{"at":1,"kind":3}` + "\n", "line 2"},
+		{"truncated event json", header + "\n" + `{"at":1,"kind":"send"` + "\n", "line 2"},
+		{"oversized line", header + "\n" + `{"detail":"` + strings.Repeat("x", MaxJSONLLine+1) + `"}` + "\n", "token too long"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadJSONL(strings.NewReader(tc.input)); err == nil {
-				t.Error("hostile input accepted")
+			_, err := ReadJSONL(strings.NewReader(tc.input))
+			if err == nil {
+				t.Fatal("hostile input accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q, want it to contain %q", err, tc.want)
 			}
 		})
 	}
@@ -173,10 +181,8 @@ func TestJSONLKindNamesStable(t *testing.T) {
 		TimerSet: "timer-set", TimerFire: "timer-fire", TimerStop: "timer-stop",
 		PartitionOn: "partition-on", PartitionOff: "partition-off",
 		Crash: "crash", Recover: "recover", Note: "note",
-		LeaseGrant: "lease-grant", LeaseRenew: "lease-renew", LeaseExpire: "lease-expire",
-		QuorumEval: "quorum-eval",
 	}
-	for k := Send; k <= QuorumEval; k++ {
+	for k := Send; k <= Note; k++ {
 		name, ok := want[k]
 		if !ok {
 			t.Fatalf("new kind %d has no pinned name — extend this test and bump care", k)

@@ -33,14 +33,6 @@ const (
 	Crash                             // site failed
 	Recover                           // site recovered from a failure
 	Note                              // free-form annotation
-
-	// Partition-local availability events. These are observability-only
-	// and deliberately invisible to the Section 6 classifier, which keys
-	// on message-lifecycle kinds (Deliver/Bounce/Drop) alone.
-	LeaseGrant  // site granted a lease on a shard at an epoch
-	LeaseRenew  // a decision renewed a site's shard lease
-	LeaseExpire // a shard lease lapsed without renewal
-	QuorumEval  // a replica group's quorum was evaluated
 )
 
 // String returns the event kind name.
@@ -74,14 +66,6 @@ func (k EventKind) String() string {
 		return "recover"
 	case Note:
 		return "note"
-	case LeaseGrant:
-		return "lease-grant"
-	case LeaseRenew:
-		return "lease-renew"
-	case LeaseExpire:
-		return "lease-expire"
-	case QuorumEval:
-		return "quorum-eval"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
