@@ -326,7 +326,6 @@ func Run(sc Scenario) (*Result, error) {
 		Protocol:     protocol,
 		Directory:    dir,
 		Participants: parts,
-		Recovery:     true,
 		Schedule:     sc.Schedule,
 		MasterPolicy: policy,
 		Backend:      backend,

@@ -53,7 +53,6 @@ func RunNet(sc Scenario, workdir string) (*Result, error) {
 		Protocol: p,
 		Backend:  backend,
 		Schedule: shifted,
-		Recovery: true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)

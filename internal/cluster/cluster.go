@@ -38,7 +38,7 @@ import (
 	"sort"
 	"sync"
 
-	"termproto/internal/db/engine"
+	"termproto/internal/obs"
 	"termproto/internal/placement"
 	"termproto/internal/proto"
 	"termproto/internal/recovery"
@@ -127,18 +127,14 @@ type Config struct {
 	// Per-transaction voters take precedence.
 	Votes Voter
 	// Participants optionally attaches a database participant per site.
+	// A site whose participant is a storage engine (*engine.Engine)
+	// recovers at EvRecover: its engine is rebuilt from its write-ahead
+	// log, in-doubt transactions are resolved by the termination
+	// protocol's inquiry round against reachable peers, and commits missed
+	// while down are pulled from a current replica; heal events re-run the
+	// inquiry round for what a recovery left unresolved. A site without
+	// one rejoins with amnesia.
 	Participants map[proto.SiteID]Participant
-	// Recovery makes EvRecover a real restart instead of an amnesiac
-	// rejoin: the site's engine is rebuilt from its write-ahead log,
-	// in-doubt transactions are resolved by the termination protocol's
-	// inquiry round against reachable peers, and commits missed while
-	// down are pulled from a current replica. Requires the participants
-	// to be storage engines (*engine.Engine); sites without one rejoin
-	// with amnesia as before. Heal events additionally re-run the inquiry
-	// round for transactions a recovery left unresolved, so an in-doubt
-	// transaction stranded by a partition resolves at the first heal
-	// instead of waiting for the next restart.
-	Recovery bool
 
 	// migrate is Open's hook for membership events (EvJoin/EvLeave/
 	// EvMove): the backends call it at the event's timeline position and
@@ -203,15 +199,6 @@ type TxnResult struct {
 	// directory advances before the transaction terminates.
 	Epoch placement.Epoch
 	Sites map[proto.SiteID]*SiteOutcome
-
-	// startAt is the transaction's effective start on the cluster
-	// timeline (the later of Txn.At and the submission instant) — the
-	// zero point for its latency observation.
-	startAt sim.Time
-	// shard attributes the transaction to its first data key's shard
-	// for the per-shard commit-latency histogram (0 without a
-	// directory).
-	shard int
 }
 
 // Outcome returns the decided outcome (None if no site decided).
@@ -302,7 +289,7 @@ type Stats struct {
 	Aborted      int
 	Blocked      int // transactions left undecided at some live site
 	Inconsistent int
-	// Recoveries counts durable site recoveries run (Config.Recovery).
+	// Recoveries counts durable site recoveries run.
 	Recoveries int
 	// Epoch is the directory's current epoch (0 without a directory —
 	// and with one, the number of committed membership changes).
@@ -353,12 +340,14 @@ type Backend interface {
 	Now() sim.Time
 	// NetStats returns cumulative network counters.
 	NetStats() NetStats
-	// Recoveries returns the durable recoveries run so far (empty unless
-	// Config.Recovery), in execution order.
+	// Recoveries returns the durable recoveries run so far, in execution
+	// order.
 	Recoveries() []RecoveryReport
 	// RecoveryCount is len(Recoveries()) without the copy — the cheap
 	// form stats aggregation uses.
 	RecoveryCount() int
+	// MetricsSnapshots returns every running site's metrics snapshot.
+	MetricsSnapshots() []obs.Snapshot
 	// Close releases the runtime. No calls may follow.
 	Close() error
 }
@@ -369,7 +358,6 @@ type Backend interface {
 type Cluster struct {
 	cfg     Config
 	backend Backend
-	metrics *clusterMetrics
 
 	mu      sync.Mutex
 	txns    map[proto.TxnID]*TxnResult
@@ -413,13 +401,6 @@ func Open(cfg Config) (*Cluster, error) {
 				asg.MaxSite(), cfg.Sites)
 		}
 	}
-	if cfg.Recovery {
-		for id, p := range cfg.Participants {
-			if _, ok := p.(*engine.Engine); !ok {
-				return nil, fmt.Errorf("cluster: Recovery requires storage-engine participants; site %d has %T", id, p)
-			}
-		}
-	}
 	if cfg.Backend == nil {
 		cfg.Backend = NewSimBackend(SimOptions{})
 	}
@@ -430,7 +411,6 @@ func Open(cfg Config) (*Cluster, error) {
 			cfg.MasterPolicy = MasterFixed(1)
 		}
 	}
-	seedDirectoryRecords(cfg)
 	c := &Cluster{
 		cfg:     cfg,
 		backend: cfg.Backend,
@@ -438,61 +418,10 @@ func Open(cfg Config) (*Cluster, error) {
 		nextTID: 1,
 	}
 	c.cfg.migrate = c.applyMembershipEvent
-	// Participants record into the registry as the run goes. Without them
-	// nothing does before Metrics, which builds it then: the sweeps open
-	// one cluster per transaction and read none.
-	if len(cfg.Participants) > 0 {
-		c.metrics = newClusterMetrics(cfg.Protocol.Name())
-	}
-	// Storage-engine participants record per-shard commits, aborts,
-	// lock failures, and WAL fsync latency into the same registry.
-	var shardOf func(key string) int
-	if d := c.cfg.Directory; d != nil {
-		shardOf = func(key string) int {
-			_, asg := d.Current()
-			return asg.ShardOf(key)
-		}
-	}
-	for _, p := range c.cfg.Participants {
-		if eng, ok := p.(*engine.Engine); ok {
-			eng.SetMetrics(c.metrics.reg, shardOf)
-		}
-	}
 	if err := c.backend.Open(c.cfg); err != nil {
 		return nil, err
 	}
 	return c, nil
-}
-
-// seedDirectoryRecords writes the directory's epoch stack into every
-// storage-engine participant as reserved-range records (RecApply, so
-// they are durable immediately): from this point every replica's WAL
-// alone reproduces its placement history — engine.RecoverInPlace plus
-// placement.DirectoryFromSnapshot recovers the epoch stack with no
-// host-side bootstrap. Records a site already holds (a restart over a
-// surviving WAL) are left untouched; later epoch bumps replicate as
-// ordinary metadata transactions (see runMigration).
-func seedDirectoryRecords(cfg Config) {
-	d := cfg.Directory
-	if d == nil || len(cfg.Participants) == 0 {
-		return
-	}
-	for e := placement.Epoch(0); ; e++ {
-		asg := d.At(e)
-		if asg == nil {
-			break
-		}
-		key, rec := placement.EpochKey(e), placement.EncodeAssignment(asg)
-		for _, p := range cfg.Participants {
-			eng, ok := p.(*engine.Engine)
-			if !ok {
-				continue
-			}
-			if _, have := eng.Get(key); !have {
-				eng.Put(key, rec)
-			}
-		}
-	}
 }
 
 // Submit registers one transaction and starts it on the backend. The
@@ -536,11 +465,6 @@ func (c *Cluster) Submit(t Txn) (*TxnResult, error) {
 		Participants: participants,
 		Epoch:        epoch,
 		Sites:        make(map[proto.SiteID]*SiteOutcome, len(participants)),
-		startAt:      t.At,
-		shard:        payloadShard(c.cfg.Directory, t.Payload),
-	}
-	if now := c.backend.Now(); res.startAt < now {
-		res.startAt = now
 	}
 	for _, id := range participants {
 		res.Sites[id] = &SiteOutcome{FinalState: "q"}
@@ -665,7 +589,6 @@ func (c *Cluster) Wait() error {
 	}
 	c.settleMigrations()
 	c.reconcileMigrated()
-	c.recordDecidedAll()
 	return err
 }
 
@@ -774,7 +697,7 @@ type peerSource interface {
 }
 
 // Recoveries returns the durable site recoveries run so far, in execution
-// order — empty unless Config.Recovery is set. Stable after Wait.
+// order. Stable after Wait.
 func (c *Cluster) Recoveries() []RecoveryReport { return c.backend.Recoveries() }
 
 // Results returns every submitted transaction's result in submission

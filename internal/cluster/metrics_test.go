@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"termproto/internal/core"
@@ -16,6 +17,35 @@ func metricsRun(t *testing.T, backend Backend) obs.Snapshot {
 	t.Helper()
 	c, _ := runBatch(t, backend, parityBatch())
 	return c.Metrics()
+}
+
+// decisions counts the (site, decision) pairs among results whose
+// outcome is one of want — what the sites' decided histograms observe.
+func decisions(rs []*TxnResult, want ...proto.Outcome) int64 {
+	var n int64
+	for _, r := range rs {
+		for _, s := range r.Sites {
+			if slices.Contains(want, s.Outcome) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// checkDecidedLatency asserts the decided-phase round latency is one
+// quantity on every backend: thousandths of T since the site learned of
+// the transaction, nonzero at the median and within the protocol's few
+// rounds at p99.
+func checkDecidedLatency(t *testing.T, backend string, snap obs.Snapshot) {
+	t.Helper()
+	decided := obs.L("phase", "decided")
+	if p50 := snap.Quantile(obs.MRoundLatency, 0.5, decided); p50 <= 0 {
+		t.Errorf("%s: decided p50 = %.0f, want > 0", backend, p50)
+	}
+	if p99 := snap.Quantile(obs.MRoundLatency, 0.99, decided); p99 > 6000 {
+		t.Errorf("%s: decided p99 = %.0f thousandths of T, want <= 6T", backend, p99)
+	}
 }
 
 // TestMetricsNamesParitySimLive: the family-name set of Cluster.Metrics()
@@ -65,6 +95,8 @@ func TestNetMetricsParity(t *testing.T) {
 	if !reflect.DeepEqual(simSnap.Names(), netSnap.Names()) {
 		t.Fatalf("family names diverge:\nsim: %v\nnet: %v", simSnap.Names(), netSnap.Names())
 	}
+	checkDecidedLatency(t, "sim", simSnap)
+	checkDecidedLatency(t, "net", netSnap)
 	// 3 commits at each of 3 daemon replicas; the aborted txn counts only
 	// at the 2 replicas that executed it (the scripted no-voter never
 	// reaches its engine).
@@ -74,8 +106,8 @@ func TestNetMetricsParity(t *testing.T) {
 	if got := netSnap.Total(obs.MAborts); got != 2 {
 		t.Errorf("aborts total = %d, want 2", got)
 	}
-	// Every replica observes its own decided edge (plus the cluster-level
-	// record), and a yes-voting replica its prepared edge.
+	// Every replica observes its own decided edge, and a yes-voting
+	// replica its prepared edge.
 	if got := netSnap.Value(obs.MRoundLatency, obs.L("phase", "decided")); got < 4 {
 		t.Errorf("decided round-latency count = %d, want >= 4", got)
 	}
@@ -105,21 +137,23 @@ func TestNetMetricsParity(t *testing.T) {
 }
 
 // TestMetricsRecordOnce: repeated Metrics() calls must not re-observe
-// settled transactions — the histograms are per-TID, not per-snapshot.
+// settled transactions — each site observes each decision once, when it
+// decides, not per snapshot.
 func TestMetricsRecordOnce(t *testing.T) {
-	c, _ := runBatch(t, NewSimBackend(SimOptions{Seed: 11}), parityBatch())
+	c, rs := runBatch(t, NewSimBackend(SimOptions{Seed: 11}), parityBatch())
 	first := c.Metrics().Value(obs.MRoundLatency, obs.L("phase", "decided"))
 	second := c.Metrics().Value(obs.MRoundLatency, obs.L("phase", "decided"))
 	if first != second {
 		t.Fatalf("decided count grew across snapshots: %d then %d", first, second)
 	}
-	if first != 4 {
-		t.Fatalf("decided count = %d, want 4", first)
+	if want := decisions(rs, proto.Commit, proto.Abort); first != want {
+		t.Fatalf("decided count = %d, want one per (site, decision) = %d", first, want)
 	}
 }
 
 // TestMetricsAbortNotInCommitLatency: the per-shard commit-latency
-// histogram is commits-only; the scripted abort must not appear.
+// histogram is commits-only; the scripted abort's decisions must not
+// appear.
 func TestMetricsAbortNotInCommitLatency(t *testing.T) {
 	c, rs := runBatch(t, NewSimBackend(SimOptions{Seed: 11}), parityBatch())
 	aborts := 0
@@ -134,7 +168,8 @@ func TestMetricsAbortNotInCommitLatency(t *testing.T) {
 	snap := c.Metrics()
 	decided := snap.Value(obs.MRoundLatency, obs.L("phase", "decided"))
 	commits := snap.Total(obs.MShardCommitLatency)
-	if commits != decided-int64(aborts) {
-		t.Fatalf("commit-latency count %d, decided %d, aborts %d", commits, decided, aborts)
+	abortDecisions := decisions(rs, proto.Abort)
+	if commits != decided-abortDecisions || commits != decisions(rs, proto.Commit) {
+		t.Fatalf("commit-latency count %d, decided %d, abort decisions %d", commits, decided, abortDecisions)
 	}
 }

@@ -49,7 +49,7 @@ type NetOptions struct {
 // must still be at epoch 0. Durable recovery is always on — a
 // restarted daemon replays its WAL, resolves in-doubt transactions with
 // real MsgInquire traffic and pulls missed commits before turning
-// healthy — so Open sets Config.Recovery. The daemons are launched with
+// healthy. The daemons are launched with
 // Config.Protocol's name: the name, not the Protocol value, crosses the
 // process boundary, and every registry name is its protocol's Name().
 type NetBackend struct {
@@ -71,13 +71,6 @@ func NewNetBackend(opts NetOptions) *NetBackend {
 
 // Workdir returns the localnet root holding every node's WAL and log.
 func (b *NetBackend) Workdir() string { return b.dir }
-
-// Open implements Backend; a restart being a durable recovery, Wait covers
-// recoveries and heals.
-func (b *NetBackend) Open(cfg Config) error {
-	cfg.Recovery = true
-	return b.wallDriver.Open(cfg)
-}
 
 // errNoMembership rejects membership events: Config.migrate copies shard
 // contents between in-process Participants, and daemons have no copy path
@@ -241,11 +234,10 @@ func (b *NetBackend) stats() NetStats {
 	return st
 }
 
-// MetricsSnapshots implements the cluster's metricsProvider hook:
-// every live daemon's registry snapshot, read through GET /metricsjson.
-// Cluster.Metrics merges them into its own registry's snapshot, so the
-// per-shard engine counters and wire counters recorded inside the
-// processes survive the process boundary.
+// MetricsSnapshots implements Backend: every live daemon's registry
+// snapshot, read through GET /metricsjson, so what the processes recorded
+// survives the process boundary. A killed process takes its metrics with
+// it.
 func (b *NetBackend) MetricsSnapshots() []obs.Snapshot {
 	var out []obs.Snapshot
 	b.eachAlive(func(_ proto.SiteID, c *netnode.Client) {

@@ -23,9 +23,9 @@ func netBackend(t *testing.T) *NetBackend {
 	})
 }
 
-// put is a one-key write of "v". A daemon's engine refuses an empty
-// payload — its master votes no — so every transaction a test sends to
-// real processes carries one.
+// put is a one-key write of "v". A payload-less transaction votes yes at
+// an engine site without touching the engine, so a test that means to
+// exercise the daemons' engines sends one of these.
 func put(key string) []byte {
 	return engine.EncodeOps([]engine.Op{{Kind: engine.OpPut, Key: key, Value: []byte("v")}})
 }

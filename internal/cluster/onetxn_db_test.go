@@ -45,6 +45,33 @@ func TestDBCommitAppliesEverywhere(t *testing.T) {
 	}
 }
 
+// A payload-less transaction has no database ops: an engine site votes
+// yes without executing anything, on the simulator as on the daemons, so
+// it commits everywhere. Each engine still logs the decision, which a
+// recovery inquiry is answered from.
+func TestDBEmptyPayloadVotesYes(t *testing.T) {
+	parts := engines(3, 100)
+	r, _ := cluster.RunOne(cluster.Config{Sites: 3, Protocol: core.Protocol{}, Participants: parts},
+		cluster.SimOptions{}, cluster.Txn{})
+	for id, s := range r.Sites {
+		if s.Outcome != proto.Commit {
+			t.Fatalf("site %d outcome = %v, want commit", id, s.Outcome)
+		}
+	}
+	for id, p := range parts {
+		e := p.(*engine.Engine)
+		if yes, no, commits, aborts := e.Stats(); yes+no+commits+aborts != 0 {
+			t.Fatalf("site %d engine touched: votes %d/%d, decisions %d/%d", id, yes, no, commits, aborts)
+		}
+		if o, ok := e.Outcome(uint64(r.TID)); !ok || o != proto.Commit {
+			t.Fatalf("site %d durable outcome = %v (%v), want commit", id, o, ok)
+		}
+		if got := e.GetInt("acct"); got != 100 {
+			t.Fatalf("site %d acct = %d, want untouched 100", id, got)
+		}
+	}
+}
+
 func TestDBGuardVoteNoAbortsEverywhere(t *testing.T) {
 	parts := engines(3, 10)
 	// Make site 3 unable to cover the debit: its vote no must abort all.

@@ -59,7 +59,6 @@ func recoveryScenario(t *testing.T, masterCut bool) {
 		Protocol:     core.Protocol{TransientFix: true},
 		Participants: parts,
 		Schedule:     sched,
-		Recovery:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +163,6 @@ func TestSimHealRetryResolvesUnresolved(t *testing.T) {
 			RecoverAt(12_500, 5),
 			HealAt(20_000),
 		},
-		Recovery: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +221,6 @@ func TestSimRecoveryShardedCatchUp(t *testing.T) {
 			CrashAt(2500, 6),
 			RecoverAt(40_000, 6),
 		},
-		Recovery: true,
 	})
 	if err != nil {
 		t.Fatal(err)

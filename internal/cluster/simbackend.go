@@ -2,8 +2,9 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
+	"time"
 
+	"termproto/internal/obs"
 	"termproto/internal/proto"
 	"termproto/internal/recovery"
 	"termproto/internal/sim"
@@ -37,7 +38,7 @@ type SimOptions struct {
 // SimBackend multiplexes any number of concurrent transactions over one
 // deterministic discrete-event timeline: a single scheduler and a single
 // partitionable network shared by all transactions, and per site one
-// site.Table — the dispatch a daemon's loop steps — stepped by the
+// site.Node — the assembly a daemon's loop steps — stepped by the
 // scheduler. Runs are pure functions of (config, submissions, schedule,
 // seed).
 type SimBackend struct {
@@ -49,20 +50,23 @@ type SimBackend struct {
 	// site is what every incarnation of every site shares: the clock, the
 	// network, the trace sink and the decision hook.
 	site site.Site
-	// tables holds each site's running incarnation; a crash retires it.
-	tables map[proto.SiteID]*site.Table
+	// nodes holds each site's running incarnation; a crash retires it.
+	nodes map[proto.SiteID]*site.Node
+	// regs holds each site's metrics registry, shared by its incarnations.
+	regs map[proto.SiteID]*obs.Registry
+	// engines reports whether any site's participant is a storage engine:
+	// only then can a heal edge find anything in doubt.
+	engines bool
 	// spawned counts the automata of incarnations already retired.
 	spawned map[proto.SiteID]int
 	// pending holds the transactions started since the last Wait: their
-	// results are copied out of the tables by a crash or by that Wait.
+	// results are copied out of the nodes by a crash or by that Wait.
 	pending map[proto.TxnID]pendingTxn
 	// openPartition is the schedule's unhealed partition, if any, so an
 	// injected EvHeal can close it.
 	openPartition *simnet.Partition
-	// recoveries records the durable recoveries run (Config.Recovery).
+	// recoveries records the durable recoveries run.
 	recoveries []RecoveryReport
-	// unresolved is what recoveries could not resolve, for the heal edges.
-	unresolved unresolved
 }
 
 // NewSimBackend returns a deterministic simulator backend.
@@ -72,7 +76,8 @@ func NewSimBackend(opts SimOptions) *SimBackend {
 	}
 	return &SimBackend{
 		opts:    opts,
-		tables:  make(map[proto.SiteID]*site.Table),
+		nodes:   make(map[proto.SiteID]*site.Node),
+		regs:    make(map[proto.SiteID]*obs.Registry),
 		spawned: make(map[proto.SiteID]int),
 		pending: make(map[proto.TxnID]pendingTxn),
 	}
@@ -89,9 +94,9 @@ type pendingTxn struct {
 // only a transaction's participants spawn automata, so these counters
 // expose the placement decisions.
 func (b *SimBackend) AutomataSpawned() map[proto.SiteID]int {
-	out := make(map[proto.SiteID]int, len(b.tables))
-	for id, t := range b.tables {
-		out[id] = b.spawned[id] + len(t.Txns())
+	out := make(map[proto.SiteID]int, len(b.nodes))
+	for id, n := range b.nodes {
+		out[id] = b.spawned[id] + len(n.Txns())
 	}
 	return out
 }
@@ -130,7 +135,10 @@ func (b *SimBackend) Open(cfg Config) error {
 		b.site.Trace = b.rec.Append
 	}
 	for _, id := range allSites(cfg.Sites) {
-		b.tables[id] = b.newTable(id)
+		b.regs[id] = obs.New()
+		b.nodes[id] = b.newNode(id)
+		b.nodes[id].InstallPlacement()
+		b.engines = b.engines || b.nodes[id].Engine() != nil
 		b.net.Register(id, running{b, id})
 	}
 	for _, ev := range rest {
@@ -167,10 +175,12 @@ func (b *SimBackend) scheduleMembership(ev Event) {
 	b.sched.At(at, sim.PriControl, func() { b.cfg.migrate(ev) })
 }
 
-// scheduleHealRetry re-runs the inquiry round at a heal edge for every
-// site holding unresolved in-doubt transactions (Config.Recovery only).
+// scheduleHealRetry re-runs the inquiry round at a heal edge at every site
+// that is up, in ascending order, and reports each pass that resolved
+// something. Without engines nothing can be in doubt, and no event is
+// scheduled.
 func (b *SimBackend) scheduleHealRetry(at sim.Time) {
-	if !b.cfg.Recovery {
+	if !b.engines {
 		return
 	}
 	if at < b.sched.Now() {
@@ -178,45 +188,51 @@ func (b *SimBackend) scheduleHealRetry(at sim.Time) {
 	}
 	b.sched.At(at, sim.PriControl, func() {
 		now := b.sched.Now()
-		// Ascending, for determinism; a crashed site sits the round out.
-		up := slices.DeleteFunc(allSites(b.cfg.Sites), func(id proto.SiteID) bool { return b.net.Crashed(id, now) })
-		b.recoveries = append(b.recoveries, b.unresolved.retry(b.cfg, up, now, b.Peers)...)
+		for _, id := range allSites(b.cfg.Sites) {
+			if b.net.Crashed(id, now) {
+				continue // a crashed site sits the round out
+			}
+			start := time.Now()
+			if st, ran := b.nodes[id].RetryInDoubt(); ran && st.ResolvedCommit+st.ResolvedAbort > 0 {
+				b.recoveries = append(b.recoveries, RecoveryReport{Site: id, At: now, Wall: time.Since(start), Stats: st, Retry: true})
+			}
+		}
 	})
 }
 
 // scheduleRecover restores the site's network liveness at time at and,
-// under Config.Recovery, schedules the durable recovery to run at the
-// same tick: the restart replays the site's log, resolves its in-doubt
-// transactions by inquiry against the peers reachable at that moment,
-// and catches up missed commits. PriControl orders it after the
-// partition/liveness edges of the tick.
+// for a site with an engine, runs its recovery at the same tick: the
+// restart replays the site's log, resolves its in-doubt transactions by
+// inquiry against the peers reachable at that moment, and catches up
+// missed commits. PriControl orders it after the partition/liveness
+// edges of the tick.
 func (b *SimBackend) scheduleRecover(id proto.SiteID, at sim.Time) {
 	b.net.RecoverAt(id, at)
-	if !b.cfg.Recovery {
+	if b.nodes[id].Engine() == nil {
 		return
 	}
 	if at < b.sched.Now() {
 		at = b.sched.Now()
 	}
 	b.sched.At(at, sim.PriControl, func() {
-		if rep, ok := b.unresolved.recover(b.cfg, id, b.sched.Now(), b.Peers(id)); ok {
-			b.recoveries = append(b.recoveries, rep)
-		}
+		start := time.Now()
+		st, err := b.nodes[id].Recover()
+		b.recoveries = append(b.recoveries, RecoveryReport{Site: id, At: b.sched.Now(), Wall: time.Since(start), Stats: st, Err: err})
 	})
 }
 
 // running is how the network reaches a site: through whichever
-// incarnation of its table is running.
+// incarnation of it is running.
 type running struct {
 	b  *SimBackend
 	id proto.SiteID
 }
 
 // Deliver implements simnet.Handler.
-func (r running) Deliver(m proto.Msg) { r.b.tables[r.id].Deliver(m) }
+func (r running) Deliver(m proto.Msg) { r.b.nodes[r.id].Deliver(m) }
 
 // Undeliverable implements simnet.Handler.
-func (r running) Undeliverable(m proto.Msg) { r.b.tables[r.id].Undeliverable(m) }
+func (r running) Undeliverable(m proto.Msg) { r.b.nodes[r.id].Undeliverable(m) }
 
 // Peers implements peerSource.
 func (b *SimBackend) Peers(self proto.SiteID) recovery.PeerClient {
@@ -264,11 +280,11 @@ func (p simPeers) Snapshot(peer proto.SiteID) (map[string][]byte, map[string]boo
 	return snap, unstable, true
 }
 
-// newTable builds one incarnation of a site on the scheduler's clock.
-func (b *SimBackend) newTable(id proto.SiteID) *site.Table {
+// newNode builds one incarnation of a site on the scheduler's clock.
+func (b *SimBackend) newNode(id proto.SiteID) *site.Node {
 	s := b.site
 	s.ID, s.Participant = id, b.cfg.Participants[id]
-	return site.NewTable(s, b.cfg.Protocol)
+	return site.NewNode(s, b.cfg.Protocol, allSites(b.cfg.Sites), b.cfg.Directory, b.regs[id], b.Peers(id))
 }
 
 func (b *SimBackend) scheduleCrash(id proto.SiteID, at sim.Time) {
@@ -281,11 +297,12 @@ func (b *SimBackend) scheduleCrash(id proto.SiteID, at sim.Time) {
 
 // crash fails the site, as a loop close does: its incarnation is retired —
 // the network already drops what is addressed to a down site, and closing
-// the table silences its timers — and a fresh one waits for the recovery.
+// the node silences its timers — and a fresh one over the same participant
+// waits for the recovery.
 // Every started transaction the site was invited to settles as crashed in
 // the state the site's automaton died in (or never learned of it).
 func (b *SimBackend) crash(id proto.SiteID) {
-	old := b.tables[id]
+	old := b.nodes[id]
 	old.Close()
 	b.spawned[id] += len(old.Txns())
 	for tid, p := range b.pending {
@@ -294,12 +311,13 @@ func (b *SimBackend) crash(id proto.SiteID) {
 			out.Crashed = true
 		}
 	}
-	b.tables[id] = b.newTable(id)
+	b.nodes[id] = b.newNode(id)
 }
 
-// copyView copies a site's view of a transaction into its result slot.
-func copyView(out *SiteOutcome, t *site.Table, tid proto.TxnID) {
-	if st, ok := t.Txn(tid); ok {
+// copyView copies an incarnation's view of a transaction into its result
+// slot.
+func copyView(out *SiteOutcome, n *site.Node, tid proto.TxnID) {
+	if st, ok := n.Table.Txn(tid); ok {
 		out.Started, out.FinalState, out.Outcome, out.DecidedAt = true, st.State, st.Outcome, st.DecidedAt
 	}
 }
@@ -326,7 +344,7 @@ func (b *SimBackend) startTxn(t Txn, res *TxnResult) {
 	}
 	if ok {
 		b.pending[t.ID] = pendingTxn{res: res, onDecided: t.onDecided}
-		b.tables[t.Master].Submit(spec)
+		b.nodes[t.Master].Submit(spec)
 	}
 }
 
@@ -369,7 +387,7 @@ func (b *SimBackend) onDecide(cfg proto.Config, o proto.Outcome, _ sim.Time) {
 
 // Wait implements Backend: it drives the scheduler to quiescence — every
 // message delivered or bounced, every timer fired or cancelled — and then
-// copies every started transaction's view out of the site tables.
+// copies every started transaction's view out of the site nodes.
 // Quiescence with an undecided automaton is the definition of blocking.
 func (b *SimBackend) Wait() error {
 	if b.sched == nil {
@@ -379,7 +397,7 @@ func (b *SimBackend) Wait() error {
 	for tid, p := range b.pending {
 		for id, out := range p.res.Sites {
 			if !out.Crashed {
-				copyView(out, b.tables[id], tid)
+				copyView(out, b.nodes[id], tid)
 			}
 		}
 	}
@@ -447,6 +465,16 @@ func (b *SimBackend) Now() sim.Time {
 		return 0
 	}
 	return b.sched.Now()
+}
+
+// MetricsSnapshots implements Backend: one snapshot per site registry,
+// each covering every incarnation of the site.
+func (b *SimBackend) MetricsSnapshots() []obs.Snapshot {
+	out := make([]obs.Snapshot, 0, len(b.regs))
+	for _, id := range allSites(len(b.regs)) {
+		out = append(out, b.regs[id].Snapshot())
+	}
+	return out
 }
 
 // NetStats implements Backend.

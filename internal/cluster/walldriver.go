@@ -83,9 +83,9 @@ type wallDriver struct {
 	recoveries []RecoveryReport
 	finalStats NetStats // counters frozen at Close
 	// pending counts what Wait must not outrun: delayed submissions, and
-	// of the scheduled events EvRecover and EvHeal under Config.Recovery
-	// (the durable recovery, the retry pass) — matching the sim backend,
-	// whose Wait runs the schedule to quiescence.
+	// of the scheduled events EvRecover and EvHeal (the durable recovery,
+	// the retry pass) — matching the sim backend, whose Wait runs the
+	// schedule to quiescence.
 	pending sync.WaitGroup
 }
 
@@ -173,8 +173,7 @@ func (d *wallDriver) Open(cfg Config) error {
 // immediately if that is already past). Heals matter to Wait only for the
 // retry pass they trigger.
 func (d *wallDriver) Inject(ev Event) error {
-	tracked := (ev.Kind == EvRecover || ev.Kind == EvHeal) && d.cfg.Recovery
-	d.at(ev.At, tracked, func() { d.apply(ev) })
+	d.at(ev.At, ev.Kind == EvRecover || ev.Kind == EvHeal, func() { d.apply(ev) })
 	return nil
 }
 

@@ -92,9 +92,8 @@ func (n *Node) handleStats(w http.ResponseWriter, _ *http.Request) {
 	blocked := n.tr.BlockedList()
 	slices.Sort(blocked)
 	ws := n.eng.WALStats()
-	epoch, _ := n.PlacementEpoch()
 	st := StatsDTO{
-		ID: int(n.opts.ID), T: n.opts.T.String(), Epoch: uint64(epoch),
+		ID: int(n.opts.ID), T: n.opts.T.String(),
 		VoteYes: yes, VoteNo: no, Commits: commits, Aborts: aborts,
 		Sent: sent, Delivered: delivered, Bounced: bounced, Dropped: dropped,
 		Keys:       n.eng.Len(),
@@ -107,7 +106,7 @@ func (n *Node) handleStats(w http.ResponseWriter, _ *http.Request) {
 	for _, id := range blocked {
 		st.Blocked = append(st.Blocked, int(id))
 	}
-	st.Txns = len(n.loop.Txns())
+	st.Txns = len(n.site.Txns())
 	writeJSON(w, st)
 }
 
@@ -139,11 +138,9 @@ func (n *Node) handleTxns(w http.ResponseWriter, _ *http.Request) {
 
 func (n *Node) handleInDoubt(w http.ResponseWriter, _ *http.Request) {
 	dto := InDoubtDTO{InDoubt: n.eng.InDoubt()}
-	n.mu.Lock()
-	for _, d := range n.pending {
+	for _, d := range n.site.Unresolved() {
 		dto.Pending = append(dto.Pending, d.TID)
 	}
-	n.mu.Unlock()
 	writeJSON(w, dto)
 }
 

@@ -27,9 +27,8 @@ type HealthDTO struct {
 }
 
 // StatsDTO is GET /stats: engine counters, transport counters, and the
-// placement epoch the node serves under (0 under full replication or a
-// fresh sharded boot; after a restart it is whatever epoch stack the
-// node's own WAL recovered).
+// placement epoch the node serves under (always 0: placement over daemons
+// is static).
 type StatsDTO struct {
 	ID      int    `json:"id"`
 	T       string `json:"t"`

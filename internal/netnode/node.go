@@ -17,7 +17,6 @@ import (
 	"termproto/internal/placement"
 	"termproto/internal/proto"
 	"termproto/internal/recovery"
-	"termproto/internal/sim"
 	"termproto/internal/site"
 	"termproto/internal/trace"
 )
@@ -78,14 +77,15 @@ type TxnInfo struct {
 	State     string
 }
 
-// Node is one site of the termination protocol as a network process: the
-// shared site loop (site.Loop) over a TCP transport, plus what is the
-// daemon's own — a WAL-backed storage engine, startup recovery and
-// placement, the metrics registry, the trace export. cmd/termnode wraps it
-// in a daemon; tests can run several in one process over real sockets.
+// Node is one site of the termination protocol as a network process: a
+// site.Node stepped by a site.Loop over a TCP transport, plus what is the
+// daemon's own — the WAL file, the admin API, the trace export.
+// cmd/termnode wraps it in a daemon; tests can run several in one process
+// over real sockets.
 type Node struct {
 	opts Options
 	eng  *engine.Engine
+	site *site.Node
 	loop *site.Loop
 	tr   *transport
 	file *wal.FileStore // non-nil when we opened WALPath ourselves
@@ -93,30 +93,19 @@ type Node struct {
 	wg   sync.WaitGroup
 
 	mu       sync.Mutex
-	pending  []engine.InDoubt // in-doubt txns recovery left unresolved
-	recStats *recovery.Stats  // startup recovery result
+	recStats *recovery.Stats // startup recovery result
 	recErr   error
 	api      *http.Server
 	closed   bool
 	// wires are the connections handleWire hijacked from the API server,
 	// which no longer closes them; their handlers are counted in wg.
 	wires map[net.Conn]struct{}
-	// epoch and asg are the placement state the node serves under,
-	// resolved at startup: the WAL's epoch stack when one survives,
-	// else the configured epoch-0 assignment.
-	epoch placement.Epoch
-	asg   *placement.Assignment
 
 	ready atomic.Bool
 
 	// reg is the node's metrics registry, seeded with the full catalog at
-	// Start so the daemon's /metrics family set matches the in-process
-	// backends'. obsPrepared/obsDecided are the protocol round latency
-	// histograms (ticks = µs on this backend), resolved once.
-	reg            *obs.Registry
-	obsPrepared    *obs.Histogram
-	obsDecided     *obs.Histogram
-	obsShardCommit *obs.HistogramVec
+	// Start so the daemon's /metrics family set matches the simulator's.
+	reg *obs.Registry
 	// rec records protocol-visible events for Options.TraceOut (nil when
 	// tracing is off). Wire-level events arrive from the link's timer and
 	// connection goroutines, state events from the loop goroutine, so
@@ -146,12 +135,12 @@ func NewNode(opts Options) *Node {
 	return &Node{opts: opts}
 }
 
-// Start opens the engine over its log, brings the transport and event
-// loop up, and runs recovery: replay the surviving WAL, resolve in-doubt
-// transactions with real MsgInquire traffic, and pull missed commits from
-// a reachable peer's snapshot. The node reports ready only after
-// recovery, so a harness waiting on /health observes a fully recovered
-// site.
+// Start opens the engine over its log, assembles the site over it, brings
+// the transport and event loop up, and runs recovery: replay the surviving
+// WAL, resolve in-doubt transactions with real MsgInquire traffic, and
+// pull missed commits from a reachable peer's snapshot. The node reports
+// ready only after recovery and the placement install, so a harness
+// waiting on /health observes a fully recovered site.
 func (n *Node) Start() error {
 	if n.opts.Protocol == nil {
 		return fmt.Errorf("netnode: nil protocol")
@@ -164,12 +153,6 @@ func (n *Node) Start() error {
 	}
 	n.reg = obs.New()
 	obs.RegisterBase(n.reg)
-	pname := n.opts.Protocol.Name()
-	n.obsPrepared = n.reg.Histogram(obs.MRoundLatency,
-		obs.L("protocol", pname), obs.L("phase", "prepared"))
-	n.obsDecided = n.reg.Histogram(obs.MRoundLatency,
-		obs.L("protocol", pname), obs.L("phase", "decided"))
-	n.obsShardCommit = n.reg.NewHistogramVec(obs.MShardCommitLatency, "shard")
 	if n.opts.TraceOut != "" {
 		n.rec = &trace.Recorder{}
 	}
@@ -186,23 +169,14 @@ func (n *Node) Start() error {
 		store = fs
 	}
 	n.eng = engine.New(fmt.Sprintf("site-%d", n.opts.ID), store)
-	var shardOf func(key string) int
-	if asg := n.opts.Placement; asg != nil {
-		shardOf = asg.ShardOf
+	var dir *placement.Directory
+	if n.opts.Placement != nil {
+		dir = placement.NewDirectory(n.opts.Placement)
 	}
-	n.eng.SetMetrics(n.reg, shardOf)
-	if asg := n.opts.Placement; asg != nil {
-		// The hosts predicate must be in place before recovery: replay
-		// and catch-up consult it to keep this site's state scoped to
-		// the shards it replicates.
-		self := n.opts.ID
-		n.eng.SetPlacement(func(key string) bool { return asg.Hosts(self, key) })
-	}
-
-	n.loop = site.NewLoop(site.Options{
-		ID: n.opts.ID, Protocol: n.opts.Protocol, T: n.opts.T,
-		Participant: participant{n.eng, n}, Trace: n.protocolEvent, OnDecide: n.onDecide,
-	})
+	n.loop = site.NewLoop(site.Options{ID: n.opts.ID, T: n.opts.T})
+	s := n.loop.Site()
+	s.Participant, s.Trace = n.eng, n.protocolEvent
+	n.site = site.NewNode(s, n.opts.Protocol, slices.Sorted(maps.Keys(n.opts.Peers)), dir, n.reg, netPeers{n: n})
 	n.tr = newTransport(n.opts.ID, n.opts.T, n.opts.Seed, n.opts.Peers, n.loop.Deliver, n.opts.Logf)
 	if n.rec != nil {
 		n.tr.Trace = n.trace
@@ -214,59 +188,26 @@ func (n *Node) Start() error {
 		return err
 	}
 	n.addr = addr
-	n.loop.Start(n.tr)
+	n.loop.Start(n.site, n.tr)
 
-	st, err := recovery.Run(n.recoveryConfig())
+	st, err := n.site.Recover()
 	n.mu.Lock()
 	n.recStats, n.recErr = &st, err
-	n.pending = st.Pending
 	n.mu.Unlock()
 	if err != nil {
 		n.opts.Logf("recovery failed: %v", err)
 	} else if st.Replayed+st.InDoubt+st.CaughtUpKeys > 0 {
 		n.opts.Logf("recovered: %s", st)
 	}
-	n.installPlacement()
+	if asg := n.opts.Placement; asg != nil {
+		how := "recovered from WAL"
+		if n.site.InstallPlacement() > 0 {
+			how = "installed from configuration"
+		}
+		n.opts.Logf("placement: epoch 0 %s (%d shards, rf=%d)", how, asg.Shards(), asg.ReplicationFactor())
+	}
 	n.ready.Store(true)
 	return nil
-}
-
-// installPlacement resolves the node's placement state after recovery.
-// The WAL is authoritative: an epoch stack recovered from the replayed
-// log wins over the configured assignment (they agree under the static
-// provisioning the net path supports, but the log is what a restarted
-// node actually owns). A fresh boot with a configured assignment writes
-// the epoch-0 directory record durably, so the next incarnation
-// recovers it from the log alone.
-func (n *Node) installPlacement() {
-	snap, _ := n.eng.StableSnapshot()
-	if stack, err := placement.StackFromSnapshot(snap); err != nil {
-		n.opts.Logf("placement: corrupt epoch stack in WAL: %v", err)
-	} else if len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		n.mu.Lock()
-		n.epoch, n.asg = placement.Epoch(len(stack)-1), cur
-		n.mu.Unlock()
-		n.opts.Logf("placement: epoch %d recovered from WAL (%d shards, rf=%d)",
-			len(stack)-1, cur.Shards(), cur.ReplicationFactor())
-		return
-	}
-	if asg := n.opts.Placement; asg != nil {
-		n.eng.Put(placement.EpochKey(0), placement.EncodeAssignment(asg))
-		n.mu.Lock()
-		n.epoch, n.asg = 0, asg
-		n.mu.Unlock()
-		n.opts.Logf("placement: epoch 0 installed from configuration (%d shards, rf=%d)",
-			asg.Shards(), asg.ReplicationFactor())
-	}
-}
-
-// PlacementEpoch returns the placement epoch the node serves under and
-// whether it has one (false for full replication).
-func (n *Node) PlacementEpoch() (placement.Epoch, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.epoch, n.asg != nil
 }
 
 // Addr returns the bound protocol address.
@@ -278,35 +219,9 @@ func (n *Node) Engine() *engine.Engine { return n.eng }
 // Ready reports whether startup (including recovery) has finished.
 func (n *Node) Ready() bool { return n.ready.Load() }
 
-// recoveryConfig is this site's recovery.Plan over the configured peer
-// roster and placement. Catch-up pulls snapshots through the peers' admin
-// APIs, so a node that was given none skips it.
-func (n *Node) recoveryConfig() recovery.Config {
-	all := slices.Sorted(maps.Keys(n.opts.Peers))
-	cfg := recovery.Plan(n.opts.ID, n.eng, netPeers{n: n}, all, n.opts.Placement)
-	if len(n.opts.APIPeers) == 0 {
-		cfg.CatchUp = nil
-	}
-	return cfg
-}
-
 // RetryInDoubt re-runs the inquiry round for transactions recovery left
-// unresolved — the heal edge: the partition that hid every decided
-// participant has lifted. Reports whether anything was still pending
-// before the pass.
-func (n *Node) RetryInDoubt() (recovery.Stats, bool) {
-	n.mu.Lock()
-	pend := n.pending
-	n.mu.Unlock()
-	if len(pend) == 0 {
-		return recovery.Stats{}, false
-	}
-	st := recovery.Retry(n.recoveryConfig(), pend)
-	n.mu.Lock()
-	n.pending = st.Pending
-	n.mu.Unlock()
-	return st, true
-}
+// unresolved (site.Node.RetryInDoubt): the heal edge.
+func (n *Node) RetryInDoubt() (recovery.Stats, bool) { return n.site.RetryInDoubt() }
 
 // RecoveryResult returns the startup recovery outcome (nil stats before
 // Start finishes).
@@ -352,13 +267,13 @@ func (n *Node) Counters() (sent, delivered, bounced, dropped uint64) {
 	return n.tr.Counters()
 }
 
-// txnInfo renders the loop's view of a transaction it hosts.
-func txnInfo(st site.Status) TxnInfo {
+// txnInfo renders the site's view of a transaction.
+func txnInfo(st site.Status, started bool) TxnInfo {
 	info := TxnInfo{
 		TID: st.TID, Master: st.Master, Sites: st.Sites,
-		Outcome: st.Outcome, Started: true, State: st.State,
+		Outcome: st.Outcome, Started: started, State: st.State,
 	}
-	if st.Outcome != proto.None {
+	if st.DecidedAt != 0 {
 		info.DecidedAt = time.UnixMicro(int64(st.DecidedAt))
 	}
 	return info
@@ -367,29 +282,14 @@ func txnInfo(st site.Status) TxnInfo {
 // Txn returns one transaction's bookkeeping. Transactions this process
 // never hosted live (decided before a restart, or still in doubt from the
 // log) are answered from durable state.
-func (n *Node) Txn(tid proto.TxnID) TxnInfo {
-	if st, ok := n.loop.Txn(tid); ok {
-		return txnInfo(st)
-	}
-	info := TxnInfo{TID: tid, State: "q"}
-	if o, ok := n.eng.Outcome(uint64(tid)); ok && o != proto.None {
-		info.Outcome = o
-		info.Started = true
-	}
-	for _, d := range n.eng.InDoubt() {
-		if d == uint64(tid) {
-			info.Started = true // prepared in the log: it participated
-		}
-	}
-	return info
-}
+func (n *Node) Txn(tid proto.TxnID) TxnInfo { return txnInfo(n.site.Txn(tid)) }
 
 // Txns returns every live transaction's bookkeeping in TID order.
 func (n *Node) Txns() []TxnInfo {
-	sts := n.loop.Txns()
+	sts := n.site.Txns()
 	out := make([]TxnInfo, len(sts))
 	for i, st := range sts {
-		out[i] = txnInfo(st)
+		out[i] = txnInfo(st, true)
 	}
 	return out
 }
@@ -444,44 +344,6 @@ func (n *Node) protocolEvent(ev trace.Event) {
 	}
 }
 
-// participant is the engine as the site loop sees it: a site.stager. A
-// payload-less transaction has no database ops and votes yes without
-// touching the engine; every yes vote is observed where it becomes durable
-// (a slave's right after its StageAt, a master's once its xacts are out) —
-// the submit→voted edge of the phase="prepared" round histogram.
-type participant struct {
-	*engine.Engine
-	n *Node
-}
-
-func (p participant) StageAt(tid proto.TxnID, payload []byte, sites []proto.SiteID) bool {
-	return len(payload) == 0 || p.Engine.StageAt(tid, payload, sites)
-}
-
-func (p participant) Force(tid proto.TxnID) bool {
-	vote := p.Engine.Force(tid) // true when nothing was staged
-	if st, ok := p.n.loop.Txn(tid); ok && vote {
-		p.n.obsPrepared.Observe(int64(p.n.loop.Now() - st.StartedAt))
-	}
-	return vote
-}
-
-// onDecide is the site loop's decision hook: it observes the transaction's
-// latency at this site — since the site first learned of it, in µs — into
-// the phase="decided" round histogram and, for commits, the histogram of
-// the shard its body is attributed to.
-func (n *Node) onDecide(cfg proto.Config, o proto.Outcome, at sim.Time) {
-	st, ok := n.loop.Txn(cfg.TID)
-	if !ok {
-		return
-	}
-	lat := int64(at - st.StartedAt)
-	n.obsDecided.Observe(lat)
-	if o == proto.Commit {
-		n.obsShardCommit.At(payloadShard(n.opts.Placement, cfg.Payload)).Observe(lat)
-	}
-}
-
 // trace appends one event to the recorder under recMu; a no-op when
 // tracing is off. Safe from any goroutine — the transport emits wire
 // events from its timer and connection goroutines.
@@ -492,16 +354,6 @@ func (n *Node) trace(ev trace.Event) {
 	n.recMu.Lock()
 	n.rec.Append(ev)
 	n.recMu.Unlock()
-}
-
-// payloadShard attributes a transaction body to its first data shard — the
-// cluster layer's rule; 0 under full replication or for a body with no
-// data shards.
-func payloadShard(asg *placement.Assignment, payload []byte) int {
-	if shards := asg.DataShards(payload); len(shards) > 0 {
-		return shards[0]
-	}
-	return 0
 }
 
 // MetricsSnapshot returns a point-in-time snapshot of the node's

@@ -12,16 +12,17 @@ package obs
 //	shard    — shard index ("0" under full replication)
 //	site     — site ID
 //	protocol — protocol name (round-latency histograms)
-//	phase    — protocol phase: "prepared" (submit→prepared, recorded
-//	           where the runtime observes the prepare edge) and
-//	           "decided" (submit→decided, recorded on every backend)
+//	phase    — protocol phase: "prepared" (a storage-engine site's yes
+//	           vote became durable) and "decided" (the site decided)
 //	outcome  — "commit" | "abort"
 //	dir      — "sent" | "recv" (wire traffic)
 const (
-	// Round latency per protocol phase, in simulator ticks
-	// (T = 1000 ticks), labels: protocol, phase.
+	// Round latency per protocol phase at each site, in thousandths of T
+	// since the site learned of the transaction, labels: protocol, phase.
+	// (The name's "ticks" are simulator ticks at sim.DefaultT.)
 	MRoundLatency = "termproto_round_latency_ticks"
-	// Commit latency per shard in ticks, label: shard.
+	// Commit latency per shard at each site, in the same unit, label:
+	// shard.
 	MShardCommitLatency = "termproto_shard_commit_latency_ticks"
 	// Engine decisions per shard, labels: shard (site on daemons).
 	MCommits = "termproto_commits_total"
@@ -50,8 +51,8 @@ var catalog = []struct {
 	kind Kind
 	help string
 }{
-	{MRoundLatency, KindHistogram, "Protocol round latency by phase in simulator ticks (T=1000)."},
-	{MShardCommitLatency, KindHistogram, "Commit latency per shard in simulator ticks."},
+	{MRoundLatency, KindHistogram, "Protocol round latency by phase, in thousandths of T since the site learned of the transaction."},
+	{MShardCommitLatency, KindHistogram, "Commit latency per shard, in thousandths of T since the site learned of the transaction."},
 	{MCommits, KindCounter, "Transactions committed by the engine."},
 	{MAborts, KindCounter, "Transactions aborted by the engine."},
 	{MLockFailures, KindCounter, "Lock acquisition failures (write conflicts voted no)."},
@@ -65,7 +66,8 @@ var catalog = []struct {
 
 // RegisterBase pre-registers every catalog family (with help text) so
 // a registry's family-name set is complete before any traffic flows.
-// Cluster.Open and the termnode daemon both call it.
+// A daemon calls it for its registry, and Cluster.Metrics for the
+// snapshot it merges the sites' registries into.
 func RegisterBase(r *Registry) {
 	if r == nil {
 		return
@@ -80,10 +82,6 @@ type DB struct {
 	Commits      *CounterVec
 	Aborts       *CounterVec
 	LockFailures *CounterVec
-	// CommitLatency observes submit→decided per shard; the engine does
-	// not record into it (it has no submit timestamps) but carries it
-	// for runtimes that do (the daemon).
-	CommitLatency *HistogramVec
 }
 
 // NewDB resolves the engine handle bundle against a registry (nil
@@ -93,9 +91,8 @@ func NewDB(r *Registry) *DB {
 		return nil
 	}
 	return &DB{
-		Commits:       r.NewCounterVec(MCommits, "shard"),
-		Aborts:        r.NewCounterVec(MAborts, "shard"),
-		LockFailures:  r.NewCounterVec(MLockFailures, "shard"),
-		CommitLatency: r.NewHistogramVec(MShardCommitLatency, "shard"),
+		Commits:      r.NewCounterVec(MCommits, "shard"),
+		Aborts:       r.NewCounterVec(MAborts, "shard"),
+		LockFailures: r.NewCounterVec(MLockFailures, "shard"),
 	}
 }

@@ -1,13 +1,13 @@
 // Package obs is the cluster's zero-dependency metrics layer: atomic
-// counters, gauges, and fixed-bucket latency histograms behind a
+// counters and fixed-bucket latency histograms behind a
 // registry with a stable name×label scheme. It is the sensor substrate
 // the ROADMAP item-4 placement controller and item-5 consistency
 // checker stand on, and the same registry serves both backends — the
 // deterministic simulator and the termnode daemons — so a dashboard reads
 // one vocabulary regardless of where the cluster runs.
 //
-// The record path is allocation-free: a handle (Counter, Gauge,
-// Histogram) is resolved once at instrumentation-setup time — that
+// The record path is allocation-free: a handle (Counter, Histogram) is
+// resolved once at instrumentation-setup time — that
 // lookup locks and may allocate — and every subsequent Add/Set/Observe
 // is a handful of atomic operations on pre-existing memory. Hot loops
 // (the wire send path, the WAL fsync path, the engine commit path) hold
@@ -18,11 +18,10 @@
 // an index-addressed table so the per-shard hot path stays
 // allocation-free after a shard's first touch.
 //
-// Time-valued histograms record simulator ticks (sim.DefaultT = 1000
-// ticks is one protocol timeout window T); the net backend converts wall
-// time with its usual tick scale, so latency quantiles
-// are comparable across backends. Wall-native measurements (WAL fsync)
-// record microseconds and say so in the metric name.
+// Protocol latencies record thousandths of T (the delay bound), on the
+// simulator's clock and the daemons' alike, so their quantiles are
+// comparable across backends. Wall-native measurements (WAL fsync, link
+// lateness) record microseconds and say so in the metric name.
 package obs
 
 import (
@@ -35,26 +34,21 @@ import (
 	"sync/atomic"
 )
 
-// Kind distinguishes the three metric shapes.
+// Kind distinguishes the two metric shapes.
 type Kind uint8
 
 // Metric kinds.
 const (
 	KindCounter Kind = iota
-	KindGauge
 	KindHistogram
 )
 
 // String returns the Prometheus TYPE keyword for the kind.
 func (k Kind) String() string {
-	switch k {
-	case KindGauge:
-		return "gauge"
-	case KindHistogram:
+	if k == KindHistogram {
 		return "histogram"
-	default:
-		return "counter"
 	}
+	return "counter"
 }
 
 // Label is one name=value pair. Series within a family are keyed by
@@ -97,10 +91,11 @@ func bucketOf(v int64) int {
 	return i
 }
 
-// series is one labeled instance of a metric family. Counter and gauge
-// values live in val; histograms add per-bucket counts and a sum.
+// series is one labeled instance of a metric family. Counter values live
+// in val; histograms add per-bucket counts and a sum.
 type series struct {
 	labels []Label // sorted by key
+	key    string  // labelKey(labels)
 	val    atomic.Int64
 	hist   *histData
 }
@@ -119,29 +114,35 @@ type family struct {
 	kind Kind
 
 	mu     sync.Mutex
-	series map[string]*series // keyed by canonical label string
-	order  []*series          // registration order, re-sorted at snapshot
+	series []*series // registration order, re-sorted at snapshot
 }
 
-// Registry holds metric families. The zero value is not usable; call
-// New. A nil *Registry is a valid no-op target for every handle
-// resolver — it returns nil handles, and nil handles' record methods do
-// nothing — so instrumented code never branches on "is observability
-// on".
+// Registry holds metric families. A nil *Registry is a valid no-op target
+// for every handle resolver — it returns nil handles, and nil handles'
+// record methods do nothing — so instrumented code never branches on "is
+// observability on".
+//
+// Families and series are found by a scan in registration order, not a
+// map: a registry holds a dozen families of a few series each, lookups
+// happen only when a handle is resolved, and the simulator builds one
+// registry per site at every cluster Open — the sweeps open one cluster
+// per transaction.
 type Registry struct {
 	mu       sync.Mutex
-	families map[string]*family
-	order    []*family
+	families []*family
 }
 
-// New returns an empty registry. The map is sized for the base catalog:
-// a registry is built at every cluster Open, and the sim benchmarks
-// (bench_test.go) open one cluster per iteration.
-func New() *Registry {
-	return &Registry{
-		families: make(map[string]*family, 24),
-		order:    make([]*family, 0, 24),
+// New returns an empty registry.
+func New() *Registry { return &Registry{} }
+
+// family returns the named family, or nil. Called with r.mu held.
+func (r *Registry) family(name string) *family {
+	for _, f := range r.families {
+		if f.name == name {
+			return f
+		}
 	}
+	return nil
 }
 
 // seed bulk-registers families that are known absent — one lock
@@ -158,7 +159,7 @@ func (r *Registry) seed(entries []struct {
 	fs := make([]family, len(entries))
 	r.mu.Lock()
 	for i, e := range entries {
-		if _, ok := r.families[e.name]; ok {
+		if r.family(e.name) != nil {
 			r.mu.Unlock()
 			r.Help(e.name, e.kind, e.help)
 			r.mu.Lock()
@@ -166,8 +167,7 @@ func (r *Registry) seed(entries []struct {
 		}
 		f := &fs[i]
 		f.name, f.kind, f.help = e.name, e.kind, e.help
-		r.families[e.name] = f
-		r.order = append(r.order, f)
+		r.families = append(r.families, f)
 	}
 	r.mu.Unlock()
 }
@@ -178,6 +178,11 @@ func labelKey(labels []Label) string {
 		return ""
 	}
 	var b strings.Builder
+	n := 0
+	for _, l := range labels {
+		n += len(l.Key) + len(l.Value) + 2
+	}
+	b.Grow(n)
 	for i, l := range labels {
 		if i > 0 {
 			b.WriteByte(',')
@@ -210,14 +215,10 @@ func sortLabels(labels []Label) []Label {
 func (r *Registry) getFamily(name, help string, kind Kind) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f, ok := r.families[name]
-	if !ok {
-		// The series map is allocated lazily in getSeries: RegisterBase
-		// pre-registers the whole catalog at every cluster Open, and
-		// most families never record on a given backend.
+	f := r.family(name)
+	if f == nil {
 		f = &family{name: name, help: help, kind: kind}
-		r.families[name] = f
-		r.order = append(r.order, f)
+		r.families = append(r.families, f)
 		return f
 	}
 	if f.kind != kind {
@@ -235,31 +236,29 @@ func (f *family) getSeries(labels []Label) *series {
 	key := labelKey(sorted)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s, ok := f.series[key]
-	if !ok {
-		s = &series{labels: sorted}
-		if f.kind == KindHistogram {
-			s.hist = &histData{}
+	for _, s := range f.series {
+		if s.key == key {
+			return s
 		}
-		if f.series == nil {
-			f.series = make(map[string]*series)
-		}
-		f.series[key] = s
-		f.order = append(f.order, s)
 	}
+	s := &series{labels: sorted, key: key}
+	if f.kind == KindHistogram {
+		s.hist = &histData{}
+	}
+	f.series = append(f.series, s)
 	return s
 }
 
 // Counter is a monotonically increasing count. A nil Counter ignores
 // Add — instrumented code threads handles without nil checks.
-type Counter struct{ s *series }
+type Counter series
 
 // Add increments the counter by n.
 func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
 	}
-	c.s.val.Add(int64(n))
+	c.val.Add(int64(n))
 }
 
 // Inc increments the counter by one.
@@ -270,40 +269,13 @@ func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return uint64(c.s.val.Load())
-}
-
-// Gauge is a value that goes up and down. A nil Gauge ignores writes.
-type Gauge struct{ s *series }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.s.val.Store(v)
-}
-
-// Add moves the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.s.val.Add(delta)
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.s.val.Load()
+	return uint64(c.val.Load())
 }
 
 // Histogram is a fixed-bucket distribution of integer-valued
 // observations (latency in ticks or microseconds). Observe is
 // allocation-free. A nil Histogram ignores Observe.
-type Histogram struct{ s *series }
+type Histogram series
 
 // Observe records one value. Negative values clamp to zero (a clock
 // stepping backwards must not corrupt bucket 2^63).
@@ -314,7 +286,7 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	d := h.s.hist
+	d := h.hist
 	d.buckets[bucketOf(v)].Add(1)
 	d.count.Add(1)
 	d.sum.Add(v)
@@ -325,7 +297,7 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.s.hist.count.Load()
+	return h.hist.count.Load()
 }
 
 // Counter resolves a counter handle; registration is idempotent — the
@@ -334,15 +306,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	return &Counter{s: r.getFamily(name, "", KindCounter).getSeries(labels)}
-}
-
-// Gauge resolves a gauge handle.
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return &Gauge{s: r.getFamily(name, "", KindGauge).getSeries(labels)}
+	return (*Counter)(r.getFamily(name, "", KindCounter).getSeries(labels))
 }
 
 // Histogram resolves a histogram handle.
@@ -350,7 +314,7 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return &Histogram{s: r.getFamily(name, "", KindHistogram).getSeries(labels)}
+	return (*Histogram)(r.getFamily(name, "", KindHistogram).getSeries(labels))
 }
 
 // Help sets a family's help string (registering the family if needed),
@@ -490,7 +454,7 @@ func itoa(i int) string {
 // --- snapshots ---
 
 // SeriesSnap is one labeled series frozen at snapshot time. Counters
-// and gauges carry Value; histograms carry Count/Sum/Buckets.
+// carry Value; histograms carry Count/Sum/Buckets.
 type SeriesSnap struct {
 	Labels  []Label  `json:"labels,omitempty"`
 	Value   int64    `json:"value,omitempty"`
@@ -532,15 +496,15 @@ func (r *Registry) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	r.mu.Lock()
-	fams := make([]*family, len(r.order))
-	copy(fams, r.order)
+	fams := make([]*family, len(r.families))
+	copy(fams, r.families)
 	r.mu.Unlock()
 	snap := Snapshot{Families: make([]FamilySnap, 0, len(fams))}
 	for _, f := range fams {
 		f.mu.Lock()
 		fs := FamilySnap{Name: f.name, Kind: f.kind, Help: f.help,
-			Series: make([]SeriesSnap, 0, len(f.order))}
-		for _, s := range f.order {
+			Series: make([]SeriesSnap, 0, len(f.series))}
+		for _, s := range f.series {
 			ss := SeriesSnap{Labels: s.labels}
 			if f.kind == KindHistogram {
 				ss.Count = s.hist.count.Load()
@@ -605,7 +569,7 @@ func (f *FamilySnap) find(labels []Label) *SeriesSnap {
 	return nil
 }
 
-// Value returns a counter/gauge series value (0 if absent). For
+// Value returns a counter series value (0 if absent). For
 // histograms it returns the observation count.
 func (s Snapshot) Value(name string, labels ...Label) int64 {
 	f := s.Family(name)
@@ -623,7 +587,7 @@ func (s Snapshot) Value(name string, labels ...Label) int64 {
 }
 
 // Total sums a family's series values across all label sets — counters
-// and gauges sum Value, histograms sum Count.
+// sum Value, histograms sum Count.
 func (s Snapshot) Total(name string) int64 {
 	f := s.Family(name)
 	if f == nil {
@@ -704,10 +668,9 @@ func quantileOf(buckets []uint64, count uint64, q float64) float64 {
 	return BucketBound(len(buckets) - 1)
 }
 
-// Merge folds other into s: counters, histogram buckets/counts/sums
-// add; gauges add too (the cross-daemon aggregate of an occupancy or
-// depth gauge is the cluster total). Families or series present only
-// in other are appended. Sorting is restored afterwards.
+// Merge folds other into s: counters and histogram buckets/counts/sums
+// add. Families or series present only in other are appended. Sorting is
+// restored afterwards.
 func (s *Snapshot) Merge(other Snapshot) {
 	for _, of := range other.Families {
 		f := s.Family(of.Name)

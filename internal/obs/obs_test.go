@@ -118,15 +118,13 @@ func TestBucketOf(t *testing.T) {
 }
 
 // TestMerge folds two snapshots — one with an extra family and an
-// extra series — and checks counters, gauges and histograms all add.
+// extra series — and checks counters and histograms add.
 func TestMerge(t *testing.T) {
 	a, b := New(), New()
 	a.Counter(MCommits, L("shard", "0")).Add(3)
 	b.Counter(MCommits, L("shard", "0")).Add(4)
 	b.Counter(MCommits, L("shard", "1")).Add(7)
 	b.Counter(MNetFrames, L("dir", "sent")).Add(9)
-	a.Gauge("g", L("site", "1")).Set(2)
-	b.Gauge("g", L("site", "1")).Set(5)
 	for i := int64(1); i <= 4; i++ {
 		a.Histogram(MWalFsyncLatency).Observe(i)
 		b.Histogram(MWalFsyncLatency).Observe(i * 100)
@@ -141,9 +139,6 @@ func TestMerge(t *testing.T) {
 	}
 	if got := snap.Value(MNetFrames, L("dir", "sent")); got != 9 {
 		t.Errorf("merged new-family counter = %d, want 9", got)
-	}
-	if got := snap.Value("g", L("site", "1")); got != 7 {
-		t.Errorf("merged gauge = %d, want 7", got)
 	}
 	f := snap.Family(MWalFsyncLatency)
 	if f == nil || f.Series[0].Count != 8 {
@@ -253,7 +248,6 @@ func TestKindMismatchPanics(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()
-	r.Gauge("x").Set(1)
 	r.Histogram("x").Observe(1)
 	r.NewCounterVec("x", "shard").At(3).Add(1)
 	r.NewHistogramVec("x", "shard").At(3).Observe(1)

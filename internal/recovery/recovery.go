@@ -30,10 +30,10 @@
 //     in-doubt transactions). Under sharded placement each shard hosted
 //     by the site is one source, pulled from that shard's other replicas.
 //
-// The manager is backend-neutral: internal/cluster runs it at EvRecover
-// on the deterministic simulator (reachability from the partition
-// timeline, synchronous inquiry), and termnode runs it at start-up (real
-// MsgInquire messages through site.Loop).
+// The manager is backend-neutral, and site.Node runs it on both: at
+// EvRecover on the deterministic simulator (reachability from the
+// partition timeline, synchronous inquiry), and at a termnode daemon's
+// start-up (real MsgInquire messages through site.Loop).
 package recovery
 
 import (

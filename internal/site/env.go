@@ -1,11 +1,12 @@
 // Package site is the one site runtime every backend shares: the only
 // non-test implementation of proto.Env (Env), the only automaton table
-// (Table), the only wall-clock site loop (Loop) and the only wall-clock link
-// model (Link). One Table is one incarnation of a site — the automata it
-// hosts and the rules by which events reach them — and whoever owns the
-// site's goroutine steps it: the simulator's scheduler, or a Loop, which is
-// the Table's wall-clock stepper. A runtime differs from another in exactly
-// two seams:
+// (Table), the only site assembly (Node), the only wall-clock site loop
+// (Loop) and the only wall-clock link model (Link). One Node is one
+// incarnation of a site — its Table, the automata it hosts and the rules
+// by which events reach them, plus the storage engine's wiring, recovery
+// and metrics — and whoever owns the site's goroutine steps it: the
+// simulator's scheduler, or a Loop, which is the Node's wall-clock
+// stepper. A runtime differs from another in exactly two seams:
 //
 //   - a Clock: virtual time and timers on a sim.Scheduler (SchedClock), or
 //     wall time with time.AfterFunc timers that re-enter the site's inbox
@@ -15,9 +16,9 @@
 //
 // Everything else — roster accessors, SendAll, the vote, the first-wins
 // decision, the local-commit fast path, transition/timer/decision trace
-// events — is written once, in Env. What a caller does differently when a
-// site decides (fill a result slot, observe a histogram)
-// hangs off the single OnDecide hook.
+// events — is written once, in Env. What a backend does differently when
+// a site decides (the migration machinery's hook) hangs off the single
+// OnDecide hook, which the Node chains after its own observations.
 package site
 
 import (

@@ -6,20 +6,13 @@ import (
 
 	"termproto/internal/proto"
 	"termproto/internal/sim"
-	"termproto/internal/trace"
 )
 
 // Options parameterizes a wall-clock site loop.
 type Options struct {
-	ID       proto.SiteID
-	Protocol proto.Protocol
+	ID proto.SiteID
 	// T is the wall-clock value of the delay bound; one tick is 1µs.
 	T time.Duration
-	// Participant, Trace and OnDecide are the Site fields of the same
-	// names. Trace and OnDecide run on the loop goroutine.
-	Participant proto.Participant
-	Trace       func(trace.Event)
-	OnDecide    func(cfg proto.Config, o proto.Outcome, at sim.Time)
 }
 
 // event is one unit of work for the loop goroutine: a submitted
@@ -36,15 +29,16 @@ type event struct {
 type wallTimer struct{ fn func() }
 
 // Loop is one site of the protocol on the wall clock: a goroutine that
-// steps the site's Table, serializing its events through an inbox, plus
-// the asking half of the recovery inquiry round. It is the Table's Clock —
-// timers re-enter the inbox — and sends through whatever Transport Start
-// is given. A Loop is one incarnation of a site: a crash is Close, a
-// restart is a new Loop over the same Participant.
+// steps a Node's table, serializing its events through an inbox, plus the
+// asking half of the recovery inquiry round. It is the Node's Clock —
+// timers re-enter the inbox — and its Transport, sending through whatever
+// Start is given. A Loop steps one incarnation of a site: a crash is
+// Close, a restart is a new Loop and a new Node over the same Participant.
 type Loop struct {
-	table *Table
-	t     time.Duration
-	out   Transport
+	id   proto.SiteID
+	node *Node
+	t    time.Duration
+	out  Transport
 
 	inbox  chan event
 	done   chan struct{}
@@ -60,10 +54,10 @@ type inqReply struct {
 	ok bool
 }
 
-// NewLoop builds a loop; Start launches it.
+// NewLoop builds a loop; Start launches it over a Node built on l.Site().
 func NewLoop(opts Options) *Loop {
-	l := &Loop{
-		t: opts.T,
+	return &Loop{
+		id: opts.ID, t: opts.T,
 		// Deep enough that transport and timer goroutines rarely block
 		// behind a loop that is inside an fsync.
 		inbox:  make(chan event, 1024),
@@ -71,21 +65,21 @@ func NewLoop(opts Options) *Loop {
 		exited: make(chan struct{}),
 		inq:    make(map[proto.TxnID]chan inqReply),
 	}
-	l.table = NewTable(Site{
-		ID: opts.ID, Clock: l, Transport: loopOut{l},
-		Participant: opts.Participant, Trace: opts.Trace, OnDecide: opts.OnDecide,
-	}, opts.Protocol)
-	return l
 }
+
+// Site is the loop's half of the site a Node stepped by it is built on:
+// the site's ID, the loop as its clock and as its transport. The Node's
+// Trace and OnDecide hooks run on the loop goroutine.
+func (l *Loop) Site() Site { return Site{ID: l.id, Clock: l, Transport: loopOut{l}} }
 
 // loopOut is the table's Transport: whatever Start was given.
 type loopOut struct{ l *Loop }
 
 func (o loopOut) Send(m proto.Msg) { o.l.out.Send(m) }
 
-// Start launches the loop goroutine, sending through out.
-func (l *Loop) Start(out Transport) {
-	l.out = out
+// Start launches the loop goroutine stepping n, sending through out.
+func (l *Loop) Start(n *Node, out Transport) {
+	l.node, l.out = n, out
 	go func() {
 		defer close(l.exited)
 		for {
@@ -110,10 +104,10 @@ func (l *Loop) Close() {
 	l.closed = true
 	l.mu.Unlock()
 	close(l.done)
-	if l.out != nil { // Start ran: wait for its goroutine
+	if l.node != nil { // Start ran: wait for its goroutine
 		<-l.exited
+		l.node.Close()
 	}
-	l.table.Close()
 }
 
 // Submit starts a transaction with this site as master; the slaves are
@@ -161,19 +155,11 @@ func (l *Loop) handle(ev event) {
 			fn()
 		}
 	case ev.start != nil:
-		l.table.Submit(*ev.start)
+		l.node.Submit(*ev.start)
 	case !l.completeInquiry(ev.msg):
-		l.table.Deliver(ev.msg)
+		l.node.Deliver(ev.msg)
 	}
 }
-
-// Txn returns the loop's view of one transaction; ok is false when this
-// incarnation of the site never learned of it.
-func (l *Loop) Txn(tid proto.TxnID) (Status, bool) { return l.table.Txn(tid) }
-
-// Txns returns the view of every transaction this incarnation hosted, in
-// TID order — also the count of automata it spawned.
-func (l *Loop) Txns() []Status { return l.table.Txns() }
 
 // completeInquiry routes a message to this site's pending Inquire, if one
 // matches: a decision answers it, the undeliverable return of the inquiry
@@ -222,7 +208,7 @@ func (l *Loop) Inquire(peer proto.SiteID, tid proto.TxnID) (proto.Outcome, bool)
 		delete(l.inq, tid)
 		l.mu.Unlock()
 	}()
-	l.out.Send(proto.Msg{TID: tid, From: l.table.site.ID, To: peer, Kind: proto.MsgInquire})
+	l.out.Send(proto.Msg{TID: tid, From: l.id, To: peer, Kind: proto.MsgInquire})
 	timeout := time.NewTimer(4 * l.t)
 	defer timeout.Stop()
 	select {

@@ -20,16 +20,19 @@ const liveT = 5 * time.Millisecond
 // without the processes and the TCP between them.
 type mesh struct {
 	loops map[proto.SiteID]*Loop
+	nodes map[proto.SiteID]*Node
 	links map[proto.SiteID]*Link
 }
 
 func newMesh(t *testing.T, n int, protocol proto.Protocol, parts map[proto.SiteID]proto.Participant) *mesh {
 	t.Helper()
-	m := &mesh{loops: map[proto.SiteID]*Loop{}, links: map[proto.SiteID]*Link{}}
+	m := &mesh{loops: map[proto.SiteID]*Loop{}, nodes: map[proto.SiteID]*Node{}, links: map[proto.SiteID]*Link{}}
 	for i := 1; i <= n; i++ {
 		id := proto.SiteID(i)
-		lp := NewLoop(Options{ID: id, Protocol: protocol, T: liveT, Participant: parts[id]})
-		m.loops[id] = lp
+		lp := NewLoop(Options{ID: id, T: liveT})
+		s := lp.Site()
+		s.Participant = parts[id]
+		m.loops[id], m.nodes[id] = lp, NewNode(s, protocol, roster(n), nil, nil, nil)
 		m.links[id] = NewLink(id, liveT, 0, lp.Deliver, func(msg proto.Msg) error {
 			dst := m.links[msg.To] // complete before the first Send
 			if dst == nil {
@@ -40,7 +43,7 @@ func newMesh(t *testing.T, n int, protocol proto.Protocol, parts map[proto.SiteI
 		})
 	}
 	for id, lp := range m.loops {
-		lp.Start(m.links[id])
+		lp.Start(m.nodes[id], m.links[id])
 		t.Cleanup(lp.Close)
 		t.Cleanup(m.links[id].Close)
 	}
@@ -68,8 +71,8 @@ func (m *mesh) settle(tid proto.TxnID, timeout time.Duration) (views map[proto.S
 	start := time.Now()
 	for {
 		views, all = map[proto.SiteID]Status{}, true
-		for id, lp := range m.loops {
-			if st, ok := lp.Txn(tid); ok {
+		for id, nd := range m.nodes {
+			if st, ok := nd.Txn(tid); ok {
 				views[id] = st
 				all = all && st.Outcome != proto.None
 			}
@@ -241,7 +244,7 @@ func TestLiveAutomataSpawned(t *testing.T) {
 		}
 	}
 	for id, want := range map[proto.SiteID]int{1: 1, 2: 2, 3: 2, 4: 1} {
-		if got := len(m.loops[id].Txns()); got != want {
+		if got := len(m.nodes[id].Txns()); got != want {
 			t.Fatalf("site %d spawned %d automata, want %d", id, got, want)
 		}
 	}
@@ -255,7 +258,7 @@ func TestLiveStopIdempotent(t *testing.T) {
 	m.settle(1, 100*liveT)
 	m.loops[2].Close()
 	m.loops[2].Close()
-	if st, ok := m.loops[2].Txn(1); !ok || st.Outcome != proto.Commit {
+	if st, ok := m.nodes[2].Txn(1); !ok || st.Outcome != proto.Commit {
 		t.Fatalf("closed loop's view = %+v/%v, want the commit it decided", st, ok)
 	}
 	m.loops[2].Deliver(proto.Msg{TID: 1, From: 1, To: 2, Kind: proto.MsgCommit}) // must not block

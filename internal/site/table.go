@@ -24,8 +24,8 @@ type Status struct {
 	StartedAt sim.Time
 }
 
-// Table is one incarnation of one site: the automata it hosts and the rules
-// by which events reach them. A site learns of a transaction only from its
+// Table is the automata one incarnation of one site hosts (inside its
+// Node) and the rules by which events reach them. A site learns of a transaction only from its
 // submission (the master) or from the first MsgXact envelope (a slave);
 // any other message for a transaction it never learned of is dropped. A
 // duplicate submission is dropped too, a MsgXact leaves the site wrapped in
@@ -33,7 +33,7 @@ type Status struct {
 // from durable state only.
 //
 // A Table has no goroutine and no clock of its own: whoever owns the site's
-// goroutine steps it — the simulator's scheduler (the Table is the site's
+// goroutine steps it — the simulator's scheduler (a Table is a
 // simnet.Handler), or a Loop. Submit, Deliver, Undeliverable and Close run
 // on that goroutine; Txn and Txns are safe from any. A crash is Close, a
 // restart is a new Table over the same Participant.

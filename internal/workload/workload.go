@@ -138,9 +138,7 @@ type Stats struct {
 }
 
 // Setup builds the workload's placement directory (nil under full
-// replication) and per-site engines wired to it: each engine's placement
-// predicate follows the directory through epoch changes, so migrated
-// shards land and departed shards go quiet without re-wiring.
+// replication) and per-site engines seeded under it.
 func (c Config) Setup() (*placement.Directory, map[proto.SiteID]*engine.Engine) {
 	var dir *placement.Directory
 	if c.Shards > 0 {
@@ -158,8 +156,10 @@ func (c Config) Setup() (*placement.Directory, map[proto.SiteID]*engine.Engine) 
 }
 
 // EnginesFor builds per-site engines over a shard directory (nil = full
-// replication): placement predicates consult the directory's live state,
-// fixtures seed the epoch-0 placement.
+// replication), each seeded with the accounts it hosts at the directory's
+// current epoch. A cluster opened with the same directory wires each
+// engine's placement predicate (site.NewNode), so migrated shards land and
+// departed shards go quiet without re-wiring.
 func EnginesFor(dir *placement.Directory, sites, accounts int, balance int64) map[proto.SiteID]*engine.Engine {
 	var asg *placement.Assignment
 	if dir != nil {
@@ -169,9 +169,6 @@ func EnginesFor(dir *placement.Directory, sites, accounts int, balance int64) ma
 	for i := 1; i <= sites; i++ {
 		id := proto.SiteID(i)
 		e := engine.New(fmt.Sprintf("site-%d", i), &wal.MemStore{})
-		if dir != nil {
-			e.SetPlacement(func(key string) bool { return dir.Hosts(id, key) })
-		}
 		for a := 0; a < accounts; a++ {
 			if asg == nil || asg.Hosts(id, acct(a)) {
 				e.PutInt(acct(a), balance)
@@ -239,7 +236,6 @@ func Run(cfg Config) (Stats, map[proto.SiteID]*engine.Engine) {
 		Protocol:     cfg.Protocol,
 		Directory:    dir,
 		Participants: parts,
-		Recovery:     cfg.CrashRecoverEvery > 0,
 		Backend: cluster.NewSimBackend(cluster.SimOptions{
 			Latency: simnet.Uniform{Lo: sim.DefaultT / 3, Hi: sim.DefaultT},
 			Seed:    rng.Uint64(),
