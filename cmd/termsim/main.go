@@ -383,8 +383,8 @@ func printMetrics(snap obs.Snapshot) {
 			inT(obs.MShardCommitLatency, 0.5), inT(obs.MShardCommitLatency, 0.99))
 	}
 	if c, a := snap.Total(obs.MCommits), snap.Total(obs.MAborts); c+a > 0 {
-		fmt.Printf("  engine decisions:         commits=%d aborts=%d lock-failures=%d\n",
-			c, a, snap.Total(obs.MLockFailures))
+		fmt.Printf("  engine decisions:         commits=%d aborts=%d lock-failures=%d wounds=%d\n",
+			c, a, snap.Total(obs.MLockFailures), snap.Total(obs.MLockWounds))
 	}
 	if recs := snap.Total(obs.MWalRecords); recs > 0 {
 		fmt.Printf("  wal:                      records=%d syncs=%d fsync p50=%.0fµs p99=%.0fµs\n",

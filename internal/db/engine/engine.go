@@ -168,11 +168,14 @@ type Engine struct {
 	// hosts optionally restricts execution to the keys placed at this
 	// site; nil hosts everything (full replication).
 	hosts func(key string) bool
+	// wound, when set, is asked whether a conflicting lock's holder may be
+	// aborted in favour of tid (see SetWound).
+	wound func(holder, tid uint64) bool
 
-	// Observability (nil = off): per-shard decision and lock-failure
-	// counters, resolved against the key→shard mapper below. Counts are
-	// per-replica decisions — a transaction committing at three replicas
-	// of shard 2 adds three to shard 2's commit counter.
+	// Observability (nil = off): per-shard decision, lock-failure and
+	// wound counters, resolved against the key→shard mapper below.
+	// Counts are per-replica decisions — a transaction committing at three
+	// replicas of shard 2 adds three to shard 2's commit counter.
 	obsDB   *obs.DB
 	shardOf func(key string) int
 
@@ -256,6 +259,18 @@ func (e *Engine) SetPlacement(hosts func(key string) bool) {
 	e.hosts = hosts
 }
 
+// SetWound installs the wound rule: when StageAt for tid meets a key held
+// by holder, wound(holder, tid) is asked first, and on true the engine
+// aborts holder durably — its abort record forced, its decision cached,
+// its locks released — and tid takes the key. On false the conflict is a
+// no vote, as without a rule. wound runs under the engine's mutex and must
+// not call back into the engine; nil restores pure no-wait.
+func (e *Engine) SetWound(wound func(holder, tid uint64) bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.wound = wound
+}
+
 // Execute implements proto.Participant: decode the body, take exclusive
 // locks, resolve updates against the current state, force Begin/Update/
 // Prepared records, and return the vote. Any failure — undecodable body,
@@ -311,6 +326,7 @@ func (e *Engine) StageAt(tid proto.TxnID, payload []byte, sites []proto.SiteID) 
 		if e.hosts != nil && !IsMetaKey(op.Key) && !e.hosts(op.Key) {
 			continue // foreign key: another shard's replicas handle it
 		}
+		e.woundHolder(id, op.Key)
 		if !e.locks.TryAcquire(id, op.Key, lock.Exclusive) {
 			return e.refuse(id)
 		}
@@ -337,6 +353,22 @@ func (e *Engine) StageAt(tid proto.TxnID, payload []byte, sites []proto.SiteID) 
 	}
 	e.pending[id] = p
 	return true
+}
+
+// woundHolder frees key for id when the wound rule lets id abort the
+// transaction holding it. Called with e.mu held.
+func (e *Engine) woundHolder(id uint64, key string) {
+	if e.wound == nil {
+		return
+	}
+	h, ok := e.locks.Holder(key)
+	if !ok || h == id || !e.wound(h, id) {
+		return
+	}
+	e.abort(h)
+	if e.obsDB != nil {
+		e.obsDB.LockWounds.At(e.shardFor(key)).Inc()
+	}
 }
 
 // refuse is the unilateral abort behind a no vote: locks released, the
@@ -429,7 +461,11 @@ func (e *Engine) Commit(tid proto.TxnID) {
 func (e *Engine) Abort(tid proto.TxnID) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	id := uint64(tid)
+	e.abort(uint64(tid))
+}
+
+// abort is Abort with e.mu held.
+func (e *Engine) abort(id uint64) {
 	if _, done := e.decided[id]; done {
 		return
 	}

@@ -146,3 +146,45 @@ func TestForceSyncFailureVotesNo(t *testing.T) {
 		t.Fatalf("votes yes=%d no=%d, want 0 and 1", yes, no)
 	}
 }
+
+// The wound rule is asked about the holder of a conflicting key, and only
+// then. On yes the holder is aborted durably — abort record, cached
+// decision, locks released — and the asker takes the key; on no the
+// conflict is a no vote and the holder keeps everything.
+func TestStageWoundsHolder(t *testing.T) {
+	for _, allow := range []bool{false, true} {
+		e := New("s", &wal.MemStore{})
+		var asked [][2]uint64
+		e.SetWound(func(holder, tid uint64) bool {
+			asked = append(asked, [2]uint64{holder, tid})
+			return allow
+		})
+		if !e.ExecuteAt(2, stageBody, stageSites) || !e.StageAt(3, EncodeOps([]Op{{Kind: OpPut, Key: "c"}}), stageSites) {
+			t.Fatal("uncontended txns voted no")
+		}
+		if len(asked) != 0 {
+			t.Fatalf("wound rule asked %v without a conflict", asked)
+		}
+		got := e.StageAt(1, stageBody, stageSites)
+		if want := [][2]uint64{{2, 1}}; got != allow || len(asked) != 1 || asked[0] != want[0] {
+			t.Fatalf("allow=%v: stage = %v, rule asked %v; want %v once", allow, got, asked, want)
+		}
+		o, decided := e.Outcome(2)
+		if !allow {
+			if decided || len(e.InDoubt()) != 2 {
+				t.Fatalf("refused wound: holder decided=%v, pending %v", decided, e.InDoubt())
+			}
+			continue
+		}
+		if !decided || o != proto.Abort || !e.Force(1) {
+			t.Fatalf("wounded holder reads %v/%v, or the winner's force failed", o, decided)
+		}
+		info, err := e.RecoverInPlace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o, _ := e.Outcome(2); o != proto.Abort || len(info.InDoubt) != 1 || info.InDoubt[0].TID != 1 {
+			t.Fatalf("after restart: holder %v, in doubt %+v; want aborted, and txn 1 prepared", o, info.InDoubt)
+		}
+	}
+}

@@ -1,6 +1,12 @@
 // Package lock implements a strict two-phase-locking lock manager with
-// shared/exclusive row locks, FIFO wait queues, lock upgrade, and
-// waits-for-graph deadlock detection.
+// shared/exclusive row locks.
+//
+// The engine takes only exclusive locks, and only with TryAcquire: a
+// conflict never waits, it is a no vote — unless the engine's wound rule
+// aborts the key's Holder, a younger transaction its own site still
+// coordinates, and takes the lock. Acquire's FIFO wait queues, lock
+// upgrade and waits-for-graph deadlock detection are the rest of a
+// general two-phase-locking table; no shipped code path waits.
 //
 // Its role in the reproduction is the paper's motivation made concrete:
 // "the locks acquired by the blocked transaction cannot be relinquished,
@@ -60,7 +66,9 @@ type entry struct {
 
 // Manager is a lock table. The zero value is not usable; call New.
 type Manager struct {
-	mu    sync.Mutex
+	mu sync.Mutex
+	// locks holds an entry per key that is held or waited on; a key
+	// neither held nor waited on has none.
 	locks map[string]*entry
 	held  map[uint64]map[string]Mode
 	// waitsOn[t] = key t is queued on ("" if none).
@@ -237,6 +245,7 @@ func (m *Manager) Release(tid uint64) {
 		e := m.locks[key]
 		delete(e.holders, tid)
 		grants = append(grants, m.pump(e, key)...)
+		m.forget(e, key)
 	}
 	delete(m.held, tid)
 	if wk, ok := m.waitsOn[tid]; ok {
@@ -248,10 +257,18 @@ func (m *Manager) Release(tid uint64) {
 			}
 		}
 		delete(m.waitsOn, tid)
+		m.forget(e, wk)
 	}
 	m.mu.Unlock()
 	for _, g := range grants {
 		g()
+	}
+}
+
+// forget drops key's entry once nobody holds or waits on it.
+func (m *Manager) forget(e *entry, key string) {
+	if len(e.holders) == 0 && len(e.queue) == 0 {
+		delete(m.locks, key)
 	}
 }
 
@@ -305,6 +322,21 @@ func (m *Manager) Holders(key string) int {
 		return 0
 	}
 	return len(e.holders)
+}
+
+// Holder returns the transaction that alone holds key; ok is false when
+// key is free or shared by several.
+func (m *Manager) Holder(key string) (tid uint64, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e := m.locks[key]
+	if e == nil || len(e.holders) != 1 {
+		return 0, false
+	}
+	for h := range e.holders {
+		tid = h
+	}
+	return tid, true
 }
 
 // QueueLen returns how many waiters are queued on key.

@@ -186,3 +186,41 @@ func TestModeString(t *testing.T) {
 		t.Fatal("mode strings")
 	}
 }
+
+func TestHolder(t *testing.T) {
+	m := New()
+	if _, ok := m.Holder("a"); ok {
+		t.Fatal("free key has a holder")
+	}
+	m.TryAcquire(7, "a", Exclusive)
+	if h, ok := m.Holder("a"); !ok || h != 7 {
+		t.Fatalf("Holder = %d/%v, want 7", h, ok)
+	}
+	m.TryAcquire(1, "s", Shared)
+	m.TryAcquire(2, "s", Shared)
+	if _, ok := m.Holder("s"); ok {
+		t.Fatal("a key shared by two reports one holder")
+	}
+	m.Release(7)
+	if _, ok := m.Holder("a"); ok {
+		t.Fatal("released key still has a holder")
+	}
+}
+
+// A key nobody holds or waits on keeps no entry: the table does not grow
+// with every key ever locked.
+func TestReleaseForgetsKey(t *testing.T) {
+	m := New()
+	m.TryAcquire(1, "a", Exclusive)
+	m.Acquire(2, "a", Exclusive, nil)
+	m.Acquire(3, "a", Exclusive, nil)
+	m.Release(3) // a waiter gives up
+	m.Release(1) // 2 is granted
+	m.Release(2)
+	m.TryAcquire(4, "b", Exclusive)
+	m.TryAcquire(5, "b", Exclusive) // a conflict leaves nothing behind either
+	m.Release(4)
+	if len(m.locks) != 0 {
+		t.Fatalf("%d entries left after every lock was released", len(m.locks))
+	}
+}

@@ -29,6 +29,9 @@ const (
 	MAborts  = "termproto_aborts_total"
 	// Lock acquisition failures (write conflicts → no-votes), label: shard.
 	MLockFailures = "termproto_lock_failures_total"
+	// Lock conflicts resolved by wounding the holder (a younger
+	// transaction the site coordinates, aborted in w1), label: shard.
+	MLockWounds = "termproto_lock_wounds_total"
 	// WAL durability: fsync wall latency in microseconds, records made
 	// durable and the Sync calls that took.
 	MWalFsyncLatency = "termproto_wal_fsync_latency_us"
@@ -56,6 +59,7 @@ var catalog = []struct {
 	{MCommits, KindCounter, "Transactions committed by the engine."},
 	{MAborts, KindCounter, "Transactions aborted by the engine."},
 	{MLockFailures, KindCounter, "Lock acquisition failures (write conflicts voted no)."},
+	{MLockWounds, KindCounter, "Lock conflicts resolved by aborting the younger holder the site coordinates, still in w1."},
 	{MWalFsyncLatency, KindHistogram, "WAL fsync wall latency in microseconds."},
 	{MWalRecords, KindCounter, "WAL records reaching stable storage."},
 	{MWalSyncs, KindCounter, "WAL sync syscalls issued."},
@@ -82,6 +86,7 @@ type DB struct {
 	Commits      *CounterVec
 	Aborts       *CounterVec
 	LockFailures *CounterVec
+	LockWounds   *CounterVec
 }
 
 // NewDB resolves the engine handle bundle against a registry (nil
@@ -94,5 +99,6 @@ func NewDB(r *Registry) *DB {
 		Commits:      r.NewCounterVec(MCommits, "shard"),
 		Aborts:       r.NewCounterVec(MAborts, "shard"),
 		LockFailures: r.NewCounterVec(MLockFailures, "shard"),
+		LockWounds:   r.NewCounterVec(MLockWounds, "shard"),
 	}
 }

@@ -156,13 +156,19 @@ func (e *Env) start() {
 	e.run(func() { e.node.Start(e) })
 	if sp, ok := e.site.Participant.(stager); ok && e.cfg.IsMaster() &&
 		e.outcome == proto.None && !sp.Force(e.cfg.TID) {
-		e.deliver(proto.Msg{TID: e.cfg.TID, From: e.cfg.Self, To: e.cfg.Self, Kind: proto.MsgNo})
-		if e.outcome == proto.Abort {
-			// That abort left right behind the xacts and links keep no
-			// order: where it lands first it means nothing. T later every
-			// xact has landed or come back, so it is said once more.
-			e.site.Clock.AfterFunc(e.T(), func() { e.SendAll(proto.MsgAbort, nil) })
-		}
+		e.ownNo()
+	}
+}
+
+// ownNo hands a master whose xacts are out its own no vote: its force
+// failed, or an older transaction wounded it in w1. The abort that follows
+// may leave right behind the xacts, and links keep no order: where it lands
+// first it means nothing. T later every xact has landed or come back, so it
+// is said once more.
+func (e *Env) ownNo() {
+	e.deliver(proto.Msg{TID: e.cfg.TID, From: e.cfg.Self, To: e.cfg.Self, Kind: proto.MsgNo})
+	if e.outcome == proto.Abort {
+		e.site.Clock.AfterFunc(e.T(), func() { e.SendAll(proto.MsgAbort, nil) })
 	}
 }
 

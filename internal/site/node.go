@@ -15,9 +15,10 @@ import (
 // Node is one incarnation of one site's non-I/O half, assembled the same
 // way by both backends: the Table its automata live in, the site's round
 // latencies, and — when the participant is a storage engine — everything
-// around that engine: its metrics and placement wiring, the directory
-// epoch records its log must hold, recovery and the heal-edge retry of
-// what recovery left in doubt, and Txn's fallback to durable state.
+// around that engine: its metrics and placement wiring, the table's wound
+// rule, the directory epoch records its log must hold, recovery and the
+// heal-edge retry of what recovery left in doubt, and Txn's fallback to
+// durable state.
 //
 // The simulator steps a Node's table from its scheduler, a Loop from its
 // inbox. A crash is Close; a restart is a fresh Node over the same
@@ -76,6 +77,9 @@ func NewNode(s Site, protocol proto.Protocol, sites []proto.SiteID, dir *placeme
 	}
 	s.OnDecide = n.decide
 	n.Table = NewTable(s, protocol)
+	if n.eng != nil {
+		n.eng.SetWound(n.Table.wound)
+	}
 	return n
 }
 

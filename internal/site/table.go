@@ -43,6 +43,9 @@ type Table struct {
 	out      Transport
 	// envs is the automaton table, touched only by the stepping goroutine.
 	envs map[proto.TxnID]*Env
+	// wounded are the masters the wound rule aborted in their engine
+	// during the current event; they take their own no once it returns.
+	wounded []wounded
 
 	mu   sync.Mutex
 	view map[proto.TxnID]*Status
@@ -68,11 +71,17 @@ func (t *Table) Submit(spec Spec) {
 	if t.envs[spec.TID] == nil {
 		t.spawn(spec).start()
 	}
+	t.settleWounds()
 }
 
 // Deliver hands the table a message from the transport: one addressed to
 // this site, or (m.Undeliverable) the returned copy of one it sent.
 func (t *Table) Deliver(m proto.Msg) {
+	t.deliver(m)
+	t.settleWounds()
+}
+
+func (t *Table) deliver(m proto.Msg) {
 	if m.Kind == proto.MsgInquire && !m.Undeliverable {
 		t.answerInquiry(m)
 		return
@@ -106,6 +115,42 @@ func (t *Table) Deliver(m proto.Msg) {
 	}
 	if e != nil {
 		e.deliver(m)
+	}
+}
+
+// wound is the engine's wound rule (engine.SetWound) at this site: holder
+// may be aborted in favour of tid when it is younger (a higher TID) and is
+// this site's own master transaction, undecided in w1 — every registered
+// master's state while it collects votes, before any prepare exists
+// anywhere, so an abort there is safe at every site. A slave that voted
+// yes, a master past w1 and a transaction recovery left in doubt (no
+// automaton in this incarnation) are never wounded. The wounded master
+// takes its own no once the current event returns. It runs on the
+// stepping goroutine, inside the engine's StageAt.
+func (t *Table) wound(holder, tid uint64) bool {
+	e := t.envs[proto.TxnID(holder)]
+	if holder <= tid || e == nil || !e.cfg.IsMaster() || e.outcome != proto.None || e.State() != "w1" {
+		return false
+	}
+	t.wounded = append(t.wounded, wounded{e, proto.TxnID(tid)})
+	return true
+}
+
+// wounded is one master the wound rule aborted, and the older transaction
+// that took its lock.
+type wounded struct {
+	e  *Env
+	by proto.TxnID
+}
+
+// settleWounds hands every master wounded during the event just stepped
+// its own no.
+func (t *Table) settleWounds() {
+	for len(t.wounded) > 0 {
+		w := t.wounded[0]
+		t.wounded = t.wounded[1:]
+		w.e.Tracef("wounded in w1 by older txn %d", w.by)
+		w.e.ownNo()
 	}
 }
 
