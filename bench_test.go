@@ -1,6 +1,8 @@
-// Benchmarks: one per paper artifact (the E-series mirrors DESIGN.md §4 —
-// each regenerates a figure, counterexample or analytical table of Huang &
-// Li, ICDE 1987) plus substrate micro-benchmarks (the P-series). Run with:
+// Benchmarks of the simulator and its substrate: recovery churn (E16),
+// simulated protocol rounds and workloads, and micro-benchmarks of the
+// network, WAL, engine, lock table and FSA (the P-series). The paper's
+// artifacts are tested, not timed: experiments.TestE1–TestE15 and
+// TestAllGolden regenerate them. Run with:
 //
 //	go test -bench=. -benchmem
 package termproto_test
@@ -15,7 +17,6 @@ import (
 	"termproto/internal/db/engine"
 	"termproto/internal/db/lock"
 	"termproto/internal/db/wal"
-	"termproto/internal/experiments"
 	"termproto/internal/fsa"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/cooperative"
@@ -29,79 +30,6 @@ import (
 	"termproto/internal/simnet"
 	"termproto/internal/workload"
 )
-
-var cfg = experiments.Config{Quick: true}
-
-func benchTable(b *testing.B, run func() *experiments.Table) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if t := run(); !t.Pass {
-			b.Fatalf("%s failed to reproduce the paper:\n%s", t.ID, t)
-		}
-	}
-}
-
-// --- E-series: the paper's artifacts ---
-
-func BenchmarkE1_Fig1_TwoPCAnalysis(b *testing.B) {
-	benchTable(b, experiments.E1TwoPCAnalysis)
-}
-
-func BenchmarkE2_Fig2_ExtendedTwoPC(b *testing.B) {
-	benchTable(b, func() *experiments.Table { return experiments.E2ExtendedTwoPCTwoSite(cfg) })
-}
-
-func BenchmarkE3_Sec3_ExtTwoPCCounterexample(b *testing.B) {
-	benchTable(b, experiments.E3ExtTwoPCCounterexample)
-}
-
-func BenchmarkE4_Fig3_ThreePCAnalysis(b *testing.B) {
-	benchTable(b, experiments.E4ThreePCAnalysis)
-}
-
-func BenchmarkE5_Sec3_ThreePCRulesCounterexample(b *testing.B) {
-	benchTable(b, experiments.E5ThreePCRulesCounterexample)
-}
-
-func BenchmarkE6_Lemma3_AugmentationSearch(b *testing.B) {
-	benchTable(b, func() *experiments.Table { return experiments.E6Lemma3Search(cfg) })
-}
-
-func BenchmarkE7_Fig5_TimeoutTightness(b *testing.B) {
-	benchTable(b, experiments.E7Fig5Timeouts)
-}
-
-func BenchmarkE8_Fig6_MasterProbeWindow(b *testing.B) {
-	benchTable(b, func() *experiments.Table { return experiments.E8Fig6MasterWindow(cfg) })
-}
-
-func BenchmarkE9_Fig7_SlaveWaitWindow(b *testing.B) {
-	benchTable(b, func() *experiments.Table { return experiments.E9Fig7SlaveWindow(cfg) })
-}
-
-func BenchmarkE10_Fig8_WToCTransition(b *testing.B) {
-	benchTable(b, experiments.E10Fig8WToC)
-}
-
-func BenchmarkE11_Fig9_CaseBounds(b *testing.B) {
-	benchTable(b, func() *experiments.Table { return experiments.E11Fig9CaseBounds(cfg) })
-}
-
-func BenchmarkE12_Sec6_TransientFix(b *testing.B) {
-	benchTable(b, experiments.E12TransientFix)
-}
-
-func BenchmarkE13_Theorem9_Resilience(b *testing.B) {
-	benchTable(b, func() *experiments.Table { return experiments.E13Theorem9Resilience(cfg) })
-}
-
-func BenchmarkE14_Theorem10_Generalized(b *testing.B) {
-	benchTable(b, func() *experiments.Table { return experiments.E14Theorem10FourPC(cfg) })
-}
-
-func BenchmarkE15_Ablations(b *testing.B) {
-	benchTable(b, func() *experiments.Table { return experiments.E15Ablations(cfg) })
-}
 
 // BenchmarkE16_RecoveryChurn measures the durability subsystem under
 // crash/recover churn: a WAL-backed banking workload in which one site

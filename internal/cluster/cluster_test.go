@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"termproto/internal/core"
@@ -11,6 +13,7 @@ import (
 	"termproto/internal/protocol/twopc"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
+	"termproto/internal/trace"
 )
 
 // engines builds per-site replicas with `accounts` integer rows.
@@ -510,15 +513,12 @@ func TestScheduleCompile(t *testing.T) {
 		CrashAt(50, 4),
 		RecoverAt(4000, 4),
 	}
-	parts, open, rest := s.compile()
-	if len(parts) != 4 {
-		t.Fatalf("parts = %d, want 4", len(parts))
-	}
-	if parts[0].Heal != 500 || parts[1].Heal != 1200 || parts[2].Heal != 3000 {
-		t.Fatalf("heals: %d %d %d", parts[0].Heal, parts[1].Heal, parts[2].Heal)
-	}
-	if open != parts[3] {
-		t.Fatal("last partition should stay open")
+	var cuts simnet.Cuts
+	rest := s.compile(cuts.Set)
+	// Four onsets, and heals at 500 (EvHeal), 1200 (transient) and 3000
+	// (the repartition); the last partition stays open.
+	if got, want := fmt.Sprint(cuts), "[{100 [2]} {500 []} {900 [3]} {1200 []} {2000 [2 3]} {3000 [4]}]"; got != want {
+		t.Fatalf("cuts = %s, want %s", got, want)
 	}
 	if len(rest) != 2 || rest[0].Kind != EvCrash || rest[1].Kind != EvRecover {
 		t.Fatalf("rest = %+v", rest)
@@ -526,13 +526,14 @@ func TestScheduleCompile(t *testing.T) {
 }
 
 // A heal landing at or before a partition's onset must neutralize it, not
-// (per simnet's Heal <= At convention) make it permanent.
+// leave it in force.
 func TestHealAtOnsetNeutralizesPartition(t *testing.T) {
-	parts, open, _ := Schedule{PartitionAt(100, 2), HealAt(100)}.compile()
-	if open != nil {
+	var cuts simnet.Cuts
+	Schedule{PartitionAt(100, 2), HealAt(100)}.compile(cuts.Set)
+	if len(cuts.InForce(1<<40)) > 0 {
 		t.Fatal("partition left open past its same-tick heal")
 	}
-	if parts[0].Active(150) {
+	if cuts.Blocked(1, 2, 150) {
 		t.Fatal("partition healed at its onset is still active")
 	}
 
@@ -557,6 +558,43 @@ func TestHealAtOnsetNeutralizesPartition(t *testing.T) {
 	if r.Outcome() != proto.Commit || !r.Decided() {
 		t.Fatalf("neutralized partition still bit: outcome=%v blocked=%v",
 			r.Outcome(), r.Blocked())
+	}
+}
+
+// An injected repartition and heal write their edges to the trace as a
+// scheduled partition's do: partition-off before partition-on at a
+// repartition's tick, and partition-off at the heal.
+func TestSimInjectedEdgesAreTraced(t *testing.T) {
+	b := NewSimBackend(SimOptions{RecordTrace: true})
+	c, err := Open(Config{Sites: 3, Protocol: core.Protocol{}, Backend: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, ev := range []Event{PartitionAt(1000, 3), PartitionAt(2000, 2), HealAt(3000)} {
+		if err := c.Inject(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := c.Submit(Txn{At: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Outcome() != proto.Commit || !r.Decided() {
+		t.Fatalf("post-heal txn: outcome=%v blocked=%v", r.Outcome(), r.Blocked())
+	}
+	var edges []string
+	for _, e := range b.Trace().Events() {
+		if e.Kind == trace.PartitionOn || e.Kind == trace.PartitionOff {
+			edges = append(edges, strings.TrimSpace(fmt.Sprintf("%d %s %s", e.At, e.Kind, e.Detail)))
+		}
+	}
+	want := []string{"1000 partition-on G2=[3]", "2000 partition-off", "2000 partition-on G2=[2]", "3000 partition-off"}
+	if !slices.Equal(edges, want) {
+		t.Fatalf("partition edges = %q, want %q", edges, want)
 	}
 }
 

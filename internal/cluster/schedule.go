@@ -6,7 +6,6 @@ import (
 
 	"termproto/internal/proto"
 	"termproto/internal/sim"
-	"termproto/internal/simnet"
 )
 
 // EventKind classifies a fault-schedule event.
@@ -177,43 +176,34 @@ func (s Schedule) validate(sites int) error {
 	return nil
 }
 
-// closePartition heals p at time at. simnet treats Heal <= At as
-// "permanent", so a heal landing at or before the onset must instead
-// neutralize the partition entirely (it was never in force).
-func closePartition(p *simnet.Partition, at sim.Time) {
-	if at <= p.At {
-		clear(p.G2)
+// cut lowers a partition or heal event, from at on, onto a cut timeline
+// through set: a partition is its G2 from at and, when transient, an empty
+// cut from its heal; a heal, or a partition whose window is already past,
+// is an empty cut. set supersedes what is pending from at on, so a later
+// onset replaces the boundary in force and a heal at or before an onset
+// neutralizes it.
+func (ev Event) cut(at sim.Time, set func(sim.Time, ...proto.SiteID)) {
+	if ev.Kind == EvHeal || ev.Heal != 0 && ev.Heal <= at {
+		set(at)
 		return
 	}
-	p.Heal = at
+	set(at, ev.G2...)
+	if ev.Heal != 0 {
+		set(ev.Heal)
+	}
 }
 
-// compile lowers the schedule to the simnet representation: a sequence of
-// partitions (each EvPartition or EvHeal closing the one before it) plus
-// the crash/recover events untouched. The returned open partition, if any,
-// is still in force at the end of the timeline.
-func (s Schedule) compile() (parts []*simnet.Partition, open *simnet.Partition, rest Schedule) {
+// compile lowers the schedule's partitions and heals, in time order, onto
+// a cut timeline through set, and returns the crash, recovery and
+// membership events untouched.
+func (s Schedule) compile(set func(sim.Time, ...proto.SiteID)) (rest Schedule) {
 	for _, ev := range s.Sorted() {
 		switch ev.Kind {
-		case EvPartition:
-			if open != nil {
-				// A repartition implicitly heals the old boundary.
-				closePartition(open, ev.At)
-				open = nil
-			}
-			p := &simnet.Partition{At: ev.At, Heal: ev.Heal, G2: simnet.G2Set(ev.G2...)}
-			parts = append(parts, p)
-			if p.Heal == 0 {
-				open = p
-			}
-		case EvHeal:
-			if open != nil {
-				closePartition(open, ev.At)
-				open = nil
-			}
+		case EvPartition, EvHeal:
+			ev.cut(ev.At, set)
 		default:
 			rest = append(rest, ev)
 		}
 	}
-	return parts, open, rest
+	return rest
 }

@@ -62,9 +62,6 @@ type SimBackend struct {
 	// pending holds the transactions started since the last Wait: their
 	// results are copied out of the nodes by a crash or by that Wait.
 	pending map[proto.TxnID]pendingTxn
-	// openPartition is the schedule's unhealed partition, if any, so an
-	// injected EvHeal can close it.
-	openPartition *simnet.Partition
 	// recoveries records the durable recoveries run.
 	recoveries []RecoveryReport
 }
@@ -118,18 +115,16 @@ func (b *SimBackend) Open(cfg Config) error {
 	if b.opts.RecordTrace {
 		b.rec = &trace.Recorder{}
 	}
-	parts, open, rest := cfg.Schedule.compile()
-	b.openPartition = open
 	b.net = simnet.New(simnet.Config{
 		Sched:        b.sched,
 		T:            b.opts.T,
 		Latency:      b.opts.Latency,
 		BoundaryFrac: b.opts.BoundaryFrac,
 		Mode:         b.opts.Mode,
-		Partitions:   parts,
 		Rand:         sim.NewRand(b.opts.Seed + 1),
 		Trace:        b.rec,
 	})
+	rest := cfg.Schedule.compile(b.net.Cut)
 	b.site = site.Site{Clock: site.SchedClock{Sched: b.sched, Bound: b.opts.T}, Transport: b.net, OnDecide: b.onDecide}
 	if b.rec != nil {
 		b.site.Trace = b.rec.Append
@@ -151,11 +146,12 @@ func (b *SimBackend) Open(cfg Config) error {
 			b.scheduleMembership(ev)
 		}
 	}
-	// Heal edges re-run the inquiry round for in-doubt transactions a
-	// recovery left unresolved behind the partition.
-	for _, p := range parts {
-		if p.Heal > 0 {
-			b.scheduleHealRetry(p.Heal)
+	// An edge that ends a boundary re-runs the inquiry round for in-doubt
+	// transactions a recovery left unresolved behind it.
+	cuts := b.net.Cuts()
+	for i := 1; i < len(cuts); i++ {
+		if len(cuts[i-1].S) > 0 {
+			b.scheduleHealRetry(cuts[i].From)
 		}
 	}
 	return nil
@@ -251,7 +247,7 @@ type simPeers struct {
 
 func (p simPeers) reachable(peer proto.SiteID) bool {
 	now := p.backend.sched.Now()
-	return !p.backend.net.Crashed(peer, now) && !p.backend.net.Separated(p.self, peer, now)
+	return !p.backend.net.Crashed(peer, now) && !p.backend.net.Cuts().Blocked(p.self, peer, now)
 }
 
 // Outcome implements recovery.PeerClient.
@@ -405,8 +401,10 @@ func (b *SimBackend) Wait() error {
 	return nil
 }
 
-// Inject implements Backend. Fate is computed at send time, so the event
-// affects messages sent after the current timeline position.
+// Inject implements Backend. A message is judged at send time against
+// the timeline known then, so the event affects messages sent after the
+// current timeline position; for a timeline known in advance that is the
+// judgement the crossing instant would give.
 func (b *SimBackend) Inject(ev Event) error {
 	if b.sched == nil {
 		return fmt.Errorf("sim backend: not open")
@@ -418,25 +416,12 @@ func (b *SimBackend) Inject(ev Event) error {
 	}
 	switch ev.Kind {
 	case EvPartition:
-		if b.openPartition != nil {
-			closePartition(b.openPartition, at)
-			b.openPartition = nil
-		}
-		if ev.Heal != 0 && ev.Heal <= at {
-			return nil // its whole active window is in the past
-		}
-		p := &simnet.Partition{At: at, Heal: ev.Heal, G2: simnet.G2Set(ev.G2...)}
-		b.net.AddPartition(p)
-		if p.Heal == 0 {
-			b.openPartition = p
-		} else {
-			b.scheduleHealRetry(p.Heal)
+		ev.cut(at, b.net.Cut)
+		if ev.Heal > at {
+			b.scheduleHealRetry(ev.Heal)
 		}
 	case EvHeal:
-		if b.openPartition != nil {
-			closePartition(b.openPartition, at)
-			b.openPartition = nil
-		}
+		ev.cut(at, b.net.Cut)
 		b.scheduleHealRetry(at)
 	case EvCrash:
 		b.scheduleCrash(ev.Site, at)

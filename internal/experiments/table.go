@@ -12,9 +12,7 @@ import (
 	"strings"
 
 	"termproto/internal/cluster"
-	"termproto/internal/proto"
 	"termproto/internal/sim"
-	"termproto/internal/simnet"
 )
 
 // T is the longest end-to-end delay used by every experiment.
@@ -92,8 +90,6 @@ func tUnits(d sim.Duration) string {
 
 // tUnitsTime renders a virtual time as a multiple of T.
 func tUnitsTime(tm sim.Time) string { return tUnits(sim.Duration(tm)) }
-
-func g2(ids ...proto.SiteID) map[proto.SiteID]bool { return simnet.G2Set(ids...) }
 
 func boolCell(ok bool) string {
 	if ok {

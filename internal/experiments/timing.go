@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"termproto/internal/cluster"
 	"termproto/internal/core"
@@ -254,7 +255,6 @@ func E11Fig9CaseBounds(cfg Config) *Table {
 		if len(split) == 0 {
 			split = []proto.SiteID{proto.SiteID(n)}
 		}
-		inG2 := g2(split...)
 		part := cluster.PartitionAt(sim.Time(rng.Int63n(int64(7*T))), split...)
 		if rng.Intn(2) == 0 {
 			part.Heal = part.At + 1 + sim.Time(rng.Int63n(int64(8*T)))
@@ -288,7 +288,7 @@ func E11Fig9CaseBounds(cfg Config) *Table {
 			if d > overallMax {
 				overallMax = d
 			}
-			if inG2[proto.SiteID(w.Site)] {
+			if slices.Contains(split, proto.SiteID(w.Site)) {
 				a.anyPt = true
 				if d > a.maxWait {
 					a.maxWait = d

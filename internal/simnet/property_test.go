@@ -17,23 +17,22 @@ func TestMessageConservationProperty(t *testing.T) {
 		sched := sim.NewScheduler()
 		rec := &trace.Recorder{}
 		rng := sim.NewRand(seed)
-		part := &Partition{
-			At:   sim.Time(onsetRaw % 8000),
-			Heal: sim.Time(healRaw % 12000),
-			G2:   G2Set(3, 4),
-		}
+		onset, heal := sim.Time(onsetRaw%8000), sim.Time(healRaw%12000)
 		mode := Optimistic
 		if pessimistic {
 			mode = Pessimistic
 		}
 		n := New(Config{
 			Sched: sched, T: 1000,
-			Latency:    Uniform{Lo: 1, Hi: 1000},
-			Partitions: []*Partition{part},
-			Mode:       mode,
-			Rand:       sim.NewRand(seed + 1),
-			Trace:      rec,
+			Latency: Uniform{Lo: 1, Hi: 1000},
+			Mode:    mode,
+			Rand:    sim.NewRand(seed + 1),
+			Trace:   rec,
 		})
+		n.Cut(onset, 3, 4)
+		if heal > onset {
+			n.Cut(heal)
+		}
 		sink := HandlerFuncs{OnDeliver: func(proto.Msg) {}, OnUndeliverable: func(proto.Msg) {}}
 		ids := []proto.SiteID{1, 2, 3, 4}
 		for _, id := range ids {
@@ -79,14 +78,13 @@ func TestDeliveryBoundsProperty(t *testing.T) {
 		sched := sim.NewScheduler()
 		rec := &trace.Recorder{}
 		const T = 1000
-		part := &Partition{At: sim.Time(onsetRaw % 6000), G2: G2Set(2)}
 		n := New(Config{
 			Sched: sched, T: T,
-			Latency:    Uniform{Lo: 1, Hi: T},
-			Partitions: []*Partition{part},
-			Rand:       sim.NewRand(seed),
-			Trace:      rec,
+			Latency: Uniform{Lo: 1, Hi: T},
+			Rand:    sim.NewRand(seed),
+			Trace:   rec,
 		})
+		n.Cut(sim.Time(onsetRaw%6000), 2)
 		sink := HandlerFuncs{OnDeliver: func(proto.Msg) {}, OnUndeliverable: func(proto.Msg) {}}
 		n.Register(1, sink)
 		n.Register(2, sink)
@@ -141,17 +139,18 @@ func TestDeliveryBoundsProperty(t *testing.T) {
 // pair's group membership, never on direction.
 func TestCrossPairSymmetryProperty(t *testing.T) {
 	f := func(g2raw []uint8) bool {
-		g := make(map[proto.SiteID]bool)
+		var g []proto.SiteID
 		for _, v := range g2raw {
-			g[proto.SiteID(v%8+1)] = true
+			g = append(g, proto.SiteID(v%8+1))
 		}
-		p := &Partition{At: 0, G2: g}
+		var p Cuts
+		p.Set(0, g...)
 		for a := proto.SiteID(1); a <= 8; a++ {
 			for b := proto.SiteID(1); b <= 8; b++ {
-				if p.CrossPair(a, b) != p.CrossPair(b, a) {
+				if p.Straddles(a, b) != p.Straddles(b, a) || p.Blocked(a, b, 0) != p.Blocked(b, a, 0) {
 					return false
 				}
-				if a == b && p.CrossPair(a, b) {
+				if a == b && (p.Straddles(a, b) || p.Blocked(a, b, 0)) {
 					return false
 				}
 			}

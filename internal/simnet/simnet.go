@@ -6,15 +6,11 @@
 //
 // # Delivery model
 //
-// A message from a to b sent at time s is assigned a forward delay
-// d ∈ (0, T]. If a and b are on the same side of the partition (or no
-// partition is active) it is delivered at s+d. Otherwise the message
-// reaches the boundary at crossing time X = s + f·d, where f ∈ (0,1] is the
-// boundary position along the path (BoundaryFrac, worst case 1.0): if the
-// partition is active at X the message turns around and arrives back at the
-// sender at s + 2·f·d ≤ s + 2T, exactly the paper's undeliverable-return
-// bound; if the partition is not active at X (onset later, or already
-// healed) the message is delivered normally.
+// A message sent at time s is assigned a forward delay d ∈ (0, T], and
+// Cross, the one statement of the model, decides its fate from the cut
+// timeline: delivered at s+d, or returned to its sender at s + 2·f·d ≤
+// s + 2T, where f is the boundary's position along the path
+// (BoundaryFrac, worst case 1.0).
 //
 // In the pessimistic model (Mode == Pessimistic) a message that cannot
 // cross B is silently lost instead of returned — the model under which
@@ -24,6 +20,7 @@ package simnet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"termproto/internal/proto"
@@ -117,49 +114,6 @@ func (p PerKind) Delay(from, to proto.SiteID, r *sim.Rand) sim.Duration {
 	return p.DelayMsg(proto.Msg{From: from, To: to}, r)
 }
 
-// Partition is a simple network partition: the sites in G2 are separated
-// from everything else between At (inclusive) and Heal (exclusive). If
-// Heal <= At the partition is permanent. The zero value means no partition.
-type Partition struct {
-	At   sim.Time
-	Heal sim.Time
-	G2   map[proto.SiteID]bool
-}
-
-// Active reports whether the partition is in force at time t.
-func (p *Partition) Active(t sim.Time) bool {
-	if p == nil || len(p.G2) == 0 {
-		return false
-	}
-	if t < p.At {
-		return false
-	}
-	if p.Heal > p.At && t >= p.Heal {
-		return false
-	}
-	return true
-}
-
-// Permanent reports whether the partition never heals.
-func (p *Partition) Permanent() bool {
-	return p != nil && len(p.G2) > 0 && p.Heal <= p.At
-}
-
-// CrossPair reports whether a and b are on opposite sides of B (regardless
-// of whether the partition is currently active).
-func (p *Partition) CrossPair(a, b proto.SiteID) bool {
-	if p == nil || len(p.G2) == 0 {
-		return false
-	}
-	return p.G2[a] != p.G2[b]
-}
-
-// Separated reports whether a message between a and b at time t cannot
-// cross the boundary.
-func (p *Partition) Separated(a, b proto.SiteID, t sim.Time) bool {
-	return p.Active(t) && p.CrossPair(a, b)
-}
-
 // Config parameterizes a Network.
 type Config struct {
 	Sched *sim.Scheduler
@@ -174,13 +128,8 @@ type Config struct {
 	// undeliverable copy returns a full 2d after sending.
 	BoundaryFrac float64
 	Mode         Mode
-	// Partitions is the full partition timeline: a sequence of (possibly
-	// transient) partitions with distinct onsets, enabling repartition
-	// scenarios. More partitions can be added while the simulation runs
-	// via AddPartition.
-	Partitions []*Partition
-	Rand       *sim.Rand
-	Trace      *trace.Recorder
+	Rand         *sim.Rand
+	Trace        *trace.Recorder
 }
 
 // Handler receives deliveries for one site.
@@ -210,12 +159,16 @@ type crashSpan struct {
 
 // Network is the simulated partitionable network.
 type Network struct {
-	cfg        Config
-	sched      *sim.Scheduler
-	handlers   map[proto.SiteID]Handler
-	crashes    map[proto.SiteID][]crashSpan
-	partitions []*Partition
-	seq        uint64
+	cfg      Config
+	sched    *sim.Scheduler
+	handlers map[proto.SiteID]Handler
+	crashes  map[proto.SiteID][]crashSpan
+	// cuts is the one partition timeline. It is never pruned: the trace's
+	// Cross flag reads every boundary set so far.
+	cuts Cuts
+	// traced is the set the trace last reported in force.
+	traced []proto.SiteID
+	seq    uint64
 
 	sent, delivered, bounced, dropped uint64
 }
@@ -238,16 +191,12 @@ func New(cfg Config) *Network {
 	if cfg.Rand == nil {
 		cfg.Rand = sim.NewRand(1)
 	}
-	n := &Network{
+	return &Network{
 		cfg:      cfg,
 		sched:    cfg.Sched,
 		handlers: make(map[proto.SiteID]Handler),
 		crashes:  make(map[proto.SiteID][]crashSpan),
 	}
-	for _, p := range cfg.Partitions {
-		n.addPartition(p)
-	}
-	return n
 }
 
 // Register installs the handler for a site. Registering twice panics.
@@ -274,49 +223,38 @@ func (n *Network) Sites() []proto.SiteID {
 // T returns the configured longest end-to-end delay.
 func (n *Network) T() sim.Duration { return n.cfg.T }
 
-// AddPartition appends a partition to the timeline and schedules its trace
-// edges. Partitions whose onset lies in the past take effect for messages
-// sent from now on (already-sent messages computed their fate at send
-// time).
-func (n *Network) AddPartition(p *Partition) { n.addPartition(p) }
+// Cut separates the sites in g2 from the rest from instant at on (an empty
+// g2 heals), superseding any cut set from at or later, and writes the edge
+// to the trace when its instant comes. A message already sent keeps the
+// fate Send gave it; for a timeline set in advance, judging at send time
+// and judging at the crossing instant are the same.
+func (n *Network) Cut(at sim.Time, g2 ...proto.SiteID) {
+	// A copy of its own tells this cut from an equal one set before it.
+	n.cuts.Set(at, slices.Clone(g2)...)
+	if at >= n.sched.Now() {
+		n.sched.At(at, sim.PriPartition, n.traceCut)
+	}
+}
 
-func (n *Network) addPartition(p *Partition) {
-	if p == nil || len(p.G2) == 0 {
+// traceCut brings the trace up to the cut in force now: partition-off for
+// the set it last reported, then partition-on for the new one. Every edge
+// schedules it, so an edge superseded before its instant writes nothing.
+func (n *Network) traceCut() {
+	s := n.cuts.InForce(n.sched.Now())
+	if len(s) == len(n.traced) && (len(s) == 0 || &s[0] == &n.traced[0]) {
 		return
 	}
-	n.partitions = append(n.partitions, p)
-	n.schedulePartitionEdges(p)
-}
-
-// Separated reports whether a message between a and b at time t cannot
-// cross some active boundary — the reachability predicate recovery-time
-// inquiries consult.
-func (n *Network) Separated(a, b proto.SiteID, t sim.Time) bool {
-	return n.separatedAt(a, b, t)
-}
-
-// separatedAt reports whether a message between a and b cannot cross some
-// boundary active at time t.
-func (n *Network) separatedAt(a, b proto.SiteID, t sim.Time) bool {
-	for _, p := range n.partitions {
-		if p.Separated(a, b, t) {
-			return true
-		}
+	if len(n.traced) > 0 {
+		n.trace(trace.Event{At: n.sched.Now(), Kind: trace.PartitionOff})
 	}
-	return false
+	if len(s) > 0 {
+		n.trace(trace.Event{At: n.sched.Now(), Kind: trace.PartitionOn, Detail: fmt.Sprintf("G2=%v", slices.Sorted(slices.Values(s)))})
+	}
+	n.traced = s
 }
 
-// crossesAny reports whether the pair (a, b) straddles any configured
-// partition's boundary, active or not — the trace annotation for Send
-// events.
-func (n *Network) crossesAny(a, b proto.SiteID) bool {
-	for _, p := range n.partitions {
-		if p.CrossPair(a, b) {
-			return true
-		}
-	}
-	return false
-}
+// Cuts returns the partition timeline, for reading.
+func (n *Network) Cuts() Cuts { return n.cuts }
 
 // Stats returns cumulative message counters:
 // sent, delivered, bounced, dropped.
@@ -359,9 +297,9 @@ func (n *Network) Crashed(id proto.SiteID, t sim.Time) bool {
 	return false
 }
 
-// Send transmits m.Kind from m.From to m.To. The fate of the message
-// (deliver, bounce, drop) is computed deterministically at send time from
-// the partition schedule; see the package comment for the model.
+// Send transmits m.Kind from m.From to m.To. Cross decides at send time,
+// from the cut timeline, whether the message is delivered, bounced or
+// dropped.
 func (n *Network) Send(m proto.Msg) {
 	if m.From == m.To {
 		panic(fmt.Sprintf("simnet: site %d sending to itself", m.From))
@@ -389,29 +327,19 @@ func (n *Network) Send(m proto.Msg) {
 		d = n.cfg.T
 	}
 
-	cross := n.crossesAny(m.From, m.To)
+	cross := n.cuts.Straddles(m.From, m.To)
 	n.trace(msgEvent(trace.Send, now, int(m.From), m, cross))
 
-	// Crossing time X = s + f*d; blocked iff some partition separating the
-	// endpoints is active at X.
-	crossAt := now + sim.Time(float64(d)*n.cfg.BoundaryFrac+0.5)
-	if crossAt <= now {
-		crossAt = now + 1
-	}
-	if n.separatedAt(m.From, m.To, crossAt) {
-		if n.cfg.Mode == Pessimistic {
-			n.sched.At(crossAt, sim.PriDeliver, func() {
-				n.dropped++
-				n.trace(msgEvent(trace.Drop, n.sched.Now(), int(m.To), m, true))
-			})
-			return
-		}
-		// Return trip: same distance back to the sender.
-		back := crossAt + (crossAt - now)
-		if back <= crossAt {
-			back = crossAt + 1
-		}
-		n.sched.At(back, sim.PriDeliver, func() {
+	fate, at := Cross(now, d, n.cfg.BoundaryFrac, n.cfg.Mode, n.cuts, m.From, m.To)
+	switch fate {
+	case Drop:
+		n.sched.At(at, sim.PriDeliver, func() {
+			n.dropped++
+			n.trace(msgEvent(trace.Drop, n.sched.Now(), int(m.To), m, true))
+		})
+		return
+	case Return:
+		n.sched.At(at, sim.PriDeliver, func() {
 			n.bounced++
 			ud := m
 			ud.Undeliverable = true
@@ -423,9 +351,7 @@ func (n *Network) Send(m proto.Msg) {
 		})
 		return
 	}
-
-	arrival := now + sim.Time(d)
-	n.sched.At(arrival, sim.PriDeliver, func() {
+	n.sched.At(at, sim.PriDeliver, func() {
 		if n.Crashed(m.To, n.sched.Now()) {
 			n.dropped++
 			ev := msgEvent(trace.Drop, n.sched.Now(), int(m.To), m, cross)
@@ -437,29 +363,6 @@ func (n *Network) Send(m proto.Msg) {
 		n.trace(msgEvent(trace.Deliver, n.sched.Now(), int(m.To), m, cross))
 		n.handlers[m.To].Deliver(m)
 	})
-}
-
-func (n *Network) schedulePartitionEdges(p *Partition) {
-	now := n.sched.Now()
-	if at := p.At; at >= now {
-		n.sched.At(at, sim.PriPartition, func() {
-			n.trace(trace.Event{At: n.sched.Now(), Kind: trace.PartitionOn, Detail: p.describe()})
-		})
-	}
-	if p.Heal > p.At && p.Heal >= now {
-		n.sched.At(p.Heal, sim.PriPartition, func() {
-			n.trace(trace.Event{At: n.sched.Now(), Kind: trace.PartitionOff})
-		})
-	}
-}
-
-func (p *Partition) describe() string {
-	ids := make([]int, 0, len(p.G2))
-	for id := range p.G2 {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	return fmt.Sprintf("G2=%v", ids)
 }
 
 func (n *Network) trace(e trace.Event) { n.cfg.Trace.Append(e) }
@@ -475,13 +378,4 @@ func msgEvent(k trace.EventKind, at sim.Time, site int, m proto.Msg, cross bool)
 		TID:     uint64(m.TID),
 		Cross:   cross,
 	}
-}
-
-// G2Set builds a Partition group set from site IDs.
-func G2Set(ids ...proto.SiteID) map[proto.SiteID]bool {
-	g := make(map[proto.SiteID]bool, len(ids))
-	for _, id := range ids {
-		g[id] = true
-	}
-	return g
 }

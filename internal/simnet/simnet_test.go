@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"termproto/internal/proto"
@@ -68,8 +70,8 @@ func TestCrossPartitionBounceTiming(t *testing.T) {
 	// Message sent at 0 with delay T=100, boundary at f=1.0, partition
 	// active from 0: crossing attempt at 100 fails, UD returns at 200 = 2T.
 	s := sim.NewScheduler()
-	p := &Partition{At: 0, G2: G2Set(2)}
-	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partitions: []*Partition{p}}, 1, 2)
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}}, 1, 2)
+	n.Cut(0, 2)
 	n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgPrepare})
 	s.Run()
 	c1 := caps[1]
@@ -92,8 +94,8 @@ func TestCrossPartitionBounceTiming(t *testing.T) {
 
 func TestBoundaryFracHalvesReturnTime(t *testing.T) {
 	s := sim.NewScheduler()
-	p := &Partition{At: 0, G2: G2Set(2)}
-	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partitions: []*Partition{p}, BoundaryFrac: 0.5}, 1, 2)
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, BoundaryFrac: 0.5}, 1, 2)
+	n.Cut(0, 2)
 	n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgPrepare})
 	s.Run()
 	if caps[1].at[0] != 100 {
@@ -105,8 +107,8 @@ func TestInFlightMessagePassesBoundaryBeforeOnset(t *testing.T) {
 	// f=0.5: message sent at 0 with delay 100 crosses B at 50. Partition
 	// starting at 60 is too late to stop it: delivered at 100.
 	s := sim.NewScheduler()
-	p := &Partition{At: 60, G2: G2Set(2)}
-	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partitions: []*Partition{p}, BoundaryFrac: 0.5}, 1, 2)
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, BoundaryFrac: 0.5}, 1, 2)
+	n.Cut(60, 2)
 	n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgPrepare})
 	s.Run()
 	if len(caps[2].delivered) != 1 || caps[2].at[0] != 100 {
@@ -117,8 +119,8 @@ func TestInFlightMessagePassesBoundaryBeforeOnset(t *testing.T) {
 func TestInFlightMessageCaughtByOnset(t *testing.T) {
 	// f=1.0: crossing at 100; partition starts at 60 < 100: bounced.
 	s := sim.NewScheduler()
-	p := &Partition{At: 60, G2: G2Set(2)}
-	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partitions: []*Partition{p}}, 1, 2)
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}}, 1, 2)
+	n.Cut(60, 2)
 	n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgPrepare})
 	s.Run()
 	if len(caps[2].delivered) != 0 {
@@ -132,8 +134,9 @@ func TestInFlightMessageCaughtByOnset(t *testing.T) {
 func TestHealAllowsCrossing(t *testing.T) {
 	// Partition [10, 50); message sent at 60 crosses freely.
 	s := sim.NewScheduler()
-	p := &Partition{At: 10, Heal: 50, G2: G2Set(2)}
-	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{30}, Partitions: []*Partition{p}}, 1, 2)
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{30}}, 1, 2)
+	n.Cut(10, 2)
+	n.Cut(50)
 	s.At(60, sim.PriControl, func() {
 		n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgProbe})
 	})
@@ -147,8 +150,8 @@ func TestMessageArrivingExactlyAtOnsetIsBlocked(t *testing.T) {
 	// Crossing time X equals partition onset: Active(X) is inclusive of At,
 	// so the message bounces. This pins the boundary-edge convention.
 	s := sim.NewScheduler()
-	p := &Partition{At: 100, G2: G2Set(2)}
-	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partitions: []*Partition{p}}, 1, 2)
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}}, 1, 2)
+	n.Cut(100, 2)
 	n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgCommit})
 	s.Run()
 	if len(caps[2].delivered) != 0 {
@@ -158,8 +161,9 @@ func TestMessageArrivingExactlyAtOnsetIsBlocked(t *testing.T) {
 
 func TestMessageCrossingExactlyAtHealIsDelivered(t *testing.T) {
 	s := sim.NewScheduler()
-	p := &Partition{At: 10, Heal: 100, G2: G2Set(2)}
-	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partitions: []*Partition{p}}, 1, 2)
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}}, 1, 2)
+	n.Cut(10, 2)
+	n.Cut(100)
 	n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgCommit})
 	s.Run()
 	if len(caps[2].delivered) != 1 {
@@ -169,8 +173,8 @@ func TestMessageCrossingExactlyAtHealIsDelivered(t *testing.T) {
 
 func TestSameGroupUnaffected(t *testing.T) {
 	s := sim.NewScheduler()
-	p := &Partition{At: 0, G2: G2Set(3)}
-	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{25}, Partitions: []*Partition{p}}, 1, 2, 3)
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{25}}, 1, 2, 3)
+	n.Cut(0, 3)
 	n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgXact})
 	s.Run()
 	if len(caps[2].delivered) != 1 || caps[2].at[0] != 25 {
@@ -180,8 +184,8 @@ func TestSameGroupUnaffected(t *testing.T) {
 
 func TestG2InternalTrafficUnaffected(t *testing.T) {
 	s := sim.NewScheduler()
-	p := &Partition{At: 0, G2: G2Set(2, 3)}
-	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{25}, Partitions: []*Partition{p}}, 1, 2, 3)
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{25}}, 1, 2, 3)
+	n.Cut(0, 2, 3)
 	n.Send(proto.Msg{From: 2, To: 3, Kind: proto.MsgCommit})
 	s.Run()
 	if len(caps[3].delivered) != 1 {
@@ -192,8 +196,8 @@ func TestG2InternalTrafficUnaffected(t *testing.T) {
 func TestPessimisticModeDrops(t *testing.T) {
 	s := sim.NewScheduler()
 	rec := &trace.Recorder{}
-	p := &Partition{At: 0, G2: G2Set(2)}
-	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Partitions: []*Partition{p}, Mode: Pessimistic, Trace: rec}, 1, 2)
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{100}, Mode: Pessimistic, Trace: rec}, 1, 2)
+	n.Cut(0, 2)
 	n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgPrepare})
 	s.Run()
 	if len(caps[1].returned) != 0 {
@@ -239,8 +243,8 @@ func TestCrashedSiteStillReceivesBeforeCrash(t *testing.T) {
 func TestTraceRecordsLifecycle(t *testing.T) {
 	s := sim.NewScheduler()
 	rec := &trace.Recorder{}
-	p := &Partition{At: 0, G2: G2Set(2)}
-	n, _ := build(t, Config{Sched: s, T: 100, Latency: Fixed{50}, Partitions: []*Partition{p}, Trace: rec}, 1, 2, 3)
+	n, _ := build(t, Config{Sched: s, T: 100, Latency: Fixed{50}, Trace: rec}, 1, 2, 3)
+	n.Cut(0, 2)
 	n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgPrepare}) // bounces
 	n.Send(proto.Msg{From: 1, To: 3, Kind: proto.MsgPrepare}) // delivers
 	s.Run()
@@ -289,28 +293,31 @@ func TestRegisterTwicePanics(t *testing.T) {
 }
 
 func TestPartitionPredicates(t *testing.T) {
-	p := &Partition{At: 10, Heal: 20, G2: G2Set(3, 4)}
+	var p Cuts
+	p.Set(10, 3, 4)
+	p.Set(20)
 	cases := []struct {
 		t      sim.Time
 		active bool
 	}{{0, false}, {9, false}, {10, true}, {15, true}, {19, true}, {20, false}, {100, false}}
 	for _, c := range cases {
-		if got := p.Active(c.t); got != c.active {
+		if got := len(p.InForce(c.t)) > 0; got != c.active {
 			t.Errorf("Active(%d) = %v, want %v", c.t, got, c.active)
 		}
 	}
-	if p.Permanent() {
+	if len(p.InForce(1<<40)) > 0 {
 		t.Error("healing partition reported permanent")
 	}
-	perm := &Partition{At: 10, G2: G2Set(3)}
-	if !perm.Permanent() {
+	var perm Cuts
+	perm.Set(10, 3)
+	if len(perm.InForce(1<<40)) == 0 {
 		t.Error("permanent partition not reported permanent")
 	}
-	if !p.CrossPair(1, 3) || p.CrossPair(3, 4) || p.CrossPair(1, 2) {
+	if !p.Straddles(1, 3) || p.Straddles(3, 4) || p.Straddles(1, 2) {
 		t.Error("CrossPair wrong")
 	}
-	var nilP *Partition
-	if nilP.Active(5) || nilP.CrossPair(1, 2) || nilP.Separated(1, 2, 5) {
+	var none Cuts
+	if len(none.InForce(5)) > 0 || none.Straddles(1, 2) || none.Blocked(1, 2, 5) {
 		t.Error("nil partition must be inert")
 	}
 }
@@ -338,8 +345,8 @@ func TestPerPairLatency(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	s := sim.NewScheduler()
-	p := &Partition{At: 0, G2: G2Set(2)}
-	n, _ := build(t, Config{Sched: s, T: 100, Latency: Fixed{10}, Partitions: []*Partition{p}}, 1, 2, 3)
+	n, _ := build(t, Config{Sched: s, T: 100, Latency: Fixed{10}}, 1, 2, 3)
+	n.Cut(0, 2)
 	n.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgXact}) // bounce
 	n.Send(proto.Msg{From: 1, To: 3, Kind: proto.MsgXact}) // deliver
 	s.Run()
@@ -409,5 +416,36 @@ func TestNetworkUsesPerKind(t *testing.T) {
 	s.Run()
 	if caps[2].at[0] != 15 || caps[2].at[1] != 90 {
 		t.Fatalf("per-kind delays = %v, want [15 90]", caps[2].at)
+	}
+}
+
+// Every edge of the cut timeline writes its trace events at its instant,
+// once: a cut superseded before its instant writes nothing, and a
+// repartition writes partition-off, then partition-on, even to an equal set.
+func TestCutEdgesTraced(t *testing.T) {
+	s := sim.NewScheduler()
+	rec := &trace.Recorder{}
+	n, _ := build(t, Config{Sched: s, T: 100, Trace: rec}, 1, 2, 3)
+	n.Cut(100, 2)
+	n.Cut(100) // neutralized at its onset
+	n.Cut(200, 3, 2)
+	n.Cut(300, 2, 3)
+	n.Cut(400)
+	n.Cut(500)
+	s.Run()
+	var got []string
+	for _, e := range rec.Events() {
+		got = append(got, fmt.Sprintf("%d %s %s", e.At, e.Kind, e.Detail))
+	}
+	want := []string{
+		"200 partition-on G2=[2 3]",
+		"300 partition-off ", "300 partition-on G2=[2 3]",
+		"400 partition-off ",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("trace = %q, want %q", got, want)
+	}
+	if !n.Cuts().Blocked(1, 2, 350) || n.Cuts().Blocked(1, 2, 150) || n.Cuts().Blocked(2, 3, 350) {
+		t.Fatal("timeline does not match the cuts set")
 	}
 }

@@ -10,6 +10,8 @@ import (
 
 	"termproto/internal/obs"
 	"termproto/internal/proto"
+	"termproto/internal/sim"
+	"termproto/internal/simnet"
 	"termproto/internal/trace"
 )
 
@@ -38,11 +40,13 @@ import (
 //     1,194 µs after 2T, the decide fsync included. Putting AfterFunc on
 //     a timerfd did not move onset_term_p90_ms past run-to-run spread (3
 //     of 6 alternating pairs won), so a second waker would buy nothing.
-//   - A blocked peer is a partition boundary, consulted at crossing time:
-//     the message turns around and, d after its crossing instant, the
-//     sender receives its own copy marked Undeliverable. Each blocklist is
-//     in force from an instant of its own, so links given one instant cut
-//     at once. No other place decides: the far side delivers what crossed.
+//   - At its instant each crossing is judged by simnet.Cross, the rule the
+//     simulator judges by, against the link's cut timeline, with the
+//     boundary met on arrival (f = 1): a message meeting a blocked peer
+//     turns around and, d after its crossing instant, the sender receives
+//     its own copy marked Undeliverable. Each blocklist is in force from an
+//     instant of its own, so links given one instant cut at once. No other
+//     place decides: the far side delivers what crossed.
 //   - A dead peer (put fails) is silence — the message is dropped without
 //     a return, because a site failure must be indistinguishable from
 //     message loss (paper §7).
@@ -56,9 +60,12 @@ import (
 // Close releases both.
 type Link struct {
 	self    proto.SiteID
-	t       time.Duration
 	put     func(proto.Msg) error
 	deliver func(proto.Msg)
+	// epoch is the monotonic origin of the link's instants: nanoseconds
+	// since it, so that no instant is rounded and a wall-clock step cannot
+	// reorder crossings.
+	epoch time.Time
 
 	// Trace, when set before traffic starts, receives the wire events —
 	// send, deliver, bounce, drop: the vocabulary simnet records, so an
@@ -73,25 +80,20 @@ type Link struct {
 	done chan struct{} // closed when the queue goroutine has exited
 
 	mu     sync.Mutex
-	rng    *rand.Rand
-	cuts   []cut      // ascending by from; cuts[0] is in force before cuts[1].from
+	draw   func() time.Duration // a message's delay; called with mu held
+	cuts   simnet.Cuts
 	q      []crossing // ascending by instant
 	closed bool
 
 	sent, delivered, bounced, dropped atomic.Uint64
 }
 
-// cut is one blocklist and the instant from which it is in force.
-type cut struct {
-	from    time.Time
-	blocked []proto.SiteID
-}
-
 // crossing is one queued message: the instant it is due at the boundary —
-// or, once back is set, back at its sender — and the delay it drew.
+// or, once back is set, back at its sender — and the delay it drew, both in
+// nanoseconds.
 type crossing struct {
-	at   time.Time
-	d    time.Duration
+	at   sim.Time
+	d    sim.Duration
 	m    proto.Msg
 	back bool
 }
@@ -119,23 +121,26 @@ func (w *timerWaker) close()              { w.closed.Store(true); w.tm.Reset(0) 
 // owes it a Close. A zero seed derives one from the site.
 func NewLink(self proto.SiteID, t time.Duration, seed int64,
 	deliver func(proto.Msg), put func(proto.Msg) error) *Link {
-	return newLink(self, t, seed, deliver, put, newWaker())
-}
-
-func newLink(self proto.SiteID, t time.Duration, seed int64,
-	deliver func(proto.Msg), put func(proto.Msg) error, wake waker) *Link {
 	if seed == 0 {
 		seed = 424242 + int64(self)
 	}
+	return newLink(self, deliver, put, newWaker(), seededDraw(seed, t))
+}
+
+func newLink(self proto.SiteID, deliver func(proto.Msg), put func(proto.Msg) error,
+	wake waker, draw func() time.Duration) *Link {
 	l := &Link{
-		self: self, t: t, put: put, deliver: deliver,
-		wake: wake, done: make(chan struct{}),
-		rng:  rand.New(rand.NewSource(seed)),
-		cuts: []cut{{}},
+		self: self, put: put, deliver: deliver, epoch: time.Now(),
+		wake: wake, done: make(chan struct{}), draw: draw,
 	}
 	go l.run()
 	return l
 }
+
+// instant converts a wall-clock time to the link's nanoseconds.
+func (l *Link) instant(t time.Time) sim.Time { return sim.Time(t.Sub(l.epoch)) }
+
+func (l *Link) now() sim.Time { return l.instant(time.Now()) }
 
 // wireEvent emits one wire-level trace event. Cross is always true: these
 // are inter-site messages by construction, simnet's convention.
@@ -150,9 +155,16 @@ func (l *Link) wireEvent(k trace.EventKind, site proto.SiteID, m proto.Msg, deta
 	})
 }
 
-// drawDelay picks one message's delay, uniform over [T/4, T/2).
+// drawDelay picks one message's delay, uniform over [T/4, T/2): the
+// daemons' envelope, whose reason simnet.Cross gives.
 func drawDelay(rng *rand.Rand, t time.Duration) time.Duration {
 	return t/4 + time.Duration(rng.Int63n(max(int64(t/4), 1)))
+}
+
+// seededDraw is drawDelay over a generator of its own.
+func seededDraw(seed int64, t time.Duration) func() time.Duration {
+	rng := rand.New(rand.NewSource(seed))
+	return func() time.Duration { return drawDelay(rng, t) }
 }
 
 // Send implements Transport.
@@ -161,8 +173,8 @@ func (l *Link) Send(m proto.Msg) {
 	l.wireEvent(trace.Send, l.self, m, "")
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	d := drawDelay(l.rng, l.t)
-	l.push(crossing{at: time.Now().Add(d), d: d, m: m})
+	d := sim.Duration(l.draw())
+	l.push(crossing{at: l.now() + sim.Time(d), d: d, m: m})
 }
 
 // push queues e — near the tail: instants grow with the clock, give or take
@@ -172,10 +184,10 @@ func (l *Link) push(e crossing) {
 	if l.closed {
 		return
 	}
-	i := sort.Search(len(l.q), func(i int) bool { return l.q[i].at.After(e.at) })
+	i := sort.Search(len(l.q), func(i int) bool { return l.q[i].at > e.at })
 	l.q = slices.Insert(l.q, i, e)
 	if i == 0 {
-		l.wake.arm(time.Until(e.at))
+		l.wake.arm(time.Duration(e.at - l.now()))
 	}
 }
 
@@ -200,25 +212,31 @@ func (l *Link) run() {
 
 // next takes the head off the queue if its instant has come — judged by
 // the clock, not by the wake-up, so that nothing lands early — and
-// otherwise arms the waker for it. A crossing that meets the boundary goes
-// back on the queue as a return, due d after the instant it was to cross.
+// otherwise arms the waker for it. simnet.Cross judges a crossing by its
+// own instant, however late the goroutine gets to it; one that meets the
+// boundary goes back on the queue as a return, due at the instant the rule
+// gives.
 func (l *Link) next() (e crossing, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for len(l.q) > 0 {
-		now := time.Now()
-		if e = l.q[0]; e.at.After(now) {
-			l.wake.arm(e.at.Sub(now))
+		now := l.now()
+		if e = l.q[0]; e.at > now {
+			l.wake.arm(time.Duration(e.at - now))
 			break
 		}
 		l.q[0] = crossing{} // the array outlives the entry: let its payload go
 		l.q = l.q[1:]
-		l.Late.Observe(now.Sub(e.at).Microseconds())
-		if e.back || !slices.Contains(l.inForce(e.at), e.m.To) {
+		l.Late.Observe(time.Duration(now - e.at).Microseconds())
+		if e.back {
+			return e, true
+		}
+		fate, back := simnet.Cross(e.at-sim.Time(e.d), e.d, 1, simnet.Optimistic, l.cuts, l.self, e.m.To)
+		if fate == simnet.Deliver {
 			return e, true
 		}
 		l.bounced.Add(1)
-		e.back, e.at = true, e.at.Add(e.d)
+		e.back, e.at = true, back
 		l.push(e)
 	}
 	return e, false
@@ -247,46 +265,30 @@ func (l *Link) Receive(m proto.Msg) bool {
 }
 
 // SetBlocked replaces the set of peers behind the partition boundary from
-// instant at on: the present when at is zero or already past. A crossing
-// due at or after at is judged by the new set, one due before it by the
-// set in force until then, however late the queue goroutine gets to
-// either (simnet's rule: a message crossing exactly at the onset bounces).
+// instant at on: the present when at is zero or already past. It appends to
+// the link's cut timeline, superseding a cut pending from at or later, so a
+// crossing due at or after at is judged by the new set and one due before
+// it by the set in force until then, however late the queue goroutine gets
+// to either (a message crossing exactly at the onset bounces).
 func (l *Link) SetBlocked(peers []proto.SiteID, at time.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	now := time.Now()
-	if at.Before(now) {
-		at = now
-	}
-	i := len(l.cuts) // a cut pending from at or later is superseded
-	for i > 1 && !l.cuts[i-1].from.Before(at) {
-		i--
-	}
-	l.cuts = append(l.cuts[:i], cut{at, slices.Clone(peers)})
+	now := l.now()
+	l.cuts.Set(max(l.instant(at), now), slices.Clone(peers)...)
 	// No crossing is judged before the present or the queue's head.
-	if len(l.q) > 0 && l.q[0].at.Before(now) {
-		now = l.q[0].at
+	if len(l.q) > 0 {
+		now = min(now, l.q[0].at)
 	}
-	for len(l.cuts) > 1 && !l.cuts[1].from.After(now) {
+	for len(l.cuts) > 1 && l.cuts[1].From <= now {
 		l.cuts = l.cuts[1:]
 	}
-}
-
-// inForce is the blocklist a crossing due at x is judged by. Called with
-// l.mu held.
-func (l *Link) inForce(x time.Time) []proto.SiteID {
-	i := len(l.cuts) - 1
-	for i > 0 && l.cuts[i].from.After(x) {
-		i--
-	}
-	return l.cuts[i].blocked
 }
 
 // BlockedList returns the peers blocked now.
 func (l *Link) BlockedList() []proto.SiteID {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return slices.Clone(l.inForce(time.Now()))
+	return slices.Clone(l.cuts.InForce(l.now()))
 }
 
 // Counters returns the cumulative message counters.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"termproto/internal/proto"
+	"termproto/internal/sim"
 )
 
 const (
@@ -41,12 +42,12 @@ func newLinkPair(t *testing.T, wake func() waker) (*[2]*Link, [2]chan landing) {
 	for i := range links {
 		ch := make(chan landing, 512) // above any test's messages in flight
 		inbox[i] = ch
-		links[i] = newLink(proto.SiteID(i+1), linkT, linkSeed,
+		links[i] = newLink(proto.SiteID(i+1),
 			func(m proto.Msg) { ch <- landing{m, time.Now()} },
 			func(m proto.Msg) error {
 				links[m.To-1].Receive(m)
 				return nil
-			}, wake())
+			}, wake(), seededDraw(linkSeed, linkT))
 		t.Cleanup(links[i].Close)
 	}
 	return &links, inbox
@@ -175,8 +176,9 @@ func TestLinkCutsAtItsInstant(t *testing.T) {
 			t.Error("site 2 is blocked before the cut's instant")
 		}
 		l.mu.Lock() // the queue goroutine waits here until after the instant
-		l.push(crossing{at: at, d: linkT / 4, m: proto.Msg{TID: 1, From: 1, To: 2}})
-		l.push(crossing{at: at.Add(-time.Microsecond), d: linkT / 4, m: proto.Msg{TID: 2, From: 1, To: 2}})
+		d := sim.Duration(linkT / 4)
+		l.push(crossing{at: l.instant(at), d: d, m: proto.Msg{TID: 1, From: 1, To: 2}})
+		l.push(crossing{at: l.instant(at.Add(-time.Microsecond)), d: d, m: proto.Msg{TID: 2, From: 1, To: 2}})
 		time.Sleep(time.Until(at) + time.Millisecond)
 		l.mu.Unlock()
 		if got := recv(t, inbox[1]); got.m.TID != 2 {
@@ -225,7 +227,7 @@ func TestLinkCloseReleases(t *testing.T) {
 	eachWaker(t, func(t *testing.T, wake func() waker, _ bool) {
 		goroutines, open := runtime.NumGoroutine(), fds()
 		for i := 0; i < 200; i++ {
-			l := newLink(1, linkT, 0, func(proto.Msg) {}, func(proto.Msg) error { return nil }, wake())
+			l := newLink(1, func(proto.Msg) {}, func(proto.Msg) error { return nil }, wake(), seededDraw(linkSeed, linkT))
 			l.Send(proto.Msg{From: 1, To: 2})
 			l.Close()
 			l.Close()
@@ -252,8 +254,8 @@ func TestLinkEarlierEntryOvertakes(t *testing.T) {
 		l := links[0]
 		now := time.Now()
 		l.mu.Lock()
-		l.push(crossing{at: now.Add(3 * linkT / 4), m: proto.Msg{TID: 1, From: 1, To: 2}})
-		l.push(crossing{at: now.Add(linkT / 4), m: proto.Msg{TID: 2, From: 1, To: 2}})
+		l.push(crossing{at: l.instant(now.Add(3 * linkT / 4)), m: proto.Msg{TID: 1, From: 1, To: 2}})
+		l.push(crossing{at: l.instant(now.Add(linkT / 4)), m: proto.Msg{TID: 2, From: 1, To: 2}})
 		l.mu.Unlock()
 		first, second := recv(t, inbox[1]), recv(t, inbox[1])
 		if first.m.TID != 2 || second.m.TID != 1 {
