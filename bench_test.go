@@ -1,8 +1,9 @@
-// Benchmarks of the simulator and its substrate: recovery churn (E16),
-// simulated protocol rounds and workloads, and micro-benchmarks of the
-// network, WAL, engine, lock table and FSA (the P-series). The paper's
-// artifacts are tested, not timed: experiments.TestE1–TestE15 and
-// TestAllGolden regenerate them. Run with:
+// Benchmarks of the simulator: recovery churn (E16), simulated protocol
+// rounds and workloads, and FSA exploration (the P-series). The WAL,
+// engine and lock table are timed on a daemon's own store by the e2e
+// benchmark's micro stage (bench/e2e). The paper's artifacts are tested,
+// not timed: experiments.TestE1–TestE15 and TestAllGolden regenerate
+// them. Run with:
 //
 //	go test -bench=. -benchmem
 package termproto_test
@@ -14,9 +15,6 @@ import (
 	"termproto"
 	"termproto/internal/cluster"
 	"termproto/internal/core"
-	"termproto/internal/db/engine"
-	"termproto/internal/db/lock"
-	"termproto/internal/db/wal"
 	"termproto/internal/fsa"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/cooperative"
@@ -26,8 +24,6 @@ import (
 	"termproto/internal/protocol/threepcrules"
 	"termproto/internal/protocol/twopc"
 	"termproto/internal/protocol/twopcext"
-	"termproto/internal/sim"
-	"termproto/internal/simnet"
 	"termproto/internal/workload"
 )
 
@@ -65,7 +61,7 @@ func BenchmarkE16_RecoveryChurn(b *testing.B) {
 	}
 }
 
-// --- P-series: substrate micro-benchmarks ---
+// --- P-series: protocol rounds, FSA exploration and workloads ---
 
 // BenchmarkP1_ProtocolRound measures one full failure-free termination-
 // protocol transaction (4 sites) through the simulator.
@@ -89,72 +85,6 @@ func BenchmarkP2_PartitionedRound(b *testing.B) {
 		if !r.Consistent() {
 			b.Fatal("inconsistent")
 		}
-	}
-}
-
-// BenchmarkP3_NetworkThroughput measures raw simulated message delivery.
-func BenchmarkP3_NetworkThroughput(b *testing.B) {
-	sched, net := newBenchNet()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Send(proto.Msg{From: 1, To: 2, Kind: proto.MsgXact})
-		if i%1024 == 1023 {
-			sched.Run()
-		}
-	}
-	sched.Run()
-}
-
-func newBenchNet() (*sim.Scheduler, *simnet.Network) {
-	sched := sim.NewScheduler()
-	n := simnet.New(simnet.Config{Sched: sched, T: 100, Latency: simnet.Fixed{D: 10}})
-	sink := simnet.HandlerFuncs{
-		OnDeliver:       func(proto.Msg) {},
-		OnUndeliverable: func(proto.Msg) {},
-	}
-	n.Register(1, sink)
-	n.Register(2, sink)
-	return sched, n
-}
-
-// BenchmarkP4_WALAppend measures stable-log appends with CRC and sync.
-func BenchmarkP4_WALAppend(b *testing.B) {
-	l := wal.New(&wal.MemStore{})
-	r := wal.Record{Type: wal.RecUpdate, TID: 7, Key: []byte("acct/alice"), Value: []byte("1000")}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := l.Append(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkP5_EngineTxn measures a full execute/commit cycle on the
-// database engine (locks, WAL, B-tree apply).
-func BenchmarkP5_EngineTxn(b *testing.B) {
-	e := engine.New("bench", &wal.MemStore{})
-	e.PutInt("acct", 1<<40)
-	payload := engine.EncodeOps([]engine.Op{{Kind: engine.OpAdd, Key: "acct", Delta: -1}})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tid := proto.TxnID(i + 1)
-		if !e.Execute(tid, payload) {
-			b.Fatal("vote no")
-		}
-		e.Commit(tid)
-	}
-}
-
-// BenchmarkP6_LockManager measures acquire/release pairs.
-func BenchmarkP6_LockManager(b *testing.B) {
-	m := lock.New()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tid := uint64(i + 1)
-		if !m.TryAcquire(tid, "row", lock.Exclusive) {
-			b.Fatal("denied")
-		}
-		m.Release(tid)
 	}
 }
 
@@ -341,7 +271,7 @@ func BenchmarkD2_ShardedVsFull(b *testing.B) {
 }
 
 // BenchmarkC2_ClusterEngineThroughput measures the full database path —
-// locks, WAL, B-tree apply — under concurrent batched submission through
+// locks, WAL, row apply — under concurrent batched submission through
 // the termination protocol, reusing the engine fixtures across
 // iterations (one long-lived cluster, batches of 16).
 func BenchmarkC2_ClusterEngineThroughput(b *testing.B) {

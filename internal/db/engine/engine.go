@@ -1,18 +1,19 @@
-// Package engine assembles a site-local database from the substrate
-// packages — B-tree storage, write-ahead log, and lock manager — and
-// adapts it to the commit protocols as a proto.Participant: partial
-// execution produces the site's vote, the decision applies or discards the
-// buffered updates, and recovery replays the log idempotently (paper §2).
+// Package engine assembles a site-local database — rows in a map, a
+// write-ahead log, and an exclusive lock table — and adapts it to the
+// commit protocols as a proto.Participant: partial execution produces the
+// site's vote, the decision applies or discards the buffered updates, and
+// recovery replays the log idempotently (paper §2).
 package engine
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
-	"termproto/internal/db/btree"
 	"termproto/internal/db/lock"
 	"termproto/internal/db/wal"
 	"termproto/internal/obs"
@@ -157,7 +158,7 @@ type Options struct {
 type Engine struct {
 	mu      sync.Mutex
 	name    string
-	tree    *btree.Tree
+	rows    map[string][]byte // committed state; apply stores private copies
 	log     *wal.Log
 	locks   *lock.Manager
 	pending map[uint64]*pendingTxn
@@ -235,7 +236,7 @@ func (e *Engine) txnShard(p *pendingTxn) int {
 func New(name string, store wal.Store) *Engine {
 	return &Engine{
 		name:    name,
-		tree:    &btree.Tree{},
+		rows:    make(map[string][]byte),
 		log:     wal.New(store),
 		locks:   lock.New(),
 		pending: make(map[uint64]*pendingTxn),
@@ -313,8 +314,7 @@ func (e *Engine) StageAt(tid proto.TxnID, payload []byte, sites []proto.SiteID) 
 		if v, ok := scratch[key]; ok {
 			return v
 		}
-		v, _ := e.tree.Get([]byte(key))
-		return v
+		return e.rows[key]
 	}
 	for _, op := range ops {
 		if op.Kind == OpEpoch && len(op.Value) == 0 {
@@ -441,11 +441,7 @@ func (e *Engine) Commit(tid proto.TxnID) {
 		return // never prepared here: the decision alone is recorded
 	}
 	for _, w := range p.writes {
-		if w.value == nil {
-			e.tree.Delete([]byte(w.key))
-		} else {
-			e.tree.Put([]byte(w.key), w.value)
-		}
+		e.apply(w.key, w.value)
 	}
 	delete(e.pending, id)
 	e.locks.Release(id)
@@ -497,7 +493,8 @@ func (e *Engine) Outcome(tid uint64) (proto.Outcome, bool) {
 func (e *Engine) Get(key string) ([]byte, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.tree.Get([]byte(key))
+	v, ok := e.rows[key]
+	return v, ok
 }
 
 // GetInt reads a committed integer value (0 if absent).
@@ -513,7 +510,7 @@ func (e *Engine) Put(key string, value []byte) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.log.Append(wal.Record{Type: wal.RecApply, Key: []byte(key), Value: value}) //nolint:errcheck
-	e.apply([]byte(key), value)
+	e.apply(key, value)
 }
 
 // PutBatch is Put for a whole fixture: values[k] for each of keys, logged
@@ -539,17 +536,19 @@ func (e *Engine) applyBatch(keys []string, values map[string][]byte) error {
 	if err := e.log.AppendBatch(recs); err != nil {
 		return err
 	}
-	for _, r := range recs {
-		e.apply(r.Key, r.Value)
+	for _, k := range keys {
+		e.apply(k, values[k])
 	}
 	return nil
 }
 
-func (e *Engine) apply(key, value []byte) {
+// apply sets one committed row; a nil value deletes it. The row keeps its
+// own copy of value.
+func (e *Engine) apply(key string, value []byte) {
 	if value == nil {
-		e.tree.Delete(key)
+		delete(e.rows, key)
 	} else {
-		e.tree.Put(key, value)
+		e.rows[key] = append([]byte(nil), value...)
 	}
 }
 
@@ -560,7 +559,7 @@ func (e *Engine) PutInt(key string, v int64) { e.Put(key, EncodeInt(v)) }
 func (e *Engine) Len() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.tree.Len()
+	return len(e.rows)
 }
 
 // Snapshot returns a copy of every committed key/value pair — the input to
@@ -572,11 +571,10 @@ func (e *Engine) Snapshot() map[string][]byte {
 }
 
 func (e *Engine) snapshotLocked() map[string][]byte {
-	out := make(map[string][]byte, e.tree.Len())
-	e.tree.Ascend(func(k, v []byte) bool {
-		out[string(k)] = append([]byte(nil), v...)
-		return true
-	})
+	out := make(map[string][]byte, len(e.rows))
+	for k, v := range e.rows {
+		out[k] = append([]byte(nil), v...)
+	}
 	return out
 }
 
@@ -667,7 +665,7 @@ func (e *Engine) CatchUp(snap map[string][]byte, unstable map[string]bool, inclu
 		if !in(k) || e.locks.Holders(k) > 0 {
 			continue
 		}
-		cur, ok := e.tree.Get([]byte(k))
+		cur, ok := e.rows[k]
 		if ok && (IsMetaKey(k) || string(cur) == string(v)) {
 			continue // meta records are immutable: adopt only when absent
 		}
@@ -678,13 +676,11 @@ func (e *Engine) CatchUp(snap map[string][]byte, unstable map[string]bool, inclu
 	// this site was down (no entry in values: a delete). Meta records are
 	// exempt: absence at the donor means the donor's history is shorter,
 	// not that ours was deleted.
-	e.tree.Ascend(func(k, _ []byte) bool {
-		key := string(k)
+	for key := range e.rows {
 		if _, ok := snap[key]; !ok && !IsMetaKey(key) && in(key) && e.locks.Holders(key) == 0 {
 			keys = append(keys, key)
 		}
-		return true
-	})
+	}
 	sort.Strings(keys)
 	if err := e.applyBatch(keys, values); err != nil {
 		return 0, fmt.Errorf("engine %s: log catch-up of %d keys: %w", e.name, len(keys), err)
@@ -712,7 +708,7 @@ type RecoveryInfo struct {
 }
 
 // RecoverInPlace models a process restart on this engine: all in-memory
-// state — tree, locks, buffered updates, decision cache — is discarded
+// state — rows, locks, buffered updates, decision cache — is discarded
 // and rebuilt from the stable log alone. Committed transactions and
 // directly-applied writes are redone in log order (values are absolute,
 // so replay is idempotent), aborted and unprepared transactions are
@@ -726,7 +722,7 @@ func (e *Engine) RecoverInPlace() (RecoveryInfo, error) {
 	if err != nil {
 		return RecoveryInfo{}, fmt.Errorf("engine %s: recovery scan: %w", e.name, err)
 	}
-	e.tree = &btree.Tree{}
+	e.rows = make(map[string][]byte)
 	e.locks = lock.New()
 	e.observeLockFailures()
 	e.pending = make(map[uint64]*pendingTxn)
@@ -754,7 +750,7 @@ func (e *Engine) RecoverInPlace() (RecoveryInfo, error) {
 		default:
 			continue
 		}
-		e.apply(r.Key, r.Value)
+		e.apply(string(r.Key), r.Value)
 	}
 	// Reconstruct in-doubt transactions.
 	for tid, t := range byTxn {
@@ -793,14 +789,9 @@ func (e *Engine) Checkpoint() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	recs := []wal.Record{{Type: wal.RecCheckpoint}}
-	e.tree.Ascend(func(k, v []byte) bool {
-		recs = append(recs, wal.Record{
-			Type:  wal.RecApply,
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), v...),
-		})
-		return true
-	})
+	for _, k := range slices.Sorted(maps.Keys(e.rows)) {
+		recs = append(recs, wal.Record{Type: wal.RecApply, Key: []byte(k), Value: e.rows[k]})
+	}
 	decided := make([]uint64, 0, len(e.decided))
 	for tid := range e.decided {
 		decided = append(decided, tid)

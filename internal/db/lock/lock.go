@@ -1,12 +1,13 @@
-// Package lock implements a strict two-phase-locking lock manager with
-// shared/exclusive row locks.
+// Package lock is the engine's row-lock table: one exclusive holder per
+// key, taken without waiting.
 //
-// The engine takes only exclusive locks, and only with TryAcquire: a
-// conflict never waits, it is a no vote — unless the engine's wound rule
-// aborts the key's Holder, a younger transaction its own site still
-// coordinates, and takes the lock. Acquire's FIFO wait queues, lock
-// upgrade and waits-for-graph deadlock detection are the rest of a
-// general two-phase-locking table; no shipped code path waits.
+// The engine takes its locks only with TryAcquire: a conflict never waits,
+// it is a no vote — unless the engine's wound rule aborts the key's
+// Holder, a younger transaction its own site still coordinates, and takes
+// the lock. Acquire and its FIFO queue of exclusive waiters stay until
+// ROADMAP 14 measures whether a slave should wait, inside the delay bound,
+// for a lock to free instead of voting no; no shipped code path calls
+// them yet.
 //
 // Its role in the reproduction is the paper's motivation made concrete:
 // "the locks acquired by the blocked transaction cannot be relinquished,
@@ -16,236 +17,127 @@
 // transactions on those rows fail.
 package lock
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// Mode is a lock mode.
+// Mode is a lock mode. Exclusive is the only one.
 type Mode uint8
 
-// Lock modes.
-const (
-	Shared Mode = iota + 1
-	Exclusive
-)
-
-// String returns "S" or "X".
-func (m Mode) String() string {
-	switch m {
-	case Shared:
-		return "S"
-	case Exclusive:
-		return "X"
-	default:
-		return fmt.Sprintf("mode(%d)", uint8(m))
-	}
-}
+// Exclusive is the only lock mode: one holder per key.
+const Exclusive Mode = 1
 
 // Result reports the outcome of an Acquire.
 type Result uint8
 
 // Acquire outcomes.
 const (
-	Granted  Result = iota + 1 // the lock is held on return
-	Queued                     // the waiter was enqueued; grant runs later
-	Deadlock                   // enqueueing would close a waits-for cycle
+	Granted Result = iota + 1 // the lock is held on return
+	Queued                    // the waiter was enqueued; grant runs later
 )
 
 type waiter struct {
 	tid   uint64
-	mode  Mode
 	grant func()
 }
 
+// entry is a held key: its holder and the waiters queued behind it.
 type entry struct {
-	holders map[uint64]Mode
-	queue   []waiter
+	holder uint64
+	queue  []waiter
 }
 
-// Manager is a lock table. The zero value is not usable; call New.
+// Manager is a lock table. The zero value is not usable; call New. Its
+// mutex lets a reader such as Holders run beside the engine's own calls.
 type Manager struct {
 	mu sync.Mutex
-	// locks holds an entry per key that is held or waited on; a key
-	// neither held nor waited on has none.
+	// locks holds an entry per held key; a free key has none.
 	locks map[string]*entry
-	held  map[uint64]map[string]Mode
+	held  map[uint64][]string
 	// waitsOn[t] = key t is queued on ("" if none).
 	waitsOn map[uint64]string
-	// fails counts TryAcquire conflicts and Acquire deadlock verdicts —
-	// the immediate no-vote causes, surfaced per shard by the engine's
-	// observability hook and in aggregate here.
-	fails atomic.Uint64
 	// onFail, when set, observes each failed key (the engine resolves it
 	// to a shard and bumps the per-shard counter). Set before traffic.
 	onFail func(key string)
 }
 
 // SetFailObserver installs a callback invoked (outside the table lock)
-// with the key of every failed immediate acquisition. Call before
-// traffic; nil disables.
+// with the key of every failed TryAcquire. Call before traffic; nil
+// disables.
 func (m *Manager) SetFailObserver(fn func(key string)) { m.onFail = fn }
-
-// Fails returns how many immediate acquisitions failed (TryAcquire
-// conflicts and Acquire deadlock rejections).
-func (m *Manager) Fails() uint64 { return m.fails.Load() }
-
-// fail counts one failed acquisition and notifies the observer.
-func (m *Manager) fail(key string) {
-	m.fails.Add(1)
-	if m.onFail != nil {
-		m.onFail(key)
-	}
-}
 
 // New returns an empty lock manager.
 func New() *Manager {
 	return &Manager{
 		locks:   make(map[string]*entry),
-		held:    make(map[uint64]map[string]Mode),
+		held:    make(map[uint64][]string),
 		waitsOn: make(map[uint64]string),
 	}
 }
 
-func compatible(have, want Mode) bool { return have == Shared && want == Shared }
-
-// entryFor returns (creating) the lock entry.
-func (m *Manager) entryFor(key string) *entry {
-	e := m.locks[key]
-	if e == nil {
-		e = &entry{holders: make(map[uint64]Mode)}
-		m.locks[key] = e
-	}
-	return e
-}
-
-// grantable reports whether tid can take key in mode right now, honouring
-// current holders (upgrade-aware) and queue fairness.
-func (m *Manager) grantable(e *entry, tid uint64, mode Mode) bool {
-	for h, hm := range e.holders {
-		if h == tid {
-			continue // upgrade handled below
-		}
-		if !compatible(hm, mode) && !compatible(mode, hm) {
-			return false
-		}
-		if mode == Exclusive || hm == Exclusive {
-			return false
-		}
-	}
-	// FIFO fairness: a shared request must not overtake a queued
-	// exclusive waiter.
-	if mode == Shared {
-		for _, w := range e.queue {
-			if w.mode == Exclusive {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // TryAcquire attempts an immediate grant and reports success. On conflict
 // nothing is enqueued — the unilateral-abort path the commit protocols use
-// when voting.
-func (m *Manager) TryAcquire(tid uint64, key string, mode Mode) bool {
+// when voting. The mode is always Exclusive.
+func (m *Manager) TryAcquire(tid uint64, key string, _ Mode) bool {
 	m.mu.Lock()
-	e := m.entryFor(key)
-	if cur, ok := e.holders[tid]; ok && (cur == mode || cur == Exclusive) {
-		m.mu.Unlock()
-		return true // already held at sufficient strength
+	e := m.locks[key]
+	ok := e == nil || e.holder == tid
+	if e == nil {
+		m.grant(tid, key)
 	}
-	if !m.grantable(e, tid, mode) {
-		m.mu.Unlock()
-		m.fail(key)
-		return false
-	}
-	m.grant(e, tid, key, mode)
 	m.mu.Unlock()
-	return true
+	if !ok && m.onFail != nil {
+		m.onFail(key)
+	}
+	return ok
 }
 
-// Acquire attempts a grant, enqueueing on conflict. grant is invoked
-// (outside the manager lock) when a queued request is eventually granted;
-// it may be nil for tests. Returns Deadlock — without enqueueing — if
-// waiting would close a cycle in the waits-for graph.
-func (m *Manager) Acquire(tid uint64, key string, mode Mode, grant func()) Result {
+// Acquire grants key at once when it is free or already tid's, and
+// otherwise queues tid behind the holder's earlier waiters; grant is
+// invoked (outside the manager lock) when the queued request is granted,
+// and may be nil for tests. Nothing detects a waits-for cycle, so a caller
+// that waits must bound the wait with a deadline of its own and Release
+// on expiry. The mode is always Exclusive.
+func (m *Manager) Acquire(tid uint64, key string, _ Mode, grant func()) Result {
 	m.mu.Lock()
-	e := m.entryFor(key)
-	if cur, ok := e.holders[tid]; ok && (cur == mode || cur == Exclusive) {
-		m.mu.Unlock()
+	defer m.mu.Unlock()
+	e := m.locks[key]
+	if e == nil {
+		m.grant(tid, key)
 		return Granted
 	}
-	if m.grantable(e, tid, mode) {
-		m.grant(e, tid, key, mode)
-		m.mu.Unlock()
+	if e.holder == tid {
 		return Granted
 	}
-	if m.wouldDeadlock(tid, key) {
-		m.mu.Unlock()
-		m.fail(key)
-		return Deadlock
-	}
-	e.queue = append(e.queue, waiter{tid: tid, mode: mode, grant: grant})
+	e.queue = append(e.queue, waiter{tid: tid, grant: grant})
 	m.waitsOn[tid] = key
-	m.mu.Unlock()
 	return Queued
 }
 
-func (m *Manager) grant(e *entry, tid uint64, key string, mode Mode) {
-	e.holders[tid] = mode
-	hm := m.held[tid]
-	if hm == nil {
-		hm = make(map[string]Mode)
-		m.held[tid] = hm
-	}
-	hm[key] = mode
+// grant makes tid the holder of key, which must be free.
+func (m *Manager) grant(tid uint64, key string) *entry {
+	e := &entry{holder: tid}
+	m.locks[key] = e
+	m.held[tid] = append(m.held[tid], key)
+	return e
 }
 
-// wouldDeadlock checks whether tid waiting on key closes a waits-for
-// cycle: tid → holders(key) →* tid.
-func (m *Manager) wouldDeadlock(tid uint64, key string) bool {
-	seen := map[uint64]bool{}
-	var reaches func(from uint64) bool
-	reaches = func(from uint64) bool {
-		if from == tid {
-			return true
-		}
-		if seen[from] {
-			return false
-		}
-		seen[from] = true
-		wk, waiting := m.waitsOn[from]
-		if !waiting {
-			return false
-		}
-		for h := range m.locks[wk].holders {
-			if h != from && reaches(h) {
-				return true
-			}
-		}
-		return false
-	}
-	for h := range m.locks[key].holders {
-		if h != tid && reaches(h) {
-			return true
-		}
-	}
-	return false
-}
-
-// Release drops every lock tid holds and cancels its queued waits, then
-// grants any now-compatible waiters in FIFO order. Grant callbacks run
-// after the manager lock is released.
+// Release drops every lock tid holds and cancels its queued wait, then
+// hands each freed key to its first waiter. Grant callbacks run after the
+// manager lock is released.
 func (m *Manager) Release(tid uint64) {
 	m.mu.Lock()
 	var grants []func()
-	for key := range m.held[tid] {
-		e := m.locks[key]
-		delete(e.holders, tid)
-		grants = append(grants, m.pump(e, key)...)
-		m.forget(e, key)
+	for _, key := range m.held[tid] {
+		queue := m.locks[key].queue
+		delete(m.locks, key)
+		if len(queue) == 0 {
+			continue
+		}
+		w := queue[0]
+		delete(m.waitsOn, w.tid)
+		m.grant(w.tid, key).queue = queue[1:]
+		if w.grant != nil {
+			grants = append(grants, w.grant)
+		}
 	}
 	delete(m.held, tid)
 	if wk, ok := m.waitsOn[tid]; ok {
@@ -257,7 +149,6 @@ func (m *Manager) Release(tid uint64) {
 			}
 		}
 		delete(m.waitsOn, tid)
-		m.forget(e, wk)
 	}
 	m.mu.Unlock()
 	for _, g := range grants {
@@ -265,87 +156,22 @@ func (m *Manager) Release(tid uint64) {
 	}
 }
 
-// forget drops key's entry once nobody holds or waits on it.
-func (m *Manager) forget(e *entry, key string) {
-	if len(e.holders) == 0 && len(e.queue) == 0 {
-		delete(m.locks, key)
-	}
-}
-
-// pump grants queue heads while compatible, returning their callbacks.
-func (m *Manager) pump(e *entry, key string) []func() {
-	var out []func()
-	for len(e.queue) > 0 {
-		w := e.queue[0]
-		// Check only against holders; the head of the queue never waits
-		// on later entries.
-		ok := true
-		for h, hm := range e.holders {
-			if h == w.tid {
-				continue
-			}
-			if w.mode == Exclusive || hm == Exclusive {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			break
-		}
-		e.queue = e.queue[1:]
-		delete(m.waitsOn, w.tid)
-		m.grant(e, w.tid, key, w.mode)
-		if w.grant != nil {
-			out = append(out, w.grant)
-		}
-	}
-	return out
-}
-
-// HeldKeys returns the keys tid holds, for metrics and tests.
-func (m *Manager) HeldKeys(tid uint64) []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []string
-	for k := range m.held[tid] {
-		out = append(out, k)
-	}
-	return out
-}
-
-// Holders returns how many transactions hold key.
+// Holders returns how many transactions hold key: 0 or 1.
 func (m *Manager) Holders(key string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e := m.locks[key]
-	if e == nil {
-		return 0
+	if _, ok := m.Holder(key); ok {
+		return 1
 	}
-	return len(e.holders)
+	return 0
 }
 
-// Holder returns the transaction that alone holds key; ok is false when
-// key is free or shared by several.
+// Holder returns the transaction that holds key; ok is false when key is
+// free.
 func (m *Manager) Holder(key string) (tid uint64, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e := m.locks[key]
-	if e == nil || len(e.holders) != 1 {
+	if e == nil {
 		return 0, false
 	}
-	for h := range e.holders {
-		tid = h
-	}
-	return tid, true
-}
-
-// QueueLen returns how many waiters are queued on key.
-func (m *Manager) QueueLen(key string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e := m.locks[key]
-	if e == nil {
-		return 0
-	}
-	return len(e.queue)
+	return e.holder, true
 }

@@ -52,8 +52,20 @@ func TestLocalnetCrashDuringGroupCommit(t *testing.T) {
 
 	// The restarted site must agree with the survivors on every
 	// transaction — waitOutcome across all three sites enforces both
-	// decision and agreement.
+	// decision and agreement. The one exception is an xact still in flight
+	// to site 3 when it died (a hop takes up to T/2, as long as the pause
+	// before the kill): site 3 never logged it, so the survivors abort it,
+	// since a commit needs site 3's logged yes, and the restarted site has
+	// nothing to report. The snapshot check below still requires its key
+	// to be absent there.
 	for i := 1; i <= txns; i++ {
+		if outcomes[uint64(i)] == "abort" {
+			dto, err := l.Client(3).Txn(proto.TxnID(i))
+			if err == nil && !dto.Started && dto.Outcome == "none" {
+				t.Logf("txn %d: aborted by the survivors before site 3 heard of it", i)
+				continue
+			}
+		}
 		got := waitOutcome(t, l, uint64(i), l.Sites())
 		if got != outcomes[uint64(i)] {
 			t.Errorf("txn %d: post-restart outcome %q, survivors decided %q", i, got, outcomes[uint64(i)])

@@ -5,8 +5,8 @@
 // optimistic (return-to-sender) failure model, together with every
 // comparator protocol the paper discusses, a deterministic discrete-event
 // simulator with a partitionable network, a formal FSA analyzer, a
-// database substrate (B-tree, WAL, lock manager) with durable crash
-// recovery — WAL replay, in-doubt resolution via the termination
+// database substrate (rows, WAL, exclusive no-wait locks) with durable
+// crash recovery — WAL replay, in-doubt resolution via the termination
 // protocol's inquiry round, anti-entropy catch-up — real-process
 // daemons, and the full experiment suite that regenerates the paper's
 // figures and analytical tables.
@@ -166,7 +166,7 @@ var (
 // --- database substrate ---
 
 type (
-	// Engine is a site-local database: B-tree storage, WAL, lock manager.
+	// Engine is a site-local database: rows in a map, WAL, lock table.
 	Engine = engine.Engine
 	// Op is one operation in a transaction body.
 	Op = engine.Op
