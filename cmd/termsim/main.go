@@ -383,8 +383,15 @@ func printMetrics(snap obs.Snapshot) {
 			inT(obs.MShardCommitLatency, 0.5), inT(obs.MShardCommitLatency, 0.99))
 	}
 	if c, a := snap.Total(obs.MCommits), snap.Total(obs.MAborts); c+a > 0 {
-		fmt.Printf("  engine decisions:         commits=%d aborts=%d lock-failures=%d wounds=%d\n",
-			c, a, snap.Total(obs.MLockFailures), snap.Total(obs.MLockWounds))
+		waits := map[string]int64{} // by outcome
+		if f := snap.Family(obs.MLockWaits); f != nil {
+			for _, s := range f.Series {
+				waits[s.Label("outcome")] += s.Value
+			}
+		}
+		fmt.Printf("  engine decisions:         commits=%d aborts=%d lock-failures=%d wounds=%d waits=%d (granted %d, expired %d, dropped %d)\n",
+			c, a, snap.Total(obs.MLockFailures), snap.Total(obs.MLockWounds),
+			snap.Total(obs.MLockWaits), waits["granted"], waits["expired"], waits["dropped"])
 	}
 	if recs := snap.Total(obs.MWalRecords); recs > 0 {
 		fmt.Printf("  wal:                      records=%d syncs=%d fsync p50=%.0fµs p99=%.0fµs\n",

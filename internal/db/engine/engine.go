@@ -317,14 +317,8 @@ func (e *Engine) StageAt(tid proto.TxnID, payload []byte, sites []proto.SiteID) 
 		return e.rows[key]
 	}
 	for _, op := range ops {
-		if op.Kind == OpEpoch && len(op.Value) == 0 {
-			continue // legacy bare marker: no lock, no write, just a durable decision
-		}
-		// Meta keys (placement epochs) are hosted everywhere: every
-		// participant must durably record the new assignment in its own
-		// WAL, or it could not recover its placement history alone.
-		if e.hosts != nil && !IsMetaKey(op.Key) && !e.hosts(op.Key) {
-			continue // foreign key: another shard's replicas handle it
+		if !e.lockable(op) {
+			continue
 		}
 		e.woundHolder(id, op.Key)
 		if !e.locks.TryAcquire(id, op.Key, lock.Exclusive) {
@@ -353,6 +347,42 @@ func (e *Engine) StageAt(tid proto.TxnID, payload []byte, sites []proto.SiteID) 
 	}
 	e.pending[id] = p
 	return true
+}
+
+// lockable reports whether StageAt locks op's key at this site. A legacy
+// bare epoch marker takes no lock and writes nothing: it is just a durable
+// decision. A foreign key is for another shard's replicas. Meta keys
+// (placement epochs) are hosted everywhere: every participant must durably
+// record the new assignment in its own WAL, or it could not recover its
+// placement history alone. Called with e.mu held.
+func (e *Engine) lockable(op Op) bool {
+	if op.Kind == OpEpoch && len(op.Value) == 0 {
+		return false
+	}
+	return e.hosts == nil || IsMetaKey(op.Key) || e.hosts(op.Key)
+}
+
+// Blocker reports the first key StageAt would lock for tid's body that
+// another transaction holds, and that holder. It takes nothing and
+// changes nothing: the site table asks it before it hands a transaction
+// on, and parks the transaction while a holder is reported. An
+// undecodable body has no blocker; StageAt refuses it.
+func (e *Engine) Blocker(tid proto.TxnID, payload []byte) (holder uint64, blocked bool) {
+	ops, err := DecodeOps(payload)
+	if err != nil {
+		return 0, false
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, op := range ops {
+		if !e.lockable(op) {
+			continue
+		}
+		if h, ok := e.locks.Holder(op.Key); ok && h != uint64(tid) {
+			return h, true
+		}
+	}
+	return 0, false
 }
 
 // woundHolder frees key for id when the wound rule lets id abort the

@@ -188,3 +188,42 @@ func TestStageWoundsHolder(t *testing.T) {
 		}
 	}
 }
+
+// Blocker names the holder of the first key StageAt would lock that
+// another transaction holds, reads the same keys StageAt does — not a
+// foreign key, not a bare epoch marker, not the asker's own — and takes
+// nothing.
+func TestBlocker(t *testing.T) {
+	e := New("site", &wal.MemStore{})
+	e.SetPlacement(func(key string) bool { return key != "foreign" })
+	for tid, key := range map[proto.TxnID]string{1: "a", 2: "b", 3: "foreign"} {
+		e.locks.TryAcquire(uint64(tid), key, 0)
+	}
+	body := func(keys ...string) []byte {
+		ops := []Op{{Kind: OpEpoch}} // a bare marker: no lock
+		for _, k := range keys {
+			ops = append(ops, Op{Kind: OpPut, Key: k, Value: []byte("v")})
+		}
+		return EncodeOps(ops)
+	}
+	cases := []struct {
+		tid     proto.TxnID
+		body    []byte
+		holder  uint64
+		blocked bool
+	}{
+		{9, body("free", "b", "a"), 2, true},
+		{9, body("foreign", "free"), 0, false},
+		{1, body("a"), 0, false},
+		{1, body("a", "b"), 2, true},
+		{9, []byte("not ops"), 0, false},
+	}
+	for i, c := range cases {
+		if h, ok := e.Blocker(c.tid, c.body); h != c.holder || ok != c.blocked {
+			t.Errorf("case %d: Blocker = %d/%v, want %d/%v", i, h, ok, c.holder, c.blocked)
+		}
+	}
+	if e.Locked("free") || len(e.InDoubt()) != 0 {
+		t.Fatal("Blocker took a lock or staged a transaction")
+	}
+}

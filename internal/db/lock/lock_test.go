@@ -24,61 +24,6 @@ func TestTryAcquireBasics(t *testing.T) {
 	}
 }
 
-func TestQueuedGrantOnRelease(t *testing.T) {
-	m := New()
-	m.TryAcquire(1, "a", Exclusive)
-	granted := false
-	res := m.Acquire(2, "a", Exclusive, func() { granted = true })
-	if res != Queued {
-		t.Fatalf("Acquire = %v, want Queued", res)
-	}
-	if queueLen(m, "a") != 1 {
-		t.Fatal("waiter not queued")
-	}
-	m.Release(1)
-	if !granted {
-		t.Fatal("grant callback not invoked on release")
-	}
-	if m.Holders("a") != 1 || queueLen(m, "a") != 0 {
-		t.Fatal("grant bookkeeping wrong")
-	}
-}
-
-func TestFIFOGrantOrder(t *testing.T) {
-	m := New()
-	m.TryAcquire(1, "a", Exclusive)
-	var order []int
-	m.Acquire(2, "a", Exclusive, func() { order = append(order, 2) })
-	m.Acquire(3, "a", Exclusive, func() { order = append(order, 3) })
-	m.Release(1)
-	if len(order) != 1 || order[0] != 2 {
-		t.Fatalf("grant order = %v, want [2]", order)
-	}
-	m.Release(2)
-	if len(order) != 2 || order[1] != 3 {
-		t.Fatalf("grant order = %v, want [2 3]", order)
-	}
-}
-
-func TestReleaseCancelsQueuedWait(t *testing.T) {
-	m := New()
-	m.TryAcquire(1, "a", Exclusive)
-	m.Acquire(2, "a", Exclusive, func() { t.Fatal("aborted waiter granted") })
-	m.Release(2) // waiter gives up (transaction aborted)
-	if queueLen(m, "a") != 0 {
-		t.Fatal("cancelled waiter still queued")
-	}
-	m.Release(1)
-}
-
-func TestAcquireAlreadyHeld(t *testing.T) {
-	m := New()
-	m.TryAcquire(1, "a", Exclusive)
-	if res := m.Acquire(1, "a", Exclusive, nil); res != Granted {
-		t.Fatalf("X holder asking for X again = %v, want Granted", res)
-	}
-}
-
 func TestHolder(t *testing.T) {
 	m := New()
 	if _, ok := m.Holder("a"); ok {
@@ -94,30 +39,18 @@ func TestHolder(t *testing.T) {
 	}
 }
 
-// A key nobody holds or waits on keeps no entry: the table does not grow
-// with every key ever locked.
+// A key nobody holds keeps no entry: the table does not grow with every
+// key ever locked.
 func TestReleaseForgetsKey(t *testing.T) {
 	m := New()
 	m.TryAcquire(1, "a", Exclusive)
-	m.Acquire(2, "a", Exclusive, nil)
-	m.Acquire(3, "a", Exclusive, nil)
-	m.Release(3) // a waiter gives up
-	m.Release(1) // 2 is granted
+	m.TryAcquire(2, "a", Exclusive) // a conflict leaves nothing behind
 	m.Release(2)
+	m.Release(1)
 	m.TryAcquire(4, "b", Exclusive)
-	m.TryAcquire(5, "b", Exclusive) // a conflict leaves nothing behind either
+	m.TryAcquire(5, "b", Exclusive)
 	m.Release(4)
-	if len(m.locks) != 0 {
-		t.Fatalf("%d entries left after every lock was released", len(m.locks))
+	if len(m.locks) != 0 || len(m.held) != 0 {
+		t.Fatalf("%d entries (%d holders) left after every lock was released", len(m.locks), len(m.held))
 	}
-}
-
-// queueLen is how many waiters are queued on key.
-func queueLen(m *Manager, key string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e := m.locks[key]; e != nil {
-		return len(e.queue)
-	}
-	return 0
 }

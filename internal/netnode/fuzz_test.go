@@ -16,6 +16,7 @@ func FuzzWireCodec(f *testing.F) {
 	// Valid frames of each shape.
 	f.Add(EncodeMsg(proto.Msg{TID: 1, From: 1, To: 2, Kind: proto.MsgXact, Payload: []byte("body")}))
 	f.Add(EncodeMsg(proto.Msg{TID: 1 << 40, From: 5, To: 1, Kind: proto.MsgCommit, Undeliverable: true}))
+	f.Add(EncodeMsg(proto.Msg{TID: 2, From: 1, To: 3, Kind: proto.MsgXact, Payload: []byte("body"), Slack: 1<<32 - 1}))
 	f.Add(EncodeMsg(proto.Msg{
 		TID: 3, From: 1, To: 4, Kind: proto.MsgXact,
 		Payload: EncodeXact(XactEnvelope{

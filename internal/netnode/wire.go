@@ -23,7 +23,8 @@
 //
 //	u32 body length | body
 //	body: u8 frame kind | u64 tid | u32 from | u32 to | u8 msg kind |
-//	      u8 flags (bit0 = undeliverable) | u32 payload length | payload
+//	      u8 flags (bit0 = undeliverable) | u32 payload length |
+//	      u32 slack (µs, proto.Msg.Slack) | payload
 //
 // MsgXact payloads additionally carry an envelope (see EncodeXact): over
 // TCP a slave has no out-of-band start event, so the transaction message
@@ -48,12 +49,13 @@ import (
 	"sync"
 
 	"termproto/internal/proto"
+	"termproto/internal/sim"
 	"termproto/internal/site"
 )
 
 // WireVersion is the protocol revision carried in every hello; a receiver
-// rejects connections from any other revision.
-const WireVersion = 1
+// rejects connections from any other revision. Version 2 added the slack.
+const WireVersion = 2
 
 // MaxFrame bounds a frame body. Protocol payloads are transaction bodies
 // (a few hundred bytes of encoded ops); 1 MiB is generous headroom and a
@@ -106,7 +108,7 @@ const (
 )
 
 // WireUpgrade is the Upgrade token of GET /wire; it carries WireVersion.
-const WireUpgrade = "termproto-wire/1"
+const WireUpgrade = "termproto-wire/2"
 
 // tidFrameLen is the size of a query or ack frame body.
 const tidFrameLen = 1 + 8
@@ -134,7 +136,7 @@ func DecodeTID(body []byte, kind byte) (proto.TxnID, error) {
 }
 
 // msgHeadLen is the fixed part of a message frame body.
-const msgHeadLen = 1 + 8 + 4 + 4 + 1 + 1 + 4
+const msgHeadLen = 1 + 8 + 4 + 4 + 1 + 1 + 4 + 4
 
 // AppendMsg appends one protocol message, encoded as a frame body (no
 // length prefix), onto buf — the zero-allocation form: with a buffer of
@@ -151,6 +153,7 @@ func AppendMsg(buf []byte, m proto.Msg) []byte {
 	}
 	buf = append(buf, flags)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Payload)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(m.Slack))
 	buf = append(buf, m.Payload...)
 	return buf
 }
@@ -182,6 +185,7 @@ func DecodeMsg(body []byte) (proto.Msg, error) {
 		return proto.Msg{}, fmt.Errorf("%w: unknown flags %#x", ErrWire, flags)
 	}
 	m.Undeliverable = flags&1 != 0
+	m.Slack = sim.Duration(binary.BigEndian.Uint32(body[23:27]))
 	n := binary.BigEndian.Uint32(body[19:23])
 	// 64-bit comparison: an adversarial 4 GiB payload length must not
 	// wrap, over-allocate, or slice out of range.

@@ -29,7 +29,9 @@ func TestHelloRejects(t *testing.T) {
 		"short":       {0x54, 0x50},
 		"bad magic":   append([]byte("XXXX"), make([]byte, 6)...),
 		"bad version": append([]byte("TPNW"), 0x00, 0x63, 0, 0, 0, 1),
-		"zero site":   append([]byte("TPNW"), 0x00, 0x01, 0, 0, 0, 0),
+		// Version 1 frames carry no slack: a peer that speaks them is refused.
+		"version 1": append([]byte("TPNW"), 0x00, 0x01, 0, 0, 0, 1),
+		"zero site": append([]byte("TPNW"), 0x00, 0x02, 0, 0, 0, 0),
 	}
 	for name, raw := range cases {
 		if _, err := ReadHello(bytes.NewReader(raw)); !errors.Is(err, ErrWire) {
@@ -44,6 +46,7 @@ func TestMsgRoundTrip(t *testing.T) {
 		{TID: 1 << 40, From: 5, To: 1, Kind: proto.MsgYes},
 		{TID: 9, From: 3, To: 4, Kind: proto.MsgCommit, Undeliverable: true},
 		{TID: 2, From: 2, To: 3, Kind: proto.MsgInquire, Payload: []byte{}},
+		{TID: 4, From: 1, To: 3, Kind: proto.MsgXact, Payload: []byte("body"), Slack: 12_345},
 	}
 	for _, m := range msgs {
 		var buf bytes.Buffer

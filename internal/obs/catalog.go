@@ -14,7 +14,8 @@ package obs
 //	protocol — protocol name (round-latency histograms)
 //	phase    — protocol phase: "prepared" (a storage-engine site's yes
 //	           vote became durable) and "decided" (the site decided)
-//	outcome  — "commit" | "abort"
+//	outcome  — "commit" | "abort"; on lock waits "granted" | "expired" |
+//	           "dropped"
 //	dir      — "sent" | "recv" (wire traffic)
 const (
 	// Round latency per protocol phase at each site, in thousandths of T
@@ -32,6 +33,12 @@ const (
 	// Lock conflicts resolved by wounding the holder (a younger
 	// transaction the site coordinates, aborted in w1), label: shard.
 	MLockWounds = "termproto_lock_wounds_total"
+	// Transactions a site table parked, holding no lock, behind a key
+	// another transaction held, by how the wait ended, labels: shard,
+	// outcome (granted: the keys freed in time; expired: the budget ran
+	// out and the transaction went on to be refused; dropped: an abort or
+	// the site's close ended it first).
+	MLockWaits = "termproto_lock_waits_total"
 	// WAL durability: fsync wall latency in microseconds, records made
 	// durable and the Sync calls that took.
 	MWalFsyncLatency = "termproto_wal_fsync_latency_us"
@@ -60,6 +67,7 @@ var catalog = []struct {
 	{MAborts, KindCounter, "Transactions aborted by the engine."},
 	{MLockFailures, KindCounter, "Lock acquisition failures (write conflicts voted no)."},
 	{MLockWounds, KindCounter, "Lock conflicts resolved by aborting the younger holder the site coordinates, still in w1."},
+	{MLockWaits, KindCounter, "Transactions parked behind a held key, by how the wait ended: granted, expired or dropped."},
 	{MWalFsyncLatency, KindHistogram, "WAL fsync wall latency in microseconds."},
 	{MWalRecords, KindCounter, "WAL records reaching stable storage."},
 	{MWalSyncs, KindCounter, "WAL sync syscalls issued."},
@@ -87,7 +95,19 @@ type DB struct {
 	Aborts       *CounterVec
 	LockFailures *CounterVec
 	LockWounds   *CounterVec
+	// LockWaits is indexed by WaitGranted, WaitExpired, WaitDropped.
+	LockWaits [3]*CounterVec
 }
+
+// Lock-wait outcomes: the index into DB.LockWaits.
+const (
+	WaitGranted = iota
+	WaitExpired
+	WaitDropped
+)
+
+// waitOutcomes are the outcome labels of MLockWaits, by index.
+var waitOutcomes = [3]string{"granted", "expired", "dropped"}
 
 // NewDB resolves the engine handle bundle against a registry (nil
 // registry → nil bundle, all recording off).
@@ -95,10 +115,14 @@ func NewDB(r *Registry) *DB {
 	if r == nil {
 		return nil
 	}
-	return &DB{
+	db := &DB{
 		Commits:      r.NewCounterVec(MCommits, "shard"),
 		Aborts:       r.NewCounterVec(MAborts, "shard"),
 		LockFailures: r.NewCounterVec(MLockFailures, "shard"),
 		LockWounds:   r.NewCounterVec(MLockWounds, "shard"),
 	}
+	for i, o := range waitOutcomes {
+		db.LockWaits[i] = r.NewCounterVec(MLockWaits, "shard", L("outcome", o))
+	}
+	return db
 }

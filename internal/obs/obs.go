@@ -337,17 +337,19 @@ type CounterVec struct {
 	r     *Registry
 	name  string
 	label string
+	fixed []Label
 	tab   atomic.Pointer[[]*Counter]
 	mu    sync.Mutex
 }
 
-// NewCounterVec builds a vector over the given label key.
-func (r *Registry) NewCounterVec(name, label string) *CounterVec {
+// NewCounterVec builds a vector over the given label key; every counter
+// in it also carries the fixed labels.
+func (r *Registry) NewCounterVec(name, label string, fixed ...Label) *CounterVec {
 	if r == nil {
 		return nil
 	}
 	r.getFamily(name, "", KindCounter)
-	return &CounterVec{r: r, name: name, label: label}
+	return &CounterVec{r: r, name: name, label: label, fixed: fixed}
 }
 
 // At returns the counter for index i (i < 0 maps to 0).
@@ -377,7 +379,7 @@ func (v *CounterVec) grow(i int) *Counter {
 	next := make([]*Counter, i+1)
 	copy(next, cur)
 	for j := len(cur); j <= i; j++ {
-		next[j] = v.r.Counter(v.name, L(v.label, itoa(j)))
+		next[j] = v.r.Counter(v.name, append([]Label{L(v.label, itoa(j))}, v.fixed...)...)
 	}
 	v.tab.Store(&next)
 	return next[i]

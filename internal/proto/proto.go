@@ -140,6 +140,13 @@ type Msg struct {
 	// virtual send time. Both are informational (tracing, debugging).
 	Seq    uint64
 	SentAt sim.Time
+
+	// Slack is how much later than its delivery the message could still
+	// have arrived inside its network's delay bound, in the receiving
+	// clock's ticks: the transport stamps it, and a site may hold the
+	// message that long before acting on it, a slower hop the protocols
+	// already allow for. Zero: none.
+	Slack sim.Duration
 }
 
 // String formats the message compactly.

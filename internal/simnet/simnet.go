@@ -299,7 +299,8 @@ func (n *Network) Crashed(id proto.SiteID, t sim.Time) bool {
 
 // Send transmits m.Kind from m.From to m.To. Cross decides at send time,
 // from the cut timeline, whether the message is delivered, bounced or
-// dropped.
+// dropped. A delivered message carries the slack T − d its delay d left
+// inside the bound.
 func (n *Network) Send(m proto.Msg) {
 	if m.From == m.To {
 		panic(fmt.Sprintf("simnet: site %d sending to itself", m.From))
@@ -326,6 +327,7 @@ func (n *Network) Send(m proto.Msg) {
 	if d > n.cfg.T {
 		d = n.cfg.T
 	}
+	m.Slack = n.cfg.T - d
 
 	cross := n.cuts.Straddles(m.From, m.To)
 	n.trace(msgEvent(trace.Send, now, int(m.From), m, cross))

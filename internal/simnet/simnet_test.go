@@ -56,6 +56,19 @@ func TestDeliveryAtFixedLatency(t *testing.T) {
 	}
 }
 
+// A delivered message carries the slack its delay left inside the bound:
+// T − d, so that it could still have arrived at SentAt + T.
+func TestDeliveryStampsSlack(t *testing.T) {
+	s := sim.NewScheduler()
+	n, caps := build(t, Config{Sched: s, T: 100, Latency: Fixed{40}}, 1, 2)
+	s.At(15, sim.PriDeliver, func() { n.Send(proto.Msg{TID: 7, From: 1, To: 2, Kind: proto.MsgXact}) })
+	s.Run()
+	m := caps[2].delivered[0]
+	if m.SentAt != 15 || m.Slack != 60 || caps[2].at[0]+sim.Time(m.Slack) != m.SentAt+100 {
+		t.Fatalf("delivered at %d with SentAt %d, Slack %d; want 55, 15, 60", caps[2].at[0], m.SentAt, m.Slack)
+	}
+}
+
 func TestLatencyClampedToT(t *testing.T) {
 	s := sim.NewScheduler()
 	n, caps := build(t, Config{Sched: s, T: 50, Latency: Fixed{500}}, 1, 2)

@@ -93,7 +93,7 @@ func tryCrossOnLink(t *testing.T, c crossCase) error {
 		at time.Time
 	}
 	near, far := make(chan landed, 1), make(chan landed, 1)
-	l := newLink(1, func(m proto.Msg) { near <- landed{m, time.Now()} },
+	l := newLink(1, 2*crossD, func(m proto.Msg) { near <- landed{m, time.Now()} },
 		func(m proto.Msg) error { far <- landed{m, time.Now()}; return nil },
 		newWaker(), func() time.Duration { return crossD })
 	defer l.Close()

@@ -47,6 +47,9 @@ import (
 //     its own copy marked Undeliverable. Each blocklist is in force from an
 //     instant of its own, so links given one instant cut at once. No other
 //     place decides: the far side delivers what crossed.
+//   - A message that crosses carries the slack T/2 − d its draw left in
+//     the envelope, in the site clock's µs ticks (proto.Msg.Slack): the far
+//     site may hold it that much longer and still act inside the bound.
 //   - A dead peer (put fails) is silence — the message is dropped without
 //     a return, because a site failure must be indistinguishable from
 //     message loss (paper §7).
@@ -66,6 +69,8 @@ type Link struct {
 	// since it, so that no instant is rounded and a wall-clock step cannot
 	// reorder crossings.
 	epoch time.Time
+	// half is T/2, the top of the delay envelope, in nanoseconds.
+	half sim.Duration
 
 	// Trace, when set before traffic starts, receives the wire events —
 	// send, deliver, bounce, drop: the vocabulary simnet records, so an
@@ -124,13 +129,13 @@ func NewLink(self proto.SiteID, t time.Duration, seed int64,
 	if seed == 0 {
 		seed = 424242 + int64(self)
 	}
-	return newLink(self, deliver, put, newWaker(), seededDraw(seed, t))
+	return newLink(self, t, deliver, put, newWaker(), seededDraw(seed, t))
 }
 
-func newLink(self proto.SiteID, deliver func(proto.Msg), put func(proto.Msg) error,
+func newLink(self proto.SiteID, t time.Duration, deliver func(proto.Msg), put func(proto.Msg) error,
 	wake waker, draw func() time.Duration) *Link {
 	l := &Link{
-		self: self, put: put, deliver: deliver, epoch: time.Now(),
+		self: self, put: put, deliver: deliver, epoch: time.Now(), half: sim.Duration(t / 2),
 		wake: wake, done: make(chan struct{}), draw: draw,
 	}
 	go l.run()
@@ -198,6 +203,7 @@ func (l *Link) run() {
 	for l.wake.wait() {
 		for e, ok := l.next(); ok; e, ok = l.next() {
 			if !e.back {
+				e.m.Slack = sim.Duration(time.Duration(l.half-e.d) / time.Microsecond)
 				if err := l.put(e.m); err != nil {
 					l.Lost(e.m)
 				}

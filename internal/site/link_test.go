@@ -42,7 +42,7 @@ func newLinkPair(t *testing.T, wake func() waker) (*[2]*Link, [2]chan landing) {
 	for i := range links {
 		ch := make(chan landing, 512) // above any test's messages in flight
 		inbox[i] = ch
-		links[i] = newLink(proto.SiteID(i+1),
+		links[i] = newLink(proto.SiteID(i+1), linkT,
 			func(m proto.Msg) { ch <- landing{m, time.Now()} },
 			func(m proto.Msg) error {
 				links[m.To-1].Receive(m)
@@ -129,6 +129,9 @@ func TestLinkCrossesOnTime(t *testing.T) {
 			got := recv(t, inbox[1])
 			if d := drawn[got.m.TID]; d < linkT/4 || d >= linkT/2 {
 				t.Fatalf("message %d drew %v, outside [T/4, T/2)", got.m.TID, d)
+			}
+			if want := sim.Duration((linkT/2 - drawn[got.m.TID]) / time.Microsecond); got.m.Slack != want {
+				t.Fatalf("message %d crossed with slack %dµs, want T/2 − d = %dµs", got.m.TID, got.m.Slack, want)
 			}
 			late[got.m.TID] = got.at.Sub(sentAt[got.m.TID]) - drawn[got.m.TID]
 		}
@@ -227,7 +230,7 @@ func TestLinkCloseReleases(t *testing.T) {
 	eachWaker(t, func(t *testing.T, wake func() waker, _ bool) {
 		goroutines, open := runtime.NumGoroutine(), fds()
 		for i := 0; i < 200; i++ {
-			l := newLink(1, func(proto.Msg) {}, func(proto.Msg) error { return nil }, wake(), seededDraw(linkSeed, linkT))
+			l := newLink(1, linkT, func(proto.Msg) {}, func(proto.Msg) error { return nil }, wake(), seededDraw(linkSeed, linkT))
 			l.Send(proto.Msg{From: 1, To: 2})
 			l.Close()
 			l.Close()

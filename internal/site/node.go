@@ -16,9 +16,9 @@ import (
 // way by both backends: the Table its automata live in, the site's round
 // latencies, and — when the participant is a storage engine — everything
 // around that engine: its metrics and placement wiring, the table's wound
-// rule, the directory epoch records its log must hold, recovery and the
-// heal-edge retry of what recovery left in doubt, and Txn's fallback to
-// durable state.
+// rule and lock-wait counts, the directory epoch records its log must
+// hold, recovery and the heal-edge retry of what recovery left in doubt,
+// and Txn's fallback to durable state.
 //
 // The simulator steps a Node's table from its scheduler, a Loop from its
 // inbox. A crash is Close; a restart is a fresh Node over the same
@@ -79,6 +79,11 @@ func NewNode(s Site, protocol proto.Protocol, sites []proto.SiteID, dir *placeme
 	n.Table = NewTable(s, protocol)
 	if n.eng != nil {
 		n.eng.SetWound(n.Table.wound)
+		if db := obs.NewDB(reg); db != nil {
+			n.Table.waited = func(spec Spec, outcome int) {
+				db.LockWaits[outcome].At(n.payloadShard(spec.Payload)).Inc()
+			}
+		}
 	}
 	return n
 }
