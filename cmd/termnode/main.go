@@ -8,15 +8,15 @@
 //
 // Usage:
 //
-//	termnode -id 1 -addr 127.0.0.1:7101 -api-port 8101 -wal-dir /var/lib/term/node-1 \
-//	         -peers "1=127.0.0.1:7101/127.0.0.1:8101,2=127.0.0.1:7102/127.0.0.1:8102,3=127.0.0.1:7103/127.0.0.1:8103"
+//	termnode -id 1 -api-port 8101 -wal-dir /var/lib/term/node-1 \
+//	         -peers "1=127.0.0.1:7101,2=127.0.0.1:7102,3=127.0.0.1:7103"
 //
-// Each -peers entry is id=protoAddr[/apiAddr]; the apiAddr enables the
-// recovery catch-up pull from that peer. On start the node replays its
-// surviving write-ahead log, resolves in-doubt transactions with real
-// MsgInquire traffic against its peers, pulls commits it missed while
-// down, and only then reports ready on GET /health. -clear-data wipes the
-// workspace first, for a cold start with no inherited state.
+// Each -peers entry is id=protoAddr. On start the node replays its
+// surviving write-ahead log, resolves in-doubt transactions with
+// MsgInquire frames to its peers, pulls the commits it missed while down
+// with MsgSnapshot frames, and only then reports ready on GET /health.
+// -clear-data wipes the workspace first, for a cold start with no
+// inherited state.
 package main
 
 import (
@@ -41,9 +41,9 @@ import (
 func main() {
 	id := flag.Int("id", 0, "this site's identifier (1..n)")
 	addr := flag.String("addr", "", "protocol listen address (default: this site's -peers entry)")
-	apiPort := flag.Int("api-port", 0, "admin API port on 127.0.0.1 (0 with no -api: this site's -peers apiAddr)")
+	apiPort := flag.Int("api-port", 0, "admin API port on 127.0.0.1 (one of -api-port and -api is required)")
 	api := flag.String("api", "", "admin API listen address (overrides -api-port)")
-	peersSpec := flag.String("peers", "", "comma-separated id=protoAddr[/apiAddr] for every site, self included")
+	peersSpec := flag.String("peers", "", "comma-separated id=protoAddr for every site, self included")
 	walDir := flag.String("wal-dir", "", "workspace directory for the write-ahead log (required)")
 	clearData := flag.Bool("clear-data", false, "wipe the workspace directory before starting")
 	protoName := flag.String("proto", registry.Default, "commit protocol name")
@@ -73,7 +73,7 @@ func run(id int, addr string, apiPort int, apiAddr, peersSpec, walDir string, cl
 	if err != nil {
 		return err
 	}
-	peers, apiPeers, err := parsePeers(peersSpec)
+	peers, err := parsePeers(peersSpec)
 	if err != nil {
 		return err
 	}
@@ -93,13 +93,10 @@ func run(id int, addr string, apiPort int, apiAddr, peersSpec, walDir string, cl
 		addr = peers[self]
 	}
 	if apiAddr == "" {
-		if apiPort > 0 {
-			apiAddr = "127.0.0.1:" + strconv.Itoa(apiPort)
-		} else if a := apiPeers[self]; a != "" {
-			apiAddr = a
-		} else {
-			return fmt.Errorf("need -api-port, -api, or an apiAddr in this site's -peers entry")
+		if apiPort <= 0 {
+			return fmt.Errorf("need -api-port or -api")
 		}
+		apiAddr = "127.0.0.1:" + strconv.Itoa(apiPort)
 	}
 
 	var asg *placement.Assignment
@@ -132,7 +129,7 @@ func run(id int, addr string, apiPort int, apiAddr, peersSpec, walDir string, cl
 
 	node := netnode.NewNode(netnode.Options{
 		ID: self, Protocol: protocol, T: t,
-		Addr: addr, Peers: peers, APIPeers: apiPeers,
+		Addr: addr, Peers: peers,
 		Placement: asg,
 		WALPath:   filepath.Join(walDir, "wal.log"),
 		Seed:      seed,
@@ -162,34 +159,19 @@ func run(id int, addr string, apiPort int, apiAddr, peersSpec, walDir string, cl
 	return nil
 }
 
-// parsePeers parses "id=protoAddr[/apiAddr],...".
-func parsePeers(spec string) (map[proto.SiteID]string, map[proto.SiteID]string, error) {
+// parsePeers parses "id=protoAddr,...".
+func parsePeers(spec string) (map[proto.SiteID]string, error) {
 	peers := make(map[proto.SiteID]string)
-	apiPeers := make(map[proto.SiteID]string)
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
+	for _, entry := range strings.FieldsFunc(spec, func(r rune) bool { return r == ',' || r == ' ' }) {
+		idStr, addr, _ := strings.Cut(entry, "=")
+		id, err := strconv.Atoi(idStr)
+		if err != nil || id < 1 || addr == "" || strings.Contains(addr, "/") {
+			return nil, fmt.Errorf("bad -peers entry %q (want id=protoAddr)", entry)
 		}
-		idStr, addrs, ok := strings.Cut(entry, "=")
-		if !ok {
-			return nil, nil, fmt.Errorf("bad -peers entry %q (want id=protoAddr[/apiAddr])", entry)
-		}
-		id, err := strconv.Atoi(strings.TrimSpace(idStr))
-		if err != nil || id < 1 {
-			return nil, nil, fmt.Errorf("bad site in -peers entry %q", entry)
-		}
-		protoAddr, apiAddr, _ := strings.Cut(addrs, "/")
-		if protoAddr == "" {
-			return nil, nil, fmt.Errorf("empty address in -peers entry %q", entry)
-		}
-		peers[proto.SiteID(id)] = protoAddr
-		if apiAddr != "" {
-			apiPeers[proto.SiteID(id)] = apiAddr
-		}
+		peers[proto.SiteID(id)] = addr
 	}
 	if len(peers) == 0 {
-		return nil, nil, fmt.Errorf("-peers is required")
+		return nil, fmt.Errorf("-peers is required")
 	}
-	return peers, apiPeers, nil
+	return peers, nil
 }

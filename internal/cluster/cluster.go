@@ -41,7 +41,6 @@ import (
 	"termproto/internal/obs"
 	"termproto/internal/placement"
 	"termproto/internal/proto"
-	"termproto/internal/recovery"
 	"termproto/internal/sim"
 )
 
@@ -630,39 +629,19 @@ func (c *Cluster) reconcileMigrated() {
 	items := c.pendingReconcile
 	c.pendingReconcile = nil
 	c.mu.Unlock()
-	src, ok := c.backend.(peerSource)
-	if len(items) == 0 || c.cfg.Directory == nil || !ok {
+	if len(items) == 0 || c.cfg.Directory == nil {
 		return
 	}
 	_, asg := c.cfg.Directory.Current()
 	var remaining []reconcileItem
 	pulled := 0
 	for _, it := range items {
-		eng, ok := recoveryEngine(c.cfg, it.site)
-		if !ok || it.shard >= asg.Shards() || !containsSite(asg.Replicas(it.shard), it.site) {
-			continue // vote-only replica, or a later migration moved the shard away again
+		if it.shard >= asg.Shards() || !containsSite(asg.Replicas(it.shard), it.site) {
+			continue // a later migration moved the shard away again
 		}
-		peers := src.Peers(it.site)
-		shard := it.shard
-		include := func(key string) bool { return asg.ShardOf(key) == shard }
-		done := false
-		for _, donor := range asg.Replicas(it.shard) {
-			if donor == it.site {
-				continue
-			}
-			snap, unstable, ok := peers.Snapshot(donor)
-			if !ok {
-				continue
-			}
-			n, err := eng.CatchUp(snap, unstable, include)
-			if err != nil {
-				continue // as if this donor could not serve
-			}
-			pulled += n
-			done = true
-			break
-		}
-		if !done {
+		n, ok := c.copyShard(it.site, it.shard, asg.Replicas(it.shard))
+		pulled += n
+		if !ok {
 			remaining = append(remaining, it)
 		}
 	}
@@ -670,6 +649,34 @@ func (c *Cluster) reconcileMigrated() {
 	c.keysMigrated += pulled
 	c.pendingReconcile = append(c.pendingReconcile, remaining...)
 	c.mu.Unlock()
+}
+
+// copyShard reconciles dst's copy of shard with the first of donors that
+// dst can reach now — by the simulator's cut timeline and crash state:
+// migration runs there only, over engines in this process — through
+// engine.CatchUp. ok is false when no donor could serve; a vote-only dst
+// needs no copy.
+func (c *Cluster) copyShard(dst proto.SiteID, shard int, donors []proto.SiteID) (n int, ok bool) {
+	sb, inProcess := c.backend.(*SimBackend)
+	eng, hasData := recoveryEngine(c.cfg, dst)
+	if !inProcess || !hasData {
+		return 0, true
+	}
+	// Any epoch's assignment hashes keys identically.
+	_, asg := c.cfg.Directory.Current()
+	include := func(key string) bool { return asg.ShardOf(key) == shard }
+	now := sb.sched.Now()
+	for _, donor := range donors {
+		src, up := recoveryEngine(c.cfg, donor)
+		if donor == dst || !up || sb.net.Crashed(donor, now) || sb.net.Cuts().Blocked(dst, donor, now) {
+			continue
+		}
+		snap, unstable := src.StableSnapshot()
+		if n, err := eng.CatchUp(snap, unstable, include); err == nil {
+			return n, true
+		} // a failed log: as if this donor could not serve
+	}
+	return 0, false
 }
 
 // Inject adds a fault event to the timeline mid-run — the dynamic
@@ -687,14 +694,6 @@ func (c *Cluster) Now() sim.Time { return c.backend.Now() }
 // Directory returns the cluster's versioned shard directory (nil when the
 // cluster runs full replication).
 func (c *Cluster) Directory() *placement.Directory { return c.cfg.Directory }
-
-// peerSource is implemented by the backend whose engines live in this
-// process (Config.Participants), the simulator's: its reachability-aware
-// peer client answers only from peers a site can reach at the present
-// tick. The migration copier and reconciler run over it.
-type peerSource interface {
-	Peers(self proto.SiteID) recovery.PeerClient
-}
 
 // Recoveries returns the durable site recoveries run so far, in execution
 // order. Stable after Wait.

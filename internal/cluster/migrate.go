@@ -322,46 +322,17 @@ func (c *Cluster) finishMigration(rep *MigrationReport, o proto.Outcome) {
 }
 
 // copyMoves copies every moved shard's contents to its new replicas: for
-// each (shard, added site) with a storage engine, the first reachable old
-// replica donates a stable snapshot and the target reconciles it through
-// engine.CatchUp — idempotent, WAL-logged (RecApply), skipping keys held
-// by in-flight transactions at either end. Vote-only participants carry
-// no data and need no copy.
+// each (shard, added site), the first reachable old replica donates
+// (copyShard).
 func (c *Cluster) copyMoves(moves []placement.Move) (int, error) {
-	// Any epoch's assignment hashes keys identically; hoist one outside
-	// the per-key include closure.
-	_, asg := c.cfg.Directory.Current()
-	src, inProcess := c.backend.(peerSource)
 	total := 0
 	for _, mv := range moves {
 		for _, dst := range mv.Added {
-			eng, ok := recoveryEngine(c.cfg, dst)
-			if !ok || !inProcess {
-				continue
-			}
-			peers := src.Peers(dst)
-			shard := mv.Shard
-			include := func(key string) bool { return asg.ShardOf(key) == shard }
-			copied := false
-			for _, donor := range mv.Old {
-				if donor == dst {
-					continue
-				}
-				snap, unstable, ok := peers.Snapshot(donor)
-				if !ok {
-					continue
-				}
-				n, err := eng.CatchUp(snap, unstable, include)
-				if err != nil {
-					continue // as if this donor could not serve
-				}
-				total += n
-				copied = true
-				break
-			}
-			if !copied {
+			n, ok := c.copyShard(dst, mv.Shard, mv.Old)
+			total += n
+			if !ok {
 				return total, fmt.Errorf("cluster: shard %d has no donor among %v able to serve new replica %d",
-					shard, mv.Old, dst)
+					mv.Shard, mv.Old, dst)
 			}
 		}
 	}

@@ -48,8 +48,8 @@ type NetOptions struct {
 // own shards — but epoch bumps (join/leave/move) are not; the directory
 // must still be at epoch 0. Durable recovery is always on — a
 // restarted daemon replays its WAL, resolves in-doubt transactions with
-// real MsgInquire traffic and pulls missed commits before turning
-// healthy. The daemons are launched with
+// MsgInquire frames and pulls missed commits with MsgSnapshot frames
+// before turning healthy. The daemons are launched with
 // Config.Protocol's name: the name, not the Protocol value, crosses the
 // process boundary, and every registry name is its protocol's Name().
 type NetBackend struct {
@@ -156,15 +156,13 @@ func (b *NetBackend) crash(id proto.SiteID) []site.Status {
 
 // restart implements wallSites: it restarts a killed site's process over
 // its surviving workspace and returns the recovery the daemon reports: log
-// replay, in-doubt resolution via real MsgInquire traffic over TCP,
-// snapshot catch-up over the admin API.
+// replay, in-doubt resolution by MsgInquire frames and catch-up by
+// MsgSnapshot frames over TCP.
 func (b *NetBackend) restart(id proto.SiteID, at sim.Time) (*RecoveryReport, bool) {
-	start := time.Now()
 	rep := &RecoveryReport{Site: id, At: at}
 	if rep.Err = b.net.Restart(id); rep.Err != nil {
 		return rep, false // the site stays down
 	}
-	rep.Wall = time.Since(start)
 	if dto, err := b.net.Client(id).Recovery(); err == nil {
 		rep.Stats = recovery.Stats{
 			Replayed: dto.Replayed, InDoubt: dto.InDoubt,

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"termproto/internal/db/engine"
 	"termproto/internal/proto"
@@ -11,15 +10,14 @@ import (
 )
 
 // RecoveryReport is one site's recovery as observed by the cluster: where
-// on the timeline it ran, how long the replay + in-doubt resolution +
-// catch-up took on the wall clock, and what it did.
+// on the timeline it started and finished, and what it did.
 type RecoveryReport struct {
 	Site proto.SiteID
-	// At is the timeline position of the recovery (the EvRecover time).
+	// At is the timeline position the recovery started at (the EvRecover
+	// time, or the heal edge of a retry).
 	At sim.Time
-	// Wall is the wall-clock latency of the whole recovery — the
-	// per-recovery resolution latency the E-series benchmark reports.
-	Wall  time.Duration
+	// Done is the timeline position it finished at, round trips later.
+	Done  sim.Time
 	Stats recovery.Stats
 	// Retry marks a heal-event re-inquiry: a previous recovery left
 	// in-doubt transactions unresolved behind a partition, and this pass
@@ -36,9 +34,9 @@ func (r RecoveryReport) String() string {
 		return fmt.Sprintf("site %d recovery at t=%d failed: %v", r.Site, r.At, r.Err)
 	}
 	if r.Retry {
-		return fmt.Sprintf("site %d heal retry at t=%d in %s: %s", r.Site, r.At, r.Wall, r.Stats)
+		return fmt.Sprintf("site %d heal retry at t=%d done t=%d: %s", r.Site, r.At, r.Done, r.Stats)
 	}
-	return fmt.Sprintf("site %d recovered at t=%d in %s: %s", r.Site, r.At, r.Wall, r.Stats)
+	return fmt.Sprintf("site %d recovered at t=%d done t=%d: %s", r.Site, r.At, r.Done, r.Stats)
 }
 
 // recoveryEngine returns the site's database when durable recovery can

@@ -10,6 +10,7 @@ import (
 	"termproto/internal/placement"
 	"termproto/internal/proto"
 	"termproto/internal/sim"
+	"termproto/internal/trace"
 )
 
 // dbEngines builds per-site engines over their own WAL stores with
@@ -202,6 +203,57 @@ func TestSimHealRetryResolvesUnresolved(t *testing.T) {
 	}
 	if err := c.Termination(); err != nil {
 		t.Fatalf("termination: %v", err)
+	}
+}
+
+// TestSimRecoveryInquiryBouncesBehindCut: recovery speaks the paper's
+// network. A restart behind a cut sends real inquiries, which come back as
+// bounces in the trace; the heal-edge retry's decision for the in-doubt
+// transaction lands a round trip (2T) after the heal, not at it; and each
+// report's Done is that much after its At.
+func TestSimRecoveryInquiryBouncesBehindCut(t *testing.T) {
+	parts, engs := dbEngines(5, 6, 1000)
+	b := NewSimBackend(SimOptions{RecordTrace: true})
+	c, err := Open(Config{
+		Sites: 5, Protocol: core.Protocol{TransientFix: true}, Participants: parts, Backend: b,
+		Schedule: Schedule{CrashAt(2500, 5), PartitionAt(11_000, 5), RecoverAt(12_500, 5), HealAt(20_000)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r1, err := c.Submit(Txn{Payload: transfer(0, 1, 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	bounced := 0
+	for _, ev := range b.Trace().Messages(trace.Bounce, "inquire") {
+		if ev.From == 5 && ev.TID == uint64(r1.TID) && ev.At > 12_500 && ev.At < 20_000 {
+			bounced++
+		}
+	}
+	if bounced != 4 {
+		t.Fatalf("%d inquiries from the restart behind the cut bounced, want 4 (one per peer)", bounced)
+	}
+	var decided []sim.Time
+	for _, ev := range b.Trace().Messages(trace.Deliver, "commit") {
+		if ev.To == 5 && ev.TID == uint64(r1.TID) {
+			decided = append(decided, ev.At)
+		}
+	}
+	if len(decided) == 0 || decided[0] < 20_000+sim.Time(2*sim.DefaultT) {
+		t.Fatalf("site 5 learned txn 1's commit at %v, want no earlier than 2T after the heal", decided)
+	}
+	if o, _ := engs[5].Outcome(uint64(r1.TID)); o != proto.Commit {
+		t.Fatalf("site 5 durable outcome = %v, want commit", o)
+	}
+	for _, rep := range c.Recoveries() {
+		if rep.Done <= rep.At || (rep.Retry && rep.Done < rep.At+sim.Time(2*sim.DefaultT)) {
+			t.Fatalf("report %v: took no simulated time", rep)
+		}
 	}
 }
 

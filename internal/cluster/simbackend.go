@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"termproto/internal/obs"
 	"termproto/internal/proto"
@@ -172,9 +171,9 @@ func (b *SimBackend) scheduleMembership(ev Event) {
 }
 
 // scheduleHealRetry re-runs the inquiry round at a heal edge at every site
-// that is up, in ascending order, and reports each pass that resolved
-// something. Without engines nothing can be in doubt, and no event is
-// scheduled.
+// that is up, in ascending order, and reports each round that resolved
+// something once it ends. Without engines nothing can be in doubt, and no
+// event is scheduled.
 func (b *SimBackend) scheduleHealRetry(at sim.Time) {
 	if !b.engines {
 		return
@@ -183,25 +182,23 @@ func (b *SimBackend) scheduleHealRetry(at sim.Time) {
 		at = b.sched.Now()
 	}
 	b.sched.At(at, sim.PriControl, func() {
-		now := b.sched.Now()
 		for _, id := range allSites(b.cfg.Sites) {
-			if b.net.Crashed(id, now) {
+			if b.net.Crashed(id, at) {
 				continue // a crashed site sits the round out
 			}
-			start := time.Now()
-			if st, ran := b.nodes[id].RetryInDoubt(); ran && st.ResolvedCommit+st.ResolvedAbort > 0 {
-				b.recoveries = append(b.recoveries, RecoveryReport{Site: id, At: now, Wall: time.Since(start), Stats: st, Retry: true})
-			}
+			b.nodes[id].RetryInDoubt(func(st recovery.Stats, ran bool) {
+				if ran && st.ResolvedCommit+st.ResolvedAbort > 0 {
+					b.recoveries = append(b.recoveries, RecoveryReport{Site: id, At: at, Done: b.sched.Now(), Stats: st, Retry: true})
+				}
+			})
 		}
 	})
 }
 
 // scheduleRecover restores the site's network liveness at time at and,
-// for a site with an engine, runs its recovery at the same tick: the
-// restart replays the site's log, resolves its in-doubt transactions by
-// inquiry against the peers reachable at that moment, and catches up
-// missed commits. PriControl orders it after the partition/liveness
-// edges of the tick.
+// for a site with an engine, starts its recovery at the same tick, before
+// anything is delivered to it. The report is appended when the recovery
+// finishes; a crash before then leaves none.
 func (b *SimBackend) scheduleRecover(id proto.SiteID, at sim.Time) {
 	b.net.RecoverAt(id, at)
 	if b.nodes[id].Engine() == nil {
@@ -210,10 +207,10 @@ func (b *SimBackend) scheduleRecover(id proto.SiteID, at sim.Time) {
 	if at < b.sched.Now() {
 		at = b.sched.Now()
 	}
-	b.sched.At(at, sim.PriControl, func() {
-		start := time.Now()
-		st, err := b.nodes[id].Recover()
-		b.recoveries = append(b.recoveries, RecoveryReport{Site: id, At: b.sched.Now(), Wall: time.Since(start), Stats: st, Err: err})
+	b.sched.At(at, sim.PriRestart, func() {
+		b.nodes[id].Recover(func(st recovery.Stats, err error) {
+			b.recoveries = append(b.recoveries, RecoveryReport{Site: id, At: at, Done: b.sched.Now(), Stats: st, Err: err})
+		})
 	})
 }
 
@@ -230,57 +227,11 @@ func (r running) Deliver(m proto.Msg) { r.b.nodes[r.id].Deliver(m) }
 // Undeliverable implements simnet.Handler.
 func (r running) Undeliverable(m proto.Msg) { r.b.nodes[r.id].Undeliverable(m) }
 
-// Peers implements peerSource.
-func (b *SimBackend) Peers(self proto.SiteID) recovery.PeerClient {
-	return simPeers{backend: b, self: self}
-}
-
-// simPeers is the deterministic PeerClient: reachability is read off the
-// partition/crash timeline at the current tick, and a reachable peer's
-// durable state is consulted directly — an inquiry round abstracted to
-// its outcome, fates identical to routing real messages under the
-// optimistic model.
-type simPeers struct {
-	backend *SimBackend
-	self    proto.SiteID
-}
-
-func (p simPeers) reachable(peer proto.SiteID) bool {
-	now := p.backend.sched.Now()
-	return !p.backend.net.Crashed(peer, now) && !p.backend.net.Cuts().Blocked(p.self, peer, now)
-}
-
-// Outcome implements recovery.PeerClient.
-func (p simPeers) Outcome(peer proto.SiteID, tid uint64) (proto.Outcome, bool) {
-	if !p.reachable(peer) {
-		return proto.None, false
-	}
-	if eng, ok := recoveryEngine(p.backend.cfg, peer); ok {
-		return eng.Outcome(tid)
-	}
-	return proto.None, false
-}
-
-// Snapshot implements recovery.PeerClient: the engine flags the keys its
-// in-flight transactions hold (their committed values are not
-// authoritative).
-func (p simPeers) Snapshot(peer proto.SiteID) (map[string][]byte, map[string]bool, bool) {
-	if !p.reachable(peer) {
-		return nil, nil, false
-	}
-	eng, ok := recoveryEngine(p.backend.cfg, peer)
-	if !ok {
-		return nil, nil, false
-	}
-	snap, unstable := eng.StableSnapshot()
-	return snap, unstable, true
-}
-
 // newNode builds one incarnation of a site on the scheduler's clock.
 func (b *SimBackend) newNode(id proto.SiteID) *site.Node {
 	s := b.site
 	s.ID, s.Participant = id, b.cfg.Participants[id]
-	return site.NewNode(s, b.cfg.Protocol, allSites(b.cfg.Sites), b.cfg.Directory, b.regs[id], b.Peers(id))
+	return site.NewNode(s, b.cfg.Protocol, allSites(b.cfg.Sites), b.cfg.Directory, b.regs[id])
 }
 
 func (b *SimBackend) scheduleCrash(id proto.SiteID, at sim.Time) {

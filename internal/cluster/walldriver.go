@@ -219,6 +219,9 @@ func (d *wallDriver) apply(ev Event) {
 			return
 		}
 		rep, up := d.sites.restart(ev.Site, ev.At)
+		if rep != nil {
+			rep.Done = d.Now()
+		}
 		d.mu.Lock()
 		if up {
 			delete(d.down, ev.Site)

@@ -278,11 +278,23 @@ func (n *Node) handlePartition(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, struct{}{})
 }
 
-func (n *Node) handleResolve(w http.ResponseWriter, _ *http.Request) {
-	st, ran := n.RetryInDoubt()
-	dto := recoveryDTO(&st, nil)
-	dto.Ran = ran
-	writeJSON(w, dto)
+// handleResolve re-runs the inquiry round for what recovery left in doubt
+// (the heal edge) and answers when the round ends — at once when nothing
+// was pending.
+func (n *Node) handleResolve(w http.ResponseWriter, r *http.Request) {
+	done := make(chan RecoveryDTO, 1)
+	n.loop.Do(func() {
+		n.site.RetryInDoubt(func(st recovery.Stats, ran bool) {
+			dto := recoveryDTO(&st, nil)
+			dto.Ran = ran
+			done <- dto
+		})
+	})
+	select {
+	case dto := <-done:
+		writeJSON(w, dto)
+	case <-r.Context().Done(): // the client hung up, or the node is closing
+	}
 }
 
 func (n *Node) handleLoad(w http.ResponseWriter, r *http.Request) {

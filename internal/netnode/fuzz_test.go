@@ -23,6 +23,10 @@ func FuzzWireCodec(f *testing.F) {
 			Master: 1, Sites: []proto.SiteID{1, 2, 4}, NoVotes: []proto.SiteID{2}, Body: []byte("ops"),
 		}),
 	}))
+	// Recovery's catch-up: a snapshot request for the keys from "k" on,
+	// and the one chunk answering it ("k2" = "v", nothing more follows).
+	f.Add(EncodeMsg(proto.Msg{From: 2, To: 1, Kind: proto.MsgSnapshot, Payload: []byte(`{"Req":true,"Pull":7,"From":"aw=="}`)}))
+	f.Add(EncodeMsg(proto.Msg{From: 1, To: 2, Kind: proto.MsgSnapshot, Payload: []byte(`{"Pull":7,"Entries":[{"Key":"azI=","Value":"dg=="}]}`)}))
 	// The client data path: a submit (no sender site), a query and an ack.
 	f.Add(EncodeMsg(proto.Msg{
 		TID: 8, To: 1, Kind: proto.MsgXact,

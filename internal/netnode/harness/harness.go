@@ -140,7 +140,7 @@ func Start(opts Options) (*Localnet, error) {
 	clients := make(map[proto.SiteID]*netnode.Client, opts.N)
 	for i := 1; i <= opts.N; i++ {
 		protoAddr, apiAddr := ports[i-1], ports[opts.N+i-1]
-		entries = append(entries, fmt.Sprintf("%d=%s/%s", i, protoAddr, apiAddr))
+		entries = append(entries, fmt.Sprintf("%d=%s", i, protoAddr))
 		apiAddrs[proto.SiteID(i)] = apiAddr
 		clients[proto.SiteID(i)] = netnode.NewClient(apiAddr)
 	}
@@ -186,6 +186,7 @@ func (l *Localnet) spawn(id proto.SiteID) error {
 	args := []string{
 		"-id", fmt.Sprint(id),
 		"-peers", l.peerSpec,
+		"-api", l.apiAddrs[id],
 		"-wal-dir", dir,
 		"-proto", l.opts.ProtoName,
 	}

@@ -35,9 +35,6 @@ type Options struct {
 	Addr string
 	// Peers maps every site (self included) to its protocol address.
 	Peers map[proto.SiteID]string
-	// APIPeers optionally maps peers to their admin API addresses; the
-	// recovery catch-up pull needs them. Empty disables catch-up.
-	APIPeers map[proto.SiteID]string
 	// Placement is the static sharded assignment this localnet was
 	// provisioned with (epoch 0); nil means full replication. The node
 	// hosts only the shards whose replica sets include it, scopes its
@@ -136,11 +133,11 @@ func NewNode(opts Options) *Node {
 }
 
 // Start opens the engine over its log, assembles the site over it, brings
-// the transport and event loop up, and runs recovery: replay the surviving
-// WAL, resolve in-doubt transactions with real MsgInquire traffic, and
-// pull missed commits from a reachable peer's snapshot. The node reports
-// ready only after recovery and the placement install, so a harness
-// waiting on /health observes a fully recovered site.
+// the transport and event loop up, and runs recovery as the loop's first
+// event: replay the surviving WAL, resolve in-doubt transactions with
+// MsgInquire frames, and pull missed commits with MsgSnapshot frames. The
+// node reports ready only after recovery and the placement install, so a
+// harness waiting on /health observes a fully recovered site.
 func (n *Node) Start() error {
 	if n.opts.Protocol == nil {
 		return fmt.Errorf("netnode: nil protocol")
@@ -176,25 +173,32 @@ func (n *Node) Start() error {
 	n.loop = site.NewLoop(site.Options{ID: n.opts.ID, T: n.opts.T})
 	s := n.loop.Site()
 	s.Participant, s.Trace = n.eng, n.protocolEvent
-	n.site = site.NewNode(s, n.opts.Protocol, slices.Sorted(maps.Keys(n.opts.Peers)), dir, n.reg, netPeers{n: n})
+	n.site = site.NewNode(s, n.opts.Protocol, slices.Sorted(maps.Keys(n.opts.Peers)), dir, n.reg)
 	n.tr = newTransport(n.opts.ID, n.opts.T, n.opts.Seed, n.opts.Peers, n.loop.Deliver, n.opts.Logf)
 	if n.rec != nil {
 		n.tr.Trace = n.trace
 	}
 	n.tr.setMetrics(n.reg)
 	n.tr.SetBlocked(n.opts.Blocked, time.Time{})
+	// Queued before the listener opens, recovery is the loop's first event:
+	// no peer's frame reaches the site before its replay.
+	recovered := make(chan struct{})
+	n.loop.Do(func() {
+		n.site.Recover(func(st recovery.Stats, err error) {
+			n.mu.Lock()
+			n.recStats, n.recErr = &st, err
+			n.mu.Unlock()
+			close(recovered)
+		})
+	})
 	addr, err := n.tr.listen(n.opts.Addr)
 	if err != nil {
 		return err
 	}
 	n.addr = addr
 	n.loop.Start(n.site, n.tr)
-
-	st, err := n.site.Recover()
-	n.mu.Lock()
-	n.recStats, n.recErr = &st, err
-	n.mu.Unlock()
-	if err != nil {
+	<-recovered
+	if st, err := n.RecoveryResult(); err != nil {
 		n.opts.Logf("recovery failed: %v", err)
 	} else if st.Replayed+st.InDoubt+st.CaughtUpKeys > 0 {
 		n.opts.Logf("recovered: %s", st)
@@ -218,10 +222,6 @@ func (n *Node) Engine() *engine.Engine { return n.eng }
 
 // Ready reports whether startup (including recovery) has finished.
 func (n *Node) Ready() bool { return n.ready.Load() }
-
-// RetryInDoubt re-runs the inquiry round for transactions recovery left
-// unresolved (site.Node.RetryInDoubt): the heal edge.
-func (n *Node) RetryInDoubt() (recovery.Stats, bool) { return n.site.RetryInDoubt() }
 
 // RecoveryResult returns the startup recovery outcome (nil stats before
 // Start finishes).
@@ -375,32 +375,4 @@ func (n *Node) TraceEvents() []trace.Event {
 	n.recMu.Lock()
 	defer n.recMu.Unlock()
 	return n.rec.Events()
-}
-
-// netPeers is the node's recovery.PeerClient: outcome inquiries are real
-// MsgInquire frames over the link (bounced by its blocklist, lost to dead
-// peers), snapshot pulls go through the peer's admin API, gated by the
-// blocklist in force.
-type netPeers struct{ n *Node }
-
-// Outcome implements recovery.PeerClient.
-func (p netPeers) Outcome(peer proto.SiteID, tid uint64) (proto.Outcome, bool) {
-	return p.n.loop.Inquire(peer, proto.TxnID(tid))
-}
-
-// Snapshot implements recovery.PeerClient over the peer's admin API.
-func (p netPeers) Snapshot(peer proto.SiteID) (map[string][]byte, map[string]bool, bool) {
-	n := p.n
-	if slices.Contains(n.tr.BlockedList(), peer) {
-		return nil, nil, false
-	}
-	addr := n.opts.APIPeers[peer]
-	if addr == "" {
-		return nil, nil, false
-	}
-	snap, unstable, err := NewClient(addr).Snapshot()
-	if err != nil {
-		return nil, nil, false
-	}
-	return snap, unstable, true
 }

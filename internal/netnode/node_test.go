@@ -42,7 +42,8 @@ func freePorts(t *testing.T, n int) []string {
 }
 
 // startNodes brings up sites 1..n in one process over real localhost TCP,
-// each with its own MemStore; stores[i] is site i+1's log.
+// each with its own MemStore; stores[i] is site i+1's log. withAPI starts
+// each site's admin API too, at the address returned for it.
 func startNodes(t *testing.T, n int, stores []wal.Store, withAPI bool) ([]*Node, map[proto.SiteID]string) {
 	t.Helper()
 	return startNodesWith(t, n, stores, withAPI, func(*Options) {})
@@ -53,11 +54,11 @@ func startNodesWith(t *testing.T, n int, stores []wal.Store, withAPI bool, tune 
 	t.Helper()
 	addrs := freePorts(t, 2*n)
 	peers := make(map[proto.SiteID]string, n)
-	apiPeers := make(map[proto.SiteID]string, n)
+	apis := make(map[proto.SiteID]string, n)
 	for i := 0; i < n; i++ {
 		peers[proto.SiteID(i+1)] = addrs[i]
 		if withAPI {
-			apiPeers[proto.SiteID(i+1)] = addrs[n+i]
+			apis[proto.SiteID(i+1)] = addrs[n+i]
 		}
 	}
 	nodes := make([]*Node, n)
@@ -65,7 +66,7 @@ func startNodesWith(t *testing.T, n int, stores []wal.Store, withAPI bool, tune 
 		id := proto.SiteID(i + 1)
 		opts := Options{
 			ID: id, Protocol: core.Protocol{TransientFix: true}, T: testT,
-			Addr: peers[id], Peers: peers, APIPeers: apiPeers,
+			Addr: peers[id], Peers: peers,
 			Store: stores[i],
 			Logf:  func(format string, args ...any) { t.Logf("site %d: "+format, append([]any{id}, args...)...) },
 		}
@@ -75,14 +76,14 @@ func startNodesWith(t *testing.T, n int, stores []wal.Store, withAPI bool, tune 
 			t.Fatalf("start site %d: %v", id, err)
 		}
 		if withAPI {
-			if _, err := node.StartAPI(apiPeers[id]); err != nil {
+			if _, err := node.StartAPI(apis[id]); err != nil {
 				t.Fatalf("start api %d: %v", id, err)
 			}
 		}
 		nodes[i] = node
 		t.Cleanup(node.Close)
 	}
-	return nodes, peers
+	return nodes, apis
 }
 
 func memStores(n int) []wal.Store {

@@ -54,8 +54,10 @@ import (
 )
 
 // WireVersion is the protocol revision carried in every hello; a receiver
-// rejects connections from any other revision. Version 2 added the slack.
-const WireVersion = 2
+// rejects connections from any other revision. Version 2 added the slack;
+// version 3 the MsgSnapshot frames of recovery's catch-up, which a version
+// 2 site would never answer.
+const WireVersion = 3
 
 // MaxFrame bounds a frame body. Protocol payloads are transaction bodies
 // (a few hundred bytes of encoded ops); 1 MiB is generous headroom and a
@@ -108,7 +110,7 @@ const (
 )
 
 // WireUpgrade is the Upgrade token of GET /wire; it carries WireVersion.
-const WireUpgrade = "termproto-wire/2"
+const WireUpgrade = "termproto-wire/3"
 
 // tidFrameLen is the size of a query or ack frame body.
 const tidFrameLen = 1 + 8

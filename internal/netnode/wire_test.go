@@ -31,7 +31,10 @@ func TestHelloRejects(t *testing.T) {
 		"bad version": append([]byte("TPNW"), 0x00, 0x63, 0, 0, 0, 1),
 		// Version 1 frames carry no slack: a peer that speaks them is refused.
 		"version 1": append([]byte("TPNW"), 0x00, 0x01, 0, 0, 0, 1),
-		"zero site": append([]byte("TPNW"), 0x00, 0x02, 0, 0, 0, 0),
+		// A version 2 site never answers a snapshot request: a restarted
+		// peer would skip its catch-up in silence.
+		"version 2": append([]byte("TPNW"), 0x00, 0x02, 0, 0, 0, 1),
+		"zero site": append([]byte("TPNW"), 0x00, 0x03, 0, 0, 0, 0),
 	}
 	for name, raw := range cases {
 		if _, err := ReadHello(bytes.NewReader(raw)); !errors.Is(err, ErrWire) {

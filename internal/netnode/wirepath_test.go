@@ -20,8 +20,8 @@ import (
 // upgraded connection, from several goroutines at once, and report what
 // the nodes decided.
 func TestClientSubmitAndTxnOverWire(t *testing.T) {
-	nodes, _ := startNodes(t, 3, memStores(3), true)
-	c := NewClient(nodes[0].opts.APIPeers[1])
+	nodes, apis := startNodes(t, 3, memStores(3), true)
+	c := NewClient(apis[1])
 	defer c.Close()
 	const n = 8
 	var wg sync.WaitGroup
@@ -82,8 +82,8 @@ func upgrade(t *testing.T, addr, token string) (net.Conn, *http.Response) {
 // Anything on /wire that is not a well-formed submit to this site or a
 // query closes the connection, answers nothing and starts nothing.
 func TestWireHostileInputClosesConnection(t *testing.T) {
-	nodes, _ := startNodes(t, 3, memStores(3), true)
-	addr := nodes[0].opts.APIPeers[1]
+	nodes, apis := startNodes(t, 3, memStores(3), true)
+	addr := apis[1]
 
 	if _, resp := upgrade(t, addr, "TPNX/9"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("upgrade with a bad token answered %s, want 400", resp.Status)
@@ -150,10 +150,10 @@ func TestNodeCloseReleasesWireConnections(t *testing.T) {
 	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 	goroutines, open := runtime.NumGoroutine(), fds()
 
-	nodes, _ := startNodes(t, 3, memStores(3), true)
+	nodes, apis := startNodes(t, 3, memStores(3), true)
 	clients := make([]*Client, 12)
 	for i := range clients {
-		clients[i] = NewClient(nodes[i%3].opts.APIPeers[proto.SiteID(i%3+1)])
+		clients[i] = NewClient(apis[proto.SiteID(i%3+1)])
 		if err := clients[i].Submit(SubmitReq{TID: uint64(i + 1), Master: i%3 + 1, Sites: []int{1, 2, 3}}); err != nil {
 			t.Fatalf("submit %d: %v", i+1, err)
 		}

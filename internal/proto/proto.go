@@ -80,6 +80,11 @@ const (
 	// window asks a slave whose ack it holds for its probe now, instead
 	// of waiting out the slave's 3T timer (see Window).
 	MsgSolicit // master -> slave: send your probe
+
+	// Recovery vocabulary, second question: a restarting site asks for a
+	// replica's committed state, and the reply carries one key-ordered
+	// chunk of it (see site.Node).
+	MsgSnapshot
 )
 
 // String returns the wire name of the kind, matching the paper's message
@@ -118,6 +123,8 @@ func (k Kind) String() string {
 		return "inquire"
 	case MsgSolicit:
 		return "solicit"
+	case MsgSnapshot:
+		return "snapshot"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

@@ -22,7 +22,7 @@ func TestKindStringsMatchPaperNames(t *testing.T) {
 		MsgAck: "ack", MsgCommit: "commit", MsgAbort: "abort", MsgProbe: "probe",
 		MsgPre: "pre", MsgPreAck: "preack",
 		MsgStateReq: "state-req", MsgStateRep: "state-rep",
-		MsgInquire: "inquire", MsgSolicit: "solicit",
+		MsgInquire: "inquire", MsgSolicit: "solicit", MsgSnapshot: "snapshot",
 		Kind(200): "kind(200)",
 	} {
 		if got := k.String(); got != want {

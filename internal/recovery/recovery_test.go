@@ -3,232 +3,7 @@ package recovery
 import (
 	"fmt"
 	"testing"
-
-	"termproto/internal/db/engine"
-	"termproto/internal/db/wal"
-	"termproto/internal/proto"
 )
-
-// fakePeers scripts the cluster a recovering site sees: per-peer outcomes
-// and snapshots, with unreachable peers simply absent.
-type fakePeers struct {
-	outcomes map[proto.SiteID]map[uint64]proto.Outcome
-	snaps    map[proto.SiteID]map[string][]byte
-	unstable map[proto.SiteID]map[string]bool
-	asked    []proto.SiteID
-}
-
-func (f *fakePeers) Outcome(peer proto.SiteID, tid uint64) (proto.Outcome, bool) {
-	f.asked = append(f.asked, peer)
-	if m, ok := f.outcomes[peer]; ok {
-		if o, ok := m[tid]; ok {
-			return o, true
-		}
-	}
-	return proto.None, false
-}
-
-func (f *fakePeers) Snapshot(peer proto.SiteID) (map[string][]byte, map[string]bool, bool) {
-	s, ok := f.snaps[peer]
-	return s, f.unstable[peer], ok
-}
-
-// prepared builds an engine whose log holds one committed transaction
-// (tid 1) and one prepared-but-undecided transaction (tid 2) with the
-// given roster.
-func prepared(t *testing.T, roster []proto.SiteID) *engine.Engine {
-	t.Helper()
-	e := engine.New("site-3", &wal.MemStore{})
-	e.PutInt("acct/a", 100)
-	e.PutInt("acct/b", 100)
-	pay1 := engine.EncodeOps([]engine.Op{{Kind: engine.OpAdd, Key: "acct/a", Delta: -10}})
-	if !e.Execute(1, pay1) {
-		t.Fatal("txn 1 voted no")
-	}
-	e.Commit(1)
-	pay2 := engine.EncodeOps([]engine.Op{{Kind: engine.OpAdd, Key: "acct/b", Delta: -25}})
-	if roster != nil {
-		if !e.ExecuteAt(2, pay2, roster) {
-			t.Fatal("txn 2 voted no")
-		}
-	} else if !e.Execute(2, pay2) {
-		t.Fatal("txn 2 voted no")
-	}
-	return e
-}
-
-func TestResolveCommitFromRosterPeer(t *testing.T) {
-	e := prepared(t, []proto.SiteID{1, 3, 5})
-	peers := &fakePeers{outcomes: map[proto.SiteID]map[uint64]proto.Outcome{
-		5: {2: proto.Commit},
-	}}
-	st, err := Run(Config{
-		Site: 3, Engine: e, Peers: peers,
-		AllSites: []proto.SiteID{1, 2, 3, 4, 5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Replayed != 1 || st.InDoubt != 1 || st.ResolvedCommit != 1 || st.Unresolved != 0 {
-		t.Fatalf("stats: %v", st)
-	}
-	// The roster came from the begin record: only sites 1 and 5 were
-	// interrogated (3 is self), never 2 or 4.
-	for _, p := range peers.asked {
-		if p == 2 || p == 4 {
-			t.Fatalf("asked non-roster site %d (asked %v)", p, peers.asked)
-		}
-	}
-	if got := e.GetInt("acct/b"); got != 75 {
-		t.Fatalf("acct/b = %d after resolved commit, want 75", got)
-	}
-	if got := e.GetInt("acct/a"); got != 90 {
-		t.Fatalf("acct/a = %d after replay, want 90", got)
-	}
-}
-
-func TestResolveAbortFallsBackToAllSites(t *testing.T) {
-	e := prepared(t, nil) // plain Execute: no roster in the log
-	peers := &fakePeers{outcomes: map[proto.SiteID]map[uint64]proto.Outcome{
-		4: {2: proto.Abort},
-	}}
-	st, err := Run(Config{
-		Site: 3, Engine: e, Peers: peers,
-		AllSites: []proto.SiteID{1, 2, 3, 4, 5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ResolvedAbort != 1 || st.ResolvedCommit != 0 || st.Unresolved != 0 {
-		t.Fatalf("stats: %v", st)
-	}
-	if got := e.GetInt("acct/b"); got != 100 {
-		t.Fatalf("acct/b = %d after resolved abort, want 100", got)
-	}
-	if len(e.InDoubt()) != 0 {
-		t.Fatalf("still in doubt: %v", e.InDoubt())
-	}
-}
-
-func TestUnresolvedKeepsLocks(t *testing.T) {
-	e := prepared(t, []proto.SiteID{1, 3})
-	peers := &fakePeers{} // nobody reachable or decided
-	st, err := Run(Config{
-		Site: 3, Engine: e, Peers: peers,
-		AllSites: []proto.SiteID{1, 2, 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Unresolved != 1 || st.ResolvedCommit+st.ResolvedAbort != 0 {
-		t.Fatalf("stats: %v", st)
-	}
-	if !e.Locked("acct/b") {
-		t.Fatal("unresolved in-doubt transaction released its lock")
-	}
-}
-
-func TestCatchUpPullsFromFirstReachableDonor(t *testing.T) {
-	e := prepared(t, []proto.SiteID{1, 3})
-	peers := &fakePeers{
-		outcomes: map[proto.SiteID]map[uint64]proto.Outcome{1: {2: proto.Commit}},
-		snaps: map[proto.SiteID]map[string][]byte{
-			// Donor 2 is unreachable (absent); donor 4 has moved on: a new
-			// key exists, acct/a changed, acct/b matches the resolved state.
-			4: {
-				"acct/a": engine.EncodeInt(42),
-				"acct/b": engine.EncodeInt(75),
-				"acct/c": engine.EncodeInt(7),
-			},
-		},
-	}
-	st, err := Run(Config{
-		Site: 3, Engine: e, Peers: peers,
-		AllSites: []proto.SiteID{1, 2, 3, 4},
-		CatchUp:  []CatchUpSource{{Donors: []proto.SiteID{2, 4}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.CaughtUpKeys != 2 {
-		t.Fatalf("caught-up keys = %d, want 2 (acct/a + acct/c): %v", st.CaughtUpKeys, st)
-	}
-	if e.GetInt("acct/a") != 42 || e.GetInt("acct/b") != 75 || e.GetInt("acct/c") != 7 {
-		t.Fatalf("post-catch-up state: a=%d b=%d c=%d",
-			e.GetInt("acct/a"), e.GetInt("acct/b"), e.GetInt("acct/c"))
-	}
-}
-
-func TestCatchUpDeletesStaleKeys(t *testing.T) {
-	e := engine.New("site-1", &wal.MemStore{})
-	e.PutInt("gone", 1)
-	e.PutInt("kept", 2)
-	peers := &fakePeers{snaps: map[proto.SiteID]map[string][]byte{
-		2: {"kept": engine.EncodeInt(2)},
-	}}
-	st, err := Run(Config{
-		Site: 1, Engine: e, Peers: peers,
-		AllSites: []proto.SiteID{1, 2},
-		CatchUp:  []CatchUpSource{{Donors: []proto.SiteID{2}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.CaughtUpKeys != 1 {
-		t.Fatalf("caught-up keys = %d, want 1", st.CaughtUpKeys)
-	}
-	if _, ok := e.Get("gone"); ok {
-		t.Fatal("stale key survived catch-up")
-	}
-	if e.GetInt("kept") != 2 {
-		t.Fatal("matching key disturbed")
-	}
-}
-
-// The stale-donor regression: the first reachable donor has NOT yet
-// learned the decision the recovery just adopted — the transaction is
-// still in flight there, so the donor flags those keys unstable and the
-// catch-up must not roll the freshly resolved commit back to the donor's
-// pre-transaction values.
-func TestCatchUpDoesNotRegressResolvedCommit(t *testing.T) {
-	e := prepared(t, []proto.SiteID{1, 2, 3}) // txn 2 in doubt on acct/b
-	peers := &fakePeers{
-		outcomes: map[proto.SiteID]map[uint64]proto.Outcome{2: {2: proto.Commit}},
-		// Donor 1 still holds txn 2 prepared: its snapshot shows the old
-		// acct/b, flagged unstable. It also legitimately has a newer
-		// acct/a (a commit this site missed).
-		snaps: map[proto.SiteID]map[string][]byte{
-			1: {"acct/a": engine.EncodeInt(33), "acct/b": engine.EncodeInt(100)},
-		},
-		unstable: map[proto.SiteID]map[string]bool{1: {"acct/b": true}},
-	}
-	st, err := Run(Config{
-		Site: 3, Engine: e, Peers: peers,
-		AllSites: []proto.SiteID{1, 2, 3},
-		CatchUp:  []CatchUpSource{{Donors: []proto.SiteID{1}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ResolvedCommit != 1 {
-		t.Fatalf("stats: %v", st)
-	}
-	if got := e.GetInt("acct/b"); got != 75 {
-		t.Fatalf("acct/b = %d: catch-up rolled back the resolved commit (want 75)", got)
-	}
-	if got := e.GetInt("acct/a"); got != 33 {
-		t.Fatalf("acct/a = %d: stable donor key not pulled (want 33)", got)
-	}
-}
-
-func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{Site: 1, Peers: &fakePeers{}}); err == nil {
-		t.Fatal("nil engine accepted")
-	}
-	if _, err := Run(Config{Site: 1, Engine: engine.New("x", &wal.MemStore{})}); err == nil {
-		t.Fatal("nil peers accepted")
-	}
-}
 
 func TestStatsString(t *testing.T) {
 	s := Stats{Replayed: 1, InDoubt: 2, ResolvedCommit: 1, ResolvedAbort: 1, CaughtUpKeys: 3}

@@ -35,12 +35,15 @@ const DefaultT Duration = 1000
 // Priority orders events that share a timestamp. Lower runs first.
 type Priority uint8
 
-// Priorities for same-timestamp events. Deliveries run before partition
+// Priorities for same-timestamp events. A site's restart runs first: the
+// network delivers to it from that instant on, so its recovery must have
+// begun before anything reaches it. Deliveries run before partition
 // edges so a message arriving exactly at partition onset is considered to
 // have beaten the partition; partition edges run before timers so that an
 // undeliverable return scheduled at a timer's deadline is observed by the
 // automaton before the timer fires.
 const (
+	PriRestart   Priority = 5  // a crashed site's restart
 	PriDeliver   Priority = 10 // message and undeliverable-notice deliveries
 	PriPartition Priority = 20 // partition onset / heal edges
 	PriTimer     Priority = 30 // timer expirations

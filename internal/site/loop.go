@@ -29,10 +29,9 @@ type event struct {
 type wallTimer struct{ fn func() }
 
 // Loop is one site of the protocol on the wall clock: a goroutine that
-// steps a Node's table, serializing its events through an inbox, plus the
-// asking half of the recovery inquiry round. It is the Node's Clock —
-// timers re-enter the inbox — and its Transport, sending through whatever
-// Start is given. A Loop steps one incarnation of a site: a crash is
+// steps a Node, serializing its events through an inbox. It is the Node's
+// Clock — timers re-enter the inbox — and its Transport, sending through
+// whatever Start is given. A Loop steps one incarnation of a site: a crash is
 // Close, a restart is a new Loop and a new Node over the same Participant.
 type Loop struct {
 	id   proto.SiteID
@@ -45,13 +44,7 @@ type Loop struct {
 	exited chan struct{}
 
 	mu     sync.Mutex
-	inq    map[proto.TxnID]chan inqReply // pending Inquire calls
 	closed bool
-}
-
-type inqReply struct {
-	o  proto.Outcome
-	ok bool
 }
 
 // NewLoop builds a loop; Start launches it over a Node built on l.Site().
@@ -63,7 +56,6 @@ func NewLoop(opts Options) *Loop {
 		inbox:  make(chan event, 1024),
 		done:   make(chan struct{}),
 		exited: make(chan struct{}),
-		inq:    make(map[proto.TxnID]chan inqReply),
 	}
 }
 
@@ -144,9 +136,8 @@ func (l *Loop) AfterFunc(d sim.Duration, fn func()) func() {
 	}
 }
 
-// handle processes one event on the loop goroutine: a timer expiry, a
-// submission, a reply to this site's pending Inquire, or anything else the
-// table takes.
+// handle processes one event on the loop goroutine: a timer expiry (or a
+// Do), a submission, or a message for the node.
 func (l *Loop) handle(ev event) {
 	switch {
 	case ev.timer != nil:
@@ -156,66 +147,11 @@ func (l *Loop) handle(ev event) {
 		}
 	case ev.start != nil:
 		l.node.Submit(*ev.start)
-	case !l.completeInquiry(ev.msg):
+	default:
 		l.node.Deliver(ev.msg)
 	}
 }
 
-// completeInquiry routes a message to this site's pending Inquire, if one
-// matches: a decision answers it, the undeliverable return of the inquiry
-// itself marks the peer unreachable. Reports whether m was consumed.
-func (l *Loop) completeInquiry(m proto.Msg) bool {
-	var r inqReply
-	switch {
-	case m.Undeliverable && m.Kind == proto.MsgInquire:
-	case !m.Undeliverable && m.Kind == proto.MsgCommit:
-		r = inqReply{proto.Commit, true}
-	case !m.Undeliverable && m.Kind == proto.MsgAbort:
-		r = inqReply{proto.Abort, true}
-	default:
-		return false
-	}
-	l.mu.Lock()
-	ch := l.inq[m.TID]
-	l.mu.Unlock()
-	if ch == nil {
-		return false
-	}
-	select {
-	case ch <- r:
-	default: // a reply already arrived; drop the duplicate
-	}
-	return true
-}
-
-// Inquire runs one hop of the recovery inquiry round: a real MsgInquire
-// travels to the peer, which answers from its durable state. Across an
-// active partition boundary the inquiry bounces back (peer unreachable);
-// a dead or undecided peer is silence, bounded by 4T — delays are at most
-// T/2 each way and a bounce returns within 2T. ok is false when no
-// decision was learned. One inquiry per transaction may be pending.
-func (l *Loop) Inquire(peer proto.SiteID, tid proto.TxnID) (proto.Outcome, bool) {
-	ch := make(chan inqReply, 1)
-	l.mu.Lock()
-	if l.closed || l.inq[tid] != nil {
-		l.mu.Unlock()
-		return proto.None, false
-	}
-	l.inq[tid] = ch
-	l.mu.Unlock()
-	defer func() {
-		l.mu.Lock()
-		delete(l.inq, tid)
-		l.mu.Unlock()
-	}()
-	l.out.Send(proto.Msg{TID: tid, From: l.id, To: peer, Kind: proto.MsgInquire})
-	timeout := time.NewTimer(4 * l.t)
-	defer timeout.Stop()
-	select {
-	case r := <-ch:
-		return r.o, r.ok
-	case <-timeout.C:
-	case <-l.done:
-	}
-	return proto.None, false
-}
+// Do runs fn on the loop goroutine after every event already queued; called
+// before Start, fn is the first event the loop takes.
+func (l *Loop) Do(fn func()) { l.enqueue(event{timer: &wallTimer{fn: fn}}) }

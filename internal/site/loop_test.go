@@ -12,6 +12,7 @@ import (
 	"termproto/internal/db/wal"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/twopc"
+	"termproto/internal/recovery"
 )
 
 const liveT = 5 * time.Millisecond
@@ -32,7 +33,7 @@ func newMesh(t *testing.T, n int, protocol proto.Protocol, parts map[proto.SiteI
 		lp := NewLoop(Options{ID: id, T: liveT})
 		s := lp.Site()
 		s.Participant = parts[id]
-		m.loops[id], m.nodes[id] = lp, NewNode(s, protocol, roster(n), nil, nil, nil)
+		m.loops[id], m.nodes[id] = lp, NewNode(s, protocol, roster(n), nil, nil)
 		m.links[id] = NewLink(id, liveT, 0, lp.Deliver, func(msg proto.Msg) error {
 			dst := m.links[msg.To] // complete before the first Send
 			if dst == nil {
@@ -183,52 +184,82 @@ func TestLiveTwoPCBlocksUnderPartition(t *testing.T) {
 	}
 }
 
-// Inquire is the recovery inquiry round over real messages: after a
-// decision, any site answers with its durable (database) outcome; across
-// a partition the inquiry bounces (unreachable); an unknown transaction is
-// silence.
+// recoverOn runs site id's recovery on its loop and waits for it.
+func (m *mesh) recoverOn(t *testing.T, id proto.SiteID) recovery.Stats {
+	t.Helper()
+	done := make(chan recovery.Stats, 1)
+	m.loops[id].Do(func() {
+		m.nodes[id].Recover(func(st recovery.Stats, err error) {
+			if err != nil {
+				t.Errorf("site %d recovery: %v", id, err)
+			}
+			done <- st
+		})
+	})
+	return <-done
+}
+
+// retryOn runs site id's heal-edge retry on its loop and waits for it.
+func (m *mesh) retryOn(id proto.SiteID) recovery.Stats {
+	done := make(chan recovery.Stats, 1)
+	m.loops[id].Do(func() {
+		m.nodes[id].RetryInDoubt(func(st recovery.Stats, _ bool) { done <- st })
+	})
+	return <-done
+}
+
+// The recovery inquiry round over real messages between loops: across a
+// partition every inquiry bounces and the transaction stays in doubt; once
+// healed, a retry learns the peers' durable commit.
 func TestLiveInquire(t *testing.T) {
+	payload := engine.EncodeOps([]engine.Op{{Kind: engine.OpAdd, Key: "k", Delta: -1}})
 	parts := make(map[proto.SiteID]proto.Participant, 4)
 	for i := 1; i <= 4; i++ {
 		e := engine.New(fmt.Sprintf("s%d", i), &wal.MemStore{})
 		e.PutInt("k", 100)
+		if i < 4 {
+			e.Commit(1) // decided: the durable answer
+		} else if !e.ExecuteAt(1, payload, roster(4)) {
+			t.Fatal("txn 1 did not prepare at site 4")
+		}
 		parts[proto.SiteID(i)] = e
 	}
 	m := newMesh(t, 4, core.Protocol{TransientFix: true}, parts)
-	payload := engine.EncodeOps([]engine.Op{{Kind: engine.OpAdd, Key: "k", Delta: -1}})
-	m.loops[1].Submit(Spec{TID: 1, Master: 1, Sites: roster(4), Payload: payload})
-	if _, all := m.settle(1, 100*liveT); !all {
-		t.Fatal("txn 1 undecided")
-	}
-	if o, ok := m.loops[4].Inquire(2, 1); !ok || o != proto.Commit {
-		t.Fatalf("Inquire(4->2, 1) = %v/%v, want commit", o, ok)
-	}
-	// An unknown transaction has no durable outcome anywhere: silence.
-	if _, ok := m.loops[4].Inquire(2, 99); ok {
-		t.Fatal("inquiry about an unknown txn answered")
-	}
-	// Across a partition the inquiry itself bounces: unreachable.
 	m.partition(4)
-	if _, ok := m.loops[4].Inquire(2, 1); ok {
-		t.Fatal("inquiry crossed an active partition boundary")
+	if st := m.recoverOn(t, 4); st.InDoubt != 1 || st.Unresolved != 1 {
+		t.Fatalf("recovery behind the cut = %v, want txn 1 left in doubt", st)
 	}
 	m.partition()
-	if o, ok := m.loops[4].Inquire(2, 1); !ok || o != proto.Commit {
-		t.Fatalf("post-heal Inquire = %v/%v, want commit", o, ok)
+	if st := m.retryOn(4); st.ResolvedCommit != 1 || len(m.nodes[4].Unresolved()) != 0 {
+		t.Fatalf("post-heal retry = %v, want txn 1 committed", st)
 	}
 }
 
 // A site without a database has no durable decision to offer: inquiries
 // get silence, never volatile automaton bookkeeping — the same answer the
-// deterministic backend gives.
+// deterministic backend gives — and the asker gives up after 2T.
 func TestLiveInquireNeedsDurableState(t *testing.T) {
-	m := newMesh(t, 3, core.Protocol{TransientFix: true}, nil)
-	m.loops[1].Submit(Spec{TID: 1, Master: 1, Sites: roster(3)})
-	if _, all := m.settle(1, 100*liveT); !all {
-		t.Fatal("txn 1 undecided")
+	e := engine.New("s3", &wal.MemStore{})
+	if !e.ExecuteAt(1, engine.EncodeOps([]engine.Op{{Kind: engine.OpPut, Key: "k", Value: []byte("v")}}), roster(3)) {
+		t.Fatal("txn 1 did not prepare at site 3")
 	}
-	if _, ok := m.loops[3].Inquire(2, 1); ok {
-		t.Fatal("engine-less site answered an inquiry from volatile state")
+	m := newMesh(t, 3, core.Protocol{TransientFix: true}, map[proto.SiteID]proto.Participant{3: e})
+	m.loops[1].Submit(Spec{TID: 1, Master: 1, Sites: []proto.SiteID{1, 2}})
+	for _, id := range []proto.SiteID{1, 2} {
+		for deadline := time.Now().Add(100 * liveT); ; time.Sleep(liveT / 4) {
+			if st, _ := m.nodes[id].Txn(1); st.Outcome == proto.Commit {
+				break
+			} else if time.Now().After(deadline) {
+				t.Fatalf("site %d did not commit txn 1: %+v", id, st)
+			}
+		}
+	}
+	start := time.Now()
+	if st := m.recoverOn(t, 3); st.Unresolved != 1 || st.ResolvedCommit+st.ResolvedAbort != 0 {
+		t.Fatalf("recovery = %v: an engine-less site answered from volatile state", st)
+	}
+	if el := time.Since(start); el < 2*liveT {
+		t.Fatalf("gave up after %v, before 2T", el)
 	}
 }
 

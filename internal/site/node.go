@@ -17,8 +17,8 @@ import (
 // latencies, and — when the participant is a storage engine — everything
 // around that engine: its metrics and placement wiring, the table's wound
 // rule and lock-wait counts, the directory epoch records its log must
-// hold, recovery and the heal-edge retry of what recovery left in doubt,
-// and Txn's fallback to durable state.
+// hold, recovery and the heal-edge retry of what it left in doubt
+// (recover.go), and Txn's fallback to durable state.
 //
 // The simulator steps a Node's table from its scheduler, a Loop from its
 // inbox. A crash is Close; a restart is a fresh Node over the same
@@ -29,7 +29,6 @@ type Node struct {
 	clock Clock
 	sites []proto.SiteID
 	dir   *placement.Directory
-	peers recovery.PeerClient
 	eng   *engine.Engine // nil unless the participant is a storage engine
 	// onDecide is the backend's own decision hook, chained after the
 	// node's observations.
@@ -41,19 +40,25 @@ type Node struct {
 	prepared, decided *obs.Histogram
 	shardCommit       *obs.HistogramVec
 
+	// The recovery step machine (stepping goroutine only): the pass
+	// running, the retries waiting for it, and whether the site donates.
+	rec     *pass
+	retries []func(recovery.Stats, bool)
+	serving bool
+
 	mu      sync.Mutex
 	pending []engine.InDoubt // in-doubt transactions recovery left unresolved
 }
 
 // NewNode assembles one incarnation of site s under protocol. sites is the
 // cluster's roster, ascending; dir places the keyspace (nil: full
-// replication); reg receives the site's metrics (nil: none); peers is how
-// recovery reaches the rest of the cluster. s.OnDecide runs after the
-// node's own decision observations.
+// replication); reg receives the site's metrics (nil: none). s.OnDecide
+// runs after the node's own decision observations.
 func NewNode(s Site, protocol proto.Protocol, sites []proto.SiteID, dir *placement.Directory,
-	reg *obs.Registry, peers recovery.PeerClient) *Node {
+	reg *obs.Registry) *Node {
 	n := &Node{
-		self: s.ID, clock: s.Clock, sites: sites, dir: dir, peers: peers, onDecide: s.OnDecide,
+		self: s.ID, clock: s.Clock, sites: sites, dir: dir, onDecide: s.OnDecide,
+		serving: true,
 		decided: reg.Histogram(obs.MRoundLatency,
 			obs.L("protocol", protocol.Name()), obs.L("phase", "decided")),
 		shardCommit: reg.NewHistogramVec(obs.MShardCommitLatency, "shard"),
@@ -115,48 +120,35 @@ func (n *Node) InstallPlacement() int {
 }
 
 // plan is the site's recovery over the directory's current assignment.
-func (n *Node) plan() recovery.Config {
+func (n *Node) plan() ([]proto.SiteID, []recovery.CatchUpSource) {
 	var asg *placement.Assignment
 	if n.dir != nil {
 		_, asg = n.dir.Current()
 	}
-	return recovery.Plan(n.self, n.eng, n.peers, n.sites, asg)
+	return recovery.Plan(n.self, n.sites, asg)
 }
 
-// Recover runs the site's recovery (recovery.Run): replay its log,
-// resolve its in-doubt transactions by inquiry, catch up what it missed.
-// What stays in doubt is kept for RetryInDoubt.
-func (n *Node) Recover() (recovery.Stats, error) {
-	st, err := recovery.Run(n.plan())
-	n.mu.Lock()
-	n.pending = st.Pending
-	n.mu.Unlock()
-	return st, err
-}
-
-// RetryInDoubt re-runs the inquiry round for the transactions recovery
-// left unresolved — the heal edge: the partition that hid every decided
-// participant has lifted. ran is false when nothing was pending.
-func (n *Node) RetryInDoubt() (st recovery.Stats, ran bool) {
-	n.mu.Lock()
-	pend := n.pending
-	n.mu.Unlock()
-	if len(pend) == 0 {
-		return recovery.Stats{}, false
+// Deliver hands the node a message from the transport: recovery traffic
+// to the step machine, anything else to the table.
+func (n *Node) Deliver(m proto.Msg) {
+	if !n.recoveryMsg(m) {
+		n.Table.Deliver(m)
+		return
 	}
-	st = recovery.Retry(n.plan(), pend)
-	n.mu.Lock()
-	n.pending = st.Pending
-	n.mu.Unlock()
-	return st, true
+	n.Table.stepped()
 }
 
-// Unresolved lists the in-doubt transactions recovery left for
-// RetryInDoubt.
-func (n *Node) Unresolved() []engine.InDoubt {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.pending
+// Undeliverable implements simnet.Handler: the network marked m returned.
+func (n *Node) Undeliverable(m proto.Msg) { n.Deliver(m) }
+
+// Close silences every automaton's timer, drops every parked transaction
+// and stops a recovery cut short; the view stays readable.
+func (n *Node) Close() {
+	n.Table.Close()
+	if p := n.rec; p != nil && p.stop != nil {
+		p.stop()
+	}
+	n.rec, n.retries = nil, nil
 }
 
 // Txn returns the site's view of one transaction; ok is false when the

@@ -9,8 +9,10 @@ import (
 	"termproto/internal/obs"
 	"termproto/internal/placement"
 	"termproto/internal/proto"
+	"termproto/internal/recovery"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
+	"termproto/internal/trace"
 )
 
 // put is a one-key write of "v".
@@ -34,7 +36,7 @@ func newNodeMesh(n int, t sim.Duration) *nodeMesh {
 		m.nodes[id] = NewNode(Site{
 			ID: id, Clock: SchedClock{Sched: m.sched, Bound: t}, Transport: net,
 			Participant: engine.New("site", &wal.MemStore{}),
-		}, core.Protocol{TransientFix: true}, roster(n), nil, m.regs[id], nil)
+		}, core.Protocol{TransientFix: true}, roster(n), nil, m.regs[id])
 		net.Register(id, m.nodes[id])
 	}
 	return m
@@ -89,10 +91,10 @@ func TestNodeInstallPlacement(t *testing.T) {
 	dir := placement.NewDirectory(asg)
 	eng := engine.New("site", &wal.MemStore{})
 	s := Site{ID: 1, Clock: SchedClock{Sched: sim.NewScheduler(), Bound: sim.DefaultT}, Participant: eng}
-	if got := NewNode(s, core.Protocol{}, roster(3), dir, nil, nil).InstallPlacement(); got != 1 {
+	if got := NewNode(s, core.Protocol{}, roster(3), dir, nil).InstallPlacement(); got != 1 {
 		t.Fatalf("first incarnation wrote %d epoch records, want 1", got)
 	}
-	if got := NewNode(s, core.Protocol{}, roster(3), dir, nil, nil).InstallPlacement(); got != 0 {
+	if got := NewNode(s, core.Protocol{}, roster(3), dir, nil).InstallPlacement(); got != 0 {
 		t.Fatalf("second incarnation wrote %d epoch records, want 0", got)
 	}
 	stack, err := placement.StackFromSnapshot(eng.Snapshot())
@@ -110,7 +112,7 @@ func TestNodeTxnFallsBackToDurableState(t *testing.T) {
 		t.Fatal("txn 8 did not prepare")
 	}
 	s := Site{ID: 1, Clock: SchedClock{Sched: sim.NewScheduler(), Bound: sim.DefaultT}, Participant: eng}
-	n := NewNode(s, core.Protocol{}, roster(2), nil, nil, nil)
+	n := NewNode(s, core.Protocol{}, roster(2), nil, nil)
 	if st, ok := n.Txn(7); !ok || st.Outcome != proto.Commit || st.State != "q" {
 		t.Fatalf("decided txn 7 = %+v/%v, want a durable commit", st, ok)
 	}
@@ -122,40 +124,52 @@ func TestNodeTxnFallsBackToDurableState(t *testing.T) {
 	}
 }
 
-// peerAnswers is a recovery.PeerClient whose every peer answers commit
-// once reachable is set, and nothing before.
-type peerAnswers struct{ reachable *bool }
-
-func (p peerAnswers) Outcome(proto.SiteID, uint64) (proto.Outcome, bool) {
-	return proto.Commit, *p.reachable
-}
-
-func (p peerAnswers) Snapshot(proto.SiteID) (map[string][]byte, map[string]bool, bool) {
-	return nil, nil, false
-}
-
 // Recover keeps what it could not resolve, and RetryInDoubt resolves it
-// once a decided peer is reachable; after that nothing is pending.
+// once a decided peer is reachable; after that nothing is pending. On the
+// simulated network the inquiry across the cut shows as a bounce, and the
+// decision lands no earlier than one round trip after the restart.
 func TestNodeRecoverThenRetryInDoubt(t *testing.T) {
+	sched, rec := sim.NewScheduler(), &trace.Recorder{}
+	net := simnet.New(simnet.Config{Sched: sched, T: sim.DefaultT, Trace: rec})
 	eng := engine.New("site", &wal.MemStore{})
 	if !eng.ExecuteAt(5, put("k"), roster(2)) {
 		t.Fatal("txn 5 did not prepare")
 	}
-	reachable := false
-	s := Site{ID: 1, Clock: SchedClock{Sched: sim.NewScheduler(), Bound: sim.DefaultT}, Participant: eng}
-	n := NewNode(s, core.Protocol{}, roster(2), nil, nil, peerAnswers{&reachable})
-	st, err := n.Recover()
-	if err != nil || st.InDoubt != 1 || st.Unresolved != 1 || len(n.Unresolved()) != 1 {
-		t.Fatalf("recovery = %v (%v), pending %v; want txn 5 left in doubt", st, err, n.Unresolved())
+	peer := engine.New("peer", &wal.MemStore{})
+	peer.Commit(5)
+	nodes := map[proto.SiteID]*Node{}
+	for id, e := range map[proto.SiteID]*engine.Engine{1: eng, 2: peer} {
+		nodes[id] = NewNode(Site{ID: id, Clock: SchedClock{Sched: sched, Bound: sim.DefaultT}, Transport: net, Participant: e},
+			core.Protocol{}, roster(2), nil, nil)
+		net.Register(id, nodes[id])
 	}
-	reachable = true
-	if st, ran := n.RetryInDoubt(); !ran || st.ResolvedCommit != 1 || len(n.Unresolved()) != 0 {
-		t.Fatalf("retry = %v (ran %v), pending %v; want txn 5 committed", st, ran, n.Unresolved())
+	net.Cut(0, 2)
+	var st recovery.Stats
+	var err error
+	nodes[1].Recover(func(s recovery.Stats, e error) { st, err = s, e })
+	sched.Run()
+	if err != nil || st.InDoubt != 1 || st.Unresolved != 1 || len(nodes[1].Unresolved()) != 1 {
+		t.Fatalf("recovery = %v (%v), pending %v; want txn 5 left in doubt", st, err, nodes[1].Unresolved())
+	}
+	if len(rec.Messages(trace.Bounce, "inquire")) != 1 {
+		t.Fatalf("the inquiry across the cut did not bounce:\n%s", rec.Dump())
+	}
+	heal := sched.Now()
+	net.Cut(heal)
+	ran := false
+	nodes[1].RetryInDoubt(func(s recovery.Stats, r bool) { st, ran = s, r })
+	sched.Run()
+	if !ran || st.ResolvedCommit != 1 || len(nodes[1].Unresolved()) != 0 {
+		t.Fatalf("retry = %v (ran %v), pending %v; want txn 5 committed", st, ran, nodes[1].Unresolved())
 	}
 	if o, _ := eng.Outcome(5); o != proto.Commit {
 		t.Fatalf("txn 5 durable outcome = %v, want commit", o)
 	}
-	if _, ran := n.RetryInDoubt(); ran {
+	if d := rec.Messages(trace.Deliver, "commit"); len(d) != 1 || d[0].At < heal+sim.Time(2*sim.DefaultT) {
+		t.Fatalf("decision delivered %+v, want one, a round trip (2T) after the retry at %d", d, heal)
+	}
+	nodes[1].RetryInDoubt(func(_ recovery.Stats, r bool) { ran = r })
+	if ran {
 		t.Fatal("retry ran with nothing pending")
 	}
 }

@@ -56,6 +56,8 @@ type Table struct {
 	// wounded are the masters the wound rule aborted in their engine
 	// during the current event; they take their own no once it returns.
 	wounded []wounded
+	// inquired lists the sites whose inquiry waits for an automaton's decision.
+	inquired map[proto.TxnID][]proto.SiteID
 
 	mu   sync.Mutex
 	view map[proto.TxnID]*Status
@@ -69,6 +71,7 @@ func NewTable(s Site, protocol proto.Protocol) *Table {
 		out:      s.Transport,
 		envs:     make(map[proto.TxnID]*Env),
 		parked:   make(map[proto.TxnID]*parked),
+		inquired: make(map[proto.TxnID][]proto.SiteID),
 		view:     make(map[proto.TxnID]*Status),
 	}
 	s.Transport, s.changed = xactWrapper{t}, t.publish
@@ -333,13 +336,20 @@ func (t *Table) spawn(spec Spec, learned sim.Time) *Env {
 	return e
 }
 
-// publish mirrors an automaton's state into the view (Site.changed).
+// publish mirrors an automaton's state into the view (Site.changed), and
+// answers the inquiries that waited for its decision.
 func (t *Table) publish(e *Env) {
 	t.mu.Lock()
 	st := t.view[e.cfg.TID]
 	st.State = e.State()
 	st.Outcome, st.DecidedAt = e.outcome, e.decidedAt
 	t.mu.Unlock()
+	if askers := t.inquired[e.cfg.TID]; e.outcome != proto.None && len(askers) > 0 {
+		delete(t.inquired, e.cfg.TID)
+		for _, from := range askers {
+			t.answerInquiry(proto.Msg{TID: e.cfg.TID, From: from})
+		}
+	}
 }
 
 // Txn returns the view of one transaction; ok is false when this
@@ -375,7 +385,8 @@ type durable interface {
 // answerInquiry replies to a recovery inquiry from durable state. A site
 // with no durable decision — undecided, or no database at all — stays
 // silent: volatile automaton state would not survive its own restart, so
-// it is not authoritative, and the asker's timeout bounds the silence.
+// it is not authoritative, and the asker's timeout bounds the silence. A
+// database site still deciding answers once its decision is (publish).
 func (t *Table) answerInquiry(m proto.Msg) {
 	db, ok := t.site.Participant.(durable)
 	if !ok {
@@ -384,6 +395,9 @@ func (t *Table) answerInquiry(m proto.Msg) {
 	kind := proto.MsgCommit
 	switch o, ok := db.Outcome(uint64(m.TID)); {
 	case !ok || o == proto.None:
+		if e := t.envs[m.TID]; e != nil && e.outcome == proto.None && !slices.Contains(t.inquired[m.TID], m.From) {
+			t.inquired[m.TID] = append(t.inquired[m.TID], m.From)
+		}
 		return
 	case o == proto.Abort:
 		kind = proto.MsgAbort

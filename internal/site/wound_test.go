@@ -15,10 +15,11 @@ import (
 )
 
 // handNet is a network the test drives by hand: every send waits in out
-// until the test passes it on, in whatever order the test picks.
-type handNet struct{ out []proto.Msg }
+// until the test passes it on, in whatever order the test picks; sent
+// keeps them all.
+type handNet struct{ out, sent []proto.Msg }
 
-func (h *handNet) Send(m proto.Msg) { h.out = append(h.out, m) }
+func (h *handNet) Send(m proto.Msg) { h.out, h.sent = append(h.out, m), append(h.sent, m) }
 
 // handSites is n engine sites, each a Node with its own registry, sending
 // into one handNet; their timers run on one scheduler.
@@ -49,7 +50,7 @@ func (h *handSites) boot(id proto.SiteID, protocol proto.Protocol) {
 	h.nodes[id] = NewNode(Site{
 		ID: id, Clock: SchedClock{Sched: h.sched, Bound: sim.DefaultT}, Transport: h.net,
 		Participant: h.engs[id],
-	}, protocol, roster(len(h.engs)), nil, h.regs[id], nil)
+	}, protocol, roster(len(h.engs)), nil, h.regs[id])
 }
 
 // pass hands the first waiting message of kind for tid addressed to site to

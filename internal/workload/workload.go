@@ -21,7 +21,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"termproto/internal/cluster"
 	"termproto/internal/db/engine"
@@ -116,8 +115,6 @@ type Stats struct {
 	ResolvedAbort  int
 	Unresolved     int
 	CaughtUpKeys   int
-	// RecoveryTime is the summed wall-clock latency of all recoveries.
-	RecoveryTime time.Duration
 	// Joins/Leaves count committed membership churn (JoinLeaveEvery);
 	// FinalEpoch, ShardsMoved and KeysMigrated mirror the cluster's
 	// migration counters.
@@ -392,7 +389,6 @@ func Run(cfg Config) (Stats, map[proto.SiteID]*engine.Engine) {
 		st.ResolvedAbort += rep.Stats.ResolvedAbort
 		st.Unresolved += rep.Stats.Unresolved
 		st.CaughtUpKeys += rep.Stats.CaughtUpKeys
-		st.RecoveryTime += rep.Wall
 	}
 	cst := c.Stats()
 	st.FinalEpoch = cst.Epoch

@@ -302,6 +302,9 @@ func TestShardedChurnWorkload(t *testing.T) {
 	if st.Recoveries == 0 {
 		t.Fatal("no recoveries")
 	}
+	if st.Unresolved != 0 {
+		t.Fatalf("in-doubt transactions left unresolved with all peers reachable: %+v", st)
+	}
 	if !st.Conserved {
 		t.Fatal("money not conserved")
 	}
