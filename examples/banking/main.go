@@ -4,12 +4,16 @@
 // long-lived cluster timeline.
 //
 // Under two-phase commit, a partition that catches a transfer mid-commit
-// leaves the separated branches' rows locked forever: later transfers
-// touching those rows are refused ("data inaccessible to other
-// transactions") even after the boundary heals. Under the termination
-// protocol, every branch terminates the stranded transfer consistently,
-// locks are released, and business continues — on both sides of the
-// partition.
+// leaves it blocked at the separated branches, holding what it took there
+// forever. A transfer only adds to its two rows, so what it holds is not
+// the whole row: other adds still go beside it. It holds its reservation —
+// the amount it debits, which no other debit may spend, and its credit,
+// which nobody may spend before it commits — and it keeps any write off
+// both rows. A later transfer that needs the reserved money is refused
+// ("data inaccessible to other transactions") even after the boundary
+// heals. Under the termination protocol, every branch terminates the
+// stranded transfer consistently, its locks and reservation are released,
+// and business continues — on both sides of the partition.
 package main
 
 import (
@@ -80,16 +84,17 @@ func run(name string, p termproto.Protocol) {
 		r2.Outcome(), r2.Blocked())
 
 	// The boundary disappears; whatever damage it did persists. Transfer 3
-	// hits the same rows at every branch.
+	// needs 700 of alice's 900: at branches 4 and 5 a blocked transfer 2
+	// still reserves 250 of them (and where it committed, it spent them).
 	if err := c.Inject(termproto.HealAt(c.Now())); err != nil {
 		panic(err)
 	}
-	r3, err := c.Submit(termproto.Txn{Payload: transfer("bob", "alice", 50), At: c.Now()})
+	r3, err := c.Submit(termproto.Txn{Payload: transfer("alice", "bob", 700), At: c.Now()})
 	if err != nil {
 		panic(err)
 	}
 	wait()
-	fmt.Printf("  txn 3 (bob→alice 50) after heal: %s\n", r3.Outcome())
+	fmt.Printf("  txn 3 (alice→bob 700) after heal: %s\n", r3.Outcome())
 
 	fmt.Println("  final ledgers (alice/bob) and lock state:")
 	for i := 1; i <= branches; i++ {

@@ -78,7 +78,9 @@ func (v Violation) String() string {
 const DefaultBoundSlackT = 6.0
 
 // Conservation parameterizes the workload-conservation rule: summing the
-// authoritative copy of every listed key must yield Total.
+// authoritative copy of every listed key must yield Total, and no listed
+// key may be negative at any site — a sum cannot see an overdraft that
+// concurrent debits made.
 type Conservation struct {
 	// Keys are the account keys to sum.
 	Keys []string
@@ -458,11 +460,23 @@ func checkConvergence(in Input) []Violation {
 }
 
 // checkConservation sums the authoritative copy of every account key and
-// compares it against the expected total.
+// compares it against the expected total, and flags every account key
+// that is negative at any snapshotted site.
 func checkConservation(in Input) []Violation {
 	c := in.Conservation
 	if c == nil || len(in.Snapshots) == 0 {
 		return nil
+	}
+	var out []Violation
+	for _, s := range sortedSites(in.Snapshots) {
+		for _, k := range c.Keys {
+			if v := engine.DecodeInt(in.Snapshots[s][k]); v < 0 {
+				out = append(out, Violation{
+					Rule:   RuleConservation,
+					Detail: fmt.Sprintf("key %q is overdrawn at site %d: %d", k, s, v),
+				})
+			}
+		}
 	}
 	var total int64
 	for _, k := range c.Keys {
@@ -478,12 +492,12 @@ func checkConservation(in Input) []Violation {
 		total += engine.DecodeInt(in.Snapshots[site][k])
 	}
 	if total != c.Total {
-		return []Violation{{
+		out = append(out, Violation{
 			Rule:   RuleConservation,
 			Detail: fmt.Sprintf("committed total %d != expected %d over %d keys", total, c.Total, len(c.Keys)),
-		}}
+		})
 	}
-	return nil
+	return out
 }
 
 func sortedSites(snaps map[int]map[string][]byte) []int {

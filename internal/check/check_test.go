@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -136,6 +137,30 @@ func TestDetectsConservationBreak(t *testing.T) {
 	})
 	if rules(vs)[RuleConservation] == 0 {
 		t.Fatalf("conservation break not flagged: %v", vs)
+	}
+}
+
+// Two debits that each fit a balance but together overdraw it keep the
+// sum intact — the money went somewhere — so only the negative-balance
+// check sees them, at every site that holds the overdrawn key.
+func TestDetectsNegativeBalance(t *testing.T) {
+	overdrawn := map[string][]byte{"acct/0": engine.EncodeInt(-20), "acct/1": engine.EncodeInt(220)}
+	vs := Check(Input{
+		Events:    []trace.Event{decide(10, 1, 1, "commit"), decide(11, 1, 2, "commit")},
+		Snapshots: map[int]map[string][]byte{1: overdrawn, 2: overdrawn},
+		Conservation: &Conservation{
+			Keys:    []string{"acct/0", "acct/1"},
+			Primary: func(string) int { return 1 },
+			Total:   200,
+		},
+	})
+	if len(vs) != 2 {
+		t.Fatalf("overdraft flagged as %v, want acct/0 at sites 1 and 2", vs)
+	}
+	for i, v := range vs {
+		if want := fmt.Sprintf(`"acct/0" is overdrawn at site %d`, i+1); v.Rule != RuleConservation || !strings.Contains(v.Detail, want) {
+			t.Fatalf("violation %d = %v, want a conservation violation: %s", i, v, want)
+		}
 	}
 }
 

@@ -109,8 +109,9 @@ func TestDBLockBlockingMotivation(t *testing.T) {
 	if !site3.Locked("acct") {
 		t.Fatal("blocked 2PC slave must hold the row lock (paper §2)")
 	}
-	// A later transaction on the same row at site 3 votes no.
-	if site3.Execute(2, transfer(-1)) {
+	// A later transaction at site 3 that needs what the blocked debit
+	// holds — its reservation of 10 out of 100 — votes no.
+	if site3.Execute(2, transfer(-95)) {
 		t.Fatal("second txn acquired a lock held by the blocked txn")
 	}
 
@@ -220,9 +221,10 @@ func TestDBCrashRecoveryOfInDoubtTxn(t *testing.T) {
 	if !rec.Locked("acct") {
 		t.Fatal("recovered in-doubt txn must re-hold its lock")
 	}
-	// A local transaction on the row is still refused — blocking survives
-	// restarts, exactly the paper's point.
-	if rec.Execute(10, transfer(-1)) {
+	// A local transaction that needs the in-doubt debit's reservation (40
+	// out of 100) is still refused — blocking survives restarts, exactly
+	// the paper's point.
+	if rec.Execute(10, transfer(-61)) {
 		t.Fatal("conflicting txn prepared against a recovered in-doubt lock")
 	}
 

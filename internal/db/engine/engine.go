@@ -1,8 +1,15 @@
 // Package engine assembles a site-local database — rows in a map, a
-// write-ahead log, and an exclusive lock table — and adapts it to the
-// commit protocols as a proto.Participant: partial execution produces the
-// site's vote, the decision applies or discards the buffered updates, and
-// recovery replays the log idempotently (paper §2).
+// write-ahead log, and a lock table — and adapts it to the commit protocols
+// as a proto.Participant: partial execution produces the site's vote, the
+// decision applies or discards the buffered updates, and recovery replays
+// the log idempotently (paper §2).
+//
+// A key a body writes is locked exclusively and its update resolved to an
+// absolute after-image. A key a body only adds to is locked in add mode,
+// beside other adders, under an escrow guard (O'Neil, TODS 1986): a debit
+// is admitted only while the committed value covers it after every other
+// holder's pending debit — a pending credit never counts — and the add's
+// delta is applied to the row as it stands when it commits.
 package engine
 
 import (
@@ -129,11 +136,30 @@ func DecodeInt(b []byte) int64 {
 	return int64(binary.BigEndian.Uint64(b))
 }
 
-// write is one buffered, already-resolved update (absolute value, so
-// recovery replay is idempotent). value nil means delete.
+// write is one buffered update: an absolute value (recovery replay is
+// idempotent; value nil means delete), or for an add-mode key a delta
+// applied to the row at commit.
 type write struct {
 	key   string
 	value []byte
+	add   bool
+	delta int64
+}
+
+// record is w's log record in id's prepared fragment.
+func (w write) record(id uint64) wal.Record {
+	if w.add {
+		return wal.Record{Type: wal.RecAdd, TID: id, Key: []byte(w.key), Value: EncodeInt(w.delta)}
+	}
+	return wal.Record{Type: wal.RecUpdate, TID: id, Key: []byte(w.key), Value: w.value}
+}
+
+// writeOf is the write a fragment's update record logged.
+func writeOf(r wal.Record) write {
+	if r.Type == wal.RecAdd {
+		return write{key: string(r.Key), add: true, delta: DecodeInt(r.Value)}
+	}
+	return write{key: string(r.Key), value: r.Value}
 }
 
 type pendingTxn struct {
@@ -146,6 +172,21 @@ type pendingTxn struct {
 	// staged marks a fragment StageAt built and Force has not yet logged:
 	// locks held, nothing durable.
 	staged bool
+}
+
+// reserved is what p holds back of an add-mode key for the escrow guard:
+// its net delta there when that is a debit, else 0. A nil p — the
+// transaction StageAt is still building — reserves nothing yet.
+func (p *pendingTxn) reserved(key string) int64 {
+	var net int64
+	if p != nil {
+		for _, w := range p.writes {
+			if w.add && w.key == key {
+				net += w.delta
+			}
+		}
+	}
+	return min(net, 0)
 }
 
 // Options configures nothing: the log has one append path. It and
@@ -207,9 +248,15 @@ func (e *Engine) observeLockFailures() {
 		e.locks.SetFailObserver(nil)
 		return
 	}
-	e.locks.SetFailObserver(func(key string) {
+	e.locks.SetFailObserver(e.lockFailed)
+}
+
+// lockFailed counts a conflict on key: a refused lock, or an escrow
+// shortfall pending debits cause.
+func (e *Engine) lockFailed(key string) {
+	if e.obsDB != nil {
 		e.obsDB.LockFailures.At(e.shardFor(key)).Inc()
-	})
+	}
 }
 
 // shardFor maps a key to its shard label index (0 when unsharded; meta
@@ -260,19 +307,20 @@ func (e *Engine) SetPlacement(hosts func(key string) bool) {
 	e.hosts = hosts
 }
 
-// SetWound installs the wound rule: when StageAt for tid meets a key held
-// by holder, wound(holder, tid) is asked first, and on true the engine
-// aborts holder durably — its abort record forced, its decision cached,
-// its locks released — and tid takes the key. On false the conflict is a
-// no vote, as without a rule. wound runs under the engine's mutex and must
-// not call back into the engine; nil restores pure no-wait.
+// SetWound installs the wound rule: when StageAt for tid meets a key that
+// conflicting holders keep from it, wound(holder, tid) is asked for each,
+// and on true the engine aborts that holder durably — its abort record
+// forced, its decision cached, its locks released. Once every one is gone
+// tid takes the key; a conflict left standing is a no vote, as without a
+// rule. wound runs under the engine's mutex and must not call back into
+// the engine; nil restores pure no-wait.
 func (e *Engine) SetWound(wound func(holder, tid uint64) bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.wound = wound
 }
 
-// Execute implements proto.Participant: decode the body, take exclusive
+// Execute implements proto.Participant: decode the body, take its
 // locks, resolve updates against the current state, force Begin/Update/
 // Prepared records, and return the vote. Any failure — undecodable body,
 // lock conflict, guard violation, or a log that did not become durable —
@@ -290,13 +338,15 @@ func (e *Engine) ExecuteAt(tid proto.TxnID, payload []byte, sites []proto.SiteID
 }
 
 // StageAt is the first half of ExecuteAt, everything short of the log:
-// decode, no-wait locks, updates resolved against the current state, and
-// the begin/update/prepared fragment kept in memory. False is a no vote,
-// final as in ExecuteAt. True is not yet a vote: the caller owes a Force
-// before it acts on a yes — a master may send its xact in between (an
-// xact asserts nothing about its sender), but no prepare, no decision and
-// no counted vote. Commit on a staged transaction logs fragment and
-// decision in one append; Abort drops the fragment unlogged.
+// decode, no-wait locks in the modes the body picks (see modes), updates
+// resolved against the current state or, on an add-mode key, admitted by
+// the escrow guard, and the begin/update/prepared fragment kept in
+// memory. False is a no vote, final as in ExecuteAt. True is not yet a
+// vote: the caller owes a Force before it acts on a yes — a master may
+// send its xact in between (an xact asserts nothing about its sender), but
+// no prepare, no decision and no counted vote. Commit on a staged
+// transaction logs fragment and decision in one append; Abort drops the
+// fragment unlogged.
 func (e *Engine) StageAt(tid proto.TxnID, payload []byte, sites []proto.SiteID) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -308,7 +358,7 @@ func (e *Engine) StageAt(tid proto.TxnID, payload []byte, sites []proto.SiteID) 
 	}
 	p := &pendingTxn{meta: encodeSites(sites), staged: true}
 	// Stage updates against a scratch view so multi-op bodies see their
-	// own earlier writes.
+	// own earlier writes; sums are the body's running adds per add-mode key.
 	scratch := make(map[string][]byte)
 	get := func(key string) []byte {
 		if v, ok := scratch[key]; ok {
@@ -316,31 +366,45 @@ func (e *Engine) StageAt(tid proto.TxnID, payload []byte, sites []proto.SiteID) 
 		}
 		return e.rows[key]
 	}
+	modes, sums := e.modes(ops), make(map[string]int64)
 	for _, op := range ops {
 		if !e.lockable(op) {
 			continue
 		}
-		e.woundHolder(id, op.Key)
-		if !e.locks.TryAcquire(id, op.Key, lock.Exclusive) {
+		mode := modes[op.Key]
+		if mode == lock.Add {
+			sums[op.Key] += op.Delta
+		}
+		e.woundHolders(id, op.Key, e.conflicts(id, op.Key, mode, sums[op.Key]))
+		if !e.locks.TryAcquire(id, op.Key, mode) {
 			return e.refuse(id)
 		}
 		p.keys = append(p.keys, op.Key)
 		switch op.Kind {
 		case OpPut, OpEpoch:
 			scratch[op.Key] = op.Value
-			p.writes = append(p.writes, write{op.Key, op.Value})
+			p.writes = append(p.writes, write{key: op.Key, value: op.Value})
 		case OpDelete:
 			scratch[op.Key] = nil
-			p.writes = append(p.writes, write{op.Key, nil})
+			p.writes = append(p.writes, write{key: op.Key})
 		case OpAdd:
-			cur := DecodeInt(get(op.Key))
-			next := cur + op.Delta
+			if mode == lock.Add {
+				if debtors, short := e.escrow(id, op.Key, sums[op.Key]); short || debtors != nil {
+					if !short {
+						e.lockFailed(op.Key)
+					}
+					return e.refuse(id)
+				}
+				p.writes = append(p.writes, write{key: op.Key, add: true, delta: op.Delta})
+				continue
+			}
+			next := DecodeInt(get(op.Key)) + op.Delta
 			if next < 0 {
 				return e.refuse(id) // insufficient funds guard
 			}
 			nv := EncodeInt(next)
 			scratch[op.Key] = nv
-			p.writes = append(p.writes, write{op.Key, nv})
+			p.writes = append(p.writes, write{key: op.Key, value: nv})
 		default:
 			return e.refuse(id)
 		}
@@ -362,42 +426,102 @@ func (e *Engine) lockable(op Op) bool {
 	return e.hosts == nil || IsMetaKey(op.Key) || e.hosts(op.Key)
 }
 
-// Blocker reports the first key StageAt would lock for tid's body that
-// another transaction holds, and that holder. It takes nothing and
-// changes nothing: the site table asks it before it hands a transaction
-// on, and parks the transaction while a holder is reported. An
-// undecodable body has no blocker; StageAt refuses it.
-func (e *Engine) Blocker(tid proto.TxnID, payload []byte) (holder uint64, blocked bool) {
-	ops, err := DecodeOps(payload)
-	if err != nil {
-		return 0, false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// modes picks each lockable key's lock mode from the whole body: Add for
+// a key only OpAdds touch, Exclusive for a key any other op touches.
+// Called with e.mu held.
+func (e *Engine) modes(ops []Op) map[string]lock.Mode {
+	m := make(map[string]lock.Mode, len(ops))
 	for _, op := range ops {
 		if !e.lockable(op) {
 			continue
 		}
-		if h, ok := e.locks.Holder(op.Key); ok && h != uint64(tid) {
-			return h, true
+		if op.Kind == OpAdd && m[op.Key] != lock.Exclusive {
+			m[op.Key] = lock.Add
+		} else {
+			m[op.Key] = lock.Exclusive
 		}
 	}
-	return 0, false
+	return m
 }
 
-// woundHolder frees key for id when the wound rule lets id abort the
-// transaction holding it. Called with e.mu held.
-func (e *Engine) woundHolder(id uint64, key string) {
+// conflicts names the transactions that keep id from staging an op on key
+// in mode: every other holder when either side is exclusive; on an
+// add-mode key, the pending debtors the escrow guard would refuse sum
+// (id's running adds there) for. Called with e.mu held.
+func (e *Engine) conflicts(id uint64, key string, mode lock.Mode, sum int64) []uint64 {
+	holders, held := e.locks.Holders(key)
+	if mode == lock.Add && held != lock.Exclusive {
+		debtors, _ := e.escrow(id, key, sum)
+		return debtors
+	}
+	return slices.DeleteFunc(holders, func(h uint64) bool { return h == id })
+}
+
+// escrow is the guard on an add-mode key: it requires committed value +
+// every other holder's pending debits + sum (id's running adds) ≥ 0.
+// short is a shortfall against the committed value alone — insufficient
+// funds; otherwise debtors, when not nil, are the holders whose pending
+// debits cause one — a conflict. Called with e.mu held.
+func (e *Engine) escrow(id uint64, key string, sum int64) (debtors []uint64, short bool) {
+	avail := DecodeInt(e.rows[key]) + sum
+	if avail < 0 {
+		return nil, true
+	}
+	holders, _ := e.locks.Holders(key)
+	for _, h := range holders {
+		if r := e.pending[h].reserved(key); h != id && r < 0 {
+			avail += r
+			debtors = append(debtors, h)
+		}
+	}
+	if avail >= 0 {
+		return nil, false
+	}
+	return debtors, false
+}
+
+// Blocker reports, for the first key StageAt would lock for tid's body
+// that other transactions keep from it, every one of them (see
+// conflicts); nil when none does. It takes nothing and changes nothing:
+// the site table asks it before it hands a transaction on, and parks the
+// transaction while a holder is reported. An undecodable body has no
+// blocker; StageAt refuses it.
+func (e *Engine) Blocker(tid proto.TxnID, payload []byte) []uint64 {
+	ops, err := DecodeOps(payload)
+	if err != nil {
+		return nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	modes, sums := e.modes(ops), make(map[string]int64)
+	for _, op := range ops {
+		if !e.lockable(op) {
+			continue
+		}
+		if modes[op.Key] == lock.Add {
+			sums[op.Key] += op.Delta
+		}
+		if c := e.conflicts(uint64(tid), op.Key, modes[op.Key], sums[op.Key]); len(c) > 0 {
+			return c
+		}
+	}
+	return nil
+}
+
+// woundHolders aborts, of the holders keeping key from id, each the wound
+// rule lets id take. Called with e.mu held.
+func (e *Engine) woundHolders(id uint64, key string, holders []uint64) {
 	if e.wound == nil {
 		return
 	}
-	h, ok := e.locks.Holder(key)
-	if !ok || h == id || !e.wound(h, id) {
-		return
-	}
-	e.abort(h)
-	if e.obsDB != nil {
-		e.obsDB.LockWounds.At(e.shardFor(key)).Inc()
+	for _, h := range holders {
+		if !e.wound(h, id) {
+			continue
+		}
+		e.abort(h)
+		if e.obsDB != nil {
+			e.obsDB.LockWounds.At(e.shardFor(key)).Inc()
+		}
 	}
 }
 
@@ -417,9 +541,7 @@ func (p *pendingTxn) fragment(id uint64) []wal.Record {
 	recs := make([]wal.Record, 0, len(p.writes)+3)
 	recs = append(recs, wal.Record{Type: wal.RecBegin, TID: id, Value: p.meta})
 	for _, w := range p.writes {
-		recs = append(recs, wal.Record{
-			Type: wal.RecUpdate, TID: id, Key: []byte(w.key), Value: w.value,
-		})
+		recs = append(recs, w.record(id))
 	}
 	return append(recs, wal.Record{Type: wal.RecPrepared, TID: id})
 }
@@ -447,11 +569,12 @@ func (e *Engine) Force(tid proto.TxnID) bool {
 }
 
 // Commit implements proto.Participant: force the commit record, apply
-// the buffered updates, release locks. A decision for a transaction that
-// never prepared here is still logged (durably answerable by recovery
-// inquiries); duplicate decisions are no-ops. A transaction staged and not
-// yet forced (a single-site roster decides inside its own Start) gets its
-// fragment and its commit record in one append, one Sync.
+// the buffered updates (an add's delta to the row as it now stands),
+// release locks. A decision for a transaction that never prepared here is
+// still logged (durably answerable by recovery inquiries); duplicate
+// decisions are no-ops. A transaction staged and not yet forced (a
+// single-site roster decides inside its own Start) gets its fragment and
+// its commit record in one append, one Sync.
 func (e *Engine) Commit(tid proto.TxnID) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -471,7 +594,7 @@ func (e *Engine) Commit(tid proto.TxnID) {
 		return // never prepared here: the decision alone is recorded
 	}
 	for _, w := range p.writes {
-		e.apply(w.key, w.value)
+		e.applyWrite(w)
 	}
 	delete(e.pending, id)
 	e.locks.Release(id)
@@ -582,6 +705,16 @@ func (e *Engine) apply(key string, value []byte) {
 	}
 }
 
+// applyWrite applies one committed update: an absolute value, or an
+// add's delta to the row as it stands.
+func (e *Engine) applyWrite(w write) {
+	if w.add {
+		e.apply(w.key, EncodeInt(DecodeInt(e.rows[w.key])+w.delta))
+		return
+	}
+	e.apply(w.key, w.value)
+}
+
 // PutInt writes a committed integer value outside any transaction.
 func (e *Engine) PutInt(key string, v int64) { e.Put(key, EncodeInt(v)) }
 
@@ -629,7 +762,8 @@ func (e *Engine) StableSnapshot() (snap map[string][]byte, unstable map[string]b
 // Locked reports whether key is currently locked by any transaction — the
 // paper's "data inaccessible to other transactions" condition.
 func (e *Engine) Locked(key string) bool {
-	return e.locks.Holders(key) > 0
+	holders, _ := e.locks.Holders(key)
+	return len(holders) > 0
 }
 
 // InDoubt lists transactions prepared here but undecided — blocked
@@ -692,7 +826,7 @@ func (e *Engine) CatchUp(snap map[string][]byte, unstable map[string]bool, inclu
 	var keys []string
 	values := make(map[string][]byte)
 	for k, v := range snap {
-		if !in(k) || e.locks.Holders(k) > 0 {
+		if !in(k) || e.Locked(k) {
 			continue
 		}
 		cur, ok := e.rows[k]
@@ -707,7 +841,7 @@ func (e *Engine) CatchUp(snap map[string][]byte, unstable map[string]bool, inclu
 	// exempt: absence at the donor means the donor's history is shorter,
 	// not that ours was deleted.
 	for key := range e.rows {
-		if _, ok := snap[key]; !ok && !IsMetaKey(key) && in(key) && e.locks.Holders(key) == 0 {
+		if _, ok := snap[key]; !ok && !IsMetaKey(key) && in(key) && !e.Locked(key) {
 			keys = append(keys, key)
 		}
 	}
@@ -733,7 +867,8 @@ type RecoveryInfo struct {
 	// Applied counts RecApply records redone (fixtures, prior catch-ups).
 	Applied int
 	// InDoubt lists prepared-but-undecided transactions, ascending by TID,
-	// with locks re-taken — they are waiting for the termination protocol.
+	// with locks re-taken (adds in add mode, with their reservations) —
+	// they are waiting for the termination protocol.
 	InDoubt []InDoubt
 }
 
@@ -741,9 +876,11 @@ type RecoveryInfo struct {
 // state — rows, locks, buffered updates, decision cache — is discarded
 // and rebuilt from the stable log alone. Committed transactions and
 // directly-applied writes are redone in log order (values are absolute,
-// so replay is idempotent), aborted and unprepared transactions are
-// discarded, and prepared-but-undecided ones come back as in-doubt with
-// their locks re-taken. The placement predicate and cumulative counters
+// so replay is idempotent; an add is redone at its fragment's position,
+// which is sound because no absolute write to a key is logged while an
+// add holds it), aborted and unprepared transactions are discarded, and
+// prepared-but-undecided ones come back as in-doubt with their locks
+// re-taken (adds in add mode, with their reservations). The placement predicate and cumulative counters
 // survive (they belong to the site, not the process image).
 func (e *Engine) RecoverInPlace() (RecoveryInfo, error) {
 	e.mu.Lock()
@@ -773,14 +910,14 @@ func (e *Engine) RecoverInPlace() (RecoveryInfo, error) {
 		switch r.Type {
 		case wal.RecApply:
 			info.Applied++
-		case wal.RecUpdate:
+		case wal.RecUpdate, wal.RecAdd:
 			if byTxn[r.TID].Decided != wal.RecCommit {
 				continue
 			}
 		default:
 			continue
 		}
-		e.apply(string(r.Key), r.Value)
+		e.applyWrite(writeOf(r))
 	}
 	// Reconstruct in-doubt transactions.
 	for tid, t := range byTxn {
@@ -792,10 +929,14 @@ func (e *Engine) RecoverInPlace() (RecoveryInfo, error) {
 		default:
 			p := &pendingTxn{meta: t.BeginMeta}
 			for _, u := range t.Updates {
-				key := string(u.Key)
-				e.locks.TryAcquire(tid, key, lock.Exclusive)
-				p.keys = append(p.keys, key)
-				p.writes = append(p.writes, write{key, u.Value})
+				w := writeOf(u)
+				mode := lock.Exclusive
+				if w.add {
+					mode = lock.Add
+				}
+				e.locks.TryAcquire(tid, w.key, mode)
+				p.keys = append(p.keys, w.key)
+				p.writes = append(p.writes, w)
 			}
 			e.pending[tid] = p
 			info.InDoubt = append(info.InDoubt, InDoubt{TID: tid, Sites: decodeSites(t.BeginMeta)})

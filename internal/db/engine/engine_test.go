@@ -150,9 +150,9 @@ func TestLockConflictVotesNo(t *testing.T) {
 	if !e.Execute(10, EncodeOps([]Op{{Kind: OpAdd, Key: "x", Delta: 1}})) {
 		t.Fatal("txn 10 should prepare")
 	}
-	// Txn 10 is in doubt (blocked): txn 11 touching x must vote no —
+	// Txn 10 is in doubt (blocked): txn 11 writing x must vote no —
 	// the paper's "data inaccessible" condition.
-	if e.Execute(11, EncodeOps([]Op{{Kind: OpAdd, Key: "x", Delta: 1}})) {
+	if e.Execute(11, EncodeOps([]Op{{Kind: OpPut, Key: "x", Value: EncodeInt(9)}})) {
 		t.Fatal("conflicting txn prepared despite held lock")
 	}
 	if got := e.InDoubt(); len(got) != 1 || got[0] != 10 {

@@ -296,7 +296,7 @@ func TestLockFailureMetricSurvivesRecovery(t *testing.T) {
 	if !e.Execute(1, debit) {
 		t.Fatal("txn 1 voted no")
 	}
-	if e.Execute(2, debit) {
+	if e.Execute(2, EncodeOps([]Op{{Kind: OpPut, Key: "a", Value: EncodeInt(7)}})) {
 		t.Fatal("txn 2 took a lock txn 1 holds")
 	}
 	if got := reg.Snapshot().Total(obs.MLockFailures); got != 1 {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"termproto/internal/db/wal"
@@ -112,7 +113,7 @@ func TestStagedLocksConflict(t *testing.T) {
 	if !e.StageAt(1, stageBody, stageSites) {
 		t.Fatal("stage refused")
 	}
-	if e.ExecuteAt(2, EncodeOps([]Op{{Kind: OpAdd, Key: "a", Delta: 1}}), stageSites) {
+	if e.ExecuteAt(2, EncodeOps([]Op{{Kind: OpPut, Key: "a", Value: []byte("w")}}), stageSites) {
 		t.Fatal("ExecuteAt voted yes on a key a staged transaction holds")
 	}
 	if e.StageAt(3, EncodeOps([]Op{{Kind: OpPut, Key: "b", Value: []byte("w")}}), stageSites) {
@@ -189,15 +190,25 @@ func TestStageWoundsHolder(t *testing.T) {
 	}
 }
 
-// Blocker names the holder of the first key StageAt would lock that
-// another transaction holds, reads the same keys StageAt does — not a
-// foreign key, not a bare epoch marker, not the asker's own — and takes
-// nothing.
+// Blocker names the holders that keep StageAt from the first key it
+// would lock, reads the same keys StageAt does — not a foreign key, not a
+// bare epoch marker, not the asker's own — and takes nothing. On an
+// add-mode key it names only the pending debtors the escrow guard would
+// refuse the body for.
 func TestBlocker(t *testing.T) {
 	e := New("site", &wal.MemStore{})
 	e.SetPlacement(func(key string) bool { return key != "foreign" })
 	for tid, key := range map[proto.TxnID]string{1: "a", 2: "b", 3: "foreign"} {
 		e.locks.TryAcquire(uint64(tid), key, 0)
+	}
+	// acct holds 10, of which txns 4 and 5 have reserved 3 each; txn 6
+	// has a credit of 50 pending there.
+	e.PutInt("acct", 10)
+	add := func(delta int64) []byte { return EncodeOps([]Op{{Kind: OpAdd, Key: "acct", Delta: delta}}) }
+	for tid, delta := range map[proto.TxnID]int64{6: 50, 5: -3, 4: -3} {
+		if !e.ExecuteAt(tid, add(delta), stageSites) {
+			t.Fatalf("txn %d voted no", tid)
+		}
 	}
 	body := func(keys ...string) []byte {
 		ops := []Op{{Kind: OpEpoch}} // a bare marker: no lock
@@ -209,21 +220,26 @@ func TestBlocker(t *testing.T) {
 	cases := []struct {
 		tid     proto.TxnID
 		body    []byte
-		holder  uint64
-		blocked bool
+		holders []uint64
 	}{
-		{9, body("free", "b", "a"), 2, true},
-		{9, body("foreign", "free"), 0, false},
-		{1, body("a"), 0, false},
-		{1, body("a", "b"), 2, true},
-		{9, []byte("not ops"), 0, false},
+		{9, body("free", "b", "a"), []uint64{2}},
+		{9, body("foreign", "free"), nil},
+		{1, body("a"), nil},
+		{1, body("a", "b"), []uint64{2}},
+		{9, []byte("not ops"), nil},
+		{9, add(-4), nil},                    // 10 - 6 covers 4
+		{9, add(-5), []uint64{4, 5}},         // short only because of 4 and 5
+		{9, add(-11), nil},                   // short against 10: a no vote, not a wait
+		{9, add(+7), nil},                    // a credit never waits for adders
+		{4, add(-8), []uint64{5}},            // the asker's own reservation is not a conflict
+		{9, body("acct"), []uint64{4, 5, 6}}, // a write conflicts with every adder
 	}
 	for i, c := range cases {
-		if h, ok := e.Blocker(c.tid, c.body); h != c.holder || ok != c.blocked {
-			t.Errorf("case %d: Blocker = %d/%v, want %d/%v", i, h, ok, c.holder, c.blocked)
+		if h := e.Blocker(c.tid, c.body); !slices.Equal(h, c.holders) {
+			t.Errorf("case %d: Blocker = %v, want %v", i, h, c.holders)
 		}
 	}
-	if e.Locked("free") || len(e.InDoubt()) != 0 {
+	if e.Locked("free") || len(e.InDoubt()) != 3 {
 		t.Fatal("Blocker took a lock or staged a transaction")
 	}
 }

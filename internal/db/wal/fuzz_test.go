@@ -14,11 +14,12 @@ import (
 func FuzzScan(f *testing.F) {
 	// Seed corpus: a healthy little log, its truncations, and bit flips.
 	l := New(&MemStore{})
-	l.Append(Record{Type: RecBegin, TID: 1, Value: []byte{0, 2, 0, 0, 0, 1, 0, 0, 0, 2}})  //nolint:errcheck
-	l.Append(Record{Type: RecUpdate, TID: 1, Key: []byte("acct/a"), Value: []byte("100")}) //nolint:errcheck
-	l.Append(Record{Type: RecPrepared, TID: 1})                                            //nolint:errcheck
-	l.Append(Record{Type: RecCommit, TID: 1})                                              //nolint:errcheck
-	l.Append(Record{Type: RecApply, Key: []byte("acct/b"), Value: []byte("7")})            //nolint:errcheck
+	l.Append(Record{Type: RecBegin, TID: 1, Value: []byte{0, 2, 0, 0, 0, 1, 0, 0, 0, 2}})                                //nolint:errcheck
+	l.Append(Record{Type: RecUpdate, TID: 1, Key: []byte("acct/a"), Value: []byte("100")})                               //nolint:errcheck
+	l.Append(Record{Type: RecAdd, TID: 1, Key: []byte("acct/c"), Value: []byte{255, 255, 255, 255, 255, 255, 255, 216}}) //nolint:errcheck
+	l.Append(Record{Type: RecPrepared, TID: 1})                                                                          //nolint:errcheck
+	l.Append(Record{Type: RecCommit, TID: 1})                                                                            //nolint:errcheck
+	l.Append(Record{Type: RecApply, Key: []byte("acct/b"), Value: []byte("7")})                                          //nolint:errcheck
 	healthy, err := storeOf(l).Contents()
 	if err != nil {
 		f.Fatal(err)

@@ -36,6 +36,7 @@ const (
 	RecAbort                            // decision: abort
 	RecApply                            // directly-applied committed write (fixture load, recovery catch-up)
 	RecCheckpoint                       // checkpoint marker: log was compacted at this point
+	RecAdd                              // one buffered increment: Value is the 8-byte delta, redone against the row
 )
 
 // String returns the record type name.
@@ -55,13 +56,15 @@ func (t RecordType) String() string {
 		return "apply"
 	case RecCheckpoint:
 		return "checkpoint"
+	case RecAdd:
+		return "add"
 	default:
 		return fmt.Sprintf("rec(%d)", uint8(t))
 	}
 }
 
 // Record is one log entry. Key/Value are meaningful for RecUpdate
-// (Value nil means delete).
+// (Value nil means delete), RecAdd (Value is the delta) and RecApply.
 type Record struct {
 	Type  RecordType
 	TID   uint64
@@ -452,7 +455,7 @@ func (l *Log) ScanStore() ([]Record, error) {
 // TxnOutcome summarizes one transaction's fate in a scanned log.
 type TxnOutcome struct {
 	TID      uint64
-	Updates  []Record // RecUpdate records in order
+	Updates  []Record // RecUpdate and RecAdd records in order
 	Prepared bool
 	Decided  RecordType // RecCommit, RecAbort, or 0 if in doubt
 	// BeginMeta is the RecBegin record's value — opaque recovery metadata
@@ -485,7 +488,7 @@ func Analyze(records []Record) map[uint64]*TxnOutcome {
 			if len(r.Value) > 0 {
 				t.BeginMeta = r.Value
 			}
-		case RecUpdate:
+		case RecUpdate, RecAdd:
 			t.Updates = append(t.Updates, r)
 		case RecPrepared:
 			t.Prepared = true

@@ -322,11 +322,26 @@ func TestRoundTripProperty(t *testing.T) {
 func TestRecordTypeString(t *testing.T) {
 	for rt, want := range map[RecordType]string{
 		RecBegin: "begin", RecUpdate: "update", RecPrepared: "prepared",
-		RecCommit: "commit", RecAbort: "abort", RecordType(99): "rec(99)",
+		RecCommit: "commit", RecAbort: "abort", RecApply: "apply",
+		RecCheckpoint: "checkpoint", RecAdd: "add", RecordType(99): "rec(99)",
 	} {
 		if got := rt.String(); got != want {
 			t.Errorf("%d = %q, want %q", rt, got, want)
 		}
+	}
+}
+
+// An add record is one of its transaction's updates, in log order beside
+// the absolute ones.
+func TestAnalyzeKeepsAdds(t *testing.T) {
+	an := Analyze([]Record{
+		rec(RecBegin, 1, "", ""),
+		rec(RecUpdate, 1, "a", "1"),
+		{Type: RecAdd, TID: 1, Key: []byte("b"), Value: []byte{0, 0, 0, 0, 0, 0, 0, 5}},
+		rec(RecPrepared, 1, "", ""),
+	})
+	if u := an[1].Updates; len(u) != 2 || u[0].Type != RecUpdate || u[1].Type != RecAdd || !an[1].Prepared {
+		t.Fatalf("txn1 = %+v, want its update and its add, prepared", an[1])
 	}
 }
 

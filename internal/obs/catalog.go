@@ -28,7 +28,8 @@ const (
 	// Engine decisions per shard, labels: shard (site on daemons).
 	MCommits = "termproto_commits_total"
 	MAborts  = "termproto_aborts_total"
-	// Lock acquisition failures (write conflicts → no-votes), label: shard.
+	// Lock conflicts → no-votes (refused locks and escrow shortfalls pending
+	// debits cause), label: shard.
 	MLockFailures = "termproto_lock_failures_total"
 	// Lock conflicts resolved by wounding the holder (a younger
 	// transaction the site coordinates, aborted in w1), label: shard.
@@ -65,7 +66,7 @@ var catalog = []struct {
 	{MShardCommitLatency, KindHistogram, "Commit latency per shard, in thousandths of T since the site learned of the transaction."},
 	{MCommits, KindCounter, "Transactions committed by the engine."},
 	{MAborts, KindCounter, "Transactions aborted by the engine."},
-	{MLockFailures, KindCounter, "Lock acquisition failures (write conflicts voted no)."},
+	{MLockFailures, KindCounter, "Lock conflicts voted no: a refused lock, or an escrow shortfall other holders' pending debits cause."},
 	{MLockWounds, KindCounter, "Lock conflicts resolved by aborting the younger holder the site coordinates, still in w1."},
 	{MLockWaits, KindCounter, "Transactions parked behind a held key, by how the wait ended: granted, expired or dropped."},
 	{MWalFsyncLatency, KindHistogram, "WAL fsync wall latency in microseconds."},

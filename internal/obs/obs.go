@@ -1,8 +1,6 @@
 // Package obs is the cluster's zero-dependency metrics layer: atomic
-// counters and fixed-bucket latency histograms behind a
-// registry with a stable name×label scheme. It is the sensor substrate
-// the ROADMAP item-4 placement controller and item-5 consistency
-// checker stand on, and the same registry serves both backends — the
+// counters and fixed-bucket latency histograms behind a registry with a
+// stable name×label scheme. The same registry serves both backends — the
 // deterministic simulator and the termnode daemons — so a dashboard reads
 // one vocabulary regardless of where the cluster runs.
 //

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"termproto/internal/db/engine"
 	"termproto/internal/obs"
 	"termproto/internal/proto"
 	"termproto/internal/sim"
@@ -150,21 +151,30 @@ type parked struct {
 }
 
 // blocker is a Participant that can tell, taking nothing, which
-// transaction holds a key a body would lock (engine.Engine).
+// transactions keep a body from a key it would lock (engine.Engine).
 type blocker interface {
-	Blocker(tid proto.TxnID, payload []byte) (holder uint64, blocked bool)
+	Blocker(tid proto.TxnID, payload []byte) []uint64
 }
 
-// blocked reports the holder spec must wait for: a transaction holding one
-// of its keys here that the wound rule cannot take. A site scripted to vote
-// no on spec never waits, nor does one without a blocker.
+// The engine must stay a blocker: were its signature to drift, the type
+// assertion in blocked would fail quietly and no transaction would park.
+var _ blocker = (*engine.Engine)(nil)
+
+// blocked reports a holder spec must wait for: one of the transactions
+// keeping it from a key here, unless the wound rule can take them all. A
+// site scripted to vote no on spec never waits, nor does one without a
+// blocker.
 func (t *Table) blocked(spec Spec) (holder uint64, ok bool) {
 	b, isBlocker := t.site.Participant.(blocker)
 	if !isBlocker || slices.Contains(spec.NoVotes, t.site.ID) {
 		return 0, false
 	}
-	holder, ok = b.Blocker(spec.TID, spec.Payload)
-	return holder, ok && !t.woundable(holder, uint64(spec.TID))
+	for _, h := range b.Blocker(spec.TID, spec.Payload) {
+		if !t.woundable(h, uint64(spec.TID)) {
+			return h, true
+		}
+	}
+	return 0, false
 }
 
 // park holds spec back, holding no lock, for at most budget while it is

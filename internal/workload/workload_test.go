@@ -202,8 +202,10 @@ func TestShardedPartitionedWorkload(t *testing.T) {
 }
 
 // Zipfian skew draws hot keys far more often than cold ones, and the
-// skewed workload still terminates consistently with conserved money —
-// contention surfaces only as lock-failure aborts.
+// skewed workload still terminates consistently with conserved money.
+// Transfers only add, so contention surfaces only where concurrent debits
+// outrun a low balance — escrow shortfalls, counted as lock failures; on
+// deep balances every transfer commits.
 func TestZipfSkewedWorkload(t *testing.T) {
 	z := NewZipf(100, 1.0)
 	rng := sim.NewRand(1)
@@ -222,7 +224,7 @@ func TestZipfSkewedWorkload(t *testing.T) {
 
 	cfg := Config{
 		Sites: 4, Protocol: core.Protocol{TransientFix: true},
-		Accounts: 16, InitialBalance: 10_000, Txns: 60,
+		Accounts: 16, InitialBalance: 100, Txns: 60,
 		Concurrency: 6, Zipf: 1.0, Seed: 9,
 	}
 	st, _ := Run(cfg)
@@ -234,6 +236,12 @@ func TestZipfSkewedWorkload(t *testing.T) {
 	}
 	if !st.Conserved {
 		t.Fatal("money not conserved")
+	}
+
+	cfg.InitialBalance = 10_000
+	st, _ = Run(cfg)
+	if st.Commits != cfg.Txns || st.LockFailures != 0 || !st.Replicated || !st.Conserved {
+		t.Fatalf("zipf workload on deep balances: %d of %d committed, %d lock failures: %+v", st.Commits, cfg.Txns, st.LockFailures, st)
 	}
 }
 
