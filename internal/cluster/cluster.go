@@ -130,9 +130,10 @@ type Config struct {
 	// recovers at EvRecover: its engine is rebuilt from its write-ahead
 	// log, in-doubt transactions are resolved by the termination
 	// protocol's inquiry round against reachable peers, and commits missed
-	// while down are pulled from a current replica; heal events re-run the
-	// inquiry round for what a recovery left unresolved. A site without
-	// one rejoins with amnesia.
+	// while down are pulled from a current replica. An answer that lands
+	// after the inquiry round still resolves, and heal events re-ask about
+	// what a recovery left unresolved. A site without one rejoins with
+	// amnesia.
 	Participants map[proto.SiteID]Participant
 
 	// migrate is Open's hook for membership events (EvJoin/EvLeave/

@@ -138,14 +138,14 @@ func (b *NetBackend) boot(cfg Config) error {
 }
 
 // partition implements wallSites: every daemon's link blocklist, in force
-// from one shared instant. The daemons' heal-edge retries go unreported.
-func (b *NetBackend) partition(g2 []proto.SiteID) []RecoveryReport {
+// from one shared instant. A daemon whose block lifts asks again about what
+// it holds in doubt.
+func (b *NetBackend) partition(g2 []proto.SiteID) {
 	if len(g2) > 0 {
 		b.net.Partition(g2...) //nolint:errcheck // dead nodes have no links
 	} else {
 		b.net.Heal() //nolint:errcheck // best-effort
 	}
-	return nil
 }
 
 // crash implements wallSites: SIGKILL.

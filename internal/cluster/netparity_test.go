@@ -158,8 +158,8 @@ func TestNetCrashAfterPrepared(t *testing.T) {
 	if len(recs) != 1 || recs[0].Site != 1 {
 		t.Fatalf("recoveries = %v, want one for site 1", recs)
 	}
-	if recs[0].Err != nil || recs[0].Stats.Unresolved != 0 {
-		t.Fatalf("recovery did not fully resolve: %+v", recs[0])
+	if recs[0].Err != nil {
+		t.Fatalf("recovery failed: %+v", recs[0])
 	}
 	if !r.Consistent() {
 		t.Fatalf("atomicity violated: %+v", r.Sites)
@@ -174,9 +174,17 @@ func TestNetCrashAfterPrepared(t *testing.T) {
 	if outcome == proto.None {
 		t.Fatal("no site decided")
 	}
-	if recs[0].Stats.InDoubt > 0 &&
-		recs[0].Stats.ResolvedCommit+recs[0].Stats.ResolvedAbort != recs[0].Stats.InDoubt {
-		t.Fatalf("in-doubt not resolved by inquiry: %+v", recs[0].Stats)
+	// The slaves may decide after the restart's inquiry step: their answer
+	// resolves the coordinator whenever it lands, so the end state is what
+	// counts, not the pass's report.
+	if slaves := r.Sites[2].Outcome; slaves != outcome || r.Sites[3].Outcome != outcome {
+		t.Fatalf("slaves decided %v and %v, want %v", slaves, r.Sites[3].Outcome, outcome)
+	}
+	if dto, err := nb.net.Client(1).InDoubt(); err != nil || len(dto.InDoubt)+len(dto.Pending) != 0 {
+		t.Fatalf("site 1 /indoubt = %+v (%v), want empty", dto, err)
+	}
+	if dto, err := nb.net.Client(1).Txn(r.TID); err != nil || parseOutcome(dto.Outcome) != outcome {
+		t.Fatalf("site 1 holds %q (%v), the slaves %v", dto.Outcome, err, outcome)
 	}
 	for id, snap := range nb.Snapshots() {
 		got := string(snap["crash"])
@@ -350,9 +358,9 @@ func TestNetRecoveryCoordinatorUnreachable(t *testing.T) {
 // TestNetHealRetryResolvesUnresolved: site 3 restarts while a partition
 // isolates it from every decided peer. It boots behind the cut, so its
 // recovery inquiries come back undeliverable — not lost — and leave the
-// transaction unresolved, the key locked and unapplied. The heal edge
-// re-runs the inquiry round over real traffic and the transaction
-// resolves to the survivors' commit without another restart.
+// transaction unresolved, the key locked and unapplied. At the heal edge
+// the daemon asks again over real traffic, and the answer resolves the
+// transaction to the survivors' commit without another restart.
 func TestNetHealRetryResolvesUnresolved(t *testing.T) {
 	netRetry(t, func(nb *NetBackend) error {
 		r, rep, err := netInDoubtRestart(t, nb, "heal", Schedule{
@@ -378,9 +386,12 @@ func TestNetHealRetryResolvesUnresolved(t *testing.T) {
 		if got := r.Sites[3]; got.Outcome != proto.Commit {
 			t.Errorf("site 3 after the heal: %+v, want commit", got)
 		}
+		if dto, err := nb.net.Client(3).InDoubt(); err != nil || len(dto.InDoubt)+len(dto.Pending) != 0 {
+			t.Errorf("site 3 /indoubt after the heal = %+v (%v), want empty", dto, err)
+		}
 		for id, snap := range nb.Snapshots() {
 			if got := string(snap["heal"]); got != "v" {
-				t.Errorf("site %d: heal = %q, want \"v\" (site 3 by the heal retry)", id, got)
+				t.Errorf("site %d: heal = %q, want \"v\" (site 3 by the heal's re-ask)", id, got)
 			}
 		}
 		return nil

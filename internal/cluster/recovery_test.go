@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"termproto/internal/core"
@@ -144,25 +145,37 @@ func TestSimRecoveryResolvesInDoubt(t *testing.T) { recoveryScenario(t, false) }
 // durable decision resolves the in-doubt transaction.
 func TestSimRecoveryCoordinatorUnreachable(t *testing.T) { recoveryScenario(t, true) }
 
-// TestSimHealRetryResolvesUnresolved: the recovery-time retry. Site 5
+// resolvedAt is when site id's trace notes that an answer resolved txn tid
+// from in doubt; ok is false when none did.
+func resolvedAt(rec *trace.Recorder, id proto.SiteID, tid proto.TxnID) (sim.Time, bool) {
+	return rec.FirstTime(func(ev trace.Event) bool {
+		return ev.Kind == trace.Note && ev.Site == int(id) && ev.TID == uint64(tid) &&
+			strings.HasPrefix(ev.Detail, "in doubt resolved")
+	})
+}
+
+// TestSimHealRetryResolvesUnresolved: the heal edge asks again. Site 5
 // crashes with txn 1 prepared, and restarts while a partition isolates it
 // from every decided peer — the inquiry round finds nobody and the
 // transaction stays in doubt, locks held. When the partition heals, the
-// backend re-runs the inquiry round without waiting for another restart:
-// the stranded transaction resolves to the survivors' commit at the heal
-// edge.
+// site asks again without waiting for another restart, and the answer
+// resolves the stranded transaction to the survivors' commit a round trip
+// after the heal edge. The restart's report describes its own pass only.
 func TestSimHealRetryResolvesUnresolved(t *testing.T) {
 	const sites, accounts = 5, 6
+	const heal = 20_000
 	parts, engs := dbEngines(sites, accounts, 1000)
+	b := NewSimBackend(SimOptions{RecordTrace: true})
 	c, err := Open(Config{
 		Sites:        sites,
 		Protocol:     core.Protocol{TransientFix: true},
 		Participants: parts,
+		Backend:      b,
 		Schedule: Schedule{
 			CrashAt(2500, 5),
 			PartitionAt(11_000, 5), // isolates the restarting site from everyone
 			RecoverAt(12_500, 5),
-			HealAt(20_000),
+			HealAt(heal),
 		},
 	})
 	if err != nil {
@@ -182,35 +195,79 @@ func TestSimHealRetryResolvesUnresolved(t *testing.T) {
 	}
 
 	reps := c.Recoveries()
-	if len(reps) != 2 {
-		t.Fatalf("recoveries = %d, want restart + heal retry (%v)", len(reps), reps)
+	if len(reps) != 1 {
+		t.Fatalf("recoveries = %d, want the restart alone (%v)", len(reps), reps)
 	}
-	restart, retry := reps[0], reps[1]
-	if restart.Retry || restart.Stats.Unresolved != 1 || restart.Stats.ResolvedCommit != 0 {
-		t.Fatalf("isolated restart should leave txn 1 unresolved: %v", restart)
+	if restart := reps[0]; restart.Stats.Unresolved != 1 || restart.Stats.ResolvedCommit != 0 || restart.Done >= heal {
+		t.Fatalf("isolated restart should leave txn 1 unresolved before the heal: %v", restart)
 	}
-	if !retry.Retry || retry.Stats.ResolvedCommit != 1 || retry.Stats.Unresolved != 0 {
-		t.Fatalf("heal retry should resolve txn 1 to commit: %v", retry)
-	}
-	if retry.At != 20_000 {
-		t.Fatalf("retry ran at t=%d, want the heal edge 20000", retry.At)
+	at, ok := resolvedAt(b.Trace(), 5, r1.TID)
+	if !ok || at < heal || at > heal+sim.Time(4*sim.DefaultT) {
+		t.Fatalf("txn 1 resolved at %d (%v), want between the heal edge %d and a round trip plus a hop each way after it", at, ok, heal)
 	}
 	if o, ok := engs[5].Outcome(uint64(r1.TID)); !ok || o != proto.Commit {
 		t.Fatalf("site 5 durable outcome = %v/%v, want commit", o, ok)
 	}
-	if len(engs[5].InDoubt()) != 0 {
-		t.Fatalf("site 5 still holds in-doubt locks: %v", engs[5].InDoubt())
+	if len(engs[5].InDoubt()) != 0 || len(b.nodes[5].Unresolved()) != 0 {
+		t.Fatalf("site 5 still holds in-doubt locks: %v (pending %v)", engs[5].InDoubt(), b.nodes[5].Unresolved())
 	}
 	if err := c.Termination(); err != nil {
 		t.Fatalf("termination: %v", err)
 	}
 }
 
+// TestSimRestartedMasterResolvesLate: a master crashes at 0.8T with its
+// transaction prepared and restarts before its slaves decide — they abort
+// at 10T, once their wait runs out. Its inquiry step ends with them still
+// silent, and their answer, sent once they decide, resolves it when it
+// lands: no partition, no heal, nothing but the answer.
+func TestSimRestartedMasterResolvesLate(t *testing.T) {
+	for _, quarters := range []int64{4, 12, 34} { // T, 3T, 8.5T
+		r := sim.Time(quarters * int64(sim.DefaultT) / 4)
+		t.Run(fmt.Sprintf("recover@%dT/4", quarters), func(t *testing.T) {
+			parts, engs := dbEngines(3, 2, 1000)
+			b := NewSimBackend(SimOptions{RecordTrace: true})
+			c, err := Open(Config{
+				Sites: 3, Protocol: core.Protocol{TransientFix: true}, Participants: parts, Backend: b,
+				Schedule: Schedule{CrashAt(sim.Time(8*sim.DefaultT/10), 1), RecoverAt(r, 1)},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			res, err := c.Submit(Txn{Master: 1, Payload: transfer(0, 1, 10)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			slaves := res.Sites[2].Outcome
+			if slaves == proto.None || res.Sites[3].Outcome != slaves {
+				t.Fatalf("slaves decided %v and %v, want one outcome", slaves, res.Sites[3].Outcome)
+			}
+			reps := c.Recoveries()
+			if len(reps) != 1 || reps[0].Stats.InDoubt != 1 || reps[0].Stats.Unresolved != 1 {
+				t.Fatalf("recoveries = %v, want one pass that ended with txn 1 in doubt", reps)
+			}
+			if o, _ := engs[1].Outcome(uint64(res.TID)); o != slaves || len(b.nodes[1].Unresolved()) != 0 {
+				t.Fatalf("restarted master holds %v, pending %v; want the slaves' %v", o, b.nodes[1].Unresolved(), slaves)
+			}
+			if at, ok := resolvedAt(b.Trace(), 1, res.TID); !ok || at <= r+sim.Time(2*sim.DefaultT) {
+				t.Fatalf("txn 1 resolved at %d (%v), want after the inquiry step ended at %d", at, ok, r+sim.Time(2*sim.DefaultT))
+			}
+			if err := c.Termination(); err != nil {
+				t.Fatalf("termination: %v", err)
+			}
+		})
+	}
+}
+
 // TestSimRecoveryInquiryBouncesBehindCut: recovery speaks the paper's
 // network. A restart behind a cut sends real inquiries, which come back as
-// bounces in the trace; the heal-edge retry's decision for the in-doubt
-// transaction lands a round trip (2T) after the heal, not at it; and each
-// report's Done is that much after its At.
+// bounces in the trace; the decision the heal edge's re-ask draws for the
+// in-doubt transaction lands, and resolves it, a round trip (2T) after the
+// heal, not at it; and the report's Done is after its At.
 func TestSimRecoveryInquiryBouncesBehindCut(t *testing.T) {
 	parts, engs := dbEngines(5, 6, 1000)
 	b := NewSimBackend(SimOptions{RecordTrace: true})
@@ -250,8 +307,11 @@ func TestSimRecoveryInquiryBouncesBehindCut(t *testing.T) {
 	if o, _ := engs[5].Outcome(uint64(r1.TID)); o != proto.Commit {
 		t.Fatalf("site 5 durable outcome = %v, want commit", o)
 	}
+	if at, ok := resolvedAt(b.Trace(), 5, r1.TID); !ok || at < 20_000+sim.Time(2*sim.DefaultT) {
+		t.Fatalf("txn 1 resolved at %d (%v), want no earlier than 2T after the heal", at, ok)
+	}
 	for _, rep := range c.Recoveries() {
-		if rep.Done <= rep.At || (rep.Retry && rep.Done < rep.At+sim.Time(2*sim.DefaultT)) {
+		if rep.Done <= rep.At {
 			t.Fatalf("report %v: took no simulated time", rep)
 		}
 	}

@@ -145,8 +145,8 @@ func (b *SimBackend) Open(cfg Config) error {
 			b.scheduleMembership(ev)
 		}
 	}
-	// An edge that ends a boundary re-runs the inquiry round for in-doubt
-	// transactions a recovery left unresolved behind it.
+	// An edge that ends a boundary re-asks about in-doubt transactions a
+	// recovery left unresolved behind it.
 	cuts := b.net.Cuts()
 	for i := 1; i < len(cuts); i++ {
 		if len(cuts[i-1].S) > 0 {
@@ -170,10 +170,10 @@ func (b *SimBackend) scheduleMembership(ev Event) {
 	b.sched.At(at, sim.PriControl, func() { b.cfg.migrate(ev) })
 }
 
-// scheduleHealRetry re-runs the inquiry round at a heal edge at every site
-// that is up, in ascending order, and reports each round that resolved
-// something once it ends. Without engines nothing can be in doubt, and no
-// event is scheduled.
+// scheduleHealRetry has every site that is up, in ascending order, ask
+// again at a heal edge about what it holds in doubt; the answers resolve it
+// when they land. Without engines nothing can be in doubt, and no event is
+// scheduled.
 func (b *SimBackend) scheduleHealRetry(at sim.Time) {
 	if !b.engines {
 		return
@@ -184,13 +184,9 @@ func (b *SimBackend) scheduleHealRetry(at sim.Time) {
 	b.sched.At(at, sim.PriControl, func() {
 		for _, id := range allSites(b.cfg.Sites) {
 			if b.net.Crashed(id, at) {
-				continue // a crashed site sits the round out
+				continue // a crashed site asks nothing
 			}
-			b.nodes[id].RetryInDoubt(func(st recovery.Stats, ran bool) {
-				if ran && st.ResolvedCommit+st.ResolvedAbort > 0 {
-					b.recoveries = append(b.recoveries, RecoveryReport{Site: id, At: at, Done: b.sched.Now(), Stats: st, Retry: true})
-				}
-			})
+			b.nodes[id].RetryInDoubt()
 		}
 	})
 }

@@ -25,9 +25,9 @@ type wallSites interface {
 	// incarnation never learned of it. An error is transient.
 	status(id proto.SiteID, tid proto.TxnID) (st site.Status, started bool, err error)
 	// partition separates the sites in g2 from the rest (the paper's G2);
-	// an empty g2 heals and re-runs the inquiry round for what recoveries
-	// left unresolved, returning the passes that resolved something.
-	partition(g2 []proto.SiteID) []RecoveryReport
+	// an empty g2 heals, and each site asks again about what its recovery
+	// left in doubt.
+	partition(g2 []proto.SiteID)
 	// crash fails a site and returns what the dead incarnation hosted — nil
 	// when nobody is left to say (a SIGKILL).
 	crash(id proto.SiteID) []site.Status
@@ -84,8 +84,8 @@ type wallDriver struct {
 	finalStats NetStats // counters frozen at Close
 	// pending counts what Wait must not outrun: delayed submissions, and
 	// of the scheduled events EvRecover and EvHeal (the durable recovery,
-	// the retry pass) — matching the sim backend, whose Wait runs the
-	// schedule to quiescence.
+	// the heal its re-asks follow) — matching the sim backend, whose Wait
+	// runs the schedule to quiescence.
 	pending sync.WaitGroup
 }
 
@@ -170,8 +170,8 @@ func (d *wallDriver) Open(cfg Config) error {
 }
 
 // Inject implements Backend: the event fires at its timeline position (or
-// immediately if that is already past). Heals matter to Wait only for the
-// retry pass they trigger.
+// immediately if that is already past). Wait does not return before a
+// scheduled heal: what a restart left in doubt may resolve only after it.
 func (d *wallDriver) Inject(ev Event) error {
 	d.at(ev.At, ev.Kind == EvRecover || ev.Kind == EvHeal, func() { d.apply(ev) })
 	return nil
@@ -237,10 +237,7 @@ func (d *wallDriver) apply(ev Event) {
 // generation.
 func (d *wallDriver) setPartition(g2 []proto.SiteID) int64 {
 	gen := d.partGen.Add(1)
-	reps := d.sites.partition(g2)
-	d.mu.Lock()
-	d.recoveries = append(d.recoveries, reps...)
-	d.mu.Unlock()
+	d.sites.partition(g2)
 	return gen
 }
 

@@ -50,11 +50,10 @@ func (f *fakeSites) status(id proto.SiteID, tid proto.TxnID) (site.Status, bool,
 	return answer(id, tid)
 }
 
-func (f *fakeSites) partition(g2 []proto.SiteID) []RecoveryReport {
+func (f *fakeSites) partition(g2 []proto.SiteID) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.partitions = append(f.partitions, g2)
-	return nil
 }
 
 func (f *fakeSites) crash(proto.SiteID) []site.Status { return f.hosted }

@@ -666,18 +666,6 @@ func (e *Engine) Put(key string, value []byte) {
 	e.apply(key, value)
 }
 
-// PutBatch is Put for a whole fixture: values[k] for each of keys, logged
-// as one append — one fsync — and applied only once that append is
-// durable; on error nothing is applied. A nil value deletes.
-func (e *Engine) PutBatch(keys []string, values map[string][]byte) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.applyBatch(keys, values); err != nil {
-		return fmt.Errorf("engine: log fixture of %d keys: %w", len(keys), err)
-	}
-	return nil
-}
-
 // applyBatch logs values[k] for each of keys as RecApply records in one
 // append and applies them only once it is durable; on error nothing is
 // applied. A nil value deletes. Called with e.mu held.

@@ -244,21 +244,6 @@ type syncFailStore struct{ wal.MemStore }
 
 func (*syncFailStore) Sync() error { return errors.New("sync: disk gone") }
 
-// A fixture whose log append did not become durable is not applied, and
-// the caller is told.
-func TestPutBatchSyncFailureAppliesNothing(t *testing.T) {
-	e := New("s1", &syncFailStore{})
-	err := e.PutBatch([]string{"a", "b"}, map[string][]byte{"a": EncodeInt(1), "b": EncodeInt(2)})
-	if err == nil {
-		t.Fatal("PutBatch reported success over a failed sync")
-	}
-	for _, k := range []string{"a", "b"} {
-		if v, ok := e.Get(k); ok {
-			t.Fatalf("%s = %x applied although its log record is not durable", k, v)
-		}
-	}
-}
-
 func TestCommitAbortIdempotentAndUnknown(t *testing.T) {
 	e := New("s1", &wal.MemStore{})
 	e.Execute(1, EncodeOps([]Op{{Kind: OpAdd, Key: "k", Delta: 5}}))

@@ -32,7 +32,7 @@ func TestCheckpointLogKeyOrder(t *testing.T) {
 		for _, k := range order[half:] {
 			values[k] = []byte("v:" + k)
 		}
-		if err := e.PutBatch(order[half:], values); err != nil {
+		if _, err := e.CatchUp(values, nil, func(k string) bool { _, ok := values[k]; return ok }); err != nil {
 			t.Fatal(err)
 		}
 		// A row written and then deleted leaves nothing behind.
@@ -73,7 +73,7 @@ func TestCheckpointLogKeyOrder(t *testing.T) {
 }
 
 // A stored row is the engine's own copy: mutating the slice handed to Put
-// or PutBatch, or a value in the map Snapshot returns, leaves it as it
+// or CatchUp, or a value in the map Snapshot returns, leaves it as it
 // was. An empty value is a present row that reads back empty.
 func TestRowsNotAliased(t *testing.T) {
 	e := New("s", &wal.MemStore{})
@@ -81,7 +81,7 @@ func TestRowsNotAliased(t *testing.T) {
 	e.Put("p", put)
 	put[0] = 'X'
 	batch := map[string][]byte{"b": []byte("batch")}
-	if err := e.PutBatch([]string{"b"}, batch); err != nil {
+	if _, err := e.CatchUp(batch, nil, func(k string) bool { return k == "b" }); err != nil {
 		t.Fatal(err)
 	}
 	batch["b"][0] = 'X'

@@ -17,8 +17,8 @@ import (
 // StartAPI binds and serves the node's admin HTTP API, returning the
 // bound address (":0" picks a free port). The API is the node's
 // operational surface: health and readiness, state snapshot, counters,
-// the in-doubt list and the placement epoch to read; submissions,
-// partitions, heal-edge resolution and fixture loads to write.
+// the in-doubt list and the placement epoch to read; partitions to write.
+// Submissions and transaction queries ride GET /wire.
 func (n *Node) StartAPI(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -48,8 +48,6 @@ func (n *Node) apiMux() *http.ServeMux {
 	mux.HandleFunc("GET /metricsjson", n.handleMetricsJSON)
 	mux.HandleFunc("GET /wire", n.handleWire)
 	mux.HandleFunc("POST /partition", n.handlePartition)
-	mux.HandleFunc("POST /resolve", n.handleResolve)
-	mux.HandleFunc("POST /load", n.handleLoad)
 	// Live profiling rides the same admin port: go tool pprof
 	// http://<api-addr>/debug/pprof/profile while a workload runs.
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -275,47 +273,5 @@ func (n *Node) handlePartition(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	n.SetBlocked(blocked, at)
-	writeJSON(w, struct{}{})
-}
-
-// handleResolve re-runs the inquiry round for what recovery left in doubt
-// (the heal edge) and answers when the round ends — at once when nothing
-// was pending.
-func (n *Node) handleResolve(w http.ResponseWriter, r *http.Request) {
-	done := make(chan RecoveryDTO, 1)
-	n.loop.Do(func() {
-		n.site.RetryInDoubt(func(st recovery.Stats, ran bool) {
-			dto := recoveryDTO(&st, nil)
-			dto.Ran = ran
-			done <- dto
-		})
-	})
-	select {
-	case dto := <-done:
-		writeJSON(w, dto)
-	case <-r.Context().Done(): // the client hung up, or the node is closing
-	}
-}
-
-func (n *Node) handleLoad(w http.ResponseWriter, r *http.Request) {
-	var req LoadReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	// Under sharded placement a fixture posted to every node must land
-	// only at the shards each node actually hosts.
-	asg := n.opts.Placement
-	keys := make([]string, 0, len(req.Data))
-	for k := range req.Data {
-		if asg == nil || asg.Hosts(n.opts.ID, k) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	if err := n.eng.PutBatch(keys, req.Data); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	writeJSON(w, struct{}{})
 }

@@ -72,7 +72,8 @@ type TxnDTO struct {
 }
 
 // InDoubtDTO is GET /indoubt: transactions prepared but undecided in the
-// engine, plus the subset a recovery left pending behind a partition.
+// engine, plus the subset recovery asked about that no answer has resolved
+// yet.
 type InDoubtDTO struct {
 	InDoubt []uint64 `json:"inDoubt"`
 	Pending []uint64 `json:"pending,omitempty"`
@@ -85,8 +86,8 @@ type SnapshotDTO struct {
 	Unstable []string          `json:"unstable,omitempty"`
 }
 
-// RecoveryDTO is GET /recovery (the startup pass) and POST /resolve (a
-// heal-edge retry of unresolved in-doubt transactions).
+// RecoveryDTO is GET /recovery: the startup pass. What resolves after it
+// shows in GET /indoubt and the transaction's own view.
 type RecoveryDTO struct {
 	Ran            bool   `json:"ran"`
 	Err            string `json:"err,omitempty"`
@@ -115,11 +116,6 @@ type SubmitReq struct {
 type PartitionReq struct {
 	Blocked []int `json:"blocked"`
 	AtMicro int64 `json:"atMicro,omitempty"`
-}
-
-// LoadReq is POST /load: directly apply committed fixture state.
-type LoadReq struct {
-	Data map[string][]byte `json:"data"`
 }
 
 // clientTimeout bounds one admin request, one dial and one round trip on
@@ -356,17 +352,4 @@ func (c *Client) Partition(blocked []proto.SiteID, at time.Time) error {
 		req.Blocked[i] = int(id)
 	}
 	return c.post("/partition", req, nil)
-}
-
-// Resolve re-runs the inquiry round for in-doubt transactions a recovery
-// left unresolved (the heal edge).
-func (c *Client) Resolve() (RecoveryDTO, error) {
-	var out RecoveryDTO
-	err := c.post("/resolve", struct{}{}, &out)
-	return out, err
-}
-
-// Load applies committed fixture state directly.
-func (c *Client) Load(data map[string][]byte) error {
-	return c.post("/load", LoadReq{Data: data}, nil)
 }

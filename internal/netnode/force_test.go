@@ -1,6 +1,7 @@
 package netnode
 
 import (
+	"errors"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -12,6 +13,14 @@ import (
 	"termproto/internal/protocol/registry"
 	"termproto/internal/trace"
 )
+
+// syncFailStore is a log store whose every Sync fails — and so every
+// Replace, which must fsync what it writes.
+type syncFailStore struct{ wal.MemStore }
+
+func (*syncFailStore) Sync() error { return errors.New("sync: disk gone") }
+
+func (*syncFailStore) Replace([]byte) error { return errors.New("sync: disk gone") }
 
 // slowStore is a log store whose Sync takes a while and notes when each one
 // returned, so that "before the force" and "after the force" are instants a

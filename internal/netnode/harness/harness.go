@@ -11,10 +11,12 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -392,20 +394,9 @@ func (l *Localnet) Partition(g2 ...proto.SiteID) error {
 	return l.cut(blocked)
 }
 
-// Heal clears every blocklist at one shared instant and, after it, asks
-// each node to retry transactions its recovery could not resolve while
-// partitioned.
-func (l *Localnet) Heal() error {
-	if err := l.cut(nil); err != nil {
-		return err
-	}
-	for _, id := range l.Sites() {
-		if l.Alive(id) {
-			l.Client(id).Resolve() //nolint:errcheck // best-effort heal retry
-		}
-	}
-	return nil
-}
+// Heal clears every blocklist at one shared instant. Each daemon whose
+// block lifts then asks again about what its recovery left in doubt.
+func (l *Localnet) Heal() error { return l.cut(nil) }
 
 // cut makes blocked the partition in force: every live site's list,
 // posted at once, is in force from one instant cutLead ahead (a late post
@@ -454,25 +445,61 @@ func (l *Localnet) LogTail(id proto.SiteID, n int) string {
 	return strings.Join(lines, "\n")
 }
 
-// freePorts reserves n distinct localhost ports by binding ephemeral
-// listeners, recording their addresses, and closing them. The window
-// between close and the daemon's bind is a real (small) race; spawn
-// failures surface through WaitHealthy with the node's log tail.
+// ports is where freePorts walks: the next port to try, drawn at random
+// within the range on the first call so that concurrent test processes
+// start apart.
+var ports struct {
+	sync.Mutex
+	next int
+}
+
+// freePorts reserves n distinct localhost ports, for a localnet's
+// lifetime. They lie below the kernel's ephemeral range, from which every
+// outgoing connection on the host draws its local port: a port taken from
+// that range could go to any dial between the test listen here and the
+// daemon's bind, or its rebind at a Restart. Each port is one a test
+// listen succeeded on; successive calls walk on, wrapping at the range's
+// end.
 func freePorts(n int) ([]string, error) {
-	out := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range out {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		lns[i] = ln
-		out[i] = ln.Addr().String()
+	lo, hi := portRange()
+	ports.Lock()
+	defer ports.Unlock()
+	if ports.next < lo || ports.next >= hi {
+		ports.next = lo + rand.IntN(hi-lo)
 	}
-	for _, ln := range lns {
-		ln.Close()
+	out := make([]string, 0, n)
+	for tried := 0; len(out) < n; tried++ {
+		if tried == hi-lo {
+			return nil, fmt.Errorf("harness: no %d free ports in [%d, %d)", n, lo, hi)
+		}
+		addr := fmt.Sprintf("127.0.0.1:%d", ports.next)
+		if ports.next++; ports.next == hi {
+			ports.next = lo
+		}
+		if ln, err := net.Listen("tcp", addr); err == nil {
+			ln.Close()
+			out = append(out, addr)
+		}
 	}
 	return out, nil
+}
+
+// portRange is where freePorts picks: [10000, the ephemeral range's low
+// end), read from /proc/sys/net/ipv4/ip_local_port_range and 32768 where
+// that cannot be read; from 1024 when 10000 would leave fewer than 1000.
+func portRange() (lo, hi int) {
+	hi = 32768
+	if b, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range"); err == nil {
+		if f := strings.Fields(string(b)); len(f) > 0 {
+			if v, err := strconv.Atoi(f[0]); err == nil && v > 1024 {
+				hi = v
+			}
+		}
+	}
+	if lo = 10000; hi-lo < 1000 {
+		lo = 1024
+	}
+	return lo, hi
 }
 
 // Stop kills every remaining process. Workspace directories are left for

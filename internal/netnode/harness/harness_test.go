@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"net"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -304,4 +306,31 @@ func TestLocalnetCut(t *testing.T) {
 		t.Fatalf("heal: %v", err)
 	}
 	expect("after the heal", map[proto.SiteID][]int{1: nil, 2: nil, 3: nil})
+}
+
+// Every port freePorts hands out is distinct, across calls too, and lies
+// below the kernel's ephemeral range, where no outgoing connection can take
+// it between the test listen and the daemon's bind.
+func TestFreePortsBelowEphemeralRange(t *testing.T) {
+	_, hi := portRange()
+	seen := map[string]bool{}
+	for range 3 {
+		addrs, err := freePorts(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, addr := range addrs {
+			_, p, err := net.SplitHostPort(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if port, _ := strconv.Atoi(p); port >= hi || port < 1024 {
+				t.Errorf("port %d outside [1024, %d)", port, hi)
+			}
+			if seen[addr] {
+				t.Errorf("%s handed out twice", addr)
+			}
+			seen[addr] = true
+		}
+	}
 }

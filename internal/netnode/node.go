@@ -17,6 +17,7 @@ import (
 	"termproto/internal/placement"
 	"termproto/internal/proto"
 	"termproto/internal/recovery"
+	"termproto/internal/sim"
 	"termproto/internal/site"
 	"termproto/internal/trace"
 )
@@ -248,8 +249,16 @@ func (n *Node) Submit(tid proto.TxnID, master proto.SiteID, sites []proto.SiteID
 }
 
 // SetBlocked replaces the partition blocklist from instant at on (the
-// present when zero or past): site.Link.SetBlocked.
-func (n *Node) SetBlocked(peers []proto.SiteID, at time.Time) { n.tr.SetBlocked(peers, at) }
+// present when zero or past): site.Link.SetBlocked. A list that lifts a
+// block in force has the site ask again, from that instant on its loop,
+// about what its recovery left in doubt (site.Node.RetryInDoubt).
+func (n *Node) SetBlocked(peers []proto.SiteID, at time.Time) {
+	lifts := slices.ContainsFunc(n.tr.BlockedList(), func(id proto.SiteID) bool { return !slices.Contains(peers, id) })
+	n.tr.SetBlocked(peers, at)
+	if lifts {
+		n.loop.AfterFunc(sim.Duration(max(time.Until(at), 0)/time.Microsecond), n.site.RetryInDoubt)
+	}
+}
 
 // checkBlocked rejects a blocklist naming this site or a site outside its
 // peers: a typo that would otherwise partition nothing, silently.

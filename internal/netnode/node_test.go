@@ -1,9 +1,6 @@
 package netnode
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -218,62 +215,45 @@ func TestNodeStartupRecovery(t *testing.T) {
 	}
 }
 
-// A /load request is one log append: 256 keys cost one fsync, not 256, and
-// all of them survive a restart.
-func TestLoadIsOneSyncPerRequest(t *testing.T) {
-	nodes, _ := startNodes(t, 1, memStores(1), false)
-	eng := nodes[0].Engine()
-	req := LoadReq{Data: map[string][]byte{}}
-	for i := 0; i < 256; i++ {
-		req.Data[fmt.Sprintf("acct-%03d", i)] = engine.EncodeInt(int64(i))
+// A site restarted behind a cut leaves its in-doubt transaction
+// unresolved: every inquiry bounces. The blocklist that lifts the cut has
+// it ask again, and the peers' durable commit resolves the transaction.
+func TestNodeLiftedBlockAsksAgain(t *testing.T) {
+	stores := memStores(3)
+	sites := []proto.SiteID{1, 2, 3}
+	ops := engine.EncodeOps([]engine.Op{{Kind: engine.OpPut, Key: "doubt", Value: []byte("yes")}})
+	if !engine.New("prep-1", stores[0]).ExecuteAt(7, ops, sites) {
+		t.Fatal("prep site 1: vote was no")
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
+	for i := 1; i < 3; i++ {
+		prep := engine.New(fmt.Sprintf("prep-%d", i+1), stores[i])
+		if !prep.ExecuteAt(7, ops, sites) {
+			t.Fatalf("prep site %d: vote was no", i+1)
+		}
+		prep.Commit(7)
 	}
-	before := eng.WALStats()
-	rec := httptest.NewRecorder()
-	nodes[0].handleLoad(rec, httptest.NewRequest(http.MethodPost, "/load", bytes.NewReader(body)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/load answered %d: %s", rec.Code, rec.Body)
+	nodes, _ := startNodesWith(t, 3, stores, false, func(o *Options) {
+		if o.Blocked = []proto.SiteID{1}; o.ID == 1 {
+			o.Blocked = []proto.SiteID{2, 3}
+		}
+	})
+	if st, err := nodes[0].RecoveryResult(); err != nil || st.InDoubt != 1 || st.Unresolved != 1 {
+		t.Fatalf("recovery behind the cut = %+v (%v), want txn 7 left in doubt", st, err)
 	}
-	after := eng.WALStats()
-	if syncs, recs := after.Syncs-before.Syncs, after.Records-before.Records; syncs != 1 || recs != 256 {
-		t.Fatalf("/load of 256 keys cost %d syncs for %d records, want 1 for 256", syncs, recs)
+	for _, node := range nodes[1:] {
+		node.SetBlocked(nil, time.Time{})
 	}
-	if _, err := eng.RecoverInPlace(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 256; i++ {
-		if got := eng.GetInt(fmt.Sprintf("acct-%03d", i)); got != int64(i) {
-			t.Fatalf("acct-%03d = %d after restart, want %d", i, got, i)
+	nodes[0].SetBlocked(nil, time.Time{})
+	for deadline := time.Now().Add(20 * testT); len(nodes[0].site.Unresolved()) != 0; time.Sleep(testT / 4) {
+		if time.Now().After(deadline) {
+			t.Fatalf("txn 7 still in doubt after the cut lifted: %+v", nodes[0].site.Unresolved())
 		}
 	}
-}
-
-// syncFailStore is a log store whose every Sync fails — and so every
-// Replace, which must fsync what it writes.
-type syncFailStore struct{ wal.MemStore }
-
-func (*syncFailStore) Sync() error { return errors.New("sync: disk gone") }
-
-func (*syncFailStore) Replace([]byte) error { return errors.New("sync: disk gone") }
-
-// A /load whose log append did not reach the disk answers 500 and serves
-// none of the fixture.
-func TestLoadSyncFailureAnswers500(t *testing.T) {
-	nodes, _ := startNodes(t, 1, []wal.Store{&syncFailStore{}}, false)
-	body, err := json.Marshal(LoadReq{Data: map[string][]byte{"acct-000": engine.EncodeInt(7)}})
-	if err != nil {
-		t.Fatal(err)
+	if o, _ := nodes[0].Engine().Outcome(7); o != proto.Commit {
+		t.Fatalf("txn 7 at site 1 = %v, want commit", o)
 	}
-	rec := httptest.NewRecorder()
-	nodes[0].handleLoad(rec, httptest.NewRequest(http.MethodPost, "/load", bytes.NewReader(body)))
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("/load over a failed sync answered %d, want 500", rec.Code)
-	}
-	if v, ok := nodes[0].Engine().Get("acct-000"); ok {
-		t.Fatalf("acct-000 = %x served although its log record is not durable", v)
+	if v, _ := nodes[0].Engine().Get("doubt"); string(v) != "yes" {
+		t.Errorf("doubt = %q, want \"yes\"", v)
 	}
 }
 

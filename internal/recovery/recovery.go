@@ -16,7 +16,9 @@
 //     survivors decided, so any participant holding a decision — the
 //     coordinator or not — is authoritative. One whose every inquiry
 //     bounced or met a round trip's silence stays in doubt, locks held, as
-//     the paper prescribes for a minority islet, until the next heal edge.
+//     the paper prescribes for a minority islet, until an answer lands:
+//     one from a member that decided late, or one the next heal edge's
+//     re-ask draws.
 //
 //  3. Catch-up — commits the site missed while down are pulled from a
 //     current replica of each catch-up source (under sharded placement,
@@ -90,8 +92,8 @@ type Stats struct {
 	// through the inquiry round.
 	ResolvedCommit int
 	ResolvedAbort  int
-	// Unresolved counts in-doubt transactions with no reachable decided
-	// participant; they keep their locks until a later recovery or heal.
+	// Unresolved counts in-doubt transactions the inquiry round left
+	// unanswered; they keep their locks until an answer lands.
 	Unresolved int
 	// CaughtUpKeys counts keys changed by the catch-up pull.
 	CaughtUpKeys int

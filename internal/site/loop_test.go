@@ -199,18 +199,21 @@ func (m *mesh) recoverOn(t *testing.T, id proto.SiteID) recovery.Stats {
 	return <-done
 }
 
-// retryOn runs site id's heal-edge retry on its loop and waits for it.
-func (m *mesh) retryOn(id proto.SiteID) recovery.Stats {
-	done := make(chan recovery.Stats, 1)
-	m.loops[id].Do(func() {
-		m.nodes[id].RetryInDoubt(func(st recovery.Stats, _ bool) { done <- st })
-	})
-	return <-done
+// retryOn asks again, on site id's loop, about what it holds in doubt, and
+// waits until an answer resolved all of it or timeout passed; it returns
+// what is left.
+func (m *mesh) retryOn(id proto.SiteID, timeout time.Duration) []engine.InDoubt {
+	m.loops[id].Do(m.nodes[id].RetryInDoubt)
+	for deadline := time.Now().Add(timeout); ; time.Sleep(liveT / 4) {
+		if left := m.nodes[id].Unresolved(); len(left) == 0 || time.Now().After(deadline) {
+			return left
+		}
+	}
 }
 
 // The recovery inquiry round over real messages between loops: across a
 // partition every inquiry bounces and the transaction stays in doubt; once
-// healed, a retry learns the peers' durable commit.
+// healed, asking again learns the peers' durable commit.
 func TestLiveInquire(t *testing.T) {
 	payload := engine.EncodeOps([]engine.Op{{Kind: engine.OpAdd, Key: "k", Delta: -1}})
 	parts := make(map[proto.SiteID]proto.Participant, 4)
@@ -230,8 +233,11 @@ func TestLiveInquire(t *testing.T) {
 		t.Fatalf("recovery behind the cut = %v, want txn 1 left in doubt", st)
 	}
 	m.partition()
-	if st := m.retryOn(4); st.ResolvedCommit != 1 || len(m.nodes[4].Unresolved()) != 0 {
-		t.Fatalf("post-heal retry = %v, want txn 1 committed", st)
+	if left := m.retryOn(4, 4*liveT); len(left) != 0 {
+		t.Fatalf("after the heal %+v still in doubt, want txn 1 committed", left)
+	}
+	if o, _ := parts[4].(*engine.Engine).Outcome(1); o != proto.Commit {
+		t.Fatalf("site 4 durable outcome = %v, want commit", o)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // latencies, and — when the participant is a storage engine — everything
 // around that engine: its metrics and placement wiring, the table's wound
 // rule and lock-wait counts, the directory epoch records its log must
-// hold, recovery and the heal-edge retry of what it left in doubt
+// hold, recovery and the answers that resolve what it left in doubt
 // (recover.go), and Txn's fallback to durable state.
 //
 // The simulator steps a Node's table from its scheduler, a Loop from its
@@ -41,13 +41,14 @@ type Node struct {
 	shardCommit       *obs.HistogramVec
 
 	// The recovery step machine (stepping goroutine only): the pass
-	// running, the retries waiting for it, and whether the site donates.
+	// running, and whether the site donates.
 	rec     *pass
-	retries []func(recovery.Stats, bool)
 	serving bool
 
-	mu      sync.Mutex
-	pending []engine.InDoubt // in-doubt transactions recovery left unresolved
+	mu sync.Mutex
+	// pending lists the in-doubt transactions recovery asked about and no
+	// answer has resolved; written on the stepping goroutine only.
+	pending []engine.InDoubt
 }
 
 // NewNode assembles one incarnation of site s under protocol. sites is the
@@ -128,10 +129,11 @@ func (n *Node) plan() ([]proto.SiteID, []recovery.CatchUpSource) {
 	return recovery.Plan(n.self, n.sites, asg)
 }
 
-// Deliver hands the node a message from the transport: recovery traffic
-// to the step machine, anything else to the table.
+// Deliver hands the node a message from the transport: an answer that
+// resolves an in-doubt transaction to resolve, recovery traffic to the step
+// machine, anything else to the table.
 func (n *Node) Deliver(m proto.Msg) {
-	if !n.recoveryMsg(m) {
+	if !n.resolve(m) && !n.recoveryMsg(m) {
 		n.Table.Deliver(m)
 		return
 	}
@@ -148,7 +150,7 @@ func (n *Node) Close() {
 	if p := n.rec; p != nil && p.stop != nil {
 		p.stop()
 	}
-	n.rec, n.retries = nil, nil
+	n.rec = nil
 }
 
 // Txn returns the site's view of one transaction; ok is false when the

@@ -1,6 +1,7 @@
 package site
 
 import (
+	"strings"
 	"testing"
 
 	"termproto/internal/core"
@@ -124,10 +125,11 @@ func TestNodeTxnFallsBackToDurableState(t *testing.T) {
 	}
 }
 
-// Recover keeps what it could not resolve, and RetryInDoubt resolves it
-// once a decided peer is reachable; after that nothing is pending. On the
-// simulated network the inquiry across the cut shows as a bounce, and the
-// decision lands no earlier than one round trip after the restart.
+// Recover keeps what it could not resolve, and the heal edge's RetryInDoubt
+// asks again: the answer resolves it once a decided peer is reachable, and
+// after that nothing is pending. On the simulated network the inquiry
+// across the cut shows as a bounce, and the decision lands no earlier than
+// one round trip after the heal.
 func TestNodeRecoverThenRetryInDoubt(t *testing.T) {
 	sched, rec := sim.NewScheduler(), &trace.Recorder{}
 	net := simnet.New(simnet.Config{Sched: sched, T: sim.DefaultT, Trace: rec})
@@ -139,7 +141,7 @@ func TestNodeRecoverThenRetryInDoubt(t *testing.T) {
 	peer.Commit(5)
 	nodes := map[proto.SiteID]*Node{}
 	for id, e := range map[proto.SiteID]*engine.Engine{1: eng, 2: peer} {
-		nodes[id] = NewNode(Site{ID: id, Clock: SchedClock{Sched: sched, Bound: sim.DefaultT}, Transport: net, Participant: e},
+		nodes[id] = NewNode(Site{ID: id, Clock: SchedClock{Sched: sched, Bound: sim.DefaultT}, Transport: net, Participant: e, Trace: rec.Append},
 			core.Protocol{}, roster(2), nil, nil)
 		net.Register(id, nodes[id])
 	}
@@ -156,20 +158,26 @@ func TestNodeRecoverThenRetryInDoubt(t *testing.T) {
 	}
 	heal := sched.Now()
 	net.Cut(heal)
-	ran := false
-	nodes[1].RetryInDoubt(func(s recovery.Stats, r bool) { st, ran = s, r })
+	nodes[1].RetryInDoubt()
 	sched.Run()
-	if !ran || st.ResolvedCommit != 1 || len(nodes[1].Unresolved()) != 0 {
-		t.Fatalf("retry = %v (ran %v), pending %v; want txn 5 committed", st, ran, nodes[1].Unresolved())
+	if len(nodes[1].Unresolved()) != 0 {
+		t.Fatalf("pending %v after the heal; want txn 5 committed", nodes[1].Unresolved())
 	}
 	if o, _ := eng.Outcome(5); o != proto.Commit {
 		t.Fatalf("txn 5 durable outcome = %v, want commit", o)
 	}
 	if d := rec.Messages(trace.Deliver, "commit"); len(d) != 1 || d[0].At < heal+sim.Time(2*sim.DefaultT) {
-		t.Fatalf("decision delivered %+v, want one, a round trip (2T) after the retry at %d", d, heal)
+		t.Fatalf("decision delivered %+v, want one, a round trip (2T) after the heal at %d", d, heal)
 	}
-	nodes[1].RetryInDoubt(func(_ recovery.Stats, r bool) { ran = r })
-	if ran {
-		t.Fatal("retry ran with nothing pending")
+	resolved := rec.Filter(func(ev trace.Event) bool {
+		return ev.Kind == trace.Note && ev.Site == 1 && ev.TID == 5 && strings.HasPrefix(ev.Detail, "in doubt resolved: commit from site 2")
+	})
+	if len(resolved) != 1 || resolved[0].At < heal {
+		t.Fatalf("resolution notes %+v, want one at or after the heal at %d", resolved, heal)
+	}
+	asked := len(rec.Messages(trace.Send, "inquire"))
+	nodes[1].RetryInDoubt()
+	if got := len(rec.Messages(trace.Send, "inquire")); got != asked {
+		t.Fatalf("asked again with nothing pending: %d inquiries sent, want %d", got, asked)
 	}
 }

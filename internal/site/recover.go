@@ -18,6 +18,11 @@ import (
 // are in or after roundTrip T — the round-trip bound on both clocks (at
 // most T each way on the simulator; a link's hop is at most T/2, and a
 // bounce is back within T). Close silences a machine a crash cut short.
+//
+// An answer to an inquiry is an event of its own, not part of a step: a
+// decision that lands after the inquiry step ended — a peer that decided
+// late, or one a heal brought back in reach — resolves the transaction all
+// the same (resolve). The heal edge only asks again (RetryInDoubt).
 const roundTrip = 2
 
 // chunkBudget bounds the entries of one snapshot chunk, in bytes — far
@@ -25,8 +30,7 @@ const roundTrip = 2
 // carries at least one entry.
 const chunkBudget = 64 << 10
 
-// pass is one run of the step machine: a restart's Recover or a heal
-// edge's RetryInDoubt.
+// pass is one run of the step machine: a restart's Recover.
 type pass struct {
 	st  recovery.Stats
 	err error
@@ -44,10 +48,12 @@ type pass struct {
 
 // Recover runs the site's recovery: replay the log, ask each in-doubt
 // transaction's roster for its decision, pull each catch-up source from
-// its first donor to answer, checkpoint; done gets the stats. Call it on
-// the goroutine that steps the node, before the node takes any message:
-// until done the site donates no snapshot, since its state may lack
-// commits it missed and a puller would take their absence for deletes.
+// its first donor to answer, checkpoint; done gets the stats of this pass
+// — what resolves after its inquiry step shows in Unresolved, Txn and the
+// trace, not in them. Call it on the goroutine that steps the node, before
+// the node takes any message: until done the site donates no snapshot,
+// since its state may lack commits it missed and a puller would take their
+// absence for deletes.
 func (n *Node) Recover(done func(recovery.Stats, error)) {
 	if n.eng == nil {
 		done(recovery.Stats{}, fmt.Errorf("recovery: site %d has no engine", n.self))
@@ -59,11 +65,11 @@ func (n *Node) Recover(done func(recovery.Stats, error)) {
 		done(recovery.Stats{}, fmt.Errorf("recovery: %w", err))
 		return
 	}
-	all, srcs := n.plan()
+	_, srcs := n.plan()
 	// Serials from the restart's instant: no earlier incarnation's match.
 	p := &pass{st: recovery.Stats{Replayed: info.Replayed, InDoubt: len(info.InDoubt)}, pull: uint64(n.clock.Now())}
 	n.rec = p
-	n.inquire(p, all, info.InDoubt, func() {
+	n.inquire(p, info.InDoubt, func() {
 		n.catchUp(p, srcs, func() {
 			if p.err == nil {
 				p.err = n.eng.Checkpoint()
@@ -71,59 +77,51 @@ func (n *Node) Recover(done func(recovery.Stats, error)) {
 			if n.serving = p.err == nil; !n.serving {
 				p.err = fmt.Errorf("recovery: %w", p.err)
 			}
-			n.finish(func() { done(p.st, p.err) })
+			n.rec = nil
+			done(p.st, p.err)
 		})
 	})
 }
 
-// RetryInDoubt re-runs the inquiry round for what recovery left in doubt
-// — the heal edge: the partition that hid every decided participant has
-// lifted. done gets the round's stats once it ends; ran is false, and done
-// runs at once, when nothing was pending. Asked for while a pass runs, the
-// round starts when that pass ends.
-func (n *Node) RetryInDoubt(done func(st recovery.Stats, ran bool)) {
-	if n.rec != nil {
-		n.retries = append(n.retries, done)
-		return
-	}
-	pend := n.Unresolved()
-	if len(pend) == 0 {
-		done(recovery.Stats{}, false)
-		return
-	}
-	p := &pass{st: recovery.Stats{InDoubt: len(pend)}}
-	n.rec = p
-	all, _ := n.plan()
-	n.inquire(p, all, pend, func() { n.finish(func() { done(p.st, true) }) })
-}
+// RetryInDoubt asks again about every transaction still in doubt — the heal
+// edge: the partition that hid every decided participant has lifted. It
+// sends one MsgInquire to each member of the transaction's roster and
+// awaits nothing; an answer resolves the transaction whenever it lands.
+// Call it on the goroutine that steps the node.
+func (n *Node) RetryInDoubt() { n.ask(n.pending) }
 
-// Unresolved lists what recovery left in doubt. Safe from any goroutine.
+// Unresolved lists the in-doubt transactions this incarnation asked about
+// and has not resolved. Safe from any goroutine.
 func (n *Node) Unresolved() []engine.InDoubt {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.pending
 }
 
-// finish ends the running pass: report runs, then the retries asked for
-// meanwhile start as one round.
-func (n *Node) finish(report func()) {
-	n.rec = nil
-	report()
-	if waiting := n.retries; len(waiting) > 0 {
-		n.retries = nil
-		n.RetryInDoubt(func(st recovery.Stats, ran bool) {
-			for _, done := range waiting {
-				done(st, ran)
-			}
-		})
+// inquire asks about each of pend and ends once each is answered or has no
+// inquiry left in flight, or after a round trip. What is left stays in
+// doubt, answerable later.
+func (n *Node) inquire(p *pass, pend []engine.InDoubt, next func()) {
+	p.asking = make(map[proto.TxnID]int, len(pend))
+	n.mu.Lock()
+	n.pending = pend
+	n.mu.Unlock()
+	n.ask(pend)
+	end := func() {
+		p.asking = nil
+		p.st.Unresolved = len(n.pending)
+		next()
+	}
+	if n.arm(p, end); len(p.asking) == 0 {
+		n.advance(p)
 	}
 }
 
-// inquire asks the roster of each of pend (every site when its log kept
-// none) and ends once each is answered or has no inquiry left in flight,
-// or after a round trip. What is left stays pending.
-func (n *Node) inquire(p *pass, all []proto.SiteID, pend []engine.InDoubt, next func()) {
-	p.asking = make(map[proto.TxnID]int, len(pend))
+// ask sends MsgInquire about each of pend to its roster (every site when
+// its log kept none). While the restart's inquiry step runs, each inquiry
+// counts as one in flight.
+func (n *Node) ask(pend []engine.InDoubt) {
+	all, _ := n.plan()
 	for _, d := range pend {
 		roster := d.Sites
 		if len(roster) == 0 {
@@ -132,27 +130,54 @@ func (n *Node) inquire(p *pass, all []proto.SiteID, pend []engine.InDoubt, next 
 		for _, peer := range slices.Sorted(slices.Values(roster)) {
 			if peer != n.self {
 				n.Table.out.Send(proto.Msg{TID: proto.TxnID(d.TID), From: n.self, To: peer, Kind: proto.MsgInquire})
-				p.asking[proto.TxnID(d.TID)]++
+				if p := n.rec; p != nil && p.asking != nil {
+					p.asking[proto.TxnID(d.TID)]++
+				}
 			}
 		}
 	}
-	end := func() {
-		p.asking = nil
-		var left []engine.InDoubt
-		for _, d := range pend {
-			if o, _ := n.eng.Outcome(d.TID); o == proto.None {
-				left = append(left, d)
+}
+
+// resolve takes a decision that answers an inquiry this incarnation sent,
+// about a transaction its engine still holds in doubt, whenever it lands:
+// the engine commits or aborts it, it leaves Unresolved, and a trace note
+// names it, the outcome and the sender. Inside the restart's inquiry step
+// it also counts toward that pass. It reports whether m was such an answer.
+func (n *Node) resolve(m proto.Msg) bool {
+	if m.Undeliverable || m.Kind != proto.MsgCommit && m.Kind != proto.MsgAbort {
+		return false
+	}
+	i := slices.IndexFunc(n.pending, func(d engine.InDoubt) bool { return proto.TxnID(d.TID) == m.TID })
+	if i < 0 {
+		return false
+	}
+	if o, _ := n.eng.Outcome(uint64(m.TID)); o != proto.None {
+		return false
+	}
+	o := proto.Commit
+	if m.Kind == proto.MsgCommit {
+		n.eng.Commit(m.TID)
+	} else {
+		o = proto.Abort
+		n.eng.Abort(m.TID)
+	}
+	n.mu.Lock()
+	n.pending = append(n.pending[:i:i], n.pending[i+1:]...) // a new array: readers keep theirs
+	n.mu.Unlock()
+	n.note(m.TID, "in doubt resolved: %v from site %d", o, m.From)
+	if p := n.rec; p != nil && p.asking != nil {
+		if o == proto.Commit {
+			p.st.ResolvedCommit++
+		} else {
+			p.st.ResolvedAbort++
+		}
+		if _, ok := p.asking[m.TID]; ok {
+			if delete(p.asking, m.TID); len(p.asking) == 0 {
+				n.advance(p)
 			}
 		}
-		p.st.Unresolved = len(left)
-		n.mu.Lock()
-		n.pending = left
-		n.mu.Unlock()
-		next()
 	}
-	if n.arm(p, end); len(p.asking) == 0 {
-		n.advance(p)
-	}
+	return true
 }
 
 // catchUp pulls each source in turn, then runs next.
@@ -192,37 +217,22 @@ func (n *Node) advance(p *pass) {
 	next()
 }
 
-// recoveryMsg takes the node's recovery traffic — snapshot frames, answers
-// to its inquiries and its inquiries returned — and reports whether m was
-// some.
+// recoveryMsg takes the node's recovery traffic — snapshot frames and its
+// inquiries returned while the inquiry step runs — and reports whether m
+// was some.
 func (n *Node) recoveryMsg(m proto.Msg) bool {
 	p := n.rec
 	switch {
 	case m.Kind == proto.MsgSnapshot:
 		n.snapshot(p, m)
 		return true
-	case p == nil || p.asking == nil:
+	case p == nil || p.asking == nil || m.Kind != proto.MsgInquire || !m.Undeliverable:
 		return false
-	case m.Kind == proto.MsgInquire && m.Undeliverable:
-		if left, ok := p.asking[m.TID]; ok {
-			if p.asking[m.TID] = left - 1; left == 1 {
-				delete(p.asking, m.TID)
-			}
+	}
+	if left, ok := p.asking[m.TID]; ok {
+		if p.asking[m.TID] = left - 1; left == 1 {
+			delete(p.asking, m.TID)
 		}
-	case (m.Kind == proto.MsgCommit || m.Kind == proto.MsgAbort) && !m.Undeliverable:
-		if _, ok := p.asking[m.TID]; !ok {
-			return false
-		}
-		delete(p.asking, m.TID)
-		if m.Kind == proto.MsgCommit {
-			n.eng.Commit(m.TID)
-			p.st.ResolvedCommit++
-		} else {
-			n.eng.Abort(m.TID)
-			p.st.ResolvedAbort++
-		}
-	default:
-		return false
 	}
 	if len(p.asking) == 0 {
 		n.advance(p)

@@ -173,7 +173,7 @@ func TestRecoveryAbortFallsBackToAllSites(t *testing.T) {
 }
 
 // No decided peer: the transaction stays in doubt, its locks held, and is
-// kept for RetryInDoubt.
+// kept in Unresolved for an answer still to come.
 func TestRecoveryUnresolvedKeepsLocks(t *testing.T) {
 	h := recoverySites(t, 3, map[proto.SiteID]*engine.Engine{3: inDoubtAt(t, []proto.SiteID{1, 3})})
 	r := h.recover(3)
@@ -185,7 +185,67 @@ func TestRecoveryUnresolvedKeepsLocks(t *testing.T) {
 		t.Fatal("unresolved in-doubt transaction released its lock")
 	}
 	if got := h.nodes[3].Unresolved(); len(got) != 1 || got[0].TID != 2 {
-		t.Fatalf("kept for retry: %+v, want txn 2", got)
+		t.Fatalf("kept in doubt: %+v, want txn 2", got)
+	}
+}
+
+// An answer held in flight past the inquiry step's end still counts: the
+// step ends at 2T with the transaction in doubt, and the peer's durable
+// commit, landing later, resolves it — outside any pass, whose report
+// stays as it was.
+func TestRecoveryLateAnswerResolves(t *testing.T) {
+	h := recoverySites(t, 2, map[proto.SiteID]*engine.Engine{
+		1: replica(map[string]int64{"acct/a": 90, "acct/b": 75}, true, proto.Commit),
+		2: inDoubtAt(t, []proto.SiteID{1, 2}),
+	})
+	r := h.recover(2)
+	held := h.take(proto.MsgInquire, 2, 1)
+	h.sched.Step()
+	if now, got := h.sched.Now(), h.nodes[2].Unresolved(); now != sim.Time(2*sim.DefaultT) || len(got) != 1 {
+		t.Fatalf("at %d the inquiry step left %+v in doubt, want txn 2 at 2T", now, got)
+	}
+	h.nodes[1].Deliver(held)
+	h.settle()
+	e := h.engs[2]
+	if !r.done || r.st.Unresolved != 1 || r.st.ResolvedCommit != 0 {
+		t.Fatalf("recovery = %+v, want its pass to report txn 2 unresolved", r)
+	}
+	if o, _ := e.Outcome(2); o != proto.Commit || len(h.nodes[2].Unresolved()) != 0 {
+		t.Fatalf("late answer: outcome %v, pending %+v; want commit, nothing pending", o, h.nodes[2].Unresolved())
+	}
+	if e.GetInt("acct/b") != 75 || e.Locked("acct/b") || len(e.InDoubt()) != 0 {
+		t.Fatalf("acct/b = %d, locked %v, in doubt %v after the late commit", e.GetInt("acct/b"), e.Locked("acct/b"), e.InDoubt())
+	}
+}
+
+// The mirror case: a slave restarted in doubt asks its master, which is
+// still deciding and so stays silent; the slave's inquiry step ends at 2T,
+// and the master's decision, taken after that, resolves the slave when it
+// lands.
+func TestRecoverySlaveResolvedByLateMaster(t *testing.T) {
+	h := newHandSites(t, 2, core.Protocol{TransientFix: true})
+	h.nodes[1].Submit(Spec{TID: 1, Master: 1, Sites: roster(2), Payload: put("k")})
+	h.pass(1, proto.MsgXact, 2)
+	// Site 2 crashes with its yes vote out: a fresh incarnation recovers.
+	h.nodes[2].Close()
+	h.boot(2, core.Protocol{TransientFix: true})
+	r := h.recover(2)
+	h.sched.At(sim.Time(sim.DefaultT/2), sim.PriControl, func() {})
+	h.sched.Step()
+	h.pass(1, proto.MsgYes, 1) // the master enters p1 at T/2: it decides at 2.5T
+	h.pass(1, proto.MsgInquire, 1)
+	h.sched.Step()
+	if now, got := h.sched.Now(), h.nodes[2].Unresolved(); now != sim.Time(2*sim.DefaultT) || len(got) != 1 || h.outcome(1, 1) != proto.None {
+		t.Fatalf("at %d site 2 left %+v in doubt and the master decided %v; want txn 1 at 2T, undecided",
+			now, got, h.outcome(1, 1))
+	}
+	h.settle()
+	if !r.done || r.st.InDoubt != 1 || r.st.Unresolved != 1 {
+		t.Fatalf("recovery = %+v, want its pass to report txn 1 unresolved", r)
+	}
+	o, _ := h.engs[2].Outcome(1)
+	if want := h.outcome(1, 1); want == proto.None || o != want || len(h.nodes[2].Unresolved()) != 0 || len(h.engs[2].InDoubt()) != 0 {
+		t.Fatalf("site 2 holds %v, pending %+v; want the master's %v", o, h.nodes[2].Unresolved(), want)
 	}
 }
 
@@ -232,7 +292,8 @@ func TestRecoverySilentPeerTimesOutAtTwoT(t *testing.T) {
 
 // An inquiry across a cut bounces: with every inquiry for it returned, the
 // transaction stays in doubt at once — no wait — and so does the catch-up
-// whose only donor bounced. A heal-edge retry then resolves it.
+// whose only donor bounced. The heal edge asks again, and the answer
+// resolves it.
 func TestRecoveryInquiryBounceStaysInDoubt(t *testing.T) {
 	h := recoverySites(t, 2, map[proto.SiteID]*engine.Engine{
 		1: replica(map[string]int64{"acct/a": 90, "acct/b": 75}, true, proto.Commit),
@@ -244,13 +305,18 @@ func TestRecoveryInquiryBounceStaysInDoubt(t *testing.T) {
 	if !r.done || r.at != 0 || r.st.Unresolved != 1 || !h.engs[2].Locked("acct/b") {
 		t.Fatalf("recovery = %+v, want done at once with txn 2 in doubt and locked", r)
 	}
-	var retried recovery.Stats
-	ran := false
-	h.nodes[2].RetryInDoubt(func(st recovery.Stats, r bool) { retried, ran = st, r })
+	h.nodes[2].RetryInDoubt()
 	h.deliver(proto.MsgInquire, 2, 1)
 	h.deliver(proto.MsgCommit, 1, 2)
-	if !ran || retried.ResolvedCommit != 1 || len(h.nodes[2].Unresolved()) != 0 || h.engs[2].GetInt("acct/b") != 75 {
-		t.Fatalf("retry = %+v (ran %v), pending %v", retried, ran, h.nodes[2].Unresolved())
+	if len(h.nodes[2].Unresolved()) != 0 || h.engs[2].GetInt("acct/b") != 75 || h.engs[2].Locked("acct/b") {
+		t.Fatalf("after the heal: pending %v, acct/b = %d", h.nodes[2].Unresolved(), h.engs[2].GetInt("acct/b"))
+	}
+	if r.st.Unresolved != 1 || r.st.ResolvedCommit != 0 || len(h.net.out) != 0 {
+		t.Fatalf("recovery = %+v, waiting %+v; want the pass's report as it was and nothing more sent", r, h.net.out)
+	}
+	h.nodes[2].RetryInDoubt()
+	if len(h.net.out) != 0 {
+		t.Fatalf("asked again with nothing in doubt: %+v", h.net.out)
 	}
 }
 
