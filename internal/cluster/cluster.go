@@ -13,12 +13,12 @@
 // and each transaction instantiates automata only at its participant
 // sites — the replica sets of the shards its payload keys touch, at its
 // admission epoch — so throughput scales with the cluster instead of
-// every commit touching every site. Join/Leave/MoveShard rebalance
-// shards at runtime, on the simulator: contents are copied through the
-// recovery catch-up machinery and the epoch bump commits as a metadata
-// transaction through the cluster's own commit protocol, so a partition
-// mid-migration is resolved by the termination protocol like any other
-// in-doubt transaction.
+// every commit touching every site. Join, leave and move events
+// (JoinAt, LeaveAt, MoveShardAt) rebalance shards at runtime, on the
+// simulator: contents are copied through the recovery catch-up machinery
+// and the epoch bump commits as a metadata transaction through the
+// cluster's own commit protocol, so a partition mid-migration is resolved
+// by the termination protocol like any other in-doubt transaction.
 //
 //	c, _ := cluster.Open(cluster.Config{Sites: 5, Protocol: core.Protocol{},
 //	    Schedule: cluster.Schedule{
@@ -42,6 +42,7 @@ import (
 	"termproto/internal/placement"
 	"termproto/internal/proto"
 	"termproto/internal/sim"
+	"termproto/internal/site"
 )
 
 // Voter decides a site's vote when no database participant is attached.
@@ -109,14 +110,14 @@ type Config struct {
 	// Schedule scripts faults on the cluster timeline.
 	Schedule Schedule
 	// Directory is the versioned shard directory that places the keyspace
-	// across the sites: epoch-stamped replica sets that Join/Leave/MoveShard
-	// rebalance at runtime. A transaction whose Sites field is empty
-	// participates only at the replica sets of the shards its payload keys
-	// touch, resolved at its admission epoch, and Termination checks
+	// across the sites: epoch-stamped replica sets that join, leave and
+	// move events rebalance at runtime. A transaction whose Sites field is
+	// empty participates only at the replica sets of the shards its payload
+	// keys touch, resolved at its admission epoch, and Termination checks
 	// replica convergence per shard-replica-group at the current epoch. Nil
 	// means full replication: every transaction runs at every site. The
 	// directory's members may be a subset of Sites — the remaining sites
-	// are provisioned capacity that can Join later.
+	// are provisioned capacity that can join later.
 	Directory *placement.Directory
 	// MasterPolicy assigns masters to transactions that do not name one;
 	// nil defaults to MasterPrimary when a Directory is set, MasterFixed(1)
@@ -179,9 +180,22 @@ type SiteOutcome struct {
 	// Started reports whether the site ever participated (the master, or
 	// a slave that learned of the transaction).
 	Started bool
-	// Crashed reports whether the site failed while hosting the
-	// transaction (or was down when it was submitted).
+	// Crashed reports that the site failed while hosting the transaction,
+	// or was down when it was submitted, and that no incarnation running
+	// since has answered for it. A restarted site that answers — from its
+	// automaton or its log — clears it, so one still in doubt is blocked.
 	Crashed bool
+}
+
+// record copies a running incarnation's answer into the slot and clears
+// Crashed. decidedAt is the answer's decision time on the timeline, kept
+// only when the answer carries one: an undecided answer, or one read from
+// the log after a restart, leaves the slot's own.
+func (v *SiteOutcome) record(st site.Status, decidedAt sim.Time) {
+	v.Started, v.FinalState, v.Outcome, v.Crashed = true, st.State, st.Outcome, false
+	if st.DecidedAt != 0 {
+		v.DecidedAt = decidedAt
+	}
 }
 
 // TxnResult is the cluster's record of one submitted transaction. Its
@@ -295,7 +309,7 @@ type Stats struct {
 	// and with one, the number of committed membership changes).
 	Epoch uint64
 	// ShardsMoved and KeysMigrated total the shard-replica moves and the
-	// keys copied by committed Join/Leave/MoveShard migrations.
+	// keys copied by committed migrations.
 	ShardsMoved  int
 	KeysMigrated int
 	Net          NetStats
@@ -365,7 +379,7 @@ type Cluster struct {
 	nextTID proto.TxnID
 	closed  bool
 
-	// Migration bookkeeping (Join/Leave/MoveShard).
+	// Migration bookkeeping (join, leave and move events).
 	migrations   []*MigrationReport
 	shardsMoved  int
 	keysMigrated int

@@ -19,10 +19,10 @@ const (
 	MigrationMove  MigrationKind = "move"
 )
 
-// MigrationReport records one Join/Leave/MoveShard execution: what moved,
-// the epoch-bump transaction that made it official, and how it ended.
-// Fields settle once Done is true (after the Wait covering the epoch-bump
-// transaction).
+// MigrationReport records one join, leave or move event's execution: what
+// moved, the epoch-bump transaction that made it official, and how it
+// ended. Fields settle once Done is true (after the Wait covering the
+// epoch-bump transaction).
 type MigrationReport struct {
 	Kind MigrationKind
 	// Site is the joining/leaving site, or the move's destination.
@@ -30,8 +30,8 @@ type MigrationReport struct {
 	// Shard and From are set for MigrationMove.
 	Shard int
 	From  proto.SiteID
-	// TID is the epoch-bump metadata transaction (0 when the change was
-	// trivial enough to need none).
+	// TID is the epoch-bump metadata transaction (0 when the change
+	// failed before submitting one).
 	TID proto.TxnID
 	// ShardsMoved counts shard-replica moves; KeysMigrated counts keys
 	// copied to new replicas through the catch-up machinery.
@@ -69,42 +69,8 @@ func (r *MigrationReport) String() string {
 		r.Kind, r.Site, r.ShardsMoved, r.KeysMigrated, r.TID, verdict)
 }
 
-// Join adds a provisioned site to the membership: shards rebalance onto
-// it (contents copied from current replicas), and the new assignment
-// takes effect when the epoch-bump transaction commits through the
-// cluster's commit protocol. Join drives the timeline until the
-// migration decides and returns the settled report.
-func (c *Cluster) Join(site proto.SiteID) (*MigrationReport, error) {
-	return c.finishSync(c.beginJoin(site))
-}
-
-// Leave drains a member: every shard it replicates is copied to a
-// replacement replica first, then the epoch bump commits the shrunken
-// membership — no committed write is lost.
-func (c *Cluster) Leave(site proto.SiteID) (*MigrationReport, error) {
-	return c.finishSync(c.beginLeave(site))
-}
-
-// MoveShard hands one shard replica from one member to another — the
-// targeted rebalancing primitive underneath Join and Leave's bulk moves.
-func (c *Cluster) MoveShard(shard int, from, to proto.SiteID) (*MigrationReport, error) {
-	return c.finishSync(c.beginMove(shard, from, to))
-}
-
-// finishSync drives the timeline over an initiated migration and returns
-// its settled report.
-func (c *Cluster) finishSync(rep *MigrationReport) (*MigrationReport, error) {
-	if rep.Err != nil {
-		return rep, rep.Err
-	}
-	if err := c.Wait(); err != nil {
-		return rep, err
-	}
-	return rep, nil
-}
-
 // Migrations returns every membership change initiated so far (scheduled
-// events and direct calls), in execution order.
+// and injected events), in execution order.
 func (c *Cluster) Migrations() []*MigrationReport {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -112,64 +78,40 @@ func (c *Cluster) Migrations() []*MigrationReport {
 }
 
 // applyMembershipEvent runs a scheduled EvJoin/EvLeave/EvMove at its
-// timeline position — the backends call it through Config.migrate.
+// timeline position — the backends call it through Config.migrate. Its
+// sites are in range: Open and Inject validate every event.
 func (c *Cluster) applyMembershipEvent(ev Event) {
+	rep := &MigrationReport{Site: ev.Site}
 	switch ev.Kind {
 	case EvJoin:
-		c.beginJoin(ev.Site)
+		rep.Kind = MigrationJoin
 	case EvLeave:
-		c.beginLeave(ev.Site)
+		rep.Kind = MigrationLeave
 	case EvMove:
-		c.beginMove(ev.Shard, ev.From, ev.Site)
+		rep.Kind, rep.Shard, rep.From = MigrationMove, ev.Shard, ev.From
 	}
-}
-
-func (c *Cluster) beginJoin(site proto.SiteID) *MigrationReport {
-	rep := &MigrationReport{Kind: MigrationJoin, Site: site}
 	c.record(rep)
 	d := c.cfg.Directory
 	if d == nil {
-		return c.fail(rep, fmt.Errorf("cluster: membership changes need a Directory"))
-	}
-	if int(site) < 1 || int(site) > c.cfg.Sites {
-		return c.fail(rep, fmt.Errorf("cluster: site %d outside provisioned range 1..%d", site, c.cfg.Sites))
+		c.fail(rep, fmt.Errorf("cluster: membership changes need a Directory"))
+		return
 	}
 	_, cur := d.Current()
-	next, err := cur.WithJoin(site)
+	var next *placement.Assignment
+	var err error
+	switch ev.Kind {
+	case EvJoin:
+		next, err = cur.WithJoin(ev.Site)
+	case EvLeave:
+		next, err = cur.WithLeave(ev.Site)
+	case EvMove:
+		next, err = cur.WithMove(ev.Shard, ev.From, ev.Site)
+	}
 	if err != nil {
-		return c.fail(rep, err)
+		c.fail(rep, err)
+		return
 	}
-	return c.runMigration(rep, cur, next)
-}
-
-func (c *Cluster) beginLeave(site proto.SiteID) *MigrationReport {
-	rep := &MigrationReport{Kind: MigrationLeave, Site: site}
-	c.record(rep)
-	d := c.cfg.Directory
-	if d == nil {
-		return c.fail(rep, fmt.Errorf("cluster: membership changes need a Directory"))
-	}
-	_, cur := d.Current()
-	next, err := cur.WithLeave(site)
-	if err != nil {
-		return c.fail(rep, err)
-	}
-	return c.runMigration(rep, cur, next)
-}
-
-func (c *Cluster) beginMove(shard int, from, to proto.SiteID) *MigrationReport {
-	rep := &MigrationReport{Kind: MigrationMove, Site: to, Shard: shard, From: from}
-	c.record(rep)
-	d := c.cfg.Directory
-	if d == nil {
-		return c.fail(rep, fmt.Errorf("cluster: membership changes need a Directory"))
-	}
-	_, cur := d.Current()
-	next, err := cur.WithMove(shard, from, to)
-	if err != nil {
-		return c.fail(rep, err)
-	}
-	return c.runMigration(rep, cur, next)
+	c.runMigration(rep, cur, next)
 }
 
 func (c *Cluster) record(rep *MigrationReport) {
@@ -224,20 +166,10 @@ func (c *Cluster) runMigration(rep *MigrationReport, cur, next *placement.Assign
 	// the log alone, with no host-side bootstrap. The roster is therefore
 	// the union of old and new members, not just the moved shards' replica
 	// sets: a member whose shards did not move still must learn the epoch.
+	// The union always holds two sites or more: a join adds a non-member,
+	// a leave keeps at least RF ≥ 1 members, and a move names two.
 	nextEpoch := d.Epoch() + 1
 	aff := memberUnion(cur, next)
-	if len(aff) < 2 {
-		// A single-member directory: no distributed decision to make, the
-		// bump is local bookkeeping — but the record still lands durably.
-		c.writeEpochRecords(aff, nextEpoch, next)
-		e := d.CommitPending()
-		c.mu.Lock()
-		rep.Committed, rep.Done, rep.Epoch = true, true, e
-		c.shardsMoved += shardsMoved
-		c.keysMigrated += copied
-		c.mu.Unlock()
-		return rep
-	}
 
 	// The coordinator must survive the change and should be a site the
 	// change actually touches: the lowest old-or-new replica of a moved
@@ -350,17 +282,4 @@ func memberUnion(cur, next *placement.Assignment) []proto.SiteID {
 		}
 	}
 	return out
-}
-
-// writeEpochRecords lands the epoch record directly (RecApply) at the
-// given sites' engines — the non-distributed path for trivial bumps.
-func (c *Cluster) writeEpochRecords(sites []proto.SiteID, e placement.Epoch, asg *placement.Assignment) {
-	key, rec := placement.EpochKey(e), placement.EncodeAssignment(asg)
-	for _, id := range sites {
-		if eng, ok := recoveryEngine(c.cfg, id); ok {
-			if _, have := eng.Get(key); !have {
-				eng.Put(key, rec)
-			}
-		}
-	}
 }

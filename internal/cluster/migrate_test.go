@@ -74,6 +74,23 @@ func assertShardIdentical(t *testing.T, d *placement.Directory, engs map[proto.S
 	}
 }
 
+// migrate injects a membership event, drives the timeline over it and
+// returns its report.
+func migrate(t *testing.T, c *Cluster, ev Event) *MigrationReport {
+	t.Helper()
+	if err := c.Inject(ev); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	reps := c.Migrations()
+	if len(reps) == 0 {
+		t.Fatalf("%v left no migration report", ev)
+	}
+	return reps[len(reps)-1]
+}
+
 // The headline acceptance scenario, run on BOTH backends: a fresh
 // provisioned site joins mid-traffic, shards migrate onto it through the
 // catch-up machinery, the epoch bump commits through the commit protocol,
@@ -105,9 +122,9 @@ func joinScenario(t *testing.T, backend Backend) {
 		t.Fatal(err)
 	}
 
-	rep, err := c.Join(4)
-	if err != nil {
-		t.Fatalf("join: %v (%v)", err, rep)
+	rep := migrate(t, c, JoinAt(c.Now(), 4))
+	if rep.Err != nil {
+		t.Fatalf("join: %v", rep)
 	}
 	if !rep.Committed || rep.Epoch != 1 {
 		t.Fatalf("join not committed at epoch 1: %v", rep)
@@ -198,9 +215,9 @@ func leaveScenario(t *testing.T, backend Backend) {
 		t.Fatal("no committed writes before the leave")
 	}
 
-	rep, err := c.Leave(5)
-	if err != nil {
-		t.Fatalf("leave: %v", err)
+	rep := migrate(t, c, LeaveAt(c.Now(), 5))
+	if rep.Err != nil {
+		t.Fatalf("leave: %v", rep)
 	}
 	if !rep.Committed || rep.Epoch != 1 {
 		t.Fatalf("leave not committed: %v", rep)
@@ -289,12 +306,8 @@ func TestAdmissionEpochPinsParticipants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.Join(4)
-	if err != nil || !rep.Committed {
-		t.Fatalf("join: %v %v", rep, err)
-	}
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
+	if rep := migrate(t, c, JoinAt(c.Now(), 4)); !rep.Committed {
+		t.Fatalf("join: %v", rep)
 	}
 	if r1.Epoch != 0 {
 		t.Fatalf("admission epoch = %d, want 0", r1.Epoch)
@@ -364,9 +377,9 @@ func TestMoveShardInDoubtUnderPartition(t *testing.T) {
 		if err := c.Inject(ev); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := c.MoveShard(0, reps[0], to)
-		if err != nil {
-			t.Fatalf("heal=%d: move: %v", healAt, err)
+		rep := migrate(t, c, MoveShardAt(c.Now(), 0, reps[0], to))
+		if rep.Err != nil {
+			t.Fatalf("heal=%d: move: %v", healAt, rep)
 		}
 		if !rep.Done {
 			t.Fatalf("heal=%d: migration never decided: %v", healAt, rep)
@@ -429,9 +442,9 @@ func TestCrashedMasterMigrationSettlesAborted(t *testing.T) {
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.MoveShard(0, 1, 3)
-	if err != nil {
-		t.Fatalf("move: %v", err)
+	rep := migrate(t, c, MoveShardAt(c.Now(), 0, 1, 3))
+	if rep.Err != nil {
+		t.Fatalf("move: %v", rep)
 	}
 	if !rep.Done || rep.Committed {
 		t.Fatalf("dead-coordinator migration not settled as aborted: %v", rep)
@@ -441,9 +454,9 @@ func TestCrashedMasterMigrationSettlesAborted(t *testing.T) {
 	}
 	// The directory is not wedged: a migration with a live coordinator
 	// (shard 1 lives at [2,3]) proceeds normally.
-	rep2, err := c.MoveShard(1, 2, 4)
-	if err != nil {
-		t.Fatalf("follow-up move rejected — pending assignment leaked: %v", err)
+	rep2 := migrate(t, c, MoveShardAt(c.Now(), 1, 2, 4))
+	if rep2.Err != nil {
+		t.Fatalf("follow-up move rejected — pending assignment leaked: %v", rep2)
 	}
 	if !rep2.Committed || rep2.Epoch != 1 {
 		t.Fatalf("follow-up move: %v", rep2)

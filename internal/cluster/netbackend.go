@@ -149,9 +149,8 @@ func (b *NetBackend) partition(g2 []proto.SiteID) {
 }
 
 // crash implements wallSites: SIGKILL.
-func (b *NetBackend) crash(id proto.SiteID) []site.Status {
+func (b *NetBackend) crash(id proto.SiteID) {
 	b.net.Kill(id) //nolint:errcheck // already dead is fine
-	return nil
 }
 
 // restart implements wallSites: it restarts a killed site's process over

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -82,8 +83,8 @@ func recoveryScenario(t *testing.T, masterCut bool) {
 		t.Fatal(err)
 	}
 
-	if !r1.Sites[5].Crashed {
-		t.Fatalf("site 5 not marked crashed on txn 1: %+v", r1.Sites[5])
+	if so := r1.Sites[5]; so.Outcome != proto.Commit || so.Crashed {
+		t.Fatalf("site 5 does not end with the commit its recovery resolved on txn 1: %+v", so)
 	}
 	if !r1.Decided() || !r1.Consistent() || (r2 != nil && (!r2.Decided() || !r2.Consistent())) {
 		t.Fatalf("survivors blocked or inconsistent: txn1=%+v txn2=%+v", r1, r2)
@@ -260,6 +261,49 @@ func TestSimRestartedMasterResolvesLate(t *testing.T) {
 				t.Fatalf("termination: %v", err)
 			}
 		})
+	}
+}
+
+// TestSimRestartedMasterLeftInDoubtIsBlocked: the same master restarts
+// behind a cut that never heals, so no answer reaches it. Its slaves abort
+// and its engine keeps the transaction in doubt, locks held — the paper's
+// blocked site, and the results say so: Wait's view of a restarted site is
+// what its running incarnation answers, not what its dead one held.
+func TestSimRestartedMasterLeftInDoubtIsBlocked(t *testing.T) {
+	parts, engs := dbEngines(3, 2, 1000)
+	c, err := Open(Config{
+		Sites: 3, Protocol: core.Protocol{TransientFix: true}, Participants: parts,
+		Schedule: Schedule{
+			CrashAt(sim.Time(8*sim.DefaultT/10), 1),
+			PartitionAt(sim.Time(2*sim.DefaultT), 1),
+			RecoverAt(sim.Time(3*sim.DefaultT), 1),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	res, err := c.Submit(Txn{Master: 1, Payload: transfer(0, 1, 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Sites[2].Outcome != proto.Abort || res.Sites[3].Outcome != proto.Abort {
+		t.Fatalf("slaves decided %v and %v, want aborts", res.Sites[2].Outcome, res.Sites[3].Outcome)
+	}
+	if got := engs[1].InDoubt(); !reflect.DeepEqual(got, []uint64{uint64(res.TID)}) {
+		t.Fatalf("site 1 holds %v in doubt, want txn %d", got, res.TID)
+	}
+	if got := res.Blocked(); !reflect.DeepEqual(got, []proto.SiteID{1}) {
+		t.Fatalf("blocked at %v, want [1]: site 1 %+v", got, res.Sites[1])
+	}
+	if err := c.Termination(); err == nil {
+		t.Fatal("Termination reports nothing for a site left in doubt")
+	}
+	if st := c.Stats(); st.Blocked != 1 {
+		t.Fatalf("stats: %v, want blocked=1", st)
 	}
 }
 

@@ -58,8 +58,10 @@ type SimBackend struct {
 	engines bool
 	// spawned counts the automata of incarnations already retired.
 	spawned map[proto.SiteID]int
-	// pending holds the transactions started since the last Wait: their
-	// results are copied out of the nodes by a crash or by that Wait.
+	// pending holds the started transactions whose results may still
+	// change: those started since the last Wait, and those an invited site
+	// is down for, undecided. A crash and each Wait copy their results out
+	// of the nodes.
 	pending map[proto.TxnID]pendingTxn
 	// recoveries records the durable recoveries run.
 	recoveries []RecoveryReport
@@ -79,9 +81,10 @@ func NewSimBackend(opts SimOptions) *SimBackend {
 	}
 }
 
-// pendingTxn is a started transaction's result and decision hook.
+// pendingTxn is a started transaction's result, roster and decision hook.
 type pendingTxn struct {
 	res       *TxnResult
+	roster    []proto.SiteID
 	onDecided func(site proto.SiteID, o proto.Outcome)
 }
 
@@ -242,14 +245,15 @@ func (b *SimBackend) scheduleCrash(id proto.SiteID, at sim.Time) {
 // the network already drops what is addressed to a down site, and closing
 // the node silences its timers — and a fresh one over the same participant
 // waits for the recovery.
-// Every started transaction the site was invited to settles as crashed in
-// the state the site's automaton died in (or never learned of it).
+// Every pending transaction the site has a slot in is crashed there, in
+// the state the site's automaton died in (or never learned of it) unless
+// the slot was already decided.
 func (b *SimBackend) crash(id proto.SiteID) {
 	old := b.nodes[id]
 	old.Close()
 	b.spawned[id] += len(old.Txns())
 	for tid, p := range b.pending {
-		if out := p.res.Sites[id]; out != nil && !out.Crashed {
+		if out := p.res.Sites[id]; out != nil {
 			copyView(out, old, tid)
 			out.Crashed = true
 		}
@@ -257,11 +261,16 @@ func (b *SimBackend) crash(id proto.SiteID) {
 	b.nodes[id] = b.newNode(id)
 }
 
-// copyView copies an incarnation's view of a transaction into its result
-// slot.
+// copyView copies an incarnation's answer about a transaction into an
+// undecided result slot: what its automaton holds, else what its log says
+// (site.Node.Txn). A slot the incarnation has no answer for, or one already
+// decided, keeps what it holds.
 func copyView(out *SiteOutcome, n *site.Node, tid proto.TxnID) {
-	if st, ok := n.Table.Txn(tid); ok {
-		out.Started, out.FinalState, out.Outcome, out.DecidedAt = true, st.State, st.Outcome, st.DecidedAt
+	if out.Outcome != proto.None {
+		return
+	}
+	if st, ok := n.Txn(tid); ok {
+		out.record(st, st.DecidedAt)
 	}
 }
 
@@ -286,7 +295,7 @@ func (b *SimBackend) startTxn(t Txn, res *TxnResult) {
 		res.Sites[id].Crashed = true
 	}
 	if ok {
-		b.pending[t.ID] = pendingTxn{res: res, onDecided: t.onDecided}
+		b.pending[t.ID] = pendingTxn{res: res, roster: spec.Sites, onDecided: t.onDecided}
 		b.nodes[t.Master].Submit(spec)
 	}
 }
@@ -330,21 +339,32 @@ func (b *SimBackend) onDecide(cfg proto.Config, o proto.Outcome, _ sim.Time) {
 
 // Wait implements Backend: it drives the scheduler to quiescence — every
 // message delivered or bounced, every timer fired or cancelled — and then
-// copies every started transaction's view out of the site nodes.
-// Quiescence with an undecided automaton is the definition of blocking.
+// copies every pending transaction's view out of the nodes of the sites
+// that are up: a restarted site answers for what it hosted before its crash
+// from its log. A down site keeps its crash-time view, and the transaction
+// stays pending while an invited site is down undecided. Quiescence with an
+// undecided automaton, or a restarted site still in doubt, is the
+// definition of blocking.
 func (b *SimBackend) Wait() error {
 	if b.sched == nil {
 		return fmt.Errorf("sim backend: not open")
 	}
 	b.sched.Run()
+	now := b.sched.Now()
 	for tid, p := range b.pending {
+		settled := true
 		for id, out := range p.res.Sites {
-			if !out.Crashed {
+			switch {
+			case !b.net.Crashed(id, now):
 				copyView(out, b.nodes[id], tid)
+			case out.Outcome == proto.None && containsSite(p.roster, id):
+				settled = false
 			}
 		}
+		if settled {
+			delete(b.pending, tid)
+		}
 	}
-	clear(b.pending)
 	return nil
 }
 

@@ -28,9 +28,8 @@ type wallSites interface {
 	// an empty g2 heals, and each site asks again about what its recovery
 	// left in doubt.
 	partition(g2 []proto.SiteID)
-	// crash fails a site and returns what the dead incarnation hosted — nil
-	// when nobody is left to say (a SIGKILL).
-	crash(id proto.SiteID) []site.Status
+	// crash fails a site.
+	crash(id proto.SiteID)
 	// restart brings a crashed site back as a fresh incarnation and reports
 	// the durable recovery it ran, if any. Not up, the site stays down and
 	// the report says why.
@@ -63,10 +62,10 @@ func (e *UndecidedError) Error() string {
 //
 // Where a rule could go either way it is the simulator's. A transaction's
 // roster is the one invite draws when its submission fires. A site is
-// crashed for a transaction if it was down at that moment, died hosting it
-// undecided, or is down with no decision seen when results are synced;
-// what a restarted site answers from durable state rejoins the results at
-// the next poll.
+// crashed for a transaction if it was down at that moment, died invited to
+// it with no decision seen, or is down with no decision seen when results
+// are synced; what a restarted site answers from durable state replaces
+// that at the next poll, so one that answers in doubt is blocked.
 type wallDriver struct {
 	name      string
 	t         time.Duration // the wall-clock value of T
@@ -197,14 +196,13 @@ func (d *wallDriver) apply(ev Event) {
 		d.mu.Lock()
 		d.down[ev.Site] = true
 		d.mu.Unlock()
-		hosted := d.sites.crash(ev.Site)
+		d.sites.crash(ev.Site)
 		d.mu.Lock()
-		for _, st := range hosted {
-			// What it had decided stands; what it had not settles as
-			// crashed in the state the automaton died in.
-			if wt := d.txns[st.TID]; wt != nil {
-				d.record(wt.view[ev.Site], st)
-				wt.view[ev.Site].Crashed = st.Outcome == proto.None
+		// What it was seen to decide stands; what it was invited to and not
+		// seen to decide is crashed in the state last polled.
+		for _, wt := range d.txns {
+			if containsSite(wt.roster, ev.Site) && wt.view[ev.Site].Outcome == proto.None {
+				wt.view[ev.Site].Crashed = true
 			}
 		}
 		d.mu.Unlock()
@@ -281,16 +279,6 @@ func (d *wallDriver) fire(wt *wallTxn) {
 	d.mu.Unlock()
 }
 
-// record copies a site's answer into its slot of a view; the decision
-// keeps the site's own stamp, mapped onto the timeline. Called with d.mu
-// held.
-func (d *wallDriver) record(v *SiteOutcome, st site.Status) {
-	v.Started, v.FinalState, v.Outcome = true, st.State, st.Outcome
-	if st.DecidedAt != 0 { // zero: undecided, or answered from the log after a restart
-		v.DecidedAt = d.ticksAt(time.UnixMicro(int64(st.DecidedAt)))
-	}
-}
-
 // Wait implements Backend: it waits for every submitted transaction to
 // settle at every live invited site and for every tracked event to finish,
 // then syncs all results. Transactions still undecided at the deadline are
@@ -346,7 +334,9 @@ func (d *wallDriver) settled() bool {
 			d.mu.Lock()
 			v := a.wt.view[id]
 			if started && err == nil {
-				d.record(v, st)
+				// The decision keeps the site's own stamp, mapped onto the
+				// timeline.
+				v.record(st, d.ticksAt(time.UnixMicro(int64(st.DecidedAt))))
 			}
 			// Ask again after a transient failure, while undecided, and
 			// (unless it is known to have crashed) while the grace lasts.

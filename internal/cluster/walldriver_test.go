@@ -23,8 +23,7 @@ type fakeSites struct {
 	statuses   int // status calls so far
 	// answer scripts status; nil decides commit everywhere at once.
 	answer func(id proto.SiteID, tid proto.TxnID) (site.Status, bool, error)
-	// hosted is what crash returns; restartErr makes restart fail.
-	hosted     []site.Status
+	// restartErr makes restart fail.
 	restartErr error
 }
 
@@ -56,7 +55,7 @@ func (f *fakeSites) partition(g2 []proto.SiteID) {
 	f.partitions = append(f.partitions, g2)
 }
 
-func (f *fakeSites) crash(proto.SiteID) []site.Status { return f.hosted }
+func (f *fakeSites) crash(proto.SiteID) {}
 
 func (f *fakeSites) restart(id proto.SiteID, at sim.Time) (*RecoveryReport, bool) {
 	f.mu.Lock()
@@ -153,19 +152,20 @@ func TestWallDriverDeadMasterIsNoop(t *testing.T) {
 }
 
 // The roster is the participant set minus the sites down at fire; what a
-// crashing site hosted decided stands, what it hosted undecided is crashed.
+// crashing site was seen to decide stands, what it was invited to and not
+// seen to decide is crashed in the state last polled.
 func TestWallDriverRosterAndCrashBookkeeping(t *testing.T) {
 	f := &fakeSites{}
 	d := fakeDriver(t, f)
 	f.answer = func(id proto.SiteID, tid proto.TxnID) (site.Status, bool, error) {
-		if id == 3 {
-			return site.Status{}, false, nil // the fresh incarnation knows nothing
+		if id == 3 && tid == 2 {
+			return undecided(tid), true, nil
 		}
 		return decided(tid, proto.Commit), true, nil
 	}
 	r1 := submitTo(t, d, 1, 1, 0)
 	r2 := submitTo(t, d, 2, 1, 0)
-	f.hosted = []site.Status{decided(1, proto.Commit), undecided(2)}
+	d.settled() // site 3 is seen deciding txn 1 and holding txn 2 in w
 	d.Inject(CrashAt(0, 3))
 	r3 := submitTo(t, d, 3, 1, 0)
 	if err := d.Wait(); err != nil {
@@ -185,6 +185,51 @@ func TestWallDriverRosterAndCrashBookkeeping(t *testing.T) {
 	}
 	if r3.Outcome() != proto.Commit || !r3.Decided() {
 		t.Errorf("survivors: outcome=%v blocked=%v", r3.Outcome(), r3.Blocked())
+	}
+}
+
+// A site crashed while a Wait runs and then restarted is what its fresh
+// incarnation answers: in doubt, it is blocked and named in the
+// UndecidedError; decided, it ends with that outcome and is not crashed.
+func TestWallDriverRestartedSiteAnswers(t *testing.T) {
+	for _, after := range []site.Status{{TID: 1, State: "q"}, decided(1, proto.Commit)} {
+		f := &fakeSites{}
+		f.answer = func(id proto.SiteID, tid proto.TxnID) (site.Status, bool, error) {
+			f.mu.Lock()
+			restarted := f.restarts > 0
+			f.mu.Unlock()
+			switch {
+			case id != 3:
+				return decided(tid, proto.Commit), true, nil
+			case restarted:
+				return after, true, nil
+			}
+			return undecided(tid), true, nil
+		}
+		d := fakeDriver(t, f, CrashAt(5_000, 3))
+		res := submitTo(t, d, 1, 1, 0)
+		if err := d.Wait(); err != nil { // returns once site 3 is down
+			t.Fatal(err)
+		}
+		if so := res.Sites[3]; !so.Crashed || so.FinalState != "w" {
+			t.Fatalf("site 3 while down: %+v", so)
+		}
+		d.Inject(RecoverAt(0, 3))
+		err := d.Wait()
+		so := res.Sites[3]
+		if after.Outcome == proto.None {
+			var undecidedErr *UndecidedError
+			if !errors.As(err, &undecidedErr) || !reflect.DeepEqual(undecidedErr.TIDs, []proto.TxnID{1}) {
+				t.Fatalf("restart in doubt: Wait = %v, want UndecidedError for txn 1", err)
+			}
+			if got := res.Blocked(); !reflect.DeepEqual(got, []proto.SiteID{3}) || so.FinalState != "q" {
+				t.Errorf("restart in doubt: blocked at %v, site 3 %+v", got, so)
+			}
+			continue
+		}
+		if err != nil || so.Outcome != proto.Commit || so.Crashed {
+			t.Errorf("restart decided: Wait = %v, site 3 %+v", err, so)
+		}
 	}
 }
 

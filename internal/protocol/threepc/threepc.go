@@ -241,12 +241,6 @@ func (s *Slave) HandleP(env proto.Env, msg proto.Msg) bool {
 	return false
 }
 
-// Modified reports whether this slave uses the Figure 8 automaton.
-func (s *Slave) IsModified() bool { return s.modified }
-
-// SetModified switches the slave to the Figure 8 automaton (embedding).
-func (s *Slave) SetModified(on bool) { s.modified = on }
-
 // OnMsg implements proto.Node for the pure protocol.
 func (s *Slave) OnMsg(env proto.Env, msg proto.Msg) {
 	if s.HandleXact(env, msg, nil) {

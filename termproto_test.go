@@ -10,7 +10,6 @@ import (
 	"termproto/internal/experiments"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/registry"
-	"termproto/internal/workload"
 )
 
 // The facade is what the examples are written against; these tests
@@ -128,20 +127,6 @@ func TestFacadeExperimentsSmoke(t *testing.T) {
 		if !tbl.Pass {
 			t.Fatalf("experiment %s failed:\n%s", tbl.ID, tbl)
 		}
-	}
-}
-
-func TestFacadeWorkload(t *testing.T) {
-	st, engines := workload.Run(workload.Config{
-		Sites: 3, Protocol: termproto.TerminationTransient(),
-		Accounts: 3, InitialBalance: 1000, Txns: 12,
-		PartitionEvery: 4, Seed: 5,
-	})
-	if st.Inconsistent != 0 || st.Undecided != 0 || !st.Replicated {
-		t.Fatalf("workload through facade: %+v", st)
-	}
-	if len(engines) != 3 {
-		t.Fatalf("engines = %d", len(engines))
 	}
 }
 
