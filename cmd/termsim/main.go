@@ -173,11 +173,7 @@ func main() {
 		// The workload's fixture builder places and seeds the engines,
 		// wired to the same directory the cluster resolves through — so a
 		// join's incoming shards land on the new engine mid-migration.
-		engs := workload.EnginesFor(cfg.Directory, *n, numAccounts, 1000)
-		cfg.Participants = make(map[proto.SiteID]cluster.Participant, *n)
-		for id, e := range engs {
-			cfg.Participants[id] = e
-		}
+		cfg.Engines = workload.EnginesFor(cfg.Directory, *n, numAccounts, 1000)
 	}
 
 	var simBackend *cluster.SimBackend

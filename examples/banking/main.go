@@ -24,15 +24,15 @@ import (
 
 const branches = 5
 
-func newLedgers() map[termproto.SiteID]termproto.Participant {
-	parts := make(map[termproto.SiteID]termproto.Participant, branches)
+func newLedgers() map[termproto.SiteID]*termproto.Engine {
+	ledgers := make(map[termproto.SiteID]*termproto.Engine, branches)
 	for i := 1; i <= branches; i++ {
 		e := termproto.NewEngine(fmt.Sprintf("branch-%d", i), &termproto.MemStore{})
 		e.PutInt("acct/alice", 1000)
 		e.PutInt("acct/bob", 200)
-		parts[termproto.SiteID(i)] = e
+		ledgers[termproto.SiteID(i)] = e
 	}
-	return parts
+	return ledgers
 }
 
 func transfer(from, to string, amount int64) []byte {
@@ -46,9 +46,9 @@ func run(name string, p termproto.Protocol) {
 	fmt.Printf("== %s ==\n", name)
 	ledgers := newLedgers()
 	c, err := termproto.Open(termproto.ClusterConfig{
-		Sites:        branches,
-		Protocol:     p,
-		Participants: ledgers,
+		Sites:    branches,
+		Protocol: p,
+		Engines:  ledgers,
 	})
 	if err != nil {
 		panic(err)
@@ -98,7 +98,7 @@ func run(name string, p termproto.Protocol) {
 
 	fmt.Println("  final ledgers (alice/bob) and lock state:")
 	for i := 1; i <= branches; i++ {
-		e := ledgers[termproto.SiteID(i)].(*termproto.Engine)
+		e := ledgers[termproto.SiteID(i)]
 		locked := ""
 		if e.Locked("acct/alice") || e.Locked("acct/bob") {
 			locked = "   <-- rows still LOCKED by the blocked transfer"

@@ -308,10 +308,6 @@ func Run(sc Scenario) (*Result, error) {
 		dir = placement.NewDirectory(asg)
 	}
 	engines := workload.EnginesFor(dir, sc.Sites, sc.Accounts, sc.Balance)
-	parts := make(map[proto.SiteID]cluster.Participant, len(engines))
-	for id, e := range engines {
-		parts[id] = e
-	}
 	var policy cluster.MasterPolicy
 	if dir == nil && sc.Seed%2 == 1 {
 		policy = cluster.MasterRoundRobin()
@@ -325,7 +321,7 @@ func Run(sc Scenario) (*Result, error) {
 		Sites:        sc.Sites,
 		Protocol:     protocol,
 		Directory:    dir,
-		Participants: parts,
+		Engines:      engines,
 		Schedule:     sc.Schedule,
 		MasterPolicy: policy,
 		Backend:      backend,

@@ -55,7 +55,7 @@ func TestMinorityPartitionKeepsLocalShardCommitting(t *testing.T) {
 	)
 	asg := mustAssignment(t, shards, 2, 1, 2, 3, 4, 5)
 	d := placement.NewDirectory(asg)
-	parts, engs := directoryEngines(d, sites, accounts, 1_000)
+	engs := directoryEngines(d, sites, accounts, 1_000)
 
 	minority := map[proto.SiteID]bool{4: true, 5: true}
 	majority := map[proto.SiteID]bool{1: true, 2: true, 3: true}
@@ -71,12 +71,12 @@ func TestMinorityPartitionKeepsLocalShardCommitting(t *testing.T) {
 	}
 
 	c, err := Open(Config{
-		Sites:        sites,
-		Protocol:     core.Protocol{TransientFix: true},
-		Backend:      NewSimBackend(SimOptions{Seed: 7}),
-		Directory:    d,
-		Participants: parts,
-		Schedule:     Schedule{TransientPartitionAt(cut, heal, 4, 5)},
+		Sites:     sites,
+		Protocol:  core.Protocol{TransientFix: true},
+		Backend:   NewSimBackend(SimOptions{Seed: 7}),
+		Directory: d,
+		Engines:   engs,
+		Schedule:  Schedule{TransientPartitionAt(cut, heal, 4, 5)},
 	})
 	if err != nil {
 		t.Fatal(err)

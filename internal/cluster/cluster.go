@@ -38,6 +38,7 @@ import (
 	"sort"
 	"sync"
 
+	"termproto/internal/db/engine"
 	"termproto/internal/obs"
 	"termproto/internal/placement"
 	"termproto/internal/proto"
@@ -45,7 +46,7 @@ import (
 	"termproto/internal/site"
 )
 
-// Voter decides a site's vote when no database participant is attached.
+// Voter decides a site's vote when it has no database.
 type Voter = proto.Voter
 
 // AllYes votes yes at every site; NoAt votes no at exactly the given
@@ -54,11 +55,6 @@ var (
 	AllYes = proto.AllYes
 	NoAt   = proto.NoAt
 )
-
-// Participant is the database-side hook at one site: partial execution
-// produces the vote, the decision is applied locally.
-// internal/db/engine.Engine implements it.
-type Participant = proto.Participant
 
 // MasterPolicy assigns a coordinating site to a transaction whose Master
 // field is zero. It receives the transaction's participant set (ascending,
@@ -123,19 +119,20 @@ type Config struct {
 	// nil defaults to MasterPrimary when a Directory is set, MasterFixed(1)
 	// otherwise.
 	MasterPolicy MasterPolicy
-	// Votes decides votes for sites without a Participant; nil votes yes.
+	// Votes decides votes for sites without an engine; nil votes yes.
 	// Per-transaction voters take precedence.
 	Votes Voter
-	// Participants optionally attaches a database participant per site.
-	// A site whose participant is a storage engine (*engine.Engine)
-	// recovers at EvRecover: its engine is rebuilt from its write-ahead
-	// log, in-doubt transactions are resolved by the termination
-	// protocol's inquiry round against reachable peers, and commits missed
-	// while down are pulled from a current replica. An answer that lands
-	// after the inquiry round still resolves, and heal events re-ask about
-	// what a recovery left unresolved. A site without one rejoins with
-	// amnesia.
-	Participants map[proto.SiteID]Participant
+	// Engines optionally attaches a storage engine, the site's database,
+	// per site; a nil or missing entry means the site has none. Partial
+	// execution on the engine gives the site's vote, and the decision is
+	// applied to it. A site with an engine recovers at EvRecover: its
+	// engine is rebuilt from its write-ahead log, in-doubt transactions
+	// are resolved by the termination protocol's inquiry round against
+	// reachable peers, and commits missed while down are pulled from a
+	// current replica. An answer that lands after the inquiry round still
+	// resolves, and heal events re-ask about what a recovery left
+	// unresolved. A site without one rejoins with amnesia.
+	Engines map[proto.SiteID]*engine.Engine
 
 	// migrate is Open's hook for membership events (EvJoin/EvLeave/
 	// EvMove): the backends call it at the event's timeline position and
@@ -673,8 +670,8 @@ func (c *Cluster) reconcileMigrated() {
 // needs no copy.
 func (c *Cluster) copyShard(dst proto.SiteID, shard int, donors []proto.SiteID) (n int, ok bool) {
 	sb, inProcess := c.backend.(*SimBackend)
-	eng, hasData := recoveryEngine(c.cfg, dst)
-	if !inProcess || !hasData {
+	eng := c.cfg.Engines[dst]
+	if !inProcess || eng == nil {
 		return 0, true
 	}
 	// Any epoch's assignment hashes keys identically.
@@ -682,8 +679,8 @@ func (c *Cluster) copyShard(dst proto.SiteID, shard int, donors []proto.SiteID) 
 	include := func(key string) bool { return asg.ShardOf(key) == shard }
 	now := sb.sched.Now()
 	for _, donor := range donors {
-		src, up := recoveryEngine(c.cfg, donor)
-		if donor == dst || !up || sb.net.Crashed(donor, now) || sb.net.Cuts().Blocked(dst, donor, now) {
+		src := c.cfg.Engines[donor]
+		if donor == dst || src == nil || sb.net.Crashed(donor, now) || sb.net.Cuts().Blocked(dst, donor, now) {
 			continue
 		}
 		snap, unstable := src.StableSnapshot()
@@ -767,8 +764,8 @@ func (c *Cluster) Stats() Stats {
 
 // Termination checks the paper's headline property over the whole run:
 // every submitted transaction decided at every live participating site,
-// no two sites disagree on any transaction, and — at sites whose
-// participant is a storage engine — replicas converged to identical
+// no two sites disagree on any transaction, and — at sites with a
+// storage engine — replicas converged to identical
 // contents. Under full replication every pair of sites is compared whole;
 // under a Directory convergence is checked per shard-replica-group, each
 // shard's key range compared across exactly the sites that replicate it.
@@ -792,8 +789,8 @@ func (c *Cluster) Termination() error {
 	var ref map[string][]byte
 	for i := 1; i <= c.cfg.Sites; i++ {
 		id := proto.SiteID(i)
-		eng, ok := recoveryEngine(c.cfg, id)
-		if !ok {
+		eng := c.cfg.Engines[id]
+		if eng == nil {
 			continue
 		}
 		snap := eng.Snapshot()
@@ -819,7 +816,7 @@ func (c *Cluster) shardConvergence() error {
 	_, asg := c.cfg.Directory.Current()
 	snaps := make(map[proto.SiteID]map[string][]byte)
 	for _, id := range asg.Members() {
-		if eng, ok := recoveryEngine(c.cfg, id); ok {
+		if eng := c.cfg.Engines[id]; eng != nil {
 			snaps[id] = eng.Snapshot()
 		}
 	}

@@ -17,8 +17,8 @@ import (
 )
 
 // engines builds per-site replicas with `accounts` integer rows.
-func engines(sites, accounts int, balance int64) map[proto.SiteID]Participant {
-	out := make(map[proto.SiteID]Participant, sites)
+func engines(sites, accounts int, balance int64) map[proto.SiteID]*engine.Engine {
+	out := make(map[proto.SiteID]*engine.Engine, sites)
 	for i := 1; i <= sites; i++ {
 		e := engine.New(fmt.Sprintf("site-%d", i), &wal.MemStore{})
 		for a := 0; a < accounts; a++ {
@@ -41,11 +41,11 @@ func transfer(from, to int, amount int64) []byte {
 // identical at the end.
 func TestSimConcurrentTxnsUnderPartitionHeal(t *testing.T) {
 	const sites, txns = 5, 12
-	parts := engines(sites, txns+1, 10_000)
+	engs := engines(sites, txns+1, 10_000)
 	c, err := Open(Config{
-		Sites:        sites,
-		Protocol:     core.Protocol{TransientFix: true},
-		Participants: parts,
+		Sites:    sites,
+		Protocol: core.Protocol{TransientFix: true},
+		Engines:  engs,
 		Backend: NewSimBackend(SimOptions{
 			Latency: simnet.Uniform{Lo: sim.DefaultT / 3, Hi: sim.DefaultT},
 			Seed:    7,

@@ -17,9 +17,8 @@ import (
 // each engine hosts whatever the directory's current-or-pending
 // assignment places at it (so mid-migration copies land), seeded with the
 // accounts of its epoch-0 shards.
-func directoryEngines(d *placement.Directory, sites, accounts int, balance int64) (map[proto.SiteID]Participant, map[proto.SiteID]*engine.Engine) {
+func directoryEngines(d *placement.Directory, sites, accounts int, balance int64) map[proto.SiteID]*engine.Engine {
 	_, asg := d.Current()
-	parts := make(map[proto.SiteID]Participant, sites)
 	engs := make(map[proto.SiteID]*engine.Engine, sites)
 	for i := 1; i <= sites; i++ {
 		id := proto.SiteID(i)
@@ -30,10 +29,9 @@ func directoryEngines(d *placement.Directory, sites, accounts int, balance int64
 				e.PutInt(key, balance)
 			}
 		}
-		parts[id] = e
 		engs[id] = e
 	}
-	return parts, engs
+	return engs
 }
 
 func mustAssignment(t *testing.T, shards, rf int, members ...proto.SiteID) *placement.Assignment {
@@ -99,13 +97,13 @@ func joinScenario(t *testing.T, backend Backend) {
 	t.Helper()
 	const sites, accounts = 4, 16
 	d := placement.NewDirectory(mustAssignment(t, 8, 2, 1, 2, 3))
-	parts, engs := directoryEngines(d, sites, accounts, 1000)
+	engs := directoryEngines(d, sites, accounts, 1000)
 	c, err := Open(Config{
-		Sites:        sites,
-		Protocol:     core.Protocol{TransientFix: true},
-		Directory:    d,
-		Participants: parts,
-		Backend:      backend,
+		Sites:     sites,
+		Protocol:  core.Protocol{TransientFix: true},
+		Directory: d,
+		Engines:   engs,
+		Backend:   backend,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,13 +182,13 @@ func leaveScenario(t *testing.T, backend Backend) {
 	t.Helper()
 	const sites, accounts = 5, 15
 	d := placement.NewDirectory(mustAssignment(t, 6, 3, 1, 2, 3, 4, 5))
-	parts, engs := directoryEngines(d, sites, accounts, 1000)
+	engs := directoryEngines(d, sites, accounts, 1000)
 	c, err := Open(Config{
-		Sites:        sites,
-		Protocol:     core.Protocol{TransientFix: true},
-		Directory:    d,
-		Participants: parts,
-		Backend:      backend,
+		Sites:     sites,
+		Protocol:  core.Protocol{TransientFix: true},
+		Directory: d,
+		Engines:   engs,
+		Backend:   backend,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,12 +265,12 @@ func TestLiveLeaveDrainsWithoutLoss(t *testing.T) {
 func TestAdmissionEpochPinsParticipants(t *testing.T) {
 	const sites, accounts = 4, 16
 	d := placement.NewDirectory(mustAssignment(t, 8, 2, 1, 2, 3))
-	parts, _ := directoryEngines(d, sites, accounts, 1000)
+	engs := directoryEngines(d, sites, accounts, 1000)
 	c, err := Open(Config{
-		Sites:        sites,
-		Protocol:     core.Protocol{TransientFix: true},
-		Directory:    d,
-		Participants: parts,
+		Sites:     sites,
+		Protocol:  core.Protocol{TransientFix: true},
+		Directory: d,
+		Engines:   engs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -346,12 +344,12 @@ func TestMoveShardInDoubtUnderPartition(t *testing.T) {
 	const sites, accounts = 4, 12
 	for _, healAt := range []sim.Time{0, 9000} { // permanent and transient boundary
 		d := placement.NewDirectory(mustAssignment(t, 4, 2, 1, 2, 3, 4))
-		parts, engs := directoryEngines(d, sites, accounts, 500)
+		engs := directoryEngines(d, sites, accounts, 500)
 		c, err := Open(Config{
-			Sites:        sites,
-			Protocol:     core.Protocol{TransientFix: true},
-			Directory:    d,
-			Participants: parts,
+			Sites:     sites,
+			Protocol:  core.Protocol{TransientFix: true},
+			Directory: d,
+			Engines:   engs,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -422,12 +420,12 @@ func TestMoveShardInDoubtUnderPartition(t *testing.T) {
 func TestCrashedMasterMigrationSettlesAborted(t *testing.T) {
 	const sites, accounts = 4, 12
 	d := placement.NewDirectory(mustAssignment(t, 4, 2, 1, 2, 3, 4))
-	parts, _ := directoryEngines(d, sites, accounts, 500)
+	engs := directoryEngines(d, sites, accounts, 500)
 	c, err := Open(Config{
-		Sites:        sites,
-		Protocol:     core.Protocol{TransientFix: true},
-		Directory:    d,
-		Participants: parts,
+		Sites:     sites,
+		Protocol:  core.Protocol{TransientFix: true},
+		Directory: d,
+		Engines:   engs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -468,12 +466,12 @@ func TestCrashedMasterMigrationSettlesAborted(t *testing.T) {
 func TestScheduledJoinLeaveEvents(t *testing.T) {
 	const sites, accounts = 5, 20
 	d := placement.NewDirectory(mustAssignment(t, 10, 2, 1, 2, 3, 4))
-	parts, engs := directoryEngines(d, sites, accounts, 1000)
+	engs := directoryEngines(d, sites, accounts, 1000)
 	c, err := Open(Config{
-		Sites:        sites,
-		Protocol:     core.Protocol{TransientFix: true},
-		Directory:    d,
-		Participants: parts,
+		Sites:     sites,
+		Protocol:  core.Protocol{TransientFix: true},
+		Directory: d,
+		Engines:   engs,
 		Schedule: Schedule{
 			JoinAt(8000, 5),
 			LeaveAt(30_000, 1),
@@ -516,13 +514,13 @@ func TestRF1LocalFastPath(t *testing.T) {
 	run := func(backend Backend) {
 		const sites, accounts = 4, 8
 		d := placement.NewDirectory(mustArithmetic(t, accounts, 1, sites))
-		parts, engs := directoryEngines(d, sites, accounts, 100)
+		engs := directoryEngines(d, sites, accounts, 100)
 		c, err := Open(Config{
-			Sites:        sites,
-			Protocol:     core.Protocol{TransientFix: true},
-			Directory:    d,
-			Participants: parts,
-			Backend:      backend,
+			Sites:     sites,
+			Protocol:  core.Protocol{TransientFix: true},
+			Directory: d,
+			Engines:   engs,
+			Backend:   backend,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -41,8 +41,8 @@ type NetOptions struct {
 // the fidelity ladder — sim (deterministic), net (processes) — and the
 // same Cluster API drives both.
 //
-// Unsupported with this backend: Participants (the engines live in the
-// daemon processes; inspect them through the admin API) and membership
+// Unsupported with this backend: Engines (the engines live in the daemon
+// processes; inspect them through the admin API) and membership
 // events. A Directory is supported in its static form — the epoch-0
 // assignment ships to every daemon, which hosts and recovers only its
 // own shards — but epoch bumps (join/leave/move) are not; the directory
@@ -73,7 +73,7 @@ func NewNetBackend(opts NetOptions) *NetBackend {
 func (b *NetBackend) Workdir() string { return b.dir }
 
 // errNoMembership rejects membership events: Config.migrate copies shard
-// contents between in-process Participants, and daemons have no copy path
+// contents between in-process engines, and daemons have no copy path
 // over the admin API.
 func errNoMembership(evs ...Event) error {
 	for _, ev := range evs {
@@ -111,8 +111,10 @@ func (b *NetBackend) boot(cfg Config) error {
 		}
 		placementBytes = placement.EncodeAssignment(asg)
 	}
-	if len(cfg.Participants) > 0 {
-		return fmt.Errorf("net backend: participants live in the daemon processes; inspect them through the admin API")
+	for _, eng := range cfg.Engines {
+		if eng != nil {
+			return fmt.Errorf("net backend: engines live in the daemon processes; inspect them through the admin API")
+		}
 	}
 	if err := errNoMembership(cfg.Schedule...); err != nil {
 		return err
@@ -246,7 +248,7 @@ func (b *NetBackend) MetricsSnapshots() []obs.Snapshot {
 }
 
 // Snapshots reads every live node's committed state through the admin
-// API — the net-backend counterpart of inspecting Participants directly.
+// API — the net-backend counterpart of inspecting Config.Engines directly.
 func (b *NetBackend) Snapshots() map[proto.SiteID]map[string][]byte {
 	out := make(map[proto.SiteID]map[string][]byte)
 	b.eachAlive(func(id proto.SiteID, c *netnode.Client) {

@@ -13,8 +13,8 @@ import (
 
 // engines builds one database engine per site with an initial balance of
 // `initial` under key "acct" at every site (fully replicated row).
-func engines(n int, initial int64) map[proto.SiteID]cluster.Participant {
-	out := make(map[proto.SiteID]cluster.Participant, n)
+func engines(n int, initial int64) map[proto.SiteID]*engine.Engine {
+	out := make(map[proto.SiteID]*engine.Engine, n)
 	for i := 1; i <= n; i++ {
 		e := engine.New("site", &wal.MemStore{})
 		e.PutInt("acct", initial)
@@ -28,14 +28,13 @@ func transfer(amount int64) []byte {
 }
 
 func TestDBCommitAppliesEverywhere(t *testing.T) {
-	parts := engines(4, 100)
-	r, _ := cluster.RunOne(cluster.Config{Sites: 4, Protocol: core.Protocol{}, Participants: parts},
+	engs := engines(4, 100)
+	r, _ := cluster.RunOne(cluster.Config{Sites: 4, Protocol: core.Protocol{}, Engines: engs},
 		cluster.SimOptions{}, cluster.Txn{Payload: transfer(-25)})
 	if !r.Consistent() {
 		t.Fatal("inconsistent")
 	}
-	for id, p := range parts {
-		e := p.(*engine.Engine)
+	for id, e := range engs {
 		if got := e.GetInt("acct"); got != 75 {
 			t.Fatalf("site %d acct = %d, want 75", id, got)
 		}
@@ -50,16 +49,15 @@ func TestDBCommitAppliesEverywhere(t *testing.T) {
 // it commits everywhere. Each engine still logs the decision, which a
 // recovery inquiry is answered from.
 func TestDBEmptyPayloadVotesYes(t *testing.T) {
-	parts := engines(3, 100)
-	r, _ := cluster.RunOne(cluster.Config{Sites: 3, Protocol: core.Protocol{}, Participants: parts},
+	engs := engines(3, 100)
+	r, _ := cluster.RunOne(cluster.Config{Sites: 3, Protocol: core.Protocol{}, Engines: engs},
 		cluster.SimOptions{}, cluster.Txn{})
 	for id, s := range r.Sites {
 		if s.Outcome != proto.Commit {
 			t.Fatalf("site %d outcome = %v, want commit", id, s.Outcome)
 		}
 	}
-	for id, p := range parts {
-		e := p.(*engine.Engine)
+	for id, e := range engs {
 		if yes, no, commits, aborts := e.Stats(); yes+no+commits+aborts != 0 {
 			t.Fatalf("site %d engine touched: votes %d/%d, decisions %d/%d", id, yes, no, commits, aborts)
 		}
@@ -73,10 +71,10 @@ func TestDBEmptyPayloadVotesYes(t *testing.T) {
 }
 
 func TestDBGuardVoteNoAbortsEverywhere(t *testing.T) {
-	parts := engines(3, 10)
+	engs := engines(3, 10)
 	// Make site 3 unable to cover the debit: its vote no must abort all.
-	parts[3].(*engine.Engine).PutInt("acct", 1)
-	r, _ := cluster.RunOne(cluster.Config{Sites: 3, Protocol: core.Protocol{}, Participants: parts},
+	engs[3].PutInt("acct", 1)
+	r, _ := cluster.RunOne(cluster.Config{Sites: 3, Protocol: core.Protocol{}, Engines: engs},
 		cluster.SimOptions{}, cluster.Txn{Payload: transfer(-5)})
 	if !r.Consistent() {
 		t.Fatal("inconsistent")
@@ -84,7 +82,7 @@ func TestDBGuardVoteNoAbortsEverywhere(t *testing.T) {
 	if r.Sites[1].Outcome != proto.Abort {
 		t.Fatalf("outcome = %v, want abort", r.Sites[1].Outcome)
 	}
-	if got := parts[1].(*engine.Engine).GetInt("acct"); got != 10 {
+	if got := engs[1].GetInt("acct"); got != 10 {
 		t.Fatalf("site 1 acct = %d, want untouched 10", got)
 	}
 }
@@ -98,33 +96,32 @@ func TestDBLockBlockingMotivation(t *testing.T) {
 	part := partitionAt(onset, 3)
 
 	// --- 2PC: site 3 wedges in w holding the row lock ---
-	parts2pc := engines(3, 100)
+	engs2pc := engines(3, 100)
 	r1, _ := cluster.RunOne(cluster.Config{
-		Sites: 3, Protocol: twopc.Protocol{}, Participants: parts2pc, Schedule: part,
+		Sites: 3, Protocol: twopc.Protocol{}, Engines: engs2pc, Schedule: part,
 	}, cluster.SimOptions{}, cluster.Txn{ID: 1, Payload: transfer(-10)})
 	if len(r1.Blocked()) != 1 || r1.Blocked()[0] != 3 {
 		t.Fatalf("2pc blocked = %v, want [3]", r1.Blocked())
 	}
-	site3 := parts2pc[3].(*engine.Engine)
+	site3 := engs2pc[3]
 	if !site3.Locked("acct") {
 		t.Fatal("blocked 2PC slave must hold the row lock (paper §2)")
 	}
 	// A later transaction at site 3 that needs what the blocked debit
 	// holds — its reservation of 10 out of 100 — votes no.
-	if site3.Execute(2, transfer(-95)) {
+	if site3.ExecuteAt(2, transfer(-95), nil) {
 		t.Fatal("second txn acquired a lock held by the blocked txn")
 	}
 
 	// --- termination protocol: everything terminates, locks freed ---
-	partsTerm := engines(3, 100)
+	engsTerm := engines(3, 100)
 	r2, _ := cluster.RunOne(cluster.Config{
-		Sites: 3, Protocol: core.Protocol{}, Participants: partsTerm, Schedule: part,
+		Sites: 3, Protocol: core.Protocol{}, Engines: engsTerm, Schedule: part,
 	}, cluster.SimOptions{}, cluster.Txn{ID: 1, Payload: transfer(-10)})
 	if !r2.Consistent() || len(r2.Blocked()) != 0 {
 		t.Fatalf("termination: consistent=%v blocked=%v", r2.Consistent(), r2.Blocked())
 	}
-	for id, p := range partsTerm {
-		e := p.(*engine.Engine)
+	for id, e := range engsTerm {
 		if e.Locked("acct") {
 			t.Fatalf("site %d holds locks after termination", id)
 		}
@@ -140,7 +137,7 @@ func TestDBLockBlockingMotivation(t *testing.T) {
 		}
 	}
 	// And a follow-up transaction now succeeds everywhere.
-	r3, _ := cluster.RunOne(cluster.Config{Sites: 3, Protocol: core.Protocol{}, Participants: partsTerm},
+	r3, _ := cluster.RunOne(cluster.Config{Sites: 3, Protocol: core.Protocol{}, Engines: engsTerm},
 		cluster.SimOptions{}, cluster.Txn{ID: 2, Payload: transfer(-7)})
 	if r3.Sites[1].Outcome != proto.Commit {
 		t.Fatalf("follow-up txn = %v, want commit", r3.Sites[1].Outcome)
@@ -150,7 +147,7 @@ func TestDBLockBlockingMotivation(t *testing.T) {
 // Sequential transfers across partitions conserve the replicated balance
 // at every site that applied the same decision sequence.
 func TestDBSequentialTransfersStayReplicated(t *testing.T) {
-	parts := engines(5, 1000)
+	engs := engines(5, 1000)
 	tid := proto.TxnID(1)
 	for _, step := range []struct {
 		amount int64
@@ -162,7 +159,7 @@ func TestDBSequentialTransfersStayReplicated(t *testing.T) {
 		{+25, nil},
 		{-1, []proto.SiteID{2, 3, 4}},
 	} {
-		cfg := cluster.Config{Sites: 5, Protocol: core.Protocol{}, Participants: parts}
+		cfg := cluster.Config{Sites: 5, Protocol: core.Protocol{}, Engines: engs}
 		if step.g2 != nil {
 			cfg.Schedule = partitionAt(2*Tt+500, step.g2...)
 		}
@@ -174,9 +171,9 @@ func TestDBSequentialTransfersStayReplicated(t *testing.T) {
 	}
 	// Every site must hold the same final balance (all saw identical
 	// decisions, by atomicity).
-	want := parts[1].(*engine.Engine).GetInt("acct")
-	for id, p := range parts {
-		if got := p.(*engine.Engine).GetInt("acct"); got != want {
+	want := engs[1].GetInt("acct")
+	for id, e := range engs {
+		if got := e.GetInt("acct"); got != want {
 			t.Fatalf("site %d acct = %d, others %d — replication diverged", id, got, want)
 		}
 	}
@@ -188,18 +185,18 @@ func TestDBSequentialTransfersStayReplicated(t *testing.T) {
 // once learned — applies idempotently.
 func TestDBCrashRecoveryOfInDoubtTxn(t *testing.T) {
 	stores := map[proto.SiteID]*wal.MemStore{}
-	parts := map[proto.SiteID]cluster.Participant{}
+	engs := map[proto.SiteID]*engine.Engine{}
 	for i := proto.SiteID(1); i <= 3; i++ {
 		st := &wal.MemStore{}
 		stores[i] = st
 		e := engine.New("site", st)
 		e.PutInt("acct", 100)
-		parts[i] = e
+		engs[i] = e
 	}
 
 	// 2PC with commit_3 bounced: site 3 is left in doubt.
 	r, _ := cluster.RunOne(cluster.Config{
-		Sites: 3, Protocol: twopc.Protocol{}, Participants: parts, Schedule: partitionAt(2*Tt+1, 3),
+		Sites: 3, Protocol: twopc.Protocol{}, Engines: engs, Schedule: partitionAt(2*Tt+1, 3),
 	}, cluster.SimOptions{}, cluster.Txn{ID: 9, Payload: transfer(-40)})
 	if r.Sites[1].Outcome != proto.Commit {
 		t.Fatalf("master = %v, want commit", r.Sites[1].Outcome)
@@ -224,7 +221,7 @@ func TestDBCrashRecoveryOfInDoubtTxn(t *testing.T) {
 	// A local transaction that needs the in-doubt debit's reservation (40
 	// out of 100) is still refused — blocking survives restarts, exactly
 	// the paper's point.
-	if rec.Execute(10, transfer(-61)) {
+	if rec.ExecuteAt(10, transfer(-61), nil) {
 		t.Fatal("conflicting txn prepared against a recovered in-doubt lock")
 	}
 

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"termproto/internal/db/engine"
 	"termproto/internal/proto"
 	"termproto/internal/recovery"
 	"termproto/internal/sim"
@@ -32,11 +31,4 @@ func (r RecoveryReport) String() string {
 		return fmt.Sprintf("site %d recovery at t=%d failed: %v", r.Site, r.At, r.Err)
 	}
 	return fmt.Sprintf("site %d recovered at t=%d done t=%d: %s", r.Site, r.At, r.Done, r.Stats)
-}
-
-// recoveryEngine returns the site's database when durable recovery can
-// rebuild it — a Participant that is the storage engine.
-func recoveryEngine(cfg Config, site proto.SiteID) (*engine.Engine, bool) {
-	e, ok := cfg.Participants[site].(*engine.Engine)
-	return e, ok && e != nil
 }

@@ -16,20 +16,17 @@ import (
 )
 
 // dbEngines builds per-site engines over their own WAL stores with
-// `accounts` integer rows, returning both the participant map and the
-// typed engines for assertions.
-func dbEngines(sites, accounts int, balance int64) (map[proto.SiteID]Participant, map[proto.SiteID]*engine.Engine) {
-	parts := make(map[proto.SiteID]Participant, sites)
+// `accounts` integer rows.
+func dbEngines(sites, accounts int, balance int64) map[proto.SiteID]*engine.Engine {
 	engs := make(map[proto.SiteID]*engine.Engine, sites)
 	for i := 1; i <= sites; i++ {
 		e := engine.New(fmt.Sprintf("site-%d", i), &wal.MemStore{})
 		for a := 0; a < accounts; a++ {
 			e.PutInt(fmt.Sprintf("acct/%d", a), balance)
 		}
-		parts[proto.SiteID(i)] = e
 		engs[proto.SiteID(i)] = e
 	}
-	return parts, engs
+	return engs
 }
 
 // recoveryScenario is the acceptance scenario of the durable-recovery
@@ -51,17 +48,17 @@ func dbEngines(sites, accounts int, balance int64) (map[proto.SiteID]Participant
 func recoveryScenario(t *testing.T, masterCut bool) {
 	t.Helper()
 	const sites, accounts = 5, 6
-	parts, engs := dbEngines(sites, accounts, 1000)
+	engs := dbEngines(sites, accounts, 1000)
 	sched := Schedule{CrashAt(2500, 5)}
 	if masterCut {
 		sched = append(sched, PartitionAt(11_500, 1), HealAt(20_000))
 	}
 	sched = append(sched, RecoverAt(12_500, 5))
 	c, err := Open(Config{
-		Sites:        sites,
-		Protocol:     core.Protocol{TransientFix: true},
-		Participants: parts,
-		Schedule:     sched,
+		Sites:    sites,
+		Protocol: core.Protocol{TransientFix: true},
+		Engines:  engs,
+		Schedule: sched,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,13 +162,13 @@ func resolvedAt(rec *trace.Recorder, id proto.SiteID, tid proto.TxnID) (sim.Time
 func TestSimHealRetryResolvesUnresolved(t *testing.T) {
 	const sites, accounts = 5, 6
 	const heal = 20_000
-	parts, engs := dbEngines(sites, accounts, 1000)
+	engs := dbEngines(sites, accounts, 1000)
 	b := NewSimBackend(SimOptions{RecordTrace: true})
 	c, err := Open(Config{
-		Sites:        sites,
-		Protocol:     core.Protocol{TransientFix: true},
-		Participants: parts,
-		Backend:      b,
+		Sites:    sites,
+		Protocol: core.Protocol{TransientFix: true},
+		Engines:  engs,
+		Backend:  b,
 		Schedule: Schedule{
 			CrashAt(2500, 5),
 			PartitionAt(11_000, 5), // isolates the restarting site from everyone
@@ -226,10 +223,10 @@ func TestSimRestartedMasterResolvesLate(t *testing.T) {
 	for _, quarters := range []int64{4, 12, 34} { // T, 3T, 8.5T
 		r := sim.Time(quarters * int64(sim.DefaultT) / 4)
 		t.Run(fmt.Sprintf("recover@%dT/4", quarters), func(t *testing.T) {
-			parts, engs := dbEngines(3, 2, 1000)
+			engs := dbEngines(3, 2, 1000)
 			b := NewSimBackend(SimOptions{RecordTrace: true})
 			c, err := Open(Config{
-				Sites: 3, Protocol: core.Protocol{TransientFix: true}, Participants: parts, Backend: b,
+				Sites: 3, Protocol: core.Protocol{TransientFix: true}, Engines: engs, Backend: b,
 				Schedule: Schedule{CrashAt(sim.Time(8*sim.DefaultT/10), 1), RecoverAt(r, 1)},
 			})
 			if err != nil {
@@ -270,9 +267,9 @@ func TestSimRestartedMasterResolvesLate(t *testing.T) {
 // blocked site, and the results say so: Wait's view of a restarted site is
 // what its running incarnation answers, not what its dead one held.
 func TestSimRestartedMasterLeftInDoubtIsBlocked(t *testing.T) {
-	parts, engs := dbEngines(3, 2, 1000)
+	engs := dbEngines(3, 2, 1000)
 	c, err := Open(Config{
-		Sites: 3, Protocol: core.Protocol{TransientFix: true}, Participants: parts,
+		Sites: 3, Protocol: core.Protocol{TransientFix: true}, Engines: engs,
 		Schedule: Schedule{
 			CrashAt(sim.Time(8*sim.DefaultT/10), 1),
 			PartitionAt(sim.Time(2*sim.DefaultT), 1),
@@ -313,10 +310,10 @@ func TestSimRestartedMasterLeftInDoubtIsBlocked(t *testing.T) {
 // in-doubt transaction lands, and resolves it, a round trip (2T) after the
 // heal, not at it; and the report's Done is after its At.
 func TestSimRecoveryInquiryBouncesBehindCut(t *testing.T) {
-	parts, engs := dbEngines(5, 6, 1000)
+	engs := dbEngines(5, 6, 1000)
 	b := NewSimBackend(SimOptions{RecordTrace: true})
 	c, err := Open(Config{
-		Sites: 5, Protocol: core.Protocol{TransientFix: true}, Participants: parts, Backend: b,
+		Sites: 5, Protocol: core.Protocol{TransientFix: true}, Engines: engs, Backend: b,
 		Schedule: Schedule{CrashAt(2500, 5), PartitionAt(11_000, 5), RecoverAt(12_500, 5), HealAt(20_000)},
 	})
 	if err != nil {
@@ -367,12 +364,12 @@ func TestSimRecoveryInquiryBouncesBehindCut(t *testing.T) {
 func TestSimRecoveryShardedCatchUp(t *testing.T) {
 	const sites, accounts = 6, 18
 	d := placement.NewDirectory(mustArithmetic(t, sites, 3, sites))
-	parts, engs := directoryEngines(d, sites, accounts, 1000)
+	engs := directoryEngines(d, sites, accounts, 1000)
 	c, err := Open(Config{
-		Sites:        sites,
-		Protocol:     core.Protocol{TransientFix: true},
-		Directory:    d,
-		Participants: parts,
+		Sites:     sites,
+		Protocol:  core.Protocol{TransientFix: true},
+		Directory: d,
+		Engines:   engs,
 		Schedule: Schedule{
 			CrashAt(2500, 6),
 			RecoverAt(40_000, 6),

@@ -246,13 +246,13 @@ func TestShardedCrossShardTransfers(t *testing.T) {
 	const sites, accounts = 8, 16
 	asg := mustArithmetic(t, 8, 3, sites)
 	d := placement.NewDirectory(asg)
-	parts, engs := directoryEngines(d, sites, accounts, 1_000)
+	engs := directoryEngines(d, sites, accounts, 1_000)
 	c, err := Open(Config{
-		Sites:        sites,
-		Protocol:     core.Protocol{TransientFix: true},
-		Directory:    d,
-		Participants: parts,
-		Schedule:     Schedule{TransientPartitionAt(3000, 9000, 7, 8)},
+		Sites:     sites,
+		Protocol:  core.Protocol{TransientFix: true},
+		Directory: d,
+		Engines:   engs,
+		Schedule:  Schedule{TransientPartitionAt(3000, 9000, 7, 8)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -53,7 +53,7 @@ type SimBackend struct {
 	nodes map[proto.SiteID]*site.Node
 	// regs holds each site's metrics registry, shared by its incarnations.
 	regs map[proto.SiteID]*obs.Registry
-	// engines reports whether any site's participant is a storage engine:
+	// engines reports whether any site has a storage engine:
 	// only then can a heal edge find anything in doubt.
 	engines bool
 	// spawned counts the automata of incarnations already retired.
@@ -229,7 +229,7 @@ func (r running) Undeliverable(m proto.Msg) { r.b.nodes[r.id].Undeliverable(m) }
 // newNode builds one incarnation of a site on the scheduler's clock.
 func (b *SimBackend) newNode(id proto.SiteID) *site.Node {
 	s := b.site
-	s.ID, s.Participant = id, b.cfg.Participants[id]
+	s.ID, s.Engine = id, b.cfg.Engines[id]
 	return site.NewNode(s, b.cfg.Protocol, allSites(b.cfg.Sites), b.cfg.Directory, b.regs[id])
 }
 
@@ -243,7 +243,7 @@ func (b *SimBackend) scheduleCrash(id proto.SiteID, at sim.Time) {
 
 // crash fails the site, as a loop close does: its incarnation is retired —
 // the network already drops what is addressed to a down site, and closing
-// the node silences its timers — and a fresh one over the same participant
+// the node silences its timers — and a fresh one over the same engine
 // waits for the recovery.
 // Every pending transaction the site has a slot in is crashed there, in
 // the state the site's automaton died in (or never learned of it) unless
@@ -322,7 +322,7 @@ func invite(cfg Config, t Txn, down func(proto.SiteID) bool) (spec site.Spec, ab
 			continue
 		}
 		spec.Sites = append(spec.Sites, id)
-		if votes != nil && cfg.Participants[id] == nil && !votes(id, t.ID, t.Payload) {
+		if votes != nil && cfg.Engines[id] == nil && !votes(id, t.ID, t.Payload) {
 			spec.NoVotes = append(spec.NoVotes, id)
 		}
 	}

@@ -94,7 +94,7 @@ func TestCheckpointBoundsLogAcrossRestarts(t *testing.T) {
 	for cycle := 0; cycle < 5; cycle++ {
 		for i := 0; i < 10; i++ {
 			tid := proto.TxnID(cycle*10 + i + 1)
-			if !e.Execute(tid, EncodeOps([]Op{{Kind: OpAdd, Key: "k", Delta: 1}})) {
+			if !e.ExecuteAt(tid, EncodeOps([]Op{{Kind: OpAdd, Key: "k", Delta: 1}}), nil) {
 				t.Fatalf("cycle %d txn %d voted no", cycle, tid)
 			}
 			e.Commit(tid)

@@ -1,6 +1,6 @@
 // Package engine assembles a site-local database — rows in a map, a
-// write-ahead log, and a lock table — and adapts it to the commit protocols
-// as a proto.Participant: partial execution produces the site's vote, the
+// write-ahead log, and a lock table — the database of one site under the
+// commit protocols: partial execution produces the site's vote, the
 // decision applies or discards the buffered updates, and recovery replays
 // the log idempotently (paper §2).
 //
@@ -320,19 +320,14 @@ func (e *Engine) SetWound(wound func(holder, tid uint64) bool) {
 	e.wound = wound
 }
 
-// Execute implements proto.Participant: decode the body, take its
-// locks, resolve updates against the current state, force Begin/Update/
-// Prepared records, and return the vote. Any failure — undecodable body,
-// lock conflict, guard violation, or a log that did not become durable —
-// votes no (unilateral abort) and releases everything.
-func (e *Engine) Execute(tid proto.TxnID, payload []byte) bool {
-	return e.ExecuteAt(tid, payload, nil)
-}
-
-// ExecuteAt is like Execute, but the transaction's participant roster is
-// forced to stable storage with the begin record, so a site restarting with
-// this transaction in doubt knows whom to ask for the decision from its own
-// log. It is StageAt then Force: a yes never precedes its force.
+// ExecuteAt is partial execution: decode the body, take its locks, resolve
+// updates against the current state, force Begin/Update/Prepared records —
+// the begin record carrying the participant roster sites, so a site
+// restarting with this transaction in doubt knows whom to ask for the
+// decision from its own log — and return the vote. Any failure — undecodable body, lock
+// conflict, guard violation, or a log that did not become durable — votes
+// no (unilateral abort) and releases everything. It is StageAt then Force:
+// a yes never precedes its force.
 func (e *Engine) ExecuteAt(tid proto.TxnID, payload []byte, sites []proto.SiteID) bool {
 	return e.StageAt(tid, payload, sites) && e.Force(tid)
 }
@@ -568,7 +563,7 @@ func (e *Engine) Force(tid proto.TxnID) bool {
 	return true
 }
 
-// Commit implements proto.Participant: force the commit record, apply
+// Commit is the site applying a commit decision: force the commit record, apply
 // the buffered updates (an add's delta to the row as it now stands),
 // release locks. A decision for a transaction that never prepared here is
 // still logged (durably answerable by recovery inquiries); duplicate
@@ -604,7 +599,7 @@ func (e *Engine) Commit(tid proto.TxnID) {
 	}
 }
 
-// Abort implements proto.Participant: force the abort record, discard
+// Abort is the site applying an abort decision: force the abort record, discard
 // buffered updates (a staged fragment with them, never logged), release
 // locks.
 func (e *Engine) Abort(tid proto.TxnID) {

@@ -95,7 +95,7 @@ func TestExecuteCommitApplies(t *testing.T) {
 		{Kind: OpAdd, Key: "alice", Delta: -30},
 		{Kind: OpAdd, Key: "bob", Delta: 30},
 	})
-	if !e.Execute(1, payload) {
+	if !e.ExecuteAt(1, payload, nil) {
 		t.Fatal("vote no on a valid transfer")
 	}
 	// Not applied until commit.
@@ -117,7 +117,7 @@ func TestExecuteCommitApplies(t *testing.T) {
 func TestExecuteAbortDiscards(t *testing.T) {
 	e := New("s1", &wal.MemStore{})
 	e.PutInt("alice", 100)
-	if !e.Execute(2, EncodeOps([]Op{{Kind: OpAdd, Key: "alice", Delta: -10}})) {
+	if !e.ExecuteAt(2, EncodeOps([]Op{{Kind: OpAdd, Key: "alice", Delta: -10}}), nil) {
 		t.Fatal("vote no")
 	}
 	e.Abort(2)
@@ -132,7 +132,7 @@ func TestExecuteAbortDiscards(t *testing.T) {
 func TestInsufficientFundsVotesNo(t *testing.T) {
 	e := New("s1", &wal.MemStore{})
 	e.PutInt("alice", 20)
-	if e.Execute(3, EncodeOps([]Op{{Kind: OpAdd, Key: "alice", Delta: -50}})) {
+	if e.ExecuteAt(3, EncodeOps([]Op{{Kind: OpAdd, Key: "alice", Delta: -50}}), nil) {
 		t.Fatal("overdraft accepted")
 	}
 	if e.Locked("alice") {
@@ -147,12 +147,12 @@ func TestInsufficientFundsVotesNo(t *testing.T) {
 func TestLockConflictVotesNo(t *testing.T) {
 	e := New("s1", &wal.MemStore{})
 	e.PutInt("x", 5)
-	if !e.Execute(10, EncodeOps([]Op{{Kind: OpAdd, Key: "x", Delta: 1}})) {
+	if !e.ExecuteAt(10, EncodeOps([]Op{{Kind: OpAdd, Key: "x", Delta: 1}}), nil) {
 		t.Fatal("txn 10 should prepare")
 	}
 	// Txn 10 is in doubt (blocked): txn 11 writing x must vote no —
 	// the paper's "data inaccessible" condition.
-	if e.Execute(11, EncodeOps([]Op{{Kind: OpPut, Key: "x", Value: EncodeInt(9)}})) {
+	if e.ExecuteAt(11, EncodeOps([]Op{{Kind: OpPut, Key: "x", Value: EncodeInt(9)}}), nil) {
 		t.Fatal("conflicting txn prepared despite held lock")
 	}
 	if got := e.InDoubt(); len(got) != 1 || got[0] != 10 {
@@ -160,7 +160,7 @@ func TestLockConflictVotesNo(t *testing.T) {
 	}
 	// Once 10 terminates, 12 can proceed.
 	e.Commit(10)
-	if !e.Execute(12, EncodeOps([]Op{{Kind: OpAdd, Key: "x", Delta: 1}})) {
+	if !e.ExecuteAt(12, EncodeOps([]Op{{Kind: OpAdd, Key: "x", Delta: 1}}), nil) {
 		t.Fatal("txn 12 blocked after release")
 	}
 	e.Commit(12)
@@ -175,7 +175,7 @@ func TestMultiOpSeesOwnWrites(t *testing.T) {
 		{Kind: OpAdd, Key: "k", Delta: 10},
 		{Kind: OpAdd, Key: "k", Delta: -4},
 	})
-	if !e.Execute(1, payload) {
+	if !e.ExecuteAt(1, payload, nil) {
 		t.Fatal("vote no")
 	}
 	e.Commit(1)
@@ -187,10 +187,10 @@ func TestMultiOpSeesOwnWrites(t *testing.T) {
 func TestPutDeleteOps(t *testing.T) {
 	e := New("s1", &wal.MemStore{})
 	e.Put("gone", []byte("x"))
-	if !e.Execute(1, EncodeOps([]Op{
+	if !e.ExecuteAt(1, EncodeOps([]Op{
 		{Kind: OpPut, Key: "name", Value: []byte("huang-li")},
 		{Kind: OpDelete, Key: "gone"},
-	})) {
+	}), nil) {
 		t.Fatal("vote no")
 	}
 	e.Commit(1)
@@ -207,10 +207,10 @@ func TestPutDeleteOps(t *testing.T) {
 
 func TestBadPayloadVotesNo(t *testing.T) {
 	e := New("s1", &wal.MemStore{})
-	if e.Execute(1, []byte{1, 2, 3}) {
+	if e.ExecuteAt(1, []byte{1, 2, 3}, nil) {
 		t.Fatal("garbage payload accepted")
 	}
-	if e.Execute(2, EncodeOps(nil)) {
+	if e.ExecuteAt(2, EncodeOps(nil), nil) {
 		t.Fatal("empty op list accepted")
 	}
 	// A body in the retired multi-transaction envelope ("TPB\x01", member
@@ -222,7 +222,7 @@ func TestBadPayloadVotesNo(t *testing.T) {
 	envelope = binary.BigEndian.AppendUint64(envelope, 9) // its tid
 	envelope = binary.BigEndian.AppendUint32(envelope, uint32(len(member)))
 	envelope = append(envelope, member...)
-	if e.Execute(3, envelope) {
+	if e.ExecuteAt(3, envelope, nil) {
 		t.Fatal("retired batch envelope accepted")
 	}
 	if e.Locked("k") {
@@ -246,7 +246,7 @@ func (*syncFailStore) Sync() error { return errors.New("sync: disk gone") }
 
 func TestCommitAbortIdempotentAndUnknown(t *testing.T) {
 	e := New("s1", &wal.MemStore{})
-	e.Execute(1, EncodeOps([]Op{{Kind: OpAdd, Key: "k", Delta: 5}}))
+	e.ExecuteAt(1, EncodeOps([]Op{{Kind: OpAdd, Key: "k", Delta: 5}}), nil)
 	e.Commit(1)
 	e.Commit(1) // second commit: no-op
 	e.Abort(1)  // late abort after commit: no-op (decision already applied)
@@ -260,11 +260,11 @@ func TestCommitAbortIdempotentAndUnknown(t *testing.T) {
 func TestRecoverReplaysCommitted(t *testing.T) {
 	store := &wal.MemStore{}
 	e := New("s1", store)
-	e.Execute(1, EncodeOps([]Op{{Kind: OpAdd, Key: "a", Delta: 10}}))
+	e.ExecuteAt(1, EncodeOps([]Op{{Kind: OpAdd, Key: "a", Delta: 10}}), nil)
 	e.Commit(1)
-	e.Execute(2, EncodeOps([]Op{{Kind: OpAdd, Key: "a", Delta: 5}}))
+	e.ExecuteAt(2, EncodeOps([]Op{{Kind: OpAdd, Key: "a", Delta: 5}}), nil)
 	e.Abort(2)
-	e.Execute(3, EncodeOps([]Op{{Kind: OpAdd, Key: "b", Delta: 7}})) // in doubt
+	e.ExecuteAt(3, EncodeOps([]Op{{Kind: OpAdd, Key: "b", Delta: 7}}), nil) // in doubt
 
 	r, inDoubt, err := Recover("s1", store)
 	if err != nil {
@@ -296,10 +296,10 @@ func TestRecoverIdempotent(t *testing.T) {
 	store := &wal.MemStore{}
 	e := New("s1", store)
 	for tid := uint64(1); tid <= 20; tid++ {
-		e.Execute(proto.TxnID(tid), EncodeOps([]Op{
+		e.ExecuteAt(proto.TxnID(tid), EncodeOps([]Op{
 			{Kind: OpAdd, Key: "acct", Delta: int64(tid)},
 			{Kind: OpPut, Key: "last", Value: EncodeInt(int64(tid))},
-		}))
+		}), nil)
 		if tid%3 == 0 {
 			e.Abort(proto.TxnID(tid))
 		} else {

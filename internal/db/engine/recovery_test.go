@@ -18,7 +18,7 @@ func TestOutcomeTracksDecisions(t *testing.T) {
 	if _, ok := e.Outcome(1); ok {
 		t.Fatal("outcome known before any decision")
 	}
-	if !e.Execute(1, EncodeOps([]Op{{Kind: OpAdd, Key: "a", Delta: -1}})) {
+	if !e.ExecuteAt(1, EncodeOps([]Op{{Kind: OpAdd, Key: "a", Delta: -1}}), nil) {
 		t.Fatal("vote no")
 	}
 	if _, ok := e.Outcome(1); ok {
@@ -29,7 +29,7 @@ func TestOutcomeTracksDecisions(t *testing.T) {
 		t.Fatalf("Outcome(1) = %v/%v", o, ok)
 	}
 	// A vote-no is a durable local abort decision.
-	if e.Execute(2, EncodeOps([]Op{{Kind: OpAdd, Key: "b", Delta: -1000}})) {
+	if e.ExecuteAt(2, EncodeOps([]Op{{Kind: OpAdd, Key: "b", Delta: -1000}}), nil) {
 		t.Fatal("guard should vote no")
 	}
 	if o, ok := e.Outcome(2); !ok || o != proto.Abort {
@@ -53,7 +53,7 @@ func TestRecoverInPlaceDropsUnloggedState(t *testing.T) {
 	store := &wal.MemStore{}
 	e := New("s", store)
 	e.PutInt("durable", 7) // logged as RecApply
-	if !e.Execute(1, EncodeOps([]Op{{Kind: OpPut, Key: "row", Value: []byte("v1")}})) {
+	if !e.ExecuteAt(1, EncodeOps([]Op{{Kind: OpPut, Key: "row", Value: []byte("v1")}}), nil) {
 		t.Fatal("vote no")
 	}
 	e.Commit(1)
@@ -117,7 +117,7 @@ func TestCatchUpSkipsLockedAndForeignKeys(t *testing.T) {
 	e.SetPlacement(func(key string) bool { return key != "foreign" })
 	e.PutInt("locked", 1)
 	e.PutInt("stale", 2)
-	if !e.Execute(1, EncodeOps([]Op{{Kind: OpAdd, Key: "locked", Delta: 1}})) {
+	if !e.ExecuteAt(1, EncodeOps([]Op{{Kind: OpAdd, Key: "locked", Delta: 1}}), nil) {
 		t.Fatal("vote no")
 	}
 	// txn 1 is prepared: "locked" is held.
@@ -217,7 +217,7 @@ func TestStableSnapshotFlagsPendingKeys(t *testing.T) {
 	e := New("s", &wal.MemStore{})
 	e.PutInt("free", 1)
 	e.PutInt("held", 2)
-	if !e.Execute(1, EncodeOps([]Op{{Kind: OpAdd, Key: "held", Delta: 1}})) {
+	if !e.ExecuteAt(1, EncodeOps([]Op{{Kind: OpAdd, Key: "held", Delta: 1}}), nil) {
 		t.Fatal("vote no")
 	}
 	snap, unstable := e.StableSnapshot()
@@ -293,10 +293,10 @@ func TestLockFailureMetricSurvivesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	debit := EncodeOps([]Op{{Kind: OpAdd, Key: "a", Delta: -1}})
-	if !e.Execute(1, debit) {
+	if !e.ExecuteAt(1, debit, nil) {
 		t.Fatal("txn 1 voted no")
 	}
-	if e.Execute(2, EncodeOps([]Op{{Kind: OpPut, Key: "a", Value: EncodeInt(7)}})) {
+	if e.ExecuteAt(2, EncodeOps([]Op{{Kind: OpPut, Key: "a", Value: EncodeInt(7)}}), nil) {
 		t.Fatal("txn 2 took a lock txn 1 holds")
 	}
 	if got := reg.Snapshot().Total(obs.MLockFailures); got != 1 {

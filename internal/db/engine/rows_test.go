@@ -37,7 +37,7 @@ func TestCheckpointLogKeyOrder(t *testing.T) {
 		}
 		// A row written and then deleted leaves nothing behind.
 		e.Put("gone", []byte("x"))
-		if !e.Execute(1, EncodeOps([]Op{{Kind: OpDelete, Key: "gone"}})) {
+		if !e.ExecuteAt(1, EncodeOps([]Op{{Kind: OpDelete, Key: "gone"}}), nil) {
 			t.Fatal("delete voted no")
 		}
 		e.Commit(1)

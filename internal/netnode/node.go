@@ -173,7 +173,7 @@ func (n *Node) Start() error {
 	}
 	n.loop = site.NewLoop(site.Options{ID: n.opts.ID, T: n.opts.T})
 	s := n.loop.Site()
-	s.Participant, s.Trace = n.eng, n.protocolEvent
+	s.Engine, s.Trace = n.eng, n.protocolEvent
 	n.site = site.NewNode(s, n.opts.Protocol, slices.Sorted(maps.Keys(n.opts.Peers)), dir, n.reg)
 	n.tr = newTransport(n.opts.ID, n.opts.T, n.opts.Seed, n.opts.Peers, n.loop.Deliver, n.opts.Logf)
 	if n.rec != nil {

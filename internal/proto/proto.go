@@ -255,7 +255,7 @@ func (c Config) Slaves() []SiteID {
 // IsMaster reports whether this config is for the master role.
 func (c Config) IsMaster() bool { return c.Self == c.Master }
 
-// Voter decides a site's vote when no database participant is attached.
+// Voter decides a site's vote when it has no database.
 type Voter func(site SiteID, tid TxnID, payload []byte) bool
 
 // AllYes votes yes at every site.
@@ -265,15 +265,6 @@ func AllYes(SiteID, TxnID, []byte) bool { return true }
 func NoAt(sites ...SiteID) Voter {
 	no := NewSiteSet(sites...)
 	return func(s SiteID, _ TxnID, _ []byte) bool { return !no.Has(s) }
-}
-
-// Participant is the database-side hook at one site: partial execution
-// produces the vote, and the decision is applied locally.
-// internal/db/engine.Engine implements it.
-type Participant interface {
-	Execute(tid TxnID, payload []byte) bool
-	Commit(tid TxnID)
-	Abort(tid TxnID)
 }
 
 // Protocol creates automata for the two roles of a centralized

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"slices"
 
+	"termproto/internal/db/engine"
 	"termproto/internal/proto"
 	"termproto/internal/sim"
 	"termproto/internal/trace"
@@ -72,16 +73,18 @@ type Site struct {
 	ID        proto.SiteID
 	Clock     Clock
 	Transport Transport
-	// Participant is the site's database (nil: the site votes yes unless
-	// the transaction's Spec scripts a no). A stager is handed the roster
-	// with the body.
-	Participant proto.Participant
+	// Engine is the site's database (nil: the site votes yes unless the
+	// transaction's Spec scripts a no).
+	Engine *engine.Engine
 	// Trace receives the automata's protocol events — transitions, timer
 	// actions, decisions, notes — stamped with time, site and TID.
 	Trace func(trace.Event)
 	// OnDecide runs once per (site, transaction), after the decision was
-	// applied to the Participant and before its trace event.
+	// applied to the Engine and before its trace event.
 	OnDecide func(cfg proto.Config, o proto.Outcome, at sim.Time)
+	// prepared runs for every yes vote where it becomes durable: a
+	// slave's right after its stage, a master's once its xacts are out.
+	prepared func(tid proto.TxnID)
 	// changed runs after every automaton callback: the Table publishes the
 	// automaton's state to other goroutines from it.
 	changed func(e *Env)
@@ -137,15 +140,6 @@ func newEnv(s *Site, protocol proto.Protocol, spec Spec) *Env {
 // State returns the automaton's current local state name.
 func (e *Env) State() string { return e.node.State() }
 
-// stager is a Participant whose execution splits into StageAt — everything
-// but the log force, and handed the roster so that a restart finds in its
-// own log whom to ask about an in-doubt transaction — and Force
-// (engine.Engine).
-type stager interface {
-	StageAt(tid proto.TxnID, payload []byte, sites []proto.SiteID) bool
-	Force(tid proto.TxnID) bool
-}
-
 // start runs the automaton's Start callback. A master's Execute inside it
 // only stages; the force comes here, once the xacts are in the transport,
 // whose crossing delay keeps them in this process (they die with it). The
@@ -154,10 +148,19 @@ type stager interface {
 // fragment is not durable. A failed force is the master's own no vote.
 func (e *Env) start() {
 	e.run(func() { e.node.Start(e) })
-	if sp, ok := e.site.Participant.(stager); ok && e.cfg.IsMaster() &&
-		e.outcome == proto.None && !sp.Force(e.cfg.TID) {
+	if e.site.Engine != nil && e.cfg.IsMaster() && e.outcome == proto.None && !e.force() {
 		e.ownNo()
 	}
+}
+
+// force makes the staged fragment durable (a no-op when nothing was
+// staged) and reports the site's vote; a yes is the prepared edge.
+func (e *Env) force() bool {
+	vote := e.site.Engine.Force(e.cfg.TID)
+	if vote && e.site.prepared != nil {
+		e.site.prepared(e.cfg.TID)
+	}
+	return vote
 }
 
 // ownNo hands a master whose xacts are out its own no vote: its force
@@ -268,19 +271,19 @@ func (e *Env) StopTimer() {
 }
 
 // Execute implements proto.Env. A scripted no-vote models a site-local
-// failure and wins; otherwise the database votes by executing the body
-// (logging the roster with it when it can), and a site with neither votes
-// yes. A slave's yes never precedes its force; a master executes inside
-// start, which owes the force.
+// failure and wins; otherwise the database votes by staging the body with
+// the roster, so that a restart finds in its own log whom to ask about an
+// in-doubt transaction. A payload-less body has no database ops and
+// stages nothing, and a site without a database votes yes. A slave's yes
+// never precedes its force; a master executes inside start, which owes the
+// force.
 func (e *Env) Execute(payload []byte) bool {
-	switch p := e.site.Participant; {
+	switch eng := e.site.Engine; {
 	case slices.Contains(e.noVotes, e.cfg.Self):
 		return false
-	case p != nil:
-		if sp, ok := p.(stager); ok {
-			return sp.StageAt(e.cfg.TID, payload, e.cfg.Sites) && (e.cfg.IsMaster() || sp.Force(e.cfg.TID))
-		}
-		return p.Execute(e.cfg.TID, payload)
+	case eng != nil:
+		return (len(payload) == 0 || eng.StageAt(e.cfg.TID, payload, e.cfg.Sites)) &&
+			(e.cfg.IsMaster() || e.force())
 	}
 	return true
 }
@@ -301,11 +304,11 @@ func (e *Env) Decide(o proto.Outcome) {
 		return
 	}
 	e.outcome = o
-	if p := e.site.Participant; p != nil {
+	if eng := e.site.Engine; eng != nil {
 		if o == proto.Commit {
-			p.Commit(e.cfg.TID)
+			eng.Commit(e.cfg.TID)
 		} else {
-			p.Abort(e.cfg.TID)
+			eng.Abort(e.cfg.TID)
 		}
 	}
 	e.decidedAt = e.site.Clock.Now()

@@ -32,7 +32,7 @@ type wallTimer struct{ fn func() }
 // steps a Node, serializing its events through an inbox. It is the Node's
 // Clock — timers re-enter the inbox — and its Transport, sending through
 // whatever Start is given. A Loop steps one incarnation of a site: a crash is
-// Close, a restart is a new Loop and a new Node over the same Participant.
+// Close, a restart is a new Loop and a new Node over the same Engine.
 type Loop struct {
 	id   proto.SiteID
 	node *Node

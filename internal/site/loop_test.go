@@ -25,14 +25,14 @@ type mesh struct {
 	links map[proto.SiteID]*Link
 }
 
-func newMesh(t *testing.T, n int, protocol proto.Protocol, parts map[proto.SiteID]proto.Participant) *mesh {
+func newMesh(t *testing.T, n int, protocol proto.Protocol, engs map[proto.SiteID]*engine.Engine) *mesh {
 	t.Helper()
 	m := &mesh{loops: map[proto.SiteID]*Loop{}, nodes: map[proto.SiteID]*Node{}, links: map[proto.SiteID]*Link{}}
 	for i := 1; i <= n; i++ {
 		id := proto.SiteID(i)
 		lp := NewLoop(Options{ID: id, T: liveT})
 		s := lp.Site()
-		s.Participant = parts[id]
+		s.Engine = engs[id]
 		m.loops[id], m.nodes[id] = lp, NewNode(s, protocol, roster(n), nil, nil)
 		m.links[id] = NewLink(id, liveT, 0, lp.Deliver, func(msg proto.Msg) error {
 			dst := m.links[msg.To] // complete before the first Send
@@ -216,7 +216,7 @@ func (m *mesh) retryOn(id proto.SiteID, timeout time.Duration) []engine.InDoubt 
 // healed, asking again learns the peers' durable commit.
 func TestLiveInquire(t *testing.T) {
 	payload := engine.EncodeOps([]engine.Op{{Kind: engine.OpAdd, Key: "k", Delta: -1}})
-	parts := make(map[proto.SiteID]proto.Participant, 4)
+	engs := make(map[proto.SiteID]*engine.Engine, 4)
 	for i := 1; i <= 4; i++ {
 		e := engine.New(fmt.Sprintf("s%d", i), &wal.MemStore{})
 		e.PutInt("k", 100)
@@ -225,9 +225,9 @@ func TestLiveInquire(t *testing.T) {
 		} else if !e.ExecuteAt(1, payload, roster(4)) {
 			t.Fatal("txn 1 did not prepare at site 4")
 		}
-		parts[proto.SiteID(i)] = e
+		engs[proto.SiteID(i)] = e
 	}
-	m := newMesh(t, 4, core.Protocol{TransientFix: true}, parts)
+	m := newMesh(t, 4, core.Protocol{TransientFix: true}, engs)
 	m.partition(4)
 	if st := m.recoverOn(t, 4); st.InDoubt != 1 || st.Unresolved != 1 {
 		t.Fatalf("recovery behind the cut = %v, want txn 1 left in doubt", st)
@@ -236,7 +236,7 @@ func TestLiveInquire(t *testing.T) {
 	if left := m.retryOn(4, 4*liveT); len(left) != 0 {
 		t.Fatalf("after the heal %+v still in doubt, want txn 1 committed", left)
 	}
-	if o, _ := parts[4].(*engine.Engine).Outcome(1); o != proto.Commit {
+	if o, _ := engs[4].Outcome(1); o != proto.Commit {
 		t.Fatalf("site 4 durable outcome = %v, want commit", o)
 	}
 }
@@ -249,7 +249,7 @@ func TestLiveInquireNeedsDurableState(t *testing.T) {
 	if !e.ExecuteAt(1, engine.EncodeOps([]engine.Op{{Kind: engine.OpPut, Key: "k", Value: []byte("v")}}), roster(3)) {
 		t.Fatal("txn 1 did not prepare at site 3")
 	}
-	m := newMesh(t, 3, core.Protocol{TransientFix: true}, map[proto.SiteID]proto.Participant{3: e})
+	m := newMesh(t, 3, core.Protocol{TransientFix: true}, map[proto.SiteID]*engine.Engine{3: e})
 	m.loops[1].Submit(Spec{TID: 1, Master: 1, Sites: []proto.SiteID{1, 2}})
 	for _, id := range []proto.SiteID{1, 2} {
 		for deadline := time.Now().Add(100 * liveT); ; time.Sleep(liveT / 4) {

@@ -14,7 +14,7 @@ import (
 
 // Node is one incarnation of one site's non-I/O half, assembled the same
 // way by both backends: the Table its automata live in, the site's round
-// latencies, and — when the participant is a storage engine — everything
+// latencies, and — when the site has a storage engine — everything
 // around that engine: its metrics and placement wiring, the table's wound
 // rule and lock-wait counts, the directory epoch records its log must
 // hold, recovery and the answers that resolve what it left in doubt
@@ -22,14 +22,14 @@ import (
 //
 // The simulator steps a Node's table from its scheduler, a Loop from its
 // inbox. A crash is Close; a restart is a fresh Node over the same
-// participant, followed by Recover.
+// engine, followed by Recover.
 type Node struct {
 	*Table
 	self  proto.SiteID
 	clock Clock
 	sites []proto.SiteID
 	dir   *placement.Directory
-	eng   *engine.Engine // nil unless the participant is a storage engine
+	eng   *engine.Engine // nil when the site has no database
 	// onDecide is the backend's own decision hook, chained after the
 	// node's observations.
 	onDecide func(cfg proto.Config, o proto.Outcome, at sim.Time)
@@ -64,7 +64,7 @@ func NewNode(s Site, protocol proto.Protocol, sites []proto.SiteID, dir *placeme
 			obs.L("protocol", protocol.Name()), obs.L("phase", "decided")),
 		shardCommit: reg.NewHistogramVec(obs.MShardCommitLatency, "shard"),
 	}
-	if eng, ok := s.Participant.(*engine.Engine); ok && eng != nil {
+	if eng := s.Engine; eng != nil {
 		n.eng = eng
 		n.prepared = reg.Histogram(obs.MRoundLatency,
 			obs.L("protocol", protocol.Name()), obs.L("phase", "prepared"))
@@ -79,7 +79,7 @@ func NewNode(s Site, protocol proto.Protocol, sites []proto.SiteID, dir *placeme
 			eng.SetPlacement(func(key string) bool { return dir.Hosts(s.ID, key) })
 		}
 		eng.SetMetrics(reg, shardOf)
-		s.Participant = participant{eng, n}
+		s.prepared = n.prepare
 	}
 	s.OnDecide = n.decide
 	n.Table = NewTable(s, protocol)
@@ -94,8 +94,7 @@ func NewNode(s Site, protocol proto.Protocol, sites []proto.SiteID, dir *placeme
 	return n
 }
 
-// Engine returns the site's storage engine (nil when its participant is
-// not one).
+// Engine returns the site's storage engine (nil when it has none).
 func (n *Node) Engine() *engine.Engine { return n.eng }
 
 // InstallPlacement writes every directory epoch record the engine's log
@@ -205,24 +204,10 @@ func (n *Node) payloadShard(payload []byte) int {
 	return 0
 }
 
-// participant is the engine as the table sees it: a stager. A payload-less
-// transaction has no database ops and votes yes without touching the
-// engine; every yes vote is observed where it becomes durable (a slave's
-// right after its StageAt, a master's once its xacts are out) — the
-// prepared edge.
-type participant struct {
-	*engine.Engine
-	n *Node
-}
-
-func (p participant) StageAt(tid proto.TxnID, payload []byte, sites []proto.SiteID) bool {
-	return len(payload) == 0 || p.Engine.StageAt(tid, payload, sites)
-}
-
-func (p participant) Force(tid proto.TxnID) bool {
-	vote := p.Engine.Force(tid) // true when nothing was staged
-	if lat, ok := p.n.since(tid, p.n.clock.Now()); ok && vote {
-		p.n.prepared.Observe(lat)
+// prepare is the site's prepared-edge hook: it observes a yes vote where
+// it becomes durable.
+func (n *Node) prepare(tid proto.TxnID) {
+	if lat, ok := n.since(tid, n.clock.Now()); ok {
+		n.prepared.Observe(lat)
 	}
-	return vote
 }

@@ -36,7 +36,7 @@ func newNodeMesh(n int, t sim.Duration) *nodeMesh {
 		m.regs[id] = obs.New()
 		m.nodes[id] = NewNode(Site{
 			ID: id, Clock: SchedClock{Sched: m.sched, Bound: t}, Transport: net,
-			Participant: engine.New("site", &wal.MemStore{}),
+			Engine: engine.New("site", &wal.MemStore{}),
 		}, core.Protocol{TransientFix: true}, roster(n), nil, m.regs[id])
 		net.Register(id, m.nodes[id])
 	}
@@ -91,7 +91,7 @@ func TestNodeInstallPlacement(t *testing.T) {
 	}
 	dir := placement.NewDirectory(asg)
 	eng := engine.New("site", &wal.MemStore{})
-	s := Site{ID: 1, Clock: SchedClock{Sched: sim.NewScheduler(), Bound: sim.DefaultT}, Participant: eng}
+	s := Site{ID: 1, Clock: SchedClock{Sched: sim.NewScheduler(), Bound: sim.DefaultT}, Engine: eng}
 	if got := NewNode(s, core.Protocol{}, roster(3), dir, nil).InstallPlacement(); got != 1 {
 		t.Fatalf("first incarnation wrote %d epoch records, want 1", got)
 	}
@@ -112,7 +112,7 @@ func TestNodeTxnFallsBackToDurableState(t *testing.T) {
 	if !eng.ExecuteAt(8, put("k"), roster(2)) {
 		t.Fatal("txn 8 did not prepare")
 	}
-	s := Site{ID: 1, Clock: SchedClock{Sched: sim.NewScheduler(), Bound: sim.DefaultT}, Participant: eng}
+	s := Site{ID: 1, Clock: SchedClock{Sched: sim.NewScheduler(), Bound: sim.DefaultT}, Engine: eng}
 	n := NewNode(s, core.Protocol{}, roster(2), nil, nil)
 	if st, ok := n.Txn(7); !ok || st.Outcome != proto.Commit || st.State != "q" {
 		t.Fatalf("decided txn 7 = %+v/%v, want a durable commit", st, ok)
@@ -141,7 +141,7 @@ func TestNodeRecoverThenRetryInDoubt(t *testing.T) {
 	peer.Commit(5)
 	nodes := map[proto.SiteID]*Node{}
 	for id, e := range map[proto.SiteID]*engine.Engine{1: eng, 2: peer} {
-		nodes[id] = NewNode(Site{ID: id, Clock: SchedClock{Sched: sched, Bound: sim.DefaultT}, Transport: net, Participant: e, Trace: rec.Append},
+		nodes[id] = NewNode(Site{ID: id, Clock: SchedClock{Sched: sched, Bound: sim.DefaultT}, Transport: net, Engine: e, Trace: rec.Append},
 			core.Protocol{}, roster(2), nil, nil)
 		net.Register(id, nodes[id])
 	}

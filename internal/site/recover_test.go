@@ -33,7 +33,7 @@ func recoverySites(t *testing.T, n int, engs map[proto.SiteID]*engine.Engine) *h
 func (h *handSites) restart(id proto.SiteID, n int) {
 	s := Site{ID: id, Clock: SchedClock{Sched: h.sched, Bound: sim.DefaultT}, Transport: h.net}
 	if e := h.engs[id]; e != nil {
-		s.Participant = e
+		s.Engine = e
 	}
 	h.nodes[id] = NewNode(s, core.Protocol{}, roster(n), nil, nil)
 }
@@ -89,12 +89,11 @@ func inDoubtAt(t *testing.T, roster []proto.SiteID) *engine.Engine {
 	e := engine.New("restarting", &wal.MemStore{})
 	e.PutInt("acct/a", 100)
 	e.PutInt("acct/b", 100)
-	if !e.Execute(1, engine.EncodeOps([]engine.Op{{Kind: engine.OpAdd, Key: "acct/a", Delta: -10}})) {
+	if !e.ExecuteAt(1, engine.EncodeOps([]engine.Op{{Kind: engine.OpAdd, Key: "acct/a", Delta: -10}}), nil) {
 		t.Fatal("txn 1 voted no")
 	}
 	e.Commit(1)
-	pay2 := engine.EncodeOps([]engine.Op{{Kind: engine.OpAdd, Key: "acct/b", Delta: -25}})
-	if ok := (roster == nil && e.Execute(2, pay2)) || (roster != nil && e.ExecuteAt(2, pay2, roster)); !ok {
+	if !e.ExecuteAt(2, engine.EncodeOps([]engine.Op{{Kind: engine.OpAdd, Key: "acct/b", Delta: -25}}), roster) {
 		t.Fatal("txn 2 voted no")
 	}
 	return e

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 
-	"termproto/internal/db/engine"
 	"termproto/internal/obs"
 	"termproto/internal/proto"
 	"termproto/internal/sim"
@@ -41,7 +40,7 @@ type Status struct {
 // goroutine steps it — the simulator's scheduler (a Table is a
 // simnet.Handler), or a Loop. Submit, Deliver, Undeliverable and Close run
 // on that goroutine; Txn and Txns are safe from any. A crash is Close, a
-// restart is a new Table over the same Participant.
+// restart is a new Table over the same Engine.
 type Table struct {
 	site     Site
 	protocol proto.Protocol
@@ -150,26 +149,16 @@ type parked struct {
 	stop func()
 }
 
-// blocker is a Participant that can tell, taking nothing, which
-// transactions keep a body from a key it would lock (engine.Engine).
-type blocker interface {
-	Blocker(tid proto.TxnID, payload []byte) []uint64
-}
-
-// The engine must stay a blocker: were its signature to drift, the type
-// assertion in blocked would fail quietly and no transaction would park.
-var _ blocker = (*engine.Engine)(nil)
-
 // blocked reports a holder spec must wait for: one of the transactions
 // keeping it from a key here, unless the wound rule can take them all. A
 // site scripted to vote no on spec never waits, nor does one without a
-// blocker.
+// database.
 func (t *Table) blocked(spec Spec) (holder uint64, ok bool) {
-	b, isBlocker := t.site.Participant.(blocker)
-	if !isBlocker || slices.Contains(spec.NoVotes, t.site.ID) {
+	eng := t.site.Engine
+	if eng == nil || slices.Contains(spec.NoVotes, t.site.ID) {
 		return 0, false
 	}
-	for _, h := range b.Blocker(spec.TID, spec.Payload) {
+	for _, h := range eng.Blocker(spec.TID, spec.Payload) {
 		if !t.woundable(h, uint64(spec.TID)) {
 			return h, true
 		}
@@ -387,23 +376,18 @@ func (t *Table) Txns() []Status {
 	return out
 }
 
-// durable is the part of a database the inquiry round reads.
-type durable interface {
-	Outcome(tid uint64) (proto.Outcome, bool)
-}
-
 // answerInquiry replies to a recovery inquiry from durable state. A site
 // with no durable decision — undecided, or no database at all — stays
 // silent: volatile automaton state would not survive its own restart, so
 // it is not authoritative, and the asker's timeout bounds the silence. A
 // database site still deciding answers once its decision is (publish).
 func (t *Table) answerInquiry(m proto.Msg) {
-	db, ok := t.site.Participant.(durable)
-	if !ok {
+	eng := t.site.Engine
+	if eng == nil {
 		return
 	}
 	kind := proto.MsgCommit
-	switch o, ok := db.Outcome(uint64(m.TID)); {
+	switch o, ok := eng.Outcome(uint64(m.TID)); {
 	case !ok || o == proto.None:
 		if e := t.envs[m.TID]; e != nil && e.outcome == proto.None && !slices.Contains(t.inquired[m.TID], m.From) {
 			t.inquired[m.TID] = append(t.inquired[m.TID], m.From)

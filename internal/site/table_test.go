@@ -22,13 +22,13 @@ type fixture struct {
 	tables map[proto.SiteID]*Table
 }
 
-func newFixture(n int, parts map[proto.SiteID]proto.Participant) *fixture {
+func newFixture(n int, engs map[proto.SiteID]*engine.Engine) *fixture {
 	f := &fixture{sched: sim.NewScheduler(), rec: &trace.Recorder{}, tables: map[proto.SiteID]*Table{}}
 	f.net = simnet.New(simnet.Config{Sched: f.sched, Trace: f.rec})
 	for _, id := range roster(n) {
 		f.tables[id] = NewTable(Site{
 			ID: id, Clock: SchedClock{Sched: f.sched, Bound: sim.DefaultT}, Transport: f.net,
-			Participant: parts[id], Trace: f.rec.Append,
+			Engine: engs[id], Trace: f.rec.Append,
 		}, core.Protocol{TransientFix: true})
 		f.net.Register(id, f.tables[id])
 	}
@@ -133,7 +133,7 @@ func TestTableInquiryFromDurableState(t *testing.T) {
 	eng := engine.New("s2", &wal.MemStore{})
 	eng.Commit(7)
 	eng.Abort(8)
-	f := newFixture(3, map[proto.SiteID]proto.Participant{2: eng})
+	f := newFixture(3, map[proto.SiteID]*engine.Engine{2: eng})
 	for _, tid := range []proto.TxnID{7, 8, 99} {
 		f.tables[2].Deliver(proto.Msg{TID: tid, From: 1, To: 2, Kind: proto.MsgInquire})
 	}

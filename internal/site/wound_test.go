@@ -49,7 +49,7 @@ func (h *handSites) boot(id proto.SiteID, protocol proto.Protocol) {
 	h.regs[id] = obs.New()
 	h.nodes[id] = NewNode(Site{
 		ID: id, Clock: SchedClock{Sched: h.sched, Bound: sim.DefaultT}, Transport: h.net,
-		Participant: h.engs[id],
+		Engine: h.engs[id],
 	}, protocol, roster(len(h.engs)), nil, h.regs[id])
 }
 

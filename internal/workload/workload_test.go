@@ -34,13 +34,9 @@ func TestZipfSkew(t *testing.T) {
 func TestSeedAccountsReportsUncommittedSeed(t *testing.T) {
 	seed := func(sched cluster.Schedule) (map[proto.SiteID]*engine.Engine, error) {
 		engs := EnginesFor(nil, 4, 0, 0) // empty engines, as daemons start
-		parts := make(map[proto.SiteID]cluster.Participant, len(engs))
-		for id, e := range engs {
-			parts[id] = e
-		}
 		c, err := cluster.Open(cluster.Config{
 			Sites: 4, Protocol: core.Protocol{TransientFix: true},
-			Participants: parts, Schedule: sched,
+			Engines: engs, Schedule: sched,
 		})
 		if err != nil {
 			t.Fatal(err)

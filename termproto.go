@@ -69,8 +69,6 @@ type (
 	Outcome = proto.Outcome
 	// Protocol builds master and slave automata for a commit protocol.
 	Protocol = proto.Protocol
-	// Participant is the database-side hook (Engine implements it).
-	Participant = proto.Participant
 	// Case is a Section 6 partition case label.
 	Case = scenario.Case
 )

@@ -82,13 +82,13 @@ func TestFacadeEngine(t *testing.T) {
 	store := &termproto.MemStore{}
 	e := termproto.NewEngine("s1", store)
 	e.PutInt("k", 40)
-	parts := map[termproto.SiteID]termproto.Participant{1: e}
+	engs := map[termproto.SiteID]*termproto.Engine{1: e}
 	for i := 2; i <= 3; i++ {
 		o := termproto.NewEngine(fmt.Sprintf("s%d", i), &termproto.MemStore{})
 		o.PutInt("k", 40)
-		parts[termproto.SiteID(i)] = o
+		engs[termproto.SiteID(i)] = o
 	}
-	c, err := termproto.Open(termproto.ClusterConfig{Sites: 3, Protocol: termproto.Termination(), Participants: parts})
+	c, err := termproto.Open(termproto.ClusterConfig{Sites: 3, Protocol: termproto.Termination(), Engines: engs})
 	if err != nil {
 		t.Fatal(err)
 	}
