@@ -12,6 +12,7 @@ import (
 
 	"termproto/internal/proto"
 	"termproto/internal/recovery"
+	"termproto/internal/site"
 )
 
 // StartAPI binds and serves the node's admin HTTP API, returning the
@@ -108,28 +109,28 @@ func (n *Node) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, st)
 }
 
-func txnDTO(info TxnInfo) TxnDTO {
+// txnDTO renders the site's view of a transaction; DecidedAt is already
+// in Unix microseconds on the wall clock.
+func txnDTO(st site.Status, started bool) TxnDTO {
 	dto := TxnDTO{
-		TID:     uint64(info.TID),
-		Master:  int(info.Master),
-		Outcome: info.Outcome.String(),
-		Started: info.Started,
-		State:   info.State,
+		TID:            uint64(st.TID),
+		Master:         int(st.Master),
+		Outcome:        st.Outcome.String(),
+		DecidedAtMicro: int64(st.DecidedAt),
+		Started:        started,
+		State:          st.State,
 	}
-	for _, id := range info.Sites {
+	for _, id := range st.Sites {
 		dto.Sites = append(dto.Sites, int(id))
-	}
-	if !info.DecidedAt.IsZero() {
-		dto.DecidedAtMicro = info.DecidedAt.UnixMicro()
 	}
 	return dto
 }
 
 func (n *Node) handleTxns(w http.ResponseWriter, _ *http.Request) {
-	infos := n.Txns()
-	out := make([]TxnDTO, 0, len(infos))
-	for _, info := range infos {
-		out = append(out, txnDTO(info))
+	sts := n.site.Txns()
+	out := make([]TxnDTO, 0, len(sts))
+	for _, st := range sts {
+		out = append(out, txnDTO(st, true))
 	}
 	writeJSON(w, out)
 }

@@ -63,18 +63,6 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// TxnInfo is one transaction's bookkeeping at this site, as the admin API
-// reports it.
-type TxnInfo struct {
-	TID       proto.TxnID
-	Master    proto.SiteID
-	Sites     []proto.SiteID
-	Outcome   proto.Outcome
-	DecidedAt time.Time
-	Started   bool
-	State     string
-}
-
 // Node is one site of the termination protocol as a network process: a
 // site.Node stepped by a site.Loop over a TCP transport, plus what is the
 // daemon's own — the WAL file, the admin API, the trace export.
@@ -276,32 +264,11 @@ func (n *Node) Counters() (sent, delivered, bounced, dropped uint64) {
 	return n.tr.Counters()
 }
 
-// txnInfo renders the site's view of a transaction.
-func txnInfo(st site.Status, started bool) TxnInfo {
-	info := TxnInfo{
-		TID: st.TID, Master: st.Master, Sites: st.Sites,
-		Outcome: st.Outcome, Started: started, State: st.State,
-	}
-	if st.DecidedAt != 0 {
-		info.DecidedAt = time.UnixMicro(int64(st.DecidedAt))
-	}
-	return info
-}
-
-// Txn returns one transaction's bookkeeping. Transactions this process
-// never hosted live (decided before a restart, or still in doubt from the
-// log) are answered from durable state.
-func (n *Node) Txn(tid proto.TxnID) TxnInfo { return txnInfo(n.site.Txn(tid)) }
-
-// Txns returns every live transaction's bookkeeping in TID order.
-func (n *Node) Txns() []TxnInfo {
-	sts := n.site.Txns()
-	out := make([]TxnInfo, len(sts))
-	for i, st := range sts {
-		out[i] = txnInfo(st, true)
-	}
-	return out
-}
+// Txn returns the site's view of one transaction; started is false when
+// the site never took part in it. Transactions this process never hosted
+// live (decided before a restart, or still in doubt from the log) are
+// answered from durable state.
+func (n *Node) Txn(tid proto.TxnID) (st site.Status, started bool) { return n.site.Txn(tid) }
 
 // Close stops the loop, the transport and every automaton timer, and
 // closes the log file.

@@ -97,7 +97,7 @@ func waitDecided(t *testing.T, nodes []*Node, tid proto.TxnID, want proto.Outcom
 	for {
 		decided := 0
 		for _, node := range nodes {
-			if node.Txn(tid).Outcome == want {
+			if st, _ := node.Txn(tid); st.Outcome == want {
 				decided++
 			}
 		}
@@ -106,8 +106,8 @@ func waitDecided(t *testing.T, nodes []*Node, tid proto.TxnID, want proto.Outcom
 		}
 		if time.Now().After(deadline) {
 			for _, node := range nodes {
-				info := node.Txn(tid)
-				t.Logf("site %d: outcome=%s state=%s", node.opts.ID, info.Outcome, info.State)
+				st, _ := node.Txn(tid)
+				t.Logf("site %d: outcome=%s state=%s", node.opts.ID, st.Outcome, st.State)
 			}
 			t.Fatalf("txn %d: %d/%d sites decided %s", tid, decided, len(nodes), want)
 		}
@@ -151,15 +151,15 @@ func TestNodesPartitionBounces(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	deadline := time.Now().Add(60 * testT)
-	for nodes[0].Txn(1).Outcome != proto.Abort {
+	for st, _ := nodes[0].Txn(1); st.Outcome != proto.Abort; st, _ = nodes[0].Txn(1) {
 		if time.Now().After(deadline) {
-			t.Fatalf("master never aborted: %+v", nodes[0].Txn(1))
+			t.Fatalf("master never aborted: %+v", st)
 		}
 		time.Sleep(testT / 4)
 	}
 	for _, node := range nodes[1:] {
-		if info := node.Txn(1); info.Started || info.Outcome != proto.None {
-			t.Errorf("site %d learned of the txn across the boundary: %+v", node.opts.ID, info)
+		if st, started := node.Txn(1); started || st.Outcome != proto.None {
+			t.Errorf("site %d learned of the txn across the boundary: %+v", node.opts.ID, st)
 		}
 	}
 	if _, _, bounced, _ := nodes[0].Counters(); bounced == 0 {

@@ -119,7 +119,7 @@ func TestWireHostileInputClosesConnection(t *testing.T) {
 		}
 	}
 	for _, node := range nodes {
-		if txns := node.Txns(); len(txns) != 0 {
+		if txns := node.site.Txns(); len(txns) != 0 {
 			t.Errorf("site %d started %+v", node.opts.ID, txns)
 		}
 	}

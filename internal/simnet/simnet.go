@@ -41,20 +41,20 @@ const (
 // values in (0, T].
 type Latency interface {
 	// Delay returns the forward propagation delay for one message.
-	Delay(from, to proto.SiteID, r *sim.Rand) sim.Duration
+	Delay(m proto.Msg, r *sim.Rand) sim.Duration
 }
 
 // Fixed is a constant-latency model: every message takes exactly D.
 type Fixed struct{ D sim.Duration }
 
 // Delay implements Latency.
-func (f Fixed) Delay(_, _ proto.SiteID, _ *sim.Rand) sim.Duration { return f.D }
+func (f Fixed) Delay(_ proto.Msg, _ *sim.Rand) sim.Duration { return f.D }
 
 // Uniform draws each delay uniformly from [Lo, Hi].
 type Uniform struct{ Lo, Hi sim.Duration }
 
 // Delay implements Latency.
-func (u Uniform) Delay(_, _ proto.SiteID, r *sim.Rand) sim.Duration {
+func (u Uniform) Delay(_ proto.Msg, r *sim.Rand) sim.Duration {
 	return r.Duration(u.Lo, u.Hi)
 }
 
@@ -67,20 +67,11 @@ type PerPair struct {
 }
 
 // Delay implements Latency.
-func (p PerPair) Delay(from, to proto.SiteID, _ *sim.Rand) sim.Duration {
-	if d, ok := p.Pairs[[2]proto.SiteID{from, to}]; ok {
+func (p PerPair) Delay(m proto.Msg, _ *sim.Rand) sim.Duration {
+	if d, ok := p.Pairs[[2]proto.SiteID{m.From, m.To}]; ok {
 		return d
 	}
 	return p.Default
-}
-
-// MsgLatency is an optional refinement of Latency: implementations see the
-// whole message, so delays can differ per message kind on the same link —
-// required to stage the Figure 6/7/9 worst cases, where e.g. a slave's ack
-// must be fast while its later probe on the same link is slow.
-type MsgLatency interface {
-	Latency
-	DelayMsg(m proto.Msg, r *sim.Rand) sim.Duration
 }
 
 // KindRule matches messages for PerKind; zero-valued fields are wildcards.
@@ -91,14 +82,16 @@ type KindRule struct {
 }
 
 // PerKind assigns delays by (from, to, kind) rules, first match wins,
-// falling back to Default.
+// falling back to Default. Delays that differ per message kind on the same
+// link are required to stage the Figure 6/7/9 worst cases, where e.g. a
+// slave's ack must be fast while its later probe on the same link is slow.
 type PerKind struct {
 	Default sim.Duration
 	Rules   []KindRule
 }
 
-// DelayMsg implements MsgLatency.
-func (p PerKind) DelayMsg(m proto.Msg, _ *sim.Rand) sim.Duration {
+// Delay implements Latency.
+func (p PerKind) Delay(m proto.Msg, _ *sim.Rand) sim.Duration {
 	for _, r := range p.Rules {
 		if (r.From == 0 || r.From == m.From) &&
 			(r.To == 0 || r.To == m.To) &&
@@ -107,11 +100,6 @@ func (p PerKind) DelayMsg(m proto.Msg, _ *sim.Rand) sim.Duration {
 		}
 	}
 	return p.Default
-}
-
-// Delay implements Latency (kind treated as wildcard-only fallback).
-func (p PerKind) Delay(from, to proto.SiteID, r *sim.Rand) sim.Duration {
-	return p.DelayMsg(proto.Msg{From: from, To: to}, r)
 }
 
 // Config parameterizes a Network.
@@ -315,12 +303,7 @@ func (n *Network) Send(m proto.Msg) {
 	m.Undeliverable = false
 	n.sent++
 
-	var d sim.Duration
-	if ml, ok := n.cfg.Latency.(MsgLatency); ok {
-		d = ml.DelayMsg(m, n.cfg.Rand)
-	} else {
-		d = n.cfg.Latency.Delay(m.From, m.To, n.cfg.Rand)
-	}
+	d := n.cfg.Latency.Delay(m, n.cfg.Rand)
 	if d <= 0 {
 		d = 1
 	}

@@ -339,7 +339,7 @@ func TestUniformLatencyWithinBounds(t *testing.T) {
 	r := sim.NewRand(3)
 	u := Uniform{Lo: 10, Hi: 90}
 	for i := 0; i < 1000; i++ {
-		d := u.Delay(1, 2, r)
+		d := u.Delay(proto.Msg{From: 1, To: 2}, r)
 		if d < 10 || d > 90 {
 			t.Fatalf("Uniform delay %d out of bounds", d)
 		}
@@ -348,10 +348,10 @@ func TestUniformLatencyWithinBounds(t *testing.T) {
 
 func TestPerPairLatency(t *testing.T) {
 	pp := PerPair{Default: 30, Pairs: map[[2]proto.SiteID]sim.Duration{{1, 2}: 99}}
-	if d := pp.Delay(1, 2, nil); d != 99 {
+	if d := pp.Delay(proto.Msg{From: 1, To: 2}, nil); d != 99 {
 		t.Fatalf("pair delay = %d, want 99", d)
 	}
-	if d := pp.Delay(2, 1, nil); d != 30 {
+	if d := pp.Delay(proto.Msg{From: 2, To: 1}, nil); d != 30 {
 		t.Fatalf("default delay = %d, want 30", d)
 	}
 }
@@ -411,12 +411,12 @@ func TestPerKindLatency(t *testing.T) {
 		{proto.Msg{From: 2, To: 1, Kind: proto.MsgAck}, 100},
 	}
 	for _, c := range cases {
-		if got := pk.DelayMsg(c.m, nil); got != c.want {
-			t.Errorf("DelayMsg(%v) = %d, want %d", c.m, got, c.want)
+		if got := pk.Delay(c.m, nil); got != c.want {
+			t.Errorf("Delay(%v) = %d, want %d", c.m, got, c.want)
 		}
 	}
-	if got := pk.Delay(1, 2, nil); got != 100 {
-		t.Errorf("Delay fallback = %d, want 100 (kind wildcard only)", got)
+	if got := pk.Delay(proto.Msg{From: 1, To: 2}, nil); got != 100 {
+		t.Errorf("kind-less Delay = %d, want 100 (kind wildcard only)", got)
 	}
 }
 
