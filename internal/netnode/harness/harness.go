@@ -216,6 +216,7 @@ func (l *Localnet) spawn(id proto.SiteID) error {
 	cmd := exec.Command(l.bin, args...)
 	cmd.Stdout = logFile
 	cmd.Stderr = logFile
+	cmd.SysProcAttr = procAttr()
 	if err := cmd.Start(); err != nil {
 		logFile.Close()
 		return fmt.Errorf("harness: spawn site %d: %w", id, err)
