@@ -49,6 +49,9 @@ type Node struct {
 	// pending lists the in-doubt transactions recovery asked about and no
 	// answer has resolved; written on the stepping goroutine only.
 	pending []engine.InDoubt
+	// resolvedAt is when each transaction an answer resolved was resolved
+	// (resolve); Txn's log fallback reports it as the decision time.
+	resolvedAt map[proto.TxnID]sim.Time
 }
 
 // NewNode assembles one incarnation of site s under protocol. sites is the
@@ -59,7 +62,7 @@ func NewNode(s Site, protocol proto.Protocol, sites []proto.SiteID, dir *placeme
 	reg *obs.Registry) *Node {
 	n := &Node{
 		self: s.ID, clock: s.Clock, sites: sites, dir: dir, onDecide: s.OnDecide,
-		serving: true,
+		serving: true, resolvedAt: make(map[proto.TxnID]sim.Time),
 		decided: reg.Histogram(obs.MRoundLatency,
 			obs.L("protocol", protocol.Name()), obs.L("phase", "decided")),
 		shardCommit: reg.NewHistogramVec(obs.MShardCommitLatency, "shard"),
@@ -155,7 +158,9 @@ func (n *Node) Close() {
 // Txn returns the site's view of one transaction; ok is false when the
 // site never took part in it. One this incarnation never hosted — decided
 // before a restart, or still in doubt in the log — is answered from
-// durable state: its decision, or state "q" while in doubt.
+// durable state: its decision, or state "q" while in doubt. A decision an
+// answer to this incarnation's inquiry resolved carries the instant it
+// was resolved.
 func (n *Node) Txn(tid proto.TxnID) (st Status, ok bool) {
 	if st, ok := n.Table.Txn(tid); ok || n.eng == nil {
 		return st, ok
@@ -163,6 +168,9 @@ func (n *Node) Txn(tid proto.TxnID) (st Status, ok bool) {
 	st = Status{TID: tid, State: "q"}
 	if o, done := n.eng.Outcome(uint64(tid)); done && o != proto.None {
 		st.Outcome = o
+		n.mu.Lock()
+		st.DecidedAt = n.resolvedAt[tid]
+		n.mu.Unlock()
 		return st, true
 	}
 	return st, slices.Contains(n.eng.InDoubt(), uint64(tid))

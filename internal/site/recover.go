@@ -140,8 +140,8 @@ func (n *Node) ask(pend []engine.InDoubt) {
 
 // resolve takes a decision that answers an inquiry this incarnation sent,
 // about a transaction its engine still holds in doubt, whenever it lands:
-// the engine commits or aborts it, it leaves Unresolved, and a trace note
-// names it, the outcome and the sender. Inside the restart's inquiry step
+// the engine commits or aborts it, it leaves Unresolved with the instant
+// recorded for Txn, and a trace note names it, the outcome and the sender. Inside the restart's inquiry step
 // it also counts toward that pass. It reports whether m was such an answer.
 func (n *Node) resolve(m proto.Msg) bool {
 	if m.Undeliverable || m.Kind != proto.MsgCommit && m.Kind != proto.MsgAbort {
@@ -163,6 +163,7 @@ func (n *Node) resolve(m proto.Msg) bool {
 	}
 	n.mu.Lock()
 	n.pending = append(n.pending[:i:i], n.pending[i+1:]...) // a new array: readers keep theirs
+	n.resolvedAt[m.TID] = n.clock.Now()
 	n.mu.Unlock()
 	n.note(m.TID, "in doubt resolved: %v from site %d", o, m.From)
 	if p := n.rec; p != nil && p.asking != nil {

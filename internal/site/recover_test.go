@@ -31,10 +31,7 @@ func recoverySites(t *testing.T, n int, engs map[proto.SiteID]*engine.Engine) *h
 
 // restart builds a fresh incarnation of site id in an n-site cluster.
 func (h *handSites) restart(id proto.SiteID, n int) {
-	s := Site{ID: id, Clock: SchedClock{Sched: h.sched, Bound: sim.DefaultT}, Transport: h.net}
-	if e := h.engs[id]; e != nil {
-		s.Engine = e
-	}
+	s := Site{ID: id, Clock: SchedClock{Sched: h.sched, Bound: sim.DefaultT}, Transport: h.net, Engine: h.engs[id]}
 	h.nodes[id] = NewNode(s, core.Protocol{}, roster(n), nil, nil)
 }
 
@@ -214,6 +211,27 @@ func TestRecoveryLateAnswerResolves(t *testing.T) {
 	}
 	if e.GetInt("acct/b") != 75 || e.Locked("acct/b") || len(e.InDoubt()) != 0 {
 		t.Fatalf("acct/b = %d, locked %v, in doubt %v after the late commit", e.GetInt("acct/b"), e.Locked("acct/b"), e.InDoubt())
+	}
+}
+
+// A slot recovery resolved reads the instant the answer landed as its
+// decision time, on the daemons' /txns as in the simulator's results; one
+// decided before the restart has no instant in the log and reads 0.
+func TestRecoveryResolvedSlotCarriesDecisionTime(t *testing.T) {
+	h := recoverySites(t, 2, map[proto.SiteID]*engine.Engine{
+		1: replica(map[string]int64{"acct/a": 90, "acct/b": 75}, true, proto.Commit),
+		2: inDoubtAt(t, []proto.SiteID{1, 2}),
+	})
+	h.recover(2)
+	held := h.take(proto.MsgInquire, 2, 1)
+	h.sched.Step() // the inquiry step ends at 2T; the answer lands then
+	h.nodes[1].Deliver(held)
+	h.deliver(proto.MsgCommit, 1, 2)
+	if st, ok := h.nodes[2].Txn(2); !ok || st.Outcome != proto.Commit || st.DecidedAt != sim.Time(2*sim.DefaultT) {
+		t.Fatalf("resolved txn 2 = %+v (%v), want commit decided at %d", st, ok, 2*sim.DefaultT)
+	}
+	if st, _ := h.nodes[2].Txn(1); st.Outcome != proto.Commit || st.DecidedAt != 0 {
+		t.Fatalf("txn 1, committed before the restart = %+v, want commit at 0", st)
 	}
 }
 
