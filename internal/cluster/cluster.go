@@ -765,10 +765,10 @@ func (c *Cluster) Stats() Stats {
 // Termination checks the paper's headline property over the whole run:
 // every submitted transaction decided at every live participating site,
 // no two sites disagree on any transaction, and — at sites with a
-// storage engine — replicas converged to identical
-// contents. Under full replication every pair of sites is compared whole;
-// under a Directory convergence is checked per shard-replica-group, each
-// shard's key range compared across exactly the sites that replicate it.
+// storage engine — replicas converged to identical contents. Under full
+// replication every pair of sites is compared whole; under a Directory
+// convergence is checked per shard-replica-group, each shard's key range
+// compared across exactly the sites that replicate it.
 // Call after Wait. A nil error is the protocol keeping its promise.
 func (c *Cluster) Termination() error {
 	c.mu.Lock()

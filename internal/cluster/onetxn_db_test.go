@@ -70,6 +70,24 @@ func TestDBEmptyPayloadVotesYes(t *testing.T) {
 	}
 }
 
+// A nil entry in Config.Engines is a site without a database on every
+// path: the cluster's Voter decides its vote, here a no that aborts the
+// transfer at the engine sites.
+func TestDBNilEngineVotesByVoter(t *testing.T) {
+	engs := engines(3, 100)
+	engs[3] = nil
+	r, _ := cluster.RunOne(cluster.Config{Sites: 3, Protocol: core.Protocol{}, Engines: engs, Votes: cluster.NoAt(3)},
+		cluster.SimOptions{}, cluster.Txn{Payload: transfer(-25)})
+	if !r.Consistent() || r.Sites[1].Outcome != proto.Abort {
+		t.Fatalf("consistent=%v outcome=%v, want abort everywhere", r.Consistent(), r.Sites[1].Outcome)
+	}
+	for _, id := range []proto.SiteID{1, 2} {
+		if got := engs[id].GetInt("acct"); got != 100 || engs[id].Locked("acct") {
+			t.Fatalf("site %d acct = %d (locked %v), want untouched 100", id, got, engs[id].Locked("acct"))
+		}
+	}
+}
+
 func TestDBGuardVoteNoAbortsEverywhere(t *testing.T) {
 	engs := engines(3, 10)
 	// Make site 3 unable to cover the debit: its vote no must abort all.

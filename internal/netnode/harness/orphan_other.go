@@ -4,6 +4,6 @@ package harness
 
 import "syscall"
 
-// procAttr is nil off Linux, which has no parent-death signal: a daemon
+// procAttr is nil off Linux, where there is no parent-death signal: a daemon
 // whose parent dies without Stop lives on.
 func procAttr() *syscall.SysProcAttr { return nil }

@@ -83,7 +83,7 @@ type Site struct {
 	// applied to the Engine and before its trace event.
 	OnDecide func(cfg proto.Config, o proto.Outcome, at sim.Time)
 	// prepared runs for every yes vote where it becomes durable: a
-	// slave's right after its stage, a master's once its xacts are out.
+	// slave's as it votes, a master's once its xacts are out.
 	prepared func(tid proto.TxnID)
 	// changed runs after every automaton callback: the Table publishes the
 	// automaton's state to other goroutines from it.

@@ -141,8 +141,9 @@ func (n *Node) ask(pend []engine.InDoubt) {
 // resolve takes a decision that answers an inquiry this incarnation sent,
 // about a transaction its engine still holds in doubt, whenever it lands:
 // the engine commits or aborts it, it leaves Unresolved with the instant
-// recorded for Txn, and a trace note names it, the outcome and the sender. Inside the restart's inquiry step
-// it also counts toward that pass. It reports whether m was such an answer.
+// recorded for Txn, and a trace note names it, the outcome and the sender.
+// Inside the restart's inquiry step it also counts toward that pass. It
+// reports whether m was such an answer.
 func (n *Node) resolve(m proto.Msg) bool {
 	if m.Undeliverable || m.Kind != proto.MsgCommit && m.Kind != proto.MsgAbort {
 		return false
