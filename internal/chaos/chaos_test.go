@@ -77,6 +77,35 @@ func TestCorpusNoViolations(t *testing.T) {
 	t.Logf("families: %v", fams)
 }
 
+// The four-phase substrate (Theorem 10) passes the same invariant suite on
+// the corpus's fault space: the first 400 scenarios the generator draws
+// with a non-2pc protocol, rerun under 4pc-termination. The draw itself is
+// left alone, so the corpus and its replay digests do not move.
+func TestCorpusFourPhaseNoViolations(t *testing.T) {
+	n := 400
+	if testing.Short() {
+		n = 60
+	}
+	txns := 0
+	for seed := uint64(1); n > 0; seed++ {
+		sc := FromSeed(seed)
+		if sc.Protocol == "2pc" {
+			continue
+		}
+		n--
+		sc.Protocol = "4pc-termination"
+		r, err := Run(sc)
+		if err != nil {
+			t.Fatalf("seed %d (%s): %v", seed, sc, err)
+		}
+		txns += len(r.Results)
+		if v := Verify(r); len(v) > 0 {
+			t.Errorf("seed %d (%s): %d violations; first: %s", seed, sc, len(v), v[0])
+		}
+	}
+	t.Logf("%d transactions", txns)
+}
+
 // Scenario.NetCompatible matches what the net backend accepts: full
 // replication, no membership events.
 func TestNetCompatible(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"termproto/internal/proto"
 	"termproto/internal/proto/prototest"
 	"termproto/internal/protocol/cooperative"
-	"termproto/internal/protocol/fourpc"
 	"termproto/internal/protocol/quorum"
 	"termproto/internal/protocol/threepc"
 	"termproto/internal/protocol/threepcrules"
@@ -33,8 +32,8 @@ func TestAllAutomataSurviveArbitraryEvents(t *testing.T) {
 		cooperative.Protocol{},
 		core.Protocol{},
 		core.Protocol{TransientFix: true, ReplyToLateProbes: true},
-		fourpc.Protocol{},
-		fourpc.Protocol{TransientFix: true},
+		core.Protocol{FourPhase: true},
+		core.Protocol{FourPhase: true, TransientFix: true},
 	}
 	kinds := []proto.Kind{
 		proto.MsgXact, proto.MsgYes, proto.MsgNo, proto.MsgPrepare,

@@ -6,7 +6,6 @@ import (
 	"termproto/internal/cluster"
 	"termproto/internal/core"
 	"termproto/internal/proto"
-	"termproto/internal/protocol/fourpc"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
 )
@@ -65,7 +64,7 @@ func TestFourPCCriticalInstantSweep(t *testing.T) {
 	}
 	for _, at := range instants {
 		r, b := cluster.RunOne(cluster.Config{
-			Sites: 4, Protocol: fourpc.Protocol{}, Schedule: partitionAt(at, 3, 4),
+			Sites: 4, Protocol: core.Protocol{FourPhase: true}, Schedule: partitionAt(at, 3, 4),
 		}, cluster.SimOptions{Latency: simnet.Fixed{D: T}, RecordTrace: true}, cluster.Txn{})
 		if !r.Consistent() || len(r.Blocked()) != 0 {
 			t.Fatalf("4pc onset=%d: consistent=%v blocked=%v\n%s",

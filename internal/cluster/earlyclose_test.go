@@ -7,7 +7,6 @@ import (
 	"termproto/internal/cluster"
 	"termproto/internal/core"
 	"termproto/internal/proto"
-	"termproto/internal/protocol/fourpc"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
 	"termproto/internal/trace"
@@ -77,8 +76,8 @@ func TestEarlyCloseSweep(t *testing.T) {
 	}{
 		{core.Protocol{}, 4, false},
 		{core.Protocol{TransientFix: true}, 4, true},
-		{fourpc.Protocol{}, 6, false},
-		{fourpc.Protocol{TransientFix: true}, 6, true},
+		{core.Protocol{FourPhase: true}, 6, false},
+		{core.Protocol{FourPhase: true, TransientFix: true}, 6, true},
 	}
 	step := Tt / 8
 	if testing.Short() {

@@ -11,6 +11,7 @@ import (
 	"termproto/internal/obs"
 	"termproto/internal/placement"
 	"termproto/internal/proto"
+	"termproto/internal/protocol/registry"
 	"termproto/internal/recovery"
 	"termproto/internal/sim"
 	"termproto/internal/site"
@@ -51,7 +52,8 @@ type NetOptions struct {
 // MsgInquire frames and pulls missed commits with MsgSnapshot frames
 // before turning healthy. The daemons are launched with
 // Config.Protocol's name: the name, not the Protocol value, crosses the
-// process boundary, and every registry name is its protocol's Name().
+// process boundary, so Open refuses a value that is not the one the
+// registry holds under that name.
 type NetBackend struct {
 	wallDriver
 	opts NetOptions
@@ -96,6 +98,9 @@ func (b *NetBackend) Inject(ev Event) error {
 // termnode process per site and waits for the whole localnet to report
 // healthy.
 func (b *NetBackend) boot(cfg Config) error {
+	if err := registered(cfg.Protocol); err != nil {
+		return err
+	}
 	// Sharded placement over processes is static: the directory's epoch-0
 	// assignment ships to every daemon via -placement, and membership
 	// changes (epoch bumps) are rejected — rebalancing real processes is
@@ -136,6 +141,20 @@ func (b *NetBackend) boot(cfg Config) error {
 		return err
 	}
 	b.net, b.dir = net, dir
+	return nil
+}
+
+// registered refuses a protocol the daemons would not run: they resolve
+// its name in the registry, so any other value under that name would be
+// silently replaced by the registered one.
+func registered(p proto.Protocol) error {
+	reg, err := registry.Lookup(p.Name())
+	if err != nil {
+		return fmt.Errorf("net backend: %w", err)
+	}
+	if reg != p {
+		return fmt.Errorf("net backend: daemons launched as %q run %#v, not %#v", p.Name(), reg, p)
+	}
 	return nil
 }
 

@@ -8,6 +8,9 @@ import (
 	"termproto/internal/core"
 	"termproto/internal/db/engine"
 	"termproto/internal/proto"
+	"termproto/internal/protocol/quorum"
+	"termproto/internal/protocol/registry"
+	"termproto/internal/protocol/threepcrules"
 	"termproto/internal/sim"
 )
 
@@ -396,4 +399,33 @@ func TestNetHealRetryResolvesUnresolved(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// The daemons run a protocol by its registry name, so a value that is not
+// the registered one under its name — an option the name does not carry —
+// is refused before any process starts, and every registered value passes.
+func TestNetBackendRefusesUnregisteredProtocols(t *testing.T) {
+	for _, p := range []proto.Protocol{
+		core.Protocol{ReplyToLateProbes: true},
+		core.Protocol{DisableWToC: true},
+		core.Protocol{FourPhase: true},
+		quorum.Protocol{Vc: 2},
+		threepcrules.Protocol{Assign: threepcrules.Assignment{MasterP: proto.Commit}},
+	} {
+		b := netBackend(t)
+		c, err := Open(Config{Sites: 3, Protocol: p, Backend: b})
+		if err == nil {
+			c.Close()
+			t.Fatalf("%#v: Open started daemons that run %q", p, p.Name())
+		}
+		if b.net != nil {
+			t.Fatalf("%#v: refused after starting daemons", p)
+		}
+	}
+	for _, name := range registry.Names() {
+		p, _ := registry.Lookup(name)
+		if err := registered(p); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"termproto/internal/cluster"
 	"termproto/internal/core"
 	"termproto/internal/proto"
-	"termproto/internal/protocol/fourpc"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
 	"termproto/internal/trace"
@@ -34,8 +33,8 @@ func TestSolicitRandomized(t *testing.T) {
 	}{
 		{core.Protocol{}, false},
 		{core.Protocol{TransientFix: true}, true},
-		{fourpc.Protocol{}, false},
-		{fourpc.Protocol{TransientFix: true}, true},
+		{core.Protocol{FourPhase: true}, false},
+		{core.Protocol{FourPhase: true, TransientFix: true}, true},
 	}
 	profiles := []simnet.Uniform{
 		{Lo: sim.Duration(T) / 3, Hi: T},

@@ -2,7 +2,7 @@
 // termination protocol of Section 5.3 of Huang & Li, "A Termination
 // Protocol for Simple Network Partitioning in Distributed Database
 // Systems" (ICDE 1987), layered on the modified three-phase commit protocol
-// of Figure 8.
+// of Figure 8 or, by Theorem 10, on a four-phase one.
 //
 // # Protocol summary
 //
@@ -19,6 +19,7 @@
 // Lemma 4, see DESIGN.md §5.3):
 //
 //	w1: timeout (2T) or UD(xact)        → send abort to all slaves, abort
+//	e1: timeout (2T) or UD(pre)         → the same (four-phase only)
 //	p1: timeout (2T)                    → send commit to all slaves, commit
 //	p1: UD(prepare_i)                   → UD := {i}; PB := ∅; start a 5T
 //	                                      window; collect further
@@ -57,17 +58,18 @@
 //
 // Slave actions:
 //
-//	w:  timeout (3T)                    → wait a further 6T for a commit
-//	                                      or abort; at 6T, abort
-//	w:  UD(yes_i)                       → send abort to all sites, abort
-//	p:  timeout (3T)                    → send probe(tid, slave_i) to the
+//	w, e: timeout (3T)                  → wait a further 6T for a commit
+//	                                      or abort (in wt, et); at 6T,
+//	                                      abort
+//	w, e: UD(yes_i), UD(preack_i)       → send abort to all sites, abort
+//	p:    timeout (3T)                  → send probe(tid, slave_i) to the
 //	                                      master, then wait for UD(probe)
 //	                                      (→ send commit to all, commit),
 //	                                      a commit, or an abort; with the
 //	                                      §6 transient fix, also commit
 //	                                      after 5T of silence
-//	p:  UD(ack_i)                       → send commit to all sites, commit
-//	p:  solicit                         → send probe(tid, slave_i) to the
+//	p:    UD(ack_i)                     → send commit to all sites, commit
+//	p:    solicit                       → send probe(tid, slave_i) to the
 //	                                      master; nothing else: state and
 //	                                      timer stay, UD(probe) outside pt
 //	                                      stays ignored
@@ -75,6 +77,18 @@
 // A slave that broadcasts a decision sends it to every site (the paper's
 // commit_1..n / abort_1..n), so its G2 peers — including those still in w,
 // thanks to the Figure 8 w → c transition — terminate with it.
+//
+// # Theorem 10: the four-phase substrate
+//
+// The construction fits any master/slave commit protocol satisfying
+// Lemmas 1 and 2, with the message that makes slaves committable playing
+// the part of prepare. FourPhase selects such a protocol: a buffered round
+// (pre/preack) between the vote and prepare (internal/fsa.FourPC). Its
+// states e1 and e are noncommittable like w1 and w, and take their rules:
+// no prepare exists while the master is in e1, so a timeout, a UD(pre) or
+// a UD(preack) aborts, and a slave in e waits in et exactly as one in w
+// waits in wt. Prepare, ack, the window, probe and solicit are unchanged.
+// Experiment E14 runs the resilience sweeps against this substrate.
 //
 // # Options
 //
@@ -88,10 +102,9 @@ package core
 
 import (
 	"termproto/internal/proto"
-	"termproto/internal/protocol/threepc"
 )
 
-// Protocol builds termination-protocol automata over modified 3PC.
+// Protocol builds termination-protocol automata.
 type Protocol struct {
 	// TransientFix enables the §6 modification for transient partitions:
 	// a slave that timed out in p commits after 5T of further silence.
@@ -102,11 +115,18 @@ type Protocol struct {
 	// DisableWToC turns the Figure 8 w → c transition back off, recreating
 	// the "fly in the ointment" scenario of §5.3 for experiment E10.
 	DisableWToC bool
+	// FourPhase runs the construction over four-phase commit instead of
+	// three-phase (Theorem 10): a pre/preack round, with master state e1
+	// and slave states e/et, sits between the vote and prepare.
+	FourPhase bool
 }
 
 // Name implements proto.Protocol.
 func (p Protocol) Name() string {
-	if p.TransientFix {
+	switch {
+	case p.FourPhase:
+		return "4pc-termination"
+	case p.TransientFix:
 		return "termination+transient"
 	}
 	return "termination"
@@ -114,26 +134,28 @@ func (p Protocol) Name() string {
 
 // NewMaster implements proto.Protocol.
 func (p Protocol) NewMaster(cfg proto.Config) proto.Node {
-	base := threepc.Protocol{Modified: true}.NewMaster(cfg).(*threepc.Master)
-	return &Master{base: base, opts: p}
+	return &Master{cfg: cfg, opts: p, state: "q1"}
 }
 
 // NewSlave implements proto.Protocol.
 func (p Protocol) NewSlave(cfg proto.Config) proto.Node {
-	base := threepc.Protocol{Modified: !p.DisableWToC}.NewSlave(cfg).(*threepc.Slave)
-	return &Slave{base: base, opts: p}
+	return &Slave{opts: p, state: "q"}
 }
 
 // Master is the termination-protocol master automaton.
 //
-// Local states: q1, w1, p1, p1u (the UD(prepare) 5T collection window —
-// a refinement of p1, reported as "p1u" in traces), c1, a1.
+// Local states: q1, w1, e1 (four-phase only), p1, p1u (the UD(prepare)
+// 5T collection window — a refinement of p1, reported as "p1u" in traces),
+// c1, a1.
 type Master struct {
-	base *threepc.Master
-	opts Protocol
+	cfg   proto.Config
+	opts  Protocol
+	state string
 
+	// replies holds the slaves that answered the current round: yes in
+	// w1, preack in e1, ack in p1 and p1u.
+	replies proto.SiteSet
 	win     proto.Window // the §5.3 p1(2) UD/PB sets
-	outcome proto.Outcome
 }
 
 // State implements proto.Node.
@@ -141,18 +163,19 @@ func (m *Master) State() string {
 	if m.win.Open() {
 		return "p1u"
 	}
-	return m.base.State()
+	return m.state
 }
 
-// Start implements proto.Node.
+// Start implements proto.Node: execute locally, then send the xacts.
 func (m *Master) Start(env proto.Env) {
-	m.base.Start(env)
-	switch m.base.State() {
-	case "w1":
-		env.ResetTimer(2 * env.T())
-	case "a1":
-		m.outcome = proto.Abort
+	if !env.Execute(m.cfg.Payload) {
+		m.state = "a1"
+		env.Decide(proto.Abort)
+		return
 	}
+	env.SendAll(proto.MsgXact, m.cfg.Payload)
+	m.state = "w1"
+	env.ResetTimer(2 * env.T())
 }
 
 // OnMsg implements proto.Node.
@@ -163,7 +186,7 @@ func (m *Master) OnMsg(env proto.Env, msg proto.Msg) {
 			// A G1 slave's ack straggling in (all of them can never
 			// arrive here: a prepare already bounced). It entitles the
 			// slave to a solicit like an ack that beat the first UD.
-			m.base.NoteAck(msg.From)
+			m.replies.Add(msg.From)
 			m.solicit(env)
 		case proto.MsgProbe:
 			m.win.Probed(msg.From)
@@ -172,53 +195,67 @@ func (m *Master) OnMsg(env proto.Env, msg proto.Msg) {
 		}
 		return
 	}
-	switch m.base.State() {
-	case "w1":
-		if m.base.HandleVote(env, msg,
-			func() { env.ResetTimer(2 * env.T()) }, // entered p1
-			func() { env.StopTimer(); m.outcome = proto.Abort },
-		) {
-			return
+	switch {
+	case m.state == "w1" && msg.Kind == proto.MsgYes,
+		m.state == "e1" && msg.Kind == proto.MsgPreAck,
+		m.state == "p1" && msg.Kind == proto.MsgAck:
+		m.replies.Add(msg.From)
+		if m.replies.ContainsAll(env.Slaves()) {
+			m.advance(env)
 		}
-	case "p1":
-		if m.base.HandleAck(env, msg) {
-			if m.base.State() == "c1" {
-				m.outcome = proto.Commit
-			}
-			return
+	case m.state == "w1" && msg.Kind == proto.MsgNo:
+		// Not decide: Figure 3's order (abort sent, decided, then the
+		// timer stopped) is what the traces of a no vote record.
+		env.SendAll(proto.MsgAbort, nil)
+		m.state = "a1"
+		env.Decide(proto.Abort)
+		env.StopTimer()
+	case (m.state == "c1" || m.state == "a1") && msg.Kind == proto.MsgProbe && m.opts.ReplyToLateProbes:
+		// Extension: answer a late probe (transient heal, case 3.2.2.2)
+		// with the decision instead of dropping it.
+		kind := proto.MsgCommit
+		if m.state == "a1" {
+			kind = proto.MsgAbort
 		}
-	case "c1", "a1":
-		if msg.Kind == proto.MsgProbe && m.opts.ReplyToLateProbes {
-			// Extension: answer a late probe (transient heal, case
-			// 3.2.2.2) with the decision instead of dropping it.
-			kind := proto.MsgCommit
-			if m.outcome == proto.Abort {
-				kind = proto.MsgAbort
-			}
-			env.Send(msg.From, kind, nil)
-		}
+		env.Send(msg.From, kind, nil)
 	}
+}
+
+// advance leaves a round every slave has answered: w1 → e1 sending pre
+// (four-phase), w1 or e1 → p1 sending prepare, p1 → c1.
+func (m *Master) advance(env proto.Env) {
+	if m.state == "p1" {
+		m.decide(env, proto.Commit)
+		return
+	}
+	m.replies = proto.SiteSet{}
+	if m.state == "w1" && m.opts.FourPhase {
+		env.SendAll(proto.MsgPre, nil)
+		m.state = "e1"
+	} else {
+		env.SendAll(proto.MsgPrepare, nil)
+		m.state = "p1"
+	}
+	env.ResetTimer(2 * env.T())
 }
 
 // OnUndeliverable implements proto.Node.
 func (m *Master) OnUndeliverable(env proto.Env, msg proto.Msg) {
-	switch m.State() {
-	case "w1":
-		if msg.Kind == proto.MsgXact {
-			// §5.3 w1(2): a slave never learned of the transaction, so no
-			// prepare exists anywhere; abort is safe everywhere.
-			m.decide(env, proto.Abort)
+	switch {
+	case m.state == "w1" && msg.Kind == proto.MsgXact,
+		m.state == "e1" && msg.Kind == proto.MsgPre:
+		// §5.3 w1(2): a slave never learned of the transaction (or of the
+		// pre round), so no prepare exists anywhere; abort is safe
+		// everywhere.
+		m.decide(env, proto.Abort)
+	case m.state == "p1" && msg.Kind == proto.MsgPrepare:
+		// §5.3 p1(2): the first bounce opens the 5T window.
+		if m.win.Bounced(msg.To) {
+			env.ResetTimer(5 * env.T())
 		}
-	case "p1", "p1u":
-		if msg.Kind == proto.MsgPrepare {
-			// §5.3 p1(2): the first bounce opens the 5T window.
-			if m.win.Bounced(msg.To) {
-				env.ResetTimer(5 * env.T())
-			}
-			env.Tracef("master in p1u, UD += %d, UD=%s", msg.To, m.win.UD())
-			m.solicit(env)
-			m.closeWindow(env, false)
-		}
+		env.Tracef("master in p1u, UD += %d, UD=%s", msg.To, m.win.UD())
+		m.solicit(env)
+		m.closeWindow(env, false)
 	}
 }
 
@@ -226,7 +263,7 @@ func (m *Master) OnUndeliverable(env proto.Env, msg proto.Msg) {
 // has neither accounted for nor asked yet, for its probe now (see
 // proto.Window for why the ack is required).
 func (m *Master) solicit(env proto.Env) {
-	for _, j := range m.win.Solicit(m.base.Acks()) {
+	for _, j := range m.win.Solicit(m.replies) {
 		env.Tracef("master holds ack_%d, soliciting its probe", j)
 		env.Send(j, proto.MsgSolicit, nil)
 	}
@@ -249,10 +286,10 @@ func (m *Master) OnTimeout(env proto.Env) {
 	switch {
 	case m.win.Open():
 		m.closeWindow(env, true)
-	case m.base.State() == "w1":
+	case m.state == "w1", m.state == "e1":
 		// §5.3 w1(1): no prepares generated; abort everywhere.
 		m.decide(env, proto.Abort)
-	case m.base.State() == "p1":
+	case m.state == "p1":
 		// §5.3 p1(1): every prepare was deliverable (no UD returned), so
 		// every slave — in either partition — holds a prepare and will
 		// commit; commit everywhere.
@@ -263,107 +300,96 @@ func (m *Master) OnTimeout(env proto.Env) {
 func (m *Master) decide(env proto.Env, o proto.Outcome) {
 	env.StopTimer()
 	m.win.Close()
-	m.outcome = o
 	if o == proto.Commit {
 		env.SendAll(proto.MsgCommit, nil)
-		m.base.SetState("c1")
+		m.state = "c1"
 	} else {
 		env.SendAll(proto.MsgAbort, nil)
-		m.base.SetState("a1")
+		m.state = "a1"
 	}
 	env.Decide(o)
 }
 
 // Slave is the termination-protocol slave automaton.
 //
-// Local states: q, w, wt (timed out in w, inside the 6T window), p,
-// pt (timed out in p, probe sent), c, a.
+// Local states: q, w, wt (timed out in w, inside the 6T window), e and et
+// (their four-phase counterparts after pre), p, pt (timed out in p, probe
+// sent), c, a.
 type Slave struct {
-	base *threepc.Slave
-	opts Protocol
-
-	phase   string // "" while base drives; "wt" or "pt" afterwards
-	decided bool
+	opts  Protocol
+	state string
 }
 
 // State implements proto.Node.
-func (s *Slave) State() string {
-	if s.phase != "" && !s.decided {
-		return s.phase
-	}
-	return s.base.State()
-}
+func (s *Slave) State() string { return s.state }
 
 // Start implements proto.Node.
 func (s *Slave) Start(proto.Env) {}
 
 // OnMsg implements proto.Node.
 func (s *Slave) OnMsg(env proto.Env, msg proto.Msg) {
-	if s.decided {
-		return // late duplicates and stragglers after the decision
-	}
-	switch s.phase {
-	case "wt":
-		// §5.3 w(1) wait window: only a commit or an abort terminates it.
+	switch s.state {
+	case "q":
+		if msg.Kind != proto.MsgXact {
+			return
+		}
+		if env.Execute(msg.Payload) {
+			s.reply(env, proto.MsgYes, "w")
+		} else {
+			env.Send(env.MasterID(), proto.MsgNo, nil)
+			s.state = "a"
+			env.Decide(proto.Abort)
+		}
+	case "w", "e":
+		switch {
+		case msg.Kind == proto.MsgPre && s.state == "w" && s.opts.FourPhase:
+			s.reply(env, proto.MsgPreAck, "e")
+		case msg.Kind == proto.MsgPrepare && (s.state == "e") == s.opts.FourPhase:
+			// Prepare ends the last noncommittable wait: w, or e after pre.
+			s.reply(env, proto.MsgAck, "p")
+		case msg.Kind == proto.MsgCommit && !s.opts.DisableWToC:
+			// The Figure 8 w → c transition: a G2 peer's commit.
+			s.finish(env, proto.Commit, false)
+		case msg.Kind == proto.MsgAbort:
+			s.finish(env, proto.Abort, false)
+		}
+	case "p", "wt", "et", "pt":
+		// A timed-out slave waits for a decision and nothing else.
 		switch msg.Kind {
+		case proto.MsgSolicit:
+			// The master holds our ack and a bounced prepare: answer with
+			// the probe our 3T timer would send, and change nothing else —
+			// the timer keeps running and we stay out of pt, so a
+			// UD(probe) stays ignored.
+			if s.state == "p" {
+				env.Send(env.MasterID(), proto.MsgProbe, nil)
+			}
 		case proto.MsgCommit:
 			s.finish(env, proto.Commit, false)
 		case proto.MsgAbort:
 			s.finish(env, proto.Abort, false)
 		}
-		return
-	case "pt":
-		switch msg.Kind {
-		case proto.MsgCommit:
-			s.finish(env, proto.Commit, false)
-		case proto.MsgAbort:
-			s.finish(env, proto.Abort, false)
-		}
-		return
-	}
-
-	if msg.Kind == proto.MsgSolicit {
-		// The master holds our ack and a bounced prepare: answer with the
-		// probe our 3T timer would send, and change nothing else — the
-		// timer keeps running and we stay out of pt, so a UD(probe) stays
-		// ignored.
-		if s.base.State() == "p" {
-			env.Send(env.MasterID(), proto.MsgProbe, nil)
-		}
-		return
-	}
-	if s.base.HandleXact(env, msg, func() { env.ResetTimer(3 * env.T()) }) {
-		if s.base.State() == "a" {
-			s.decided = true
-		}
-		return
-	}
-	if s.base.HandleW(env, msg, func() { env.ResetTimer(3 * env.T()) }) {
-		s.noteBaseDecision()
-		return
-	}
-	if s.base.HandleP(env, msg) {
-		s.noteBaseDecision()
-		return
 	}
 }
 
-func (s *Slave) noteBaseDecision() {
-	if st := s.base.State(); st == "c" || st == "a" {
-		s.decided = true
-	}
+// reply answers the master and moves to the next wait state, each with
+// its own 3T failure detector.
+func (s *Slave) reply(env proto.Env, kind proto.Kind, next string) {
+	env.Send(env.MasterID(), kind, nil)
+	s.state = next
+	env.ResetTimer(3 * env.T())
 }
 
 // OnUndeliverable implements proto.Node.
 func (s *Slave) OnUndeliverable(env proto.Env, msg proto.Msg) {
-	if s.decided {
+	if s.state == "c" || s.state == "a" {
 		return // returns of our own decision broadcast; ignore
 	}
 	switch msg.Kind {
-	case proto.MsgYes:
-		// §5.3 w(2): our vote never reached the master, so the master
-		// times out in w1 and aborts G1; nobody can commit. Broadcast the
-		// abort so our partition terminates promptly.
+	case proto.MsgYes, proto.MsgPreAck:
+		// §5.3 w(2): our answer never reached the master, so the master
+		// times out in w1 (or e1) and aborts G1; nobody can commit.
+		// Broadcast the abort so our partition terminates promptly.
 		s.finish(env, proto.Abort, true)
 	case proto.MsgAck:
 		// §5.3 p(2): our ack bounced, so we are in G2 *and* we hold a
@@ -373,7 +399,7 @@ func (s *Slave) OnUndeliverable(env proto.Env, msg proto.Msg) {
 	case proto.MsgProbe:
 		// §5.3 p(1): our probe bounced, so we are in G2 and hold a
 		// prepare: commit G2.
-		if s.phase == "pt" {
+		if s.state == "pt" {
 			s.finish(env, proto.Commit, true)
 		}
 	}
@@ -381,23 +407,21 @@ func (s *Slave) OnUndeliverable(env proto.Env, msg proto.Msg) {
 
 // OnTimeout implements proto.Node.
 func (s *Slave) OnTimeout(env proto.Env) {
-	if s.decided {
-		return
-	}
-	switch {
-	case s.base.State() == "w" && s.phase == "":
+	switch s.state {
+	case "w", "e":
 		// §5.3 w(1): wait up to 6T for someone's decision (Fig. 7 bound).
-		s.phase = "wt"
+		was := s.state
+		s.state += "t"
 		env.ResetTimer(6 * env.T())
-		env.Tracef("slave %d w-timeout, waiting 6T", env.Self())
-	case s.phase == "wt":
+		env.Tracef("slave %d %s-timeout, waiting 6T", env.Self(), was)
+	case "wt", "et":
 		// §5.3 w(1): nothing arrived within 6T; abort is safe (the master
 		// aborted G1, or we are in G2 and no prepare crossed B).
 		s.finish(env, proto.Abort, false)
-	case s.base.State() == "p" && s.phase == "":
+	case "p":
 		// §5.3 p(1): probe the master.
 		env.Send(env.MasterID(), proto.MsgProbe, nil)
-		s.phase = "pt"
+		s.state = "pt"
 		if s.opts.TransientFix {
 			// §6: every reachable case answers within 5T (Fig. 9); pure
 			// silence means case 3.2.2.2, where the decision was commit.
@@ -406,7 +430,7 @@ func (s *Slave) OnTimeout(env proto.Env) {
 			env.StopTimer()
 		}
 		env.Tracef("slave %d p-timeout, probing master", env.Self())
-	case s.phase == "pt":
+	case "pt":
 		// §6 transient fix: 5T of silence after the probe ⇒ case 3.2.2.2,
 		// where all sites decided commit.
 		s.finish(env, proto.Commit, false)
@@ -417,7 +441,6 @@ func (s *Slave) OnTimeout(env proto.Env) {
 // every other site first (the paper's commit_1..n / abort_1..n).
 func (s *Slave) finish(env proto.Env, o proto.Outcome, broadcast bool) {
 	env.StopTimer()
-	s.decided = true
 	if broadcast {
 		kind := proto.MsgCommit
 		if o == proto.Abort {
@@ -426,9 +449,9 @@ func (s *Slave) finish(env proto.Env, o proto.Outcome, broadcast bool) {
 		env.SendAll(kind, nil)
 	}
 	if o == proto.Commit {
-		s.base.SetState("c")
+		s.state = "c"
 	} else {
-		s.base.SetState("a")
+		s.state = "a"
 	}
 	env.Decide(o)
 }

@@ -14,6 +14,9 @@ func TestNames(t *testing.T) {
 	if (Protocol{TransientFix: true}).Name() != "termination+transient" {
 		t.Fatal("transient name")
 	}
+	if (Protocol{FourPhase: true, TransientFix: true}).Name() != "4pc-termination" {
+		t.Fatal("four-phase name")
+	}
 }
 
 // --- master: §5.3 w1 rules ---
@@ -42,6 +45,46 @@ func TestMasterW1UDXact(t *testing.T) {
 	m.OnUndeliverable(env, env.UD(3, proto.MsgXact))
 	if m.State() != "a1" || env.Decision != proto.Abort {
 		t.Fatal("w1 UD(xact) must abort")
+	}
+}
+
+// --- master: e1, the four-phase substrate's w1 ---
+
+func masterInE1(t *testing.T, env *prototest.Env) *Master {
+	t.Helper()
+	m := Protocol{FourPhase: true}.NewMaster(env.Cfg).(*Master)
+	m.Start(env)
+	for _, s := range env.Slaves() {
+		m.OnMsg(env, env.Msg(s, proto.MsgYes))
+	}
+	if m.State() != "e1" || env.CountSent(proto.MsgPre) != len(env.Slaves()) {
+		t.Fatalf("state = %s, want e1 with pre sent", m.State())
+	}
+	if !env.TimerActive || env.TimerDur != 2*env.TVal {
+		t.Fatalf("e1 timer = %v, want 2T", env.TimerDur)
+	}
+	env.ClearSent()
+	return m
+}
+
+func TestMasterE1TimeoutAborts(t *testing.T) {
+	env := prototest.NewEnv(1, 4)
+	m := masterInE1(t, env)
+	m.OnTimeout(env)
+	if m.State() != "a1" || env.Decision != proto.Abort || env.CountSent(proto.MsgAbort) != 3 {
+		t.Fatal("e1 timeout must abort everywhere: no prepare exists yet")
+	}
+}
+
+func TestMasterE1UDPreAborts(t *testing.T) {
+	env := prototest.NewEnv(1, 4)
+	m := masterInE1(t, env)
+	m.OnUndeliverable(env, env.UD(3, proto.MsgPre))
+	if m.State() != "a1" || env.Decision != proto.Abort || env.TimerActive {
+		t.Fatal("e1 UD(pre) must abort and stop the timer")
+	}
+	if env.CountSent(proto.MsgAbort) != 3 || env.CountSent(proto.MsgPrepare) != 0 {
+		t.Fatalf("sent %v, want abort_1..n and no prepare", env.SentKinds())
 	}
 }
 
@@ -158,7 +201,7 @@ func TestMasterCollectsMultipleUDs(t *testing.T) {
 }
 
 // An ack straggling in during the window decides nothing, but it is kept:
-// Acks() stays truthful, and — like an ack that beat the first UD — it
+// the ack set stays truthful, and — like an ack that beat the first UD — it
 // entitles its sender, and nobody else, to one solicit.
 func TestMasterAcksDuringCollectAbsorbed(t *testing.T) {
 	env := prototest.NewEnv(1, 4)
@@ -179,8 +222,8 @@ func TestMasterAcksDuringCollectAbsorbed(t *testing.T) {
 	if m.State() != "p1u" || env.Decision != proto.None {
 		t.Fatal("ack during collect window mishandled")
 	}
-	if got := m.base.Acks().String(); got != "{2 3}" {
-		t.Fatalf("Acks() = %s, want {2 3}", got)
+	if got := m.replies.String(); got != "{2 3}" {
+		t.Fatalf("acks = %s, want {2 3}", got)
 	}
 	if len(env.Sent) != 1 || env.Sent[0].Kind != proto.MsgSolicit || env.Sent[0].To != 2 {
 		t.Fatalf("sent %v, want exactly solicit_2", env.Sent)
@@ -273,6 +316,49 @@ func TestSlaveUDYesBroadcastsAbort(t *testing.T) {
 	}
 	if env.CountSent(proto.MsgAbort) != 3 {
 		t.Fatal("abort_1..n must go to every other site")
+	}
+}
+
+// --- slave: e, the four-phase substrate's w ---
+
+func startSlaveInE(t *testing.T, env *prototest.Env) *Slave {
+	t.Helper()
+	s := startSlaveInW(t, env, Protocol{FourPhase: true})
+	env.ClearSent()
+	s.OnMsg(env, env.Msg(1, proto.MsgPre))
+	if s.State() != "e" || env.CountSent(proto.MsgPreAck) != 1 || env.TimerDur != 3*env.TVal {
+		t.Fatalf("state = %s, want e with preack sent and a 3T timer", s.State())
+	}
+	return s
+}
+
+func TestSlaveUDPreAckBroadcastsAbort(t *testing.T) {
+	env := prototest.NewEnv(2, 4)
+	s := startSlaveInE(t, env)
+	env.ClearSent()
+	s.OnUndeliverable(env, env.UD(1, proto.MsgPreAck))
+	if s.State() != "a" || env.Decision != proto.Abort {
+		t.Fatal("UD(preack) must abort")
+	}
+	if env.CountSent(proto.MsgAbort) != 3 {
+		t.Fatal("abort_1..n must go to every other site")
+	}
+}
+
+func TestSlaveETimeoutThenSilenceAborts(t *testing.T) {
+	env := prototest.NewEnv(2, 3)
+	s := startSlaveInE(t, env)
+	s.OnTimeout(env)
+	if s.State() != "et" || env.TimerDur != 6*env.TVal {
+		t.Fatalf("state = %s timer = %v, want et with a 6T window", s.State(), env.TimerDur)
+	}
+	s.OnMsg(env, env.Msg(1, proto.MsgPrepare)) // only a decision ends et
+	if s.State() != "et" || env.CountSent(proto.MsgAck) != 0 {
+		t.Fatal("a timed-out slave must not take a prepare")
+	}
+	s.OnTimeout(env)
+	if s.State() != "a" || env.Decision != proto.Abort {
+		t.Fatal("6T of silence in et must abort")
 	}
 }
 

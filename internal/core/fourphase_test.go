@@ -1,11 +1,13 @@
-package fourpc_test
+// The Theorem 10 sweeps: the construction over the four-phase substrate,
+// run on whole simulated clusters.
+package core_test
 
 import (
 	"testing"
 
 	"termproto/internal/cluster"
+	"termproto/internal/core"
 	"termproto/internal/proto"
-	"termproto/internal/protocol/fourpc"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
 )
@@ -17,7 +19,7 @@ var traced = cluster.SimOptions{RecordTrace: true}
 
 func TestFourPCFailureFree(t *testing.T) {
 	for _, n := range []int{2, 3, 6} {
-		r, _ := cluster.RunOne(cluster.Config{Sites: n, Protocol: fourpc.Protocol{}}, cluster.SimOptions{}, cluster.Txn{})
+		r, _ := cluster.RunOne(cluster.Config{Sites: n, Protocol: core.Protocol{FourPhase: true}}, cluster.SimOptions{}, cluster.Txn{})
 		for id, s := range r.Sites {
 			if s.Outcome != proto.Commit {
 				t.Fatalf("n=%d site %d = %v, want commit", n, id, s.Outcome)
@@ -28,7 +30,7 @@ func TestFourPCFailureFree(t *testing.T) {
 
 func TestFourPCAborts(t *testing.T) {
 	for _, v := range []proto.Voter{proto.NoAt(2), proto.NoAt(1), proto.NoAt(3, 4)} {
-		r, _ := cluster.RunOne(cluster.Config{Sites: 4, Protocol: fourpc.Protocol{}, Votes: v}, cluster.SimOptions{}, cluster.Txn{})
+		r, _ := cluster.RunOne(cluster.Config{Sites: 4, Protocol: core.Protocol{FourPhase: true}, Votes: v}, cluster.SimOptions{}, cluster.Txn{})
 		if !r.Consistent() {
 			t.Fatal("inconsistent on no-vote")
 		}
@@ -45,7 +47,7 @@ func TestFourPCPermanentPartitionSweep(t *testing.T) {
 	for _, split := range splits {
 		for at := sim.Time(0); at <= 10*sim.Time(T); at += sim.Time(T) / 4 {
 			r, b := cluster.RunOne(cluster.Config{
-				Sites: 4, Protocol: fourpc.Protocol{},
+				Sites: 4, Protocol: core.Protocol{FourPhase: true},
 				Schedule: cluster.Schedule{cluster.PartitionAt(at, split...)},
 			}, traced, cluster.Txn{})
 			if !r.Consistent() {
@@ -63,7 +65,7 @@ func TestFourPCPermanentPartitionSweep(t *testing.T) {
 func TestFourPCG2CommitLaw(t *testing.T) {
 	for at := sim.Time(0); at <= 10*sim.Time(T); at += sim.Time(T) / 8 {
 		r, b := cluster.RunOne(cluster.Config{
-			Sites: 4, Protocol: fourpc.Protocol{},
+			Sites: 4, Protocol: core.Protocol{FourPhase: true},
 			Schedule: cluster.Schedule{cluster.PartitionAt(at, 3, 4)},
 		}, traced, cluster.Txn{})
 		if !r.Consistent() || len(r.Blocked()) != 0 {
@@ -97,7 +99,7 @@ func TestFourPCRandomized(t *testing.T) {
 			split = []proto.SiteID{proto.SiteID(n)}
 		}
 		r, b := cluster.RunOne(cluster.Config{
-			Sites: n, Protocol: fourpc.Protocol{TransientFix: rng.Bool()},
+			Sites: n, Protocol: core.Protocol{FourPhase: true, TransientFix: rng.Bool()},
 			Schedule: cluster.Schedule{cluster.PartitionAt(sim.Time(rng.Int63n(int64(11*T))), split...)},
 		}, cluster.SimOptions{
 			Latency:     simnet.Uniform{Lo: sim.Duration(T) / 4, Hi: T},
@@ -118,7 +120,7 @@ func TestFourPCTransient(t *testing.T) {
 	for onset := sim.Time(0); onset <= 8*sim.Time(T); onset += sim.Time(T) {
 		for _, healDelta := range []sim.Time{1, 2 * sim.Time(T), 5 * sim.Time(T)} {
 			r, b := cluster.RunOne(cluster.Config{
-				Sites: 4, Protocol: fourpc.Protocol{TransientFix: true},
+				Sites: 4, Protocol: core.Protocol{FourPhase: true, TransientFix: true},
 				Schedule: cluster.Schedule{cluster.TransientPartitionAt(onset, onset+healDelta, 3, 4)},
 			}, traced, cluster.Txn{})
 			if !r.Consistent() {

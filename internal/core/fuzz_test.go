@@ -30,7 +30,7 @@ func driveNode(node proto.Node, env *prototest.Env, events []fuzzEvent) (panicke
 	kinds := []proto.Kind{
 		proto.MsgXact, proto.MsgYes, proto.MsgNo, proto.MsgPrepare,
 		proto.MsgAck, proto.MsgCommit, proto.MsgAbort, proto.MsgProbe,
-		proto.MsgPre, proto.MsgStateRep, proto.MsgSolicit,
+		proto.MsgPre, proto.MsgPreAck, proto.MsgStateRep, proto.MsgSolicit,
 	}
 	n := len(env.Cfg.Sites)
 	for _, ev := range events {
@@ -57,12 +57,12 @@ func fuzzEventsFrom(raw []uint8) []fuzzEvent {
 }
 
 func TestSlaveSurvivesArbitraryEvents(t *testing.T) {
-	f := func(raw []uint8, transient, noVote bool) bool {
+	f := func(raw []uint8, transient, noVote, fourPhase bool) bool {
 		env := prototest.NewEnv(3, 5)
 		if noVote {
 			env.Vote = func([]byte) bool { return false }
 		}
-		node := Protocol{TransientFix: transient}.NewSlave(env.Cfg)
+		node := Protocol{TransientFix: transient, FourPhase: fourPhase}.NewSlave(env.Cfg)
 		if driveNode(node, env, fuzzEventsFrom(raw)) {
 			return false
 		}
@@ -82,9 +82,9 @@ func TestSlaveSurvivesArbitraryEvents(t *testing.T) {
 }
 
 func TestMasterSurvivesArbitraryEvents(t *testing.T) {
-	f := func(raw []uint8, replyLate bool) bool {
+	f := func(raw []uint8, replyLate, fourPhase bool) bool {
 		env := prototest.NewEnv(1, 4)
-		node := Protocol{ReplyToLateProbes: replyLate}.NewMaster(env.Cfg)
+		node := Protocol{ReplyToLateProbes: replyLate, FourPhase: fourPhase}.NewMaster(env.Cfg)
 		if driveNode(node, env, fuzzEventsFrom(raw)) {
 			return false
 		}
@@ -95,6 +95,8 @@ func TestMasterSurvivesArbitraryEvents(t *testing.T) {
 			return env.Decision == proto.Abort
 		case "q1", "w1", "p1", "p1u":
 			return env.Decision == proto.None
+		case "e1":
+			return fourPhase && env.Decision == proto.None
 		default:
 			return false // unknown state name
 		}

@@ -8,7 +8,6 @@ import (
 	"termproto/internal/fsa"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/cooperative"
-	"termproto/internal/protocol/fourpc"
 	"termproto/internal/protocol/quorum"
 	"termproto/internal/protocol/threepc"
 	"termproto/internal/protocol/threepcrules"
@@ -127,8 +126,9 @@ func E13Theorem9Resilience(cfg Config) *Table {
 }
 
 // E14Theorem10FourPC validates the Theorem 10 generalization: the
-// termination construction applied to the four-phase protocol passes the
-// same resilience sweep, and its FSA satisfies both lemmas.
+// termination construction run over the four-phase substrate (core's
+// FourPhase) passes the same resilience sweep, and its FSA satisfies both
+// lemmas.
 func E14Theorem10FourPC(cfg Config) *Table {
 	t := &Table{
 		ID:      "E14",
@@ -136,7 +136,7 @@ func E14Theorem10FourPC(cfg Config) *Table {
 		Columns: []string{"protocol", "runs", "atomic", "nonblocking", "max decision"},
 	}
 	runs := cfg.randomRuns()
-	st := sweepProtocol(fourpc.Protocol{TransientFix: true}, runs, 0x1987)
+	st := sweepProtocol(core.Protocol{FourPhase: true, TransientFix: true}, runs, 0x1987)
 	t.row("4pc+termination", fmt.Sprintf("%d", st.runs),
 		st.pct(st.consistent), st.pct(st.nonblocking), tUnits(st.maxDecision))
 	a := fsa.Analyze(fsa.FourPC(), 3)

@@ -1,11 +1,11 @@
 package proto
 
-// Window is the master's UD/PB collection window of §5.3 p1(2), shared by
-// every termination-protocol master (internal/core, fourpc). The first
-// bounced prepare opens it; UD gathers the slaves whose prepare came back
-// undeliverable, PB the slaves whose probe arrived. The paper closes it
-// 5T after it opened and aborts iff N − UD = PB (no prepare crossed the
-// boundary), else commits.
+// Window is the master's UD/PB collection window of §5.3 p1(2), held by
+// the termination-protocol master (internal/core, over either substrate).
+// The first bounced prepare opens it; UD gathers the slaves whose prepare
+// came back undeliverable, PB the slaves whose probe arrived. The paper
+// closes it 5T after it opened and aborts iff N − UD = PB (no prepare
+// crossed the boundary), else commits.
 //
 // It also closes early, on complete evidence. The link model delivers a
 // frame or returns it, never both, and only a slave holding a prepare

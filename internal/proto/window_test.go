@@ -7,7 +7,6 @@ import (
 	"termproto/internal/core"
 	"termproto/internal/proto"
 	"termproto/internal/proto/prototest"
-	"termproto/internal/protocol/fourpc"
 	"termproto/internal/sim"
 )
 
@@ -63,7 +62,7 @@ func paperVerdict(slaves []proto.SiteID, ud, pb proto.SiteSet) proto.Outcome {
 // silent it must sit in p1u until OnTimeout.
 func TestEarlyCloseMatchesPaperRule(t *testing.T) {
 	protocols := []proto.Protocol{
-		core.Protocol{}, core.Protocol{TransientFix: true}, fourpc.Protocol{},
+		core.Protocol{}, core.Protocol{TransientFix: true}, core.Protocol{FourPhase: true},
 	}
 	const ud, probe, silent = 0, 1, 2
 	for _, p := range protocols {
@@ -166,10 +165,11 @@ func TestWindowSolicit(t *testing.T) {
 	}
 }
 
-// windowProtocols are the masters and slaves built on proto.Window.
+// windowProtocols are the masters and slaves built on proto.Window: core's
+// automaton over both substrates.
 var windowProtocols = []proto.Protocol{
 	core.Protocol{}, core.Protocol{TransientFix: true},
-	fourpc.Protocol{}, fourpc.Protocol{TransientFix: true},
+	core.Protocol{FourPhase: true}, core.Protocol{FourPhase: true, TransientFix: true},
 }
 
 // masterInP1 starts a master and feeds it every vote (and, for 4PC, every
@@ -298,7 +298,7 @@ func TestMasterSolicitsOnlyAckedSlaves(t *testing.T) {
 // dropped.
 func TestSlaveAnswersSolicitOnlyInP(t *testing.T) {
 	for _, p := range windowProtocols {
-		_, fourPhase := p.(fourpc.Protocol)
+		fourPhase := p.(core.Protocol).FourPhase
 		// Each script drives a fresh slave to the named state.
 		type script struct {
 			state string
@@ -322,10 +322,10 @@ func TestSlaveAnswersSolicitOnlyInP(t *testing.T) {
 			{"a", func(env *prototest.Env, s proto.Node) { inP(env, s); s.OnMsg(env, env.Msg(1, proto.MsgAbort)) }},
 		}
 		if fourPhase {
-			scripts = append(scripts, script{"e", func(env *prototest.Env, s proto.Node) {
-				xact(env, s)
-				s.OnMsg(env, env.Msg(1, proto.MsgPre))
-			}})
+			inE := func(env *prototest.Env, s proto.Node) { xact(env, s); s.OnMsg(env, env.Msg(1, proto.MsgPre)) }
+			scripts = append(scripts,
+				script{"e", inE},
+				script{"et", func(env *prototest.Env, s proto.Node) { inE(env, s); s.OnTimeout(env) }})
 		}
 		for _, sc := range scripts {
 			env := prototest.NewEnv(3, 4)

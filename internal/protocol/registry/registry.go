@@ -2,7 +2,8 @@
 // the cross-process contract: cmd/termsim selects a protocol by name,
 // cmd/termnode daemons are launched with the same name, and the cluster
 // NetBackend launches every node of a localnet under its protocol's
-// Name() — so every name here is the Name() of what it resolves to.
+// Name() — so every name here is the Name() of what it resolves to, and
+// NetBackend refuses any protocol value not registered under its name.
 package registry
 
 import (
@@ -12,7 +13,6 @@ import (
 	"termproto/internal/core"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/cooperative"
-	"termproto/internal/protocol/fourpc"
 	"termproto/internal/protocol/quorum"
 	"termproto/internal/protocol/threepc"
 	"termproto/internal/protocol/threepcrules"
@@ -34,7 +34,7 @@ var protocols = map[string]proto.Protocol{
 	"3pc-cooperative":       cooperative.Protocol{},
 	"termination":           core.Protocol{},
 	"termination+transient": core.Protocol{TransientFix: true},
-	"4pc-termination":       fourpc.Protocol{TransientFix: true},
+	"4pc-termination":       core.Protocol{FourPhase: true, TransientFix: true},
 }
 
 // Lookup resolves a protocol by name.

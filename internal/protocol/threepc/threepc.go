@@ -12,7 +12,9 @@
 // both a commit and an abort in its concurrency set and no noncommittable
 // state has a commit in its concurrency set. Unaugmented it still blocks
 // under partitions (it has no timeout transitions here); the paper's
-// termination protocol in internal/core is what makes it resilient.
+// termination protocol in internal/core, which runs its own automaton over
+// the same rounds, is what makes it resilient. Only threepcrules embeds
+// these types.
 //
 // The Modified option adds the Figure 8 transition w → c on receipt of a
 // commit message. Section 5.3 shows why it is needed: a slave in G2 that
@@ -50,9 +52,9 @@ func (p Protocol) NewSlave(cfg proto.Config) proto.Node {
 	return &Slave{cfg: cfg, state: "q", modified: p.Modified}
 }
 
-// Master is the 3PC master automaton. It is exported so the termination
-// protocol (internal/core) and the rules-augmented variant can embed it and
-// extend its failure handling.
+// Master is the 3PC master automaton. It is exported so the
+// rules-augmented variant (internal/protocol/threepcrules) can embed it and
+// add timeout transitions.
 type Master struct {
 	cfg   proto.Config
 	state string
@@ -75,12 +77,7 @@ func (m *Master) Start(env proto.Env) {
 	}
 	env.SendAll(proto.MsgXact, m.cfg.Payload)
 	m.state = "w1"
-	m.AfterSendXact(env)
 }
-
-// AfterSendXact is a hook for embedders (arm timers, ...). The base
-// protocol does nothing.
-func (m *Master) AfterSendXact(proto.Env) {}
 
 // HandleVote processes yes/no votes while in w1 and drives the
 // w1 → p1 / w1 → a1 transitions. It reports whether the message was
@@ -129,13 +126,6 @@ func (m *Master) HandleAck(env proto.Env, msg proto.Msg) bool {
 	return true
 }
 
-// Acks exposes the set of acknowledged slaves (for embedders).
-func (m *Master) Acks() proto.SiteSet { return m.acks }
-
-// NoteAck records an ack without driving p1 → c1, for an embedder whose
-// master has left the plain p1 wait (the termination protocol's p1u).
-func (m *Master) NoteAck(from proto.SiteID) { m.acks.Add(from) }
-
 // OnMsg implements proto.Node for the pure protocol.
 func (m *Master) OnMsg(env proto.Env, msg proto.Msg) {
 	if m.HandleVote(env, msg, nil, nil) {
@@ -150,7 +140,7 @@ func (m *Master) OnUndeliverable(proto.Env, proto.Msg) {}
 // OnTimeout is a no-op: Figure 3 has no timeout transitions.
 func (m *Master) OnTimeout(proto.Env) {}
 
-// Slave is the 3PC slave automaton, exported for embedding.
+// Slave is the 3PC slave automaton, exported so threepcrules can embed it.
 type Slave struct {
 	cfg      proto.Config
 	state    string
