@@ -7,12 +7,8 @@ import (
 	"termproto/internal/core"
 	"termproto/internal/proto"
 	"termproto/internal/proto/prototest"
-	"termproto/internal/protocol/cooperative"
-	"termproto/internal/protocol/quorum"
+	"termproto/internal/protocol/registry"
 	"termproto/internal/protocol/threepc"
-	"termproto/internal/protocol/threepcrules"
-	"termproto/internal/protocol/twopc"
-	"termproto/internal/protocol/twopcext"
 )
 
 // Automaton robustness across every protocol in the repository: arbitrary
@@ -22,18 +18,15 @@ import (
 // oracle. This battery found a real bug in an early core.Slave: a decided
 // slave still honoured commits arriving in its wt/pt phase.
 func TestAllAutomataSurviveArbitraryEvents(t *testing.T) {
+	// Every registered protocol, and the ablations no name carries.
 	protos := []proto.Protocol{
-		twopc.Protocol{},
-		twopcext.Protocol{},
-		threepc.Protocol{},
-		threepc.Protocol{Modified: true},
-		threepcrules.Protocol{},
-		quorum.Protocol{},
-		cooperative.Protocol{},
-		core.Protocol{},
 		core.Protocol{TransientFix: true, ReplyToLateProbes: true},
 		core.Protocol{FourPhase: true},
-		core.Protocol{FourPhase: true, TransientFix: true},
+		threepc.Protocol{Rules: threepc.Assignment{MasterP: proto.Commit, SlaveW: proto.Commit}},
+	}
+	for _, name := range registry.Names() {
+		p, _ := registry.Lookup(name)
+		protos = append(protos, p)
 	}
 	kinds := []proto.Kind{
 		proto.MsgXact, proto.MsgYes, proto.MsgNo, proto.MsgPrepare,

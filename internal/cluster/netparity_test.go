@@ -8,9 +8,8 @@ import (
 	"termproto/internal/core"
 	"termproto/internal/db/engine"
 	"termproto/internal/proto"
-	"termproto/internal/protocol/quorum"
 	"termproto/internal/protocol/registry"
-	"termproto/internal/protocol/threepcrules"
+	"termproto/internal/protocol/threepc"
 	"termproto/internal/sim"
 )
 
@@ -409,8 +408,7 @@ func TestNetBackendRefusesUnregisteredProtocols(t *testing.T) {
 		core.Protocol{ReplyToLateProbes: true},
 		core.Protocol{DisableWToC: true},
 		core.Protocol{FourPhase: true},
-		quorum.Protocol{Vc: 2},
-		threepcrules.Protocol{Assign: threepcrules.Assignment{MasterP: proto.Commit}},
+		threepc.Protocol{Modified: true, Rules: threepc.RuleA()},
 	} {
 		b := netBackend(t)
 		c, err := Open(Config{Sites: 3, Protocol: p, Backend: b})

@@ -6,10 +6,9 @@ import (
 	"termproto/internal/cluster"
 	"termproto/internal/core"
 	"termproto/internal/proto"
+	"termproto/internal/protocol/registry"
 	"termproto/internal/protocol/threepc"
-	"termproto/internal/protocol/threepcrules"
 	"termproto/internal/protocol/twopc"
-	"termproto/internal/protocol/twopcext"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
 	"termproto/internal/trace"
@@ -42,16 +41,14 @@ func allOutcomes(t *testing.T, r *cluster.TxnResult, want proto.Outcome) {
 
 // --- failure-free commits and aborts for every protocol ---
 
+// protocols is every registered protocol.
 func protocols() []proto.Protocol {
-	return []proto.Protocol{
-		twopc.Protocol{},
-		twopcext.Protocol{},
-		threepc.Protocol{},
-		threepc.Protocol{Modified: true},
-		threepcrules.Protocol{},
-		core.Protocol{},
-		core.Protocol{TransientFix: true},
+	var out []proto.Protocol
+	for _, name := range registry.Names() {
+		p, _ := registry.Lookup(name)
+		out = append(out, p)
 	}
+	return out
 }
 
 func TestFailureFreeCommit(t *testing.T) {
@@ -152,7 +149,7 @@ func TestExtTwoPCMultisiteCounterexample(t *testing.T) {
 	// (master in p1). Partition at 2T+1 separates {3}: commit2 delivered
 	// at 3T, commit3 bounces.
 	r, _ := cluster.RunOne(cluster.Config{
-		Sites: 3, Protocol: twopcext.Protocol{}, Schedule: partitionAt(2*Tt+1, 3),
+		Sites: 3, Protocol: twopc.Protocol{Extended: true}, Schedule: partitionAt(2*Tt+1, 3),
 	}, cluster.SimOptions{}, cluster.Txn{})
 	if got := r.Sites[2].Outcome; got != proto.Commit {
 		t.Fatalf("site 2 = %v, want commit", got)
@@ -173,7 +170,7 @@ func TestExtTwoPCMultisiteCounterexample(t *testing.T) {
 func TestExtTwoPCTwoSiteResilience(t *testing.T) {
 	for at := sim.Time(0); at <= 6*sim.Time(T); at += sim.Time(T) / 8 {
 		r, _ := cluster.RunOne(cluster.Config{
-			Sites: 2, Protocol: twopcext.Protocol{}, Schedule: partitionAt(at, 2),
+			Sites: 2, Protocol: twopc.Protocol{Extended: true}, Schedule: partitionAt(at, 2),
 		}, cluster.SimOptions{}, cluster.Txn{})
 		if !r.Consistent() {
 			t.Fatalf("onset %d: inconsistent (site1=%v site2=%v)", at, r.Sites[1].Outcome, r.Sites[2].Outcome)
@@ -194,7 +191,7 @@ func TestThreePCRulesCounterexample(t *testing.T) {
 	// xact 0→T, yes 2T, prepares sent 2T. Partition at 2T+1 separates {3}:
 	// prepare2 delivered 3T (site2 → p2), prepare3 bounces.
 	r, _ := cluster.RunOne(cluster.Config{
-		Sites: 3, Protocol: threepcrules.Protocol{}, Schedule: partitionAt(2*Tt+1, 3),
+		Sites: 3, Protocol: threepc.Protocol{Rules: threepc.RuleA()}, Schedule: partitionAt(2*Tt+1, 3),
 	}, cluster.SimOptions{}, cluster.Txn{})
 	if got := r.Sites[3].Outcome; got != proto.Abort {
 		t.Fatalf("site 3 = %v, want abort", got)

@@ -6,8 +6,8 @@ import (
 	"termproto/internal/cluster"
 	"termproto/internal/fsa"
 	"termproto/internal/proto"
-	"termproto/internal/protocol/threepcrules"
-	"termproto/internal/protocol/twopcext"
+	"termproto/internal/protocol/threepc"
+	"termproto/internal/protocol/twopc"
 	"termproto/internal/sim"
 )
 
@@ -60,8 +60,9 @@ func E1TwoPCAnalysis() *Table {
 }
 
 // E2ExtendedTwoPCTwoSite verifies the Skeen–Stonebraker result the paper
-// builds on: extended 2PC (Fig. 2) is resilient to two-site optimistic
-// simple partitioning, over an exhaustive onset sweep × vote choices.
+// builds on: extended 2PC (Fig. 2, twopc.Protocol{Extended: true}) is
+// resilient to two-site optimistic simple partitioning, over an exhaustive
+// onset sweep × vote choices.
 func E2ExtendedTwoPCTwoSite(cfg Config) *Table {
 	t := &Table{
 		ID:      "E2",
@@ -76,7 +77,7 @@ func E2ExtendedTwoPCTwoSite(cfg Config) *Table {
 		runs, okC, okB := 0, 0, 0
 		for at := sim.Time(0); at <= 6*Tt; at += cfg.onsetStep() {
 			r, _ := cluster.RunOne(cluster.Config{
-				Sites: 2, Protocol: twopcext.Protocol{}, Votes: votes.v,
+				Sites: 2, Protocol: twopc.Protocol{Extended: true}, Votes: votes.v,
 				Schedule: cluster.Schedule{cluster.PartitionAt(at, 2)},
 			}, cluster.SimOptions{}, cluster.Txn{})
 			runs++
@@ -96,9 +97,10 @@ func E2ExtendedTwoPCTwoSite(cfg Config) *Table {
 	return t
 }
 
-// E3ExtTwoPCCounterexample replays the Section 3 observation verbatim:
-// master in the prepare state with commits outstanding, site 3 separated,
-// commit_3 undeliverable ⇒ site 2 commits, site 3 aborts.
+// E3ExtTwoPCCounterexample replays the Section 3 observation verbatim
+// against extended 2PC: master in the prepare state with commits
+// outstanding, site 3 separated, commit_3 undeliverable ⇒ site 2 commits,
+// site 3 aborts.
 func E3ExtTwoPCCounterexample() *Table {
 	t := &Table{
 		ID:      "E3",
@@ -106,7 +108,7 @@ func E3ExtTwoPCCounterexample() *Table {
 		Columns: []string{"site", "final state", "outcome"},
 	}
 	r, _ := cluster.RunOne(cluster.Config{
-		Sites: 3, Protocol: twopcext.Protocol{},
+		Sites: 3, Protocol: twopc.Protocol{Extended: true},
 		Schedule: cluster.Schedule{cluster.PartitionAt(2*Tt+1, 3)},
 	}, cluster.SimOptions{}, cluster.Txn{})
 	for i := proto.SiteID(1); i <= 3; i++ {
@@ -158,9 +160,10 @@ func pickState(a *fsa.Analysis, id fsa.StateID) (fsa.State, bool) {
 	return role.State(id.Name)
 }
 
-// E5ThreePCRulesCounterexample replays Section 3's second observation:
-// prepare_3 undeliverable ⇒ site 3 times out in w and aborts while site 2
-// times out in p and commits.
+// E5ThreePCRulesCounterexample replays Section 3's second observation
+// against 3PC augmented with the Rule(a) targets
+// (threepc.Protocol{Rules: threepc.RuleA()}): prepare_3 undeliverable ⇒
+// site 3 times out in w and aborts while site 2 times out in p and commits.
 func E5ThreePCRulesCounterexample() *Table {
 	t := &Table{
 		ID:      "E5",
@@ -168,7 +171,7 @@ func E5ThreePCRulesCounterexample() *Table {
 		Columns: []string{"site", "final state", "outcome"},
 	}
 	r, _ := cluster.RunOne(cluster.Config{
-		Sites: 3, Protocol: threepcrules.Protocol{},
+		Sites: 3, Protocol: threepc.Protocol{Rules: threepc.RuleA()},
 		Schedule: cluster.Schedule{cluster.PartitionAt(2*Tt+1, 3)},
 	}, cluster.SimOptions{}, cluster.Txn{})
 	for i := proto.SiteID(1); i <= 3; i++ {
@@ -181,9 +184,10 @@ func E5ThreePCRulesCounterexample() *Table {
 }
 
 // E6Lemma3Search performs the Lemma 3 exhaustive search: every one of the
-// 16 possible timeout/undeliverable augmentations of 3PC is defeated by
-// some partition scenario — so no augmentation alone can be resilient and
-// a separate termination protocol is necessary.
+// 16 possible timeout/undeliverable augmentations of 3PC
+// (threepc.AllAssignments, each run as threepc.Protocol{Rules: asg}) is
+// defeated by some partition scenario — so no augmentation alone can be
+// resilient and a separate termination protocol is necessary.
 func E6Lemma3Search(cfg Config) *Table {
 	t := &Table{
 		ID:      "E6",
@@ -198,7 +202,7 @@ func E6Lemma3Search(cfg Config) *Table {
 	fracs := []float64{1.0, 0.5}
 
 	allFail := true
-	for _, asg := range threepcrules.AllAssignments() {
+	for _, asg := range threepc.AllAssignments() {
 		found := ""
 		fail := ""
 	search:
@@ -207,7 +211,7 @@ func E6Lemma3Search(cfg Config) *Table {
 				for _, vt := range voters {
 					for at := sim.Time(0); at <= 8*Tt; at += cfg.onsetStep() {
 						r, _ := cluster.RunOne(cluster.Config{
-							Sites: 3, Protocol: threepcrules.Protocol{Assign: asg}, Votes: vt.v,
+							Sites: 3, Protocol: threepc.Protocol{Rules: asg}, Votes: vt.v,
 							Schedule: cluster.Schedule{cluster.PartitionAt(at, split...)},
 						}, cluster.SimOptions{BoundaryFrac: frac}, cluster.Txn{})
 						if !r.Consistent() || len(r.Blocked()) > 0 {

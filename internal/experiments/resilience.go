@@ -10,9 +10,7 @@ import (
 	"termproto/internal/protocol/cooperative"
 	"termproto/internal/protocol/quorum"
 	"termproto/internal/protocol/threepc"
-	"termproto/internal/protocol/threepcrules"
 	"termproto/internal/protocol/twopc"
-	"termproto/internal/protocol/twopcext"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
 )
@@ -93,9 +91,9 @@ func E13Theorem9Resilience(cfg Config) *Table {
 		blockingExpected       bool // must be < 100% nonblocking
 	}{
 		{p: twopc.Protocol{}, atomicAll: true, blockingExpected: true},
-		{p: twopcext.Protocol{}, nonblockAll: true, atomicBroken: true},
+		{p: twopc.Protocol{Extended: true}, nonblockAll: true, atomicBroken: true},
 		{p: threepc.Protocol{Modified: true}, atomicAll: true, blockingExpected: true},
-		{p: threepcrules.Protocol{}, nonblockAll: true, atomicBroken: true},
+		{p: threepc.Protocol{Rules: threepc.RuleA()}, nonblockAll: true, atomicBroken: true},
 		{p: quorum.Protocol{}, atomicAll: true, blockingExpected: true},
 		{p: cooperative.Protocol{}, blockingExpected: true},
 		{p: core.Protocol{}, atomicAll: true, nonblockAll: true},

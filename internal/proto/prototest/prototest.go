@@ -100,8 +100,12 @@ func (e *Env) Execute(payload []byte) bool {
 	return true
 }
 
-// Decide implements proto.Env.
+// Decide implements proto.Env. Like the site runtime, it panics on a
+// decision of None.
 func (e *Env) Decide(o proto.Outcome) {
+	if o == proto.None {
+		panic("prototest: Decide(None)")
+	}
 	e.Decisions++
 	if e.Decision != proto.None && e.Decision != o {
 		panic(fmt.Sprintf("prototest: conflicting decisions %v then %v", e.Decision, o))

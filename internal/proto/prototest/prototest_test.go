@@ -121,3 +121,13 @@ func TestTracef(t *testing.T) {
 		t.Fatalf("notes = %v", e.Notes)
 	}
 }
+
+// The site runtime panics on a decision of None, and so does the fake.
+func TestDecideNonePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Decide(None) did not panic")
+		}
+	}()
+	NewEnv(1, 2).Decide(proto.None)
+}

@@ -22,7 +22,7 @@
 // Huang & Li's termination protocol avoids in the optimistic model.
 // Experiment E15 contrasts the two.
 //
-// Retries are bounded (Retries rounds) so a permanently-partitioned
+// Retries are bounded (4 rounds) so a permanently-partitioned
 // minority reaches quiescence as "blocked" rather than polling forever.
 package quorum
 
@@ -30,44 +30,24 @@ import (
 	"termproto/internal/proto"
 )
 
-// Protocol builds quorum-commit automata.
-type Protocol struct {
-	// Vc and Va are the commit and abort quorums; zero values default to
-	// majority (⌊n/2⌋+1 each), which satisfies Vc+Va > n.
-	Vc, Va int
-	// Retries bounds termination-mode polling rounds; default 4.
-	Retries int
-}
+// retries bounds termination-mode polling rounds.
+const retries = 4
+
+// Protocol builds quorum-commit automata. The commit and abort quorums are
+// both a majority, ⌊n/2⌋+1 sites, which satisfies Vc+Va > n.
+type Protocol struct{}
 
 // Name implements proto.Protocol.
 func (Protocol) Name() string { return "quorum" }
 
-func (p Protocol) quorums(n int) (vc, va int) {
-	vc, va = p.Vc, p.Va
-	if vc <= 0 {
-		vc = n/2 + 1
-	}
-	if va <= 0 {
-		va = n/2 + 1
-	}
-	return vc, va
-}
-
-func (p Protocol) retries() int {
-	if p.Retries <= 0 {
-		return 4
-	}
-	return p.Retries
-}
-
 // NewMaster implements proto.Protocol.
-func (p Protocol) NewMaster(cfg proto.Config) proto.Node {
-	return &site{cfg: cfg, opts: p, state: "q1", isMaster: true}
+func (Protocol) NewMaster(cfg proto.Config) proto.Node {
+	return &site{cfg: cfg, state: "q1", isMaster: true}
 }
 
 // NewSlave implements proto.Protocol.
-func (p Protocol) NewSlave(cfg proto.Config) proto.Node {
-	return &site{cfg: cfg, opts: p, state: "q"}
+func (Protocol) NewSlave(cfg proto.Config) proto.Node {
+	return &site{cfg: cfg, state: "q"}
 }
 
 // site is one participant. Unlike the centralized protocols, every site
@@ -75,7 +55,6 @@ func (p Protocol) NewSlave(cfg proto.Config) proto.Node {
 // same symmetric termination procedure.
 type site struct {
 	cfg      proto.Config
-	opts     Protocol
 	isMaster bool
 
 	state string // q1/w1/p1/c1/a1 (master), q/w/p/c/a (slave)
@@ -223,7 +202,7 @@ func (s *site) OnTimeout(env proto.Env) {
 			return
 		}
 		s.round++
-		if s.round >= s.opts.retries() {
+		if s.round >= retries {
 			env.Tracef("site %d gives up after %d rounds: blocked", env.Self(), s.round)
 			return // blocked: no further events
 		}
@@ -249,7 +228,7 @@ func (s *site) evaluate(env proto.Env) {
 			return
 		}
 	}
-	vc, va := s.opts.quorums(len(env.Sites()))
+	q := len(env.Sites())/2 + 1 // the commit quorum Vc and the abort quorum Va
 	anyCommit, anyAbort, anyPrepared := false, false, false
 	for _, st := range states {
 		switch {
@@ -268,17 +247,17 @@ func (s *site) evaluate(env proto.Env) {
 	case anyAbort:
 		s.broadcast(env, group, proto.MsgAbort)
 		s.decide(env, proto.Abort)
-	case anyPrepared && group.Len() >= vc:
-		env.Tracef("surrogate %d: prepared state with commit quorum %d/%d", env.Self(), group.Len(), vc)
+	case anyPrepared && group.Len() >= q:
+		env.Tracef("surrogate %d: prepared state with commit quorum %d/%d", env.Self(), group.Len(), q)
 		s.broadcast(env, group, proto.MsgCommit)
 		s.decide(env, proto.Commit)
-	case !anyPrepared && group.Len() >= va:
-		env.Tracef("surrogate %d: no prepared state, abort quorum %d/%d", env.Self(), group.Len(), va)
+	case !anyPrepared && group.Len() >= q:
+		env.Tracef("surrogate %d: no prepared state, abort quorum %d/%d", env.Self(), group.Len(), q)
 		s.broadcast(env, group, proto.MsgAbort)
 		s.decide(env, proto.Abort)
 	default:
 		env.Tracef("surrogate %d: group %s too small (vc=%d va=%d), still blocked",
-			env.Self(), group, vc, va)
+			env.Self(), group, q, q)
 	}
 }
 

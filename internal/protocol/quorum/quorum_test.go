@@ -119,28 +119,9 @@ func TestQuorumMajorityCommitsAfterPrepare(t *testing.T) {
 	}
 }
 
-// Custom quorums are honoured: with Vc=2, a two-site partition containing
-// a prepared site can commit.
-func TestQuorumCustomThresholds(t *testing.T) {
-	// Va=4, Vc=2 (Vc+Va=6 > 5). G2={4,5} after prepares: group of 2 with a
-	// prepared site meets Vc=2 → commits even as a minority.
-	r, b := cluster.RunOne(cluster.Config{
-		Sites: 5, Protocol: quorum.Protocol{Vc: 2, Va: 4},
-		Schedule: cluster.Schedule{cluster.PartitionAt(3*sim.Time(T)+1, 4, 5)},
-	}, traced, cluster.Txn{})
-	if !r.Consistent() {
-		t.Fatalf("inconsistent\n%s", b.Trace().Dump())
-	}
-	for _, id := range []proto.SiteID{4, 5} {
-		if got := r.Sites[id].Outcome; got != proto.Commit {
-			t.Fatalf("site %d = %v, want commit with Vc=2\n%s", id, got, b.Trace().Dump())
-		}
-	}
-}
-
 func TestQuorumRunsQuiesceWithBoundedRetries(t *testing.T) {
 	r, b := cluster.RunOne(cluster.Config{
-		Sites: 5, Protocol: quorum.Protocol{Retries: 2},
+		Sites: 5, Protocol: quorum.Protocol{},
 		Schedule: cluster.Schedule{cluster.PartitionAt(1, 5)},
 	}, traced, cluster.Txn{})
 	// Site 5 alone can never decide; the run must still reach quiescence.

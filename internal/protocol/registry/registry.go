@@ -4,6 +4,11 @@
 // NetBackend launches every node of a localnet under its protocol's
 // Name() — so every name here is the Name() of what it resolves to, and
 // NetBackend refuses any protocol value not registered under its name.
+//
+// The ten names resolve into five packages: an augmentation the paper
+// draws as a second figure is a field of its base protocol, so "2pc-ext"
+// is twopc with Extended, "3pc-mod" and "3pc-rules" are threepc with
+// Modified and Rules, and the three termination names are core's options.
 package registry
 
 import (
@@ -15,9 +20,7 @@ import (
 	"termproto/internal/protocol/cooperative"
 	"termproto/internal/protocol/quorum"
 	"termproto/internal/protocol/threepc"
-	"termproto/internal/protocol/threepcrules"
 	"termproto/internal/protocol/twopc"
-	"termproto/internal/protocol/twopcext"
 )
 
 // Default is the conventional protocol for network clusters: the paper's
@@ -26,10 +29,10 @@ const Default = "termination+transient"
 
 var protocols = map[string]proto.Protocol{
 	"2pc":                   twopc.Protocol{},
-	"2pc-ext":               twopcext.Protocol{},
+	"2pc-ext":               twopc.Protocol{Extended: true},
 	"3pc":                   threepc.Protocol{},
 	"3pc-mod":               threepc.Protocol{Modified: true},
-	"3pc-rules":             threepcrules.Protocol{},
+	"3pc-rules":             threepc.Protocol{Rules: threepc.RuleA()},
 	"quorum":                quorum.Protocol{},
 	"3pc-cooperative":       cooperative.Protocol{},
 	"termination":           core.Protocol{},

@@ -243,7 +243,10 @@ func TestLiveInquire(t *testing.T) {
 
 // A site without a database has no durable decision to offer: inquiries
 // get silence, never volatile automaton bookkeeping — the same answer the
-// deterministic backend gives — and the asker gives up after 2T.
+// deterministic backend gives — and the asker gives up after 2T. The
+// setup waits for sites 1 and 2 to decide, not to commit: on a loaded box
+// the master's w1 timer can beat the votes, and an abort leaves an
+// engine-less site as little durable state as a commit.
 func TestLiveInquireNeedsDurableState(t *testing.T) {
 	e := engine.New("s3", &wal.MemStore{})
 	if !e.ExecuteAt(1, engine.EncodeOps([]engine.Op{{Kind: engine.OpPut, Key: "k", Value: []byte("v")}}), roster(3)) {
@@ -253,10 +256,10 @@ func TestLiveInquireNeedsDurableState(t *testing.T) {
 	m.loops[1].Submit(Spec{TID: 1, Master: 1, Sites: []proto.SiteID{1, 2}})
 	for _, id := range []proto.SiteID{1, 2} {
 		for deadline := time.Now().Add(100 * liveT); ; time.Sleep(liveT / 4) {
-			if st, _ := m.nodes[id].Txn(1); st.Outcome == proto.Commit {
+			if st, _ := m.nodes[id].Txn(1); st.Outcome != proto.None {
 				break
 			} else if time.Now().After(deadline) {
-				t.Fatalf("site %d did not commit txn 1: %+v", id, st)
+				t.Fatalf("site %d did not decide txn 1: %+v", id, st)
 			}
 		}
 	}
