@@ -1,58 +1,69 @@
-// Command protoviz dumps the formal models of the paper's commit protocols
-// — Figures 1, 3 and 8 plus the four-phase generalization — as text or
-// Graphviz DOT, together with the Skeen–Stonebraker structural analysis:
-// reachable global states, concurrency sets, committability, sender sets
-// and the Lemma 1/2 verdicts.
+// Command protoviz draws any registry protocol's automata, as the fsa
+// explorer reads them off the shipped proto.Nodes, as text or Graphviz DOT,
+// together with the Skeen–Stonebraker structural analysis: reachable
+// global states, concurrency sets, committability, sender sets and the
+// Lemma 1/2 verdicts.
 //
 // Usage:
 //
-//	protoviz [-proto 2pc|3pc|3pc-mod|4pc] [-n sites] [-dot] [-analyze]
+//	protoviz [-proto name] [-n sites] [-dot] [-analyze]
+//
+// -proto takes any registry name (default 3pc); an unknown one lists them
+// and exits 2.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"termproto/internal/fsa"
+	"termproto/internal/protocol/registry"
 )
 
 func main() {
-	name := flag.String("proto", "3pc", "protocol: 2pc, 3pc, 3pc-mod, 4pc")
-	n := flag.Int("n", 3, "number of sites for the reachability analysis")
-	dot := flag.Bool("dot", false, "emit Graphviz DOT instead of text")
-	analyze := flag.Bool("analyze", true, "include the structural analysis")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var p *fsa.Protocol
-	switch *name {
-	case "2pc":
-		p = fsa.TwoPC()
-	case "3pc":
-		p = fsa.ThreePC(false)
-	case "3pc-mod":
-		p = fsa.ThreePC(true)
-	case "4pc":
-		p = fsa.FourPC()
-	default:
-		fmt.Fprintf(os.Stderr, "protoviz: unknown protocol %q\n", *name)
-		os.Exit(2)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("protoviz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	name := fs.String("proto", "3pc", "protocol: "+strings.Join(registry.Names(), ", "))
+	n := fs.Int("n", 3, "number of sites for the reachability analysis")
+	dot := fs.Bool("dot", false, "emit Graphviz DOT instead of text")
+	analyze := fs.Bool("analyze", true, "include the structural analysis")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	p, err := registry.Lookup(*name)
+	if err != nil {
+		fmt.Fprintf(stderr, "protoviz: %v\n", err)
+		return 2
+	}
+	if *n < 2 {
+		fmt.Fprintf(stderr, "protoviz: -n %d: need at least 2 sites\n", *n)
+		return 2
 	}
 
+	a := fsa.Analyze(p, *n)
 	if *dot {
-		fmt.Print(p.DOT())
-		return
+		fmt.Fprint(stdout, a.DOT())
+		return 0
 	}
-	fmt.Print(p.Text())
+	fmt.Fprint(stdout, a.Text())
 	if *analyze {
-		fmt.Println()
-		a := fsa.Analyze(p, *n)
-		fmt.Print(a.Summary())
-		fmt.Println()
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, a.Summary())
+		fmt.Fprintln(stdout)
 		for _, id := range a.States() {
-			if ss := p.SenderSet(id); len(ss) > 0 {
-				fmt.Printf("  S(%s) = %v\n", id, ss)
+			if ss := a.SenderSet(id); len(ss) > 0 {
+				fmt.Fprintf(stdout, "  S(%s) = %v\n", id, ss)
 			}
 		}
 	}
+	return 0
 }

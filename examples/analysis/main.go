@@ -16,7 +16,7 @@ import (
 func main() {
 	fmt.Println("== two-phase commit (Fig. 1) ==")
 	for _, n := range []int{2, 3} {
-		a := termproto.Analyze(termproto.FSATwoPC(), n)
+		a := termproto.Analyze(termproto.TwoPC(), n)
 		fmt.Printf("\n--- %d sites ---\n", n)
 		fmt.Print(a.Summary())
 	}
@@ -26,7 +26,7 @@ func main() {
 	fmt.Println("augmentation can make multisite 2PC resilient.")
 
 	fmt.Println("\n== three-phase commit (Fig. 3), 3 sites ==")
-	a := termproto.Analyze(termproto.FSAThreePC(false), 3)
+	a := termproto.Analyze(termproto.ThreePC(), 3)
 	fmt.Print(a.Summary())
 	w := termproto.StateID{Role: "slave", Name: "w"}
 	p := termproto.StateID{Role: "slave", Name: "p"}
@@ -37,6 +37,6 @@ func main() {
 	fmt.Println("needed (Lemma 3).")
 
 	fmt.Println("\n== four-phase generalization (Theorem 10 precondition) ==")
-	a4 := termproto.Analyze(termproto.FSAFourPC(), 3)
+	a4 := termproto.Analyze(termproto.TerminationOptions{FourPhase: true, TransientFix: true}, 3)
 	fmt.Print(a4.Summary())
 }

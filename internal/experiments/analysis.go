@@ -23,12 +23,7 @@ func E1TwoPCAnalysis() *Table {
 	}
 	pass := true
 	for _, n := range []int{2, 3} {
-		a := fsa.Analyze(fsa.TwoPC(), n)
-		for _, id := range a.States() {
-			if a.Protocol.Master.Name == id.Role {
-				continue // report the slave side the paper argues about
-			}
-		}
+		a := fsa.Analyze(twopc.Protocol{}, n)
 		for _, id := range []fsa.StateID{{Role: fsa.Slave, Name: "w"}, {Role: fsa.Master, Name: "w1"}} {
 			t.row(
 				fmt.Sprintf("%d", n), id.String(),
@@ -129,10 +124,10 @@ func E4ThreePCAnalysis() *Table {
 		Title:   "Fig. 3 — three-phase commit satisfies Lemma 1 and Lemma 2",
 		Columns: []string{"state", "committable", "commit∈C", "abort∈C", "Rule(a) timeout"},
 	}
-	a := fsa.Analyze(fsa.ThreePC(false), 3)
+	a := fsa.Analyze(threepc.Protocol{}, 3)
 	for _, id := range a.States() {
 		kind := ""
-		if s, ok := pickState(a, id); ok && s.Kind != fsa.KindNone {
+		if a.Kind(id) != fsa.KindNone {
 			kind = " (final)"
 		}
 		t.row(id.String()+kind,
@@ -150,14 +145,6 @@ func E4ThreePCAnalysis() *Table {
 	t.notef("Rule(a): slave w→%s, slave p→%s (the assignments of §3 obs. 2)",
 		a.RuleATimeout(w), a.RuleATimeout(p))
 	return t
-}
-
-func pickState(a *fsa.Analysis, id fsa.StateID) (fsa.State, bool) {
-	role := &a.Protocol.Slave
-	if id.Role == fsa.Master {
-		role = &a.Protocol.Master
-	}
-	return role.State(id.Name)
 }
 
 // E5ThreePCRulesCounterexample replays Section 3's second observation

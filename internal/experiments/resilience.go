@@ -134,10 +134,11 @@ func E14Theorem10FourPC(cfg Config) *Table {
 		Columns: []string{"protocol", "runs", "atomic", "nonblocking", "max decision"},
 	}
 	runs := cfg.randomRuns()
-	st := sweepProtocol(core.Protocol{FourPhase: true, TransientFix: true}, runs, 0x1987)
+	fourPC := core.Protocol{FourPhase: true, TransientFix: true}
+	st := sweepProtocol(fourPC, runs, 0x1987)
 	t.row("4pc+termination", fmt.Sprintf("%d", st.runs),
 		st.pct(st.consistent), st.pct(st.nonblocking), tUnits(st.maxDecision))
-	a := fsa.Analyze(fsa.FourPC(), 3)
+	a := fsa.Analyze(fourPC, 3)
 	t.Pass = st.consistent == st.runs && st.nonblocking == st.runs && a.SatisfiesLemmas()
 	t.notef("4PC FSA: Lemma 1+2 satisfied = %v (%d reachable global states, n=3)",
 		a.SatisfiesLemmas(), a.Reachable)

@@ -4,6 +4,25 @@
 // network is a shared message pool, and a global state is the vector of
 // local states plus the outstanding messages.
 //
+// The automata are the shipped ones: Analyze runs a proto.Protocol's
+// master and slave proto.Nodes, one per site, over prototest.Envs. A
+// global state is every site's node, the vote its Execute returned, and
+// the multiset of messages in flight. A successor takes one of three
+// choices:
+//
+//   - the master's Start, which votes yes (the figures' q1 --request--> w1);
+//   - the delivery of one in-flight message;
+//   - at a slave whose delivery consults Execute, a yes or a no vote.
+//
+// The model is failure-free: no timer fires and no message bounces, which
+// is exactly the space Skeen's concurrency sets and committability are
+// defined over. Nodes cannot be cloned, so each global state is rebuilt by
+// replaying the path of choices that reached it, and states are deduped on
+// every site's State(), its vote and the sorted in-flight multiset. A
+// shipped master takes its votes and acks one delivery at a time, so
+// Reachable counts the states between those deliveries too, where a
+// figure's "all yes" is one transition.
+//
 // The package computes, by exhaustive reachability over global states:
 //
 //   - concurrency sets C(s): every local state potentially concurrent with
@@ -15,15 +34,19 @@
 //     multisite simple partitioning;
 //   - the Rule(a) timeout-transition assignment derived from C(s).
 //
-// Experiments E1 and E4 use it to reproduce the paper's structural claims
-// about two-phase and three-phase commit; cmd/protoviz dumps the automata
-// and their analysis.
+// A final state's kind is the outcome its node passed to Decide.
+// Experiments E1, E4 and E14 use the package to reproduce the paper's
+// structural claims about two-, three- and four-phase commit; cmd/protoviz
+// draws any registry protocol's automata and their analysis.
 package fsa
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"termproto/internal/proto"
+	"termproto/internal/proto/prototest"
 )
 
 // StateKind classifies a local state's decision.
@@ -63,141 +86,17 @@ type StateID struct {
 // String formats like "master.w1".
 func (s StateID) String() string { return s.Role + "." + s.Name }
 
-// State is one local state of a role's automaton.
-type State struct {
-	Name string
-	Kind StateKind
-}
-
-// Send describes one message emission of a transition.
-type Send struct {
-	Kind string
-	// ToMaster sends to the master; otherwise the message is broadcast to
-	// every slave (the two patterns centralized protocols need).
-	ToMaster bool
-}
-
-// Transition is one local transition. A transition fires when its
-// receive requirement is met: Recv == "" fires spontaneously (used for the
-// master's initial "request"); RecvAll consumes one Recv-kind message from
-// every slave (the master's vote/ack collection); otherwise it consumes a
-// single Recv-kind message addressed to the site.
-type Transition struct {
-	From    string
-	Recv    string
-	RecvAll bool
-	To      string
-	Sends   []Send
-	// VotesYes marks the slave's xact/yes transition, used for the
-	// committable classification.
-	VotesYes bool
-}
-
-// Role is one automaton (master or slave).
-type Role struct {
-	Name        string
-	Initial     string
-	States      []State
-	Transitions []Transition
-}
-
-// State returns the named state and whether it exists.
-func (r *Role) State(name string) (State, bool) {
-	for _, s := range r.States {
-		if s.Name == name {
-			return s, true
-		}
+func stateID(site int, name string) StateID {
+	if site == 0 {
+		return StateID{Master, name}
 	}
-	return State{}, false
-}
-
-// Protocol is a centralized master/slave commit protocol.
-type Protocol struct {
-	Name   string
-	Master Role
-	Slave  Role
-}
-
-// Validate checks structural sanity: states exist, transitions reference
-// declared states, final states have no outgoing transitions.
-func (p *Protocol) Validate() error {
-	for _, r := range []Role{p.Master, p.Slave} {
-		if _, ok := r.State(r.Initial); !ok {
-			return fmt.Errorf("fsa: role %s initial state %q undeclared", r.Name, r.Initial)
-		}
-		seen := map[string]bool{}
-		for _, s := range r.States {
-			if seen[s.Name] {
-				return fmt.Errorf("fsa: role %s duplicate state %q", r.Name, s.Name)
-			}
-			seen[s.Name] = true
-		}
-		for _, t := range r.Transitions {
-			from, ok := r.State(t.From)
-			if !ok {
-				return fmt.Errorf("fsa: role %s transition from undeclared %q", r.Name, t.From)
-			}
-			if _, ok := r.State(t.To); !ok {
-				return fmt.Errorf("fsa: role %s transition to undeclared %q", r.Name, t.To)
-			}
-			if from.Kind != KindNone {
-				return fmt.Errorf("fsa: role %s final state %q has outgoing transition", r.Name, t.From)
-			}
-		}
-	}
-	return nil
-}
-
-// --- global-state reachability ---
-
-// message is an outstanding message instance in the pool.
-type message struct {
-	kind string
-	from int // site index (0 = master)
-	to   int
-}
-
-// global is one global state: local state per site plus the message pool.
-type global struct {
-	locals []string
-	voted  []bool // per slave site: has it voted yes
-	pool   []message
-}
-
-func (g *global) key() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(g.locals, ","))
-	b.WriteByte('|')
-	for _, v := range g.voted {
-		if v {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
-	}
-	b.WriteByte('|')
-	ms := make([]string, len(g.pool))
-	for i, m := range g.pool {
-		ms[i] = fmt.Sprintf("%s:%d>%d", m.kind, m.from, m.to)
-	}
-	sort.Strings(ms)
-	b.WriteString(strings.Join(ms, ","))
-	return b.String()
-}
-
-func (g *global) clone() *global {
-	ng := &global{
-		locals: append([]string(nil), g.locals...),
-		voted:  append([]bool(nil), g.voted...),
-		pool:   append([]message(nil), g.pool...),
-	}
-	return ng
+	return StateID{Slave, name}
 }
 
 // Analysis is the result of exhaustive reachability for a protocol with a
 // fixed number of sites.
 type Analysis struct {
-	Protocol *Protocol
+	Protocol proto.Protocol
 	N        int // sites, master included
 
 	// Reachable is the number of distinct reachable global states.
@@ -208,16 +107,147 @@ type Analysis struct {
 
 	// Committable maps each reachable StateID to its classification.
 	Committable map[StateID]bool
+
+	kinds   map[StateID]StateKind
+	initial map[string]string // role → its state before any event
+	edges   map[edge]bool
+	witness map[StateID]witness
 }
 
-// Analyze explores every reachable global state of p with n sites
-// (1 master + n−1 slaves) and derives the structural sets. It panics on
-// invalid protocols and n < 2; exploration is exact, so keep n small
-// (2–4 covers every claim in the paper).
-func Analyze(p *Protocol, n int) *Analysis {
-	if err := p.Validate(); err != nil {
-		panic(err)
+// witness is the shortest path to a global state in which site occupies a
+// local state.
+type witness struct {
+	path []step
+	site int
+}
+
+// msg is one in-flight message. Payloads are empty, so its kind and ends
+// name it.
+type msg struct {
+	kind     proto.Kind
+	from, to proto.SiteID
+}
+
+// step is one choice on a path: the delivery of m, or the master's Start
+// when m.kind is 0. If the receiver consults Execute, it votes no when no
+// is set.
+type step struct {
+	m  msg
+	no bool
+}
+
+var start = step{m: msg{to: 1}}
+
+// world is a global state rebuilt by replaying a path: site i+1 runs
+// nodes[i] over envs[i], and the master is site 1.
+type world struct {
+	nodes   []proto.Node
+	envs    []*prototest.Env
+	started []bool
+	votes   []proto.Outcome // Commit for yes, Abort for no, None before Execute
+	pool    []msg
+}
+
+func replay(p proto.Protocol, n int, path []step) *world {
+	w := &world{started: make([]bool, n), votes: make([]proto.Outcome, n)}
+	for i := 0; i < n; i++ {
+		env := prototest.NewEnv(proto.SiteID(i+1), n)
+		node := p.NewSlave(env.Cfg)
+		if i == 0 {
+			node = p.NewMaster(env.Cfg)
+		}
+		w.nodes, w.envs = append(w.nodes, node), append(w.envs, env)
 	}
+	for _, s := range path {
+		w.do(s)
+	}
+	return w
+}
+
+// do takes one step and returns the local edge the receiving site took
+// and whether the step consulted Execute.
+func (w *world) do(s step) (e edge, consulted bool) {
+	site := int(s.m.to) - 1
+	node, env := w.nodes[site], w.envs[site]
+	env.Vote = func([]byte) bool {
+		consulted = true
+		w.votes[site] = proto.Commit
+		if s.no {
+			w.votes[site] = proto.Abort
+		}
+		return !s.no
+	}
+	e = edge{role: stateID(site, "").Role, from: node.State(), recv: s.m.kind}
+	if !w.started[site] {
+		w.started[site] = true
+		node.Start(env)
+	}
+	if s.m.kind != 0 {
+		for i, m := range w.pool {
+			if m == s.m {
+				w.pool = append(w.pool[:i:i], w.pool[i+1:]...)
+				break
+			}
+		}
+		node.OnMsg(env, proto.Msg{TID: env.Cfg.TID, From: s.m.from, To: s.m.to, Kind: s.m.kind})
+	}
+	for _, m := range env.Sent {
+		w.pool = append(w.pool, msg{m.Kind, m.From, m.To})
+		e.sends = e.sends.with(m.Kind)
+	}
+	env.ClearSent()
+	e.to = node.State()
+	return e, consulted
+}
+
+// choices lists the steps open in w, each with a yes vote: the master's
+// Start until it has run, then one delivery per distinct in-flight message.
+func (w *world) choices() []step {
+	if !w.started[0] {
+		return []step{start}
+	}
+	var out []step
+	for _, m := range w.sortedPool() {
+		if len(out) == 0 || out[len(out)-1].m != m {
+			out = append(out, step{m: m})
+		}
+	}
+	return out
+}
+
+func (w *world) sortedPool() []msg {
+	pool := append([]msg(nil), w.pool...)
+	sort.Slice(pool, func(i, j int) bool {
+		a, b := pool[i], pool[j]
+		if a.kind != b.kind {
+			return a.kind < b.kind
+		}
+		if a.from != b.from {
+			return a.from < b.from
+		}
+		return a.to < b.to
+	})
+	return pool
+}
+
+func (w *world) key() string {
+	var b strings.Builder
+	for i, node := range w.nodes {
+		fmt.Fprintf(&b, "%s/%d,", node.State(), w.votes[i])
+	}
+	b.WriteByte('|')
+	for _, m := range w.sortedPool() {
+		fmt.Fprintf(&b, "%d:%d>%d,", m.kind, m.from, m.to)
+	}
+	return b.String()
+}
+
+// Analyze explores every reachable global state of p's automata with n
+// sites (1 master + n−1 slaves), derives the structural sets, and probes
+// each reachable local state for the local graph. It panics for n < 2;
+// exploration is exact, so keep n small (2–4 covers every claim in the
+// paper).
+func Analyze(p proto.Protocol, n int) *Analysis {
 	if n < 2 {
 		panic("fsa: need n >= 2")
 	}
@@ -226,168 +256,115 @@ func Analyze(p *Protocol, n int) *Analysis {
 		N:           n,
 		Concurrency: make(map[StateID]map[StateID]bool),
 		Committable: make(map[StateID]bool),
+		kinds:       make(map[StateID]StateKind),
+		initial:     make(map[string]string),
+		edges:       make(map[edge]bool),
+		witness:     make(map[StateID]witness),
 	}
-
-	init := &global{locals: make([]string, n), voted: make([]bool, n)}
-	init.locals[0] = p.Master.Initial
-	for i := 1; i < n; i++ {
-		init.locals[i] = p.Slave.Initial
-	}
-
-	seen := map[string]*global{init.key(): init}
-	queue := []*global{init}
-	for len(queue) > 0 {
-		g := queue[0]
-		queue = queue[1:]
-		for _, ng := range successors(p, n, g) {
-			k := ng.key()
-			if _, dup := seen[k]; !dup {
-				seen[k] = ng
-				queue = append(queue, ng)
+	init := replay(p, n, nil)
+	a.initial[Master], a.initial[Slave] = init.nodes[0].State(), init.nodes[1].State()
+	seen := map[string]bool{init.key(): true}
+	a.observe(init, nil)
+	for queue := [][]step{nil}; len(queue) > 0; queue = queue[1:] {
+		path := queue[0]
+		for _, s := range replay(p, n, path).choices() {
+			for _, no := range []bool{false, true} {
+				s.no = no
+				w := replay(p, n, path)
+				e, consulted := w.do(s)
+				a.addEdge(e)
+				if k := w.key(); !seen[k] {
+					seen[k] = true
+					next := append(path[:len(path):len(path)], s)
+					queue = append(queue, next)
+					a.observe(w, next)
+				}
+				if !consulted || s == start {
+					break
+				}
 			}
 		}
 	}
 	a.Reachable = len(seen)
-
-	// Derive concurrency sets and committability from the visited set.
-	for _, g := range seen {
-		ids := make([]StateID, n)
-		allYes := true
-		for i := 1; i < n; i++ {
-			if !g.voted[i] {
-				allYes = false
-			}
-		}
-		for i := 0; i < n; i++ {
-			ids[i] = stateID(i, g.locals[i])
-		}
-		for i := 0; i < n; i++ {
-			set := a.Concurrency[ids[i]]
-			if set == nil {
-				set = make(map[StateID]bool)
-				a.Concurrency[ids[i]] = set
-			}
-			for j := 0; j < n; j++ {
-				if i != j {
-					set[ids[j]] = true
-				}
-			}
-			if was, seenState := a.Committable[ids[i]]; !seenState {
-				a.Committable[ids[i]] = allYes
-			} else if was && !allYes {
-				a.Committable[ids[i]] = false
-			}
-		}
-	}
+	a.probe()
 	return a
 }
 
-func stateID(site int, name string) StateID {
-	if site == 0 {
-		return StateID{Master, name}
+// observe folds one reachable global state into the concurrency sets, the
+// committable classification, the final kinds and the witnesses.
+func (a *Analysis) observe(w *world, path []step) {
+	allYes := true
+	for _, v := range w.votes[1:] {
+		allYes = allYes && v == proto.Commit
 	}
-	return StateID{Slave, name}
+	for i, node := range w.nodes {
+		id := stateID(i, node.State())
+		set := a.Concurrency[id]
+		if set == nil {
+			set = make(map[StateID]bool)
+			a.Concurrency[id] = set
+			a.Committable[id] = allYes
+			a.witness[id] = witness{path, i}
+		}
+		a.Committable[id] = a.Committable[id] && allYes
+		for j, other := range w.nodes {
+			if i != j {
+				set[stateID(j, other.State())] = true
+			}
+		}
+		switch w.envs[i].Decision {
+		case proto.Commit:
+			a.kinds[id] = KindCommit
+		case proto.Abort:
+			a.kinds[id] = KindAbort
+		}
+	}
 }
 
-// successors returns every global state reachable in one global transition.
-func successors(p *Protocol, n int, g *global) []*global {
-	var out []*global
-	for site := 0; site < n; site++ {
-		role := &p.Slave
-		if site == 0 {
-			role = &p.Master
-		}
-		local := g.locals[site]
-		for _, t := range role.Transitions {
-			if t.From != local {
-				continue
-			}
-			ng, ok := fire(p, n, g, site, t)
-			if ok {
-				out = append(out, ng)
-			}
-		}
+// probe delivers every message kind the other role ever sends to a
+// replayed copy of each reachable local state, so the local graph holds
+// the transitions a failure-free run never takes, such as Fig. 8's slave
+// w --commit--> c. A master is probed only once it has started, and from
+// slave 2.
+func (a *Analysis) probe() {
+	sent := map[string]kindSet{}
+	for e := range a.edges {
+		sent[e.role] |= e.sends
 	}
-	return out
-}
-
-// fire attempts transition t at the given site, returning the successor.
-func fire(p *Protocol, n int, g *global, site int, t Transition) (*global, bool) {
-	ng := g.clone()
-	switch {
-	case t.Recv == "":
-		// Spontaneous (the master's initial request).
-	case t.RecvAll:
-		// Consume one t.Recv message from every slave.
-		need := make(map[int]bool)
-		for i := 1; i < n; i++ {
-			need[i] = true
+	for id, wit := range a.witness {
+		from, kinds := proto.SiteID(1), sent[Master]
+		if id.Role == Master {
+			from, kinds = 2, sent[Slave]
 		}
-		var rest []message
-		for _, m := range ng.pool {
-			if need[m.from] && m.kind == t.Recv && m.to == site {
-				delete(need, m.from)
-				continue
-			}
-			rest = append(rest, m)
-		}
-		if len(need) != 0 {
-			return nil, false
-		}
-		ng.pool = rest
-	default:
-		idx := -1
-		for i, m := range ng.pool {
-			if m.kind == t.Recv && m.to == site {
-				idx = i
+		for _, kind := range kinds.list() {
+			w := replay(a.Protocol, a.N, wit.path)
+			if !w.started[wit.site] && wit.site == 0 {
 				break
 			}
+			e, _ := w.do(step{m: msg{kind, from, proto.SiteID(wit.site + 1)}})
+			a.addEdge(e)
 		}
-		if idx < 0 {
-			return nil, false
-		}
-		ng.pool = append(ng.pool[:idx], ng.pool[idx+1:]...)
 	}
+}
 
-	ng.locals[site] = t.To
-	if t.VotesYes && site != 0 {
-		ng.voted[site] = true
+// addEdge records e if the node moved or sent something.
+func (a *Analysis) addEdge(e edge) {
+	if e.from != e.to || e.sends != 0 {
+		a.edges[e] = true
 	}
-	for _, s := range t.Sends {
-		if s.ToMaster {
-			ng.pool = append(ng.pool, message{kind: s.Kind, from: site, to: 0})
-		} else {
-			for i := 1; i < n; i++ {
-				if i != site {
-					ng.pool = append(ng.pool, message{kind: s.Kind, from: site, to: i})
-				}
-			}
-		}
-	}
-	_ = p
-	return ng, true
 }
 
 // --- derived structural queries ---
 
-// kindOf returns the StateKind of a StateID within the protocol.
-func (a *Analysis) kindOf(id StateID) StateKind {
-	role := &a.Protocol.Slave
-	if id.Role == Master {
-		role = &a.Protocol.Master
-	}
-	s, ok := role.State(id.Name)
-	if !ok {
-		return KindNone
-	}
-	return s.Kind
-}
+// Kind returns the kind of a reachable local state: the outcome its node
+// decided, or KindNone.
+func (a *Analysis) Kind(id StateID) StateKind { return a.kinds[id] }
 
 // ConcurrencyContains reports whether C(id) contains a state of the given
 // kind.
 func (a *Analysis) ConcurrencyContains(id StateID, kind StateKind) bool {
 	for other := range a.Concurrency[id] {
-		if a.kindOf(other) == kind {
+		if a.Kind(other) == kind {
 			return true
 		}
 	}
@@ -436,35 +413,6 @@ func (a *Analysis) RuleATimeout(id StateID) StateKind {
 	return KindAbort
 }
 
-// SenderSet computes S(s): the states (of the other role) whose
-// transitions send a message kind receivable in s. It is static — derived
-// from transition structure, not reachability — matching the paper's
-// definition over the protocol text.
-func (p *Protocol) SenderSet(id StateID) []StateID {
-	recvRole, sendRole := &p.Slave, &p.Master
-	if id.Role == Master {
-		recvRole, sendRole = &p.Master, &p.Slave
-	}
-	kinds := map[string]bool{}
-	for _, t := range recvRole.Transitions {
-		if t.From == id.Name && t.Recv != "" {
-			kinds[t.Recv] = true
-		}
-	}
-	var out []StateID
-	seen := map[string]bool{}
-	for _, t := range sendRole.Transitions {
-		for _, s := range t.Sends {
-			if kinds[s.Kind] && !seen[t.From] {
-				seen[t.From] = true
-				out = append(out, StateID{sendRole.Name, t.From})
-			}
-		}
-	}
-	sortIDs(out)
-	return out
-}
-
 // ConcurrencySet returns C(id) in sorted order.
 func (a *Analysis) ConcurrencySet(id StateID) []StateID {
 	var out []StateID
@@ -498,14 +446,13 @@ func sortIDs(ids []StateID) {
 func (a *Analysis) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "protocol %s, n=%d: %d reachable global states\n",
-		a.Protocol.Name, a.N, a.Reachable)
+		a.Protocol.Name(), a.N, a.Reachable)
 	for _, id := range a.States() {
 		comm := "noncommittable"
 		if a.Committable[id] {
 			comm = "committable"
 		}
-		kind := a.kindOf(id)
-		if kind != KindNone {
+		if kind := a.Kind(id); kind != KindNone {
 			comm = kind.String() + " (final)"
 		}
 		fmt.Fprintf(&b, "  %-12s %-16s C=%v\n", id, comm, a.ConcurrencySet(id))

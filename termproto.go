@@ -55,6 +55,7 @@ import (
 	"termproto/internal/db/wal"
 	"termproto/internal/fsa"
 	"termproto/internal/proto"
+	"termproto/internal/protocol/threepc"
 	"termproto/internal/protocol/twopc"
 	"termproto/internal/scenario"
 	"termproto/internal/sim"
@@ -139,27 +140,22 @@ type TerminationOptions = core.Protocol
 // TwoPC returns pure two-phase commit (Fig. 1) — blocks under partitions.
 func TwoPC() Protocol { return twopc.Protocol{} }
 
+// ThreePC returns pure three-phase commit (Fig. 3) — blocks under
+// partitions.
+func ThreePC() Protocol { return threepc.Protocol{} }
+
 // --- formal analysis ---
 
 type (
-	// FSAProtocol is a formal protocol model for reachability analysis.
-	FSAProtocol = fsa.Protocol
 	// Analysis holds concurrency sets, committability and lemma verdicts.
 	Analysis = fsa.Analysis
 	// StateID names a local state within a role.
 	StateID = fsa.StateID
 )
 
-// Analyze explores all reachable global states of a formal model with n
+// Analyze explores all failure-free global states of p's automata with n
 // sites and derives concurrency sets, committability and lemma verdicts.
-func Analyze(p *FSAProtocol, n int) *Analysis { return fsa.Analyze(p, n) }
-
-// Formal models of the paper's protocols.
-var (
-	FSATwoPC   = fsa.TwoPC
-	FSAThreePC = fsa.ThreePC
-	FSAFourPC  = fsa.FourPC
-)
+func Analyze(p Protocol, n int) *Analysis { return fsa.Analyze(p, n) }
 
 // --- database substrate ---
 

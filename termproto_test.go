@@ -68,11 +68,11 @@ func TestFacadeVoters(t *testing.T) {
 }
 
 func TestFacadeAnalysis(t *testing.T) {
-	a := termproto.Analyze(termproto.FSAThreePC(false), 3)
+	a := termproto.Analyze(termproto.ThreePC(), 3)
 	if !a.SatisfiesLemmas() {
 		t.Fatal("3PC lemma verdict wrong through the facade")
 	}
-	bad := termproto.Analyze(termproto.FSATwoPC(), 3)
+	bad := termproto.Analyze(termproto.TwoPC(), 3)
 	if bad.SatisfiesLemmas() {
 		t.Fatal("2PC n=3 should violate the lemmas")
 	}
