@@ -246,6 +246,45 @@ func TestFourPCSatisfiesLemmas(t *testing.T) {
 	}
 }
 
+// TestFourPhaseConcurrencySets pins every four-phase state's concurrency
+// set at n = 3. The master leaves each round only on its last reply: on
+// the first preack instead, a slave still in w would be concurrent with
+// master.p1 and with the slaves in p.
+func TestFourPhaseConcurrencySets(t *testing.T) {
+	a := Analyze(fourPC, 3)
+	ids := func(names ...string) []StateID {
+		var out []StateID
+		for _, n := range names {
+			role, name, _ := strings.Cut(n, ".")
+			out = append(out, StateID{role, name})
+		}
+		return out
+	}
+	want := map[string][]StateID{
+		"master.q1": ids("slave.q"),
+		"master.w1": ids("slave.a", "slave.q", "slave.w"),
+		"master.e1": ids("slave.e", "slave.w"),
+		"master.p1": ids("slave.e", "slave.p"),
+		"master.c1": ids("slave.c", "slave.p"),
+		"master.a1": ids("slave.a", "slave.q", "slave.w"),
+		"slave.q":   ids("master.a1", "master.q1", "master.w1", "slave.a", "slave.q", "slave.w"),
+		"slave.w":   ids("master.a1", "master.e1", "master.w1", "slave.a", "slave.e", "slave.q", "slave.w"),
+		"slave.e":   ids("master.e1", "master.p1", "slave.e", "slave.p", "slave.w"),
+		"slave.p":   ids("master.c1", "master.p1", "slave.c", "slave.e", "slave.p"),
+		"slave.c":   ids("master.c1", "slave.c", "slave.p"),
+		"slave.a":   ids("master.a1", "master.w1", "slave.a", "slave.q", "slave.w"),
+	}
+	if got := len(a.States()); got != len(want) {
+		t.Errorf("%d reachable local states %v, want %d", got, a.States(), len(want))
+	}
+	for id, set := range want {
+		sid := ids(id)[0]
+		if got := a.ConcurrencySet(sid); !reflect.DeepEqual(got, set) {
+			t.Errorf("C(%s) = %v, want %v", id, got, set)
+		}
+	}
+}
+
 // TestReachableCountsStable pins the number of reachable global states.
 // A shipped master takes its votes and acks one delivery at a time, so
 // the counts exceed a figure's, where "all yes" is one transition.
