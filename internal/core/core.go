@@ -83,9 +83,9 @@
 // The construction fits any master/slave commit protocol satisfying
 // Lemmas 1 and 2, with the message that makes slaves committable playing
 // the part of prepare. FourPhase selects such a protocol: a buffered round
-// (pre/preack) between the vote and prepare (internal/fsa.FourPC). Its
-// states e1 and e are noncommittable like w1 and w, and take their rules:
-// no prepare exists while the master is in e1, so a timeout, a UD(pre) or
+// (pre/preack) between the vote and prepare (`protoviz -proto
+// 4pc-termination` draws it). Its states e1 and e, like w1 and w, come
+// before any prepare exists and take their rules: a timeout, a UD(pre) or
 // a UD(preack) aborts, and a slave in e waits in et exactly as one in w
 // waits in wt. Prepare, ack, the window, probe and solicit are unchanged.
 // Experiment E14 runs the resilience sweeps against this substrate.
