@@ -177,7 +177,8 @@ func (w *world) do(s step) (e edge, consulted bool) {
 		}
 		return !s.no
 	}
-	e = edge{role: stateID(site, "").Role, from: node.State(), recv: s.m.kind}
+	id := stateID(site, node.State())
+	e = edge{role: id.Role, from: id.Name, recv: s.m.kind}
 	if !w.started[site] {
 		w.started[site] = true
 		node.Start(env)
@@ -324,8 +325,7 @@ func (a *Analysis) observe(w *world, path []step) {
 // probe delivers every message kind the other role ever sends to a
 // replayed copy of each reachable local state, so the local graph holds
 // the transitions a failure-free run never takes, such as Fig. 8's slave
-// w --commit--> c. A master is probed only once it has started, and from
-// slave 2.
+// w --commit--> c. Slave 2 sends the probes to the master.
 func (a *Analysis) probe() {
 	sent := map[string]kindSet{}
 	for e := range a.edges {
@@ -334,13 +334,13 @@ func (a *Analysis) probe() {
 	for id, wit := range a.witness {
 		from, kinds := proto.SiteID(1), sent[Master]
 		if id.Role == Master {
+			if len(wit.path) == 0 {
+				continue // a master receives nothing before its Start
+			}
 			from, kinds = 2, sent[Slave]
 		}
 		for _, kind := range kinds.list() {
 			w := replay(a.Protocol, a.N, wit.path)
-			if !w.started[wit.site] && wit.site == 0 {
-				break
-			}
 			e, _ := w.do(step{m: msg{kind, from, proto.SiteID(wit.site + 1)}})
 			a.addEdge(e)
 		}

@@ -17,42 +17,6 @@ var (
 	fourPC  = core.Protocol{FourPhase: true, TransientFix: true}
 )
 
-func TestValidateAcceptsModels(t *testing.T) {
-	for _, p := range []*Protocol{TwoPC(), ThreePC(false), ThreePC(true), FourPC()} {
-		if err := p.Validate(); err != nil {
-			t.Errorf("%s: %v", p.Name, err)
-		}
-	}
-}
-
-func TestValidateRejectsBadProtocols(t *testing.T) {
-	bad := TwoPC()
-	bad.Master.Initial = "zz"
-	if bad.Validate() == nil {
-		t.Error("undeclared initial state accepted")
-	}
-
-	dup := TwoPC()
-	dup.Slave.States = append(dup.Slave.States, State{Name: "q"})
-	if dup.Validate() == nil {
-		t.Error("duplicate state accepted")
-	}
-
-	dangling := TwoPC()
-	dangling.Master.Transitions = append(dangling.Master.Transitions,
-		Transition{From: "w1", Recv: "yes", To: "nowhere"})
-	if dangling.Validate() == nil {
-		t.Error("transition to undeclared state accepted")
-	}
-
-	finalOut := TwoPC()
-	finalOut.Master.Transitions = append(finalOut.Master.Transitions,
-		Transition{From: "c1", Recv: "yes", To: "c1"})
-	if finalOut.Validate() == nil {
-		t.Error("outgoing transition from final state accepted")
-	}
-}
-
 // --- E1: two-phase commit structure (Figure 1) ---
 
 // For two sites, 2PC's slave wait state is committable (the only slave has
