@@ -53,6 +53,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -71,47 +72,57 @@ import (
 )
 
 func main() {
-	protoName := flag.String("proto", "termination", "protocol name (see -list)")
-	list := flag.Bool("list", false, "list protocols and exit")
-	n := flag.Int("n", 4, "number of sites")
-	txns := flag.Int("txns", 1, "number of concurrent transactions")
-	backend := flag.String("backend", "sim", "execution backend: sim, or net (real termnode processes over TCP)")
-	workdir := flag.String("workdir", "", "net backend: localnet root for per-node WALs and logs (default a temp dir; left behind for postmortems)")
-	masters := flag.String("masters", "", "master policy: fixed (site 1), rr (round-robin), primary (shard-local); default fixed, or primary with -shards")
-	shards := flag.Int("shards", 0, "hash-shard the keyspace across this many shards (0 = full replication)")
-	rf := flag.Int("rf", 0, "replicas per shard (default min(3, n); requires -shards)")
-	accounts := flag.Int("accounts", 0, "account rows for generated transfer payloads (default 2*shards, or 8)")
-	zipfS := flag.Float64("zipf", 0, "zipfian hot-key skew exponent for generated payloads (0 = uniform)")
-	opsN := flag.Int("ops", 2, "accounts touched per generated transaction (a chain of transfers)")
-	db := flag.Bool("db", false, "attach a WAL-backed database engine at every site; scheduled recover events become durable restarts (replay + in-doubt resolution + catch-up)")
-	spacing := flag.Float64("spacing", 0.4, "submission spacing between transactions in units of T")
-	scheduleSpec := flag.String("schedule", "",
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, runs the scenario, writes its
+// report to stdout and its errors to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("termsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	protoName := fs.String("proto", "termination", "protocol name (see -list)")
+	list := fs.Bool("list", false, "list protocols and exit")
+	n := fs.Int("n", 4, "number of sites")
+	txns := fs.Int("txns", 1, "number of concurrent transactions")
+	backend := fs.String("backend", "sim", "execution backend: sim, or net (real termnode processes over TCP)")
+	workdir := fs.String("workdir", "", "net backend: localnet root for per-node WALs and logs (default a temp dir; left behind for postmortems)")
+	masters := fs.String("masters", "", "master policy: fixed (site 1), rr (round-robin), primary (shard-local); default fixed, or primary with -shards")
+	shards := fs.Int("shards", 0, "hash-shard the keyspace across this many shards (0 = full replication)")
+	rf := fs.Int("rf", 0, "replicas per shard (default min(3, n); requires -shards)")
+	accounts := fs.Int("accounts", 0, "account rows for generated transfer payloads (default 2*shards, or 8)")
+	zipfS := fs.Float64("zipf", 0, "zipfian hot-key skew exponent for generated payloads (0 = uniform)")
+	opsN := fs.Int("ops", 2, "accounts touched per generated transaction (a chain of transfers)")
+	db := fs.Bool("db", false, "attach a WAL-backed database engine at every site; scheduled recover events become durable restarts (replay + in-doubt resolution + catch-up)")
+	spacing := fs.Float64("spacing", 0.4, "submission spacing between transactions in units of T")
+	scheduleSpec := fs.String("schedule", "",
 		"fault timeline: ev@t[:args][;...] with ev in partition|heal|crash|recover|join|leave|move, t in units of T (join, leave and move require -shards)")
-	noVotes := flag.String("no", "", "comma-separated sites that vote no")
-	seed := flag.Uint64("seed", 1, "random seed")
-	latency := flag.String("latency", "fixed", "latency model: fixed (=T) or uniform [T/3,T]")
-	showTrace := flag.Bool("trace", false, "dump the full execution trace (sim backend)")
-	showMetrics := flag.Bool("metrics", false, "print a one-screen metrics summary (latency quantiles, engine/WAL/wire counters)")
-	traceOut := flag.String("trace-out", "", "write the run's protocol trace as JSONL to this file (sim backend; on -backend net pass the daemons' own -trace-out via termnode)")
-	flag.Parse()
+	noVotes := fs.String("no", "", "comma-separated sites that vote no")
+	seed := fs.Uint64("seed", 1, "random seed")
+	latency := fs.String("latency", "fixed", "latency model: fixed (=T) or uniform [T/3,T]")
+	showTrace := fs.Bool("trace", false, "dump the full execution trace (sim backend)")
+	showMetrics := fs.Bool("metrics", false, "print a one-screen metrics summary (latency quantiles, engine/WAL/wire counters)")
+	traceOut := fs.String("trace-out", "", "write the run's protocol trace as JSONL to this file (sim backend; on -backend net pass the daemons' own -trace-out via termnode)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, name := range registry.Names() {
-			fmt.Println(name)
+			fmt.Fprintln(stdout, name)
 		}
-		return
+		return 0
 	}
 
 	p, err := registry.Lookup(*protoName)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "termsim: unknown protocol %q (use -list)\n", *protoName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "termsim: unknown protocol %q (use -list)\n", *protoName)
+		return 2
 	}
 
 	sched, err := parseSchedule(*scheduleSpec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "termsim: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "termsim: %v\n", err)
+		return 2
 	}
 	hasMembership := false
 	for _, ev := range sched {
@@ -129,16 +140,16 @@ func main() {
 		// directory (provisioned, empty).
 		asg, err := placement.ArithmeticOver(*shards, *rf, initialMembers(*n, sched))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "termsim: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "termsim: %v\n", err)
+			return 2
 		}
 		cfg.Directory = placement.NewDirectory(asg)
 	} else if *rf != 0 {
-		fmt.Fprintln(os.Stderr, "termsim: -rf requires -shards")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "termsim: -rf requires -shards")
+		return 2
 	} else if hasMembership {
-		fmt.Fprintln(os.Stderr, "termsim: join, leave and move events require -shards")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "termsim: join, leave and move events require -shards")
+		return 2
 	}
 	switch *masters {
 	case "", "fixed": // cluster default: fixed, or primary with a Directory
@@ -147,19 +158,24 @@ func main() {
 	case "primary":
 		cfg.MasterPolicy = cluster.MasterPrimary()
 	default:
-		fmt.Fprintf(os.Stderr, "termsim: unknown master policy %q\n", *masters)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "termsim: unknown master policy %q\n", *masters)
+		return 2
 	}
-	if ids := parseSites(*noVotes); len(ids) > 0 {
-		cfg.Votes = proto.NoAt(ids...)
+	noIDs, err := parseSites(*noVotes)
+	if err != nil {
+		fmt.Fprintf(stderr, "termsim: %v\n", err)
+		return 2
+	}
+	if len(noIDs) > 0 {
+		cfg.Votes = proto.NoAt(noIDs...)
 	}
 	if *opsN < 2 {
-		fmt.Fprintln(os.Stderr, "termsim: -ops must be at least 2")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "termsim: -ops must be at least 2")
+		return 2
 	}
 	if (*zipfS != 0 || *opsN != 2) && *shards == 0 && !*db {
-		fmt.Fprintln(os.Stderr, "termsim: -zipf/-ops shape generated payloads; they require -shards or -db")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "termsim: -zipf/-ops shape generated payloads; they require -shards or -db")
+		return 2
 	}
 	numAccounts := *accounts
 	if numAccounts == 0 {
@@ -195,14 +211,14 @@ func main() {
 		})
 		cfg.Backend = netBackend
 	default:
-		fmt.Fprintf(os.Stderr, "termsim: unknown backend %q\n", *backend)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "termsim: unknown backend %q\n", *backend)
+		return 2
 	}
 
 	c, err := cluster.Open(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "termsim: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "termsim: %v\n", err)
+		return 2
 	}
 	// On the process backend the daemons' engines start empty, so a
 	// sharded run without -db seeds the generated accounts through the
@@ -211,9 +227,9 @@ func main() {
 	seeded := netBackend != nil && cfg.Directory != nil && !*db
 	if seeded {
 		if err := workload.SeedAccounts(c, numAccounts, 1000); err != nil {
-			fmt.Fprintf(os.Stderr, "termsim: %v\n", err)
+			fmt.Fprintf(stderr, "termsim: %v\n", err)
 			c.Close()
-			os.Exit(2)
+			return 2
 		}
 	}
 	batch := make([]cluster.Txn, *txns)
@@ -237,14 +253,14 @@ func main() {
 	}
 	rs, err := c.SubmitBatch(batch)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "termsim: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "termsim: %v\n", err)
+		return 2
 	}
 	if err := c.Wait(); err != nil {
-		fmt.Fprintf(os.Stderr, "termsim: %v\n", err)
+		fmt.Fprintf(stderr, "termsim: %v\n", err)
 		// A wait that ran out of time still has results worth printing.
 		if !errors.As(err, new(*cluster.UndecidedError)) {
-			os.Exit(2)
+			return 2
 		}
 	}
 	// The metrics snapshot must precede Close: on the net backend it
@@ -256,30 +272,30 @@ func main() {
 	}
 	c.Close() // net backend: fills final automaton states
 
-	fmt.Printf("protocol %s, %d sites, %d txns, %s backend, T=%d ticks\n",
+	fmt.Fprintf(stdout, "protocol %s, %d sites, %d txns, %s backend, T=%d ticks\n",
 		p.Name(), *n, *txns, cfg.Backend.Name(), sim.DefaultT)
 	if netBackend != nil {
-		fmt.Printf("  localnet workspace: %s\n", netBackend.Workdir())
+		fmt.Fprintf(stdout, "  localnet workspace: %s\n", netBackend.Workdir())
 	}
 	if d := cfg.Directory; d != nil {
 		_, asg := d.Current()
-		fmt.Printf("  sharded placement (epoch %d): %s\n", d.Epoch(), asg)
+		fmt.Fprintf(stdout, "  sharded placement (epoch %d): %s\n", d.Epoch(), asg)
 	}
 	if seeded {
-		fmt.Printf("  seeded %d accounts through the cluster (initial balance 1000)\n", numAccounts)
+		fmt.Fprintf(stdout, "  seeded %d accounts through the cluster (initial balance 1000)\n", numAccounts)
 	}
 	for _, ev := range sched.Sorted() {
-		fmt.Printf("  %s\n", describeEvent(ev))
+		fmt.Fprintf(stdout, "  %s\n", describeEvent(ev))
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	for _, r := range rs {
 		if *txns > 1 {
 			if cfg.Directory != nil {
-				fmt.Printf("txn %d (master %d, sites %v): %-6s  consistent=%v blocked=%v\n",
+				fmt.Fprintf(stdout, "txn %d (master %d, sites %v): %-6s  consistent=%v blocked=%v\n",
 					r.TID, r.Master, r.Participants, r.Outcome(), r.Consistent(), r.Blocked())
 			} else {
-				fmt.Printf("txn %d (master %d): %-6s  consistent=%v blocked=%v\n",
+				fmt.Fprintf(stdout, "txn %d (master %d): %-6s  consistent=%v blocked=%v\n",
 					r.TID, r.Master, r.Outcome(), r.Consistent(), r.Blocked())
 			}
 			continue
@@ -288,7 +304,7 @@ func main() {
 			id := proto.SiteID(i)
 			s := r.Sites[id]
 			if s == nil {
-				fmt.Printf("site %d: not a participant\n", i)
+				fmt.Fprintf(stdout, "site %d: not a participant\n", i)
 				continue
 			}
 			when := "—"
@@ -299,83 +315,84 @@ func main() {
 			if id == r.Master {
 				role = "master"
 			}
-			fmt.Printf("site %d (%s): %-6s at %-7s final state %s\n",
+			fmt.Fprintf(stdout, "site %d (%s): %-6s at %-7s final state %s\n",
 				i, role, s.Outcome, when, s.FinalState)
 		}
-		fmt.Println()
-		fmt.Printf("atomic (consistent): %v\n", r.Consistent())
-		fmt.Printf("blocked sites:       %v\n", r.Blocked())
+		fmt.Fprintln(stdout)
+		fmt.Fprintf(stdout, "atomic (consistent): %v\n", r.Consistent())
+		fmt.Fprintf(stdout, "blocked sites:       %v\n", r.Blocked())
 		if simBackend != nil {
-			fmt.Printf("§6 case:             %s\n",
+			fmt.Fprintf(stdout, "§6 case:             %s\n",
 				scenario.Classify(simBackend.Trace(), int(r.Master)))
 		}
 	}
 
 	if reps := c.Recoveries(); len(reps) > 0 {
-		fmt.Println("recoveries:")
+		fmt.Fprintln(stdout, "recoveries:")
 		for _, r := range reps {
-			fmt.Printf("  %s\n", r)
+			fmt.Fprintf(stdout, "  %s\n", r)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if ms := c.Migrations(); len(ms) > 0 {
-		fmt.Println("migrations:")
+		fmt.Fprintln(stdout, "migrations:")
 		for _, m := range ms {
-			fmt.Printf("  %s\n", m)
+			fmt.Fprintf(stdout, "  %s\n", m)
 		}
 		if d := cfg.Directory; d != nil {
 			_, asg := d.Current()
-			fmt.Printf("  final: epoch %d, %s\n", d.Epoch(), asg)
+			fmt.Fprintf(stdout, "  final: epoch %d, %s\n", d.Epoch(), asg)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	st := c.Stats()
-	fmt.Println()
-	fmt.Printf("stats:       %s\n", st)
-	fmt.Printf("termination: %v\n", termination(c))
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "stats:       %s\n", st)
+	fmt.Fprintf(stdout, "termination: %v\n", termination(c))
 	if *showMetrics {
-		printMetrics(msnap)
+		printMetrics(stdout, msnap)
 	}
 	if *showTrace && simBackend != nil {
-		fmt.Println("\ntrace:")
-		fmt.Print(simBackend.Trace().Dump())
+		fmt.Fprintln(stdout, "\ntrace:")
+		fmt.Fprint(stdout, simBackend.Trace().Dump())
 	}
 	if *traceOut != "" {
 		if simBackend == nil {
-			fmt.Fprintln(os.Stderr, "termsim: -trace-out needs the sim backend (daemons export their own with termnode -trace-out)")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "termsim: -trace-out needs the sim backend (daemons export their own with termnode -trace-out)")
+			return 2
 		}
 		events := simBackend.Trace().Events()
 		if err := trace.WriteJSONLFile(*traceOut, events); err != nil {
-			fmt.Fprintf(os.Stderr, "termsim: writing trace: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "termsim: writing trace: %v\n", err)
+			return 1
 		}
-		fmt.Printf("trace:       %d events -> %s\n", len(events), *traceOut)
+		fmt.Fprintf(stdout, "trace:       %d events -> %s\n", len(events), *traceOut)
 	}
 	if st.Inconsistent > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // printMetrics renders the one-screen observability summary: per-site
 // latency quantiles in units of T, since the site learned of the
 // transaction (fsync in µs — it is wall time on every backend), and the
 // counter seams, skipping families this run produced no traffic for.
-func printMetrics(snap obs.Snapshot) {
+func printMetrics(stdout io.Writer, snap obs.Snapshot) {
 	// Latencies are recorded in thousandths of T.
 	inT := func(name string, q float64, labels ...obs.Label) float64 {
 		return snap.Quantile(name, q, labels...) / 1000
 	}
 	decided := obs.L("phase", "decided")
-	fmt.Println("\nmetrics:")
+	fmt.Fprintln(stdout, "\nmetrics:")
 	if n := snap.Value(obs.MRoundLatency, decided); n > 0 {
-		fmt.Printf("  site decided after:       n=%-4d p50=%.2fT p99=%.2fT\n", n,
+		fmt.Fprintf(stdout, "  site decided after:       n=%-4d p50=%.2fT p99=%.2fT\n", n,
 			inT(obs.MRoundLatency, 0.5, decided), inT(obs.MRoundLatency, 0.99, decided))
 	}
 	if n := snap.Total(obs.MShardCommitLatency); n > 0 {
-		fmt.Printf("  site committed after:     n=%-4d p50=%.2fT p99=%.2fT\n", n,
+		fmt.Fprintf(stdout, "  site committed after:     n=%-4d p50=%.2fT p99=%.2fT\n", n,
 			inT(obs.MShardCommitLatency, 0.5), inT(obs.MShardCommitLatency, 0.99))
 	}
 	if c, a := snap.Total(obs.MCommits), snap.Total(obs.MAborts); c+a > 0 {
@@ -385,17 +402,17 @@ func printMetrics(snap obs.Snapshot) {
 				waits[s.Label("outcome")] += s.Value
 			}
 		}
-		fmt.Printf("  engine decisions:         commits=%d aborts=%d lock-failures=%d wounds=%d waits=%d (granted %d, expired %d, dropped %d)\n",
+		fmt.Fprintf(stdout, "  engine decisions:         commits=%d aborts=%d lock-failures=%d wounds=%d waits=%d (granted %d, expired %d, dropped %d)\n",
 			c, a, snap.Total(obs.MLockFailures), snap.Total(obs.MLockWounds),
 			snap.Total(obs.MLockWaits), waits["granted"], waits["expired"], waits["dropped"])
 	}
 	if recs := snap.Total(obs.MWalRecords); recs > 0 {
-		fmt.Printf("  wal:                      records=%d syncs=%d fsync p50=%.0fµs p99=%.0fµs\n",
+		fmt.Fprintf(stdout, "  wal:                      records=%d syncs=%d fsync p50=%.0fµs p99=%.0fµs\n",
 			recs, snap.Total(obs.MWalSyncs),
 			snap.Quantile(obs.MWalFsyncLatency, 0.5), snap.Quantile(obs.MWalFsyncLatency, 0.99))
 	}
 	if snap.Total(obs.MNetFrames) > 0 {
-		fmt.Printf("  wire:                     sent %d frames / %d bytes, recv %d frames / %d bytes\n",
+		fmt.Fprintf(stdout, "  wire:                     sent %d frames / %d bytes, recv %d frames / %d bytes\n",
 			snap.Value(obs.MNetFrames, obs.L("dir", "sent")), snap.Value(obs.MNetBytes, obs.L("dir", "sent")),
 			snap.Value(obs.MNetFrames, obs.L("dir", "recv")), snap.Value(obs.MNetBytes, obs.L("dir", "recv")))
 	}
@@ -479,7 +496,10 @@ func parseSchedule(spec string) (cluster.Schedule, error) {
 		}
 		switch kind {
 		case "partition":
-			ids := parseSites(args)
+			ids, err := parseSites(args)
+			if err != nil {
+				return nil, err
+			}
 			if len(ids) == 0 {
 				return nil, fmt.Errorf("partition needs sites: %q", entry)
 			}
@@ -520,7 +540,7 @@ func parseSchedule(spec string) (cluster.Schedule, error) {
 	return out, nil
 }
 
-func parseSites(spec string) []proto.SiteID {
+func parseSites(spec string) ([]proto.SiteID, error) {
 	var out []proto.SiteID
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
@@ -529,10 +549,9 @@ func parseSites(spec string) []proto.SiteID {
 		}
 		v, err := strconv.Atoi(part)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "termsim: bad site %q\n", part)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad site %q", part)
 		}
 		out = append(out, proto.SiteID(v))
 	}
-	return out
+	return out, nil
 }
