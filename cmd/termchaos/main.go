@@ -8,6 +8,7 @@
 //	termchaos -n 2000                  # run a 2000-seed corpus on the simulator
 //	termchaos -n 3 -backend net        # sample net-compatible seeds on real processes
 //	termchaos -replay 1337             # re-run one seed and dump its evidence
+//	termchaos -replay 2001 -family timeout  # ... as the timeout family draws it
 //	termchaos -check trace.jsonl       # offline-check an exported trace file
 //
 // Exit status 1 means at least one invariant violation (or an unexpected
@@ -17,8 +18,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"termproto/internal/chaos"
@@ -27,27 +30,41 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, writes its report to stdout and its
+// errors to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("termchaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		n           = flag.Int("n", 1000, "number of seeds to run (starting at -seed)")
-		seed        = flag.Uint64("seed", 1, "first seed of the corpus")
-		backend     = flag.String("backend", "sim", "sim (deterministic) or net (real termnode processes)")
-		family      = flag.String("family", "", "restrict the corpus to one family (happy-path, abort-heavy, timeout, stress, migration-under-partition)")
-		replay      = flag.Uint64("replay", 0, "re-run this one seed and dump its scenario, violations, and per-txn history")
-		checkFile   = flag.String("check", "", "offline-check this trace JSONL file instead of running scenarios")
-		skipBounds  = flag.Bool("skip-bounds", false, "with -check: skip the §6 bound rule (wall-clock traces)")
-		artifactDir = flag.String("artifact-dir", "", "write failing seeds' traces and violation reports here")
-		workdir     = flag.String("workdir", "", "with -backend net: localnet workspace root (default: temp dirs)")
-		verbose     = flag.Bool("v", false, "print every scenario as it runs")
+		n           = fs.Int("n", 1000, "number of seeds to run (starting at -seed)")
+		seed        = fs.Uint64("seed", 1, "first seed of the corpus")
+		backend     = fs.String("backend", "sim", "sim (deterministic) or net (real termnode processes)")
+		family      = fs.String("family", "", "restrict the corpus to one family (happy-path, abort-heavy, timeout, stress, migration-under-partition)")
+		replay      = fs.Uint64("replay", 0, "re-run this one seed and dump its scenario, violations, and per-txn history")
+		checkFile   = fs.String("check", "", "offline-check this trace JSONL file instead of running scenarios")
+		skipBounds  = fs.Bool("skip-bounds", false, "with -check: skip the §6 bound rule (wall-clock traces)")
+		artifactDir = fs.String("artifact-dir", "", "write failing seeds' traces and violation reports here")
+		workdir     = fs.String("workdir", "", "with -backend net: localnet workspace root (default: temp dirs)")
+		verbose     = fs.Bool("v", false, "print every scenario as it runs")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *family != "" && !slices.Contains(chaos.Families(), chaos.Family(*family)) {
+		fmt.Fprintf(stderr, "termchaos: unknown family %q (known: %v)\n", *family, chaos.Families())
+		return 2
+	}
 
 	switch {
 	case *checkFile != "":
-		os.Exit(checkTraceFile(*checkFile, *skipBounds))
+		return checkTraceFile(stdout, stderr, *checkFile, *skipBounds)
 	case *replay != 0:
-		os.Exit(replaySeed(*replay, *backend, *workdir))
+		return replaySeed(stdout, stderr, *replay, *backend, *family, *workdir)
 	default:
-		os.Exit(runCorpus(*seed, *n, *backend, *family, *workdir, *artifactDir, *verbose))
+		return runCorpus(stdout, stderr, *seed, *n, *backend, *family, *workdir, *artifactDir, *verbose)
 	}
 }
 
@@ -59,39 +76,7 @@ func scenarioFor(seed uint64, family string) chaos.Scenario {
 	return chaos.FromSeedIn(seed, chaos.Family(family))
 }
 
-// runOne executes a scenario on the chosen backend and verifies it.
-func runOne(sc chaos.Scenario, backend, workdir string) (*chaos.Result, []check.Violation, error) {
-	switch backend {
-	case "sim":
-		r, err := chaos.Run(sc)
-		if err != nil {
-			return nil, nil, err
-		}
-		return r, chaos.Verify(r), nil
-	case "net":
-		r, err := chaos.RunNet(sc, workdir)
-		if err != nil {
-			return nil, nil, err
-		}
-		return r, chaos.VerifyNet(r), nil
-	default:
-		return nil, nil, fmt.Errorf("unknown backend %q", backend)
-	}
-}
-
-func runCorpus(base uint64, n int, backend, family, workdir, artifactDir string, verbose bool) int {
-	if family != "" {
-		known := false
-		for _, f := range chaos.Families() {
-			if string(f) == family {
-				known = true
-			}
-		}
-		if !known {
-			fmt.Fprintf(os.Stderr, "termchaos: unknown family %q (known: %v)\n", family, chaos.Families())
-			return 2
-		}
-	}
+func runCorpus(stdout, stderr io.Writer, base uint64, n int, backend, family, workdir, artifactDir string, verbose bool) int {
 	start := time.Now()
 	perFamily := map[chaos.Family]int{}
 	var failed []uint64
@@ -106,11 +91,11 @@ func runCorpus(base uint64, n int, backend, family, workdir, artifactDir string,
 			wd = filepath.Join(workdir, fmt.Sprintf("seed-%d", s))
 		}
 		if verbose {
-			fmt.Printf("running %s\n", sc)
+			fmt.Fprintf(stdout, "running %s\n", sc)
 		}
-		r, vs, err := runOne(sc, backend, wd)
+		r, vs, err := chaos.RunOn(sc, backend, wd)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "termchaos: seed %d: %v\n", s, err)
+			fmt.Fprintf(stderr, "termchaos: seed %d: %v\n", s, err)
 			failed = append(failed, s)
 			continue
 		}
@@ -120,67 +105,71 @@ func runCorpus(base uint64, n int, backend, family, workdir, artifactDir string,
 		if len(vs) > 0 {
 			violations += len(vs)
 			failed = append(failed, s)
-			fmt.Fprintf(os.Stderr, "termchaos: seed %d (%s): %d violations\n", s, sc, len(vs))
+			fmt.Fprintf(stderr, "termchaos: seed %d (%s): %d violations\n", s, sc, len(vs))
 			for _, v := range vs {
-				fmt.Fprintf(os.Stderr, "  %s\n", v)
+				fmt.Fprintf(stderr, "  %s\n", v)
 			}
 			writeArtifacts(artifactDir, s, r, vs)
 		}
 	}
-	fmt.Printf("termchaos: %d scenarios, %d transactions, %d violations in %s (%s backend)\n",
+	fmt.Fprintf(stdout, "termchaos: %d scenarios, %d transactions, %d violations in %s (%s backend)\n",
 		ran, txns, violations, time.Since(start).Round(time.Millisecond), backend)
 	for _, f := range chaos.Families() {
 		if perFamily[f] > 0 {
-			fmt.Printf("  %-26s %d\n", f, perFamily[f])
+			fmt.Fprintf(stdout, "  %-26s %d\n", f, perFamily[f])
 		}
 	}
 	if len(failed) > 0 {
-		fmt.Fprintf(os.Stderr, "termchaos: FAILING SEEDS: %v\n", failed)
-		fmt.Fprintf(os.Stderr, "termchaos: reproduce any of them with: termchaos -replay <seed>\n")
+		fmt.Fprintf(stderr, "termchaos: FAILING SEEDS: %v\n", failed)
+		hint := "termchaos -replay <seed>"
+		if family != "" {
+			hint += " -family " + family
+		}
+		fmt.Fprintf(stderr, "termchaos: reproduce any of them with: %s\n", hint)
 		return 1
 	}
 	return 0
 }
 
-func replaySeed(seed uint64, backend, workdir string) int {
-	sc := chaos.FromSeed(seed)
-	fmt.Printf("scenario: %s\n", sc)
+func replaySeed(stdout, stderr io.Writer, seed uint64, backend, family, workdir string) int {
+	sc := scenarioFor(seed, family)
+	fmt.Fprintf(stdout, "scenario: %s\n", sc)
 	for _, ev := range sc.Schedule {
-		fmt.Printf("  schedule: %+v\n", ev)
+		fmt.Fprintf(stdout, "  schedule: %+v\n", ev)
 	}
-	r, vs, err := runOne(sc, backend, workdir)
+	r, vs, err := chaos.RunOn(sc, backend, workdir)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "termchaos: %v\n", err)
+		fmt.Fprintf(stderr, "termchaos: %v\n", err)
 		return 1
 	}
-	fmt.Printf("%d transactions, %d trace events\n", len(r.Results), len(r.Events))
+	fmt.Fprintf(stdout, "%d transactions, %d trace events\n", len(r.Results), len(r.Events))
 	for _, res := range r.Results {
-		fmt.Printf("  txn %d: master=%d outcome=%v consistent=%v blocked=%v\n",
+		fmt.Fprintf(stdout, "  txn %d: master=%d outcome=%v consistent=%v blocked=%v\n",
 			res.TID, res.Master, res.Outcome(), res.Consistent(), res.Blocked())
 	}
 	if len(vs) == 0 {
-		fmt.Println("no violations")
+		fmt.Fprintln(stdout, "no violations")
 		return 0
 	}
 	for _, v := range vs {
-		fmt.Printf("VIOLATION: %s\n", v)
+		fmt.Fprintf(stdout, "VIOLATION: %s\n", v)
 		for _, e := range v.Events {
-			fmt.Printf("    %s\n", e)
+			fmt.Fprintf(stdout, "    %s\n", e)
 		}
 	}
 	return 1
 }
 
-func checkTraceFile(path string, skipBounds bool) int {
+func checkTraceFile(stdout, stderr io.Writer, path string, skipBounds bool) int {
 	events, err := trace.ReadJSONLFile(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "termchaos: %v\n", err)
+		fmt.Fprintf(stderr, "termchaos: %v\n", err)
 		return 2
 	}
 	vs := check.Check(check.Input{Events: events, SkipBounds: skipBounds})
-	fmt.Printf("termchaos: %d events, %d violations\n", len(events), len(vs))
+	fmt.Fprintf(stdout, "termchaos: %d events, %d violations\n", len(events), len(vs))
 	for _, v := range vs {
-		fmt.Printf("VIOLATION: %s\n", v)
+		fmt.Fprintf(stdout, "VIOLATION: %s\n", v)
 	}
 	if len(vs) > 0 {
 		return 1

@@ -1,10 +1,9 @@
-// Command termsim runs commit-protocol scenarios through the unified
-// cluster API: one or many concurrent transactions, a scripted fault
-// timeline, and a choice of execution backend — the deterministic
-// discrete-event simulator, or a localnet of real termnode processes
-// speaking the protocol over TCP (-backend net), where a scheduled crash
-// is a SIGKILL and a recovery is a fresh process over the surviving
-// write-ahead log.
+// Command termsim runs one commit-protocol scenario and judges it: one or
+// many concurrent transactions, a scripted fault timeline, and a choice
+// of execution backend — the deterministic discrete-event simulator, or
+// a localnet of real termnode processes speaking the protocol over TCP
+// (-backend net), where a scheduled crash is a SIGKILL and a recovery is
+// a fresh process over the surviving write-ahead log.
 //
 // Usage:
 //
@@ -15,16 +14,26 @@
 //	        [-no 3] [-seed 1] [-latency fixed|uniform] [-trace]
 //	        [-metrics] [-trace-out run.jsonl]
 //
-// Times are in units of T (the longest end-to-end delay). With -shards the
-// keyspace is hash-placed across the sites (-rf replicas per shard) by a
-// versioned shard directory, transactions carry transfer payloads over
-// -accounts rows, and each runs only at its participant sites — the
-// replica sets of the shards it touches at its admission epoch. -zipf
-// skews the generated payloads toward hot keys and -ops chains each
-// transaction through that many accounts. With -db every site runs a
-// WAL-backed database engine and a scheduled recover event is a durable
-// restart: log replay, in-doubt resolution via the termination protocol's
-// inquiry round, and catch-up from a current replica.
+// The flags build one chaos.Scenario, which runs through chaos.Run (sim)
+// or chaos.RunNet (net) and is judged by the invariant suite of
+// internal/check: decision agreement and durability, the §6 termination
+// bounds (sim only), replica convergence, conservation, and every
+// transaction decided at every live participant. termsim prints each
+// violation and exits 1; a bad flag or a run that could not be set up
+// exits 2.
+//
+// Times are in units of T (the longest end-to-end delay); transaction i
+// (from 1) is submitted at i × -spacing. Without -db or -shards a run is
+// protocol-only: transactions carry no payload, and -no scripts the sites
+// that vote no. With -db every site runs a database engine over -accounts
+// rows (balance 1000), each transaction is a chain of transfers through
+// -ops accounts drawn with -zipf hot-key skew, and a scheduled recover
+// event is a durable restart: log replay, in-doubt resolution via the
+// termination protocol's inquiry round, and catch-up from a current
+// replica. -shards implies -db and hash-places the rows across the sites
+// (-rf replicas per shard) by a versioned shard directory; each
+// transaction runs only at the replica sets of the shards it touches at
+// its admission epoch.
 //
 // Elastic membership: join@t:site schedules a site joining the directory
 // at time t (a site whose first membership event is a join starts outside
@@ -35,40 +44,39 @@
 // through the selected commit protocol. Membership runs on the simulator
 // only: the net backend rejects it. Examples:
 //
-//	termsim -proto 2pc -n 3 -schedule "partition@2.1:3"   # 2PC blocks site 3
+//	termsim -proto 2pc -n 3 -schedule "partition@2.5:3"   # 2PC blocks site 3: exits 1
 //	termsim -proto termination -n 5 \
-//	        -schedule "partition@2.5:4,5"             # paper's protocol
+//	        -schedule "partition@2.9:4,5"             # paper's protocol
 //	termsim -proto termination+transient -n 5 -txns 12 \
-//	        -schedule "partition@2.5:4,5;heal@9" -masters rr
+//	        -schedule "partition@2.9:4,5;heal@9.4" -masters rr
 //	termsim -backend net -n 3 -txns 4 \
-//	        -schedule "crash@0.8:1;recover@8:1"       # real processes, real SIGKILL
+//	        -schedule "crash@1.2:1;recover@8.4:1"     # real processes, real SIGKILL
 //	termsim -n 12 -shards 12 -rf 3 -txns 24         # sharded placement
 //	termsim -n 5 -txns 8 -db -zipf 0.9 -ops 3 \
-//	        -schedule "crash@2.5:5;recover@12:5"    # durable crash recovery
+//	        -schedule "crash@2.9:5;recover@12.4:5"  # durable crash recovery
 //	termsim -n 6 -shards 8 -rf 2 -db -txns 16 \
-//	        -schedule "join@6:6;leave@16:1"          # elastic membership
+//	        -schedule "join@6.4:6;leave@16.4:1"      # elastic membership
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 
+	"termproto/internal/chaos"
+	"termproto/internal/check"
 	"termproto/internal/cluster"
-	"termproto/internal/db/engine"
 	"termproto/internal/obs"
-	"termproto/internal/placement"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/registry"
 	"termproto/internal/scenario"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
 	"termproto/internal/trace"
-	"termproto/internal/workload"
 )
 
 func main() {
@@ -87,22 +95,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	backend := fs.String("backend", "sim", "execution backend: sim, or net (real termnode processes over TCP)")
 	workdir := fs.String("workdir", "", "net backend: localnet root for per-node WALs and logs (default a temp dir; left behind for postmortems)")
 	masters := fs.String("masters", "", "master policy: fixed (site 1), rr (round-robin), primary (shard-local); default fixed, or primary with -shards")
-	shards := fs.Int("shards", 0, "hash-shard the keyspace across this many shards (0 = full replication)")
+	shards := fs.Int("shards", 0, "hash-shard the keyspace across this many shards (0 = full replication); implies -db")
 	rf := fs.Int("rf", 0, "replicas per shard (default min(3, n); requires -shards)")
 	accounts := fs.Int("accounts", 0, "account rows for generated transfer payloads (default 2*shards, or 8)")
 	zipfS := fs.Float64("zipf", 0, "zipfian hot-key skew exponent for generated payloads (0 = uniform)")
 	opsN := fs.Int("ops", 2, "accounts touched per generated transaction (a chain of transfers)")
-	db := fs.Bool("db", false, "attach a WAL-backed database engine at every site; scheduled recover events become durable restarts (replay + in-doubt resolution + catch-up)")
-	spacing := fs.Float64("spacing", 0.4, "submission spacing between transactions in units of T")
+	db := fs.Bool("db", false, "attach a database engine at every site and give transactions transfer payloads; scheduled recover events become durable restarts (replay + in-doubt resolution + catch-up)")
+	spacing := fs.Float64("spacing", 0.4, "submission spacing between transactions in units of T; the first is submitted one spacing in")
 	scheduleSpec := fs.String("schedule", "",
 		"fault timeline: ev@t[:args][;...] with ev in partition|heal|crash|recover|join|leave|move, t in units of T (join, leave and move require -shards)")
-	noVotes := fs.String("no", "", "comma-separated sites that vote no")
+	noVotes := fs.String("no", "", "comma-separated sites that vote no (protocol-only runs: not with -db or -shards)")
 	seed := fs.Uint64("seed", 1, "random seed")
-	latency := fs.String("latency", "fixed", "latency model: fixed (=T) or uniform [T/3,T]")
-	showTrace := fs.Bool("trace", false, "dump the full execution trace (sim backend)")
+	latency := fs.String("latency", "fixed", "latency model (sim backend): fixed (=T) or uniform [T/3,T]")
+	showTrace := fs.Bool("trace", false, "dump the full execution trace")
 	showMetrics := fs.Bool("metrics", false, "print a one-screen metrics summary (latency quantiles, engine/WAL/wire counters)")
-	traceOut := fs.String("trace-out", "", "write the run's protocol trace as JSONL to this file (sim backend; on -backend net pass the daemons' own -trace-out via termnode)")
+	traceOut := fs.String("trace-out", "", "write the run's protocol trace as JSONL to this file (on -backend net, the daemons' traces merged)")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "termsim: "+format+"\n", a...)
 		return 2
 	}
 
@@ -112,199 +124,125 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-
-	p, err := registry.Lookup(*protoName)
-	if err != nil {
-		fmt.Fprintf(stderr, "termsim: unknown protocol %q (use -list)\n", *protoName)
-		return 2
+	if _, err := registry.Lookup(*protoName); err != nil {
+		return fail("unknown protocol %q (use -list)", *protoName)
 	}
-
 	sched, err := parseSchedule(*scheduleSpec)
 	if err != nil {
-		fmt.Fprintf(stderr, "termsim: %v\n", err)
-		return 2
+		return fail("%v", err)
 	}
-	hasMembership := false
-	for _, ev := range sched {
-		if ev.Kind == cluster.EvJoin || ev.Kind == cluster.EvLeave || ev.Kind == cluster.EvMove {
-			hasMembership = true
-		}
+	sc := chaos.Scenario{
+		Seed:     *seed,
+		Protocol: *protoName,
+		Sites:    *n,
+		Shards:   *shards,
+		RF:       *rf,
+		Masters:  *masters,
+		Txns:     *txns,
+		Spacing:  sim.Duration(math.Round(*spacing * float64(sim.DefaultT))),
+		Schedule: sched,
 	}
-
-	cfg := cluster.Config{Sites: *n, Protocol: p, Schedule: sched}
 	if *shards > 0 {
 		if *rf == 0 {
-			*rf = min(3, *n)
+			sc.RF = min(3, *n)
 		}
-		// Sites whose first membership event is a join start outside the
-		// directory (provisioned, empty).
-		asg, err := placement.ArithmeticOver(*shards, *rf, initialMembers(*n, sched))
-		if err != nil {
-			fmt.Fprintf(stderr, "termsim: %v\n", err)
-			return 2
-		}
-		cfg.Directory = placement.NewDirectory(asg)
 	} else if *rf != 0 {
-		fmt.Fprintln(stderr, "termsim: -rf requires -shards")
-		return 2
-	} else if hasMembership {
-		fmt.Fprintln(stderr, "termsim: join, leave and move events require -shards")
-		return 2
+		return fail("-rf requires -shards")
+	} else {
+		for _, ev := range sched {
+			if ev.Kind == cluster.EvJoin || ev.Kind == cluster.EvLeave || ev.Kind == cluster.EvMove {
+				return fail("join, leave and move events require -shards")
+			}
+		}
 	}
-	switch *masters {
-	case "", "fixed": // cluster default: fixed, or primary with a Directory
-	case "rr":
-		cfg.MasterPolicy = cluster.MasterRoundRobin()
-	case "primary":
-		cfg.MasterPolicy = cluster.MasterPrimary()
+	switch *latency {
+	case "fixed":
+		sc.Latency = simnet.Fixed{D: sim.DefaultT}
+	case "uniform": // the scenario default
 	default:
-		fmt.Fprintf(stderr, "termsim: unknown master policy %q\n", *masters)
-		return 2
-	}
-	noIDs, err := parseSites(*noVotes)
-	if err != nil {
-		fmt.Fprintf(stderr, "termsim: %v\n", err)
-		return 2
-	}
-	if len(noIDs) > 0 {
-		cfg.Votes = proto.NoAt(noIDs...)
+		return fail("unknown latency model %q", *latency)
 	}
 	if *opsN < 2 {
-		fmt.Fprintln(stderr, "termsim: -ops must be at least 2")
-		return 2
+		return fail("-ops must be at least 2")
 	}
-	if (*zipfS != 0 || *opsN != 2) && *shards == 0 && !*db {
-		fmt.Fprintln(stderr, "termsim: -zipf/-ops shape generated payloads; they require -shards or -db")
-		return 2
-	}
-	numAccounts := *accounts
-	if numAccounts == 0 {
-		if *shards > 0 {
-			numAccounts = 2 * *shards
-		} else {
-			numAccounts = 8
+	if *db || *shards > 0 {
+		if *noVotes != "" {
+			return fail("-no scripts the votes of sites without a database; with -db or -shards every site votes by its engine")
 		}
-	}
-	if *db {
-		// The workload's fixture builder places and seeds the engines,
-		// wired to the same directory the cluster resolves through — so a
-		// join's incoming shards land on the new engine mid-migration.
-		cfg.Engines = workload.EnginesFor(cfg.Directory, *n, numAccounts, 1000)
+		sc.Accounts, sc.Balance, sc.Ops, sc.Zipf = *accounts, 1000, *opsN, *zipfS
+		if sc.Accounts == 0 {
+			sc.Accounts = max(2**shards, 8)
+		}
+	} else if *zipfS != 0 || *opsN != 2 {
+		return fail("-zipf/-ops shape generated payloads; they require -shards or -db")
+	} else if sc.NoVotes, err = parseSites(*noVotes); err != nil {
+		return fail("%v", err)
 	}
 
-	var simBackend *cluster.SimBackend
-	var netBackend *cluster.NetBackend
-	switch *backend {
-	case "sim":
-		opts := cluster.SimOptions{Seed: *seed, RecordTrace: *showTrace || *traceOut != "" || *txns == 1}
-		if *latency == "uniform" {
-			opts.Latency = simnet.Uniform{Lo: sim.DefaultT / 3, Hi: sim.DefaultT}
-		}
-		simBackend = cluster.NewSimBackend(opts)
-		cfg.Backend = simBackend
-	case "net":
-		// Every site becomes a real termnode process, launched under the
-		// protocol's Name() — the registry name -proto was looked up by.
-		netBackend = cluster.NewNetBackend(cluster.NetOptions{
-			Workdir: *workdir,
-			Seed:    int64(*seed),
-		})
-		cfg.Backend = netBackend
-	default:
-		fmt.Fprintf(stderr, "termsim: unknown backend %q\n", *backend)
-		return 2
-	}
-
-	c, err := cluster.Open(cfg)
+	// On net every site becomes a real termnode process, launched under
+	// the protocol's registry name.
+	r, vs, err := chaos.RunOn(sc, *backend, *workdir)
 	if err != nil {
-		fmt.Fprintf(stderr, "termsim: %v\n", err)
-		return 2
+		return fail("%v", err)
 	}
-	// On the process backend the daemons' engines start empty, so a
-	// sharded run without -db seeds the generated accounts through the
-	// cluster itself before traffic starts. Without it every generated
-	// transfer would debit a missing account and vote no.
-	seeded := netBackend != nil && cfg.Directory != nil && !*db
-	if seeded {
-		if err := workload.SeedAccounts(c, numAccounts, 1000); err != nil {
-			fmt.Fprintf(stderr, "termsim: %v\n", err)
-			c.Close()
-			return 2
-		}
-	}
-	batch := make([]cluster.Txn, *txns)
-	base := sim.Time(0)
-	if seeded {
-		base = c.Now() + sim.Time(sim.DefaultT)
-	}
-	for i := range batch {
-		batch[i].At = base + sim.Time(float64(i)**spacing*float64(sim.DefaultT))
-	}
-	if cfg.Directory != nil || *db {
-		// Sharded and database-backed runs carry transfer payloads so the
-		// placement layer has keys to route and the engines have writes to
-		// log: chains of -ops accounts, hot-key-skewed by -zipf.
-		rng := sim.NewRand(*seed + 0x5ad)
-		z := workload.NewZipf(numAccounts, *zipfS)
-		for i := range batch {
-			chain := z.DrawDistinct(rng, *opsN)
-			batch[i].Payload = engine.EncodeOps(workload.ChainOps(chain, 1))
-		}
-	}
-	rs, err := c.SubmitBatch(batch)
-	if err != nil {
-		fmt.Fprintf(stderr, "termsim: %v\n", err)
-		return 2
-	}
-	if err := c.Wait(); err != nil {
-		fmt.Fprintf(stderr, "termsim: %v\n", err)
-		// A wait that ran out of time still has results worth printing.
-		if !errors.As(err, new(*cluster.UndecidedError)) {
-			return 2
-		}
-	}
-	// The metrics snapshot must precede Close: on the net backend it
-	// merges the daemons' registries over their admin APIs, and Close
-	// tears the processes down.
-	var msnap obs.Snapshot
+	report(stdout, r, *backend, vs)
 	if *showMetrics {
-		msnap = c.Metrics()
+		printMetrics(stdout, r.Metrics())
 	}
-	c.Close() // net backend: fills final automaton states
+	if *showTrace {
+		fmt.Fprintln(stdout, "\ntrace:")
+		fmt.Fprint(stdout, recorder(r.Events).Dump())
+	}
+	if *traceOut != "" {
+		if err := trace.WriteJSONLFile(*traceOut, r.Events); err != nil {
+			fmt.Fprintf(stderr, "termsim: writing trace: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "trace:       %d events -> %s\n", len(r.Events), *traceOut)
+	}
+	if len(vs) > 0 {
+		return 1
+	}
+	return 0
+}
 
-	fmt.Fprintf(stdout, "protocol %s, %d sites, %d txns, %s backend, T=%d ticks\n",
-		p.Name(), *n, *txns, cfg.Backend.Name(), sim.DefaultT)
-	if netBackend != nil {
-		fmt.Fprintf(stdout, "  localnet workspace: %s\n", netBackend.Workdir())
+// report prints the run: its shape and schedule, one line per
+// transaction (or, for a single one, the per-site table and its §6
+// case), the recoveries and migrations, the stats, and the verdict.
+func report(w io.Writer, r *chaos.Result, backend string, vs []check.Violation) {
+	sc := r.Scenario
+	fmt.Fprintf(w, "protocol %s, %d sites, %d txns, %s backend, T=%d ticks\n",
+		sc.Protocol, sc.Sites, sc.Txns, backend, sim.DefaultT)
+	if r.Workdir != "" {
+		fmt.Fprintf(w, "  localnet workspace: %s\n", r.Workdir)
 	}
-	if d := cfg.Directory; d != nil {
+	if d := r.Directory; d != nil {
 		_, asg := d.Current()
-		fmt.Fprintf(stdout, "  sharded placement (epoch %d): %s\n", d.Epoch(), asg)
+		fmt.Fprintf(w, "  sharded placement (epoch %d): %s\n", d.Epoch(), asg)
 	}
-	if seeded {
-		fmt.Fprintf(stdout, "  seeded %d accounts through the cluster (initial balance 1000)\n", numAccounts)
+	if backend == "net" && sc.Accounts > 0 {
+		fmt.Fprintf(w, "  seeded %d accounts through the cluster (initial balance %d)\n", sc.Accounts, sc.Balance)
 	}
-	for _, ev := range sched.Sorted() {
-		fmt.Fprintf(stdout, "  %s\n", describeEvent(ev))
+	for _, ev := range sc.Schedule.Sorted() {
+		fmt.Fprintf(w, "  %s\n", describeEvent(ev))
 	}
-	fmt.Fprintln(stdout)
+	fmt.Fprintln(w)
 
-	for _, r := range rs {
-		if *txns > 1 {
-			if cfg.Directory != nil {
-				fmt.Fprintf(stdout, "txn %d (master %d, sites %v): %-6s  consistent=%v blocked=%v\n",
-					r.TID, r.Master, r.Participants, r.Outcome(), r.Consistent(), r.Blocked())
-			} else {
-				fmt.Fprintf(stdout, "txn %d (master %d): %-6s  consistent=%v blocked=%v\n",
-					r.TID, r.Master, r.Outcome(), r.Consistent(), r.Blocked())
+	for _, res := range r.Transfers {
+		if sc.Txns > 1 {
+			roster := ""
+			if r.Directory != nil {
+				roster = fmt.Sprintf(", sites %v", res.Participants)
 			}
+			fmt.Fprintf(w, "txn %d (master %d%s): %-6s  consistent=%v blocked=%v\n",
+				res.TID, res.Master, roster, res.Outcome(), res.Consistent(), res.Blocked())
 			continue
 		}
-		for i := 1; i <= *n; i++ {
+		for i := 1; i <= sc.Sites; i++ {
 			id := proto.SiteID(i)
-			s := r.Sites[id]
+			s := res.Sites[id]
 			if s == nil {
-				fmt.Fprintf(stdout, "site %d: not a participant\n", i)
+				fmt.Fprintf(w, "site %d: not a participant\n", i)
 				continue
 			}
 			when := "—"
@@ -312,68 +250,58 @@ func run(args []string, stdout, stderr io.Writer) int {
 				when = fmt.Sprintf("%.2fT", float64(s.DecidedAt)/float64(sim.DefaultT))
 			}
 			role := "slave "
-			if id == r.Master {
+			if id == res.Master {
 				role = "master"
 			}
-			fmt.Fprintf(stdout, "site %d (%s): %-6s at %-7s final state %s\n",
+			fmt.Fprintf(w, "site %d (%s): %-6s at %-7s final state %s\n",
 				i, role, s.Outcome, when, s.FinalState)
 		}
-		fmt.Fprintln(stdout)
-		fmt.Fprintf(stdout, "atomic (consistent): %v\n", r.Consistent())
-		fmt.Fprintf(stdout, "blocked sites:       %v\n", r.Blocked())
-		if simBackend != nil {
-			fmt.Fprintf(stdout, "§6 case:             %s\n",
-				scenario.Classify(simBackend.Trace(), int(r.Master)))
+		fmt.Fprintln(w)
+		fmt.Fprintf(w, "atomic (consistent): %v\n", res.Consistent())
+		fmt.Fprintf(w, "blocked sites:       %v\n", res.Blocked())
+		if backend == "sim" {
+			fmt.Fprintf(w, "§6 case:             %s\n", scenario.Classify(recorder(r.Events), int(res.Master)))
 		}
 	}
 
-	if reps := c.Recoveries(); len(reps) > 0 {
-		fmt.Fprintln(stdout, "recoveries:")
-		for _, r := range reps {
-			fmt.Fprintf(stdout, "  %s\n", r)
+	if len(r.Recoveries) > 0 {
+		fmt.Fprintln(w, "recoveries:")
+		for _, rep := range r.Recoveries {
+			fmt.Fprintf(w, "  %s\n", rep)
 		}
-		fmt.Fprintln(stdout)
+		fmt.Fprintln(w)
 	}
-
-	if ms := c.Migrations(); len(ms) > 0 {
-		fmt.Fprintln(stdout, "migrations:")
-		for _, m := range ms {
-			fmt.Fprintf(stdout, "  %s\n", m)
+	if len(r.Migrations) > 0 {
+		fmt.Fprintln(w, "migrations:")
+		for _, m := range r.Migrations {
+			fmt.Fprintf(w, "  %s\n", m)
 		}
-		if d := cfg.Directory; d != nil {
+		if d := r.Directory; d != nil {
 			_, asg := d.Current()
-			fmt.Fprintf(stdout, "  final: epoch %d, %s\n", d.Epoch(), asg)
+			fmt.Fprintf(w, "  final: epoch %d, %s\n", d.Epoch(), asg)
 		}
-		fmt.Fprintln(stdout)
+		fmt.Fprintln(w)
 	}
 
-	st := c.Stats()
-	fmt.Fprintln(stdout)
-	fmt.Fprintf(stdout, "stats:       %s\n", st)
-	fmt.Fprintf(stdout, "termination: %v\n", termination(c))
-	if *showMetrics {
-		printMetrics(stdout, msnap)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "stats:       %s\n", r.Stats)
+	if len(vs) == 0 {
+		fmt.Fprintln(w, "verify:      ok (no violations)")
+		return
 	}
-	if *showTrace && simBackend != nil {
-		fmt.Fprintln(stdout, "\ntrace:")
-		fmt.Fprint(stdout, simBackend.Trace().Dump())
+	fmt.Fprintf(w, "verify:      %d violations\n", len(vs))
+	for _, v := range vs {
+		fmt.Fprintf(w, "VIOLATION: %s\n", v)
 	}
-	if *traceOut != "" {
-		if simBackend == nil {
-			fmt.Fprintln(stderr, "termsim: -trace-out needs the sim backend (daemons export their own with termnode -trace-out)")
-			return 2
-		}
-		events := simBackend.Trace().Events()
-		if err := trace.WriteJSONLFile(*traceOut, events); err != nil {
-			fmt.Fprintf(stderr, "termsim: writing trace: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "trace:       %d events -> %s\n", len(events), *traceOut)
+}
+
+// recorder wraps a run's events for the trace package's readers.
+func recorder(events []trace.Event) *trace.Recorder {
+	rec := &trace.Recorder{}
+	for _, e := range events {
+		rec.Append(e)
 	}
-	if st.Inconsistent > 0 {
-		return 1
-	}
-	return 0
+	return rec
 }
 
 // printMetrics renders the one-screen observability summary: per-site
@@ -418,63 +346,39 @@ func printMetrics(stdout io.Writer, snap obs.Snapshot) {
 	}
 }
 
-func termination(c *cluster.Cluster) string {
-	if err := c.Termination(); err != nil {
-		return err.Error()
-	}
-	return "ok (every transaction decided, atomically)"
-}
-
-func ticks(unitsOfT float64) sim.Time {
-	return sim.Time(unitsOfT * float64(sim.DefaultT))
+// siteEvents are the schedule events that name one site, by verb and by
+// how the run's header describes them.
+var siteEvents = map[string]struct {
+	at   func(sim.Time, proto.SiteID) cluster.Event
+	kind cluster.EventKind
+	verb string
+}{
+	"crash":   {cluster.CrashAt, cluster.EvCrash, "crashes"},
+	"recover": {cluster.RecoverAt, cluster.EvRecover, "recovers"},
+	"join":    {cluster.JoinAt, cluster.EvJoin, "joins"},
+	"leave":   {cluster.LeaveAt, cluster.EvLeave, "leaves"},
 }
 
 func describeEvent(ev cluster.Event) string {
-	t := float64(ev.At) / float64(sim.DefaultT)
+	inT := func(at sim.Time) float64 { return float64(at) / float64(sim.DefaultT) }
 	switch ev.Kind {
 	case cluster.EvPartition:
-		s := fmt.Sprintf("partition at %.2fT separating %v", t, ev.G2)
+		s := fmt.Sprintf("partition at %.2fT separating %v", inT(ev.At), ev.G2)
 		if ev.Heal > ev.At {
-			s += fmt.Sprintf(", heals at %.2fT", float64(ev.Heal)/float64(sim.DefaultT))
+			s += fmt.Sprintf(", heals at %.2fT", inT(ev.Heal))
 		}
 		return s
 	case cluster.EvHeal:
-		return fmt.Sprintf("heal at %.2fT", t)
-	case cluster.EvCrash:
-		return fmt.Sprintf("site %d crashes at %.2fT", ev.Site, t)
-	case cluster.EvRecover:
-		return fmt.Sprintf("site %d recovers at %.2fT", ev.Site, t)
-	case cluster.EvJoin:
-		return fmt.Sprintf("site %d joins at %.2fT", ev.Site, t)
-	case cluster.EvLeave:
-		return fmt.Sprintf("site %d leaves at %.2fT", ev.Site, t)
+		return fmt.Sprintf("heal at %.2fT", inT(ev.At))
 	case cluster.EvMove:
-		return fmt.Sprintf("shard %d moves %d->%d at %.2fT", ev.Shard, ev.From, ev.Site, t)
-	default:
-		return fmt.Sprintf("event %v at %.2fT", ev.Kind, t)
+		return fmt.Sprintf("shard %d moves %d->%d at %.2fT", ev.Shard, ev.From, ev.Site, inT(ev.At))
 	}
-}
-
-// initialMembers derives the directory's starting membership: every site
-// except those whose first membership event on the timeline is a join —
-// they begin as provisioned, empty capacity.
-func initialMembers(sites int, sched cluster.Schedule) []proto.SiteID {
-	first := make(map[proto.SiteID]cluster.EventKind)
-	for _, ev := range sched.Sorted() {
-		if ev.Kind != cluster.EvJoin && ev.Kind != cluster.EvLeave {
-			continue
-		}
-		if _, seen := first[ev.Site]; !seen {
-			first[ev.Site] = ev.Kind
+	for _, e := range siteEvents {
+		if e.kind == ev.Kind {
+			return fmt.Sprintf("site %d %s at %.2fT", ev.Site, e.verb, inT(ev.At))
 		}
 	}
-	var out []proto.SiteID
-	for i := 1; i <= sites; i++ {
-		if id := proto.SiteID(i); first[id] != cluster.EvJoin {
-			out = append(out, id)
-		}
-	}
-	return out
+	return fmt.Sprintf("event %v at %.2fT", ev.Kind, inT(ev.At))
 }
 
 // parseSchedule parses "partition@2.5:3,4;heal@7;crash@8:2;recover@9:2".
@@ -494,6 +398,15 @@ func parseSchedule(spec string) (cluster.Schedule, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad time in %q: %v", entry, err)
 		}
+		at := sim.Time(math.Round(t * float64(sim.DefaultT)))
+		if e, ok := siteEvents[kind]; ok {
+			site, err := strconv.Atoi(strings.TrimSpace(args))
+			if err != nil {
+				return nil, fmt.Errorf("%s needs a site: %q", kind, entry)
+			}
+			out = append(out, e.at(at, proto.SiteID(site)))
+			continue
+		}
 		switch kind {
 		case "partition":
 			ids, err := parseSites(args)
@@ -503,24 +416,9 @@ func parseSchedule(spec string) (cluster.Schedule, error) {
 			if len(ids) == 0 {
 				return nil, fmt.Errorf("partition needs sites: %q", entry)
 			}
-			out = append(out, cluster.PartitionAt(ticks(t), ids...))
+			out = append(out, cluster.PartitionAt(at, ids...))
 		case "heal":
-			out = append(out, cluster.HealAt(ticks(t)))
-		case "crash", "recover", "join", "leave":
-			site, err := strconv.Atoi(strings.TrimSpace(args))
-			if err != nil {
-				return nil, fmt.Errorf("%s needs a site: %q", kind, entry)
-			}
-			switch kind {
-			case "crash":
-				out = append(out, cluster.CrashAt(ticks(t), proto.SiteID(site)))
-			case "recover":
-				out = append(out, cluster.RecoverAt(ticks(t), proto.SiteID(site)))
-			case "join":
-				out = append(out, cluster.JoinAt(ticks(t), proto.SiteID(site)))
-			case "leave":
-				out = append(out, cluster.LeaveAt(ticks(t), proto.SiteID(site)))
-			}
+			out = append(out, cluster.HealAt(at))
 		case "move":
 			parts := strings.Split(args, ",")
 			if len(parts) != 3 {
@@ -532,7 +430,7 @@ func parseSchedule(spec string) (cluster.Schedule, error) {
 					return nil, fmt.Errorf("bad number in %q: %v", entry, err)
 				}
 			}
-			out = append(out, cluster.MoveShardAt(ticks(t), nums[0], proto.SiteID(nums[1]), proto.SiteID(nums[2])))
+			out = append(out, cluster.MoveShardAt(at, nums[0], proto.SiteID(nums[1]), proto.SiteID(nums[2])))
 		default:
 			return nil, fmt.Errorf("unknown event %q in %q", kind, entry)
 		}

@@ -1,11 +1,13 @@
-// Package chaos generates, runs, and verifies randomized fault schedules.
-// A single uint64 seed deterministically derives a complete scenario — a
-// named family (happy-path, abort-heavy, timeout, stress,
-// migration-under-partition), cluster shape, workload shape, and an
-// ordinary cluster.Schedule composing partitions × crashes × membership
-// churn — so every run is replayable from its seed alone, and the same
-// scenario runs on the deterministic sim backend or (for net-compatible
-// families) the real-process net backend.
+// Package chaos generates, runs, and verifies simulated banking runs.
+// A Scenario names one run completely: cluster shape, protocol, master
+// policy, latency model, traffic shape and an ordinary cluster.Schedule
+// composing partitions × crashes × membership churn. A single uint64 seed
+// deterministically derives one (a named family — happy-path,
+// abort-heavy, timeout, stress, migration-under-partition — and all the
+// rest), so a generated run is replayable from its seed alone;
+// cmd/termsim builds one from its flags, and the rows in rows_test.go by
+// hand. Run executes a scenario on the deterministic sim backend and
+// RunNet on real termnode processes, through one body.
 //
 // A run's evidence — the execution trace, transaction results, final
 // engine snapshots and durable decision maps — feeds internal/check,
@@ -13,19 +15,20 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"termproto/internal/check"
 	"termproto/internal/cluster"
 	"termproto/internal/db/engine"
+	"termproto/internal/obs"
 	"termproto/internal/placement"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/registry"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
 	"termproto/internal/trace"
-	"termproto/internal/workload"
 )
 
 // Family names a scenario family — a region of fault-schedule space with
@@ -57,10 +60,11 @@ func Families() []Family {
 	return []Family{HappyPath, AbortHeavy, Timeout, Stress, Migration}
 }
 
-// Scenario is one fully-determined chaos run. Every field derives from
-// Seed; Run uses only the seed and these fields, so a scenario is
-// replayable from the seed alone.
+// Scenario is one fully-determined run. Run uses only these fields, so a
+// scenario is replayable from its value, and a generated one from its
+// Seed alone.
 type Scenario struct {
+	// Seed drives the latency draws and the generated payloads.
 	Seed   uint64
 	Family Family
 	// Protocol is the commit protocol's registry name.
@@ -69,21 +73,36 @@ type Scenario struct {
 	// Shards/RF configure sharded placement; Shards 0 is full replication.
 	Shards int
 	RF     int
-	// Spare, when non-zero, is a provisioned site outside the initial
-	// membership (it joins mid-run in the migration family).
-	Spare    proto.SiteID
+	// Masters is the master policy: "" or "fixed" (the cluster default:
+	// site 1, or the primary under Shards), "rr" (round-robin) or
+	// "primary" (shard-local).
+	Masters string
+	// Latency draws each message's delay on the simulator; nil is
+	// Uniform{T/3, T}. The daemons of RunNet keep their own link model.
+	Latency simnet.Latency
+	// NoVotes are sites that vote no on every transaction. A site with an
+	// engine votes by its engine, so they need Accounts == 0.
+	NoVotes []proto.SiteID
+	// Accounts is the number of `acct/i` rows, each starting at Balance,
+	// that transfers move money between. 0 is a protocol-only run: no
+	// engines, and transactions with no payload.
 	Accounts int
 	Balance  int64
 	Txns     int
-	Ops      int
-	Zipf     float64
-	// Spacing is the submission interval between transactions, in ticks.
+	// Ops is the number of accounts a transfer chains through (at least
+	// 2, at most Accounts); Zipf skews their draw toward low indices.
+	Ops  int
+	Zipf float64
+	// Spacing is the submission interval between transactions, in ticks;
+	// transaction i (1-based) is submitted at i*Spacing.
 	Spacing sim.Duration
 	// BigEvery makes every k-th transfer exceed the total balance, so the
 	// balance guard aborts it (0 = never) — the abort-heavy knob.
 	BigEvery int
-	// Schedule is the fault script. Every partition is transient and
-	// every crash has a matching recover, so the run quiesces healed.
+	// Schedule is the fault script. A site whose first membership event
+	// is a join starts outside the membership. In a generated scenario
+	// every partition is transient and every crash has a matching
+	// recover, so the run quiesces healed.
 	Schedule cluster.Schedule
 }
 
@@ -93,9 +112,9 @@ func (s Scenario) String() string {
 		s.Seed, s.Family, s.Protocol, s.Sites, s.Shards, s.RF, s.Txns, len(s.Schedule))
 }
 
-// NetCompatible reports whether the scenario can run unchanged on the
-// real-process net backend, which rejects directories past epoch 0 and
-// all membership events.
+// NetCompatible reports whether termchaos samples the scenario on the
+// real-process net backend: full replication and no membership events.
+// RunNet itself refuses only membership events.
 func (s Scenario) NetCompatible() bool {
 	if s.Shards > 0 {
 		return false
@@ -234,14 +253,14 @@ func generate(seed uint64, fam Family, rng *sim.Rand) Scenario {
 				cluster.RecoverAt(sim.Time(window+12*t+int64(i)*2*t), site))
 		}
 	case Migration:
-		sc.Sites = 5 + rng.Intn(2) // 5..6, last one spare
+		sc.Sites = 5 + rng.Intn(2) // 5..6, the last one spare
 		sc.Shards = sc.Sites
 		sc.RF = 2
-		sc.Spare = proto.SiteID(sc.Sites)
+		spare := proto.SiteID(sc.Sites) // outside the membership until it joins
 		sc.Txns = 10 + rng.Intn(7)
 		window = int64(sc.Spacing) * int64(sc.Txns)
 		join := sim.Time(t + rng.Int63n(window/2))
-		sc.Schedule = append(sc.Schedule, cluster.JoinAt(join, sc.Spare))
+		sc.Schedule = append(sc.Schedule, cluster.JoinAt(join, spare))
 		if rng.Bool() {
 			// A shard move after the join settles; source drawn from the
 			// epoch-0 layout, so a stale source just fails the migration
@@ -249,7 +268,7 @@ func generate(seed uint64, fam Family, rng *sim.Rand) Scenario {
 			shard := rng.Intn(sc.Shards)
 			from := proto.SiteID(1 + (shard % (sc.Sites - 1)))
 			sc.Schedule = append(sc.Schedule,
-				cluster.MoveShardAt(join+sim.Time(3*t), shard, from, sc.Spare))
+				cluster.MoveShardAt(join+sim.Time(3*t), shard, from, spare))
 		}
 		// The partition overlaps the membership churn.
 		at := join + sim.Time(rng.Int63n(3*t))
@@ -257,103 +276,193 @@ func generate(seed uint64, fam Family, rng *sim.Rand) Scenario {
 			cluster.TransientPartitionAt(at, at+sim.Time(2*t+rng.Int63n(2*t)), split(sc.Sites)...))
 		if rng.Bool() {
 			leave := at + sim.Time(4*t+rng.Int63n(2*t))
-			sc.Schedule = append(sc.Schedule, cluster.LeaveAt(leave, sc.Spare))
+			sc.Schedule = append(sc.Schedule, cluster.LeaveAt(leave, spare))
 		}
 	}
 	sort.SliceStable(sc.Schedule, func(i, j int) bool { return sc.Schedule[i].At < sc.Schedule[j].At })
+	if sc.Shards == 0 && seed%2 == 1 {
+		sc.Masters = "rr" // odd unsharded seeds spread their masters
+	}
 	return sc
 }
 
-// Result is one run's collected evidence, shaped for the checker.
+// Result is one run's collected evidence, shaped for the checker, and
+// what a run reports besides.
 type Result struct {
 	Scenario Scenario
 	Events   []trace.Event
 	Results  []*cluster.TxnResult
 	Stats    cluster.Stats
-	// TransferTIDs lists the TIDs of the generated transfers (excluding
-	// membership metadata transactions), ascending.
-	TransferTIDs []uint64
+	// Transfers are the results of the scenario's transactions in
+	// submission order (not the account seeding or membership metadata
+	// transactions).
+	Transfers []*cluster.TxnResult
 	// Masters maps each transaction to its coordinating site.
 	Masters map[uint64]int
 	// Snapshots/Unstable/Durable are per-site engine state at quiescence.
 	Snapshots map[int]map[string][]byte
 	Unstable  map[int]map[string]bool
 	Durable   map[int]map[uint64]string
-	// Replicas/Primary resolve a key's replica set and authoritative copy
-	// at the directory's final epoch (full replication: all sites, site 1).
-	Replicas func(key string) []int
-	Primary  func(key string) int
+	// Directory is the run's shard directory at quiescence (nil under
+	// full replication); Replicas/Primary resolve a key's replica set and
+	// authoritative copy at its final epoch (full replication: all sites,
+	// site 1).
+	Directory *placement.Directory
+	Replicas  func(key string) []int
+	Primary   func(key string) int
 	// Keys are the account keys; Total is the conserved sum.
 	Keys  []string
 	Total int64
+	// Recoveries and Migrations report each restart and membership
+	// change.
+	Recoveries []cluster.RecoveryReport
+	Migrations []*cluster.MigrationReport
+	// Workdir is the localnet root of a RunNet run.
+	Workdir string
+	metrics func() obs.Snapshot
 }
 
+// Metrics is the merge of the sites' metric registries at quiescence.
+func (r *Result) Metrics() obs.Snapshot { return r.metrics() }
+
 // Run executes the scenario on the deterministic sim backend and collects
-// the checker's evidence. Identical seeds produce identical results.
+// the checker's evidence. Identical scenarios produce identical results.
 func Run(sc Scenario) (*Result, error) {
+	latency := sc.Latency
+	if latency == nil {
+		latency = simnet.Uniform{Lo: sim.DefaultT / 3, Hi: sim.DefaultT}
+	}
+	return run(sc, cluster.NewSimBackend(cluster.SimOptions{
+		Seed:        sc.Seed,
+		RecordTrace: true,
+		Latency:     latency,
+	}))
+}
+
+// run is the one body of Run and RunNet: it opens the cluster, seeds the
+// accounts, submits the traffic, waits, and collects the evidence.
+func run(sc Scenario, backend cluster.Backend) (*Result, error) {
 	protocol, err := registry.Lookup(sc.Protocol)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	var dir *placement.Directory
-	members := allSites(sc.Sites)
-	if sc.Spare != 0 {
-		members = members[:len(members)-1]
+	policy, err := masterPolicy(sc.Masters)
+	if err != nil {
+		return nil, err
 	}
+	if len(sc.NoVotes) > 0 && sc.Accounts > 0 {
+		return nil, fmt.Errorf("chaos: no votes are scripted only in a protocol-only run (sites with an engine vote by it)")
+	}
+	var dir *placement.Directory
 	if sc.Shards > 0 {
-		asg, err := placement.ArithmeticOver(sc.Shards, sc.RF, members)
+		asg, err := placement.ArithmeticOver(sc.Shards, sc.RF, initialMembers(sc.Sites, sc.Schedule))
 		if err != nil {
 			return nil, fmt.Errorf("chaos: %w", err)
 		}
 		dir = placement.NewDirectory(asg)
 	}
-	engines := workload.EnginesFor(dir, sc.Sites, sc.Accounts, sc.Balance)
-	var policy cluster.MasterPolicy
-	if dir == nil && sc.Seed%2 == 1 {
-		policy = cluster.MasterRoundRobin()
+	netBackend, onNet := backend.(*cluster.NetBackend)
+	// Simulated sites get engines seeded with their accounts. Daemons
+	// start with empty engines of their own, so their accounts load
+	// through an ordinary transaction first, and the schedule and the
+	// traffic move past that round.
+	var engines map[proto.SiteID]*engine.Engine
+	base := sim.Time(0)
+	switch {
+	case sc.Accounts == 0:
+	case onNet:
+		base = netPreBase
+	default:
+		engines = EnginesFor(dir, sc.Sites, sc.Accounts, sc.Balance)
 	}
-	backend := cluster.NewSimBackend(cluster.SimOptions{
-		Seed:        sc.Seed,
-		RecordTrace: true,
-		Latency:     simnet.Uniform{Lo: sim.DefaultT / 3, Hi: sim.DefaultT},
-	})
-	c, err := cluster.Open(cluster.Config{
+	cfg := cluster.Config{
 		Sites:        sc.Sites,
 		Protocol:     protocol,
 		Directory:    dir,
 		Engines:      engines,
-		Schedule:     sc.Schedule,
+		Schedule:     shifted(sc.Schedule, base),
 		MasterPolicy: policy,
 		Backend:      backend,
-	})
+	}
+	if len(sc.NoVotes) > 0 {
+		cfg.Votes = proto.NoAt(sc.NoVotes...)
+	}
+	c, err := cluster.Open(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
 	defer c.Close()
-
-	transfers, err := submitTraffic(c, sc, 0)
+	if base > 0 {
+		// A seed that did not commit is a setup failure, not a
+		// conservation violation.
+		if err := seedAccounts(c, sc.Accounts, sc.Balance); err != nil {
+			return nil, fmt.Errorf("chaos: %w", err)
+		}
+	}
+	transfers, err := submitTraffic(c, sc, base)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.Wait(); err != nil {
+	// A wall-clock Wait that ran out of time leaves its transactions
+	// blocked, and Verify reports them.
+	if err := c.Wait(); err != nil && !errors.As(err, new(*cluster.UndecidedError)) {
 		return nil, fmt.Errorf("chaos: %w", err)
+	}
+	// A site that did not come back fails the run with its reason.
+	for _, rep := range c.Recoveries() {
+		if rep.Err != nil {
+			return nil, fmt.Errorf("chaos: %s", rep)
+		}
 	}
 
 	r := &Result{
-		Scenario: sc,
-		Results:  c.Results(),
-		Stats:    c.Stats(),
-		Masters:  make(map[uint64]int),
-		Keys:     accountKeys(sc.Accounts),
-		Total:    int64(sc.Accounts) * sc.Balance,
-	}
-	for _, tid := range transfers {
-		r.TransferTIDs = append(r.TransferTIDs, uint64(tid))
+		Scenario:   sc,
+		Results:    c.Results(),
+		Transfers:  transfers,
+		Stats:      c.Stats(),
+		Masters:    make(map[uint64]int),
+		Directory:  c.Directory(),
+		Keys:       accountKeys(sc.Accounts),
+		Total:      int64(sc.Accounts) * sc.Balance,
+		Recoveries: c.Recoveries(),
+		Migrations: c.Migrations(),
+		metrics:    c.Metrics, // the simulator's registries outlive Close
 	}
 	for _, res := range r.Results {
 		r.Masters[uint64(res.TID)] = int(res.Master)
 	}
-	if rec := backend.Trace(); rec != nil {
+	if d := r.Directory; d != nil {
+		_, asg := d.Current()
+		r.Replicas = func(key string) []int {
+			reps := asg.Replicas(asg.ShardOf(key))
+			out := make([]int, len(reps))
+			for i, id := range reps {
+				out[i] = int(id)
+			}
+			return out
+		}
+		r.Primary = func(key string) int { return int(asg.Primary(asg.ShardOf(key))) }
+	} else {
+		r.Primary = func(string) int { return 1 }
+	}
+	if onNet {
+		// State evidence must precede Close (the admin APIs die with the
+		// daemons); traces are written by Close (each node exports at
+		// graceful shutdown).
+		r.Workdir = netBackend.Workdir()
+		metrics := c.Metrics()
+		r.metrics = func() obs.Snapshot { return metrics }
+		r.Snapshots = make(map[int]map[string][]byte)
+		for id, snap := range netBackend.Snapshots() {
+			r.Snapshots[int(id)] = snap
+		}
+		if err := c.Close(); err != nil {
+			return nil, fmt.Errorf("chaos: %w", err)
+		}
+		r.Events = mergeNodeTraces(r.Workdir, sc.Sites)
+		return r, nil
+	}
+	if rec := backend.(*cluster.SimBackend).Trace(); rec != nil {
 		r.Events = rec.Events()
 	}
 	r.Snapshots = make(map[int]map[string][]byte, len(engines))
@@ -371,55 +480,58 @@ func Run(sc Scenario) (*Result, error) {
 		}
 		r.Durable[int(id)] = durable
 	}
-	if d := c.Directory(); d != nil {
-		_, asg := d.Current()
-		r.Replicas = func(key string) []int {
-			reps := asg.Replicas(asg.ShardOf(key))
-			out := make([]int, len(reps))
-			for i, id := range reps {
-				out[i] = int(id)
-			}
-			return out
-		}
-		r.Primary = func(key string) int { return int(asg.Primary(asg.ShardOf(key))) }
-	} else {
-		r.Primary = func(string) int { return 1 }
-	}
 	return r, nil
 }
 
-// submitTraffic generates and submits the scenario's transfers, each At
-// base + i*Spacing. It returns the transfer TIDs in submission order.
-func submitTraffic(c *cluster.Cluster, sc Scenario, base sim.Time) ([]proto.TxnID, error) {
-	rng := sim.NewRand(sc.Seed + 0xc4a05)
-	zipf := workload.NewZipf(sc.Accounts, sc.Zipf)
-	ops := sc.Ops
-	if ops < 2 {
-		ops = 2
+// masterPolicy resolves Scenario.Masters.
+func masterPolicy(name string) (cluster.MasterPolicy, error) {
+	switch name {
+	case "", "fixed":
+		return nil, nil
+	case "rr":
+		return cluster.MasterRoundRobin(), nil
+	case "primary":
+		return cluster.MasterPrimary(), nil
 	}
-	if ops > sc.Accounts {
-		ops = sc.Accounts
-	}
-	var tids []proto.TxnID
-	for i := 1; i <= sc.Txns; i++ {
-		chain := zipf.DrawDistinct(rng, ops)
-		amount := int64(1 + rng.Intn(40))
-		if sc.BigEvery > 0 && i%sc.BigEvery == 0 {
-			// Exceeds the whole money supply: the balance guard at the
-			// debited account votes no, aborting unilaterally.
-			amount = sc.Balance*int64(sc.Accounts) + 1
+	return nil, fmt.Errorf("chaos: unknown master policy %q (fixed, rr, primary)", name)
+}
+
+// initialMembers derives the directory's starting membership: every site
+// except those whose first membership event on the timeline is a join —
+// they begin as provisioned, empty capacity.
+func initialMembers(sites int, sched cluster.Schedule) []proto.SiteID {
+	first := make(map[proto.SiteID]cluster.EventKind)
+	for _, ev := range sched.Sorted() {
+		if ev.Kind != cluster.EvJoin && ev.Kind != cluster.EvLeave {
+			continue
 		}
-		payload := engine.EncodeOps(workload.ChainOps(chain, amount))
-		res, err := c.Submit(cluster.Txn{
-			Payload: payload,
-			At:      base + sim.Time(int64(sc.Spacing)*int64(i)),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("chaos: submit txn %d: %w", i, err)
+		if _, seen := first[ev.Site]; !seen {
+			first[ev.Site] = ev.Kind
 		}
-		tids = append(tids, res.TID)
 	}
-	return tids, nil
+	var out []proto.SiteID
+	for i := 1; i <= sites; i++ {
+		if id := proto.SiteID(i); first[id] != cluster.EvJoin {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// shifted returns the schedule with every event moved base later.
+func shifted(sched cluster.Schedule, base sim.Time) cluster.Schedule {
+	if base == 0 {
+		return sched
+	}
+	out := make(cluster.Schedule, len(sched))
+	for i, ev := range sched {
+		ev.At += base
+		if ev.Heal > 0 {
+			ev.Heal += base
+		}
+		out[i] = ev
+	}
+	return out
 }
 
 // pickSpread draws up to k distinct sites from 1..n, no two of which
@@ -450,22 +562,6 @@ func pickSpread(rng *sim.Rand, n, k, rf int) []proto.SiteID {
 	return out
 }
 
-func allSites(n int) []proto.SiteID {
-	out := make([]proto.SiteID, n)
-	for i := range out {
-		out[i] = proto.SiteID(i + 1)
-	}
-	return out
-}
-
-func accountKeys(n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("acct/%d", i)
-	}
-	return out
-}
-
 // CheckInput shapes the run's evidence for the offline checker.
 func (r *Result) CheckInput() check.Input {
 	return check.Input{
@@ -481,6 +577,27 @@ func (r *Result) CheckInput() check.Input {
 			Total:   r.Total,
 		},
 	}
+}
+
+// RunOn runs the scenario on the named backend — "sim" (Run) or "net"
+// (RunNet, in workdir) — and judges it with that backend's rule set
+// (Verify or VerifyNet).
+func RunOn(sc Scenario, backend, workdir string) (*Result, []check.Violation, error) {
+	switch backend {
+	case "sim":
+		r, err := Run(sc)
+		if err != nil {
+			return nil, nil, err
+		}
+		return r, Verify(r), nil
+	case "net":
+		r, err := RunNet(sc, workdir)
+		if err != nil {
+			return nil, nil, err
+		}
+		return r, VerifyNet(r), nil
+	}
+	return nil, nil, fmt.Errorf("unknown backend %q", backend)
 }
 
 // Verify runs the full invariant suite over the run: the trace/state

@@ -75,7 +75,7 @@ func transient(_, onset sim.Time) sim.Time { return onset + 3*T }
 // restart resolving what the site crashed in doubt about.
 func quietAt(t *testing.T, r *Result, at sim.Time, restarted ...proto.SiteID) {
 	t.Helper()
-	for i, res := range r.transfers() {
+	for i, res := range r.Transfers {
 		if submitted(r.Scenario, i+1) >= at {
 			continue
 		}
@@ -85,19 +85,6 @@ func quietAt(t *testing.T, r *Result, at sim.Time, restarted ...proto.SiteID) {
 			}
 		}
 	}
-}
-
-// transfers returns the results of the row's transfers in submission order.
-func (r *Result) transfers() []*cluster.TxnResult {
-	byTID := make(map[uint64]*cluster.TxnResult, len(r.Results))
-	for _, res := range r.Results {
-		byTID[uint64(res.TID)] = res
-	}
-	out := make([]*cluster.TxnResult, len(r.TransferTIDs))
-	for i, tid := range r.TransferTIDs {
-		out[i] = byTID[tid]
-	}
-	return out
 }
 
 // crossShard reports whether some result ran at more than one shard's
@@ -137,16 +124,18 @@ func checkHeld(t *testing.T, r *Result) {
 // draw — long sequential runs, held partitions, 2PC under partitions,
 // overlapping sharded traffic, crashes inside the traffic, a spare that
 // joins and leaves between transfers. Each runs through Run and is judged
-// by Verify, and checks the property its shape exists for.
+// by Verify, and checks the property its shape exists for. The unsharded
+// rows with odd seeds name round-robin masters, which Run used to pick by
+// seed parity.
 func TestRows(t *testing.T) {
 	churn := sim.Duration(24 * T)
 
 	concurrent := Scenario{
-		Seed: 11, Family: Timeout, Protocol: "termination+transient", Sites: 4,
+		Seed: 11, Family: Timeout, Protocol: "termination+transient", Sites: 4, Masters: "rr",
 		Accounts: 12, Balance: 10_000, Txns: 60, Spacing: overlapping,
 	}
 	transientRun := Scenario{
-		Seed: 7, Family: Timeout, Protocol: "termination+transient", Sites: 4,
+		Seed: 7, Family: Timeout, Protocol: "termination+transient", Sites: 4, Masters: "rr",
 		Accounts: 4, Balance: 2_000, Txns: 60, Spacing: sequential,
 	}
 	shardedPartitioned := Scenario{
@@ -154,14 +143,14 @@ func TestRows(t *testing.T) {
 		Accounts: 16, Balance: 5_000, Txns: 60, Spacing: sequential,
 	}
 	facade := Scenario{
-		Seed: 5, Family: Timeout, Protocol: "termination+transient", Sites: 3,
+		Seed: 5, Family: Timeout, Protocol: "termination+transient", Sites: 3, Masters: "rr",
 		Accounts: 3, Balance: 1_000, Txns: 12, Spacing: sequential,
 	}
 	// Churn: crashes strike inside the traffic, 1T after transfers 9, 25
 	// and 41 are submitted, and the crashed sites restart, 2T apart, once
 	// it has drained.
 	recovers := Scenario{
-		Seed: 7, Family: Stress, Protocol: "termination+transient", Sites: 5,
+		Seed: 7, Family: Stress, Protocol: "termination+transient", Sites: 5, Masters: "rr",
 		Accounts: 10, Balance: 10_000, Txns: 48, Spacing: overlapping,
 	}
 	drained := submitted(recovers, recovers.Txns) + 12*T
@@ -181,9 +170,10 @@ func TestRows(t *testing.T) {
 		cluster.CrashAt(submitted(shardedChurn, 41)+T, 5), cluster.RecoverAt(drained+2*T, 5),
 	}
 	// Membership churn: spare site 7 joins, leaves and joins again, each
-	// half-way between two transfers.
+	// half-way between two transfers; its first event being a join, it
+	// starts outside the membership.
 	joinLeave := Scenario{
-		Seed: 17, Family: Migration, Protocol: "termination+transient", Sites: 7, Shards: 6, RF: 3, Spare: 7,
+		Seed: 17, Family: Migration, Protocol: "termination+transient", Sites: 7, Shards: 6, RF: 3,
 		Accounts: 18, Balance: 5_000, Txns: 48, Spacing: churn,
 	}
 	between := func(sc Scenario, i int) sim.Time { return submitted(sc, i) + sim.Time(sc.Spacing)/2 }
@@ -195,7 +185,7 @@ func TestRows(t *testing.T) {
 	// The same with a crash 1T into transfer 6 and its restart half-way to
 	// the next; neither overlaps a migration.
 	joinLeaveCrash := Scenario{
-		Seed: 29, Family: Migration, Protocol: "termination+transient", Sites: 7, Shards: 6, RF: 3, Spare: 7,
+		Seed: 29, Family: Migration, Protocol: "termination+transient", Sites: 7, Shards: 6, RF: 3,
 		Accounts: 18, Balance: 5_000, Txns: 36, Spacing: churn,
 	}
 	joinLeaveCrash.Schedule = cluster.Schedule{
@@ -215,7 +205,7 @@ func TestRows(t *testing.T) {
 	}{
 		{
 			name: "CleanWorkloadReplicates",
-			sc: Scenario{Seed: 1, Family: HappyPath, Protocol: "termination", Sites: 4,
+			sc: Scenario{Seed: 1, Family: HappyPath, Protocol: "termination", Sites: 4, Masters: "rr",
 				Accounts: 8, Balance: 10_000, Txns: 60, Spacing: sequential},
 			check: func(t *testing.T, r *Result) {
 				if r.Stats.Committed == 0 {
@@ -297,7 +287,7 @@ func TestRows(t *testing.T) {
 			// Concurrent debits of hot keys outrun a shallow balance:
 			// escrow shortfalls vote no.
 			name: "ZipfSkewedWorkloadShallow",
-			sc: Scenario{Seed: 9, Family: AbortHeavy, Protocol: "termination+transient", Sites: 4,
+			sc: Scenario{Seed: 9, Family: AbortHeavy, Protocol: "termination+transient", Sites: 4, Masters: "rr",
 				Accounts: 16, Balance: 100, Txns: 60, Zipf: 1.0, Spacing: overlapping},
 			check: func(t *testing.T, r *Result) {
 				if r.Stats.Aborted == 0 {
@@ -308,7 +298,7 @@ func TestRows(t *testing.T) {
 		{
 			// Transfers only add, so on deep balances every one commits.
 			name: "ZipfSkewedWorkloadDeep",
-			sc: Scenario{Seed: 9, Family: HappyPath, Protocol: "termination+transient", Sites: 4,
+			sc: Scenario{Seed: 9, Family: HappyPath, Protocol: "termination+transient", Sites: 4, Masters: "rr",
 				Accounts: 16, Balance: 10_000, Txns: 60, Zipf: 1.0, Spacing: overlapping},
 			check: func(t *testing.T, r *Result) {
 				if r.Stats.Committed != r.Scenario.Txns || r.Stats.Aborted != 0 {
@@ -414,7 +404,7 @@ func checkChurn(t *testing.T, r *Result) {
 	if st.Epoch < 3 || st.ShardsMoved == 0 || st.KeysMigrated == 0 {
 		t.Fatalf("want three committed migrations that moved shards and keys: %v", st)
 	}
-	if len(r.TransferTIDs) != r.Scenario.Txns || st.Committed == 0 {
-		t.Fatalf("%d transfers of %d, stats %v", len(r.TransferTIDs), r.Scenario.Txns, st)
+	if len(r.Transfers) != r.Scenario.Txns || st.Committed == 0 {
+		t.Fatalf("%d transfers of %d, stats %v", len(r.Transfers), r.Scenario.Txns, st)
 	}
 }

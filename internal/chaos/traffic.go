@@ -1,11 +1,4 @@
-// Package workload holds the pieces of simulated banking traffic: engines
-// seeded with `acct/i` accounts under a placement directory (EnginesFor),
-// the same accounts written through a running cluster (SeedAccounts), a
-// deterministic zipfian key sampler (Zipf), and the transfer chain a
-// transaction body encodes (ChainOps). internal/chaos drives traffic built
-// from them and internal/check judges it; cmd/termsim uses them for its
-// durable cluster mode.
-package workload
+package chaos
 
 import (
 	"fmt"
@@ -18,6 +11,11 @@ import (
 	"termproto/internal/proto"
 	"termproto/internal/sim"
 )
+
+// The pieces of simulated banking traffic: engines seeded with `acct/i`
+// accounts, the same accounts written through a running cluster, a
+// deterministic zipfian key sampler, and the transfer chain a
+// transaction body encodes.
 
 // EnginesFor builds per-site engines over a shard directory (nil = full
 // replication), each seeded with the accounts it hosts at the directory's
@@ -45,12 +43,20 @@ func EnginesFor(dir *placement.Directory, sites, accounts int, balance int64) ma
 
 func acct(i int) string { return fmt.Sprintf("acct/%d", i) }
 
-// SeedAccounts writes accounts `acct/0`.. at balance through the cluster
+func accountKeys(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = acct(i)
+	}
+	return out
+}
+
+// seedAccounts writes accounts `acct/0`.. at balance through the cluster
 // itself — one OpPut transaction, waited for — the way an operator loads
 // fixtures into daemons that start with empty engines. It returns an
 // error unless the seed committed at every live participant: transfers
 // against accounts that were never written vote no.
-func SeedAccounts(c *cluster.Cluster, accounts int, balance int64) error {
+func seedAccounts(c *cluster.Cluster, accounts int, balance int64) error {
 	ops := make([]engine.Op, accounts)
 	for a := range ops {
 		ops[a] = engine.Op{Kind: engine.OpPut, Key: acct(a), Value: engine.EncodeInt(balance)}
@@ -69,25 +75,61 @@ func SeedAccounts(c *cluster.Cluster, accounts int, balance int64) error {
 	return nil
 }
 
-// Zipf draws indices 0..n-1 with probability proportional to 1/(i+1)^s,
+// submitTraffic submits the scenario's transactions, each At base +
+// i*Spacing. It returns their results in submission order. A protocol-only
+// scenario's transactions carry no payload; otherwise each is a chain
+// of transfers over Ops accounts drawn by the zipfian sampler.
+func submitTraffic(c *cluster.Cluster, sc Scenario, base sim.Time) ([]*cluster.TxnResult, error) {
+	rng := sim.NewRand(sc.Seed + 0xc4a05)
+	var z *zipf
+	ops := min(max(sc.Ops, 2), sc.Accounts)
+	if sc.Accounts > 0 {
+		z = newZipf(sc.Accounts, sc.Zipf)
+	}
+	var out []*cluster.TxnResult
+	for i := 1; i <= sc.Txns; i++ {
+		var payload []byte
+		if z != nil {
+			chain := z.drawDistinct(rng, ops)
+			amount := int64(1 + rng.Intn(40))
+			if sc.BigEvery > 0 && i%sc.BigEvery == 0 {
+				// Exceeds the whole money supply: the balance guard at the
+				// debited account votes no, aborting unilaterally.
+				amount = sc.Balance*int64(sc.Accounts) + 1
+			}
+			payload = engine.EncodeOps(chainOps(chain, amount))
+		}
+		res, err := c.Submit(cluster.Txn{
+			Payload: payload,
+			At:      base + sim.Time(int64(sc.Spacing)*int64(i)),
+		})
+		if err != nil {
+			return nil, fmt.Errorf("chaos: submit txn %d: %w", i, err)
+		}
+		out = append(out, res)
+	}
+	return out, nil
+}
+
+// zipf draws indices 0..n-1 with probability proportional to 1/(i+1)^s,
 // by inverse-CDF over precomputed cumulative weights — deterministic
 // under sim.Rand, unlike math/rand's sampler. s = 0 degenerates to the
 // uniform distribution.
-type Zipf struct{ cum []float64 }
+type zipf struct{ cum []float64 }
 
-// NewZipf builds a sampler over [0, n) with exponent s.
-func NewZipf(n int, s float64) *Zipf {
+// newZipf builds a sampler over [0, n) with exponent s.
+func newZipf(n int, s float64) *zipf {
 	cum := make([]float64, n)
 	total := 0.0
 	for i := 0; i < n; i++ {
 		total += 1.0 / math.Pow(float64(i+1), s)
 		cum[i] = total
 	}
-	return &Zipf{cum: cum}
+	return &zipf{cum: cum}
 }
 
-// Draw samples one index.
-func (z *Zipf) Draw(rng *sim.Rand) int {
+// draw samples one index.
+func (z *zipf) draw(rng *sim.Rand) int {
 	total := z.cum[len(z.cum)-1]
 	target := rng.Float64() * total
 	lo, hi := 0, len(z.cum)-1
@@ -102,10 +144,10 @@ func (z *Zipf) Draw(rng *sim.Rand) int {
 	return lo
 }
 
-// DrawDistinct samples k distinct indices (k clamped to the domain size),
+// drawDistinct samples k distinct indices (k clamped to the domain size),
 // probing forward on collisions so the skew is preserved for each fresh
 // draw.
-func (z *Zipf) DrawDistinct(rng *sim.Rand, k int) []int {
+func (z *zipf) drawDistinct(rng *sim.Rand, k int) []int {
 	n := len(z.cum)
 	if k > n {
 		k = n
@@ -113,7 +155,7 @@ func (z *Zipf) DrawDistinct(rng *sim.Rand, k int) []int {
 	out := make([]int, 0, k)
 	used := make(map[int]bool, k)
 	for len(out) < k {
-		x := z.Draw(rng)
+		x := z.draw(rng)
 		for used[x] {
 			x = (x + 1) % n
 		}
@@ -123,9 +165,9 @@ func (z *Zipf) DrawDistinct(rng *sim.Rand, k int) []int {
 	return out
 }
 
-// ChainOps encodes a transaction moving amount along the chain of
+// chainOps encodes a transaction moving amount along the chain of
 // `acct/<i>` accounts: each consecutive pair is one transfer hop.
-func ChainOps(chain []int, amount int64) []engine.Op {
+func chainOps(chain []int, amount int64) []engine.Op {
 	ops := make([]engine.Op, 0, 2*(len(chain)-1))
 	for i := 0; i+1 < len(chain); i++ {
 		ops = append(ops,

@@ -1,4 +1,4 @@
-package workload
+package chaos
 
 import (
 	"testing"
@@ -12,11 +12,11 @@ import (
 
 // Zipfian skew draws hot keys far more often than cold ones.
 func TestZipfSkew(t *testing.T) {
-	z := NewZipf(100, 1.0)
+	z := newZipf(100, 1.0)
 	rng := sim.NewRand(1)
 	hot, cold := 0, 0
 	for i := 0; i < 10_000; i++ {
-		switch d := z.Draw(rng); {
+		switch d := z.draw(rng); {
 		case d == 0:
 			hot++
 		case d >= 90:
@@ -28,7 +28,7 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
-// SeedAccounts reports a seed the cluster did not commit instead of
+// seedAccounts reports a seed the cluster did not commit instead of
 // letting traffic start against accounts that were never written: a
 // partition that cuts sites off before the seed decides aborts it.
 func TestSeedAccountsReportsUncommittedSeed(t *testing.T) {
@@ -42,7 +42,7 @@ func TestSeedAccountsReportsUncommittedSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		return engs, SeedAccounts(c, 6, 100)
+		return engs, seedAccounts(c, 6, 100)
 	}
 	if engs, err := seed(nil); err != nil {
 		t.Fatalf("fault-free seed: %v", err)

@@ -1,7 +1,7 @@
 // Package check is the offline history checker: it reads an execution
-// trace (the JSONL export of termsim/termnode, or an in-memory recorder)
-// plus, when available, the final engine snapshots, and verifies the
-// invariants the termination protocol promises:
+// trace (an in-memory recording, or the JSONL export of termsim or
+// termnode) plus, when available, the final engine snapshots, and
+// verifies the invariants the termination protocol promises:
 //
 //   - decision agreement — no site commits a transaction another site
 //     aborts (the paper's consistency claim);
@@ -16,7 +16,9 @@
 //   - conservation — transfers move money, never create it.
 //
 // Each violation carries the offending transaction's event sub-history,
-// so a failure is replayable and debuggable from the report alone.
+// so a failure is replayable and debuggable from the report alone. Every
+// simulated run is judged by it: chaos.Verify and VerifyNet apply it to
+// the chaos corpus, the hand-written rows and each termsim run.
 package check
 
 import (

@@ -2,8 +2,10 @@ package trace
 
 // JSONL trace export: one JSON object per line, a versioned header line
 // first, then one event per line. The format is the interchange surface
-// of the observability layer — termsim and termnode both write it with
-// -trace-out, and offline tooling reads it back with ReadJSONL. The
+// of the observability layer — termnode writes it with -trace-out at
+// shutdown, termsim writes a run's trace with -trace-out (on the net
+// backend, its daemons' files merged), and offline tooling (termchaos
+// -check) reads it back with ReadJSONL. The
 // reader is hardened the same way the wire and directory codecs are:
 // every line is bounded, the header is validated before any event is
 // parsed, and unknown kinds or malformed JSON fail cleanly instead of
