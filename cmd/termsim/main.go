@@ -170,8 +170,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail("-no scripts the votes of sites without a database; with -db or -shards every site votes by its engine")
 		}
 		sc.Accounts, sc.Balance, sc.Ops, sc.Zipf = *accounts, 1000, *opsN, *zipfS
-		if sc.Accounts == 0 {
-			sc.Accounts = max(2**shards, 8)
+		if sc.Accounts == 0 && *shards > 0 {
+			sc.Accounts = 2 * *shards
+		} else if sc.Accounts == 0 {
+			sc.Accounts = 8
 		}
 	} else if *zipfS != 0 || *opsN != 2 {
 		return fail("-zipf/-ops shape generated payloads; they require -shards or -db")
