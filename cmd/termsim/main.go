@@ -139,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		RF:       *rf,
 		Masters:  *masters,
 		Txns:     *txns,
-		Spacing:  sim.Duration(math.Round(*spacing * float64(sim.DefaultT))),
+		Spacing:  sim.Duration(ticks(*spacing)),
 		Schedule: sched,
 	}
 	if *shards > 0 {
@@ -223,9 +223,9 @@ func report(w io.Writer, r *chaos.Result, backend string, vs []check.Violation) 
 		fmt.Fprintf(w, "  sharded placement (epoch %d): %s\n", d.Epoch(), asg)
 	}
 	if backend == "net" && sc.Accounts > 0 {
-		fmt.Fprintf(w, "  seeded %d accounts through the cluster (initial balance %d)\n", sc.Accounts, sc.Balance)
+		fmt.Fprintf(w, "  seeded %d accounts through the cluster (initial balance %d); schedule and traffic follow the seed round\n", sc.Accounts, sc.Balance)
 	}
-	for _, ev := range sc.Schedule.Sorted() {
+	for _, ev := range r.Schedule.Sorted() {
 		fmt.Fprintf(w, "  %s\n", describeEvent(ev))
 	}
 	fmt.Fprintln(w)
@@ -348,39 +348,34 @@ func printMetrics(stdout io.Writer, snap obs.Snapshot) {
 	}
 }
 
-// siteEvents are the schedule events that name one site, by verb and by
-// how the run's header describes them.
-var siteEvents = map[string]struct {
-	at   func(sim.Time, proto.SiteID) cluster.Event
-	kind cluster.EventKind
-	verb string
-}{
-	"crash":   {cluster.CrashAt, cluster.EvCrash, "crashes"},
-	"recover": {cluster.RecoverAt, cluster.EvRecover, "recovers"},
-	"join":    {cluster.JoinAt, cluster.EvJoin, "joins"},
-	"leave":   {cluster.LeaveAt, cluster.EvLeave, "leaves"},
+func ticks(unitsOfT float64) sim.Time {
+	return sim.Time(math.Round(unitsOfT * float64(sim.DefaultT)))
 }
 
 func describeEvent(ev cluster.Event) string {
-	inT := func(at sim.Time) float64 { return float64(at) / float64(sim.DefaultT) }
+	t := float64(ev.At) / float64(sim.DefaultT)
 	switch ev.Kind {
 	case cluster.EvPartition:
-		s := fmt.Sprintf("partition at %.2fT separating %v", inT(ev.At), ev.G2)
+		s := fmt.Sprintf("partition at %.2fT separating %v", t, ev.G2)
 		if ev.Heal > ev.At {
-			s += fmt.Sprintf(", heals at %.2fT", inT(ev.Heal))
+			s += fmt.Sprintf(", heals at %.2fT", float64(ev.Heal)/float64(sim.DefaultT))
 		}
 		return s
 	case cluster.EvHeal:
-		return fmt.Sprintf("heal at %.2fT", inT(ev.At))
+		return fmt.Sprintf("heal at %.2fT", t)
+	case cluster.EvCrash:
+		return fmt.Sprintf("site %d crashes at %.2fT", ev.Site, t)
+	case cluster.EvRecover:
+		return fmt.Sprintf("site %d recovers at %.2fT", ev.Site, t)
+	case cluster.EvJoin:
+		return fmt.Sprintf("site %d joins at %.2fT", ev.Site, t)
+	case cluster.EvLeave:
+		return fmt.Sprintf("site %d leaves at %.2fT", ev.Site, t)
 	case cluster.EvMove:
-		return fmt.Sprintf("shard %d moves %d->%d at %.2fT", ev.Shard, ev.From, ev.Site, inT(ev.At))
+		return fmt.Sprintf("shard %d moves %d->%d at %.2fT", ev.Shard, ev.From, ev.Site, t)
+	default:
+		return fmt.Sprintf("event %v at %.2fT", ev.Kind, t)
 	}
-	for _, e := range siteEvents {
-		if e.kind == ev.Kind {
-			return fmt.Sprintf("site %d %s at %.2fT", ev.Site, e.verb, inT(ev.At))
-		}
-	}
-	return fmt.Sprintf("event %v at %.2fT", ev.Kind, inT(ev.At))
 }
 
 // parseSchedule parses "partition@2.5:3,4;heal@7;crash@8:2;recover@9:2".
@@ -400,15 +395,6 @@ func parseSchedule(spec string) (cluster.Schedule, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad time in %q: %v", entry, err)
 		}
-		at := sim.Time(math.Round(t * float64(sim.DefaultT)))
-		if e, ok := siteEvents[kind]; ok {
-			site, err := strconv.Atoi(strings.TrimSpace(args))
-			if err != nil {
-				return nil, fmt.Errorf("%s needs a site: %q", kind, entry)
-			}
-			out = append(out, e.at(at, proto.SiteID(site)))
-			continue
-		}
 		switch kind {
 		case "partition":
 			ids, err := parseSites(args)
@@ -418,9 +404,24 @@ func parseSchedule(spec string) (cluster.Schedule, error) {
 			if len(ids) == 0 {
 				return nil, fmt.Errorf("partition needs sites: %q", entry)
 			}
-			out = append(out, cluster.PartitionAt(at, ids...))
+			out = append(out, cluster.PartitionAt(ticks(t), ids...))
 		case "heal":
-			out = append(out, cluster.HealAt(at))
+			out = append(out, cluster.HealAt(ticks(t)))
+		case "crash", "recover", "join", "leave":
+			site, err := strconv.Atoi(strings.TrimSpace(args))
+			if err != nil {
+				return nil, fmt.Errorf("%s needs a site: %q", kind, entry)
+			}
+			switch kind {
+			case "crash":
+				out = append(out, cluster.CrashAt(ticks(t), proto.SiteID(site)))
+			case "recover":
+				out = append(out, cluster.RecoverAt(ticks(t), proto.SiteID(site)))
+			case "join":
+				out = append(out, cluster.JoinAt(ticks(t), proto.SiteID(site)))
+			case "leave":
+				out = append(out, cluster.LeaveAt(ticks(t), proto.SiteID(site)))
+			}
 		case "move":
 			parts := strings.Split(args, ",")
 			if len(parts) != 3 {
@@ -432,7 +433,7 @@ func parseSchedule(spec string) (cluster.Schedule, error) {
 					return nil, fmt.Errorf("bad number in %q: %v", entry, err)
 				}
 			}
-			out = append(out, cluster.MoveShardAt(at, nums[0], proto.SiteID(nums[1]), proto.SiteID(nums[2])))
+			out = append(out, cluster.MoveShardAt(ticks(t), nums[0], proto.SiteID(nums[1]), proto.SiteID(nums[2])))
 		default:
 			return nil, fmt.Errorf("unknown event %q in %q", kind, entry)
 		}

@@ -290,6 +290,9 @@ func generate(seed uint64, fam Family, rng *sim.Rand) Scenario {
 // what a run reports besides.
 type Result struct {
 	Scenario Scenario
+	// Schedule is the fault schedule the cluster ran: the scenario's,
+	// moved past the seed round on a net run that seeds accounts.
+	Schedule cluster.Schedule
 	Events   []trace.Event
 	Results  []*cluster.TxnResult
 	Stats    cluster.Stats
@@ -417,6 +420,7 @@ func run(sc Scenario, backend cluster.Backend) (*Result, error) {
 
 	r := &Result{
 		Scenario:   sc,
+		Schedule:   cfg.Schedule,
 		Results:    c.Results(),
 		Transfers:  transfers,
 		Stats:      c.Stats(),
