@@ -14,10 +14,15 @@
 // heals. Under the termination protocol, every branch terminates the
 // stranded transfer consistently, its locks and reservation are released,
 // and business continues — on both sides of the partition.
+//
+// Each run is judged by Cluster.Verify, and the example exits 1 if either
+// claim breaks: the termination protocol reports a violation, or 2PC
+// reports none.
 package main
 
 import (
 	"fmt"
+	"os"
 
 	"termproto"
 )
@@ -42,7 +47,9 @@ func transfer(from, to string, amount int64) []byte {
 	})
 }
 
-func run(name string, p termproto.Protocol) {
+// run drives three transfers under p, prints the ledgers and returns how
+// many violations Verify reports.
+func run(name string, p termproto.Protocol) int {
 	fmt.Printf("== %s ==\n", name)
 	ledgers := newLedgers()
 	c, err := termproto.Open(termproto.ClusterConfig{
@@ -106,15 +113,21 @@ func run(name string, p termproto.Protocol) {
 		fmt.Printf("    branch %d: alice=%-5d bob=%-5d in-doubt=%v%s\n",
 			i, e.GetInt("acct/alice"), e.GetInt("acct/bob"), e.InDoubt(), locked)
 	}
-	if err := c.Termination(); err != nil {
-		fmt.Printf("  termination VIOLATED: %v\n", err)
-	} else {
+	vs := c.Verify()
+	for _, v := range vs {
+		fmt.Printf("  termination VIOLATED: %v\n", v)
+	}
+	if len(vs) == 0 {
 		fmt.Println("  termination holds: every transfer decided, replicas identical")
 	}
 	fmt.Println()
+	return len(vs)
 }
 
 func main() {
-	run("two-phase commit", termproto.TwoPC())
-	run("Huang–Li termination protocol", termproto.Termination())
+	twoPC := run("two-phase commit", termproto.TwoPC())
+	term := run("Huang–Li termination protocol", termproto.Termination())
+	if term > 0 || twoPC == 0 {
+		os.Exit(1)
+	}
 }

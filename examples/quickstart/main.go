@@ -5,11 +5,14 @@
 // all decisions agree — the headline property.
 //
 // The same scenario under plain two-phase commit strands transactions on
-// the separated sites (holding their locks forever).
+// the separated sites (holding their locks forever). Each run is judged by
+// Cluster.Verify, and the example exits 1 if either claim breaks: the
+// termination protocol reports a violation, or 2PC reports none.
 package main
 
 import (
 	"fmt"
+	"os"
 
 	"termproto"
 )
@@ -22,7 +25,9 @@ var schedule = termproto.Schedule{
 	termproto.HealAt(12_000),
 }
 
-func run(name string, cfg termproto.ClusterConfig) {
+// run runs ten transactions under cfg, prints them and returns how many
+// violations Verify reports.
+func run(name string, cfg termproto.ClusterConfig) int {
 	fmt.Printf("== %s ==\n", name)
 	c, err := termproto.Open(cfg)
 	if err != nil {
@@ -48,27 +53,33 @@ func run(name string, cfg termproto.ClusterConfig) {
 		fmt.Printf("  txn %2d (master %d): %-6s consistent=%v blocked=%v\n",
 			r.TID, r.Master, r.Outcome(), r.Consistent(), r.Blocked())
 	}
-	if err := c.Termination(); err != nil {
-		fmt.Println("  termination VIOLATED:", err)
-	} else {
+	vs := c.Verify()
+	for _, v := range vs {
+		fmt.Println("  termination VIOLATED:", v)
+	}
+	if len(vs) == 0 {
 		fmt.Println("  termination holds: every transaction decided, atomically")
 	}
 	fmt.Printf("  %s\n\n", c.Stats())
+	return len(vs)
 }
 
 func main() {
 	// The paper's protocol: every transaction terminates despite the
 	// partition — aborted if the partition caught it, committed otherwise.
-	run("termination protocol, sim backend", termproto.ClusterConfig{
+	term := run("termination protocol, sim backend", termproto.ClusterConfig{
 		Sites:    5,
 		Protocol: termproto.TerminationTransient(),
 		Schedule: schedule,
 	})
 
 	// The motivating defect: 2PC leaves separated sites blocked forever.
-	run("plain two-phase commit, sim backend", termproto.ClusterConfig{
+	twoPC := run("plain two-phase commit, sim backend", termproto.ClusterConfig{
 		Sites:    5,
 		Protocol: termproto.TwoPC(),
 		Schedule: schedule,
 	})
+	if term > 0 || twoPC == 0 {
+		os.Exit(1)
+	}
 }

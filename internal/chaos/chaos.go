@@ -9,9 +9,11 @@
 // hand. Run executes a scenario on the deterministic sim backend and
 // RunNet on real termnode processes, through one body.
 //
-// A run's evidence — the execution trace, transaction results, final
-// engine snapshots and durable decision maps — feeds internal/check,
-// which turns the paper's safety claims into machine-verified invariants.
+// A run's evidence is the cluster's own (cluster.Evidence: the execution
+// trace, final engine snapshots and durable decision maps) with the
+// conservation rule over the scenario's accounts; Verify judges it by
+// cluster.Judge, which turns the paper's safety claims into
+// machine-verified invariants.
 package chaos
 
 import (
@@ -28,7 +30,6 @@ import (
 	"termproto/internal/protocol/registry"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
-	"termproto/internal/trace"
 )
 
 // Family names a scenario family — a region of fault-schedule space with
@@ -286,47 +287,38 @@ func generate(seed uint64, fam Family, rng *sim.Rand) Scenario {
 	return sc
 }
 
-// Result is one run's collected evidence, shaped for the checker, and
-// what a run reports besides.
+// Result is what a run reports: the cluster's evidence, with the
+// conservation rule over the scenario's accounts, and the rest besides.
 type Result struct {
+	// Input is the run's evidence (cluster.Evidence) plus Conservation:
+	// the account keys, each key's authoritative copy — its shard's
+	// primary at the final epoch, or site 1 under full replication — and
+	// the conserved sum.
+	check.Input
 	Scenario Scenario
 	// Schedule is the fault schedule the cluster ran: the scenario's,
 	// moved past the seed round on a net run that seeds accounts.
 	Schedule cluster.Schedule
-	Events   []trace.Event
 	Results  []*cluster.TxnResult
 	Stats    cluster.Stats
 	// Transfers are the results of the scenario's transactions in
 	// submission order (not the account seeding or membership metadata
 	// transactions).
 	Transfers []*cluster.TxnResult
-	// Masters maps each transaction to its coordinating site.
-	Masters map[uint64]int
-	// Snapshots/Unstable/Durable are per-site engine state at quiescence.
-	Snapshots map[int]map[string][]byte
-	Unstable  map[int]map[string]bool
-	Durable   map[int]map[uint64]string
 	// Directory is the run's shard directory at quiescence (nil under
-	// full replication); Replicas/Primary resolve a key's replica set and
-	// authoritative copy at its final epoch (full replication: all sites,
-	// site 1).
+	// full replication).
 	Directory *placement.Directory
-	Replicas  func(key string) []int
-	Primary   func(key string) int
-	// Keys are the account keys; Total is the conserved sum.
-	Keys  []string
-	Total int64
 	// Recoveries and Migrations report each restart and membership
 	// change.
 	Recoveries []cluster.RecoveryReport
 	Migrations []*cluster.MigrationReport
 	// Workdir is the localnet root of a RunNet run.
 	Workdir string
-	metrics func() obs.Snapshot
+	metrics obs.Snapshot
 }
 
 // Metrics is the merge of the sites' metric registries at quiescence.
-func (r *Result) Metrics() obs.Snapshot { return r.metrics() }
+func (r *Result) Metrics() obs.Snapshot { return r.metrics }
 
 // Run executes the scenario on the deterministic sim backend and collects
 // the checker's evidence. Identical scenarios produce identical results.
@@ -343,7 +335,8 @@ func Run(sc Scenario) (*Result, error) {
 }
 
 // run is the one body of Run and RunNet: it opens the cluster, seeds the
-// accounts, submits the traffic, waits, and collects the evidence.
+// accounts, submits the traffic, waits, closes the cluster and takes its
+// evidence.
 func run(sc Scenario, backend cluster.Backend) (*Result, error) {
 	protocol, err := registry.Lookup(sc.Protocol)
 	if err != nil {
@@ -364,7 +357,7 @@ func run(sc Scenario, backend cluster.Backend) (*Result, error) {
 		}
 		dir = placement.NewDirectory(asg)
 	}
-	netBackend, onNet := backend.(*cluster.NetBackend)
+	_, onNet := backend.(*cluster.NetBackend)
 	// Simulated sites get engines seeded with their accounts. Daemons
 	// start with empty engines of their own, so their accounts load
 	// through an ordinary transaction first, and the schedule and the
@@ -418,71 +411,32 @@ func run(sc Scenario, backend cluster.Backend) (*Result, error) {
 		}
 	}
 
+	stats, metrics := c.Stats(), c.Metrics()
+	// A daemon writes its trace as Close stops it.
+	if err := c.Close(); err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
+	}
 	r := &Result{
+		Input:      c.Evidence(),
 		Scenario:   sc,
 		Schedule:   cfg.Schedule,
 		Results:    c.Results(),
 		Transfers:  transfers,
-		Stats:      c.Stats(),
-		Masters:    make(map[uint64]int),
+		Stats:      stats,
 		Directory:  c.Directory(),
-		Keys:       accountKeys(sc.Accounts),
-		Total:      int64(sc.Accounts) * sc.Balance,
 		Recoveries: c.Recoveries(),
 		Migrations: c.Migrations(),
-		metrics:    c.Metrics, // the simulator's registries outlive Close
+		metrics:    metrics,
 	}
-	for _, res := range r.Results {
-		r.Masters[uint64(res.TID)] = int(res.Master)
-	}
+	primary := func(string) int { return 1 }
 	if d := r.Directory; d != nil {
 		_, asg := d.Current()
-		r.Replicas = func(key string) []int {
-			reps := asg.Replicas(asg.ShardOf(key))
-			out := make([]int, len(reps))
-			for i, id := range reps {
-				out[i] = int(id)
-			}
-			return out
-		}
-		r.Primary = func(key string) int { return int(asg.Primary(asg.ShardOf(key))) }
-	} else {
-		r.Primary = func(string) int { return 1 }
+		primary = func(key string) int { return int(asg.Primary(asg.ShardOf(key))) }
 	}
-	if onNet {
-		// State evidence must precede Close (the admin APIs die with the
-		// daemons); traces are written by Close (each node exports at
-		// graceful shutdown).
-		r.Workdir = netBackend.Workdir()
-		metrics := c.Metrics()
-		r.metrics = func() obs.Snapshot { return metrics }
-		r.Snapshots = make(map[int]map[string][]byte)
-		for id, snap := range netBackend.Snapshots() {
-			r.Snapshots[int(id)] = snap
-		}
-		if err := c.Close(); err != nil {
-			return nil, fmt.Errorf("chaos: %w", err)
-		}
-		r.Events = mergeNodeTraces(r.Workdir, sc.Sites)
-		return r, nil
-	}
-	if rec := backend.(*cluster.SimBackend).Trace(); rec != nil {
-		r.Events = rec.Events()
-	}
-	r.Snapshots = make(map[int]map[string][]byte, len(engines))
-	r.Unstable = make(map[int]map[string]bool, len(engines))
-	r.Durable = make(map[int]map[uint64]string, len(engines))
-	for id, e := range engines {
-		snap, unstable := e.StableSnapshot()
-		r.Snapshots[int(id)] = snap
-		r.Unstable[int(id)] = unstable
-		durable := make(map[uint64]string)
-		for _, res := range r.Results {
-			if o, ok := e.Outcome(uint64(res.TID)); ok {
-				durable[uint64(res.TID)] = o.String()
-			}
-		}
-		r.Durable[int(id)] = durable
+	r.Conservation = &check.Conservation{
+		Keys:    accountKeys(sc.Accounts),
+		Primary: primary,
+		Total:   int64(sc.Accounts) * sc.Balance,
 	}
 	return r, nil
 }
@@ -566,73 +520,27 @@ func pickSpread(rng *sim.Rand, n, k, rf int) []proto.SiteID {
 	return out
 }
 
-// CheckInput shapes the run's evidence for the offline checker.
-func (r *Result) CheckInput() check.Input {
-	return check.Input{
-		Events:    r.Events,
-		Masters:   r.Masters,
-		Snapshots: r.Snapshots,
-		Unstable:  r.Unstable,
-		Replicas:  r.Replicas,
-		Durable:   r.Durable,
-		Conservation: &check.Conservation{
-			Keys:    r.Keys,
-			Primary: r.Primary,
-			Total:   r.Total,
-		},
-	}
-}
-
 // RunOn runs the scenario on the named backend — "sim" (Run) or "net"
-// (RunNet, in workdir) — and judges it with that backend's rule set
-// (Verify or VerifyNet).
+// (RunNet, in workdir) — and judges it with Verify.
 func RunOn(sc Scenario, backend, workdir string) (*Result, []check.Violation, error) {
+	var r *Result
+	var err error
 	switch backend {
 	case "sim":
-		r, err := Run(sc)
-		if err != nil {
-			return nil, nil, err
-		}
-		return r, Verify(r), nil
+		r, err = Run(sc)
 	case "net":
-		r, err := RunNet(sc, workdir)
-		if err != nil {
-			return nil, nil, err
-		}
-		return r, VerifyNet(r), nil
+		r, err = RunNet(sc, workdir)
+	default:
+		return nil, nil, fmt.Errorf("unknown backend %q", backend)
 	}
-	return nil, nil, fmt.Errorf("unknown backend %q", backend)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r, Verify(r), nil
 }
 
-// Verify runs the full invariant suite over the run: the trace/state
-// checker plus the result-level completeness checks (every transaction
-// decided at every live participant, consistently). It returns every
-// violation found; an empty slice is the protocol keeping its promise.
-func Verify(r *Result) []check.Violation {
-	out := check.Check(r.CheckInput())
-	return append(out, resultViolations(r)...)
-}
-
-// resultViolations runs the result-level completeness checks: every
-// transaction decided at every live participant, consistently.
-func resultViolations(r *Result) []check.Violation {
-	var out []check.Violation
-	for _, res := range r.Results {
-		tid := uint64(res.TID)
-		if !res.Consistent() {
-			out = append(out, check.Violation{
-				Rule: check.RuleAgreement, TID: tid,
-				Detail: "result outcome set inconsistent across sites",
-				Events: check.SubHistory(r.Events, tid),
-			})
-		}
-		if b := res.Blocked(); len(b) > 0 {
-			out = append(out, check.Violation{
-				Rule: check.RuleAgreement, TID: tid,
-				Detail: fmt.Sprintf("blocked at sites %v at quiescence", b),
-				Events: check.SubHistory(r.Events, tid),
-			})
-		}
-	}
-	return out
-}
+// Verify judges the run, on either backend, by cluster.Judge: the
+// invariant suite of internal/check over the run's evidence, conservation
+// included, plus the result-level rules. It returns every violation
+// found; an empty slice is the protocol keeping its promise.
+func Verify(r *Result) []check.Violation { return cluster.Judge(r.Input, r.Results) }

@@ -17,8 +17,10 @@
 //
 // Each violation carries the offending transaction's event sub-history,
 // so a failure is replayable and debuggable from the report alone. Every
-// simulated run is judged by it: chaos.Verify and VerifyNet apply it to
-// the chaos corpus, the hand-written rows and each termsim run.
+// cluster run is judged by it, on either backend: cluster.Judge applies
+// it to a run's evidence (Cluster.Evidence) and adds the result-level
+// rules, and Cluster.Verify, chaos.Verify — the corpus, the hand-written
+// rows, each termsim run — and the examples all go through Judge.
 package check
 
 import (

@@ -46,8 +46,8 @@ func shardWithin(asg *placement.Assignment, side map[proto.SiteID]bool) int {
 // one side never meets the partition boundary, so transactions on that
 // shard keep committing, decided inside the partition window, while
 // cross-side transactions fall back to the termination protocol's
-// bounded aborts. After the heal, everything converges: Termination is
-// nil, nothing blocked, nothing inconsistent.
+// bounded aborts. After the heal, everything converges: Verify finds
+// nothing, nothing blocked, nothing inconsistent.
 func TestMinorityPartitionKeepsLocalShardCommitting(t *testing.T) {
 	const (
 		sites, shards, accounts = 5, 5, 64
@@ -178,9 +178,7 @@ func TestMinorityPartitionKeepsLocalShardCommitting(t *testing.T) {
 			postMin.Outcome(), postCross.Outcome())
 	}
 
-	if err := c.Termination(); err != nil {
-		t.Fatalf("termination: %v", err)
-	}
+	mustVerify(t, c)
 	st := c.Stats()
 	if st.Blocked != 0 || st.Inconsistent != 0 || st.Committed < 12 {
 		t.Fatalf("stats: %v", st)

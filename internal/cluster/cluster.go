@@ -27,7 +27,7 @@
 //	    }})
 //	c.SubmitBatch(txns)
 //	c.Wait()
-//	err := c.Termination() // every txn decided, atomic, replicas identical
+//	vs := c.Verify() // empty: every txn decided, atomic, replicas identical
 //	st := c.Stats()
 //	c.Close()
 package cluster
@@ -38,6 +38,7 @@ import (
 	"sort"
 	"sync"
 
+	"termproto/internal/check"
 	"termproto/internal/db/engine"
 	"termproto/internal/obs"
 	"termproto/internal/placement"
@@ -109,8 +110,8 @@ type Config struct {
 	// across the sites: epoch-stamped replica sets that join, leave and
 	// move events rebalance at runtime. A transaction whose Sites field is
 	// empty participates only at the replica sets of the shards its payload
-	// keys touch, resolved at its admission epoch, and Termination checks
-	// replica convergence per shard-replica-group at the current epoch. Nil
+	// keys touch, resolved at its admission epoch, and Verify checks each
+	// key's convergence across its replica set at the current epoch. Nil
 	// means full replication: every transaction runs at every site. The
 	// directory's members may be a subset of Sites — the remaining sites
 	// are provisioned capacity that can join later.
@@ -762,99 +763,93 @@ func (c *Cluster) Stats() Stats {
 	return st
 }
 
-// Termination checks the paper's headline property over the whole run:
-// every submitted transaction decided at every live participating site,
-// no two sites disagree on any transaction, and — at sites with a
-// storage engine — replicas converged to identical contents. Under full
-// replication every pair of sites is compared whole; under a Directory
-// convergence is checked per shard-replica-group, each shard's key range
-// compared across exactly the sites that replicate it.
-// Call after Wait. A nil error is the protocol keeping its promise.
-func (c *Cluster) Termination() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, tid := range c.order {
-		r := c.txns[tid]
-		if !r.Consistent() {
-			return fmt.Errorf("cluster: txn %d violated atomicity", tid)
-		}
-		if b := r.Blocked(); len(b) != 0 {
-			return fmt.Errorf("cluster: txn %d blocked at sites %v", tid, b)
+// Evidence is the run's evidence as internal/check reads it: each
+// transaction's master, from the results; under a Directory, each key's
+// replica set at the current epoch (nil is full replication); and what
+// the backend keeps. On the simulator that is every engine's committed
+// state, the keys its in-flight transactions hold and its durable
+// decisions, plus the recorded trace (SimOptions.RecordTrace). On the net
+// backend it is each live daemon's committed state and held keys —
+// before Close as they stand, after it as read just before the graceful
+// shutdown — plus, after Close, the daemons' merged traces, whose
+// wall-clock timing skips the §6 bounds. Call after Wait.
+func (c *Cluster) Evidence() check.Input {
+	results := c.Results()
+	in := check.Input{Masters: make(map[uint64]int, len(results))}
+	for _, r := range results {
+		in.Masters[uint64(r.TID)] = int(r.Master)
+	}
+	if d := c.cfg.Directory; d != nil {
+		_, asg := d.Current()
+		in.Replicas = func(key string) []int {
+			reps := asg.Replicas(asg.ShardOf(key))
+			out := make([]int, len(reps))
+			for i, id := range reps {
+				out[i] = int(id)
+			}
+			return out
 		}
 	}
-	if c.cfg.Directory != nil {
-		return c.shardConvergence()
-	}
-	var refID proto.SiteID
-	var ref map[string][]byte
-	for i := 1; i <= c.cfg.Sites; i++ {
-		id := proto.SiteID(i)
-		eng := c.cfg.Engines[id]
-		if eng == nil {
-			continue
+	switch b := c.backend.(type) {
+	case *SimBackend:
+		in.T = b.opts.T
+		if b.rec != nil {
+			in.Events = b.rec.Events()
 		}
-		snap := eng.Snapshot()
-		if ref == nil {
-			refID, ref = id, snap
-			continue
-		}
-		if err := sameSnapshot(ref, snap); err != nil {
-			return fmt.Errorf("cluster: replicas %d and %d diverged: %w", refID, id, err)
-		}
-	}
-	return nil
-}
-
-// shardConvergence checks replica convergence per shard-replica-group
-// against the directory's current epoch: for every shard, the members of
-// its (possibly migrated) replica set that expose state must agree on the
-// shard's key range. Only directory members are polled — a site that
-// replicates no shard has no state to converge, and skipping it keeps
-// the check (like the inquiry fan-out) scoped to actual replicas
-// instead of the whole roster. Called with c.mu held.
-func (c *Cluster) shardConvergence() error {
-	_, asg := c.cfg.Directory.Current()
-	snaps := make(map[proto.SiteID]map[string][]byte)
-	for _, id := range asg.Members() {
-		if eng := c.cfg.Engines[id]; eng != nil {
-			snaps[id] = eng.Snapshot()
-		}
-	}
-	for s := 0; s < asg.Shards(); s++ {
-		var refID proto.SiteID
-		var ref map[string][]byte
-		for _, id := range asg.Replicas(s) {
-			snap, ok := snaps[id]
-			if !ok {
+		in.Snapshots = make(map[int]map[string][]byte)
+		in.Unstable = make(map[int]map[string]bool)
+		in.Durable = make(map[int]map[uint64]string)
+		for id, e := range c.cfg.Engines {
+			if e == nil {
 				continue
 			}
-			part := asg.FilterShard(snap, s)
-			if ref == nil {
-				refID, ref = id, part
-				continue
+			in.Snapshots[int(id)], in.Unstable[int(id)] = e.StableSnapshot()
+			durable := make(map[uint64]string)
+			for _, r := range results {
+				if o, ok := e.Outcome(uint64(r.TID)); ok {
+					durable[uint64(r.TID)] = o.String()
+				}
 			}
-			if err := sameSnapshot(ref, part); err != nil {
-				return fmt.Errorf("cluster: shard %d replicas %d and %d diverged: %w", s, refID, id, err)
-			}
+			in.Durable[int(id)] = durable
 		}
+	case *NetBackend:
+		in.SkipBounds = true
+		st := b.state()
+		in.Snapshots, in.Unstable, in.Events = st.snaps, st.unstable, st.events
 	}
-	return nil
+	return in
 }
 
-func sameSnapshot(a, b map[string][]byte) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("%d keys vs %d keys", len(a), len(b))
-	}
-	for k, av := range a {
-		bv, ok := b[k]
-		if !ok {
-			return fmt.Errorf("key %q missing", k)
+// Verify judges the run by its own Evidence: Judge over it and the
+// results. An empty slice is the protocol keeping its promise — every
+// transaction decided at every live site that started it, no two sites
+// disagreeing, replicas converged. Call after Wait; on the net backend,
+// after Close too, for the daemons' traces.
+func (c *Cluster) Verify() []check.Violation { return Judge(c.Evidence(), c.Results()) }
+
+// Judge is check.Check over in plus the rules only the results show: a
+// transaction whose sites' outcomes disagree, and one still undecided at
+// a live site that started it.
+func Judge(in check.Input, results []*TxnResult) []check.Violation {
+	out := check.Check(in)
+	for _, res := range results {
+		tid := uint64(res.TID)
+		if !res.Consistent() {
+			out = append(out, check.Violation{
+				Rule: check.RuleAgreement, TID: tid,
+				Detail: "result outcome set inconsistent across sites",
+				Events: check.SubHistory(in.Events, tid),
+			})
 		}
-		if string(av) != string(bv) {
-			return fmt.Errorf("key %q differs", k)
+		if b := res.Blocked(); len(b) > 0 {
+			out = append(out, check.Violation{
+				Rule: check.RuleAgreement, TID: tid,
+				Detail: fmt.Sprintf("blocked at sites %v at quiescence", b),
+				Events: check.SubHistory(in.Events, tid),
+			})
 		}
 	}
-	return nil
+	return out
 }
 
 // Close waits for in-flight work and releases the backend. The cluster

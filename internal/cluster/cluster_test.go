@@ -6,9 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"termproto/internal/check"
 	"termproto/internal/core"
 	"termproto/internal/db/engine"
 	"termproto/internal/db/wal"
+	"termproto/internal/placement"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/twopc"
 	"termproto/internal/sim"
@@ -34,6 +36,29 @@ func transfer(from, to int, amount int64) []byte {
 		{Kind: engine.OpAdd, Key: fmt.Sprintf("acct/%d", from), Delta: -amount},
 		{Kind: engine.OpAdd, Key: fmt.Sprintf("acct/%d", to), Delta: +amount},
 	})
+}
+
+// mustVerify fails t with every violation c.Verify reports.
+func mustVerify(t *testing.T, c *Cluster) {
+	t.Helper()
+	vs := c.Verify()
+	for _, v := range vs {
+		t.Error(v)
+	}
+	if len(vs) > 0 {
+		t.FailNow()
+	}
+}
+
+// reportsBlocked reports whether vs names a transaction undecided at a
+// live site.
+func reportsBlocked(vs []check.Violation) bool {
+	for _, v := range vs {
+		if strings.Contains(v.Detail, "blocked at sites") {
+			return true
+		}
+	}
+	return false
 }
 
 // The acceptance scenario: many concurrent transactions multiplexed over
@@ -69,24 +94,13 @@ func TestSimConcurrentTxnsUnderPartitionHeal(t *testing.T) {
 			At:      sim.Time(i) * 400,
 		})
 	}
-	rs, err := c.SubmitBatch(batch)
-	if err != nil {
+	if _, err := c.SubmitBatch(batch); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rs {
-		if !r.Consistent() {
-			t.Fatalf("txn %d inconsistent: %+v", r.TID, r.Sites)
-		}
-		if b := r.Blocked(); len(b) != 0 {
-			t.Fatalf("txn %d blocked at %v", r.TID, b)
-		}
-	}
-	if err := c.Termination(); err != nil {
-		t.Fatalf("termination violated: %v", err)
-	}
+	mustVerify(t, c)
 	st := c.Stats()
 	if st.Submitted != txns || st.Blocked != 0 || st.Inconsistent != 0 {
 		t.Fatalf("stats: %v", st)
@@ -130,22 +144,12 @@ func TestLiveConcurrentTxnsUnderPartitionHeal(t *testing.T) {
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rs {
-		if !r.Consistent() {
-			t.Fatalf("txn %d inconsistent: %+v", r.TID, r.Sites)
-		}
-		if b := r.Blocked(); len(b) != 0 {
-			t.Fatalf("txn %d blocked at %v", r.TID, b)
-		}
-	}
-	if err := c.Termination(); err != nil {
-		t.Fatalf("termination violated: %v", err)
-	}
+	mustVerify(t, c)
 	st := c.Stats()
 	if st.Committed+st.Aborted != txns || st.Inconsistent != 0 {
 		t.Fatalf("stats: %v", st)
 	}
-	snaps := nb.Snapshots()
+	snaps := nb.state().snaps
 	if len(snaps) != sites {
 		t.Fatalf("snapshots from %d/%d nodes", len(snaps), sites)
 	}
@@ -160,7 +164,7 @@ func TestLiveConcurrentTxnsUnderPartitionHeal(t *testing.T) {
 }
 
 // The motivating contrast: 2PC under a permanent partition strands
-// transactions, and Termination reports it.
+// transactions, and Verify reports it.
 func TestSimTwoPCBlocksUnderPartition(t *testing.T) {
 	c, err := Open(Config{
 		Sites:    4,
@@ -186,8 +190,45 @@ func TestSimTwoPCBlocksUnderPartition(t *testing.T) {
 	if st.Inconsistent != 0 {
 		t.Fatalf("2PC must stay atomic even while blocking: %v", st)
 	}
-	if err := c.Termination(); err == nil {
-		t.Fatal("Termination() = nil for a run with blocked transactions")
+	if !reportsBlocked(c.Verify()) {
+		t.Fatal("Verify reports no blocked transaction")
+	}
+}
+
+// Verify compares replicas: a write straight to one replica's engine
+// after Wait — under full replication, and at one of a shard's replicas
+// under a Directory — is reported as that key's divergence.
+func TestSimVerifyReportsDivergedReplica(t *testing.T) {
+	for _, sharded := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sharded=%v", sharded), func(t *testing.T) {
+			const key = "acct/0"
+			engs, site := engines(4, 8, 1000), proto.SiteID(2)
+			var d *placement.Directory
+			if sharded {
+				d = placement.NewDirectory(mustAssignment(t, 4, 2, 1, 2, 3, 4))
+				engs = directoryEngines(d, 4, 8, 1000)
+				_, asg := d.Current()
+				reps := asg.Replicas(asg.ShardOf(key))
+				site = reps[len(reps)-1]
+			}
+			c, err := Open(Config{Sites: 4, Protocol: core.Protocol{TransientFix: true}, Engines: engs, Directory: d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.SubmitBatch([]Txn{{Payload: transfer(0, 1, 10)}, {Payload: transfer(2, 3, 10)}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			mustVerify(t, c)
+			engs[site].PutInt(key, 1)
+			vs := c.Verify()
+			if len(vs) != 1 || vs[0].Rule != check.RuleConvergence || !strings.Contains(vs[0].Detail, fmt.Sprintf("%q", key)) {
+				t.Fatalf("after writing %s at site %d, Verify = %v; want one %s on it", key, site, vs, check.RuleConvergence)
+			}
+		})
 	}
 }
 
@@ -259,9 +300,7 @@ func TestSimCrashRecover(t *testing.T) {
 	if after.Sites[3].Crashed || after.Sites[3].Outcome != proto.Commit {
 		t.Fatalf("txn after recovery: site 3 = %+v", after.Sites[3])
 	}
-	if err := c.Termination(); err != nil {
-		t.Fatal(err)
-	}
+	mustVerify(t, c)
 }
 
 // A crash mid-transaction kills the site's automata: the survivors still
@@ -357,12 +396,12 @@ func TestLiveCrashedParticipantExcluded(t *testing.T) {
 	if s, ok := r.Sites[4]; ok {
 		t.Errorf("site 4 outside the roster has an outcome: %+v", s)
 	}
-	snaps := nb.Snapshots()
+	snaps := nb.state().snaps
 	if len(snaps) != 3 {
 		t.Fatalf("snapshots from %d/3 live nodes", len(snaps))
 	}
 	for _, id := range []proto.SiteID{1, 2} {
-		if got := string(snaps[id]["roster"]); got != "v" {
+		if got := string(snaps[int(id)]["roster"]); got != "v" {
 			t.Errorf("site %d: roster = %q, want \"v\"", id, got)
 		}
 	}

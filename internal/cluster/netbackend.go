@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"sort"
 	"time"
 
 	"termproto/internal/netnode"
@@ -15,6 +17,7 @@ import (
 	"termproto/internal/recovery"
 	"termproto/internal/sim"
 	"termproto/internal/site"
+	"termproto/internal/trace"
 )
 
 // NetOptions tunes the multi-process backend.
@@ -30,9 +33,6 @@ type NetOptions struct {
 	Workdir string
 	// Seed offsets every node's link-delay seed.
 	Seed int64
-	// ExtraArgs is appended to every termnode's command line, e.g. the
-	// daemons' -trace-out.
-	ExtraArgs []string
 }
 
 // NetBackend runs transactions on a localnet of real termnode processes:
@@ -41,6 +41,10 @@ type NetOptions struct {
 // fresh process over the surviving workspace. It is the second rung of
 // the fidelity ladder — sim (deterministic), net (processes) — and the
 // same Cluster API drives both.
+//
+// Every daemon runs with -trace-out, so Close leaves each node's trace in
+// its workspace, and Cluster.Evidence reads the daemons' state over the
+// admin API.
 //
 // Unsupported with this backend: Engines (the engines live in the daemon
 // processes; inspect them through the admin API) and membership
@@ -59,6 +63,17 @@ type NetBackend struct {
 	opts NetOptions
 	net  *harness.Localnet
 	dir  string
+	// final is what the daemons left when Close stopped them; nil before.
+	final *daemonState
+}
+
+// daemonState is what a verdict on a net run reads from the daemons: each
+// live daemon's committed state and the keys its in-flight transactions
+// hold, and the daemons' merged traces.
+type daemonState struct {
+	snaps    map[int]map[string][]byte
+	unstable map[int]map[string]bool
+	events   []trace.Event
 }
 
 // NewNetBackend returns a multi-process backend.
@@ -134,7 +149,7 @@ func (b *NetBackend) boot(cfg Config) error {
 	net, err := harness.Start(harness.Options{
 		N: cfg.Sites, ProtoName: cfg.Protocol.Name(), T: b.opts.T,
 		Dir: dir, Seed: b.opts.Seed,
-		ExtraArgs: b.opts.ExtraArgs,
+		ExtraArgs: []string{"-trace-out", traceFile},
 		Placement: placementBytes,
 	})
 	if err != nil {
@@ -266,24 +281,49 @@ func (b *NetBackend) MetricsSnapshots() []obs.Snapshot {
 	return out
 }
 
-// Snapshots reads every live node's committed state through the admin
-// API — the net-backend counterpart of inspecting Config.Engines directly.
-func (b *NetBackend) Snapshots() map[proto.SiteID]map[string][]byte {
-	out := make(map[proto.SiteID]map[string][]byte)
+// traceFile is where each daemon exports its trace, in its workspace.
+const traceFile = "trace.jsonl"
+
+// state is the daemons' evidence: after Close what they left, before it
+// their state as it stands, without traces.
+func (b *NetBackend) state() daemonState {
+	if b.final != nil {
+		return *b.final
+	}
+	st := daemonState{snaps: make(map[int]map[string][]byte), unstable: make(map[int]map[string]bool)}
 	b.eachAlive(func(id proto.SiteID, c *netnode.Client) {
-		if snap, _, err := c.Snapshot(); err == nil {
-			out[id] = snap
+		if snap, unstable, err := c.Snapshot(); err == nil {
+			st.snaps[int(id)], st.unstable[int(id)] = snap, unstable
 		}
 	})
-	return out
+	return st
 }
 
-// close implements wallSites. Workspace directories (WALs, per-node logs)
-// are left on disk.
+// close implements wallSites. Workspace directories (WALs, per-node logs,
+// traces) are left on disk.
 func (b *NetBackend) close() {
+	final := b.state()
 	// Graceful: SIGTERM lets each daemon flush its WAL and export its
-	// -trace-out file; stragglers are killed after the grace.
+	// trace; stragglers are killed after the grace.
 	b.net.Shutdown(10 * time.Second)
+	final.events = mergeNodeTraces(b.dir, b.net.Sites())
+	b.final = &final
+}
+
+// mergeNodeTraces reads every node's trace under the localnet root and
+// merges them into one timeline. A node that died without exporting
+// (SIGKILL) contributes nothing.
+func mergeNodeTraces(workdir string, sites []proto.SiteID) []trace.Event {
+	var all []trace.Event
+	for _, id := range sites {
+		evs, err := trace.ReadJSONLFile(filepath.Join(workdir, fmt.Sprintf("node-%d", id), traceFile))
+		if err != nil {
+			continue
+		}
+		all = append(all, evs...)
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].At < all[j].At })
+	return all
 }
 
 var (

@@ -11,6 +11,7 @@ import (
 	"termproto/internal/protocol/registry"
 	"termproto/internal/protocol/threepc"
 	"termproto/internal/sim"
+	"termproto/internal/trace"
 )
 
 // netT is the wall value of T for the multi-process backend in tests:
@@ -64,9 +65,8 @@ func runBatch(t *testing.T, backend Backend, batch []Txn) (*Cluster, []*TxnResul
 // TestNetParityOutcomes runs a fault-free batch through real termnode
 // processes. The daemons step the site.Table the simulator steps, so what
 // is left to check is the process boundary: the scripted no-vote must
-// cross it in the submission envelope and abort its transaction, the run
-// must satisfy the termination property, and the daemons' engines must
-// converge on the committed keys.
+// cross it in the submission envelope and abort its transaction, Verify
+// must find nothing, and the daemons' engines must hold the committed keys.
 func TestNetParityOutcomes(t *testing.T) {
 	nb := netBackend(t)
 	netC, netRS := runBatch(t, nb, parityBatch())
@@ -77,11 +77,9 @@ func TestNetParityOutcomes(t *testing.T) {
 			t.Errorf("txn %d: %s, want %s", r.TID, r.Outcome(), want[i])
 		}
 	}
-	if err := netC.Termination(); err != nil {
-		t.Errorf("net termination: %v", err)
-	}
-	// The replica check Termination can't do from outside the processes.
-	snaps := nb.Snapshots()
+	mustVerify(t, netC)
+	// Verify compared the daemons' replicas; these are the values.
+	snaps := nb.state().snaps
 	if len(snaps) != 3 {
 		t.Fatalf("snapshots from %d/3 nodes", len(snaps))
 	}
@@ -95,6 +93,39 @@ func TestNetParityOutcomes(t *testing.T) {
 			t.Errorf("site %d holds key of aborted txn", id)
 		}
 	}
+}
+
+// TestNetEvidenceFromDaemons: a net run's evidence is the daemons' own.
+// After a fault-free batch it holds one snapshot per live daemon; Close
+// adds the traces the daemons export as they stop, merged, in which every
+// transaction decides; and Verify finds nothing either time.
+func TestNetEvidenceFromDaemons(t *testing.T) {
+	c, rs := runBatch(t, netBackend(t), parityBatch())
+	in := c.Evidence()
+	if len(in.Snapshots) != 3 || len(in.Masters) != len(rs) || !in.SkipBounds {
+		t.Fatalf("evidence: %d snapshots, %d masters, skip bounds %v; want 3, %d, true",
+			len(in.Snapshots), len(in.Masters), in.SkipBounds, len(rs))
+	}
+	mustVerify(t, c)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	in = c.Evidence()
+	if len(in.Snapshots) != 3 || len(in.Events) == 0 {
+		t.Fatalf("after Close: %d snapshots, %d events", len(in.Snapshots), len(in.Events))
+	}
+	decided := make(map[uint64]bool)
+	for _, e := range in.Events {
+		if e.Kind == trace.Decide {
+			decided[e.TID] = true
+		}
+	}
+	for _, r := range rs {
+		if !decided[uint64(r.TID)] {
+			t.Errorf("txn %d decides nowhere in the merged trace", r.TID)
+		}
+	}
+	mustVerify(t, c)
 }
 
 // TestNetParityTransientPartition scripts the paper's transient-partition
@@ -118,9 +149,7 @@ func TestNetParityTransientPartition(t *testing.T) {
 	if err := c.Wait(); err != nil {
 		t.Fatalf("wait: %v", err)
 	}
-	if err := c.Termination(); err != nil {
-		t.Errorf("termination: %v", err)
-	}
+	mustVerify(t, c)
 	st := c.Stats()
 	if st.Committed+st.Aborted != st.Submitted || st.Blocked != 0 || st.Inconsistent != 0 {
 		t.Errorf("stats not conserved: %s", st)
@@ -163,12 +192,7 @@ func TestNetCrashAfterPrepared(t *testing.T) {
 	if recs[0].Err != nil {
 		t.Fatalf("recovery failed: %+v", recs[0])
 	}
-	if !r.Consistent() {
-		t.Fatalf("atomicity violated: %+v", r.Sites)
-	}
-	if b := r.Blocked(); len(b) != 0 {
-		t.Fatalf("blocked sites %v", b)
-	}
+	mustVerify(t, c)
 	// Whatever the race decided, the recovered coordinator must agree
 	// with the slaves, and the committed state must be replicated (or
 	// absent) identically everywhere.
@@ -188,7 +212,7 @@ func TestNetCrashAfterPrepared(t *testing.T) {
 	if dto, err := nb.net.Client(1).Txn(r.TID); err != nil || parseOutcome(dto.Outcome) != outcome {
 		t.Fatalf("site 1 holds %q (%v), the slaves %v", dto.Outcome, err, outcome)
 	}
-	for id, snap := range nb.Snapshots() {
+	for id, snap := range nb.state().snaps {
 		got := string(snap["crash"])
 		if outcome == proto.Commit && got != "v" {
 			t.Errorf("site %d: crash = %q after commit", id, got)
@@ -239,9 +263,9 @@ func TestNetCrashedParticipantExcluded(t *testing.T) {
 		t.Fatalf("recoveries = %v, want one clean recovery of site 3", recs)
 	}
 	t.Logf("recovery: %s", recs[0])
-	snaps := nb.Snapshots()
+	snaps := nb.state().snaps
 	for _, id := range []proto.SiteID{1, 2, 3} {
-		if got := string(snaps[id]["missed"]); got != "v" {
+		if got := string(snaps[int(id)]["missed"]); got != "v" {
 			t.Errorf("site %d: missed = %q, want \"v\" (site 3 by catch-up)", id, got)
 		}
 	}
@@ -272,9 +296,7 @@ func netInDoubtRestart(t *testing.T, nb *NetBackend, key string, sched Schedule)
 	if err := c.Wait(); err != nil {
 		t.Fatalf("wait: %v", err)
 	}
-	if !r.Consistent() || !r.Decided() {
-		t.Fatalf("survivors blocked or inconsistent: %+v", r.Sites)
-	}
+	mustVerify(t, c)
 	if r.Outcome() != proto.Commit {
 		return nil, RecoveryReport{}, fmt.Errorf("txn aborted (slow delivery): %v", r.Outcome())
 	}
@@ -321,7 +343,7 @@ func TestLiveRecoveryResolvesInDoubt(t *testing.T) {
 		if got := r.Sites[3]; got.Outcome != proto.Commit {
 			t.Errorf("site 3 after its recovery: %+v, want commit", got)
 		}
-		for id, snap := range nb.Snapshots() {
+		for id, snap := range nb.state().snaps {
 			if got := string(snap["doubt"]); got != "v" {
 				t.Errorf("site %d: doubt = %q, want \"v\"", id, got)
 			}
@@ -348,7 +370,7 @@ func TestNetRecoveryCoordinatorUnreachable(t *testing.T) {
 		if rep.Stats.ResolvedCommit != 1 || rep.Stats.Unresolved != 0 {
 			t.Fatalf("in-doubt txn not resolved to the survivors' commit: %v", rep.Stats)
 		}
-		for id, snap := range nb.Snapshots() {
+		for id, snap := range nb.state().snaps {
 			if got := string(snap["cut"]); got != "v" {
 				t.Errorf("site %d: cut = %q, want \"v\"", id, got)
 			}
@@ -391,7 +413,7 @@ func TestNetHealRetryResolvesUnresolved(t *testing.T) {
 		if dto, err := nb.net.Client(3).InDoubt(); err != nil || len(dto.InDoubt)+len(dto.Pending) != 0 {
 			t.Errorf("site 3 /indoubt after the heal = %+v (%v), want empty", dto, err)
 		}
-		for id, snap := range nb.Snapshots() {
+		for id, snap := range nb.state().snaps {
 			if got := string(snap["heal"]); got != "v" {
 				t.Errorf("site %d: heal = %q, want \"v\" (site 3 by the heal's re-ask)", id, got)
 			}

@@ -73,9 +73,7 @@ func TestNetParityShardedPlacement(t *testing.T) {
 		if err := c.Wait(); err != nil {
 			t.Fatalf("wait %s: %v", backend.Name(), err)
 		}
-		if err := c.Termination(); err != nil {
-			t.Errorf("%s termination: %v", backend.Name(), err)
-		}
+		mustVerify(t, c)
 		return c, rs
 	}
 
@@ -97,11 +95,11 @@ func TestNetParityShardedPlacement(t *testing.T) {
 
 	// Each daemon holds exactly its shards: committed keys appear at
 	// their replicas and nowhere else, and every node reports epoch 0.
-	snaps := nb.Snapshots()
+	snaps := nb.state().snaps
 	if len(snaps) != 3 {
 		t.Fatalf("snapshots from %d/3 nodes", len(snaps))
 	}
-	hosted := func(id proto.SiteID, key string) bool { return asg.Hosts(id, key) }
+	hosted := func(id int, key string) bool { return asg.Hosts(proto.SiteID(id), key) }
 	for i, key := range []string{keyA, keyB} {
 		if !netRS[i].Committed() {
 			continue // a fault-free run commits these; outcome parity already checked
@@ -120,7 +118,7 @@ func TestNetParityShardedPlacement(t *testing.T) {
 		if _, ok := snap[keyNo]; ok {
 			t.Errorf("site %d holds key of aborted txn", id)
 		}
-		dto, err := nb.net.Client(id).Stats()
+		dto, err := nb.net.Client(proto.SiteID(id)).Stats()
 		if err != nil || dto.Epoch != 0 {
 			t.Errorf("site %d epoch = %d (%v), want 0", id, dto.Epoch, err)
 		}

@@ -44,9 +44,7 @@ func runParity(t *testing.T, backend Backend) []proto.Outcome {
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Termination(); err != nil {
-		t.Fatalf("%s backend: %v", backend.Name(), err)
-	}
+	mustVerify(t, c)
 	out := make([]proto.Outcome, 0, len(rs))
 	for _, r := range rs {
 		if !r.Consistent() {
@@ -183,9 +181,7 @@ func TestSimLivePartitionParity(t *testing.T) {
 		if err := c.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Termination(); err != nil {
-			t.Fatalf("%s backend violated termination: %v", backend.Name(), err)
-		}
+		mustVerify(t, c)
 		st := c.Stats()
 		if st.Inconsistent != 0 || st.Blocked != 0 || st.Committed+st.Aborted != len(batch) {
 			t.Fatalf("%s backend stats: %v", backend.Name(), st)

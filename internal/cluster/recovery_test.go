@@ -127,9 +127,7 @@ func recoveryScenario(t *testing.T, masterCut bool) {
 
 	// The headline property: everything decided, atomically, and the
 	// recovered replica byte-identical to its peers.
-	if err := c.Termination(); err != nil {
-		t.Fatalf("termination violated: %v", err)
-	}
+	mustVerify(t, c)
 	if st := c.Stats(); st.Recoveries != 1 {
 		t.Fatalf("stats recoveries = %d", st.Recoveries)
 	}
@@ -209,9 +207,7 @@ func TestSimHealRetryResolvesUnresolved(t *testing.T) {
 	if len(engs[5].InDoubt()) != 0 || len(b.nodes[5].Unresolved()) != 0 {
 		t.Fatalf("site 5 still holds in-doubt locks: %v (pending %v)", engs[5].InDoubt(), b.nodes[5].Unresolved())
 	}
-	if err := c.Termination(); err != nil {
-		t.Fatalf("termination: %v", err)
-	}
+	mustVerify(t, c)
 }
 
 // TestSimRestartedMasterResolvesLate: a master crashes at 0.8T with its
@@ -254,9 +250,7 @@ func TestSimRestartedMasterResolvesLate(t *testing.T) {
 			if at, ok := resolvedAt(b.Trace(), 1, res.TID); !ok || at <= r+sim.Time(2*sim.DefaultT) {
 				t.Fatalf("txn 1 resolved at %d (%v), want after the inquiry step ended at %d", at, ok, r+sim.Time(2*sim.DefaultT))
 			}
-			if err := c.Termination(); err != nil {
-				t.Fatalf("termination: %v", err)
-			}
+			mustVerify(t, c)
 		})
 	}
 }
@@ -296,8 +290,8 @@ func TestSimRestartedMasterLeftInDoubtIsBlocked(t *testing.T) {
 	if got := res.Blocked(); !reflect.DeepEqual(got, []proto.SiteID{1}) {
 		t.Fatalf("blocked at %v, want [1]: site 1 %+v", got, res.Sites[1])
 	}
-	if err := c.Termination(); err == nil {
-		t.Fatal("Termination reports nothing for a site left in doubt")
+	if !reportsBlocked(c.Verify()) {
+		t.Fatal("Verify reports nothing for a site left in doubt")
 	}
 	if st := c.Stats(); st.Blocked != 1 {
 		t.Fatalf("stats: %v, want blocked=1", st)
@@ -402,9 +396,7 @@ func TestSimRecoveryShardedCatchUp(t *testing.T) {
 	if reps[0].Stats.Unresolved != 0 {
 		t.Fatalf("unresolved in-doubt transactions after recovery: %v", reps[0].Stats)
 	}
-	if err := c.Termination(); err != nil {
-		t.Fatalf("termination violated: %v", err)
-	}
+	mustVerify(t, c)
 	if len(engs[6].InDoubt()) != 0 {
 		t.Fatalf("site 6 still in doubt: %v", engs[6].InDoubt())
 	}

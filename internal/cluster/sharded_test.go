@@ -235,9 +235,7 @@ func TestShardedPlacementSpawnsOnlyParticipants(t *testing.T) {
 			t.Fatalf("txn %d: %d site outcomes for %d participants", r.TID, len(r.Sites), len(r.Participants))
 		}
 	}
-	if err := c.Termination(); err != nil {
-		t.Fatal(err)
-	}
+	mustVerify(t, c)
 }
 
 // Cross-shard transfers: the multi-participant case. Both shards' replica
@@ -279,9 +277,7 @@ func TestShardedCrossShardTransfers(t *testing.T) {
 	if crossShard == 0 {
 		t.Fatal("no cross-shard transfers in the mix")
 	}
-	if err := c.Termination(); err != nil {
-		t.Fatalf("sharded termination: %v", err)
-	}
+	mustVerify(t, c)
 	st := c.Stats()
 	if st.Inconsistent != 0 || st.Blocked != 0 || st.Committed == 0 {
 		t.Fatalf("stats: %v", st)
@@ -381,9 +377,7 @@ func TestShardedSimLiveParity(t *testing.T) {
 		if err := c.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Termination(); err != nil {
-			t.Fatalf("%s backend: %v", backend.Name(), err)
-		}
+		mustVerify(t, c)
 		for _, r := range rs {
 			if !r.Consistent() {
 				t.Fatalf("%s backend: txn %d inconsistent", backend.Name(), r.TID)

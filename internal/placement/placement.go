@@ -227,23 +227,6 @@ func (a *Assignment) ParticipantsFor(payload []byte) []proto.SiteID {
 	return out
 }
 
-// FilterShard returns the subset of a replica snapshot belonging to the
-// given shard — the unit of replica-convergence checking. Meta keys
-// (the reserved directory range among them) are excluded: they hash
-// into some shard like any string would, but they replicate to every
-// site on their own adopt-only schedule, and a record durably present
-// at an epoch-bump participant but not yet at a lagging replica is
-// legitimate history, not divergence.
-func (a *Assignment) FilterShard(snap map[string][]byte, shard int) map[string][]byte {
-	out := make(map[string][]byte)
-	for k, v := range snap {
-		if !engine.IsMetaKey(k) && a.ShardOf(k) == shard {
-			out[k] = v
-		}
-	}
-	return out
-}
-
 // load counts replicas hosted per member.
 func (a *Assignment) load() map[proto.SiteID]int {
 	out := make(map[proto.SiteID]int, len(a.members))

@@ -214,7 +214,11 @@ func (n *node) OnMsg(env proto.Env, msg proto.Msg) {
 		env.StopTimer()
 		n.decide(env, proto.Commit)
 	case (st == "w" || st == "p") && k == proto.MsgAbort:
-		// Figure 3's master never sends an abort to a slave in p.
+		// No 3PC master sends an abort to a slave in p: w1's abort precedes
+		// every prepare, and end decides without sending. Only a lone
+		// automaton fed arbitrary messages takes the p half — the event
+		// scripts cluster.TestBaselineDigests pins, and fsa's probe, which
+		// puts master.w1 in S(slave.p) through it.
 		env.StopTimer()
 		n.decide(env, proto.Abort)
 	}

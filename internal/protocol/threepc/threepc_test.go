@@ -100,7 +100,7 @@ func TestSlaveAbortInWAndP(t *testing.T) {
 	s2.Start(env2)
 	s2.OnMsg(env2, env2.Msg(1, proto.MsgXact))
 	s2.OnMsg(env2, env2.Msg(1, proto.MsgPrepare))
-	// The termination protocol's master can send abort to a slave in p.
+	// No master sends it, but a lone slave in p takes an abort too.
 	s2.OnMsg(env2, env2.Msg(1, proto.MsgAbort))
 	if s2.State() != "a" || env2.Decision != proto.Abort {
 		t.Fatal("abort in p failed")

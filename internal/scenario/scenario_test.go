@@ -1,4 +1,4 @@
-package scenario
+package scenario_test
 
 import (
 	"testing"
@@ -6,6 +6,7 @@ import (
 	"termproto/internal/cluster"
 	"termproto/internal/core"
 	"termproto/internal/proto"
+	"termproto/internal/scenario"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
 	"termproto/internal/trace"
@@ -39,63 +40,63 @@ func TestClassifySynthetic(t *testing.T) {
 	cases := []struct {
 		name string
 		rec  *trace.Recorder
-		want Case
+		want scenario.Case
 	}{
-		{"no-cross-traffic", synth(msg(trace.Deliver, "xact", 1, 2, false)), CaseNone},
-		{"nil-recorder", nil, CaseNone},
+		{"no-cross-traffic", synth(msg(trace.Deliver, "xact", 1, 2, false)), scenario.CaseNone},
+		{"nil-recorder", nil, scenario.CaseNone},
 		{"case1-all-prepares-bounce", synth(
 			msg(trace.Bounce, "prepare", 1, 3, true),
-		), Case1},
+		), scenario.Case1},
 		{"case1-no-prepares-at-all", synth(
 			msg(trace.Bounce, "xact", 1, 3, true),
-		), Case1},
+		), scenario.Case1},
 		{"case2.1", synth(
 			msg(trace.Deliver, "prepare", 1, 3, true),
 			msg(trace.Bounce, "prepare", 1, 4, true),
 			msg(trace.Bounce, "ack", 3, 1, true),
-		), Case21},
+		), scenario.Case21},
 		{"case2.2.1", synth(
 			msg(trace.Deliver, "prepare", 1, 3, true),
 			msg(trace.Bounce, "prepare", 1, 4, true),
 			msg(trace.Deliver, "ack", 3, 1, true),
 			msg(trace.Bounce, "probe", 3, 1, true),
-		), Case221},
+		), scenario.Case221},
 		{"case2.2.2", synth(
 			msg(trace.Deliver, "prepare", 1, 3, true),
 			msg(trace.Bounce, "prepare", 1, 4, true),
 			msg(trace.Deliver, "ack", 3, 1, true),
 			msg(trace.Deliver, "probe", 3, 1, true),
-		), Case222},
+		), scenario.Case222},
 		{"case3.1", synth(
 			msg(trace.Deliver, "prepare", 1, 3, true),
 			msg(trace.Bounce, "ack", 3, 1, true),
-		), Case31},
+		), scenario.Case31},
 		{"case3.2.1", synth(
 			msg(trace.Deliver, "prepare", 1, 3, true),
 			msg(trace.Deliver, "ack", 3, 1, true),
 			msg(trace.Deliver, "commit", 1, 3, true),
-		), Case321},
+		), scenario.Case321},
 		{"case3.2.2.1", synth(
 			msg(trace.Deliver, "prepare", 1, 3, true),
 			msg(trace.Deliver, "ack", 3, 1, true),
 			msg(trace.Bounce, "commit", 1, 3, true),
 			msg(trace.Bounce, "probe", 3, 1, true),
-		), Case3221},
+		), scenario.Case3221},
 		{"case3.2.2.2", synth(
 			msg(trace.Deliver, "prepare", 1, 3, true),
 			msg(trace.Deliver, "ack", 3, 1, true),
 			msg(trace.Bounce, "commit", 1, 3, true),
 			msg(trace.Deliver, "probe", 3, 1, true),
-		), Case3222},
+		), scenario.Case3222},
 		{"slave-commit-bounce-is-not-3.2.2", synth(
 			msg(trace.Deliver, "prepare", 1, 3, true),
 			msg(trace.Deliver, "ack", 3, 1, true),
 			msg(trace.Deliver, "commit", 1, 3, true),
 			msg(trace.Bounce, "commit", 3, 1, true), // slave broadcast, not master round
-		), Case321},
+		), scenario.Case321},
 	}
 	for _, c := range cases {
-		if got := Classify(c.rec, 1); got != c.want {
+		if got := scenario.Classify(c.rec, 1); got != c.want {
 			t.Errorf("%s: Classify = %s, want %s", c.name, got, c.want)
 		}
 		if c.rec == nil {
@@ -110,25 +111,25 @@ func TestClassifySynthetic(t *testing.T) {
 			msg(trace.Bounce, "probe", 1, 3, true),
 		)
 		want := c.want
-		if want == CaseNone {
-			want = Case1 // the additions are cross traffic, and no prepare passed
+		if want == scenario.CaseNone {
+			want = scenario.Case1 // the additions are cross traffic, and no prepare passed
 		}
-		if got := Classify(with, 1); got != want {
+		if got := scenario.Classify(with, 1); got != want {
 			t.Errorf("%s + solicits: Classify = %s, want %s", c.name, got, want)
 		}
 	}
 }
 
 func TestCaseBounds(t *testing.T) {
-	for c, want := range map[Case]int{
-		Case21: 1, Case31: 1, Case221: 4, Case3221: 4, Case222: 5,
+	for c, want := range map[scenario.Case]int{
+		scenario.Case21: 1, scenario.Case31: 1, scenario.Case221: 4, scenario.Case3221: 4, scenario.Case222: 5,
 	} {
 		mult, bounded := c.Bound()
 		if !bounded || mult != want {
 			t.Errorf("case %s: Bound = %d,%v, want %d,true", c, mult, bounded, want)
 		}
 	}
-	if _, bounded := Case3222.Bound(); bounded {
+	if _, bounded := scenario.Case3222.Bound(); bounded {
 		t.Error("case 3.2.2.2 must be unbounded")
 	}
 }
@@ -139,11 +140,11 @@ func TestWaitsAfter(t *testing.T) {
 		trace.Event{At: 150, Kind: trace.Transition, Site: 4, FromState: "p", ToState: "pt"},
 		trace.Event{At: 400, Kind: trace.Decide, Site: 3, Outcome: "commit"},
 	)
-	ws := WaitsAfter(rec, "pt")
+	ws := scenario.WaitsAfter(rec, "pt")
 	if len(ws) != 2 {
 		t.Fatalf("got %d waits, want 2", len(ws))
 	}
-	bysite := map[int]PhaseWait{}
+	bysite := map[int]scenario.PhaseWait{}
 	for _, w := range ws {
 		bysite[w.Site] = w
 	}
@@ -153,11 +154,11 @@ func TestWaitsAfter(t *testing.T) {
 	if w := bysite[4]; w.Decided || w.Wait() != -1 {
 		t.Errorf("site 4 should be undecided")
 	}
-	max, entered := MaxWaitAfter(rec, "pt")
+	max, entered := scenario.MaxWaitAfter(rec, "pt")
 	if !entered || max != 300 {
 		t.Errorf("MaxWaitAfter = %d,%v, want 300,true", max, entered)
 	}
-	if _, entered := MaxWaitAfter(rec, "wt"); entered {
+	if _, entered := scenario.MaxWaitAfter(rec, "wt"); entered {
 		t.Error("no site entered wt")
 	}
 }
@@ -173,7 +174,7 @@ func TestCase3222TransientFix(t *testing.T) {
 
 	// Original protocol: G2 slaves wedge in pt.
 	orig, ob := cluster.RunOne(cluster.Config{Sites: 4, Protocol: core.Protocol{}, Schedule: part}, traced, cluster.Txn{})
-	if got := Classify(ob.Trace(), 1); got != Case3222 {
+	if got := scenario.Classify(ob.Trace(), 1); got != scenario.Case3222 {
 		t.Fatalf("classified %s, want 3.2.2.2\n%s", got, ob.Trace().Dump())
 	}
 	blocked := orig.Blocked()
@@ -195,7 +196,7 @@ func TestCase3222TransientFix(t *testing.T) {
 			t.Fatalf("site %d = %v, want commit", id, fixed.Sites[id].Outcome)
 		}
 	}
-	max, entered := MaxWaitAfter(fb.Trace(), "pt")
+	max, entered := scenario.MaxWaitAfter(fb.Trace(), "pt")
 	if !entered {
 		t.Fatal("no site entered pt")
 	}
@@ -215,7 +216,7 @@ func TestCase3222LateProbeReplyExtension(t *testing.T) {
 	if !r.Consistent() || len(r.Blocked()) != 0 {
 		t.Fatalf("extension: consistent=%v blocked=%v", r.Consistent(), r.Blocked())
 	}
-	max, entered := MaxWaitAfter(b.Trace(), "pt")
+	max, entered := scenario.MaxWaitAfter(b.Trace(), "pt")
 	if !entered {
 		t.Fatal("no site entered pt")
 	}
@@ -240,7 +241,7 @@ func TestCase221Deterministic(t *testing.T) {
 		Sites: 4, Protocol: core.Protocol{},
 		Schedule: cluster.Schedule{cluster.PartitionAt(2800, 3, 4)},
 	}, cluster.SimOptions{Latency: lat, RecordTrace: true}, cluster.Txn{})
-	if got := Classify(b.Trace(), 1); got != Case221 {
+	if got := scenario.Classify(b.Trace(), 1); got != scenario.Case221 {
 		t.Fatalf("classified %s, want 2.2.1\n%s", got, b.Trace().Dump())
 	}
 	if !r.Consistent() || len(r.Blocked()) != 0 {
@@ -251,7 +252,7 @@ func TestCase221Deterministic(t *testing.T) {
 			t.Fatalf("site %d = %v, want commit (prepare crossed B)", id, r.Sites[id].Outcome)
 		}
 	}
-	if max, entered := MaxWaitAfter(b.Trace(), "pt"); entered && max > 4*T {
+	if max, entered := scenario.MaxWaitAfter(b.Trace(), "pt"); entered && max > 4*T {
 		t.Fatalf("case 2.2.1 wait %d exceeds paper bound 4T", max)
 	}
 }
@@ -270,13 +271,13 @@ func TestCase222Deterministic(t *testing.T) {
 		Sites: 4, Protocol: core.Protocol{},
 		Schedule: cluster.Schedule{cluster.TransientPartitionAt(2700, 3400, 3, 4)},
 	}, cluster.SimOptions{Latency: lat, RecordTrace: true}, cluster.Txn{})
-	if got := Classify(b.Trace(), 1); got != Case222 {
+	if got := scenario.Classify(b.Trace(), 1); got != scenario.Case222 {
 		t.Fatalf("classified %s, want 2.2.2\n%s", got, b.Trace().Dump())
 	}
 	if !r.Consistent() || len(r.Blocked()) != 0 {
 		t.Fatalf("case 2.2.2: consistent=%v blocked=%v\n%s", r.Consistent(), r.Blocked(), b.Trace().Dump())
 	}
-	if max, entered := MaxWaitAfter(b.Trace(), "pt"); entered && max > 5*T {
+	if max, entered := scenario.MaxWaitAfter(b.Trace(), "pt"); entered && max > 5*T {
 		t.Fatalf("case 2.2.2 wait %d exceeds paper bound 5T", max)
 	}
 }
@@ -314,7 +315,7 @@ func TestOriginalProtocolBlocksOnlyInCase3222(t *testing.T) {
 				t.Fatalf("onset %d heal +%d: INCONSISTENT\n%s", onset, healDelta, b.Trace().Dump())
 			}
 			if len(r.Blocked()) > 0 {
-				if got := Classify(b.Trace(), 1); got != Case3222 {
+				if got := scenario.Classify(b.Trace(), 1); got != scenario.Case3222 {
 					t.Fatalf("onset %d heal +%d: blocked in case %s, only 3.2.2.2 may block\n%s",
 						onset, healDelta, got, b.Trace().Dump())
 				}
@@ -334,14 +335,14 @@ func TestFig6WindowMeasure(t *testing.T) {
 		Sites: 4, Protocol: core.Protocol{},
 		Schedule: cluster.Schedule{cluster.TransientPartitionAt(2700, 3400, 3, 4)},
 	}, cluster.SimOptions{Latency: lat, RecordTrace: true}, cluster.Txn{})
-	span, ok := FirstUDPrepareToLastProbe(b.Trace(), 1)
+	span, ok := scenario.FirstUDPrepareToLastProbe(b.Trace(), 1)
 	if !ok {
 		t.Fatal("no UD(prepare) in a case 2.2.2 run")
 	}
 	if span <= 0 || span > 5*T {
 		t.Fatalf("Fig. 6 window = %d, want in (0, 5T]", span)
 	}
-	if _, ok := FirstUDPrepareToLastProbe(&trace.Recorder{}, 1); ok {
+	if _, ok := scenario.FirstUDPrepareToLastProbe(&trace.Recorder{}, 1); ok {
 		t.Fatal("empty trace should report no window")
 	}
 	// A solicit is master → slave and is no probe, delivered or bounced
@@ -352,7 +353,7 @@ func TestFig6WindowMeasure(t *testing.T) {
 		trace.Event{At: late, Kind: trace.Bounce, MsgKind: "solicit", From: 1, To: 3, Cross: true},
 		trace.Event{At: late, Kind: trace.Deliver, MsgKind: "probe", From: 1, To: 2},
 	)
-	if got, _ := FirstUDPrepareToLastProbe(with, 1); got != span {
+	if got, _ := scenario.FirstUDPrepareToLastProbe(with, 1); got != span {
 		t.Fatalf("Fig. 6 window with trailing solicits = %d, want %d", got, span)
 	}
 }

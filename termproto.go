@@ -40,7 +40,7 @@
 //	    c.Submit(termproto.Txn{}) // concurrent all-yes transactions
 //	}
 //	c.Wait()
-//	fmt.Println(c.Termination()) // nil: every txn decided, atomically
+//	fmt.Println(c.Verify()) // []: every txn decided, atomically
 //	fmt.Println(c.Stats())
 //
 // Times are virtual ticks: T = termproto.T = 1000 ticks is the longest
@@ -88,7 +88,7 @@ const T = sim.DefaultT
 
 type (
 	// Cluster is the long-lived execution surface:
-	// Open → Submit/SubmitBatch → Wait → Stats/Termination → Close.
+	// Open → Submit/SubmitBatch → Wait → Stats/Verify → Close.
 	Cluster = cluster.Cluster
 	// ClusterConfig parameterizes Open.
 	ClusterConfig = cluster.Config

@@ -143,20 +143,14 @@ func TestFacadeCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	rs, err := c.SubmitBatch(make([]termproto.Txn, 10))
-	if err != nil {
+	if _, err := c.SubmitBatch(make([]termproto.Txn, 10)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Termination(); err != nil {
-		t.Fatalf("termination violated through the facade: %v", err)
-	}
-	for _, r := range rs {
-		if !r.Consistent() || !r.Decided() {
-			t.Fatalf("txn %d: consistent=%v blocked=%v", r.TID, r.Consistent(), r.Blocked())
-		}
+	for _, v := range c.Verify() {
+		t.Errorf("violated through the facade: %s", v)
 	}
 	st := c.Stats()
 	if st.Submitted != 10 || st.Committed+st.Aborted != 10 {
@@ -178,7 +172,7 @@ func ExampleOpen() {
 	defer c.Close()
 	c.SubmitBatch(make([]termproto.Txn, 10))
 	c.Wait()
-	fmt.Println("terminated atomically:", c.Termination() == nil)
+	fmt.Println("terminated atomically:", len(c.Verify()) == 0)
 	fmt.Println("blocked:", c.Stats().Blocked)
 	// Output:
 	// terminated atomically: true
