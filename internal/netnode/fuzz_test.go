@@ -24,9 +24,11 @@ func FuzzWireCodec(f *testing.F) {
 		}),
 	}))
 	// Recovery's catch-up: a snapshot request for the keys from "k" on,
-	// and the one chunk answering it ("k2" = "v", nothing more follows).
+	// the one chunk answering it ("k2" = "v", nothing more follows), and a
+	// recovering donor's refusal of it.
 	f.Add(EncodeMsg(proto.Msg{From: 2, To: 1, Kind: proto.MsgSnapshot, Payload: []byte(`{"Req":true,"Pull":7,"From":"aw=="}`)}))
 	f.Add(EncodeMsg(proto.Msg{From: 1, To: 2, Kind: proto.MsgSnapshot, Payload: []byte(`{"Pull":7,"Entries":[{"Key":"azI=","Value":"dg=="}]}`)}))
+	f.Add(EncodeMsg(proto.Msg{From: 1, To: 2, Kind: proto.MsgSnapshot, Payload: []byte(`{"Refused":true,"Pull":7}`)}))
 	// The client data path: a submit (no sender site), a query and an ack.
 	f.Add(EncodeMsg(proto.Msg{
 		TID: 8, To: 1, Kind: proto.MsgXact,

@@ -124,9 +124,11 @@ func NewNode(opts Options) *Node {
 // Start opens the engine over its log, assembles the site over it, brings
 // the transport and event loop up, and runs recovery as the loop's first
 // event: replay the surviving WAL, resolve in-doubt transactions with
-// MsgInquire frames, and pull missed commits with MsgSnapshot frames. The
-// node reports ready only after recovery and the placement install, so a
-// harness waiting on /health observes a fully recovered site.
+// MsgInquire frames, and pull missed commits with MsgSnapshot frames. Until
+// then the node refuses its peers' snapshot requests, so peers booted with
+// it end their catch-up in one round trip, not after 2T. The node reports
+// ready only after recovery and the placement install, so a harness
+// waiting on /health observes a fully recovered site.
 func (n *Node) Start() error {
 	if n.opts.Protocol == nil {
 		return fmt.Errorf("netnode: nil protocol")

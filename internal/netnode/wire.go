@@ -56,8 +56,11 @@ import (
 // WireVersion is the protocol revision carried in every hello; a receiver
 // rejects connections from any other revision. Version 2 added the slack;
 // version 3 the MsgSnapshot frames of recovery's catch-up, which a version
-// 2 site would never answer.
-const WireVersion = 3
+// 2 site would never answer; version 4 a donor's refusal of a snapshot
+// request, which a version 3 puller would read as an empty last chunk (its
+// Pull matches and it is no request) — and engine.CatchUp reads every key
+// missing from a chunk as a delete.
+const WireVersion = 4
 
 // MaxFrame bounds a frame body. Protocol payloads are transaction bodies
 // (a few hundred bytes of encoded ops); 1 MiB is generous headroom and a
@@ -110,7 +113,7 @@ const (
 )
 
 // WireUpgrade is the Upgrade token of GET /wire; it carries WireVersion.
-const WireUpgrade = "termproto-wire/3"
+const WireUpgrade = "termproto-wire/4"
 
 // tidFrameLen is the size of a query or ack frame body.
 const tidFrameLen = 1 + 8

@@ -34,7 +34,10 @@ func TestHelloRejects(t *testing.T) {
 		// A version 2 site never answers a snapshot request: a restarted
 		// peer would skip its catch-up in silence.
 		"version 2": append([]byte("TPNW"), 0x00, 0x02, 0, 0, 0, 1),
-		"zero site": append([]byte("TPNW"), 0x00, 0x03, 0, 0, 0, 0),
+		// A version 3 puller would read a donor's refusal as an empty last
+		// chunk and delete every key it holds in the chunk's range.
+		"version 3": append([]byte("TPNW"), 0x00, 0x03, 0, 0, 0, 1),
+		"zero site": append([]byte("TPNW"), 0x00, 0x04, 0, 0, 0, 0),
 	}
 	for name, raw := range cases {
 		if _, err := ReadHello(bytes.NewReader(raw)); !errors.Is(err, ErrWire) {

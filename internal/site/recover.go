@@ -17,7 +17,9 @@ import (
 // sender. A step asks every candidate at once and ends when the answers
 // are in or after roundTrip T — the round-trip bound on both clocks (at
 // most T each way on the simulator; a link's hop is at most T/2, and a
-// bounce is back within T). Close silences a machine a crash cut short.
+// bounce is back within T). A donor that cannot donate refuses at once, so
+// only a dead peer, whose requests are dropped in silence, costs the step
+// its timer. Close silences a machine a crash cut short.
 //
 // An answer to an inquiry is an event of its own, not part of a step: a
 // decision that lands after the inquiry step ended — a peer that decided
@@ -37,7 +39,8 @@ type pass struct {
 	// The inquiry step: per unanswered transaction, inquiries not bounced.
 	asking map[proto.TxnID]int
 	// The catch-up step: the source; the request outstanding, by serial
-	// and first key; the donors not bounced until one replied, and it.
+	// and first key; the donors not bounced or refusing until one replied,
+	// and it.
 	src        recovery.CatchUpSource
 	pull       uint64
 	from       string
@@ -51,9 +54,9 @@ type pass struct {
 // its first donor to answer, checkpoint; done gets the stats of this pass
 // — what resolves after its inquiry step shows in Unresolved, Txn and the
 // trace, not in them. Call it on the goroutine that steps the node, before
-// the node takes any message: until done the site donates no snapshot,
-// since its state may lack commits it missed and a puller would take their
-// absence for deletes.
+// the node takes any message: until done the site refuses every snapshot
+// request, since its state may lack commits it missed and a puller would
+// take their absence for deletes.
 func (n *Node) Recover(done func(recovery.Stats, error)) {
 	if n.eng == nil {
 		done(recovery.Stats{}, fmt.Errorf("recovery: site %d has no engine", n.self))
@@ -243,10 +246,11 @@ func (n *Node) recoveryMsg(m proto.Msg) bool {
 }
 
 // snapshot takes a MsgSnapshot. A request is answered with the chunk from
-// its key on, unless this site's own recovery is not done or it has no
-// engine. A chunk or returned request counts only for the request
-// outstanding: before a donor has replied, the source ends once every
-// request came back; after, the donor that replied serves it alone.
+// its key on, or refused at once when this site's own recovery is not done
+// or it has no engine. A chunk, refusal or returned request counts only for
+// the request outstanding, and a refusal counts as its request returned:
+// before a donor has replied, the source ends once every request is
+// refused or back; after, the donor that replied serves it alone.
 func (n *Node) snapshot(p *pass, m proto.Msg) {
 	var s snapMsg
 	switch err := json.Unmarshal(m.Payload, &s); {
@@ -255,11 +259,17 @@ func (n *Node) snapshot(p *pass, m proto.Msg) {
 	case s.Req && !m.Undeliverable:
 		if n.eng != nil && n.serving {
 			n.send(m.From, chunk(s, n.eng))
+		} else {
+			n.send(m.From, snapMsg{Refused: true, Pull: s.Pull})
 		}
 	case p == nil || p.next == nil || s.Pull != p.pull || m.Undeliverable != s.Req:
-		// Not an answer to the request outstanding, or a donated chunk lost.
-	case m.Undeliverable:
-		if p.donor == m.To || p.donor == 0 && p.asked == 1 {
+		// Not an answer to the request outstanding, or a chunk or refusal lost.
+	case m.Undeliverable || s.Refused:
+		donor := m.From
+		if m.Undeliverable {
+			donor = m.To
+		}
+		if p.donor == donor || p.donor == 0 && p.asked == 1 {
 			n.advance(p)
 		} else if p.donor == 0 {
 			p.asked--
@@ -299,11 +309,14 @@ func (n *Node) apply(p *pass, donor proto.SiteID, c snapMsg) {
 }
 
 // snapMsg is a MsgSnapshot payload, as JSON: a request (Req) for the
-// donor's keys from From on, or a chunk answering request Pull — those
-// keys in order, each with its committed value or marked unstable, through
-// the last entry when More follows and to the end when not.
+// donor's keys from From on; a chunk answering request Pull — those keys
+// in order, each with its committed value or marked unstable, through the
+// last entry when More follows and to the end when not; or a refusal of
+// request Pull (Refused), from a donor still recovering or without a
+// database, which carries no entries and must not be read as a chunk.
 type snapMsg struct {
 	Req     bool `json:",omitempty"`
+	Refused bool `json:",omitempty"`
 	Pull    uint64
 	From    []byte      `json:",omitempty"`
 	Entries []snapEntry `json:",omitempty"`

@@ -1,6 +1,7 @@
 package site
 
 import (
+	"encoding/json"
 	"fmt"
 	"maps"
 	"slices"
@@ -17,7 +18,7 @@ import (
 
 // recoverySites is n sites on a hand-driven network (handNet): a site in
 // engs runs over that engine, any other has no database — it answers no
-// inquiry and donates no snapshot.
+// inquiry and refuses every snapshot request.
 func recoverySites(t *testing.T, n int, engs map[proto.SiteID]*engine.Engine) *handSites {
 	h := &handSites{
 		t: t, sched: sim.NewScheduler(), net: &handNet{},
@@ -290,8 +291,9 @@ func TestRecoveryInquiryAnsweredOnceDecided(t *testing.T) {
 	}
 }
 
-// A silent peer is waited for one round trip, 2T, per step: the inquiry
-// step ends at 2T and the catch-up step, every donor silent too, at 4T.
+// A silent peer — one that is down — is waited for one round trip, 2T,
+// per step: the inquiry step ends at 2T and the catch-up step, every donor
+// down too, at 4T.
 func TestRecoverySilentPeerTimesOutAtTwoT(t *testing.T) {
 	h := recoverySites(t, 2, map[proto.SiteID]*engine.Engine{2: inDoubtAt(t, []proto.SiteID{1, 2})})
 	r := h.recover(2)
@@ -408,23 +410,66 @@ func TestRecoveryCatchUpKeepsResolvedCommit(t *testing.T) {
 	}
 }
 
-// A site whose own recovery has not finished does not donate: its state
+// snapsSent decodes every MsgSnapshot site from has sent.
+func (h *handSites) snapsSent(from proto.SiteID) []snapMsg {
+	h.t.Helper()
+	var out []snapMsg
+	for _, m := range h.net.sent {
+		if m.Kind == proto.MsgSnapshot && m.From == from {
+			var s snapMsg
+			if err := json.Unmarshal(m.Payload, &s); err != nil {
+				h.t.Fatalf("snapshot payload from site %d: %v", from, err)
+			}
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// pullOf is the serial of the waiting snapshot request from site from to
+// site to.
+func (h *handSites) pullOf(from, to proto.SiteID) uint64 {
+	h.t.Helper()
+	i := slices.IndexFunc(h.net.out, func(m proto.Msg) bool {
+		return m.Kind == proto.MsgSnapshot && m.From == from && m.To == to
+	})
+	var s snapMsg
+	if i < 0 || json.Unmarshal(h.net.out[i].Payload, &s) != nil || !s.Req {
+		h.t.Fatalf("no snapshot request from site %d to site %d waiting in %+v", from, to, h.net.out)
+	}
+	return s.Pull
+}
+
+// refusal is site from's refusal of site to's snapshot request pull.
+func refusal(from, to proto.SiteID, pull uint64) proto.Msg {
+	payload, _ := json.Marshal(snapMsg{Refused: true, Pull: pull})
+	return proto.Msg{From: from, To: to, Kind: proto.MsgSnapshot, Payload: payload}
+}
+
+// A site whose own recovery has not finished does not donate — its state
 // may lack commits it missed, and a puller would take their absence for
-// deletes. Once it has recovered it answers.
-func TestRecoveryDonorSilentUntilRecovered(t *testing.T) {
+// deletes — and neither does a site without a database: each refuses at
+// once, so the puller ends its catch-up without waiting out 2T. Once
+// recovered, a site answers with a chunk.
+func TestRecoveryDonorRefusesUntilRecovered(t *testing.T) {
 	h := recoverySites(t, 3, map[proto.SiteID]*engine.Engine{
 		2: replica(map[string]int64{"k": 1}, false, 0),
 		3: inDoubtAt(t, []proto.SiteID{1, 3}),
 	})
 	three := h.recover(3) // stays in its inquiry step: site 1 is slow
 	two := h.recover(2)
+	pull := h.pullOf(2, 3)
 	h.deliver(proto.MsgSnapshot, 2, 3)
-	if slices.ContainsFunc(h.net.out, func(m proto.Msg) bool { return m.Kind == proto.MsgSnapshot && m.From == 3 }) {
-		t.Fatal("a recovering site answered a snapshot request")
+	h.deliver(proto.MsgSnapshot, 2, 1) // no database
+	for _, donor := range []proto.SiteID{3, 1} {
+		if got := h.snapsSent(donor); len(got) != 1 || !got[0].Refused || got[0].Pull != pull || len(got[0].Entries) != 0 {
+			t.Fatalf("site %d sent %+v, want exactly one refusal of pull %d", donor, got, pull)
+		}
 	}
-	h.deliver(proto.MsgSnapshot, 2, 1) // no database: silent too
-	for !two.done {
-		h.sched.Step() // site 2's catch-up times out
+	h.deliver(proto.MsgSnapshot, 3, 2)
+	h.deliver(proto.MsgSnapshot, 1, 2)
+	if !two.done || two.at != 0 || two.err != nil {
+		t.Fatalf("site 2's recovery = %+v, want done at once with both donors refusing", two)
 	}
 	if three.done {
 		t.Fatal("site 3 finished without an answer to its inquiry")
@@ -434,8 +479,103 @@ func TestRecoveryDonorSilentUntilRecovered(t *testing.T) {
 		t.Fatal("site 3 did not finish")
 	}
 	h.nodes[3].Deliver(proto.Msg{From: 1, To: 3, Kind: proto.MsgSnapshot, Payload: []byte(`{"Req":true,"Pull":9}`)})
-	if !slices.ContainsFunc(h.net.out, func(m proto.Msg) bool { return m.Kind == proto.MsgSnapshot && m.From == 3 }) {
-		t.Fatal("a recovered site did not answer a snapshot request")
+	got := h.snapsSent(3)
+	if last := got[len(got)-1]; last.Refused || last.Pull != 9 || len(last.Entries) == 0 {
+		t.Fatalf("a recovered site answered %+v, want a chunk of pull 9", last)
+	}
+}
+
+// A cold cluster — every site recovering at once, none able to donate —
+// is ready in one round trip: each request is refused, and every recovery
+// is done once the requests and refusals are delivered, before any timer
+// fires.
+func TestRecoveryColdClusterDoneInOneRoundTrip(t *testing.T) {
+	h := recoverySites(t, 3, map[proto.SiteID]*engine.Engine{
+		1: replica(map[string]int64{"k": 1}, false, 0),
+		2: replica(map[string]int64{"k": 1}, false, 0),
+		3: replica(map[string]int64{"k": 1}, false, 0),
+	})
+	var rs []*recovered
+	for _, id := range roster(3) {
+		rs = append(rs, h.recover(id))
+	}
+	for len(h.net.out) > 0 {
+		m := h.net.out[0]
+		h.net.out = h.net.out[1:]
+		h.nodes[m.To].Deliver(m)
+	}
+	for i, r := range rs {
+		if !r.done || r.at != 0 || r.err != nil || r.st.CaughtUpKeys != 0 {
+			t.Fatalf("site %d's recovery = %+v, want done at 0 with nothing caught up", i+1, r)
+		}
+	}
+	if n := h.sched.Pending(); n != 0 {
+		t.Fatalf("%d timers still armed", n)
+	}
+	for _, id := range roster(3) {
+		for _, s := range h.snapsSent(id) {
+			if !s.Req && !s.Refused {
+				t.Fatalf("site %d donated %+v while recovering", id, s)
+			}
+		}
+	}
+}
+
+// A refusal donates nothing: a puller every donor refuses keeps each of
+// its keys, even ones no donor holds.
+func TestRecoveryRefusedPullerKeepsItsKeys(t *testing.T) {
+	h := recoverySites(t, 3, map[proto.SiteID]*engine.Engine{
+		1: replica(map[string]int64{"acct/a": 1, "acct/b": 2}, false, 0),
+		2: replica(nil, false, 0), // recovering; site 3 has no database
+	})
+	r := h.recover(1)
+	h.recover(2)
+	h.take(proto.MsgSnapshot, 2, 1) // site 2's own pull is still out
+	h.take(proto.MsgSnapshot, 2, 3)
+	h.deliver(proto.MsgSnapshot, 1, 2)
+	h.deliver(proto.MsgSnapshot, 1, 3)
+	h.deliver(proto.MsgSnapshot, 2, 1)
+	h.deliver(proto.MsgSnapshot, 3, 1)
+	if !r.done || r.at != 0 || r.err != nil || r.st.CaughtUpKeys != 0 {
+		t.Fatalf("recovery = %+v, want done at once with nothing caught up", r)
+	}
+	if e := h.engs[1]; e.GetInt("acct/a") != 1 || e.GetInt("acct/b") != 2 {
+		t.Fatalf("acct/a = %d, acct/b = %d after refusals; want 1 and 2", e.GetInt("acct/a"), e.GetInt("acct/b"))
+	}
+}
+
+// A refusal counts only for the request outstanding and only until a
+// donor has replied: one with a stale serial, or one arriving after
+// another donor's first chunk, changes nothing, and the donor that replied
+// serves the whole source.
+func TestRecoveryStaleRefusalIsNoOp(t *testing.T) {
+	donor := engine.New("donor", &wal.MemStore{})
+	for i := 0; i < 1000; i++ {
+		donor.Put(fmt.Sprintf("k%04d", i), make([]byte, 100))
+	}
+	h := recoverySites(t, 3, map[proto.SiteID]*engine.Engine{
+		1: donor, // site 2 has no database
+		3: engine.New("puller", &wal.MemStore{}),
+	})
+	r := h.recover(3)
+	first := h.pullOf(3, 2)
+	h.nodes[3].Deliver(refusal(2, 3, first-1))
+	h.deliver(proto.MsgSnapshot, 3, 2)
+	h.deliver(proto.MsgSnapshot, 2, 3)
+	if r.done {
+		t.Fatalf("recovery = %+v after one refusal of two requests and a stale one, want it waiting on site 1", r)
+	}
+	h.deliver(proto.MsgSnapshot, 3, 1)
+	h.deliver(proto.MsgSnapshot, 1, 3)
+	next := h.pullOf(3, 1)
+	h.nodes[3].Deliver(refusal(2, 3, next))
+	h.nodes[3].Deliver(refusal(2, 3, first))
+	if r.done {
+		t.Fatalf("recovery = %+v after refusals from a donor that did not reply, want it pulling from site 1", r)
+	}
+	h.settle()
+	if want, got := donor.Snapshot(), h.engs[3].Snapshot(); !r.done || len(got) != len(want) {
+		t.Fatalf("recovery = %+v, puller holds %d keys; want all %d of the donor's", r, len(got), len(want))
 	}
 }
 
