@@ -51,7 +51,7 @@ func main() {
 	seed := flag.Int64("seed", 0, "link-delay seed (0 derives one from -id)")
 	blockedSpec := flag.String("blocked", "", "comma-separated peers behind a partition at start-up (a restart during a cut)")
 	placementSpec := flag.String("placement", "", "base64 of the encoded epoch-0 shard assignment (empty: full replication)")
-	traceOut := flag.String("trace-out", "", "export a JSONL trace of protocol events to this file at shutdown (relative paths land in -wal-dir)")
+	traceOut := flag.String("trace-out", "", "append a JSONL trace of protocol events to this file as they happen (relative paths land in -wal-dir)")
 	flag.Parse()
 
 	logger := log.New(os.Stdout, fmt.Sprintf("termnode[%d] ", *id), log.LstdFlags|log.Lmicroseconds)
@@ -131,7 +131,7 @@ func run(id int, addr string, apiPort int, apiAddr, peersSpec, walDir string, cl
 		ID: self, Protocol: protocol, T: t,
 		Addr: addr, Peers: peers,
 		Placement: asg,
-		WALPath:   filepath.Join(walDir, "wal.log"),
+		WALPath:   filepath.Join(walDir, netnode.WALFile),
 		Seed:      seed,
 		Blocked:   blocked,
 		TraceOut:  traceOut,

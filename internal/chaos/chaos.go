@@ -406,7 +406,7 @@ func run(sc Scenario, backend cluster.Backend) (*Result, error) {
 	}
 	// A site that did not come back fails the run with its reason.
 	for _, rep := range c.Recoveries() {
-		if rep.Err != nil {
+		if rep.Err != "" {
 			return nil, fmt.Errorf("chaos: %s", rep)
 		}
 	}

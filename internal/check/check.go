@@ -1,6 +1,7 @@
 // Package check is the offline history checker: it reads an execution
-// trace (an in-memory recording, or the JSONL export of termsim or
-// termnode) plus, when available, the final engine snapshots, and
+// trace (an in-memory recording, or a JSONL trace file of termsim or
+// termnode) plus, when available, each site's final state and durable
+// decisions, and
 // verifies the invariants the termination protocol promises:
 //
 //   - decision agreement — no site commits a transaction another site
@@ -72,14 +73,14 @@ func (v Violation) String() string {
 	return s + ": " + v.Detail
 }
 
-// DefaultBoundSlackT is the default slack added to a §6 case bound, in
+// boundSlackT is what the bound rule adds to a §6 case bound, in
 // multiples of T. The paper states its bounds in idealized timeout
 // periods; the implementation's prepared-state probe and master p1u
 // retries run on a 5T cadence, so a decision that is one probe round
 // late is normal operation (a probe sent just before the partition onset
 // is lost, the next fires 5T later), plus one T for message-latency
 // tails. Waits beyond cadence + bound indicate a genuinely stuck site.
-const DefaultBoundSlackT = 6.0
+const boundSlackT = 6.0
 
 // Conservation parameterizes the workload-conservation rule: summing the
 // authoritative copy of every listed key must yield Total, and no listed
@@ -104,9 +105,6 @@ type Input struct {
 	Events []trace.Event
 	// T is the protocol timeout period in ticks; 0 means sim.DefaultT.
 	T sim.Duration
-	// BoundSlackT is extra allowance on the §6 bounds in multiples of T;
-	// 0 means DefaultBoundSlackT.
-	BoundSlackT float64
 	// SkipBounds disables the §6 bound rule (real-network traces, whose
 	// timing is not tick-deterministic).
 	SkipBounds bool
@@ -126,8 +124,9 @@ type Input struct {
 	// every snapshotted site (full replication).
 	Replicas func(key string) []int
 	// Durable is each site's durable decision map at quiescence
-	// (TID→"commit"/"abort"); nil disables the durable-answer half of the
-	// durability rule.
+	// (TID→"commit"/"abort"), read from what the site's log holds
+	// (Cluster.Evidence replays it); nil disables the durable-answer half
+	// of the durability rule, and a site without an entry is not checked.
 	Durable map[int]map[uint64]string
 	// Conservation enables the conservation rule.
 	Conservation *Conservation
@@ -294,10 +293,6 @@ func checkBounds(in Input) []Violation {
 	if t <= 0 {
 		t = sim.DefaultT
 	}
-	slack := in.BoundSlackT
-	if slack <= 0 {
-		slack = DefaultBoundSlackT
-	}
 	// Partition onsets and per-site crash times, for the skip conditions.
 	var onsets []sim.Time
 	crashes := make(map[int][]sim.Time)
@@ -360,7 +355,7 @@ func checkBounds(in Input) []Violation {
 				onset = at
 			}
 		}
-		allowed := sim.Duration(float64(mult)*float64(t) + slack*float64(t))
+		allowed := sim.Duration(float64(mult)*float64(t) + boundSlackT*float64(t))
 		for _, w := range scenario.WaitsAfter(rec, "pt") {
 			if !w.Decided {
 				continue // blocked/crashed sites are the completeness check's business
@@ -383,7 +378,7 @@ func checkBounds(in Input) []Violation {
 				out = append(out, Violation{
 					Rule: RuleBound, TID: tid, Site: w.Site,
 					Detail: fmt.Sprintf("case %s wait %d ticks exceeds bound %dT+%.0fT slack (= %d ticks)",
-						c, wait, mult, slack, allowed),
+						c, wait, mult, boundSlackT, allowed),
 					Events: sub,
 				})
 			}

@@ -40,6 +40,7 @@ import (
 
 	"termproto/internal/check"
 	"termproto/internal/db/engine"
+	"termproto/internal/db/wal"
 	"termproto/internal/obs"
 	"termproto/internal/placement"
 	"termproto/internal/proto"
@@ -355,11 +356,12 @@ type Backend interface {
 	// Recoveries returns the durable recoveries run so far, in execution
 	// order.
 	Recoveries() []RecoveryReport
-	// RecoveryCount is len(Recoveries()) without the copy — the cheap
-	// form stats aggregation uses.
-	RecoveryCount() int
 	// MetricsSnapshots returns every running site's metrics snapshot.
 	MetricsSnapshots() []obs.Snapshot
+	// evidence is the backend's share of Cluster.Evidence: the trace and
+	// how to time it (Events, T, SkipBounds), and every site's write-ahead
+	// log as it stands.
+	evidence() (check.Input, []siteLog)
 	// Close releases the runtime. No calls may follow.
 	Close() error
 }
@@ -737,7 +739,7 @@ func (c *Cluster) Stats() Stats {
 	defer c.mu.Unlock()
 	st := Stats{
 		Submitted:    len(c.order),
-		Recoveries:   c.backend.RecoveryCount(),
+		Recoveries:   len(c.backend.Recoveries()),
 		ShardsMoved:  c.shardsMoved,
 		KeysMigrated: c.keysMigrated,
 		Net:          c.backend.NetStats(),
@@ -763,19 +765,33 @@ func (c *Cluster) Stats() Stats {
 	return st
 }
 
+// siteLog is one site's write-ahead log as a backend found it; up marks a
+// site whose replayed log is also its committed snapshot.
+type siteLog struct {
+	id   proto.SiteID
+	data []byte
+	up   bool
+}
+
 // Evidence is the run's evidence as internal/check reads it: each
 // transaction's master, from the results; under a Directory, each key's
-// replica set at the current epoch (nil is full replication); and what
-// the backend keeps. On the simulator that is every engine's committed
-// state, the keys its in-flight transactions hold and its durable
-// decisions, plus the recorded trace (SimOptions.RecordTrace). On the net
-// backend it is each live daemon's committed state and held keys —
-// before Close as they stand, after it as read just before the graceful
-// shutdown — plus, after Close, the daemons' merged traces, whose
-// wall-clock timing skips the §6 bounds. Call after Wait.
+// replica set at the current epoch (nil is full replication); the trace
+// (SimOptions.RecordTrace on the simulator; after Close on the net
+// backend, the daemons' trace files merged, whose wall-clock timing skips
+// the §6 bounds); and what each site durably holds. That is read from its
+// write-ahead log alone, replaying a copy through engine.Recover, the code
+// a restart runs: every engine's store on the simulator, each daemon's WAL
+// file on the net backend. The replay gives Durable at every site with a
+// log, a daemon killed and never restarted included, and Snapshots and
+// Unstable at every engine on the simulator and every daemon up at the
+// end. A log that cannot be read or replayed holds nothing, so its site's
+// traced decisions read as not durable. After a SIGKILL the page cache
+// keeps the bytes a daemon wrote and did not sync, so a daemon's log
+// proves less than a power loss would. Call after Wait.
 func (c *Cluster) Evidence() check.Input {
 	results := c.Results()
-	in := check.Input{Masters: make(map[uint64]int, len(results))}
+	in, logs := c.backend.evidence()
+	in.Masters = make(map[uint64]int, len(results))
 	for _, r := range results {
 		in.Masters[uint64(r.TID)] = int(r.Master)
 	}
@@ -790,32 +806,26 @@ func (c *Cluster) Evidence() check.Input {
 			return out
 		}
 	}
-	switch b := c.backend.(type) {
-	case *SimBackend:
-		in.T = b.opts.T
-		if b.rec != nil {
-			in.Events = b.rec.Events()
+	in.Snapshots = make(map[int]map[string][]byte)
+	in.Unstable = make(map[int]map[string]bool)
+	in.Durable = make(map[int]map[uint64]string)
+	for _, l := range logs {
+		durable := make(map[uint64]string)
+		in.Durable[int(l.id)] = durable
+		store := &wal.MemStore{}
+		store.Replace(l.data) //nolint:errcheck // a MemStore's never fails
+		e, _, err := engine.Recover(fmt.Sprintf("site-%d-log", l.id), store)
+		if err != nil {
+			continue
 		}
-		in.Snapshots = make(map[int]map[string][]byte)
-		in.Unstable = make(map[int]map[string]bool)
-		in.Durable = make(map[int]map[uint64]string)
-		for id, e := range c.cfg.Engines {
-			if e == nil {
-				continue
+		for _, r := range results {
+			if o, ok := e.Outcome(uint64(r.TID)); ok {
+				durable[uint64(r.TID)] = o.String()
 			}
-			in.Snapshots[int(id)], in.Unstable[int(id)] = e.StableSnapshot()
-			durable := make(map[uint64]string)
-			for _, r := range results {
-				if o, ok := e.Outcome(uint64(r.TID)); ok {
-					durable[uint64(r.TID)] = o.String()
-				}
-			}
-			in.Durable[int(id)] = durable
 		}
-	case *NetBackend:
-		in.SkipBounds = true
-		st := b.state()
-		in.Snapshots, in.Unstable, in.Events = st.snaps, st.unstable, st.events
+		if l.up {
+			in.Snapshots[int(l.id)], in.Unstable[int(l.id)] = e.StableSnapshot()
+		}
 	}
 	return in
 }

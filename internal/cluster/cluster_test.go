@@ -149,7 +149,7 @@ func TestLiveConcurrentTxnsUnderPartitionHeal(t *testing.T) {
 	if st.Committed+st.Aborted != txns || st.Inconsistent != 0 {
 		t.Fatalf("stats: %v", st)
 	}
-	snaps := nb.state().snaps
+	snaps := daemonSnapshots(t, nb)
 	if len(snaps) != sites {
 		t.Fatalf("snapshots from %d/%d nodes", len(snaps), sites)
 	}
@@ -396,7 +396,7 @@ func TestLiveCrashedParticipantExcluded(t *testing.T) {
 	if s, ok := r.Sites[4]; ok {
 		t.Errorf("site 4 outside the roster has an outcome: %+v", s)
 	}
-	snaps := nb.state().snaps
+	snaps := daemonSnapshots(t, nb)
 	if len(snaps) != 3 {
 		t.Fatalf("snapshots from %d/3 live nodes", len(snaps))
 	}

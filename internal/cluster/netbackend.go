@@ -8,13 +8,13 @@ import (
 	"sort"
 	"time"
 
+	"termproto/internal/check"
 	"termproto/internal/netnode"
 	"termproto/internal/netnode/harness"
 	"termproto/internal/obs"
 	"termproto/internal/placement"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/registry"
-	"termproto/internal/recovery"
 	"termproto/internal/sim"
 	"termproto/internal/site"
 	"termproto/internal/trace"
@@ -42,9 +42,10 @@ type NetOptions struct {
 // the fidelity ladder — sim (deterministic), net (processes) — and the
 // same Cluster API drives both.
 //
-// Every daemon runs with -trace-out, so Close leaves each node's trace in
-// its workspace, and Cluster.Evidence reads the daemons' state over the
-// admin API.
+// Every daemon streams its trace to its workspace (-trace-out), so a
+// killed incarnation leaves what it traced and a restarted one appends;
+// Close merges the files, and Cluster.Evidence replays each daemon's WAL
+// file. Open clears the workspace of every site it spawns.
 //
 // Unsupported with this backend: Engines (the engines live in the daemon
 // processes; inspect them through the admin API) and membership
@@ -63,17 +64,9 @@ type NetBackend struct {
 	opts NetOptions
 	net  *harness.Localnet
 	dir  string
-	// final is what the daemons left when Close stopped them; nil before.
-	final *daemonState
-}
-
-// daemonState is what a verdict on a net run reads from the daemons: each
-// live daemon's committed state and the keys its in-flight transactions
-// hold, and the daemons' merged traces.
-type daemonState struct {
-	snaps    map[int]map[string][]byte
-	unstable map[int]map[string]bool
-	events   []trace.Event
+	// events is the daemons' trace files merged, read when Close stopped
+	// them; nil before.
+	events []trace.Event
 }
 
 // NewNetBackend returns a multi-process backend.
@@ -146,6 +139,13 @@ func (b *NetBackend) boot(cfg Config) error {
 			return err
 		}
 	}
+	// A reused workdir holds an earlier run's logs and traces, and TIDs
+	// restart at 1: each site starts from an empty workspace.
+	for id := 1; id <= cfg.Sites; id++ {
+		if err := netnode.ClearWorkspace(harness.NodeDir(dir, proto.SiteID(id))); err != nil {
+			return err
+		}
+	}
 	net, err := harness.Start(harness.Options{
 		N: cfg.Sites, ProtoName: cfg.Protocol.Name(), T: b.opts.T,
 		Dir: dir, Seed: b.opts.Seed,
@@ -195,18 +195,12 @@ func (b *NetBackend) crash(id proto.SiteID) {
 // MsgSnapshot frames over TCP.
 func (b *NetBackend) restart(id proto.SiteID, at sim.Time) (*RecoveryReport, bool) {
 	rep := &RecoveryReport{Site: id, At: at}
-	if rep.Err = b.net.Restart(id); rep.Err != nil {
+	if err := b.net.Restart(id); err != nil {
+		rep.Err = err.Error()
 		return rep, false // the site stays down
 	}
-	if dto, err := b.net.Client(id).Recovery(); err == nil {
-		rep.Stats = recovery.Stats{
-			Replayed: dto.Replayed, InDoubt: dto.InDoubt,
-			ResolvedCommit: dto.ResolvedCommit, ResolvedAbort: dto.ResolvedAbort,
-			Unresolved: dto.Unresolved, CaughtUpKeys: dto.CaughtUpKeys,
-		}
-		if dto.Err != "" {
-			rep.Err = errors.New(dto.Err)
-		}
+	if st, err := b.net.Client(id).Recovery(); err == nil {
+		rep.Stats = st
 	}
 	return rep, true
 }
@@ -281,49 +275,43 @@ func (b *NetBackend) MetricsSnapshots() []obs.Snapshot {
 	return out
 }
 
-// traceFile is where each daemon exports its trace, in its workspace.
+// traceFile is the file each daemon streams its trace to, in its
+// workspace.
 const traceFile = "trace.jsonl"
 
-// state is the daemons' evidence: after Close what they left, before it
-// their state as it stands, without traces.
-func (b *NetBackend) state() daemonState {
-	if b.final != nil {
-		return *b.final
+// evidence implements Backend: the merged trace, once Close has read it,
+// and each daemon's WAL file as it stands.
+func (b *NetBackend) evidence() (check.Input, []siteLog) {
+	in := check.Input{Events: b.events, SkipBounds: true}
+	if b.net == nil {
+		return in, nil
 	}
-	st := daemonState{snaps: make(map[int]map[string][]byte), unstable: make(map[int]map[string]bool)}
-	b.eachAlive(func(id proto.SiteID, c *netnode.Client) {
-		if snap, unstable, err := c.Snapshot(); err == nil {
-			st.snaps[int(id)], st.unstable[int(id)] = snap, unstable
-		}
-	})
-	return st
+	var logs []siteLog
+	for _, id := range b.net.Sites() {
+		// A log that cannot be read holds nothing.
+		data, _ := os.ReadFile(filepath.Join(harness.NodeDir(b.dir, id), netnode.WALFile))
+		logs = append(logs, siteLog{id: id, data: data, up: b.up(id)})
+	}
+	return in, logs
 }
 
-// close implements wallSites. Workspace directories (WALs, per-node logs,
-// traces) are left on disk.
-func (b *NetBackend) close() {
-	final := b.state()
-	// Graceful: SIGTERM lets each daemon flush its WAL and export its
-	// trace; stragglers are killed after the grace.
+// close implements wallSites: a graceful stop, then the daemons' trace
+// files merged into one timeline. A file that is missing or does not
+// parse is an error naming it: every daemon creates its file as it
+// starts. Workspace directories are left on disk.
+func (b *NetBackend) close() error {
 	b.net.Shutdown(10 * time.Second)
-	final.events = mergeNodeTraces(b.dir, b.net.Sites())
-	b.final = &final
-}
-
-// mergeNodeTraces reads every node's trace under the localnet root and
-// merges them into one timeline. A node that died without exporting
-// (SIGKILL) contributes nothing.
-func mergeNodeTraces(workdir string, sites []proto.SiteID) []trace.Event {
-	var all []trace.Event
-	for _, id := range sites {
-		evs, err := trace.ReadJSONLFile(filepath.Join(workdir, fmt.Sprintf("node-%d", id), traceFile))
+	var errs []error
+	for _, id := range b.net.Sites() {
+		path := filepath.Join(harness.NodeDir(b.dir, id), traceFile)
+		evs, err := trace.ReadJSONLFile(path)
 		if err != nil {
-			continue
+			errs = append(errs, fmt.Errorf("net backend: trace of site %d: %w", id, err))
 		}
-		all = append(all, evs...)
+		b.events = append(b.events, evs...)
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].At < all[j].At })
-	return all
+	sort.SliceStable(b.events, func(i, j int) bool { return b.events[i].At < b.events[j].At })
+	return errors.Join(errs...)
 }
 
 var (

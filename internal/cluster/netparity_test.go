@@ -2,11 +2,17 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"termproto/internal/core"
 	"termproto/internal/db/engine"
+	"termproto/internal/netnode"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/registry"
 	"termproto/internal/protocol/threepc"
@@ -31,6 +37,21 @@ func netBackend(t *testing.T) *NetBackend {
 // exercise the daemons' engines sends one of these.
 func put(key string) []byte {
 	return engine.EncodeOps([]engine.Op{{Kind: engine.OpPut, Key: key, Value: []byte("v")}})
+}
+
+// daemonSnapshots reads each running daemon's committed state over its
+// admin API.
+func daemonSnapshots(t *testing.T, nb *NetBackend) map[int]map[string][]byte {
+	t.Helper()
+	out := make(map[int]map[string][]byte)
+	nb.eachAlive(func(id proto.SiteID, c *netnode.Client) {
+		snap, _, err := c.Snapshot()
+		if err != nil {
+			t.Fatalf("snapshot of site %d: %v", id, err)
+		}
+		out[int(id)] = snap
+	})
+	return out
 }
 
 func parityBatch() []Txn {
@@ -78,8 +99,9 @@ func TestNetParityOutcomes(t *testing.T) {
 		}
 	}
 	mustVerify(t, netC)
-	// Verify compared the daemons' replicas; these are the values.
-	snaps := nb.state().snaps
+	// Verify compared the daemons' replicas, replayed from their logs;
+	// these are the values they serve.
+	snaps := daemonSnapshots(t, nb)
 	if len(snaps) != 3 {
 		t.Fatalf("snapshots from %d/3 nodes", len(snaps))
 	}
@@ -95,10 +117,11 @@ func TestNetParityOutcomes(t *testing.T) {
 	}
 }
 
-// TestNetEvidenceFromDaemons: a net run's evidence is the daemons' own.
-// After a fault-free batch it holds one snapshot per live daemon; Close
-// adds the traces the daemons export as they stop, merged, in which every
-// transaction decides; and Verify finds nothing either time.
+// TestNetEvidenceFromDaemons: a net run's evidence is what the daemons
+// leave. After a fault-free batch it holds one snapshot and one durable
+// decision map per daemon, replayed from its WAL file; Close adds the
+// trace files the daemons stream, merged, in which every transaction
+// decides; and Verify finds nothing either time.
 func TestNetEvidenceFromDaemons(t *testing.T) {
 	c, rs := runBatch(t, netBackend(t), parityBatch())
 	in := c.Evidence()
@@ -114,6 +137,11 @@ func TestNetEvidenceFromDaemons(t *testing.T) {
 	if len(in.Snapshots) != 3 || len(in.Events) == 0 {
 		t.Fatalf("after Close: %d snapshots, %d events", len(in.Snapshots), len(in.Events))
 	}
+	for id := 1; id <= 3; id++ {
+		if d := in.Durable[id]; len(d) != len(rs) {
+			t.Errorf("site %d's log holds %d durable decisions (%v), want %d", id, len(d), d, len(rs))
+		}
+	}
 	decided := make(map[uint64]bool)
 	for _, e := range in.Events {
 		if e.Kind == trace.Decide {
@@ -126,6 +154,108 @@ func TestNetEvidenceFromDaemons(t *testing.T) {
 		}
 	}
 	mustVerify(t, c)
+}
+
+// TestNetKilledIncarnationLeavesItsTrace: a SIGKILLed daemon leaves what it
+// traced and what it logged. Site 1 decides two transactions and is
+// killed; its restarted incarnation decides a third. Site 3 is killed at
+// the end and never restarted. The merged trace holds site 1's decisions
+// from both incarnations, site 3's log is its durable evidence though it
+// has no snapshot, and Verify finds nothing.
+func TestNetKilledIncarnationLeavesItsTrace(t *testing.T) {
+	c, err := Open(Config{Sites: 3, Protocol: core.Protocol{TransientFix: true}, Backend: netBackend(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	wait := func() {
+		t.Helper()
+		if err := c.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs, err := c.SubmitBatch([]Txn{{Master: 1, Payload: put("a")}, {Master: 1, Payload: put("b")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first Wait sees every site, site 1 included, decide both; the
+	// second covers the scheduled recovery.
+	wait()
+	c.Inject(CrashAt(c.Now(), 1))                          //nolint:errcheck // never fails
+	c.Inject(RecoverAt(c.Now()+sim.Time(sim.DefaultT), 1)) //nolint:errcheck // never fails
+	wait()
+	third, err := c.Submit(Txn{Master: 2, Payload: put("c")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait()
+	c.Inject(CrashAt(c.Now(), 3)) //nolint:errcheck // never fails
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rs = append(rs, third)
+	in := c.Evidence()
+	decided := make(map[uint64]string)
+	for _, e := range in.Events {
+		if e.Kind == trace.Decide && e.Site == 1 {
+			decided[e.TID] = e.Outcome
+		}
+	}
+	for _, r := range rs {
+		if r.Outcome() != proto.Commit || decided[uint64(r.TID)] != "commit" {
+			t.Errorf("txn %d: %v, site 1 traced %q; want commit traced", r.TID, r.Outcome(), decided[uint64(r.TID)])
+		}
+		if in.Durable[3][uint64(r.TID)] != "commit" {
+			t.Errorf("txn %d: killed site 3's log holds %q, want commit", r.TID, in.Durable[3][uint64(r.TID)])
+		}
+	}
+	if _, ok := in.Snapshots[3]; ok || len(in.Snapshots) != 2 {
+		t.Errorf("snapshots of sites %v, want 1 and 2: site 3 is down", slices.Sorted(maps.Keys(in.Snapshots)))
+	}
+	mustVerify(t, c)
+}
+
+// TestNetWorkdirReuseStartsFresh: two runs in one workdir, writing
+// different keys. Transaction IDs restart at 1, so daemons that kept the
+// first run's logs would answer the second run from them; each run starts
+// from empty workspaces instead, Verify finds nothing in either, and the
+// second holds none of the first run's keys.
+func TestNetWorkdirReuseStartsFresh(t *testing.T) {
+	dir := t.TempDir()
+	for run, keys := range [][]string{{"a", "b", "c", "d"}, {"e", "f", "g", "h"}} {
+		batch := parityBatch()
+		for i := range batch {
+			batch[i].Payload = put(keys[i])
+		}
+		c, _ := runBatch(t, NewNetBackend(NetOptions{T: netT, Workdir: dir, Seed: 11}), batch)
+		if err := c.Close(); err != nil {
+			t.Fatalf("run %d: %v", run+1, err)
+		}
+		for _, v := range c.Verify() {
+			t.Errorf("run %d: %v", run+1, v)
+		}
+		for id, snap := range c.Evidence().Snapshots {
+			for key := range snap {
+				if !slices.Contains(keys, key) && !engine.IsMetaKey(key) {
+					t.Errorf("run %d: site %d holds %q, which only an earlier run wrote", run+1, id, key)
+				}
+			}
+		}
+	}
+}
+
+// TestNetUnreadableTraceFailsClose: a daemon's trace file that cannot be
+// read is an error of Close naming it, not a hole in the evidence.
+func TestNetUnreadableTraceFailsClose(t *testing.T) {
+	nb := netBackend(t)
+	c, _ := runBatch(t, nb, parityBatch()[:1])
+	path := filepath.Join(nb.Workdir(), "node-2", "trace.jsonl")
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("Close = %v, want an error naming %s", err, path)
+	}
 }
 
 // TestNetParityTransientPartition scripts the paper's transient-partition
@@ -189,7 +319,7 @@ func TestNetCrashAfterPrepared(t *testing.T) {
 	if len(recs) != 1 || recs[0].Site != 1 {
 		t.Fatalf("recoveries = %v, want one for site 1", recs)
 	}
-	if recs[0].Err != nil {
+	if recs[0].Err != "" {
 		t.Fatalf("recovery failed: %+v", recs[0])
 	}
 	mustVerify(t, c)
@@ -212,7 +342,7 @@ func TestNetCrashAfterPrepared(t *testing.T) {
 	if dto, err := nb.net.Client(1).Txn(r.TID); err != nil || parseOutcome(dto.Outcome) != outcome {
 		t.Fatalf("site 1 holds %q (%v), the slaves %v", dto.Outcome, err, outcome)
 	}
-	for id, snap := range nb.state().snaps {
+	for id, snap := range daemonSnapshots(t, nb) {
 		got := string(snap["crash"])
 		if outcome == proto.Commit && got != "v" {
 			t.Errorf("site %d: crash = %q after commit", id, got)
@@ -259,11 +389,11 @@ func TestNetCrashedParticipantExcluded(t *testing.T) {
 		}
 	}
 	recs := c.Recoveries()
-	if len(recs) != 1 || recs[0].Site != 3 || recs[0].Err != nil {
+	if len(recs) != 1 || recs[0].Site != 3 || recs[0].Err != "" {
 		t.Fatalf("recoveries = %v, want one clean recovery of site 3", recs)
 	}
 	t.Logf("recovery: %s", recs[0])
-	snaps := nb.state().snaps
+	snaps := daemonSnapshots(t, nb)
 	for _, id := range []proto.SiteID{1, 2, 3} {
 		if got := string(snaps[int(id)]["missed"]); got != "v" {
 			t.Errorf("site %d: missed = %q, want \"v\" (site 3 by catch-up)", id, got)
@@ -301,7 +431,7 @@ func netInDoubtRestart(t *testing.T, nb *NetBackend, key string, sched Schedule)
 		return nil, RecoveryReport{}, fmt.Errorf("txn aborted (slow delivery): %v", r.Outcome())
 	}
 	reps := c.Recoveries()
-	if len(reps) != 1 || reps[0].Site != 3 || reps[0].Err != nil {
+	if len(reps) != 1 || reps[0].Site != 3 || reps[0].Err != "" {
 		t.Fatalf("recoveries = %v, want one clean recovery of site 3", reps)
 	}
 	if reps[0].Stats.InDoubt != 1 {
@@ -343,7 +473,7 @@ func TestLiveRecoveryResolvesInDoubt(t *testing.T) {
 		if got := r.Sites[3]; got.Outcome != proto.Commit {
 			t.Errorf("site 3 after its recovery: %+v, want commit", got)
 		}
-		for id, snap := range nb.state().snaps {
+		for id, snap := range daemonSnapshots(t, nb) {
 			if got := string(snap["doubt"]); got != "v" {
 				t.Errorf("site %d: doubt = %q, want \"v\"", id, got)
 			}
@@ -370,7 +500,7 @@ func TestNetRecoveryCoordinatorUnreachable(t *testing.T) {
 		if rep.Stats.ResolvedCommit != 1 || rep.Stats.Unresolved != 0 {
 			t.Fatalf("in-doubt txn not resolved to the survivors' commit: %v", rep.Stats)
 		}
-		for id, snap := range nb.state().snaps {
+		for id, snap := range daemonSnapshots(t, nb) {
 			if got := string(snap["cut"]); got != "v" {
 				t.Errorf("site %d: cut = %q, want \"v\"", id, got)
 			}
@@ -413,7 +543,7 @@ func TestNetHealRetryResolvesUnresolved(t *testing.T) {
 		if dto, err := nb.net.Client(3).InDoubt(); err != nil || len(dto.InDoubt)+len(dto.Pending) != 0 {
 			t.Errorf("site 3 /indoubt after the heal = %+v (%v), want empty", dto, err)
 		}
-		for id, snap := range nb.state().snaps {
+		for id, snap := range daemonSnapshots(t, nb) {
 			if got := string(snap["heal"]); got != "v" {
 				t.Errorf("site %d: heal = %q, want \"v\" (site 3 by the heal's re-ask)", id, got)
 			}

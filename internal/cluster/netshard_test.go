@@ -95,7 +95,7 @@ func TestNetParityShardedPlacement(t *testing.T) {
 
 	// Each daemon holds exactly its shards: committed keys appear at
 	// their replicas and nowhere else, and every node reports epoch 0.
-	snaps := nb.state().snaps
+	snaps := daemonSnapshots(t, nb)
 	if len(snaps) != 3 {
 		t.Fatalf("snapshots from %d/3 nodes", len(snaps))
 	}
@@ -181,7 +181,7 @@ func TestNetShardedRestartRecoversEpochFromWAL(t *testing.T) {
 		t.Fatalf("outcomes: pre-crash=%v post-recovery=%v, want commits", r1.Outcome(), r2.Outcome())
 	}
 	recs := c.Recoveries()
-	if len(recs) != 1 || recs[0].Site != victim || recs[0].Err != nil {
+	if len(recs) != 1 || recs[0].Site != victim || recs[0].Err != "" {
 		t.Fatalf("recoveries = %+v, want one clean recovery of site %d", recs, victim)
 	}
 

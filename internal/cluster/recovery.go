@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"termproto/internal/proto"
-	"termproto/internal/recovery"
 	"termproto/internal/sim"
+	"termproto/internal/site"
 )
 
 // RecoveryReport is one site restart's recovery pass as observed by the
@@ -19,16 +19,16 @@ type RecoveryReport struct {
 	// time).
 	At sim.Time
 	// Done is the timeline position it finished at, round trips later.
-	Done  sim.Time
-	Stats recovery.Stats
-	// Err is non-nil when the replay itself failed (corrupt log).
-	Err error
+	Done sim.Time
+	// Stats is what the pass did; its Err also says why a site did not
+	// come back.
+	site.Stats
 }
 
 // String renders the report in one line.
 func (r RecoveryReport) String() string {
-	if r.Err != nil {
-		return fmt.Sprintf("site %d recovery at t=%d failed: %v", r.Site, r.At, r.Err)
+	if r.Err != "" {
+		return fmt.Sprintf("site %d recovery at t=%d failed: %s", r.Site, r.At, r.Err)
 	}
 	return fmt.Sprintf("site %d recovered at t=%d done t=%d: %s", r.Site, r.At, r.Done, r.Stats)
 }

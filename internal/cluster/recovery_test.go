@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"termproto/internal/check"
 	"termproto/internal/core"
 	"termproto/internal/db/engine"
 	"termproto/internal/db/wal"
@@ -96,7 +98,7 @@ func recoveryScenario(t *testing.T, masterCut bool) {
 		t.Fatalf("recoveries = %d, want 1 (%v)", len(reps), reps)
 	}
 	rep := reps[0]
-	if rep.Site != 5 || rep.Err != nil {
+	if rep.Site != 5 || rep.Err != "" {
 		t.Fatalf("recovery report: %v", rep)
 	}
 	if rep.Stats.InDoubt != 1 || rep.Stats.ResolvedCommit != 1 || rep.Stats.Unresolved != 0 {
@@ -390,7 +392,7 @@ func TestSimRecoveryShardedCatchUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	reps := c.Recoveries()
-	if len(reps) != 1 || reps[0].Err != nil {
+	if len(reps) != 1 || reps[0].Err != "" {
 		t.Fatalf("recoveries: %v", reps)
 	}
 	if reps[0].Stats.Unresolved != 0 {
@@ -399,5 +401,60 @@ func TestSimRecoveryShardedCatchUp(t *testing.T) {
 	mustVerify(t, c)
 	if len(engs[6].InDoubt()) != 0 {
 		t.Fatalf("site 6 still in doubt: %v", engs[6].InDoubt())
+	}
+}
+
+// refuseAborts is a log store that refuses every write holding an abort
+// record.
+type refuseAborts struct{ wal.MemStore }
+
+func (s *refuseAborts) Write(p []byte) (int, error) {
+	recs, _ := wal.Scan(p)
+	for _, r := range recs {
+		if r.Type == wal.RecAbort {
+			return 0, errors.New("abort record refused")
+		}
+	}
+	return s.MemStore.Write(p)
+}
+
+// TestSimDurabilityReadsTheLog: a decision is durable when the site's log
+// holds it, whatever its engine remembers. Site 2 prepares, site 3 votes
+// no, and site 2's store refuses the abort record its engine then caches
+// all the same: the replay of its log finds the transaction prepared and
+// undecided, and Verify says so.
+func TestSimDurabilityReadsTheLog(t *testing.T) {
+	engines := map[proto.SiteID]*engine.Engine{
+		1: engine.New("site-1", &wal.MemStore{}),
+		2: engine.New("site-2", &refuseAborts{}),
+	}
+	c, err := Open(Config{
+		Sites: 3, Protocol: core.Protocol{TransientFix: true},
+		Engines: engines, Votes: NoAt(3),
+		Backend: NewSimBackend(SimOptions{RecordTrace: true}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r, err := c.Submit(Txn{Master: 1, Payload: put("k")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	tid := uint64(r.TID)
+	if o, ok := engines[2].Outcome(tid); r.Outcome() != proto.Abort || !ok || o != proto.Abort {
+		t.Fatalf("txn %d: %v, site 2's engine holds %v (%v); want abort in both", tid, r.Outcome(), o, ok)
+	}
+	vs := c.Verify()
+	for _, v := range vs {
+		if v.Rule != check.RuleDurability || v.Site != 2 || v.TID != tid || !strings.Contains(v.Detail, "not durable at quiescence") {
+			t.Errorf("unexpected violation: %v", v)
+		}
+	}
+	if len(vs) != 1 {
+		t.Fatalf("Verify = %v, want site 2's abort reported not durable", vs)
 	}
 }

@@ -3,9 +3,9 @@ package cluster
 import (
 	"fmt"
 
+	"termproto/internal/check"
 	"termproto/internal/obs"
 	"termproto/internal/proto"
-	"termproto/internal/recovery"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
 	"termproto/internal/site"
@@ -207,8 +207,8 @@ func (b *SimBackend) scheduleRecover(id proto.SiteID, at sim.Time) {
 		at = b.sched.Now()
 	}
 	b.sched.At(at, sim.PriRestart, func() {
-		b.nodes[id].Recover(func(st recovery.Stats, err error) {
-			b.recoveries = append(b.recoveries, RecoveryReport{Site: id, At: at, Done: b.sched.Now(), Stats: st, Err: err})
+		b.nodes[id].Recover(func(st site.Stats) {
+			b.recoveries = append(b.recoveries, RecoveryReport{Site: id, At: at, Done: b.sched.Now(), Stats: st})
 		})
 	})
 }
@@ -408,9 +408,6 @@ func (b *SimBackend) Recoveries() []RecoveryReport {
 	return append([]RecoveryReport(nil), b.recoveries...)
 }
 
-// RecoveryCount implements Backend.
-func (b *SimBackend) RecoveryCount() int { return len(b.recoveries) }
-
 // Now implements Backend.
 func (b *SimBackend) Now() sim.Time {
 	if b.sched == nil {
@@ -436,6 +433,24 @@ func (b *SimBackend) NetStats() NetStats {
 		st.MsgsSent, st.MsgsDelivered, st.MsgsBounced, st.MsgsDropped = b.net.Stats()
 	}
 	return st
+}
+
+// evidence implements Backend: the recorded trace, timed in the
+// simulator's T, and each engine's log as it stands — a crashed site's
+// included, as what its restart would replay.
+func (b *SimBackend) evidence() (check.Input, []siteLog) {
+	in := check.Input{T: b.opts.T}
+	if b.rec != nil {
+		in.Events = b.rec.Events()
+	}
+	var logs []siteLog
+	for id, e := range b.cfg.Engines {
+		if e != nil {
+			data, _ := e.LogContents() // a log that cannot be read holds nothing
+			logs = append(logs, siteLog{id: id, data: data, up: true})
+		}
+	}
+	return in, logs
 }
 
 // Close implements Backend.

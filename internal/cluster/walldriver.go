@@ -36,7 +36,9 @@ type wallSites interface {
 	restart(id proto.SiteID, at sim.Time) (rep *RecoveryReport, up bool)
 	// stats sums the live sites' network counters.
 	stats() NetStats
-	close()
+	// close stops the sites; an error is evidence they left that could
+	// not be read.
+	close() error
 }
 
 // waitDeadlineT bounds each Wait, in units of T: transactions still
@@ -384,11 +386,11 @@ func (d *wallDriver) Recoveries() []RecoveryReport {
 	return append([]RecoveryReport(nil), d.recoveries...)
 }
 
-// RecoveryCount implements Backend.
-func (d *wallDriver) RecoveryCount() int {
+// up reports whether a site is up: never crashed, or restarted since.
+func (d *wallDriver) up(id proto.SiteID) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.recoveries)
+	return !d.down[id]
 }
 
 // NetStats implements Backend: counters summed over the live sites; after
@@ -403,7 +405,8 @@ func (d *wallDriver) NetStats() NetStats {
 }
 
 // Close implements Backend: it fills the final automaton states into all
-// results, freezes the counters and stops the sites.
+// results, freezes the counters and stops the sites, returning what
+// stopping them returns.
 func (d *wallDriver) Close() error {
 	if d.closed.Swap(true) || d.startedAt.IsZero() {
 		return nil
@@ -413,6 +416,5 @@ func (d *wallDriver) Close() error {
 	d.mu.Lock()
 	d.finalStats = final
 	d.mu.Unlock()
-	d.sites.close()
-	return nil
+	return d.sites.close()
 }

@@ -24,11 +24,11 @@ type fakeSites struct {
 	// answer scripts status; nil decides commit everywhere at once.
 	answer func(id proto.SiteID, tid proto.TxnID) (site.Status, bool, error)
 	// restartErr makes restart fail.
-	restartErr error
+	restartErr string
 }
 
 func (f *fakeSites) boot(Config) error { return nil }
-func (f *fakeSites) close()            {}
+func (f *fakeSites) close() error      { return nil }
 func (f *fakeSites) stats() NetStats   { return NetStats{} }
 
 func (f *fakeSites) submit(spec site.Spec) error {
@@ -61,8 +61,8 @@ func (f *fakeSites) restart(id proto.SiteID, at sim.Time) (*RecoveryReport, bool
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.restarts++
-	if f.restartErr != nil {
-		return &RecoveryReport{Site: id, At: at, Err: f.restartErr}, false
+	if f.restartErr != "" {
+		return &RecoveryReport{Site: id, At: at, Stats: site.Stats{Err: f.restartErr}}, false
 	}
 	return nil, true
 }
@@ -295,16 +295,16 @@ func TestWallDriverStatusErrorKeepsPolling(t *testing.T) {
 // A recovery for a site that is not down does nothing; a failed restart
 // leaves the site down and records why.
 func TestWallDriverRestart(t *testing.T) {
-	f := &fakeSites{restartErr: errors.New("no such binary")}
+	f := &fakeSites{restartErr: "no such binary"}
 	d := fakeDriver(t, f)
 	d.Inject(RecoverAt(0, 2))
-	if f.restarts != 0 || d.RecoveryCount() != 0 {
-		t.Fatalf("recovering a live site: %d restarts, %d reports", f.restarts, d.RecoveryCount())
+	if f.restarts != 0 || len(d.Recoveries()) != 0 {
+		t.Fatalf("recovering a live site: %d restarts, %d reports", f.restarts, len(d.Recoveries()))
 	}
 	d.Inject(CrashAt(0, 2))
 	d.Inject(RecoverAt(0, 2))
 	recs := d.Recoveries()
-	if f.restarts != 1 || len(recs) != 1 || recs[0].Site != 2 || recs[0].Err == nil {
+	if f.restarts != 1 || len(recs) != 1 || recs[0].Site != 2 || recs[0].Err == "" {
 		t.Fatalf("failed restart: %d restarts, reports %v", f.restarts, recs)
 	}
 	res := submitTo(t, d, 1, 1, 0)
@@ -314,10 +314,10 @@ func TestWallDriverRestart(t *testing.T) {
 	if !res.Sites[2].Crashed || !reflect.DeepEqual(f.submitted[0].Sites, []proto.SiteID{1, 3}) {
 		t.Errorf("site 2 should still be down: %+v, roster %v", res.Sites[2], f.submitted[0].Sites)
 	}
-	f.restartErr = nil
+	f.restartErr = ""
 	d.Inject(RecoverAt(0, 2))
-	if d.RecoveryCount() != 1 || d.down[2] {
-		t.Errorf("second restart: %d reports, down=%v", d.RecoveryCount(), d.down[2])
+	if len(d.Recoveries()) != 1 || d.down[2] {
+		t.Errorf("second restart: %d reports, down=%v", len(d.Recoveries()), d.down[2])
 	}
 }
 

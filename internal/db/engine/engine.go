@@ -772,6 +772,10 @@ func (e *Engine) Stats() (voteYes, voteNo, commits, aborts uint64) {
 // log locks internally; e.mu is not needed.
 func (e *Engine) WALStats() wal.Stats { return e.log.Stats() }
 
+// LogContents returns the engine's write-ahead log as it stands:
+// what the site durably holds, which Recover rebuilds an engine from.
+func (e *Engine) LogContents() ([]byte, error) { return e.log.Contents() }
+
 // CatchUp reconciles this site's committed state with a replica snapshot
 // — the anti-entropy pull a recovering site runs to pick up commits it
 // missed while down. Only keys inside include (nil = all) and hosted

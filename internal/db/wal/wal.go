@@ -440,14 +440,23 @@ func Scan(raw []byte) ([]Record, error) {
 	return out, nil
 }
 
-// ScanStore reads and decodes the store's contents, under l.mu so that no
-// append is in progress while it reads.
-func (l *Log) ScanStore() ([]Record, error) {
+// Contents returns the store's contents, read under l.mu so
+// that no append is in progress while it reads.
+func (l *Log) Contents() ([]byte, error) {
 	l.mu.Lock()
 	raw, err := l.store.Contents()
 	l.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("wal: read store: %w", err)
+	}
+	return raw, nil
+}
+
+// ScanStore reads and decodes the store's contents (Contents, then Scan).
+func (l *Log) ScanStore() ([]Record, error) {
+	raw, err := l.Contents()
+	if err != nil {
+		return nil, err
 	}
 	return Scan(raw)
 }

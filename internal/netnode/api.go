@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"termproto/internal/proto"
-	"termproto/internal/recovery"
 	"termproto/internal/site"
 )
 
@@ -153,26 +152,8 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, dto)
 }
 
-func recoveryDTO(st *recovery.Stats, err error) RecoveryDTO {
-	dto := RecoveryDTO{}
-	if err != nil {
-		dto.Err = err.Error()
-	}
-	if st != nil {
-		dto.Ran = true
-		dto.Replayed = st.Replayed
-		dto.InDoubt = st.InDoubt
-		dto.ResolvedCommit = st.ResolvedCommit
-		dto.ResolvedAbort = st.ResolvedAbort
-		dto.Unresolved = st.Unresolved
-		dto.CaughtUpKeys = st.CaughtUpKeys
-	}
-	return dto
-}
-
 func (n *Node) handleRecovery(w http.ResponseWriter, _ *http.Request) {
-	st, err := n.RecoveryResult()
-	writeJSON(w, recoveryDTO(st, err))
+	writeJSON(w, n.RecoveryResult())
 }
 
 // handleWire turns the request's connection into a client's data path

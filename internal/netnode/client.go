@@ -13,6 +13,7 @@ import (
 
 	"termproto/internal/obs"
 	"termproto/internal/proto"
+	"termproto/internal/site"
 )
 
 // The admin API's JSON vocabulary, shared by the server (api.go), the Go
@@ -84,19 +85,6 @@ type InDoubtDTO struct {
 type SnapshotDTO struct {
 	Data     map[string][]byte `json:"data"`
 	Unstable []string          `json:"unstable,omitempty"`
-}
-
-// RecoveryDTO is GET /recovery: the startup pass. What resolves after it
-// shows in GET /indoubt and the transaction's own view.
-type RecoveryDTO struct {
-	Ran            bool   `json:"ran"`
-	Err            string `json:"err,omitempty"`
-	Replayed       int    `json:"replayed"`
-	InDoubt        int    `json:"inDoubt"`
-	ResolvedCommit int    `json:"resolvedCommit"`
-	ResolvedAbort  int    `json:"resolvedAbort"`
-	Unresolved     int    `json:"unresolved"`
-	CaughtUpKeys   int    `json:"caughtUpKeys"`
 }
 
 // SubmitReq is Client.Submit: start a transaction with this node as
@@ -313,9 +301,9 @@ func (c *Client) Metrics() (obs.Snapshot, error) {
 	return out, err
 }
 
-// Recovery returns the node's startup recovery result.
-func (c *Client) Recovery() (RecoveryDTO, error) {
-	var out RecoveryDTO
+// Recovery returns the node's startup recovery report (GET /recovery).
+func (c *Client) Recovery() (site.Stats, error) {
+	var out site.Stats
 	err := c.get("/recovery", &out)
 	return out, err
 }

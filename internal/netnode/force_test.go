@@ -2,6 +2,7 @@ package netnode
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -58,7 +59,7 @@ func TestMasterSendsNoPrepareBeforeItsForce(t *testing.T) {
 			dir := t.TempDir()
 			nodes, _ := startNodesWith(t, 3, []wal.Store{master, &wal.MemStore{}, &wal.MemStore{}}, false, func(o *Options) {
 				o.Protocol = protocol
-				o.TraceOut = filepath.Join(dir, "trace.jsonl") // what turns the recorder on
+				o.TraceOut = filepath.Join(dir, fmt.Sprintf("trace-%d.jsonl", o.ID))
 			})
 			master.mu.Lock()
 			before := len(master.returned) // start-up may have written a checkpoint
@@ -72,7 +73,11 @@ func TestMasterSendsNoPrepareBeforeItsForce(t *testing.T) {
 			forced := master.returned[before].UnixMicro() // the prepare fragment is the first append since
 			master.mu.Unlock()
 			xacts, later := 0, 0
-			for _, ev := range nodes[0].TraceEvents() {
+			events, err := trace.ReadJSONLFile(filepath.Join(dir, "trace-1.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range events {
 				if ev.Kind != trace.Send || ev.TID != 1 {
 					continue
 				}

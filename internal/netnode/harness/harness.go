@@ -168,15 +168,17 @@ func Start(opts Options) (*Localnet, error) {
 	return l, nil
 }
 
-func (l *Localnet) nodeDir(id proto.SiteID) string {
-	return filepath.Join(l.opts.Dir, fmt.Sprintf("node-%d", id))
+// NodeDir is site id's workspace under a localnet root: its WAL, log and
+// trace.
+func NodeDir(root string, id proto.SiteID) string {
+	return filepath.Join(root, fmt.Sprintf("node-%d", id))
 }
 
 // spawn launches one site's process against its workspace directory,
 // appending stdout+stderr to node.log so restarts keep one continuous
 // per-node history.
 func (l *Localnet) spawn(id proto.SiteID) error {
-	dir := l.nodeDir(id)
+	dir := NodeDir(l.opts.Dir, id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -372,7 +374,7 @@ func (l *Localnet) ClearData(id proto.SiteID) error {
 	if running {
 		return fmt.Errorf("harness: site %d is running; kill it before clearing", id)
 	}
-	return netnode.ClearWorkspace(l.nodeDir(id))
+	return netnode.ClearWorkspace(NodeDir(l.opts.Dir, id))
 }
 
 // Partition cuts group g2 off from the rest of the localnet, both
@@ -435,7 +437,7 @@ func (l *Localnet) Alive(id proto.SiteID) bool {
 
 // LogTail returns the last n lines of a site's log.
 func (l *Localnet) LogTail(id proto.SiteID, n int) string {
-	data, err := os.ReadFile(filepath.Join(l.nodeDir(id), "node.log"))
+	data, err := os.ReadFile(filepath.Join(NodeDir(l.opts.Dir, id), "node.log"))
 	if err != nil {
 		return fmt.Sprintf("(no log: %v)", err)
 	}
@@ -521,10 +523,9 @@ func (l *Localnet) Stop() {
 }
 
 // Shutdown stops every remaining process gracefully: SIGTERM first so
-// each daemon runs its close hooks (final WAL flush, -trace-out export),
-// escalating to SIGKILL for any process still alive after the grace
-// period. Use instead of Stop when the daemons' shutdown artifacts
-// matter.
+// each daemon runs its close hooks (closing its WAL and trace files and
+// logging its exit), escalating to SIGKILL for any process still alive
+// after the grace period.
 func (l *Localnet) Shutdown(grace time.Duration) {
 	l.closeClients()
 	l.mu.Lock()

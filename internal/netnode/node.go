@@ -16,11 +16,13 @@ import (
 	"termproto/internal/obs"
 	"termproto/internal/placement"
 	"termproto/internal/proto"
-	"termproto/internal/recovery"
 	"termproto/internal/sim"
 	"termproto/internal/site"
 	"termproto/internal/trace"
 )
+
+// WALFile is the name of a daemon's write-ahead log in its workspace.
+const WALFile = "wal.log"
 
 // Options parameterizes one site process.
 type Options struct {
@@ -53,11 +55,12 @@ type Options struct {
 	// Blocked is the partition in force at start-up (a restart during a
 	// cut): the link bounces from the first message recovery sends.
 	Blocked []proto.SiteID
-	// TraceOut, when set, makes the node record its protocol-visible
-	// events (automaton state transitions, decisions) and export them as
-	// a JSONL trace (trace.WriteJSONL) to this path at Close. Relative
-	// paths are the caller's working directory — cmd/termnode resolves
-	// them under the node's workspace.
+	// TraceOut, when set, is a JSONL trace file the node appends each
+	// protocol-visible event to as it happens — state transitions,
+	// decisions and the link's wire events — one line, one write
+	// (trace.OpenJSONL): a SIGKILLed incarnation leaves all it traced, and
+	// a restarted one appends. Relative paths are the caller's working
+	// directory — cmd/termnode resolves them under the node's workspace.
 	TraceOut string
 	// Logf receives diagnostic lines; nil discards them.
 	Logf func(format string, args ...any)
@@ -65,7 +68,7 @@ type Options struct {
 
 // Node is one site of the termination protocol as a network process: a
 // site.Node stepped by a site.Loop over a TCP transport, plus what is the
-// daemon's own — the WAL file, the admin API, the trace export.
+// daemon's own — the WAL file, the admin API, the trace file.
 // cmd/termnode wraps it in a daemon; tests can run several in one process
 // over real sockets.
 type Node struct {
@@ -79,10 +82,14 @@ type Node struct {
 	wg   sync.WaitGroup
 
 	mu       sync.Mutex
-	recStats *recovery.Stats // startup recovery result
-	recErr   error
+	recovery site.Stats // the startup recovery's report; Ran is false until it ends
 	api      *http.Server
 	closed   bool
+	// traceOut is the Options.TraceOut file (nil when off or closed) and
+	// traceLine the line being written to it, under mu: events arrive from
+	// the loop, link-timer and connection goroutines.
+	traceOut  *os.File
+	traceLine []byte
 	// wires are the connections handleWire hijacked from the API server,
 	// which no longer closes them; their handlers are counted in wg.
 	wires map[net.Conn]struct{}
@@ -92,12 +99,6 @@ type Node struct {
 	// reg is the node's metrics registry, seeded with the full catalog at
 	// Start so the daemon's /metrics family set matches the simulator's.
 	reg *obs.Registry
-	// rec records protocol-visible events for Options.TraceOut (nil when
-	// tracing is off). Wire-level events arrive from the link's timer and
-	// connection goroutines, state events from the loop goroutine, so
-	// every append and read goes through recMu (via the trace method).
-	recMu sync.Mutex
-	rec   *trace.Recorder
 }
 
 // ClearWorkspace removes a site's workspace directory — its WAL and any
@@ -142,7 +143,11 @@ func (n *Node) Start() error {
 	n.reg = obs.New()
 	obs.RegisterBase(n.reg)
 	if n.opts.TraceOut != "" {
-		n.rec = &trace.Recorder{}
+		f, err := trace.OpenJSONL(n.opts.TraceOut)
+		if err != nil {
+			return err
+		}
+		n.traceOut = f
 	}
 	store := n.opts.Store
 	if store == nil {
@@ -166,7 +171,7 @@ func (n *Node) Start() error {
 	s.Engine, s.Trace = n.eng, n.protocolEvent
 	n.site = site.NewNode(s, n.opts.Protocol, slices.Sorted(maps.Keys(n.opts.Peers)), dir, n.reg)
 	n.tr = newTransport(n.opts.ID, n.opts.T, n.opts.Seed, n.opts.Peers, n.loop.Deliver, n.opts.Logf)
-	if n.rec != nil {
+	if n.traceOut != nil {
 		n.tr.Trace = n.trace
 	}
 	n.tr.setMetrics(n.reg)
@@ -175,9 +180,9 @@ func (n *Node) Start() error {
 	// no peer's frame reaches the site before its replay.
 	recovered := make(chan struct{})
 	n.loop.Do(func() {
-		n.site.Recover(func(st recovery.Stats, err error) {
+		n.site.Recover(func(st site.Stats) {
 			n.mu.Lock()
-			n.recStats, n.recErr = &st, err
+			n.recovery = st
 			n.mu.Unlock()
 			close(recovered)
 		})
@@ -189,8 +194,8 @@ func (n *Node) Start() error {
 	n.addr = addr
 	n.loop.Start(n.site, n.tr)
 	<-recovered
-	if st, err := n.RecoveryResult(); err != nil {
-		n.opts.Logf("recovery failed: %v", err)
+	if st := n.RecoveryResult(); st.Err != "" {
+		n.opts.Logf("%s", st.Err)
 	} else if st.Replayed+st.InDoubt+st.CaughtUpKeys > 0 {
 		n.opts.Logf("recovered: %s", st)
 	}
@@ -214,12 +219,12 @@ func (n *Node) Engine() *engine.Engine { return n.eng }
 // Ready reports whether startup (including recovery) has finished.
 func (n *Node) Ready() bool { return n.ready.Load() }
 
-// RecoveryResult returns the startup recovery outcome (nil stats before
-// Start finishes).
-func (n *Node) RecoveryResult() (*recovery.Stats, error) {
+// RecoveryResult returns the startup recovery's report (Ran is false
+// before it ends): GET /recovery.
+func (n *Node) RecoveryResult() site.Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.recStats, n.recErr
+	return n.recovery
 }
 
 // Submit starts a transaction with this site as master. The roster and
@@ -273,7 +278,7 @@ func (n *Node) Counters() (sent, delivered, bounced, dropped uint64) {
 func (n *Node) Txn(tid proto.TxnID) (st site.Status, started bool) { return n.site.Txn(tid) }
 
 // Close stops the loop, the transport and every automaton timer, and
-// closes the log file.
+// closes the log and trace files.
 func (n *Node) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -297,22 +302,20 @@ func (n *Node) Close() {
 	if n.file != nil {
 		n.file.Close()
 	}
-	if n.rec != nil && n.opts.TraceOut != "" {
-		n.recMu.Lock()
-		events := n.rec.Events()
-		n.recMu.Unlock()
-		if err := trace.WriteJSONLFile(n.opts.TraceOut, events); err != nil {
-			n.opts.Logf("trace export failed: %v", err)
-		} else {
-			n.opts.Logf("trace: %d events -> %s", len(events), n.opts.TraceOut)
+	n.mu.Lock()
+	if n.traceOut != nil {
+		if err := n.traceOut.Close(); err != nil {
+			n.opts.Logf("trace: %v", err)
 		}
+		n.traceOut = nil
 	}
+	n.mu.Unlock()
 }
 
 // protocolEvent is the site loop's trace sink. Free-form notes go to the
-// node log; state transitions and decisions go to the -trace-out recorder,
+// node log; state transitions and decisions go to the -trace-out file,
 // whose vocabulary is exactly those plus the link's wire events — timer
-// actions stay out of the export.
+// actions stay out of it.
 func (n *Node) protocolEvent(ev trace.Event) {
 	switch ev.Kind {
 	case trace.Note:
@@ -322,16 +325,20 @@ func (n *Node) protocolEvent(ev trace.Event) {
 	}
 }
 
-// trace appends one event to the recorder under recMu; a no-op when
-// tracing is off. Safe from any goroutine — the transport emits wire
-// events from its timer and connection goroutines.
+// trace writes one event's line to the trace file under mu: one write, no
+// buffer, so the file holds every event traced before a SIGKILL. A no-op
+// when tracing is off or the node closed. Safe from any goroutine — the
+// transport emits wire events from its timer and connection goroutines.
 func (n *Node) trace(ev trace.Event) {
-	if n.rec == nil {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.traceOut == nil {
 		return
 	}
-	n.recMu.Lock()
-	n.rec.Append(ev)
-	n.recMu.Unlock()
+	n.traceLine = trace.AppendJSONL(n.traceLine[:0], ev)
+	if _, err := n.traceOut.Write(n.traceLine); err != nil {
+		n.opts.Logf("trace: %v", err)
+	}
 }
 
 // MetricsSnapshot returns a point-in-time snapshot of the node's
@@ -342,15 +349,4 @@ func (n *Node) MetricsSnapshot() obs.Snapshot {
 		return obs.Snapshot{}
 	}
 	return n.reg.Snapshot()
-}
-
-// TraceEvents returns the recorded trace (nil when tracing is off).
-// Stable only after Close.
-func (n *Node) TraceEvents() []trace.Event {
-	if n.rec == nil {
-		return nil
-	}
-	n.recMu.Lock()
-	defer n.recMu.Unlock()
-	return n.rec.Events()
 }

@@ -5,6 +5,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"termproto/internal/db/engine"
 	"termproto/internal/db/wal"
 	"termproto/internal/proto"
+	"termproto/internal/trace"
 )
 
 const testT = 30 * time.Millisecond
@@ -194,11 +197,11 @@ func TestNodeStartupRecovery(t *testing.T) {
 	}
 
 	nodes, _ := startNodes(t, 3, stores, true) // site 1 starts last and recovers
-	st, err := nodes[0].RecoveryResult()
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
+	st := nodes[0].RecoveryResult()
+	if st.Err != "" {
+		t.Fatal(st.Err)
 	}
-	if st == nil || st.InDoubt != 1 || st.ResolvedCommit != 1 {
+	if !st.Ran || st.InDoubt != 1 || st.ResolvedCommit != 1 {
 		t.Fatalf("recovery stats = %+v, want in-doubt 1 resolved-commit 1", st)
 	}
 	if o, ok := nodes[0].Engine().Outcome(7); !ok || o != proto.Commit {
@@ -237,8 +240,8 @@ func TestNodeLiftedBlockAsksAgain(t *testing.T) {
 			o.Blocked = []proto.SiteID{2, 3}
 		}
 	})
-	if st, err := nodes[0].RecoveryResult(); err != nil || st.InDoubt != 1 || st.Unresolved != 1 {
-		t.Fatalf("recovery behind the cut = %+v (%v), want txn 7 left in doubt", st, err)
+	if st := nodes[0].RecoveryResult(); st.Err != "" || st.InDoubt != 1 || st.Unresolved != 1 {
+		t.Fatalf("recovery behind the cut = %+v, want txn 7 left in doubt", st)
 	}
 	for _, node := range nodes[1:] {
 		node.SetBlocked(nil, time.Time{})
@@ -301,5 +304,61 @@ func TestPartitionInputsValidated(t *testing.T) {
 			node.Close()
 			t.Errorf("a node started with -blocked %v", blocked)
 		}
+	}
+}
+
+// A node streams its trace: every event is in its -trace-out file once it
+// is traced, with the nodes still running, and a second incarnation of a
+// site appends to the same file under the first one's header.
+func TestNodeTraceStreams(t *testing.T) {
+	dir := t.TempDir()
+	path := func(id proto.SiteID) string { return filepath.Join(dir, fmt.Sprintf("trace-%d.jsonl", id)) }
+	nodes, _ := startNodesWith(t, 3, memStores(3), false, func(o *Options) { o.TraceOut = path(o.ID) })
+	ops := engine.EncodeOps([]engine.Op{{Kind: engine.OpPut, Key: "k", Value: []byte("v")}})
+	all := []proto.SiteID{1, 2, 3}
+	decides := func(id proto.SiteID) map[uint64]string {
+		t.Helper()
+		events, err := trace.ReadJSONLFile(path(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[uint64]string)
+		for _, e := range events {
+			if e.Kind == trace.Decide && e.Site == int(id) {
+				out[e.TID] = e.Outcome
+			}
+		}
+		return out
+	}
+	if err := nodes[0].Submit(1, 1, all, nil, ops); err != nil {
+		t.Fatal(err)
+	}
+	waitDecided(t, nodes, 1, proto.Commit)
+	for _, n := range nodes {
+		if got := decides(n.opts.ID); got[1] != "commit" {
+			t.Fatalf("site %d's trace file holds decisions %v while it runs, want txn 1 committed", n.opts.ID, got)
+		}
+	}
+
+	opts := nodes[2].opts
+	nodes[2].Close()
+	again := NewNode(opts)
+	if err := again.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(again.Close)
+	if err := nodes[0].Submit(2, 1, all, nil, ops); err != nil {
+		t.Fatal(err)
+	}
+	waitDecided(t, []*Node{nodes[0], nodes[1], again}, 2, proto.Commit)
+	if got := decides(3); got[1] != "commit" || got[2] != "commit" {
+		t.Fatalf("site 3's trace file holds decisions %v over two incarnations, want txns 1 and 2 committed", got)
+	}
+	raw, err := os.ReadFile(path(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(raw), `"kind":"termproto-trace"`); n != 1 {
+		t.Fatalf("site 3's trace file holds %d headers, want 1", n)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"termproto/internal/db/wal"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/twopc"
-	"termproto/internal/recovery"
 )
 
 const liveT = 5 * time.Millisecond
@@ -185,13 +184,13 @@ func TestLiveTwoPCBlocksUnderPartition(t *testing.T) {
 }
 
 // recoverOn runs site id's recovery on its loop and waits for it.
-func (m *mesh) recoverOn(t *testing.T, id proto.SiteID) recovery.Stats {
+func (m *mesh) recoverOn(t *testing.T, id proto.SiteID) Stats {
 	t.Helper()
-	done := make(chan recovery.Stats, 1)
+	done := make(chan Stats, 1)
 	m.loops[id].Do(func() {
-		m.nodes[id].Recover(func(st recovery.Stats, err error) {
-			if err != nil {
-				t.Errorf("site %d recovery: %v", id, err)
+		m.nodes[id].Recover(func(st Stats) {
+			if st.Err != "" {
+				t.Errorf("site %d %s", id, st.Err)
 			}
 			done <- st
 		})

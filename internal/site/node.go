@@ -8,7 +8,6 @@ import (
 	"termproto/internal/obs"
 	"termproto/internal/placement"
 	"termproto/internal/proto"
-	"termproto/internal/recovery"
 	"termproto/internal/sim"
 )
 
@@ -120,15 +119,6 @@ func (n *Node) InstallPlacement() int {
 			wrote++
 		}
 	}
-}
-
-// plan is the site's recovery over the directory's current assignment.
-func (n *Node) plan() ([]proto.SiteID, []recovery.CatchUpSource) {
-	var asg *placement.Assignment
-	if n.dir != nil {
-		_, asg = n.dir.Current()
-	}
-	return recovery.Plan(n.self, n.sites, asg)
 }
 
 // Deliver hands the node a message from the transport: an answer that

@@ -10,7 +10,6 @@ import (
 	"termproto/internal/obs"
 	"termproto/internal/placement"
 	"termproto/internal/proto"
-	"termproto/internal/recovery"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
 	"termproto/internal/trace"
@@ -146,12 +145,11 @@ func TestNodeRecoverThenRetryInDoubt(t *testing.T) {
 		net.Register(id, nodes[id])
 	}
 	net.Cut(0, 2)
-	var st recovery.Stats
-	var err error
-	nodes[1].Recover(func(s recovery.Stats, e error) { st, err = s, e })
+	var st Stats
+	nodes[1].Recover(func(s Stats) { st = s })
 	sched.Run()
-	if err != nil || st.InDoubt != 1 || st.Unresolved != 1 || len(nodes[1].Unresolved()) != 1 {
-		t.Fatalf("recovery = %v (%v), pending %v; want txn 5 left in doubt", st, err, nodes[1].Unresolved())
+	if st.Err != "" || st.InDoubt != 1 || st.Unresolved != 1 || len(nodes[1].Unresolved()) != 1 {
+		t.Fatalf("recovery = %v (%q), pending %v; want txn 5 left in doubt", st, st.Err, nodes[1].Unresolved())
 	}
 	if len(rec.Messages(trace.Bounce, "inquire")) != 1 {
 		t.Fatalf("the inquiry across the cut did not bounce:\n%s", rec.Dump())

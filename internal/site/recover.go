@@ -8,24 +8,124 @@ import (
 
 	"termproto/internal/db/engine"
 	"termproto/internal/proto"
-	"termproto/internal/recovery"
 )
 
-// Recovery (internal/recovery) is a step machine on the site's own clock
-// and transport, so both backends run it alike and its messages meet the
-// paper's network: each is delivered within the bound or returned to its
-// sender. A step asks every candidate at once and ends when the answers
-// are in or after roundTrip T — the round-trip bound on both clocks (at
-// most T each way on the simulator; a link's hop is at most T/2, and a
-// bounce is back within T). A donor that cannot donate refuses at once, so
-// only a dead peer, whose requests are dropped in silence, costs the step
-// its timer. Close silences a machine a crash cut short.
+// Recovery is what a restarting site does to become a current, consistent
+// replica again. It runs three phases, in order:
+//
+//  1. Replay — the stable log is replayed (engine.RecoverInPlace):
+//     committed transactions and directly-applied writes are redone,
+//     aborted ones discarded, and prepared-but-undecided transactions
+//     surface as in-doubt with their locks re-taken.
+//
+//  2. In-doubt resolution — the inquiry round of the paper's termination
+//     protocol (§5.3 probe, §7 recovery): the site asks the members of the
+//     transaction's participant set (recorded in its own begin record) for
+//     their durable decision and adopts the first answer. A restarted site
+//     has lost its timers, but the termination protocol guarantees the
+//     survivors decided, so any participant holding a decision — the
+//     coordinator or not — is authoritative. One whose every inquiry
+//     bounced or met a round trip's silence stays in doubt, locks held, as
+//     the paper prescribes for a minority islet, until an answer lands:
+//     one from a member that decided late, or one the next heal edge's
+//     re-ask draws.
+//
+//  3. Catch-up — commits the site missed while down are pulled from a
+//     current replica of each catch-up source (under sharded placement,
+//     each hosted shard) and reconciled into the local store: idempotent,
+//     WAL-logged, skipping keys still locked by in-doubt transactions.
+//
+// It is a step machine on the site's own clock and transport, so both
+// backends run it alike and its messages meet the paper's network: each is
+// delivered within the bound or returned to its sender. A step asks every
+// candidate at once and ends when the answers are in or after roundTrip T —
+// the round-trip bound on both clocks (at most T each way on the
+// simulator; a link's hop is at most T/2, and a bounce is back within T). A
+// donor that cannot donate refuses at once, so only a dead peer, whose
+// requests are dropped in silence, costs the step its timer. Close
+// silences a machine a crash cut short.
 //
 // An answer to an inquiry is an event of its own, not part of a step: a
 // decision that lands after the inquiry step ended — a peer that decided
 // late, or one a heal brought back in reach — resolves the transaction all
 // the same (resolve). The heal edge only asks again (RetryInDoubt).
 const roundTrip = 2
+
+// Stats is one recovery pass's report, and what a daemon's GET /recovery
+// serves.
+type Stats struct {
+	// Ran is set once the pass has ended; Err says why it failed (a
+	// corrupt log, a failed checkpoint), empty when it did not.
+	Ran bool   `json:"ran"`
+	Err string `json:"err,omitempty"`
+	// Replayed counts committed transactions redone from the local log.
+	Replayed int `json:"replayed"`
+	// InDoubt counts prepared-but-undecided transactions found in the log.
+	InDoubt int `json:"inDoubt"`
+	// ResolvedCommit / ResolvedAbort count in-doubt transactions resolved
+	// through the inquiry round.
+	ResolvedCommit int `json:"resolvedCommit"`
+	ResolvedAbort  int `json:"resolvedAbort"`
+	// Unresolved counts in-doubt transactions the inquiry round left
+	// unanswered; they keep their locks until an answer lands.
+	Unresolved int `json:"unresolved"`
+	// CaughtUpKeys counts keys changed by the catch-up pull.
+	CaughtUpKeys int `json:"caughtUpKeys"`
+}
+
+// String renders the counts in one line.
+func (s Stats) String() string {
+	return fmt.Sprintf("replayed=%d in-doubt=%d resolved-commit=%d resolved-abort=%d unresolved=%d caught-up=%d",
+		s.Replayed, s.InDoubt, s.ResolvedCommit, s.ResolvedAbort, s.Unresolved, s.CaughtUpKeys)
+}
+
+// catchUpSource names one unit of catch-up: donors able to serve it and
+// the key subset they are authoritative for (nil = every key the
+// recovering site hosts).
+type catchUpSource struct {
+	donors  []proto.SiteID
+	include func(key string) bool
+}
+
+// plan assembles the site's recovery over the directory's current
+// assignment, the same way on every runtime: all is whom to ask about an
+// in-doubt transaction whose begin record carries no roster, and srcs the
+// sources to catch up from. Under full replication every site is
+// interrogated and the whole keyspace is caught up from any other site.
+// Under sharded placement both are scoped to the site's replica groups:
+// only the assignment's members are interrogated — a transaction with no
+// logged roster can only have run at sites that replicate some shard, so
+// asking provisioned-but-empty capacity is pure heal-time retry traffic —
+// and each hosted shard is one catch-up source, pulled from its other
+// replicas. A site that slept through a rebalance catches up the shards it
+// hosts now, from their replicas now.
+func (n *Node) plan() (all []proto.SiteID, srcs []catchUpSource) {
+	if n.dir == nil {
+		return n.sites, []catchUpSource{{donors: without(n.sites, n.self)}}
+	}
+	_, asg := n.dir.Current()
+	if all = asg.Members(); len(all) == 0 {
+		all = n.sites
+	}
+	for s := 0; s < asg.Shards(); s++ {
+		replicas := asg.Replicas(s)
+		donors := without(replicas, n.self)
+		if len(donors) == len(replicas) {
+			continue // not hosted here
+		}
+		shard := s
+		srcs = append(srcs, catchUpSource{
+			donors:  donors,
+			include: func(key string) bool { return asg.ShardOf(key) == shard },
+		})
+	}
+	return all, srcs
+}
+
+// without returns ids minus id, order kept.
+func without(ids []proto.SiteID, id proto.SiteID) []proto.SiteID {
+	return slices.DeleteFunc(slices.Clone(ids), func(x proto.SiteID) bool { return x == id })
+}
 
 // chunkBudget bounds the entries of one snapshot chunk, in bytes — far
 // under any transport's frame limit (the TCP codec's is 1 MiB). A chunk
@@ -34,14 +134,14 @@ const chunkBudget = 64 << 10
 
 // pass is one run of the step machine: a restart's Recover.
 type pass struct {
-	st  recovery.Stats
+	st  Stats
 	err error
 	// The inquiry step: per unanswered transaction, inquiries not bounced.
 	asking map[proto.TxnID]int
 	// The catch-up step: the source; the request outstanding, by serial
 	// and first key; the donors not bounced or refusing until one replied,
 	// and it.
-	src        recovery.CatchUpSource
+	src        catchUpSource
 	pull       uint64
 	from       string
 	asked      int
@@ -51,26 +151,26 @@ type pass struct {
 
 // Recover runs the site's recovery: replay the log, ask each in-doubt
 // transaction's roster for its decision, pull each catch-up source from
-// its first donor to answer, checkpoint; done gets the stats of this pass
-// — what resolves after its inquiry step shows in Unresolved, Txn and the
-// trace, not in them. Call it on the goroutine that steps the node, before
+// its first donor to answer, checkpoint; done gets the report of this pass,
+// Ran set and Err naming a failure — what resolves after its inquiry step
+// shows in Unresolved, Txn and the trace, not in it. Call it on the goroutine that steps the node, before
 // the node takes any message: until done the site refuses every snapshot
 // request, since its state may lack commits it missed and a puller would
 // take their absence for deletes.
-func (n *Node) Recover(done func(recovery.Stats, error)) {
+func (n *Node) Recover(done func(Stats)) {
 	if n.eng == nil {
-		done(recovery.Stats{}, fmt.Errorf("recovery: site %d has no engine", n.self))
+		done(Stats{Ran: true, Err: fmt.Sprintf("recovery: site %d has no engine", n.self)})
 		return
 	}
 	n.serving = false
 	info, err := n.eng.RecoverInPlace()
 	if err != nil {
-		done(recovery.Stats{}, fmt.Errorf("recovery: %w", err))
+		done(Stats{Ran: true, Err: fmt.Sprintf("recovery: %v", err)})
 		return
 	}
 	_, srcs := n.plan()
 	// Serials from the restart's instant: no earlier incarnation's match.
-	p := &pass{st: recovery.Stats{Replayed: info.Replayed, InDoubt: len(info.InDoubt)}, pull: uint64(n.clock.Now())}
+	p := &pass{st: Stats{Ran: true, Replayed: info.Replayed, InDoubt: len(info.InDoubt)}, pull: uint64(n.clock.Now())}
 	n.rec = p
 	n.inquire(p, info.InDoubt, func() {
 		n.catchUp(p, srcs, func() {
@@ -78,10 +178,10 @@ func (n *Node) Recover(done func(recovery.Stats, error)) {
 				p.err = n.eng.Checkpoint()
 			}
 			if n.serving = p.err == nil; !n.serving {
-				p.err = fmt.Errorf("recovery: %w", p.err)
+				p.st.Err = fmt.Sprintf("recovery: %v", p.err)
 			}
 			n.rec = nil
-			done(p.st, p.err)
+			done(p.st)
 		})
 	})
 }
@@ -186,12 +286,12 @@ func (n *Node) resolve(m proto.Msg) bool {
 }
 
 // catchUp pulls each source in turn, then runs next.
-func (n *Node) catchUp(p *pass, srcs []recovery.CatchUpSource, next func()) {
+func (n *Node) catchUp(p *pass, srcs []catchUpSource, next func()) {
 	for len(srcs) > 0 && p.err == nil {
 		p.src, srcs = srcs[0], srcs[1:]
 		p.from, p.asked, p.donor = "", 0, 0
 		p.pull++
-		for _, donor := range p.src.Donors {
+		for _, donor := range p.src.donors {
 			if donor != n.self {
 				n.send(donor, snapMsg{Req: true, Pull: p.pull})
 				p.asked++
@@ -295,7 +395,7 @@ func (n *Node) apply(p *pass, donor proto.SiteID, c snapMsg) {
 	}
 	src, from, more := p.src, p.from, c.More
 	changed, err := n.eng.CatchUp(snap, unstable, func(key string) bool {
-		return key >= from && (!more || key <= last) && (src.Include == nil || src.Include(key))
+		return key >= from && (!more || key <= last) && (src.include == nil || src.include(key))
 	})
 	p.st.CaughtUpKeys += changed
 	if p.err = err; err != nil || !more || len(c.Entries) == 0 {

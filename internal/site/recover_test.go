@@ -12,7 +12,6 @@ import (
 	"termproto/internal/db/wal"
 	"termproto/internal/obs"
 	"termproto/internal/proto"
-	"termproto/internal/recovery"
 	"termproto/internal/sim"
 )
 
@@ -66,15 +65,14 @@ func (h *handSites) deliver(kind proto.Kind, from, to proto.SiteID) {
 type recovered struct {
 	done bool
 	at   sim.Time
-	st   recovery.Stats
-	err  error
+	st   Stats
 }
 
 // recover starts site id's recovery.
 func (h *handSites) recover(id proto.SiteID) *recovered {
 	r := &recovered{}
-	h.nodes[id].Recover(func(st recovery.Stats, err error) {
-		*r = recovered{true, h.sched.Now(), st, err}
+	h.nodes[id].Recover(func(st Stats) {
+		*r = recovered{true, h.sched.Now(), st}
 	})
 	return r
 }
@@ -138,7 +136,7 @@ func TestRecoveryCommitFromRosterPeer(t *testing.T) {
 		t.Fatalf("asked %v, want the roster's other members [1 5]", got)
 	}
 	h.settle()
-	if !r.done || r.err != nil || r.st.Replayed != 1 || r.st.InDoubt != 1 || r.st.ResolvedCommit != 1 || r.st.Unresolved != 0 {
+	if !r.done || r.st.Err != "" || r.st.Replayed != 1 || r.st.InDoubt != 1 || r.st.ResolvedCommit != 1 || r.st.Unresolved != 0 {
 		t.Fatalf("recovery = %+v", r)
 	}
 	e := h.engs[3]
@@ -468,7 +466,7 @@ func TestRecoveryDonorRefusesUntilRecovered(t *testing.T) {
 	}
 	h.deliver(proto.MsgSnapshot, 3, 2)
 	h.deliver(proto.MsgSnapshot, 1, 2)
-	if !two.done || two.at != 0 || two.err != nil {
+	if !two.done || two.at != 0 || two.st.Err != "" {
 		t.Fatalf("site 2's recovery = %+v, want done at once with both donors refusing", two)
 	}
 	if three.done {
@@ -505,7 +503,7 @@ func TestRecoveryColdClusterDoneInOneRoundTrip(t *testing.T) {
 		h.nodes[m.To].Deliver(m)
 	}
 	for i, r := range rs {
-		if !r.done || r.at != 0 || r.err != nil || r.st.CaughtUpKeys != 0 {
+		if !r.done || r.at != 0 || r.st.Err != "" || r.st.CaughtUpKeys != 0 {
 			t.Fatalf("site %d's recovery = %+v, want done at 0 with nothing caught up", i+1, r)
 		}
 	}
@@ -536,7 +534,7 @@ func TestRecoveryRefusedPullerKeepsItsKeys(t *testing.T) {
 	h.deliver(proto.MsgSnapshot, 1, 3)
 	h.deliver(proto.MsgSnapshot, 2, 1)
 	h.deliver(proto.MsgSnapshot, 3, 1)
-	if !r.done || r.at != 0 || r.err != nil || r.st.CaughtUpKeys != 0 {
+	if !r.done || r.at != 0 || r.st.Err != "" || r.st.CaughtUpKeys != 0 {
 		t.Fatalf("recovery = %+v, want done at once with nothing caught up", r)
 	}
 	if e := h.engs[1]; e.GetInt("acct/a") != 1 || e.GetInt("acct/b") != 2 {
@@ -648,7 +646,7 @@ func TestRecoveryCrashMidwayThenRecover(t *testing.T) {
 // A site without a database has nothing to recover.
 func TestRecoveryNeedsAnEngine(t *testing.T) {
 	h := recoverySites(t, 2, nil)
-	if r := h.recover(1); !r.done || r.err == nil {
+	if r := h.recover(1); !r.done || r.st.Err == "" {
 		t.Fatalf("recovery without an engine = %+v, want an error", r)
 	}
 }
@@ -674,5 +672,23 @@ func TestRecoverySnapshotChunk(t *testing.T) {
 	}
 	if c := chunk(snapMsg{Req: true}, big); !c.More || len(c.Entries) == 0 || len(c.Entries) == 1000 {
 		t.Fatalf("a 100 KB snapshot in one chunk of %d entries (more %v)", len(c.Entries), c.More)
+	}
+}
+
+// A report renders its counts in one line, and crosses GET /recovery under
+// the names a client reads.
+func TestRecoveryStatsString(t *testing.T) {
+	s := Stats{Ran: true, Replayed: 1, InDoubt: 2, ResolvedCommit: 1, ResolvedAbort: 1, CaughtUpKeys: 3}
+	want := "replayed=1 in-doubt=2 resolved-commit=1 resolved-abort=1 unresolved=0 caught-up=3"
+	if got := fmt.Sprint(s); got != want {
+		t.Fatalf("String = %q, want %q", got, want)
+	}
+	b, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON := `{"ran":true,"replayed":1,"inDoubt":2,"resolvedCommit":1,"resolvedAbort":1,"unresolved":0,"caughtUpKeys":3}`
+	if string(b) != wantJSON {
+		t.Fatalf("JSON = %s, want %s", b, wantJSON)
 	}
 }

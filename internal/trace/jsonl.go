@@ -1,15 +1,16 @@
 package trace
 
-// JSONL trace export: one JSON object per line, a versioned header line
+// JSONL trace files: one JSON object per line, a versioned header line
 // first, then one event per line. The format is the interchange surface
-// of the observability layer — termnode writes it with -trace-out at
-// shutdown, termsim writes a run's trace with -trace-out (on the net
-// backend, its daemons' files merged), and offline tooling (termchaos
-// -check) reads it back with ReadJSONL. The
-// reader is hardened the same way the wire and directory codecs are:
-// every line is bounded, the header is validated before any event is
-// parsed, and unknown kinds or malformed JSON fail cleanly instead of
-// panicking or silently skipping.
+// of the observability layer — termnode streams it with -trace-out, one
+// line per event as it happens (OpenJSONL, AppendJSONL), so a SIGKILLed
+// daemon leaves every event it traced and a restarted one appends to the
+// same file; termsim writes a run's trace with -trace-out (on the net
+// backend, its daemons' files merged); and offline tooling (termchaos
+// -check) reads it back with ReadJSONL. The reader is hardened the same
+// way the wire and directory codecs are: every line is bounded, the header
+// is validated before any event is parsed, and unknown kinds or malformed
+// JSON fail cleanly instead of panicking or silently skipping.
 
 import (
 	"bufio"
@@ -64,39 +65,63 @@ var kindFromString = func() map[string]EventKind {
 	return m
 }()
 
+// headerLine is the JSONL header, newline included.
+func headerLine() []byte {
+	b, _ := json.Marshal(jsonlHeader{V: JSONLVersion, Kind: jsonlKind}) // a struct of an int and a string cannot fail
+	return append(b, '\n')
+}
+
+// AppendJSONL appends e's JSONL line, newline included, to dst: the one
+// event encoder of WriteJSONL and of a daemon's stream.
+func AppendJSONL(dst []byte, e Event) []byte {
+	b, _ := json.Marshal(jsonlEvent{ // strings, integers and booleans cannot fail
+		At: int64(e.At), Kind: e.Kind.String(), Site: e.Site,
+		From: e.From, To: e.To, MsgKind: e.MsgKind, TID: e.TID,
+		Cross: e.Cross, FromState: e.FromState, ToState: e.ToState,
+		Outcome: e.Outcome, Detail: e.Detail,
+	})
+	return append(append(dst, b...), '\n')
+}
+
 // WriteJSONL writes the events as a JSONL trace: the versioned header
 // line, then one event per line, in order.
 func WriteJSONL(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(jsonlHeader{V: JSONLVersion, Kind: jsonlKind}); err != nil {
-		return err
-	}
-	for _, e := range events {
-		je := jsonlEvent{
-			At: int64(e.At), Kind: e.Kind.String(), Site: e.Site,
-			From: e.From, To: e.To, MsgKind: e.MsgKind, TID: e.TID,
-			Cross: e.Cross, FromState: e.FromState, ToState: e.ToState,
-			Outcome: e.Outcome, Detail: e.Detail,
-		}
-		if err := enc.Encode(je); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	_, err := w.Write(encodeJSONL(events))
+	return err
 }
 
-// WriteJSONLFile writes the events to path, creating or truncating it.
+// WriteJSONLFile writes the events to path as WriteJSONL does, creating or
+// truncating it.
 func WriteJSONLFile(path string, events []Event) error {
-	f, err := os.Create(path)
+	return os.WriteFile(path, encodeJSONL(events), 0o644)
+}
+
+// encodeJSONL is the JSONL trace of events.
+func encodeJSONL(events []Event) []byte {
+	buf := headerLine()
+	for _, e := range events {
+		buf = AppendJSONL(buf, e)
+	}
+	return buf
+}
+
+// OpenJSONL opens path for appending a trace one AppendJSONL line at a
+// time, creating it and writing the header when it is empty: a file that
+// several writers took turns at, one after another, reads as one trace.
+func OpenJSONL(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := WriteJSONL(f, events); err != nil {
+	st, err := f.Stat()
+	if err == nil && st.Size() == 0 {
+		_, err = f.Write(headerLine())
+	}
+	if err != nil {
 		f.Close()
-		return err
+		return nil, err
 	}
-	return f.Close()
+	return f, nil
 }
 
 // ReadJSONLFile parses the JSONL trace at path.
